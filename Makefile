@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck cover bench check fuzz repl-smoke cluster-smoke
+.PHONY: all build test race vet fmt staticcheck cover bench check drain-policies fuzz cluster-smoke
 
 all: build
 
@@ -36,11 +36,20 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-check: build fmt vet staticcheck test race
+# drain-policies runs the stream runtime, the experiments and the root
+# fan-out/sharing/alloc suites under the race detector at 1 and 4 CPUs, so
+# both mailbox drain policies (producer-drained, scheduler pool) and
+# concurrent CQTIME SYSTEM stamping are exercised whatever the runner's
+# core count.
+drain-policies:
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime' .
+
+check: build fmt vet staticcheck test race drain-policies
 
 # bench regenerates the fan-out scaling numbers (experiment E9) into
-# BENCH_fanout.json, the tracing-overhead numbers (E11) into
-# BENCH_trace.json, the ingest hot-path ladder (E12) into
+# BENCH_fanout.json, the tracing-overhead numbers (E11) into the
+# uncommitted bench-trace-smoke.json, the ingest hot-path ladder (E12) into
 # BENCH_ingest.json, the shard scale-out ladder (E13) into
 # BENCH_shard.json, the incremental-maintenance ladder (E14) into
 # BENCH_ivm.json, the scheduler + plan-sharing ladder (E15) into
@@ -53,7 +62,7 @@ check: build fmt vet staticcheck test race
 # BenchmarkIngest -benchmem` is the ladder's testing.B counterpart.
 bench:
 	$(GO) run ./cmd/srbench -scale 0.2 -only E9 -json BENCH_fanout.json
-	$(GO) run ./cmd/srbench -scale 0.2 -only E11 -json BENCH_trace.json
+	$(GO) run ./cmd/srbench -scale 0.2 -only E11 -json bench-trace-smoke.json
 	$(GO) run ./cmd/srbench -scale 0.5 -only E12 -json BENCH_ingest.json -stamp -budget BENCH_budget.json
 	$(GO) run ./cmd/srbench -scale 0.5 -only E13 -json BENCH_shard.json -stamp
 	$(GO) run ./cmd/srbench -scale 0.5 -only E14 -json BENCH_ivm.json -stamp -budget BENCH_budget.json
@@ -72,16 +81,11 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzShardSplitMerge -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzIVMEquivalence -fuzztime=$(FUZZTIME) .
 
-# repl-smoke boots a primary and a replica streamreld as separate
-# processes, ingests through the primary, and asserts the replica
-# converges with settled lag metrics.
-repl-smoke:
-	$(GO) run ./cmd/replsmoke
-
 # cluster-smoke boots two shard streamrelds, a router, a replica of one
 # shard, and a single-node reference daemon as separate processes,
 # ingests the same keyed workload into both paths, and asserts the
 # router's scatter-gather query and merged CQ output match the
-# single-node run byte for byte.
+# single-node run byte for byte and the replica converges read-only with
+# settled lag metrics.
 cluster-smoke:
 	$(GO) run ./cmd/clustersmoke

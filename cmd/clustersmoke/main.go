@@ -5,8 +5,9 @@
 // and the reference, and asserts the router's scatter-gathered query
 // results and merged CQ windows match the single-node run exactly (after
 // canonical row ordering, which the router guarantees and the reference
-// is sorted into). It then kills one shard and asserts the router
-// degrades to flagged partial results instead of failing.
+// is sorted into). The replica must converge read-only with settled lag
+// metrics. It then kills one shard and asserts the router degrades to
+// flagged partial results instead of failing.
 //
 // Run it via `make cluster-smoke`.
 package main
@@ -361,6 +362,26 @@ func main() {
 			fatalf("replica did not converge on shard 0: %s/%d rows (err=%v)", got, shard0Rows, err)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+	// …serve it read-only, and export settled lag metrics.
+	if _, err := rep.Exec(`INSERT INTO s_archive VALUES ('no', 0, 0, NULL)`); err == nil {
+		fatalf("replica accepted a write")
+	}
+	stats, err := rep.Stats()
+	if err != nil {
+		fatalf("replica stats: %v", err)
+	}
+	seen := map[string]float64{}
+	for _, r := range stats.Data {
+		seen[r[0].Str()] = r[1].Float()
+	}
+	for _, m := range []string{"streamrel_repl_lag_lsn", "streamrel_repl_last_applied_lsn", "streamrel_repl_frames_applied_total"} {
+		if _, ok := seen[m]; !ok {
+			fatalf("replica stats missing %s", m)
+		}
+	}
+	if seen["streamrel_repl_last_applied_lsn"] == 0 {
+		fatalf("replica applied nothing")
 	}
 
 	// Observability plane: probes answer on shards and router, and the

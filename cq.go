@@ -20,13 +20,13 @@ type Batch struct {
 }
 
 // CQ is a handle on a running continuous query. Results queue internally;
-// read them with Next (blocking) or TryNext (non-blocking). In the default
-// synchronous mode every batch produced by an Append or AdvanceTime call
-// is already queued when that call returns. With Config.ParallelCQ the
-// query's batches flow through a mailbox drained by the work-stealing
-// scheduler pool: they arrive in the same order with the same contents,
-// but asynchronously — call Engine.Flush (or read with Next) to wait for
-// them.
+// read them with Next (blocking) or TryNext (non-blocking). The query's
+// input flows through a mailbox. By default the appending goroutine
+// drains it, so every batch produced by an Append or AdvanceTime call is
+// already queued when that call returns. With Config.ParallelCQ > 0 the
+// work-stealing scheduler pool drains it: batches arrive in the same
+// order with the same contents, but asynchronously — call Engine.Flush
+// (or read with Next) to wait for them.
 type CQ struct {
 	// Columns names and types the result rows.
 	Columns Schema

@@ -255,9 +255,9 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 // contents and applies a replace delta — delete only vanished rows,
 // insert only new ones — so an unchanged group costs no heap or WAL
 // churn; APPEND just adds. The write transaction makes the update atomic
-// at the window boundary; in parallel mode it runs on the producing
-// pipeline's worker goroutine (heap, index and WAL are internally
-// locked).
+// at the window boundary; it runs on whichever goroutine is draining the
+// producing pipeline's mailbox — the appender, or a pool worker with
+// Config.ParallelCQ > 0 (heap, index and WAL are internally locked).
 func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Row) error {
 	if e.replicaMode.Load() {
 		// A replica's channels stay quiet: the primary's channel writes

@@ -7,6 +7,7 @@ import (
 	"streamrel/internal/expr"
 	"streamrel/internal/sql"
 	"streamrel/internal/storage"
+	"streamrel/internal/trace"
 	"streamrel/internal/types"
 )
 
@@ -21,10 +22,9 @@ func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.stampSystemTime(st, rows)
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		if err := e.rt.PushBatch(s.Table, rows); err != nil {
+		if err := e.push(trace.Ctx{}, s.Table, rows); err != nil {
 			return nil, err
 		}
 		return &Result{RowsAffected: len(rows)}, nil

@@ -15,7 +15,8 @@ import (
 	"streamrel/internal/types"
 )
 
-// newParallelEnv is newEnv with worker execution enabled.
+// newParallelEnv is newEnv with a scheduler pool draining mailboxes bounded
+// at depth; depth 0 is newEnv (the producer drains).
 func newParallelEnv(t *testing.T, sharing bool, depth int) *env {
 	t.Helper()
 	e := newEnv(t, sharing)
@@ -91,52 +92,58 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelSinkErrorDetaches checks the failure contract: a sink
-// failing on a worker does not poison the producer — the error surfaces on
-// a later Push, the pipeline detaches, and other CQs keep running.
+// TestParallelSinkErrorDetaches checks the failure contract under both
+// drain policies: sinks failing on a window close never keep the batch
+// from a CQ subscribed after them, every failure surfaces (joined) and
+// detaches its pipeline, and the other CQs keep running. Without a pool
+// the errors come back from the very Push that closed the window; with
+// one they surface on a later producer call.
 func TestParallelSinkErrorDetaches(t *testing.T) {
-	e := newParallelEnv(t, false, 2)
-	_, healthy := e.subscribe(t, `SELECT url, count(*) FROM url_stream <ADVANCE '1 minute'> GROUP BY url`)
+	for _, depth := range []int{0, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			e := newParallelEnv(t, false, depth)
+			boom, bang := errors.New("sink exploded"), errors.New("second sink exploded")
+			pl := mustPlan(t, e, `SELECT count(*) FROM url_stream <ADVANCE '1 minute'>`)
+			for _, sinkErr := range []error{boom, bang} {
+				if _, err := e.rt.Subscribe(pl, func(trace.Ctx, int64, []types.Row) error { return sinkErr }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, healthy := e.subscribe(t, `SELECT url, count(*) FROM url_stream <ADVANCE '1 minute'> GROUP BY url`)
+			if got := e.rt.Stats().Pipelines; got != 3 {
+				t.Fatalf("pipelines = %d, want 3", got)
+			}
 
-	boom := errors.New("sink exploded")
-	stmt := `SELECT count(*) FROM url_stream <ADVANCE '1 minute'>`
-	pl := mustPlan(t, e, stmt)
-	if _, err := e.rt.Subscribe(pl, func(trace.Ctx, int64, []types.Row) error { return boom }); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.rt.Stats().Pipelines; got != 2 {
-		t.Fatalf("pipelines = %d, want 2", got)
-	}
+			e.hit(t, "/a", 10*minute, "ip1")
+			// Closes [10m,11m) for all three CQs; both failing sinks error.
+			err := e.rt.Push("url_stream", types.Row{
+				types.NewString("/a"), types.NewTimestampMicros(11*minute + 1), types.NewString("ip1"),
+			})
+			if depth > 0 {
+				// The failures surface once the workers have recorded them.
+				deadline := time.Now().Add(5 * time.Second)
+				for !(errors.Is(err, boom) && errors.Is(err, bang)) && time.Now().Before(deadline) {
+					err = errors.Join(err, e.rt.Quiesce())
+				}
+			}
+			if !errors.Is(err, boom) || !errors.Is(err, bang) {
+				t.Fatalf("expected both sink errors to surface, got %v", err)
+			}
+			if got := e.rt.Stats().Pipelines; got != 1 {
+				t.Fatalf("pipelines after failure = %d, want 1", got)
+			}
 
-	e.hit(t, "/a", 10*minute, "ip1")
-	e.hit(t, "/a", 11*minute+1, "ip1") // closes [10m,11m) for both CQs; failing sink errors on its worker
-
-	// The failure surfaces on a subsequent producer call once the worker
-	// has recorded it.
-	var err error
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if err = e.rt.Quiesce(); err != nil {
-			break
-		}
+			// The healthy CQ keeps producing.
+			e.hit(t, "/b", 12*minute+1, "ip1")
+			if err := e.rt.Advance("url_stream", 13*minute); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.rt.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, flatten(*healthy), "11:/a|1", "12:/a|1", "13:/b|1")
+		})
 	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("expected sink error to surface, got %v", err)
-	}
-	if got := e.rt.Stats().Pipelines; got != 1 {
-		t.Fatalf("pipelines after failure = %d, want 1", got)
-	}
-
-	// The healthy CQ keeps producing.
-	e.hit(t, "/b", 12*minute+1, "ip1")
-	if err := e.rt.Advance("url_stream", 13*minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.rt.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	got := flatten(*healthy)
-	expect(t, got, "11:/a|1", "12:/a|1", "13:/b|1")
 }
 
 // TestParallelBackpressureOrder pairs a depth-1 queue with a slow sink:
@@ -202,41 +209,52 @@ func TestParallelUnsubscribeAndClose(t *testing.T) {
 	}
 }
 
-// TestParallelDerivedCascade runs a derived stream whose consumer also has
-// a worker: the upstream worker's emission must flow through the derived
-// source into the downstream worker, and Quiesce must wait for the whole
-// cascade.
+// TestParallelDerivedCascade runs a derived stream into a SLICES consumer
+// under both drain policies. With a pool the upstream worker's emission
+// must flow through the derived source into the downstream worker, and
+// Quiesce must wait for the whole cascade; without one the fire on the
+// draining producer emits into the derived source and drains that too,
+// and is held to the same transcript.
 func TestParallelDerivedCascade(t *testing.T) {
-	e := newParallelEnv(t, false, 2)
-	schema := types.Schema{
-		{Name: "n", Type: types.TypeInt},
-		{Name: "stime", Type: types.TypeTimestamp},
-	}
-	if err := e.rt.RegisterSource("counts", schema, -1); err != nil {
-		t.Fatal(err)
-	}
-	e.cat.CreateDerivedStream(&catalog.DerivedStream{Name: "counts", Schema: schema, CloseCol: 1})
+	for _, depth := range []int{0, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			e := newParallelEnv(t, false, depth)
+			schema := types.Schema{
+				{Name: "n", Type: types.TypeInt},
+				{Name: "stime", Type: types.TypeTimestamp},
+			}
+			if err := e.rt.RegisterSource("counts", schema, -1); err != nil {
+				t.Fatal(err)
+			}
+			e.cat.CreateDerivedStream(&catalog.DerivedStream{Name: "counts", Schema: schema, CloseCol: 1})
 
-	// Upstream CQ emits into the derived source from its worker.
-	pl := mustPlan(t, e, `SELECT count(*), cq_close(*) FROM url_stream <ADVANCE '1 minute'>`)
-	if _, err := e.rt.Subscribe(pl, e.rt.DerivedSink("counts")); err != nil {
-		t.Fatal(err)
-	}
-	_, out := e.subscribe(t, `SELECT sum(n) FROM counts <SLICES 2 WINDOWS>`)
+			pl := mustPlan(t, e, `SELECT count(*), cq_close(*) FROM url_stream <ADVANCE '1 minute'>`)
+			if _, err := e.rt.Subscribe(pl, e.rt.DerivedSink("counts")); err != nil {
+				t.Fatal(err)
+			}
+			_, out := e.subscribe(t, `SELECT sum(n) FROM counts <SLICES 2 WINDOWS>`)
 
-	e.hit(t, "/a", 10*minute, "ip1")
-	e.hit(t, "/b", 10*minute+1, "ip1")
-	e.hit(t, "/c", 11*minute+1, "ip1")
-	if err := e.rt.Advance("url_stream", 13*minute); err != nil {
-		t.Fatal(err)
+			e.hit(t, "/a", 10*minute, "ip1")
+			e.hit(t, "/b", 10*minute+1, "ip1")
+			e.hit(t, "/c", 11*minute+1, "ip1")
+			if err := e.rt.Advance("url_stream", 13*minute); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{
+				"11:2", // first emission alone
+				"12:3", // windows closing at 11m (2 rows) + 12m (1 row)
+				"13:1", // 12m (1 row) + 13m (0 rows, empty emission)
+			}
+			if depth == 0 {
+				// Producer-drained: everything is delivered before Advance returns.
+				expect(t, flatten(*out), want...)
+			}
+			if err := e.rt.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, flatten(*out), want...)
+		})
 	}
-	if err := e.rt.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, flatten(*out),
-		"11:2", // first emission alone
-		"12:3", // windows closing at 11m (2 rows) + 12m (1 row)
-		"13:1") // 12m (1 row) + 13m (0 rows, empty emission)
 }
 
 // mustPlan compiles a CQ statement without subscribing it.

@@ -70,7 +70,8 @@ type Pipeline struct {
 	resumeAfter int64
 
 	// Trace state, touched only on the goroutine that applies this
-	// pipeline's input (worker, or producer under the source lock). tc is
+	// pipeline's input (its mailbox's drainer, or for a shared-slice member
+	// the producer under the source lock). tc is
 	// the most recent sampled context since the last fire — the next fire
 	// is attributed to it; oldestIngest is the earliest unfired batch's
 	// ingest time (wall ns), the start of the push-to-fire latency the
@@ -78,20 +79,16 @@ type Pipeline struct {
 	tc           trace.Ctx
 	oldestIngest int64
 
-	// Worker execution (parallel mode only; mbox == nil means the
-	// pipeline runs synchronously on the producer). The work-stealing
-	// pool runs at most one worker inside the mailbox at a time and
-	// applies tasks in queue order, so per-pipeline results match the
-	// synchronous engine exactly.
+	// mbox is where the source hands this pipeline its input; nil exactly
+	// for shared-slice members (shared != nil), which the producer steps
+	// row by row, and for plan-group members, which are fed by their host.
+	// At most one goroutine drains a mailbox at a time and applies tasks
+	// in queue order, so per-pipeline results do not depend on who drains.
 	mbox     *mailbox
 	stopOnce sync.Once
-	enqueued atomic.Int64
-	// applied counts non-flush tasks the worker has fully processed;
-	// enqueued == applied with an empty queue means the worker is idle,
-	// which lets the producer bypass the queue (soleIdleWorker).
-	applied atomic.Int64
-	failed  atomic.Bool // failErr is written before the Store, read after the Load
-	failErr error
+	enqueued atomic.Int64 // lifetime non-flush tasks; Quiesce's cascade detector
+	failed   atomic.Bool  // failErr is written before the Store, read after the Load
+	failErr  error
 
 	// id labels this pipeline in metric series and Stats.PerPipeline.
 	id int64
@@ -179,9 +176,8 @@ func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup
 			g = &planGroup{key: key, host: host}
 			host.hosting = g
 			src.groups[key] = g
-			if rt.parallel > 0 && host.shared == nil {
-				host.startWorker(rt.parallel)
-				src.workers++
+			if host.shared == nil {
+				host.startMailbox()
 			}
 			src.pipes = append(src.pipes, host)
 		}

@@ -28,8 +28,8 @@ import (
 // Subscribers ("members") are not in the source fan-out list: they see no
 // row delivery, hold no buffers and get no mailbox, so ingest cost does
 // not scale with membership. Member sinks run on whatever goroutine fires
-// the host (producer in synchronous mode, a pool worker or the producer
-// in parallel mode); rows in a delivered batch are shared across the
+// the host (whoever drains its mailbox: the producer or a pool worker);
+// rows in a delivered batch are shared across the
 // set's members and must be treated as immutable.
 type planGroup struct {
 	key  string
@@ -171,8 +171,7 @@ func (g *planGroup) fanout(host *Pipeline, c int64, aggRows []types.Row, presort
 		if err != nil {
 			err = fmt.Errorf("stream: window close at %d: %w", c, err)
 			for _, m := range run {
-				m.failErr = err
-				m.failed.Store(true)
+				m.fail(err)
 				host.src.failedMembers.Add(1)
 			}
 			continue
@@ -221,8 +220,7 @@ func (g *planGroup) deliver(host *Pipeline, tc trace.Ctx, c int64, outs []setOut
 				continue
 			}
 			if err := m.sink(tc, c, so.out); err != nil {
-				m.failErr = err
-				m.failed.Store(true)
+				m.fail(err)
 				host.src.failedMembers.Add(1)
 				continue
 			}

@@ -12,18 +12,20 @@
 //
 // Concurrency: the runtime keeps a read-mostly source registry behind an
 // RWMutex, and each source carries its own mutex, so pushes to distinct
-// streams never contend. Within one source, delivery has two modes. In the
-// default synchronous mode every subscribed pipeline runs on the pushing
-// goroutine in subscription order, which makes whole-engine execution
-// deterministic. With SetParallel, each non-shared pipeline instead gets a
-// bounded mailbox of micro-batches (blocking backpressure on producers)
-// drained by a work-stealing scheduler: a fixed pool of workers (default
-// GOMAXPROCS, see SetSchedWorkers) with per-worker deques and steal-half
-// rebalancing, so 10k mostly idle pipelines cost 10k mailboxes, not 10k
-// goroutines. A mailbox is executed by at most one worker at a time and
-// rows for a given pipeline are still applied in arrival order, so per-CQ
-// results are identical to the synchronous mode, while fan-out to N
-// continuous queries uses up to GOMAXPROCS cores instead of one.
+// streams never contend. Within one source there is one delivery path:
+// every pipeline that is not a shared-slice member owns a mailbox of
+// micro-batch tasks, the source enqueues each batch, heartbeat and
+// emission on it, and at most one goroutine drains a mailbox at a time,
+// in arrival order. Who drains is a scheduling policy. By default the
+// enqueuing goroutine drains the mailboxes it just fed, in subscription
+// order, before its call returns — no goroutine is created and
+// whole-engine execution is deterministic. With SetParallel the
+// mailboxes are bounded (blocking backpressure on producers) and drained
+// by a work-stealing scheduler: a fixed pool of GOMAXPROCS workers with
+// per-worker deques and steal-half rebalancing, so 10k mostly idle
+// pipelines cost 10k mailboxes, not 10k goroutines, per-CQ results are
+// identical, and fan-out to N continuous queries uses up to GOMAXPROCS
+// cores instead of one.
 //
 // On top of delivery, plan-level sharing (SetPlanSharing) folds continuous
 // queries whose canonical plans are identical — or subsumed, differing
@@ -35,6 +37,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -53,9 +56,9 @@ import (
 // query, together with the trace context of the sampled batch that
 // proved the window complete (the zero Ctx when none was sampled) — so
 // downstream hops (channel WAL writes, derived-stream deliveries) join
-// the same span chain. In parallel mode a sink runs on whichever
-// scheduler worker is executing its pipeline's mailbox; it must not call
-// back into the pipeline's own stream.
+// the same span chain. A sink runs on whichever goroutine is draining its
+// pipeline's mailbox (the producer, or a scheduler worker under
+// SetParallel); it must not call back into the pipeline's own stream.
 type Sink func(tc trace.Ctx, closeTS int64, rows []types.Row) error
 
 // LatePolicy decides what happens to a row whose timestamp precedes the
@@ -81,8 +84,9 @@ const (
 // Locking order: Runtime.mu (registry) is never held while a source mutex
 // is taken for delivery; source mutexes are acquired one at a time except
 // through derived-stream emission, where the producer-side lock of the
-// derived source is taken while an upstream source's lock (or worker) is
-// active. Derived streams form a DAG, so that ordering is acyclic.
+// derived source is taken while an upstream pipeline's mailbox is being
+// drained (under the upstream source's lock, or on a pool worker).
+// Derived streams form a DAG, so that ordering is acyclic.
 type Runtime struct {
 	mu      sync.RWMutex // guards sources map and closed flag
 	sources map[string]*source
@@ -102,14 +106,11 @@ type Runtime struct {
 	// sharing flag; requires sharing for the host's fallback state.
 	planShare bool
 	// parallel is the per-pipeline mailbox backpressure bound in
-	// micro-batches; 0 keeps the fully synchronous engine.
+	// micro-batches; 0 means no pool: producers drain the mailboxes.
 	parallel int
-	// schedWorkers sizes the work-stealing pool (0 = GOMAXPROCS); the
-	// pool itself is created lazily on the first worker-mode subscribe.
-	schedWorkers int
-	schedMu      sync.Mutex
-	sched        *scheduler
-	now          func() time.Time
+	// sched is the work-stealing pool; nil when parallel == 0.
+	sched *scheduler
+	now   func() time.Time
 	// Late is the disorder policy applied to all sources. Set before
 	// pushing begins.
 	Late LatePolicy
@@ -222,44 +223,23 @@ func (r *Runtime) SetTracer(t *trace.Tracer) { r.tracer = t }
 // this over shared slice aggregation. Call once, before subscribing.
 func (r *Runtime) SetIVM(on bool) { r.ivm = on }
 
-// SetParallel switches the runtime into parallel continuous-query mode:
-// every subsequently subscribed non-shared pipeline gets a mailbox fed
-// with micro-batch tasks (bounded at depth on the producer path —
-// blocking backpressure) and is executed by the shared work-stealing
-// worker pool. Pipelines that join a shared slice aggregation keep
-// running synchronously on the producer — the shared state is the point
-// of sharing. Call once, before subscribing.
+// SetParallel hands mailbox draining to the shared work-stealing worker
+// pool: mailboxes are bounded at depth tasks on the producer path
+// (blocking backpressure) and producers no longer wait for window fires.
+// depth < 1 keeps the default, where the enqueuing goroutine drains.
+// Pipelines that join a shared slice aggregation have no mailbox and run
+// on the producer either way — the shared state is the point of sharing.
+// Call once, after SetMetrics and before subscribing.
 func (r *Runtime) SetParallel(depth int) {
 	if depth < 1 {
-		depth = 0
+		return
 	}
 	r.parallel = depth
+	r.sched = newScheduler(r.SchedWorkers(), r.reg)
 }
 
-// SetSchedWorkers sizes the work-stealing pool used in parallel mode; 0
-// (the default) means GOMAXPROCS. Call once, before subscribing.
-func (r *Runtime) SetSchedWorkers(n int) { r.schedWorkers = n }
-
-// SchedWorkers reports the effective pool size for EXPLAIN and stats.
-func (r *Runtime) SchedWorkers() int {
-	if r.schedWorkers > 0 {
-		return r.schedWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// ensureSched creates the work-stealing pool on the first worker-mode
-// subscribe (by then SetMetrics and SetSchedWorkers have run).
-func (r *Runtime) ensureSched() {
-	r.schedMu.Lock()
-	if r.sched == nil {
-		r.sched = newScheduler(r.schedWorkers, r.reg)
-	}
-	r.schedMu.Unlock()
-}
-
-// Parallel reports whether parallel continuous-query mode is enabled.
-func (r *Runtime) Parallel() bool { return r.parallel > 0 }
+// SchedWorkers reports the pool size for EXPLAIN: GOMAXPROCS.
+func (r *Runtime) SchedWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // source is the fan-out point for one stream (base or derived). Its mutex
 // serializes pushes, heartbeats, subscription changes and tap changes for
@@ -269,13 +249,15 @@ type source struct {
 	schema    types.Schema
 	cqtimeCol int // -1: timestamps supplied by the pusher (derived streams)
 
-	mu      sync.Mutex
-	lastTS  int64
-	hasTS   bool
-	pipes   []*Pipeline
-	workers int // number of pipes with a worker goroutine
-	taps    []*Sink
-	shared  map[string]*sharedAgg // key: fingerprint + advance
+	mu     sync.Mutex
+	lastTS int64
+	hasTS  bool
+	pipes  []*Pipeline
+	taps   []*Sink
+	shared map[string]*sharedAgg // key: fingerprint + advance
+	// claimed is enqueue's per-call scratch: the mailboxes the enqueuing
+	// goroutine claimed and must drain before releasing mu.
+	claimed []*Pipeline
 
 	// Plan-level sharing. Group hosts live in pipes (they are the ones
 	// fed rows); members live only here, so delivery cost is O(hosts) no
@@ -346,17 +328,21 @@ func (r *Runtime) DropSource(name string) {
 	if src == nil {
 		return
 	}
-	src.mu.Lock()
-	pipes := src.pipes
-	pipes = append(pipes, src.members...)
-	pipes = append(pipes, src.retired...)
-	src.pipes, src.workers = nil, 0
-	src.members, src.retired = nil, nil
-	src.groups = make(map[string]*planGroup)
-	src.mu.Unlock()
-	for _, pipe := range pipes {
+	for _, pipe := range src.detachAll() {
 		pipe.stop()
 	}
+}
+
+// detachAll empties the source's fan-out lists and returns every pipeline
+// that was on them, for the caller to stop.
+func (s *source) detachAll() []*Pipeline {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pipes := append(s.pipes, s.members...)
+	pipes = append(pipes, s.retired...)
+	s.pipes, s.members, s.retired = nil, nil, nil
+	s.groups = make(map[string]*planGroup)
+	return pipes
 }
 
 // HasSource reports whether name is a registered stream.
@@ -427,15 +413,14 @@ func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 		src.members = append(src.members, pipe)
 		return pipe, nil
 	}
-	if r.parallel > 0 && pipe.shared == nil {
-		pipe.startWorker(r.parallel)
-		src.workers++
+	if pipe.shared == nil {
+		pipe.startMailbox()
 	}
 	src.pipes = append(src.pipes, pipe)
 	return pipe, nil
 }
 
-// Unsubscribe detaches a pipeline and stops its worker, discarding any
+// Unsubscribe detaches a pipeline and stops its mailbox, discarding any
 // queued but unprocessed input.
 func (r *Runtime) Unsubscribe(pipe *Pipeline) {
 	src := pipe.src
@@ -493,9 +478,6 @@ func (s *source) detachLocked(pipe *Pipeline) {
 	for i, p := range s.pipes {
 		if p == pipe {
 			s.pipes = append(s.pipes[:i], s.pipes[i+1:]...)
-			if pipe.mbox != nil {
-				s.workers--
-			}
 			break
 		}
 	}
@@ -507,17 +489,19 @@ func (s *source) detachLocked(pipe *Pipeline) {
 	}
 }
 
-// sweepFailedLocked detaches pipelines whose workers failed asynchronously
-// and returns their errors, so a failing sink surfaces on the next
-// Push/Advance instead of poisoning the producer forever. Callers hold
-// s.mu.
+// sweepFailedLocked detaches every pipeline that has recorded a failure
+// and returns their errors joined — the one place delivery errors are
+// collected. Producer-drained pipelines fail inside the call that carried
+// the offending row, so that call reports them; a pool worker's failure
+// surfaces on the next Push/Advance/Quiesce instead of poisoning the
+// producer forever. Callers hold s.mu.
 func (s *source) sweepFailedLocked() error {
 	var errs []error
 	for i := 0; i < len(s.pipes); {
 		p := s.pipes[i]
-		if p.mbox != nil && p.failed.Load() {
+		if p.failed.Load() {
 			s.detachLocked(p)
-			p.stop() // failed workers only drain, so this returns promptly
+			p.stop() // failed mailboxes only drain, so this returns promptly
 			if err := p.takeErr(); err != nil {
 				errs = append(errs, err)
 			}
@@ -544,13 +528,6 @@ func (s *source) sweepFailedLocked() error {
 	return errors.Join(errs...)
 }
 
-// failLocked detaches a synchronously failing pipeline and propagates the
-// error to the producer. Callers hold s.mu.
-func (s *source) failLocked(pipe *Pipeline, err error) error {
-	s.detachLocked(pipe)
-	return err
-}
-
 // Push appends one row to a base stream. The row's CQTIME column supplies
 // its timestamp; timestamps must be non-decreasing (the paper's streams
 // are "ordered on an attribute").
@@ -562,7 +539,7 @@ func (r *Runtime) Push(stream string, row types.Row) error {
 	one := [1]types.Row{row}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	return src.deliver(r, trace.Ctx{}, one[:], 0, false)
+	return src.deliver(r, trace.Ctx{}, one[:])
 }
 
 // PushBatch appends rows in order. Per-batch invariants — source
@@ -579,13 +556,25 @@ func (r *Runtime) PushBatch(stream string, rows []types.Row) error {
 // hops join the primary's span chain. A zero Ctx lets the runtime's own
 // tracer make the sampling decision.
 func (r *Runtime) PushBatchCtx(tc trace.Ctx, stream string, rows []types.Row) error {
+	return r.PushBatchArrival(tc, stream, rows, nil)
+}
+
+// PushBatchArrival is PushBatchCtx for a CQTIME SYSTEM stream: each row's
+// CQTIME column is replaced, on a copy of the row, by its arrival time
+// read from now under the source lock — so concurrent producers are
+// stamped in the order they are delivered — and never earlier than the
+// stream's clock. A nil now keeps the rows' own timestamps.
+func (r *Runtime) PushBatchArrival(tc trace.Ctx, stream string, rows []types.Row, now func() time.Time) error {
 	src, err := r.lookup(stream)
 	if err != nil {
 		return err
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	return src.deliver(r, tc, rows, 0, false)
+	if now != nil {
+		src.stampArrival(rows, now)
+	}
+	return src.deliver(r, tc, rows)
 }
 
 // prepare validates a batch and stamps each row with its timestamp,
@@ -642,49 +631,32 @@ func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explici
 	return block, nil
 }
 
-// soleIdleWorker returns this source's single subscribing pipeline when
-// its worker can be bypassed: exactly one pipeline, it runs in worker
-// mode, it has not failed, and the worker has no backlog — nothing
-// queued and everything enqueued already applied. In that state the
-// producer applies the task inline, skipping the channel hand-off whose
-// wake-up latency makes k=1 parallel mode slower than serial. Memory
-// ordering: applied is incremented after the worker's last mutation of
-// pipeline state, so enqueued == applied proves those writes are visible
-// here; the next enqueue (channel send) publishes the producer's inline
-// mutations back to the worker. Callers hold s.mu.
-func (s *source) soleIdleWorker() (*Pipeline, bool) {
-	if s.workers != 1 || len(s.pipes) != 1 {
-		return nil, false
+// stampArrival overwrites each row's CQTIME column, on a copy of the row,
+// with its arrival time ("CQTIME SYSTEM"), never earlier than the stream's
+// high-water mark. Stamping under s.mu is what makes concurrent producers'
+// stamps non-decreasing in delivery order. Callers hold s.mu.
+func (s *source) stampArrival(rows []types.Row, now func() time.Time) {
+	hwm := int64(math.MinInt64)
+	if s.hasTS {
+		hwm = s.lastTS
 	}
-	p := s.pipes[0]
-	if p.mbox == nil || p.failed.Load() || p.mbox.depth() != 0 {
-		return nil, false
+	for i, row := range rows {
+		if s.cqtimeCol >= len(row) {
+			continue // prepare rejects the batch for its arity
+		}
+		hwm = max(hwm, now().UnixMicro())
+		rows[i] = row.Clone()
+		rows[i][s.cqtimeCol] = types.NewTimestampMicros(hwm)
 	}
-	if p.enqueued.Load() != p.applied.Load() {
-		return nil, false
-	}
-	return p, true
 }
 
-// failInlineLocked detaches a worker pipeline that failed while being
-// run inline on the producer and stops its (idle) worker. Callers hold
-// s.mu.
-func (s *source) failInlineLocked(pipe *Pipeline, err error) error {
-	s.detachLocked(pipe)
-	pipe.stop()
-	return err
-}
-
-// deliver fans one validated batch out to every subscriber. A row at ts
-// proves every window closing at or before ts complete, so each pipeline
-// fires those closes before buffering the row — per pipeline, rows and
-// closes interleave exactly as in row-at-a-time delivery. Callers hold
-// s.mu.
-func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS int64, explicit bool) error {
-	if err := s.sweepFailedLocked(); err != nil {
-		return err
-	}
-	block, err := s.prepare(r, rows, explicitTS, explicit)
+// deliver validates one batch of a base stream and fans it out. A row at
+// ts proves every window closing at or before ts complete, so each
+// pipeline fires those closes before buffering the row — per pipeline,
+// rows and closes interleave exactly as in row-at-a-time delivery.
+// Callers hold s.mu.
+func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
+	block, err := s.prepare(r, rows, 0, false)
 	if err != nil {
 		return err
 	}
@@ -694,9 +666,9 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS 
 		return nil
 	}
 	// Sampling decision at ingest: a batch without an externally assigned
-	// context (replica re-injection, derived emission) rolls the dice
-	// here. Unsampled batches still get an ingest timestamp so slow-fire
-	// latency is measurable for every fire.
+	// context (replica re-injection) rolls the dice here. Unsampled batches
+	// still get an ingest timestamp so slow-fire latency is measurable for
+	// every fire.
 	if r.tracer != nil && tc.ID == 0 && tc.Ingest == 0 && !s.internal {
 		tc = r.tracer.Begin(s.name, len(batch))
 	}
@@ -712,93 +684,57 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS 
 		}
 		r.OnIngest(tc, s.name, accepted)
 	}
-	// Hand the batch to worker pipelines first so they chew on it while
-	// the producer walks the synchronous subscribers — except when the
-	// source's single subscriber has an idle worker, where applying
-	// inline skips the queue hand-off entirely.
-	if pipe, ok := s.soleIdleWorker(); ok {
-		if tc.ID != 0 {
-			// Inline delivery skips the queue; zero-duration enqueue and
-			// pickup markers keep the parallel-mode span chain uniform.
-			now := time.Now().UnixMicro()
-			r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageEnqueue,
-				Stream: s.name, Pipe: pipe.id, Start: now, Rows: len(batch)})
-			r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StagePickup,
-				Stream: s.name, Pipe: pipe.id, Start: now, Rows: len(batch)})
-		}
-		if err := pipe.processBatch(batch, tc); err != nil {
-			return s.failInlineLocked(pipe, err)
-		}
-	} else {
-		s.fanOutWorkers(r, tc, task{kind: taskBatch, batch: batch, block: block}, true)
-	}
-	// Base-stream taps archive the raw feed; one call per batch turns
-	// the channel's transaction (and WAL append + fsync) per ROW into
-	// one per BATCH. Taps run before shared members step so a window
-	// firing mid-batch sees the whole batch archived — the ordering
-	// synchronous non-shared pipelines always observed.
-	if !explicit && s.cqtimeCol >= 0 && len(s.taps) > 0 {
-		rb := getRowsBlock(len(batch))
-		for _, tr := range batch {
+	return s.fanOut(r, task{kind: taskBatch, batch: batch, block: block,
+		ts: batch[len(batch)-1].ts, tc: tc}, true)
+}
+
+// fanOut hands one task to every subscriber of the source. Mailboxes are
+// fed first, so pool workers chew on the batch while this goroutine runs
+// the taps — one call per batch, so a channel's transaction, WAL append
+// and fsync are per BATCH, and a window firing mid-batch sees the whole
+// batch archived — then the shared-slice members, then the mailboxes it
+// claimed. Failures are swept last: a failing tap, member or pipeline
+// never keeps the batch from its peers. bounded applies the mailbox
+// backpressure bound — true only on the external producer path, never
+// for work originating inside the pool (see worker.go). Callers hold s.mu.
+func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
+	s.enqueue(r, t, bounded)
+	var errs []error
+	if t.kind != taskAdvance && len(s.taps) > 0 {
+		rb := getRowsBlock(len(t.batch))
+		for _, tr := range t.batch {
 			rb.rows = append(rb.rows, tr.row)
 		}
-		last := batch[len(batch)-1].ts
 		for _, tap := range s.taps {
-			if err := (*tap)(tc, last, rb.rows); err != nil {
-				rb.put()
-				return err
+			if err := (*tap)(t.tc, t.ts, rb.rows); err != nil {
+				errs = append(errs, err)
 			}
 		}
 		rb.put()
 	}
-	// Shared aggregation members keep exact per-row interleaving with the
-	// shared slice state.
 	if len(s.shared) > 0 {
-		for _, pipe := range s.pipes {
-			if pipe.shared != nil {
-				pipe.noteBatch(tc)
-				if tc.ID != 0 {
-					// Shared members consume the batch row-at-a-time on
-					// this goroutine; the enqueue span is a zero-duration
-					// hand-off marker keeping the chain uniform.
-					r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageEnqueue,
-						Stream: s.name, Pipe: pipe.id, Start: time.Now().UnixMicro(), Rows: len(batch)})
-				}
-			}
-		}
-		for _, tr := range batch {
-			if err := s.stepSharedLocked(tr); err != nil {
-				return err
-			}
+		if err := s.stepSharedLocked(t); err != nil {
+			errs = append(errs, err)
 		}
 	}
-	// Synchronous non-shared pipelines: the whole batch, one pipeline at a
-	// time.
-	for _, pipe := range s.pipes {
-		if pipe.mbox != nil || pipe.shared != nil {
-			continue
-		}
-		if tc.ID != 0 {
-			// Synchronous delivery has no queue; the enqueue span is a
-			// zero-duration hand-off marker keeping the chain uniform.
-			r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageEnqueue,
-				Stream: s.name, Pipe: pipe.id, Start: time.Now().UnixMicro(), Rows: len(batch)})
-		}
-		if err := pipe.processBatch(batch, tc); err != nil {
-			return s.failLocked(pipe, err)
-		}
+	s.drainClaimedLocked()
+	if err := s.sweepFailedLocked(); err != nil {
+		errs = append(errs, err)
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
-// fanOutWorkers enqueues one task on every worker pipeline, recording an
-// enqueue span (duration = backpressure wait) for sampled batches. Each
-// enqueue takes one reference on the task's batch block; the worker
-// releases it after applying (or dropping) the task. bounded applies the
-// mailbox backpressure bound — true only on the external producer path,
-// never for work originating inside the worker pool (see worker.go).
-func (s *source) fanOutWorkers(r *Runtime, tc trace.Ctx, t task, bounded bool) {
-	t.tc = tc
+// enqueue puts one task on every mailbox of the source — the only way
+// work reaches a non-shared pipeline — recording an enqueue span
+// (duration = backpressure wait) for sampled batches. Each enqueue takes
+// one reference on the task's batch block (or one count on its flush
+// barrier), given back when the task is applied or dropped. The enqueuer
+// claims the mailboxes it must drain itself (drainClaimedLocked): all of
+// them without a pool, and under a pool the source's only subscriber when
+// idle — the hand-off's wake-up latency would otherwise make one CQ
+// slower with a pool than without. Callers hold s.mu.
+func (s *source) enqueue(r *Runtime, t task, bounded bool) {
+	claim := r.parallel == 0 || len(s.pipes) == 1
 	for _, pipe := range s.pipes {
 		if pipe.mbox == nil {
 			continue
@@ -806,48 +742,84 @@ func (s *source) fanOutWorkers(r *Runtime, tc trace.Ctx, t task, bounded bool) {
 		if t.block != nil {
 			t.block.retain()
 		}
-		if tc.ID == 0 {
-			pipe.enqueue(t, bounded)
-			continue
+		if t.flushed != nil {
+			t.flushed.Add(1)
 		}
-		start := time.Now()
-		t.enqNS = start.UnixNano()
-		pipe.enqueue(t, bounded)
-		r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageEnqueue,
-			Stream: s.name, Pipe: pipe.id, Start: start.UnixMicro(),
-			Dur: time.Since(start).Nanoseconds(), Rows: len(t.batch)})
+		var start time.Time
+		if t.tc.ID != 0 {
+			start = time.Now()
+			t.enqNS = start.UnixNano()
+		}
+		if pipe.enqueue(t, bounded, claim) {
+			s.claimed = append(s.claimed, pipe)
+		}
+		if t.tc.ID != 0 {
+			r.tracer.Record(trace.Span{Trace: t.tc.ID, Stage: trace.StageEnqueue,
+				Stream: s.name, Pipe: pipe.id, Start: start.UnixMicro(),
+				Dur: time.Since(start).Nanoseconds(), Rows: len(t.batch)})
+		}
 	}
 }
 
-// stepSharedLocked applies one row to the shared slice aggregations and
-// their member pipelines in the order row-at-a-time delivery used: member
-// closes fire against the slice state before the row is folded in.
-func (s *source) stepSharedLocked(tr tsRow) error {
+// drainClaimedLocked drains, in subscription order, the mailboxes the last
+// enqueue claimed. A fire in here may emit into a derived stream, whose
+// source is drained the same way before the emission returns.
+func (s *source) drainClaimedLocked() {
+	for i, pipe := range s.claimed {
+		pipe.runMailbox(drainAll)
+		s.claimed[i] = nil
+	}
+	s.claimed = s.claimed[:0]
+}
+
+// stepSharedLocked applies one task to the shared slice aggregations and
+// their member pipelines, which have no mailbox: they keep exact per-row
+// interleaving with the shared slice state, in the order row-at-a-time
+// delivery used — member closes fire against the slice state before the
+// row is folded in. A failing member is marked for the sweep and skipped.
+func (s *source) stepSharedLocked(t task) error {
+	if t.kind == taskAdvance {
+		s.advanceSharedLocked(t.ts)
+		return nil
+	}
 	for _, pipe := range s.pipes {
-		if pipe.shared == nil {
-			continue
-		}
-		if err := pipe.advanceTo(tr.ts); err != nil {
-			return s.failLocked(pipe, err)
+		if pipe.shared != nil {
+			pipe.noteBatch(t.tc)
 		}
 	}
-	for _, agg := range s.shared {
-		agg.advanceTo(tr.ts)
-	}
-	for _, pipe := range s.pipes {
-		if pipe.shared == nil {
-			continue
+	for _, tr := range t.batch {
+		s.advanceSharedLocked(tr.ts)
+		for _, pipe := range s.pipes {
+			if pipe.shared == nil || pipe.failed.Load() {
+				continue
+			}
+			if err := pipe.push(tr.row, tr.ts); err != nil {
+				pipe.fail(err)
+			}
 		}
-		if err := pipe.push(tr.row, tr.ts); err != nil {
-			return s.failLocked(pipe, err)
-		}
-	}
-	for _, agg := range s.shared {
-		if err := agg.push(tr.row, tr.ts); err != nil {
-			return err
+		for _, agg := range s.shared {
+			if err := agg.push(tr.row, tr.ts); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// advanceSharedLocked closes the shared members' windows up to ts, then
+// moves the slice state they fired against.
+func (s *source) advanceSharedLocked(ts int64) {
+	for _, pipe := range s.pipes {
+		if pipe.shared == nil || pipe.failed.Load() {
+			continue
+		}
+		if err := pipe.advanceTo(ts); err != nil {
+			pipe.fail(err)
+		}
+	}
+	for _, agg := range s.shared {
+		agg.advanceTo(ts)
+	}
 }
 
 // Advance moves a stream's clock to ts (a heartbeat), closing any windows
@@ -859,39 +831,14 @@ func (r *Runtime) Advance(stream string, ts int64) error {
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	return src.advanceLocked(r, ts)
-}
-
-func (s *source) advanceLocked(r *Runtime, ts int64) error {
-	if err := s.sweepFailedLocked(); err != nil {
-		return err
-	}
-	if s.hasTS && ts < s.lastTS {
+	if src.hasTS && ts < src.lastTS {
 		return nil // stale heartbeat: ignore
 	}
-	s.lastTS, s.hasTS = ts, true
-	if r.OnAdvance != nil && s.cqtimeCol >= 0 {
-		r.OnAdvance(s.name, ts)
+	src.lastTS, src.hasTS = ts, true
+	if r.OnAdvance != nil && src.cqtimeCol >= 0 {
+		r.OnAdvance(src.name, ts)
 	}
-	for _, pipe := range s.pipes {
-		if pipe.mbox != nil {
-			if inline, ok := s.soleIdleWorker(); ok && inline == pipe {
-				if err := pipe.advanceTo(ts); err != nil {
-					return s.failInlineLocked(pipe, err)
-				}
-				continue
-			}
-			pipe.enqueue(task{kind: taskAdvance, ts: ts}, true)
-			continue
-		}
-		if err := pipe.advanceTo(ts); err != nil {
-			return s.failLocked(pipe, err)
-		}
-	}
-	for _, agg := range s.shared {
-		agg.advanceTo(ts)
-	}
-	return nil
+	return src.fanOut(r, task{kind: taskAdvance, ts: ts}, true)
 }
 
 // Tap attaches a raw sink to a stream. On a derived stream the sink
@@ -922,9 +869,8 @@ func (r *Runtime) Tap(stream string, sink Sink) (func(), error) {
 
 // DerivedSink returns the sink that feeds a derived stream's source. The
 // engine wires it as the sink of the derived stream's always-on pipeline.
-// Emission takes the derived source's own lock, so the sink may run on any
-// goroutine — the producer in synchronous mode, the upstream pipeline's
-// worker in parallel mode.
+// Emission takes the derived source's own lock, so the sink may run on
+// whichever goroutine is draining the upstream pipeline's mailbox.
 func (r *Runtime) DerivedSink(stream string) Sink {
 	return func(tc trace.Ctx, closeTS int64, rows []types.Row) error {
 		return r.emitDerived(tc, stream, closeTS, rows)
@@ -937,82 +883,45 @@ func (r *Runtime) DerivedSink(stream string) Sink {
 // trace context rides along, so a sampled base-stream batch's chain
 // continues through every derived stream it cascades into.
 func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows []types.Row) error {
-	r.mu.RLock()
-	src, ok := r.sources[stream]
-	r.mu.RUnlock()
-	if !ok {
+	src, err := r.lookup(stream)
+	if err != nil {
 		// The derived stream has been dropped; discard silently.
 		return nil
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	if err := src.sweepFailedLocked(); err != nil {
-		return err
-	}
 	block, err := src.prepare(r, rows, closeTS, true)
 	if err != nil {
 		return err
 	}
 	defer block.release()
-	batch := block.rows
-	src.rows.Add(int64(len(batch)))
-	if pipe, ok := src.soleIdleWorker(); ok {
-		if err := pipe.processBatch(batch, tc); err != nil {
-			return src.failInlineLocked(pipe, err)
-		}
-		if err := pipe.endEmission(closeTS, len(rows)); err != nil {
-			return src.failInlineLocked(pipe, err)
-		}
-	} else {
-		// Unbounded: emissions may originate on a pool worker, which must
-		// never block on another pipeline's mailbox bound (deadlock).
-		src.fanOutWorkers(r, tc, task{kind: taskEmission, batch: batch, block: block,
-			ts: closeTS, emRows: len(rows)}, false)
-	}
-	for _, pipe := range src.pipes {
-		if pipe.mbox == nil && pipe.shared != nil {
-			pipe.noteBatch(tc)
-		}
-	}
-	for _, tr := range batch {
-		if err := src.stepSharedLocked(tr); err != nil {
-			return err
-		}
-	}
-	for _, pipe := range src.pipes {
-		if pipe.mbox != nil || pipe.shared != nil {
-			continue
-		}
-		if err := pipe.processBatch(batch, tc); err != nil {
-			return src.failLocked(pipe, err)
-		}
-	}
-	for _, pipe := range src.pipes {
-		if pipe.mbox != nil {
-			continue
-		}
-		if err := pipe.endEmission(closeTS, len(rows)); err != nil {
-			return src.failLocked(pipe, err)
-		}
-	}
-	for _, tap := range src.taps {
-		if err := (*tap)(tc, closeTS, rows); err != nil {
-			return err
-		}
-	}
-	return nil
+	src.rows.Add(int64(len(block.rows)))
+	// Unbounded: emissions may originate on a pool worker, which must
+	// never block on another pipeline's mailbox bound (deadlock).
+	return src.fanOut(r, task{kind: taskEmission, batch: block.rows, block: block,
+		ts: closeTS, emRows: len(rows), tc: tc}, false)
 }
 
-// Quiesce blocks until every pipeline worker has drained all input
-// enqueued before the call — including work that cascades through derived
-// streams — then reports any asynchronous pipeline failures, detaching the
-// failed pipelines. With no workers it only sweeps for failures. Quiesce
-// does not prevent concurrent producers; callers wanting a true barrier
-// stop pushing first.
+// Quiesce blocks until every mailbox has drained all input enqueued before
+// the call — including work that cascades through derived streams — then
+// reports any pipeline failures not yet surfaced, detaching the failed
+// pipelines. Without a pool every call has drained its own work already,
+// so the barrier passes at once. Quiesce does not prevent concurrent
+// producers; callers wanting a true barrier stop pushing first.
 func (r *Runtime) Quiesce() error {
 	for {
 		before := r.tasksEnqueued()
-		r.flushWorkers()
+		for _, src := range r.snapshotSources() {
+			// One barrier task through every mailbox of the source, waited
+			// for outside its lock. Unbounded: the barrier must not add
+			// backpressure (and may run beside a blocked producer).
+			var barrier sync.WaitGroup
+			src.mu.Lock()
+			src.enqueue(r, task{kind: taskFlush, flushed: &barrier}, false)
+			src.drainClaimedLocked()
+			src.mu.Unlock()
+			barrier.Wait()
+		}
 		if r.tasksEnqueued() == before {
 			break
 		}
@@ -1033,50 +942,25 @@ func (r *Runtime) Quiesce() error {
 	return errors.Join(errs...)
 }
 
-// tasksEnqueued sums the lifetime task counts of every worker pipeline;
-// Quiesce uses it to detect cascaded work between flush passes.
+// tasksEnqueued sums the lifetime task counts of every mailbox; Quiesce
+// uses it to detect cascaded work between barrier passes.
 func (r *Runtime) tasksEnqueued() int64 {
 	var n int64
 	for _, src := range r.snapshotSources() {
 		src.mu.Lock()
 		for _, p := range src.pipes {
-			if p.mbox != nil {
-				n += p.enqueued.Load()
-			}
+			n += p.enqueued.Load()
 		}
 		src.mu.Unlock()
 	}
 	return n
 }
 
-// flushWorkers pushes one barrier through every worker queue and waits for
-// all of them.
-func (r *Runtime) flushWorkers() {
-	for _, src := range r.snapshotSources() {
-		var dones []chan struct{}
-		src.mu.Lock()
-		for _, p := range src.pipes {
-			if p.mbox == nil {
-				continue
-			}
-			done := make(chan struct{})
-			// Unbounded: the flush barrier must not add backpressure (and
-			// Quiesce may run concurrently with a blocked producer).
-			p.enqueue(task{kind: taskFlush, done: done}, false)
-			dones = append(dones, done)
-		}
-		src.mu.Unlock()
-		for _, done := range dones {
-			<-done
-		}
-	}
-}
-
-// Close drains every pipeline worker, stops them, detaches all pipelines
-// and returns any asynchronous failures that had not yet been surfaced.
-// Producers must have stopped; pushing after Close returns an error for
-// unknown streams only if the source registry was also torn down, so the
-// engine gates Close behind its own writer lock.
+// Close drains every mailbox, stops the pipelines, detaches them all and
+// returns any failures that had not yet been surfaced. Producers must have
+// stopped; pushing after Close returns an error for unknown streams only
+// if the source registry was also torn down, so the engine gates Close
+// behind its own writer lock.
 func (r *Runtime) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -1088,36 +972,17 @@ func (r *Runtime) Close() error {
 
 	// Graceful drain first, so cascaded emissions still find their
 	// consumers attached.
-	for {
-		before := r.tasksEnqueued()
-		r.flushWorkers()
-		if r.tasksEnqueued() == before {
-			break
-		}
-	}
-	var errs []error
-	var pipes []*Pipeline
+	errs := []error{r.Quiesce()}
 	for _, src := range r.snapshotSources() {
-		src.mu.Lock()
-		pipes = append(pipes, src.pipes...)
-		pipes = append(pipes, src.members...)
-		pipes = append(pipes, src.retired...)
-		src.pipes, src.workers = nil, 0
-		src.members, src.retired = nil, nil
-		src.groups = make(map[string]*planGroup)
-		src.mu.Unlock()
-	}
-	for _, pipe := range pipes {
-		pipe.stop()
-		if err := pipe.takeErr(); err != nil {
-			errs = append(errs, err)
+		for _, pipe := range src.detachAll() {
+			pipe.stop()
+			if err := pipe.takeErr(); err != nil {
+				errs = append(errs, err)
+			}
 		}
 	}
-	r.schedMu.Lock()
-	sched := r.sched
-	r.schedMu.Unlock()
-	if sched != nil {
-		sched.close()
+	if r.sched != nil {
+		r.sched.close()
 	}
 	return errors.Join(errs...)
 }
@@ -1185,10 +1050,10 @@ type Stats struct {
 	RowsProcessed    int64
 	SliceHitShares   int64
 	LateDropped      int64
-	// Scheduler counters (parallel mode; zero when the work-stealing pool
-	// was never created). SchedWorkers is the pool size, SchedRunnable the
-	// pipelines queued awaiting a worker, SchedSteals/SchedParks the
-	// lifetime steal and park counts — the streamrel_sched_* series.
+	// Scheduler counters (zero without a work-stealing pool).
+	// SchedWorkers is the pool size, SchedRunnable the pipelines queued
+	// awaiting a worker, SchedSteals/SchedParks the lifetime steal and
+	// park counts — the streamrel_sched_* series.
 	SchedWorkers  int
 	SchedRunnable int64
 	SchedSteals   int64
@@ -1208,8 +1073,9 @@ type PipelineStats struct {
 	ID           int64
 	WindowsFired int64
 	RowsSeen     int64
-	// QueueDepth is the number of queued micro-batch tasks (parallel
-	// mode); 0 for synchronous pipelines.
+	// QueueDepth is the number of micro-batch tasks queued in the
+	// pipeline's mailbox; 0 between calls when producers drain, and for
+	// shared-slice members, which have none.
 	QueueDepth int
 	Shared     bool
 	// Incremental marks pipelines firing from materialized IVM state.
@@ -1260,14 +1126,12 @@ func (p *Pipeline) statsSnapshot() PipelineStats {
 func (r *Runtime) Stats() Stats {
 	var s Stats
 	s.LateDropped = r.lateDropped.Value()
-	r.schedMu.Lock()
 	if r.sched != nil {
 		s.SchedWorkers = len(r.sched.deques)
 		s.SchedRunnable = r.sched.runnable.Load()
 		s.SchedSteals = r.sched.steals.Value()
 		s.SchedParks = r.sched.parks.Value()
 	}
-	r.schedMu.Unlock()
 	sources := r.snapshotSources()
 	s.Sources = len(sources)
 	for _, src := range sources {

@@ -200,13 +200,13 @@ func (s *scheduler) worker(i int) {
 						if q == nil {
 							return
 						}
-						q.runMailbox()
+						q.runMailbox(schedQuantum)
 					}
 				}
 				continue
 			}
 		}
-		p.runMailbox()
+		p.runMailbox(schedQuantum)
 	}
 }
 

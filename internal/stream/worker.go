@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,18 +11,20 @@ import (
 	"streamrel/internal/trace"
 )
 
-// Worker execution for parallel continuous-query mode. Each worker-mode
-// pipeline owns a mailbox — a FIFO of micro-batch tasks — and the shared
-// work-stealing pool (sched.go) runs at most one worker inside a mailbox
-// at a time, so tasks — and therefore rows and window closes — are applied
-// in exactly the order the producer enqueued them, keeping per-pipeline
-// results identical to the synchronous engine. The mailbox bound gives
-// blocking backpressure on the producer path: a producer outrunning a
-// slow CQ parks on that CQ's mailbox instead of growing memory without
-// bound. Enqueues from inside the pool (derived-stream cascades, flush
-// barriers) are exempt from the bound so pool workers never block on a
-// mailbox — a bounded cascade enqueue could deadlock the pool when every
-// worker waits on a mailbox only another pool worker could drain.
+// Mailboxes: the one hand-off between a source and its pipelines. Every
+// pipeline that is not a shared-slice member owns a mailbox — a FIFO of
+// micro-batch tasks — and at most one goroutine drains it at a time, so
+// tasks — and therefore rows and window closes — are applied in exactly
+// the order the producer enqueued them. Who drains is the only thing the
+// ParallelCQ setting changes: without a pool the enqueuing goroutine
+// claims the mailbox and drains it before its call returns; with a pool
+// (sched.go) a worker does. Under a pool the mailbox bound gives blocking
+// backpressure on the producer path: a producer outrunning a slow CQ
+// parks on that CQ's mailbox instead of growing memory without bound.
+// Enqueues from inside the pool (derived-stream cascades, flush barriers)
+// are exempt from the bound so pool workers never block on a mailbox — a
+// bounded cascade enqueue could deadlock the pool when every worker waits
+// on a mailbox only another pool worker could drain.
 
 type taskKind uint8
 
@@ -33,8 +36,8 @@ const (
 	// taskEmission is one derived-stream emission: the batch plus the
 	// emission boundary for SLICES-window consumers.
 	taskEmission
-	// taskFlush is a barrier: the worker closes done once everything
-	// enqueued before it has been applied.
+	// taskFlush is a barrier: the drainer marks flushed done once
+	// everything enqueued before it has been applied.
 	taskFlush
 )
 
@@ -42,23 +45,25 @@ type task struct {
 	kind  taskKind
 	batch []tsRow
 	// block owns batch's backing storage when the batch rode in on a
-	// pooled block; the worker releases its reference after the task is
+	// pooled block; the drainer releases its reference after the task is
 	// applied (or dropped by a stopped mailbox's drain). nil for advance
 	// and flush tasks.
-	block  *batchBlock
-	ts     int64
-	emRows int // taskEmission: row count of the emission
-	done   chan struct{}
-	tc     trace.Ctx
-	enqNS  int64 // sampled tasks: wall-clock ns at enqueue, for the pickup span
+	block *batchBlock
+	// ts is the heartbeat (taskAdvance), the emission boundary
+	// (taskEmission) or the batch's last timestamp (taskBatch).
+	ts      int64
+	emRows  int             // taskEmission: row count of the emission
+	flushed *sync.WaitGroup // taskFlush: one Done per mailbox the barrier passed
+	tc      trace.Ctx
+	enqNS   int64 // sampled tasks: wall-clock ns at enqueue, for the pickup span
 }
 
-// Mailbox claim states. The state machine is the scheduler's claim token:
-// idle → queued happens on the enqueue that finds the mailbox idle (that
-// enqueue submits the pipeline to the pool, exactly once), queued →
-// running when a worker claims it, running → idle when the drain empties
-// the queue (or → queued again when the worker requeues after its
-// quantum).
+// Mailbox claim states. The state machine is the claim token: the enqueue
+// that finds the mailbox idle either claims it for its own goroutine
+// (idle → running; see Pipeline.enqueue) or submits the pipeline to the
+// pool, exactly once (idle → queued, then queued → running when a worker
+// picks it up). running → idle when the drain empties the queue, or →
+// queued again when a pool worker requeues after its quantum.
 type mboxState uint8
 
 const (
@@ -68,47 +73,56 @@ const (
 )
 
 // mailbox is one pipeline's task queue. q[head:] are pending tasks; size
-// mirrors that count atomically for lock-free depth reads (metrics,
-// soleIdleWorker).
+// mirrors that count atomically for lock-free depth reads (metrics).
 type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // producers blocked on bound; stop waiting for running
-	q       []task
-	head    int
-	size    atomic.Int64
-	state   mboxState
-	bound   int // producer backpressure threshold, in tasks
+	mu    sync.Mutex
+	cond  *sync.Cond // producers blocked on bound; stop waiting for running
+	q     []task
+	head  int
+	size  atomic.Int64
+	state mboxState
+	// bound is the producer backpressure threshold in tasks; 0 without a
+	// pool, where the enqueuer drains and nothing ever waits.
+	bound   int
 	stopped bool
 }
 
 func (m *mailbox) depth() int { return int(m.size.Load()) }
 
-// startWorker switches the pipeline into mailbox mode with the given
-// backpressure bound. Called under the source lock before the pipeline is
-// added to the fan-out list, so no task can precede it.
-func (p *Pipeline) startWorker(bound int) {
-	m := &mailbox{bound: bound}
+// drainAll is the quantum of a goroutine that drains a mailbox it claimed
+// itself: it never requeues.
+const drainAll = math.MaxInt
+
+// startMailbox gives the pipeline its mailbox. Called under the source
+// lock before the pipeline is added to the fan-out list, so no task can
+// precede it.
+func (p *Pipeline) startMailbox() {
+	m := &mailbox{bound: p.rt.parallel}
 	m.cond = sync.NewCond(&m.mu)
 	p.mbox = m
-	p.rt.ensureSched()
 	if p.rt.reg != nil {
 		p.unregQueueGauge = p.rt.reg.GaugeFunc("streamrel_pipeline_queue_depth",
-			"micro-batch tasks queued for a pipeline worker",
+			"micro-batch tasks queued in a pipeline's mailbox",
 			func() float64 { return float64(m.depth()) },
 			metrics.L("stream", p.src.name),
 			metrics.L("pipe", strconv.FormatInt(p.id, 10)))
 	}
 }
 
-// enqueue appends a task to the mailbox and, when the mailbox was idle,
-// submits the pipeline to the scheduler. bounded enqueues (the base-stream
-// producer path) block while the mailbox is at its bound — backpressure —
-// and must never be used from a pool worker. Callers hold the source lock;
-// a stopped mailbox drops the task (its pipeline is already detached).
-func (p *Pipeline) enqueue(t task, bounded bool) {
+// enqueue appends a task to the mailbox and decides who drains it. When
+// the mailbox is idle — queue empty, nobody inside; the mailbox mutex
+// orders the last drainer's writes before this read — and claim is set,
+// the caller takes the claim token and must call runMailbox(drainAll)
+// itself (enqueue reports true); otherwise an idle mailbox is submitted to
+// the scheduler, and a busy one is left to whoever holds it. bounded
+// enqueues (the base-stream producer path) block while the mailbox is at
+// its bound — backpressure — and must never be used from a pool worker.
+// Callers hold the source lock; a stopped mailbox drops the task (its
+// pipeline is already detached).
+func (p *Pipeline) enqueue(t task, bounded, claim bool) bool {
 	m := p.mbox
 	m.mu.Lock()
-	if bounded {
+	if bounded && m.bound > 0 {
 		for m.size.Load() >= int64(m.bound) && !m.stopped {
 			m.cond.Wait()
 		}
@@ -116,52 +130,51 @@ func (p *Pipeline) enqueue(t task, bounded bool) {
 	if m.stopped {
 		m.mu.Unlock()
 		dropTask(t)
-		return
+		return false
 	}
 	if t.kind != taskFlush {
 		p.enqueued.Add(1)
 	}
 	m.q = append(m.q, t)
 	m.size.Add(1)
-	submit := m.state == mboxIdle
-	if submit {
+	idle := m.state == mboxIdle
+	claim = claim && idle
+	switch {
+	case claim:
+		m.state = mboxRunning
+	case idle:
 		m.state = mboxQueued
 	}
 	m.mu.Unlock()
-	if submit {
+	if idle && !claim {
 		p.rt.sched.submit(p)
 	}
+	return claim
 }
 
-// runMailbox drains this pipeline's mailbox on a pool worker. At most one
-// worker runs here at a time (the state machine's claim token), so tasks
-// apply strictly in enqueue order. After a failure the drain keeps
-// consuming (dropping work) so producers never block forever on a
-// poisoned mailbox; the source sweeps the pipeline out and surfaces the
-// error on the next Push/Advance/Quiesce/Close. Block references are
-// released even for dropped work, and applied counts every non-flush task
-// — after its effects are complete — so the producer's idle check
-// (soleIdleWorker) is exact.
-func (p *Pipeline) runMailbox() {
+// runMailbox drains this pipeline's mailbox, on the goroutine that claimed
+// it in enqueue (quantum drainAll) or on a pool worker (schedQuantum). At
+// most one goroutine runs here at a time (the state machine's claim
+// token), so tasks apply strictly in enqueue order. After a failure the
+// drain keeps consuming (dropping work) so producers never block forever
+// on a poisoned mailbox; the source sweeps the pipeline out and surfaces
+// the error from the call that drained it, or under a pool from the next
+// Push/Advance/Quiesce/Close. Block references are released even for
+// dropped work.
+func (p *Pipeline) runMailbox(quantum int) {
 	m := p.mbox
 	n := 0
 	m.mu.Lock()
 	m.state = mboxRunning
 	for {
 		if m.stopped {
-			for m.head < len(m.q) {
-				t := m.q[m.head]
-				m.q[m.head] = task{}
-				m.head++
-				m.size.Add(-1)
-				dropTask(t)
-			}
+			m.dropQueuedLocked()
 		}
 		if m.head >= len(m.q) {
 			m.q, m.head = m.q[:0], 0
 			break
 		}
-		if n >= schedQuantum {
+		if n >= quantum {
 			// Quantum spent: requeue so runnable peers get this worker.
 			m.state = mboxQueued
 			m.mu.Unlock()
@@ -176,18 +189,16 @@ func (p *Pipeline) runMailbox() {
 		m.mu.Unlock()
 		n++
 		if t.kind == taskFlush {
-			close(t.done)
+			t.flushed.Done()
 		} else {
 			if !p.failed.Load() {
 				if err := p.apply(t); err != nil {
-					p.failErr = err
-					p.failed.Store(true)
+					p.fail(err)
 				}
 			}
 			if t.block != nil {
 				t.block.release()
 			}
-			p.applied.Add(1)
 		}
 		m.mu.Lock()
 	}
@@ -196,11 +207,21 @@ func (p *Pipeline) runMailbox() {
 	m.mu.Unlock()
 }
 
+// dropQueuedLocked discards every queued task of a stopped mailbox.
+func (m *mailbox) dropQueuedLocked() {
+	for ; m.head < len(m.q); m.head++ {
+		dropTask(m.q[m.head])
+		m.q[m.head] = task{}
+		m.size.Add(-1)
+	}
+	m.q, m.head = m.q[:0], 0
+}
+
 // dropTask releases a dropped task's resources so stop/enqueue-after-stop
 // never leak pooled blocks or strand a flush barrier.
 func dropTask(t task) {
 	if t.kind == taskFlush {
-		close(t.done)
+		t.flushed.Done()
 		return
 	}
 	if t.block != nil {
@@ -210,7 +231,7 @@ func dropTask(t task) {
 
 // stop marks the mailbox stopped, drops queued work and waits for any
 // in-flight task to finish, then detaches per-pipeline gauges. Safe to
-// call multiple times; synchronous pipelines only detach gauges.
+// call multiple times; pipelines without a mailbox only detach gauges.
 func (p *Pipeline) stop() {
 	p.stopOnce.Do(func() {
 		if p.unregIVMGauges != nil {
@@ -222,14 +243,7 @@ func (p *Pipeline) stop() {
 		m := p.mbox
 		m.mu.Lock()
 		m.stopped = true
-		for m.head < len(m.q) {
-			t := m.q[m.head]
-			m.q[m.head] = task{}
-			m.head++
-			m.size.Add(-1)
-			dropTask(t)
-		}
-		m.q, m.head = m.q[:0], 0
+		m.dropQueuedLocked()
 		m.cond.Broadcast() // unblock bounded producers
 		for m.state == mboxRunning {
 			m.cond.Wait()
@@ -241,7 +255,15 @@ func (p *Pipeline) stop() {
 	})
 }
 
-// takeErr returns the worker's failure, if any, consuming it.
+// fail records the pipeline's first failure; the source's next sweep
+// detaches it and reports the error. Only the goroutine applying the
+// pipeline's input calls it.
+func (p *Pipeline) fail(err error) {
+	p.failErr = err
+	p.failed.Store(true)
+}
+
+// takeErr returns the pipeline's failure, if any, consuming it.
 func (p *Pipeline) takeErr() error {
 	if !p.failed.Load() {
 		return nil
@@ -270,7 +292,7 @@ func (p *Pipeline) apply(t task) error {
 }
 
 // pickup records the queue-wait span for a sampled task: the time between
-// the producer's enqueue and a pool worker dequeuing it.
+// the producer's enqueue and the drainer dequeuing it.
 func (p *Pipeline) pickup(t task) {
 	if t.tc.ID == 0 || t.enqNS == 0 || p.rt.tracer == nil {
 		return

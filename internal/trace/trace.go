@@ -44,12 +44,12 @@ const (
 	StageRouterIngest Stage = "router-ingest"
 	// StageIngest is the batch's acceptance into a base stream.
 	StageIngest Stage = "ingest"
-	// StageEnqueue is the hand-off to one pipeline: queue submission in
-	// parallel mode (duration = producer backpressure wait), a zero-cost
-	// marker in synchronous mode.
+	// StageEnqueue is the hand-off to one pipeline's mailbox (duration =
+	// producer backpressure wait). Shared-slice members have no mailbox
+	// and record neither this hop nor the next.
 	StageEnqueue Stage = "enqueue"
-	// StagePickup is the worker dequeuing the batch; its duration is the
-	// time the batch sat in the pipeline's queue.
+	// StagePickup is the mailbox's drainer dequeuing the batch; its
+	// duration is the time the batch sat in the pipeline's queue.
 	StagePickup Stage = "pickup"
 	// StageWindowFire is plan execution for one window close.
 	StageWindowFire Stage = "window-fire"

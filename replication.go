@@ -131,21 +131,11 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 
 // ApplyReplicatedAppend pushes replicated stream rows without re-stamping
 // CQTIME SYSTEM columns — the primary's arrival timestamps are part of
-// the replicated history. The local system clock still advances past them
-// so post-promotion appends stay monotonic. A non-zero traceID re-injects
-// the primary's trace context so local fires chain onto the same trace.
+// the replicated history. They advance the stream's clock like any row,
+// and post-promotion appends are stamped against that clock, so they stay
+// monotonic. A non-zero traceID re-injects the primary's trace context so
+// local fires chain onto the same trace.
 func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID uint64) error {
-	if st, ok := e.cat.Stream(streamName); ok && st.SystemTime && len(rows) > 0 {
-		last := rows[len(rows)-1]
-		if st.CQTimeCol < len(last) && last[st.CQTimeCol].Type() == types.TypeTimestamp {
-			ts := last[st.CQTimeCol].TimestampMicros()
-			e.sysMu.Lock()
-			if ts > e.sysClock[st.Name] {
-				e.sysClock[st.Name] = ts
-			}
-			e.sysMu.Unlock()
-		}
-	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if traceID != 0 && e.tracer != nil {
@@ -244,9 +234,6 @@ func (e *Engine) ReplicaReset() error {
 		}
 	}
 	e.ddlLog = nil
-	e.sysMu.Lock()
-	e.sysClock = make(map[string]int64)
-	e.sysMu.Unlock()
 	if e.log != nil {
 		if err := e.log.Truncate(); err != nil {
 			return err

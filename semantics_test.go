@@ -1,6 +1,7 @@
 package streamrel
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -124,5 +125,46 @@ func TestLateRowPolicies(t *testing.T) {
 	b2, _ := cq2.TryNext()
 	if b2.Rows[0][0].Int() != 2 {
 		t.Fatalf("clamped row missing: %v", b2.Rows)
+	}
+}
+
+// TestSystemCQTimeConcurrentAppend: concurrent producers on a CQTIME
+// SYSTEM stream are stamped under the stream's own lock, so stamp order is
+// delivery order and no append is rejected as out of order.
+func TestSystemCQTimeConcurrentAppend(t *testing.T) {
+	e := openMem(t)
+	mustExec(t, e, `CREATE STREAM s (v bigint, at timestamp CQTIME SYSTEM)`)
+	cq, err := e.Subscribe(`SELECT at FROM s <VISIBLE 1 ROWS ADVANCE 1 ROWS>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cq.Close()
+
+	const producers, perProducer = 4, 500
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				if err := e.Append("s", Row{Int(int64(i)), Null}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var last time.Time
+	for n := 0; n < producers*perProducer; n++ {
+		b, ok := cq.TryNext()
+		if !ok {
+			t.Fatalf("delivered %d rows, want %d", n, producers*perProducer)
+		}
+		if at := b.Rows[0][0].Time(); at.Before(last) {
+			t.Fatalf("row %d stamped %v after %v", n, at, last)
+		} else {
+			last = at
+		}
 	}
 }

@@ -126,18 +126,15 @@ type Config struct {
 	// LateRows chooses what happens to out-of-order stream input:
 	// reject (default), drop, or clamp to the high-water mark.
 	LateRows LateRowPolicy
-	// ParallelCQ > 0 gives each non-shared continuous query a bounded
-	// mailbox of that many micro-batches (blocking backpressure on
-	// producers) drained by a work-stealing scheduler pool (SchedWorkers),
-	// so fan-out to N CQs scales across cores without N goroutines.
-	// Per-CQ results are identical to the default synchronous mode; see
-	// DESIGN.md §12 for the cross-CQ ordering relaxations this implies.
-	// 0 (default) keeps the fully synchronous, deterministic engine.
+	// ParallelCQ chooses who drains the continuous queries' mailboxes.
+	// 0 (default): the goroutine that appended, before Append returns —
+	// no goroutines, fully deterministic. n > 0: a work-stealing pool of
+	// GOMAXPROCS workers, each mailbox bounded at n micro-batches
+	// (blocking backpressure on producers), so fan-out to N CQs scales
+	// across cores without N goroutines. Per-CQ results are identical
+	// either way; see DESIGN.md "Execution model" for the cross-CQ
+	// ordering a pool relaxes.
 	ParallelCQ int
-	// SchedWorkers sizes the work-stealing pool that executes parallel
-	// continuous queries; 0 (default) uses GOMAXPROCS. Only meaningful
-	// with ParallelCQ > 0.
-	SchedWorkers int
 	// Replicate enables the replication hub: every committed WAL batch
 	// and stream event gets a monotonic LSN and is retained in a bounded
 	// in-memory ring for replicas (see internal/repl and DESIGN.md
@@ -223,11 +220,6 @@ type Engine struct {
 	// Config.SysMonInterval is non-zero.
 	sysmon *sysmon.Monitor
 
-	// sysClock tracks the last arrival timestamp stamped per CQTIME
-	// SYSTEM stream, guaranteeing monotonicity.
-	sysMu    sync.Mutex
-	sysClock map[string]int64
-
 	recovering bool
 	closed     bool
 }
@@ -240,7 +232,6 @@ func Open(cfg Config) (*Engine, error) {
 		mgr:          txn.NewManager(),
 		derivedPipes: make(map[string]*stream.Pipeline),
 		channelTaps:  make(map[string]func()),
-		sysClock:     make(map[string]int64),
 	}
 	e.reg = cfg.Metrics
 	if e.reg == nil {
@@ -252,7 +243,6 @@ func Open(cfg Config) (*Engine, error) {
 	e.rt.SetMetrics(e.reg)
 	e.rt.Late = stream.LatePolicy(cfg.LateRows)
 	e.rt.SetParallel(cfg.ParallelCQ)
-	e.rt.SetSchedWorkers(cfg.SchedWorkers)
 	if cfg.TraceSampleEvery >= 0 {
 		e.tracer = trace.New(trace.Options{
 			SampleEvery: cfg.TraceSampleEvery,
@@ -270,10 +260,14 @@ func Open(cfg Config) (*Engine, error) {
 		e.initReplication()
 	}
 
+	fail := func(err error) (*Engine, error) {
+		e.rt.Close() // stops the scheduler pool and any recovered pipelines
+		return nil, err
+	}
 	if cfg.Dir != "" {
 		start := time.Now()
 		if err := e.recover(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		e.reg.Gauge("streamrel_recovery_replay_seconds",
 			"duration of the last checkpoint+WAL replay and CQ resume").
@@ -281,13 +275,13 @@ func Open(cfg Config) (*Engine, error) {
 		log, err := wal.Open(e.walPath(), wal.Options{Sync: cfg.SyncWAL,
 			GroupCommitMaxDelay: cfg.GroupCommitMaxDelay, Metrics: e.reg, Trace: e.tracer})
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		e.log = log
 	}
 	if cfg.SysMonInterval != 0 {
 		if err := e.initSysMon(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	return e, nil
@@ -330,7 +324,7 @@ func (e *Engine) Traces() []TraceSpan { return e.tracer.Snapshot() }
 func (e *Engine) walPath() string        { return filepath.Join(e.cfg.Dir, "wal.log") }
 func (e *Engine) checkpointPath() string { return filepath.Join(e.cfg.Dir, "checkpoint") }
 
-// Close shuts the engine down: pipeline workers drain and stop (their
+// Close shuts the engine down: pipeline mailboxes drain and stop (their
 // channel writes still reach the WAL), then the log closes. In-flight
 // continuous queries stop receiving batches. Close returns any
 // asynchronous CQ failure that had not yet surfaced.
@@ -355,11 +349,12 @@ func (e *Engine) Close() error {
 	return rtErr
 }
 
-// Flush blocks until every parallel CQ worker has processed all stream
-// input appended before the call, then reports (and clears) any
-// asynchronous pipeline failures. In synchronous mode processing happens
-// inside Append itself, so Flush only sweeps for failures. Call it before
-// reading Active Tables or CQ queues that must reflect all pushed data.
+// Flush blocks until every CQ mailbox has drained all stream input
+// appended before the call, then reports (and clears) any pipeline
+// failures not yet surfaced. With ParallelCQ 0 each Append drains its own
+// work and reports its own failures, so Flush returns at once. Call it
+// before reading Active Tables or CQ queues that must reflect all pushed
+// data.
 func (e *Engine) Flush() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -553,39 +548,28 @@ func (e *Engine) AppendTraced(traceID uint64, streamName string, rows ...Row) er
 	if isSysName(streamName) {
 		return errSysReserved(streamName)
 	}
-	if st, ok := e.cat.Stream(streamName); ok && st.SystemTime {
-		e.stampSystemTime(st, rows)
-	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	var tc trace.Ctx
 	if traceID != 0 {
-		return e.rt.PushBatchCtx(e.tracer.Adopt(traceID), streamName, rows)
+		tc = e.tracer.Adopt(traceID)
 	}
-	return e.rt.PushBatch(streamName, rows)
+	return e.push(tc, streamName, rows)
 }
 
-// stampSystemTime overwrites the CQTIME column of each row with a
-// monotonically non-decreasing arrival timestamp from the engine clock
-// ("CQTIME SYSTEM" semantics).
-func (e *Engine) stampSystemTime(st *catalog.Stream, rows []Row) {
-	if !st.SystemTime {
-		return
-	}
-	now := time.Now
-	if e.cfg.Now != nil {
-		now = e.cfg.Now
-	}
-	e.sysMu.Lock()
-	defer e.sysMu.Unlock()
-	for i := range rows {
-		ts := now().UnixMicro()
-		if last := e.sysClock[st.Name]; ts < last {
-			ts = last
+// push hands locally produced rows to the stream runtime. On a CQTIME
+// SYSTEM stream the runtime overwrites each row's CQTIME column with a
+// non-decreasing arrival timestamp from the engine clock, under the
+// stream's own lock so stamp order is delivery order. Callers hold e.mu.
+func (e *Engine) push(tc trace.Ctx, streamName string, rows []Row) error {
+	if st, ok := e.cat.Stream(streamName); ok && st.SystemTime {
+		now := time.Now
+		if e.cfg.Now != nil {
+			now = e.cfg.Now
 		}
-		e.sysClock[st.Name] = ts
-		rows[i] = rows[i].Clone()
-		rows[i][st.CQTimeCol] = types.NewTimestampMicros(ts)
+		return e.rt.PushBatchArrival(tc, streamName, rows, now)
 	}
+	return e.rt.PushBatchCtx(tc, streamName, rows)
 }
 
 // Checkpoint compacts heaps, writes a checkpoint file, and truncates the

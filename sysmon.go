@@ -120,17 +120,15 @@ func (e *Engine) initSysMon() error {
 // replica still observes itself), the WAL, replication publish, trace
 // sampling and user-facing row counters (internal source).
 func (e *Engine) sysAppend(streamName string, rows []types.Row) error {
-	st, ok := e.cat.Stream(streamName)
-	if !ok {
+	if _, ok := e.cat.Stream(streamName); !ok {
 		return fmt.Errorf("streamrel: sys stream %q not registered", streamName)
 	}
-	e.stampSystemTime(st, rows)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return nil
 	}
-	return e.rt.PushBatch(streamName, rows)
+	return e.push(trace.Ctx{}, streamName, rows)
 }
 
 // SysSnapshot takes one telemetry snapshot immediately, appending fresh

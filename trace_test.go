@@ -73,49 +73,45 @@ func driveOneWindow(t *testing.T, e *Engine, rows int) {
 	cq.Close()
 }
 
-// TestTraceChainSync is the acceptance check: a sampled batch yields one
-// queryable span chain ingest -> enqueue -> window-fire -> cq-deliver.
-func TestTraceChainSync(t *testing.T) {
-	e := openTrace(t, Config{TraceSampleEvery: 1})
-	defer e.Close()
-	driveOneWindow(t, e, 3)
+// TestTraceChain is the acceptance check: a sampled batch yields one
+// queryable span chain ingest -> enqueue -> pickup -> window-fire ->
+// cq-deliver, the same whoever drains the mailbox — the appending
+// goroutine (ParallelCQ 0) or the scheduler pool.
+func TestTraceChain(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"depth0": {TraceSampleEvery: 1},
+		"depth2": {TraceSampleEvery: 1, ParallelCQ: 2, DisableSharing: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := openTrace(t, cfg)
+			defer e.Close()
+			driveOneWindow(t, e, 3)
 
-	spans := e.Traces()
-	if len(spans) == 0 {
-		t.Fatal("no spans recorded with TraceSampleEvery=1")
-	}
-	id, ok := traceWithStages(spans,
-		trace.StageIngest, trace.StageEnqueue, trace.StageWindowFire, trace.StageCQDeliver)
-	if !ok {
-		t.Fatalf("no trace covers ingest/enqueue/window-fire/cq-deliver; spans: %+v", spans)
-	}
-	for _, s := range spans {
-		if s.Trace == id && s.Stage == trace.StageIngest && s.Start == 0 {
-			t.Fatal("ingest span missing start timestamp")
-		}
-	}
+			spans := e.Traces()
+			if len(spans) == 0 {
+				t.Fatal("no spans recorded with TraceSampleEvery=1")
+			}
+			id, ok := traceWithStages(spans,
+				trace.StageIngest, trace.StageEnqueue, trace.StagePickup,
+				trace.StageWindowFire, trace.StageCQDeliver)
+			if !ok {
+				t.Fatalf("no trace covers ingest/enqueue/pickup/window-fire/cq-deliver; spans: %+v", spans)
+			}
+			for _, s := range spans {
+				if s.Trace == id && s.Stage == trace.StageIngest && s.Start == 0 {
+					t.Fatal("ingest span missing start timestamp")
+				}
+			}
 
-	// Trace counters flow through the shared metrics registry.
-	g := gatherMap(e)
-	if smp := g["streamrel_traces_sampled_total"]; smp == nil || smp.Value < 1 {
-		t.Fatalf("streamrel_traces_sampled_total missing or zero: %+v", smp)
-	}
-	if smp := g["streamrel_trace_ring_spans"]; smp == nil || smp.Value < 4 {
-		t.Fatalf("streamrel_trace_ring_spans missing or < 4: %+v", smp)
-	}
-}
-
-// TestTraceChainParallel checks the worker-pickup hop appears when
-// pipelines run on their own goroutines.
-func TestTraceChainParallel(t *testing.T) {
-	e := openTrace(t, Config{TraceSampleEvery: 1, ParallelCQ: 2, DisableSharing: true})
-	defer e.Close()
-	driveOneWindow(t, e, 3)
-
-	if _, ok := traceWithStages(e.Traces(),
-		trace.StageIngest, trace.StageEnqueue, trace.StagePickup,
-		trace.StageWindowFire, trace.StageCQDeliver); !ok {
-		t.Fatalf("no trace covers the parallel chain incl. pickup; spans: %+v", e.Traces())
+			// Trace counters flow through the shared metrics registry.
+			g := gatherMap(e)
+			if smp := g["streamrel_traces_sampled_total"]; smp == nil || smp.Value < 1 {
+				t.Fatalf("streamrel_traces_sampled_total missing or zero: %+v", smp)
+			}
+			if smp := g["streamrel_trace_ring_spans"]; smp == nil || smp.Value < 5 {
+				t.Fatalf("streamrel_trace_ring_spans missing or < 5: %+v", smp)
+			}
+		})
 	}
 }
 
