@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck cover bench check drain-policies fuzz cluster-smoke
+.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check drain-policies fuzz cluster-smoke
 
 all: build
 
@@ -69,13 +69,23 @@ bench:
 	$(GO) run ./cmd/srbench -scale 1 -only E15 -json BENCH_sched.json -stamp -budget BENCH_budget.json
 	$(GO) run ./cmd/srbench -scale 1 -only E16 -json BENCH_sysmon.json -stamp -budget BENCH_budget.json
 
+# bench-selftest compiles, vets and self-tests the benchmark (bench/ is a
+# module of its own, so `go build ./... && go test ./...` never sees it and
+# an engine API change could break the instrument unnoticed), then runs
+# every workload once at smoke length against its reference transcripts.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke -seed 1
+
 # fuzz exercises the binary decoders (WAL batches, replication frames)
 # that parse untrusted bytes off disk and off the wire, the shard
-# router's batch split/merge round-trip, and the incremental-maintenance
+# router's batch split/merge round-trip, the incremental-maintenance
 # equivalence property (delta-maintained fires == re-executed fires for
-# arbitrary append/advance sequences).
+# arbitrary append/advance sequences), and the row-key encoding every hash
+# operator groups by (equal keys == equal rows, self-delimiting).
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test -run=^$$ -fuzz=FuzzRowKey -fuzztime=$(FUZZTIME) ./internal/types
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRecords -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEvent -fuzztime=$(FUZZTIME) ./internal/repl
 	$(GO) test -run=^$$ -fuzz=FuzzShardSplitMerge -fuzztime=$(FUZZTIME) ./internal/shard

@@ -122,7 +122,12 @@ func TestContinuousEqualsSnapshot(t *testing.T) {
 // or "reexec" (per-fire plan re-execution only).
 func openMemMode(t *testing.T, mode string) *Engine {
 	t.Helper()
-	cfg := Config{}
+	return openMemModeCfg(t, mode, Config{})
+}
+
+// openMemModeCfg is openMemMode over a caller-supplied base Config.
+func openMemModeCfg(t *testing.T, mode string, cfg Config) *Engine {
+	t.Helper()
 	switch mode {
 	case "incremental":
 	case "shared":

@@ -41,14 +41,16 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		accs []expr.Acc
 	}
 	groups := make(map[string]*group)
-	var order []string
+	var order []*group
 
-	// Pull whole chunks when the child supports it, hoist one expression
-	// context per chunk, and evaluate group keys into a scratch row that
-	// is cloned only when a new group is born — most rows hit an existing
-	// group, so the steady state allocates nothing per row but the key.
-	ec := expr.Ctx{WindowClose: ctx.WindowClose, Now: ctx.Now}
+	// Pull whole chunks when the child supports it, and evaluate group
+	// keys into a scratch row and its key bytes into a scratch buffer:
+	// the row is cloned and the key string built only when a new group is
+	// born — most rows hit an existing group, so the steady state
+	// allocates nothing per row.
+	ec := ctx.evalCtx()
 	scratch := make(types.Row, len(h.GroupBy))
+	var key []byte
 	var inBuf []types.Row
 	for {
 		batch, err := nextBatch(h.Child, &inBuf)
@@ -65,8 +67,8 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 					return err
 				}
 			}
-			k := scratch.Key()
-			grp, ok := groups[k]
+			key = scratch.AppendKey(key[:0])
+			grp, ok := groups[string(key)]
 			if !ok {
 				grp = &group{keys: scratch.Clone()}
 				grp.accs = make([]expr.Acc, len(h.Aggs))
@@ -75,8 +77,8 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 						return err
 					}
 				}
-				groups[k] = grp
-				order = append(order, k)
+				groups[string(key)] = grp
+				order = append(order, grp)
 			}
 			for i, spec := range h.Aggs {
 				v := types.True // count(*) placeholder
@@ -94,7 +96,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 
 	// SQL scalar aggregate: no GROUP BY and empty input still yields one
 	// row of aggregate defaults.
-	if len(groups) == 0 && len(h.GroupBy) == 0 {
+	if len(order) == 0 && len(h.GroupBy) == 0 {
 		accs := make([]expr.Acc, len(h.Aggs))
 		for i, spec := range h.Aggs {
 			var err error
@@ -102,21 +104,21 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 				return err
 			}
 		}
-		groups[""] = &group{accs: accs}
-		order = append(order, "")
+		order = append(order, &group{accs: accs})
 	}
 
-	for _, k := range order {
-		grp := groups[k]
-		out := make(types.Row, 0, len(grp.keys)+len(grp.accs))
-		out = append(out, grp.keys...)
-		for _, acc := range grp.accs {
-			out = append(out, acc.Result())
+	nk := len(h.GroupBy)
+	blk := types.NewRowBlock(len(order), nk+len(h.Aggs))
+	h.rows = make([]types.Row, len(order))
+	for g, grp := range order {
+		out := blk.Row()
+		copy(out, grp.keys)
+		for i, acc := range grp.accs {
+			out[nk+i] = acc.Result()
 		}
-		h.rows = append(h.rows, out)
+		h.rows[g] = out
 	}
-	if h.SortedOutput && len(h.GroupBy) > 0 {
-		nk := len(h.GroupBy)
+	if h.SortedOutput && nk > 0 {
 		sort.SliceStable(h.rows, func(i, j int) bool {
 			return types.CompareRows(h.rows[i][:nk], h.rows[j][:nk]) < 0
 		})

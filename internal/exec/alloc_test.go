@@ -1,0 +1,83 @@
+package exec
+
+import (
+	"testing"
+
+	"streamrel/internal/expr"
+	"streamrel/internal/types"
+)
+
+// The allocation pins below are what keeps re-execution cheap per visited
+// row: a keyed operator probes its map with key bytes in a reused buffer,
+// evaluates through an expression context it owns, and carves join output
+// from blocks, so its allocations scale with groups and build rows — never
+// with the rows it visits.
+
+const allocGroups = 100
+
+// streamRows is n (group, value) rows over allocGroups groups.
+func streamRows(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = irow(int64(i%allocGroups), int64(i))
+	}
+	return rows
+}
+
+func countSum(child Operator, group *expr.Scalar, arg *expr.Scalar) *HashAgg {
+	return &HashAgg{Child: child, GroupBy: []*expr.Scalar{group}, SortedOutput: true,
+		Aggs: []expr.AggSpec{{Name: "count", Star: true}, {Name: "sum", Arg: arg}}}
+}
+
+func drainAllocs(t *testing.T, build func() Operator) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(5, func() {
+		if _, err := Drain(&Ctx{}, build()); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestHashAggAllocsIndependentOfRows: ten times the rows over the same
+// 100 groups must not cost more allocations (Drain's output slice grows
+// with the groups, not the rows).
+func TestHashAggAllocsIndependentOfRows(t *testing.T) {
+	small, large := streamRows(1000), streamRows(10000)
+	a := drainAllocs(t, func() Operator { return countSum(&Relation{Rows: small}, col(0), col(1)) })
+	b := drainAllocs(t, func() Operator { return countSum(&Relation{Rows: large}, col(0), col(1)) })
+	if b > a+2 {
+		t.Errorf("HashAgg allocations grow with rows: %.0f at 1000 rows, %.0f at 10000", a, b)
+	}
+	// Each group costs its struct, key string, cloned key row, accumulator
+	// slice and two accumulators (6.4 per group when this was written).
+	if a > 8*allocGroups {
+		t.Errorf("HashAgg over %d groups allocates %.0f times", allocGroups, a)
+	}
+}
+
+// TestJoinTreeAllocs: Filter → HashJoin(stream rows ⋈ 100-row table) →
+// HashAgg, the enrichment shape of the paper's §3.3, allocates per block
+// of join output and per group/build row only.
+func TestJoinTreeAllocs(t *testing.T) {
+	const n = 10000
+	rows := streamRows(n)
+	table := make([]types.Row, allocGroups)
+	for i := range table {
+		table[i] = irow(int64(i), int64(i%10)) // (key, category)
+	}
+	build := func() Operator {
+		return countSum(&HashJoin{
+			Left: &Filter{Child: &Relation{Rows: rows},
+				Pred: predFn(func(r types.Row) bool { return r[1].Int()%5 != 0 })},
+			Right:    &Relation{Rows: table},
+			LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(0)},
+			Type: JoinInner, LeftWidth: 2, RightWidth: 2,
+		}, col(3), col(1))
+	}
+	got := drainAllocs(t, build)
+	// 346 when this was written: ~35 output blocks, and per build row its
+	// key string and bucket; the aggregate has only 10 groups (categories).
+	if limit := float64(n/128 + 4*(10+len(table))); got > limit {
+		t.Errorf("join tree over %d rows allocates %.0f times, limit %.0f", n, got, limit)
+	}
+}

@@ -1,13 +1,9 @@
 package exec
 
-import (
-	"streamrel/internal/expr"
-	"streamrel/internal/types"
-)
+import "streamrel/internal/types"
 
 // Batched execution fast path. The Volcano Next contract costs one
-// virtual call — and for Filter/Project one expression-context
-// allocation — per row; on the ingest hot path (window fires evaluate a
+// virtual call per row; on the ingest hot path (window fires evaluate a
 // plan over every closing window) that dominates the profile. Operators
 // that can produce rows in bulk additionally implement Batcher; pull
 // consumers (Drain, HashAgg) use it when present and fall back to Next
@@ -64,10 +60,10 @@ func tailBatch(rows []types.Row, pos *int) ([]types.Row, error) {
 }
 
 // NextBatch implements Batcher: the predicate is evaluated over a whole
-// child chunk with one hoisted expression context, and qualifying row
-// headers are gathered into a reused output buffer.
+// child chunk and qualifying row headers are gathered into a reused
+// output buffer.
 func (f *Filter) NextBatch() ([]types.Row, error) {
-	ec := expr.Ctx{WindowClose: f.ctx.WindowClose, Now: f.ctx.Now}
+	ec := &f.ec
 	for {
 		in, err := nextBatch(f.Child, &f.inBuf)
 		if err != nil || in == nil {
@@ -76,11 +72,11 @@ func (f *Filter) NextBatch() ([]types.Row, error) {
 		out := f.buf[:0]
 		for _, row := range in {
 			ec.Row = row
-			v, err := f.Pred.Eval(&ec)
+			ok, err := evalPred(f.Pred, ec)
 			if err != nil {
 				return nil, err
 			}
-			if !v.IsNull() && v.Bool() {
+			if ok {
 				out = append(out, row)
 			}
 		}
@@ -92,8 +88,8 @@ func (f *Filter) NextBatch() ([]types.Row, error) {
 }
 
 // NextBatch implements Batcher: output expressions are evaluated over a
-// whole child chunk with one hoisted expression context, and the output
-// rows are carved from one flat datum block per chunk. The rows are
+// whole child chunk, and the output rows are carved from one flat datum
+// block per chunk. The rows are
 // freshly allocated (consumers retain them); only the []Row container
 // is reused.
 func (p *Project) NextBatch() ([]types.Row, error) {
@@ -101,14 +97,14 @@ func (p *Project) NextBatch() ([]types.Row, error) {
 	if err != nil || in == nil {
 		return nil, err
 	}
-	ec := expr.Ctx{WindowClose: p.ctx.WindowClose, Now: p.ctx.Now}
+	ec := &p.ec
 	blk := types.NewRowBlock(len(in), len(p.Exprs))
 	out := p.buf[:0]
 	for _, row := range in {
 		ec.Row = row
 		dst := blk.Row()
 		for i, e := range p.Exprs {
-			if dst[i], err = e.Eval(&ec); err != nil {
+			if dst[i], err = e.Eval(ec); err != nil {
 				return nil, err
 			}
 		}

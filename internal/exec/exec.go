@@ -23,9 +23,13 @@ type Ctx struct {
 	Now         func() time.Time
 }
 
-// exprCtx builds the expression-evaluation context for a row.
-func (c *Ctx) exprCtx(row types.Row) *expr.Ctx {
-	return &expr.Ctx{Row: row, WindowClose: c.WindowClose, Now: c.Now}
+// evalCtx returns the expression-evaluation context of this execution,
+// by value. Every operator that evaluates expressions keeps its own copy
+// (set in Open) and only re-points Row per input row, so evaluation
+// allocates nothing; a copy cannot live here, because one Ctx is shared by
+// a whole operator tree and each operator is mid-row at a different row.
+func (c *Ctx) evalCtx() expr.Ctx {
+	return expr.Ctx{WindowClose: c.WindowClose, Now: c.Now}
 }
 
 // Operator is a pull-based iterator over rows. The contract: Open before
@@ -60,10 +64,10 @@ func Drain(ctx *Ctx, op Operator) ([]types.Row, error) {
 	}
 }
 
-// evalPred evaluates a predicate under SQL semantics: NULL means the row
-// does not qualify.
-func evalPred(ctx *Ctx, pred *expr.Scalar, row types.Row) (bool, error) {
-	v, err := pred.Eval(ctx.exprCtx(row))
+// evalPred evaluates a predicate over ec.Row under SQL semantics: NULL
+// means the row does not qualify.
+func evalPred(pred *expr.Scalar, ec *expr.Ctx) (bool, error) {
+	v, err := pred.Eval(ec)
 	if err != nil {
 		return false, err
 	}

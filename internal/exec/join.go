@@ -29,8 +29,16 @@ type HashJoin struct {
 	Residual              *expr.Scalar
 	LeftWidth, RightWidth int // column counts, for NULL padding
 
-	ctx       *Ctx
-	table     map[string][]buildRow
+	ec expr.Ctx
+	// table maps a build key to its bucket's index in buckets, so a build
+	// row joining an existing bucket touches no map entry and only a new
+	// key builds a string; key is the scratch the keys are encoded into.
+	table     map[string]int
+	buckets   [][]buildRow
+	key       []byte
+	out       rowConcat
+	padLeft   types.Row // NULLs standing in for the missing side (outer joins)
+	padRight  types.Row
 	leftRow   types.Row
 	matches   []buildRow
 	matchPos  int
@@ -48,8 +56,11 @@ type buildRow struct {
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Ctx) error {
-	j.ctx = ctx
-	j.table = make(map[string][]buildRow)
+	j.ec = ctx.evalCtx()
+	j.table = make(map[string]int)
+	j.buckets = nil
+	j.out = rowConcat{width: -1}
+	j.padLeft, j.padRight = nullRow(j.LeftWidth), nullRow(j.RightWidth)
 	j.leftRow = nil
 	j.matches = nil
 	j.leftDone = false
@@ -60,7 +71,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	for _, r := range rows {
-		key, null, err := j.keyOf(r, j.RightKeys)
+		null, err := j.keyOf(r, j.RightKeys)
 		if err != nil {
 			return err
 		}
@@ -76,25 +87,33 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 			}
 			continue
 		}
-		j.table[key] = append(j.table[key], br)
+		b, ok := j.table[string(j.key)]
+		if !ok {
+			b = len(j.buckets)
+			j.table[string(j.key)] = b
+			j.buckets = append(j.buckets, nil)
+		}
+		j.buckets[b] = append(j.buckets[b], br)
 	}
 	return j.Left.Open(ctx)
 }
 
-func (j *HashJoin) keyOf(row types.Row, keys []*expr.Scalar) (string, bool, error) {
-	vals := make(types.Row, len(keys))
-	ec := j.ctx.exprCtx(row)
-	for i, k := range keys {
-		v, err := k.Eval(ec)
+// keyOf encodes the row's join key into j.key; null reports a NULL key
+// column, which never joins.
+func (j *HashJoin) keyOf(row types.Row, keys []*expr.Scalar) (null bool, err error) {
+	j.ec.Row = row
+	j.key = j.key[:0]
+	for _, k := range keys {
+		v, err := k.Eval(&j.ec)
 		if err != nil {
-			return "", false, err
+			return false, err
 		}
 		if v.IsNull() {
-			return "", true, nil
+			return true, nil
 		}
-		vals[i] = v
+		j.key = v.AppendKey(j.key)
 	}
-	return vals.Key(), false, nil
+	return false, nil
 }
 
 // Next implements Operator.
@@ -104,13 +123,15 @@ func (j *HashJoin) Next() (types.Row, error) {
 		for j.matchPos < len(j.matches) {
 			m := j.matches[j.matchPos]
 			j.matchPos++
-			out := concatRows(j.leftRow, m.row)
+			out := j.out.concat(j.leftRow, m.row)
 			if j.Residual != nil {
-				ok, err := evalPred(j.ctx, j.Residual, out)
+				j.ec.Row = out
+				ok, err := evalPred(j.Residual, &j.ec)
 				if err != nil {
 					return nil, err
 				}
 				if !ok {
+					j.out.discard(out)
 					continue
 				}
 			}
@@ -122,7 +143,7 @@ func (j *HashJoin) Next() (types.Row, error) {
 		}
 		// Current probe row exhausted: left-outer padding if unmatched.
 		if j.leftRow != nil && !j.leftMatch && (j.Type == JoinLeft || j.Type == JoinFull) {
-			out := concatRows(j.leftRow, nullRow(j.RightWidth))
+			out := j.out.concat(j.leftRow, j.padRight)
 			j.leftRow = nil
 			return out, nil
 		}
@@ -142,14 +163,15 @@ func (j *HashJoin) Next() (types.Row, error) {
 			j.leftRow = row
 			j.leftMatch = false
 			j.matchPos = 0
-			key, null, err := j.keyOf(row, j.LeftKeys)
+			j.matches = nil
+			null, err := j.keyOf(row, j.LeftKeys)
 			if err != nil {
 				return nil, err
 			}
-			if null {
-				j.matches = nil
-			} else {
-				j.matches = j.table[key]
+			if !null {
+				if b, ok := j.table[string(j.key)]; ok {
+					j.matches = j.buckets[b]
+				}
 			}
 			continue
 		}
@@ -157,14 +179,15 @@ func (j *HashJoin) Next() (types.Row, error) {
 		if j.unmatchedPos < len(j.unmatched) {
 			r := j.unmatched[j.unmatchedPos]
 			j.unmatchedPos++
-			return concatRows(nullRow(j.LeftWidth), r), nil
+			return j.out.concat(j.padLeft, r), nil
 		}
 		return nil, nil
 	}
 }
 
+// collectUnmatched gathers the never-matched build rows in build order.
 func (j *HashJoin) collectUnmatched() {
-	for _, bucket := range j.table {
+	for _, bucket := range j.buckets {
 		for _, br := range bucket {
 			if br.matched != nil && !*br.matched {
 				j.unmatched = append(j.unmatched, br.row)
@@ -176,6 +199,7 @@ func (j *HashJoin) collectUnmatched() {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.table = nil
+	j.buckets = nil
 	j.unmatched = nil
 	return j.Left.Close()
 }
@@ -189,7 +213,9 @@ type NestedLoopJoin struct {
 	Type        JoinType
 	RightWidth  int
 
-	ctx       *Ctx
+	ec        expr.Ctx
+	out       rowConcat
+	padRight  types.Row // NULLs for the right side of an unmatched LEFT row
 	right     []types.Row
 	leftRow   types.Row
 	rightPos  int
@@ -198,7 +224,9 @@ type NestedLoopJoin struct {
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open(ctx *Ctx) error {
-	j.ctx = ctx
+	j.ec = ctx.evalCtx()
+	j.out = rowConcat{width: -1}
+	j.padRight = nullRow(j.RightWidth)
 	j.leftRow = nil
 	var err error
 	if j.right, err = Drain(ctx, j.Right); err != nil {
@@ -222,13 +250,15 @@ func (j *NestedLoopJoin) Next() (types.Row, error) {
 		for j.rightPos < len(j.right) {
 			r := j.right[j.rightPos]
 			j.rightPos++
-			out := concatRows(j.leftRow, r)
+			out := j.out.concat(j.leftRow, r)
 			if j.Pred != nil {
-				ok, err := evalPred(j.ctx, j.Pred, out)
+				j.ec.Row = out
+				ok, err := evalPred(j.Pred, &j.ec)
 				if err != nil {
 					return nil, err
 				}
 				if !ok {
+					j.out.discard(out)
 					continue
 				}
 			}
@@ -236,7 +266,7 @@ func (j *NestedLoopJoin) Next() (types.Row, error) {
 			return out, nil
 		}
 		if !j.leftMatch && j.Type == JoinLeft {
-			out := concatRows(j.leftRow, nullRow(j.RightWidth))
+			out := j.out.concat(j.leftRow, j.padRight)
 			j.leftRow = nil
 			return out, nil
 		}
@@ -250,11 +280,34 @@ func (j *NestedLoopJoin) Close() error {
 	return j.Left.Close()
 }
 
-func concatRows(l, r types.Row) types.Row {
-	out := make(types.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
+// rowConcat builds join output rows l ++ r, carved from a types.RowBlock
+// instead of one allocation per row. A returned row is never written again
+// and keeps its storage for as long as the caller retains it (whole blocks
+// are what the collector frees). Start it as rowConcat{width: -1}: the
+// block is sized by the first row.
+type rowConcat struct {
+	blk   types.RowBlock
+	width int
+	spare types.Row // a carved row the caller discarded; handed out next
 }
+
+func (c *rowConcat) concat(l, r types.Row) types.Row {
+	if w := len(l) + len(r); w != c.width {
+		// First row (or, against every schema, a change of width).
+		*c = rowConcat{blk: types.NewRowBlock(16, w), width: w}
+	}
+	out := c.spare
+	c.spare = nil
+	if out == nil {
+		out = c.blk.Row()
+	}
+	copy(out[copy(out, l):], r)
+	return out
+}
+
+// discard takes back the row concat just returned — a candidate that
+// failed the join predicate — so the next candidate overwrites it.
+func (c *rowConcat) discard(row types.Row) { c.spare = row }
 
 func nullRow(n int) types.Row {
 	out := make(types.Row, n)

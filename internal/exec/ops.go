@@ -12,14 +12,14 @@ type Filter struct {
 	Child Operator
 	Pred  *expr.Scalar
 
-	ctx   *Ctx
+	ec    expr.Ctx
 	buf   []types.Row // NextBatch output container, reused per chunk
 	inBuf []types.Row // staging for non-Batcher children
 }
 
 // Open implements Operator.
 func (f *Filter) Open(ctx *Ctx) error {
-	f.ctx = ctx
+	f.ec = ctx.evalCtx()
 	return f.Child.Open(ctx)
 }
 
@@ -30,7 +30,8 @@ func (f *Filter) Next() (types.Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		ok, err := evalPred(f.ctx, f.Pred, row)
+		f.ec.Row = row
+		ok, err := evalPred(f.Pred, &f.ec)
 		if err != nil {
 			return nil, err
 		}
@@ -48,14 +49,14 @@ type Project struct {
 	Child Operator
 	Exprs []*expr.Scalar
 
-	ctx   *Ctx
+	ec    expr.Ctx
 	buf   []types.Row // NextBatch output container, reused per chunk
 	inBuf []types.Row // staging for non-Batcher children
 }
 
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx) error {
-	p.ctx = ctx
+	p.ec = ctx.evalCtx()
 	return p.Child.Open(ctx)
 }
 
@@ -66,9 +67,9 @@ func (p *Project) Next() (types.Row, error) {
 		return nil, err
 	}
 	out := make(types.Row, len(p.Exprs))
-	ec := p.ctx.exprCtx(row)
+	p.ec.Row = row
 	for i, e := range p.Exprs {
-		if out[i], err = e.Eval(ec); err != nil {
+		if out[i], err = e.Eval(&p.ec); err != nil {
 			return nil, err
 		}
 	}
@@ -151,6 +152,7 @@ func (s *Sort) Open(ctx *Ctx) error {
 		keys types.Row
 	}
 	var all []keyed
+	ec := ctx.evalCtx()
 	for {
 		row, err := s.Child.Next()
 		if err != nil {
@@ -160,9 +162,9 @@ func (s *Sort) Open(ctx *Ctx) error {
 			break
 		}
 		ks := make(types.Row, len(s.Keys))
-		ec := ctx.exprCtx(row)
+		ec.Row = row
 		for i, k := range s.Keys {
-			if ks[i], err = k.Expr.Eval(ec); err != nil {
+			if ks[i], err = k.Expr.Eval(&ec); err != nil {
 				return err
 			}
 		}
@@ -220,12 +222,12 @@ func (s *Sort) Close() error { s.rows = nil; return nil }
 type Distinct struct {
 	Child Operator
 
-	seen map[string]struct{}
+	seen rowSet
 }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Ctx) error {
-	d.seen = make(map[string]struct{})
+	d.seen = rowSet{m: make(map[string]struct{})}
 	return d.Child.Open(ctx)
 }
 
@@ -236,17 +238,32 @@ func (d *Distinct) Next() (types.Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		k := row.Key()
-		if _, dup := d.seen[k]; dup {
-			continue
+		if d.seen.add(row) {
+			return row, nil
 		}
-		d.seen[k] = struct{}{}
-		return row, nil
 	}
 }
 
 // Close implements Operator.
-func (d *Distinct) Close() error { d.seen = nil; return d.Child.Close() }
+func (d *Distinct) Close() error { d.seen = rowSet{}; return d.Child.Close() }
+
+// rowSet is a set of rows under grouping equality. It probes with the
+// row's key bytes in a reused buffer and builds a key string only for a
+// row it has not seen.
+type rowSet struct {
+	m   map[string]struct{}
+	key []byte
+}
+
+// add inserts the row and reports whether it was new.
+func (s *rowSet) add(r types.Row) bool {
+	s.key = r.AppendKey(s.key[:0])
+	if _, dup := s.m[string(s.key)]; dup {
+		return false
+	}
+	s.m[string(s.key)] = struct{}{}
+	return true
+}
 
 // SetOpKind mirrors sql.SetOpKind without importing it (exec stays
 // front-end-agnostic).
@@ -282,9 +299,26 @@ func (s *SetOp) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	counts := make(map[string]int, len(right))
+	// counts holds each right row's multiplicity behind a pointer, so a
+	// probe decrements in place and only a new right key builds a string.
+	counts := make(map[string]*int, len(right))
+	var key []byte
 	for _, r := range right {
-		counts[r.Key()]++
+		key = r.AppendKey(key[:0])
+		n := counts[string(key)]
+		if n == nil {
+			n = new(int)
+			counts[string(key)] = n
+		}
+		*n++
+	}
+	absent := new(int) // stays 0: only positive counts are decremented
+	count := func(r types.Row) *int {
+		key = r.AppendKey(key[:0])
+		if n := counts[string(key)]; n != nil {
+			return n
+		}
+		return absent
 	}
 	switch s.Kind {
 	case SetUnion:
@@ -294,14 +328,14 @@ func (s *SetOp) Open(ctx *Ctx) error {
 		}
 	case SetExcept:
 		for _, r := range left {
-			k := r.Key()
+			n := count(r)
 			if s.All {
-				if counts[k] > 0 {
-					counts[k]--
+				if *n > 0 {
+					*n--
 					continue
 				}
 				s.rows = append(s.rows, r)
-			} else if counts[k] == 0 {
+			} else if *n == 0 {
 				s.rows = append(s.rows, r)
 			}
 		}
@@ -310,10 +344,9 @@ func (s *SetOp) Open(ctx *Ctx) error {
 		}
 	case SetIntersect:
 		for _, r := range left {
-			k := r.Key()
-			if counts[k] > 0 {
+			if n := count(r); *n > 0 {
 				if s.All {
-					counts[k]--
+					*n--
 				}
 				s.rows = append(s.rows, r)
 			}
@@ -326,15 +359,12 @@ func (s *SetOp) Open(ctx *Ctx) error {
 }
 
 func dedup(rows []types.Row) []types.Row {
-	seen := make(map[string]struct{}, len(rows))
+	seen := rowSet{m: make(map[string]struct{}, len(rows))}
 	out := rows[:0]
 	for _, r := range rows {
-		k := r.Key()
-		if _, dup := seen[k]; dup {
-			continue
+		if seen.add(r) {
+			out = append(out, r)
 		}
-		seen[k] = struct{}{}
-		out = append(out, r)
 	}
 	return out
 }

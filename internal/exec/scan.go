@@ -104,15 +104,16 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	s.rows = s.rows[:0]
 	s.pos = 0
 	var lo, hi types.Row
+	ec := ctx.evalCtx() // bounds are constants: no row
 	if s.Lo != nil {
-		v, err := s.Lo.Eval(ctx.exprCtx(nil))
+		v, err := s.Lo.Eval(&ec)
 		if err != nil {
 			return err
 		}
 		lo = types.Row{v}
 	}
 	if s.Hi != nil {
-		v, err := s.Hi.Eval(ctx.exprCtx(nil))
+		v, err := s.Hi.Eval(&ec)
 		if err != nil {
 			return err
 		}

@@ -343,17 +343,18 @@ func (a *firstLastAcc) Result() types.Datum {
 type distinctAcc struct {
 	seen  map[string]types.Datum
 	inner Acc
+	key   []byte // scratch for the probed value's key
 }
 
 func (a *distinctAcc) Add(v types.Datum) error {
 	if v.IsNull() {
 		return nil
 	}
-	k := types.Row{v}.Key()
-	if _, ok := a.seen[k]; ok {
+	a.key = v.AppendKey(a.key[:0])
+	if _, ok := a.seen[string(a.key)]; ok {
 		return nil
 	}
-	a.seen[k] = v
+	a.seen[string(a.key)] = v
 	return a.inner.Add(v)
 }
 

@@ -64,7 +64,14 @@ type State struct {
 	// streamrel_ivm_groups_touched_total increment per fire.
 	dirty map[string]struct{}
 
+	// ec, keyScratch and keyBuf are Insert's per-row scratch: the
+	// expression context is re-pointed at each row, and group keys are
+	// evaluated into keyScratch and encoded into keyBuf, which probes the
+	// maps as string(keyBuf) without allocating. The context carries no
+	// window close and no clock: plans reading either are not compiled.
+	ec         expr.Ctx
 	keyScratch types.Row
+	keyBuf     []byte
 
 	// fireBacking/fireRows are the output materialization, reused across
 	// fires (see Fire's aliasing contract).
@@ -87,12 +94,16 @@ type slice struct {
 }
 
 type sliceGroup struct {
-	keys types.Row
 	rows int64 // rows that passed the filter into this group, this slice
 	accs []exec.DeltaAcc
 }
 
 type group struct {
+	// key is the one string built for this group's key bytes: the slice
+	// maps and the dirty set are keyed with it, so they share its storage.
+	// It lives here and not on every sliceGroup, which would hold a copy
+	// of the header per (slice, group).
+	key  string
 	keys types.Row
 	rows int64 // live (unexpired) filtered rows across the window
 	accs []exec.DeltaAcc
@@ -107,13 +118,14 @@ func Compile(p *plan.Plan) (*State, string) {
 		return nil, reason
 	}
 	s := &State{
-		spec:    p.StreamAgg,
-		kinds:   kinds,
-		advance: p.Stream.Window.Advance,
-		visible: p.Stream.Window.Visible,
-		slices:  make(map[int64]*slice),
-		groups:  make(map[string]*group),
-		dirty:   make(map[string]struct{}),
+		spec:       p.StreamAgg,
+		kinds:      kinds,
+		advance:    p.Stream.Window.Advance,
+		visible:    p.Stream.Window.Visible,
+		slices:     make(map[int64]*slice),
+		groups:     make(map[string]*group),
+		dirty:      make(map[string]struct{}),
+		keyScratch: make(types.Row, len(p.StreamAgg.GroupBy)),
 	}
 	for _, k := range kinds {
 		if !k.Subtractable() {
@@ -135,7 +147,8 @@ func (s *State) newAccs() []exec.DeltaAcc {
 // and group keys once, then fold the aggregate arguments into both the
 // row's slice partial (the future retraction) and the window accumulator.
 func (s *State) Insert(row types.Row, ts int64) error {
-	ec := &expr.Ctx{Row: row}
+	ec := &s.ec
+	ec.Row = row
 	if s.spec.Pred != nil {
 		v, err := s.spec.Pred.Eval(ec)
 		if err != nil {
@@ -145,9 +158,6 @@ func (s *State) Insert(row types.Row, ts int64) error {
 			return nil
 		}
 	}
-	if s.keyScratch == nil {
-		s.keyScratch = make(types.Row, len(s.spec.GroupBy))
-	}
 	for i, g := range s.spec.GroupBy {
 		v, err := g.Eval(ec)
 		if err != nil {
@@ -155,8 +165,15 @@ func (s *State) Insert(row types.Row, ts int64) error {
 		}
 		s.keyScratch[i] = v
 	}
-	k := s.keyScratch.Key()
+	s.keyBuf = s.keyScratch.AppendKey(s.keyBuf[:0])
 
+	g, ok := s.groups[string(s.keyBuf)]
+	if !ok {
+		g = &group{key: string(s.keyBuf), keys: s.keyScratch.Clone(), accs: s.newAccs()}
+		s.groups[g.key] = g
+		s.pending = append(s.pending, g)
+		s.GroupsN.Add(1)
+	}
 	start := floorDiv(ts, s.advance) * s.advance
 	sl, ok := s.slices[start]
 	if !ok {
@@ -164,21 +181,14 @@ func (s *State) Insert(row types.Row, ts int64) error {
 		s.slices[start] = sl
 		s.SlicesN.Add(1)
 	}
-	sg, ok := sl.groups[k]
+	sg, ok := sl.groups[g.key]
 	if !ok {
-		sg = &sliceGroup{keys: s.keyScratch.Clone(), accs: s.newAccs()}
-		sl.groups[k] = sg
-	}
-	g, ok := s.groups[k]
-	if !ok {
-		g = &group{keys: sg.keys, accs: s.newAccs()}
-		s.groups[k] = g
-		s.pending = append(s.pending, g)
-		s.GroupsN.Add(1)
+		sg = &sliceGroup{accs: s.newAccs()}
+		sl.groups[g.key] = sg
 	}
 	sg.rows++
 	g.rows++
-	s.dirty[k] = struct{}{}
+	s.dirty[g.key] = struct{}{}
 
 	for i, spec := range s.spec.Aggs {
 		v := types.True

@@ -245,7 +245,15 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 	// the input rows; this lets `WHERE url='/a' … GROUP BY url` share
 	// slice state (and a plan-level pipeline) with the unfiltered
 	// `… GROUP BY url`. The full plan (Build) keeps the WHERE pre-agg.
-	if streamOnly && b.stream != nil && !anyUsesWindowContext(sel, groupExprs, aggCalls) {
+	//
+	// Slices are folded as rows arrive, so nothing they evaluate may
+	// depend on when the window closes: cq_close(*) is unknown until then,
+	// and now() must be read at the fire, as re-execution reads it, not
+	// per arriving row.
+	sliceShape := streamOnly && b.stream != nil
+	readsNow := sliceShape && sliceExprsCall("now", sel, groupExprs, aggCalls)
+	b.readsNow = b.readsNow || readsNow
+	if sliceShape && !readsNow && !sliceExprsCall("cq_close", sel, groupExprs, aggCalls) {
 		var baseConjs, residConjs []sql.Expr
 		var residual []*expr.Scalar
 		for _, c := range splitConjuncts(sel.Where) {
@@ -253,7 +261,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 			// default row over an empty window, and a pre-agg filter that
 			// empties the window must NOT suppress that row the way a
 			// post-agg filter would.
-			if len(groupExprs) > 0 && !containsAggregate(c) && !usesCQClose(c) {
+			if len(groupExprs) > 0 && !containsAggregate(c) {
 				if r, rerr := rewrite(c); rerr == nil {
 					if s, cerr := expr.Compile(r, postScope); cerr == nil {
 						residConjs = append(residConjs, c)
@@ -376,22 +384,20 @@ func fingerprint(stream string, where sql.Expr, groups []sql.Expr, aggs []*sql.F
 	return b.String()
 }
 
-// anyUsesWindowContext reports whether the slice-evaluated parts of the
-// query (WHERE, group keys, aggregate arguments) reference cq_close(*),
-// which is only known at window close — such plans cannot take the shared
-// slice path.
-func anyUsesWindowContext(sel *sql.Select, groups []sql.Expr, aggs []*sql.FuncCall) bool {
-	if sel.Where != nil && usesCQClose(sel.Where) {
+// sliceExprsCall reports whether the slice-evaluated parts of the query
+// (WHERE, group keys, aggregate arguments) call the named scalar function.
+func sliceExprsCall(fn string, sel *sql.Select, groups []sql.Expr, aggs []*sql.FuncCall) bool {
+	if sel.Where != nil && callsFunc(sel.Where, fn) {
 		return true
 	}
 	for _, g := range groups {
-		if usesCQClose(g) {
+		if callsFunc(g, fn) {
 			return true
 		}
 	}
 	for _, fc := range aggs {
 		for _, arg := range fc.Args {
-			if usesCQClose(arg) {
+			if callsFunc(arg, fn) {
 				return true
 			}
 		}
@@ -399,12 +405,12 @@ func anyUsesWindowContext(sel *sql.Select, groups []sql.Expr, aggs []*sql.FuncCa
 	return false
 }
 
-// usesCQClose reports whether the expression references cq_close(*),
-// which is only known at window close.
-func usesCQClose(e sql.Expr) bool {
+// callsFunc reports whether the expression calls the named function
+// (lower case).
+func callsFunc(e sql.Expr, fn string) bool {
 	found := false
 	sql.WalkExprs(e, func(x sql.Expr) bool {
-		if fc, ok := x.(*sql.FuncCall); ok && strings.ToLower(fc.Name) == "cq_close" {
+		if fc, ok := x.(*sql.FuncCall); ok && strings.ToLower(fc.Name) == fn {
 			found = true
 			return false
 		}

@@ -19,6 +19,9 @@ func (p *Plan) DeltaProgram() ([]exec.DeltaKind, string) {
 	if p.Stream == nil {
 		return nil, "not a continuous query"
 	}
+	if p.ReadsNow {
+		return nil, "reads now()"
+	}
 	if p.StreamAgg == nil {
 		return nil, "plan is not a filter/group-by aggregate directly over the stream"
 	}

@@ -72,6 +72,11 @@ type Plan struct {
 	Stream *StreamInfo
 	// StreamAgg is non-nil when the plan has the shareable aggregate shape.
 	StreamAgg *StreamAgg
+	// ReadsNow is set when the plan has that shape but its filter, group
+	// keys or aggregate arguments call now(); StreamAgg is then nil, so the
+	// clock is read once per fire by re-execution instead of per arriving
+	// row by slice or delta maintenance.
+	ReadsNow bool
 	// CloseCol is the output column produced by cq_close(*), or -1; it is
 	// how recovery locates the archived window timestamp (paper §4).
 	CloseCol int
@@ -95,6 +100,7 @@ func (p *Planner) BuildSelect(sel *sql.Select) (*Plan, error) {
 		Columns:   n.schema,
 		Stream:    b.stream,
 		StreamAgg: n.streamAgg,
+		ReadsNow:  b.readsNow,
 		CloseCol:  n.closeCol,
 		Build:     n.build,
 	}, nil
@@ -104,6 +110,8 @@ func (p *Planner) BuildSelect(sel *sql.Select) (*Plan, error) {
 type builder struct {
 	cat    *catalog.Catalog
 	stream *StreamInfo
+	// readsNow: see Plan.ReadsNow.
+	readsNow bool
 	// viewDepth guards against recursive view definitions.
 	viewDepth int
 }

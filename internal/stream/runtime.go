@@ -110,7 +110,8 @@ type Runtime struct {
 	parallel int
 	// sched is the work-stealing pool; nil when parallel == 0.
 	sched *scheduler
-	now   func() time.Time
+	// now is the clock now() reads in a fire; nil means the wall clock.
+	now func() time.Time
 	// Late is the disorder policy applied to all sources. Set before
 	// pushing begins.
 	Late LatePolicy
@@ -142,14 +143,15 @@ type Runtime struct {
 }
 
 // NewRuntime creates a runtime bound to the transaction manager (window
-// consistency takes its snapshots there).
-func NewRuntime(mgr *txn.Manager, sharing bool) *Runtime {
+// consistency takes its snapshots there). now is the clock a fire's now()
+// calls read; nil means the wall clock.
+func NewRuntime(mgr *txn.Manager, sharing bool, now func() time.Time) *Runtime {
 	return &Runtime{
 		sources:     make(map[string]*source),
 		mgr:         mgr,
 		sharing:     sharing,
 		planShare:   sharing,
-		now:         time.Now,
+		now:         now,
 		lateDropped: &metrics.Counter{},
 	}
 }

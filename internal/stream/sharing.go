@@ -23,6 +23,14 @@ type sharedAgg struct {
 	slices     map[int64]*sliceState // keyed by slice start timestamp
 	maxVisible int64
 	lastTS     int64
+
+	// push's per-row scratch: the expression context is re-pointed at each
+	// row (no window close, no clock: plans reading either do not share
+	// slices), group keys are evaluated into keyScratch and encoded into
+	// keyBuf, and a slice's groups are probed with string(keyBuf).
+	ec         expr.Ctx
+	keyScratch types.Row
+	keyBuf     []byte
 }
 
 type sliceState struct {
@@ -37,10 +45,11 @@ type sliceGroup struct {
 
 func newSharedAgg(key string, spec *plan.StreamAgg, advance int64) *sharedAgg {
 	return &sharedAgg{
-		key:     key,
-		spec:    spec,
-		advance: advance,
-		slices:  make(map[int64]*sliceState),
+		key:        key,
+		spec:       spec,
+		advance:    advance,
+		slices:     make(map[int64]*sliceState),
+		keyScratch: make(types.Row, len(spec.GroupBy)),
 	}
 }
 
@@ -69,7 +78,8 @@ func (a *sharedAgg) detach(p *Pipeline) {
 // push folds one row into its slice's partial aggregates — once,
 // regardless of how many member CQs will consume it.
 func (a *sharedAgg) push(row types.Row, ts int64) error {
-	ec := &expr.Ctx{Row: row}
+	ec := &a.ec
+	ec.Row = row
 	if a.spec.Pred != nil {
 		v, err := a.spec.Pred.Eval(ec)
 		if err != nil {
@@ -85,18 +95,17 @@ func (a *sharedAgg) push(row types.Row, ts int64) error {
 		sl = &sliceState{start: start, groups: make(map[string]*sliceGroup)}
 		a.slices[start] = sl
 	}
-	keys := make(types.Row, len(a.spec.GroupBy))
 	for i, g := range a.spec.GroupBy {
 		v, err := g.Eval(ec)
 		if err != nil {
 			return err
 		}
-		keys[i] = v
+		a.keyScratch[i] = v
 	}
-	k := keys.Key()
-	grp, ok := sl.groups[k]
+	a.keyBuf = a.keyScratch.AppendKey(a.keyBuf[:0])
+	grp, ok := sl.groups[string(a.keyBuf)]
 	if !ok {
-		grp = &sliceGroup{keys: keys, accs: make([]expr.Acc, len(a.spec.Aggs))}
+		grp = &sliceGroup{keys: a.keyScratch.Clone(), accs: make([]expr.Acc, len(a.spec.Aggs))}
 		for i, spec := range a.spec.Aggs {
 			acc, err := expr.NewAcc(spec)
 			if err != nil {
@@ -104,7 +113,7 @@ func (a *sharedAgg) push(row types.Row, ts int64) error {
 			}
 			grp.accs[i] = acc
 		}
-		sl.groups[k] = grp
+		sl.groups[string(a.keyBuf)] = grp
 	}
 	for i, spec := range a.spec.Aggs {
 		v := types.True

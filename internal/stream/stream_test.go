@@ -30,7 +30,7 @@ type env struct {
 
 func newEnv(t *testing.T, sharing bool) *env {
 	t.Helper()
-	e := &env{cat: catalog.New(), mgr: txn.NewManager(), rt: NewRuntime(txnMgr(), sharing)}
+	e := &env{cat: catalog.New(), mgr: txn.NewManager(), rt: NewRuntime(txnMgr(), sharing, nil)}
 	e.rt.mgr = e.mgr
 	if _, err := e.cat.CreateStream("url_stream", types.Schema{
 		{Name: "url", Type: types.TypeString},

@@ -1,7 +1,7 @@
 package types
 
 import (
-	"fmt"
+	"encoding/binary"
 	"hash/maphash"
 	"math"
 	"strings"
@@ -39,16 +39,11 @@ func (s Schema) Names() []string {
 
 // String renders the schema as "(a BIGINT, b VARCHAR)".
 func (s Schema) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
+	parts := make([]string, len(s))
 	for i, c := range s {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s %s", c.Name, c.Type)
+		parts[i] = c.Name + " " + c.Type.String()
 	}
-	b.WriteByte(')')
-	return b.String()
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // Clone returns a copy of the schema.
@@ -121,7 +116,7 @@ func HashDatum(h *maphash.Hash, d Datum) {
 		h.WriteByte(2)
 		writeUint64(h, uint64(d.i))
 	case TypeFloat:
-		if i := int64(d.f); float64(i) == d.f {
+		if i, ok := integralFloat(d.f); ok {
 			// Hash like the equal integer.
 			h.WriteByte(2)
 			writeUint64(h, uint64(i))
@@ -153,48 +148,83 @@ func HashRow(r Row) uint64 {
 
 func writeUint64(h *maphash.Hash, v uint64) {
 	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(buf[:], v)
 	h.Write(buf[:])
 }
 
-// Key renders a row as a string map key consistent with RowsEqual; used for
-// grouping where we need exact (not probabilistic) key identity.
-func (r Row) Key() string {
-	var b strings.Builder
-	for _, d := range r {
-		switch d.typ {
-		case TypeNull, TypeUnknown:
-			b.WriteByte(0)
-		case TypeBool:
-			b.WriteByte(1)
-			b.WriteByte(byte(d.i))
-		case TypeInt:
-			writeKeyInt(&b, 2, uint64(d.i))
-		case TypeFloat:
-			if i := int64(d.f); float64(i) == d.f {
-				writeKeyInt(&b, 2, uint64(i))
-			} else {
-				writeKeyInt(&b, 3, math.Float64bits(d.f))
-			}
-		case TypeString:
-			b.WriteByte(4)
-			// Length-prefix to keep keys unambiguous.
-			writeKeyInt(&b, 4, uint64(len(d.s)))
-			b.WriteString(d.s)
-		case TypeTimestamp:
-			writeKeyInt(&b, 5, uint64(d.i))
-		case TypeInterval:
-			writeKeyInt(&b, 6, uint64(d.i))
+// integralFloat returns f as an int64 when f is integral and inside the
+// int64 range. The range check comes first: Go leaves float→int conversion
+// of an out-of-range value implementation-defined (amd64 yields MinInt64,
+// arm64 saturates), so without it 2^63 would key differently per platform.
+func integralFloat(f float64) (int64, bool) {
+	if f >= -1<<63 && f < 1<<63 {
+		if i := int64(f); float64(i) == f {
+			return i, true
 		}
 	}
-	return b.String()
+	return 0, false
 }
 
-func writeKeyInt(b *strings.Builder, tag byte, v uint64) {
-	b.WriteByte(tag)
-	for i := 0; i < 8; i++ {
-		b.WriteByte(byte(v >> (8 * i)))
+// AppendKey appends the datum's grouping key to dst and returns the
+// extended slice. The encoding is a contract (golden bytes are pinned in
+// row_key_test.go): hash operators key their maps with it, so a change
+// silently regroups every window.
+//
+//	NULL (and the untyped zero Datum)  00
+//	BOOLEAN                            01 b            b = 00 | 01
+//	BIGINT                             02 le64(v)
+//	DOUBLE, integral and in
+//	  [-2^63, 2^63)                    02 le64(int64(v))  so 3.0 ≡ 3, -0.0 ≡ 0
+//	DOUBLE, otherwise                  03 le64(IEEE-754 bits)
+//	VARCHAR                            04 04 le64(len) bytes
+//	TIMESTAMP                          05 le64(micros)
+//	INTERVAL                           06 le64(micros)
+//
+// le64 is the 8-byte little-endian two's-complement payload. Every datum
+// encoding is self-delimiting (the tag fixes the length, strings carry
+// theirs), so concatenating datum keys is prefix-free: two rows of any
+// widths have equal keys only if they have the same width and pairwise
+// equal datum keys. For datums types.Compare can order, equal keys ⇔
+// Compare == 0, with two documented edges: a BIGINT beyond ±2^53 and the
+// DOUBLE it rounds to compare equal but key apart (the key is exact, the
+// comparison goes through float64), and NaNs key by bit pattern while
+// Compare orders all NaNs as equal. ±Inf, 2^63 and 1e19 take the 03 form
+// on every platform.
+func (d Datum) AppendKey(dst []byte) []byte {
+	switch d.typ {
+	case TypeBool:
+		return append(dst, 1, byte(d.i))
+	case TypeInt:
+		return binary.LittleEndian.AppendUint64(append(dst, 2), uint64(d.i))
+	case TypeFloat:
+		if i, ok := integralFloat(d.f); ok {
+			return binary.LittleEndian.AppendUint64(append(dst, 2), uint64(i))
+		}
+		return binary.LittleEndian.AppendUint64(append(dst, 3), math.Float64bits(d.f))
+	case TypeString:
+		dst = binary.LittleEndian.AppendUint64(append(dst, 4, 4), uint64(len(d.s)))
+		return append(dst, d.s...)
+	case TypeTimestamp:
+		return binary.LittleEndian.AppendUint64(append(dst, 5), uint64(d.i))
+	case TypeInterval:
+		return binary.LittleEndian.AppendUint64(append(dst, 6), uint64(d.i))
+	default: // TypeNull, TypeUnknown
+		return append(dst, 0)
 	}
 }
+
+// AppendKey appends the row's grouping key — its datums' keys in order
+// (see Datum.AppendKey) — to dst. Hash operators keep one buffer, rebuild
+// the key into buf[:0] per row and probe with m[string(buf)], which Go
+// compiles without allocating; a string is built only when a key is
+// inserted.
+func (r Row) AppendKey(dst []byte) []byte {
+	for _, d := range r {
+		dst = d.AppendKey(dst)
+	}
+	return dst
+}
+
+// Key returns the row's grouping key as a string, for cold callers that
+// do not keep a buffer.
+func (r Row) Key() string { return string(r.AppendKey(nil)) }

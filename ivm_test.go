@@ -53,6 +53,8 @@ func TestIVMModeSelection(t *testing.T) {
 		{`SELECT count(*) FROM s <VISIBLE '45 seconds' ADVANCE '20 seconds'>`, false},
 		// Projection without aggregation re-executes per window.
 		{`SELECT url FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> WHERE v > 3`, false},
+		// now() is read once per fire, not per arriving row.
+		{`SELECT url, count(*) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> WHERE at < now() GROUP BY url`, false},
 	}
 	e := openMemMode(t, "incremental")
 	mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
@@ -94,6 +96,48 @@ func TestIVMModeSelection(t *testing.T) {
 	plan := strings.Join(rowStrings(ex.Rows), "\n")
 	if !strings.Contains(plan, "mode: reexec (incremental maintenance disabled)") {
 		t.Errorf("EXPLAIN with DisableIVM:\n%s", plan)
+	}
+}
+
+// TestNowReadAtFire pins when and from which clock a CQ reads now():
+// Config.Now, once per fire. A plan whose filter calls now() must not be
+// maintained per arriving row (delta state or shared slices would compare
+// each row against the clock at its arrival), so with any engine
+// configuration it re-executes, says so in EXPLAIN, and counts only the
+// rows older than the fixed clock.
+func TestNowReadAtFire(t *testing.T) {
+	const q = `SELECT url, count(*) FROM s <VISIBLE '30 seconds' ADVANCE '30 seconds'>
+		WHERE at < now() GROUP BY url`
+	base := time.UnixMicro(ivmBase).UTC()
+	clock := base.Add(25 * time.Second)
+	for _, mode := range []string{"incremental", "shared", "reexec"} {
+		e := openMemModeCfg(t, mode, Config{Now: func() time.Time { return clock }})
+		mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+		cq, err := e.Subscribe(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cq.Incremental || cq.SharedAggregation {
+			t.Errorf("%s: a plan reading now() is maintained per row (incremental %v, shared %v)",
+				mode, cq.Incremental, cq.SharedAggregation)
+		}
+		rows := make([]Row, 30)
+		for i := range rows {
+			rows[i] = Row{String("/a"), Timestamp(base.Add(time.Duration(i) * time.Second)), Int(1)}
+		}
+		if err := e.Append("s", rows...); err != nil {
+			t.Fatal(err)
+		}
+		e.AdvanceTime("s", base.Add(30*time.Second))
+		want := []string{base.Add(30*time.Second).Format(time.RFC3339Nano) + "|/a|25"}
+		if got := collectBatches(t, cq); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: fires = %q, want %q", mode, got, want)
+		}
+		plan := strings.Join(rowStrings(mustExec(t, e, "EXPLAIN "+q).Rows), "\n")
+		if !strings.Contains(plan, "mode: reexec (reads now())") {
+			t.Errorf("%s: EXPLAIN does not name the reason:\n%s", mode, plan)
+		}
+		cq.Close()
 	}
 }
 

@@ -237,7 +237,7 @@ func Open(cfg Config) (*Engine, error) {
 	if e.reg == nil {
 		e.reg = metrics.NewRegistry()
 	}
-	e.rt = stream.NewRuntime(e.mgr, !cfg.DisableSharing)
+	e.rt = stream.NewRuntime(e.mgr, !cfg.DisableSharing, cfg.Now)
 	e.rt.SetIVM(!cfg.DisableIVM)
 	e.rt.SetPlanSharing(!cfg.DisableSharing && !cfg.DisablePlanSharing)
 	e.rt.SetMetrics(e.reg)
