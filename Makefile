@@ -64,7 +64,7 @@ bench:
 	$(GO) run ./cmd/srbench -scale 0.2 -only E9 -json BENCH_fanout.json
 	$(GO) run ./cmd/srbench -scale 0.2 -only E11 -json bench-trace-smoke.json
 	$(GO) run ./cmd/srbench -scale 0.5 -only E12 -json BENCH_ingest.json -stamp -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 0.5 -only E13 -json BENCH_shard.json -stamp
+	$(GO) run ./cmd/srbench -scale 0.5 -only E13 -json BENCH_shard.json -stamp -budget BENCH_budget.json
 	$(GO) run ./cmd/srbench -scale 0.5 -only E14 -json BENCH_ivm.json -stamp -budget BENCH_budget.json
 	$(GO) run ./cmd/srbench -scale 1 -only E15 -json BENCH_sched.json -stamp -budget BENCH_budget.json
 	$(GO) run ./cmd/srbench -scale 1 -only E16 -json BENCH_sysmon.json -stamp -budget BENCH_budget.json
@@ -78,8 +78,10 @@ bench-selftest:
 	bash bench/run.sh -smoke -seed 1
 
 # fuzz exercises the binary decoders (WAL batches, replication frames)
-# that parse untrusted bytes off disk and off the wire, the shard
-# router's batch split/merge round-trip, the incremental-maintenance
+# that parse untrusted bytes off disk and off the wire, the tagged-JSON
+# wire codec against the reflective codec it replaced (and the metrics
+# samples that ride in it), the shard router's batch split/merge
+# round-trip, the incremental-maintenance
 # equivalence property (delta-maintained fires == re-executed fires for
 # arbitrary append/advance sequences), and the row-key encoding every hash
 # operator groups by (equal keys == equal rows, self-delimiting).
@@ -88,6 +90,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRowKey -fuzztime=$(FUZZTIME) ./internal/types
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRecords -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEvent -fuzztime=$(FUZZTIME) ./internal/repl
+	$(GO) test -run=^$$ -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeSamples -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzShardSplitMerge -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzIVMEquivalence -fuzztime=$(FUZZTIME) .
 

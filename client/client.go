@@ -5,10 +5,10 @@ package client
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamrel/internal/server"
@@ -94,13 +94,13 @@ const DefaultDialTimeout = 10 * time.Second
 
 // Client is a connection to a streamrel server. Safe for concurrent use.
 type Client struct {
-	conn net.Conn
-	enc  *json.Encoder
-	addr string
-	opts Options
+	conn   net.Conn
+	fw     *server.FrameWriter // serializes request writes, under RPCTimeout
+	addr   string
+	opts   Options
+	nextID atomic.Int64
 
 	mu      sync.Mutex
-	nextID  int64
 	pending map[int64]chan *server.Response
 	subs    map[int64]*Subscription
 	closed  bool
@@ -120,7 +120,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	}
 	c := &Client{
 		conn:    conn,
-		enc:     json.NewEncoder(conn),
+		fw:      server.NewFrameWriter(conn, opts.RPCTimeout),
 		addr:    addr,
 		opts:    opts,
 		pending: make(map[int64]chan *server.Response),
@@ -152,10 +152,10 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) readLoop() {
-	dec := json.NewDecoder(bufio.NewReaderSize(c.conn, 1<<20))
+	fr := server.NewFrameReader(c.conn)
 	for {
-		var resp server.Response
-		if err := dec.Decode(&resp); err != nil {
+		resp := new(server.Response)
+		if err := fr.Read(resp); err != nil {
 			c.mu.Lock()
 			c.readErr = err
 			for id, ch := range c.pending {
@@ -173,24 +173,14 @@ func (c *Client) readLoop() {
 			c.mu.Lock()
 			sub := c.subs[resp.CQ]
 			c.mu.Unlock()
-			if sub != nil {
-				rows := make([]Row, len(resp.Rows))
-				ok := true
-				for i, wr := range resp.Rows {
-					r, err := server.DecodeRow(wr)
-					if err != nil {
-						ok = false
-						break
-					}
-					rows[i] = r
+			// A batch the server could not encode arrives as an error frame
+			// under the handle; there is no window to deliver.
+			if sub != nil && resp.Error == "" {
+				sub.sendMu.Lock()
+				if !sub.closed {
+					sub.ch <- Batch{Close: time.UnixMicro(resp.Close).UTC(), Rows: server.Rows(resp.Rows), Partial: resp.Partial}
 				}
-				if ok {
-					sub.sendMu.Lock()
-					if !sub.closed {
-						sub.ch <- Batch{Close: time.UnixMicro(resp.Close).UTC(), Rows: rows, Partial: resp.Partial}
-					}
-					sub.sendMu.Unlock()
-				}
+				sub.sendMu.Unlock()
 			}
 			continue
 		}
@@ -199,13 +189,18 @@ func (c *Client) readLoop() {
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if ch != nil {
-			r := resp
-			ch <- &r
+			ch <- resp
 		}
 	}
 }
 
+// roundTrip sends one request and waits for its response. The frame is
+// encoded and written outside c.mu, so goroutines sharing the client (the
+// shard router's per-shard connection is exactly that) contend only on the
+// socket write, not on JSON encoding.
 func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
+	req.ID = c.nextID.Add(1)
+	ch := make(chan *server.Response, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -216,23 +211,15 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("client: connection lost: %w", err)
 	}
-	c.nextID++
-	req.ID = c.nextID
-	ch := make(chan *server.Response, 1)
 	c.pending[req.ID] = ch
-	if c.opts.RPCTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.opts.RPCTimeout))
-	}
-	err := c.enc.Encode(req)
-	if c.opts.RPCTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Time{})
-	}
-	if err != nil {
+	c.mu.Unlock()
+
+	if err := c.fw.Write(req); err != nil {
+		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.mu.Unlock()
 
 	var timeout <-chan time.Time
 	if c.opts.RPCTimeout > 0 {
@@ -260,7 +247,7 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 // Exec runs a DDL/DML statement with optional $n parameters and returns
 // the affected row count.
 func (c *Client) Exec(sql string, args ...Value) (int, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "exec", SQL: sql, Args: encodeArgs(args)})
+	resp, err := c.roundTrip(&server.Request{Op: "exec", SQL: sql, Args: args})
 	if err != nil {
 		return 0, err
 	}
@@ -269,43 +256,27 @@ func (c *Client) Exec(sql string, args ...Value) (int, error) {
 
 // Query runs a snapshot SELECT with optional $n parameters.
 func (c *Client) Query(sql string, args ...Value) (*Rows, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "query", SQL: sql, Args: encodeArgs(args)})
+	resp, err := c.roundTrip(&server.Request{Op: "query", SQL: sql, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	return decodeRows(resp)
+	return decodeRows(resp), nil
 }
 
-func encodeArgs(args []Value) []server.WireValue {
-	if len(args) == 0 {
-		return nil
-	}
-	return server.EncodeRow(args)
-}
-
-func decodeRows(resp *server.Response) (*Rows, error) {
+func decodeRows(resp *server.Response) *Rows {
 	out := &Rows{Partial: resp.Partial}
 	for _, wc := range resp.Columns {
 		out.Columns = append(out.Columns, Column{Name: wc.Name})
 	}
-	for _, wr := range resp.Rows {
-		r, err := server.DecodeRow(wr)
-		if err != nil {
-			return nil, err
-		}
-		out.Data = append(out.Data, r)
+	if len(resp.Rows) > 0 {
+		out.Data = server.Rows(resp.Rows)
 	}
-	return out, nil
+	return out
 }
 
 // Append pushes rows into a stream.
 func (c *Client) Append(stream string, rows ...Row) error {
-	wire := make([][]server.WireValue, len(rows))
-	for i, r := range rows {
-		wire[i] = server.EncodeRow(r)
-	}
-	_, err := c.roundTrip(&server.Request{Op: "append", Stream: stream, Rows: wire})
-	return err
+	return c.AppendWire(stream, server.WireRows(rows), "")
 }
 
 // Do sends one raw protocol request and returns the raw response. It is
@@ -333,7 +304,7 @@ func (c *Client) Advance(stream string, ts time.Time) error {
 // Subscribe starts a continuous query (with optional $n parameters);
 // batches arrive on the returned subscription's channel.
 func (c *Client) Subscribe(sql string, args ...Value) (*Subscription, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "subscribe", SQL: sql, Args: encodeArgs(args)})
+	resp, err := c.roundTrip(&server.Request{Op: "subscribe", SQL: sql, Args: args})
 	if err != nil {
 		return nil, err
 	}
@@ -383,25 +354,20 @@ func (c *Client) Replicate(fromLSN uint64, runID string) (*ReplStream, error) {
 	if c.opts.RPCTimeout > 0 {
 		conn.SetDeadline(time.Now().Add(c.opts.RPCTimeout))
 	}
-	req := &server.Request{ID: 1, Op: "replicate", LSN: fromLSN, Run: runID}
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		conn.Close()
-		return nil, err
-	}
+	// The binary frames that follow the handshake are read through the
+	// same buffer, so nothing the primary sent early is lost.
 	br := bufio.NewReaderSize(conn, 1<<20)
-	line, err := br.ReadBytes('\n')
+	var resp server.Response
+	err = server.NewFrameWriter(conn, 0).Write(&server.Request{ID: 1, Op: "replicate", LSN: fromLSN, Run: runID})
+	if err == nil {
+		err = server.NewFrameReader(br).Read(&resp)
+	}
+	if err == nil && resp.Error != "" {
+		err = fmt.Errorf("%s", resp.Error)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, err
-	}
-	var resp server.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if resp.Error != "" {
-		conn.Close()
-		return nil, fmt.Errorf("%s", resp.Error)
 	}
 	conn.SetDeadline(time.Time{})
 	return &ReplStream{Conn: conn, R: br}, nil
@@ -415,7 +381,7 @@ func (c *Client) Stats() (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeRows(resp)
+	return decodeRows(resp), nil
 }
 
 // Span is one completed trace span from the server's trace ring; spans

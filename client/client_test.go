@@ -1,6 +1,10 @@
 package client_test
 
 import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,35 +155,134 @@ func TestClientValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConcurrentClients shares one Client between 8 goroutines, as the
+// shard router shares its per-shard connection. Requests are encoded and
+// written outside the client's state lock, so each caller checks that the
+// response it gets is the one to its own request.
 func TestConcurrentClients(t *testing.T) {
 	c := startServer(t)
-	if _, err := c.Exec(`CREATE TABLE t (a bigint)`); err != nil {
-		t.Fatal(err)
+	const goroutines, rounds = 8, 25
+	for g := 0; g < goroutines; g++ {
+		for _, ddl := range []string{
+			`CREATE STREAM s%d (g bigint, i bigint, at timestamp CQTIME USER)`,
+			`CREATE TABLE t%d (g bigint, i bigint, at timestamp)`,
+			`CREATE CHANNEL ch%d FROM s%d INTO t%d APPEND`,
+		} {
+			if _, err := c.Exec(strings.ReplaceAll(ddl, "%d", strconv.Itoa(g))); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	done := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
 		go func(g int) {
-			for i := 0; i < 25; i++ {
-				if _, err := c.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+			stream, table := "s"+strconv.Itoa(g), "t"+strconv.Itoa(g)
+			for i := 0; i < rounds; i++ {
+				at := types.NewTimestampMicros(int64(i+1) * 1e6)
+				if err := c.Append(stream, client.Row{types.NewInt(int64(g)), types.NewInt(int64(i)), at}); err != nil {
 					done <- err
+					return
+				}
+				// Only this goroutine's request can produce this answer.
+				tag := int64(g*1000 + i)
+				rows, err := c.Query(`SELECT $1 + 0, count(*), min(g), max(g) FROM `+table, types.NewInt(tag))
+				if err != nil {
+					done <- err
+					return
+				}
+				if r := rows.Data[0]; r[0].Int() != tag || r[1].Int() != int64(i+1) || r[2].Int() != int64(g) || r[3].Int() != int64(g) {
+					done <- fmt.Errorf("goroutine %d round %d got another request's response: %v", g, i, r)
 					return
 				}
 			}
 			done <- nil
 		}(g)
 	}
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
-	rows, err := c.Query(`SELECT count(*) FROM t`)
+}
+
+// TestNonFiniteFloats: a DOUBLE that is ±Inf or NaN used to fail
+// encoding/json's encoder, which the server took for a dead socket — the
+// connection dropped with no error frame, taking every subscription on it
+// along. Each now crosses the wire, in both directions and as a CQ batch,
+// and the connection stays usable.
+func TestNonFiniteFloats(t *testing.T) {
+	c := startServer(t)
+	alive := func(after string) {
+		t.Helper()
+		rows, err := c.Query(`SELECT 1`)
+		if err != nil || rows.Data[0][0].Int() != 1 {
+			t.Fatalf("connection unusable after %s: %v, %v", after, rows, err)
+		}
+	}
+	for _, q := range []struct {
+		sql  string
+		want func(float64) bool
+	}{
+		{`SELECT 1e308 * 10.0`, func(f float64) bool { return math.IsInf(f, 1) }},
+		{`SELECT -1e308 * 10.0`, func(f float64) bool { return math.IsInf(f, -1) }},
+		{`SELECT 1e308 * 10.0 - 1e308 * 10.0`, math.IsNaN},
+	} {
+		rows, err := c.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		if d := rows.Data[0][0]; d.Type() != types.TypeFloat || !q.want(d.Float()) {
+			t.Fatalf("%s: got %v", q.sql, d)
+		}
+		alive(q.sql)
+	}
+
+	for _, ddl := range []string{
+		`CREATE STREAM s (v double, at timestamp CQTIME USER)`,
+		`CREATE TABLE raw (v double, at timestamp)`,
+		`CREATE CHANNEL raw_ch FROM s INTO raw APPEND`,
+	} {
+		if _, err := c.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := c.Subscribe(`SELECT sum(v) FROM s <ADVANCE '1 minute'>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Data[0][0].Int() != 200 {
-		t.Fatalf("count = %v", rows.Data[0])
+	defer sub.Close()
+	base := time.Date(2009, 1, 4, 9, 0, 0, 0, time.UTC)
+	if err := c.Append("s", client.Row{types.NewFloat(math.Inf(1)), types.NewTimestamp(base)}); err != nil {
+		t.Fatal(err)
 	}
+	rows, err := c.Query(`SELECT v FROM raw`)
+	if err != nil || len(rows.Data) != 1 || !math.IsInf(rows.Data[0][0].Float(), 1) {
+		t.Fatalf("appended +Inf read back as %v, %v", rows, err)
+	}
+	alive("appending +Inf")
+
+	// The first window closes over that row; in the second the sum itself
+	// overflows.
+	for i := 1; i <= 2; i++ {
+		row := client.Row{types.NewFloat(math.MaxFloat64), types.NewTimestamp(base.Add(time.Minute + time.Duration(i)*time.Second))}
+		if err := c.Append("s", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Advance("s", base.Add(5*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case b, ok := <-sub.C:
+			if !ok || len(b.Rows) != 1 || !math.IsInf(b.Rows[0][0].Float(), 1) {
+				t.Fatalf("batch %d: %v (open %v)", i, b, ok)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("batch %d with a +Inf sum never arrived", i)
+		}
+	}
+	alive("a +Inf batch")
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {

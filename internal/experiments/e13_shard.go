@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,7 +35,10 @@ import (
 // overlap. Reported per rung: end-to-end ingest rows/s
 // (durability-acked) and the window fire latency seen by a merged CQ
 // subscription (wall-clock window close → merged batch delivery, which
-// for the router includes the cross-shard watermark wait).
+// for the router includes the cross-shard watermark wait), and the
+// whole-process heap allocations per ingested row. The direct and
+// router ×1 rungs are the only srbench ladders that cross the wire codec,
+// so their allocs/row are budget-gated (cmd/srbench -budget).
 //
 // On a single-core host the ladder still shows the router-level group
 // commit win (router ×1 and ×2 beat direct), but rungs cannot scale
@@ -49,7 +53,7 @@ func E13(s Scale) (*Table, error) {
 		ID:    "E13",
 		Title: "shard scale-out: keyed durable ingest, direct vs router over N shards",
 		Header: []string{"topology", "shards", "rows", "ingest", "rate",
-			"fire p50", "fire p95", "windows"},
+			"fire p50", "fire p95", "windows", "allocs/row"},
 		Metrics: map[string]float64{},
 	}
 
@@ -58,16 +62,17 @@ func E13(s Scale) (*Table, error) {
 		shards int
 		router bool
 		metric string
+		allocs string // gated allocs/row metric, "" for the ungated rungs
 	}
 	rungs := []rung{
-		{"direct", 1, false, "direct"},
-		{"router", 1, true, "shard1"},
-		{"router", 2, true, "shard2"},
-		{"router", 4, true, "shard4"},
+		{"direct", 1, false, "direct", "shard_direct_allocs_per_row"},
+		{"router", 1, true, "shard1", "shard_router1_allocs_per_row"},
+		{"router", 2, true, "shard2", ""},
+		{"router", 4, true, "shard4", ""},
 	}
 	rates := map[string]float64{}
 	for _, r := range rungs {
-		elapsed, fires, err := shardRun(n, producers, r.shards, r.router)
+		elapsed, fires, allocs, err := shardRun(n, producers, r.shards, r.router)
 		if err != nil {
 			return nil, fmt.Errorf("%s ×%d: %w", r.label, r.shards, err)
 		}
@@ -76,7 +81,11 @@ func E13(s Scale) (*Table, error) {
 			r.label, fmt.Sprintf("%d", r.shards), fmt.Sprintf("%d", n),
 			fmtDur(elapsed), fmtRate(n, elapsed),
 			fmtDurOrDash(p50), fmtDurOrDash(p95), fmt.Sprintf("%d", len(fires)),
+			fmt.Sprintf("%.1f", allocs),
 		})
+		if r.allocs != "" {
+			t.Metrics[r.allocs] = allocs
+		}
 		rates[r.metric] = rate(n, elapsed)
 		t.Metrics[r.metric+"_rows_per_s"] = rates[r.metric]
 		if len(fires) > 0 {
@@ -94,6 +103,7 @@ func E13(s Scale) (*Table, error) {
 		"every rung archives the base stream to a table via an APPEND channel: each committed append pays a txn commit + WAL fsync",
 		"the router's coalescing sender drains all sub-batches queued behind a busy shard into one append (router-level group commit), amortizing the per-append fixed cost across producers",
 		"fire latency is wall-clock window close → (merged) CQ batch delivery; router rungs include the cross-shard watermark wait",
+		"allocs/row is the whole-process Mallocs delta over the producer phase: producers, wire codec, router, shard engines and the CQ together",
 	)
 	return t, nil
 }
@@ -103,9 +113,10 @@ const shardBatch = 4
 
 // shardRun boots nShards durable engines behind loopback servers
 // (fronted by the router when useRouter is set), drives n keyed rows
-// from concurrent producers, and returns the producer-phase wall time
-// plus the observed window fire latencies.
-func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.Duration, error) {
+// from concurrent producers, and returns the producer-phase wall time,
+// the observed window fire latencies and the process's heap allocations
+// per row over that phase.
+func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.Duration, float64, error) {
 	var addrs []string
 	var engines []*streamrel.Engine
 	var servers []*server.Server
@@ -118,20 +129,20 @@ func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.
 	for i := 0; i < nShards; i++ {
 		dir, err := os.MkdirTemp("", "srbench-e13-")
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		defer os.RemoveAll(dir)
 		eng, err := streamrel.Open(streamrel.Config{
 			Dir: dir, SyncWAL: true, TraceSampleEvery: -1,
 		})
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		srv := server.New(eng)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			eng.Close()
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		go srv.Serve()
 		engines = append(engines, eng)
@@ -143,22 +154,22 @@ func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.
 	if useRouter {
 		r, err := shard.NewRouter(shard.Options{Addrs: addrs, TraceSampleEvery: -1})
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		defer r.Close()
 		if up := r.WaitReady(10 * time.Second); up < nShards {
-			return 0, nil, fmt.Errorf("only %d of %d shards up", up, nShards)
+			return 0, nil, 0, fmt.Errorf("only %d of %d shards up", up, nShards)
 		}
 		front, err = r.Listen("127.0.0.1:0")
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		go r.Serve()
 	}
 
 	admin, err := client.Dial(front)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	defer admin.Close()
 	for _, stmt := range []string{
@@ -167,7 +178,7 @@ func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.
 		`CREATE CHANNEL raw_ch FROM s INTO raw APPEND`,
 	} {
 		if _, err := admin.Exec(stmt); err != nil {
-			return 0, nil, fmt.Errorf("%s: %w", stmt, err)
+			return 0, nil, 0, fmt.Errorf("%s: %w", stmt, err)
 		}
 	}
 
@@ -175,7 +186,7 @@ func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.
 	// 250ms boundaries, so close→delivery is the fire latency.
 	sub, err := admin.Subscribe(`SELECT count(*) AS c, cq_close(*) FROM s <ADVANCE '250 milliseconds'>`)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	var fmu sync.Mutex
 	var fires []time.Duration
@@ -193,6 +204,8 @@ func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.
 	var next int64
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -227,15 +240,16 @@ func shardRun(n, producers, nShards int, useRouter bool) (time.Duration, []time.
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 
 	sub.Close()
 	<-subDone
 	fmu.Lock()
 	defer fmu.Unlock()
-	return elapsed, fires, nil
+	return elapsed, fires, float64(after.Mallocs-before.Mallocs) / float64(n), nil
 }
 
 // quantileDur returns the q-quantile of the samples, or 0 if empty.

@@ -17,17 +17,58 @@
 //	→ {"id":5,"op":"append","stream":"s","rows":[[…],[…]]}
 //	→ {"id":6,"op":"advance","stream":"s","ts":61000000}
 //
-// Values are tagged JSON objects so types round-trip exactly:
-// null, {"b":bool}, {"i":int64}, {"f":float64}, {"s":string},
-// {"ts":micros}, {"iv":micros}.
+// Grammar (EBNF; ws is JSON whitespace and may surround any token):
+//
+//	stream   = { frame "\n" } .
+//	frame    = "{" [ field { "," field } ] "}" .        one object per line
+//	field    = string ":" ( scalar | rows | row | cold | "null" ) .
+//	rows     = "[" [ row { "," row } ] "]" .            "rows"
+//	row      = "[" [ value { "," value } ] "]" | "null" .   a rows element, "args"
+//	value    = "null"                                   SQL NULL
+//	         | "{" tag ":" payload "}" .                exactly one tag
+//	tag      = `"b"` | `"i"` | `"f"` | `"s"` | `"ts"` | `"iv"` .
+//	payload  = "true" | "false"                         b  BOOLEAN
+//	         | integer                                  i  BIGINT
+//	         | number | `"NaN"` | `"Infinity"` | `"-Infinity"`    f  DOUBLE
+//	         | string                                   s  VARCHAR
+//	         | integer                                  ts TIMESTAMP, micros since epoch
+//	         | integer .                                iv INTERVAL, micros
+//	scalar   = integer | string | "true" | "false" .    per field, see Request/Response
+//	cold     = any JSON value .                         "columns", "spans", "samples"
+//
+// number and string are JSON's; integer is a JSON number with neither
+// fraction nor exponent that fits its field. Request fields: id op sql
+// stream rows ts cq args lsn run trace; response fields: id ok error
+// columns rows affected cq close batch spans samples partial. Unknown
+// fields are skipped, a repeated field keeps its last value, and null
+// leaves a scalar field unset and a list field empty. Types round-trip
+// exactly, including the three
+// DOUBLEs JSON has no number for. A value object with two tags, a repeated
+// tag, an unknown tag or none is refused, as is anything encoding/json
+// would refuse (leading zeros or '+', a fraction under an integer tag, a
+// bare control character in a string, bytes after the object).
+//
+// A frame is at most MaxFrameBytes long in either direction. A malformed or
+// oversized request is answered with one {"error":…} frame and the
+// connection closes; a response that cannot be encoded is replaced by
+// {"id":…,"error":…} and the connection stays up.
+//
+// Ownership, the two rules the decoder keeps so that what outlives a frame
+// pins nothing else: string payloads are copied out of the frame buffer,
+// never aliased to it, and every decoded row is one allocation of its own,
+// never carved from a shared block. An archive or selective CQ that keeps
+// one row in a thousand therefore keeps that row and its strings — not the
+// 20 kB frame it came in, nor its 255 neighbours.
 package server
 
-import (
-	"encoding/json"
-	"fmt"
+import "streamrel/internal/types"
 
-	"streamrel/internal/types"
-)
+// MaxFrameBytes caps one frame on the wire, read or written. It is a
+// constant of the protocol, not a knob: twice repl.MaxEventBytes, because
+// the tagged-JSON text of a batch is about twice its binary replication
+// encoding, so anything the primary can ship to a replica in one event a
+// client can also send or receive in one frame.
+const MaxFrameBytes = 64 << 20
 
 // Request is one client frame.
 type Request struct {
@@ -122,120 +163,37 @@ type WireColumn struct {
 	Type string `json:"type"`
 }
 
-// WireValue is one SQL value in tagged-JSON form.
-type WireValue struct {
-	B  *bool    `json:"b,omitempty"`
-	I  *int64   `json:"i,omitempty"`
-	F  *float64 `json:"f,omitempty"`
-	S  *string  `json:"s,omitempty"`
-	TS *int64   `json:"ts,omitempty"`
-	IV *int64   `json:"iv,omitempty"`
-}
+// WireValue is one SQL value on the wire. It is the datum itself: the codec
+// reads and writes types.Datum directly, so a wire row is a row.
+type WireValue = types.Datum
 
-// MarshalJSON renders NULL as JSON null.
-func (w WireValue) MarshalJSON() ([]byte, error) {
-	type alias WireValue
-	if w.B == nil && w.I == nil && w.F == nil && w.S == nil && w.TS == nil && w.IV == nil {
-		return []byte("null"), nil
-	}
-	return json.Marshal(alias(w))
-}
+// EncodeRow converts a row to wire form, which is the row. It survives as
+// a conversion only because bench/ compiles against the name; a later
+// benchmark PR can drop it.
+func EncodeRow(r types.Row) []WireValue { return r }
 
-// UnmarshalJSON accepts JSON null for NULL.
-func (w *WireValue) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		*w = WireValue{}
-		return nil
-	}
-	type alias WireValue
-	var a alias
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*w = WireValue(a)
-	return nil
-}
+// DecodeRow converts a wire row back to a row, which it already is; kept
+// for bench/ like EncodeRow. The error is always nil — malformed and
+// ambiguous values are refused by the frame decoder.
+func DecodeRow(ws []WireValue) (types.Row, error) { return ws, nil }
 
-// EncodeValue converts a datum to its wire form.
-func EncodeValue(d types.Datum) WireValue {
-	switch d.Type() {
-	case types.TypeBool:
-		v := d.Bool()
-		return WireValue{B: &v}
-	case types.TypeInt:
-		v := d.Int()
-		return WireValue{I: &v}
-	case types.TypeFloat:
-		v := d.Float()
-		return WireValue{F: &v}
-	case types.TypeString:
-		v := d.Str()
-		return WireValue{S: &v}
-	case types.TypeTimestamp:
-		v := d.TimestampMicros()
-		return WireValue{TS: &v}
-	case types.TypeInterval:
-		v := d.IntervalMicros()
-		return WireValue{IV: &v}
-	default:
-		return WireValue{}
-	}
-}
-
-// DecodeValue converts a wire value back to a datum.
-func DecodeValue(w WireValue) (types.Datum, error) {
-	set := 0
-	var out types.Datum = types.Null
-	if w.B != nil {
-		set++
-		out = types.NewBool(*w.B)
-	}
-	if w.I != nil {
-		set++
-		out = types.NewInt(*w.I)
-	}
-	if w.F != nil {
-		set++
-		out = types.NewFloat(*w.F)
-	}
-	if w.S != nil {
-		set++
-		out = types.NewString(*w.S)
-	}
-	if w.TS != nil {
-		set++
-		out = types.NewTimestampMicros(*w.TS)
-	}
-	if w.IV != nil {
-		set++
-		out = types.NewIntervalMicros(*w.IV)
-	}
-	if set > 1 {
-		return types.Null, fmt.Errorf("server: ambiguous wire value")
-	}
-	return out, nil
-}
-
-// EncodeRow converts a row to wire form.
-func EncodeRow(r types.Row) []WireValue {
-	out := make([]WireValue, len(r))
-	for i, d := range r {
-		out[i] = EncodeValue(d)
+// Rows views wire rows as engine rows: one slice of headers, no datum
+// copied.
+func Rows(wire [][]WireValue) []types.Row {
+	out := make([]types.Row, len(wire))
+	for i, r := range wire {
+		out[i] = r
 	}
 	return out
 }
 
-// DecodeRow converts a wire row back to datums.
-func DecodeRow(ws []WireValue) (types.Row, error) {
-	out := make(types.Row, len(ws))
-	for i, w := range ws {
-		d, err := DecodeValue(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
+// WireRows is the inverse view of Rows.
+func WireRows(rows []types.Row) [][]WireValue {
+	out := make([][]WireValue, len(rows))
+	for i, r := range rows {
+		out[i] = r
 	}
-	return out, nil
+	return out
 }
 
 // EncodeSchema converts a schema to wire form.

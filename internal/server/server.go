@@ -1,11 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -125,8 +121,7 @@ func (s *Server) logErr(msg string, err error) {
 type session struct {
 	srv    *Server
 	conn   net.Conn
-	wmu    sync.Mutex // serializes frame writes (responses vs CQ pushes)
-	enc    *json.Encoder
+	fw     *FrameWriter // serializes frame writes (responses vs CQ pushes)
 	nextCQ int64
 	cqs    map[int64]*streamrel.CQ
 	done   chan struct{}
@@ -136,7 +131,7 @@ func (s *Server) handle(conn net.Conn) {
 	sess := &session{
 		srv:  s,
 		conn: conn,
-		enc:  json.NewEncoder(conn),
+		fw:   NewFrameWriter(conn, 0),
 		cqs:  make(map[int64]*streamrel.CQ),
 		done: make(chan struct{}),
 	}
@@ -153,32 +148,23 @@ func (s *Server) handle(conn net.Conn) {
 		s.connGauge.Add(-1)
 	}()
 
-	rd := bufio.NewReaderSize(conn, 1<<20)
-	dec := json.NewDecoder(rd)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logErr("request decode failed", err)
-			}
-			return
-		}
+	err := ServeFrames(conn, sess.fw, func(req *Request) *Response {
 		if req.Op == "replicate" {
-			s.serveReplicate(sess, &req)
-			return
+			s.serveReplicate(sess, req)
+			return nil
 		}
 		start := time.Now()
-		resp := sess.dispatch(&req)
+		resp := sess.dispatch(req)
 		if h := s.cmdHist[req.Op]; h != nil {
 			h.ObserveSince(start)
 		}
 		if resp.Error != "" {
 			s.cmdErrs[req.Op].Inc() // nil-safe for unknown ops
 		}
-		resp.ID = req.ID
-		if err := sess.write(resp); err != nil {
-			return
-		}
+		return resp
+	})
+	if err != nil {
+		s.logErr("session ended", err)
 	}
 }
 
@@ -192,10 +178,10 @@ func (s *Server) serveReplicate(sess *session, req *Request) {
 		resp := fail(fmt.Errorf("server: replication is not enabled"))
 		resp.ID = req.ID
 		s.cmdErrs["replicate"].Inc()
-		sess.write(resp)
+		sess.fw.WriteResponse(resp)
 		return
 	}
-	if err := sess.write(&Response{ID: req.ID, OK: true}); err != nil {
+	if err := sess.fw.WriteResponse(&Response{ID: req.ID, OK: true}); err != nil {
 		return
 	}
 	err := s.Replicate(sess.conn, req.LSN, req.Run)
@@ -208,20 +194,11 @@ func (s *Server) serveReplicate(sess *session, req *Request) {
 	}
 }
 
-func (sess *session) write(resp *Response) error {
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
-	return sess.enc.Encode(resp)
-}
-
 func fail(err error) *Response { return &Response{Error: err.Error()} }
 
 func (sess *session) dispatch(req *Request) *Response {
 	eng := sess.srv.eng
-	args, err := DecodeRow(req.Args)
-	if err != nil {
-		return fail(err)
-	}
+	args := req.Args
 	switch req.Op {
 	case "exec":
 		res, err := eng.ExecArgs(req.SQL, args...)
@@ -231,9 +208,7 @@ func (sess *session) dispatch(req *Request) *Response {
 		out := &Response{OK: true, Affected: res.RowsAffected}
 		if res.Rows != nil {
 			out.Columns = EncodeSchema(res.Rows.Columns)
-			for _, r := range res.Rows.Data {
-				out.Rows = append(out.Rows, EncodeRow(r))
-			}
+			out.Rows = WireRows(res.Rows.Data)
 		}
 		return out
 
@@ -242,21 +217,10 @@ func (sess *session) dispatch(req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		out := &Response{OK: true, Columns: EncodeSchema(rows.Columns)}
-		for _, r := range rows.Data {
-			out.Rows = append(out.Rows, EncodeRow(r))
-		}
-		return out
+		return &Response{OK: true, Columns: EncodeSchema(rows.Columns), Rows: WireRows(rows.Data)}
 
 	case "append":
-		rows := make([]streamrel.Row, len(req.Rows))
-		for i, wr := range req.Rows {
-			r, err := DecodeRow(wr)
-			if err != nil {
-				return fail(err)
-			}
-			rows[i] = r
-		}
+		rows := Rows(req.Rows)
 		var traceID uint64
 		if req.Trace != "" {
 			// A bad ID only costs the span linkage, never the data.
@@ -288,16 +252,13 @@ func (sess *session) dispatch(req *Request) *Response {
 				if !ok {
 					return
 				}
-				frame := &Response{Batch: true, CQ: handle, Close: b.Close.UnixMicro()}
-				for _, r := range b.Rows {
-					frame.Rows = append(frame.Rows, EncodeRow(r))
-				}
+				frame := &Response{Batch: true, CQ: handle, Close: b.Close.UnixMicro(), Rows: WireRows(b.Rows)}
 				select {
 				case <-sess.done:
 					return
 				default:
 				}
-				if err := sess.write(frame); err != nil {
+				if err := sess.fw.WriteResponse(frame); err != nil {
 					return
 				}
 			}
@@ -366,7 +327,7 @@ func (s *Server) statsResponse() *Response {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return
 		}
-		out.Rows = append(out.Rows, EncodeRow(types.Row{types.NewString(name), types.NewFloat(v)}))
+		out.Rows = append(out.Rows, types.Row{types.NewString(name), types.NewFloat(v)})
 	}
 	for _, smp := range samples {
 		id := smp.ID()

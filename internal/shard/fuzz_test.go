@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"streamrel/internal/server"
 	"streamrel/internal/types"
 )
 
@@ -55,9 +56,13 @@ func FuzzShardSplitMerge(f *testing.F) {
 			rows = append(rows, row)
 		}
 
-		parts, err := m.SplitRows(rows, kc)
+		wireParts, err := m.SplitWire(server.WireRows(rows), kc)
 		if err != nil {
-			t.Fatalf("SplitRows: %v", err)
+			t.Fatalf("SplitWire: %v", err)
+		}
+		parts := make([][]types.Row, len(wireParts))
+		for i, p := range wireParts {
+			parts[i] = server.Rows(p)
 		}
 		if len(parts) != n {
 			t.Fatalf("got %d parts for %d shards", len(parts), n)

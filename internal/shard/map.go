@@ -81,24 +81,6 @@ func (m Map) SplitWire(rows [][]server.WireValue, keyCol int) ([][][]server.Wire
 		if keyCol >= len(r) {
 			return nil, fmt.Errorf("shard: row has %d columns, partition column is %d", len(r), keyCol)
 		}
-		d, err := server.DecodeValue(r[keyCol])
-		if err != nil {
-			return nil, fmt.Errorf("shard: bad partition key: %w", err)
-		}
-		s := m.ShardOf(d)
-		out[s] = append(out[s], r)
-	}
-	return out, nil
-}
-
-// SplitRows partitions decoded rows by the partition column — the same
-// placement as SplitWire, used by tests and in-process callers.
-func (m Map) SplitRows(rows []types.Row, keyCol int) ([][]types.Row, error) {
-	out := make([][]types.Row, m.N())
-	for _, r := range rows {
-		if keyCol >= len(r) {
-			return nil, fmt.Errorf("shard: row has %d columns, partition column is %d", len(r), keyCol)
-		}
 		s := m.ShardOf(r[keyCol])
 		out[s] = append(out[s], r)
 	}

@@ -1,11 +1,8 @@
 package shard
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -176,8 +173,7 @@ func (r *Router) Close() error {
 type rsession struct {
 	r    *Router
 	conn net.Conn
-	wmu  sync.Mutex
-	enc  *json.Encoder
+	fw   *server.FrameWriter
 
 	nextCQ int64
 	subs   map[int64]*routedSub
@@ -202,7 +198,7 @@ func (r *Router) handle(conn net.Conn) {
 	sess := &rsession{
 		r:    r,
 		conn: conn,
-		enc:  json.NewEncoder(conn),
+		fw:   server.NewFrameWriter(conn, 0),
 		subs: make(map[int64]*routedSub),
 		done: make(chan struct{}),
 	}
@@ -219,30 +215,16 @@ func (r *Router) handle(conn net.Conn) {
 		r.connGauge.Add(-1)
 	}()
 
-	dec := json.NewDecoder(bufio.NewReaderSize(conn, 1<<20))
-	for {
-		var req server.Request
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && r.log != nil {
-				r.log.Warn("router: request decode failed", "error", err.Error())
-			}
-			return
-		}
-		resp := sess.dispatch(&req)
+	err := server.ServeFrames(conn, sess.fw, func(req *server.Request) *server.Response {
+		resp := sess.dispatch(req)
 		if resp.Partial {
 			r.partialCtr.Inc()
 		}
-		resp.ID = req.ID
-		if err := sess.write(resp); err != nil {
-			return
-		}
+		return resp
+	})
+	if err != nil && r.log != nil {
+		r.log.Warn("router: session ended", "error", err.Error())
 	}
-}
-
-func (sess *rsession) write(resp *server.Response) error {
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
-	return sess.enc.Encode(resp)
 }
 
 func fail(err error) *server.Response { return &server.Response{Error: err.Error()} }
@@ -423,25 +405,13 @@ func (r *Router) scatter(req *server.Request, plan *MergePlan) *server.Response 
 		if columns == nil {
 			columns = res.resp.Columns
 		}
-		rows := make([]types.Row, 0, len(res.resp.Rows))
-		for _, wr := range res.resp.Rows {
-			row, err := server.DecodeRow(wr)
-			if err != nil {
-				return fail(err)
-			}
-			rows = append(rows, row)
-		}
-		parts = append(parts, rows)
+		parts = append(parts, server.Rows(res.resp.Rows))
 	}
 	if len(parts) == 0 {
 		return fail(fmt.Errorf("router: all shards down"))
 	}
-	merged := plan.Merge(parts)
-	out := &server.Response{OK: true, Columns: outColumns(plan, columns), Partial: partial}
-	for _, row := range merged {
-		out.Rows = append(out.Rows, server.EncodeRow(row))
-	}
-	return out
+	return &server.Response{OK: true, Columns: outColumns(plan, columns), Partial: partial,
+		Rows: server.WireRows(plan.Merge(parts))}
 }
 
 // append splits a keyed batch into per-shard sub-batches and hands them
@@ -563,16 +533,13 @@ func (sess *rsession) subscribe(req *server.Request) *server.Response {
 		sess.subs[handle] = rs
 		go func() {
 			for b := range sub.C {
-				frame := &server.Response{Batch: true, CQ: handle, Close: b.Close.UnixMicro()}
-				for _, row := range b.Rows {
-					frame.Rows = append(frame.Rows, server.EncodeRow(row))
-				}
+				frame := &server.Response{Batch: true, CQ: handle, Close: b.Close.UnixMicro(), Rows: server.WireRows(b.Rows)}
 				select {
 				case <-sess.done:
 					return
 				default:
 				}
-				if sess.write(frame) != nil {
+				if sess.fw.WriteResponse(frame) != nil {
 					return
 				}
 			}
@@ -619,16 +586,13 @@ func (sess *rsession) subscribe(req *server.Request) *server.Response {
 
 	m := newCQMerger(plan, len(r.shards), live < len(r.shards),
 		func(closeUS int64, rows []types.Row, partial bool) {
-			frame := &server.Response{Batch: true, CQ: handle, Close: closeUS, Partial: partial}
-			for _, row := range rows {
-				frame.Rows = append(frame.Rows, server.EncodeRow(row))
-			}
+			frame := &server.Response{Batch: true, CQ: handle, Close: closeUS, Partial: partial, Rows: server.WireRows(rows)}
 			select {
 			case <-sess.done:
 				return
 			default:
 			}
-			sess.write(frame)
+			sess.fw.WriteResponse(frame)
 		})
 	for i, sub := range subs {
 		if sub == nil {
@@ -677,7 +641,7 @@ func statsResponse(reg *metrics.Registry) *server.Response {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return
 		}
-		out.Rows = append(out.Rows, server.EncodeRow(types.Row{types.NewString(name), types.NewFloat(v)}))
+		out.Rows = append(out.Rows, types.Row{types.NewString(name), types.NewFloat(v)})
 	}
 	for _, smp := range samples {
 		id := smp.ID()

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"streamrel"
 	"streamrel/client"
 	"streamrel/internal/server"
+	"streamrel/internal/server/wiretest"
 	"streamrel/internal/types"
 )
 
@@ -322,4 +324,17 @@ func encodeWire(rows []client.Row) [][]server.WireValue {
 		out[i] = server.EncodeRow(r)
 	}
 	return out
+}
+
+// TestRouterWireTranscript plays the frozen session internal/server plays
+// against its own front door through the router's: same frame reader, same
+// codec, same bytes (the router's name in the unknown-op error apart).
+func TestRouterWireTranscript(t *testing.T) {
+	tc := startCluster(t, 1)
+	conn, err := net.Dial("tcp", tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wiretest.Run(t, conn, wiretest.Transcript("router"))
 }

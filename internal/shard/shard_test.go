@@ -47,8 +47,7 @@ func TestSplitWire(t *testing.T) {
 	for s, part := range parts {
 		total += len(part)
 		for _, r := range part {
-			d, _ := server.DecodeValue(r[0])
-			if m.ShardOf(d) != s {
+			if d := r[0]; m.ShardOf(d) != s {
 				t.Fatalf("key %v on shard %d, want %d", d, s, m.ShardOf(d))
 			}
 		}
