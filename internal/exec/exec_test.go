@@ -37,13 +37,57 @@ func predFn(f func(types.Row) bool) *expr.Scalar {
 	}}
 }
 
+// run drains op and returns its rows. Every tree a test hands it is
+// executed three times — pulled unbounded (Drain), three rows at a time and
+// one row at a time — and must produce identical rows in identical order,
+// so each operator test is also a chunk-boundary test.
 func run(t *testing.T, op Operator) []types.Row {
 	t.Helper()
-	rows, err := Drain(&Ctx{}, op)
+	return runCtx(t, &Ctx{}, op)
+}
+
+func runCtx(t *testing.T, ctx *Ctx, op Operator) []types.Row {
+	t.Helper()
+	rows, err := Drain(ctx, op)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, max := range []int{3, 1} {
+		got := drainBy(t, ctx, op, max)
+		if len(got) != len(rows) {
+			t.Fatalf("demand %d: %d rows, unbounded %d", max, len(got), len(rows))
+		}
+		for i := range got {
+			if !types.RowsEqual(got[i], rows[i]) {
+				t.Fatalf("demand %d: row %d is %v, unbounded %v", max, i, got[i], rows[i])
+			}
+		}
+	}
 	return rows
+}
+
+// drainBy is Drain pulling at most max rows per call. It fails the test if
+// the operator returns more than it was asked for or an empty chunk.
+func drainBy(t *testing.T, ctx *Ctx, op Operator, max int) []types.Row {
+	t.Helper()
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	var out []types.Row
+	for {
+		batch, err := op.NextBatch(max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch == nil {
+			return out
+		}
+		if len(batch) == 0 || len(batch) > max {
+			t.Fatalf("NextBatch(%d) returned %d rows", max, len(batch))
+		}
+		out = append(out, batch...)
+	}
 }
 
 func TestValuesAndRelation(t *testing.T) {
@@ -66,10 +110,7 @@ func TestSeqScanVisibility(t *testing.T) {
 	tx2 := mgr.Begin()
 	h.Insert(tx2.ID, irow(2)) // uncommitted
 
-	rows, err := Drain(&Ctx{Snap: mgr.SnapshotNow()}, &SeqScan{Heap: h})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runCtx(t, &Ctx{Snap: mgr.SnapshotNow()}, &SeqScan{Heap: h})
 	if len(rows) != 1 || rows[0][0].Int() != 1 {
 		t.Fatalf("scan saw %v", rows)
 	}
@@ -329,10 +370,7 @@ func TestIndexScan(t *testing.T) {
 		Lo:   constScalar(types.NewInt(10)),
 		Hi:   constScalar(types.NewInt(15)),
 	}
-	rows, err := Drain(&Ctx{Snap: mgr.SnapshotNow()}, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runCtx(t, &Ctx{Snap: mgr.SnapshotNow()}, ix)
 	if len(rows) != 6 || rows[0][0].Int() != 10 || rows[5][0].Int() != 15 {
 		t.Fatalf("index range: %v", rows)
 	}

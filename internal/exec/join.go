@@ -37,7 +37,8 @@ type HashJoin struct {
 	buckets   [][]buildRow
 	key       []byte
 	out       rowConcat
-	padLeft   types.Row // NULLs standing in for the missing side (outer joins)
+	buf       []types.Row // output container, reused per chunk
+	padLeft   types.Row   // NULLs standing in for the missing side (outer joins)
 	padRight  types.Row
 	leftRow   types.Row
 	matches   []buildRow
@@ -116,8 +117,13 @@ func (j *HashJoin) keyOf(row types.Row, keys []*expr.Scalar) (null bool, err err
 	return false, nil
 }
 
-// Next implements Operator.
-func (j *HashJoin) Next() (types.Row, error) {
+// NextBatch implements Operator: joined rows are carved from out's blocks
+// and gathered into the reused container until the demand is met or the
+// probe side ends.
+func (j *HashJoin) NextBatch(max int) ([]types.Row, error) { return gather(&j.buf, max, j.next) }
+
+// next produces the join's next output row, nil at end of stream.
+func (j *HashJoin) next() (types.Row, error) {
 	for {
 		// Emit pending matches for the current probe row.
 		for j.matchPos < len(j.matches) {
@@ -149,7 +155,7 @@ func (j *HashJoin) Next() (types.Row, error) {
 		}
 		j.leftRow = nil
 		if !j.leftDone {
-			row, err := j.Left.Next()
+			row, err := probeRow(j.Left)
 			if err != nil {
 				return nil, err
 			}
@@ -215,7 +221,8 @@ type NestedLoopJoin struct {
 
 	ec        expr.Ctx
 	out       rowConcat
-	padRight  types.Row // NULLs for the right side of an unmatched LEFT row
+	buf       []types.Row // output container, reused per chunk
+	padRight  types.Row   // NULLs for the right side of an unmatched LEFT row
 	right     []types.Row
 	leftRow   types.Row
 	rightPos  int
@@ -235,11 +242,16 @@ func (j *NestedLoopJoin) Open(ctx *Ctx) error {
 	return j.Left.Open(ctx)
 }
 
-// Next implements Operator.
-func (j *NestedLoopJoin) Next() (types.Row, error) {
+// NextBatch implements Operator, as HashJoin's does.
+func (j *NestedLoopJoin) NextBatch(max int) ([]types.Row, error) {
+	return gather(&j.buf, max, j.next)
+}
+
+// next produces the join's next output row, nil at end of stream.
+func (j *NestedLoopJoin) next() (types.Row, error) {
 	for {
 		if j.leftRow == nil {
-			row, err := j.Left.Next()
+			row, err := probeRow(j.Left)
 			if err != nil || row == nil {
 				return nil, err
 			}
@@ -278,6 +290,40 @@ func (j *NestedLoopJoin) Next() (types.Row, error) {
 func (j *NestedLoopJoin) Close() error {
 	j.right = nil
 	return j.Left.Close()
+}
+
+// probeRow pulls a join's next left row, nil when the left input has
+// ended. One row per pull: how many probe rows it takes to produce the rows
+// the join's consumer asked for is not known until they are probed, and a
+// pull must not make the left subtree produce a row the query may never
+// need.
+func probeRow(left Operator) (types.Row, error) {
+	in, err := left.NextBatch(1)
+	if err != nil || in == nil {
+		return nil, err
+	}
+	return in[0], nil
+}
+
+// gather fills a join's reused output container from next until the demand
+// is met or next reports the end of the join with a nil row.
+func gather(buf *[]types.Row, max int, next func() (types.Row, error)) ([]types.Row, error) {
+	out := (*buf)[:0]
+	for len(out) < max {
+		row, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			break
+		}
+		out = append(out, row)
+	}
+	*buf = out
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // rowConcat builds join output rows l ++ r, carved from a types.RowBlock

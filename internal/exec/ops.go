@@ -12,9 +12,8 @@ type Filter struct {
 	Child Operator
 	Pred  *expr.Scalar
 
-	ec    expr.Ctx
-	buf   []types.Row // NextBatch output container, reused per chunk
-	inBuf []types.Row // staging for non-Batcher children
+	ec  expr.Ctx
+	buf []types.Row // output container, reused per chunk
 }
 
 // Open implements Operator.
@@ -23,20 +22,32 @@ func (f *Filter) Open(ctx *Ctx) error {
 	return f.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (f *Filter) Next() (types.Row, error) {
+// NextBatch implements Operator: the predicate is evaluated over a whole
+// child chunk and qualifying row headers are gathered into the reused
+// container; a chunk that is rejected whole is skipped. The demand goes
+// down unchanged: of n rows pulled at most n pass, so no row is evaluated
+// that the consumer could not take.
+func (f *Filter) NextBatch(max int) ([]types.Row, error) {
+	ec := &f.ec
 	for {
-		row, err := f.Child.Next()
-		if err != nil || row == nil {
+		in, err := f.Child.NextBatch(max)
+		if err != nil || in == nil {
 			return nil, err
 		}
-		f.ec.Row = row
-		ok, err := evalPred(f.Pred, &f.ec)
-		if err != nil {
-			return nil, err
+		out := f.buf[:0]
+		for _, row := range in {
+			ec.Row = row
+			ok, err := evalPred(f.Pred, ec)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, row)
+			}
 		}
-		if ok {
-			return row, nil
+		f.buf = out
+		if len(out) > 0 {
+			return out, nil
 		}
 	}
 }
@@ -49,9 +60,8 @@ type Project struct {
 	Child Operator
 	Exprs []*expr.Scalar
 
-	ec    expr.Ctx
-	buf   []types.Row // NextBatch output container, reused per chunk
-	inBuf []types.Row // staging for non-Batcher children
+	ec  expr.Ctx
+	buf []types.Row // output container, reused per chunk
 }
 
 // Open implements Operator.
@@ -60,19 +70,33 @@ func (p *Project) Open(ctx *Ctx) error {
 	return p.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (p *Project) Next() (types.Row, error) {
-	row, err := p.Child.Next()
-	if err != nil || row == nil {
+// NextBatch implements Operator: output expressions are evaluated over a
+// whole child chunk — which the demand, passed down unchanged, has already
+// bounded — and the output rows are carved from one flat datum block per
+// chunk. The rows are freshly allocated (consumers retain them); only the
+// []Row container is reused.
+func (p *Project) NextBatch(max int) ([]types.Row, error) {
+	in, err := p.Child.NextBatch(max)
+	if err != nil || in == nil {
 		return nil, err
 	}
-	out := make(types.Row, len(p.Exprs))
-	p.ec.Row = row
-	for i, e := range p.Exprs {
-		if out[i], err = e.Eval(&p.ec); err != nil {
-			return nil, err
-		}
+	ec := &p.ec
+	blk := types.NewRowBlock(len(in), len(p.Exprs))
+	out := p.buf[:0]
+	if cap(out) < len(in) {
+		out = make([]types.Row, 0, len(in))
 	}
+	for _, row := range in {
+		ec.Row = row
+		dst := blk.Row()
+		for i, e := range p.Exprs {
+			if dst[i], err = e.Eval(ec); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, dst)
+	}
+	p.buf = out
 	return out, nil
 }
 
@@ -85,34 +109,44 @@ type Limit struct {
 	Count  int64 // -1 means no limit
 	Offset int64
 
-	skipped int64
-	emitted int64
+	skip int64 // offset rows still to drop
+	left int64 // rows still to emit; -1 means no limit
 }
 
 // Open implements Operator.
 func (l *Limit) Open(ctx *Ctx) error {
-	l.skipped, l.emitted = 0, 0
+	l.skip, l.left = l.Offset, l.Count
 	return l.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (l *Limit) Next() (types.Row, error) {
-	for l.skipped < l.Offset {
-		row, err := l.Child.Next()
-		if err != nil || row == nil {
+// NextBatch implements Operator. Limit is where laziness comes from: it
+// asks its child for no more than the rows it still owes — the rest of the
+// offset plus the rest of the count, or of its own consumer's demand if
+// that is smaller — so the subtree below evaluates no row the query does
+// not need (`SELECT 10/x … LIMIT 1` never divides by a later zero).
+func (l *Limit) NextBatch(max int) ([]types.Row, error) {
+	for l.skip > 0 || l.left != 0 {
+		want := int64(max)
+		if l.left >= 0 && l.left < want {
+			want = l.left
+		}
+		// Asking for less than is owed is always allowed; the cap keeps a
+		// large OFFSET from sizing the containers below.
+		in, err := l.Child.NextBatch(int(want + min(l.skip, chunkRows)))
+		if err != nil || in == nil {
 			return nil, err
 		}
-		l.skipped++
+		n := min(int64(len(in)), l.skip)
+		l.skip -= n
+		in = in[n:]
+		if l.left > 0 {
+			l.left -= int64(len(in))
+		}
+		if len(in) > 0 {
+			return in, nil
+		}
 	}
-	if l.Count >= 0 && l.emitted >= l.Count {
-		return nil, nil
-	}
-	row, err := l.Child.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	l.emitted++
-	return row, nil
+	return nil, nil
 }
 
 // Close implements Operator.
@@ -134,15 +168,12 @@ type SortKey struct {
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
-
-	rows []types.Row
-	pos  int
+	cursor
 }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Ctx) error {
-	s.rows = nil
-	s.pos = 0
+	s.reset(nil)
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -154,21 +185,25 @@ func (s *Sort) Open(ctx *Ctx) error {
 	var all []keyed
 	ec := ctx.evalCtx()
 	for {
-		row, err := s.Child.Next()
+		in, err := s.Child.NextBatch(chunkRows)
 		if err != nil {
 			return err
 		}
-		if row == nil {
+		if in == nil {
 			break
 		}
-		ks := make(types.Row, len(s.Keys))
-		ec.Row = row
-		for i, k := range s.Keys {
-			if ks[i], err = k.Expr.Eval(&ec); err != nil {
-				return err
+		// Key rows are carved from one block per input chunk.
+		blk := types.NewRowBlock(len(in), len(s.Keys))
+		for _, row := range in {
+			ks := blk.Row()
+			ec.Row = row
+			for i, k := range s.Keys {
+				if ks[i], err = k.Expr.Eval(&ec); err != nil {
+					return err
+				}
 			}
+			all = append(all, keyed{row, ks})
 		}
-		all = append(all, keyed{row, ks})
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		for k := range s.Keys {
@@ -205,16 +240,6 @@ func (s *Sort) Open(ctx *Ctx) error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *Sort) Next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
 // Close implements Operator.
 func (s *Sort) Close() error { s.rows = nil; return nil }
 
@@ -223,6 +248,7 @@ type Distinct struct {
 	Child Operator
 
 	seen rowSet
+	buf  []types.Row // output container, reused per chunk
 }
 
 // Open implements Operator.
@@ -231,15 +257,23 @@ func (d *Distinct) Open(ctx *Ctx) error {
 	return d.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (d *Distinct) Next() (types.Row, error) {
+// NextBatch implements Operator: Filter's shape, the predicate being
+// "not seen before".
+func (d *Distinct) NextBatch(max int) ([]types.Row, error) {
 	for {
-		row, err := d.Child.Next()
-		if err != nil || row == nil {
+		in, err := d.Child.NextBatch(max)
+		if err != nil || in == nil {
 			return nil, err
 		}
-		if d.seen.add(row) {
-			return row, nil
+		out := d.buf[:0]
+		for _, row := range in {
+			if d.seen.add(row) {
+				out = append(out, row)
+			}
+		}
+		d.buf = out
+		if len(out) > 0 {
+			return out, nil
 		}
 	}
 }
@@ -282,15 +316,12 @@ type SetOp struct {
 	Kind        SetOpKind
 	All         bool
 	Left, Right Operator
-
-	rows []types.Row
-	pos  int
+	cursor
 }
 
 // Open implements Operator: both sides are evaluated eagerly.
 func (s *SetOp) Open(ctx *Ctx) error {
-	s.rows = nil
-	s.pos = 0
+	s.reset(nil)
 	left, err := Drain(ctx, s.Left)
 	if err != nil {
 		return err
@@ -367,16 +398,6 @@ func dedup(rows []types.Row) []types.Row {
 		}
 	}
 	return out
-}
-
-// Next implements Operator.
-func (s *SetOp) Next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
 }
 
 // Close implements Operator.

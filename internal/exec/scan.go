@@ -10,21 +10,11 @@ import (
 // FROM-less SELECTs (one empty row).
 type Values struct {
 	Rows []types.Row
-	pos  int
+	cursor
 }
 
 // Open implements Operator.
-func (v *Values) Open(*Ctx) error { v.pos = 0; return nil }
-
-// Next implements Operator.
-func (v *Values) Next() (types.Row, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, nil
-	}
-	r := v.Rows[v.pos]
-	v.pos++
-	return r, nil
-}
+func (v *Values) Open(*Ctx) error { v.reset(v.Rows); return nil }
 
 // Close implements Operator.
 func (v *Values) Close() error { return nil }
@@ -34,21 +24,11 @@ func (v *Values) Close() error { return nil }
 // sequence of tables") and feed it to the plan through this operator.
 type Relation struct {
 	Rows []types.Row
-	pos  int
+	cursor
 }
 
 // Open implements Operator.
-func (r *Relation) Open(*Ctx) error { r.pos = 0; return nil }
-
-// Next implements Operator.
-func (r *Relation) Next() (types.Row, error) {
-	if r.pos >= len(r.Rows) {
-		return nil, nil
-	}
-	row := r.Rows[r.pos]
-	r.pos++
-	return row, nil
-}
+func (r *Relation) Open(*Ctx) error { r.reset(r.Rows); return nil }
 
 // Close implements Operator.
 func (r *Relation) Close() error { return nil }
@@ -56,32 +36,19 @@ func (r *Relation) Close() error { return nil }
 // SeqScan reads every visible row of a heap under the execution snapshot.
 type SeqScan struct {
 	Heap *storage.Heap
-
-	rows []types.Row
-	pos  int
+	cursor
 }
 
 // Open implements Operator. The scan materializes under the snapshot up
 // front; heaps are in-memory so this costs one pass either way and keeps
-// Next allocation-free.
+// NextBatch allocation-free.
 func (s *SeqScan) Open(ctx *Ctx) error {
-	s.rows = s.rows[:0]
-	s.pos = 0
+	s.reset(s.rows[:0])
 	s.Heap.Scan(ctx.Snap, func(_ storage.RowID, r types.Row) bool {
 		s.rows = append(s.rows, r)
 		return true
 	})
 	return nil
-}
-
-// Next implements Operator.
-func (s *SeqScan) Next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
 }
 
 // Close implements Operator.
@@ -94,15 +61,12 @@ type IndexScan struct {
 	Tree *storage.BTree
 	// Lo and Hi are single-column bounds on the index's first column.
 	Lo, Hi *expr.Scalar
-
-	rows []types.Row
-	pos  int
+	cursor
 }
 
 // Open implements Operator.
 func (s *IndexScan) Open(ctx *Ctx) error {
-	s.rows = s.rows[:0]
-	s.pos = 0
+	s.reset(s.rows[:0])
 	var lo, hi types.Row
 	ec := ctx.evalCtx() // bounds are constants: no row
 	if s.Lo != nil {
@@ -135,16 +99,6 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		return true
 	})
 	return nil
-}
-
-// Next implements Operator.
-func (s *IndexScan) Next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
 }
 
 // Close implements Operator.

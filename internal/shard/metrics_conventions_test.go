@@ -1,16 +1,16 @@
 package shard
 
 import (
-	"strings"
 	"testing"
 
-	"streamrel/internal/metrics"
+	"streamrel/internal/metrics/metricstest"
 )
 
 // TestRouterMetricNamingConventions audits the router's registry — a
 // separate registry from any engine's — under the repo-wide naming
-// rules (the engine-side counterpart lives in metrics_conventions_test.go
-// at the repo root), and spot-checks the streamrel_router_* namespace.
+// rules (metricstest.Audit; the engine-side counterpart lives in
+// metrics_conventions_test.go at the repo root), and spot-checks the
+// streamrel_router_* namespace.
 func TestRouterMetricNamingConventions(t *testing.T) {
 	// The address never answers; series register at construction.
 	r, err := NewRouter(Options{Addrs: []string{"127.0.0.1:1"}})
@@ -19,27 +19,7 @@ func TestRouterMetricNamingConventions(t *testing.T) {
 	}
 	defer r.Close()
 
-	byName := map[string]*metrics.Sample{}
-	for _, s := range r.Metrics().Gather() {
-		byName[s.Name] = s
-		if !strings.HasPrefix(s.Name, "streamrel_") {
-			t.Errorf("metric %q lacks the streamrel_ prefix", s.Name)
-		}
-		switch s.Kind {
-		case metrics.KindCounter:
-			if !strings.HasSuffix(s.Name, "_total") {
-				t.Errorf("counter %q should end in _total", s.Name)
-			}
-		case metrics.KindHistogram:
-			if !strings.HasSuffix(s.Name, "_seconds") && !strings.HasSuffix(s.Name, "_batches") {
-				t.Errorf("histogram %q should end in a unit suffix (_seconds, _batches)", s.Name)
-			}
-		case metrics.KindGauge:
-			if strings.HasSuffix(s.Name, "_total") {
-				t.Errorf("gauge %q must not end in _total", s.Name)
-			}
-		}
-	}
+	byName := metricstest.Audit(t, r.Metrics().Gather())
 	for _, name := range []string{
 		"streamrel_router_append_rows_total",
 		"streamrel_router_append_seconds",

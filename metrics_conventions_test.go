@@ -1,46 +1,16 @@
 package streamrel
 
 import (
-	"strings"
 	"testing"
 	"time"
 
-	"streamrel/internal/metrics"
+	"streamrel/internal/metrics/metricstest"
 )
 
-// auditNames applies the repo-wide naming rules to one registry's gather:
-// streamrel_ prefix, _total suffix on counters, a unit suffix on
-// histograms, and no _total on gauges.
-func auditNames(t *testing.T, samples []*metrics.Sample) map[string]*metrics.Sample {
-	t.Helper()
-	byName := make(map[string]*metrics.Sample)
-	for _, s := range samples {
-		byName[s.Name] = s
-		if !strings.HasPrefix(s.Name, "streamrel_") {
-			t.Errorf("metric %q lacks the streamrel_ prefix", s.Name)
-		}
-		switch s.Kind {
-		case metrics.KindCounter:
-			if !strings.HasSuffix(s.Name, "_total") {
-				t.Errorf("counter %q should end in _total", s.Name)
-			}
-		case metrics.KindHistogram:
-			if !strings.HasSuffix(s.Name, "_seconds") && !strings.HasSuffix(s.Name, "_batches") {
-				t.Errorf("histogram %q should end in a unit suffix (_seconds, _batches)", s.Name)
-			}
-		case metrics.KindGauge:
-			if strings.HasSuffix(s.Name, "_total") {
-				t.Errorf("gauge %q must not end in _total", s.Name)
-			}
-		}
-	}
-	return byName
-}
-
 // TestMetricNamingConventions audits every metric a fully wired engine
-// registers: streamrel_ prefix, _total suffix on counters, _seconds suffix
-// on (duration) histograms — across the stream runtime, WAL, replication
-// hub, scheduler, tracer and the sysmon self-observability series.
+// registers against the repo-wide naming rules (metricstest.Audit) — across
+// the stream runtime, WAL, replication hub, scheduler, tracer and the
+// sysmon self-observability series.
 func TestMetricNamingConventions(t *testing.T) {
 	e := openTrace(t, Config{
 		Dir:               t.TempDir(),
@@ -74,7 +44,7 @@ func TestMetricNamingConventions(t *testing.T) {
 	if len(samples) == 0 {
 		t.Fatal("engine registered no metrics")
 	}
-	byName := auditNames(t, samples)
+	byName := metricstest.Audit(t, samples)
 
 	// The pre-rename gauge aliases are gone: only the canonical
 	// streamrel_stream_* names remain.

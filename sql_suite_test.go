@@ -100,6 +100,12 @@ func TestSQLSuite(t *testing.T) {
 		{sql: `SELECT n/0 FROM nums`, wantErr: "division by zero"},
 	}
 
+	runSQLCases(t, e, cases)
+}
+
+// runSQLCases executes each case against e and reports every mismatch.
+func runSQLCases(t *testing.T, e *Engine, cases []sqlCase) {
+	t.Helper()
 	for _, c := range cases {
 		if c.exec {
 			if _, err := e.Exec(c.sql); err != nil {
