@@ -7,31 +7,56 @@ import (
 	"time"
 )
 
-// FuzzIVMEquivalence drives the delta-maintained pipeline and its re-exec
-// twin with the same fuzzer-chosen sequence of appends and time advances,
-// and requires byte-identical fire transcripts. The byte stream decodes
-// to an op tape: each byte is either "advance the watermark" (fires
-// windows, expires slices, including empty-window fires over quiet gaps)
-// or "append a row" with a small group-key space (including NULL keys and
-// NULL aggregate inputs, so retraction of NULL-bearing slices is covered).
-// Values stay integer-valued so float arithmetic is exact under any
-// add/retract order.
+// fuzzStoreQueries is the CQ set FuzzIVMEquivalence runs. q0 and q1 are
+// single-view stores covering every retractable aggregate; q2–q4 are one
+// fingerprint at three VISIBLEs (one store, three views), one carrying a
+// subsumed residual filter and one an ORDER BY … LIMIT post stage; q5 and
+// q6 are a shape with no retract form (DISTINCT, first, last) at two
+// VISIBLEs, so the merge strategy runs under the automatic setting too.
+var fuzzStoreQueries = []string{
+	`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
+		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT count(*), sum(f), min(f), max(f) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'>`,
+	`SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'>
+		WHERE url = '/u1' GROUP BY url`,
+	`SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE '40 seconds' ADVANCE '10 seconds'>
+		GROUP BY url ORDER BY n DESC, url LIMIT 2`,
+	`SELECT url, count(DISTINCT v), first(v), last(v)
+		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT url, count(DISTINCT v), first(v), last(v)
+		FROM s <VISIBLE '60 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+}
+
+// FuzzIVMEquivalence drives the window-state store and its re-exec twin
+// with the same fuzzer-chosen sequence of appends, time advances and CQ
+// closes, and requires byte-identical per-CQ fire transcripts under the
+// automatic, merge and reexec settings of the window-state override. The
+// byte stream decodes to an op tape: each byte is "advance the watermark"
+// (fires windows, retracts slices, including empty-window fires over
+// quiet gaps), "close CQ k" (never reopened: a view detaches, and when it
+// was the widest its store's retention shrinks), or "append a row" with a
+// small group-key space (including NULL keys and NULL aggregate inputs,
+// so retraction of NULL-bearing slices is covered). Values stay
+// integer-valued so float arithmetic is exact under any add/retract order.
 func FuzzIVMEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0xf0, 0x33, 0x44, 0xff, 0x55})
 	f.Add([]byte{0xf7, 0xf7, 0xf7, 0x01})
 	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0xf1, 0x90, 0xa0})
 	f.Add([]byte{})
+	// The widest view of each multi-view store closes mid-run (q4 at 40 s,
+	// q6 at 60 s): retention must shrink under the survivors.
+	f.Add([]byte{0x08, 0x11, 0x1a, 0xf1, 0x0b, 0x23, 0xf2, 0x09, 0xec, 0xee, 0x12, 0xf1, 0x0a, 0x1b,
+		0xf2, 0x13, 0xf3, 0x09, 0xf9})
+	// Every view of a store but one closes (q2, q3 leave q4; q5 leaves q6).
+	f.Add([]byte{0x09, 0x12, 0xf1, 0x0a, 0x4b, 0xea, 0xf2, 0x0b, 0xeb, 0x13, 0xf1, 0xed, 0x0c, 0x1d,
+		0xf2, 0x0a, 0xf4, 0x11, 0xfa})
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		queries := []string{
-			`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
-				FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
-			`SELECT count(*), sum(f), min(f), max(f) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'>`,
-		}
-		run := func(mode string) []string {
+		run := func(mode string) [][]string {
 			e := openMemMode(t, mode)
 			mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint, f double)`)
-			cqs := make([]*CQ, len(queries))
-			for i, q := range queries {
+			cqs := make([]*CQ, len(fuzzStoreQueries))
+			for i, q := range fuzzStoreQueries {
 				cq, err := e.Subscribe(q)
 				if err != nil {
 					t.Fatal(err)
@@ -41,11 +66,18 @@ func FuzzIVMEquivalence(f *testing.F) {
 			}
 			ts := ivmBase
 			for _, op := range tape {
-				if op >= 0xf0 {
-					// Advance 1..64 seconds: fires boundaries, expires
+				switch {
+				case op >= 0xf0:
+					// Advance 1..64 seconds: fires boundaries, retracts
 					// slices, can skip whole windows.
 					ts += int64(op&0x0f+1) * 4_000_000
 					e.AdvanceTime("s", time.UnixMicro(ts).UTC())
+					continue
+				case op >= 0xe8:
+					// Close CQ op&7 (7 names no CQ); closing twice is a no-op.
+					if k := int(op & 0x07); k < len(cqs) {
+						cqs[k].Close()
+					}
 					continue
 				}
 				ts += int64(op&0x07) * 700_000
@@ -62,19 +94,21 @@ func FuzzIVMEquivalence(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			e.AdvanceTime("s", time.UnixMicro(ts).Add(time.Minute).UTC())
-			var out []string
+			e.AdvanceTime("s", time.UnixMicro(ts).Add(2*time.Minute).UTC())
+			out := make([][]string, len(cqs))
 			for i, cq := range cqs {
-				for _, b := range collectBatches(t, cq) {
-					out = append(out, fmt.Sprintf("q%d %s", i, b))
-				}
+				out[i] = collectBatches(t, cq)
 			}
 			return out
 		}
-		inc := run("incremental")
 		ref := run("reexec")
-		if a, b := strings.Join(inc, "\n"), strings.Join(ref, "\n"); a != b {
-			t.Fatalf("incremental and re-exec transcripts differ:\nincremental:\n%s\nreexec:\n%s", a, b)
+		for _, mode := range []string{"incremental", "shared"} {
+			got := run(mode)
+			for qi := range fuzzStoreQueries {
+				if a, b := strings.Join(got[qi], "\n"), strings.Join(ref[qi], "\n"); a != b {
+					t.Fatalf("q%d: %s and re-exec transcripts differ:\n%s:\n%s\nreexec:\n%s", qi, mode, mode, a, b)
+				}
+			}
 		}
 	})
 }

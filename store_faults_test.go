@@ -1,0 +1,368 @@
+package streamrel
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"streamrel/internal/sql"
+	"streamrel/internal/trace"
+	"streamrel/internal/types"
+)
+
+// Fault tests for CQs that share window state: one fingerprint at VISIBLE
+// 10/30/60 s over ADVANCE 10 s. Each runs with the producer draining the
+// mailboxes (ParallelCQ 0) and with the scheduler pool (ParallelCQ 4).
+
+const faultShape = `SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'> GROUP BY url`
+
+// sinkLog subscribes sqlText straight on the runtime with a sink that
+// records each fire as a collectBatches-style line and returns failAt's
+// error on its failAt-th call (0: never).
+type sinkLog struct {
+	lines  []string
+	calls  int
+	failAt int
+	err    error
+}
+
+func (l *sinkLog) subscribe(t *testing.T, e *Engine, sqlText string) {
+	t.Helper()
+	stmt, err := sql.Parse(sqlText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.planner.BuildSelect(stmt.(*sql.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.rt.Subscribe(p, func(_ trace.Ctx, c int64, rows []types.Row) error {
+		l.calls++
+		if l.calls == l.failAt {
+			return l.err
+		}
+		var sb strings.Builder
+		sb.WriteString(time.UnixMicro(c).UTC().Format(time.RFC3339Nano))
+		for _, r := range rows {
+			sb.WriteString("|" + r.String())
+		}
+		l.lines = append(l.lines, sb.String())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// faultFeed appends a seeded burst-and-gap workload in steps and returns
+// every error the producer calls reported, the final Flush included. A
+// zeroAt ≥ 0 makes the first row appended at or after that step carry
+// v = 0.
+func faultFeed(t *testing.T, e *Engine, seed int64, zeroAt int) []error {
+	t.Helper()
+	var errs []error
+	note := func(err error) {
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ts := ivmBase
+	for step := 0; step < 60; step++ {
+		if rng.Intn(5) == 0 {
+			ts += int64(rng.Intn(40)+1) * 1_000_000
+			note(e.AdvanceTime("s", time.UnixMicro(ts).UTC()))
+			continue
+		}
+		rows := make([]Row, rng.Intn(20)+1)
+		for i := range rows {
+			ts += int64(rng.Intn(900_000))
+			rows[i] = Row{String(fmt.Sprintf("/u%d", rng.Intn(4))),
+				Timestamp(time.UnixMicro(ts).UTC()), Int(int64(rng.Intn(50) + 1))}
+		}
+		if zeroAt >= 0 && step >= zeroAt {
+			rows[0][2], zeroAt = Int(0), -1
+		}
+		note(e.Append("s", rows...))
+	}
+	note(e.AdvanceTime("s", time.UnixMicro(ts).Add(2*time.Minute).UTC()))
+	note(e.Flush())
+	// A failure surfaces once: nothing is left for a later call to report.
+	if err := e.Flush(); err != nil {
+		t.Errorf("second Flush reported again: %v", err)
+	}
+	return errs
+}
+
+func countErr(errs []error, text string) int {
+	n := 0
+	for _, err := range errs {
+		n += strings.Count(err.Error(), text)
+	}
+	return n
+}
+
+// TestStoreMemberSinkFailureIsolated: in a three-view store one member's
+// sink fails mid-run. Only that member is detached, its error surfaces
+// once, its sink is never called again, and every peer's transcript is
+// byte-identical to a run in which that member never subscribed — whether
+// the member was the only one on the widest view (the view and the
+// store's retention go with it) or shared a post set with a peer.
+func TestStoreMemberSinkFailureIsolated(t *testing.T) {
+	boom := errors.New("sink boom")
+	for _, parallel := range []int{0, 4} {
+		for _, failVisible := range []int{60, 30} {
+			t.Run(fmt.Sprintf("parallel%d/fail%ds", parallel, failVisible), func(t *testing.T) {
+				run := func(withFailing bool) ([]string, *sinkLog, []error) {
+					e, err := Open(Config{ParallelCQ: parallel})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+					var peers []*CQ
+					for _, v := range []int{10, 30, 60} {
+						if v == 60 && failVisible == 60 {
+							continue // the failing member is alone on the widest view
+						}
+						cq, err := e.Subscribe(fmt.Sprintf(faultShape, v))
+						if err != nil {
+							t.Fatal(err)
+						}
+						peers = append(peers, cq)
+					}
+					failing := &sinkLog{failAt: 4, err: boom}
+					if withFailing {
+						failing.subscribe(t, e, fmt.Sprintf(faultShape, failVisible))
+					}
+					errs := faultFeed(t, e, 11, -1)
+					if got := e.Stats().Pipelines; got != len(peers) {
+						t.Errorf("withFailing=%v: %d pipelines left, want the %d peers", withFailing, got, len(peers))
+					}
+					out := make([]string, len(peers))
+					for i, cq := range peers {
+						out[i] = strings.Join(collectBatches(t, cq), "\n")
+						if out[i] == "" {
+							t.Fatalf("peer %d never fired", i)
+						}
+					}
+					return out, failing, errs
+				}
+				want, _, errs := run(false)
+				if len(errs) != 0 {
+					t.Fatalf("run without the failing member: %v", errs)
+				}
+				got, failing, errs := run(true)
+				if n := countErr(errs, boom.Error()); n != 1 || len(errs) != 1 {
+					t.Errorf("sink error surfaced %d times in %v, want once", n, errs)
+				}
+				if failing.calls != failing.failAt {
+					t.Errorf("failing sink called %d times, want %d (never after its error)", failing.calls, failing.failAt)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("peer %d transcript changed by a failing co-member:\n%s\n--\n%s", i, got[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStoreEvalErrorFailsEveryMember: an evaluation error while folding a
+// row into shared state (sum(10/v) meeting v = 0) is the store's failure,
+// not one member's: every CQ attached to that state stops at once, the
+// error surfaces once per store, and an unrelated CQ on the same stream
+// keeps the transcript it has without them.
+func TestStoreEvalErrorFailsEveryMember(t *testing.T) {
+	const unrelated = `SELECT url, count(*) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY url`
+	const failShape = `SELECT url, sum(10/v) AS r FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'> GROUP BY url`
+	for _, parallel := range []int{0, 4} {
+		t.Run(fmt.Sprintf("parallel%d", parallel), func(t *testing.T) {
+			run := func(withFailing bool) (string, [][]string, []error, int) {
+				e, err := Open(Config{ParallelCQ: parallel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+				healthy, err := e.Subscribe(unrelated)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var members []*CQ
+				if withFailing {
+					for _, v := range []int{10, 30, 60} {
+						cq, err := e.Subscribe(fmt.Sprintf(failShape, v))
+						if err != nil {
+							t.Fatal(err)
+						}
+						members = append(members, cq)
+					}
+				}
+				stores := e.Stats().PlanGroups - 1 // the unrelated CQ's own
+				errs := faultFeed(t, e, 23, 30)
+				if got := e.Stats().Pipelines; got != 1 {
+					t.Errorf("withFailing=%v: %d pipelines left, want only the unrelated CQ", withFailing, got)
+				}
+				out := make([][]string, len(members))
+				for i, cq := range members {
+					out[i] = collectBatches(t, cq)
+				}
+				return strings.Join(collectBatches(t, healthy), "\n"), out, errs, stores
+			}
+			want, _, errs, _ := run(false)
+			if len(errs) != 0 || want == "" {
+				t.Fatalf("run without the failing store: %q, %v", want, errs)
+			}
+			got, members, errs, stores := run(true)
+			if n := countErr(errs, types.ErrDivisionByZero.Error()); n != stores || stores < 1 {
+				t.Errorf("division error surfaced %d times in %v, want once per store (%d)", n, errs, stores)
+			}
+			for _, err := range errs {
+				if !errors.Is(err, types.ErrDivisionByZero) {
+					t.Errorf("unexpected error %v", err)
+				}
+			}
+			if got != want {
+				t.Errorf("unrelated CQ's transcript changed:\n%s\n--\n%s", got, want)
+			}
+			// Every member stopped at the failure: a grouped CQ fires at every
+			// boundary, so all three saw the same closes and the run went on
+			// past them.
+			for i, m := range members {
+				if len(m) == 0 || len(m) != len(members[0]) {
+					t.Errorf("member %d fired %d windows, member 0 fired %d", i, len(m), len(members[0]))
+				}
+			}
+			if fired := strings.Count(got, "\n") + 1; len(members[0]) >= fired {
+				t.Errorf("members fired %d windows, the unrelated CQ %d: the failure was not mid-run", len(members[0]), fired)
+			}
+		})
+	}
+}
+
+// TestStoreRecoveryActiveTables generalises TestIVMRecoveryActiveTables:
+// three derived streams of one fingerprint at VISIBLE 10/30/60 s archive
+// into Active Tables through APPEND channels over a durable directory.
+// The engine is stopped after a seeded random prefix with each table
+// having lost a different number of trailing windows (a crash between the
+// members' channel commits), so the members resume from different
+// max(cq_close) high-water marks off one boundary clock. The prefix ends
+// in a quiet stretch, so no window with rows straddles the restart, and the
+// reopened run's tables must equal an uninterrupted run's: no duplicate
+// and no missing window.
+func TestStoreRecoveryActiveTables(t *testing.T) {
+	for _, parallel := range []int{0, 4} {
+		for seed := int64(1); seed <= 20; seed++ {
+			straight := runStoreRecovery(t, parallel, seed, false, false)
+			restarted := runStoreRecovery(t, parallel, seed, true, false)
+			if straight != restarted {
+				t.Fatalf("parallel %d seed %d: Active Tables diverged:\nuninterrupted:\n%s\nrestarted:\n%s",
+					parallel, seed, straight, restarted)
+			}
+		}
+	}
+}
+
+const storeRecoveryDDL = `
+	CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint);
+	CREATE STREAM a10 AS SELECT cq_close(*) AS closed, count(*) AS n, sum(v) AS total
+		FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'>;
+	CREATE STREAM a30 AS SELECT cq_close(*) AS closed, count(*) AS n, sum(v) AS total
+		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'>;
+	CREATE STREAM a60 AS SELECT cq_close(*) AS closed, count(*) AS n, sum(v) AS total
+		FROM s <VISIBLE '60 seconds' ADVANCE '10 seconds'>;
+	CREATE TABLE t10 (closed timestamp, n bigint, total bigint);
+	CREATE TABLE t30 (closed timestamp, n bigint, total bigint);
+	CREATE TABLE t60 (closed timestamp, n bigint, total bigint);
+	CREATE CHANNEL c10 FROM a10 INTO t10 APPEND;
+	CREATE CHANNEL c30 FROM a30 INTO t30 APPEND;
+	CREATE CHANNEL c60 FROM a60 INTO t60 APPEND;
+`
+
+// runStoreRecovery feeds seed's workload through a durable engine and
+// dumps the three Active Tables. With restart it stops the engine after a
+// random prefix, having dropped up to three trailing windows per table,
+// and reopens it. Without replay the prefix is followed by a quiet,
+// heartbeat-closed stretch, so window state is empty at the restart; with
+// replay the prefix ends anywhere and is appended again after reopening,
+// the way history is replayed from an archive.
+func runStoreRecovery(t *testing.T, parallel int, seed int64, restart, replay bool) string {
+	t.Helper()
+	cfg := Config{Dir: t.TempDir(), ParallelCQ: parallel}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e.Close() }()
+	if err := e.ExecScript(storeRecoveryDDL); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ts := ivmBase
+	burst := func() []Row {
+		rows := make([]Row, rng.Intn(30)+1)
+		for i := range rows {
+			ts += int64(rng.Intn(1_500_000))
+			rows[i] = Row{String(fmt.Sprintf("/u%d", rng.Intn(3))),
+				Timestamp(time.UnixMicro(ts).UTC()), Int(int64(rng.Intn(50)))}
+		}
+		return rows
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var prefix [][]Row
+	for i, n := 0, rng.Intn(12)+3; i < n; i++ {
+		prefix = append(prefix, burst())
+		must(e.Append("s", prefix[i]...))
+	}
+	if !replay {
+		// Long enough that the widest window over the last row, and the
+		// three windows a table can lose after it, have all closed empty.
+		ts += 100_000_000
+		must(e.AdvanceTime("s", time.UnixMicro(ts).UTC()))
+	}
+	lose := [3]int{rng.Intn(4), rng.Intn(4), rng.Intn(4)}
+	if restart {
+		must(e.Flush())
+		for i, tbl := range []string{"t10", "t30", "t60"} {
+			hwm := mustQuery(t, e, `SELECT max(closed) FROM `+tbl).Data[0][0]
+			if hwm.IsNull() {
+				continue
+			}
+			cut := hwm.Time().Add(-time.Duration(lose[i]) * 10 * time.Second)
+			mustExec(t, e, fmt.Sprintf(`DELETE FROM %s WHERE closed > timestamp '%s'`,
+				tbl, cut.UTC().Format("2006-01-02 15:04:05")))
+		}
+		must(e.Close())
+		if e, err = Open(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if replay {
+			for _, rows := range prefix {
+				must(e.Append("s", rows...))
+			}
+		}
+	}
+	for i, n := 0, rng.Intn(12)+3; i < n; i++ {
+		must(e.Append("s", burst()...))
+	}
+	must(e.AdvanceTime("s", time.UnixMicro(ts).Add(90*time.Second).UTC()))
+	must(e.Flush())
+	var sb strings.Builder
+	for _, tbl := range []string{"t10", "t30", "t60"} {
+		fmt.Fprintf(&sb, "%s:\n", tbl)
+		for _, row := range mustQuery(t, e, `SELECT * FROM `+tbl+` ORDER BY closed`).Data {
+			sb.WriteString(row.String() + "\n")
+		}
+	}
+	return sb.String()
+}
