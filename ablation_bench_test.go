@@ -141,7 +141,7 @@ func BenchmarkAblationIngestBulk(b *testing.B) {
 // slices, isolating the slice mechanism from fan-out (k=1).
 
 func benchWindowClose(b *testing.B, share bool) {
-	e := mustOpen(b, Config{DisableSharing: !share, DisableIVM: true})
+	e := mustOpen(b, Config{StateOverride: mergeOrReexec(share)})
 	mustScript(b, e, `CREATE STREAM s (k bigint, at timestamp CQTIME USER)`)
 	cq, err := e.Subscribe(`SELECT k, count(*) FROM s <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY k`)
 	if err != nil {

@@ -17,7 +17,7 @@ const ingestBenchBatch = 256
 // benchIngest ingests b.N clickstream rows in 256-row micro-batches into
 // k CQs, matching internal/experiments.E12's engine configuration.
 func benchIngest(b *testing.B, k int, parallel, durable, sync bool) {
-	cfg := Config{DisableSharing: true, TraceSampleEvery: -1}
+	cfg := Config{StateOverride: StatePrivate, TraceSampleEvery: -1}
 	if parallel {
 		cfg.ParallelCQ = 4
 	}

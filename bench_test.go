@@ -165,9 +165,18 @@ func BenchmarkE2GrowthActive(b *testing.B) {
 
 // ------------------------------------------------------------------ E3
 
+// mergeOrReexec is E3's pair of window-state overrides: one slice-merging
+// store for all CQs, or no store at all.
+func mergeOrReexec(share bool) StateOverride {
+	if share {
+		return StateMerge
+	}
+	return StateReexec
+}
+
 // benchSharing measures per-event ingest cost with k identical CQs.
 func benchSharing(b *testing.B, k int, share bool) {
-	e := mustOpen(b, Config{DisableSharing: !share, DisableIVM: true})
+	e := mustOpen(b, Config{StateOverride: mergeOrReexec(share)})
 	mustScript(b, e, `CREATE STREAM url_stream (url varchar, atime timestamp CQTIME USER, client_ip varchar)`)
 	for i := 0; i < k; i++ {
 		cq, err := e.Subscribe(`SELECT url, count(*), sum(length(client_ip))
@@ -506,7 +515,7 @@ func BenchmarkTableInsert(b *testing.B) {
 // each on its own worker, so on a multicore machine the parallel/serial
 // ratio approaches min(k, cores).
 func benchFanout(b *testing.B, cqs, parallel int) {
-	e := mustOpen(b, Config{DisableSharing: true, ParallelCQ: parallel})
+	e := mustOpen(b, Config{StateOverride: StatePrivate, ParallelCQ: parallel})
 	mustScript(b, e, `CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar)`)
 	for i := 0; i < cqs; i++ {
 		// Distinct predicates keep the plans unshareable and the per-CQ
@@ -555,7 +564,7 @@ func BenchmarkFanoutParallel(b *testing.B) {
 // streams never contend on a global mutex.
 func benchFanoutMultiProducer(b *testing.B, parallel int) {
 	const streams = 8
-	e := mustOpen(b, Config{DisableSharing: true, ParallelCQ: parallel, LateRows: LateClamp})
+	e := mustOpen(b, Config{StateOverride: StatePrivate, ParallelCQ: parallel, LateRows: LateClamp})
 	for i := 0; i < streams; i++ {
 		mustScript(b, e, fmt.Sprintf(
 			`CREATE STREAM p%d (url varchar, atime timestamp CQTIME USER, client_ip varchar)`, i))

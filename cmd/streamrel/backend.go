@@ -102,9 +102,9 @@ func (b *localBackend) watch(sqlText string) (*watcher, error) {
 
 func (b *localBackend) stats() string {
 	s := b.eng.Stats()
-	return fmt.Sprintf("sources=%d pipelines=%d sharedAggs=%d planGroups=%d planSubscribers=%d windowsFired=%d rowsProcessed=%d lateDropped=%d\n"+
+	return fmt.Sprintf("sources=%d pipelines=%d stores=%d storeMembers=%d windowsFired=%d rowsProcessed=%d lateDropped=%d\n"+
 		"sched: workers=%d runnable=%d steals=%d parks=%d",
-		s.Sources, s.Pipelines, s.SharedAggs, s.PlanGroups, s.PlanSubscribers,
+		s.Sources, s.Pipelines, s.PlanGroups, s.PlanSubscribers,
 		s.WindowsFired, s.RowsProcessed, s.LateDropped,
 		s.SchedWorkers, s.SchedRunnable, s.SchedSteals, s.SchedParks)
 }

@@ -30,13 +30,13 @@ type Batch struct {
 type CQ struct {
 	// Columns names and types the result rows.
 	Columns Schema
-	// SharedAggregation reports whether this CQ computes via shared window
-	// slices (the paper's shared processing).
-	SharedAggregation bool
-	// Incremental reports whether this CQ is maintained incrementally:
-	// fires emit from materialized per-group state (internal/ivm) instead
-	// of re-executing the plan over the window's rows.
-	Incremental bool
+	// Strategy names how this CQ's window is kept and fired, in the
+	// vocabulary of sys.pipelines.mode: "incremental" (attached to a
+	// materialized window-state store: fires emit from per-group state
+	// maintained by deltas), "shared" (attached to a store that merges its
+	// slices at each fire) or "reexec" (buffers rows and runs the plan
+	// over them).
+	Strategy string
 
 	eng  *Engine
 	pipe *stream.Pipeline
@@ -87,8 +87,7 @@ func (e *Engine) SubscribeArgs(sqlText string, args ...Value) (*CQ, error) {
 		return nil, err
 	}
 	cq.pipe = pipe
-	cq.SharedAggregation = pipe.Shared()
-	cq.Incremental = pipe.Incremental()
+	cq.Strategy = pipe.Strategy()
 	return cq, nil
 }
 
@@ -152,6 +151,6 @@ func (cq *CQ) Close() {
 // RuntimeStats exposes continuous-processing counters.
 type RuntimeStats = stream.Stats
 
-// Stats returns stream-runtime counters (pipelines, shared aggregations,
+// Stats returns stream-runtime counters (pipelines, window-state stores,
 // windows fired).
 func (e *Engine) Stats() RuntimeStats { return e.rt.Stats() }

@@ -125,7 +125,7 @@ func TestShowAndExplain(t *testing.T) {
 
 	res = mustExec(t, e, `EXPLAIN SELECT count(*) FROM s1 <ADVANCE '1 minute'>`)
 	joined := strings.Join(rowStrings(res.Rows), "\n")
-	if !strings.Contains(joined, "Continuous Query") || !strings.Contains(joined, "shared slice aggregation: eligible") {
+	if !strings.Contains(joined, "Continuous Query") || !strings.Contains(joined, "state: store ") {
 		t.Fatalf("explain output:\n%s", joined)
 	}
 	res = mustExec(t, e, `EXPLAIN SELECT * FROM t1`)

@@ -117,9 +117,11 @@ func TestContinuousEqualsSnapshot(t *testing.T) {
 	}
 }
 
-// openMemMode opens an engine pinned to one window-fire strategy:
-// "incremental" (IVM where eligible), "shared" (slice sharing, no IVM),
-// or "reexec" (per-fire plan re-execution only).
+// openMemMode opens an engine under one setting of Config.StateOverride,
+// named by the strategy a sliceable count/sum CQ then reports:
+// "incremental" (automatic: stores, materialized where the aggregates
+// allow), "shared" (StateMerge: stores that merge slices per fire), or
+// "reexec" (StateReexec: per-fire plan re-execution only).
 func openMemMode(t *testing.T, mode string) *Engine {
 	t.Helper()
 	return openMemModeCfg(t, mode, Config{})
@@ -131,9 +133,9 @@ func openMemModeCfg(t *testing.T, mode string, cfg Config) *Engine {
 	switch mode {
 	case "incremental":
 	case "shared":
-		cfg.DisableIVM = true
+		cfg.StateOverride = StateMerge
 	case "reexec":
-		cfg.DisableIVM, cfg.DisableSharing = true, true
+		cfg.StateOverride = StateReexec
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}

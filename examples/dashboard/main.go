@@ -77,8 +77,8 @@ func main() {
 	}
 	defer byAdvertiser.Close()
 
-	fmt.Printf("shared aggregation: spend5m=%v spend15m=%v (same slices!)  join CQ shared=%v\n",
-		spend5m.SharedAggregation, spend15m.SharedAggregation, byAdvertiser.SharedAggregation)
+	fmt.Printf("window state: spend5m=%s spend15m=%s (one store, same slices!)  join CQ=%s\n",
+		spend5m.Strategy, spend15m.Strategy, byAdvertiser.Strategy)
 
 	// Stream 20 minutes of impressions.
 	gen := workload.NewImpressions(workload.ImpressionConfig{
@@ -91,8 +91,8 @@ func main() {
 	eng.AdvanceTime("imp_stream", time.UnixMicro(gen.Now()).UTC().Add(time.Minute))
 
 	stats := eng.Stats()
-	fmt.Printf("runtime: %d pipelines, %d shared slice aggregations, %d windows fired\n\n",
-		stats.Pipelines, stats.SharedAggs, stats.WindowsFired)
+	fmt.Printf("runtime: %d pipelines, %d window-state stores, %d windows fired\n\n",
+		stats.Pipelines, stats.PlanGroups, stats.WindowsFired)
 
 	// Dashboard poll: the REPLACE Active Table holds the latest minute.
 	rows, err := eng.Query(`

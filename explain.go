@@ -12,8 +12,8 @@ import (
 )
 
 // execExplain reports what the planner decided for a statement: snapshot
-// vs continuous, the windowed stream, whether the shared slice path
-// applies, and the output schema. (Operator-level plan trees are an
+// vs continuous, the windowed stream, where its window state lives, and
+// the output schema. (Operator-level plan trees are an
 // implementation detail; this surfaces the decisions that matter in this
 // architecture.)
 func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
@@ -34,29 +34,21 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 	} else {
 		lines = append(lines, "Continuous Query (CQ): runs per window close")
 		lines = append(lines, fmt.Sprintf("  stream: %s %s", p.Stream.Name, p.Stream.Window.String()))
-		if _, reason := p.DeltaProgram(); reason != "" {
-			lines = append(lines, "  mode: reexec ("+reason+")")
-		} else if e.cfg.DisableIVM {
-			lines = append(lines, "  mode: reexec (incremental maintenance disabled)")
-		} else {
-			lines = append(lines, "  mode: incremental (delta-maintained per-group state; fires emit without re-scanning the window)")
-		}
-		if p.StreamAgg != nil {
-			lines = append(lines, "  shared slice aggregation: eligible")
-			lines = append(lines, "  fingerprint: "+p.StreamAgg.Fingerprint)
-			gkey, subs, skey, sm := e.rt.SharingInfo(p)
-			if gkey != "" {
-				// Live plan-sharing group this CQ would subscribe to (count
-				// is current subscribers; this CQ would be subs+1).
-				lines = append(lines, fmt.Sprintf("  shared: %s (%d subscribers)", gkey, subs))
-			} else if e.cfg.DisablePlanSharing || e.cfg.DisableSharing {
-				lines = append(lines, "  shared: plan sharing disabled")
+		// mode is the one-word strategy sys.pipelines.mode and the
+		// window-fire span carry; state says where the window lives. The
+		// member count is the store's current one: this CQ would add one.
+		key, strategy, reason := p.WindowState(e.cfg.StateOverride)
+		lines = append(lines, "  mode: "+strategy.String())
+		switch strategy {
+		case plan.Reexec:
+			lines = append(lines, "  state: reexec ("+reason+")")
+		default:
+			fires := "materialized"
+			if strategy == plan.Merge {
+				fires = "merge: " + reason
 			}
-			if skey != "" {
-				lines = append(lines, fmt.Sprintf("  shared slices: %s (%d members)", skey, sm))
-			}
-		} else {
-			lines = append(lines, "  shared slice aggregation: not applicable (per-window plan)")
+			lines = append(lines, fmt.Sprintf("  state: store %s view %s (%s), %d members", key,
+				time.Duration(p.Stream.Window.Visible)*time.Microsecond, fires, e.rt.StoreMembers(p.Stream.Name, key)))
 		}
 		if e.cfg.ParallelCQ > 0 {
 			lines = append(lines, fmt.Sprintf("  sched: stealing (%d workers, mailbox bound %d)",

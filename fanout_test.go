@@ -79,12 +79,16 @@ func runFanout(t *testing.T, cfg Config) [][]string {
 
 // TestFanoutParallelMatchesSerial is the acceptance equivalence test: with
 // ParallelCQ enabled, every CQ's output — batch boundaries, row contents,
-// row order — is byte-identical to the synchronous engine, with sharing
-// both on and off.
+// row order — is byte-identical to the synchronous engine, with CQs
+// attaching to common stores and with a store apiece (StatePrivate).
 func TestFanoutParallelMatchesSerial(t *testing.T) {
 	for _, sharing := range []bool{false, true} {
-		serial := runFanout(t, Config{DisableSharing: !sharing})
-		parallel := runFanout(t, Config{DisableSharing: !sharing, ParallelCQ: 4})
+		override := StatePrivate
+		if sharing {
+			override = StateAuto
+		}
+		serial := runFanout(t, Config{StateOverride: override})
+		parallel := runFanout(t, Config{StateOverride: override, ParallelCQ: 4})
 		for i := range serial {
 			if len(serial[i]) == 0 {
 				t.Fatalf("CQ %d produced no output; workload too small", i)

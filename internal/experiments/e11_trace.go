@@ -27,7 +27,7 @@ func E11(s Scale) (*Table, error) {
 
 	run := func(sampleEvery int) (time.Duration, error) {
 		eng, err := streamrel.Open(streamrel.Config{
-			DisableSharing:   true,
+			StateOverride:    streamrel.StatePrivate,
 			TraceSampleEvery: sampleEvery,
 		})
 		if err != nil {

@@ -107,7 +107,7 @@ type ingestConfig struct {
 func ingestRun(c ingestConfig) (time.Duration, float64, *metrics.Registry, error) {
 	reg := metrics.NewRegistry()
 	cfg := streamrel.Config{
-		DisableSharing:   true,
+		StateOverride:    streamrel.StatePrivate,
 		Metrics:          reg,
 		TraceSampleEvery: -1,
 	}

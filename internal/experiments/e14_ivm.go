@@ -114,16 +114,17 @@ type ivmResult struct {
 	transcript    string
 }
 
-// ivmRun feeds the batches through one engine — incremental or re-exec —
+// ivmRun feeds the batches through one engine — the automatic window state
+// (a materialized store) or the StateReexec override —
 // advancing the watermark one second at a time. Fires inside the first
 // visibleSec seconds warm the window; the rest are measured: the
 // AdvanceTime call is the fire (synchronous mode), so its wall time and
 // Mallocs delta are the per-fire cost.
 func ivmRun(batches [][]streamrel.Row, visibleSec int, base int64, incremental bool) (ivmResult, error) {
 	var res ivmResult
-	cfg := streamrel.Config{TraceSampleEvery: -1, DisableSharing: true}
+	cfg := streamrel.Config{TraceSampleEvery: -1}
 	if !incremental {
-		cfg.DisableIVM = true
+		cfg.StateOverride = streamrel.StateReexec
 	}
 	eng, err := streamrel.Open(cfg)
 	if err != nil {
@@ -140,8 +141,8 @@ func ivmRun(batches [][]streamrel.Row, visibleSec int, base int64, incremental b
 		return res, err
 	}
 	defer cq.Close()
-	if cq.Incremental != incremental {
-		return res, fmt.Errorf("E14: pipeline mode = incremental:%v, want %v", cq.Incremental, incremental)
+	if (cq.Strategy == "incremental") != incremental {
+		return res, fmt.Errorf("E14: pipeline strategy = %s, want incremental:%v", cq.Strategy, incremental)
 	}
 
 	var fires int
@@ -170,19 +171,9 @@ func ivmRun(batches [][]streamrel.Row, visibleSec int, base int64, incremental b
 		return res, fmt.Errorf("E14: nothing measured")
 	}
 
-	var sb strings.Builder
+	fired := cq.Drain()
 	emitted := 0
-	for {
-		b, ok := cq.TryNext()
-		if !ok {
-			break
-		}
-		sb.WriteString(b.Close.UTC().Format(time.RFC3339Nano))
-		for _, r := range b.Rows {
-			sb.WriteByte('\n')
-			sb.WriteString(r.String())
-		}
-		sb.WriteByte('\n')
+	for _, b := range fired {
 		if b.Close.UnixMicro() > base+int64(visibleSec)*1_000_000 {
 			emitted += len(b.Rows)
 		}
@@ -190,6 +181,21 @@ func ivmRun(batches [][]streamrel.Row, visibleSec int, base int64, incremental b
 	res.meanFire = total / time.Duration(fires)
 	res.allocsPerFire = float64(mallocs) / float64(fires)
 	res.rowsPerFire = float64(emitted) / float64(fires)
-	res.transcript = sb.String()
+	res.transcript = transcript(fired)
 	return res, nil
+}
+
+// transcript renders a CQ's window fires, close then rows, for the checks
+// that two configurations emitted the same windows.
+func transcript(batches []streamrel.Batch) string {
+	var sb strings.Builder
+	for _, b := range batches {
+		sb.WriteString(b.Close.UTC().Format(time.RFC3339Nano))
+		for _, r := range b.Rows {
+			sb.WriteByte('\n')
+			sb.WriteString(r.String())
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }

@@ -31,7 +31,7 @@ func E16(s Scale) (*Table, error) {
 
 	run := func(interval time.Duration) (time.Duration, error) {
 		eng, err := streamrel.Open(streamrel.Config{
-			DisableSharing: true,
+			StateOverride:  streamrel.StatePrivate,
 			SysMonInterval: interval,
 		})
 		if err != nil {
@@ -133,7 +133,7 @@ func E16(s Scale) (*Table, error) {
 // SysSnapshot on an engine with k pipelines' worth of telemetry.
 func sysmonAllocsPerSnapshot(k int) (float64, error) {
 	eng, err := streamrel.Open(streamrel.Config{
-		DisableSharing: true,
+		StateOverride:  streamrel.StatePrivate,
 		SysMonInterval: -1, // sys.* streams live, ticks manual
 	})
 	if err != nil {

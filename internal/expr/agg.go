@@ -54,6 +54,16 @@ type Acc interface {
 	Result() types.Datum
 }
 
+// Retractable is an accumulator whose Merge has an exact inverse: Sub
+// removes a partial previously merged (or the values previously added) and
+// leaves the state those never having arrived would have left. count, sum
+// and avg are; min/max/first/last keep no history to fall back on, and
+// DISTINCT would need per-value counts.
+type Retractable interface {
+	Acc
+	Sub(other Acc) error
+}
+
 // NewAcc returns a fresh accumulator for the spec.
 func NewAcc(spec AggSpec) (Acc, error) {
 	var inner Acc
@@ -110,16 +120,25 @@ func (a *countAcc) Merge(other Acc) error {
 	return nil
 }
 
+func (a *countAcc) Sub(other Acc) error {
+	o, ok := other.(*countAcc)
+	if !ok {
+		return mergeTypeErr(a, other)
+	}
+	a.n -= o.n
+	return nil
+}
+
 func (a *countAcc) Result() types.Datum { return types.NewInt(a.n) }
 
 // sumAcc implements sum over ints, floats and intervals. Empty input
-// yields NULL per SQL.
+// yields NULL per SQL. Which operand types it holds is kept as counts, not
+// flags, so Sub undoes the widening too: a window that saw a float reports
+// float sums only while a float is still in it.
 type sumAcc struct {
-	seen    bool
-	isFloat bool
-	isIval  bool
-	i       int64
-	f       float64
+	nInt, nFloat, nIval int64
+	i                   int64
+	f                   float64
 }
 
 func (a *sumAcc) Add(v types.Datum) error {
@@ -128,18 +147,18 @@ func (a *sumAcc) Add(v types.Datum) error {
 	}
 	switch v.Type() {
 	case types.TypeInt:
+		a.nInt++
 		a.i += v.Int()
 		a.f += float64(v.Int())
 	case types.TypeFloat:
-		a.isFloat = true
+		a.nFloat++
 		a.f += v.Float()
 	case types.TypeInterval:
-		a.isIval = true
+		a.nIval++
 		a.i += v.IntervalMicros()
 	default:
 		return fmt.Errorf("expr: sum over %s", v.Type())
 	}
-	a.seen = true
 	return nil
 }
 
@@ -148,21 +167,34 @@ func (a *sumAcc) Merge(other Acc) error {
 	if !ok {
 		return mergeTypeErr(a, other)
 	}
-	a.seen = a.seen || o.seen
-	a.isFloat = a.isFloat || o.isFloat
-	a.isIval = a.isIval || o.isIval
+	a.nInt += o.nInt
+	a.nFloat += o.nFloat
+	a.nIval += o.nIval
 	a.i += o.i
 	a.f += o.f
 	return nil
 }
 
+func (a *sumAcc) Sub(other Acc) error {
+	o, ok := other.(*sumAcc)
+	if !ok {
+		return mergeTypeErr(a, other)
+	}
+	a.nInt -= o.nInt
+	a.nFloat -= o.nFloat
+	a.nIval -= o.nIval
+	a.i -= o.i
+	a.f -= o.f
+	return nil
+}
+
 func (a *sumAcc) Result() types.Datum {
 	switch {
-	case !a.seen:
+	case a.nInt+a.nFloat+a.nIval == 0:
 		return types.Null
-	case a.isIval:
+	case a.nIval > 0:
 		return types.NewIntervalMicros(a.i)
-	case a.isFloat:
+	case a.nFloat > 0:
 		return types.NewFloat(a.f)
 	default:
 		return types.NewInt(a.i)
@@ -194,6 +226,16 @@ func (a *avgAcc) Merge(other Acc) error {
 	}
 	a.n += o.n
 	a.f += o.f
+	return nil
+}
+
+func (a *avgAcc) Sub(other Acc) error {
+	o, ok := other.(*avgAcc)
+	if !ok {
+		return mergeTypeErr(a, other)
+	}
+	a.n -= o.n
+	a.f -= o.f
 	return nil
 }
 

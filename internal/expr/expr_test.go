@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"streamrel/internal/sql"
 	"streamrel/internal/types"
@@ -432,6 +433,104 @@ func TestMergeEqualsDirect(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSubUndoesMerge: for every retractable aggregate, merging a partial
+// and then retracting it leaves exactly the state of never having merged
+// it — for any split of the input, and including the result's type: a
+// sum that saw a float narrows back to BIGINT when the float slice leaves,
+// and to NULL when everything has left.
+func TestSubUndoesMerge(t *testing.T) {
+	inputs := []types.Datum{
+		types.NewInt(4), types.NewFloat(1.5), types.NewInt(-2), types.Null,
+		types.NewInt(11), types.NewInt(0), types.NewFloat(7), types.NewInt(7),
+	}
+	for _, name := range []string{"count", "sum", "avg"} {
+		for split := 0; split <= len(inputs); split++ {
+			window := newAcc(t, name, false).(Retractable)
+			kept := newAcc(t, name, false)
+			leaving := newAcc(t, name, false)
+			addAll(t, kept, inputs[:split]...)
+			addAll(t, window, inputs[:split]...)
+			addAll(t, leaving, inputs[split:]...)
+			if err := window.Merge(leaving); err != nil {
+				t.Fatal(err)
+			}
+			if err := window.Sub(leaving); err != nil {
+				t.Fatal(err)
+			}
+			want, got := kept.Result(), window.Result()
+			if want.Type() != got.Type() || want.IsNull() != got.IsNull() ||
+				(!want.IsNull() && types.Compare(want, got) != 0) {
+				t.Errorf("%s split=%d: after Merge+Sub %v (%s), never merged %v (%s)",
+					name, split, got, got.Type(), want, want.Type())
+			}
+		}
+	}
+
+	// Intervals win the widening precedence and retract exactly.
+	w := newAcc(t, "sum", false).(Retractable)
+	slice := newAcc(t, "sum", false)
+	addAll(t, w, types.NewInterval(2*time.Second))
+	addAll(t, slice, types.NewInterval(500*time.Millisecond))
+	if err := w.Merge(slice); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Result(); got.Type() != types.TypeInterval || got.IntervalMicros() != 2_500_000 {
+		t.Fatalf("interval sum = %v, want 2.5s", got)
+	}
+	if err := w.Sub(slice); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Result(); got.IntervalMicros() != 2_000_000 {
+		t.Fatalf("after retract = %v, want 2s", got)
+	}
+
+	// Retracting a partial of another aggregate is a bug, not a no-op.
+	if err := w.Sub(newAcc(t, "count", false)); err == nil {
+		t.Fatal("sum.Sub(count) should error")
+	}
+}
+
+// TestRetractableSet pins which accumulators claim an exact inverse; the
+// window-state store re-merges surviving slices for the rest.
+func TestRetractableSet(t *testing.T) {
+	for name, want := range map[string]bool{
+		"count": true, "sum": true, "avg": true,
+		"min": false, "max": false, "stddev": false, "variance": false, "first": false, "last": false,
+	} {
+		if _, ok := newAcc(t, name, false).(Retractable); ok != want {
+			t.Errorf("%s retractable = %v, want %v", name, ok, want)
+		}
+	}
+	if _, ok := newAcc(t, "count", true).(Retractable); ok {
+		t.Error("count(DISTINCT) must not claim an inverse")
+	}
+}
+
+// TestMinMaxRemerge is the retraction path of the aggregates without an
+// inverse: merging the surviving partials in slice order reproduces the
+// window value, the earlier of two equal values wins as in direct
+// evaluation, and an empty partial is a no-op.
+func TestMinMaxRemerge(t *testing.T) {
+	old, mid, empty := newAcc(t, "max", false), newAcc(t, "max", false), newAcc(t, "max", false)
+	addAll(t, old, types.NewFloat(7))
+	addAll(t, mid, types.NewInt(7), types.NewInt(3))
+	rebuilt := newAcc(t, "max", false)
+	for _, part := range []Acc{old, mid, empty} {
+		if err := rebuilt.Merge(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rebuilt.Result(); got.Type() != types.TypeFloat || got.Float() != 7 {
+		t.Errorf("rebuilt max = %v (%s), want the first-seen 7 (DOUBLE)", got, got.Type())
+	}
+	if err := rebuilt.Add(types.NewString("x")); err == nil {
+		t.Fatal("min/max over mixed types should error")
+	}
+	if !newAcc(t, "min", false).Result().IsNull() {
+		t.Fatal("min over nothing should be NULL")
 	}
 }
 

@@ -1,86 +1,73 @@
-// Package ivm is the engine's incremental view maintenance subsystem: a
-// delta compiler plus a materialized aggregate state store, following
-// DBToaster-style delta processing (PAPERS.md). Where the re-execution
-// path scans every window row at every fire — O(window) even when the
-// advance touched a handful of groups — an incremental pipeline keeps one
-// running accumulator per group, applies insert deltas as rows arrive and
-// retract deltas as slices expire, and fires by emitting the materialized
-// state directly: O(groups) per fire, O(changed groups) maintenance per
-// advance, independent of window width.
+// Package ivm is the engine's window-state store: the one place a
+// sliceable continuous query's window lives. It holds the paper's shared
+// slice aggregation ([12], Arasu & Widom [4]) — each slice of a stream is
+// aggregated once per (stream, fingerprint, ADVANCE), whatever the number
+// of queries reading it — with DBToaster's refinement (PAPERS.md) on top:
+// the combined answer of a window is kept materialized and maintained by
+// deltas where the aggregates allow it.
 //
-// State is two-layered. The window layer (groups) holds one retractable
-// accumulator set per live group and is what fires emit. The slice layer
-// (slices) holds per-slice per-group partials — the retraction source:
-// when a slice falls out of the window, subtractable aggregates
-// (COUNT/SUM/AVG — AVG via its SUM+COUNT decomposition) subtract the
-// expired partial from the window accumulator, while MIN/MAX, which have
-// no inverse, re-merge the surviving slice partials in ascending slice
-// order (reproducing arrival-order tie behavior, since streams are
-// in-order). A group leaves the state when its last window row expires,
-// so a vanished group stops emitting exactly as re-execution would.
+// A Store is the slice layer: per-slice per-group partial accumulators,
+// and one key string and key row per live group shared by every slice and
+// every view. Insert folds an arriving row into its slice and touches
+// nothing else, so the per-row cost does not depend on how many windows
+// read the store. A View is one window extent (VISIBLE) over the store.
+// By definition its window layer is the merge, in slice order, of the
+// retained slices in its extent; a store built as materialized keeps that
+// layer between fires and moves it one boundary at a time — add the slice
+// that just closed, retract the slice that just left: Sub where the
+// accumulator has an inverse (COUNT/SUM/AVG), a re-merge of the group's
+// surviving slices where it has none (MIN/MAX; slice order reproduces
+// arrival-order ties, since streams are in order) — and emits in
+// O(groups); a merge store rebuilds the layer from the k covering slices
+// at every fire, which is all an aggregate with neither form (DISTINCT,
+// stddev, first/last) admits. plan.WindowState picks the strategy from the
+// aggregate list. A view is first built at its first fire, from whatever
+// the store retains in its extent, so one created after rows have arrived
+// starts from the store's history, and a group leaves a view when its
+// last row does, so a vanished group stops being emitted exactly as
+// re-execution would.
 //
-// The stream runtime consults Compile at pipeline registration;
-// non-qualifying plans (plan.Plan.DeltaProgram says why) fall back to the
-// existing re-execution or shared-slice paths untouched.
+// All views of a store close at the same boundaries (they share ADVANCE),
+// and the store retains slices for the widest attached view.
 package ivm
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
-	"streamrel/internal/exec"
 	"streamrel/internal/expr"
 	"streamrel/internal/plan"
 	"streamrel/internal/types"
 )
 
-// State is the materialized aggregate state of one incremental pipeline.
-// All methods except the exported atomic gauges are called only on the
-// goroutine that applies the pipeline's input (its worker in parallel
-// mode, otherwise the producer under the source lock).
-type State struct {
-	spec    *plan.StreamAgg
-	kinds   []exec.DeltaKind
-	advance int64
-	visible int64
+// Store is the slice layer of one (stream, fingerprint, ADVANCE). Insert,
+// View.Fire and Expire are called only on the goroutine that applies the
+// owning pipeline's input. Attach and Detach may come from another
+// goroutine as long as the caller serializes them with Fire and Expire;
+// they share no field with Insert.
+type Store struct {
+	spec         *plan.StreamAgg
+	advance      int64
+	materialized bool
+	// sub[i]: aggregate i retracts by Sub; the others re-merge.
+	sub []bool
 
-	slices map[int64]*slice  // keyed by slice start timestamp
-	groups map[string]*group // window-level materialized accumulators
+	slices map[int64]*slice // keyed by slice start timestamp
+	cur    *slice           // the slice of the last inserted row
+	groups map[string]*group
 
-	// ordered keeps the groups sorted by key (types.CompareRows order,
-	// matching exec.HashAgg's SortedOutput). It is maintained
-	// incrementally: new groups collect in pending and are merged in at
-	// the next fire, removed groups are tombstoned in place and compacted
-	// then. A skewed stream adds a few tail groups every advance, and a
-	// full re-sort per fire was the dominant fire cost at 10k+ groups;
-	// the merge costs O(groups) pointer copies and only as many key
-	// comparisons as it takes to place the newcomers.
-	ordered []*group
-	pending []*group
-	scratch []*group
-	removed int
-
-	// dirty tracks the distinct groups touched since the last fire — the
-	// streamrel_ivm_groups_touched_total increment per fire.
-	dirty map[string]struct{}
+	views  []*View
+	retain int64 // widest attached VISIBLE
 
 	// ec, keyScratch and keyBuf are Insert's per-row scratch: the
 	// expression context is re-pointed at each row, and group keys are
 	// evaluated into keyScratch and encoded into keyBuf, which probes the
 	// maps as string(keyBuf) without allocating. The context carries no
-	// window close and no clock: plans reading either are not compiled.
+	// window close and no clock: plans reading either never get a store.
 	ec         expr.Ctx
 	keyScratch types.Row
 	keyBuf     []byte
-
-	// fireBacking/fireRows are the output materialization, reused across
-	// fires (see Fire's aliasing contract).
-	fireBacking []types.Datum
-	fireRows    []types.Row
-
-	// anyMerge is true when at least one aggregate is non-subtractable
-	// (min/max), so expiry needs the surviving slice order.
-	anyMerge bool
 
 	// GroupsN and SlicesN mirror len(groups) / len(slices) for metric
 	// gauges, which read from other goroutines.
@@ -90,63 +77,75 @@ type State struct {
 
 type slice struct {
 	start  int64
-	groups map[string]*sliceGroup
+	groups map[string]*partial
 }
 
-type sliceGroup struct {
+// partial is one group's aggregate over one slice.
+type partial struct {
+	g    *group
 	rows int64 // rows that passed the filter into this group, this slice
-	accs []exec.DeltaAcc
+	accs []expr.Acc
 }
 
+// group is a live group's identity: the one string built for its key
+// bytes — every slice map and view map is keyed with it, so they share
+// its storage — and its key row. It lives while a retained slice holds a
+// partial for it.
 type group struct {
-	// key is the one string built for this group's key bytes: the slice
-	// maps and the dirty set are keyed with it, so they share its storage.
-	// It lives here and not on every sliceGroup, which would hold a copy
-	// of the header per (slice, group).
-	key  string
-	keys types.Row
-	rows int64 // live (unexpired) filtered rows across the window
-	accs []exec.DeltaAcc
-	dead bool // expired out; awaiting compaction from ordered/pending
+	key    string
+	keys   types.Row
+	slices int
 }
 
-// Compile inspects a planned CQ and returns its delta state, or the
-// reason it must fall back to re-execution (exactly one is set).
-func Compile(p *plan.Plan) (*State, string) {
-	kinds, reason := p.DeltaProgram()
-	if reason != "" {
-		return nil, reason
+// New returns an empty store for the aggregate spec of a plan whose
+// WindowState chose a store.
+func New(spec *plan.StreamAgg, advance int64, materialized bool) (*Store, error) {
+	s := &Store{
+		spec:         spec,
+		advance:      advance,
+		materialized: materialized,
+		sub:          make([]bool, len(spec.Aggs)),
+		slices:       make(map[int64]*slice),
+		groups:       make(map[string]*group),
+		keyScratch:   make(types.Row, len(spec.GroupBy)),
 	}
-	s := &State{
-		spec:       p.StreamAgg,
-		kinds:      kinds,
-		advance:    p.Stream.Window.Advance,
-		visible:    p.Stream.Window.Visible,
-		slices:     make(map[int64]*slice),
-		groups:     make(map[string]*group),
-		dirty:      make(map[string]struct{}),
-		keyScratch: make(types.Row, len(p.StreamAgg.GroupBy)),
+	accs, err := s.newAccs()
+	if err != nil {
+		return nil, err
 	}
-	for _, k := range kinds {
-		if !k.Subtractable() {
-			s.anyMerge = true
+	for i, a := range accs {
+		_, s.sub[i] = a.(expr.Retractable)
+	}
+	return s, nil
+}
+
+func (s *Store) newAccs() ([]expr.Acc, error) {
+	accs := make([]expr.Acc, len(s.spec.Aggs))
+	for i, spec := range s.spec.Aggs {
+		a, err := expr.NewAcc(spec)
+		if err != nil {
+			return nil, err
 		}
+		accs[i] = a
 	}
-	return s, ""
+	return accs, nil
 }
 
-func (s *State) newAccs() []exec.DeltaAcc {
-	accs := make([]exec.DeltaAcc, len(s.kinds))
-	for i, k := range s.kinds {
-		accs[i] = exec.NewDeltaAcc(k, s.spec.Aggs[i])
+// SliceStart returns the start of the advance-wide slice holding ts:
+// floored division, so pre-epoch timestamps slice correctly.
+func SliceStart(ts, advance int64) int64 {
+	q := ts / advance
+	if ts%advance != 0 && (ts < 0) != (advance < 0) {
+		q--
 	}
-	return accs
+	return q * advance
 }
 
-// Insert applies one arriving row as an insert delta: evaluate the filter
-// and group keys once, then fold the aggregate arguments into both the
-// row's slice partial (the future retraction) and the window accumulator.
-func (s *State) Insert(row types.Row, ts int64) error {
+// Insert folds one arriving row into its slice's partial — once, however
+// many views will read it: evaluate the filter and the group keys, then
+// add the aggregate arguments. An existing (slice, group) allocates
+// nothing.
+func (s *Store) Insert(row types.Row, ts int64) error {
 	ec := &s.ec
 	ec.Row = row
 	if s.spec.Pred != nil {
@@ -167,29 +166,32 @@ func (s *State) Insert(row types.Row, ts int64) error {
 	}
 	s.keyBuf = s.keyScratch.AppendKey(s.keyBuf[:0])
 
-	g, ok := s.groups[string(s.keyBuf)]
-	if !ok {
-		g = &group{key: string(s.keyBuf), keys: s.keyScratch.Clone(), accs: s.newAccs()}
-		s.groups[g.key] = g
-		s.pending = append(s.pending, g)
-		s.GroupsN.Add(1)
+	sl := s.cur
+	if start := SliceStart(ts, s.advance); sl == nil || sl.start != start {
+		if sl = s.slices[start]; sl == nil {
+			sl = &slice{start: start, groups: make(map[string]*partial)}
+			s.slices[start] = sl
+			s.SlicesN.Add(1)
+		}
+		s.cur = sl
 	}
-	start := floorDiv(ts, s.advance) * s.advance
-	sl, ok := s.slices[start]
+	p, ok := sl.groups[string(s.keyBuf)]
 	if !ok {
-		sl = &slice{start: start, groups: make(map[string]*sliceGroup)}
-		s.slices[start] = sl
-		s.SlicesN.Add(1)
+		g, ok := s.groups[string(s.keyBuf)]
+		if !ok {
+			g = &group{key: string(s.keyBuf), keys: s.keyScratch.Clone()}
+			s.groups[g.key] = g
+			s.GroupsN.Add(1)
+		}
+		accs, err := s.newAccs()
+		if err != nil {
+			return err
+		}
+		g.slices++
+		p = &partial{g: g, accs: accs}
+		sl.groups[g.key] = p
 	}
-	sg, ok := sl.groups[g.key]
-	if !ok {
-		sg = &sliceGroup{accs: s.newAccs()}
-		sl.groups[g.key] = sg
-	}
-	sg.rows++
-	g.rows++
-	s.dirty[g.key] = struct{}{}
-
+	p.rows++
 	for i, spec := range s.spec.Aggs {
 		v := types.True
 		if spec.Arg != nil {
@@ -198,165 +200,285 @@ func (s *State) Insert(row types.Row, ts int64) error {
 				return err
 			}
 		}
-		if err := sg.accs[i].Add(v); err != nil {
-			return err
-		}
-		if err := g.accs[i].Add(v); err != nil {
+		if err := p.accs[i].Add(v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Fire materializes the closing window directly from state: one row per
-// live group (group keys ++ aggregate results), sorted by group key,
-// carved out of one flat backing array so a fire costs zero steady-state
-// allocations. The returned rows alias state-owned storage and are valid
-// only until the next Fire — the caller must finish draining the plan
-// built over them first (the plan always re-materializes through a
-// Project, so nothing downstream retains them). Scalar aggregates over
-// an empty window produce the SQL default row, matching exec.HashAgg.
-// touched reports the distinct groups changed since the previous fire.
-// By construction (boundaries fire in order, Expire runs after each) the
-// state holds exactly the slices of the closing window [c-VISIBLE, c).
-func (s *State) Fire() (rows []types.Row, touched int, err error) {
-	touched = len(s.dirty)
-	clear(s.dirty)
-	if len(s.groups) == 0 && len(s.spec.GroupBy) == 0 {
-		accs := s.newAccs()
+// Expire drops the slices no attached view reads at a boundary after c.
+// Call it once every view has fired c: the next fire still retracts the
+// slice that opened the window closing at c.
+func (s *Store) Expire(c int64) {
+	horizon := c - s.retain
+	for start, sl := range s.slices {
+		if start >= horizon {
+			continue
+		}
+		delete(s.slices, start)
+		s.SlicesN.Add(-1)
+		if s.cur == sl {
+			s.cur = nil
+		}
+		for _, p := range sl.groups {
+			if p.g.slices--; p.g.slices == 0 {
+				delete(s.groups, p.g.key)
+				s.GroupsN.Add(-1)
+			}
+		}
+	}
+}
+
+// View is one window extent over a store.
+type View struct {
+	st      *Store
+	visible int64
+
+	// The window layer: the merge of the retained slices starting in
+	// [lo, hi). hi starts below every timestamp: nothing built yet.
+	lo, hi int64
+	groups map[string]*winGroup
+
+	// ordered keeps the groups sorted by key (types.CompareRows order,
+	// matching exec.HashAgg's SortedOutput). It is maintained
+	// incrementally: new groups collect in pending and are merged in at
+	// the next fire, removed groups are tombstoned in place and compacted
+	// then. A skewed stream adds a few tail groups every advance, and a
+	// full re-sort per fire was the dominant fire cost at 10k+ groups;
+	// the merge costs O(groups) pointer copies and only as many key
+	// comparisons as it takes to place the newcomers.
+	ordered []*winGroup
+	pending []*winGroup
+	scratch []*winGroup
+	removed int
+
+	// fireBacking/fireRows are the output materialization, reused across
+	// fires (see Fire's aliasing contract).
+	fireBacking []types.Datum
+	fireRows    []types.Row
+}
+
+// winGroup is one group's aggregate over a view's window.
+type winGroup struct {
+	g     *group
+	rows  int64 // filtered rows in the window
+	accs  []expr.Acc
+	dead  bool  // left the window; awaiting compaction from ordered/pending
+	stamp int64 // the last fire that changed it, for the touched count
+}
+
+// Attach adds a view of the given extent (a multiple of the store's
+// ADVANCE) and widens retention to cover it.
+func (s *Store) Attach(visible int64) *View {
+	v := &View{st: s, visible: visible, hi: math.MinInt64, groups: make(map[string]*winGroup)}
+	s.views = append(s.views, v)
+	s.retain = max(s.retain, visible)
+	return v
+}
+
+// Visible returns the view's window extent.
+func (v *View) Visible() int64 { return v.visible }
+
+// Detach removes a view; retention shrinks to the widest one left and the
+// next Expire drops what only the departed view could read.
+func (s *Store) Detach(v *View) {
+	s.retain = 0
+	kept := s.views[:0]
+	for _, o := range s.views {
+		if o != v {
+			kept = append(kept, o)
+			s.retain = max(s.retain, o.visible)
+		}
+	}
+	clear(s.views[len(kept):])
+	s.views = kept
+}
+
+// Fire closes the window [c-VISIBLE, c): it brings the window layer to
+// that extent and materializes it, one row per group in the window (group
+// keys ++ aggregate results), sorted by group key, carved out of one flat
+// backing array so a fire costs zero steady-state allocations. The
+// returned rows alias view-owned storage and are valid only until the
+// view's next Fire — the caller must finish draining the plan built over
+// them first (the plan always re-materializes through a Project, so
+// nothing downstream retains them). Scalar aggregates over an empty
+// window produce the SQL default row, matching exec.HashAgg. touched
+// reports the distinct groups the move changed. Boundaries must be fired
+// in ascending order.
+func (v *View) Fire(c int64) (rows []types.Row, touched int, err error) {
+	s := v.st
+	lo := c - v.visible
+	if !s.materialized || v.hi <= lo {
+		// Nothing kept carries over: a merge store combines the covering
+		// slices afresh, a new view starts from what the store retains,
+		// and a tumbling window shares no slice with its predecessor (so
+		// it never retracts, and its sums are those of re-execution to
+		// the last bit).
+		clear(v.groups)
+		v.ordered, v.pending, v.removed = v.ordered[:0], v.pending[:0], 0
+		v.lo, v.hi = lo, lo
+	}
+	for ; v.hi < c; v.hi += s.advance {
+		if sl := s.slices[v.hi]; sl != nil {
+			n, err := v.add(sl, c)
+			if err != nil {
+				return nil, 0, err
+			}
+			touched += n
+		}
+	}
+	for ; v.lo < lo; v.lo += s.advance {
+		if sl := s.slices[v.lo]; sl != nil {
+			n, err := v.retract(sl, c)
+			if err != nil {
+				return nil, 0, err
+			}
+			touched += n
+		}
+	}
+	rows, err = v.emit()
+	return rows, touched, err
+}
+
+// add merges a slice that entered the window into the layer.
+func (v *View) add(sl *slice, c int64) (touched int, err error) {
+	for k, p := range sl.groups {
+		wg := v.groups[k]
+		if wg == nil {
+			wg = &winGroup{g: p.g, stamp: c - 1}
+			if wg.accs, err = v.st.newAccs(); err != nil {
+				return 0, err
+			}
+			v.groups[p.g.key] = wg
+			v.pending = append(v.pending, wg)
+		}
+		wg.rows += p.rows
+		for i, a := range wg.accs {
+			if err := a.Merge(p.accs[i]); err != nil {
+				return 0, err
+			}
+		}
+		if wg.stamp != c {
+			wg.stamp = c
+			touched++
+		}
+	}
+	return touched, nil
+}
+
+// retract removes the slice at v.lo, which just left the window.
+// Aggregates without an inverse are rebuilt for the groups that slice held
+// from the slices still in the window, in ascending order.
+func (v *View) retract(sl *slice, c int64) (touched int, err error) {
+	s := v.st
+	for k, p := range sl.groups {
+		wg := v.groups[k]
+		if wg == nil {
+			continue // unreachable: every slice in [lo, hi) was added
+		}
+		if wg.stamp != c {
+			wg.stamp = c
+			touched++
+		}
+		if wg.rows -= p.rows; wg.rows <= 0 {
+			delete(v.groups, k)
+			wg.dead = true
+			v.removed++
+			continue
+		}
+		for i, a := range wg.accs {
+			if s.sub[i] {
+				if err := a.(expr.Retractable).Sub(p.accs[i]); err != nil {
+					return 0, err
+				}
+				continue
+			}
+			fresh, err := expr.NewAcc(s.spec.Aggs[i])
+			if err != nil {
+				return 0, err
+			}
+			for start := v.lo + s.advance; start < v.hi; start += s.advance {
+				if o := s.slices[start]; o != nil {
+					if op := o.groups[k]; op != nil {
+						if err := fresh.Merge(op.accs[i]); err != nil {
+							return 0, err
+						}
+					}
+				}
+			}
+			wg.accs[i] = fresh
+		}
+	}
+	return touched, nil
+}
+
+// emit materializes the layer in group-key order.
+func (v *View) emit() ([]types.Row, error) {
+	spec := v.st.spec
+	if len(v.groups) == 0 && len(spec.GroupBy) == 0 {
+		accs, err := v.st.newAccs()
+		if err != nil {
+			return nil, err
+		}
 		row := make(types.Row, len(accs))
 		for i, a := range accs {
 			row[i] = a.Result()
 		}
-		return []types.Row{row}, touched, nil
+		return []types.Row{row}, nil
 	}
-	s.maintainOrder()
-	width := len(s.spec.GroupBy) + len(s.spec.Aggs)
-	need := len(s.ordered) * width
-	if cap(s.fireBacking) < need {
-		s.fireBacking = make([]types.Datum, need)
+	v.maintainOrder()
+	width := len(spec.GroupBy) + len(spec.Aggs)
+	need := len(v.ordered) * width
+	if cap(v.fireBacking) < need {
+		v.fireBacking = make([]types.Datum, need)
 	}
-	backing := s.fireBacking[:0:need]
-	out := s.fireRows[:0]
-	for _, g := range s.ordered {
+	backing := v.fireBacking[:0:need]
+	out := v.fireRows[:0]
+	for _, g := range v.ordered {
 		at := len(backing)
-		backing = append(backing, g.keys...)
+		backing = append(backing, g.g.keys...)
 		for _, a := range g.accs {
 			backing = append(backing, a.Result())
 		}
 		out = append(out, types.Row(backing[at:at+width:at+width]))
 	}
-	s.fireRows = out
-	return out, touched, nil
+	v.fireRows = out
+	return out, nil
 }
 
 // maintainOrder folds pending group additions into the sorted order and
 // compacts tombstoned removals, in one linear pass. A group key re-added
-// after its removal gets a fresh *group, so a tombstone and its live
+// after its removal gets a fresh *winGroup, so a tombstone and its live
 // successor can coexist until compaction; the tombstone is simply
 // skipped.
-func (s *State) maintainOrder() {
-	if len(s.pending) == 0 && s.removed == 0 {
+func (v *View) maintainOrder() {
+	if len(v.pending) == 0 && v.removed == 0 {
 		return
 	}
-	add := s.pending[:0]
-	for _, g := range s.pending {
+	add := v.pending[:0]
+	for _, g := range v.pending {
 		if !g.dead {
 			add = append(add, g)
 		}
 	}
 	sort.Slice(add, func(i, j int) bool {
-		return types.CompareRows(add[i].keys, add[j].keys) < 0
+		return types.CompareRows(add[i].g.keys, add[j].g.keys) < 0
 	})
-	merged := s.scratch[:0]
+	merged := v.scratch[:0]
 	ai := 0
-	for _, g := range s.ordered {
+	for _, g := range v.ordered {
 		if g.dead {
 			continue
 		}
-		for ai < len(add) && types.CompareRows(add[ai].keys, g.keys) < 0 {
+		for ai < len(add) && types.CompareRows(add[ai].g.keys, g.g.keys) < 0 {
 			merged = append(merged, add[ai])
 			ai++
 		}
 		merged = append(merged, g)
 	}
 	merged = append(merged, add[ai:]...)
-	s.ordered, s.scratch = merged, s.ordered[:0]
-	s.pending = s.pending[:0]
-	s.removed = 0
-}
-
-// Expire applies retract deltas for every slice starting before keepFrom
-// (the first slice the next window can still see): subtractable
-// aggregates subtract the expired partial; min/max re-merge the surviving
-// per-slice partials for the groups the expired slice held. Groups whose
-// last live row expired are dropped.
-func (s *State) Expire(keepFrom int64) error {
-	var expired []*slice
-	for start, sl := range s.slices {
-		if start < keepFrom {
-			expired = append(expired, sl)
-			delete(s.slices, start)
-		}
-	}
-	if len(expired) == 0 {
-		return nil
-	}
-	s.SlicesN.Add(-int64(len(expired)))
-	sort.Slice(expired, func(i, j int) bool { return expired[i].start < expired[j].start })
-
-	// Surviving slice starts in ascending order, for min/max re-merge.
-	var survivors []int64
-	if s.anyMerge {
-		for start := range s.slices {
-			survivors = append(survivors, start)
-		}
-		sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
-	}
-
-	for _, sl := range expired {
-		for k, sg := range sl.groups {
-			g, ok := s.groups[k]
-			if !ok {
-				continue // unreachable: every slice row is a window row
-			}
-			g.rows -= sg.rows
-			s.dirty[k] = struct{}{}
-			if g.rows <= 0 {
-				delete(s.groups, k)
-				g.dead = true
-				s.removed++
-				s.GroupsN.Add(-1)
-				continue
-			}
-			for i, kind := range s.kinds {
-				if kind.Subtractable() {
-					if err := g.accs[i].Sub(sg.accs[i]); err != nil {
-						return err
-					}
-					continue
-				}
-				acc := exec.NewDeltaAcc(kind, s.spec.Aggs[i])
-				for _, start := range survivors {
-					if osg, ok := s.slices[start].groups[k]; ok {
-						if err := acc.Merge(osg.accs[i]); err != nil {
-							return err
-						}
-					}
-				}
-				g.accs[i] = acc
-			}
-		}
-	}
-	return nil
-}
-
-// floorDiv is integer division rounding toward negative infinity, so
-// pre-epoch timestamps slice correctly (same as the stream runtime's).
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
+	v.ordered, v.scratch = merged, v.ordered[:0]
+	v.pending = v.pending[:0]
+	v.removed = 0
 }

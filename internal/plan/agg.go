@@ -243,8 +243,8 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 	// whose key fails such a predicate would contribute no output either
 	// way, so filtering the merged group rows is equivalent to filtering
 	// the input rows; this lets `WHERE url='/a' … GROUP BY url` share
-	// slice state (and a plan-level pipeline) with the unfiltered
-	// `… GROUP BY url`. The full plan (Build) keeps the WHERE pre-agg.
+	// slice state with the unfiltered `… GROUP BY url`. The full plan
+	// (Build) keeps the WHERE pre-agg.
 	//
 	// Slices are folded as rows arrive, so nothing they evaluate may
 	// depend on when the window closes: cq_close(*) is unknown until then,
@@ -287,11 +287,8 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 			Aggs:        aggSpecs,
 			Fingerprint: fp,
 			PostKey:     postKeyString(residConjs, sel),
-			PostBuild: func(aggRows []types.Row, presorted bool) exec.Operator {
+			PostBuild: func(aggRows []types.Row) exec.Operator {
 				var op exec.Operator = &exec.Relation{Rows: aggRows}
-				if sortedOutput && !presorted {
-					op = &exec.Sort{Child: op, Keys: sortKeysForWidth(len(compiledGroups), compiledGroups)}
-				}
 				for _, rs := range residual {
 					op = &exec.Filter{Child: op, Pred: rs}
 				}
@@ -334,16 +331,6 @@ func postKeyString(resid []sql.Expr, sel *sql.Select) string {
 		b.WriteString("|D")
 	}
 	return b.String()
-}
-
-// sortKeysForWidth sorts agg output rows by their group-key columns so the
-// shared path matches HashAgg's SortedOutput determinism.
-func sortKeysForWidth(n int, groups []*expr.Scalar) []exec.SortKey {
-	keys := make([]exec.SortKey, n)
-	for i := 0; i < n; i++ {
-		keys[i] = exec.SortKey{Expr: columnScalar(i, groups[i].Type)}
-	}
-	return keys
 }
 
 // sameExpr reports structural equality of two expressions, resolving

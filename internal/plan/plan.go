@@ -36,20 +36,18 @@ type StreamInfo struct {
 	Window    sql.WindowSpec
 }
 
-// StreamAgg exposes the pieces of a shareable aggregation plan: aggregate
-// (with optional filter) directly over the stream leaf. The stream runtime
-// computes per-slice partials with Pred/GroupBy/Aggs, merges them at each
-// window close, and feeds the merged groups through PostBuild for HAVING,
-// projection, ORDER BY and LIMIT.
+// StreamAgg exposes the pieces of a sliceable aggregation plan: aggregate
+// (with optional filter) directly over the stream leaf. The window-state
+// store (internal/ivm) computes per-slice partials with Pred/GroupBy/Aggs
+// and combines them per window; the stream runtime feeds each window's
+// groups through PostBuild for HAVING, projection, ORDER BY and LIMIT.
 type StreamAgg struct {
 	Pred    *expr.Scalar // nil if no WHERE
 	GroupBy []*expr.Scalar
 	Aggs    []expr.AggSpec
 	// PostBuild assembles the operators that run over the aggregated rows
-	// (group keys ++ agg results). presorted says the rows already arrive
-	// in group-key order (the incremental path emits straight from its
-	// sorted state), letting the plan skip the determinism re-sort.
-	PostBuild func(aggRows []types.Row, presorted bool) exec.Operator
+	// (group keys ++ agg results), which arrive in group-key order.
+	PostBuild func(aggRows []types.Row) exec.Operator
 	// Fingerprint identifies the sliceable computation: two CQs with equal
 	// fingerprints over the same stream can share slice partials. WHERE
 	// conjuncts hoisted into the post stage (see PostKey) are excluded, so
@@ -58,9 +56,8 @@ type StreamAgg struct {
 	Fingerprint string
 	// PostKey canonically identifies the post-aggregation stage (hoisted
 	// residual WHERE conjuncts, HAVING, projection, DISTINCT, ORDER BY,
-	// LIMIT). Plan-level sharing groups CQs by (Fingerprint, window) —
-	// one shared pipeline and state — and runs one post stage per
-	// distinct PostKey within the group.
+	// LIMIT). CQs attached to one view of a store run one post stage per
+	// distinct PostKey.
 	PostKey string
 }
 
@@ -70,12 +67,12 @@ type Plan struct {
 	Columns types.Schema
 	// Stream is non-nil for continuous queries.
 	Stream *StreamInfo
-	// StreamAgg is non-nil when the plan has the shareable aggregate shape.
+	// StreamAgg is non-nil when the plan has the sliceable aggregate shape.
 	StreamAgg *StreamAgg
 	// ReadsNow is set when the plan has that shape but its filter, group
 	// keys or aggregate arguments call now(); StreamAgg is then nil, so the
 	// clock is read once per fire by re-execution instead of per arriving
-	// row by slice or delta maintenance.
+	// row by a store.
 	ReadsNow bool
 	// CloseCol is the output column produced by cq_close(*), or -1; it is
 	// how recovery locates the archived window timestamp (paper §4).

@@ -78,8 +78,8 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 		}
 		if n.streamAgg != nil {
 			post := n.streamAgg.PostBuild
-			n.streamAgg.PostBuild = func(rows []types.Row, presorted bool) exec.Operator {
-				return &exec.Limit{Child: post(rows, presorted), Count: limit, Offset: offset}
+			n.streamAgg.PostBuild = func(rows []types.Row) exec.Operator {
+				return &exec.Limit{Child: post(rows), Count: limit, Offset: offset}
 			}
 			n.streamAgg.PostKey += fmt.Sprintf("|L:%d,%d", limit, offset)
 		}
@@ -303,8 +303,8 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 			Aggs:        n.streamAgg.Aggs,
 			Fingerprint: n.streamAgg.Fingerprint,
 			PostKey:     n.streamAgg.PostKey + ob.String(),
-			PostBuild: func(rows []types.Row, presorted bool) exec.Operator {
-				return &exec.Sort{Child: post(rows, presorted), Keys: keys}
+			PostBuild: func(rows []types.Row) exec.Operator {
+				return &exec.Sort{Child: post(rows), Keys: keys}
 			},
 		}
 	} else if n.streamAgg != nil {

@@ -45,33 +45,20 @@ type Pipeline struct {
 	// SLICES windows: the last n emissions of a derived stream.
 	emissions []emission
 
-	// Shared slice aggregation (nil when not applicable or disabled).
-	shared *sharedAgg
-
-	// Plan-level sharing (see planshare.go). pg is set on a member: the
-	// pipeline is a subscriber of a shared host and receives no row
-	// delivery of its own. hosting is set on the host pipeline that owns
-	// the group's window state and fans post stages out at each close.
-	pg      *planGroup
-	hosting *planGroup
-
-	// Incremental view maintenance (nil when not applicable or disabled):
-	// the pipeline maintains materialized per-group aggregates and fires
-	// from state instead of re-executing the plan over the window.
-	ivm *ivm.State
-	// ivmTouched counts distinct groups changed per fire
-	// (streamrel_ivm_groups_touched_total); nil without a registry.
-	ivmTouched *metrics.Counter
-	// unregIVMGauges detaches the state-size gauges on stop.
-	unregIVMGauges func()
+	// ws is the window-state store (see planshare.go) of a time-windowed
+	// CQ that keeps no buffer of its own; nil means the pipeline buffers
+	// rows above and re-executes its plan. On the store's host (ws.host ==
+	// this pipeline, the one that is fed rows) it is the state pushed into
+	// and fired from; on every other pipeline it marks a member, which
+	// receives no row delivery and is fired by its host.
+	ws *windowStore
 
 	// resumeAfter suppresses closes at or before this boundary; recovery
 	// sets it from the Active Table's high-water mark (paper §4).
 	resumeAfter int64
 
 	// Trace state, touched only on the goroutine that applies this
-	// pipeline's input (its mailbox's drainer, or for a shared-slice member
-	// the producer under the source lock). tc is
+	// pipeline's input (its mailbox's drainer). tc is
 	// the most recent sampled context since the last fire — the next fire
 	// is attributed to it; oldestIngest is the earliest unfired batch's
 	// ingest time (wall ns), the start of the push-to-fire latency the
@@ -80,9 +67,8 @@ type Pipeline struct {
 	oldestIngest int64
 
 	// mbox is where the source hands this pipeline its input; nil exactly
-	// for shared-slice members (shared != nil), which the producer steps
-	// row by row, and for plan-group members, which are fed by their host.
-	// At most one goroutine drains a mailbox at a time and applies tasks
+	// for store members, which are fed by their host. At most one
+	// goroutine drains a mailbox at a time and applies tasks
 	// in queue order, so per-pipeline results do not depend on who drains.
 	mbox     *mailbox
 	stopOnce sync.Once
@@ -109,21 +95,67 @@ type emission struct {
 	rows []types.Row
 }
 
-// newPipeline validates the window against the source and joins a plan
-// group, an incremental state or a shared slice aggregation when the plan
-// shape allows it.
-func newPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) (*Pipeline, error) {
-	return buildPipeline(rt, src, p, sink, true)
+// subscribePipeline builds p's pipeline and puts it where its window state
+// says: a plan that keeps its window in a store (plan.WindowState) becomes
+// a member of that store — created with its host on first use — and any
+// other plan gets a mailbox and a place on the delivery list. Registration
+// of a member is O(1) in the existing subscriber count. Callers hold
+// src.mu.
+func subscribePipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) (*Pipeline, error) {
+	if err := validateWindow(src, p.Stream.Window); err != nil {
+		return nil, err
+	}
+	pipe := newPipeline(rt, src, p, sink)
+	key, strategy, _ := p.WindowState(rt.override)
+	if key == "" {
+		pipe.startMailbox()
+		src.pipes = append(src.pipes, pipe)
+		return pipe, nil
+	}
+	if rt.override == plan.StatePrivate {
+		key += "#" + strconv.FormatInt(pipe.id, 10)
+	}
+	ws := src.stores[key]
+	if ws == nil {
+		var err error
+		if ws, err = newWindowStore(rt, src, p, key, strategy); err != nil {
+			return nil, err
+		}
+		src.stores[key] = ws
+		ws.host.startMailbox()
+		src.pipes = append(src.pipes, ws.host)
+	}
+	ws.attach(pipe)
+	pipe.ws = ws
+	src.members = append(src.members, pipe)
+	return pipe, nil
 }
 
-// buildPipeline is newPipeline with plan-group membership controllable:
-// group hosts are themselves built through it with allowGroup=false so
-// the host gets real window state (IVM preferred, shared slices
-// otherwise) instead of recursively joining its own group. Callers hold
-// src.mu.
-func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup bool) (*Pipeline, error) {
-	w := p.Stream.Window
-	pipe := &Pipeline{rt: rt, src: src, plan: p, win: w, sink: sink, resumeAfter: -1 << 62}
+func validateWindow(src *source, w sql.WindowSpec) error {
+	switch w.Kind {
+	case sql.WindowTime:
+		if w.Visible <= 0 || w.Advance <= 0 {
+			return fmt.Errorf("stream: window extents must be positive")
+		}
+	case sql.WindowRows:
+		if w.Visible <= 0 || w.Advance <= 0 {
+			return fmt.Errorf("stream: window extents must be positive")
+		}
+		if w.Advance > w.Visible {
+			return fmt.Errorf("stream: row window ADVANCE larger than VISIBLE is not supported")
+		}
+	case sql.WindowSlices:
+		if src.cqtimeCol >= 0 {
+			return fmt.Errorf("stream: <SLICES n WINDOWS> applies to derived streams")
+		}
+	}
+	return nil
+}
+
+// newPipeline returns a pipeline with its counters registered and no
+// window state yet.
+func newPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) *Pipeline {
+	pipe := &Pipeline{rt: rt, src: src, plan: p, win: p.Stream.Window, sink: sink, resumeAfter: -1 << 62}
 	pipe.id = rt.nextPipeID.Add(1)
 	if rt.reg != nil {
 		labels := []metrics.Label{
@@ -140,178 +172,44 @@ func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup
 	} else {
 		pipe.rowsSeen, pipe.windowsFired = &metrics.Counter{}, &metrics.Counter{}
 	}
-	switch w.Kind {
-	case sql.WindowTime:
-		if w.Visible <= 0 || w.Advance <= 0 {
-			return nil, fmt.Errorf("stream: window extents must be positive")
-		}
-	case sql.WindowRows:
-		if w.Visible <= 0 || w.Advance <= 0 {
-			return nil, fmt.Errorf("stream: window extents must be positive")
-		}
-		if w.Advance > w.Visible {
-			return nil, fmt.Errorf("stream: row window ADVANCE larger than VISIBLE is not supported")
-		}
-	case sql.WindowSlices:
-		if src.cqtimeCol >= 0 {
-			return nil, fmt.Errorf("stream: <SLICES n WINDOWS> applies to derived streams")
-		}
-	}
-
-	// Plan-level sharing: CQs with the shareable aggregate shape, the same
-	// slice fingerprint and the same window geometry subscribe to one host
-	// pipeline (the first such CQ creates it) instead of building their own
-	// window state. The check runs before IVM so 10k identical dashboards
-	// maintain ONE delta state; the host itself is built through the normal
-	// tail below and so prefers IVM, falling back to shared slices.
-	if allowGroup && rt.planShare && rt.sharing && p.StreamAgg != nil &&
-		w.Kind == sql.WindowTime && w.Visible%w.Advance == 0 {
-		key := planGroupKey(p.StreamAgg.Fingerprint, w.Advance, w.Visible)
-		g, ok := src.groups[key]
-		if !ok {
-			host, err := buildPipeline(rt, src, p, nil, false)
-			if err != nil {
-				return nil, err
-			}
-			g = &planGroup{key: key, host: host}
-			host.hosting = g
-			src.groups[key] = g
-			if host.shared == nil {
-				host.startMailbox()
-			}
-			src.pipes = append(src.pipes, host)
-		}
-		g.attach(pipe, p.StreamAgg.PostKey)
-		pipe.pg = g
-		return pipe, nil
-	}
-
-	// Incremental view maintenance: delta-eligible plans maintain
-	// materialized per-group aggregates and fire in O(groups) instead of
-	// re-scanning O(window rows). Takes precedence over shared slices when
-	// both apply — a fire from state beats a per-fire slice merge on the
-	// wide-window/small-advance dashboard shape (E14); identical-shape CQs
-	// give up slice sharing's per-row dedup in exchange.
-	if rt.ivm {
-		if st, reason := ivm.Compile(p); reason == "" {
-			pipe.ivm = st
-			if rt.reg != nil {
-				pipe.ivmTouched = rt.reg.Counter("streamrel_ivm_groups_touched_total",
-					"distinct groups changed between incremental window fires",
-					metrics.L("stream", src.name))
-				labels := []metrics.Label{
-					metrics.L("stream", src.name),
-					metrics.L("pipe", strconv.FormatInt(pipe.id, 10)),
-				}
-				unregGroups := rt.reg.GaugeFunc("streamrel_ivm_state_groups",
-					"materialized groups held by an incremental pipeline",
-					func() float64 { return float64(st.GroupsN.Load()) }, labels...)
-				unregSlices := rt.reg.GaugeFunc("streamrel_ivm_state_slices",
-					"live slices held by an incremental pipeline",
-					func() float64 { return float64(st.SlicesN.Load()) }, labels...)
-				pipe.unregIVMGauges = func() { unregGroups(); unregSlices() }
-			}
-			return pipe, nil
-		}
-	}
-
-	// Shared slice aggregation: time windows whose VISIBLE is a multiple
-	// of ADVANCE, with the shareable plan shape.
-	if rt.sharing && p.StreamAgg != nil && w.Kind == sql.WindowTime && w.Visible%w.Advance == 0 {
-		key := fmt.Sprintf("%s@%d", p.StreamAgg.Fingerprint, w.Advance)
-		agg, ok := src.shared[key]
-		if !ok {
-			agg = newSharedAgg(key, p.StreamAgg, w.Advance)
-			src.shared[key] = agg
-		}
-		agg.attach(pipe)
-		pipe.shared = agg
-	}
-	return pipe, nil
+	return pipe
 }
 
 // Plan returns the pipeline's compiled plan.
 func (p *Pipeline) Plan() *plan.Plan { return p.plan }
 
-// Shared reports whether this pipeline aggregates via shared slices. A
-// plan-group member reports its host's strategy: that is where its
-// aggregation actually runs.
-func (p *Pipeline) Shared() bool {
-	if p.pg != nil {
-		return p.pg.host.shared != nil
-	}
-	return p.shared != nil
-}
+// isHost reports whether this pipeline is a store's host: internal, fed
+// rows on its members' behalf, never user-facing.
+func (p *Pipeline) isHost() bool { return p.ws != nil && p.ws.host == p }
 
-// Incremental reports whether this pipeline maintains its aggregate
-// incrementally and fires from materialized state (delegated to the host
-// for plan-group members).
-func (p *Pipeline) Incremental() bool {
-	if p.pg != nil {
-		return p.pg.host.ivm != nil
+// Strategy names how this CQ's window is kept and fired — "incremental"
+// (materialized store), "shared" (slice-merging store) or "reexec" — in
+// the vocabulary of span Mode fields and sys.pipelines.mode.
+func (p *Pipeline) Strategy() string {
+	if p.ws != nil {
+		return p.ws.strategy.String()
 	}
-	return p.ivm != nil
-}
-
-// PlanShared reports plan-level sharing membership: the group key
-// (fingerprint@advance/visible) and the current subscriber count.
-func (p *Pipeline) PlanShared() (key string, members int, ok bool) {
-	if p.pg == nil {
-		return "", 0, false
-	}
-	return p.pg.key, int(p.pg.n.Load()), true
-}
-
-// SliceShared reports shared-slice membership for EXPLAIN: the slice key
-// (fingerprint@advance) and how many pipelines feed off that state. A
-// plan-group member reports through its host.
-func (p *Pipeline) SliceShared() (key string, members int, ok bool) {
-	host := p
-	if p.pg != nil {
-		host = p.pg.host
-	}
-	if host.shared == nil {
-		return "", 0, false
-	}
-	p.src.mu.Lock()
-	n := len(host.shared.members)
-	p.src.mu.Unlock()
-	return host.shared.key, n, true
-}
-
-// mode names the fire strategy for trace spans and stats.
-func (p *Pipeline) mode() string {
-	switch {
-	case p.ivm != nil:
-		return "incremental"
-	case p.shared != nil:
-		return "shared"
-	default:
-		return "reexec"
-	}
+	return plan.Reexec.String()
 }
 
 // ResumeAfter suppresses window closes at or before ts; used by recovery
 // so an Active Table is not fed duplicate windows after restart.
 func (p *Pipeline) ResumeAfter(ts int64) {
 	p.resumeAfter = ts
-	if p.win.Kind == sql.WindowTime {
-		// Start the boundary clock just past the resume point.
-		p.nextClose = p.alignUp(ts + 1)
-		p.started = true
-		if p.pg != nil {
-			// A plan-group member never fires itself: the host's clock must
-			// cover the member's resume point, and when members resume from
-			// different high-water marks the earliest one wins so no close
-			// any member still needs is skipped (fanout suppresses per
-			// member).
-			h := p.pg.host
-			nc := h.alignUp(ts + 1)
-			if !h.started || nc < h.nextClose {
-				h.nextClose = nc
-				h.started = true
-			}
-		}
+	if p.win.Kind != sql.WindowTime {
+		return
+	}
+	// Start the boundary clock just past the resume point. A store member
+	// never fires itself: its host's clock must cover the resume point,
+	// and when members resume from different high-water marks the earliest
+	// one wins, so no close any member still needs is skipped (the host's
+	// fire suppresses per member).
+	clock := p
+	if p.ws != nil {
+		clock = p.ws.host
+	}
+	if nc := clock.alignUp(ts + 1); !clock.started || nc < clock.nextClose {
+		clock.nextClose, clock.started = nc, true
 	}
 }
 
@@ -357,12 +255,10 @@ func (p *Pipeline) push(row types.Row, ts int64) error {
 			p.nextClose = p.alignUp(ts + 1)
 			p.started = true
 		}
-		if p.ivm != nil {
-			return p.ivm.Insert(row, ts)
+		if p.ws != nil {
+			return p.ws.state.Insert(row, ts)
 		}
-		if p.shared == nil {
-			p.pending = append(p.pending, tsRow{ts, row})
-		}
+		p.pending = append(p.pending, tsRow{ts, row})
 		return nil
 	case sql.WindowRows:
 		p.rowBuf = append(p.rowBuf, tsRow{ts, row})
@@ -405,13 +301,6 @@ func (p *Pipeline) advanceTo(ts int64) error {
 		p.nextClose += p.win.Advance
 		if c <= p.resumeAfter {
 			p.prune(c)
-			if p.ivm != nil {
-				// Suppressed closes still expire slices, so the state
-				// tracks the window even while recovery mutes output.
-				if err := p.ivm.Expire(c + p.win.Advance - p.win.Visible); err != nil {
-					return err
-				}
-			}
 			continue
 		}
 		if err := p.fireTime(c); err != nil {
@@ -423,43 +312,18 @@ func (p *Pipeline) advanceTo(ts int64) error {
 
 // alignUp returns the smallest multiple of ADVANCE that is >= ts.
 func (p *Pipeline) alignUp(ts int64) int64 {
-	adv := p.win.Advance
-	q := floorDiv(ts, adv)
-	if q*adv < ts {
-		q++
-	}
-	return q * adv
+	return ivm.SliceStart(ts+p.win.Advance-1, p.win.Advance)
 }
 
-// fireTime evaluates the window closing at boundary c: rows with
-// timestamps in [c-VISIBLE, c). The window materialization rides in a
-// pooled container, released once the plan has drained — operators copy
-// row references into fresh output rows and never retain the input
-// slice itself.
+// fireTime evaluates the window closing at boundary c: a store's host
+// closes every view of the store; any other pipeline re-executes its plan
+// over the buffered rows with timestamps in [c-VISIBLE, c). That
+// materialization rides in a pooled container, released once the plan has
+// drained — operators copy row references into fresh output rows and
+// never retain the input slice itself.
 func (p *Pipeline) fireTime(c int64) error {
-	if p.hosting != nil {
-		return p.fireGroup(p.hosting, c)
-	}
-	if p.ivm != nil {
-		aggRows, touched, err := p.ivm.Fire()
-		if err != nil {
-			return err
-		}
-		if p.ivmTouched != nil {
-			p.ivmTouched.Add(int64(touched))
-		}
-		if err := p.runPost(c, aggRows, true); err != nil {
-			return err
-		}
-		// Retract the slice that just left the window.
-		return p.ivm.Expire(c + p.win.Advance - p.win.Visible)
-	}
-	if p.shared != nil {
-		aggRows, err := p.shared.windowRows(c, p.win.Visible)
-		if err != nil {
-			return err
-		}
-		return p.runPost(c, aggRows, false)
+	if p.ws != nil {
+		return p.ws.fire(c)
 	}
 	lo := c - p.win.Visible
 	rb := getRowsBlock(len(p.pending))
@@ -534,77 +398,91 @@ func (p *Pipeline) endEmission(ts int64, rowCount int) error {
 	return err
 }
 
-// run executes the full plan over the window's rows and emits the result.
+// run executes the full plan over the window's rows and delivers the
+// result to the sink.
 func (p *Pipeline) run(c int64, rows []types.Row) error {
-	return p.fire(c, func() exec.Operator { return p.plan.Build(plan.Input{WindowRows: rows}) })
-}
-
-// runPost executes only the post-aggregation stage over merged shared
-// slice results.
-func (p *Pipeline) runPost(c int64, aggRows []types.Row, presorted bool) error {
-	return p.fire(c, func() exec.Operator { return p.plan.StreamAgg.PostBuild(aggRows, presorted) })
-}
-
-// fire evaluates one window close and delivers the result to the sink,
-// recording window-fire and cq-deliver spans when the fire is attributed
-// to a sampled batch, and force-recording (plus logging) fires whose
-// push-to-fire latency exceeds the slow-fire threshold.
-func (p *Pipeline) fire(c int64, build func() exec.Operator) error {
-	tr := p.rt.tracer
-	var start time.Time
-	if p.fireHist != nil || tr != nil {
-		start = time.Now()
-	}
-	ctx := p.rt.snapshotCtx(c)
-	out, err := exec.Drain(ctx, build())
+	ft := p.beginFire()
+	out, err := exec.Drain(p.rt.snapshotCtx(c), p.plan.Build(plan.Input{WindowRows: rows}))
 	if err != nil {
 		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
 	p.windowsFired.Inc()
-	if tr == nil {
-		err = p.sink(trace.Ctx{}, c, out)
-		if p.fireHist != nil {
-			p.fireHist.ObserveSince(start)
-		}
-		return err
-	}
-	execDone := time.Now()
-	tc, slow := p.takeFireCtx(tr, execDone)
+	tc := p.takeFireCtx()
+	p.evaluated(&ft, &tc)
 	err = p.sink(tc, c, out)
-	end := time.Now()
-	if p.fireHist != nil {
-		p.fireHist.Observe(end.Sub(start).Seconds())
-	}
-	if tc.ID != 0 {
-		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWindowFire, Stream: p.src.name,
-			Pipe: p.id, Start: start.UnixMicro(), Dur: execDone.Sub(start).Nanoseconds(),
-			Rows: len(out), Slow: slow, Mode: p.mode()})
-		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageCQDeliver, Stream: p.src.name,
-			Pipe: p.id, Start: execDone.UnixMicro(), Dur: end.Sub(execDone).Nanoseconds(),
-			Rows: len(out), Slow: slow})
-	}
-	if slow {
-		tr.SlowFire(p.src.name, p.id, tc.ID, time.Duration(end.UnixNano()-tc.Ingest),
-			execDone.Sub(start), end.Sub(execDone), len(out))
-	}
+	p.delivered(&ft, tc, len(out))
 	return err
 }
 
-// takeFireCtx consumes the pending trace attribution for one fire. The
-// returned context keeps the oldest unfired ingest time so downstream
-// consumers (derived streams, channels) measure latency from original
-// ingest. A fire over the slow threshold gets a fresh trace ID when its
-// batch was unsampled — slow fires bypass sampling.
-func (p *Pipeline) takeFireCtx(tr *trace.Tracer, execDone time.Time) (trace.Ctx, bool) {
+// fireTimer times one window close for the fire histogram, the
+// window-fire and cq-deliver spans and the slow-fire detector: begin
+// before anything is computed, evaluated once the result rows exist,
+// delivered after the sinks return.
+type fireTimer struct {
+	start, execDone time.Time
+	slow            bool
+}
+
+func (p *Pipeline) beginFire() fireTimer {
+	if p.fireHist != nil || p.rt.tracer != nil {
+		return fireTimer{start: time.Now()}
+	}
+	return fireTimer{}
+}
+
+// takeFireCtx consumes the pending trace attribution for the fires of one
+// boundary. The returned context keeps the oldest unfired ingest time so
+// downstream consumers (derived streams, channels) measure latency from
+// original ingest.
+func (p *Pipeline) takeFireCtx() trace.Ctx {
 	tc := trace.Ctx{ID: p.tc.ID, Ingest: p.oldestIngest}
 	p.tc = trace.Ctx{}
 	p.oldestIngest = 0
-	slow := false
-	if th := tr.Threshold(); th > 0 && tc.Ingest != 0 && execDone.UnixNano()-tc.Ingest > int64(th) {
-		slow = true
+	return tc
+}
+
+// evaluated marks the end of a fire's computation. A fire whose
+// push-to-fire latency is over the slow threshold gets a fresh trace ID
+// when its batch was unsampled — slow fires bypass sampling.
+func (p *Pipeline) evaluated(ft *fireTimer, tc *trace.Ctx) {
+	tr := p.rt.tracer
+	if tr == nil {
+		return
+	}
+	ft.execDone = time.Now()
+	if th := tr.Threshold(); th > 0 && tc.Ingest != 0 && ft.execDone.UnixNano()-tc.Ingest > int64(th) {
+		ft.slow = true
 		if tc.ID == 0 {
 			tc.ID = tr.NewID()
 		}
 	}
-	return tc, slow
+}
+
+// delivered records one fire: the latency observation, the window-fire and
+// cq-deliver spans when the fire is attributed to a sampled batch, and —
+// force-recorded and logged — the slow fire.
+func (p *Pipeline) delivered(ft *fireTimer, tc trace.Ctx, rows int) {
+	tr := p.rt.tracer
+	if tr == nil {
+		if p.fireHist != nil {
+			p.fireHist.ObserveSince(ft.start)
+		}
+		return
+	}
+	end := time.Now()
+	if p.fireHist != nil {
+		p.fireHist.Observe(end.Sub(ft.start).Seconds())
+	}
+	if tc.ID != 0 {
+		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWindowFire, Stream: p.src.name,
+			Pipe: p.id, Start: ft.start.UnixMicro(), Dur: ft.execDone.Sub(ft.start).Nanoseconds(),
+			Rows: rows, Slow: ft.slow, Mode: p.Strategy()})
+		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageCQDeliver, Stream: p.src.name,
+			Pipe: p.id, Start: ft.execDone.UnixMicro(), Dur: end.Sub(ft.execDone).Nanoseconds(),
+			Rows: rows, Slow: ft.slow})
+	}
+	if ft.slow {
+		tr.SlowFire(p.src.name, p.id, tc.ID, time.Duration(end.UnixNano()-tc.Ingest),
+			ft.execDone.Sub(ft.start), end.Sub(ft.execDone), rows)
+	}
 }

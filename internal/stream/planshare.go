@@ -2,54 +2,76 @@ package stream
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"streamrel/internal/exec"
+	"streamrel/internal/ivm"
+	"streamrel/internal/metrics"
+	"streamrel/internal/plan"
 	"streamrel/internal/trace"
 	"streamrel/internal/types"
 )
 
-// Plan-level sharing: continuous queries whose plans are identical after
-// canonicalization — or subsumed: same stream, window and slice
-// fingerprint with a per-subscriber residual filter/projection — register
-// as subscribers of ONE shared host pipeline instead of spawning their
-// own. The host owns the window state (incremental IVM state when the
-// plan is delta-eligible, shared slice partials otherwise) and, at each
-// window close, computes the merged aggregate rows once; subscribers are
-// grouped by their post-stage key (residual filters, HAVING, projection,
-// ORDER BY, LIMIT) and each distinct post stage runs once, its output
-// delivered to every subscriber in that set. 10k identical dashboards
-// therefore maintain one delta state and execute one plan per fire —
-// per-CQ cost is one sink call — while subsumed variants add only their
-// own post stage.
+// windowStore is one slice-partial store (internal/ivm) and everything
+// attached to it. Every continuous query plan.WindowState gives the same
+// key — same stream, slice fingerprint and ADVANCE, whatever its VISIBLE,
+// residual filter, projection or ORDER BY — attaches here instead of
+// keeping window state of its own:
 //
-// Subscribers ("members") are not in the source fan-out list: they see no
-// row delivery, hold no buffers and get no mailbox, so ingest cost does
-// not scale with membership. Member sinks run on whatever goroutine fires
-// the host (whoever drains its mailbox: the producer or a pool worker);
-// rows in a delivered batch are shared across the
-// set's members and must be treated as immutable.
-type planGroup struct {
-	key  string
-	host *Pipeline
+//	store → one view per distinct VISIBLE → one post set per PostKey → members
+//
+// The host pipeline owns the state: it alone is on the source's delivery
+// list, has the mailbox, folds each row into the slice layer once and
+// keeps the one boundary clock all views share. At each close every view
+// computes its window's aggregate rows once, each distinct post stage
+// (residual filters, HAVING, projection, ORDER BY, LIMIT) runs once over
+// them, and its output goes to every member of the set. 10k identical
+// dashboards therefore maintain one state and execute one plan per fire —
+// per-CQ cost is one sink call — and CQs differing only in VISIBLE add a
+// view, not a second copy of the slices.
+//
+// Members are not in the source fan-out list: they see no row delivery,
+// hold no buffers and get no mailbox, so ingest cost does not scale with
+// membership. Member sinks run on whatever goroutine fires the host
+// (whoever drains its mailbox: the producer or a pool worker); rows in a
+// delivered batch are shared across the set's members and must be treated
+// as immutable.
+type windowStore struct {
+	key      string
+	host     *Pipeline
+	state    *ivm.Store
+	strategy plan.Strategy
 
-	// mu serializes fanout against attach/detach, so unsubscribing one
-	// member never races a fire delivering to it.
-	mu   sync.Mutex
-	sets []*postSet
-	n    atomic.Int64 // member count, readable without mu
+	// mu serializes fires against attach/detach, so unsubscribing one
+	// member never races a fire delivering to it, and a view is never
+	// created or dropped under a fire.
+	mu    sync.Mutex
+	views []*storeView
+	n     atomic.Int64 // member count, readable without mu
 
-	// outs is fanout's per-fire scratch (guarded by mu).
+	// outs is fire's per-view scratch (guarded by mu).
 	outs []setOut
+
+	// touched counts distinct groups changed per fire
+	// (streamrel_ivm_groups_touched_total); nil without a registry.
+	touched *metrics.Counter
+	// unregGauges detaches the state-size gauges when the host stops.
+	unregGauges func()
 }
 
-// postSet is the subscribers sharing one canonical post stage.
+// storeView is the members sharing one window extent.
+type storeView struct {
+	view *ivm.View
+	sets []*postSet
+}
+
+// postSet is the members sharing one canonical post stage.
 type postSet struct {
 	key     string
 	members []*Pipeline
-	run     []*Pipeline // per-fire scratch: live members (guarded by group mu)
+	run     []*Pipeline // per-fire scratch: live members (guarded by store mu)
 }
 
 type setOut struct {
@@ -57,106 +79,147 @@ type setOut struct {
 	run []*Pipeline
 }
 
-// planGroupKey identifies one shared pipeline: slice fingerprint plus the
-// exact window geometry (members share window state, so the window must
-// match exactly — unlike slice sharing, which only requires ADVANCE).
-func planGroupKey(fp string, advance, visible int64) string {
-	return fmt.Sprintf("%s@%d/%d", fp, advance, visible)
+// newWindowStore builds the store for key with its host pipeline, taking
+// the slice computation from p. Callers hold src.mu.
+func newWindowStore(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.Strategy) (*windowStore, error) {
+	state, err := ivm.New(p.StreamAgg, p.Stream.Window.Advance, strategy == plan.Materialized)
+	if err != nil {
+		return nil, err
+	}
+	ws := &windowStore{key: key, state: state, strategy: strategy}
+	ws.host = newPipeline(rt, src, p, nil)
+	ws.host.ws = ws
+	if rt.reg != nil {
+		stream := metrics.L("stream", src.name)
+		pipe := metrics.L("pipe", strconv.FormatInt(ws.host.id, 10))
+		ws.touched = rt.reg.Counter("streamrel_ivm_groups_touched_total",
+			"distinct groups changed between incremental window fires", stream)
+		unregGroups := rt.reg.GaugeFunc("streamrel_ivm_state_groups",
+			"live groups held by a window-state store",
+			func() float64 { return float64(state.GroupsN.Load()) }, stream, pipe)
+		unregSlices := rt.reg.GaugeFunc("streamrel_ivm_state_slices",
+			"slices retained by a window-state store",
+			func() float64 { return float64(state.SlicesN.Load()) }, stream, pipe)
+		ws.unregGauges = func() { unregGroups(); unregSlices() }
+	}
+	return ws, nil
 }
 
-func (g *planGroup) attach(m *Pipeline, postKey string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, s := range g.sets {
+// attach adds m to the view of its VISIBLE (created on first use: it
+// starts from the slices the store retains) and to the post set of its
+// PostKey.
+func (ws *windowStore) attach(m *Pipeline) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	ws.n.Add(1)
+	var sv *storeView
+	for _, v := range ws.views {
+		if v.view.Visible() == m.win.Visible {
+			sv = v
+			break
+		}
+	}
+	if sv == nil {
+		sv = &storeView{view: ws.state.Attach(m.win.Visible)}
+		ws.views = append(ws.views, sv)
+	}
+	postKey := m.plan.StreamAgg.PostKey
+	for _, s := range sv.sets {
 		if s.key == postKey {
 			s.members = append(s.members, m)
-			g.n.Add(1)
 			return
 		}
 	}
-	g.sets = append(g.sets, &postSet{key: postKey, members: []*Pipeline{m}})
-	g.n.Add(1)
+	sv.sets = append(sv.sets, &postSet{key: postKey, members: []*Pipeline{m}})
 }
 
-func (g *planGroup) detach(m *Pipeline) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for si, s := range g.sets {
-		for i, x := range s.members {
-			if x == m {
+// detach removes m; a set, and then a view, goes with its last member, and
+// the store's retention shrinks with its widest view.
+func (ws *windowStore) detach(m *Pipeline) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	for vi, sv := range ws.views {
+		for si, s := range sv.sets {
+			for i, x := range s.members {
+				if x != m {
+					continue
+				}
 				last := len(s.members) - 1
 				s.members[i] = s.members[last]
 				s.members[last] = nil
 				s.members = s.members[:last]
-				if len(s.members) == 0 {
-					g.sets = append(g.sets[:si], g.sets[si+1:]...)
+				if last == 0 {
+					sv.sets = append(sv.sets[:si], sv.sets[si+1:]...)
 				}
-				g.n.Add(-1)
+				if len(sv.sets) == 0 {
+					ws.state.Detach(sv.view)
+					ws.views = append(ws.views[:vi], ws.views[vi+1:]...)
+				}
+				ws.n.Add(-1)
 				return
 			}
 		}
 	}
 }
 
-// clearMembers empties the group (host failure cascade) and returns the
+// clearMembers empties the store (host failure cascade) and returns the
 // orphaned members.
-func (g *planGroup) clearMembers() []*Pipeline {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+func (ws *windowStore) clearMembers() []*Pipeline {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
 	var ms []*Pipeline
-	for _, s := range g.sets {
-		ms = append(ms, s.members...)
+	for _, sv := range ws.views {
+		for _, s := range sv.sets {
+			ms = append(ms, s.members...)
+		}
 	}
-	g.sets = nil
-	g.n.Store(0)
+	ws.views = nil
+	ws.n.Store(0)
 	return ms
 }
 
-// fireGroup is the host's window close: compute the merged aggregate rows
-// once from the host's state, then fan the post stages out to members.
-func (p *Pipeline) fireGroup(g *planGroup, c int64) error {
-	if p.ivm != nil {
-		aggRows, touched, err := p.ivm.Fire()
-		if err != nil {
+// fire is the host's close of boundary c: every view closes its window in
+// turn, then the store drops the slices nothing reads any more. One
+// window-fire/cq-deliver span pair and one fire-latency observation are
+// recorded per view close (member count is a fan-out width, not extra
+// windows), all attributed to the batch that proved the boundary complete.
+// An error is the store's own — state it can no longer maintain — and
+// fails the host and with it every member.
+func (ws *windowStore) fire(c int64) error {
+	host := ws.host
+	tc := host.takeFireCtx()
+	ctx := host.rt.snapshotCtx(c)
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	for _, sv := range ws.views {
+		if err := ws.fireView(sv, c, ctx, &tc); err != nil {
 			return err
 		}
-		if p.ivmTouched != nil {
-			p.ivmTouched.Add(int64(touched))
-		}
-		if err := g.fanout(p, c, aggRows, true); err != nil {
-			return err
-		}
-		return p.ivm.Expire(c + p.win.Advance - p.win.Visible)
 	}
-	if p.shared != nil {
-		aggRows, err := p.shared.windowRows(c, p.win.Visible)
-		if err != nil {
-			return err
-		}
-		return g.fanout(p, c, aggRows, false)
-	}
-	return fmt.Errorf("stream: plan-group host has no shared window state")
+	ws.state.Expire(c)
+	return nil
 }
 
-// fanout runs one post stage per distinct PostKey over the host's merged
-// aggregate rows and delivers each output to its set's live members. A
-// member whose post stage or sink fails is marked failed and skipped —
-// isolation: one subscriber's failure never disturbs the host's state or
-// its peers — and the source sweeps it out on the next producer call.
-// Trace spans and the fire histogram are recorded once per host fire
-// (member count is a fan-out width, not extra windows).
-func (g *planGroup) fanout(host *Pipeline, c int64, aggRows []types.Row, presorted bool) error {
-	tr := host.rt.tracer
-	var start time.Time
-	if host.fireHist != nil || tr != nil {
-		start = time.Now()
+// fireView closes one view's window: the timer starts before the store is
+// asked for the window, so the view's maintenance — adding the slice that
+// closed, retracting the one that left — and the O(groups) emission are
+// inside the window-fire span with the post stages. A member whose post
+// stage or sink fails is marked failed and skipped — isolation: one
+// subscriber's failure never disturbs the store or its peers — and the
+// source sweeps it out on the next producer call.
+func (ws *windowStore) fireView(sv *storeView, c int64, ctx *exec.Ctx, tc *trace.Ctx) error {
+	host := ws.host
+	ft := host.beginFire()
+	aggRows, touched, err := sv.view.Fire(c)
+	if err != nil {
+		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
-	ctx := host.rt.snapshotCtx(c)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	outs := g.outs[:0]
+	if ws.touched != nil {
+		ws.touched.Add(int64(touched))
+	}
+	outs := ws.outs[:0]
 	rows := 0
-	for _, set := range g.sets {
+	for _, set := range sv.sets {
 		run := set.run[:0]
 		for _, m := range set.members {
 			if c > m.resumeAfter && !m.failed.Load() {
@@ -167,7 +230,7 @@ func (g *planGroup) fanout(host *Pipeline, c int64, aggRows []types.Row, presort
 		if len(run) == 0 {
 			continue
 		}
-		out, err := exec.Drain(ctx, run[0].plan.StreamAgg.PostBuild(aggRows, presorted))
+		out, err := exec.Drain(ctx, run[0].plan.StreamAgg.PostBuild(aggRows))
 		if err != nil {
 			err = fmt.Errorf("stream: window close at %d: %w", c, err)
 			for _, m := range run {
@@ -179,47 +242,17 @@ func (g *planGroup) fanout(host *Pipeline, c int64, aggRows []types.Row, presort
 		rows += len(out)
 		outs = append(outs, setOut{out: out, run: run})
 	}
-	g.outs = outs
+	ws.outs = outs
 	host.windowsFired.Inc()
-	if tr == nil {
-		g.deliver(host, trace.Ctx{}, c, outs)
-		if host.fireHist != nil {
-			host.fireHist.ObserveSince(start)
-		}
-		return nil
-	}
-	execDone := time.Now()
-	tc, slow := host.takeFireCtx(tr, execDone)
-	g.deliver(host, tc, c, outs)
-	end := time.Now()
-	if host.fireHist != nil {
-		host.fireHist.Observe(end.Sub(start).Seconds())
-	}
-	if tc.ID != 0 {
-		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWindowFire, Stream: host.src.name,
-			Pipe: host.id, Start: start.UnixMicro(), Dur: execDone.Sub(start).Nanoseconds(),
-			Rows: rows, Slow: slow, Mode: host.mode()})
-		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageCQDeliver, Stream: host.src.name,
-			Pipe: host.id, Start: execDone.UnixMicro(), Dur: end.Sub(execDone).Nanoseconds(),
-			Rows: rows, Slow: slow})
-	}
-	if slow {
-		tr.SlowFire(host.src.name, host.id, tc.ID, time.Duration(end.UnixNano()-tc.Ingest),
-			execDone.Sub(start), end.Sub(execDone), rows)
-	}
-	return nil
-}
-
-// deliver hands each set's output to its members. The output slice is
-// shared across a set (rows are immutable); a failing sink marks only its
-// own member.
-func (g *planGroup) deliver(host *Pipeline, tc trace.Ctx, c int64, outs []setOut) {
+	host.evaluated(&ft, tc)
+	// The output slice is shared across a set (rows are immutable); a
+	// failing sink marks only its own member.
 	for _, so := range outs {
 		for _, m := range so.run {
 			if m.failed.Load() {
 				continue
 			}
-			if err := m.sink(tc, c, so.out); err != nil {
+			if err := m.sink(*tc, c, so.out); err != nil {
 				m.fail(err)
 				host.src.failedMembers.Add(1)
 				continue
@@ -227,4 +260,6 @@ func (g *planGroup) deliver(host *Pipeline, tc trace.Ctx, c int64, outs []setOut
 			m.windowsFired.Inc()
 		}
 	}
+	host.delivered(&ft, *tc, rows)
+	return nil
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"streamrel/internal/catalog"
+	"streamrel/internal/plan"
 	"streamrel/internal/trace"
 	"streamrel/internal/types"
 )
@@ -75,22 +75,10 @@ func TestSlidingMultiplicityProperty(t *testing.T) {
 	}
 }
 
-// TestFloorDivQuick: floorDiv is real floored division for any inputs.
-func TestFloorDivQuick(t *testing.T) {
-	f := func(a int64, b int64) bool {
-		b = b%1000 + 1001 // positive divisor
-		q := floorDiv(a, b)
-		return q*b <= a && (q+1)*b > a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPruneKeepsExactlyTheLiveExtent: after a close at c, the pipeline's
 // buffer holds only rows a future window can still read.
 func TestPruneKeepsExactlyTheLiveExtent(t *testing.T) {
-	e := newEnv(t, false) // unshared so the raw buffer is in use
+	e := newEnv(t, false) // re-executing, so the raw buffer is in use
 	pipe, _ := e.subscribe(t, `SELECT count(*) FROM url_stream <VISIBLE '3 minutes' ADVANCE '1 minute'>`)
 	for m := 0; m < 10; m++ {
 		e.hit(t, "/x", int64(100+m)*minute+1, "ip")
@@ -107,20 +95,29 @@ func TestPruneKeepsExactlyTheLiveExtent(t *testing.T) {
 	}
 }
 
-// TestSharedSliceGC: slices older than every member's extent are dropped.
-func TestSharedSliceGC(t *testing.T) {
-	e := newEnv(t, true)
-	pipe, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
-	if !pipe.Shared() {
-		t.Fatal("expected shared path")
-	}
-	// The CQ is a plan-group member; the slice state lives on its host.
-	host := pipe.pg.host
-	for m := 0; m < 30; m++ {
-		e.hit(t, "/x", int64(100+m)*minute+1, "ip")
-	}
-	if got := len(host.shared.slices); got > 5 {
-		t.Fatalf("shared slice map grew to %d entries (GC not working)", got)
+// TestStoreRetention: a store keeps the slices its widest view can still
+// read and no more — bounded over a 30-minute run under every store
+// strategy, and shrinking once the widest view's last member leaves.
+func TestStoreRetention(t *testing.T) {
+	for _, override := range []plan.StateOverride{plan.StateAuto, plan.StateMerge} {
+		e := newEnvOverride(t, override)
+		narrow, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
+		wide, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY url`)
+		state := narrow.ws.state
+		if wide.ws != narrow.ws {
+			t.Fatal("CQs differing only in VISIBLE must attach to one store")
+		}
+		for m := 0; m < 30; m++ {
+			e.hit(t, "/x", int64(100+m)*minute+1, "ip")
+			if got := state.SlicesN.Load(); got > 12 {
+				t.Fatalf("override %d: %d slices retained under a 10-minute view", override, got)
+			}
+		}
+		e.rt.Unsubscribe(wide)
+		e.hit(t, "/x", 130*minute+1, "ip")
+		if got := state.SlicesN.Load(); got > 4 {
+			t.Fatalf("override %d: %d slices retained after the 10-minute view left a 2-minute one", override, got)
+		}
 	}
 }
 

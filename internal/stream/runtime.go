@@ -1,7 +1,8 @@
 // Package stream implements the continuous-query runtime: stream sources,
 // window processing ("windows produce a sequence of tables", paper Fig. 1),
-// derived streams, channels into Active Tables, and shared slice-based
-// aggregation across continuous queries (paper refs [4],[12]).
+// derived streams, channels into Active Tables, and the attachment of
+// continuous queries to shared slice-based window state (paper refs
+// [4],[12]; the state itself is internal/ivm).
 //
 // Execution model: stream time is driven by data (CQTIME values) and by
 // explicit heartbeats. Sources require non-decreasing timestamps; when
@@ -13,8 +14,8 @@
 // Concurrency: the runtime keeps a read-mostly source registry behind an
 // RWMutex, and each source carries its own mutex, so pushes to distinct
 // streams never contend. Within one source there is one delivery path:
-// every pipeline that is not a shared-slice member owns a mailbox of
-// micro-batch tasks, the source enqueues each batch, heartbeat and
+// every pipeline on the delivery list owns a mailbox of micro-batch
+// tasks, the source enqueues each batch, heartbeat and
 // emission on it, and at most one goroutine drains a mailbox at a time,
 // in arrival order. Who drains is a scheduling policy. By default the
 // enqueuing goroutine drains the mailboxes it just fed, in subscription
@@ -27,11 +28,12 @@
 // identical, and fan-out to N continuous queries uses up to GOMAXPROCS
 // cores instead of one.
 //
-// On top of delivery, plan-level sharing (SetPlanSharing) folds continuous
-// queries whose canonical plans are identical — or subsumed, differing
-// only in residual filters/projections hoisted past the aggregate — into
-// one host pipeline that owns the window state; subscribers receive the
-// host's fires through per-shape post stages (see planshare.go).
+// A time-windowed continuous query is in one of two states. Either it is
+// attached to a window-state store — one per (stream, slice fingerprint,
+// ADVANCE), owned by a host pipeline that is the only thing on the
+// delivery list for all of its members, whatever their VISIBLE, residual
+// filter or projection (see planshare.go) — or it buffers rows and
+// re-executes its plan at each close.
 package stream
 
 import (
@@ -46,7 +48,6 @@ import (
 	"streamrel/internal/exec"
 	"streamrel/internal/metrics"
 	"streamrel/internal/plan"
-	"streamrel/internal/sql"
 	"streamrel/internal/trace"
 	"streamrel/internal/txn"
 	"streamrel/internal/types"
@@ -93,18 +94,9 @@ type Runtime struct {
 	closed  bool
 
 	mgr *txn.Manager
-	// Sharing enables shared slice aggregation across CQs with identical
-	// fingerprints (the paper's "Jellybean" shared processing). It can be
-	// disabled to measure its benefit (experiment E3).
-	sharing bool
-	// ivm enables incremental view maintenance: delta-eligible pipelines
-	// maintain materialized per-group aggregates and fire from state.
-	ivm bool
-	// planShare enables plan-level sharing: CQs with identical (or
-	// subsumed) canonical plans subscribe to one shared host pipeline
-	// instead of spawning their own (see planshare.go). Defaults to the
-	// sharing flag; requires sharing for the host's fallback state.
-	planShare bool
+	// override replaces plan.WindowState's automatic decision (ablations
+	// and tests).
+	override plan.StateOverride
 	// parallel is the per-pipeline mailbox backpressure bound in
 	// micro-batches; 0 means no pool: producers drain the mailboxes.
 	parallel int
@@ -143,24 +135,18 @@ type Runtime struct {
 }
 
 // NewRuntime creates a runtime bound to the transaction manager (window
-// consistency takes its snapshots there). now is the clock a fire's now()
-// calls read; nil means the wall clock.
-func NewRuntime(mgr *txn.Manager, sharing bool, now func() time.Time) *Runtime {
+// consistency takes its snapshots there). override is handed to
+// plan.WindowState for every subscription; now is the clock a fire's
+// now() calls read, nil meaning the wall clock.
+func NewRuntime(mgr *txn.Manager, override plan.StateOverride, now func() time.Time) *Runtime {
 	return &Runtime{
 		sources:     make(map[string]*source),
 		mgr:         mgr,
-		sharing:     sharing,
-		planShare:   sharing,
+		override:    override,
 		now:         now,
 		lateDropped: &metrics.Counter{},
 	}
 }
-
-// SetPlanSharing toggles plan-level sharing independently of slice
-// sharing (experiments isolate the two layers). It has no effect when
-// slice sharing is disabled — a group host needs the shared machinery as
-// its fallback window state. Call once, before subscribing.
-func (r *Runtime) SetPlanSharing(on bool) { r.planShare = on }
 
 // SetMetrics binds the runtime to a metrics registry so stream, pipeline
 // and window-fire series register there. Call once, before sources are
@@ -183,7 +169,7 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 		n := 0
 		for _, src := range r.snapshotSources() {
 			src.mu.Lock()
-			n += len(src.pipes) - len(src.groups) + len(src.members)
+			n += len(src.pipes) - len(src.stores) + len(src.members)
 			src.mu.Unlock()
 		}
 		return float64(n)
@@ -191,17 +177,17 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("streamrel_stream_sources", "registered stream sources", sources)
 	reg.GaugeFunc("streamrel_stream_pipelines", "live continuous-query pipelines", pipelines)
 	reg.GaugeFunc("streamrel_plan_groups",
-		"plan-sharing groups (one shared host pipeline each)", func() float64 {
+		"window-state stores (one host pipeline each)", func() float64 {
 			n := 0
 			for _, src := range r.snapshotSources() {
 				src.mu.Lock()
-				n += len(src.groups)
+				n += len(src.stores)
 				src.mu.Unlock()
 			}
 			return float64(n)
 		})
 	reg.GaugeFunc("streamrel_plan_subscribers",
-		"continuous queries subscribed to plan-sharing groups", func() float64 {
+		"continuous queries attached to window-state stores", func() float64 {
 			n := 0
 			for _, src := range r.snapshotSources() {
 				src.mu.Lock()
@@ -217,20 +203,10 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 // begins; nil keeps tracing disabled.
 func (r *Runtime) SetTracer(t *trace.Tracer) { r.tracer = t }
 
-// SetIVM enables incremental view maintenance: every subsequently
-// subscribed pipeline whose plan is delta-eligible (plan.DeltaProgram)
-// maintains materialized per-group aggregates — insert deltas per row,
-// retract deltas per expired slice — and fires from state in O(groups)
-// instead of re-executing over O(window rows). Eligible pipelines prefer
-// this over shared slice aggregation. Call once, before subscribing.
-func (r *Runtime) SetIVM(on bool) { r.ivm = on }
-
 // SetParallel hands mailbox draining to the shared work-stealing worker
 // pool: mailboxes are bounded at depth tasks on the producer path
 // (blocking backpressure) and producers no longer wait for window fires.
 // depth < 1 keeps the default, where the enqueuing goroutine drains.
-// Pipelines that join a shared slice aggregation have no mailbox and run
-// on the producer either way — the shared state is the point of sharing.
 // Call once, after SetMetrics and before subscribing.
 func (r *Runtime) SetParallel(depth int) {
 	if depth < 1 {
@@ -256,19 +232,18 @@ type source struct {
 	hasTS  bool
 	pipes  []*Pipeline
 	taps   []*Sink
-	shared map[string]*sharedAgg // key: fingerprint + advance
 	// claimed is enqueue's per-call scratch: the mailboxes the enqueuing
 	// goroutine claimed and must drain before releasing mu.
 	claimed []*Pipeline
 
-	// Plan-level sharing. Group hosts live in pipes (they are the ones
-	// fed rows); members live only here, so delivery cost is O(hosts) no
-	// matter how many CQs subscribe. failedMembers counts members whose
-	// post stage or sink failed asynchronously during a fanout, letting
+	// Window-state stores by key. Store hosts live in pipes (they are the
+	// ones fed rows); members live only here, so delivery cost is O(hosts)
+	// no matter how many CQs subscribe. failedMembers counts members whose
+	// post stage or sink failed asynchronously during a fire, letting
 	// sweepFailedLocked skip the member scan on the common path. retired
 	// holds hosts detached under the source lock (a host must never be
 	// stopped while it is held); whoever drops the lock stops them.
-	groups        map[string]*planGroup // key: fingerprint @ advance / visible
+	stores        map[string]*windowStore
 	members       []*Pipeline
 	failedMembers atomic.Int64
 	retired       []*Pipeline
@@ -313,8 +288,7 @@ func (r *Runtime) registerSource(name string, schema types.Schema, cqtimeCol int
 		schema:    schema,
 		cqtimeCol: cqtimeCol,
 		internal:  internal,
-		shared:    make(map[string]*sharedAgg),
-		groups:    make(map[string]*planGroup),
+		stores:    make(map[string]*windowStore),
 		rows:      r.reg.Counter(rowsName, rowsHelp, metrics.L("stream", name)),
 	}
 	return nil
@@ -343,7 +317,7 @@ func (s *source) detachAll() []*Pipeline {
 	pipes := append(s.pipes, s.members...)
 	pipes = append(pipes, s.retired...)
 	s.pipes, s.members, s.retired = nil, nil, nil
-	s.groups = make(map[string]*planGroup)
+	s.stores = make(map[string]*windowStore)
 	return pipes
 }
 
@@ -381,11 +355,14 @@ func (r *Runtime) snapshotSources() []*source {
 // the pipeline handle. The plan must reference a stream.
 //
 // Subscription-time semantics: a new CQ starts observing from the next
-// arriving event. Its earliest windows may be partial with respect to
-// history — in unshared mode the buffer starts empty; in shared mode the
-// first windows may additionally see slices retained for longer-extent
-// members. Queries needing exact history replay it from an archive table
-// instead (INSERT INTO stream SELECT … ORDER BY ts).
+// arriving event, and its earliest windows may be partial with respect to
+// history. One rule says how partial: a CQ that attaches to a store (see
+// plan.WindowState) reads windows over whatever slices that store still
+// retains in its extent — nothing when it is the store's first member,
+// up to the widest existing member's VISIBLE otherwise — and a CQ that
+// cannot attach starts from an empty buffer. Queries needing exact
+// history replay it from an archive table instead (INSERT INTO stream
+// SELECT … ORDER BY ts).
 func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 	if p.Stream == nil {
 		return nil, fmt.Errorf("stream: plan is not a continuous query")
@@ -402,24 +379,7 @@ func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	pipe, err := newPipeline(r, src, p, sink)
-	if err != nil {
-		return nil, err
-	}
-	if pipe.pg != nil {
-		// Plan-group member: the host (created on demand inside
-		// newPipeline) is the subscriber the source delivers to; the
-		// member only receives post-stage fanout, so it joins the member
-		// list and nothing else — registration cost is O(1) in the
-		// existing subscriber count.
-		src.members = append(src.members, pipe)
-		return pipe, nil
-	}
-	if pipe.shared == nil {
-		pipe.startMailbox()
-	}
-	src.pipes = append(src.pipes, pipe)
-	return pipe, nil
+	return subscribePipeline(r, src, p, sink)
 }
 
 // Unsubscribe detaches a pipeline and stops its mailbox, discarding any
@@ -438,43 +398,28 @@ func (r *Runtime) Unsubscribe(pipe *Pipeline) {
 }
 
 // detachLocked removes a pipeline from the fan-out lists. Detaching the
-// last member of a plan group retires its host (the caller stops retired
+// last member of a store retires its host (the caller stops retired
 // hosts after releasing s.mu); detaching a failed host orphans its
 // members. Callers hold s.mu.
 func (s *source) detachLocked(pipe *Pipeline) {
-	if g := pipe.pg; g != nil {
-		for i, m := range s.members {
-			if m == pipe {
-				s.members = append(s.members[:i], s.members[i+1:]...)
-				break
-			}
-		}
-		if pipe.failed.Load() {
-			s.failedMembers.Add(-1)
-		}
-		g.detach(pipe)
-		if g.n.Load() == 0 && s.groups[g.key] == g {
-			s.detachLocked(g.host)
-			s.retired = append(s.retired, g.host)
+	ws := pipe.ws
+	if ws != nil && !pipe.isHost() {
+		s.dropMember(pipe)
+		ws.detach(pipe)
+		if ws.n.Load() == 0 && s.stores[ws.key] == ws {
+			s.detachLocked(ws.host)
+			s.retired = append(s.retired, ws.host)
 		}
 		return
 	}
-	if g := pipe.hosting; g != nil {
-		if s.groups[g.key] == g {
-			delete(s.groups, g.key)
+	if ws != nil {
+		if s.stores[ws.key] == ws {
+			delete(s.stores, ws.key)
 		}
 		// Host failure cascade: the members' window state is gone, so they
 		// are orphaned (their single shared error surfaces via the host).
-		for _, m := range g.clearMembers() {
-			for i, x := range s.members {
-				if x == m {
-					s.members = append(s.members[:i], s.members[i+1:]...)
-					break
-				}
-			}
-			if m.failed.Load() {
-				s.failedMembers.Add(-1)
-			}
+		for _, m := range ws.clearMembers() {
+			s.dropMember(m)
 		}
 	}
 	for i, p := range s.pipes {
@@ -483,11 +428,19 @@ func (s *source) detachLocked(pipe *Pipeline) {
 			break
 		}
 	}
-	if pipe.shared != nil {
-		pipe.shared.detach(pipe)
-		if len(pipe.shared.members) == 0 {
-			delete(s.shared, pipe.shared.key)
+}
+
+// dropMember takes a store member off the member list and out of the
+// failed-member count.
+func (s *source) dropMember(m *Pipeline) {
+	for i, x := range s.members {
+		if x == m {
+			s.members = append(s.members[:i], s.members[i+1:]...)
+			break
 		}
+	}
+	if m.failed.Load() {
+		s.failedMembers.Add(-1)
 	}
 }
 
@@ -511,8 +464,8 @@ func (s *source) sweepFailedLocked() error {
 		}
 		i++
 	}
-	// Plan-group members fail asynchronously inside fanout (their post
-	// stage or sink); the counter keeps this scan off the common path.
+	// Store members fail asynchronously inside their host's fire (their
+	// post stage or sink); the counter keeps this scan off the common path.
 	if s.failedMembers.Load() > 0 {
 		for i := 0; i < len(s.members); {
 			m := s.members[i]
@@ -694,9 +647,8 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
 // fed first, so pool workers chew on the batch while this goroutine runs
 // the taps — one call per batch, so a channel's transaction, WAL append
 // and fsync are per BATCH, and a window firing mid-batch sees the whole
-// batch archived — then the shared-slice members, then the mailboxes it
-// claimed. Failures are swept last: a failing tap, member or pipeline
-// never keeps the batch from its peers. bounded applies the mailbox
+// batch archived — then the mailboxes it claimed. Failures are swept
+// last: a failing tap or pipeline never keeps the batch from its peers. bounded applies the mailbox
 // backpressure bound — true only on the external producer path, never
 // for work originating inside the pool (see worker.go). Callers hold s.mu.
 func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
@@ -714,11 +666,6 @@ func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
 		}
 		rb.put()
 	}
-	if len(s.shared) > 0 {
-		if err := s.stepSharedLocked(t); err != nil {
-			errs = append(errs, err)
-		}
-	}
 	s.drainClaimedLocked()
 	if err := s.sweepFailedLocked(); err != nil {
 		errs = append(errs, err)
@@ -727,7 +674,7 @@ func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
 }
 
 // enqueue puts one task on every mailbox of the source — the only way
-// work reaches a non-shared pipeline — recording an enqueue span
+// work reaches a pipeline — recording an enqueue span
 // (duration = backpressure wait) for sampled batches. Each enqueue takes
 // one reference on the task's batch block (or one count on its flush
 // barrier), given back when the task is applied or dropped. The enqueuer
@@ -738,9 +685,6 @@ func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
 func (s *source) enqueue(r *Runtime, t task, bounded bool) {
 	claim := r.parallel == 0 || len(s.pipes) == 1
 	for _, pipe := range s.pipes {
-		if pipe.mbox == nil {
-			continue
-		}
 		if t.block != nil {
 			t.block.retain()
 		}
@@ -772,56 +716,6 @@ func (s *source) drainClaimedLocked() {
 		s.claimed[i] = nil
 	}
 	s.claimed = s.claimed[:0]
-}
-
-// stepSharedLocked applies one task to the shared slice aggregations and
-// their member pipelines, which have no mailbox: they keep exact per-row
-// interleaving with the shared slice state, in the order row-at-a-time
-// delivery used — member closes fire against the slice state before the
-// row is folded in. A failing member is marked for the sweep and skipped.
-func (s *source) stepSharedLocked(t task) error {
-	if t.kind == taskAdvance {
-		s.advanceSharedLocked(t.ts)
-		return nil
-	}
-	for _, pipe := range s.pipes {
-		if pipe.shared != nil {
-			pipe.noteBatch(t.tc)
-		}
-	}
-	for _, tr := range t.batch {
-		s.advanceSharedLocked(tr.ts)
-		for _, pipe := range s.pipes {
-			if pipe.shared == nil || pipe.failed.Load() {
-				continue
-			}
-			if err := pipe.push(tr.row, tr.ts); err != nil {
-				pipe.fail(err)
-			}
-		}
-		for _, agg := range s.shared {
-			if err := agg.push(tr.row, tr.ts); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// advanceSharedLocked closes the shared members' windows up to ts, then
-// moves the slice state they fired against.
-func (s *source) advanceSharedLocked(ts int64) {
-	for _, pipe := range s.pipes {
-		if pipe.shared == nil || pipe.failed.Load() {
-			continue
-		}
-		if err := pipe.advanceTo(ts); err != nil {
-			pipe.fail(err)
-		}
-	}
-	for _, agg := range s.shared {
-		agg.advanceTo(ts)
-	}
 }
 
 // Advance moves a stream's clock to ts (a heartbeat), closing any windows
@@ -989,38 +883,20 @@ func (r *Runtime) Close() error {
 	return errors.Join(errs...)
 }
 
-// SharingInfo reports the live sharing state the given plan would join if
-// subscribed now: the plan-group key with its current subscriber count
-// and the slice-sharing key with its member count. Empty keys mean the
-// corresponding layer does not apply (shape ineligible or disabled);
-// EXPLAIN renders this without subscribing anything.
-func (r *Runtime) SharingInfo(p *plan.Plan) (groupKey string, subscribers int, sliceKey string, sliceMembers int) {
-	if p.Stream == nil || p.StreamAgg == nil {
-		return "", 0, "", 0
-	}
-	w := p.Stream.Window
-	if w.Kind != sql.WindowTime || w.Advance <= 0 || w.Visible%w.Advance != 0 {
-		return "", 0, "", 0
-	}
-	src, err := r.lookup(p.Stream.Name)
+// StoreMembers reports how many continuous queries are attached to the
+// window-state store key of a stream right now; EXPLAIN renders it
+// without subscribing anything.
+func (r *Runtime) StoreMembers(stream, key string) int {
+	src, err := r.lookup(stream)
 	if err != nil {
-		return "", 0, "", 0
+		return 0
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	if r.sharing {
-		sliceKey = fmt.Sprintf("%s@%d", p.StreamAgg.Fingerprint, w.Advance)
-		if agg := src.shared[sliceKey]; agg != nil {
-			sliceMembers = len(agg.members)
-		}
-		if r.planShare {
-			groupKey = planGroupKey(p.StreamAgg.Fingerprint, w.Advance, w.Visible)
-			if g := src.groups[groupKey]; g != nil {
-				subscribers = int(g.n.Load())
-			}
-		}
+	if ws := src.stores[key]; ws != nil {
+		return int(ws.n.Load())
 	}
-	return groupKey, subscribers, sliceKey, sliceMembers
+	return 0
 }
 
 // snapshotCtx builds the per-window execution context: a fresh snapshot at
@@ -1037,21 +913,16 @@ func (r *Runtime) snapshotCtx(closeTS int64) *exec.Ctx {
 // Stats reports runtime counters for tests and the REPL.
 type Stats struct {
 	Sources int
-	// Pipelines counts user-facing continuous queries: plan-group members
-	// and standalone pipelines. Internal group hosts are excluded.
-	Pipelines     int
-	SharedAggs    int
-	SharedMembers int
-	// PlanGroups counts plan-sharing groups (one shared host pipeline
-	// each); PlanSubscribers counts the CQs subscribed to them.
+	// Pipelines counts user-facing continuous queries: store members and
+	// re-executing pipelines. Internal store hosts are excluded.
+	Pipelines int
+	// PlanGroups counts window-state stores (one host pipeline each);
+	// PlanSubscribers counts the CQs attached to them.
 	PlanGroups      int
 	PlanSubscribers int
-	// IncrementalPipes counts pipelines firing from materialized IVM state.
-	IncrementalPipes int
-	WindowsFired     int64
-	RowsProcessed    int64
-	SliceHitShares   int64
-	LateDropped      int64
+	WindowsFired    int64
+	RowsProcessed   int64
+	LateDropped     int64
 	// Scheduler counters (zero without a work-stealing pool).
 	// SchedWorkers is the pool size, SchedRunnable the pipelines queued
 	// awaiting a worker, SchedSteals/SchedParks the lifetime steal and
@@ -1077,13 +948,12 @@ type PipelineStats struct {
 	RowsSeen     int64
 	// QueueDepth is the number of micro-batch tasks queued in the
 	// pipeline's mailbox; 0 between calls when producers drain, and for
-	// shared-slice members, which have none.
+	// store members, which have none.
 	QueueDepth int
-	Shared     bool
-	// Incremental marks pipelines firing from materialized IVM state.
-	Incremental bool
-	// PlanShared marks plan-group members: Shared/Incremental then name
-	// the host's strategy and RowsSeen mirrors the host's intake.
+	// Strategy is Pipeline.Strategy: "incremental", "shared" or "reexec".
+	Strategy string
+	// PlanShared marks store members: RowsSeen then mirrors the host's
+	// intake.
 	PlanShared bool
 }
 
@@ -1092,33 +962,18 @@ type PipelineStats struct {
 // those rows prove, so loading windowsFired first guarantees the returned
 // pair never shows more fires than its rows justify.
 func (p *Pipeline) statsSnapshot() PipelineStats {
-	if g := p.pg; g != nil {
+	ps := PipelineStats{Stream: p.src.name, ID: p.id, Strategy: p.Strategy(), PlanShared: p.ws != nil}
+	ps.WindowsFired = p.windowsFired.Value()
+	if p.ws != nil {
 		// Member snapshot: its own fires, the host's row intake (rows the
-		// shared pipeline consumed on this CQ's behalf). Member fires
-		// trail host fires, which trail the host's row count, so the load
-		// order preserves the invariant above.
-		ps := PipelineStats{
-			Stream:      p.src.name,
-			ID:          p.id,
-			Shared:      g.host.shared != nil,
-			Incremental: g.host.ivm != nil,
-			PlanShared:  true,
-		}
-		ps.WindowsFired = p.windowsFired.Value()
-		ps.RowsSeen = g.host.rowsSeen.Value()
+		// store consumed on this CQ's behalf). Member fires trail host
+		// fires, which trail the host's row count, so the load order
+		// preserves the invariant above.
+		ps.RowsSeen = p.ws.host.rowsSeen.Value()
 		return ps
 	}
-	ps := PipelineStats{
-		Stream:      p.src.name,
-		ID:          p.id,
-		Shared:      p.shared != nil,
-		Incremental: p.ivm != nil,
-	}
-	ps.WindowsFired = p.windowsFired.Value()
 	ps.RowsSeen = p.rowsSeen.Value()
-	if p.mbox != nil {
-		ps.QueueDepth = p.mbox.depth()
-	}
+	ps.QueueDepth = p.mbox.depth()
 	return ps
 }
 
@@ -1138,28 +993,21 @@ func (r *Runtime) Stats() Stats {
 	s.Sources = len(sources)
 	for _, src := range sources {
 		src.mu.Lock()
-		s.Pipelines += len(src.pipes) - len(src.groups) + len(src.members)
-		s.SharedAggs += len(src.shared)
-		for _, agg := range src.shared {
-			s.SharedMembers += len(agg.members)
-		}
-		s.PlanGroups += len(src.groups)
+		s.Pipelines += len(src.pipes) - len(src.stores) + len(src.members)
+		s.PlanGroups += len(src.stores)
 		s.PlanSubscribers += len(src.members)
 		pipes := append([]*Pipeline(nil), src.pipes...)
 		pipes = append(pipes, src.members...)
 		src.mu.Unlock()
 		for _, pipe := range pipes {
-			if pipe.hosting != nil {
-				// Internal group hosts are an implementation detail; their
+			if pipe.isHost() {
+				// Internal store hosts are an implementation detail; their
 				// work is attributed to their members.
 				continue
 			}
 			ps := pipe.statsSnapshot()
 			s.WindowsFired += ps.WindowsFired
 			s.RowsProcessed += ps.RowsSeen
-			if ps.Incremental {
-				s.IncrementalPipes++
-			}
 			s.PerPipeline = append(s.PerPipeline, ps)
 		}
 	}

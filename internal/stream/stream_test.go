@@ -28,9 +28,22 @@ type env struct {
 	rt  *Runtime
 }
 
+// newEnv builds a runtime pinned to one side of the window-state
+// decision: sharing attaches sliceable CQs to stores that merge their
+// slices per fire (plan.StateMerge), !sharing makes every CQ buffer and
+// re-execute (plan.StateReexec). The automatic setting, which also
+// materializes, is covered by newEnvOverride(t, plan.StateAuto).
 func newEnv(t *testing.T, sharing bool) *env {
 	t.Helper()
-	e := &env{cat: catalog.New(), mgr: txn.NewManager(), rt: NewRuntime(txnMgr(), sharing, nil)}
+	if sharing {
+		return newEnvOverride(t, plan.StateMerge)
+	}
+	return newEnvOverride(t, plan.StateReexec)
+}
+
+func newEnvOverride(t *testing.T, override plan.StateOverride) *env {
+	t.Helper()
+	e := &env{cat: catalog.New(), mgr: txn.NewManager(), rt: NewRuntime(txnMgr(), override, nil)}
 	e.rt.mgr = e.mgr
 	if _, err := e.cat.CreateStream("url_stream", types.Schema{
 		{Name: "url", Type: types.TypeString},
@@ -143,8 +156,8 @@ func TestScalarAggEmptyWindow(t *testing.T) {
 	for _, sharing := range []bool{true, false} {
 		e := newEnv(t, sharing)
 		pipe, out := e.subscribe(t, `SELECT count(*), sum(length(url)) FROM url_stream <ADVANCE '1 minute'>`)
-		if sharing != pipe.Shared() {
-			t.Fatalf("sharing=%v but pipe.Shared()=%v", sharing, pipe.Shared())
+		if want := map[bool]string{true: "shared", false: "reexec"}[sharing]; pipe.Strategy() != want {
+			t.Fatalf("sharing=%v but pipe.Strategy()=%s", sharing, pipe.Strategy())
 		}
 		e.rt.Advance("url_stream", 10*minute) // starts the clock
 		e.rt.Advance("url_stream", 12*minute)
@@ -207,8 +220,9 @@ func TestRowWindow(t *testing.T) {
 }
 
 // TestSharedMatchesUnshared is the central sharing property: identical
-// queries, shared vs unshared, over identical random input, produce
-// identical batches.
+// queries, attached to a store (merging per fire, mode 0; materialized
+// where the aggregates allow, mode 2) vs re-executing (mode 1), over
+// identical random input, produce identical batches.
 func TestSharedMatchesUnshared(t *testing.T) {
 	queries := []string{
 		`SELECT url, count(*) FROM url_stream <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY url`,
@@ -233,15 +247,18 @@ func TestSharedMatchesUnshared(t *testing.T) {
 	end := ts + 10*minute
 
 	for qi, q := range queries {
-		var results [2][]batch
-		for mode := 0; mode < 2; mode++ {
-			e := newEnv(t, mode == 0)
+		var results [3][]batch
+		for mode, override := range []plan.StateOverride{plan.StateMerge, plan.StateReexec, plan.StateAuto} {
+			e := newEnvOverride(t, override)
 			pipe, out := e.subscribe(t, q)
-			if mode == 0 && !pipe.Shared() {
-				t.Fatalf("query %d: expected shared path", qi)
+			if mode == 0 && pipe.Strategy() != "shared" {
+				t.Fatalf("query %d: expected a merging store, got %s", qi, pipe.Strategy())
 			}
-			if mode == 1 && pipe.Shared() {
-				t.Fatalf("query %d: sharing disabled but still shared", qi)
+			if mode == 1 && pipe.Strategy() != "reexec" {
+				t.Fatalf("query %d: store overridden off but strategy is %s", qi, pipe.Strategy())
+			}
+			if mode == 2 && pipe.Strategy() == "reexec" {
+				t.Fatalf("query %d: expected a store", qi)
 			}
 			for _, ev := range events {
 				if err := e.rt.Push("url_stream", ev); err != nil {
@@ -252,6 +269,9 @@ func TestSharedMatchesUnshared(t *testing.T) {
 			results[mode] = *out
 		}
 		a, b := flatten(results[0]), flatten(results[1])
+		if auto := flatten(results[2]); strings.Join(auto, "\n") != strings.Join(b, "\n") {
+			t.Errorf("query %d: automatic and unshared outputs differ", qi)
+		}
 		if strings.Join(a, "\n") != strings.Join(b, "\n") {
 			t.Errorf("query %d: shared and unshared outputs differ\nshared: %d lines\nunshared: %d lines",
 				qi, len(a), len(b))
@@ -265,8 +285,8 @@ func TestSharedMatchesUnshared(t *testing.T) {
 	}
 }
 
-// TestSharingDeduplicatesWork: k identical CQs share one slice
-// aggregation.
+// TestSharingDeduplicatesWork: k identical CQs share one store, and a CQ
+// that differs only in VISIBLE adds a view to it, not a store.
 func TestSharingDeduplicatesWork(t *testing.T) {
 	e := newEnv(t, true)
 	const k = 5
@@ -275,13 +295,8 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 		_, out := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '5 minutes' ADVANCE '1 minute'> GROUP BY url`)
 		outs = append(outs, out)
 	}
-	// Plan-level sharing folds the k identical CQs into ONE group host;
-	// that host is the sole member of the slice aggregation.
 	st := e.rt.Stats()
 	if st.PlanGroups != 1 || st.PlanSubscribers != k {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.SharedAggs != 1 || st.SharedMembers != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.Pipelines != k {
@@ -294,13 +309,13 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 			t.Fatalf("subscriber %d: %+v", i, *out)
 		}
 	}
-	// Different window extents still share slices when ADVANCE matches:
-	// the new extent gets its own plan group whose host joins the SAME
-	// slice aggregation — the two sharing layers compose.
-	_, _ = e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
-	if st := e.rt.Stats(); st.SharedAggs != 1 || st.SharedMembers != 2 ||
-		st.PlanGroups != 2 || st.PlanSubscribers != k+1 {
+	// Different window extents still share slices when ADVANCE matches.
+	pipe, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
+	if st := e.rt.Stats(); st.PlanGroups != 1 || st.PlanSubscribers != k+1 {
 		t.Fatalf("stats after mixed-visible subscribe: %+v", st)
+	}
+	if got := len(pipe.ws.views); got != 2 {
+		t.Fatalf("store has %d views, want one per VISIBLE", got)
 	}
 }
 
@@ -313,7 +328,7 @@ func TestUnsubscribe(t *testing.T) {
 	if len(*out) != 0 {
 		t.Fatalf("unsubscribed pipeline fired: %v", *out)
 	}
-	if st := e.rt.Stats(); st.Pipelines != 0 || st.SharedAggs != 0 {
+	if st := e.rt.Stats(); st.Pipelines != 0 || st.PlanGroups != 0 {
 		t.Fatalf("stats after unsubscribe: %+v", st)
 	}
 }

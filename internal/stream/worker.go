@@ -12,7 +12,7 @@ import (
 )
 
 // Mailboxes: the one hand-off between a source and its pipelines. Every
-// pipeline that is not a shared-slice member owns a mailbox — a FIFO of
+// pipeline on a source's delivery list owns a mailbox — a FIFO of
 // micro-batch tasks — and at most one goroutine drains it at a time, so
 // tasks — and therefore rows and window closes — are applied in exactly
 // the order the producer enqueued them. Who drains is the only thing the
@@ -234,8 +234,8 @@ func dropTask(t task) {
 // call multiple times; pipelines without a mailbox only detach gauges.
 func (p *Pipeline) stop() {
 	p.stopOnce.Do(func() {
-		if p.unregIVMGauges != nil {
-			p.unregIVMGauges()
+		if p.isHost() && p.ws.unregGauges != nil {
+			p.ws.unregGauges()
 		}
 		if p.mbox == nil {
 			return

@@ -301,13 +301,7 @@ func labelsOf(s *metrics.Sample) string {
 func pipelineRows(st stream.Stats) []types.Row {
 	rows := make([]types.Row, 0, len(st.PerPipeline))
 	for _, ps := range st.PerPipeline {
-		mode := "reexec"
-		switch {
-		case ps.Incremental:
-			mode = "incremental"
-		case ps.Shared:
-			mode = "shared"
-		}
+		mode := ps.Strategy
 		if ps.PlanShared {
 			mode += "+plan"
 		}

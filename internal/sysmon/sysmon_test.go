@@ -109,9 +109,9 @@ func TestTickLabelsColumn(t *testing.T) {
 
 func TestPipelineRows(t *testing.T) {
 	st := stream.Stats{PerPipeline: []stream.PipelineStats{
-		{Stream: "a", ID: 1, WindowsFired: 3, RowsSeen: 30},
-		{Stream: "b", ID: 2, Incremental: true, QueueDepth: 5},
-		{Stream: "c", ID: 3, Shared: true, PlanShared: true},
+		{Stream: "a", ID: 1, Strategy: "reexec", WindowsFired: 3, RowsSeen: 30},
+		{Stream: "b", ID: 2, Strategy: "incremental", QueueDepth: 5},
+		{Stream: "c", ID: 3, Strategy: "shared", PlanShared: true},
 	}}
 	rows := pipelineRows(st)
 	if len(rows) != 3 {

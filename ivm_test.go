@@ -31,78 +31,72 @@ func collectBatches(t *testing.T, cq *CQ) []string {
 	}
 }
 
-// TestIVMModeSelection pins where the incremental path engages: eligible
-// shapes report Incremental, ineligible ones fall back, DisableIVM turns
-// it off, and EXPLAIN names the mode with the fallback reason.
+// TestIVMModeSelection pins the one window-state decision: which shapes
+// attach to a store and with which fire strategy, which re-execute and
+// why, what the override changes, and that CQ.Strategy and EXPLAIN's
+// mode/state lines say the same thing.
 func TestIVMModeSelection(t *testing.T) {
 	cases := []struct {
-		q           string
-		incremental bool
+		q        string
+		strategy string
+		state    string // fragment of EXPLAIN's state line
 	}{
 		{`SELECT url, count(*), sum(v), avg(v), min(v), max(v)
-			FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`, true},
-		{`SELECT count(*) FROM s <VISIBLE '30 seconds' ADVANCE '30 seconds'>`, true},
-		{`SELECT sum(v) FROM s <VISIBLE '1 minute' ADVANCE '20 seconds'> WHERE url = '/a'`, true},
-		// count(DISTINCT …) has no retract form.
-		{`SELECT url, count(distinct v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`, false},
+			FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`, "incremental", "view 1m0s (materialized), 0 members"},
+		{`SELECT count(*) FROM s <VISIBLE '30 seconds' ADVANCE '30 seconds'>`, "incremental", "view 30s (materialized)"},
+		{`SELECT sum(v) FROM s <VISIBLE '1 minute' ADVANCE '20 seconds'> WHERE url = '/a'`, "incremental", "(materialized)"},
+		// count(DISTINCT …) has no retract form: the store merges slices.
+		{`SELECT url, count(distinct v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`,
+			"shared", "(merge: count(DISTINCT …) has no retract form)"},
 		// stddev has no delta form.
-		{`SELECT stddev(v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'>`, false},
+		{`SELECT stddev(v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'>`,
+			"shared", "(merge: aggregate stddev has no delta form)"},
 		// Row windows re-execute.
-		{`SELECT url, count(*) FROM s <VISIBLE 100 ROWS ADVANCE 10 ROWS> GROUP BY url`, false},
-		// VISIBLE not a multiple of ADVANCE.
-		{`SELECT count(*) FROM s <VISIBLE '45 seconds' ADVANCE '20 seconds'>`, false},
+		{`SELECT url, count(*) FROM s <VISIBLE 100 ROWS ADVANCE 10 ROWS> GROUP BY url`,
+			"reexec", "state: reexec (window is not a time window)"},
+		{`SELECT count(*) FROM s <VISIBLE '45 seconds' ADVANCE '20 seconds'>`,
+			"reexec", "state: reexec (VISIBLE is not a multiple of ADVANCE)"},
 		// Projection without aggregation re-executes per window.
-		{`SELECT url FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> WHERE v > 3`, false},
+		{`SELECT url FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> WHERE v > 3`,
+			"reexec", "state: reexec (plan is not a filter/group-by aggregate directly over the stream)"},
 		// now() is read once per fire, not per arriving row.
-		{`SELECT url, count(*) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> WHERE at < now() GROUP BY url`, false},
+		{`SELECT url, count(*) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> WHERE at < now() GROUP BY url`,
+			"reexec", "state: reexec (reads now())"},
+	}
+	check := func(e *Engine, q, strategy, state string) {
+		t.Helper()
+		plan := strings.Join(rowStrings(mustExec(t, e, "EXPLAIN "+q).Rows), "\n")
+		if !strings.Contains(plan, "mode: "+strategy+"\n") || !strings.Contains(plan, state) {
+			t.Errorf("EXPLAIN misses %q / %q:\n%s", "mode: "+strategy, state, plan)
+		}
+		cq, err := e.Subscribe(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cq.Close()
+		if cq.Strategy != strategy {
+			t.Errorf("Strategy = %s, want %s\n%s", cq.Strategy, strategy, q)
+		}
 	}
 	e := openMemMode(t, "incremental")
 	mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
-	for i, c := range cases {
-		cq, err := e.Subscribe(c.q)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if cq.Incremental != c.incremental {
-			t.Errorf("case %d: Incremental = %v, want %v\n%s", i, cq.Incremental, c.incremental, c.q)
-		}
-		ex := mustExec(t, e, "EXPLAIN "+c.q)
-		plan := strings.Join(rowStrings(ex.Rows), "\n")
-		wantMode := "mode: incremental"
-		if !c.incremental {
-			wantMode = "mode: reexec ("
-		}
-		if !strings.Contains(plan, wantMode) {
-			t.Errorf("case %d: EXPLAIN missing %q:\n%s", i, wantMode, plan)
-		}
-		cq.Close()
+	for _, c := range cases {
+		check(e, c.q, c.strategy, c.state)
 	}
-
-	// DisableIVM restores the old paths and EXPLAIN says so.
-	off := openMemMode(t, "shared")
-	mustExec(t, off, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
-	cq, err := off.Subscribe(cases[0].q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cq.Close()
-	if cq.Incremental {
-		t.Error("DisableIVM engine still reports Incremental")
-	}
-	if !cq.SharedAggregation {
-		t.Error("DisableIVM engine should fall back to shared slices for this shape")
-	}
-	ex := mustExec(t, off, "EXPLAIN "+cases[0].q)
-	plan := strings.Join(rowStrings(ex.Rows), "\n")
-	if !strings.Contains(plan, "mode: reexec (incremental maintenance disabled)") {
-		t.Errorf("EXPLAIN with DisableIVM:\n%s", plan)
+	for mode, state := range map[string]string{
+		"shared": "(merge: window-state override), 0 members",
+		"reexec": "state: reexec (window-state override)",
+	} {
+		off := openMemMode(t, mode)
+		mustExec(t, off, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+		check(off, cases[0].q, mode, state)
 	}
 }
 
 // TestNowReadAtFire pins when and from which clock a CQ reads now():
 // Config.Now, once per fire. A plan whose filter calls now() must not be
-// maintained per arriving row (delta state or shared slices would compare
-// each row against the clock at its arrival), so with any engine
+// maintained per arriving row (a store would compare each row against the
+// clock at its arrival), so with any engine
 // configuration it re-executes, says so in EXPLAIN, and counts only the
 // rows older than the fixed clock.
 func TestNowReadAtFire(t *testing.T) {
@@ -117,9 +111,8 @@ func TestNowReadAtFire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cq.Incremental || cq.SharedAggregation {
-			t.Errorf("%s: a plan reading now() is maintained per row (incremental %v, shared %v)",
-				mode, cq.Incremental, cq.SharedAggregation)
+		if cq.Strategy != "reexec" {
+			t.Errorf("%s: a plan reading now() is maintained per row (strategy %s)", mode, cq.Strategy)
 		}
 		rows := make([]Row, 30)
 		for i := range rows {
@@ -134,7 +127,7 @@ func TestNowReadAtFire(t *testing.T) {
 			t.Errorf("%s: fires = %q, want %q", mode, got, want)
 		}
 		plan := strings.Join(rowStrings(mustExec(t, e, "EXPLAIN "+q).Rows), "\n")
-		if !strings.Contains(plan, "mode: reexec (reads now())") {
+		if !strings.Contains(plan, "state: reexec (reads now())") {
 			t.Errorf("%s: EXPLAIN does not name the reason:\n%s", mode, plan)
 		}
 		cq.Close()
@@ -266,7 +259,7 @@ func TestIVMParallelRetraction(t *testing.T) {
 // suppresses already-archived closes via the table's cq_close high-water
 // mark), and once the window refills past the resume point the Active
 // Table is byte-identical to (a) an engine that never restarted and (b)
-// the same restart with IVM disabled.
+// the same restart re-executing.
 func TestIVMRecoveryActiveTables(t *testing.T) {
 	const ddl = `
 		CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint);
@@ -294,8 +287,8 @@ func TestIVMRecoveryActiveTables(t *testing.T) {
 		return sb.String()
 	}
 	// run drives the same workload with an optional mid-stream restart.
-	run := func(dir string, disableIVM, restart bool) string {
-		cfg := Config{Dir: dir, DisableIVM: disableIVM}
+	run := func(dir string, override StateOverride, restart bool) string {
+		cfg := Config{Dir: dir, StateOverride: override}
 		e, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -316,9 +309,8 @@ func TestIVMRecoveryActiveTables(t *testing.T) {
 			if e, err = Open(cfg); err != nil {
 				t.Fatal(err)
 			}
-			st := e.Stats()
-			if !disableIVM && st.IncrementalPipes == 0 {
-				t.Fatal("restarted engine lost the incremental pipeline")
+			if st := e.Stats(); override == StateAuto && (len(st.PerPipeline) != 1 || st.PerPipeline[0].Strategy != "incremental") {
+				t.Fatalf("restarted engine lost the incremental pipeline: %+v", st.PerPipeline)
 			}
 		}
 		// Phase 2 refills the window far past the resume point; the final
@@ -335,9 +327,9 @@ func TestIVMRecoveryActiveTables(t *testing.T) {
 		}
 		return out
 	}
-	straight := run(t.TempDir(), false, false)
-	restarted := run(t.TempDir(), false, true)
-	reexec := run(t.TempDir(), true, true)
+	straight := run(t.TempDir(), StateAuto, false)
+	restarted := run(t.TempDir(), StateAuto, true)
+	reexec := run(t.TempDir(), StateReexec, true)
 	if straight == "" {
 		t.Fatal("empty Active Table")
 	}
@@ -366,7 +358,7 @@ func TestIVMGroupsVanish(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scalar.Close()
-	if !grouped.Incremental || !scalar.Incremental {
+	if grouped.Strategy != "incremental" || scalar.Strategy != "incremental" {
 		t.Fatal("expected incremental pipelines")
 	}
 	ts := ivmBase

@@ -45,8 +45,8 @@ func feedPlanShare(t *testing.T, e *Engine, seed int64) {
 	}
 }
 
-// TestPlanSharingTranscriptsIdentical: k identical CQs collapse into ONE
-// plan-sharing group over ONE incrementally maintained state, and every
+// TestPlanSharingTranscriptsIdentical: k identical CQs attach to ONE
+// store with ONE view and ONE post set over it, and every
 // subscriber's fire transcript is byte-identical — in the synchronous
 // engine and under the work-stealing scheduler (run with -race). Closing
 // one subscriber mid-stream must not disturb the others.
@@ -67,8 +67,8 @@ func TestPlanSharingTranscriptsIdentical(t *testing.T) {
 			if cqs[i], err = e.Subscribe(q); err != nil {
 				t.Fatal(err)
 			}
-			if !cqs[i].Incremental {
-				t.Fatalf("parallel=%d cq %d: expected incremental (IVM) host", parallel, i)
+			if cqs[i].Strategy != "incremental" {
+				t.Fatalf("parallel=%d cq %d: expected a materialized store, got %s", parallel, i, cqs[i].Strategy)
 			}
 		}
 		st := e.Stats()
@@ -112,7 +112,7 @@ func TestPlanSharingTranscriptsIdentical(t *testing.T) {
 
 // TestPlanSharingSubsumption: CQs that differ only in a residual WHERE
 // over the group key (and in projection/ORDER BY) are subsumed into the
-// same group — one shared state, one post stage per distinct shape — and
+// same store — one shared state, one post stage per distinct shape — and
 // each still answers exactly as if it ran alone.
 func TestPlanSharingSubsumption(t *testing.T) {
 	run := func(cfg Config) (full, filtered, ordered string, st RuntimeStats) {
@@ -143,13 +143,13 @@ func TestPlanSharingSubsumption(t *testing.T) {
 
 	full, filtered, ordered, st := run(Config{})
 	// The residual filter and the mirrored ORDER BY hoist into post
-	// stages, so all three subscribe to one group.
+	// stages, so all three attach to one store.
 	if st.PlanGroups != 1 || st.PlanSubscribers != 3 {
 		t.Fatalf("stats with sharing: %+v", st)
 	}
-	soloFull, soloFiltered, soloOrdered, soloSt := run(Config{DisablePlanSharing: true})
-	if soloSt.PlanGroups != 0 || soloSt.PlanSubscribers != 0 {
-		t.Fatalf("stats without plan sharing: %+v", soloSt)
+	soloFull, soloFiltered, soloOrdered, soloSt := run(Config{StateOverride: StatePrivate})
+	if soloSt.PlanGroups != 3 || soloSt.PlanSubscribers != 3 {
+		t.Fatalf("stats with a store apiece: %+v", soloSt)
 	}
 	if full != soloFull {
 		t.Error("shared full-group transcript differs from unshared run")

@@ -96,6 +96,17 @@ const (
 	LateClamp
 )
 
+// StateOverride is the type of Config.StateOverride.
+type StateOverride = plan.StateOverride
+
+// Values of Config.StateOverride.
+const (
+	StateAuto    = plan.StateAuto
+	StateReexec  = plan.StateReexec
+	StateMerge   = plan.StateMerge
+	StatePrivate = plan.StatePrivate
+)
+
 // Config controls engine behaviour.
 type Config struct {
 	// Dir is the data directory for the write-ahead log and checkpoints.
@@ -110,19 +121,19 @@ type Config struct {
 	// fsync (see internal/wal). 0 writes immediately; concurrency alone
 	// still forms groups. Only meaningful with SyncWAL.
 	GroupCommitMaxDelay time.Duration
-	// DisableSharing turns off shared slice aggregation across continuous
-	// queries; experiment E3 measures its benefit.
-	DisableSharing bool
-	// DisableIVM turns off incremental view maintenance: delta-eligible
-	// continuous queries then fall back to shared slices or re-execution.
-	// Experiment E14 measures the incremental path's benefit.
-	DisableIVM bool
-	// DisablePlanSharing turns off plan-level sharing: continuous queries
-	// with identical (or subsumed) canonical plans then each build their
-	// own window state instead of subscribing to one shared host pipeline.
-	// Slice sharing (DisableSharing) is unaffected. Experiment E15
-	// measures the benefit at high CQ counts.
-	DisablePlanSharing bool
+	// StateOverride replaces the engine's own choice of window state, for
+	// ablations and tests; production configurations leave it zero.
+	// Automatically, a continuous query that is a filter/group-by aggregate
+	// over one time-windowed stream with VISIBLE a multiple of ADVANCE
+	// attaches to the slice-partial store of its (stream, fingerprint,
+	// ADVANCE) — materialized when every aggregate can be retracted,
+	// slice-merging otherwise — and anything else re-executes its plan over
+	// buffered rows (DESIGN.md "Window state"). StateReexec makes every CQ
+	// re-execute (the equivalence oracle; E3's and E14's baseline),
+	// StateMerge keeps the stores but never materializes (E3's shared
+	// arm), StatePrivate gives each CQ a store of its own (N independent
+	// pipelines: E9, E11, E12, E14, E16).
+	StateOverride StateOverride
 	// LateRows chooses what happens to out-of-order stream input:
 	// reject (default), drop, or clamp to the high-water mark.
 	LateRows LateRowPolicy
@@ -237,9 +248,7 @@ func Open(cfg Config) (*Engine, error) {
 	if e.reg == nil {
 		e.reg = metrics.NewRegistry()
 	}
-	e.rt = stream.NewRuntime(e.mgr, !cfg.DisableSharing, cfg.Now)
-	e.rt.SetIVM(!cfg.DisableIVM)
-	e.rt.SetPlanSharing(!cfg.DisableSharing && !cfg.DisablePlanSharing)
+	e.rt = stream.NewRuntime(e.mgr, cfg.StateOverride, cfg.Now)
 	e.rt.SetMetrics(e.reg)
 	e.rt.Late = stream.LatePolicy(cfg.LateRows)
 	e.rt.SetParallel(cfg.ParallelCQ)

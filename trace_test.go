@@ -80,7 +80,7 @@ func driveOneWindow(t *testing.T, e *Engine, rows int) {
 func TestTraceChain(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"depth0": {TraceSampleEvery: 1},
-		"depth2": {TraceSampleEvery: 1, ParallelCQ: 2, DisableSharing: true},
+		"depth2": {TraceSampleEvery: 1, ParallelCQ: 2, StateOverride: StatePrivate},
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := openTrace(t, cfg)
@@ -203,7 +203,7 @@ func TestTracingDisabled(t *testing.T) {
 // TestTraceConcurrentReads races concurrent appends against Traces()
 // snapshots (run under -race).
 func TestTraceConcurrentReads(t *testing.T) {
-	e := openTrace(t, Config{TraceSampleEvery: 1, ParallelCQ: 2, DisableSharing: true,
+	e := openTrace(t, Config{TraceSampleEvery: 1, ParallelCQ: 2, StateOverride: StatePrivate,
 		LateRows: LateClamp, TraceRingSpans: 256})
 	defer e.Close()
 	mustExec(t, e, `CREATE STREAM s (v bigint, at timestamp CQTIME USER)`)
