@@ -81,9 +81,10 @@ bench-selftest:
 # that parse untrusted bytes off disk and off the wire, the tagged-JSON
 # wire codec against the reflective codec it replaced (and the metrics
 # samples that ride in it), the shard router's batch split/merge
-# round-trip, the incremental-maintenance
-# equivalence property (delta-maintained fires == re-executed fires for
-# arbitrary append/advance sequences), and the row-key encoding every hash
+# round-trip, the window-state equivalence property (what a store fires —
+# several views of one store, materialized and slice-merging, with CQs
+# detaching mid-run — == what re-execution fires, for arbitrary
+# append/advance/close sequences), and the row-key encoding every hash
 # operator groups by (equal keys == equal rows, self-delimiting).
 FUZZTIME ?= 30s
 fuzz:

@@ -45,7 +45,7 @@ func E9(s Scale) (*Table, error) {
 	t.Metrics = map[string]float64{}
 	run := func(k, parallel int, mode string) (time.Duration, error) {
 		reg := metrics.NewRegistry()
-		eng, err := streamrel.Open(streamrel.Config{StateOverride:  streamrel.StatePrivate, ParallelCQ: parallel, Metrics: reg})
+		eng, err := streamrel.Open(streamrel.Config{StateOverride: streamrel.StatePrivate, ParallelCQ: parallel, Metrics: reg})
 		if err != nil {
 			return 0, err
 		}

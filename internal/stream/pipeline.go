@@ -36,7 +36,8 @@ type Pipeline struct {
 	// boundary to close.
 	pending   []tsRow
 	nextClose int64
-	started   bool
+	started   bool // the clock has seen its first event
+	resumed   bool // nextClose holds a resume point (ResumeAfter)
 
 	// Row windows: the last `visible` rows; countdown to the next close.
 	rowBuf       []tsRow
@@ -199,17 +200,17 @@ func (p *Pipeline) ResumeAfter(ts int64) {
 	if p.win.Kind != sql.WindowTime {
 		return
 	}
-	// Start the boundary clock just past the resume point. A store member
-	// never fires itself: its host's clock must cover the resume point,
-	// and when members resume from different high-water marks the earliest
-	// one wins, so no close any member still needs is skipped (the host's
-	// fire suppresses per member).
+	// The boundary clock will start no later than just past the resume
+	// point. A store member never fires itself: its host's clock must
+	// cover the resume point, and when members resume from different
+	// high-water marks the earliest one wins, so no close any member still
+	// needs is skipped (the host's fire suppresses per member).
 	clock := p
 	if p.ws != nil {
 		clock = p.ws.host
 	}
-	if nc := clock.alignUp(ts + 1); !clock.started || nc < clock.nextClose {
-		clock.nextClose, clock.started = nc, true
+	if nc := clock.alignUp(ts + 1); !clock.resumed || nc < clock.nextClose {
+		clock.nextClose, clock.resumed = nc, true
 	}
 }
 
@@ -251,10 +252,6 @@ func (p *Pipeline) push(row types.Row, ts int64) error {
 	p.rowsSeen.Inc()
 	switch p.win.Kind {
 	case sql.WindowTime:
-		if !p.started {
-			p.nextClose = p.alignUp(ts + 1)
-			p.started = true
-		}
 		if p.ws != nil {
 			return p.ws.state.Insert(row, ts)
 		}
@@ -290,11 +287,17 @@ func (p *Pipeline) advanceTo(ts int64) error {
 		return nil
 	}
 	if !p.started {
-		// No data yet: set the clock so the first boundary is after ts
-		// (there is nothing to report before data or a later heartbeat).
-		p.nextClose = p.alignUp(ts + 1)
+		// The clock starts at the first event: the first boundary is the
+		// one after ts (there is nothing to report before data or a later
+		// heartbeat) — or, after recovery, the one after the resume point
+		// when that is earlier, so the quiet boundaries between the two
+		// still close. History replayed from before the resume point starts
+		// the clock there too; the closes it proves are muted below, and by
+		// a store's host per member, some of which may have no resume point.
+		if nc := p.alignUp(ts + 1); !p.resumed || nc < p.nextClose {
+			p.nextClose = nc
+		}
 		p.started = true
-		return nil
 	}
 	for p.nextClose <= ts {
 		c := p.nextClose

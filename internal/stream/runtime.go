@@ -648,9 +648,10 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
 // the taps — one call per batch, so a channel's transaction, WAL append
 // and fsync are per BATCH, and a window firing mid-batch sees the whole
 // batch archived — then the mailboxes it claimed. Failures are swept
-// last: a failing tap or pipeline never keeps the batch from its peers. bounded applies the mailbox
-// backpressure bound — true only on the external producer path, never
-// for work originating inside the pool (see worker.go). Callers hold s.mu.
+// last: a failing tap or pipeline never keeps the batch from its peers.
+// bounded applies the mailbox backpressure bound — true only on the
+// external producer path, never for work originating inside the pool (see
+// worker.go). Callers hold s.mu.
 func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
 	s.enqueue(r, t, bounded)
 	var errs []error

@@ -319,6 +319,56 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 	}
 }
 
+// TestLateSubscriberWindows pins Subscribe's one late-subscriber rule. A
+// row arrives every 5 s from 0 s on; two CQs of one fingerprint, VISIBLE
+// 10 s and 60 s, have been attached to their store since the start, and
+// 125 s in each case below subscribes. The table is the row count of its
+// windows up to the close at 160 s — from 130 s for a CQ on the store's
+// running clock, from 140 s for one whose own clock starts with its first
+// row; a full window of VISIBLE v holds v/5.
+func TestLateSubscriberWindows(t *testing.T) {
+	const second = int64(1_000_000)
+	for _, c := range []struct {
+		name, q string
+		want    []int64
+	}{
+		// Attaches to the store: every slice of its extent is retained
+		// (the 60 s member needs them), so no window is partial.
+		{"same fingerprint, within retention",
+			`SELECT count(*) FROM url_stream <VISIBLE '30 seconds' ADVANCE '10 seconds'>`, []int64{6, 6, 6, 6}},
+		// Attaches, but reaches past what the store kept for its widest
+		// member: slices from 60 s on, so [40,130) holds 14 of 18 rows and
+		// the window is whole from the close at 150 s.
+		{"same fingerprint, wider than retention",
+			`SELECT count(*) FROM url_stream <VISIBLE '90 seconds' ADVANCE '10 seconds'>`, []int64{14, 16, 18, 18}},
+		// First member of a store of its own: nothing retained.
+		{"new fingerprint",
+			`SELECT count(client_ip) FROM url_stream <VISIBLE '30 seconds' ADVANCE '10 seconds'>`, []int64{2, 4, 6}},
+		// Cannot attach (VISIBLE is no multiple of ADVANCE): empty buffer.
+		{"re-executing",
+			`SELECT count(*) FROM url_stream <VISIBLE '25 seconds' ADVANCE '10 seconds'>`, []int64{2, 4, 5}},
+	} {
+		e := newEnvOverride(t, plan.StateAuto)
+		e.subscribe(t, `SELECT count(*) FROM url_stream <VISIBLE '10 seconds' ADVANCE '10 seconds'>`)
+		e.subscribe(t, `SELECT count(*) FROM url_stream <VISIBLE '60 seconds' ADVANCE '10 seconds'>`)
+		for ts := int64(0); ts <= 125*second; ts += 5 * second {
+			e.hit(t, "/x", ts, "ip")
+		}
+		_, out := e.subscribe(t, c.q)
+		for ts := 130 * second; ts <= 160*second; ts += 5 * second {
+			e.hit(t, "/x", ts, "ip")
+		}
+		if len(*out) != len(c.want) {
+			t.Fatalf("%s: %d windows fired, want %d", c.name, len(*out), len(c.want))
+		}
+		for i, b := range *out {
+			if got := b.rows[0][0].Int(); b.close != (170-10*int64(len(c.want)-i))*second || got != c.want[i] {
+				t.Errorf("%s: window closing at %d s holds %d rows, want %d", c.name, b.close/second, got, c.want[i])
+			}
+		}
+	}
+}
+
 func TestUnsubscribe(t *testing.T) {
 	e := newEnv(t, true)
 	pipe, out := e.subscribe(t, `SELECT count(*) FROM url_stream <ADVANCE '1 minute'>`)

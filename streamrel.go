@@ -132,7 +132,7 @@ type Config struct {
 	// re-execute (the equivalence oracle; E3's and E14's baseline),
 	// StateMerge keeps the stores but never materializes (E3's shared
 	// arm), StatePrivate gives each CQ a store of its own (N independent
-	// pipelines: E9, E11, E12, E14, E16).
+	// pipelines: E9, E11, E12, E16).
 	StateOverride StateOverride
 	// LateRows chooses what happens to out-of-order stream input:
 	// reject (default), drop, or clamp to the high-water mark.
