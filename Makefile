@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check drain-policies fuzz cluster-smoke loc
+.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check drain-policies alloc-pins fuzz cluster-smoke loc
 
 all: build
 
@@ -45,7 +45,15 @@ drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime' .
 
-check: build fmt vet staticcheck test race drain-policies
+# alloc-pins runs the ownership property (a decoded row is at most two
+# allocations and shares memory with nothing — internal/server/proto.go) and
+# every allocation pin on the decode → commit → replicate path by name and
+# without -race, which changes allocation counts: `test` runs them too, but a
+# pin that only held under the race detector's counts would pass `race`.
+alloc-pins:
+	$(GO) test -count=1 -run 'Allocs|Ownership' ./internal/types ./internal/wal ./internal/repl ./internal/server .
+
+check: build fmt vet staticcheck test race drain-policies alloc-pins
 
 # bench regenerates the fan-out scaling numbers (experiment E9) into
 # BENCH_fanout.json, the tracing-overhead numbers (E11) into the
@@ -80,7 +88,9 @@ bench-selftest:
 # fuzz exercises the binary decoders (WAL batches, replication frames)
 # that parse untrusted bytes off disk and off the wire, the tagged-JSON
 # wire codec against the reflective codec it replaced (and the metrics
-# samples that ride in it), the shard router's batch split/merge
+# samples that ride in it) — all three differentially, error for error and
+# value for value, against the row decoders that allocated a string per
+# VARCHAR, kept as test-only oracles — the shard router's batch split/merge
 # round-trip, the window-state equivalence property (what a store fires —
 # several views of one store, materialized and slice-merging, with CQs
 # detaching mid-run — == what re-execution fires, for arbitrary

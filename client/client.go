@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streamrel/internal/repl"
 	"streamrel/internal/server"
 	"streamrel/internal/types"
 )
@@ -333,11 +334,11 @@ func (c *Client) Promote() error {
 }
 
 // ReplStream is an open replication stream: after the JSON handshake the
-// connection carries binary frames (internal/repl's format). Conn and R
-// are exposed for the frame reader; the caller owns Close.
+// connection carries binary frames (internal/repl's format), read through
+// R; Conn is exposed for deadlines, and the caller owns Close.
 type ReplStream struct {
 	Conn net.Conn
-	R    *bufio.Reader
+	R    *repl.Reader
 }
 
 // Close terminates the stream.
@@ -370,7 +371,7 @@ func (c *Client) Replicate(fromLSN uint64, runID string) (*ReplStream, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return &ReplStream{Conn: conn, R: br}, nil
+	return &ReplStream{Conn: conn, R: repl.NewReader(br)}, nil
 }
 
 // Stats returns the server's metrics as (metric, value) rows: counters

@@ -271,11 +271,17 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	}
 	w := e.beginWrite()
 	w.tc = tc
+	// A base stream's rows are stored as they are. A derived stream's are
+	// carved from types.RowBlocks, which a row the table keeps must not pin.
+	_, carved := e.cat.Derived(ch.From)
 	coerced := make([]types.Row, len(rows))
 	for i, row := range rows {
 		cr, err := coerceRow(row, t.Schema)
 		if err != nil {
 			return w.fail(err)
+		}
+		if carved && len(cr) > 0 && &cr[0] == &row[0] {
+			cr = cr.Clone()
 		}
 		coerced[i] = cr
 	}
@@ -433,20 +439,24 @@ func (w *writeTxn) fail(err error) error {
 	return err
 }
 
-// coerceRow casts a row's values to the target schema's types.
+// coerceRow casts a row's values to the target schema's types, copying on
+// the first cast only: a row that needs none is returned as it is — rows
+// are immutable, so a stream and the Active Table behind its channel share it.
 func coerceRow(row types.Row, schema types.Schema) (types.Row, error) {
 	if len(row) != len(schema) {
 		return nil, fmt.Errorf("streamrel: row has %d values, schema needs %d", len(row), len(schema))
 	}
-	out := make(types.Row, len(row))
+	out := row
 	for i, v := range row {
 		if v.IsNull() || v.Type() == schema[i].Type || schema[i].Type == types.TypeUnknown {
-			out[i] = v
 			continue
 		}
 		c, err := types.Cast(v, schema[i].Type)
 		if err != nil {
 			return nil, fmt.Errorf("streamrel: column %q: %w", schema[i].Name, err)
+		}
+		if &out[0] == &row[0] {
+			out = row.Clone()
 		}
 		out[i] = c
 	}

@@ -283,7 +283,8 @@ func tableScope(t *catalog.Table) expr.Binder {
 
 // BulkInsert loads rows into a table through the write path (WAL, indexes,
 // MVCC) without per-row SQL parsing. It is the loader used by the
-// store-first baseline and by srload.
+// store-first baseline and by srload. Like Append, it keeps the rows it is
+// given (one that needs no cast is stored as it is): do not modify them.
 func (e *Engine) BulkInsert(table string, rows []Row) error {
 	if err := e.writeGate(); err != nil {
 		return err

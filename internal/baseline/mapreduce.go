@@ -173,6 +173,7 @@ func scanRowFile(path string, fn func(types.Row) error) error {
 	defer f.Close()
 	rd := bufio.NewReader(f)
 	var hdr [4]byte
+	var strs types.RowStrings
 	for {
 		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -185,7 +186,7 @@ func scanRowFile(path string, fn func(types.Row) error) error {
 		if _, err := io.ReadFull(rd, buf); err != nil {
 			return fmt.Errorf("baseline: truncated row file %s: %w", path, err)
 		}
-		row, _, err := types.DecodeRow(buf)
+		row, _, err := types.DecodeRow(buf, &strs)
 		if err != nil {
 			return err
 		}
@@ -223,7 +224,7 @@ func readKV(rd *bufio.Reader) (string, types.Row, error) {
 	if _, err := io.ReadFull(rd, buf); err != nil {
 		return "", nil, err
 	}
-	row, _, err := types.DecodeRow(buf)
+	row, _, err := types.DecodeRow(buf, new(types.RowStrings))
 	return string(key), row, err
 }
 

@@ -85,8 +85,15 @@ type Event struct {
 }
 
 // maxFramePayload bounds a frame payload so a corrupt length prefix
-// cannot provoke a huge allocation on either end.
+// cannot provoke a huge allocation on either end. It is eight times
+// MaxEventBytes, not twice: an item beyond that budget travels alone
+// (chunkEnd) and nothing bounds one in-process row, so a lower limit would
+// leave a replica unable to get past such a row.
 const maxFramePayload = 256 << 20
+
+// retainPayloadBytes bounds the buffer a Reader keeps between frames, as
+// server.FrameReader's does: one huge frame must not pin its size for good.
+const retainPayloadBytes = 1 << 20
 
 // AppendFrame appends the wire encoding of ev to dst:
 // [len u32][crc32 u32][payload], payload = [kind u8][lsn uvarint]
@@ -100,7 +107,7 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 	dst = binary.AppendUvarint(dst, ev.Trace)
 	switch ev.Kind {
 	case KindWAL:
-		dst = append(dst, wal.EncodeRecords(ev.Recs)...)
+		dst = wal.AppendRecords(dst, ev.Recs)
 	case KindAppend:
 		dst = appendString(dst, ev.Stream)
 		dst = binary.AppendUvarint(dst, uint64(len(ev.Rows)))
@@ -124,12 +131,23 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 	return dst
 }
 
-// ReadEvent reads one frame from r, verifying length and CRC. It returns
-// io.EOF (or io.ErrUnexpectedEOF) when the stream ends; any malformed
-// frame is an error, never a panic.
-func ReadEvent(r *bufio.Reader) (*Event, error) {
+// Reader reads frames off a replication connection through one payload
+// buffer it reuses from frame to frame — safe because nothing DecodeEvent
+// returns aliases the payload.
+type Reader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+// NewReader reads frames from r.
+func NewReader(r *bufio.Reader) *Reader { return &Reader{r: r} }
+
+// ReadEvent reads one frame, verifying length and CRC. It returns io.EOF
+// (or io.ErrUnexpectedEOF) when the stream ends; any malformed frame is an
+// error, never a panic.
+func (fr *Reader) ReadEvent() (*Event, error) {
 	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
@@ -137,8 +155,14 @@ func ReadEvent(r *bufio.Reader) (*Event, error) {
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("repl: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(fr.buf)) < n {
+		fr.buf = make([]byte, n)
+	}
+	payload := fr.buf[:n]
+	if cap(fr.buf) > retainPayloadBytes {
+		fr.buf = nil
+	}
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
@@ -148,7 +172,9 @@ func ReadEvent(r *bufio.Reader) (*Event, error) {
 }
 
 // DecodeEvent parses a frame payload (the bytes covered by the CRC).
-// Arbitrary input yields an error, never a panic or unbounded allocation.
+// Arbitrary input yields an error, never a panic or an allocation its bytes
+// did not earn (types.MaxPresize). The event aliases nothing in payload
+// (the ownership rule in internal/server/proto.go).
 func DecodeEvent(payload []byte) (*Event, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("repl: empty frame")
@@ -181,10 +207,11 @@ func DecodeEvent(payload []byte) (*Event, error) {
 		if n > uint64(len(buf)) {
 			return nil, errors.New("repl: row count exceeds payload")
 		}
-		ev.Rows = make([]types.Row, 0, n)
+		ev.Rows = make([]types.Row, 0, min(n, types.MaxPresize))
+		var strs types.RowStrings
 		for i := uint64(0); i < n; i++ {
 			var row types.Row
-			if row, buf, err = types.DecodeRow(buf); err != nil {
+			if row, buf, err = types.DecodeRow(buf, &strs); err != nil {
 				return nil, err
 			}
 			ev.Rows = append(ev.Rows, row)

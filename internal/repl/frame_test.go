@@ -10,6 +10,10 @@ import (
 	"streamrel/internal/wal"
 )
 
+// ReadEvent reads one frame the way the tests below were written to: off a
+// bare bufio.Reader (a Reader holds no stream state between frames).
+func ReadEvent(r *bufio.Reader) (*Event, error) { return NewReader(r).ReadEvent() }
+
 func sampleEvents() []Event {
 	return []Event{
 		{Kind: KindWAL, LSN: 1, Wall: 1111, Recs: []wal.Record{
@@ -78,7 +82,9 @@ func TestReadEventTruncated(t *testing.T) {
 }
 
 // FuzzDecodeEvent checks the payload decoder never panics on arbitrary
-// bytes and that valid payloads round-trip through AppendFrame.
+// bytes, agrees with the decoder it replaced (ownership_test.go) error for
+// error and value for value, and that valid payloads round-trip through
+// AppendFrame.
 func FuzzDecodeEvent(f *testing.F) {
 	for _, ev := range sampleEvents() {
 		frame := AppendFrame(nil, &ev)
@@ -87,7 +93,7 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		ev, err := DecodeEvent(payload)
+		ev, err := againstOracle(t, payload)
 		if err != nil {
 			return
 		}

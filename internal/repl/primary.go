@@ -71,7 +71,10 @@ type Primary struct {
 	run  string
 	ring []Event // circular buffer, capacity ringSize
 	head int     // index of the oldest retained event
-	subs map[*subscriber]struct{}
+	// ringSizes[i] is the chunkEnd estimate of what ring[i] carries, summed
+	// in the ringBytes gauge: the ring is bounded in events, not in bytes.
+	ringSizes []int
+	subs      map[*subscriber]struct{}
 
 	subBuf    int
 	pingEvery time.Duration
@@ -81,6 +84,8 @@ type Primary struct {
 	events    *metrics.Counter
 	snaps     *metrics.Counter
 	overflows *metrics.Counter
+	ringLen   *metrics.Gauge
+	ringBytes *metrics.Gauge
 }
 
 // NewPrimary creates a replication hub with a fresh random run ID.
@@ -113,6 +118,10 @@ func NewPrimary(cfg Config) *Primary {
 			"full logical snapshots streamed to replicas"),
 		overflows: cfg.Metrics.Counter("streamrel_repl_subscriber_overflows_total",
 			"replicas dropped back to catch-up because their queue overflowed"),
+		ringLen: cfg.Metrics.Gauge("streamrel_repl_ring_events",
+			"events retained in the replication ring for incremental catch-up"),
+		ringBytes: cfg.Metrics.Gauge("streamrel_repl_ring_bytes",
+			"estimated encoded bytes of the rows and WAL records the replication ring retains"),
 	}
 	cfg.Metrics.GaugeFunc("streamrel_repl_lsn",
 		"latest log sequence number assigned by this primary",
@@ -199,24 +208,25 @@ func (p *Primary) PublishWAL(recs []wal.Record) {
 	p.commitMu.Unlock()
 }
 
-// chunkEnd returns the end index of the event starting at start: items
-// are taken greedily while the byte budget holds, and every event carries
-// at least one item (a single item beyond the budget travels alone).
-func chunkEnd(start, n, budget int, size func(int) int) int {
-	end, total := start, 0
+// chunkEnd returns the end index and estimated size of the event starting
+// at start: items are taken greedily while the byte budget holds, and every
+// event carries at least one item (a single item beyond the budget travels
+// alone).
+func chunkEnd(start, n, budget int, size func(int) int) (end, total int) {
+	end = start
 	for end < n && (end == start || total+size(end) <= budget) {
 		total += size(end)
 		end++
 	}
-	return end
+	return end, total
 }
 
 func (p *Primary) publishWAL(recs []wal.Record, traceID uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for start := 0; start < len(recs); {
-		end := chunkEnd(start, len(recs), MaxEventBytes, func(i int) int { return RecordSize(recs[i]) })
-		p.publishLocked(Event{Kind: KindWAL, Recs: recs[start:end], Trace: traceID})
+		end, size := chunkEnd(start, len(recs), MaxEventBytes, func(i int) int { return RecordSize(recs[i]) })
+		p.publishLocked(Event{Kind: KindWAL, Recs: recs[start:end], Trace: traceID}, size)
 		start = end
 	}
 }
@@ -232,8 +242,8 @@ func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for start := 0; start < len(rows); {
-		end := chunkEnd(start, len(rows), MaxEventBytes, func(i int) int { return rowSize(rows[i]) })
-		p.publishLocked(Event{Kind: KindAppend, Stream: stream, Rows: rows[start:end], Trace: traceID})
+		end, size := chunkEnd(start, len(rows), MaxEventBytes, func(i int) int { return rowSize(rows[i]) })
+		p.publishLocked(Event{Kind: KindAppend, Stream: stream, Rows: rows[start:end], Trace: traceID}, size)
 		start = end
 	}
 }
@@ -241,7 +251,7 @@ func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64)
 // PublishAdvance publishes an effective heartbeat.
 func (p *Primary) PublishAdvance(stream string, ts int64) {
 	p.mu.Lock()
-	p.publishLocked(Event{Kind: KindAdvance, Stream: stream, TS: ts})
+	p.publishLocked(Event{Kind: KindAdvance, Stream: stream, TS: ts}, 0)
 	p.mu.Unlock()
 }
 
@@ -249,21 +259,25 @@ func (p *Primary) PublishAdvance(stream string, ts int64) {
 // heaps at the same point in the event order so RowIDs stay aligned.
 func (p *Primary) PublishCheckpoint() {
 	p.mu.Lock()
-	p.publishLocked(Event{Kind: KindCheckpoint})
+	p.publishLocked(Event{Kind: KindCheckpoint}, 0)
 	p.mu.Unlock()
 }
 
-func (p *Primary) publishLocked(ev Event) {
+// publishLocked sequences and retains ev, which carries size bytes of rows.
+func (p *Primary) publishLocked(ev Event, size int) {
 	p.lsn++
 	ev.LSN = p.lsn
 	ev.Wall = time.Now().UnixMicro()
 	// Ring append (circular).
 	if len(p.ring) < cap(p.ring) {
-		p.ring = append(p.ring, ev)
+		p.ring, p.ringSizes = append(p.ring, ev), append(p.ringSizes, size)
+		p.ringLen.Add(1)
 	} else {
-		p.ring[p.head] = ev
+		p.ringBytes.Add(-float64(p.ringSizes[p.head]))
+		p.ring[p.head], p.ringSizes[p.head] = ev, size
 		p.head = (p.head + 1) % len(p.ring)
 	}
+	p.ringBytes.Add(float64(size))
 	p.events.Inc()
 	for sub := range p.subs {
 		select {

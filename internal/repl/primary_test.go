@@ -137,7 +137,7 @@ func TestChunkEnd(t *testing.T) {
 	size := func(i int) int { return sizes[i] }
 	var ends []int
 	for start := 0; start < len(sizes); {
-		end := chunkEnd(start, len(sizes), 10, size)
+		end, _ := chunkEnd(start, len(sizes), 10, size)
 		ends = append(ends, end)
 		start = end
 	}
@@ -264,5 +264,51 @@ func TestSnapshotSpooledBeforeNetworkWrites(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("ServeConn did not return after the replica connection closed")
+	}
+}
+
+// TestRingGauges: the ring is bounded in events, so what it pins is only
+// visible as bytes — which must rise with each published batch and fall
+// when eviction swaps a large event for a small one.
+func TestRingGauges(t *testing.T) {
+	reg := metrics.NewRegistry()
+	p := testPrimary(t, Config{RingSize: 4, Metrics: reg})
+	gauge := func(name string) float64 {
+		for _, s := range reg.Gather() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("%s is not registered", name)
+		return 0
+	}
+	big := types.Row{types.NewInt(1), types.NewString(string(make([]byte, 1000)))}
+	var last float64
+	for i := 1; i <= 4; i++ {
+		if i%2 == 0 {
+			p.PublishAppend("s", []types.Row{big, big}, 0)
+		} else if err := p.PublishTxn([]wal.Record{{Kind: wal.RecInsert, Table: "t", RowID: uint64(i), Row: big}}, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		events, bytes := gauge("streamrel_repl_ring_events"), gauge("streamrel_repl_ring_bytes")
+		if events != float64(i) || bytes < last+1000 {
+			t.Fatalf("after %d events: ring_events %v, ring_bytes %v (was %v)", i, events, bytes, last)
+		}
+		last = bytes
+	}
+	if want := float64(2*RecordSize(wal.Record{Table: "t", Row: big}) + 4*rowSize(big)); last != want {
+		t.Fatalf("full ring holds %v bytes, want %v", last, want)
+	}
+	// Heartbeats carry nothing: four of them evict everything.
+	for i := 1; i <= 4; i++ {
+		p.PublishAdvance("s", int64(i))
+		events, bytes := gauge("streamrel_repl_ring_events"), gauge("streamrel_repl_ring_bytes")
+		if events != 4 || bytes >= last {
+			t.Fatalf("after %d evictions: ring_events %v, ring_bytes %v (was %v)", i, events, bytes, last)
+		}
+		last = bytes
+	}
+	if last != 0 {
+		t.Fatalf("a ring of heartbeats holds %v bytes", last)
 	}
 }

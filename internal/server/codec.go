@@ -297,8 +297,8 @@ func (r *Response) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
 // refuses every frame that one refuses.
 const maxDepth = 10000
 
-// decoder is a cursor over one frame. Nothing it returns aliases buf except
-// the transient result of rawString.
+// decoder is a cursor over one frame, dropped at the frame's first error.
+// Nothing it returns aliases buf except the transient result of rawString.
 type decoder struct {
 	buf []byte
 	pos int
@@ -307,6 +307,8 @@ type decoder struct {
 	// width is the length of the last row read, 0 before the first: the
 	// rows of a batch are alike, so it sizes the next row's one allocation.
 	width int
+	// strs collects the string payloads of the row being read.
+	strs types.RowStrings
 }
 
 func (d *decoder) errAt(msg string) error {
@@ -549,9 +551,9 @@ func (d *decoder) value() (types.Datum, error) {
 		v, err = d.readFloat()
 		out = types.NewFloat(v)
 	case "s":
-		var v string
-		v, err = d.readString() // copied out of the frame
-		out = types.NewString(v)
+		var raw []byte
+		raw, err = d.rawString()
+		out = d.strs.Add(raw) // copied out of the frame; readRow resolves it
 	case "ts":
 		var v int64
 		v, err = d.readInt(64)
@@ -573,9 +575,9 @@ func (d *decoder) value() (types.Datum, error) {
 	return out, nil
 }
 
-// readRow consumes one array of values into a row of its own: one
-// allocation, sized to the row, so retaining the row retains nothing else.
-// null stands for the empty row, as it did under encoding/json.
+// readRow consumes one array of values into a row of its own, as proto.go's
+// ownership rule has it: sized to the row, its strings in one backing. null
+// stands for the empty row, as it did under encoding/json.
 func (d *decoder) readRow() ([]WireValue, error) {
 	if d.literal("null") {
 		return nil, nil
@@ -608,6 +610,7 @@ func (d *decoder) readRow() ([]WireValue, error) {
 		// retained row holds no more than itself.
 		out = append(make([]WireValue, 0, len(out)), out...)
 	}
+	d.strs.Own(out)
 	return out, nil
 }
 

@@ -326,18 +326,18 @@ func benchRows(n int) [][]WireValue {
 }
 
 // TestCodecAllocs is the gate for the kernel's cost model: encoding into a
-// warm buffer allocates nothing, and decoding allocates one row plus one
-// string per string column, plus a constant for the frame (the request or
-// response and its rows slice, sized once from the first row).
+// warm buffer allocates nothing, and decoding allocates two per row — the
+// row and the one backing of its strings — plus five for the frame: its
+// two strings (or the response), the rows slice sized once from the first
+// row, the first row's trim, and the string scratch.
 func TestCodecAllocs(t *testing.T) {
-	const stringCols = 2
 	for _, c := range []struct {
 		name  string
 		rows  int
 		frame frame
 		into  func([]byte) error
 	}{
-		{"append request", 256, &Request{ID: 1, Op: "append", Stream: "events", Rows: benchRows(256)},
+		{"append request", 64, &Request{ID: 1, Op: "append", Stream: "events", Rows: benchRows(64)},
 			func(b []byte) error { return new(Request).UnmarshalJSON(b) }},
 		{"batch frame", 100, &Response{Batch: true, CQ: 1, Close: 60000000, Rows: benchRows(100)},
 			func(b []byte) error { return new(Response).UnmarshalJSON(b) }},
@@ -349,7 +349,7 @@ func TestCodecAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { buf, _ = c.frame.AppendJSON(buf[:0]) }); n != 0 {
 			t.Errorf("%s: encoding into a warm buffer allocates %v, want 0", c.name, n)
 		}
-		bound := float64(c.rows*(1+stringCols) + 4)
+		bound := float64(2*c.rows + 5)
 		if n := testing.AllocsPerRun(20, func() {
 			if err := c.into(buf); err != nil {
 				t.Fatal(err)
@@ -365,8 +365,10 @@ func TestCodecAllocs(t *testing.T) {
 // FuzzWireFrame is the differential fuzz against the reference codec.
 // Arbitrary bytes: the kernel never panics, never accepts a frame the
 // reference rejects (the three non-finite forms excepted), and agrees with
-// it whenever both accept. The same bytes also seed a generated frame,
-// which must encode to the reference's bytes and decode back exactly.
+// it whenever both accept. From the input's first '[' on, the row decoder
+// must agree with the one it replaced (oracle_test.go), value for value and
+// error for error. The same bytes also seed a generated frame, which must
+// encode to the reference's bytes and decode back exactly.
 func FuzzWireFrame(f *testing.F) {
 	for _, c := range []string{
 		`{"id":1,"op":"ping"}`,
@@ -408,6 +410,18 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		if err == nil && oerr == nil {
 			sameResponse(t, &resp, rwant)
+		}
+
+		if i := bytes.IndexByte(data, '['); i >= 0 {
+			d, p := decoder{buf: data[i:]}, decoder{buf: data[i:]}
+			got, err := d.readRows()
+			want, perr := p.parentReadRows()
+			if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) || d.pos != p.pos {
+				t.Fatalf("rows of %q: %v at %d, the decoder before says %v at %d", data[i:], err, d.pos, perr, p.pos)
+			}
+			if err == nil {
+				sameRows(t, got, want)
+			}
 		}
 
 		rows := rowsFromBytes(data)

@@ -1,0 +1,152 @@
+package server
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+	"unsafe"
+
+	"streamrel/internal/types"
+)
+
+// ownershipStrings are the payloads the property draws from: empty, short,
+// long, every escape the encoder writes, and invalid UTF-8 (which the wire
+// replaces, as encoding/json does — so rows are compared with what the
+// reference decodes, not with what was sent).
+var ownershipStrings = []string{"", "", "a", "ok", "/index.html", "10.0.0.17", "tab\there \"q\" \\   é",
+	"\xff\xfe bad \xc3", "<b>&amp;</b>", string(make([]byte, 300)), "\x00\x01\x1f"}
+
+func ownershipBatch(r *rand.Rand) [][]WireValue {
+	rows := make([][]WireValue, 1+r.Intn(12))
+	for i := range rows {
+		width := r.Intn(9)
+		if r.Intn(40) == 0 {
+			width = 30 + r.Intn(40)
+		}
+		rows[i] = make([]WireValue, width)
+		for j := range rows[i] {
+			switch r.Intn(8) {
+			case 0, 1, 2:
+				rows[i][j] = types.NewString(ownershipStrings[r.Intn(len(ownershipStrings))])
+			case 3:
+				rows[i][j] = types.Null
+			case 4:
+				rows[i][j] = types.NewInt(r.Int63() - 1<<62)
+			case 5:
+				rows[i][j] = types.NewFloat(r.NormFloat64())
+			case 6:
+				rows[i][j] = types.NewTimestampMicros(r.Int63n(1 << 50))
+			default:
+				rows[i][j] = types.NewBool(r.Intn(2) == 0)
+			}
+		}
+	}
+	return rows
+}
+
+// checkOwnership is internal/types's check of the same name over wire
+// rows: exactly sized arrays, each row's non-empty strings end to end in
+// one backing, no memory shared between two rows.
+func checkOwnership(t *testing.T, rows [][]WireValue) {
+	t.Helper()
+	type span struct{ lo, hi uintptr }
+	var arrays, backings []span
+	for ri, row := range rows {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: cap %d, len %d", ri, cap(row), len(row))
+		}
+		if len(row) > 0 {
+			lo := uintptr(unsafe.Pointer(&row[0]))
+			arrays = append(arrays, span{lo, lo + uintptr(len(row))*unsafe.Sizeof(row[0])})
+		}
+		var b span
+		for ci, d := range row {
+			if d.Type() != types.TypeString || d.Str() == "" {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(unsafe.StringData(d.Str())))
+			if b.lo == 0 {
+				b = span{p, p}
+			}
+			if p != b.hi {
+				t.Fatalf("row %d column %d: string is not where the row's backing continues", ri, ci)
+			}
+			b.hi += uintptr(len(d.Str()))
+		}
+		if b.hi-b.lo > 1 { // a one-byte string is the runtime's static one, not an allocation
+			backings = append(backings, b)
+		}
+	}
+	for _, spans := range [][]span{arrays, backings} {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].lo < spans[i-1].hi {
+				t.Fatalf("two rows share memory: %#x-%#x and %#x-%#x", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+			}
+		}
+	}
+}
+
+// TestOwnershipJSON is the ownership rule over the wire codec: the rows of
+// a request and of a batch frame equal what the reference decoder reads,
+// survive the frame buffer being overwritten, and share memory with nothing.
+func TestOwnershipJSON(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	for batch := 0; batch < 2000; batch++ {
+		sent := ownershipBatch(r)
+		args := sent[r.Intn(len(sent))]
+		if len(args) == 0 {
+			args = nil // an empty list is not sent
+		}
+		var f frame = &Request{ID: 1, Op: "append", Stream: "events", Rows: sent, Args: args}
+		if batch%2 == 1 {
+			f = &Response{CQ: 7, Close: 60000000, Batch: true, Rows: sent}
+		}
+		buf, err := f.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want [][]WireValue
+		if batch%2 == 1 {
+			var resp Response
+			err = resp.UnmarshalJSON(buf)
+			got = resp.Rows
+		} else {
+			var req Request
+			err = req.UnmarshalJSON(buf)
+			got = req.Rows
+			if args != nil {
+				got = append(got, req.Args)
+			}
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		// The reference reads the same rows out of a copy of the frame.
+		ref := decoder{buf: append([]byte(nil), buf...)}
+		for {
+			name, _, err := ref.field([]string{"rows", "args"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "" {
+				break
+			}
+			if name == "rows" {
+				want, err = ref.parentReadRows()
+			} else {
+				var args []WireValue
+				args, err = ref.parentReadRow()
+				want = append(want, args)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+		sameRows(t, got, want)
+		checkOwnership(t, got)
+	}
+}

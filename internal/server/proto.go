@@ -53,12 +53,17 @@
 // connection closes; a response that cannot be encoded is replaced by
 // {"id":…,"error":…} and the connection stays up.
 //
-// Ownership, the two rules the decoder keeps so that what outlives a frame
-// pins nothing else: string payloads are copied out of the frame buffer,
-// never aliased to it, and every decoded row is one allocation of its own,
-// never carved from a shared block. An archive or selective CQ that keeps
-// one row in a thousand therefore keeps that row and its strings — not the
-// 20 kB frame it came in, nor its 255 neighbours.
+// Ownership, the one rule every row decoder keeps — this one, and
+// types.DecodeRow under the WAL reader and replication frames — so that
+// what outlives a frame pins nothing else: a decoded row is at most two
+// allocations, a []Datum sized to the row and one backing string holding all
+// of its VARCHAR payloads (types.RowStrings; none for a row without string
+// bytes), and it shares memory with no other row and no frame buffer. A
+// retained datum may so pin the other string bytes of its own row — a
+// window-state group key pins one row's strings per live group — never a
+// neighbour's or the frame's. Hence no per-frame arena, at a tenth of the
+// allocations: an archive or selective CQ that keeps one row in a thousand
+// keeps that row, not the 20 kB frame it came in nor its 255 neighbours.
 package server
 
 import "streamrel/internal/types"

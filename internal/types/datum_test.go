@@ -214,7 +214,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 			row[j] = randDatum(r)
 		}
 		buf := EncodeRow(nil, row)
-		got, rest, err := DecodeRow(buf)
+		got, rest, err := DecodeRow(buf, new(RowStrings))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -230,7 +230,7 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 func TestEncodeDecodeQuick(t *testing.T) {
 	f := func(i int64, fv float64, s string, b bool) bool {
 		row := Row{NewInt(i), NewFloat(fv), NewString(s), NewBool(b), Null}
-		got, _, err := DecodeRow(EncodeRow(nil, row))
+		got, _, err := DecodeRow(EncodeRow(nil, row), new(RowStrings))
 		if err != nil {
 			return false
 		}
@@ -246,16 +246,17 @@ func TestEncodeDecodeQuick(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeDatum(nil); err == nil {
+	strs := new(RowStrings)
+	if _, _, err := decodeDatum(nil, strs); err == nil {
 		t.Error("empty buffer should error")
 	}
-	if _, _, err := DecodeDatum([]byte{byte(TypeString), 200}); err == nil {
+	if _, _, err := decodeDatum([]byte{byte(TypeString), 200}, strs); err == nil {
 		t.Error("truncated string should error")
 	}
-	if _, _, err := DecodeDatum([]byte{99}); err == nil {
+	if _, _, err := decodeDatum([]byte{99}, strs); err == nil {
 		t.Error("unknown tag should error")
 	}
-	if _, _, err := DecodeRow([]byte{}); err == nil {
+	if _, _, err := DecodeRow([]byte{}, strs); err == nil {
 		t.Error("empty row buffer should error")
 	}
 }

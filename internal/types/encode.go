@@ -23,9 +23,36 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 	return buf
 }
 
-// DecodeDatum decodes one datum from buf, returning it and the remaining
-// bytes.
-func DecodeDatum(buf []byte) (Datum, []byte, error) {
+// RowStrings gives a row being decoded its one backing string (the
+// ownership rule: internal/server/proto.go). A decoder calls Add with each
+// VARCHAR payload as it meets it — the bytes are copied, so they may alias
+// a frame buffer — puts the placeholder it gets back in the row, and calls
+// Own on the finished row. The zero value is ready, and one value serves
+// any number of rows, reusing its scratch.
+type RowStrings struct{ scratch []byte }
+
+// Add appends one string payload to the scratch. Until Own, the datum it
+// returns carries only the payload's length.
+func (b *RowStrings) Add(p []byte) Datum {
+	b.scratch = append(b.scratch, p...)
+	return Datum{typ: TypeString, i: int64(len(p))}
+}
+
+// Own makes the one string(scratch) — no allocation when no string had any
+// bytes — and gives each placeholder of row, in column order, its substring.
+func (b *RowStrings) Own(row Row) {
+	backing := string(b.scratch)
+	b.scratch = b.scratch[:0]
+	for i := range row {
+		if d := &row[i]; d.typ == TypeString {
+			d.s, backing, d.i = backing[:d.i], backing[d.i:], 0
+		}
+	}
+}
+
+// decodeDatum decodes one datum from buf, returning it and the remaining
+// bytes; a string comes back as a placeholder of strs.
+func decodeDatum(buf []byte, strs *RowStrings) (Datum, []byte, error) {
 	if len(buf) == 0 {
 		return Null, nil, fmt.Errorf("types: decode: empty buffer")
 	}
@@ -51,8 +78,7 @@ func DecodeDatum(buf []byte) (Datum, []byte, error) {
 		if n <= 0 || uint64(len(buf[n:])) < l {
 			return Null, nil, fmt.Errorf("types: decode: bad string length")
 		}
-		s := string(buf[n : n+int(l)])
-		return NewString(s), buf[n+int(l):], nil
+		return strs.Add(buf[n : n+int(l)]), buf[n+int(l):], nil
 	}
 	return Null, nil, fmt.Errorf("types: decode: unknown type tag %d", t)
 }
@@ -66,26 +92,39 @@ func EncodeRow(buf []byte, r Row) []byte {
 	return buf
 }
 
-// DecodeRow decodes one row from buf, returning it and the remaining bytes.
-func DecodeRow(buf []byte) (Row, []byte, error) {
+// MaxPresize is the most elements a decoder allocates on the word of a
+// count: a count can only be checked against the bytes that remain, and an
+// element in memory is 24–72 times its smallest encoding, so a corrupt count
+// in a large frame would buy gigabytes. Up to MaxPresize a slice is sized
+// exactly; beyond, it grows geometrically as elements actually decode.
+const MaxPresize = 1024
+
+// DecodeRow decodes one row from buf, returning it and the remaining
+// bytes. The row is an exactly sized []Datum plus the one backing string
+// strs makes for it; it aliases neither buf nor any other row.
+func DecodeRow(buf []byte, strs *RowStrings) (Row, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("types: decode row: bad length")
 	}
 	buf = buf[k:]
 	// Each datum occupies at least one byte, so a column count beyond the
-	// remaining bytes is corrupt input; rejecting it here keeps the
-	// allocation bounded by the payload size.
+	// remaining bytes is corrupt input.
 	if n > uint64(len(buf)) {
 		return nil, nil, fmt.Errorf("types: decode row: length exceeds payload")
 	}
-	row := make(Row, n)
-	var err error
-	for i := range row {
-		row[i], buf, err = DecodeDatum(buf)
+	strs.scratch = strs.scratch[:0] // a row that failed half-way left its strings
+	row := make(Row, 0, min(n, MaxPresize))
+	for ; n > 0; n-- {
+		d, rest, err := decodeDatum(buf, strs)
 		if err != nil {
 			return nil, nil, err
 		}
+		row, buf = append(row, d), rest
 	}
+	if cap(row) > len(row) {
+		row = row.Clone()
+	}
+	strs.Own(row)
 	return row, buf, nil
 }

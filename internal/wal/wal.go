@@ -511,14 +511,8 @@ func appendFrame(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// EncodeRecords serializes a batch of records into the WAL payload
-// format. Exported because replication frames carry the same encoding.
-func EncodeRecords(recs []Record) []byte {
-	return AppendRecords(nil, recs)
-}
-
-// AppendRecords is EncodeRecords appending into an existing buffer, for
-// callers (the WAL hot path) that reuse pooled buffers across batches.
+// AppendRecords appends a batch of records in the WAL payload format.
+// Exported because replication frames carry the same encoding.
 func AppendRecords(buf []byte, recs []Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	for _, r := range recs {
@@ -538,9 +532,11 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 	return buf
 }
 
-// DecodeRecords parses a WAL payload produced by EncodeRecords. Arbitrary
+// DecodeRecords parses a WAL payload produced by AppendRecords. Arbitrary
 // (torn, corrupt, adversarial) input yields an error, never a panic or an
-// unbounded allocation.
+// allocation its bytes did not earn (types.MaxPresize). Rows obey the
+// ownership rule in internal/server/proto.go; consecutive records naming
+// one table share one Table string.
 func DecodeRecords(buf []byte) ([]Record, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
@@ -548,12 +544,13 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 	}
 	buf = buf[k:]
 	// Every record costs at least one byte, so a count beyond the
-	// remaining bytes is corrupt; checking here keeps the allocation
-	// below proportional to the input.
+	// remaining bytes is corrupt.
 	if n > uint64(len(buf)) {
 		return nil, errors.New("wal: record count exceeds payload")
 	}
-	recs := make([]Record, 0, n)
+	recs := make([]Record, 0, min(n, types.MaxPresize))
+	var strs types.RowStrings
+	var table string // of the previous record that named one
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
 			return nil, errors.New("wal: truncated record")
@@ -563,19 +560,15 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 		var err error
 		switch r.Kind {
 		case RecDDL:
-			r.SQL, buf, err = readString(buf)
-		case RecInsert:
-			r.Table, buf, err = readString(buf)
+			r.SQL, buf, err = readString(buf, "")
+		case RecInsert, RecDelete:
+			r.Table, buf, err = readString(buf, table)
+			table = r.Table
 			if err == nil {
 				r.RowID, buf, err = readUvarint(buf)
 			}
-			if err == nil {
-				r.Row, buf, err = types.DecodeRow(buf)
-			}
-		case RecDelete:
-			r.Table, buf, err = readString(buf)
-			if err == nil {
-				r.RowID, buf, err = readUvarint(buf)
+			if err == nil && r.Kind == RecInsert {
+				r.Row, buf, err = types.DecodeRow(buf, &strs)
 			}
 		default:
 			return nil, fmt.Errorf("wal: unknown record kind %d", r.Kind)
@@ -601,10 +594,15 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func readString(buf []byte) (string, []byte, error) {
+// readString returns prev itself when the string's bytes equal it.
+func readString(buf []byte, prev string) (string, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 || uint64(len(buf[k:])) < n {
 		return "", nil, errors.New("wal: bad string")
 	}
-	return string(buf[k : k+int(n)]), buf[k+int(n):], nil
+	b, rest := buf[k:k+int(n)], buf[k+int(n):]
+	if string(b) == prev {
+		return prev, rest, nil
+	}
+	return string(b), rest, nil
 }

@@ -8,6 +8,9 @@ import (
 	"streamrel/internal/types"
 )
 
+// EncodeRecords is AppendRecords into a fresh buffer.
+func EncodeRecords(recs []Record) []byte { return AppendRecords(nil, recs) }
+
 func row(vs ...int64) types.Row {
 	r := make(types.Row, len(vs))
 	for i, v := range vs {

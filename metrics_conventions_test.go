@@ -77,6 +77,8 @@ func TestMetricNamingConventions(t *testing.T) {
 		"streamrel_repl_lsn",
 		"streamrel_repl_connected_replicas",
 		"streamrel_repl_events_total",
+		"streamrel_repl_ring_events",
+		"streamrel_repl_ring_bytes",
 		"streamrel_sysmon_snapshots_total",
 		"streamrel_sysmon_errors_total",
 		"streamrel_sysmon_snapshot_seconds",

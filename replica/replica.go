@@ -293,7 +293,7 @@ func (r *Replica) streamOnce() (applied bool, err error) {
 
 	for {
 		rs.Conn.SetReadDeadline(time.Now().Add(idleTimeout))
-		ev, err := repl.ReadEvent(rs.R)
+		ev, err := rs.R.ReadEvent()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return applied, nil
