@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check drain-policies alloc-pins fuzz cluster-smoke loc
+.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check clean-stamps drain-policies alloc-pins fuzz cluster-smoke loc
 
 all: build
 
@@ -53,29 +53,27 @@ drain-policies:
 alloc-pins:
 	$(GO) test -count=1 -run 'Allocs|Ownership' ./internal/types ./internal/wal ./internal/repl ./internal/server .
 
-check: build fmt vet staticcheck test race drain-policies alloc-pins
+check: build fmt vet staticcheck test race drain-policies alloc-pins clean-stamps
 
-# bench regenerates the fan-out scaling numbers (experiment E9) into
-# BENCH_fanout.json, the tracing-overhead numbers (E11) into the
-# uncommitted bench-trace-smoke.json, the ingest hot-path ladder (E12) into
-# BENCH_ingest.json, the shard scale-out ladder (E13) into
-# BENCH_shard.json, the incremental-maintenance ladder (E14) into
-# BENCH_ivm.json, the scheduler + plan-sharing ladder (E15) into
-# BENCH_sched.json, and the sysmon self-observability overhead (E16)
-# into BENCH_sysmon.json — stamped with timestamp+git sha and gated on
-# the checked-in allocs budget — so the trajectories are tracked across
-# PRs.
-# Dirty-tree stamps land in bench-stamps/ (gitignored). Use `go test
-# -bench .` for the full microbenchmark suite; `go test -bench
-# BenchmarkIngest -benchmem` is the ladder's testing.B counterpart.
+# clean-stamps fails if a committed srbench report was stamped from a dirty
+# tree: a dirty stamp is not evidence (a clean report omits the key).
+clean-stamps:
+	@! grep -l '"git_dirty": true' BENCH_*.json
+
+# bench regenerates what srbench still measures because bench/ cannot host
+# it yet — the shard scale-out ladder (E13) into BENCH_shard.json, the
+# scheduler + plan-sharing ladder (E15) into BENCH_sched.json, the sysmon
+# overhead (E16) into BENCH_sysmon.json, gated on the checked-in allocs
+# budget, and the replication apply lag (E10) into BENCH_repl.json. Each
+# report carries git_sha, git_dirty and started; commit the code first, so
+# the stamps are clean. Comparing two runs, and every other engineering
+# number, is bench/'s job (`bash bench/run.sh`, bench/README.md); `go test
+# -bench . -benchmem` is the microbenchmark loop.
 bench:
-	$(GO) run ./cmd/srbench -scale 0.2 -only E9 -json BENCH_fanout.json
-	$(GO) run ./cmd/srbench -scale 0.2 -only E11 -json bench-trace-smoke.json
-	$(GO) run ./cmd/srbench -scale 0.5 -only E12 -json BENCH_ingest.json -stamp -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 0.5 -only E13 -json BENCH_shard.json -stamp -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 0.5 -only E14 -json BENCH_ivm.json -stamp -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 1 -only E15 -json BENCH_sched.json -stamp -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 1 -only E16 -json BENCH_sysmon.json -stamp -budget BENCH_budget.json
+	$(GO) run ./cmd/srbench -scale 0.5 -only E13 -json BENCH_shard.json -budget BENCH_budget.json
+	$(GO) run ./cmd/srbench -scale 1 -only E15 -json BENCH_sched.json -budget BENCH_budget.json
+	$(GO) run ./cmd/srbench -scale 1 -only E16 -json BENCH_sysmon.json -budget BENCH_budget.json
+	$(GO) run ./cmd/srbench -scale 1 -only E10 -json BENCH_repl.json
 
 # bench-selftest compiles, vets and self-tests the benchmark (bench/ is a
 # module of its own, so `go build ./... && go test ./...` never sees it and

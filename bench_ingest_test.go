@@ -1,8 +1,9 @@
-// The canonical ingest bench ladder (DESIGN.md "Ingest hot path",
-// EXPERIMENTS.md E12). Each rung mirrors one cell of cmd/srbench's E12
-// table so `go test -bench=BenchmarkIngest -benchmem` reproduces the
-// ladder under the standard testing harness: rows/op is 1 (b.N rows
-// total), so ns/op is ns/row and allocs/op is allocs/row.
+// The ingest microbenchmark loop (DESIGN.md "Ingest hot path"): k CQs ×
+// serial/parallel × memory/durable × Sync off/on under the standard testing
+// harness, `go test -bench=BenchmarkIngest -benchmem`. rows/op is 1 (b.N
+// rows total), so ns/op is ns/row and allocs/op is allocs/row. The numbers
+// of record are bench/'s wire_durable and mem_fanout workloads; the
+// allocation pins are ingest_alloc_test.go.
 package streamrel
 
 import (
@@ -15,7 +16,7 @@ import (
 const ingestBenchBatch = 256
 
 // benchIngest ingests b.N clickstream rows in 256-row micro-batches into
-// k CQs, matching internal/experiments.E12's engine configuration.
+// k CQs with a store apiece (StatePrivate) and tracing off.
 func benchIngest(b *testing.B, k int, parallel, durable, sync bool) {
 	cfg := Config{StateOverride: StatePrivate, TraceSampleEvery: -1}
 	if parallel {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streamrel/internal/metrics"
 	"streamrel/internal/repl"
 	"streamrel/internal/server"
 	"streamrel/internal/types"
@@ -374,15 +375,19 @@ func (c *Client) Replicate(fromLSN uint64, runID string) (*ReplStream, error) {
 	return &ReplStream{Conn: conn, R: repl.NewReader(br)}, nil
 }
 
-// Stats returns the server's metrics as (metric, value) rows: counters
-// and gauges one row each, histograms flattened into _count, _sum and
-// _p50/_p95/_p99 quantile rows.
+// Stats returns the server's metrics as (metric, value) rows: the
+// metrics.Flatten view of what the "metrics" op carries, a metric being
+// the row's name followed by its labels.
 func (c *Client) Stats() (*Rows, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "stats"})
+	resp, err := c.roundTrip(&server.Request{Op: "metrics"})
 	if err != nil {
 		return nil, err
 	}
-	return decodeRows(resp), nil
+	out := &Rows{Columns: []Column{{Name: "metric"}, {Name: "value"}}}
+	for _, p := range metrics.Flatten(server.DecodeSamples(resp.Samples)) {
+		out.Data = append(out.Data, Row{types.NewString(p.Name + p.Labels), types.NewFloat(p.Value)})
+	}
+	return out, nil
 }
 
 // Span is one completed trace span from the server's trace ring; spans

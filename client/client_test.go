@@ -10,6 +10,7 @@ import (
 
 	"streamrel"
 	"streamrel/client"
+	"streamrel/internal/metrics"
 	"streamrel/internal/server"
 	"streamrel/internal/types"
 )
@@ -21,6 +22,14 @@ func startServer(t *testing.T) *client.Client {
 }
 
 func startServerCfg(t *testing.T, cfg streamrel.Config) *client.Client {
+	t.Helper()
+	_, c := startEngineServer(t, cfg)
+	return c
+}
+
+// startEngineServer is startServerCfg for tests that also read the engine
+// behind the server.
+func startEngineServer(t *testing.T, cfg streamrel.Config) (*streamrel.Engine, *client.Client) {
 	t.Helper()
 	eng, err := streamrel.Open(cfg)
 	if err != nil {
@@ -41,7 +50,7 @@ func startServerCfg(t *testing.T, cfg streamrel.Config) *client.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	return eng, c
 }
 
 func TestClientExecQuery(t *testing.T) {
@@ -338,7 +347,7 @@ func TestClientQueryArgs(t *testing.T) {
 }
 
 // TestClientStats drives traffic through the server, then checks that
-// the STATS op reflects it: non-zero stream row counters and server
+// Stats reflects it: non-zero stream row counters and server
 // command-latency histogram series flattened to (metric, value) rows.
 func TestClientStats(t *testing.T) {
 	// Parallel mode so the work-stealing scheduler's gauges register; the
@@ -377,8 +386,8 @@ func TestClientStats(t *testing.T) {
 	for metric, min := range map[string]float64{
 		`streamrel_stream_rows_total{stream="s"}`:               10,
 		`streamrel_server_connections`:                          1,
-		`streamrel_server_command_seconds{op="append"}_count`:   10,
-		`streamrel_server_command_seconds{op="append"}_p50`:     0,
+		`streamrel_server_command_seconds_count{op="append"}`:   10,
+		`streamrel_server_command_seconds_p50{op="append"}`:     0,
 		`streamrel_pipeline_windows_total{pipe="1",stream="s"}`: 1,
 		`streamrel_stream_sources`:                              1,
 		`streamrel_sched_workers`:                               0,
@@ -390,5 +399,52 @@ func TestClientStats(t *testing.T) {
 		} else if got < min {
 			t.Errorf("%s = %v, want >= %v", metric, got, min)
 		}
+	}
+}
+
+// TestClientStatsIsFlattenedGather: Stats is metrics.Flatten of the
+// server's Gather carried by the "metrics" op — the same rows, in the same
+// order, as flattening the registry in process — and an op the server does
+// not know ("stats" is one now) is answered with an error frame on a
+// connection that stays open.
+func TestClientStatsIsFlattenedGather(t *testing.T) {
+	eng, c := startEngineServer(t, streamrel.Config{})
+	if _, err := c.Exec(`CREATE STREAM s (v bigint, at timestamp CQTIME USER)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append("s", client.Row{types.NewInt(1), types.NewTimestamp(streamrel.MustTimestamp("2009-01-04 00:00:00"))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats(); err != nil { // the metrics op's own histogram has an observation from here on
+		t.Fatal(err)
+	}
+	// Nothing runs between this Gather and the one inside the op: a
+	// command's latency is observed after its response is built.
+	want := metrics.Flatten(eng.Metrics().Gather())
+	rows, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Data) != len(want) {
+		t.Fatalf("Stats has %d rows, the flattened Gather %d", len(rows.Data), len(want))
+	}
+	hist := 0
+	for i, p := range want {
+		if m, v := rows.Data[i][0].Str(), rows.Data[i][1].Float(); m != p.Name+p.Labels || v != p.Value {
+			t.Errorf("row %d: Stats %s = %v, flattened Gather %s%s = %v", i, m, v, p.Name, p.Labels, p.Value)
+		}
+		if p.Kind == metrics.KindHistogram {
+			hist++
+		}
+	}
+	if hist == 0 {
+		t.Fatal("no histogram rows compared")
+	}
+
+	if _, err := c.Do(&server.Request{Op: "stats"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Fatalf("stats op: err = %v, want an unknown-op error frame", err)
+	}
+	if _, err := c.Query(`SELECT 1`); err != nil {
+		t.Fatalf("connection did not survive the unknown op: %v", err)
 	}
 }

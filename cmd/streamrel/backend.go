@@ -7,6 +7,7 @@ import (
 
 	"streamrel"
 	"streamrel/client"
+	"streamrel/internal/metrics"
 )
 
 // result is what the shell prints: a header line and formatted rows.
@@ -100,13 +101,16 @@ func (b *localBackend) watch(sqlText string) (*watcher, error) {
 	}, nil
 }
 
+// stats prints what remoteBackend.stats prints — client.Stats is the same
+// metrics.Flatten over the same registry — so \stats shows one thing
+// local and remote.
 func (b *localBackend) stats() string {
-	s := b.eng.Stats()
-	return fmt.Sprintf("sources=%d pipelines=%d stores=%d storeMembers=%d windowsFired=%d rowsProcessed=%d lateDropped=%d\n"+
-		"sched: workers=%d runnable=%d steals=%d parks=%d",
-		s.Sources, s.Pipelines, s.PlanGroups, s.PlanSubscribers,
-		s.WindowsFired, s.RowsProcessed, s.LateDropped,
-		s.SchedWorkers, s.SchedRunnable, s.SchedSteals, s.SchedParks)
+	points := metrics.Flatten(b.eng.Metrics().Gather())
+	lines := make([]string, len(points))
+	for i, p := range points {
+		lines[i] = streamrel.Row{streamrel.String(p.Name + p.Labels), streamrel.Float(p.Value)}.String()
+	}
+	return strings.Join(lines, "\n")
 }
 
 func (b *localBackend) traces() string {

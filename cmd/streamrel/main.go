@@ -6,7 +6,7 @@
 //	\q                  quit
 //	\watch <select>     start a continuous query printing batches as they close
 //	\unwatch            stop all continuous queries
-//	\stats              runtime counters (pipelines, plan sharing, scheduler)
+//	\stats              every metric series as (metric, value) rows, the same local and remote
 //	\trace              completed trace spans (sampled end-to-end event traces)
 //	\sys                list the engine's sys.* telemetry streams
 //	\sys <stream>       watch a sys.* stream (5-second tumbling window)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"streamrel"
+	"streamrel/client"
+	"streamrel/internal/server"
 )
 
 func TestSplitScript(t *testing.T) {
@@ -53,8 +56,40 @@ func TestLocalBackendExecQuery(t *testing.T) {
 	if err != nil || len(res.rows) != 1 || res.rows[0] != "t" {
 		t.Fatalf("%+v %v", res, err)
 	}
-	if !strings.Contains(b.stats(), "pipelines=0") {
+	if !strings.Contains(b.stats(), "streamrel_stream_pipelines|0.0") {
 		t.Fatalf("stats: %s", b.stats())
+	}
+}
+
+// TestStatsSameLocalAndRemote: \stats prints one thing — the flattened
+// registry — whether the shell embeds the engine or connects to it.
+func TestStatsSameLocalAndRemote(t *testing.T) {
+	local := newLocal(t).(*localBackend)
+	srv := server.New(local.eng)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := &remoteBackend{c: c}
+	defer remote.close()
+
+	series := func(out string) []string {
+		var names []string
+		for _, line := range strings.Split(out, "\n") {
+			names = append(names, line[:strings.LastIndexByte(line, '|')])
+		}
+		return names
+	}
+	remote.stats() // from here on the metrics op's own histogram has an observation
+	r, l := series(remote.stats()), series(local.stats())
+	if len(l) < 10 || !reflect.DeepEqual(r, l) {
+		t.Fatalf("series differ:\nremote %q\nlocal  %q", r, l)
 	}
 }
 

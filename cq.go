@@ -148,9 +148,14 @@ func (cq *CQ) Close() {
 	cq.eng.rt.Unsubscribe(cq.pipe)
 }
 
-// RuntimeStats exposes continuous-processing counters.
+// RuntimeStats is the per-pipeline snapshot behind sys.pipelines, with its
+// sums.
 type RuntimeStats = stream.Stats
 
-// Stats returns stream-runtime counters (pipelines, window-state stores,
-// windows fired).
+// Stats returns the stream runtime's per-pipeline snapshot — what the
+// sys.pipelines stream carries, one consistent read per live pipeline, plus
+// sums over it. It is not a metrics surface: every counter an operator
+// reads comes from Metrics().Gather (as /metrics text, the "metrics" wire
+// op, or flattened by metrics.Flatten for client.Stats, sys.metrics and the
+// REPL's \stats).
 func (e *Engine) Stats() RuntimeStats { return e.rt.Stats() }

@@ -270,3 +270,10 @@ func fmtDurOrDash(d time.Duration) string {
 	}
 	return fmtDur(d)
 }
+
+func rate(n int, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) / d.Seconds()
+}

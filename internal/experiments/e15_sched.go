@@ -217,3 +217,17 @@ func E15(s Scale) (*Table, error) {
 		"acceptance: shared_k10000 rate ≥ 0.5 × shared_k100 rate; shared_k10000_last_subscribe_ms stays single-digit")
 	return t, nil
 }
+
+// fireQuantiles pulls the streamrel_window_fire_seconds histogram out of
+// a run's registry and returns its p50/p95/p99 in seconds. These measure
+// push-to-fire latency: the clock starts when a window-close task begins
+// on the pushing (or worker) goroutine and stops when the batch reaches
+// the subscriber.
+func fireQuantiles(reg *metrics.Registry) (p50, p95, p99 float64, ok bool) {
+	for _, s := range reg.Gather() {
+		if s.Name == "streamrel_window_fire_seconds" && s.Count > 0 {
+			return s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99), true
+		}
+	}
+	return 0, 0, 0, false
+}

@@ -81,10 +81,10 @@ func E16(s Scale) (*Table, error) {
 		{"1s (default)", "default", time.Second},
 		{"10ms (aggressive)", "aggressive", 10 * time.Millisecond},
 	}
-	// Interleave the configs round-robin and keep each config's best rep
-	// (same method as E11): overhead this small is easily swamped by one
-	// GC pause, and interleaving exposes every config to the same machine
-	// conditions instead of measuring drift between phases.
+	// Interleave the configs round-robin and keep each config's best rep:
+	// overhead this small is easily swamped by one GC pause, and
+	// interleaving exposes every config to the same machine conditions
+	// instead of measuring drift between phases.
 	mins := make([]time.Duration, len(configs))
 	for r := 0; r < reps; r++ {
 		for i, c := range configs {
@@ -156,8 +156,8 @@ func sysmonAllocsPerSnapshot(k int) (float64, error) {
 	if err := eng.Append("url_stream", rows...); err != nil {
 		return 0, err
 	}
-	// Warm the snapshot path, then measure the steady state the way E12
-	// measures allocs/row: whole-process Mallocs delta over N snapshots.
+	// Warm the snapshot path, then measure the steady state: the
+	// whole-process Mallocs delta over N snapshots.
 	const warm, measured = 5, 50
 	for i := 0; i < warm; i++ {
 		if err := eng.SysSnapshot(); err != nil {

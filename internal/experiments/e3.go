@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"streamrel"
@@ -83,4 +84,19 @@ func E3(s Scale) (*Table, error) {
 		"identical fingerprints attach to one slice-partial store; speedup approaches k for large k",
 		"both arms' per-CQ window transcripts compared byte for byte before reporting")
 	return t, nil
+}
+
+// transcript renders a CQ's window fires, close then rows, for the check
+// that two configurations emitted the same windows.
+func transcript(batches []streamrel.Batch) string {
+	var sb strings.Builder
+	for _, b := range batches {
+		sb.WriteString(b.Close.UTC().Format(time.RFC3339Nano))
+		for _, r := range b.Rows {
+			sb.WriteByte('\n')
+			sb.WriteString(r.String())
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }

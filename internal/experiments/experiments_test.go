@@ -3,33 +3,37 @@ package experiments
 import "testing"
 
 // TestAllExperimentsSmall runs the full suite at a tiny scale: every
-// experiment must execute end to end, produce a well-formed table, and
-// pass its internal correctness cross-checks (e.g. E1/E6 verify batch and
+// Index entry is complete and unique, and every experiment must execute
+// end to end, produce a well-formed table under its own ID, and pass its
+// internal correctness cross-checks (e.g. E1/E6 verify batch and
 // continuous reports are identical).
 func TestAllExperimentsSmall(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Index {
+		if e.ID == "" || e.What == "" || e.Run == nil {
+			t.Fatalf("incomplete Index entry: %+v", e)
+		}
+		if seen[e.ID] {
+			t.Fatalf("duplicate experiment id %s", e.ID)
+		}
+		seen[e.ID] = true
+	}
 	tables, err := All(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 17 {
-		t.Fatalf("expected 17 experiments, got %d", len(tables))
+	if len(tables) != len(Index) {
+		t.Fatalf("All ran %d experiments, Index lists %d", len(tables), len(Index))
 	}
-	seen := map[string]bool{}
-	for _, tab := range tables {
-		if tab.ID == "" || tab.Title == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
+	for i, tab := range tables {
+		if tab.ID != Index[i].ID {
+			t.Fatalf("Index entry %s produced table %q", Index[i].ID, tab.ID)
+		}
+		if tab.Title == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
 			t.Fatalf("malformed table: %+v", tab)
 		}
-		if seen[tab.ID] {
-			t.Fatalf("duplicate experiment id %s", tab.ID)
-		}
-		seen[tab.ID] = true
 		if tab.String() == "" {
 			t.Fatal("empty rendering")
-		}
-	}
-	for _, id := range []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"} {
-		if !seen[id] {
-			t.Fatalf("missing experiment %s", id)
 		}
 	}
 }

@@ -74,6 +74,51 @@ func (s *Sample) Quantile(q float64) float64 {
 	return math.NaN()
 }
 
+// Point is one row of the flattened view of a sample list.
+type Point struct {
+	// Name is the series name; a histogram's rows carry their suffix.
+	Name string
+	// Labels is the {k="v",…} part of the series ID, "" when unlabeled.
+	Labels string
+	Kind   Kind
+	Value  float64
+}
+
+// Flatten is the one rule that turns samples into (name, labels, kind,
+// value) rows, shared by every surface that shows metrics as rows
+// (client.Stats, the sys.metrics stream, the REPL's \stats): a counter or
+// gauge is one row; a histogram is five — _count, _sum and the _p50, _p95,
+// _p99 Quantile estimates. A row whose value is NaN or ±Inf is dropped —
+// the quantiles of a histogram nothing has been observed into, a gauge
+// dividing by zero — so no reader has to guard an aggregate against them.
+func Flatten(samples []*Sample) []Point {
+	n := len(samples)
+	for _, s := range samples {
+		if s.Kind == KindHistogram {
+			n += 4
+		}
+	}
+	out := make([]Point, 0, n)
+	for _, s := range samples {
+		labels := seriesID("", s.Labels)
+		add := func(suffix string, v float64) {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				out = append(out, Point{Name: s.Name + suffix, Labels: labels, Kind: s.Kind, Value: v})
+			}
+		}
+		if s.Kind != KindHistogram {
+			add("", s.Value)
+			continue
+		}
+		add("_count", float64(s.Count))
+		add("_sum", s.Sum)
+		add("_p50", s.Quantile(0.50))
+		add("_p95", s.Quantile(0.95))
+		add("_p99", s.Quantile(0.99))
+	}
+	return out
+}
+
 // Gather snapshots every registered series, sorted by name then label
 // identity. Nil-safe: a nil registry gathers nothing.
 func (r *Registry) Gather() []*Sample {

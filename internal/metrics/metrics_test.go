@@ -247,3 +247,31 @@ func TestConcurrentObserveAndGather(t *testing.T) {
 		t.Fatalf("gauge = %g, want 0", got)
 	}
 }
+
+// TestFlatten pins the one flattening rule: a counter or gauge is one row,
+// a histogram five, labels ride beside the suffixed name, and a non-finite
+// value — an empty histogram's quantiles, a NaN gauge — is no row at all.
+func TestFlatten(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total", "c", L("stream", "s")).Add(3)
+	r.Gauge("g_nan", "g").Set(math.NaN())
+	r.Histogram("h_empty_seconds", "h", []float64{1, 2})
+	r.Histogram("h_seconds", "h", []float64{1, 2}).Observe(0.5)
+
+	var got []string
+	for _, p := range Flatten(r.Gather()) {
+		if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+			t.Errorf("non-finite row %+v", p)
+		}
+		got = append(got, p.Name+p.Labels+" "+p.Kind.String())
+	}
+	want := []string{
+		`c_total{stream="s"} counter`,
+		"h_empty_seconds_count histogram", "h_empty_seconds_sum histogram",
+		"h_seconds_count histogram", "h_seconds_sum histogram",
+		"h_seconds_p50 histogram", "h_seconds_p95 histogram", "h_seconds_p99 histogram",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("Flatten =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

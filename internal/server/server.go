@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -11,12 +10,11 @@ import (
 	"streamrel"
 	"streamrel/internal/metrics"
 	"streamrel/internal/trace"
-	"streamrel/internal/types"
 )
 
 // ops is the protocol command set; per-op latency histograms are
 // pre-created so dispatch never takes the registry lock.
-var ops = []string{"exec", "query", "append", "advance", "subscribe", "unsubscribe", "ping", "stats", "metrics", "trace", "replicate", "promote"}
+var ops = []string{"exec", "query", "append", "advance", "subscribe", "unsubscribe", "ping", "metrics", "trace", "replicate", "promote"}
 
 // Server serves one engine over TCP.
 type Server struct {
@@ -286,9 +284,6 @@ func (sess *session) dispatch(req *Request) *Response {
 		}
 		return &Response{OK: true}
 
-	case "stats":
-		return sess.srv.statsResponse()
-
 	case "metrics":
 		return &Response{OK: true, Samples: EncodeSamples(eng.Metrics().Gather())}
 
@@ -311,38 +306,4 @@ func (sess *session) dispatch(req *Request) *Response {
 		return out
 	}
 	return fail(fmt.Errorf("server: unknown op %q", req.Op))
-}
-
-// statsResponse flattens the engine's metrics registry into
-// (metric, value) rows: counters and gauges become one row each;
-// histograms become _count, _sum, _p50, _p95 and _p99 rows.
-func (s *Server) statsResponse() *Response {
-	samples := s.eng.Metrics().Gather()
-	schema := types.Schema{
-		{Name: "metric", Type: types.TypeString},
-		{Name: "value", Type: types.TypeFloat},
-	}
-	out := &Response{OK: true, Columns: EncodeSchema(schema)}
-	add := func(name string, v float64) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return
-		}
-		out.Rows = append(out.Rows, types.Row{types.NewString(name), types.NewFloat(v)})
-	}
-	for _, smp := range samples {
-		id := smp.ID()
-		if smp.Kind == metrics.KindHistogram {
-			add(id+"_count", float64(smp.Count))
-			add(id+"_sum", smp.Sum)
-			for _, q := range []struct {
-				tag string
-				q   float64
-			}{{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}} {
-				add(id+q.tag, smp.Quantile(q.q))
-			}
-			continue
-		}
-		add(id, smp.Value)
-	}
-	return out
 }

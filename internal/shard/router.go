@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -252,8 +251,6 @@ func (sess *rsession) dispatch(req *server.Request) *server.Response {
 		return &server.Response{OK: true}
 	case "ping":
 		return &server.Response{OK: true}
-	case "stats":
-		return statsResponse(r.reg)
 	case "metrics":
 		return &server.Response{OK: true, Samples: server.EncodeSamples(r.reg.Gather())}
 	case "trace":
@@ -625,38 +622,6 @@ func outColumns(plan *MergePlan, scatter []server.WireColumn) []server.WireColum
 			continue
 		}
 		out[i] = server.WireColumn{Name: oc.Name, Type: types.TypeFloat.String()}
-	}
-	return out
-}
-
-// statsResponse mirrors server.statsResponse for the router's registry.
-func statsResponse(reg *metrics.Registry) *server.Response {
-	samples := reg.Gather()
-	schema := types.Schema{
-		{Name: "metric", Type: types.TypeString},
-		{Name: "value", Type: types.TypeFloat},
-	}
-	out := &server.Response{OK: true, Columns: server.EncodeSchema(schema)}
-	add := func(name string, v float64) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return
-		}
-		out.Rows = append(out.Rows, types.Row{types.NewString(name), types.NewFloat(v)})
-	}
-	for _, smp := range samples {
-		id := smp.ID()
-		if smp.Kind == metrics.KindHistogram {
-			add(id+"_count", float64(smp.Count))
-			add(id+"_sum", smp.Sum)
-			for _, q := range []struct {
-				tag string
-				q   float64
-			}{{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}} {
-				add(id+q.tag, smp.Quantile(q.q))
-			}
-			continue
-		}
-		add(id, smp.Value)
 	}
 	return out
 }

@@ -911,7 +911,9 @@ func (r *Runtime) snapshotCtx(closeTS int64) *exec.Ctx {
 	}
 }
 
-// Stats reports runtime counters for tests and the REPL.
+// Stats is the per-pipeline snapshot behind sys.pipelines (PerPipeline) and
+// sums over it, for sysmon, tests and the benchmark. The metrics registry,
+// not this struct, is what the counter read surfaces render.
 type Stats struct {
 	Sources int
 	// Pipelines counts user-facing continuous queries: store members and

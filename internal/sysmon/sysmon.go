@@ -15,7 +15,6 @@ package sysmon
 
 import (
 	"log/slog"
-	"strings"
 	"sync"
 	"time"
 
@@ -256,45 +255,21 @@ func (m *Monitor) Tick() error {
 // overwrites it with the stamped arrival time.
 func tsPlaceholder() types.Datum { return types.NewTimestampMicros(0) }
 
-// metricRows flattens gathered samples into sys.metrics rows. Counters and
-// gauges become one row each; histograms flatten the way the stats wire op
-// does: _count, _sum and interpolated p50/p95/p99 quantile rows.
+// metricRows renders metrics.Flatten's view of the gathered samples as
+// sys.metrics rows.
 func metricRows(samples []*metrics.Sample) []types.Row {
-	rows := make([]types.Row, 0, len(samples))
-	add := func(s *metrics.Sample, suffix, kind string, v float64) {
-		rows = append(rows, types.Row{
+	points := metrics.Flatten(samples)
+	rows := make([]types.Row, len(points))
+	for i, p := range points {
+		rows[i] = types.Row{
 			tsPlaceholder(),
-			types.NewString(s.Name + suffix),
-			types.NewString(labelsOf(s)),
-			types.NewString(kind),
-			types.NewFloat(v),
-		})
-	}
-	for _, s := range samples {
-		switch s.Kind {
-		case metrics.KindHistogram:
-			add(s, "_count", "histogram", float64(s.Count))
-			add(s, "_sum", "histogram", s.Sum)
-			add(s, "_p50", "histogram", s.Quantile(0.50))
-			add(s, "_p95", "histogram", s.Quantile(0.95))
-			add(s, "_p99", "histogram", s.Quantile(0.99))
-		case metrics.KindCounter:
-			add(s, "", "counter", s.Value)
-		default:
-			add(s, "", "gauge", s.Value)
+			types.NewString(p.Name),
+			types.NewString(p.Labels),
+			types.NewString(p.Kind.String()),
+			types.NewFloat(p.Value),
 		}
 	}
 	return rows
-}
-
-// labelsOf renders a sample's labels as the {k="v",…} suffix of its series
-// ID (empty for unlabeled series).
-func labelsOf(s *metrics.Sample) string {
-	id := s.ID()
-	if i := strings.IndexByte(id, '{'); i >= 0 {
-		return id[i:]
-	}
-	return ""
 }
 
 // pipelineRows converts one runtime stats snapshot into sys.pipelines rows.

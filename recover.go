@@ -138,18 +138,7 @@ func (e *Engine) checkpoint() error {
 			})
 			ix.Tree = rebuilt
 		}
-		var batch []wal.Record
-		t.Heap.Scan(snap, func(rid storage.RowID, row types.Row) bool {
-			batch = append(batch, wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row})
-			if len(batch) >= 4096 {
-				if err := ck.Append(batch); err != nil {
-					return false
-				}
-				batch = batch[:0]
-			}
-			return true
-		})
-		if err := ck.Append(batch); err != nil {
+		if err := scanTable(t, snap, ck.Append); err != nil {
 			ck.Close()
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 	"streamrel/internal/storage"
 	"streamrel/internal/stream"
 	"streamrel/internal/trace"
+	"streamrel/internal/txn"
 	"streamrel/internal/types"
 	"streamrel/internal/wal"
 )
@@ -247,10 +248,36 @@ func (e *Engine) ReplicaReset() error {
 
 // ----------------------------------------------------------- snapshot
 
-// snapshotBatchRows sizes the row batches inside one snapshot WAL frame;
-// a batch also closes early when it reaches repl.MaxEventBytes, so no
-// snapshot frame can exceed the replica's frame-size limit.
-const snapshotBatchRows = 1024
+// scanBatchRows sizes the row batches scanTable emits: a synced checkpoint
+// batch is one fsync under the engine's exclusive lock, so fewer, larger
+// batches — the byte bound is what keeps a batch of wide rows readable.
+const scanBatchRows = 4096
+
+// scanTable hands emit every row of t visible at snap as insert records
+// carrying their RowIDs, in batches that close at scanBatchRows rows or
+// repl.MaxEventBytes, whichever comes first — so neither a snapshot frame
+// nor a checkpoint batch can exceed the size its reader accepts, however
+// wide the rows. emit owns the batch it is handed. A failing emit stops
+// the scan and its error is the one returned.
+func scanTable(t *catalog.Table, snap txn.Snapshot, emit func([]wal.Record) error) error {
+	var batch []wal.Record
+	var batchBytes int
+	var err error
+	t.Heap.Scan(snap, func(rid storage.RowID, row types.Row) bool {
+		rec := wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row}
+		batch = append(batch, rec)
+		batchBytes += repl.RecordSize(rec)
+		if len(batch) >= scanBatchRows || batchBytes >= repl.MaxEventBytes {
+			err = emit(batch)
+			batch, batchBytes = nil, 0
+		}
+		return err == nil
+	})
+	if err != nil || len(batch) == 0 {
+		return err
+	}
+	return emit(batch)
+}
 
 // replicationSnapshot emits a consistent logical cut of durable state:
 // the DDL log, then every table's visible rows as insert records carrying
@@ -273,26 +300,11 @@ func (e *Engine) replicationSnapshot(emit func(repl.Event) error) error {
 	}
 	snap := e.mgr.SnapshotNow()
 	for _, t := range e.cat.Tables() {
-		var batch []wal.Record
-		var batchBytes int
-		var scanErr error
-		t.Heap.Scan(snap, func(rid storage.RowID, row types.Row) bool {
-			rec := wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row}
-			batch = append(batch, rec)
-			batchBytes += repl.RecordSize(rec)
-			if len(batch) >= snapshotBatchRows || batchBytes >= repl.MaxEventBytes {
-				scanErr = emit(repl.Event{Kind: repl.KindWAL, Recs: batch})
-				batch, batchBytes = nil, 0
-			}
-			return scanErr == nil
+		err := scanTable(t, snap, func(batch []wal.Record) error {
+			return emit(repl.Event{Kind: repl.KindWAL, Recs: batch})
 		})
-		if scanErr != nil {
-			return scanErr
-		}
-		if len(batch) > 0 {
-			if err := emit(repl.Event{Kind: repl.KindWAL, Recs: batch}); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 		ev := repl.Event{Kind: repl.KindTableNext, Table: t.Name, Next: uint64(t.Heap.NextID())}
 		if err := emit(ev); err != nil {

@@ -129,10 +129,10 @@ type Config struct {
 	// ADVANCE) — materialized when every aggregate can be retracted,
 	// slice-merging otherwise — and anything else re-executes its plan over
 	// buffered rows (DESIGN.md "Window state"). StateReexec makes every CQ
-	// re-execute (the equivalence oracle; E3's and E14's baseline),
-	// StateMerge keeps the stores but never materializes (E3's shared
-	// arm), StatePrivate gives each CQ a store of its own (N independent
-	// pipelines: E9, E11, E12, E16).
+	// re-execute (the equivalence oracle; E3's baseline), StateMerge keeps
+	// the stores but never materializes (E3's shared arm), StatePrivate
+	// gives each CQ a store of its own (N independent pipelines: E16, the
+	// BenchmarkFanout*/BenchmarkIngest* loops).
 	StateOverride StateOverride
 	// LateRows chooses what happens to out-of-order stream input:
 	// reject (default), drop, or clamp to the high-water mark.

@@ -2,6 +2,7 @@ package streamrel
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -36,7 +37,9 @@ func (c *fakeClock) Set(t time.Time) {
 // TestSysMetricsCQMatchesScrape is the acceptance check for the sysmon
 // tentpole: a continuous query over sys.metrics fires with values that
 // match a simultaneous registry scrape — the engine's own CQ machinery
-// is the alerting rule.
+// is the alerting rule. Counters, gauges and histograms alike: the window
+// carries exactly metrics.Flatten of the scrape, so every value is finite
+// (an empty histogram's quantile rows are absent, not NaN).
 func TestSysMetricsCQMatchesScrape(t *testing.T) {
 	clock := newFakeClock(MustTimestamp("2009-01-04 00:00:01"))
 	e, err := Open(Config{SysMonInterval: -1, Now: clock.Now})
@@ -46,7 +49,7 @@ func TestSysMetricsCQMatchesScrape(t *testing.T) {
 	defer e.Close()
 
 	mustExec(t, e, `CREATE STREAM u (v bigint, at timestamp CQTIME USER)`)
-	cq, err := e.Subscribe(`SELECT name, max(value) AS v FROM sys.metrics <ADVANCE '5 seconds'> GROUP BY name`)
+	cq, err := e.Subscribe(`SELECT name, labels, max(value) AS v, count(*) AS n FROM sys.metrics <ADVANCE '5 seconds'> GROUP BY name, labels`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +63,23 @@ func TestSysMetricsCQMatchesScrape(t *testing.T) {
 	}
 
 	// Scrape and snapshot back to back: Tick gathers the registry before
-	// pushing, so both observe the same counter states.
+	// pushing, so both observe the same states.
 	scrape := map[string]float64{}
-	for _, s := range e.Metrics().Gather() {
-		if s.Kind != metrics.KindHistogram {
-			scrape[s.Name] = s.Value
+	histRows, emptyHists := 0, 0
+	samples := e.Metrics().Gather()
+	for _, s := range samples {
+		if s.Kind == metrics.KindHistogram && s.Count == 0 {
+			emptyHists++
 		}
+	}
+	for _, p := range metrics.Flatten(samples) {
+		scrape[p.Name+p.Labels] = p.Value
+		if p.Kind == metrics.KindHistogram {
+			histRows++
+		}
+	}
+	if histRows == 0 || emptyHists == 0 {
+		t.Fatalf("scrape has %d histogram rows and %d empty histograms; the test needs both", histRows, emptyHists)
 	}
 	if err := e.SysSnapshot(); err != nil {
 		t.Fatal(err)
@@ -82,29 +96,25 @@ func TestSysMetricsCQMatchesScrape(t *testing.T) {
 	}
 	got := map[string]float64{}
 	for _, r := range b.Rows {
-		got[r[0].Str()] = r[1].Float()
-	}
-	if len(got) == 0 {
-		t.Fatal("window fired with no rows")
-	}
-	// Every non-histogram series with a single label set must round-trip
-	// exactly; spot-check the load-bearing ones.
-	for _, name := range []string{
-		"streamrel_stream_rows_total", // 10 rows into u
-		"streamrel_stream_sources",
-		"streamrel_stream_pipelines",
-	} {
-		want, inScrape := scrape[name]
-		cqv, inCQ := got[name]
-		if !inScrape || !inCQ {
-			t.Fatalf("%s: missing from scrape (%v) or CQ batch (%v)", name, inScrape, inCQ)
+		id, v := r[0].Str()+r[1].Str(), r[2].Float()
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("%s: sys.metrics carries non-finite value %v", id, v)
 		}
-		if cqv != want {
-			t.Errorf("%s: CQ max(value)=%v, scrape=%v", name, cqv, want)
+		if r[3].Int() != 1 {
+			t.Errorf("%s: %d rows in one snapshot", id, r[3].Int())
+		}
+		got[id] = v
+	}
+	if len(got) != len(scrape) {
+		t.Errorf("window carries %d series, flattened scrape %d", len(got), len(scrape))
+	}
+	for id, want := range scrape {
+		if v, ok := got[id]; !ok || v != want {
+			t.Errorf("%s: CQ value %v (present %v), scrape %v", id, v, ok, want)
 		}
 	}
-	if got["streamrel_stream_rows_total"] != 10 {
-		t.Errorf("streamrel_stream_rows_total through the CQ = %v, want 10", got["streamrel_stream_rows_total"])
+	if got[`streamrel_stream_rows_total{stream="u"}`] != 10 {
+		t.Errorf("streamrel_stream_rows_total through the CQ = %v, want 10", got[`streamrel_stream_rows_total{stream="u"}`])
 	}
 }
 
