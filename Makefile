@@ -47,11 +47,14 @@ drain-policies:
 
 # alloc-pins runs the ownership property (a decoded row is at most two
 # allocations and shares memory with nothing — internal/server/proto.go) and
-# every allocation pin on the decode → commit → replicate path by name and
-# without -race, which changes allocation counts: `test` runs them too, but a
-# pin that only held under the race detector's counts would pass `race`.
+# every allocation pin on the decode → commit → replicate path, in the
+# operators, and in the window-state store (first touch of a (slice, group)
+# ≤ 0.1 allocations amortized; an enrichment fire independent of window
+# rows) by name and without -race, which changes allocation counts: `test`
+# runs them too, but a pin that only held under the race detector's counts
+# would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership' ./internal/types ./internal/wal ./internal/repl ./internal/server .
+	$(GO) test -count=1 -run 'Allocs|Ownership' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/exec ./internal/ivm .
 
 check: build fmt vet staticcheck test race drain-policies alloc-pins clean-stamps
 

@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -108,6 +109,28 @@ func checkBudget(path string, tables []*experiments.Table) error {
 	return nil
 }
 
+// selectIDs parses -only into the set of experiments to run; empty means
+// all. An id experiments.Index does not list is an error naming the ones it
+// does: a typo must not pass as a run that measured nothing.
+func selectIDs(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	known := make([]string, len(experiments.Index))
+	for i, e := range experiments.Index {
+		known[i] = e.ID
+	}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("-only: unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
+
 func main() {
 	scale := flag.Float64("scale", 1.0, "experiment size multiplier (1.0 = full laptop scale)")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
@@ -123,11 +146,10 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+	want, err := selectIDs(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "srbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	fmt.Printf("streamrel experiment suite (scale %.2g)\n", *scale)

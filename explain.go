@@ -47,7 +47,11 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 			if strategy == plan.Merge {
 				fires = "merge: " + reason
 			}
-			lines = append(lines, fmt.Sprintf("  state: store %s view %s (%s), %d members", key,
+			store := key
+			if pre := p.StreamAgg.PreAgg; pre != "" {
+				store += " " + pre
+			}
+			lines = append(lines, fmt.Sprintf("  state: store %s view %s (%s), %d members", store,
 				time.Duration(p.Stream.Window.Visible)*time.Microsecond, fires, e.rt.StoreMembers(p.Stream.Name, key)))
 		}
 		if e.cfg.ParallelCQ > 0 {

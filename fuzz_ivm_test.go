@@ -13,6 +13,10 @@ import (
 // subsumed residual filter and one an ORDER BY … LIMIT post stage; q5 and
 // q6 are a shape with no retract form (DISTINCT, first, last) at two
 // VISIBLEs, so the merge strategy runs under the automatic setting too.
+// q7–q9 are the enrichment shape over the dimension table dim, whose rows
+// the tape changes between closes: every two-level aggregate; a stream
+// filter, a stream-side group column and HAVING; and a join whose slice
+// spec is q2–q4's, so one store serves plain and joined members.
 var fuzzStoreQueries = []string{
 	`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
 		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
@@ -26,6 +30,26 @@ var fuzzStoreQueries = []string{
 		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
 	`SELECT url, count(DISTINCT v), first(v), last(v)
 		FROM s <VISIBLE '60 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT d.cat, count(*), count(v), sum(v), min(v), max(v), avg(v)
+		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'>, dim d WHERE s.url = d.url GROUP BY d.cat`,
+	`SELECT d.cat, s.url, sum(v) AS sv FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> JOIN dim d ON s.url = d.url
+		WHERE v > 2 GROUP BY d.cat, s.url HAVING count(*) > 1`,
+	`SELECT d.cat, count(*) AS n, sum(v) AS sv
+		FROM s <VISIBLE '40 seconds' ADVANCE '10 seconds'>, dim d WHERE d.url = s.url GROUP BY d.cat`,
+}
+
+// fuzzDimDML is what a tape byte 0xe0+k does to the dimension table: moves
+// between categories, removals, and inserts that duplicate a key (N:M) or
+// add one the stream may or may not carry.
+var fuzzDimDML = []string{
+	`UPDATE dim SET cat = 'c2' WHERE url = '/u1'`,
+	`DELETE FROM dim WHERE url = '/u2'`,
+	`INSERT INTO dim VALUES ('/u2', 'c0')`,
+	`INSERT INTO dim VALUES ('/u0', 'c1')`,
+	`UPDATE dim SET cat = 'c0' WHERE cat = 'c2'`,
+	`DELETE FROM dim WHERE cat = 'c1'`,
+	`INSERT INTO dim VALUES ('/u5', 'c2'), ('/u6', 'c2')`,
+	`DELETE FROM dim`,
 }
 
 // FuzzIVMEquivalence drives the window-state store and its re-exec twin
@@ -35,7 +59,9 @@ var fuzzStoreQueries = []string{
 // byte stream decodes to an op tape: each byte is "advance the watermark"
 // (fires windows, retracts slices, including empty-window fires over
 // quiet gaps), "close CQ k" (never reopened: a view detaches, and when it
-// was the widest its store's retention shrinks), or "append a row" with a
+// was the widest its store's retention shrinks), "change the dimension
+// table" (the next close must join the table as it then is, under either
+// strategy), or "append a row" with a
 // small group-key space (including NULL keys and NULL aggregate inputs,
 // so retraction of NULL-bearing slices is covered). Values stay
 // integer-valued so float arithmetic is exact under any add/retract order.
@@ -51,10 +77,16 @@ func FuzzIVMEquivalence(f *testing.F) {
 	// Every view of a store but one closes (q2, q3 leave q4; q5 leaves q6).
 	f.Add([]byte{0x09, 0x12, 0xf1, 0x0a, 0x4b, 0xea, 0xf2, 0x0b, 0xeb, 0x13, 0xf1, 0xed, 0x0c, 0x1d,
 		0xf2, 0x0a, 0xf4, 0x11, 0xfa})
+	// The dimension table changes between closes: a move, an N:M duplicate,
+	// a delete of everything and a re-insert.
+	f.Add([]byte{0x09, 0x12, 0x1b, 0xf1, 0xe0, 0x0a, 0x13, 0xf2, 0xe3, 0x11, 0x19, 0xf1, 0xe7, 0x0b, 0xf1,
+		0xe2, 0xe6, 0x14, 0x2b, 0x33, 0xf3, 0xe4, 0xe1, 0xf9})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		run := func(mode string) [][]string {
 			e := openMemMode(t, mode)
 			mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint, f double)`)
+			mustExec(t, e, `CREATE TABLE dim (url varchar, cat varchar)`)
+			mustExec(t, e, `INSERT INTO dim VALUES ('/u0', 'c0'), ('/u1', 'c0'), ('/u2', 'c1'), ('/u3', 'c1'), ('/u3', 'c2')`)
 			cqs := make([]*CQ, len(fuzzStoreQueries))
 			for i, q := range fuzzStoreQueries {
 				cq, err := e.Subscribe(q)
@@ -74,10 +106,14 @@ func FuzzIVMEquivalence(f *testing.F) {
 					e.AdvanceTime("s", time.UnixMicro(ts).UTC())
 					continue
 				case op >= 0xe8:
-					// Close CQ op&7 (7 names no CQ); closing twice is a no-op.
-					if k := int(op & 0x07); k < len(cqs) {
+					// Close CQ op&7 (7 names no CQ; the joins stay open);
+					// closing twice is a no-op.
+					if k := int(op & 0x07); k < 7 {
 						cqs[k].Close()
 					}
+					continue
+				case op >= 0xe0:
+					mustExec(t, e, fuzzDimDML[op&0x07])
 					continue
 				}
 				ts += int64(op&0x07) * 700_000

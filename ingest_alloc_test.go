@@ -2,6 +2,7 @@ package streamrel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -92,5 +93,65 @@ func TestIngestAllocsReport(t *testing.T) {
 		cfg  Config
 	}{{"serial", Config{}}, {"worker", Config{ParallelCQ: 2}}} {
 		fmt.Println(m.name, "allocs/row:", measureIngestAllocs(t, m.cfg))
+	}
+}
+
+// TestEnrichFireAllocsIndependentOfWindowRows pins what aggregating below
+// the join buys at the close: an enrichment CQ joins one partial row per
+// url to the dimension table, so a fire over 10 000 window rows allocates
+// what a fire over 1 000 does (re-executing the join carved a joined row
+// per window row). AdvanceTime closes the boundary without appending, so
+// the measured call is the fire alone.
+func TestEnrichFireAllocsIndependentOfWindowRows(t *testing.T) {
+	fire := func(windowRows int) float64 {
+		e, err := Open(Config{TraceSampleEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		mustExec(t, e, `CREATE STREAM hits (url varchar, at timestamp CQTIME USER, bytes bigint)`)
+		mustExec(t, e, `CREATE TABLE urls (url varchar, category varchar)`)
+		dim := make([]Row, 100)
+		for i := range dim {
+			dim[i] = Row{String(fmt.Sprintf("/page/%03d", i)), String(fmt.Sprintf("cat-%d", i%8))}
+		}
+		if err := e.BulkInsert("urls", dim); err != nil {
+			t.Fatal(err)
+		}
+		cq, err := e.Subscribe(`SELECT u.category, count(*) AS n, sum(h.bytes) AS total
+			FROM hits h <VISIBLE '10 seconds' ADVANCE '1 second'>, urls u
+			WHERE h.url = u.url AND h.bytes > 10 GROUP BY u.category`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cq.Close()
+		if cq.Strategy != "incremental" {
+			t.Fatalf("the enrichment CQ keeps no materialized store: %s", cq.Strategy)
+		}
+		// Twelve seconds of traffic, windowRows of them in any ten: the
+		// window is full and sliding when the measured boundary closes.
+		base := MustTimestamp("2009-01-04 00:00:00")
+		rows := make([]Row, windowRows*12/10)
+		for i := range rows {
+			at := base.Add(time.Duration(i) * 10 * time.Second / time.Duration(windowRows))
+			rows[i] = Row{dim[i%len(dim)][0], Timestamp(at), Int(int64(11 + i%50))}
+		}
+		if err := e.Append("hits", rows...); err != nil {
+			t.Fatal(err)
+		}
+		cq.Drain()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.AdvanceTime("hits", base.Add(12*time.Second))
+		runtime.ReadMemStats(&after)
+		if b := cq.Drain(); len(b) != 1 || len(b[0].Rows) != 8 {
+			t.Fatalf("the heartbeat fired %d windows", len(b))
+		}
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	small, large := fire(1000), fire(10000)
+	t.Logf("enrichment fire: %.0f allocations over 1000 window rows, %.0f over 10000", small, large)
+	if large > small+4 {
+		t.Errorf("an enrichment fire allocates %.0f times over 1000 window rows and %.0f over 10000", small, large)
 	}
 }

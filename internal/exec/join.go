@@ -30,19 +30,20 @@ type HashJoin struct {
 	LeftWidth, RightWidth int // column counts, for NULL padding
 
 	ec expr.Ctx
-	// table maps a build key to its bucket's index in buckets, so a build
-	// row joining an existing bucket touches no map entry and only a new
-	// key builds a string; key is the scratch the keys are encoded into.
-	table     map[string]int
-	buckets   [][]buildRow
+	// The hash table over the build side. build holds its rows in build
+	// order, each chained by index to the next row with the same key; table
+	// maps a key to the first row of its chain. Every key is a substring of
+	// one backing string, so building costs a handful of allocations
+	// whatever the row count; key is the scratch a key is encoded into.
+	table     map[string]int32
+	build     []buildRow
 	key       []byte
 	out       rowConcat
 	buf       []types.Row // output container, reused per chunk
 	padLeft   types.Row   // NULLs standing in for the missing side (outer joins)
 	padRight  types.Row
 	leftRow   types.Row
-	matches   []buildRow
-	matchPos  int
+	match     int32 // next build row to try for leftRow; -1 when its chain is done
 	leftDone  bool
 	leftMatch bool
 	// FULL outer: unmatched build rows are emitted after the probe.
@@ -50,20 +51,24 @@ type HashJoin struct {
 	unmatchedPos int
 }
 
+// buildRow is one build-side row in its key's chain. The head of a chain
+// keeps the chain's tail (the others hold -1); a row with a NULL key is in
+// no chain.
 type buildRow struct {
-	row     types.Row
-	matched *bool
+	row        types.Row
+	keyEnd     int32 // where its key ends in the backing string
+	next, tail int32
+	null       bool
+	matched    bool
 }
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.ec = ctx.evalCtx()
-	j.table = make(map[string]int)
-	j.buckets = nil
 	j.out = rowConcat{width: -1}
 	j.padLeft, j.padRight = nullRow(j.LeftWidth), nullRow(j.RightWidth)
 	j.leftRow = nil
-	j.matches = nil
+	j.match = -1
 	j.leftDone = false
 	j.unmatched = nil
 	j.unmatchedPos = 0
@@ -71,30 +76,41 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		null, err := j.keyOf(r, j.RightKeys)
-		if err != nil {
+	// Encode every key into one buffer, make one string of it, then chain
+	// the rows through substrings of that string.
+	j.build = make([]buildRow, len(rows))
+	var keys []byte
+	for i, r := range rows {
+		j.build[i] = buildRow{row: r, next: -1, tail: -1}
+		if j.build[i].null, err = j.keyOf(r, j.RightKeys); err != nil {
 			return err
 		}
-		br := buildRow{row: r}
-		if j.Type == JoinFull || j.Type == JoinRight {
-			br.matched = new(bool)
+		if keys == nil {
+			// Keys of one column list are much of a size.
+			keys = make([]byte, 0, len(rows)*(len(j.key)+4))
 		}
-		if null {
-			// NULL keys never join, but FULL/RIGHT outer must still emit
-			// the build row padded with NULLs.
-			if j.Type == JoinFull || j.Type == JoinRight {
-				j.unmatched = append(j.unmatched, r)
-			}
+		if !j.build[i].null {
+			keys = append(keys, j.key...)
+		}
+		j.build[i].keyEnd = int32(len(keys))
+	}
+	backing := string(keys)
+	j.table = make(map[string]int32, len(rows))
+	at := int32(0)
+	for i := range j.build {
+		key := backing[at:j.build[i].keyEnd]
+		at = j.build[i].keyEnd
+		if j.build[i].null {
+			continue // NULL keys never join
+		}
+		head, ok := j.table[key]
+		if !ok {
+			j.table[key] = int32(i)
+			j.build[i].tail = int32(i)
 			continue
 		}
-		b, ok := j.table[string(j.key)]
-		if !ok {
-			b = len(j.buckets)
-			j.table[string(j.key)] = b
-			j.buckets = append(j.buckets, nil)
-		}
-		j.buckets[b] = append(j.buckets[b], br)
+		j.build[j.build[head].tail].next = int32(i)
+		j.build[head].tail = int32(i)
 	}
 	return j.Left.Open(ctx)
 }
@@ -126,9 +142,9 @@ func (j *HashJoin) NextBatch(max int) ([]types.Row, error) { return gather(&j.bu
 func (j *HashJoin) next() (types.Row, error) {
 	for {
 		// Emit pending matches for the current probe row.
-		for j.matchPos < len(j.matches) {
-			m := j.matches[j.matchPos]
-			j.matchPos++
+		for j.match >= 0 {
+			m := &j.build[j.match]
+			j.match = m.next
 			out := j.out.concat(j.leftRow, m.row)
 			if j.Residual != nil {
 				j.ec.Row = out
@@ -142,9 +158,7 @@ func (j *HashJoin) next() (types.Row, error) {
 				}
 			}
 			j.leftMatch = true
-			if m.matched != nil {
-				*m.matched = true
-			}
+			m.matched = true
 			return out, nil
 		}
 		// Current probe row exhausted: left-outer padding if unmatched.
@@ -168,15 +182,13 @@ func (j *HashJoin) next() (types.Row, error) {
 			}
 			j.leftRow = row
 			j.leftMatch = false
-			j.matchPos = 0
-			j.matches = nil
 			null, err := j.keyOf(row, j.LeftKeys)
 			if err != nil {
 				return nil, err
 			}
 			if !null {
-				if b, ok := j.table[string(j.key)]; ok {
-					j.matches = j.buckets[b]
+				if head, ok := j.table[string(j.key)]; ok {
+					j.match = head
 				}
 			}
 			continue
@@ -191,12 +203,21 @@ func (j *HashJoin) next() (types.Row, error) {
 	}
 }
 
-// collectUnmatched gathers the never-matched build rows in build order.
+// collectUnmatched gathers the build rows that never matched: those with a
+// NULL key, then the rest chain by chain in the order the chains began.
 func (j *HashJoin) collectUnmatched() {
-	for _, bucket := range j.buckets {
-		for _, br := range bucket {
-			if br.matched != nil && !*br.matched {
-				j.unmatched = append(j.unmatched, br.row)
+	for i := range j.build {
+		if j.build[i].null {
+			j.unmatched = append(j.unmatched, j.build[i].row)
+		}
+	}
+	for i := range j.build {
+		if j.build[i].tail < 0 {
+			continue // not the head of a chain
+		}
+		for k := int32(i); k >= 0; k = j.build[k].next {
+			if !j.build[k].matched {
+				j.unmatched = append(j.unmatched, j.build[k].row)
 			}
 		}
 	}
@@ -205,7 +226,7 @@ func (j *HashJoin) collectUnmatched() {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.table = nil
-	j.buckets = nil
+	j.build = nil
 	j.unmatched = nil
 	return j.Left.Close()
 }

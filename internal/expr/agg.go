@@ -64,28 +64,68 @@ type Retractable interface {
 	Sub(other Acc) error
 }
 
-// NewAcc returns a fresh accumulator for the spec.
+// NewAcc returns a fresh accumulator for the spec, allocated on its own.
 func NewAcc(spec AggSpec) (Acc, error) {
+	var one AccSlab
+	return one.New(spec)
+}
+
+// AccSlab hands out accumulators carved from typed chunks — one allocation
+// per Chunk accumulators of a kind instead of one apiece — for a caller
+// that makes them by the thousand and lets go of them together: the
+// window-state store's per-slice partials (internal/ivm). An accumulator
+// keeps its chunk alive, so a slab's memory goes when every accumulator it
+// handed out has; the zero value allocates one at a time.
+type AccSlab struct {
+	// Chunk is how many accumulators of a kind the next refill makes.
+	Chunk int
+
+	counts     []countAcc
+	sums       []sumAcc
+	avgs       []avgAcc
+	minmaxes   []minmaxAcc
+	moments    []momentsAcc
+	firstLasts []firstLastAcc
+}
+
+// carve hands out the next element of a typed chunk, refilling it first if
+// it has run out.
+func carve[T any](chunk *[]T, n int) *T {
+	if len(*chunk) == 0 {
+		*chunk = make([]T, max(n, 1))
+	}
+	a := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return a
+}
+
+// New returns a fresh accumulator for the spec.
+func (s *AccSlab) New(spec AggSpec) (Acc, error) {
 	var inner Acc
 	switch spec.Name {
 	case "count":
-		inner = &countAcc{star: spec.Star}
+		a := carve(&s.counts, s.Chunk)
+		a.star = spec.Star
+		inner = a
 	case "sum":
-		inner = &sumAcc{}
+		inner = carve(&s.sums, s.Chunk)
 	case "avg":
-		inner = &avgAcc{}
-	case "min":
-		inner = &minmaxAcc{want: -1}
-	case "max":
-		inner = &minmaxAcc{want: 1}
-	case "stddev":
-		inner = &momentsAcc{stddev: true}
-	case "variance":
-		inner = &momentsAcc{}
-	case "first":
-		inner = &firstLastAcc{first: true}
-	case "last":
-		inner = &firstLastAcc{}
+		inner = carve(&s.avgs, s.Chunk)
+	case "min", "max":
+		a := carve(&s.minmaxes, s.Chunk)
+		a.want = 1
+		if spec.Name == "min" {
+			a.want = -1
+		}
+		inner = a
+	case "stddev", "variance":
+		a := carve(&s.moments, s.Chunk)
+		a.stddev = spec.Name == "stddev"
+		inner = a
+	case "first", "last":
+		a := carve(&s.firstLasts, s.Chunk)
+		a.first = spec.Name == "first"
+		inner = a
 	default:
 		return nil, fmt.Errorf("expr: unknown aggregate %q", spec.Name)
 	}

@@ -29,6 +29,12 @@
 //
 // All views of a store close at the same boundaries (they share ADVANCE),
 // and the store retains slices for the widest attached view.
+//
+// What the first touch of a (slice, group) or (view, group) needs — the
+// partial, its accumulator list and the accumulators — is carved from a
+// slab: a slice's slab goes with the slice at Expire, a view's when the
+// view rebuilds, so state costs an allocation per chunk of groups, not
+// several per group.
 package ivm
 
 import (
@@ -78,6 +84,45 @@ type Store struct {
 type slice struct {
 	start  int64
 	groups map[string]*partial
+	slab   slab[partial]
+}
+
+// maxChunk is where slab refills stop doubling (types.RowBlock's bound).
+const maxChunk = 256
+
+// slab carves the state of one group — a T (partial or winGroup), its
+// []expr.Acc and the accumulators themselves — out of chunks of n groups,
+// each refill doubling n up to maxChunk. Nothing is handed out twice: the
+// chunks are garbage once everything carved from them is.
+type slab[T any] struct {
+	n    int // groups in the next refill
+	objs []T
+	accs []expr.Acc
+	pool expr.AccSlab
+}
+
+// sized returns a slab whose first chunk fits n groups: the size of the
+// slice or window before is the best guess at the next one.
+func sized[T any](n int) slab[T] { return slab[T]{n: min(max(n, 1), maxChunk)} }
+
+func (b *slab[T]) next(aggs []expr.AggSpec) (*T, []expr.Acc, error) {
+	if len(b.objs) == 0 {
+		b.objs = make([]T, b.n)
+		b.accs = make([]expr.Acc, b.n*len(aggs))
+		b.pool.Chunk = b.n
+		b.n = min(2*b.n, maxChunk)
+	}
+	o := &b.objs[0]
+	b.objs = b.objs[1:]
+	accs := b.accs[:len(aggs):len(aggs)]
+	b.accs = b.accs[len(aggs):]
+	for i, spec := range aggs {
+		var err error
+		if accs[i], err = b.pool.New(spec); err != nil {
+			return nil, nil, err
+		}
+	}
+	return o, accs, nil
 }
 
 // partial is one group's aggregate over one slice.
@@ -169,7 +214,12 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	sl := s.cur
 	if start := SliceStart(ts, s.advance); sl == nil || sl.start != start {
 		if sl = s.slices[start]; sl == nil {
-			sl = &slice{start: start, groups: make(map[string]*partial)}
+			// As many groups as the slice before it is the best guess.
+			n := 0
+			if s.cur != nil {
+				n = len(s.cur.groups)
+			}
+			sl = &slice{start: start, groups: make(map[string]*partial, n), slab: sized[partial](n)}
 			s.slices[start] = sl
 			s.SlicesN.Add(1)
 		}
@@ -183,12 +233,13 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 			s.groups[g.key] = g
 			s.GroupsN.Add(1)
 		}
-		accs, err := s.newAccs()
-		if err != nil {
+		var accs []expr.Acc
+		var err error
+		if p, accs, err = sl.slab.next(s.spec.Aggs); err != nil {
 			return err
 		}
+		p.g, p.accs = g, accs
 		g.slices++
-		p = &partial{g: g, accs: accs}
 		sl.groups[g.key] = p
 	}
 	p.rows++
@@ -239,6 +290,7 @@ type View struct {
 	// [lo, hi). hi starts below every timestamp: nothing built yet.
 	lo, hi int64
 	groups map[string]*winGroup
+	slab   slab[winGroup]
 
 	// ordered keeps the groups sorted by key (types.CompareRows order,
 	// matching exec.HashAgg's SortedOutput). It is maintained
@@ -315,6 +367,7 @@ func (v *View) Fire(c int64) (rows []types.Row, touched int, err error) {
 		// and a tumbling window shares no slice with its predecessor (so
 		// it never retracts, and its sums are those of re-execution to
 		// the last bit).
+		v.slab = sized[winGroup](len(v.groups))
 		clear(v.groups)
 		v.ordered, v.pending, v.removed = v.ordered[:0], v.pending[:0], 0
 		v.lo, v.hi = lo, lo
@@ -346,10 +399,11 @@ func (v *View) add(sl *slice, c int64) (touched int, err error) {
 	for k, p := range sl.groups {
 		wg := v.groups[k]
 		if wg == nil {
-			wg = &winGroup{g: p.g, stamp: c - 1}
-			if wg.accs, err = v.st.newAccs(); err != nil {
+			var accs []expr.Acc
+			if wg, accs, err = v.slab.next(v.st.spec.Aggs); err != nil {
 				return 0, err
 			}
+			wg.g, wg.accs, wg.stamp = p.g, accs, c-1
 			v.groups[p.g.key] = wg
 			v.pending = append(v.pending, wg)
 		}

@@ -2,6 +2,8 @@ package ivm
 
 import (
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,6 +96,52 @@ func TestInsertExistingGroupAllocatesNothing(t *testing.T) {
 	// 1 + 101 runs of AllocsPerRun (it warms up once) fold each row in.
 	if got, touched := fire(t, v, 10*second); got != "/a|102|510|5.0|5|5;/b|102|714|7.0|7|7;" || touched != 2 {
 		t.Errorf("fire = %s (touched %d)", got, touched)
+	}
+}
+
+// TestFirstTouchAllocsAmortized pins the other case — the first row of a
+// group in a slice, and the first slice of a group in a window: the
+// partial (or window group), its accumulator list and its accumulators are
+// carved from the slice's (or view's) slab, so a slice of 1000 groups
+// costs a few chunk refills and one presized map, not 4 objects per group.
+func TestFirstTouchAllocsAmortized(t *testing.T) {
+	const groups = 1000
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(10 * second) // tumbling: the window layer is rebuilt at every close
+	rows := make([]types.Row, groups)
+	mallocs := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	var inserts, fires float64
+	const slices = 20
+	for k := int64(0); k <= slices; k++ {
+		for i := range rows {
+			rows[i] = hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), 1)
+		}
+		ins := mallocs(func() {
+			for _, r := range rows {
+				insert(t, s, r)
+			}
+		})
+		fired := mallocs(func() {
+			if out, _, err := v.Fire((k + 1) * 10 * second); err != nil || len(out) != groups {
+				t.Fatalf("fire %d: %d rows, %v", k, len(out), err)
+			}
+		})
+		s.Expire((k + 1) * 10 * second)
+		if k > 0 { // slice 0 also makes the groups themselves and sizes nothing from a predecessor
+			inserts += ins
+			fires += fired
+		}
+	}
+	perInsert, perFire := inserts/(slices*groups), fires/(slices*groups)
+	t.Logf("allocations per first-touched (slice, group): %.3f; per (window, group): %.3f", perInsert, perFire)
+	if perInsert > 0.1 || perFire > 0.1 {
+		t.Errorf("first touch allocates %.3f per (slice, group) and %.3f per (window, group), want ≤ 0.1", perInsert, perFire)
 	}
 }
 

@@ -21,60 +21,16 @@ const aggQual = "#agg"
 func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool) (*node, error) {
 	inScope := rel.scope
 
-	// Resolve GROUP BY items: positions and aliases refer to the select
-	// list; anything else is an expression over the input.
-	groupExprs := make([]sql.Expr, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		groupExprs[i] = g
-		if lit, ok := g.(*sql.Literal); ok && lit.Val.Type() == types.TypeInt {
-			pos := int(lit.Val.Int())
-			if pos < 1 || pos > len(sel.Items) || sel.Items[pos-1].Expr == nil {
-				return nil, fmt.Errorf("plan: GROUP BY position %d out of range", pos)
-			}
-			groupExprs[i] = sel.Items[pos-1].Expr
-			continue
-		}
-		if cr, ok := g.(*sql.ColumnRef); ok && cr.Table == "" {
-			if _, err := inScope.ResolveColumn("", cr.Name); err != nil {
-				// Not an input column: try select-list aliases.
-				for _, item := range sel.Items {
-					if item.Alias == cr.Name && item.Expr != nil {
-						groupExprs[i] = item.Expr
-						break
-					}
-				}
-			}
-		}
-		if containsAggregate(groupExprs[i]) {
-			return nil, fmt.Errorf("plan: aggregate functions are not allowed in GROUP BY")
-		}
-	}
-
-	// Collect the distinct aggregate calls appearing anywhere post-GROUP.
-	var aggCalls []*sql.FuncCall
-	seen := map[string]bool{}
-	collect := func(e sql.Expr) {
-		sql.WalkExprs(e, func(x sql.Expr) bool {
-			if fc, ok := x.(*sql.FuncCall); ok && expr.IsAggregate(fc.Name) {
-				if !seen[fc.String()] {
-					seen[fc.String()] = true
-					aggCalls = append(aggCalls, fc)
-				}
-				return false
-			}
-			return true
-		})
+	groupExprs, err := resolveGroupBy(sel, inScope)
+	if err != nil {
+		return nil, err
 	}
 	for _, item := range sel.Items {
 		if item.Star || item.TableStar != "" {
 			return nil, fmt.Errorf("plan: * is not allowed with GROUP BY or aggregates")
 		}
-		collect(item.Expr)
 	}
-	collect(sel.Having)
-	for _, o := range sel.OrderBy {
-		collect(o.Expr)
-	}
+	aggCalls := aggCallsOf(sel)
 
 	// Compile group keys and aggregate arguments over the input scope.
 	compiledGroups := make([]*expr.Scalar, len(groupExprs))
@@ -281,23 +237,84 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 				return nil, err
 			}
 		}
+		n.aggInput = func(aggRows []types.Row) exec.Operator {
+			var op exec.Operator = &exec.Relation{Rows: aggRows}
+			for _, rs := range residual {
+				op = &exec.Filter{Child: op, Pred: rs}
+			}
+			return op
+		}
 		n.streamAgg = &StreamAgg{
 			Pred:        pred,
 			GroupBy:     compiledGroups,
 			Aggs:        aggSpecs,
 			Fingerprint: fp,
 			PostKey:     postKeyString(residConjs, sel),
-			PostBuild: func(aggRows []types.Row) exec.Operator {
-				var op exec.Operator = &exec.Relation{Rows: aggRows}
-				for _, rs := range residual {
-					op = &exec.Filter{Child: op, Pred: rs}
-				}
-				return buildAbove(op)
-			},
+			PostBuild:   func(aggRows []types.Row) exec.Operator { return buildAbove(n.aggInput(aggRows)) },
 		}
 		n.aggPostScope = postScope
 	}
 	return n, nil
+}
+
+// resolveGroupBy returns the GROUP BY list as expressions over the input:
+// positions and aliases refer to the select list; anything else is an
+// expression over the input.
+func resolveGroupBy(sel *sql.Select, inScope *scope) ([]sql.Expr, error) {
+	groupExprs := make([]sql.Expr, len(sel.GroupBy))
+	for i, g := range sel.GroupBy {
+		groupExprs[i] = g
+		if lit, ok := g.(*sql.Literal); ok && lit.Val.Type() == types.TypeInt {
+			pos := int(lit.Val.Int())
+			if pos < 1 || pos > len(sel.Items) || sel.Items[pos-1].Expr == nil {
+				return nil, fmt.Errorf("plan: GROUP BY position %d out of range", pos)
+			}
+			groupExprs[i] = sel.Items[pos-1].Expr
+			continue
+		}
+		if cr, ok := g.(*sql.ColumnRef); ok && cr.Table == "" {
+			if _, err := inScope.ResolveColumn("", cr.Name); err != nil {
+				// Not an input column: try select-list aliases.
+				for _, item := range sel.Items {
+					if item.Alias == cr.Name && item.Expr != nil {
+						groupExprs[i] = item.Expr
+						break
+					}
+				}
+			}
+		}
+		if containsAggregate(groupExprs[i]) {
+			return nil, fmt.Errorf("plan: aggregate functions are not allowed in GROUP BY")
+		}
+	}
+	return groupExprs, nil
+}
+
+// aggCallsOf collects the distinct aggregate calls appearing anywhere
+// post-GROUP: select list, HAVING, ORDER BY.
+func aggCallsOf(sel *sql.Select) []*sql.FuncCall {
+	var aggCalls []*sql.FuncCall
+	seen := map[string]bool{}
+	collect := func(e sql.Expr) {
+		sql.WalkExprs(e, func(x sql.Expr) bool {
+			if fc, ok := x.(*sql.FuncCall); ok && expr.IsAggregate(fc.Name) {
+				if !seen[fc.String()] {
+					seen[fc.String()] = true
+					aggCalls = append(aggCalls, fc)
+				}
+				return false
+			}
+			return true
+		})
+	}
+	for _, item := range sel.Items {
+		collect(item.Expr)
+	}
+	collect(sel.Having)
+	for _, o := range sel.OrderBy {
+		collect(o.Expr)
+	}
+	return aggCalls
 }
 
 // postKeyString canonically identifies a plan's post-aggregation stage:
@@ -350,25 +367,38 @@ func sameExpr(a, c sql.Expr, sc *scope) bool {
 }
 
 // fingerprint canonically identifies a shareable slice computation. where
-// is the base (non-hoisted) part of the WHERE clause.
+// is the base (non-hoisted) part of the WHERE clause. Every column below
+// the aggregate is the stream's, so references print unqualified: `h.url`
+// under an alias and plain `url` key the same store.
 func fingerprint(stream string, where sql.Expr, groups []sql.Expr, aggs []*sql.FuncCall) string {
 	var b strings.Builder
 	b.WriteString(stream)
 	b.WriteString("|W:")
 	if where != nil {
-		b.WriteString(where.String())
+		b.WriteString(unqualified(where))
 	}
 	b.WriteString("|G:")
 	for _, g := range groups {
-		b.WriteString(g.String())
+		b.WriteString(unqualified(g))
 		b.WriteByte(';')
 	}
 	b.WriteString("|A:")
 	for _, a := range aggs {
-		b.WriteString(a.String())
+		b.WriteString(unqualified(a))
 		b.WriteByte(';')
 	}
 	return b.String()
+}
+
+// unqualified prints e with the qualifier dropped from every column
+// reference.
+func unqualified(e sql.Expr) string {
+	return rewriteExpr(e, func(x sql.Expr) (sql.Expr, bool) {
+		if cr, ok := x.(*sql.ColumnRef); ok && cr.Table != "" {
+			return &sql.ColumnRef{Name: cr.Name}, true
+		}
+		return x, false
+	}).String()
 }
 
 // sliceExprsCall reports whether the slice-evaluated parts of the query

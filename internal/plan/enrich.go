@@ -1,0 +1,343 @@
+package plan
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+
+	"streamrel/internal/catalog"
+	"streamrel/internal/exec"
+	"streamrel/internal/expr"
+	"streamrel/internal/sql"
+	"streamrel/internal/types"
+)
+
+// preName is the FROM name and qualifier of the pre-aggregated stream in an
+// enrichment post block; '#' keeps it out of the reach of parsed SQL.
+const preName = "#pre"
+
+// enrich plans the enrichment shape — one windowed stream inner-joined to
+// base tables under a GROUP BY, the paper's Example 5 — as eager
+// aggregation: the stream is aggregated below the join, by the join key, in
+// an ordinary window-state store, and each close joins O(groups) partial
+// rows to the tables instead of O(window rows) stream rows.
+//
+//	SELECT T…, agg(S…) FROM stream s, tables t WHERE Ps AND Pt AND ks = kt GROUP BY Gs, Gt
+//
+// becomes the slice spec
+//
+//	#pre = SELECT ks, Gs, agg(S…) FROM stream s WHERE Ps GROUP BY ks, Gs
+//
+// and the post stage
+//
+//	SELECT T…, agg'(#pre.agg) FROM #pre, tables t WHERE #pre.ks = kt AND Pt GROUP BY #pre.Gs, Gt
+//
+// with agg' = sum for count and sum, min/max for themselves and
+// sum/sum for avg. It is exact because every stream row of one #pre group
+// has the same ks and Gs and therefore joins the same table rows and lands
+// in the same final groups: a table row matching m stream rows of the
+// group contributes their aggregate once, which is what summing m joined
+// rows contributes, and a key matching several table rows (N:M) repeats the
+// partial once per match exactly as it repeated each stream row. Both
+// blocks are planned by the ordinary planner — the first yields the
+// StreamAgg (filter hoisting and canonical fingerprint included, so it
+// shares a store with any plain dashboard of the same shape), the second
+// runs under the snapshot of the close like every post stage, which is the
+// snapshot re-execution joins under: window consistency is unchanged.
+//
+// whyNot names the rule an enrichment-like query failed; it is empty, with
+// a nil result, for a query that is not a join aggregate at all.
+func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, whyNot string) {
+	if sel.SetOp != nil || !isAggregate(sel) {
+		return nil, ""
+	}
+	fl := flatFrom{all: &scope{}}
+	for _, ref := range sel.From {
+		if why := fl.add(p.Cat, ref); why != "" {
+			return nil, why
+		}
+	}
+	if fl.stream == nil || len(fl.tables) == 0 {
+		return nil, ""
+	}
+	if len(sel.GroupBy) == 0 {
+		return nil, "scalar aggregate over a join: an empty window still emits a row"
+	}
+	streamScope := scopeFrom(tableAlias(fl.stream), stream.Schema)
+	fl.nStream = len(streamScope.cols)
+	fl.all = concatScopes(streamScope, fl.all)
+
+	// The slice spec: stream-only conjuncts, and the stream side of every
+	// key and group expression as the pre-aggregation's GROUP BY.
+	pre := &sql.Select{From: []sql.TableRef{fl.stream}}
+	var preKeys []string // unqualified, for matching and EXPLAIN
+	preKey := func(e sql.Expr) sql.Expr {
+		u := unqualified(e)
+		i := slices.Index(preKeys, u)
+		if i < 0 {
+			i = len(preKeys)
+			preKeys = append(preKeys, u)
+			pre.GroupBy = append(pre.GroupBy, e)
+			pre.Items = append(pre.Items, sql.SelectItem{Expr: e, Alias: fmt.Sprintf("#k%d", i)})
+		}
+		return &sql.ColumnRef{Table: preName, Name: fmt.Sprintf("#k%d", i)}
+	}
+	var streamConds, postConds []sql.Expr
+	for _, c := range append(splitConjuncts(sel.Where), fl.on...) {
+		switch s, t := fl.sides(c); {
+		case s && !t:
+			streamConds = append(streamConds, c)
+		case !s:
+			postConds = append(postConds, c)
+		default:
+			// A key: one side stream-only, the other free of the stream.
+			var l, r sql.Expr
+			if be, ok := c.(*sql.BinaryExpr); ok && be.Op == sql.OpEq {
+				l, r = be.L, be.R
+				if s, _ := fl.sides(l); !s {
+					l, r = r, l
+				}
+			}
+			ls, lt := fl.sides(l)
+			if rs, _ := fl.sides(r); !ls || lt || rs {
+				return nil, fmt.Sprintf("conjunct %s mixes stream and table columns and is not an equality key", c)
+			}
+			postConds = append(postConds, &sql.BinaryExpr{Op: sql.OpEq, L: preKey(l), R: r})
+		}
+	}
+	if len(preKeys) == 0 {
+		return nil, "no equality key between the stream and a table"
+	}
+	pre.Where = andAll(streamConds)
+
+	groupExprs, err := resolveGroupBy(sel, fl.all)
+	if err != nil {
+		return nil, err.Error()
+	}
+	for _, g := range groupExprs {
+		if s, t := fl.sides(g); s && t {
+			return nil, fmt.Sprintf("GROUP BY %s mixes stream and table columns", g)
+		} else if s {
+			preKey(g)
+		}
+	}
+
+	// The partial aggregates, and for each original call the expression
+	// over them that finishes it above the join.
+	var preAggs []string
+	partial := func(name string, arg sql.Expr, star bool) sql.Expr {
+		fc := &sql.FuncCall{Name: name, Star: star}
+		if !star {
+			fc.Args = []sql.Expr{arg}
+		}
+		u := unqualified(fc)
+		i := slices.Index(preAggs, u)
+		if i < 0 {
+			i = len(preAggs)
+			preAggs = append(preAggs, u)
+			pre.Items = append(pre.Items, sql.SelectItem{Expr: fc, Alias: fmt.Sprintf("#a%d", i)})
+		}
+		return &sql.ColumnRef{Table: preName, Name: fmt.Sprintf("#a%d", i)}
+	}
+	final := map[string]sql.Expr{}
+	for _, fc := range aggCallsOf(sel) {
+		name := strings.ToLower(fc.Name)
+		var arg sql.Expr
+		if !fc.Star {
+			if len(fc.Args) != 1 {
+				return nil, fmt.Sprintf("%s takes exactly one argument", fc.Name)
+			}
+			arg = fc.Args[0]
+			if _, t := fl.sides(arg); t {
+				return nil, fmt.Sprintf("aggregate %s reads a table column", fc)
+			}
+		}
+		switch {
+		case fc.Distinct:
+			return nil, fmt.Sprintf("%s(DISTINCT …) cannot be aggregated below the join", name)
+		case name == "count" || name == "sum":
+			final[fc.String()] = &sql.FuncCall{Name: "sum", Args: []sql.Expr{partial(name, arg, fc.Star)}}
+		case name == "min" || name == "max":
+			final[fc.String()] = &sql.FuncCall{Name: name, Args: []sql.Expr{partial(name, arg, false)}}
+		case name == "avg":
+			// avg keeps a float sum and a count; so do its two partials, and
+			// only over a statically numeric argument (a cast would accept
+			// strings avg refuses).
+			if s, err := expr.Compile(arg, streamScope); err != nil || !s.Type.Numeric() {
+				return nil, fmt.Sprintf("%s is not over a numeric column", fc)
+			}
+			final[fc.String()] = &sql.BinaryExpr{Op: sql.OpDiv,
+				L: &sql.FuncCall{Name: "sum", Args: []sql.Expr{partial("sum", &sql.CastExpr{E: arg, To: types.TypeFloat}, false)}},
+				R: &sql.FuncCall{Name: "sum", Args: []sql.Expr{partial("count", arg, false)}}}
+		default:
+			return nil, fmt.Sprintf("aggregate %s has no two-level form", name)
+		}
+	}
+
+	pb := &builder{cat: p.Cat}
+	pn, err := pb.buildSelect(pre, true)
+	switch {
+	case err != nil:
+		return nil, err.Error()
+	case pb.readsNow:
+		return nil, "reads now()"
+	case pn.streamAgg == nil:
+		return nil, "cq_close(*) below the aggregate"
+	}
+
+	// The post block: the original block over #pre in the stream's place.
+	// lift rewrites an expression above the aggregation — aggregate calls
+	// to their final forms, stream-side group expressions to #pre columns.
+	lift := func(e sql.Expr) sql.Expr {
+		return rewriteExpr(e, func(x sql.Expr) (sql.Expr, bool) {
+			if fc, ok := x.(*sql.FuncCall); ok && expr.IsAggregate(fc.Name) {
+				return final[fc.String()], true
+			}
+			if s, t := fl.sides(x); s && !t {
+				if i := slices.Index(preKeys, unqualified(x)); i >= 0 {
+					return &sql.ColumnRef{Table: preName, Name: fmt.Sprintf("#k%d", i)}, true
+				}
+			}
+			return x, false
+		})
+	}
+	post := &sql.Select{
+		Distinct: sel.Distinct,
+		From:     []sql.TableRef{&sql.BaseTable{Name: preName, Alias: preName}},
+		Where:    andAll(postConds),
+		Having:   lift(sel.Having),
+		Limit:    sel.Limit,
+		Offset:   sel.Offset,
+	}
+	names := make([]string, len(fl.tables))
+	for i, t := range fl.tables {
+		post.From = append(post.From, t)
+		names[i] = t.Name
+	}
+	outNames := map[string]bool{}
+	for i, item := range sel.Items {
+		name := outName(item, i)
+		outNames[name] = true
+		post.Items = append(post.Items, sql.SelectItem{Expr: lift(item.Expr), Alias: name})
+	}
+	for _, g := range groupExprs {
+		post.GroupBy = append(post.GroupBy, lift(g))
+	}
+	for _, o := range sel.OrderBy {
+		// An output name or position sorts by that output column, as in
+		// applyOrderBy, even where a stream column has the same name.
+		if cr, ok := o.Expr.(*sql.ColumnRef); !ok || cr.Table != "" || !outNames[cr.Name] {
+			o.Expr = lift(o.Expr)
+		}
+		post.OrderBy = append(post.OrderBy, o)
+	}
+	// #pre selects its group keys, then its aggregates, each once: its
+	// projection is the identity over the store's rows, so the post block
+	// reads those directly (a join probes its left input a row at a time,
+	// and a Project in between would carve a block per group).
+	preAgg := pn.streamAgg
+	qb := &builder{cat: p.Cat, pre: &relNode{
+		scope: scopeFrom(preName, pn.schema),
+		build: func(in Input) exec.Operator { return pn.aggInput(in.WindowRows) },
+	}}
+	qn, err := qb.buildSelect(post, true)
+	if err != nil {
+		return nil, "post stage: " + err.Error()
+	}
+	return &StreamAgg{
+		Pred:        preAgg.Pred,
+		GroupBy:     preAgg.GroupBy,
+		Aggs:        preAgg.Aggs,
+		Fingerprint: preAgg.Fingerprint,
+		PostKey:     preAgg.PostKey + "|E:" + selectKey(post),
+		PostBuild:   func(aggRows []types.Row) exec.Operator { return qn.build(Input{WindowRows: aggRows}) },
+		PreAgg: fmt.Sprintf("pre-aggregated by (%s) below join %s",
+			strings.Join(preKeys, ", "), strings.Join(names, ", ")),
+	}, ""
+}
+
+// flatFrom is a FROM clause flattened through its inner joins: the one
+// windowed stream, the base tables, and the ON conjuncts, which under an
+// inner join mean what they mean in WHERE.
+type flatFrom struct {
+	stream  *sql.BaseTable
+	tables  []*sql.BaseTable
+	on      []sql.Expr
+	all     *scope // the stream's nStream columns, then every table's
+	nStream int
+}
+
+// add flattens one FROM item, returning the rule it breaks if any.
+func (f *flatFrom) add(cat *catalog.Catalog, ref sql.TableRef) (whyNot string) {
+	switch r := ref.(type) {
+	case *sql.Join:
+		if r.Type != sql.JoinInner && r.Type != sql.JoinCross {
+			return fmt.Sprintf("%s JOIN: only inner joins aggregate below the join", r.Type)
+		}
+		f.on = append(f.on, splitConjuncts(r.On)...)
+		if why := f.add(cat, r.Left); why != "" {
+			return why
+		}
+		return f.add(cat, r.Right)
+	case *sql.BaseTable:
+		if r.Window != nil {
+			f.stream = r // the plan built, so this is its one stream leaf
+			return ""
+		}
+		tab, ok := cat.Table(r.Name)
+		if !ok {
+			return fmt.Sprintf("joins %s, which is not a base table", r.Name)
+		}
+		f.tables = append(f.tables, r)
+		f.all = concatScopes(f.all, scopeFrom(tableAlias(r), tab.Schema))
+		return ""
+	}
+	return "subquery in FROM"
+}
+
+func tableAlias(r *sql.BaseTable) string {
+	if r.Alias != "" {
+		return r.Alias
+	}
+	return r.Name
+}
+
+// sides reports which inputs e's column references bind to. A reference
+// that does not resolve (an ORDER BY output alias) binds to neither.
+func (f *flatFrom) sides(e sql.Expr) (stream, table bool) {
+	for _, ref := range columnRefs(e) {
+		b, err := f.all.ResolveColumn(ref.Table, ref.Name)
+		switch {
+		case err != nil:
+		case b.Index < f.nStream:
+			stream = true
+		default:
+			table = true
+		}
+	}
+	return stream, table
+}
+
+// selectKey canonically renders an enrichment post block for PostKey:
+// everything that distinguishes two post stages over the same store —
+// projection (aliases excluded), joined tables, WHERE conjuncts (sorted:
+// conjunction commutes), final GROUP BY, HAVING, ORDER BY, LIMIT, DISTINCT.
+func selectKey(sel *sql.Select) string {
+	items := make([]sql.Expr, len(sel.Items))
+	for i, item := range sel.Items {
+		items[i] = item.Expr
+	}
+	from := make([]string, len(sel.From))
+	for i, ref := range sel.From {
+		t := ref.(*sql.BaseTable)
+		from[i] = t.Name + " " + tableAlias(t)
+	}
+	var where []string
+	for _, c := range splitConjuncts(sel.Where) {
+		where = append(where, c.String())
+	}
+	sort.Strings(where)
+	return fmt.Sprintf("%v|F:%q|W:%q|G:%v|H:%v|O:%v|L:%v,%v|D:%v", items, from, where,
+		sel.GroupBy, sel.Having, sel.OrderBy, sel.Limit, sel.Offset, sel.Distinct)
+}

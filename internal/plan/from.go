@@ -45,10 +45,10 @@ func (b *builder) buildTableRef(ref sql.TableRef) (*relNode, error) {
 }
 
 func (b *builder) buildBaseTable(r *sql.BaseTable) (*relNode, error) {
-	alias := r.Alias
-	if alias == "" {
-		alias = r.Name
+	if r.Name == preName && b.pre != nil {
+		return b.pre, nil
 	}
+	alias := tableAlias(r)
 
 	// Views expand inline. A view over streams is a Streaming View,
 	// instantiated per use (paper §3.2) — expansion gives exactly that.

@@ -5,9 +5,10 @@
 // reuse the standard relational operators).
 //
 // The planner also detects the shared-aggregation shape (a plain aggregate
-// over a single windowed stream) and exposes its pieces so the stream
-// runtime can evaluate per-slice partial aggregates shared across
-// continuous queries (paper refs [4], [12]).
+// over a single windowed stream, or over that stream inner-joined to base
+// tables — see enrich) and exposes its pieces so the stream runtime can
+// evaluate per-slice partial aggregates shared across continuous queries
+// (paper refs [4], [12]).
 package plan
 
 import (
@@ -57,8 +58,13 @@ type StreamAgg struct {
 	// PostKey canonically identifies the post-aggregation stage (hoisted
 	// residual WHERE conjuncts, HAVING, projection, DISTINCT, ORDER BY,
 	// LIMIT). CQs attached to one view of a store run one post stage per
-	// distinct PostKey.
+	// distinct PostKey. For the enrichment shape it also names the joined
+	// tables, the join and table-only conjuncts and the final GROUP BY.
 	PostKey string
+	// PreAgg is empty for an aggregate directly over the stream; for the
+	// enrichment shape (see enrich) it is EXPLAIN's note of what the store
+	// aggregates by and below which join.
+	PreAgg string
 }
 
 // Plan is a compiled query.
@@ -74,6 +80,10 @@ type Plan struct {
 	// clock is read once per fire by re-execution instead of per arriving
 	// row by a store.
 	ReadsNow bool
+	// WhyNoStore names the rule a stream-table join aggregate failed to be
+	// planned over a store (see enrich); empty when StreamAgg is set or the
+	// plan is no such join.
+	WhyNoStore string
 	// CloseCol is the output column produced by cq_close(*), or -1; it is
 	// how recovery locates the archived window timestamp (paper §4).
 	CloseCol int
@@ -93,14 +103,18 @@ func (p *Planner) BuildSelect(sel *sql.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{
+	plan := &Plan{
 		Columns:   n.schema,
 		Stream:    b.stream,
 		StreamAgg: n.streamAgg,
 		ReadsNow:  b.readsNow,
 		CloseCol:  n.closeCol,
 		Build:     n.build,
-	}, nil
+	}
+	if plan.Stream != nil && plan.StreamAgg == nil && !plan.ReadsNow {
+		plan.StreamAgg, plan.WhyNoStore = p.enrich(sel, plan.Stream)
+	}
+	return plan, nil
 }
 
 // builder holds per-query planning state.
@@ -111,6 +125,9 @@ type builder struct {
 	readsNow bool
 	// viewDepth guards against recursive view definitions.
 	viewDepth int
+	// pre, when set, is what FROM #pre plans to: the pre-aggregated stream
+	// of an enrichment post block (see enrich).
+	pre *relNode
 }
 
 // node is a planned (sub)tree.
@@ -131,6 +148,10 @@ type node struct {
 	projExprs    []*expr.Scalar
 	distinct     bool
 	aggPostScope *scope
+	// aggInput, set with streamAgg, is what PostBuild runs HAVING and the
+	// projection over: the store's rows (group keys ++ aggregate results)
+	// under the hoisted residual filters.
+	aggInput func(aggRows []types.Row) exec.Operator
 }
 
 // ------------------------------------------------------------- scopes

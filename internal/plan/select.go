@@ -106,20 +106,20 @@ func (b *builder) buildSelectCore(sel *sql.Select) (*node, error) {
 	streamOnlyFrom := !hadStream && b.stream != nil &&
 		len(sel.From) == 1 && rel.isStreamShape()
 
-	hasAgg := len(sel.GroupBy) > 0
-	for _, item := range sel.Items {
-		if item.Expr != nil && containsAggregate(item.Expr) {
-			hasAgg = true
-		}
-	}
-	if sel.Having != nil {
-		hasAgg = true
-	}
-
-	if !hasAgg {
+	if !isAggregate(sel) {
 		return b.buildProjection(sel, rel)
 	}
 	return b.buildAggregate(sel, rel, streamOnlyFrom)
+}
+
+// isAggregate reports whether the block groups or aggregates.
+func isAggregate(sel *sql.Select) bool {
+	for _, item := range sel.Items {
+		if item.Expr != nil && containsAggregate(item.Expr) {
+			return true
+		}
+	}
+	return len(sel.GroupBy) > 0 || sel.Having != nil
 }
 
 // isStreamShape reports whether the relation is the stream leaf, possibly

@@ -61,6 +61,8 @@ func (p *Plan) WindowState(o StateOverride) (key string, s Strategy, reason stri
 		return "", Reexec, "not a continuous query"
 	case p.ReadsNow:
 		return "", Reexec, "reads now()"
+	case p.StreamAgg == nil && p.WhyNoStore != "":
+		return "", Reexec, p.WhyNoStore
 	case p.StreamAgg == nil:
 		return "", Reexec, "plan is not a filter/group-by aggregate directly over the stream"
 	}
