@@ -38,23 +38,25 @@ cover:
 
 # drain-policies runs the stream runtime, the experiments and the root
 # fan-out/sharing/alloc suites under the race detector at 1 and 4 CPUs, so
-# both mailbox drain policies (producer-drained, scheduler pool) and
-# concurrent CQTIME SYSTEM stamping are exercised whatever the runner's
+# both mailbox drain policies (producer-drained, scheduler pool),
+# concurrent CQTIME SYSTEM stamping and the rows a store's fires share with
+# every member and with later fires are exercised whatever the runner's
 # core count.
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid' .
 
 # alloc-pins runs the ownership property (a decoded row is at most two
 # allocations and shares memory with nothing — internal/server/proto.go) and
 # every allocation pin on the decode → commit → replicate path, in the
 # operators, and in the window-state store (first touch of a (slice, group)
 # ≤ 0.1 allocations amortized; an enrichment fire independent of window
-# rows) by name and without -race, which changes allocation counts: `test`
-# runs them too, but a pin that only held under the race detector's counts
-# would pass `race`.
+# rows; a fire two allocations and O(touched) bytes, and what its shared
+# rows keep reachable at most two copies of the window) by name and without
+# -race, which changes allocation counts: `test` runs them too, but a pin
+# that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/exec ./internal/ivm .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/exec ./internal/ivm .
 
 check: build fmt vet staticcheck test race drain-policies alloc-pins clean-stamps
 

@@ -16,7 +16,11 @@ import (
 // returned inside the window).
 type Batch struct {
 	Close time.Time
-	Rows  []Row
+	// Rows is read-only, the slice and every row in it: both may be shared
+	// with the other subscribers of an equivalent query, and a row with
+	// later batches — a group a close did not change is delivered again as
+	// the same Row. Copy before modifying (Row.Clone).
+	Rows []Row
 }
 
 // CQ is a handle on a running continuous query. Results queue internally;

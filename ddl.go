@@ -470,5 +470,5 @@ func (e *Engine) execCtx() *exec.Ctx {
 
 // execDrain runs a plan to completion.
 func execDrain(ctx *exec.Ctx, p *plan.Plan, in plan.Input) ([]types.Row, error) {
-	return exec.Drain(ctx, p.Build(in))
+	return exec.Drain(ctx, p.Build(in), 0)
 }

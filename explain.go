@@ -53,6 +53,7 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 			}
 			lines = append(lines, fmt.Sprintf("  state: store %s view %s (%s), %d members", store,
 				time.Duration(p.Stream.Window.Visible)*time.Microsecond, fires, e.rt.StoreMembers(p.Stream.Name, key)))
+			lines = append(lines, "  post: "+postStage(p.StreamAgg))
 		}
 		if e.cfg.ParallelCQ > 0 {
 			lines = append(lines, fmt.Sprintf("  sched: stealing (%d workers, mailbox bound %d)",
@@ -75,6 +76,23 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 	}}, nil
 }
 
+// postStage names what runs over a store-backed CQ's rows at every close,
+// in the order it runs, read off the operator tree itself: a project or a
+// join makes new rows, a filter, sort or limit passes the view's on.
+func postStage(agg *plan.StreamAgg) string {
+	if agg.PostBuild == nil {
+		return "none (view rows delivered as emitted)"
+	}
+	_, stats := exec.Instrument(agg.PostBuild(nil))
+	var ops []string
+	for i := len(stats) - 1; i >= 0; i-- {
+		if name := stats[i].Name; name != "Relation" {
+			ops = append(ops, strings.ToLower(name))
+		}
+	}
+	return strings.Join(ops, ", ")
+}
+
 // execExplainAnalyze executes a snapshot query with every operator
 // instrumented and reports the tree with per-operator row counts and
 // inclusive wall times — the executor-level observability that per-window
@@ -88,7 +106,7 @@ func (e *Engine) execExplainAnalyze(p *plan.Plan) (*Result, error) {
 	ctx := e.execCtx()
 	start := time.Now()
 	root, stats := exec.Instrument(p.Build(plan.Input{}))
-	out, err := exec.Drain(ctx, root)
+	out, err := exec.Drain(ctx, root, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -81,6 +81,12 @@ func FuzzIVMEquivalence(f *testing.F) {
 	// a delete of everything and a re-insert.
 	f.Add([]byte{0x09, 0x12, 0x1b, 0xf1, 0xe0, 0x0a, 0x13, 0xf2, 0xe3, 0x11, 0x19, 0xf1, 0xe7, 0x0b, 0xf1,
 		0xe2, 0xe6, 0x14, 0x2b, 0x33, 0xf3, 0xe4, 0xe1, 0xf9})
+	// Rows held across closes: /u2 leaves q0's window at the close of 40 s,
+	// which is also a full carve (the blocks carved at 10, 20 and 30 s hold
+	// 7 rows, over twice the 2 live groups), and re-enters at 50 s; /u0 and
+	// /u1 change at every close, and every multi-second view sees the same.
+	f.Add([]byte{0x01, 0x09, 0x11, 0xf2, 0x01, 0x09, 0xf2, 0x01, 0x09, 0xf2, 0x11, 0x01, 0xf2, 0x09, 0x11,
+		0xf2, 0x01, 0xf5})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		run := func(mode string) [][]string {
 			e := openMemMode(t, mode)

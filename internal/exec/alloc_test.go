@@ -32,7 +32,7 @@ func countSum(child Operator, group *expr.Scalar, arg *expr.Scalar) *HashAgg {
 func drainAllocs(t *testing.T, build func() Operator) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(5, func() {
-		if _, err := Drain(&Ctx{}, build()); err != nil {
+		if _, err := Drain(&Ctx{}, build(), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -134,5 +134,67 @@ func TestHashJoinBuildAllocs(t *testing.T) {
 	none, small, large := open(0), open(100), open(1000)
 	if small > none+12 || large > small+4 {
 		t.Errorf("HashJoin build allocates %.0f times for no rows, %.0f for 100, %.0f for 1000", none, small, large)
+	}
+}
+
+// TestDrainAllocsSized: told the row count to expect, Drain allocates its
+// result once, however many chunks it arrives in; told nothing, a
+// 10 000-row result reallocates about ten times on the way.
+func TestDrainAllocsSized(t *testing.T) {
+	rows, ctx := streamRows(10000), &Ctx{}
+	drain := func(expect int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			out, err := Drain(ctx, &Relation{Rows: rows}, expect)
+			if err != nil || len(out) != len(rows) {
+				t.Fatalf("%d rows, %v", len(out), err)
+			}
+		})
+	}
+	// The Relation and the result.
+	if sized := drain(len(rows)); sized > 2 {
+		t.Errorf("Drain sized for its %d rows allocates %.0f times, want 2", len(rows), sized)
+	}
+	if unsized := drain(0); unsized < 5 {
+		t.Errorf("Drain of %d rows from nil allocates %.0f times: the unsized case this test contrasts is gone", len(rows), unsized)
+	}
+	// An underestimate still grows; an empty result is nil whatever was expected.
+	if out, err := Drain(ctx, &Relation{Rows: rows}, 10); err != nil || len(out) != len(rows) {
+		t.Fatalf("underestimated: %d rows, %v", len(out), err)
+	}
+	if out, err := Drain(ctx, &Relation{}, 10); err != nil || out != nil {
+		t.Fatalf("empty result = %v, %v, want nil", out, err)
+	}
+}
+
+// TestProjectSmallBatchAllocs: a Project pulled a row at a time — under a
+// join's probe side, or a LIMIT — keeps carving from one block, refilled by
+// doubling, instead of allocating a one-row block per pull.
+func TestProjectSmallBatchAllocs(t *testing.T) {
+	const n = 4096
+	rows := streamRows(n)
+	exprs := []*expr.Scalar{col(1), col(0)}
+	allocs := testing.AllocsPerRun(5, func() {
+		p := &Project{Child: &Relation{Rows: rows}, Exprs: exprs}
+		if err := p.Open(&Ctx{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			batch, err := p.NextBatch(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil {
+				if i != n {
+					t.Fatalf("%d rows, want %d", i, n)
+				}
+				break
+			}
+			if len(batch) != 1 || batch[0][1].Int() != int64(i%allocGroups) {
+				t.Fatalf("pull %d = %v", i, batch)
+			}
+		}
+	})
+	if perRow := allocs / n; perRow > 0.05 {
+		t.Errorf("Project at max = 1 allocates %.3f times per row (%.0f for %d rows), want ≤ 0.05", perRow, allocs, n)
 	}
 }

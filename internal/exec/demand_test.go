@@ -60,7 +60,7 @@ func TestLimitLaziness(t *testing.T) {
 	}
 	for _, c := range cases {
 		filters, projects, residuals = 0, 0, 0
-		rows, err := Drain(&Ctx{}, c.op)
+		rows, err := Drain(&Ctx{}, c.op, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,8 +73,11 @@ const chunkRows = 1024
 
 // Drain runs an operator to completion and collects its output. The
 // collected rows are copied out of the operator-owned chunk containers, so
-// the result is safe to retain.
-func Drain(ctx *Ctx, op Operator) ([]types.Row, error) {
+// the result is safe to retain. expect is the row count the caller
+// foresees — a window fire passes what the fire before it produced — and
+// sizes the result once; 0 means unknown, and a result of many chunks then
+// grows as it fills. An empty result is nil either way.
+func Drain(ctx *Ctx, op Operator, expect int) ([]types.Row, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
@@ -87,6 +90,9 @@ func Drain(ctx *Ctx, op Operator) ([]types.Row, error) {
 		}
 		if batch == nil {
 			return out, nil
+		}
+		if out == nil {
+			out = make([]types.Row, 0, max(expect, len(batch)))
 		}
 		out = append(out, batch...)
 	}

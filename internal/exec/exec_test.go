@@ -48,7 +48,7 @@ func run(t *testing.T, op Operator) []types.Row {
 
 func runCtx(t *testing.T, ctx *Ctx, op Operator) []types.Row {
 	t.Helper()
-	rows, err := Drain(ctx, op)
+	rows, err := Drain(ctx, op, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.leftDone = false
 	j.unmatched = nil
 	j.unmatchedPos = 0
-	rows, err := Drain(ctx, j.Right)
+	rows, err := Drain(ctx, j.Right, 0)
 	if err != nil {
 		return err
 	}
@@ -257,7 +257,7 @@ func (j *NestedLoopJoin) Open(ctx *Ctx) error {
 	j.padRight = nullRow(j.RightWidth)
 	j.leftRow = nil
 	var err error
-	if j.right, err = Drain(ctx, j.Right); err != nil {
+	if j.right, err = Drain(ctx, j.Right, 0); err != nil {
 		return err
 	}
 	return j.Left.Open(ctx)

@@ -61,19 +61,22 @@ type Project struct {
 	Exprs []*expr.Scalar
 
 	ec  expr.Ctx
-	buf []types.Row // output container, reused per chunk
+	buf []types.Row    // output container, reused per chunk
+	blk types.RowBlock // what output rows are carved from, kept across chunks
 }
 
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx) error {
 	p.ec = ctx.evalCtx()
+	p.blk = types.NewRowBlock(1, len(p.Exprs))
 	return p.Child.Open(ctx)
 }
 
 // NextBatch implements Operator: output expressions are evaluated over a
 // whole child chunk — which the demand, passed down unchanged, has already
 // bounded — and the output rows are carved from one flat datum block per
-// chunk. The rows are freshly allocated (consumers retain them); only the
+// chunk, or per doubling run of chunks when a join above pulls a row at a
+// time. The rows are freshly allocated (consumers retain them); only the
 // []Row container is reused.
 func (p *Project) NextBatch(max int) ([]types.Row, error) {
 	in, err := p.Child.NextBatch(max)
@@ -81,7 +84,8 @@ func (p *Project) NextBatch(max int) ([]types.Row, error) {
 		return nil, err
 	}
 	ec := &p.ec
-	blk := types.NewRowBlock(len(in), len(p.Exprs))
+	blk := &p.blk
+	blk.Reserve(len(in))
 	out := p.buf[:0]
 	if cap(out) < len(in) {
 		out = make([]types.Row, 0, len(in))
@@ -322,11 +326,11 @@ type SetOp struct {
 // Open implements Operator: both sides are evaluated eagerly.
 func (s *SetOp) Open(ctx *Ctx) error {
 	s.reset(nil)
-	left, err := Drain(ctx, s.Left)
+	left, err := Drain(ctx, s.Left, 0)
 	if err != nil {
 		return err
 	}
-	right, err := Drain(ctx, s.Right)
+	right, err := Drain(ctx, s.Right, 0)
 	if err != nil {
 		return err
 	}

@@ -17,15 +17,16 @@
 // that just closed, retract the slice that just left: Sub where the
 // accumulator has an inverse (COUNT/SUM/AVG), a re-merge of the group's
 // surviving slices where it has none (MIN/MAX; slice order reproduces
-// arrival-order ties, since streams are in order) — and emits in
-// O(groups); a merge store rebuilds the layer from the k covering slices
-// at every fire, which is all an aggregate with neither form (DISTINCT,
-// stddev, first/last) admits. plan.WindowState picks the strategy from the
-// aggregate list. A view is first built at its first fire, from whatever
-// the store retains in its extent, so one created after rows have arrived
-// starts from the store's history, and a group leaves a view when its
-// last row does, so a vanished group stops being emitted exactly as
-// re-execution would.
+// arrival-order ties, since streams are in order) — and emits a row afresh
+// only for the groups the move changed, handing out again the row it
+// emitted before for every other group; a merge store rebuilds the layer
+// from the k covering slices at every fire, which is all an aggregate with
+// neither form (DISTINCT, stddev, first/last) admits. plan.WindowState
+// picks the strategy from the aggregate list. A view is first built at its
+// first fire, from whatever the store retains in its extent, so one created
+// after rows have arrived starts from the store's history, and a group
+// leaves a view when its last row does, so a vanished group stops being
+// emitted exactly as re-execution would.
 //
 // All views of a store close at the same boundaries (they share ADVANCE),
 // and the store retains slices for the widest attached view.
@@ -305,10 +306,10 @@ type View struct {
 	scratch []*winGroup
 	removed int
 
-	// fireBacking/fireRows are the output materialization, reused across
-	// fires (see Fire's aliasing contract).
-	fireBacking []types.Datum
-	fireRows    []types.Row
+	// held is how many rows the blocks carved since the last full carve
+	// can hold, that one included: what the groups' rows may keep reachable
+	// (see emit).
+	held int
 }
 
 // winGroup is one group's aggregate over a view's window.
@@ -316,8 +317,9 @@ type winGroup struct {
 	g     *group
 	rows  int64 // filtered rows in the window
 	accs  []expr.Acc
-	dead  bool  // left the window; awaiting compaction from ordered/pending
-	stamp int64 // the last fire that changed it, for the touched count
+	dead  bool      // left the window; awaiting compaction from ordered/pending
+	stamp int64     // the last fire that changed it
+	row   types.Row // what the last fire emitted for it; never rewritten
 }
 
 // Attach adds a view of the given extent (a multiple of the store's
@@ -348,17 +350,15 @@ func (s *Store) Detach(v *View) {
 }
 
 // Fire closes the window [c-VISIBLE, c): it brings the window layer to
-// that extent and materializes it, one row per group in the window (group
-// keys ++ aggregate results), sorted by group key, carved out of one flat
-// backing array so a fire costs zero steady-state allocations. The
-// returned rows alias view-owned storage and are valid only until the
-// view's next Fire — the caller must finish draining the plan built over
-// them first (the plan always re-materializes through a Project, so
-// nothing downstream retains them). Scalar aggregates over an empty
-// window produce the SQL default row, matching exec.HashAgg. touched
-// reports the distinct groups the move changed. Boundaries must be fired
-// in ascending order.
-func (v *View) Fire(c int64) (rows []types.Row, touched int, err error) {
+// that extent and returns it, one row per group in the window (group keys
+// ++ aggregate results), sorted by group key. The rows and the slice are
+// the caller's like any other rows: immutable, free to be retained, and
+// shared — a group the move did not change comes back as the very row the
+// fire before returned for it. Scalar aggregates over an empty window
+// produce the SQL default row, matching exec.HashAgg. touched reports the
+// distinct groups the move changed, carved the rows written afresh.
+// Boundaries must be fired in ascending order.
+func (v *View) Fire(c int64) (rows []types.Row, touched, carved int, err error) {
 	s := v.st
 	lo := c - v.visible
 	if !s.materialized || v.hi <= lo {
@@ -366,17 +366,19 @@ func (v *View) Fire(c int64) (rows []types.Row, touched int, err error) {
 		// slices afresh, a new view starts from what the store retains,
 		// and a tumbling window shares no slice with its predecessor (so
 		// it never retracts, and its sums are those of re-execution to
-		// the last bit).
+		// the last bit). Every group is new, so every row is carved.
 		v.slab = sized[winGroup](len(v.groups))
 		clear(v.groups)
-		v.ordered, v.pending, v.removed = v.ordered[:0], v.pending[:0], 0
+		clear(v.ordered)
+		clear(v.pending)
+		v.ordered, v.pending, v.removed, v.held = v.ordered[:0], v.pending[:0], 0, 0
 		v.lo, v.hi = lo, lo
 	}
 	for ; v.hi < c; v.hi += s.advance {
 		if sl := s.slices[v.hi]; sl != nil {
 			n, err := v.add(sl, c)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
 			touched += n
 		}
@@ -385,13 +387,13 @@ func (v *View) Fire(c int64) (rows []types.Row, touched int, err error) {
 		if sl := s.slices[v.lo]; sl != nil {
 			n, err := v.retract(sl, c)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
 			touched += n
 		}
 	}
-	rows, err = v.emit()
-	return rows, touched, err
+	rows, carved, err = v.emit(c, touched)
+	return rows, touched, carved, err
 }
 
 // add merges a slice that entered the window into the layer.
@@ -436,8 +438,9 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 			touched++
 		}
 		if wg.rows -= p.rows; wg.rows <= 0 {
+			// The slab keeps a dead group reachable; its row must not be.
 			delete(v.groups, k)
-			wg.dead = true
+			wg.dead, wg.row = true, nil
 			v.removed++
 			continue
 		}
@@ -448,7 +451,7 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 				}
 				continue
 			}
-			fresh, err := expr.NewAcc(s.spec.Aggs[i])
+			fresh, err := v.slab.pool.New(s.spec.Aggs[i])
 			if err != nil {
 				return 0, err
 			}
@@ -467,38 +470,55 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 	return touched, nil
 }
 
-// emit materializes the layer in group-key order.
-func (v *View) emit() ([]types.Row, error) {
+// emit returns the layer in group-key order. A group stamped at this close
+// gets a fresh row, carved from one block sized by the close's touched
+// count; every other group hands out the row it holds, so a close costs one
+// block, one slice and O(touched) datums. What that sharing can pin is
+// bounded: a block stays reachable while any group still holds a row of it,
+// so once the blocks carved since the last full carve hold more than twice
+// the live groups, every row is carved afresh into one block and the old
+// ones go — a view's rows never pin more than two packed copies of it plus
+// one close (DESIGN §11 has the three RSS readings that made this part of
+// the mechanism).
+func (v *View) emit(c int64, touched int) (rows []types.Row, carved int, err error) {
 	spec := v.st.spec
 	if len(v.groups) == 0 && len(spec.GroupBy) == 0 {
 		accs, err := v.st.newAccs()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		row := make(types.Row, len(accs))
 		for i, a := range accs {
 			row[i] = a.Result()
 		}
-		return []types.Row{row}, nil
+		return []types.Row{row}, 1, nil
 	}
 	v.maintainOrder()
-	width := len(spec.GroupBy) + len(spec.Aggs)
-	need := len(v.ordered) * width
-	if cap(v.fireBacking) < need {
-		v.fireBacking = make([]types.Datum, need)
+	n := len(v.ordered)
+	if n == 0 {
+		return nil, 0, nil // as exec.Drain returns an empty result
 	}
-	backing := v.fireBacking[:0:need]
-	out := v.fireRows[:0]
-	for _, g := range v.ordered {
-		at := len(backing)
-		backing = append(backing, g.g.keys...)
-		for _, a := range g.accs {
-			backing = append(backing, a.Result())
+	full, need := v.held > 2*n, touched
+	if full {
+		need, v.held = n, 0
+	}
+	v.held += need
+	nk := len(spec.GroupBy)
+	blk := types.NewRowBlock(need, nk+len(spec.Aggs))
+	rows = make([]types.Row, n)
+	for i, g := range v.ordered {
+		if full || g.stamp == c {
+			row := blk.Row()
+			copy(row, g.g.keys)
+			for j, a := range g.accs {
+				row[nk+j] = a.Result()
+			}
+			g.row = row
+			carved++
 		}
-		out = append(out, types.Row(backing[at:at+width:at+width]))
+		rows[i] = g.row
 	}
-	v.fireRows = out
-	return out, nil
+	return rows, carved, nil
 }
 
 // maintainOrder folds pending group additions into the sorted order and
@@ -532,6 +552,10 @@ func (v *View) maintainOrder() {
 		merged = append(merged, g)
 	}
 	merged = append(merged, add[ai:]...)
+	// Cleared, so that neither spare array keeps a departed group's state
+	// reachable.
+	clear(v.ordered)
+	clear(v.pending)
 	v.ordered, v.scratch = merged, v.ordered[:0]
 	v.pending = v.pending[:0]
 	v.removed = 0

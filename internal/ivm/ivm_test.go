@@ -61,7 +61,7 @@ func insert(t *testing.T, s *Store, r types.Row) {
 
 func fire(t *testing.T, v *View, c int64) (string, int) {
 	t.Helper()
-	out, touched, err := v.Fire(c)
+	out, touched, _, err := v.Fire(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +99,15 @@ func TestInsertExistingGroupAllocatesNothing(t *testing.T) {
 	}
 }
 
+// mallocs and bytes allocated while f runs.
+func allocated(f func()) (mallocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+}
+
 // TestFirstTouchAllocsAmortized pins the other case — the first row of a
 // group in a slice, and the first slice of a group in a window: the
 // partial (or window group), its accumulator list and its accumulators are
@@ -109,26 +118,19 @@ func TestFirstTouchAllocsAmortized(t *testing.T) {
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
 	v := s.Attach(10 * second) // tumbling: the window layer is rebuilt at every close
 	rows := make([]types.Row, groups)
-	mallocs := func(f func()) float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs - before.Mallocs)
-	}
 	var inserts, fires float64
 	const slices = 20
 	for k := int64(0); k <= slices; k++ {
 		for i := range rows {
 			rows[i] = hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), 1)
 		}
-		ins := mallocs(func() {
+		ins, _ := allocated(func() {
 			for _, r := range rows {
 				insert(t, s, r)
 			}
 		})
-		fired := mallocs(func() {
-			if out, _, err := v.Fire((k + 1) * 10 * second); err != nil || len(out) != groups {
+		fired, _ := allocated(func() {
+			if out, _, _, err := v.Fire((k + 1) * 10 * second); err != nil || len(out) != groups {
 				t.Fatalf("fire %d: %d rows, %v", k, len(out), err)
 			}
 		})
@@ -242,5 +244,184 @@ func TestSliceStartQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetractRebuildAllocsAmortized: MIN and MAX have no inverse, so a slice
+// leaving the window rebuilds them for every group it held; the fresh
+// accumulators are carved from the view's slab, not allocated one apiece.
+func TestRetractRebuildAllocsAmortized(t *testing.T) {
+	const groups, closes = 1000, 20
+	s := newStore(t, `SELECT url, min(v), max(v) FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(30 * second)
+	var fires float64
+	for k := int64(0); k < 3+closes; k++ {
+		for i := 0; i < groups; i++ {
+			insert(t, s, hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), k+int64(i)))
+		}
+		n, _ := allocated(func() {
+			if out, touched, _, err := v.Fire((k + 1) * 10 * second); err != nil || len(out) != groups || touched != groups {
+				t.Fatalf("fire %d: %d rows, %d touched, %v", k, len(out), touched, err)
+			}
+		})
+		s.Expire((k + 1) * 10 * second)
+		if k >= 3 { // from here every close retracts a slice of every group
+			fires += n
+		}
+	}
+	// Two accumulators rebuilt per group per close.
+	if per := fires / (closes * groups * 2); per > 0.1 {
+		t.Errorf("a rebuilt MIN/MAX accumulator costs %.3f allocations, want ≤ 0.1", per)
+	}
+}
+
+// steadyView builds a sliding count/sum view over `groups` groups in which
+// every close changes exactly `touched` of them and none enters or leaves:
+// a slice holds touched/2 consecutive groups, the groups come round every
+// `period` slices and the window spans a period and a half, so each group is
+// in it once or twice, and the slice entering and the slice leaving are half
+// a period apart. It returns the view warmed up past its first full window,
+// and what feeds the next slice and what then closes it.
+func steadyView(t *testing.T, groups, touched int) (v *View, feed func(), fire func() ([]types.Row, int, int)) {
+	t.Helper()
+	perSlice := touched / 2
+	period := groups / perSlice
+	visible := period + period/2
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '`+strconv.Itoa(visible)+
+		` seconds' ADVANCE '1 second'> GROUP BY url`)
+	v = s.Attach(int64(visible) * second)
+	urls := make([]types.Datum, groups)
+	for i := range urls {
+		urls[i] = types.NewString("/page/" + strconv.Itoa(i))
+	}
+	k := 0
+	feed = func() {
+		for j := 0; j < perSlice; j++ {
+			ts := int64(k)*second + int64(j)
+			insert(t, s, types.Row{urls[(k*perSlice+j)%groups], types.NewTimestampMicros(ts), types.NewInt(int64(k))})
+		}
+		k++
+	}
+	fire = func() ([]types.Row, int, int) {
+		rows, touched, carved, err := v.Fire(int64(k) * second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Expire(int64(k) * second)
+		return rows, touched, carved
+	}
+	for k < 2*period {
+		feed()
+		fire()
+	}
+	return v, feed, fire
+}
+
+// TestFireAllocsFollowTouched is the cost of a close: one block sized by the
+// groups the close changed, one slice for the result, and nothing per
+// group — 10 000 groups of which 100 change cost two allocations and 24 B
+// of row header per group plus the 100 fresh rows, doubled by the full carve
+// that bounds what the shared rows pin.
+func TestFireAllocsFollowTouched(t *testing.T) {
+	const groups, touched, closes = 10000, 100, 200
+	_, feed, fire := steadyView(t, groups, touched)
+	var mallocs, bytes float64
+	for i := 0; i < closes; i++ {
+		feed()
+		var rows []types.Row
+		var changed, carved int
+		n, b := allocated(func() { rows, changed, carved = fire() })
+		if len(rows) != groups || changed != touched || (carved != touched && carved != groups) {
+			t.Fatalf("close %d: %d rows, %d touched, %d carved", i, len(rows), changed, carved)
+		}
+		mallocs += n
+		bytes += b
+	}
+	// The runtime's own occasional allocation (a GC cycle starting inside a
+	// close) is the 0.1; one more per close, per chunk or per group is not.
+	if per := mallocs / closes; per > 2.1 {
+		t.Errorf("a close allocates %.2f times, want 2: the block and the slice", per)
+	}
+	const rowBytes = 3 * 40 // url, count, sum
+	// Size classes round the 240 kB slice and the 12 kB block up by ≤ 3 %.
+	limit := 1.03 * (24*groups + 2*rowBytes*touched)
+	per := bytes / closes
+	t.Logf("%.0f B per close of %d groups, %d touched", per, groups, touched)
+	if per > limit {
+		t.Errorf("a close allocates %.0f B, want ≤ %.0f (24 B × %d groups + 2 × %d B × %d touched)", per, limit, groups, rowBytes, touched)
+	}
+}
+
+// TestViewRowMemoryBounded: the rows a view hands out again keep the blocks
+// they were carved from reachable, a block stays whole while one row of it
+// does, and a skewed stream has cold groups that sit in the window unchanged
+// for as long as it spans. What is reachable must stay within two packed
+// copies of the window plus the block of the close itself — measured here
+// from the outside: a row first seen at close k lives in close k's block,
+// whose size is the touched count the close reports (every group's, at a
+// full carve). A group that leaves takes its row with it.
+func TestViewRowMemoryBounded(t *testing.T) {
+	const keys, perSlice, closes = 4000, 300, 500
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '40 seconds' ADVANCE '1 second'> GROUP BY url`)
+	v := s.Attach(40 * second)
+	rng := rand.New(rand.NewSource(11))
+	bornAt := map[*types.Datum]int{} // a row's first datum → the close that carved it
+	var blockRows []int              // per close
+	var left *winGroup
+	fullCarves, worst := 0, 0.0
+	for k := 0; k < closes; k++ {
+		for j := 0; j < perSlice; j++ {
+			u := rng.Float64()
+			key := int(u * u * u * keys) // cubic skew: a hot head, a long cold tail
+			insert(t, s, hit("/page/"+strconv.Itoa(key), int64(k)*second+int64(j), 1))
+		}
+		if left == nil && k > 50 {
+			// Some tail group with a single slice in the window: it will leave.
+			for _, wg := range v.groups {
+				if wg.g.slices == 1 {
+					left = wg
+					break
+				}
+			}
+		}
+		rows, touched, carved, err := v.Fire(int64(k+1) * second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Expire(int64(k+1) * second)
+		blockRows = append(blockRows, max(touched, carved))
+		if k > 0 && carved == len(rows) {
+			fullCarves++
+		}
+		fresh := 0
+		reachable := map[int]bool{}
+		for _, r := range rows {
+			born, seen := bornAt[&r[0]]
+			if !seen {
+				born = k
+				bornAt[&r[0]] = k
+				fresh++
+			}
+			reachable[born] = true
+		}
+		if fresh != carved {
+			t.Fatalf("close %d: %d rows not seen before, %d reported carved", k, fresh, carved)
+		}
+		pinned := 0
+		for born := range reachable {
+			pinned += blockRows[born]
+		}
+		if limit := 2*len(rows) + blockRows[k]; pinned > limit {
+			t.Fatalf("close %d: %d groups keep blocks of %d rows reachable, want ≤ 2 × groups + this close's %d",
+				k, len(rows), pinned, blockRows[k])
+		}
+		worst = max(worst, float64(pinned)/float64(len(rows)))
+	}
+	t.Logf("%d closes, %d full carves, at worst %.2f × the window's rows reachable", closes, fullCarves, worst)
+	if fullCarves < 3 {
+		t.Errorf("%d full carves in %d closes: the bound was never exercised", fullCarves, closes)
+	}
+	if left == nil || !left.dead || left.row != nil {
+		t.Errorf("a group that left the window still holds its row: %+v", left)
 	}
 }

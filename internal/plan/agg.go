@@ -118,6 +118,18 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 		return s, nil
 	}
 
+	// postColumn reports whether e, above the aggregation, is nothing but
+	// output column i.
+	postColumn := func(e sql.Expr, i int) bool {
+		r, err := rewrite(e)
+		cr, ok := r.(*sql.ColumnRef)
+		if err != nil || !ok {
+			return false
+		}
+		b, err := postScope.ResolveColumn(cr.Table, cr.Name)
+		return err == nil && b.Index == i
+	}
+
 	// HAVING.
 	var having *expr.Scalar
 	if sel.Having != nil {
@@ -127,15 +139,19 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 		}
 	}
 
-	// Projection over the agg output.
+	// Projection over the agg output. It is the identity when the select
+	// list is exactly that layout — group key 0…g−1, then aggregate 0…a−1,
+	// as every plain dashboard's is.
 	var projExprs []*expr.Scalar
 	var schema types.Schema
 	closeCol := -1
-	for _, item := range sel.Items {
+	identity := !sel.Distinct && len(sel.Items) == len(postCols)
+	for i, item := range sel.Items {
 		s, err := compilePost(item.Expr)
 		if err != nil {
 			return nil, err
 		}
+		identity = identity && postColumn(item.Expr, i)
 		if isCQClose(item.Expr) && closeCol == -1 {
 			closeCol = len(projExprs)
 		}
@@ -145,12 +161,13 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 
 	inner := rel.build
 	sortedOutput := len(sel.OrderBy) == 0 // deterministic output when unsorted
-	buildAbove := func(aggOp exec.Operator) exec.Operator {
-		var op exec.Operator = aggOp
+	buildAbove := func(op exec.Operator, project bool) exec.Operator {
 		if having != nil {
 			op = &exec.Filter{Child: op, Pred: having}
 		}
-		op = &exec.Project{Child: op, Exprs: projExprs}
+		if project {
+			op = &exec.Project{Child: op, Exprs: projExprs}
+		}
 		if sel.Distinct {
 			op = &exec.Distinct{Child: op}
 		}
@@ -178,7 +195,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 				Aggs:         aggSpecs,
 				SortedOutput: sortedOutput,
 			}
-			return buildAbove(agg)
+			return buildAbove(agg, true)
 		},
 		preScope:   postScope,
 		preBuild:   aggStage,
@@ -190,7 +207,10 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 	// Shared-aggregation fast path (paper refs [4],[12]): aggregation
 	// directly over the windowed stream. The runtime computes per-slice
 	// partials once per (stream, fingerprint) and merges at window close;
-	// PostBuild runs everything above the aggregation.
+	// PostBuild runs everything above the aggregation. A store's rows are
+	// immutable and already in the aggregation's layout, so an identity
+	// projection is not built over them (it would copy every group at every
+	// close), and with nothing else above either there is no post stage.
 	//
 	// Subsumption widening: WHERE conjuncts expressible over the
 	// post-aggregation scope — they reference only GROUP BY expressions,
@@ -237,20 +257,21 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 				return nil, err
 			}
 		}
-		n.aggInput = func(aggRows []types.Row) exec.Operator {
-			var op exec.Operator = &exec.Relation{Rows: aggRows}
-			for _, rs := range residual {
-				op = &exec.Filter{Child: op, Pred: rs}
-			}
-			return op
-		}
 		n.streamAgg = &StreamAgg{
 			Pred:        pred,
 			GroupBy:     compiledGroups,
 			Aggs:        aggSpecs,
 			Fingerprint: fp,
 			PostKey:     postKeyString(residConjs, sel),
-			PostBuild:   func(aggRows []types.Row) exec.Operator { return buildAbove(n.aggInput(aggRows)) },
+		}
+		if !identity || having != nil || len(residual) > 0 {
+			n.streamAgg.PostBuild = func(aggRows []types.Row) exec.Operator {
+				var op exec.Operator = &exec.Relation{Rows: aggRows}
+				for _, rs := range residual {
+					op = &exec.Filter{Child: op, Pred: rs}
+				}
+				return buildAbove(op, !identity)
+			}
 		}
 		n.aggPostScope = postScope
 	}

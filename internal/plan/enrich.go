@@ -232,14 +232,14 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 		}
 		post.OrderBy = append(post.OrderBy, o)
 	}
-	// #pre selects its group keys, then its aggregates, each once: its
-	// projection is the identity over the store's rows, so the post block
-	// reads those directly (a join probes its left input a row at a time,
-	// and a Project in between would carve a block per group).
+	// #pre selects its group keys, then its aggregates, each once, so its
+	// own post stage is at most the hoisted filters: the post block reads
+	// the store's rows (a join probes its left input a row at a time, and a
+	// Project in between would carve a block per group).
 	preAgg := pn.streamAgg
 	qb := &builder{cat: p.Cat, pre: &relNode{
 		scope: scopeFrom(preName, pn.schema),
-		build: func(in Input) exec.Operator { return pn.aggInput(in.WindowRows) },
+		build: func(in Input) exec.Operator { return preAgg.post(in.WindowRows) },
 	}}
 	qn, err := qb.buildSelect(post, true)
 	if err != nil {

@@ -47,7 +47,10 @@ type StreamAgg struct {
 	GroupBy []*expr.Scalar
 	Aggs    []expr.AggSpec
 	// PostBuild assembles the operators that run over the aggregated rows
-	// (group keys ++ agg results), which arrive in group-key order.
+	// (group keys ++ agg results), which arrive in group-key order. It is
+	// nil when there is no post stage — the select list is exactly that
+	// layout and nothing filters, sorts or limits it — and the store's rows
+	// are the result as they are (DESIGN §11: which post stages copy).
 	PostBuild func(aggRows []types.Row) exec.Operator
 	// Fingerprint identifies the sliceable computation: two CQs with equal
 	// fingerprints over the same stream can share slice partials. WHERE
@@ -65,6 +68,15 @@ type StreamAgg struct {
 	// enrichment shape (see enrich) it is EXPLAIN's note of what the store
 	// aggregates by and below which join.
 	PreAgg string
+}
+
+// post is PostBuild for the planner's own wrapping of it in a sort or a
+// limit: with no post stage, those run over the rows themselves.
+func (a *StreamAgg) post(aggRows []types.Row) exec.Operator {
+	if a.PostBuild == nil {
+		return &exec.Relation{Rows: aggRows}
+	}
+	return a.PostBuild(aggRows)
 }
 
 // Plan is a compiled query.
@@ -148,10 +160,6 @@ type node struct {
 	projExprs    []*expr.Scalar
 	distinct     bool
 	aggPostScope *scope
-	// aggInput, set with streamAgg, is what PostBuild runs HAVING and the
-	// projection over: the store's rows (group keys ++ aggregate results)
-	// under the hoisted residual filters.
-	aggInput func(aggRows []types.Row) exec.Operator
 }
 
 // ------------------------------------------------------------- scopes

@@ -77,9 +77,9 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 			},
 		}
 		if n.streamAgg != nil {
-			post := n.streamAgg.PostBuild
+			below := *n.streamAgg
 			n.streamAgg.PostBuild = func(rows []types.Row) exec.Operator {
-				return &exec.Limit{Child: post(rows), Count: limit, Offset: offset}
+				return &exec.Limit{Child: below.post(rows), Count: limit, Offset: offset}
 			}
 			n.streamAgg.PostKey += fmt.Sprintf("|L:%d,%d", limit, offset)
 		}
@@ -281,7 +281,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 	}
 	if n.streamAgg != nil && n.aggPostScope != nil && len(hidden) == 0 {
 		// Mirror the sort into the shared-aggregation fast path.
-		post := n.streamAgg.PostBuild
+		below := n.streamAgg
 		var ob strings.Builder
 		ob.WriteString("|O:")
 		for _, item := range sel.OrderBy {
@@ -304,7 +304,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 			Fingerprint: n.streamAgg.Fingerprint,
 			PostKey:     n.streamAgg.PostKey + ob.String(),
 			PostBuild: func(rows []types.Row) exec.Operator {
-				return &exec.Sort{Child: post(rows), Keys: keys}
+				return &exec.Sort{Child: below.post(rows), Keys: keys}
 			},
 		}
 	} else if n.streamAgg != nil {

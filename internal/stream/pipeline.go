@@ -54,6 +54,10 @@ type Pipeline struct {
 	// receives no row delivery and is fired by its host.
 	ws *windowStore
 
+	// lastOut is the row count of the last re-executed fire's result: what
+	// the next one's is sized for.
+	lastOut int
+
 	// resumeAfter suppresses closes at or before this boundary; recovery
 	// sets it from the Active Table's high-water mark (paper §4).
 	resumeAfter int64
@@ -405,10 +409,11 @@ func (p *Pipeline) endEmission(ts int64, rowCount int) error {
 // result to the sink.
 func (p *Pipeline) run(c int64, rows []types.Row) error {
 	ft := p.beginFire()
-	out, err := exec.Drain(p.rt.snapshotCtx(c), p.plan.Build(plan.Input{WindowRows: rows}))
+	out, err := exec.Drain(p.rt.snapshotCtx(c), p.plan.Build(plan.Input{WindowRows: rows}), p.lastOut)
 	if err != nil {
 		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
+	p.lastOut = len(out)
 	p.windowsFired.Inc()
 	tc := p.takeFireCtx()
 	p.evaluated(&ft, &tc)

@@ -27,10 +27,11 @@ import (
 // keeps the one boundary clock all views share. At each close every view
 // computes its window's aggregate rows once, each distinct post stage
 // (residual filters, HAVING, projection, ORDER BY, LIMIT) runs once over
-// them, and its output goes to every member of the set. 10k identical
-// dashboards therefore maintain one state and execute one plan per fire —
-// per-CQ cost is one sink call — and CQs differing only in VISIBLE add a
-// view, not a second copy of the slices.
+// them — a plan without one (plan.StreamAgg.PostBuild) takes the view's
+// rows as they are — and its output goes to every member of the set. 10k
+// identical dashboards therefore maintain one state and execute one plan
+// per fire — per-CQ cost is one sink call — and CQs differing only in
+// VISIBLE add a view, not a second copy of the slices.
 //
 // Members are not in the source fan-out list: they see no row delivery,
 // hold no buffers and get no mailbox, so ingest cost does not scale with
@@ -55,8 +56,9 @@ type windowStore struct {
 	outs []setOut
 
 	// touched counts distinct groups changed per fire
-	// (streamrel_ivm_groups_touched_total); nil without a registry.
-	touched *metrics.Counter
+	// (streamrel_ivm_groups_touched_total) and carved the rows a view wrote
+	// afresh rather than handed out again; nil without a registry.
+	touched, carved *metrics.Counter
 	// unregGauges detaches the state-size gauges when the host stops.
 	unregGauges func()
 }
@@ -72,6 +74,7 @@ type postSet struct {
 	key     string
 	members []*Pipeline
 	run     []*Pipeline // per-fire scratch: live members (guarded by store mu)
+	lastOut int         // rows the last fire's post stage produced: the next one's expected size
 }
 
 type setOut struct {
@@ -94,6 +97,8 @@ func newWindowStore(rt *Runtime, src *source, p *plan.Plan, key string, strategy
 		pipe := metrics.L("pipe", strconv.FormatInt(ws.host.id, 10))
 		ws.touched = rt.reg.Counter("streamrel_ivm_groups_touched_total",
 			"distinct groups changed between incremental window fires", stream)
+		ws.carved = rt.reg.Counter("streamrel_ivm_rows_carved_total",
+			"group rows written afresh at window fires; the rest of a fire's rows are the ones emitted before", stream)
 		unregGroups := rt.reg.GaugeFunc("streamrel_ivm_state_groups",
 			"live groups held by a window-state store",
 			func() float64 { return float64(state.GroupsN.Load()) }, stream, pipe)
@@ -202,20 +207,21 @@ func (ws *windowStore) fire(c int64) error {
 
 // fireView closes one view's window: the timer starts before the store is
 // asked for the window, so the view's maintenance — adding the slice that
-// closed, retracting the one that left — and the O(groups) emission are
-// inside the window-fire span with the post stages. A member whose post
+// closed, retracting the one that left — and the emission are inside the
+// window-fire span with the post stages. A member whose post
 // stage or sink fails is marked failed and skipped — isolation: one
 // subscriber's failure never disturbs the store or its peers — and the
 // source sweeps it out on the next producer call.
 func (ws *windowStore) fireView(sv *storeView, c int64, ctx *exec.Ctx, tc *trace.Ctx) error {
 	host := ws.host
 	ft := host.beginFire()
-	aggRows, touched, err := sv.view.Fire(c)
+	aggRows, touched, carved, err := sv.view.Fire(c)
 	if err != nil {
 		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
 	if ws.touched != nil {
 		ws.touched.Add(int64(touched))
+		ws.carved.Add(int64(carved))
 	}
 	outs := ws.outs[:0]
 	rows := 0
@@ -230,14 +236,17 @@ func (ws *windowStore) fireView(sv *storeView, c int64, ctx *exec.Ctx, tc *trace
 		if len(run) == 0 {
 			continue
 		}
-		out, err := exec.Drain(ctx, run[0].plan.StreamAgg.PostBuild(aggRows))
-		if err != nil {
-			err = fmt.Errorf("stream: window close at %d: %w", c, err)
-			for _, m := range run {
-				m.fail(err)
-				host.src.failedMembers.Add(1)
+		out := aggRows
+		if post := run[0].plan.StreamAgg.PostBuild; post != nil {
+			if out, err = exec.Drain(ctx, post(aggRows), set.lastOut); err != nil {
+				err = fmt.Errorf("stream: window close at %d: %w", c, err)
+				for _, m := range run {
+					m.fail(err)
+					host.src.failedMembers.Add(1)
+				}
+				continue
 			}
-			continue
+			set.lastOut = len(out)
 		}
 		rows += len(out)
 		outs = append(outs, setOut{out: out, run: run})
@@ -245,8 +254,9 @@ func (ws *windowStore) fireView(sv *storeView, c int64, ctx *exec.Ctx, tc *trace
 	ws.outs = outs
 	host.windowsFired.Inc()
 	host.evaluated(&ft, tc)
-	// The output slice is shared across a set (rows are immutable); a
-	// failing sink marks only its own member.
+	// The output slice is shared across a set — without a post stage across
+	// sets, and its rows with other closes (rows and delivered slices are
+	// immutable); a failing sink marks only its own member.
 	for _, so := range outs {
 		for _, m := range so.run {
 			if m.failed.Load() {

@@ -527,7 +527,7 @@ func (r *Runtime) PushBatchArrival(tc trace.Ctx, stream string, rows []types.Row
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	if now != nil {
-		src.stampArrival(rows, now)
+		rows = src.stampArrival(rows, now)
 	}
 	return src.deliver(r, tc, rows)
 }
@@ -586,23 +586,27 @@ func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explici
 	return block, nil
 }
 
-// stampArrival overwrites each row's CQTIME column, on a copy of the row,
-// with its arrival time ("CQTIME SYSTEM"), never earlier than the stream's
-// high-water mark. Stamping under s.mu is what makes concurrent producers'
-// stamps non-decreasing in delivery order. Callers hold s.mu.
-func (s *source) stampArrival(rows []types.Row, now func() time.Time) {
+// stampArrival returns the rows with each one's CQTIME column overwritten
+// by its arrival time ("CQTIME SYSTEM"), never earlier than the stream's
+// high-water mark — copies, in a slice of their own: the caller's rows and
+// the slice holding them may be a CQ's delivered batch, which other
+// subscribers share. Stamping under s.mu is what makes concurrent
+// producers' stamps non-decreasing in delivery order. Callers hold s.mu.
+func (s *source) stampArrival(rows []types.Row, now func() time.Time) []types.Row {
 	hwm := int64(math.MinInt64)
 	if s.hasTS {
 		hwm = s.lastTS
 	}
+	stamped := make([]types.Row, len(rows))
 	for i, row := range rows {
-		if s.cqtimeCol >= len(row) {
+		if stamped[i] = row; s.cqtimeCol >= len(row) {
 			continue // prepare rejects the batch for its arity
 		}
 		hwm = max(hwm, now().UnixMicro())
-		rows[i] = row.Clone()
-		rows[i][s.cqtimeCol] = types.NewTimestampMicros(hwm)
+		stamped[i] = row.Clone()
+		stamped[i][s.cqtimeCol] = types.NewTimestampMicros(hwm)
 	}
+	return stamped
 }
 
 // deliver validates one batch of a base stream and fans it out. A row at

@@ -8,33 +8,38 @@ package types
 type RowBlock struct {
 	backing []Datum
 	width   int
-	chunk   int // rows in the last backing allocation
+	next    int // rows in the next backing allocation, at least
 }
 
 // maxRefillRows is where refills stop doubling.
 const maxRefillRows = 256
 
-// NewRowBlock sizes a block for about n rows of the given width. More
-// than n rows may be drawn; the block refills with fresh backing arrays
-// as needed (earlier rows keep their storage). A producer that knows its
-// output size passes it and never refills; one that does not (a join)
-// starts small, and refills double up to maxRefillRows rows, so m rows
-// cost O(log m + m/256) allocations and three rows do not pay for 256.
+// NewRowBlock sizes a block for about n rows of the given width; nothing
+// is allocated until the first row is drawn. More than n rows may be
+// drawn; the block refills with fresh backing arrays as needed (earlier
+// rows keep their storage). A producer that knows its output size passes
+// it and never refills; one that does not (a join) starts small, and
+// refills double up to maxRefillRows rows, so m rows cost O(log m + m/256)
+// allocations and three rows do not pay for 256.
 func NewRowBlock(n, width int) RowBlock {
-	if n < 1 {
-		n = 1
+	return RowBlock{width: width, next: max(n, 1)}
+}
+
+// Reserve makes the next n rows come out of one backing array: a producer
+// that learns its output a chunk at a time (exec.Project) pays one
+// allocation per chunk when chunks are large and the doubling refill when
+// they are single rows.
+func (b *RowBlock) Reserve(n int) {
+	if len(b.backing) >= n*b.width {
+		return
 	}
-	return RowBlock{backing: make([]Datum, n*width), width: width, chunk: n}
+	b.backing = make([]Datum, max(n, b.next)*b.width)
+	b.next = min(2*b.next, maxRefillRows)
 }
 
 // Row hands out the next zeroed row from the block.
 func (b *RowBlock) Row() Row {
-	if len(b.backing) < b.width {
-		if b.chunk < maxRefillRows {
-			b.chunk = min(2*b.chunk, maxRefillRows)
-		}
-		b.backing = make([]Datum, b.chunk*b.width)
-	}
+	b.Reserve(1)
 	r := Row(b.backing[:b.width:b.width])
 	b.backing = b.backing[b.width:]
 	return r

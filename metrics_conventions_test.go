@@ -61,7 +61,8 @@ func TestMetricNamingConventions(t *testing.T) {
 	}
 
 	// Spot-check each namespace: tracing, the work-stealing scheduler,
-	// plan-level sharing, the replication hub, and the sysmon
+	// plan-level sharing, the window-state store (s_now's scalar count fires
+	// from one), the replication hub, and the sysmon
 	// self-observability series (including the internal-source row counter
 	// that keeps sys.* ingest out of streamrel_stream_rows_total).
 	for _, name := range []string{
@@ -74,6 +75,8 @@ func TestMetricNamingConventions(t *testing.T) {
 		"streamrel_sched_runnable",
 		"streamrel_plan_groups",
 		"streamrel_plan_subscribers",
+		"streamrel_ivm_groups_touched_total",
+		"streamrel_ivm_rows_carved_total",
 		"streamrel_repl_lsn",
 		"streamrel_repl_connected_replicas",
 		"streamrel_repl_events_total",

@@ -24,6 +24,33 @@ func TestExplainVariants(t *testing.T) {
 	if !strings.Contains(out, "cq_close(*) output column: 2") {
 		t.Fatalf("explain close col:\n%s", out)
 	}
+	// Whether a store-backed CQ's result is new rows at every close, and
+	// made by what: the post line lists the operators over the view's rows
+	// in the order they run.
+	mustExec(t, e, `CREATE STREAM h (url varchar, at timestamp CQTIME USER, v bigint)`)
+	const win = ` FROM h <VISIBLE '1 minute' ADVANCE '10 seconds'>`
+	for _, c := range []struct{ q, post string }{
+		{`SELECT url, count(*) AS n, sum(v) AS total` + win + ` GROUP BY url`, "post: none (view rows delivered as emitted)"},
+		{`SELECT count(*)` + win, "post: none (view rows delivered as emitted)"},
+		{`SELECT count(*), url` + win + ` GROUP BY url`, "post: project"},
+		{`SELECT url, count(*)` + win + ` GROUP BY url HAVING count(*) > 1`, "post: filter"},
+		{`SELECT url, count(*)` + win + ` WHERE url = '/a' GROUP BY url ORDER BY 2 LIMIT 3`, "post: filter, sort, limit"},
+		{`SELECT url, count(*), cq_close(*)` + win + ` GROUP BY url`, "post: project"},
+		{`SELECT DISTINCT url, count(*)` + win + ` GROUP BY url`, "post: project, distinct"},
+		{`SELECT url, count(*) + 1` + win + ` GROUP BY url ORDER BY url`, "post: project, sort"},
+		{`SELECT d.k, sum(x.v)` + win + ` x JOIN d ON x.v = d.k GROUP BY d.k`, "post: seqscan, hashjoin, hashagg, project"},
+	} {
+		res = mustExec(t, e, `EXPLAIN `+c.q)
+		out = strings.Join(rowStrings(res.Rows), "\n")
+		if !strings.Contains(out, "  "+c.post+"\n") {
+			t.Errorf("EXPLAIN %s: want %q in\n%s", c.q, c.post, out)
+		}
+	}
+	// A re-executing CQ has no post stage to speak of.
+	res = mustExec(t, e, `EXPLAIN SELECT url, count(*) FROM h <VISIBLE '45 seconds' ADVANCE '20 seconds'> GROUP BY url`)
+	if out = strings.Join(rowStrings(res.Rows), "\n"); strings.Contains(out, "post:") {
+		t.Errorf("EXPLAIN of a re-executing CQ prints a post line:\n%s", out)
+	}
 	// EXPLAIN of non-SELECT errors.
 	if _, err := e.Exec(`EXPLAIN INSERT INTO d VALUES (1)`); err == nil {
 		t.Fatal("EXPLAIN INSERT should error")
