@@ -39,12 +39,14 @@ cover:
 # drain-policies runs the stream runtime, the experiments and the root
 # fan-out/sharing/alloc suites under the race detector at 1 and 4 CPUs, so
 # both mailbox drain policies (producer-drained, scheduler pool),
-# concurrent CQTIME SYSTEM stamping and the rows a store's fires share with
-# every member and with later fires are exercised whatever the runner's
+# concurrent CQTIME SYSTEM stamping, the rows a store's fires share with
+# every member and with later fires, and the suites that subscribe, detach,
+# fail and cascade under a pool (store faults, concurrent subscribe/
+# unsubscribe, derived-stream cascades) are exercised whatever the runner's
 # core count.
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade' .
 
 # alloc-pins runs the ownership property (a decoded row is at most two
 # allocations and shares memory with nothing — internal/server/proto.go) and

@@ -49,7 +49,7 @@ func runScenario(t *testing.T, e *env, queries []string) [][]string {
 				types.NewString(fmt.Sprintf("ip%d", rng.Intn(3))),
 			}
 		}
-		if err := e.rt.PushBatch("url_stream", rows); err != nil {
+		if err := e.push("url_stream", rows...); err != nil {
 			t.Fatal(err)
 		}
 		if step == 20 {
@@ -116,7 +116,7 @@ func TestParallelSinkErrorDetaches(t *testing.T) {
 
 			e.hit(t, "/a", 10*minute, "ip1")
 			// Closes [10m,11m) for all three CQs; both failing sinks error.
-			err := e.rt.Push("url_stream", types.Row{
+			err := e.push("url_stream", types.Row{
 				types.NewString("/a"), types.NewTimestampMicros(11*minute + 1), types.NewString("ip1"),
 			})
 			if depth > 0 {

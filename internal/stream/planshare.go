@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -10,70 +11,128 @@ import (
 	"streamrel/internal/ivm"
 	"streamrel/internal/metrics"
 	"streamrel/internal/plan"
+	"streamrel/internal/sql"
 	"streamrel/internal/trace"
 	"streamrel/internal/types"
 )
 
-// windowStore is one slice-partial store (internal/ivm) and everything
-// attached to it. Every continuous query plan.WindowState gives the same
-// key — same stream, slice fingerprint and ADVANCE, whatever its VISIBLE,
-// residual filter, projection or ORDER BY — attaches here instead of
-// keeping window state of its own:
+// feed is a window of one stream as a sequence of tables (paper Fig. 1) and
+// everything subscribed to it. It is what a source delivers to: it alone
+// has a mailbox (worker.go), folds each row into the window state once,
+// keeps the one boundary clock and the trace attribution of the next fire,
+// and at each close runs the post stages and calls the sinks:
 //
-//	store → one view per distinct VISIBLE → one post set per PostKey → members
+//	feed → one view per distinct VISIBLE → one post set per postKey → CQs
 //
-// The host pipeline owns the state: it alone is on the source's delivery
-// list, has the mailbox, folds each row into the slice layer once and
-// keeps the one boundary clock all views share. At each close every view
-// computes its window's aggregate rows once, each distinct post stage
-// (residual filters, HAVING, projection, ORDER BY, LIMIT) runs once over
-// them — a plan without one (plan.StreamAgg.PostBuild) takes the view's
-// rows as they are — and its output goes to every member of the set. 10k
-// identical dashboards therefore maintain one state and execute one plan
-// per fire — per-CQ cost is one sink call — and CQs differing only in
-// VISIBLE add a view, not a second copy of the slices.
+// The window state is a slice-partial store (internal/ivm) for every
+// continuous query plan.WindowState gives a key — same stream, slice
+// fingerprint and ADVANCE, whatever its VISIBLE, residual filter, projection
+// or ORDER BY: they all subscribe to the one feed of that key — and a buffer
+// of raw rows for a plan it gives none, which gets a feed to itself. At
+// each close every view computes its window's rows once — a store's view
+// its aggregate rows, a buffer the rows in the extent — each distinct post
+// stage runs once over them (residual filters, HAVING, projection, ORDER
+// BY, LIMIT over aggregate rows; the whole plan over raw ones; none at all
+// for plan.StreamAgg.PostBuild == nil, which takes the view's rows as they
+// are) and its output goes to every CQ of the set. 10k identical dashboards
+// therefore maintain one state and execute one plan per fire — per-CQ cost
+// is one sink call — and CQs differing only in VISIBLE add a view, not a
+// second copy of the slices.
 //
-// Members are not in the source fan-out list: they see no row delivery,
-// hold no buffers and get no mailbox, so ingest cost does not scale with
-// membership. Member sinks run on whatever goroutine fires the host
-// (whoever drains its mailbox: the producer or a pool worker); rows in a
-// delivered batch are shared across the set's members and must be treated
-// as immutable.
-type windowStore struct {
-	key      string
-	host     *Pipeline
-	state    *ivm.Store
-	strategy plan.Strategy
+// CQs see no row delivery, so ingest cost does not scale with their number.
+// Sinks run on whatever goroutine drains the feed's mailbox (the producer or
+// a pool worker); rows in a delivered batch are shared across the set and
+// must be treated as immutable.
+type feed struct {
+	rt  *Runtime
+	src *source
+	// key names the store in src.stores; empty for a buffer's private feed.
+	key string
+	// win is the window of the plan that opened the feed. Kind and Advance
+	// hold for every subscriber; Visible is the extent of a buffer (a
+	// store's views carry their own).
+	win sql.WindowSpec
+	// id labels the feed in metric series and spans: a buffer's feed carries
+	// its one subscriber's id.
+	id int64
 
-	// mu serializes fires against attach/detach, so unsubscribing one
-	// member never races a fire delivering to it, and a view is never
-	// created or dropped under a fire.
+	// The boundary clock of a time window.
+	nextClose int64
+	started   bool // the clock has seen its first event
+	resumed   bool // nextClose holds a resume point (Pipeline.ResumeAfter)
+
+	// The window state: a store, or the raw rows the window of a plan that
+	// cannot use one can still read — the sliding extent of a time window,
+	// the last VISIBLE rows of a row window with the countdown to its next
+	// close, the last n emissions of a SLICES window.
+	store        *ivm.Store
+	strategy     plan.Strategy
+	pending      []tsRow
+	rowBuf       []tsRow
+	sinceAdvance int64
+	emissions    []emission
+
+	// mu serializes fires against attach/detach, so unsubscribing one CQ
+	// never races a fire delivering to it, and a view is never created or
+	// dropped under a fire.
 	mu    sync.Mutex
-	views []*storeView
-	n     atomic.Int64 // member count, readable without mu
+	views []*feedView
+	n     atomic.Int64 // subscriber count, readable without mu
 
 	// outs is fire's per-view scratch (guarded by mu).
 	outs []setOut
+	// passed holds what sinks handed up from downstream since the last sweep
+	// (guarded by mu): failures of a derived stream's consumers, not of the
+	// CQ that emitted into it.
+	passed []error
 
-	// touched counts distinct groups changed per fire
-	// (streamrel_ivm_groups_touched_total) and carved the rows a view wrote
-	// afresh rather than handed out again; nil without a registry.
-	touched, carved *metrics.Counter
-	// unregGauges detaches the state-size gauges when the host stops.
-	unregGauges func()
+	// Trace state, touched only on the goroutine that applies the feed's
+	// input (its mailbox's drainer). tc is the most recent sampled context
+	// since the last fire — the next fire is attributed to it; oldestIngest
+	// is the earliest unfired batch's ingest time (wall ns), the start of the
+	// push-to-fire latency the slow-fire threshold is checked against. Both
+	// reset at each fire.
+	tc           trace.Ctx
+	oldestIngest int64
+
+	// mbox is where the source hands the feed its input. At most one
+	// goroutine drains it at a time and applies tasks in queue order, so
+	// results do not depend on who drains.
+	mbox     mailbox
+	stopOnce sync.Once
+	enqueued atomic.Int64 // lifetime non-flush tasks; Quiesce's cascade detector
+
+	// failure is the window state's own — a row it cannot fold, a view it
+	// cannot move — and ends every subscriber.
+	failure
+
+	// rowsSeen is always non-nil; with a registry it is the registered
+	// streamrel_pipeline_rows_total series, so Stats and /metrics read the
+	// same counter. The rest are nil without a registry: viewCloses
+	// (streamrel_pipeline_windows_total under a store feed's own id; a
+	// buffer's closes are its one subscriber's), touched (distinct groups
+	// changed per fire), carved (rows a view wrote afresh rather than handed
+	// out again) and fireHist (window-fire latency: evaluation plus sink
+	// delivery).
+	rowsSeen                    *metrics.Counter
+	viewCloses, touched, carved *metrics.Counter
+	fireHist                    *metrics.Histogram
+	// unreg detaches the feed's gauges on stop.
+	unreg []func()
 }
 
-// storeView is the members sharing one window extent.
-type storeView struct {
-	view *ivm.View
-	sets []*postSet
+// feedView is the CQs sharing one window extent.
+type feedView struct {
+	visible int64
+	view    *ivm.View // the store's window layer; nil over a buffer
+	sets    []*postSet
 }
 
-// postSet is the members sharing one canonical post stage.
+// postSet is the CQs sharing one canonical post stage.
 type postSet struct {
 	key     string
 	members []*Pipeline
-	run     []*Pipeline // per-fire scratch: live members (guarded by store mu)
+	run     []*Pipeline // per-fire scratch: live members (guarded by feed mu)
 	lastOut int         // rows the last fire's post stage produced: the next one's expected size
 }
 
@@ -82,68 +141,84 @@ type setOut struct {
 	run []*Pipeline
 }
 
-// newWindowStore builds the store for key with its host pipeline, taking
-// the slice computation from p. Callers hold src.mu.
-func newWindowStore(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.Strategy) (*windowStore, error) {
-	state, err := ivm.New(p.StreamAgg, p.Stream.Window.Advance, strategy == plan.Materialized)
-	if err != nil {
-		return nil, err
-	}
-	ws := &windowStore{key: key, state: state, strategy: strategy}
-	ws.host = newPipeline(rt, src, p, nil)
-	ws.host.ws = ws
-	if rt.reg != nil {
-		stream := metrics.L("stream", src.name)
-		pipe := metrics.L("pipe", strconv.FormatInt(ws.host.id, 10))
-		ws.touched = rt.reg.Counter("streamrel_ivm_groups_touched_total",
+// openFeed builds the feed for key — its store taking the slice computation
+// from p, or a buffer for the empty key — gives it its mailbox and puts it
+// on the source's delivery list, so no task can precede it. Callers hold
+// src.mu.
+func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.Strategy, id int64) (*feed, error) {
+	f := &feed{rt: rt, src: src, key: key, win: p.Stream.Window, strategy: strategy, id: id}
+	f.mbox.bound = rt.parallel
+	f.mbox.cond = sync.NewCond(&f.mbox.mu)
+	stream := metrics.L("stream", src.name)
+	pipe := metrics.L("pipe", strconv.FormatInt(id, 10))
+	if key != "" {
+		state, err := ivm.New(p.StreamAgg, f.win.Advance, strategy == plan.Materialized)
+		if err != nil {
+			return nil, err
+		}
+		f.store = state
+		src.stores[key] = f
+		f.viewCloses = rt.reg.Counter("streamrel_pipeline_windows_total",
+			"window closes evaluated by a continuous-query pipeline", stream, pipe)
+		f.touched = rt.reg.Counter("streamrel_ivm_groups_touched_total",
 			"distinct groups changed between incremental window fires", stream)
-		ws.carved = rt.reg.Counter("streamrel_ivm_rows_carved_total",
+		f.carved = rt.reg.Counter("streamrel_ivm_rows_carved_total",
 			"group rows written afresh at window fires; the rest of a fire's rows are the ones emitted before", stream)
-		unregGroups := rt.reg.GaugeFunc("streamrel_ivm_state_groups",
-			"live groups held by a window-state store",
-			func() float64 { return float64(state.GroupsN.Load()) }, stream, pipe)
-		unregSlices := rt.reg.GaugeFunc("streamrel_ivm_state_slices",
-			"slices retained by a window-state store",
-			func() float64 { return float64(state.SlicesN.Load()) }, stream, pipe)
-		ws.unregGauges = func() { unregGroups(); unregSlices() }
+		f.unreg = append(f.unreg,
+			rt.reg.GaugeFunc("streamrel_ivm_state_groups", "live groups held by a window-state store",
+				func() float64 { return float64(state.GroupsN.Load()) }, stream, pipe),
+			rt.reg.GaugeFunc("streamrel_ivm_state_slices", "slices retained by a window-state store",
+				func() float64 { return float64(state.SlicesN.Load()) }, stream, pipe))
 	}
-	return ws, nil
+	f.rowsSeen = rt.pipeCounter("streamrel_pipeline_rows_total",
+		"rows delivered to a continuous-query pipeline", src, id)
+	f.fireHist = rt.reg.Histogram("streamrel_window_fire_seconds",
+		"window-fire latency: plan execution plus sink delivery", nil, stream)
+	f.unreg = append(f.unreg, rt.reg.GaugeFunc("streamrel_pipeline_queue_depth",
+		"micro-batch tasks queued in a pipeline's mailbox",
+		func() float64 { return float64(f.mbox.depth()) }, stream, pipe))
+	src.feeds = append(src.feeds, f)
+	return f, nil
 }
 
-// attach adds m to the view of its VISIBLE (created on first use: it
+// attach adds m to the view of its VISIBLE (created on first use: a store's
 // starts from the slices the store retains) and to the post set of its
-// PostKey.
-func (ws *windowStore) attach(m *Pipeline) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	ws.n.Add(1)
-	var sv *storeView
-	for _, v := range ws.views {
-		if v.view.Visible() == m.win.Visible {
+// postKey.
+func (f *feed) attach(m *Pipeline) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.n.Add(1)
+	visible := m.plan.Stream.Window.Visible
+	var sv *feedView
+	for _, v := range f.views {
+		if v.visible == visible {
 			sv = v
 			break
 		}
 	}
 	if sv == nil {
-		sv = &storeView{view: ws.state.Attach(m.win.Visible)}
-		ws.views = append(ws.views, sv)
+		sv = &feedView{visible: visible}
+		if f.store != nil {
+			sv.view = f.store.Attach(visible)
+		}
+		f.views = append(f.views, sv)
 	}
-	postKey := m.plan.StreamAgg.PostKey
 	for _, s := range sv.sets {
-		if s.key == postKey {
+		if s.key == m.postKey {
 			s.members = append(s.members, m)
 			return
 		}
 	}
-	sv.sets = append(sv.sets, &postSet{key: postKey, members: []*Pipeline{m}})
+	sv.sets = append(sv.sets, &postSet{key: m.postKey, members: []*Pipeline{m}})
 }
 
-// detach removes m; a set, and then a view, goes with its last member, and
-// the store's retention shrinks with its widest view.
-func (ws *windowStore) detach(m *Pipeline) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	for vi, sv := range ws.views {
+// detach removes m and reports whether it was there; a set, and then a
+// view, goes with its last member, and a store's retention shrinks with its
+// widest view.
+func (f *feed) detach(m *Pipeline) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for vi, sv := range f.views {
 		for si, s := range sv.sets {
 			for i, x := range s.members {
 				if x != m {
@@ -157,74 +232,80 @@ func (ws *windowStore) detach(m *Pipeline) {
 					sv.sets = append(sv.sets[:si], sv.sets[si+1:]...)
 				}
 				if len(sv.sets) == 0 {
-					ws.state.Detach(sv.view)
-					ws.views = append(ws.views[:vi], ws.views[vi+1:]...)
+					if sv.view != nil {
+						f.store.Detach(sv.view)
+					}
+					f.views = append(f.views[:vi], f.views[vi+1:]...)
 				}
-				ws.n.Add(-1)
-				return
+				f.n.Add(-1)
+				return true
 			}
 		}
 	}
+	return false
 }
 
-// clearMembers empties the store (host failure cascade) and returns the
-// orphaned members.
-func (ws *windowStore) clearMembers() []*Pipeline {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+// takePassed returns what was handed up from downstream, consuming it.
+func (f *feed) takePassed() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	err := errors.Join(f.passed...)
+	f.passed = nil
+	return err
+}
+
+// clearMembers empties a failed feed and returns its orphaned subscribers.
+func (f *feed) clearMembers() []*Pipeline {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var ms []*Pipeline
-	for _, sv := range ws.views {
+	for _, sv := range f.views {
 		for _, s := range sv.sets {
 			ms = append(ms, s.members...)
 		}
 	}
-	ws.views = nil
-	ws.n.Store(0)
+	f.views = nil
+	f.n.Store(0)
 	return ms
 }
 
-// fire is the host's close of boundary c: every view closes its window in
-// turn, then the store drops the slices nothing reads any more. One
-// window-fire/cq-deliver span pair and one fire-latency observation are
-// recorded per view close (member count is a fan-out width, not extra
-// windows), all attributed to the batch that proved the boundary complete.
-// An error is the store's own — state it can no longer maintain — and
-// fails the host and with it every member.
-func (ws *windowStore) fire(c int64) error {
-	host := ws.host
-	tc := host.takeFireCtx()
-	ctx := host.rt.snapshotCtx(c)
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	for _, sv := range ws.views {
-		if err := ws.fireView(sv, c, ctx, &tc); err != nil {
+// fire closes boundary c: every view closes its window in turn, then the
+// state drops what nothing reads any more. One window-fire/cq-deliver span
+// pair and one fire-latency observation are recorded per view close
+// (subscriber count is a fan-out width, not extra windows), all attributed
+// to the batch that proved the boundary complete. An error is the window
+// state's own and fails the feed, and with it every subscriber.
+func (f *feed) fire(c int64) error {
+	tc := f.takeFireCtx()
+	ctx := f.rt.snapshotCtx(c)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, sv := range f.views {
+		if err := f.fireView(sv, c, ctx, &tc); err != nil {
 			return err
 		}
 	}
-	ws.state.Expire(c)
+	f.expire(c)
 	return nil
 }
 
-// fireView closes one view's window: the timer starts before the store is
-// asked for the window, so the view's maintenance — adding the slice that
-// closed, retracting the one that left — and the emission are inside the
-// window-fire span with the post stages. A member whose post
-// stage or sink fails is marked failed and skipped — isolation: one
-// subscriber's failure never disturbs the store or its peers — and the
-// source sweeps it out on the next producer call.
-func (ws *windowStore) fireView(sv *storeView, c int64, ctx *exec.Ctx, tc *trace.Ctx) error {
-	host := ws.host
-	ft := host.beginFire()
-	aggRows, touched, carved, err := sv.view.Fire(c)
+// fireView closes one view's window — the one place a post stage is
+// evaluated and a sink called. The timer starts before the state is asked
+// for the window, so a store's maintenance — adding the slice that closed,
+// retracting the one that left — and the emission are inside the
+// window-fire span with the post stages. A CQ whose post stage or sink fails
+// is marked failed and skipped — isolation: one subscriber's failure never
+// disturbs the window state or its peers — and the source sweeps it out on
+// the next producer call. Closes at or before a CQ's resume point are muted
+// for that CQ alone.
+func (f *feed) fireView(sv *feedView, c int64, ctx *exec.Ctx, tc *trace.Ctx) error {
+	ft := f.beginFire()
+	rows, rb, err := f.window(sv, c)
 	if err != nil {
 		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
-	if ws.touched != nil {
-		ws.touched.Add(int64(touched))
-		ws.carved.Add(int64(carved))
-	}
-	outs := ws.outs[:0]
-	rows := 0
+	outs := f.outs[:0]
+	n := 0
 	for _, set := range sv.sets {
 		run := set.run[:0]
 		for _, m := range set.members {
@@ -236,40 +317,40 @@ func (ws *windowStore) fireView(sv *storeView, c int64, ctx *exec.Ctx, tc *trace
 		if len(run) == 0 {
 			continue
 		}
-		out := aggRows
-		if post := run[0].plan.StreamAgg.PostBuild; post != nil {
-			if out, err = exec.Drain(ctx, post(aggRows), set.lastOut); err != nil {
+		out := rows
+		if post := run[0].post; post != nil {
+			if out, err = exec.Drain(ctx, post(rows), set.lastOut); err != nil {
 				err = fmt.Errorf("stream: window close at %d: %w", c, err)
 				for _, m := range run {
-					m.fail(err)
-					host.src.failedMembers.Add(1)
+					m.fail(err, f.src)
 				}
 				continue
 			}
 			set.lastOut = len(out)
 		}
-		rows += len(out)
+		n += len(out)
 		outs = append(outs, setOut{out: out, run: run})
 	}
-	ws.outs = outs
-	host.windowsFired.Inc()
-	host.evaluated(&ft, tc)
+	f.outs = outs
+	rb.put()
+	f.viewCloses.Inc()
+	f.evaluated(&ft, tc)
 	// The output slice is shared across a set — without a post stage across
 	// sets, and its rows with other closes (rows and delivered slices are
-	// immutable); a failing sink marks only its own member.
+	// immutable); a failing sink marks only its own CQ, and one that reports
+	// its consumers' failures has not failed.
 	for _, so := range outs {
 		for _, m := range so.run {
-			if m.failed.Load() {
-				continue
-			}
-			if err := m.sink(*tc, c, so.out); err != nil {
-				m.fail(err)
-				host.src.failedMembers.Add(1)
-				continue
-			}
 			m.windowsFired.Inc()
+			err := m.sink(*tc, c, so.out)
+			if ds, ok := err.(downstream); ok {
+				f.passed = append(f.passed, ds.error)
+				f.src.unswept.Add(1)
+			} else if err != nil {
+				m.fail(err, f.src)
+			}
 		}
 	}
-	host.delivered(&ft, *tc, rows)
+	f.delivered(&ft, *tc, n)
 	return nil
 }

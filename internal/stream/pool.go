@@ -13,19 +13,19 @@ import (
 //  1. Row values (types.Row and the datums inside) are immutable and
 //     shared freely; only the CONTAINERS — []tsRow batch slices and
 //     []types.Row window materializations — are pooled. Nothing
-//     downstream may retain a pooled container: pipelines copy tsRow
+//     downstream may retain a pooled container: feeds copy tsRow
 //     values into their own buffers, operators copy Row slice headers
 //     into fresh output rows, taps insert rows into the heap.
 //  2. A pooled container is returned only by its owner: the producer for
 //     a batch block (after every synchronous subscriber ran), each
-//     worker for its reference (after apply), the firing pipeline for a
+//     worker for its reference (after apply), the firing feed for a
 //     window block (after the plan drained).
 //
 // Containers are cleared of row references before going back to the pool
 // so a pooled slice cannot keep a dead batch's rows live.
 
 // batchBlock is one prepared micro-batch with a reference count. The
-// producer holds one reference; fan-out to worker pipelines takes one
+// producer holds one reference; fan-out to the feeds takes one
 // more per enqueue, released by the worker after the task is applied
 // (or dropped by a failed worker's drain). When the count reaches zero
 // the container returns to the pool.
@@ -83,7 +83,12 @@ func getRowsBlock(capHint int) *rowsBlock {
 	return b
 }
 
+// put clears the container and pools it; a nil block (rows that were never
+// pooled) is left alone.
 func (b *rowsBlock) put() {
+	if b == nil {
+		return
+	}
 	for i := range b.rows {
 		b.rows[i] = nil
 	}

@@ -75,7 +75,7 @@ func TestSlidingMultiplicityProperty(t *testing.T) {
 	}
 }
 
-// TestPruneKeepsExactlyTheLiveExtent: after a close at c, the pipeline's
+// TestPruneKeepsExactlyTheLiveExtent: after a close at c, the feed's
 // buffer holds only rows a future window can still read.
 func TestPruneKeepsExactlyTheLiveExtent(t *testing.T) {
 	e := newEnv(t, false) // re-executing, so the raw buffer is in use
@@ -85,13 +85,13 @@ func TestPruneKeepsExactlyTheLiveExtent(t *testing.T) {
 	}
 	e.rt.Advance("url_stream", 110*minute)
 	// Next close is 111m covering [108m, 111m): only rows ≥ 108m survive.
-	for _, tr := range pipe.pending {
+	for _, tr := range pipe.feed.pending {
 		if tr.ts < 108*minute {
 			t.Fatalf("stale row at %d retained", tr.ts)
 		}
 	}
-	if len(pipe.pending) != 2 { // rows at 108m+1, 109m+1
-		t.Fatalf("pending = %d rows", len(pipe.pending))
+	if len(pipe.feed.pending) != 2 { // rows at 108m+1, 109m+1
+		t.Fatalf("pending = %d rows", len(pipe.feed.pending))
 	}
 }
 
@@ -103,8 +103,8 @@ func TestStoreRetention(t *testing.T) {
 		e := newEnvOverride(t, override)
 		narrow, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
 		wide, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY url`)
-		state := narrow.ws.state
-		if wide.ws != narrow.ws {
+		state := narrow.feed.store
+		if wide.feed != narrow.feed {
 			t.Fatal("CQs differing only in VISIBLE must attach to one store")
 		}
 		for m := 0; m < 30; m++ {
@@ -128,8 +128,8 @@ func TestRowWindowNeverExceedsVisible(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e.hit(t, "/x", int64(1000+i)*1000, "ip")
 	}
-	if len(pipe.rowBuf) > 50 {
-		t.Fatalf("row buffer grew to %d", len(pipe.rowBuf))
+	if len(pipe.feed.rowBuf) > 50 {
+		t.Fatalf("row buffer grew to %d", len(pipe.feed.rowBuf))
 	}
 	for _, b := range *out {
 		if c := b.rows[0][0].Int(); c > 50 {
@@ -155,7 +155,7 @@ func TestEmissionBufferBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(pipe.emissions) > 3 {
-		t.Fatalf("emission buffer grew to %d", len(pipe.emissions))
+	if len(pipe.feed.emissions) > 3 {
+		t.Fatalf("emission buffer grew to %d", len(pipe.feed.emissions))
 	}
 }

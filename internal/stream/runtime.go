@@ -14,26 +14,26 @@
 // Concurrency: the runtime keeps a read-mostly source registry behind an
 // RWMutex, and each source carries its own mutex, so pushes to distinct
 // streams never contend. Within one source there is one delivery path:
-// every pipeline on the delivery list owns a mailbox of micro-batch
-// tasks, the source enqueues each batch, heartbeat and
-// emission on it, and at most one goroutine drains a mailbox at a time,
-// in arrival order. Who drains is a scheduling policy. By default the
-// enqueuing goroutine drains the mailboxes it just fed, in subscription
-// order, before its call returns — no goroutine is created and
-// whole-engine execution is deterministic. With SetParallel the
-// mailboxes are bounded (blocking backpressure on producers) and drained
-// by a work-stealing scheduler: a fixed pool of GOMAXPROCS workers with
-// per-worker deques and steal-half rebalancing, so 10k mostly idle
-// pipelines cost 10k mailboxes, not 10k goroutines, per-CQ results are
-// identical, and fan-out to N continuous queries uses up to GOMAXPROCS
-// cores instead of one.
+// every feed (planshare.go) owns a mailbox of micro-batch tasks, the
+// source enqueues each batch, heartbeat and emission on it, and at most one
+// goroutine drains a mailbox at a time, in arrival order. Who drains is a
+// scheduling policy. By default the enqueuing goroutine drains the
+// mailboxes it just fed, in subscription order, before its call returns —
+// no goroutine is created and whole-engine execution is deterministic.
+// With SetParallel the mailboxes are bounded (blocking backpressure on
+// producers) and drained by a work-stealing scheduler: a fixed pool of
+// GOMAXPROCS workers with per-worker deques and steal-half rebalancing, so
+// 10k mostly idle feeds cost 10k mailboxes, not 10k goroutines, per-CQ
+// results are identical, and fan-out to N feeds uses up to GOMAXPROCS cores
+// instead of one.
 //
-// A time-windowed continuous query is in one of two states. Either it is
-// attached to a window-state store — one per (stream, slice fingerprint,
-// ADVANCE), owned by a host pipeline that is the only thing on the
-// delivery list for all of its members, whatever their VISIBLE, residual
-// filter or projection (see planshare.go) — or it buffers rows and
-// re-executes its plan at each close.
+// A continuous query is in one state: subscribed to a feed, which holds the
+// window and fires it. The feed is shared — one slice-partial store per
+// (stream, slice fingerprint, ADVANCE) for all the CQs on it, whatever their
+// VISIBLE, residual filter or projection — when the plan is a sliceable
+// aggregate, and the CQ's own otherwise, buffering raw rows; re-executing
+// the plan over them is then the post stage a close runs, not a second kind
+// of pipeline.
 package stream
 
 import (
@@ -58,7 +58,7 @@ import (
 // proved the window complete (the zero Ctx when none was sampled) — so
 // downstream hops (channel WAL writes, derived-stream deliveries) join
 // the same span chain. A sink runs on whichever goroutine is draining its
-// pipeline's mailbox (the producer, or a scheduler worker under
+// feed's mailbox (the producer, or a scheduler worker under
 // SetParallel); it must not call back into the pipeline's own stream.
 type Sink func(tc trace.Ctx, closeTS int64, rows []types.Row) error
 
@@ -85,7 +85,7 @@ const (
 // Locking order: Runtime.mu (registry) is never held while a source mutex
 // is taken for delivery; source mutexes are acquired one at a time except
 // through derived-stream emission, where the producer-side lock of the
-// derived source is taken while an upstream pipeline's mailbox is being
+// derived source is taken while an upstream feed's mailbox is being
 // drained (under the upstream source's lock, or on a pool worker).
 // Derived streams form a DAG, so that ordering is acyclic.
 type Runtime struct {
@@ -97,7 +97,7 @@ type Runtime struct {
 	// override replaces plan.WindowState's automatic decision (ablations
 	// and tests).
 	override plan.StateOverride
-	// parallel is the per-pipeline mailbox backpressure bound in
+	// parallel is the per-feed mailbox backpressure bound in
 	// micro-batches; 0 means no pool: producers drain the mailboxes.
 	parallel int
 	// sched is the work-stealing pool; nil when parallel == 0.
@@ -159,42 +159,35 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	r.reg = reg
 	r.lateDropped = reg.Counter("streamrel_stream_late_dropped_total",
 		"rows discarded by the LateDrop disorder policy")
-	sources := func() float64 {
+	reg.GaugeFunc("streamrel_stream_sources", "registered stream sources", func() float64 {
 		r.mu.RLock()
-		n := len(r.sources)
-		r.mu.RUnlock()
-		return float64(n)
-	}
-	pipelines := func() float64 {
-		n := 0
-		for _, src := range r.snapshotSources() {
-			src.mu.Lock()
-			n += len(src.pipes) - len(src.stores) + len(src.members)
-			src.mu.Unlock()
-		}
-		return float64(n)
-	}
-	reg.GaugeFunc("streamrel_stream_sources", "registered stream sources", sources)
-	reg.GaugeFunc("streamrel_stream_pipelines", "live continuous-query pipelines", pipelines)
-	reg.GaugeFunc("streamrel_plan_groups",
-		"window-state stores (one host pipeline each)", func() float64 {
+		defer r.mu.RUnlock()
+		return float64(len(r.sources))
+	})
+	// perSource registers a gauge summing per over every source, each read
+	// under its lock.
+	perSource := func(name, help string, per func(*source) int) {
+		reg.GaugeFunc(name, help, func() float64 {
 			n := 0
 			for _, src := range r.snapshotSources() {
 				src.mu.Lock()
-				n += len(src.stores)
+				n += per(src)
 				src.mu.Unlock()
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("streamrel_plan_subscribers",
-		"continuous queries attached to window-state stores", func() float64 {
+	}
+	perSource("streamrel_stream_pipelines", "live continuous-query pipelines",
+		func(src *source) int { return len(src.cqs) })
+	perSource("streamrel_plan_groups", "window-state stores (one host pipeline each)",
+		func(src *source) int { return len(src.stores) })
+	perSource("streamrel_plan_subscribers", "continuous queries attached to window-state stores",
+		func(src *source) int {
 			n := 0
-			for _, src := range r.snapshotSources() {
-				src.mu.Lock()
-				n += len(src.members)
-				src.mu.Unlock()
+			for _, f := range src.stores {
+				n += int(f.n.Load())
 			}
-			return float64(n)
+			return n
 		})
 }
 
@@ -230,23 +223,24 @@ type source struct {
 	mu     sync.Mutex
 	lastTS int64
 	hasTS  bool
-	pipes  []*Pipeline
 	taps   []*Sink
-	// claimed is enqueue's per-call scratch: the mailboxes the enqueuing
-	// goroutine claimed and must drain before releasing mu.
-	claimed []*Pipeline
-
-	// Window-state stores by key. Store hosts live in pipes (they are the
-	// ones fed rows); members live only here, so delivery cost is O(hosts)
-	// no matter how many CQs subscribe. failedMembers counts members whose
-	// post stage or sink failed asynchronously during a fire, letting
-	// sweepFailedLocked skip the member scan on the common path. retired
-	// holds hosts detached under the source lock (a host must never be
-	// stopped while it is held); whoever drops the lock stops them.
-	stores        map[string]*windowStore
-	members       []*Pipeline
-	failedMembers atomic.Int64
-	retired       []*Pipeline
+	// feeds is the delivery list, in the order the feeds were opened: only
+	// they are fed rows, so delivery cost is O(feeds) no matter how many CQs
+	// subscribe. stores indexes the feeds that keep a slice-partial store, by
+	// its key. cqs lists every subscriber of every feed, in subscription
+	// order. unswept counts the failures recorded since the last sweep,
+	// letting sweepFailedLocked skip its scans on the common path. retired
+	// holds feeds taken off the list under the source lock (a feed
+	// must never be stopped while it is held); whoever drops the lock stops
+	// them (unlock).
+	feeds   []*feed
+	stores  map[string]*feed
+	cqs     []*Pipeline
+	unswept atomic.Int64
+	retired []*feed
+	// claimed is enqueue's per-call scratch: the feeds whose mailboxes the
+	// enqueuing goroutine claimed and must drain before releasing mu.
+	claimed []*feed
 
 	// rows counts validated rows accepted into this stream
 	// (streamrel_stream_rows_total{stream=…}; nil without a registry).
@@ -288,14 +282,14 @@ func (r *Runtime) registerSource(name string, schema types.Schema, cqtimeCol int
 		schema:    schema,
 		cqtimeCol: cqtimeCol,
 		internal:  internal,
-		stores:    make(map[string]*windowStore),
+		stores:    make(map[string]*feed),
 		rows:      r.reg.Counter(rowsName, rowsHelp, metrics.L("stream", name)),
 	}
 	return nil
 }
 
 // DropSource removes a stream, detaches its subscribers and stops their
-// workers.
+// feeds.
 func (r *Runtime) DropSource(name string) {
 	r.mu.Lock()
 	src := r.sources[name]
@@ -304,21 +298,31 @@ func (r *Runtime) DropSource(name string) {
 	if src == nil {
 		return
 	}
-	for _, pipe := range src.detachAll() {
-		pipe.stop()
+	feeds, _ := src.detachAll()
+	for _, f := range feeds {
+		f.stop()
 	}
 }
 
-// detachAll empties the source's fan-out lists and returns every pipeline
-// that was on them, for the caller to stop.
-func (s *source) detachAll() []*Pipeline {
+// detachAll empties the source's lists and returns every feed that was on
+// them, for the caller to stop, and every CQ.
+func (s *source) detachAll() ([]*feed, []*Pipeline) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pipes := append(s.pipes, s.members...)
-	pipes = append(pipes, s.retired...)
-	s.pipes, s.members, s.retired = nil, nil, nil
-	s.stores = make(map[string]*windowStore)
-	return pipes
+	feeds, cqs := append(s.feeds, s.retired...), s.cqs
+	s.feeds, s.cqs, s.retired = nil, nil, nil
+	s.stores = make(map[string]*feed)
+	return feeds, cqs
+}
+
+// unlock releases s.mu and then stops the feeds retired under it.
+func (s *source) unlock() {
+	retired := s.retired
+	s.retired = nil
+	s.mu.Unlock()
+	for _, f := range retired {
+		f.stop()
+	}
 }
 
 // HasSource reports whether name is a registered stream.
@@ -356,13 +360,13 @@ func (r *Runtime) snapshotSources() []*source {
 //
 // Subscription-time semantics: a new CQ starts observing from the next
 // arriving event, and its earliest windows may be partial with respect to
-// history. One rule says how partial: a CQ that attaches to a store (see
-// plan.WindowState) reads windows over whatever slices that store still
-// retains in its extent — nothing when it is the store's first member,
-// up to the widest existing member's VISIBLE otherwise — and a CQ that
-// cannot attach starts from an empty buffer. Queries needing exact
-// history replay it from an archive table instead (INSERT INTO stream
-// SELECT … ORDER BY ts).
+// history. One rule says how partial: a CQ reads windows over whatever its
+// feed still holds in its extent. On a store's feed (see plan.WindowState)
+// that is the slices the store retains — nothing when it is the store's
+// first member, up to the widest existing member's VISIBLE otherwise — and
+// a feed opened for the CQ alone starts from an empty buffer. Queries
+// needing exact history replay it from an archive table instead (INSERT
+// INTO stream SELECT … ORDER BY ts).
 func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 	if p.Stream == nil {
 		return nil, fmt.Errorf("stream: plan is not a continuous query")
@@ -382,150 +386,116 @@ func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 	return subscribePipeline(r, src, p, sink)
 }
 
-// Unsubscribe detaches a pipeline and stops its mailbox, discarding any
-// queued but unprocessed input.
+// Unsubscribe detaches a pipeline from its feed. A feed goes with its last
+// subscriber, discarding any queued but unprocessed input.
 func (r *Runtime) Unsubscribe(pipe *Pipeline) {
-	src := pipe.src
+	src := pipe.feed.src
 	src.mu.Lock()
 	src.detachLocked(pipe)
-	retired := src.retired
-	src.retired = nil
-	src.mu.Unlock()
-	pipe.stop()
-	for _, h := range retired {
-		h.stop()
-	}
+	src.unlock()
 }
 
-// detachLocked removes a pipeline from the fan-out lists. Detaching the
-// last member of a store retires its host (the caller stops retired
-// hosts after releasing s.mu); detaching a failed host orphans its
-// members. Callers hold s.mu.
+// detachLocked takes a CQ off its feed and off the subscriber list; a feed
+// retires with its last subscriber. Detaching twice is harmless. Callers
+// hold s.mu.
 func (s *source) detachLocked(pipe *Pipeline) {
-	ws := pipe.ws
-	if ws != nil && !pipe.isHost() {
-		s.dropMember(pipe)
-		ws.detach(pipe)
-		if ws.n.Load() == 0 && s.stores[ws.key] == ws {
-			s.detachLocked(ws.host)
-			s.retired = append(s.retired, ws.host)
-		}
-		return
-	}
-	if ws != nil {
-		if s.stores[ws.key] == ws {
-			delete(s.stores, ws.key)
-		}
-		// Host failure cascade: the members' window state is gone, so they
-		// are orphaned (their single shared error surfaces via the host).
-		for _, m := range ws.clearMembers() {
-			s.dropMember(m)
-		}
-	}
-	for i, p := range s.pipes {
-		if p == pipe {
-			s.pipes = append(s.pipes[:i], s.pipes[i+1:]...)
-			break
-		}
+	s.dropCQ(pipe)
+	if f := pipe.feed; f.detach(pipe) && f.n.Load() == 0 {
+		s.retireLocked(f)
 	}
 }
 
-// dropMember takes a store member off the member list and out of the
-// failed-member count.
-func (s *source) dropMember(m *Pipeline) {
-	for i, x := range s.members {
+// dropCQ takes a CQ off the subscriber list.
+func (s *source) dropCQ(m *Pipeline) {
+	for i, x := range s.cqs {
 		if x == m {
-			s.members = append(s.members[:i], s.members[i+1:]...)
-			break
+			s.cqs = append(s.cqs[:i], s.cqs[i+1:]...)
+			return
 		}
-	}
-	if m.failed.Load() {
-		s.failedMembers.Add(-1)
 	}
 }
 
-// sweepFailedLocked detaches every pipeline that has recorded a failure
-// and returns their errors joined — the one place delivery errors are
-// collected. Producer-drained pipelines fail inside the call that carried
-// the offending row, so that call reports them; a pool worker's failure
-// surfaces on the next Push/Advance/Quiesce instead of poisoning the
-// producer forever. Callers hold s.mu.
+// retireLocked takes a feed off the delivery list, for whoever releases
+// s.mu to stop. Callers hold s.mu.
+func (s *source) retireLocked(f *feed) {
+	if s.stores[f.key] == f {
+		delete(s.stores, f.key)
+	}
+	for i, x := range s.feeds {
+		if x == f {
+			s.feeds = append(s.feeds[:i], s.feeds[i+1:]...)
+			s.retired = append(s.retired, f)
+			return
+		}
+	}
+}
+
+// sweepFailedLocked detaches everything that has recorded a failure and
+// returns the errors joined — the one place delivery errors are collected.
+// Producer-drained feeds fail inside the call that carried the offending
+// row, so that call reports them; a pool worker's failure surfaces on the
+// next PushBatch/Advance/Quiesce instead of poisoning the producer forever.
+// A feed's failure is its window state's: its subscribers are orphaned and
+// the one error surfaces once, through the feed. A CQ's failure — its post
+// stage's or its sink's — detaches that CQ only, and what a feed was handed
+// up from downstream (see emitDerived) detaches nothing here. Callers hold
+// s.mu.
 func (s *source) sweepFailedLocked() error {
+	n := s.unswept.Load()
+	if n == 0 {
+		return nil
+	}
+	// Whatever is recorded from here on is either seen below or still
+	// counted for the next sweep.
+	s.unswept.Add(-n)
 	var errs []error
-	for i := 0; i < len(s.pipes); {
-		p := s.pipes[i]
-		if p.failed.Load() {
-			s.detachLocked(p)
-			p.stop() // failed mailboxes only drain, so this returns promptly
-			if err := p.takeErr(); err != nil {
-				errs = append(errs, err)
-			}
+	for i := 0; i < len(s.feeds); {
+		f := s.feeds[i]
+		errs = append(errs, f.takePassed())
+		if !f.failed.Load() {
+			i++
 			continue
 		}
-		i++
-	}
-	// Store members fail asynchronously inside their host's fire (their
-	// post stage or sink); the counter keeps this scan off the common path.
-	if s.failedMembers.Load() > 0 {
-		for i := 0; i < len(s.members); {
-			m := s.members[i]
-			if m.failed.Load() {
-				s.detachLocked(m)
-				m.stop()
-				if err := m.takeErr(); err != nil {
-					errs = append(errs, err)
-				}
-				continue
-			}
-			i++
+		for _, m := range f.clearMembers() {
+			s.dropCQ(m)
 		}
+		s.retireLocked(f)
+		errs = append(errs, f.takeErr())
+	}
+	for i := 0; i < len(s.cqs); {
+		m := s.cqs[i]
+		if !m.failed.Load() {
+			i++
+			continue
+		}
+		s.detachLocked(m)
+		errs = append(errs, m.takeErr())
 	}
 	return errors.Join(errs...)
 }
 
-// Push appends one row to a base stream. The row's CQTIME column supplies
-// its timestamp; timestamps must be non-decreasing (the paper's streams
-// are "ordered on an attribute").
-func (r *Runtime) Push(stream string, row types.Row) error {
-	src, err := r.lookup(stream)
-	if err != nil {
-		return err
-	}
-	one := [1]types.Row{row}
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	return src.deliver(r, trace.Ctx{}, one[:])
-}
-
-// PushBatch appends rows in order. Per-batch invariants — source
-// resolution, schema arity, timestamp extraction and the late policy — are
-// validated in one pre-pass, so an invalid row rejects the whole batch
-// before anything is delivered; window advance and delivery then happen
-// once per batch per pipeline instead of once per row.
-func (r *Runtime) PushBatch(stream string, rows []types.Row) error {
-	return r.PushBatchCtx(trace.Ctx{}, stream, rows)
-}
-
-// PushBatchCtx is PushBatch with an externally assigned trace context:
-// a replica re-injects the primary's trace ID here so the local apply
-// hops join the primary's span chain. A zero Ctx lets the runtime's own
-// tracer make the sampling decision.
-func (r *Runtime) PushBatchCtx(tc trace.Ctx, stream string, rows []types.Row) error {
-	return r.PushBatchArrival(tc, stream, rows, nil)
-}
-
-// PushBatchArrival is PushBatchCtx for a CQTIME SYSTEM stream: each row's
-// CQTIME column is replaced, on a copy of the row, by its arrival time
-// read from now under the source lock — so concurrent producers are
-// stamped in the order they are delivered — and never earlier than the
-// stream's clock. A nil now keeps the rows' own timestamps.
-func (r *Runtime) PushBatchArrival(tc trace.Ctx, stream string, rows []types.Row, now func() time.Time) error {
+// PushBatch appends rows to a base stream in order. Each row's CQTIME
+// column supplies its timestamp; timestamps must be non-decreasing (the
+// paper's streams are "ordered on an attribute"). Per-batch invariants —
+// source resolution, schema arity, timestamp extraction and the late policy
+// — are validated in one pre-pass, so an invalid row rejects the whole
+// batch before anything is delivered; window advance and delivery then
+// happen once per batch per feed instead of once per row.
+//
+// tc is an externally assigned trace context: a replica re-injects the
+// primary's trace ID here so the local apply hops join the primary's span
+// chain. A zero Ctx lets the runtime's own tracer make the sampling
+// decision. A non-nil now marks a CQTIME SYSTEM stream: each row's CQTIME
+// column is replaced, on a copy of the row, by its arrival time read from
+// now under the source lock — so concurrent producers are stamped in the
+// order they are delivered — and never earlier than the stream's clock.
+func (r *Runtime) PushBatch(tc trace.Ctx, stream string, rows []types.Row, now func() time.Time) error {
 	src, err := r.lookup(stream)
 	if err != nil {
 		return err
 	}
 	src.mu.Lock()
-	defer src.mu.Unlock()
+	defer src.unlock()
 	if now != nil {
 		rows = src.stampArrival(rows, now)
 	}
@@ -610,9 +580,9 @@ func (s *source) stampArrival(rows []types.Row, now func() time.Time) []types.Ro
 }
 
 // deliver validates one batch of a base stream and fans it out. A row at
-// ts proves every window closing at or before ts complete, so each
-// pipeline fires those closes before buffering the row — per pipeline,
-// rows and closes interleave exactly as in row-at-a-time delivery.
+// ts proves every window closing at or before ts complete, so each feed
+// fires those closes before taking the row — per feed, rows and closes
+// interleave exactly as in row-at-a-time delivery.
 // Callers hold s.mu.
 func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
 	block, err := s.prepare(r, rows, 0, false)
@@ -643,8 +613,8 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
 		}
 		r.OnIngest(tc, s.name, accepted)
 	}
-	return s.fanOut(r, task{kind: taskBatch, batch: batch, block: block,
-		ts: batch[len(batch)-1].ts, tc: tc}, true)
+	return errors.Join(s.fanOut(r, task{kind: taskBatch, batch: batch, block: block,
+		ts: batch[len(batch)-1].ts, tc: tc}, true))
 }
 
 // fanOut hands one task to every subscriber of the source. Mailboxes are
@@ -652,11 +622,13 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
 // the taps — one call per batch, so a channel's transaction, WAL append
 // and fsync are per BATCH, and a window firing mid-batch sees the whole
 // batch archived — then the mailboxes it claimed. Failures are swept
-// last: a failing tap or pipeline never keeps the batch from its peers.
-// bounded applies the mailbox backpressure bound — true only on the
-// external producer path, never for work originating inside the pool (see
+// last: a failing tap, feed or CQ never keeps the batch from its peers.
+// The taps' errors — the task itself did not get where it should — come
+// back apart from the swept ones, which are the subscribers' own. bounded
+// applies the mailbox backpressure bound — true only on the external
+// producer path, never for work originating inside the pool (see
 // worker.go). Callers hold s.mu.
-func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
+func (s *source) fanOut(r *Runtime, t task, bounded bool) (tapErr, swept error) {
 	s.enqueue(r, t, bounded)
 	var errs []error
 	if t.kind != taskAdvance && len(s.taps) > 0 {
@@ -672,24 +644,21 @@ func (s *source) fanOut(r *Runtime, t task, bounded bool) error {
 		rb.put()
 	}
 	s.drainClaimedLocked()
-	if err := s.sweepFailedLocked(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	return errors.Join(errs...), s.sweepFailedLocked()
 }
 
 // enqueue puts one task on every mailbox of the source — the only way
-// work reaches a pipeline — recording an enqueue span
+// work reaches window state — recording an enqueue span
 // (duration = backpressure wait) for sampled batches. Each enqueue takes
 // one reference on the task's batch block (or one count on its flush
 // barrier), given back when the task is applied or dropped. The enqueuer
 // claims the mailboxes it must drain itself (drainClaimedLocked): all of
-// them without a pool, and under a pool the source's only subscriber when
+// them without a pool, and under a pool the source's only feed when
 // idle — the hand-off's wake-up latency would otherwise make one CQ
 // slower with a pool than without. Callers hold s.mu.
 func (s *source) enqueue(r *Runtime, t task, bounded bool) {
-	claim := r.parallel == 0 || len(s.pipes) == 1
-	for _, pipe := range s.pipes {
+	claim := r.parallel == 0 || len(s.feeds) == 1
+	for _, f := range s.feeds {
 		if t.block != nil {
 			t.block.retain()
 		}
@@ -701,12 +670,12 @@ func (s *source) enqueue(r *Runtime, t task, bounded bool) {
 			start = time.Now()
 			t.enqNS = start.UnixNano()
 		}
-		if pipe.enqueue(t, bounded, claim) {
-			s.claimed = append(s.claimed, pipe)
+		if f.enqueue(t, bounded, claim) {
+			s.claimed = append(s.claimed, f)
 		}
 		if t.tc.ID != 0 {
 			r.tracer.Record(trace.Span{Trace: t.tc.ID, Stage: trace.StageEnqueue,
-				Stream: s.name, Pipe: pipe.id, Start: start.UnixMicro(),
+				Stream: s.name, Pipe: f.id, Start: start.UnixMicro(),
 				Dur: time.Since(start).Nanoseconds(), Rows: len(t.batch)})
 		}
 	}
@@ -716,8 +685,8 @@ func (s *source) enqueue(r *Runtime, t task, bounded bool) {
 // enqueue claimed. A fire in here may emit into a derived stream, whose
 // source is drained the same way before the emission returns.
 func (s *source) drainClaimedLocked() {
-	for i, pipe := range s.claimed {
-		pipe.runMailbox(drainAll)
+	for i, f := range s.claimed {
+		f.runMailbox(drainAll)
 		s.claimed[i] = nil
 	}
 	s.claimed = s.claimed[:0]
@@ -731,7 +700,7 @@ func (r *Runtime) Advance(stream string, ts int64) error {
 		return err
 	}
 	src.mu.Lock()
-	defer src.mu.Unlock()
+	defer src.unlock()
 	if src.hasTS && ts < src.lastTS {
 		return nil // stale heartbeat: ignore
 	}
@@ -739,7 +708,7 @@ func (r *Runtime) Advance(stream string, ts int64) error {
 	if r.OnAdvance != nil && src.cqtimeCol >= 0 {
 		r.OnAdvance(src.name, ts)
 	}
-	return src.fanOut(r, task{kind: taskAdvance, ts: ts}, true)
+	return errors.Join(src.fanOut(r, task{kind: taskAdvance, ts: ts}, true))
 }
 
 // Tap attaches a raw sink to a stream. On a derived stream the sink
@@ -771,7 +740,7 @@ func (r *Runtime) Tap(stream string, sink Sink) (func(), error) {
 // DerivedSink returns the sink that feeds a derived stream's source. The
 // engine wires it as the sink of the derived stream's always-on pipeline.
 // Emission takes the derived source's own lock, so the sink may run on
-// whichever goroutine is draining the upstream pipeline's mailbox.
+// whichever goroutine is draining the upstream feed's mailbox.
 func (r *Runtime) DerivedSink(stream string) Sink {
 	return func(tc trace.Ctx, closeTS int64, rows []types.Row) error {
 		return r.emitDerived(tc, stream, closeTS, rows)
@@ -782,7 +751,10 @@ func (r *Runtime) DerivedSink(stream string) Sink {
 // all rows share the emission timestamp closeTS, and the emission boundary
 // itself is signalled for SLICES-window consumers. The upstream fire's
 // trace context rides along, so a sampled base-stream batch's chain
-// continues through every derived stream it cascades into.
+// continues through every derived stream it cascades into. An emission that
+// reached every tap has been delivered, whatever its consumers then did with
+// it: their swept failures come back marked downstream, so the emitting CQ
+// hands them up to the producer's call instead of failing for them.
 func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows []types.Row) error {
 	src, err := r.lookup(stream)
 	if err != nil {
@@ -790,7 +762,7 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 		return nil
 	}
 	src.mu.Lock()
-	defer src.mu.Unlock()
+	defer src.unlock()
 	block, err := src.prepare(r, rows, closeTS, true)
 	if err != nil {
 		return err
@@ -798,17 +770,25 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 	defer block.release()
 	src.rows.Add(int64(len(block.rows)))
 	// Unbounded: emissions may originate on a pool worker, which must
-	// never block on another pipeline's mailbox bound (deadlock).
-	return src.fanOut(r, task{kind: taskEmission, batch: block.rows, block: block,
-		ts: closeTS, emRows: len(rows), tc: tc}, false)
+	// never block on another feed's mailbox bound (deadlock).
+	tapErr, swept := src.fanOut(r, task{kind: taskEmission, batch: block.rows, block: block,
+		ts: closeTS, tc: tc}, false)
+	if tapErr == nil && swept != nil {
+		return downstream{swept}
+	}
+	return errors.Join(tapErr, swept)
 }
+
+// downstream marks the failures of a derived stream's consumers on their way
+// up through the sink of the CQ that emitted into it.
+type downstream struct{ error }
 
 // Quiesce blocks until every mailbox has drained all input enqueued before
 // the call — including work that cascades through derived streams — then
-// reports any pipeline failures not yet surfaced, detaching the failed
-// pipelines. Without a pool every call has drained its own work already,
-// so the barrier passes at once. Quiesce does not prevent concurrent
-// producers; callers wanting a true barrier stop pushing first.
+// reports any failures not yet surfaced, detaching what failed. Without a
+// pool every call has drained its own work already, so the barrier passes
+// at once. Quiesce does not prevent concurrent producers; callers wanting a
+// true barrier stop pushing first.
 func (r *Runtime) Quiesce() error {
 	for {
 		before := r.tasksEnqueued()
@@ -830,15 +810,8 @@ func (r *Runtime) Quiesce() error {
 	var errs []error
 	for _, src := range r.snapshotSources() {
 		src.mu.Lock()
-		if err := src.sweepFailedLocked(); err != nil {
-			errs = append(errs, err)
-		}
-		retired := src.retired
-		src.retired = nil
-		src.mu.Unlock()
-		for _, h := range retired {
-			h.stop()
-		}
+		errs = append(errs, src.sweepFailedLocked())
+		src.unlock()
 	}
 	return errors.Join(errs...)
 }
@@ -849,15 +822,15 @@ func (r *Runtime) tasksEnqueued() int64 {
 	var n int64
 	for _, src := range r.snapshotSources() {
 		src.mu.Lock()
-		for _, p := range src.pipes {
-			n += p.enqueued.Load()
+		for _, f := range src.feeds {
+			n += f.enqueued.Load()
 		}
 		src.mu.Unlock()
 	}
 	return n
 }
 
-// Close drains every mailbox, stops the pipelines, detaches them all and
+// Close drains every mailbox, stops the feeds, detaches everything and
 // returns any failures that had not yet been surfaced. Producers must have
 // stopped; pushing after Close returns an error for unknown streams only
 // if the source registry was also torn down, so the engine gates Close
@@ -875,11 +848,13 @@ func (r *Runtime) Close() error {
 	// consumers attached.
 	errs := []error{r.Quiesce()}
 	for _, src := range r.snapshotSources() {
-		for _, pipe := range src.detachAll() {
-			pipe.stop()
-			if err := pipe.takeErr(); err != nil {
-				errs = append(errs, err)
-			}
+		feeds, cqs := src.detachAll()
+		for _, f := range feeds {
+			f.stop()
+			errs = append(errs, f.takeErr())
+		}
+		for _, m := range cqs {
+			errs = append(errs, m.takeErr())
 		}
 	}
 	if r.sched != nil {
@@ -898,8 +873,8 @@ func (r *Runtime) StoreMembers(stream, key string) int {
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	if ws := src.stores[key]; ws != nil {
-		return int(ws.n.Load())
+	if f := src.stores[key]; f != nil {
+		return int(f.n.Load())
 	}
 	return 0
 }
@@ -920,11 +895,10 @@ func (r *Runtime) snapshotCtx(closeTS int64) *exec.Ctx {
 // not this struct, is what the counter read surfaces render.
 type Stats struct {
 	Sources int
-	// Pipelines counts user-facing continuous queries: store members and
-	// re-executing pipelines. Internal store hosts are excluded.
+	// Pipelines counts continuous queries, whatever feed they are on.
 	Pipelines int
-	// PlanGroups counts window-state stores (one host pipeline each);
-	// PlanSubscribers counts the CQs attached to them.
+	// PlanGroups counts window-state stores (one feed each; a buffer's
+	// private feed is not one); PlanSubscribers counts the CQs on them.
 	PlanGroups      int
 	PlanSubscribers int
 	WindowsFired    int64
@@ -953,34 +927,27 @@ type PipelineStats struct {
 	ID           int64
 	WindowsFired int64
 	RowsSeen     int64
-	// QueueDepth is the number of micro-batch tasks queued in the
-	// pipeline's mailbox; 0 between calls when producers drain, and for
-	// store members, which have none.
+	// RowsSeen is the row intake of the CQ's feed, and QueueDepth the number
+	// of micro-batch tasks queued in that feed's mailbox — the backlog every
+	// CQ on it waits behind; 0 between calls when producers drain.
 	QueueDepth int
 	// Strategy is Pipeline.Strategy: "incremental", "shared" or "reexec".
 	Strategy string
-	// PlanShared marks store members: RowsSeen then mirrors the host's
-	// intake.
+	// PlanShared marks CQs on a window-state store's feed.
 	PlanShared bool
 }
 
-// statsSnapshot reads this pipeline's counters as one consistent pass.
-// Load order matters: the producer increments rowsSeen before any fire
-// those rows prove, so loading windowsFired first guarantees the returned
-// pair never shows more fires than its rows justify.
+// statsSnapshot reads this CQ's counters as one consistent pass. Load order
+// matters: the feed counts a row before any fire that row proves, and a
+// fire counts before its sinks run, so loading windowsFired first
+// guarantees the returned pair never shows more fires than its rows
+// justify.
 func (p *Pipeline) statsSnapshot() PipelineStats {
-	ps := PipelineStats{Stream: p.src.name, ID: p.id, Strategy: p.Strategy(), PlanShared: p.ws != nil}
+	f := p.feed
+	ps := PipelineStats{Stream: f.src.name, ID: p.id, Strategy: p.Strategy(), PlanShared: f.store != nil}
 	ps.WindowsFired = p.windowsFired.Value()
-	if p.ws != nil {
-		// Member snapshot: its own fires, the host's row intake (rows the
-		// store consumed on this CQ's behalf). Member fires trail host
-		// fires, which trail the host's row count, so the load order
-		// preserves the invariant above.
-		ps.RowsSeen = p.ws.host.rowsSeen.Value()
-		return ps
-	}
-	ps.RowsSeen = p.rowsSeen.Value()
-	ps.QueueDepth = p.mbox.depth()
+	ps.RowsSeen = f.rowsSeen.Value()
+	ps.QueueDepth = f.mbox.depth()
 	return ps
 }
 
@@ -1000,19 +967,15 @@ func (r *Runtime) Stats() Stats {
 	s.Sources = len(sources)
 	for _, src := range sources {
 		src.mu.Lock()
-		s.Pipelines += len(src.pipes) - len(src.stores) + len(src.members)
 		s.PlanGroups += len(src.stores)
-		s.PlanSubscribers += len(src.members)
-		pipes := append([]*Pipeline(nil), src.pipes...)
-		pipes = append(pipes, src.members...)
+		cqs := append([]*Pipeline(nil), src.cqs...)
 		src.mu.Unlock()
-		for _, pipe := range pipes {
-			if pipe.isHost() {
-				// Internal store hosts are an implementation detail; their
-				// work is attributed to their members.
-				continue
-			}
+		s.Pipelines += len(cqs)
+		for _, pipe := range cqs {
 			ps := pipe.statsSnapshot()
+			if ps.PlanShared {
+				s.PlanSubscribers++
+			}
 			s.WindowsFired += ps.WindowsFired
 			s.RowsProcessed += ps.RowsSeen
 			s.PerPipeline = append(s.PerPipeline, ps)

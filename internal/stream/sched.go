@@ -10,18 +10,18 @@ import (
 
 // Work-stealing scheduler for parallel continuous-query mode.
 //
-// Pipelines are scheduled as actors: the unit of work handed to the pool
-// is a *Pipeline whose mailbox has input, never an individual task. A
-// pipeline is claimed by at most one worker at a time and its mailbox is
+// Feeds are scheduled as actors: the unit of work handed to the pool is a
+// *feed whose mailbox has input, never an individual task. A feed is
+// claimed by at most one worker at a time and its mailbox is
 // drained in FIFO order, so rows and window closes are applied exactly in
 // producer order — per-CQ results stay byte-identical to the synchronous
-// engine while N runnable pipelines use up to `workers` cores. This
+// engine while N runnable feeds use up to `workers` cores. This
 // replaces the one-goroutine-per-pipeline model: 10k registered CQs cost
 // 10k idle mailboxes, not 10k parked goroutine stacks, and wake-up work
 // is bounded by the worker pool.
 //
 // Topology: one bounded deque per worker. A producer submits a runnable
-// pipeline to a deque chosen round-robin; the owning worker pops from the
+// feed to a deque chosen round-robin; the owning worker pops from the
 // front (FIFO fairness), and an idle worker steals the back half of the
 // first non-empty victim deque it finds (steal-half amortizes the steal
 // lock against future polls). Idle workers park on a single condition
@@ -37,7 +37,7 @@ type scheduler struct {
 	closed bool
 
 	rr       atomic.Uint64 // round-robin submit cursor
-	runnable atomic.Int64  // pipelines sitting in deques (queue depth)
+	runnable atomic.Int64  // feeds sitting in deques (queue depth)
 	wg       sync.WaitGroup
 
 	// steals counts victim deques robbed; parks counts worker sleeps.
@@ -47,16 +47,16 @@ type scheduler struct {
 	unreg  []func()
 }
 
-// schedDeque is one worker's run queue of claimable pipelines. head
+// schedDeque is one worker's run queue of claimable feeds. head
 // indexes the next front pop; stealers take the back half.
 type schedDeque struct {
 	mu   sync.Mutex
-	q    []*Pipeline
+	q    []*feed
 	head int
 }
 
 // schedQuantum is the number of mailbox tasks a worker applies before
-// requeueing the pipeline, so one hot CQ cannot monopolize a worker while
+// requeueing the feed, so one hot CQ cannot monopolize a worker while
 // runnable peers wait (round-robin fairness at task granularity).
 const schedQuantum = 32
 
@@ -90,10 +90,10 @@ func newScheduler(workers int, reg *metrics.Registry) *scheduler {
 	return s
 }
 
-// submit makes a pipeline claimable. Called exactly once per mailbox
+// submit makes a feed claimable. Called exactly once per mailbox
 // idle→queued transition (the mailbox state machine is the claim token),
-// so a pipeline is never in two deques.
-func (s *scheduler) submit(p *Pipeline) {
+// so a feed is never in two deques.
+func (s *scheduler) submit(p *feed) {
 	d := &s.deques[int(s.rr.Add(1))%len(s.deques)]
 	d.mu.Lock()
 	d.q = append(d.q, p)
@@ -107,10 +107,10 @@ func (s *scheduler) submit(p *Pipeline) {
 	s.mu.Unlock()
 }
 
-// poll returns the next pipeline for worker i: front of its own deque, or
-// the back half of the first non-empty victim (the first stolen pipeline
+// poll returns the next feed for worker i: front of its own deque, or
+// the back half of the first non-empty victim (the first stolen feed
 // runs now, the rest land in i's deque).
-func (s *scheduler) poll(i int) *Pipeline {
+func (s *scheduler) poll(i int) *feed {
 	if p := s.deques[i].pop(); p != nil {
 		s.runnable.Add(-1)
 		return p
@@ -135,7 +135,7 @@ func (s *scheduler) poll(i int) *Pipeline {
 	return nil
 }
 
-func (d *schedDeque) pop() *Pipeline {
+func (d *schedDeque) pop() *feed {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.head >= len(d.q) {
@@ -151,7 +151,7 @@ func (d *schedDeque) pop() *Pipeline {
 }
 
 // stealHalf removes and returns the back half (rounded up) of the deque.
-func (d *schedDeque) stealHalf() []*Pipeline {
+func (d *schedDeque) stealHalf() []*feed {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := len(d.q) - d.head
@@ -160,7 +160,7 @@ func (d *schedDeque) stealHalf() []*Pipeline {
 	}
 	take := (n + 1) / 2
 	cut := len(d.q) - take
-	stolen := append([]*Pipeline(nil), d.q[cut:]...)
+	stolen := append([]*feed(nil), d.q[cut:]...)
 	for i := cut; i < len(d.q); i++ {
 		d.q[i] = nil
 	}
@@ -171,7 +171,7 @@ func (d *schedDeque) stealHalf() []*Pipeline {
 	return stolen
 }
 
-// worker claims runnable pipelines and drains their mailboxes until the
+// worker claims runnable feeds and drains their mailboxes until the
 // scheduler closes. The gen-check before parking closes the race between
 // a fruitless scan and a concurrent submit.
 func (s *scheduler) worker(i int) {
@@ -210,7 +210,7 @@ func (s *scheduler) worker(i int) {
 	}
 }
 
-// close stops the pool after runtime teardown has stopped every pipeline.
+// close stops the pool after runtime teardown has stopped every feed.
 // Workers claim whatever is still queued (stopped mailboxes drain to
 // idle), then exit.
 func (s *scheduler) close() {

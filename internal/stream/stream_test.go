@@ -87,10 +87,16 @@ func (e *env) subscribe(t *testing.T, src string) (*Pipeline, *[]batch) {
 	return pipe, out
 }
 
+// push appends rows to a stream with no trace context and their own
+// timestamps.
+func (e *env) push(stream string, rows ...types.Row) error {
+	return e.rt.PushBatch(trace.Ctx{}, stream, rows, nil)
+}
+
 // hit pushes one url_stream event.
 func (e *env) hit(t *testing.T, url string, ts int64, ip string) {
 	t.Helper()
-	err := e.rt.Push("url_stream", types.Row{
+	err := e.push("url_stream", types.Row{
 		types.NewString(url), types.NewTimestampMicros(ts), types.NewString(ip),
 	})
 	if err != nil {
@@ -181,7 +187,7 @@ func TestOutOfOrderRejected(t *testing.T) {
 	e := newEnv(t, true)
 	e.subscribe(t, `SELECT count(*) FROM url_stream <ADVANCE '1 minute'>`)
 	e.hit(t, "/a", 10*minute, "x")
-	err := e.rt.Push("url_stream", types.Row{
+	err := e.push("url_stream", types.Row{
 		types.NewString("/b"), types.NewTimestampMicros(9 * minute), types.NewString("x"),
 	})
 	if err == nil {
@@ -261,7 +267,7 @@ func TestSharedMatchesUnshared(t *testing.T) {
 				t.Fatalf("query %d: expected a store", qi)
 			}
 			for _, ev := range events {
-				if err := e.rt.Push("url_stream", ev); err != nil {
+				if err := e.push("url_stream", ev); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -314,7 +320,7 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 	if st := e.rt.Stats(); st.PlanGroups != 1 || st.PlanSubscribers != k+1 {
 		t.Fatalf("stats after mixed-visible subscribe: %+v", st)
 	}
-	if got := len(pipe.ws.views); got != 2 {
+	if got := len(pipe.feed.views); got != 2 {
 		t.Fatalf("store has %d views, want one per VISIBLE", got)
 	}
 }
@@ -435,7 +441,7 @@ func TestSlicesWindowOverDerived(t *testing.T) {
 
 func TestRuntimeErrors(t *testing.T) {
 	e := newEnv(t, true)
-	if err := e.rt.Push("nope", types.Row{}); err == nil {
+	if err := e.push("nope", types.Row{}); err == nil {
 		t.Fatal("push to unknown stream")
 	}
 	if err := e.rt.Advance("nope", 0); err == nil {
@@ -444,11 +450,11 @@ func TestRuntimeErrors(t *testing.T) {
 	if err := e.rt.RegisterSource("url_stream", nil, 0); err == nil {
 		t.Fatal("duplicate source")
 	}
-	if err := e.rt.Push("url_stream", types.Row{types.NewString("x")}); err == nil {
+	if err := e.push("url_stream", types.Row{types.NewString("x")}); err == nil {
 		t.Fatal("arity mismatch")
 	}
 	// Wrong type in CQTIME column.
-	err := e.rt.Push("url_stream", types.Row{
+	err := e.push("url_stream", types.Row{
 		types.NewString("/a"), types.NewInt(5), types.NewString("x"),
 	})
 	if err == nil {
@@ -464,7 +470,7 @@ func TestPushBatch(t *testing.T) {
 		{types.NewString("/b"), types.NewTimestampMicros(10*minute + 1), types.NewString("x")},
 		{types.NewString("/c"), types.NewTimestampMicros(11 * minute), types.NewString("x")},
 	}
-	if err := e.rt.PushBatch("url_stream", rows); err != nil {
+	if err := e.push("url_stream", rows...); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, flatten(*out), "11:2")

@@ -2,25 +2,23 @@ package stream
 
 import (
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"streamrel/internal/metrics"
 	"streamrel/internal/trace"
 )
 
-// Mailboxes: the one hand-off between a source and its pipelines. Every
-// pipeline on a source's delivery list owns a mailbox — a FIFO of
-// micro-batch tasks — and at most one goroutine drains it at a time, so
-// tasks — and therefore rows and window closes — are applied in exactly
-// the order the producer enqueued them. Who drains is the only thing the
+// Mailboxes: the one hand-off between a source and its feeds. Every feed
+// owns a mailbox — a FIFO of micro-batch tasks — and nothing else does; at
+// most one goroutine drains it at a time, so tasks — and therefore rows and
+// window closes — are applied in exactly the order the producer enqueued
+// them. Who drains is the only thing the
 // ParallelCQ setting changes: without a pool the enqueuing goroutine
 // claims the mailbox and drains it before its call returns; with a pool
 // (sched.go) a worker does. Under a pool the mailbox bound gives blocking
 // backpressure on the producer path: a producer outrunning a slow CQ
-// parks on that CQ's mailbox instead of growing memory without bound.
+// parks on that CQ's feed instead of growing memory without bound.
 // Enqueues from inside the pool (derived-stream cascades, flush barriers)
 // are exempt from the bound so pool workers never block on a mailbox — a
 // bounded cascade enqueue could deadlock the pool when every worker waits
@@ -52,7 +50,6 @@ type task struct {
 	// ts is the heartbeat (taskAdvance), the emission boundary
 	// (taskEmission) or the batch's last timestamp (taskBatch).
 	ts      int64
-	emRows  int             // taskEmission: row count of the emission
 	flushed *sync.WaitGroup // taskFlush: one Done per mailbox the barrier passed
 	tc      trace.Ctx
 	enqNS   int64 // sampled tasks: wall-clock ns at enqueue, for the pickup span
@@ -60,7 +57,7 @@ type task struct {
 
 // Mailbox claim states. The state machine is the claim token: the enqueue
 // that finds the mailbox idle either claims it for its own goroutine
-// (idle → running; see Pipeline.enqueue) or submits the pipeline to the
+// (idle → running; see feed.enqueue) or submits the feed to the
 // pool, exactly once (idle → queued, then queued → running when a worker
 // picks it up). running → idle when the drain empties the queue, or →
 // queued again when a pool worker requeues after its quantum.
@@ -72,7 +69,7 @@ const (
 	mboxRunning
 )
 
-// mailbox is one pipeline's task queue. q[head:] are pending tasks; size
+// mailbox is one feed's task queue. q[head:] are pending tasks; size
 // mirrors that count atomically for lock-free depth reads (metrics).
 type mailbox struct {
 	mu    sync.Mutex
@@ -93,22 +90,6 @@ func (m *mailbox) depth() int { return int(m.size.Load()) }
 // itself: it never requeues.
 const drainAll = math.MaxInt
 
-// startMailbox gives the pipeline its mailbox. Called under the source
-// lock before the pipeline is added to the fan-out list, so no task can
-// precede it.
-func (p *Pipeline) startMailbox() {
-	m := &mailbox{bound: p.rt.parallel}
-	m.cond = sync.NewCond(&m.mu)
-	p.mbox = m
-	if p.rt.reg != nil {
-		p.unregQueueGauge = p.rt.reg.GaugeFunc("streamrel_pipeline_queue_depth",
-			"micro-batch tasks queued in a pipeline's mailbox",
-			func() float64 { return float64(m.depth()) },
-			metrics.L("stream", p.src.name),
-			metrics.L("pipe", strconv.FormatInt(p.id, 10)))
-	}
-}
-
 // enqueue appends a task to the mailbox and decides who drains it. When
 // the mailbox is idle — queue empty, nobody inside; the mailbox mutex
 // orders the last drainer's writes before this read — and claim is set,
@@ -118,9 +99,9 @@ func (p *Pipeline) startMailbox() {
 // enqueues (the base-stream producer path) block while the mailbox is at
 // its bound — backpressure — and must never be used from a pool worker.
 // Callers hold the source lock; a stopped mailbox drops the task (its
-// pipeline is already detached).
-func (p *Pipeline) enqueue(t task, bounded, claim bool) bool {
-	m := p.mbox
+// feed is already off the delivery list).
+func (f *feed) enqueue(t task, bounded, claim bool) bool {
+	m := &f.mbox
 	m.mu.Lock()
 	if bounded && m.bound > 0 {
 		for m.size.Load() >= int64(m.bound) && !m.stopped {
@@ -133,7 +114,7 @@ func (p *Pipeline) enqueue(t task, bounded, claim bool) bool {
 		return false
 	}
 	if t.kind != taskFlush {
-		p.enqueued.Add(1)
+		f.enqueued.Add(1)
 	}
 	m.q = append(m.q, t)
 	m.size.Add(1)
@@ -147,22 +128,22 @@ func (p *Pipeline) enqueue(t task, bounded, claim bool) bool {
 	}
 	m.mu.Unlock()
 	if idle && !claim {
-		p.rt.sched.submit(p)
+		f.rt.sched.submit(f)
 	}
 	return claim
 }
 
-// runMailbox drains this pipeline's mailbox, on the goroutine that claimed
+// runMailbox drains this feed's mailbox, on the goroutine that claimed
 // it in enqueue (quantum drainAll) or on a pool worker (schedQuantum). At
 // most one goroutine runs here at a time (the state machine's claim
 // token), so tasks apply strictly in enqueue order. After a failure the
 // drain keeps consuming (dropping work) so producers never block forever
-// on a poisoned mailbox; the source sweeps the pipeline out and surfaces
+// on a poisoned mailbox; the source sweeps the feed out and surfaces
 // the error from the call that drained it, or under a pool from the next
 // Push/Advance/Quiesce/Close. Block references are released even for
 // dropped work.
-func (p *Pipeline) runMailbox(quantum int) {
-	m := p.mbox
+func (f *feed) runMailbox(quantum int) {
+	m := &f.mbox
 	n := 0
 	m.mu.Lock()
 	m.state = mboxRunning
@@ -178,7 +159,7 @@ func (p *Pipeline) runMailbox(quantum int) {
 			// Quantum spent: requeue so runnable peers get this worker.
 			m.state = mboxQueued
 			m.mu.Unlock()
-			p.rt.sched.submit(p)
+			f.rt.sched.submit(f)
 			return
 		}
 		t := m.q[m.head]
@@ -191,9 +172,9 @@ func (p *Pipeline) runMailbox(quantum int) {
 		if t.kind == taskFlush {
 			t.flushed.Done()
 		} else {
-			if !p.failed.Load() {
-				if err := p.apply(t); err != nil {
-					p.fail(err)
+			if !f.failed.Load() {
+				if err := f.apply(t); err != nil {
+					f.fail(err, f.src)
 				}
 			}
 			if t.block != nil {
@@ -230,17 +211,11 @@ func dropTask(t task) {
 }
 
 // stop marks the mailbox stopped, drops queued work and waits for any
-// in-flight task to finish, then detaches per-pipeline gauges. Safe to
-// call multiple times; pipelines without a mailbox only detach gauges.
-func (p *Pipeline) stop() {
-	p.stopOnce.Do(func() {
-		if p.isHost() && p.ws.unregGauges != nil {
-			p.ws.unregGauges()
-		}
-		if p.mbox == nil {
-			return
-		}
-		m := p.mbox
+// in-flight task to finish, then detaches the feed's gauges. Safe to call
+// multiple times.
+func (f *feed) stop() {
+	f.stopOnce.Do(func() {
+		m := &f.mbox
 		m.mu.Lock()
 		m.stopped = true
 		m.dropQueuedLocked()
@@ -249,55 +224,36 @@ func (p *Pipeline) stop() {
 			m.cond.Wait()
 		}
 		m.mu.Unlock()
-		if p.unregQueueGauge != nil {
-			p.unregQueueGauge()
+		for _, unreg := range f.unreg {
+			unreg()
 		}
 	})
 }
 
-// fail records the pipeline's first failure; the source's next sweep
-// detaches it and reports the error. Only the goroutine applying the
-// pipeline's input calls it.
-func (p *Pipeline) fail(err error) {
-	p.failErr = err
-	p.failed.Store(true)
-}
-
-// takeErr returns the pipeline's failure, if any, consuming it.
-func (p *Pipeline) takeErr() error {
-	if !p.failed.Load() {
-		return nil
-	}
-	err := p.failErr
-	p.failErr = nil
-	p.failed.Store(false)
-	return err
-}
-
-func (p *Pipeline) apply(t task) error {
+func (f *feed) apply(t task) error {
 	switch t.kind {
 	case taskBatch:
-		p.pickup(t)
-		return p.processBatch(t.batch, t.tc)
+		f.pickup(t)
+		return f.processBatch(t.batch, t.tc)
 	case taskAdvance:
-		return p.advanceTo(t.ts)
+		return f.advanceTo(t.ts)
 	case taskEmission:
-		p.pickup(t)
-		if err := p.processBatch(t.batch, t.tc); err != nil {
+		f.pickup(t)
+		if err := f.processBatch(t.batch, t.tc); err != nil {
 			return err
 		}
-		return p.endEmission(t.ts, t.emRows)
+		return f.endEmission(t.ts)
 	}
 	return nil
 }
 
 // pickup records the queue-wait span for a sampled task: the time between
 // the producer's enqueue and the drainer dequeuing it.
-func (p *Pipeline) pickup(t task) {
-	if t.tc.ID == 0 || t.enqNS == 0 || p.rt.tracer == nil {
+func (f *feed) pickup(t task) {
+	if t.tc.ID == 0 || t.enqNS == 0 || f.rt.tracer == nil {
 		return
 	}
-	p.rt.tracer.Record(trace.Span{Trace: t.tc.ID, Stage: trace.StagePickup,
-		Stream: p.src.name, Pipe: p.id, Start: t.enqNS / 1000,
+	f.rt.tracer.Record(trace.Span{Trace: t.tc.ID, Stage: trace.StagePickup,
+		Stream: f.src.name, Pipe: f.id, Start: t.enqNS / 1000,
 		Dur: time.Now().UnixNano() - t.enqNS, Rows: len(t.batch)})
 }

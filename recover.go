@@ -128,16 +128,8 @@ func (e *Engine) checkpoint() error {
 		return err
 	}
 
+	e.compactTablesLocked()
 	for _, t := range e.cat.Tables() {
-		t.Heap.Vacuum(snap)
-		for _, ix := range t.Indexes {
-			rebuilt := storage.NewBTree()
-			t.Heap.Scan(snap, func(rid storage.RowID, row types.Row) bool {
-				rebuilt.Insert(ix.KeyOf(row), rid)
-				return true
-			})
-			ix.Tree = rebuilt
-		}
 		if err := scanTable(t, snap, ck.Append); err != nil {
 			ck.Close()
 			return err

@@ -139,10 +139,11 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	var tc trace.Ctx
 	if traceID != 0 && e.tracer != nil {
-		return e.rt.PushBatchCtx(e.tracer.Adopt(traceID), streamName, rows)
+		tc = e.tracer.Adopt(traceID)
 	}
-	return e.rt.PushBatch(streamName, rows)
+	return e.rt.PushBatch(tc, streamName, rows, nil)
 }
 
 // ApplyReplicatedAdvance applies a replicated heartbeat.

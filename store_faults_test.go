@@ -5,19 +5,61 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"streamrel/internal/sql"
+	"streamrel/internal/stream"
 	"streamrel/internal/trace"
 	"streamrel/internal/types"
 )
 
-// Fault tests for CQs that share window state: one fingerprint at VISIBLE
-// 10/30/60 s over ADVANCE 10 s. Each runs with the producer draining the
-// mailboxes (ParallelCQ 0) and with the scheduler pool (ParallelCQ 4).
+// Fault tests for CQs on feeds: three views of one store — one fingerprint
+// at VISIBLE 10/30/60 s over ADVANCE 10 s — and beside them the shapes that
+// get a feed to themselves and re-execute: a time window whose VISIBLE is no
+// multiple of its ADVANCE, a row-count window and a SLICES window over a
+// derived stream. Each runs with the producer draining the mailboxes
+// (ParallelCQ 0) and with the scheduler pool (ParallelCQ 4).
 
 const faultShape = `SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'> GROUP BY url`
+
+// faultDDL declares the stream and a derived stream for the SLICES windows
+// (its own CQ keeps a second store: min never fails to evaluate).
+const faultDDL = `
+	CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint);
+	CREATE STREAM d AS SELECT url, min(v) AS m FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url;
+`
+
+// reexecShapes take an aggregate over v (m on the derived stream) in place
+// of %s.
+var reexecShapes = []struct{ name, sql string }{
+	{"nearmiss", `SELECT url, %s AS a FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`},
+	{"rows", `SELECT url, %s AS a FROM s <VISIBLE 20 ROWS ADVANCE 5 ROWS> GROUP BY url`},
+	{"slices", `SELECT url, %s AS a FROM d <SLICES 3 WINDOWS> GROUP BY url`},
+}
+
+// reexecShape instantiates shape i with an aggregate over the stream's value
+// column.
+func reexecShape(i int, agg string) string {
+	col := "v"
+	if reexecShapes[i].name == "slices" {
+		col = "m"
+	}
+	return fmt.Sprintf(reexecShapes[i].sql, fmt.Sprintf(agg, col))
+}
+
+// liveFeeds counts the feeds on the engine's delivery lists: each has a
+// queue-depth gauge until it is stopped.
+func liveFeeds(e *Engine) int {
+	n := 0
+	for _, s := range e.Metrics().Gather() {
+		if s.Name == "streamrel_pipeline_queue_depth" {
+			n++
+		}
+	}
+	return n
+}
 
 // failingSink subscribes sqlText straight on the runtime with a sink that
 // counts its calls and returns err on the failAt-th.
@@ -29,6 +71,17 @@ type failingSink struct {
 
 func (l *failingSink) subscribe(t *testing.T, e *Engine, sqlText string) {
 	t.Helper()
+	subscribeSink(t, e, sqlText, func(trace.Ctx, int64, []types.Row) error {
+		if l.calls++; l.calls == l.failAt {
+			return l.err
+		}
+		return nil
+	})
+}
+
+// subscribeSink subscribes sqlText straight on the runtime with sink.
+func subscribeSink(t *testing.T, e *Engine, sqlText string, sink stream.Sink) {
+	t.Helper()
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +90,7 @@ func (l *failingSink) subscribe(t *testing.T, e *Engine, sqlText string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.rt.Subscribe(p, func(trace.Ctx, int64, []types.Row) error {
-		if l.calls++; l.calls == l.failAt {
-			return l.err
-		}
-		return nil
-	})
-	if err != nil {
+	if _, err = e.rt.Subscribe(p, sink); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,42 +143,62 @@ func countErr(errs []error, text string) int {
 	return n
 }
 
-// TestStoreMemberSinkFailureIsolated: in a three-view store one member's
-// sink fails mid-run. Only that member is detached, its error surfaces
-// once, its sink is never called again, and every peer's transcript is
-// byte-identical to a run in which that member never subscribed — whether
-// the member was the only one on the widest view (the view and the
-// store's retention go with it) or shared a post set with a peer.
+// TestStoreMemberSinkFailureIsolated: beside three views of one store and
+// one CQ of each re-executing shape, one more CQ's sink fails mid-run. Only
+// that CQ is detached, its error surfaces once, its sink is never called
+// again, and every peer's transcript is byte-identical to a run in which it
+// never subscribed — whether it was the only one on the store's widest view
+// (the view and the store's retention go with it), shared a post set with a
+// peer, or had a feed to itself, which then retires with it.
 func TestStoreMemberSinkFailureIsolated(t *testing.T) {
 	boom := errors.New("sink boom")
+	failing := []struct{ name, sql string }{
+		{"fail60s", fmt.Sprintf(faultShape, 60)},
+		{"fail30s", fmt.Sprintf(faultShape, 30)},
+	}
+	for i, shape := range reexecShapes {
+		failing = append(failing, struct{ name, sql string }{shape.name, reexecShape(i, "sum(%s)")})
+	}
 	for _, parallel := range []int{0, 4} {
-		for _, failVisible := range []int{60, 30} {
-			t.Run(fmt.Sprintf("parallel%d/fail%ds", parallel, failVisible), func(t *testing.T) {
+		for _, fail := range failing {
+			t.Run(fmt.Sprintf("parallel%d/%s", parallel, fail.name), func(t *testing.T) {
 				run := func(withFailing bool) ([]string, *failingSink, []error) {
 					e, err := Open(Config{ParallelCQ: parallel})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer e.Close()
-					mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+					if err := e.ExecScript(faultDDL); err != nil {
+						t.Fatal(err)
+					}
 					var peers []*CQ
-					for _, v := range []int{10, 30, 60} {
-						if v == 60 && failVisible == 60 {
-							continue // the failing member is alone on the widest view
-						}
-						cq, err := e.Subscribe(fmt.Sprintf(faultShape, v))
+					subscribe := func(sqlText string) {
+						cq, err := e.Subscribe(sqlText)
 						if err != nil {
 							t.Fatal(err)
 						}
 						peers = append(peers, cq)
 					}
-					failing := &failingSink{failAt: 4, err: boom}
+					for _, v := range []int{10, 30, 60} {
+						if v == 60 && fail.name == "fail60s" {
+							continue // the failing member is alone on the widest view
+						}
+						subscribe(fmt.Sprintf(faultShape, v))
+					}
+					for i := range reexecShapes {
+						subscribe(reexecShape(i, "count(%s)"))
+					}
+					pipelines, feeds := e.Stats().Pipelines, liveFeeds(e)
+					sink := &failingSink{failAt: 4, err: boom}
 					if withFailing {
-						failing.subscribe(t, e, fmt.Sprintf(faultShape, failVisible))
+						sink.subscribe(t, e, fail.sql)
 					}
 					errs := faultFeed(t, e, 11, -1)
-					if got := e.Stats().Pipelines; got != len(peers) {
-						t.Errorf("withFailing=%v: %d pipelines left, want the %d peers", withFailing, got, len(peers))
+					if got := e.Stats().Pipelines; got != pipelines {
+						t.Errorf("withFailing=%v: %d pipelines left, want the %d peers and the derived stream's", withFailing, got, pipelines)
+					}
+					if got := liveFeeds(e); got != feeds {
+						t.Errorf("withFailing=%v: %d feeds left, want %d: a feed retires with its last subscriber", withFailing, got, feeds)
 					}
 					out := make([]string, len(peers))
 					for i, cq := range peers {
@@ -140,22 +207,22 @@ func TestStoreMemberSinkFailureIsolated(t *testing.T) {
 							t.Fatalf("peer %d never fired", i)
 						}
 					}
-					return out, failing, errs
+					return out, sink, errs
 				}
 				want, _, errs := run(false)
 				if len(errs) != 0 {
-					t.Fatalf("run without the failing member: %v", errs)
+					t.Fatalf("run without the failing CQ: %v", errs)
 				}
-				got, failing, errs := run(true)
+				got, sink, errs := run(true)
 				if n := countErr(errs, boom.Error()); n != 1 || len(errs) != 1 {
 					t.Errorf("sink error surfaced %d times in %v, want once", n, errs)
 				}
-				if failing.calls != failing.failAt {
-					t.Errorf("failing sink called %d times, want %d (never after its error)", failing.calls, failing.failAt)
+				if sink.calls != sink.failAt {
+					t.Errorf("failing sink called %d times, want %d (never after its error)", sink.calls, sink.failAt)
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Errorf("peer %d transcript changed by a failing co-member:\n%s\n--\n%s", i, got[i], want[i])
+						t.Errorf("peer %d transcript changed by a failing neighbour:\n%s\n--\n%s", i, got[i], want[i])
 					}
 				}
 			})
@@ -165,74 +232,168 @@ func TestStoreMemberSinkFailureIsolated(t *testing.T) {
 
 // TestStoreEvalErrorFailsEveryMember: an evaluation error while folding a
 // row into shared state (sum(10/v) meeting v = 0) is the store's failure,
-// not one member's: every CQ attached to that state stops at once, the
-// error surfaces once per store, and an unrelated CQ on the same stream
-// keeps the transcript it has without them.
+// not one member's: every CQ attached to that state stops at once and the
+// error surfaces once per store. The same error in a re-executing CQ is its
+// post stage's — the whole plan over the window's rows — and stops that CQ
+// alone, once. Unrelated CQs on the same streams, store-backed and
+// re-executing, keep the transcripts they have without any of them.
 func TestStoreEvalErrorFailsEveryMember(t *testing.T) {
 	const unrelated = `SELECT url, count(*) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY url`
 	const failShape = `SELECT url, sum(10/v) AS r FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'> GROUP BY url`
 	for _, parallel := range []int{0, 4} {
 		t.Run(fmt.Sprintf("parallel%d", parallel), func(t *testing.T) {
-			run := func(withFailing bool) (string, [][]string, []error, int) {
+			run := func(withFailing bool) ([]string, [][]string, []error, int) {
 				e, err := Open(Config{ParallelCQ: parallel})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
-				healthy, err := e.Subscribe(unrelated)
-				if err != nil {
+				if err := e.ExecScript(faultDDL); err != nil {
 					t.Fatal(err)
 				}
-				var members []*CQ
+				subscribe := func(sqlText string) *CQ {
+					cq, err := e.Subscribe(sqlText)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return cq
+				}
+				healthy := []*CQ{subscribe(unrelated)}
+				for i := range reexecShapes {
+					healthy = append(healthy, subscribe(reexecShape(i, "count(%s)")))
+				}
+				pipelines, feeds, stores := e.Stats().Pipelines, liveFeeds(e), e.Stats().PlanGroups
+				var failing []*CQ // the store's three members, then one per re-executing shape
 				if withFailing {
 					for _, v := range []int{10, 30, 60} {
-						cq, err := e.Subscribe(fmt.Sprintf(failShape, v))
-						if err != nil {
-							t.Fatal(err)
-						}
-						members = append(members, cq)
+						failing = append(failing, subscribe(fmt.Sprintf(failShape, v)))
+					}
+					for i := range reexecShapes {
+						failing = append(failing, subscribe(reexecShape(i, "sum(10/%s)")))
 					}
 				}
-				stores := e.Stats().PlanGroups - 1 // the unrelated CQ's own
+				stores = e.Stats().PlanGroups - stores
 				errs := faultFeed(t, e, 23, 30)
-				if got := e.Stats().Pipelines; got != 1 {
-					t.Errorf("withFailing=%v: %d pipelines left, want only the unrelated CQ", withFailing, got)
+				if got := e.Stats().Pipelines; got != pipelines {
+					t.Errorf("withFailing=%v: %d pipelines left, want only the %d unrelated ones", withFailing, got, pipelines)
 				}
-				out := make([][]string, len(members))
-				for i, cq := range members {
+				if got := liveFeeds(e); got != feeds {
+					t.Errorf("withFailing=%v: %d feeds left, want %d: a feed retires with its last subscriber", withFailing, got, feeds)
+				}
+				out := make([][]string, len(failing))
+				for i, cq := range failing {
 					out[i] = collectBatches(t, cq)
 				}
-				return strings.Join(collectBatches(t, healthy), "\n"), out, errs, stores
+				transcripts := make([]string, len(healthy))
+				for i, cq := range healthy {
+					transcripts[i] = strings.Join(collectBatches(t, cq), "\n")
+				}
+				return transcripts, out, errs, stores
 			}
 			want, _, errs, _ := run(false)
-			if len(errs) != 0 || want == "" {
-				t.Fatalf("run without the failing store: %q, %v", want, errs)
+			if len(errs) != 0 || want[0] == "" {
+				t.Fatalf("run without the failing CQs: %q, %v", want, errs)
 			}
-			got, members, errs, stores := run(true)
-			if n := countErr(errs, types.ErrDivisionByZero.Error()); n != stores || stores < 1 {
-				t.Errorf("division error surfaced %d times in %v, want once per store (%d)", n, errs, stores)
+			got, failing, errs, stores := run(true)
+			if n := countErr(errs, types.ErrDivisionByZero.Error()); n != stores+len(reexecShapes) || stores < 1 {
+				t.Errorf("division error surfaced %d times in %v, want once per store (%d) and per re-executing CQ (%d)",
+					n, errs, stores, len(reexecShapes))
 			}
 			for _, err := range errs {
 				if !errors.Is(err, types.ErrDivisionByZero) {
 					t.Errorf("unexpected error %v", err)
 				}
 			}
-			if got != want {
-				t.Errorf("unrelated CQ's transcript changed:\n%s\n--\n%s", got, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("unrelated CQ %d's transcript changed:\n%s\n--\n%s", i, got[i], want[i])
+				}
 			}
 			// Every member stopped at the failure: a grouped CQ fires at every
 			// boundary, so all three saw the same closes and the run went on
-			// past them.
+			// past them. Each re-executing CQ fired until its own window met
+			// the zero.
+			members, fired := failing[:3], strings.Count(got[0], "\n")+1
 			for i, m := range members {
 				if len(m) == 0 || len(m) != len(members[0]) {
 					t.Errorf("member %d fired %d windows, member 0 fired %d", i, len(m), len(members[0]))
 				}
 			}
-			if fired := strings.Count(got, "\n") + 1; len(members[0]) >= fired {
+			if len(members[0]) >= fired {
 				t.Errorf("members fired %d windows, the unrelated CQ %d: the failure was not mid-run", len(members[0]), fired)
 			}
+			for i, m := range failing[3:] {
+				if healthyFired := strings.Count(got[1+i], "\n") + 1; len(m) == 0 || len(m) >= healthyFired {
+					t.Errorf("%s CQ fired %d windows, its healthy twin %d: the failure was not mid-run",
+						reexecShapes[i].name, len(m), healthyFired)
+				}
+			}
 		})
+	}
+}
+
+// TestQueueDepthBehindStalledFeed: a store's feed is backed up behind one
+// member's stalled sink. Every CQ on that feed reports the backlog it waits
+// behind — sys.pipelines.queue_depth is the feed's mailbox depth, not a
+// constant 0 for whoever has no mailbox of their own.
+func TestQueueDepthBehindStalledFeed(t *testing.T) {
+	e, err := Open(Config{ParallelCQ: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ExecScript(faultDDL); err != nil { // d's CQ is a second feed: the pool drains, not the producer
+		t.Fatal(err)
+	}
+	derived := e.Stats().PerPipeline[0].ID
+	for _, v := range []int{10, 30} {
+		if _, err := e.Subscribe(fmt.Sprintf(faultShape, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	subscribeSink(t, e, fmt.Sprintf(faultShape, 60), func(trace.Ctx, int64, []types.Row) error {
+		once.Do(func() { close(entered) })
+		<-release
+		return nil
+	})
+	at := func(sec int) Row {
+		return Row{String("/u"), Timestamp(time.UnixMicro(ivmBase).Add(time.Duration(sec) * time.Second).UTC()), Int(1)}
+	}
+	const backlog = 3 // below the mailbox bound of 4, so the producer is not blocked
+	for _, sec := range []int{1, 11} {
+		if err := e.Append("s", at(sec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-entered // the close at 10 s is inside the stalled sink, its task dequeued
+	for i := 0; i < backlog; i++ {
+		if err := e.Append("s", at(12+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	members := 0
+	for _, ps := range e.Stats().PerPipeline {
+		if ps.ID == derived {
+			continue
+		}
+		members++
+		if ps.QueueDepth != backlog {
+			t.Errorf("pipeline %d behind the stalled feed reports queue depth %d, want %d", ps.ID, ps.QueueDepth, backlog)
+		}
+	}
+	if members != 3 {
+		t.Errorf("%d CQs on the stalled feed, want 3", members)
+	}
+	close(release)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range e.Stats().PerPipeline {
+		if ps.QueueDepth != 0 {
+			t.Errorf("pipeline %d reports queue depth %d after Flush", ps.ID, ps.QueueDepth)
+		}
 	}
 }
 

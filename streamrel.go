@@ -571,14 +571,13 @@ func (e *Engine) AppendTraced(traceID uint64, streamName string, rows ...Row) er
 // non-decreasing arrival timestamp from the engine clock, under the
 // stream's own lock so stamp order is delivery order. Callers hold e.mu.
 func (e *Engine) push(tc trace.Ctx, streamName string, rows []Row) error {
+	var now func() time.Time
 	if st, ok := e.cat.Stream(streamName); ok && st.SystemTime {
-		now := time.Now
-		if e.cfg.Now != nil {
-			now = e.cfg.Now
+		if now = e.cfg.Now; now == nil {
+			now = time.Now
 		}
-		return e.rt.PushBatchArrival(tc, streamName, rows, now)
 	}
-	return e.rt.PushBatchCtx(tc, streamName, rows)
+	return e.rt.PushBatch(tc, streamName, rows, now)
 }
 
 // Checkpoint compacts heaps, writes a checkpoint file, and truncates the
