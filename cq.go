@@ -24,8 +24,9 @@ type Batch struct {
 }
 
 // CQ is a handle on a running continuous query. Results queue internally;
-// read them with Next (blocking) or TryNext (non-blocking). The query's
-// input flows through a mailbox. By default the appending goroutine
+// read them with Next (blocking) or TryNext (non-blocking). The query
+// subscribes to a feed — a window of its stream, its own or one shared with
+// every query of the same slices — whose input flows through a mailbox. By default the appending goroutine
 // drains it, so every batch produced by an Append or AdvanceTime call is
 // already queued when that call returns. With Config.ParallelCQ > 0 the
 // work-stealing scheduler pool drains it: batches arrive in the same

@@ -26,7 +26,7 @@ import (
 // scheduler must be a pure performance change.
 //
 // Expected shape: with plan sharing, the shared column's ingest rate is
-// nearly flat in k (the source delivers to ONE host pipeline; per-CQ cost
+// nearly flat in k (the source delivers to ONE feed; per-CQ cost
 // is one sink call per fire), so 10k identical dashboards ingest at ≥50%
 // of the 100-CQ rate. Unique plans pay O(k) per row — that is the floor
 // sharing removes — so the unique rungs stop at 1k.

@@ -179,7 +179,7 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	}
 	perSource("streamrel_stream_pipelines", "live continuous-query pipelines",
 		func(src *source) int { return len(src.cqs) })
-	perSource("streamrel_plan_groups", "window-state stores (one host pipeline each)",
+	perSource("streamrel_plan_groups", "window-state stores (one feed each)",
 		func(src *source) int { return len(src.stores) })
 	perSource("streamrel_plan_subscribers", "continuous queries attached to window-state stores",
 		func(src *source) int {

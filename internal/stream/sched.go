@@ -93,10 +93,10 @@ func newScheduler(workers int, reg *metrics.Registry) *scheduler {
 // submit makes a feed claimable. Called exactly once per mailbox
 // idle→queued transition (the mailbox state machine is the claim token),
 // so a feed is never in two deques.
-func (s *scheduler) submit(p *feed) {
+func (s *scheduler) submit(f *feed) {
 	d := &s.deques[int(s.rr.Add(1))%len(s.deques)]
 	d.mu.Lock()
-	d.q = append(d.q, p)
+	d.q = append(d.q, f)
 	d.mu.Unlock()
 	s.runnable.Add(1)
 	s.mu.Lock()
@@ -111,9 +111,9 @@ func (s *scheduler) submit(p *feed) {
 // the back half of the first non-empty victim (the first stolen feed
 // runs now, the rest land in i's deque).
 func (s *scheduler) poll(i int) *feed {
-	if p := s.deques[i].pop(); p != nil {
+	if f := s.deques[i].pop(); f != nil {
 		s.runnable.Add(-1)
-		return p
+		return f
 	}
 	n := len(s.deques)
 	for off := 1; off < n; off++ {
@@ -141,13 +141,13 @@ func (d *schedDeque) pop() *feed {
 	if d.head >= len(d.q) {
 		return nil
 	}
-	p := d.q[d.head]
+	f := d.q[d.head]
 	d.q[d.head] = nil
 	d.head++
 	if d.head == len(d.q) {
 		d.q, d.head = d.q[:0], 0
 	}
-	return p
+	return f
 }
 
 // stealHalf removes and returns the back half (rounded up) of the deque.
@@ -177,12 +177,12 @@ func (d *schedDeque) stealHalf() []*feed {
 func (s *scheduler) worker(i int) {
 	defer s.wg.Done()
 	for {
-		p := s.poll(i)
-		if p == nil {
+		f := s.poll(i)
+		if f == nil {
 			s.mu.Lock()
 			g := s.gen
 			s.mu.Unlock()
-			if p = s.poll(i); p == nil {
+			if f = s.poll(i); f == nil {
 				s.mu.Lock()
 				for s.gen == g && !s.closed {
 					s.parked++
@@ -206,7 +206,7 @@ func (s *scheduler) worker(i int) {
 				continue
 			}
 		}
-		p.runMailbox(schedQuantum)
+		f.runMailbox(schedQuantum)
 	}
 }
 

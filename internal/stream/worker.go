@@ -13,10 +13,9 @@ import (
 // owns a mailbox — a FIFO of micro-batch tasks — and nothing else does; at
 // most one goroutine drains it at a time, so tasks — and therefore rows and
 // window closes — are applied in exactly the order the producer enqueued
-// them. Who drains is the only thing the
-// ParallelCQ setting changes: without a pool the enqueuing goroutine
-// claims the mailbox and drains it before its call returns; with a pool
-// (sched.go) a worker does. Under a pool the mailbox bound gives blocking
+// them. Who drains is the only thing the ParallelCQ setting changes:
+// without a pool the enqueuing goroutine claims the mailbox and drains it
+// before its call returns; with a pool (sched.go) a worker does. Under a pool the mailbox bound gives blocking
 // backpressure on the producer path: a producer outrunning a slow CQ
 // parks on that CQ's feed instead of growing memory without bound.
 // Enqueues from inside the pool (derived-stream cascades, flush barriers)

@@ -31,22 +31,18 @@ const faultDDL = `
 	CREATE STREAM d AS SELECT url, min(v) AS m FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url;
 `
 
-// reexecShapes take an aggregate over v (m on the derived stream) in place
-// of %s.
-var reexecShapes = []struct{ name, sql string }{
-	{"nearmiss", `SELECT url, %s AS a FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`},
-	{"rows", `SELECT url, %s AS a FROM s <VISIBLE 20 ROWS ADVANCE 5 ROWS> GROUP BY url`},
-	{"slices", `SELECT url, %s AS a FROM d <SLICES 3 WINDOWS> GROUP BY url`},
+// reexecShapes take an aggregate over their stream's value column col in
+// place of %s.
+var reexecShapes = []struct{ name, sql, col string }{
+	{"nearmiss", `SELECT url, %s AS a FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`, "v"},
+	{"rows", `SELECT url, %s AS a FROM s <VISIBLE 20 ROWS ADVANCE 5 ROWS> GROUP BY url`, "v"},
+	{"slices", `SELECT url, %s AS a FROM d <SLICES 3 WINDOWS> GROUP BY url`, "m"},
 }
 
-// reexecShape instantiates shape i with an aggregate over the stream's value
-// column.
+// reexecShape instantiates shape i with agg, an aggregate with %s for the
+// value column.
 func reexecShape(i int, agg string) string {
-	col := "v"
-	if reexecShapes[i].name == "slices" {
-		col = "m"
-	}
-	return fmt.Sprintf(reexecShapes[i].sql, fmt.Sprintf(agg, col))
+	return fmt.Sprintf(reexecShapes[i].sql, fmt.Sprintf(agg, reexecShapes[i].col))
 }
 
 // liveFeeds counts the feeds on the engine's delivery lists: each has a
