@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check clean-stamps drain-policies alloc-pins fuzz cluster-smoke loc
+.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check clean-stamps drain-policies alloc-pins poison fuzz cluster-smoke loc
 
 all: build
 
@@ -43,9 +43,10 @@ cover:
 # every member and with later fires, and the suites that subscribe, detach,
 # fail and cascade under a pool (store faults, concurrent subscribe/
 # unsubscribe, derived-stream cascades) are exercised whatever the runner's
-# core count.
+# core count. The storage and exec packages ride along for the table scan
+# whose snapshot predates concurrent appends and deletes.
 drain-policies:
-	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade' .
 
 # alloc-pins runs the ownership property (a decoded row is at most two
@@ -54,13 +55,21 @@ drain-policies:
 # operators, and in the window-state store (first touch of a (slice, group)
 # ≤ 0.1 allocations amortized; an enrichment fire independent of window
 # rows; a fire two allocations and O(touched) bytes, and what its shared
-# rows keep reachable at most two copies of the window) by name and without
+# rows keep reachable at most two copies of the window; an aggregate over a
+# table scan O(groups) bytes, over a join O(build side)) by name and without
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/exec ./internal/ivm .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
 
-check: build fmt vet staticcheck test race drain-policies alloc-pins clean-stamps
+# poison runs the root suites (the SQL suite, the equivalence suites) and
+# the experiments with every join in poison mode — a row a join takes back
+# from a consumer that declared it keeps none is overwritten with a sentinel
+# at once — as internal/exec's own tests always run (its TestMain).
+poison:
+	$(GO) test -count=1 -tags poison . ./internal/experiments
+
+check: build fmt vet staticcheck test race drain-policies alloc-pins poison clean-stamps
 
 # clean-stamps fails if a committed srbench report was stamped from a dirty
 # tree: a dirty stamp is not evidence (a clean report omits the key).

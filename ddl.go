@@ -269,7 +269,11 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	if !ok {
 		return fmt.Errorf("streamrel: channel %q: table %q vanished", ch.Name, ch.Into)
 	}
-	w := e.beginWrite()
+	expect := len(rows)
+	if ch.Mode == sql.ChannelReplace {
+		expect = 0 // only the groups that changed are written
+	}
+	w := e.beginWrite(expect)
 	w.tc = tc
 	// A base stream's rows are stored as they are. A derived stream's are
 	// carved from types.RowBlocks, which a row the table keeps must not pin.
@@ -386,8 +390,12 @@ type writeTxn struct {
 	n    int
 }
 
-func (e *Engine) beginWrite() *writeTxn {
-	return &writeTxn{e: e, tx: e.mgr.Begin()}
+// beginWrite starts a write transaction. expect is the number of records
+// the caller knows it will log (0: not known before it scans), and sizes
+// the batch once: a 256-row commit otherwise regrows its 72-byte records
+// nine times, on the primary and again on the replica that applies them.
+func (e *Engine) beginWrite(expect int) *writeTxn {
+	return &writeTxn{e: e, tx: e.mgr.Begin(), recs: make([]wal.Record, 0, expect)}
 }
 
 func (w *writeTxn) insertRow(t *catalog.Table, row types.Row) error {

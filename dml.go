@@ -42,7 +42,7 @@ func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(len(rows))
 	for _, row := range rows {
 		if err := w.insertRow(t, row); err != nil {
 			return nil, w.fail(err)
@@ -155,7 +155,7 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(0)
 	// Collect matches under the transaction's own snapshot, then apply.
 	type match struct {
 		rid storage.RowID
@@ -222,7 +222,7 @@ func (e *Engine) execDelete(s *sql.Delete) (*Result, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(0)
 	var rids []storage.RowID
 	var scanErr error
 	t.Heap.Scan(w.tx.Snap, func(rid storage.RowID, row types.Row) bool {
@@ -295,7 +295,7 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(len(rows))
 	for _, row := range rows {
 		coerced, err := coerceRow(row, t.Schema)
 		if err != nil {

@@ -154,3 +154,72 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTableScanStreams is the SQL-surface view of the streaming table scan:
+// the table below spans two heap segments (storage's segRows is 4096), its
+// divide-by-zero row lies in the second, and only the statements that must
+// read that far fail — a LIMIT stops the heap read itself. The aggregates
+// check that a scan crossing the segment boundary returns every row once.
+func TestTableScanStreams(t *testing.T) {
+	e := openMem(t)
+	mustExec(t, e, `CREATE TABLE big (id bigint, x bigint)`)
+	rows := make([]Row, 5000)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Int(int64(1 + i%9))}
+	}
+	rows[4500][1] = Int(0)
+	if err := e.BulkInsert("big", rows); err != nil {
+		t.Fatal(err)
+	}
+	runSQLCases(t, e, []sqlCase{
+		{sql: `SELECT 10/x FROM big LIMIT 1`, want: "10"},
+		{sql: `SELECT id FROM big WHERE 10/x < 2 LIMIT 2`, want: "5\n6"},
+		{sql: `SELECT id, 10/x FROM big LIMIT 1 OFFSET 4499`, want: "4499|1"},
+		{sql: `SELECT count(*), min(id), max(id), sum(id) FROM big`, want: "5000|0|4999|12497500"},
+		{sql: `SELECT count(*) FROM big WHERE id >= 4090 AND id < 4100`, want: "10"},
+		{sql: `SELECT sum(10/x) FROM big`, wantErr: "division by zero"},
+		{sql: `SELECT 10/x FROM big LIMIT 1 OFFSET 4500`, wantErr: "division by zero"},
+	})
+}
+
+// TestExplainAnalyzeRecycledJoin is TestExplainAnalyzeGolden's shape for a
+// join under an aggregate with more matches than one pull asks for (2 144
+// of 3 000 probe rows, chunkRows is 1 024): the join carves all of them
+// from one 16-row block, batch after batch, and what the aggregate computes
+// and every operator reports is what they would over fresh rows.
+func TestExplainAnalyzeRecycledJoin(t *testing.T) {
+	e := openMem(t)
+	if err := e.ExecScript(`
+		CREATE TABLE hits (id bigint, url_id bigint, ms bigint);
+		CREATE TABLE urls (url_id bigint, site varchar);
+		INSERT INTO urls VALUES (0,'a'),(1,'b'),(2,'a'),(3,'c'),(4,'b');
+	`); err != nil {
+		t.Fatal(err)
+	}
+	hits := make([]Row, 3000)
+	for i := range hits {
+		hits[i] = Row{Int(int64(i)), Int(int64(i % 7)), Int(int64((i * 37) % 100))}
+	}
+	if err := e.BulkInsert("hits", hits); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT site, count(*), sum(ms), min(id), max(id) FROM hits JOIN urls ON hits.url_id = urls.url_id GROUP BY site ORDER BY site`
+	runSQLCases(t, e, []sqlCase{{sql: q, want: "a|858|42454|0|2998\nb|857|42473|1|2997\nc|429|21173|3|2999"}})
+	want := []string{
+		"Snapshot Query (SQ): executed",
+		"  Sort  (rows=3)",
+		"    Project  (rows=3)",
+		"      HashAgg  (rows=3)",
+		"        HashJoin  (rows=2144)",
+		"          SeqScan  (rows=3000)",
+		"          SeqScan  (rows=5)",
+		"  output: 3 rows",
+	}
+	got := rowStrings(mustExec(t, e, `EXPLAIN ANALYZE `+q).Rows)
+	for i, l := range got {
+		got[i] = analyzeTime.ReplaceAllString(l, "")
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("EXPLAIN ANALYZE %s:\ngot:\n%s\nwant:\n%s", q, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -28,6 +28,7 @@ type HashAgg struct {
 // Open implements Operator: the aggregation is computed eagerly.
 func (h *HashAgg) Open(ctx *Ctx) error {
 	h.reset(nil)
+	rowsTransient(h.Child) // a group keeps datums (its key, its accumulators), never a row
 	if err := h.Child.Open(ctx); err != nil {
 		return err
 	}

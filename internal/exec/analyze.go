@@ -149,3 +149,5 @@ func (c *counted) NextBatch(max int) ([]types.Row, error) {
 
 // Close implements Operator.
 func (c *counted) Close() error { return c.op.Close() }
+
+func (c *counted) rowsTransient() { rowsTransient(c.op) }

@@ -44,8 +44,18 @@ func (c *Ctx) evalCtx() expr.Ctx {
 //   - NextBatch returns the next non-empty chunk, or nil at end of stream.
 //   - The returned slice (the container) is owned by the operator and valid
 //     only until its next NextBatch call; a consumer that keeps rows copies
-//     the row headers out. The Row values themselves are never rewritten,
-//     so retaining them is safe.
+//     the row headers out.
+//   - Row lifetime: the Row values themselves are never rewritten, so
+//     retaining them is safe — unless the consumer declared, by calling
+//     rowsTransient(child) before child.Open, that it keeps no row past its
+//     next NextBatch call on that child (it copies the datums it keeps).
+//     HashAgg, Project and a join's probe side declare it; Filter, Limit and
+//     the EXPLAIN ANALYZE instrument hand rows through and so pass their own
+//     consumer's declaration down. Only a join acts on it: it carves every
+//     batch from one block (rowConcat), ending a batch where the block does,
+//     instead of fresh blocks. Drain, Sort, Distinct, SetOp and join build
+//     sides never declare it, so what they collect stays valid. The
+//     operator tree decides this by its own shape; nothing configures it.
 //   - max, always positive, is the consumer's demand: the operator returns
 //     at most max rows (it may return fewer) and does no work beyond what
 //     producing them takes, so NextBatch(1) is row-at-a-time execution.
@@ -58,6 +68,15 @@ type Operator interface {
 	Open(ctx *Ctx) error
 	NextBatch(max int) ([]types.Row, error)
 	Close() error
+}
+
+// rowsTransient tells op, which its caller is about to Open, that the
+// caller keeps no row past its next pull (see Operator: row lifetime). An
+// operator that neither carves rows nor hands its child's through ignores it.
+func rowsTransient(op Operator) {
+	if t, ok := op.(interface{ rowsTransient() }); ok {
+		t.rowsTransient()
+	}
 }
 
 // chunkRows is what a consumer that will take everything asks for per
@@ -99,9 +118,12 @@ func Drain(ctx *Ctx, op Operator, expect int) ([]types.Row, error) {
 }
 
 // cursor is the emit side of every operator that holds its whole output
-// before the first pull (the scans, Values, Relation, HashAgg, Sort,
+// before the first pull (IndexScan, Values, Relation, HashAgg, Sort,
 // SetOp): the rows and a read position. Embedding it gives the operator
-// its NextBatch.
+// its NextBatch. The table scan is not among them — SeqScan holds one chunk
+// of the heap in its cursor and refills it when it runs dry; IndexScan still
+// collects its range in Open, because what it holds is bounded by the
+// selectivity of its bounds, not by the table.
 type cursor struct {
 	rows []types.Row
 	pos  int

@@ -375,3 +375,88 @@ func TestIndexScan(t *testing.T) {
 		t.Fatalf("index range: %v", rows)
 	}
 }
+
+// TestSeqScanStreams: a table scan holds one container of at most chunkRows
+// row headers whatever the table's size, reads the heap only as far as its
+// consumer's demand has reached — a LIMIT above it leaves the rest of the
+// heap unread — and returns exactly its snapshot's rows when rows are
+// appended and deleted between its pulls.
+func TestSeqScanStreams(t *testing.T) {
+	mgr := txn.NewManager()
+	heap := storage.NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	const n = 3*chunkRows + 5
+	tx := mgr.Begin()
+	for i := int64(0); i < n; i++ {
+		heap.Insert(tx.ID, irow(i))
+	}
+	tx.Commit()
+	ctx := &Ctx{Snap: mgr.SnapshotNow()}
+
+	lim := &Limit{Child: &SeqScan{Heap: heap}, Count: 1}
+	if rows := runCtx(t, ctx, lim); len(rows) != 1 || rows[0][0].Int() != 0 {
+		t.Fatalf("LIMIT 1 over the scan = %v", rows)
+	}
+	scan := lim.Child.(*SeqScan)
+	if err := lim.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lim.NextBatch(chunkRows); err != nil {
+		t.Fatal(err)
+	}
+	if scan.next != chunkRows {
+		t.Errorf("a scan under LIMIT 1 read the heap up to version %d, want one chunk (%d)", scan.next, chunkRows)
+	}
+	lim.Close()
+
+	for _, max := range []int{1, 100, chunkRows, 2 * chunkRows} {
+		scan := &SeqScan{Heap: heap}
+		if err := scan.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		next := int64(0)
+		for pulls := 0; ; pulls++ {
+			batch, err := scan.NextBatch(max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			if len(batch) > max || cap(scan.rows) > chunkRows {
+				t.Fatalf("demand %d: a pull returned %d rows from a container of %d", max, len(batch), cap(scan.rows))
+			}
+			for _, row := range batch {
+				if row[0].Int() != next {
+					t.Fatalf("demand %d: row %d is %d", max, next, row[0].Int())
+				}
+				next++
+			}
+			// Writes the snapshot must not see, landing between pulls.
+			if pulls%50 == 0 {
+				w := mgr.Begin()
+				heap.Insert(w.ID, irow(-1))
+				heap.Delete(w.ID, storage.RowID(next%n))
+				w.Commit()
+			}
+		}
+		if next != n {
+			t.Fatalf("demand %d: the scan returned %d rows, its snapshot holds %d", max, next, n)
+		}
+		scan.Close()
+	}
+
+	// A five-row table gets a five-row container.
+	small := storage.NewHeap("s", types.Schema{{Name: "a", Type: types.TypeInt}})
+	for i := int64(0); i < 5; i++ {
+		small.Insert(txn.Bootstrap, irow(i))
+	}
+	scan = &SeqScan{Heap: small}
+	if rows := runCtx(t, &Ctx{Snap: mgr.SnapshotNow()}, scan); len(rows) != 5 {
+		t.Fatalf("%d rows from a five-row table", len(rows))
+	}
+	scan.Open(ctx)
+	scan.NextBatch(chunkRows)
+	if cap(scan.rows) != 5 {
+		t.Errorf("a five-row table is scanned through a container of %d", cap(scan.rows))
+	}
+}

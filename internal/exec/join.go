@@ -65,14 +65,19 @@ type buildRow struct {
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.ec = ctx.evalCtx()
-	j.out = rowConcat{width: -1}
-	j.padLeft, j.padRight = nullRow(j.LeftWidth), nullRow(j.RightWidth)
+	j.out.reset()
+	if j.Type == JoinLeft || j.Type == JoinFull {
+		j.padRight = nullRow(j.RightWidth)
+	}
+	if j.Type == JoinRight || j.Type == JoinFull {
+		j.padLeft = nullRow(j.LeftWidth)
+	}
 	j.leftRow = nil
 	j.match = -1
 	j.leftDone = false
 	j.unmatched = nil
 	j.unmatchedPos = 0
-	rows, err := Drain(ctx, j.Right, 0)
+	rows, err := Drain(ctx, j.Right, 0) // build rows are kept: never rewritten
 	if err != nil {
 		return err
 	}
@@ -112,6 +117,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		j.build[j.build[head].tail].next = int32(i)
 		j.build[head].tail = int32(i)
 	}
+	rowsTransient(j.Left) // a probe row is done with before the next is pulled
 	return j.Left.Open(ctx)
 }
 
@@ -136,7 +142,9 @@ func (j *HashJoin) keyOf(row types.Row, keys []*expr.Scalar) (null bool, err err
 // NextBatch implements Operator: joined rows are carved from out's blocks
 // and gathered into the reused container until the demand is met or the
 // probe side ends.
-func (j *HashJoin) NextBatch(max int) ([]types.Row, error) { return gather(&j.buf, max, j.next) }
+func (j *HashJoin) NextBatch(max int) ([]types.Row, error) { return j.out.gather(&j.buf, max, j.next) }
+
+func (j *HashJoin) rowsTransient() { j.out.recycle = true }
 
 // next produces the join's next output row, nil at end of stream.
 func (j *HashJoin) next() (types.Row, error) {
@@ -253,20 +261,25 @@ type NestedLoopJoin struct {
 // Open implements Operator.
 func (j *NestedLoopJoin) Open(ctx *Ctx) error {
 	j.ec = ctx.evalCtx()
-	j.out = rowConcat{width: -1}
-	j.padRight = nullRow(j.RightWidth)
+	j.out.reset()
+	if j.Type == JoinLeft {
+		j.padRight = nullRow(j.RightWidth)
+	}
 	j.leftRow = nil
 	var err error
 	if j.right, err = Drain(ctx, j.Right, 0); err != nil {
 		return err
 	}
+	rowsTransient(j.Left)
 	return j.Left.Open(ctx)
 }
 
 // NextBatch implements Operator, as HashJoin's does.
 func (j *NestedLoopJoin) NextBatch(max int) ([]types.Row, error) {
-	return gather(&j.buf, max, j.next)
+	return j.out.gather(&j.buf, max, j.next)
 }
+
+func (j *NestedLoopJoin) rowsTransient() { j.out.recycle = true }
 
 // next produces the join's next output row, nil at end of stream.
 func (j *NestedLoopJoin) next() (types.Row, error) {
@@ -326,11 +339,50 @@ func probeRow(left Operator) (types.Row, error) {
 	return in[0], nil
 }
 
+// rowConcat builds join output rows l ++ r, carved from a types.RowBlock
+// instead of one allocation per row. A returned row is never written again
+// and keeps its storage for as long as the caller retains it (whole blocks
+// are what the collector frees) — unless the join's consumer declared that
+// it keeps none past its next pull (recycle). The join then carves every
+// batch from one block: a batch ends where the block is used up, if the
+// demand or the input has not ended it sooner, and the next pull takes the
+// block's rows back before it carves again (gather). The block is the one a
+// join that recycles nothing starts with, so a join of a few rows allocates
+// what it always did, and one of a million rows nothing more.
+type rowConcat struct {
+	blk     types.RowBlock
+	width   int       // of the rows blk carves; -1 before the first
+	spare   types.Row // a carved row the caller discarded; handed out next
+	recycle bool
+}
+
+// reset readies c for an execution; what the consumer declared stays.
+func (c *rowConcat) reset() { *c = rowConcat{width: -1, recycle: c.recycle} }
+
+// poisonRecycled makes gather overwrite the rows it takes back with poison,
+// so that a consumer which declared its rows transient and kept one anyway
+// reads nonsense at once, not when the memory happens to be carved again.
+// Only tests set it (internal/exec's own in TestMain, suites outside the
+// package through the build tag `poison`).
+var poisonRecycled bool
+
+var poison = types.NewString("\x00recycled row read after rewind\x00")
+
 // gather fills a join's reused output container from next until the demand
-// is met or next reports the end of the join with a nil row.
-func gather(buf *[]types.Row, max int, next func() (types.Row, error)) ([]types.Row, error) {
+// is met, next reports the end of the join with a nil row or, recycling,
+// the block is used up.
+func (c *rowConcat) gather(buf *[]types.Row, max int, next func() (types.Row, error)) ([]types.Row, error) {
+	if c.recycle {
+		taken := c.blk.Rewind()
+		c.spare = nil // one of them
+		if poisonRecycled {
+			for i := range taken {
+				taken[i] = poison
+			}
+		}
+	}
 	out := (*buf)[:0]
-	for len(out) < max {
+	for len(out) < max && !(c.recycle && c.spare == nil && c.blk.Full()) {
 		row, err := next()
 		if err != nil {
 			return nil, err
@@ -347,21 +399,10 @@ func gather(buf *[]types.Row, max int, next func() (types.Row, error)) ([]types.
 	return out, nil
 }
 
-// rowConcat builds join output rows l ++ r, carved from a types.RowBlock
-// instead of one allocation per row. A returned row is never written again
-// and keeps its storage for as long as the caller retains it (whole blocks
-// are what the collector frees). Start it as rowConcat{width: -1}: the
-// block is sized by the first row.
-type rowConcat struct {
-	blk   types.RowBlock
-	width int
-	spare types.Row // a carved row the caller discarded; handed out next
-}
-
 func (c *rowConcat) concat(l, r types.Row) types.Row {
 	if w := len(l) + len(r); w != c.width {
 		// First row (or, against every schema, a change of width).
-		*c = rowConcat{blk: types.NewRowBlock(16, w), width: w}
+		c.blk, c.width, c.spare = types.NewRowBlock(16, w), w, nil
 	}
 	out := c.spare
 	c.spare = nil

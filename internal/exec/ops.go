@@ -55,6 +55,8 @@ func (f *Filter) NextBatch(max int) ([]types.Row, error) {
 // Close implements Operator.
 func (f *Filter) Close() error { return f.Child.Close() }
 
+func (f *Filter) rowsTransient() { rowsTransient(f.Child) }
+
 // Project evaluates one output expression per column.
 type Project struct {
 	Child Operator
@@ -69,6 +71,7 @@ type Project struct {
 func (p *Project) Open(ctx *Ctx) error {
 	p.ec = ctx.evalCtx()
 	p.blk = types.NewRowBlock(1, len(p.Exprs))
+	rowsTransient(p.Child) // an input row is evaluated into a fresh one
 	return p.Child.Open(ctx)
 }
 
@@ -155,6 +158,8 @@ func (l *Limit) NextBatch(max int) ([]types.Row, error) {
 
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Child.Close() }
+
+func (l *Limit) rowsTransient() { rowsTransient(l.Child) }
 
 // SortKey is one ORDER BY key.
 type SortKey struct {

@@ -1,8 +1,14 @@
+// The leaf operators. Values and Relation hand out rows they were given;
+// IndexScan collects the rows of its key range in Open (bounded by the
+// selectivity of its bounds); SeqScan holds no more than one chunk of a
+// table at a time, however large the table.
+
 package exec
 
 import (
 	"streamrel/internal/expr"
 	"streamrel/internal/storage"
+	"streamrel/internal/txn"
 	"streamrel/internal/types"
 )
 
@@ -34,21 +40,41 @@ func (r *Relation) Open(*Ctx) error { r.reset(r.Rows); return nil }
 func (r *Relation) Close() error { return nil }
 
 // SeqScan reads every visible row of a heap under the execution snapshot.
+// It streams: each pull hands out rows of one container of at most chunkRows
+// row headers, refilled from the heap (storage.Heap.Read, one lock
+// acquisition) when the consumer has taken what it held — so a scan
+// allocates that container whatever the table size, and a LIMIT above it
+// stops the heap read, not just the evaluation. The container is filled
+// ahead of demand (a visibility check has no observable effect): a join
+// probing one row per pull takes the heap lock once per chunk.
 type SeqScan struct {
 	Heap *storage.Heap
-	cursor
+
+	snap      txn.Snapshot
+	next, end storage.RowID // versions still to read
+	cursor                  // the container, and how much of it has been handed out
 }
 
-// Open implements Operator. The scan materializes under the snapshot up
-// front; heaps are in-memory so this costs one pass either way and keeps
-// NextBatch allocation-free.
+// Open implements Operator. The heap's end is fixed here: a version appended
+// after it is invisible to the execution snapshot.
 func (s *SeqScan) Open(ctx *Ctx) error {
+	s.snap = ctx.Snap
+	s.next, s.end = 0, s.Heap.NextID()
 	s.reset(s.rows[:0])
-	s.Heap.Scan(ctx.Snap, func(_ storage.RowID, r types.Row) bool {
-		s.rows = append(s.rows, r)
-		return true
-	})
 	return nil
+}
+
+// NextBatch implements Operator: the cursor's, refilled when it runs dry.
+func (s *SeqScan) NextBatch(max int) ([]types.Row, error) {
+	if s.pos == len(s.rows) && s.next < s.end {
+		if s.rows == nil {
+			s.rows = make([]types.Row, 0, min(chunkRows, int(s.end-s.next)))
+		}
+		buf := s.rows[:0]
+		s.next = s.Heap.Read(s.snap, s.next, s.end, cap(buf), &buf, nil)
+		s.reset(buf)
+	}
+	return s.cursor.NextBatch(max)
 }
 
 // Close implements Operator.

@@ -1,0 +1,437 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"streamrel/internal/txn"
+	"streamrel/internal/types"
+)
+
+// flatHeap is the reference the segmented heap is checked against: the one
+// growing slice the heap was before it had segments, with the same
+// operations and none of the locking.
+type flatHeap struct{ versions []version }
+
+func (f *flatHeap) insert(tx txn.ID, row types.Row) RowID {
+	f.versions = append(f.versions, version{xmin: tx, row: row})
+	return RowID(len(f.versions) - 1)
+}
+
+func (f *flatHeap) ensureNext(n RowID) {
+	for RowID(len(f.versions)) < n {
+		f.versions = append(f.versions, version{})
+	}
+}
+
+func (f *flatHeap) insertAt(tx txn.ID, id RowID, row types.Row) (replaced bool) {
+	f.ensureNext(id)
+	if int(id) == len(f.versions) {
+		f.insert(tx, row)
+		return false
+	}
+	if v := &f.versions[id]; v.xmin != 0 {
+		v.row = row
+		return true
+	}
+	f.versions[id] = version{xmin: tx, row: row}
+	return false
+}
+
+func (f *flatHeap) delete(tx txn.ID, id RowID) bool {
+	if int(id) >= len(f.versions) || f.versions[id].xmax != 0 {
+		return false
+	}
+	f.versions[id].xmax = tx
+	return true
+}
+
+func (f *flatHeap) undoDelete(tx txn.ID, id RowID) {
+	if int(id) < len(f.versions) && f.versions[id].xmax == tx {
+		f.versions[id].xmax = 0
+	}
+}
+
+func (f *flatHeap) vacuum(horizon txn.Snapshot) int {
+	var kept []version
+	for _, v := range f.versions {
+		if horizon.VisibleVersion(v.xmin, v.xmax) {
+			kept = append(kept, version{xmin: txn.Bootstrap, row: v.row})
+		}
+	}
+	removed := len(f.versions) - len(kept)
+	f.versions = kept
+	return removed
+}
+
+// visible renders what a snapshot sees as "id:value" strings in id order.
+func (f *flatHeap) visible(snap txn.Snapshot) []string {
+	var out []string
+	for id, v := range f.versions {
+		if snap.VisibleVersion(v.xmin, v.xmax) {
+			out = append(out, fmt.Sprintf("%d:%d", id, v.row[0].Int()))
+		}
+	}
+	return out
+}
+
+func scanned(h *Heap, snap txn.Snapshot) []string {
+	var out []string
+	h.Scan(snap, func(id RowID, row types.Row) bool {
+		out = append(out, fmt.Sprintf("%d:%d", id, row[0].Int()))
+		return true
+	})
+	return out
+}
+
+// TestHeapMatchesFlatModel drives random Insert / InsertAt (appending,
+// leaving gaps, re-applying) / EnsureNext / Delete / DeleteReplay /
+// UndoDelete / Vacuum, under transactions that commit and abort, against
+// the flat reference, with explicit ids on both sides of the first two
+// segment boundaries. After every step the next RowID agrees and a probed
+// id reads the same; every so often, and at the end, so does a whole scan.
+func TestHeapMatchesFlatModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mgr := txn.NewManager()
+		h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+		ref := &flatHeap{}
+		val := int64(0)
+		row := func() types.Row { val++; return intRow(val) }
+
+		check := func(step int, what string) {
+			t.Helper()
+			if got, want := h.NextID(), RowID(len(ref.versions)); got != want {
+				t.Fatalf("seed %d step %d (%s): NextID %d, model %d", seed, step, what, got, want)
+			}
+		}
+		checkScan := func(step int, what string) {
+			t.Helper()
+			snap := mgr.SnapshotNow()
+			if got, want := scanned(h, snap), ref.visible(snap); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d (%s): scan sees %d rows, model %d", seed, step, what, len(got), len(want))
+			}
+		}
+		// Explicit ids around the boundaries first, as a replica applying a
+		// primary's log with gaps would produce them.
+		for _, id := range []RowID{segRows - 1, segRows, 2*segRows + 1, segRows, 3} {
+			r := row()
+			tx := mgr.Begin()
+			replaced, err := h.InsertAt(tx.ID, id, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.insertAt(tx.ID, id, r); replaced != want {
+				t.Fatalf("InsertAt(%d): replaced %v, model %v", id, replaced, want)
+			}
+			tx.Commit()
+			check(0, fmt.Sprint("InsertAt ", id))
+		}
+		checkScan(0, "boundary ids")
+
+		var snap txn.Snapshot
+		for step := 1; step <= 12000; step++ {
+			tx := mgr.Begin()
+			finished := false
+			n := RowID(len(ref.versions))
+			var what string
+			switch op := rng.Intn(100); {
+			case op < 55:
+				what = "Insert"
+				r := row()
+				id, err := h.Insert(tx.ID, r)
+				if err != nil || id != ref.insert(tx.ID, r) {
+					t.Fatalf("seed %d step %d: Insert gave %d, %v", seed, step, id, err)
+				}
+			case op < 70:
+				// At the end, past it (a gap), or over an existing slot.
+				id := n + RowID(rng.Intn(4))
+				if rng.Intn(3) == 0 && n > 0 {
+					id = RowID(rng.Intn(int(n)))
+				}
+				what = fmt.Sprint("InsertAt ", id)
+				r := row()
+				replaced, err := h.InsertAt(tx.ID, id, r)
+				if want := ref.insertAt(tx.ID, id, r); err != nil || replaced != want {
+					t.Fatalf("seed %d step %d: %s replaced %v (%v), model %v", seed, step, what, replaced, err, want)
+				}
+			case op < 73:
+				next := n + RowID(rng.Intn(6))
+				what = fmt.Sprint("EnsureNext ", next)
+				h.EnsureNext(next)
+				ref.ensureNext(next)
+			case op < 90 && n > 0:
+				id := RowID(rng.Intn(int(n) + 2))
+				what = fmt.Sprint("Delete ", id)
+				var got bool
+				if rng.Intn(2) == 0 {
+					got = h.Delete(tx.ID, id) == nil
+					// Delete stamps a padded slot too; DeleteReplay does not.
+					if want := ref.delete(tx.ID, id); got != want {
+						t.Fatalf("seed %d step %d: %s applied %v, model %v", seed, step, what, got, want)
+					}
+				} else {
+					what = fmt.Sprint("DeleteReplay ", id)
+					want := int(id) < len(ref.versions) && ref.versions[id].xmin != 0 && ref.delete(tx.ID, id)
+					if got = h.DeleteReplay(tx.ID, id); got != want {
+						t.Fatalf("seed %d step %d: %s applied %v, model %v", seed, step, what, got, want)
+					}
+				}
+				if got && rng.Intn(3) == 0 {
+					what += " + UndoDelete"
+					h.UndoDelete(tx.ID, id)
+					ref.undoDelete(tx.ID, id)
+				}
+			case op == 99 && step%25 == 0:
+				what = "Vacuum"
+				tx.Commit()
+				finished = true
+				snap = mgr.SnapshotNow()
+				if got, want := h.Vacuum(snap), ref.vacuum(snap); got != want {
+					t.Fatalf("seed %d step %d: Vacuum removed %d, model %d", seed, step, got, want)
+				}
+				checkScan(step, what)
+			default:
+				what = "Get"
+			}
+			if !finished {
+				if rng.Intn(8) == 0 {
+					tx.Abort()
+				} else {
+					tx.Commit()
+				}
+			}
+			check(step, what)
+			if step%16 == 1 {
+				snap = mgr.SnapshotNow() // the probes between are under an ageing snapshot
+			}
+			if n := len(ref.versions); n > 0 {
+				id := RowID(rng.Intn(n))
+				got, ok := h.Get(snap, id)
+				v := ref.versions[id]
+				if want := snap.VisibleVersion(v.xmin, v.xmax); ok != want || (ok && got[0].Int() != v.row[0].Int()) {
+					t.Fatalf("seed %d step %d (%s): Get(%d) = %v, %v; model visible %v", seed, step, what, id, got, ok, want)
+				}
+			}
+			if step%1500 == 0 {
+				checkScan(step, what)
+			}
+		}
+		checkScan(-1, "end")
+	}
+}
+
+// TestReadStopsAtMax: a chunk read stops at the row that fills it — the
+// position it returns is one past that row's id, however many invisible
+// versions follow — and reading on from there, across segment boundaries,
+// yields every visible row exactly once.
+func TestReadStopsAtMax(t *testing.T) {
+	mgr := txn.NewManager()
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	const n = 2*segRows + 100
+	var want []RowID
+	for i := 0; i < n; i++ {
+		tx := mgr.Begin()
+		id, _ := h.Insert(tx.ID, intRow(int64(i)))
+		// Runs of invisible versions of every length up to 6, some of them
+		// straddling a boundary.
+		if i%11 < i%7 {
+			tx.Abort()
+			continue
+		}
+		tx.Commit()
+		want = append(want, id)
+	}
+	snap, end := mgr.SnapshotNow(), h.NextID()
+
+	var rows []types.Row
+	var ids []RowID
+	pos := h.Read(snap, 0, end, 3, &rows, &ids)
+	if len(rows) != 3 || len(ids) != 3 || pos != want[2]+1 {
+		t.Fatalf("Read(max 3) returned %d rows, ids %v, pos %d; want pos %d", len(rows), ids, pos, want[2]+1)
+	}
+	for _, max := range []int{1, 7, 1000, segRows, n} {
+		var got []RowID
+		calls := 0
+		for pos := RowID(0); pos < end; calls++ {
+			rows, ids = rows[:0], ids[:0]
+			next := h.Read(snap, pos, end, max, &rows, &ids)
+			if len(rows) > max || len(rows) != len(ids) {
+				t.Fatalf("max %d: a read returned %d rows and %d ids", max, len(rows), len(ids))
+			}
+			if len(rows) == max && next != ids[max-1]+1 {
+				t.Fatalf("max %d: a full read ending at id %d resumes at %d", max, ids[max-1], next)
+			}
+			if next <= pos {
+				t.Fatalf("max %d: read at %d did not advance (%d)", max, pos, next)
+			}
+			for i, id := range ids {
+				if rows[i][0].Int() != int64(id) {
+					t.Fatalf("max %d: id %d carries row %d", max, id, rows[i][0].Int())
+				}
+			}
+			got = append(got, ids...)
+			pos = next
+		}
+		if len(got) != len(want) {
+			t.Fatalf("max %d: %d rows read, %d visible", max, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("max %d: row %d is id %d, want %d", max, i, got[i], want[i])
+			}
+		}
+		if min := (len(want) + max - 1) / max; calls > min+1 {
+			t.Fatalf("max %d: %d rows took %d reads", max, len(want), calls)
+		}
+	}
+	// A range inside the table, and one whose end lies past it.
+	rows, ids = rows[:0], ids[:0]
+	if pos := h.Read(snap, segRows-2, segRows+2, 100, &rows, &ids); pos != segRows+2 {
+		t.Fatalf("Read of [segRows-2, segRows+2) resumes at %d", pos)
+	}
+	for _, id := range ids {
+		if id < segRows-2 || id >= segRows+2 {
+			t.Fatalf("Read of [segRows-2, segRows+2) returned id %d", id)
+		}
+	}
+	if pos := h.Read(snap, end-1, end+50, 100, &rows, nil); pos != end+50 {
+		t.Fatalf("Read past the end resumes at %d, want its end %d", pos, end+50)
+	}
+}
+
+// TestScanSeesItsSnapshotUnderWrites: while other goroutines append rows
+// and delete the ones that were there, under transactions that began after
+// the reader's snapshot, every scan under that snapshot — Scan, and Read in
+// chunks of a few sizes — returns exactly the rows the snapshot saw. Run
+// under -race (make drain-policies) this is also the proof that readers and
+// writers of a segment synchronize.
+func TestScanSeesItsSnapshotUnderWrites(t *testing.T) {
+	mgr := txn.NewManager()
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	const n = segRows + segRows/2
+	tx := mgr.Begin()
+	for i := 0; i < n; i++ {
+		h.Insert(tx.ID, intRow(int64(i)))
+	}
+	tx.Commit()
+	snap := mgr.SnapshotNow()
+
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	writers.Add(2)
+	go func() { // appends: past the end of the first segment and the second
+		defer writers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx := mgr.Begin()
+			h.Insert(tx.ID, intRow(-1))
+			if i%5 == 0 {
+				tx.Abort()
+			} else {
+				tx.Commit()
+			}
+		}
+	}()
+	go func() { // deletes of what the snapshot sees, committed and undone
+		defer writers.Done()
+		for id := RowID(0); ; id = (id + 7) % n {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx := mgr.Begin()
+			if h.Delete(tx.ID, id) != nil {
+				tx.Abort()
+				continue
+			}
+			if id%2 == 0 {
+				tx.Abort()
+				h.UndoDelete(tx.ID, id)
+			} else {
+				tx.Commit()
+			}
+		}
+	}()
+
+	verify := func(how string, got []int64) {
+		t.Helper()
+		if len(got) != n {
+			t.Errorf("%s: %d rows, the snapshot holds %d", how, len(got), n)
+			return
+		}
+		for i, v := range got {
+			if v != int64(i) {
+				t.Errorf("%s: row %d is %d", how, i, v)
+				return
+			}
+		}
+	}
+	for round := 0; round < 20; round++ {
+		var got []int64
+		h.Scan(snap, func(_ RowID, row types.Row) bool {
+			got = append(got, row[0].Int())
+			return true
+		})
+		verify("Scan", got)
+		for _, max := range []int{1, 100, 1024} {
+			got = got[:0]
+			var rows []types.Row
+			for pos, end := RowID(0), h.NextID(); pos < end; {
+				rows = rows[:0]
+				pos = h.Read(snap, pos, end, max, &rows, nil)
+				for _, row := range rows {
+					got = append(got, row[0].Int())
+				}
+			}
+			verify(fmt.Sprint("Read max ", max), got)
+		}
+	}
+	close(stop)
+	writers.Wait()
+}
+
+// TestHeapGrowthAllocsOncePerSegment: past its first segment a heap
+// allocates one segment per segRows versions and copies nothing — its bytes
+// are the versions' own 40 B each, where one slice regrowing allocated the
+// table more than twice over. And a scan of it allocates its two containers,
+// sized by the chunk, not by the table.
+func TestHeapGrowthAllocsOncePerSegment(t *testing.T) {
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	row := intRow(1)
+	for i := 0; i < segRows; i++ {
+		h.Insert(txn.Bootstrap, row)
+	}
+	const segments = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < segments*segRows; i++ {
+		h.Insert(txn.Bootstrap, row)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	// The segments, and the list of them doubling a few times.
+	if limit := uint64(segments*segRows*40 + 4096); bytes > limit || mallocs > segments+6 {
+		t.Errorf("appending %d segments of versions allocated %d B in %d allocations, want ≤ %d B in ≤ %d",
+			segments, bytes, mallocs, limit, segments+6)
+	}
+
+	snap := txn.NewManager().SnapshotNow()
+	seen := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		seen = 0
+		h.Scan(snap, func(RowID, types.Row) bool { seen++; return true })
+	})
+	if seen != (segments+1)*segRows || allocs > 2 {
+		t.Errorf("a scan of %d rows saw %d and allocated %.0f times, want its two containers", (segments+1)*segRows, seen, allocs)
+	}
+}

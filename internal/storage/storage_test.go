@@ -17,6 +17,13 @@ func intRow(vs ...int64) types.Row {
 	return r
 }
 
+// count is the number of rows visible under snap.
+func count(h *Heap, snap txn.Snapshot) int {
+	n := 0
+	h.Scan(snap, func(RowID, types.Row) bool { n++; return true })
+	return n
+}
+
 func TestHeapInsertScanVisibility(t *testing.T) {
 	mgr := txn.NewManager()
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
@@ -27,17 +34,17 @@ func TestHeapInsertScanVisibility(t *testing.T) {
 	}
 
 	// Before commit, another snapshot sees nothing.
-	if n := h.Count(mgr.SnapshotNow()); n != 0 {
+	if n := count(h, mgr.SnapshotNow()); n != 0 {
 		t.Fatalf("uncommitted row visible: count=%d", n)
 	}
 	// The owning txn sees its own write.
-	if n := h.Count(tx1.Snap); n != 1 {
+	if n := count(h, tx1.Snap); n != 1 {
 		t.Fatalf("own write invisible: count=%d", n)
 	}
 	if err := tx1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if n := h.Count(mgr.SnapshotNow()); n != 1 {
+	if n := count(h, mgr.SnapshotNow()); n != 1 {
 		t.Fatalf("committed row invisible: count=%d", n)
 	}
 
@@ -51,10 +58,10 @@ func TestHeapInsertScanVisibility(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if n := h.Count(early); n != 1 {
+	if n := count(h, early); n != 1 {
 		t.Fatalf("snapshot isolation violated: count=%d", n)
 	}
-	if n := h.Count(mgr.SnapshotNow()); n != 2 {
+	if n := count(h, mgr.SnapshotNow()); n != 2 {
 		t.Fatalf("count=%d", n)
 	}
 }
@@ -69,7 +76,7 @@ func TestHeapAbortInvisible(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if n := h.Count(mgr.SnapshotNow()); n != 0 {
+	if n := count(h, mgr.SnapshotNow()); n != 0 {
 		t.Fatalf("aborted row visible: count=%d", n)
 	}
 }
@@ -153,7 +160,7 @@ func TestHeapVacuum(t *testing.T) {
 	if removed != 5 {
 		t.Fatalf("Vacuum removed %d, want 5", removed)
 	}
-	if n := h.Count(mgr.SnapshotNow()); n != 5 {
+	if n := count(h, mgr.SnapshotNow()); n != 5 {
 		t.Fatalf("count after vacuum = %d", n)
 	}
 }
@@ -285,22 +292,5 @@ func TestBTreeMatchesModel(t *testing.T) {
 		if got != want {
 			t.Fatalf("range [%d,%d]: got %d, want %d", lo, hi, got, want)
 		}
-	}
-}
-
-func TestSnapshotRows(t *testing.T) {
-	mgr := txn.NewManager()
-	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
-	tx := mgr.Begin()
-	for i := int64(0); i < 3; i++ {
-		h.Insert(tx.ID, intRow(i))
-	}
-	tx.Commit()
-	rows := h.SnapshotRows(mgr.SnapshotNow())
-	if len(rows) != 3 {
-		t.Fatalf("SnapshotRows = %d rows", len(rows))
-	}
-	if h.LiveEstimate() != 3 {
-		t.Fatalf("LiveEstimate = %d", h.LiveEstimate())
 	}
 }

@@ -110,7 +110,7 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(len(recs))
 	for _, rec := range recs {
 		t, ok := e.cat.Table(rec.Table)
 		if !ok {
