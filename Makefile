@@ -50,7 +50,8 @@ drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade' .
 
 # alloc-pins runs the ownership property (a decoded row is at most two
-# allocations and shares memory with nothing — internal/server/proto.go) and
+# allocations and shares memory with nothing — internal/server/proto.go), the
+# sizes the byte pins are reckoned in (a Datum 24 bytes, a heap version 40) and
 # every allocation pin on the decode → commit → replicate path, in the
 # operators, and in the window-state store (first touch of a (slice, group)
 # ≤ 0.1 allocations amortized; an enrichment fire independent of window
@@ -60,7 +61,7 @@ drain-policies:
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
 
 # poison runs the root suites (the SQL suite, the equivalence suites) and
 # the experiments with every join in poison mode — a row a join takes back
@@ -108,11 +109,13 @@ bench-selftest:
 # round-trip, the window-state equivalence property (what a store fires —
 # several views of one store, materialized and slice-merging, with CQs
 # detaching mid-run — == what re-execution fires, for arbitrary
-# append/advance/close sequences), and the row-key encoding every hash
-# operator groups by (equal keys == equal rows, self-delimiting).
+# append/advance/close sequences), the row-key encoding every hash
+# operator groups by (equal keys == equal rows, self-delimiting), and the
+# three-word Datum against the four-field one it replaced, every operation.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRowKey -fuzztime=$(FUZZTIME) ./internal/types
+	$(GO) test -run=^$$ -fuzz=FuzzDatumRoundTrip -fuzztime=$(FUZZTIME) ./internal/types
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRecords -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEvent -fuzztime=$(FUZZTIME) ./internal/repl
 	$(GO) test -run=^$$ -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/server

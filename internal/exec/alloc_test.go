@@ -247,9 +247,10 @@ func TestScanAggAllocsIndependentOfTableRows(t *testing.T) {
 	if large > small+1024 {
 		t.Errorf("HashAgg(SeqScan) allocates %.0f B over 10 000 rows and %.0f B over 100 000", small, large)
 	}
-	// 75 kB when this was written: the container, and ≈ 500 B per group.
-	if limit := float64(24*chunkRows + 600*allocGroups); large > limit {
-		t.Errorf("HashAgg(SeqScan) over %d groups allocates %.0f B, want ≤ %.0f (the container + 600 B per group)", allocGroups, large, limit)
+	// 69 kB at 24 bytes a datum (75 kB at 40): the container, and ≈ 440 B
+	// per group.
+	if limit := float64(24*chunkRows + 530*allocGroups); large > limit {
+		t.Errorf("HashAgg(SeqScan) over %d groups allocates %.0f B, want ≤ %.0f (the container + 530 B per group)", allocGroups, large, limit)
 	}
 }
 
@@ -271,8 +272,8 @@ func aggOverJoin(probe []types.Row) func() Operator {
 
 // TestRecycledJoinAllocsIndependentOfProbeRows: a join under an aggregate
 // carves every batch from its one 16-row block, so its bytes do not grow
-// with the rows it joins at all (160 B per output row when every batch was
-// carved afresh: 3.4 MB at 20 480 probe rows).
+// with the rows it joins at all (96 B per output row when every batch was
+// carved afresh: 2 MB at 20 480 probe rows).
 func TestRecycledJoinAllocsIndependentOfProbeRows(t *testing.T) {
 	two := drainBytes(t, &Ctx{}, aggOverJoin(streamRows(2*chunkRows)))
 	twenty := drainBytes(t, &Ctx{}, aggOverJoin(streamRows(20*chunkRows)))
@@ -280,24 +281,26 @@ func TestRecycledJoinAllocsIndependentOfProbeRows(t *testing.T) {
 	if twenty > two+1024 {
 		t.Errorf("HashAgg(HashJoin) allocates %.0f B over %d probe rows and %.0f B over %d", two, 2*chunkRows, twenty, 20*chunkRows)
 	}
-	// 22 kB when this was written: the hash table over 100 build rows, the
-	// aggregate's 10 groups, the block (2.5 kB) and the containers.
-	if twenty > 32<<10 {
-		t.Errorf("HashAgg(HashJoin) allocates %.0f B, want ≤ 32 kB", twenty)
+	// 20 kB at 24 bytes a datum (22 kB at 40): the hash table over 100 build
+	// rows, the aggregate's 10 groups, the block (1.5 kB) and the containers.
+	if twenty > 30<<10 {
+		t.Errorf("HashAgg(HashJoin) allocates %.0f B, want ≤ 30 kB", twenty)
 	}
 }
 
 // TestSmallJoinAllocsNoMoreThanBefore: a window fire's post-stage join of
 // ≤ 100 groups to a dimension table, thousands of times a minute, allocates
 // no more than it did before joins could recycle — 45 192 B in 118
-// allocations at the commit before. (It allocates half: the one block in
-// place of 16 + 32 + 64 rows, and an inner join no longer makes the NULL
-// padding rows only outer joins use.)
+// allocations at the commit before, at 40 bytes a datum; the bound is that
+// less what the 24-byte datum took off what the join allocates now (21 944
+// → 20 224 B). (It allocates half: the one block in place of 16 + 32 + 64
+// rows, and an inner join no longer makes the NULL padding rows only outer
+// joins use.)
 func TestSmallJoinAllocsNoMoreThanBefore(t *testing.T) {
 	got := drainBytes(t, &Ctx{}, aggOverJoin(streamRows(100)))
 	t.Logf("%.0f B", got)
-	if got > 45192 {
-		t.Errorf("a 100-row join under an aggregate allocates %.0f B, 45 192 before joins recycled", got)
+	if got > 41650 {
+		t.Errorf("a 100-row join under an aggregate allocates %.0f B, want ≤ 41 650 (before joins recycled)", got)
 	}
 	if allocs := drainAllocs(t, aggOverJoin(streamRows(100))); allocs > 118 {
 		t.Errorf("a 100-row join under an aggregate allocates %.0f times, 118 before joins recycled", allocs)

@@ -88,18 +88,27 @@ type slice struct {
 	slab   slab[partial]
 }
 
-// maxChunk is where slab refills stop doubling (types.RowBlock's bound).
-const maxChunk = 256
+// maxChunk bounds a slab chunk (types.RowBlock's bound); minRefill is the
+// least a slab allocates once its guess has run out.
+const (
+	maxChunk  = 256
+	minRefill = 4
+)
 
 // slab carves the state of one group — a T (partial or winGroup), its
-// []expr.Acc and the accumulators themselves — out of chunks of n groups,
-// each refill doubling n up to maxChunk. Nothing is handed out twice: the
-// chunks are garbage once everything carved from them is.
+// []expr.Acc and the accumulators themselves — out of chunks of groups: the
+// first as large as the slab was sized for, and when that guess misses, a
+// quarter of what the slab holds so far — a slice one group larger than the
+// last allocates for a quarter more groups, not (as a refill that doubled
+// did) for three times as many — until it holds maxChunk, the size of every
+// chunk from there on. Nothing is handed out twice: the chunks are garbage
+// once everything carved from them is.
 type slab[T any] struct {
-	n    int // groups in the next refill
-	objs []T
-	accs []expr.Acc
-	pool expr.AccSlab
+	n      int // groups in the next chunk
+	carved int // groups in the chunks so far
+	objs   []T
+	accs   []expr.Acc
+	pool   expr.AccSlab
 }
 
 // sized returns a slab whose first chunk fits n groups: the size of the
@@ -111,7 +120,11 @@ func (b *slab[T]) next(aggs []expr.AggSpec) (*T, []expr.Acc, error) {
 		b.objs = make([]T, b.n)
 		b.accs = make([]expr.Acc, b.n*len(aggs))
 		b.pool.Chunk = b.n
-		b.n = min(2*b.n, maxChunk)
+		b.carved += b.n
+		b.n = maxChunk
+		if b.carved < maxChunk {
+			b.n = max(b.carved/4, minRefill)
+		}
 	}
 	o := &b.objs[0]
 	b.objs = b.objs[1:]

@@ -310,3 +310,38 @@ func TestDecodeEventCorruptCountAllocs(t *testing.T) {
 		sameRow(t, got.Rows[i], rows[i])
 	}
 }
+
+// TestDecodeEventDropsPlaceholders is the placeholder rule (internal/
+// server/proto.go) for replication frames: an append payload that fails
+// after a VARCHAR column — cut short anywhere, or any byte of it replaced —
+// yields no event, so the length-without-bytes types.RowStrings put in the
+// row is never read; one that still decodes reads.
+func TestDecodeEventDropsPlaceholders(t *testing.T) {
+	frame := AppendFrame(nil, &Event{Kind: KindAppend, LSN: 2, Wall: 7, Stream: "s", Rows: []types.Row{
+		{types.NewString("first"), types.NewInt(7), types.NewString("second")},
+		{types.NewString("third"), types.NewFloat(1.5)},
+	}})
+	payload := frame[8:] // without the length/crc header
+	check := func(bad []byte) {
+		t.Helper()
+		ev, err := DecodeEvent(bad)
+		if err != nil && ev != nil {
+			t.Fatalf("% x: failed with %v and returned an event", bad, err)
+		}
+		if ev != nil {
+			for _, row := range ev.Rows {
+				_ = row.String() // a placeholder panics here
+			}
+		}
+	}
+	for cut := range payload {
+		check(payload[:cut])
+	}
+	for at := range payload {
+		for _, b := range []byte{0x00, byte(types.TypeString), 0x7F, 0xFF} {
+			bad := append([]byte(nil), payload...)
+			bad[at] = b
+			check(bad)
+		}
+	}
+}

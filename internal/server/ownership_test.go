@@ -150,3 +150,33 @@ func TestOwnershipJSON(t *testing.T) {
 		checkOwnership(t, got)
 	}
 }
+
+// TestDecodeDropsPlaceholders is the placeholder rule (proto.go) for the
+// JSON decoder: a frame that fails after a VARCHAR value — cut short
+// anywhere, or any byte of it replaced — leaves no row behind that holds the
+// length-without-bytes types.RowStrings.Add returned, and whatever a frame
+// that still decodes carries reads.
+func TestDecodeDropsPlaceholders(t *testing.T) {
+	frame := []byte(`{"id":1,"op":"append","stream":"s","rows":[[{"s":"first"},{"i":7},{"s":"second"}],[{"s":"third"},{"f":1.5}]],"args":[{"s":"arg"},{"ts":9}]}`)
+	check := func(bad []byte) {
+		t.Helper()
+		// Decoded or refused, what the frame left behind must read.
+		var req Request
+		var resp Response
+		_, _ = req.UnmarshalJSON(bad), resp.UnmarshalJSON(bad)
+		for _, row := range append(append(req.Rows, req.Args), resp.Rows...) {
+			_ = types.Row(row).String() // a placeholder panics here
+		}
+	}
+	check(frame)
+	for cut := range frame {
+		check(frame[:cut])
+	}
+	for at := range frame {
+		for _, b := range []byte{0, '"', '}', ']', 'x', '9'} {
+			bad := append([]byte(nil), frame...)
+			bad[at] = b
+			check(bad)
+		}
+	}
+}

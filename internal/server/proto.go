@@ -64,6 +64,15 @@
 // neighbour's or the frame's. Hence no per-frame arena, at a tenth of the
 // allocations: an archive or selective CQ that keeps one row in a thousand
 // keeps that row, not the 20 kB frame it came in nor its 255 neighbours.
+//
+// Placeholders, the rule beside it: while a row is being decoded each of its
+// VARCHAR columns is what types.RowStrings.Add returned — a length and no
+// bytes, which panics if read — and becomes a string only when the finished
+// row goes through RowStrings.Own. So a decoder never hands out, formats,
+// compares or encodes a datum of a row it has not finished: a row that
+// fails midway is dropped whole (value and readRow return no datum with
+// their error, types.DecodeRow no row, and the frame, record batch or event
+// above them nothing).
 package server
 
 import "streamrel/internal/types"

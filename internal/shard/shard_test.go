@@ -2,6 +2,7 @@ package shard
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamrel/internal/server"
@@ -155,13 +156,17 @@ func rowsOf(vals ...[]any) []types.Row {
 	return out
 }
 
+// sameRows compares by type and value: reflect.DeepEqual would compare the
+// addresses of two datums' string bytes.
+func sameRows(a, b []types.Row) bool { return slices.EqualFunc(a, b, types.Row.Equal) }
+
 func TestMergeAggregate(t *testing.T) {
 	p := &MergePlan{Kind: MergeAggregate, Cols: []ColMerge{ColKey, ColCount, ColSum, ColMin, ColMax}}
 	shard0 := rowsOf([]any{"a", 2, 10, 1, 7}, []any{"b", 1, 5, 5, 5})
 	shard1 := rowsOf([]any{"a", 3, 20, 0, 9}, []any{"c", 1, nil, 2, 2})
 	got := p.Merge([][]types.Row{shard0, shard1})
 	want := rowsOf([]any{"a", 5, 30, 0, 9}, []any{"b", 1, 5, 5, 5}, []any{"c", 1, nil, 2, 2})
-	if !reflect.DeepEqual(got, want) {
+	if !sameRows(got, want) {
 		t.Fatalf("merged = %v, want %v", got, want)
 	}
 }
@@ -180,7 +185,7 @@ func TestMergeAvgRecombine(t *testing.T) {
 	shard1 := rowsOf([]any{"a", 25, 3}, []any{"c", nil, 0})
 	got := p.Merge([][]types.Row{shard0, shard1})
 	want := rowsOf([]any{"a", 7.0}, []any{"b", 1.0}, []any{"c", nil})
-	if !reflect.DeepEqual(got, want) {
+	if !sameRows(got, want) {
 		t.Fatalf("avg merge = %v, want %v", got, want)
 	}
 }
@@ -189,7 +194,7 @@ func TestMergeAggregateNullSum(t *testing.T) {
 	p := &MergePlan{Kind: MergeAggregate, Cols: []ColMerge{ColCount, ColSum}}
 	got := p.Merge([][]types.Row{rowsOf([]any{0, nil}), rowsOf([]any{0, nil})})
 	want := rowsOf([]any{0, nil})
-	if !reflect.DeepEqual(got, want) {
+	if !sameRows(got, want) {
 		t.Fatalf("empty-window merge = %v, want %v", got, want)
 	}
 }
@@ -198,7 +203,7 @@ func TestMergeConcatCanonicalOrder(t *testing.T) {
 	p := &MergePlan{Kind: MergeConcat}
 	got := p.Merge([][]types.Row{rowsOf([]any{"b", 2}), rowsOf([]any{"a", 1}, []any{"c", 3})})
 	want := rowsOf([]any{"a", 1}, []any{"b", 2}, []any{"c", 3})
-	if !reflect.DeepEqual(got, want) {
+	if !sameRows(got, want) {
 		t.Fatalf("concat = %v, want %v", got, want)
 	}
 }

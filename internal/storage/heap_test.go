@@ -7,10 +7,19 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"streamrel/internal/txn"
 	"streamrel/internal/types"
 )
+
+// TestSizeofVersion pins what segRows' comment and its sweep assume: a
+// version is two transaction ids and a row header, 40 bytes.
+func TestSizeofVersion(t *testing.T) {
+	if got := unsafe.Sizeof(version{}); got != 40 {
+		t.Fatalf("a version is %d bytes, want 40", got)
+	}
+}
 
 // flatHeap is the reference the segmented heap is checked against: the one
 // growing slice the heap was before it had segments, with the same

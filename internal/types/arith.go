@@ -17,18 +17,18 @@ func Add(a, b Datum) (Datum, error) {
 	}
 	switch {
 	case a.typ == TypeInt && b.typ == TypeInt:
-		return NewInt(a.i + b.i), nil
+		return NewInt(a.int() + b.int()), nil
 	case a.typ.Numeric() && b.typ.Numeric():
 		return NewFloat(a.Float() + b.Float()), nil
 	case a.typ == TypeTimestamp && b.typ == TypeInterval:
-		return NewTimestampMicros(a.i + b.i), nil
+		return NewTimestampMicros(a.int() + b.int()), nil
 	case a.typ == TypeInterval && b.typ == TypeTimestamp:
-		return NewTimestampMicros(a.i + b.i), nil
+		return NewTimestampMicros(a.int() + b.int()), nil
 	case a.typ == TypeInterval && b.typ == TypeInterval:
-		return NewIntervalMicros(a.i + b.i), nil
+		return NewIntervalMicros(a.int() + b.int()), nil
 	case a.typ == TypeString && b.typ == TypeString:
 		// '+' on strings is not SQL, but || maps here in the evaluator.
-		return NewString(a.s + b.s), nil
+		return NewString(a.str() + b.str()), nil
 	}
 	return Null, typeErr("+", a, b)
 }
@@ -40,15 +40,15 @@ func Sub(a, b Datum) (Datum, error) {
 	}
 	switch {
 	case a.typ == TypeInt && b.typ == TypeInt:
-		return NewInt(a.i - b.i), nil
+		return NewInt(a.int() - b.int()), nil
 	case a.typ.Numeric() && b.typ.Numeric():
 		return NewFloat(a.Float() - b.Float()), nil
 	case a.typ == TypeTimestamp && b.typ == TypeInterval:
-		return NewTimestampMicros(a.i - b.i), nil
+		return NewTimestampMicros(a.int() - b.int()), nil
 	case a.typ == TypeTimestamp && b.typ == TypeTimestamp:
-		return NewIntervalMicros(a.i - b.i), nil
+		return NewIntervalMicros(a.int() - b.int()), nil
 	case a.typ == TypeInterval && b.typ == TypeInterval:
-		return NewIntervalMicros(a.i - b.i), nil
+		return NewIntervalMicros(a.int() - b.int()), nil
 	}
 	return Null, typeErr("-", a, b)
 }
@@ -60,17 +60,17 @@ func Mul(a, b Datum) (Datum, error) {
 	}
 	switch {
 	case a.typ == TypeInt && b.typ == TypeInt:
-		return NewInt(a.i * b.i), nil
+		return NewInt(a.int() * b.int()), nil
 	case a.typ.Numeric() && b.typ.Numeric():
 		return NewFloat(a.Float() * b.Float()), nil
 	case a.typ == TypeInterval && b.typ == TypeInt:
-		return NewIntervalMicros(a.i * b.i), nil
+		return NewIntervalMicros(a.int() * b.int()), nil
 	case a.typ == TypeInt && b.typ == TypeInterval:
-		return NewIntervalMicros(a.i * b.i), nil
+		return NewIntervalMicros(a.int() * b.int()), nil
 	case a.typ == TypeInterval && b.typ == TypeFloat:
-		return NewIntervalMicros(int64(float64(a.i) * b.f)), nil
+		return NewIntervalMicros(int64(float64(a.int()) * b.flt())), nil
 	case a.typ == TypeFloat && b.typ == TypeInterval:
-		return NewIntervalMicros(int64(a.f * float64(b.i))), nil
+		return NewIntervalMicros(int64(a.flt() * float64(b.int()))), nil
 	}
 	return Null, typeErr("*", a, b)
 }
@@ -83,10 +83,10 @@ func Div(a, b Datum) (Datum, error) {
 	}
 	switch {
 	case a.typ == TypeInt && b.typ == TypeInt:
-		if b.i == 0 {
+		if b.int() == 0 {
 			return Null, ErrDivisionByZero
 		}
-		return NewInt(a.i / b.i), nil
+		return NewInt(a.int() / b.int()), nil
 	case a.typ.Numeric() && b.typ.Numeric():
 		bf := b.Float()
 		if bf == 0 {
@@ -94,10 +94,10 @@ func Div(a, b Datum) (Datum, error) {
 		}
 		return NewFloat(a.Float() / bf), nil
 	case a.typ == TypeInterval && b.typ == TypeInt:
-		if b.i == 0 {
+		if b.int() == 0 {
 			return Null, ErrDivisionByZero
 		}
-		return NewIntervalMicros(a.i / b.i), nil
+		return NewIntervalMicros(a.int() / b.int()), nil
 	}
 	return Null, typeErr("/", a, b)
 }
@@ -108,10 +108,10 @@ func Mod(a, b Datum) (Datum, error) {
 		return Null, nil
 	}
 	if a.typ == TypeInt && b.typ == TypeInt {
-		if b.i == 0 {
+		if b.int() == 0 {
 			return Null, ErrDivisionByZero
 		}
-		return NewInt(a.i % b.i), nil
+		return NewInt(a.int() % b.int()), nil
 	}
 	return Null, typeErr("%", a, b)
 }
@@ -123,11 +123,11 @@ func Neg(a Datum) (Datum, error) {
 	}
 	switch a.typ {
 	case TypeInt:
-		return NewInt(-a.i), nil
+		return NewInt(-a.int()), nil
 	case TypeFloat:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.flt()), nil
 	case TypeInterval:
-		return NewIntervalMicros(-a.i), nil
+		return NewIntervalMicros(-a.int()), nil
 	}
 	return Null, fmt.Errorf("types: cannot negate %s", a.typ)
 }
@@ -145,37 +145,37 @@ func Cast(d Datum, to Type) (Datum, error) {
 	case TypeBool:
 		switch d.typ {
 		case TypeInt:
-			return NewBool(d.i != 0), nil
+			return NewBool(d.int() != 0), nil
 		case TypeString:
-			return ParseBool(d.s)
+			return ParseBool(d.str())
 		}
 	case TypeInt:
 		switch d.typ {
 		case TypeBool:
-			return NewInt(d.i), nil
+			return NewInt(d.int()), nil
 		case TypeFloat:
-			if math.IsNaN(d.f) || d.f > math.MaxInt64 || d.f < math.MinInt64 {
-				return Null, fmt.Errorf("types: float %v out of bigint range", d.f)
+			if math.IsNaN(d.flt()) || d.flt() > math.MaxInt64 || d.flt() < math.MinInt64 {
+				return Null, fmt.Errorf("types: float %v out of bigint range", d.flt())
 			}
-			return NewInt(int64(d.f)), nil
+			return NewInt(int64(d.flt())), nil
 		case TypeString:
-			v, err := parseIntStrict(d.s)
+			v, err := parseIntStrict(d.str())
 			if err != nil {
 				return Null, err
 			}
 			return NewInt(v), nil
 		case TypeTimestamp:
 			// Microseconds since epoch; useful for bucketing in tests.
-			return NewInt(d.i), nil
+			return NewInt(d.int()), nil
 		case TypeInterval:
-			return NewInt(d.i), nil
+			return NewInt(d.int()), nil
 		}
 	case TypeFloat:
 		switch d.typ {
 		case TypeInt:
-			return NewFloat(float64(d.i)), nil
+			return NewFloat(float64(d.int())), nil
 		case TypeString:
-			v, err := parseFloatStrict(d.s)
+			v, err := parseFloatStrict(d.str())
 			if err != nil {
 				return Null, err
 			}
@@ -186,16 +186,16 @@ func Cast(d Datum, to Type) (Datum, error) {
 	case TypeTimestamp:
 		switch d.typ {
 		case TypeString:
-			return ParseTimestamp(d.s)
+			return ParseTimestamp(d.str())
 		case TypeInt:
-			return NewTimestampMicros(d.i), nil
+			return NewTimestampMicros(d.int()), nil
 		}
 	case TypeInterval:
 		switch d.typ {
 		case TypeString:
-			return ParseInterval(d.s)
+			return ParseInterval(d.str())
 		case TypeInt:
-			return NewIntervalMicros(d.i), nil
+			return NewIntervalMicros(d.int()), nil
 		}
 	}
 	return Null, fmt.Errorf("types: cannot cast %s to %s", d.typ, to)

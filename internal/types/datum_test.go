@@ -13,7 +13,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if !Null.IsNull() {
 		t.Fatal("Null is not null")
 	}
-	if NewBool(true) != True || NewBool(false) != False {
+	if !NewBool(true).Equal(True) || !NewBool(false).Equal(False) {
 		t.Fatal("bool constructors")
 	}
 	if NewInt(42).Int() != 42 {

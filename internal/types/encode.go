@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // EncodeDatum appends a self-describing binary encoding of d to buf. The
@@ -13,12 +14,12 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 	switch d.typ {
 	case TypeNull, TypeUnknown:
 	case TypeBool, TypeInt, TypeTimestamp, TypeInterval:
-		buf = binary.AppendVarint(buf, d.i)
+		buf = binary.AppendVarint(buf, d.int())
 	case TypeFloat:
-		buf = binary.AppendUvarint(buf, math.Float64bits(d.f))
+		buf = binary.AppendUvarint(buf, math.Float64bits(d.flt()))
 	case TypeString:
-		buf = binary.AppendUvarint(buf, uint64(len(d.s)))
-		buf = append(buf, d.s...)
+		s := d.str()
+		buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 	}
 	return buf
 }
@@ -31,21 +32,26 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 // any number of rows, reusing its scratch.
 type RowStrings struct{ scratch []byte }
 
-// Add appends one string payload to the scratch. Until Own, the datum it
-// returns carries only the payload's length.
+// Add appends one string payload to the scratch. The datum it returns is a
+// placeholder — the payload's length and no bytes — that only Own may touch:
+// reading it (Str, String, Compare, encoding) panics. A decoder that fails
+// before Own drops the row.
 func (b *RowStrings) Add(p []byte) Datum {
 	b.scratch = append(b.scratch, p...)
-	return Datum{typ: TypeString, i: int64(len(p))}
+	return Datum{typ: TypeString, n: uint64(len(p))}
 }
 
 // Own makes the one string(scratch) — no allocation when no string had any
-// bytes — and gives each placeholder of row, in column order, its substring.
+// bytes — and points each placeholder of row, in column order, at its part
+// of it; a placeholder already carries its length in the word that keeps it.
 func (b *RowStrings) Own(row Row) {
-	backing := string(b.scratch)
+	backing := unsafe.Pointer(unsafe.StringData(string(b.scratch)))
 	b.scratch = b.scratch[:0]
+	off := 0
 	for i := range row {
-		if d := &row[i]; d.typ == TypeString {
-			d.s, backing, d.i = backing[:d.i], backing[d.i:], 0
+		if d := &row[i]; d.typ == TypeString && d.p == nil && d.n > 0 {
+			d.p = unsafe.Add(backing, off)
+			off += int(d.n)
 		}
 	}
 }
@@ -66,7 +72,7 @@ func decodeDatum(buf []byte, strs *RowStrings) (Datum, []byte, error) {
 		if n <= 0 {
 			return Null, nil, fmt.Errorf("types: decode: bad varint")
 		}
-		return Datum{typ: t, i: v}, buf[n:], nil
+		return word(t, v), buf[n:], nil
 	case TypeFloat:
 		v, n := binary.Uvarint(buf)
 		if n <= 0 {

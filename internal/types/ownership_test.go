@@ -29,7 +29,7 @@ func oracleDecodeDatum(buf []byte) (Datum, []byte, error) {
 		if n <= 0 {
 			return Null, nil, fmt.Errorf("types: decode: bad varint")
 		}
-		return Datum{typ: t, i: v}, buf[n:], nil
+		return word(t, v), buf[n:], nil
 	case TypeFloat:
 		v, n := binary.Uvarint(buf)
 		if n <= 0 {
@@ -65,21 +65,6 @@ func oracleDecodeRow(buf []byte) (Row, []byte, error) {
 		}
 	}
 	return row, buf, nil
-}
-
-// sameDatums compares field for field (RowsEqual would call 3 and 3.0, or
-// two NaNs of different payload, equal or unequal by SQL's rules).
-func sameDatums(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].typ != b[i].typ || a[i].i != b[i].i || a[i].s != b[i].s ||
-			math.Float64bits(a[i].f) != math.Float64bits(b[i].f) {
-			return false
-		}
-	}
-	return true
 }
 
 // ownershipStrings are the payloads the property tests draw from: empty,
@@ -173,7 +158,7 @@ func TestOwnershipBinary(t *testing.T) {
 			var err, oerr error
 			row, rest, err = DecodeRow(rest, &strs)
 			orow, orest, oerr = oracleDecodeRow(orest)
-			if err != nil || oerr != nil || len(rest) != len(orest) || !sameDatums(row, orow) {
+			if err != nil || oerr != nil || len(rest) != len(orest) || !row.Equal(orow) {
 				t.Fatalf("batch %d: got %v (%v), reference %v (%v)", batch, row, err, orow, oerr)
 			}
 			got = append(got, row)
@@ -182,7 +167,7 @@ func TestOwnershipBinary(t *testing.T) {
 			buf[i] = 0xFF
 		}
 		for i := range want {
-			if !sameDatums(got[i], want[i]) {
+			if !got[i].Equal(want[i]) {
 				t.Fatalf("batch %d row %d changed with the frame buffer: %v, want %v", batch, i, got[i], want[i])
 			}
 		}
@@ -237,7 +222,7 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestDecodeRowCorruptCountAllocs: a column count can only be checked
-// against the bytes left, and a datum in memory is forty times a byte, so
+// against the bytes left, and a datum in memory is twenty-four times a byte, so
 // the largest count a 1 MiB payload can claim must not be believed.
 func TestDecodeRowCorruptCountAllocs(t *testing.T) {
 	const size = 1 << 20
@@ -260,7 +245,43 @@ func TestDecodeRowCorruptCountAllocs(t *testing.T) {
 		wide[i] = NewInt(int64(i))
 	}
 	row, _, err := DecodeRow(EncodeRow(nil, wide), new(RowStrings))
-	if err != nil || !sameDatums(row, wide) || cap(row) != len(row) {
+	if err != nil || !row.Equal(wide) || cap(row) != len(row) {
 		t.Fatalf("wide row: %d columns (cap %d), err %v", len(row), cap(row), err)
+	}
+}
+
+// TestDecodeRowDropsPlaceholders is the placeholder rule (internal/server/
+// proto.go) for this decoder: until Own, a VARCHAR column is a length with
+// no bytes, which panics if read, so a row that fails after one — cut short
+// anywhere, or any byte of it replaced — must come back as no row at all,
+// and a row that still decodes must read; the RowStrings then serves the
+// next row as if nothing had happened.
+func TestDecodeRowDropsPlaceholders(t *testing.T) {
+	whole := Row{NewString("first"), NewInt(7), NewString("second"), NewFloat(1.5)}
+	enc := EncodeRow(nil, whole)
+	var strs RowStrings
+	if !panicked(func() { _ = strs.Add([]byte("x")).String() }) {
+		t.Fatal("a placeholder read as a string")
+	}
+	check := func(bad []byte) {
+		t.Helper()
+		row, rest, err := DecodeRow(bad, &strs)
+		if err != nil && (row != nil || rest != nil) {
+			t.Fatalf("% x: failed with %v and returned %d datums", bad, err, len(row))
+		}
+		_ = row.String() // a placeholder panics here
+		if row, _, err = DecodeRow(enc, &strs); err != nil || !row.Equal(whole) {
+			t.Fatalf("after % x: the whole row decodes as %v (%v)", bad, row, err)
+		}
+	}
+	for cut := range enc {
+		check(enc[:cut])
+	}
+	for at := range enc {
+		for _, b := range []byte{0x00, byte(TypeString), 0x7F, 0xFF} {
+			bad := append([]byte(nil), enc...)
+			bad[at] = b
+			check(bad)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -73,6 +74,10 @@ func (r Row) String() string {
 	return strings.Join(parts, "|")
 }
 
+// Equal reports whether the rows have the same length and pairwise
+// Datum.Equal values.
+func (r Row) Equal(o Row) bool { return slices.EqualFunc(r, o, Datum.Equal) }
+
 // RowsEqual reports whether two rows are datum-wise Equal.
 func RowsEqual(a, b Row) bool {
 	if len(a) != len(b) {
@@ -111,28 +116,28 @@ func HashDatum(h *maphash.Hash, d Datum) {
 		h.WriteByte(0)
 	case TypeBool:
 		h.WriteByte(1)
-		h.WriteByte(byte(d.i))
+		h.WriteByte(byte(d.int()))
 	case TypeInt:
 		h.WriteByte(2)
-		writeUint64(h, uint64(d.i))
+		writeUint64(h, uint64(d.int()))
 	case TypeFloat:
-		if i, ok := integralFloat(d.f); ok {
+		if i, ok := integralFloat(d.flt()); ok {
 			// Hash like the equal integer.
 			h.WriteByte(2)
 			writeUint64(h, uint64(i))
 		} else {
 			h.WriteByte(3)
-			writeUint64(h, math.Float64bits(d.f))
+			writeUint64(h, math.Float64bits(d.flt()))
 		}
 	case TypeString:
 		h.WriteByte(4)
-		h.WriteString(d.s)
+		h.WriteString(d.str())
 	case TypeTimestamp:
 		h.WriteByte(5)
-		writeUint64(h, uint64(d.i))
+		writeUint64(h, uint64(d.int()))
 	case TypeInterval:
 		h.WriteByte(6)
-		writeUint64(h, uint64(d.i))
+		writeUint64(h, uint64(d.int()))
 	}
 }
 
@@ -193,21 +198,21 @@ func integralFloat(f float64) (int64, bool) {
 func (d Datum) AppendKey(dst []byte) []byte {
 	switch d.typ {
 	case TypeBool:
-		return append(dst, 1, byte(d.i))
+		return append(dst, 1, byte(d.int()))
 	case TypeInt:
-		return binary.LittleEndian.AppendUint64(append(dst, 2), uint64(d.i))
+		return binary.LittleEndian.AppendUint64(append(dst, 2), uint64(d.int()))
 	case TypeFloat:
-		if i, ok := integralFloat(d.f); ok {
+		if i, ok := integralFloat(d.flt()); ok {
 			return binary.LittleEndian.AppendUint64(append(dst, 2), uint64(i))
 		}
-		return binary.LittleEndian.AppendUint64(append(dst, 3), math.Float64bits(d.f))
+		return binary.LittleEndian.AppendUint64(append(dst, 3), math.Float64bits(d.flt()))
 	case TypeString:
-		dst = binary.LittleEndian.AppendUint64(append(dst, 4, 4), uint64(len(d.s)))
-		return append(dst, d.s...)
+		dst = binary.LittleEndian.AppendUint64(append(dst, 4, 4), uint64(len(d.str())))
+		return append(dst, d.str()...)
 	case TypeTimestamp:
-		return binary.LittleEndian.AppendUint64(append(dst, 5), uint64(d.i))
+		return binary.LittleEndian.AppendUint64(append(dst, 5), uint64(d.int()))
 	case TypeInterval:
-		return binary.LittleEndian.AppendUint64(append(dst, 6), uint64(d.i))
+		return binary.LittleEndian.AppendUint64(append(dst, 6), uint64(d.int()))
 	default: // TypeNull, TypeUnknown
 		return append(dst, 0)
 	}

@@ -275,3 +275,35 @@ func TestDecodeRecordsCorruptCountAllocs(t *testing.T) {
 	}
 	sameRecords(t, recs, big)
 }
+
+// TestDecodeRecordsDropsPlaceholders is the placeholder rule (internal/
+// server/proto.go) for the WAL reader: a payload that fails after a VARCHAR
+// column — cut short anywhere, or any byte of it replaced — yields no
+// record, so the length-without-bytes types.RowStrings put in the row is
+// never read; one that still decodes reads.
+func TestDecodeRecordsDropsPlaceholders(t *testing.T) {
+	payload := AppendRecords(nil, []Record{
+		{Kind: RecInsert, Table: "t", RowID: 1, Row: types.Row{types.NewString("first"), types.NewInt(7), types.NewString("second")}},
+		{Kind: RecInsert, Table: "t", RowID: 2, Row: types.Row{types.NewString("third"), types.NewFloat(1.5)}},
+	})
+	check := func(bad []byte) {
+		t.Helper()
+		recs, err := DecodeRecords(bad)
+		if err != nil && recs != nil {
+			t.Fatalf("% x: failed with %v and returned %d records", bad, err, len(recs))
+		}
+		for _, r := range recs {
+			_ = r.Row.String() // a placeholder panics here
+		}
+	}
+	for cut := range payload {
+		check(payload[:cut])
+	}
+	for at := range payload {
+		for _, b := range []byte{0x00, byte(types.TypeString), 0x7F, 0xFF} {
+			bad := append([]byte(nil), payload...)
+			bad[at] = b
+			check(bad)
+		}
+	}
+}
