@@ -44,15 +44,19 @@ cover:
 # fail and cascade under a pool (store faults, concurrent subscribe/
 # unsubscribe, derived-stream cascades) are exercised whatever the runner's
 # core count. The storage and exec packages ride along for the table scan
-# whose snapshot predates concurrent appends and deletes.
+# whose snapshot predates concurrent appends and deletes, and the replication
+# hub and the replica for the event a raw-archive channel publishes on the
+# delivering goroutine, inside its commit and under the source's lock
+# (primary ≡ followers by (table, RowID, row) at ParallelCQ 0 and 4).
 drain-policies:
-	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade' .
 
 # alloc-pins runs the ownership property (a decoded row is at most two
 # allocations and shares memory with nothing — internal/server/proto.go), the
 # sizes the byte pins are reckoned in (a Datum 24 bytes, a heap version 40) and
-# every allocation pin on the decode → commit → replicate path, in the
+# every allocation pin on the decode → commit → replicate path (a follower
+# decodes and applies an archived batch in two allocations a row), in the
 # operators, and in the window-state store (first touch of a (slice, group)
 # ≤ 0.1 allocations amortized; an enrichment fire independent of window
 # rows; a fire two allocations and O(touched) bytes, and what its shared

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamrel/internal/storage"
+	"streamrel/internal/stream"
 	"streamrel/internal/trace"
 	"streamrel/internal/types"
 )
@@ -99,7 +100,7 @@ func TestDerivedChannelDetachesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	emitted := map[*Value]bool{}
-	detach, err := e.rt.Tap("per_k", func(_ trace.Ctx, _ int64, rows []types.Row) error {
+	detach, err := e.rt.Tap("per_k", func(_ trace.Ctx, _ int64, rows []types.Row, _ *stream.Ingest) error {
 		for _, r := range rows {
 			emitted[&r[0]] = true
 		}

@@ -9,6 +9,7 @@ import (
 	"streamrel/internal/plan"
 	"streamrel/internal/sql"
 	"streamrel/internal/storage"
+	"streamrel/internal/stream"
 	"streamrel/internal/trace"
 	"streamrel/internal/txn"
 	"streamrel/internal/types"
@@ -239,8 +240,8 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 		}
 		return false, err
 	}
-	detach, err := e.rt.Tap(s.From, func(tc trace.Ctx, closeTS int64, rows []types.Row) error {
-		return e.channelWrite(tc, ch, rows)
+	detach, err := e.rt.Tap(s.From, func(tc trace.Ctx, closeTS int64, rows []types.Row, in *stream.Ingest) error {
+		return e.channelWrite(tc, ch, rows, in)
 	})
 	if err != nil {
 		e.cat.Drop(sql.ObjChannel, s.Name)
@@ -258,13 +259,31 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 // at the window boundary; it runs on whichever goroutine is draining the
 // producing pipeline's mailbox — the appender, or a pool worker with
 // Config.ParallelCQ > 0 (heap, index and WAL are internally locked).
-func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Row) error {
+//
+// A base stream's batch arrives on the delivering goroutine, under the
+// source's lock, with the replication event it still owes (in). When the
+// table takes the delivered rows as they are — coerceRow returned every one of
+// them itself, which the stream's and the table's column types decide, not a
+// setting — the commit publishes batch and insert as one event
+// (writeTxn.in); otherwise the stream's append is published first and
+// the write ships as its own WAL batch, counted in
+// streamrel_repl_unfused_batches_total by what made it so.
+func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Row, in *stream.Ingest) (err error) {
 	if e.replicaMode.Load() {
 		// A replica's channels stay quiet: the primary's channel writes
-		// arrive through the replicated WAL, so writing here would apply
-		// every emission twice. Promote re-enables local channel writes.
+		// arrive through the replicated log (KindArchive, KindWAL), so writing
+		// here would apply every emission twice. Promote re-enables local
+		// channel writes.
 		return nil
 	}
+	if in != nil && !in.Owed() {
+		e.unfused[unfusedSecondChannel].Inc()
+	}
+	defer func() {
+		if err != nil && in.Owed() {
+			e.unfused[unfusedCommitFailed].Inc()
+		}
+	}()
 	t, ok := e.cat.Table(ch.Into)
 	if !ok {
 		return fmt.Errorf("streamrel: channel %q: table %q vanished", ch.Name, ch.Into)
@@ -279,15 +298,26 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	// carved from types.RowBlocks, which a row the table keeps must not pin.
 	_, carved := e.cat.Derived(ch.From)
 	coerced := make([]types.Row, len(rows))
+	asDelivered := true
 	for i, row := range rows {
 		cr, err := coerceRow(row, t.Schema)
 		if err != nil {
 			return w.fail(err)
 		}
-		if carved && len(cr) > 0 && &cr[0] == &row[0] {
+		if len(cr) > 0 && &cr[0] != &row[0] {
+			asDelivered = false
+		} else if carved {
 			cr = cr.Clone()
 		}
 		coerced[i] = cr
+	}
+	if in.Owed() {
+		if asDelivered {
+			w.in, w.rows = in, coerced
+		} else {
+			e.unfused[unfusedCast].Inc()
+			in.Publish()
+		}
 	}
 	if ch.Mode == sql.ChannelReplace {
 		// Replace delta: want holds each new row's multiplicity. Visible
@@ -388,6 +418,12 @@ type writeTxn struct {
 	// versions need no undo (they stay invisible forever).
 	undo []func()
 	n    int
+	// in and rows are set when the transaction does nothing but store rows, a
+	// base stream's batch as it was delivered, recs[i] the insert of rows[i]:
+	// commit then publishes batch and inserts as one replication event and
+	// settles in.
+	in   *stream.Ingest
+	rows []types.Row
 }
 
 // beginWrite starts a write transaction. expect is the number of records
@@ -434,7 +470,18 @@ func (w *writeTxn) commit() error {
 		// published LSN order matches commit order across transactions
 		// (stream ingest publishes under a separate lock and never waits
 		// behind a commit).
-		return w.e.hub.PublishTxn(w.recs, w.tx.Commit, w.tc.ID)
+		if w.in == nil {
+			return w.e.hub.PublishTxn(w.recs, w.tx.Commit, w.tc.ID)
+		}
+		// This goroutine also holds the source's delivery lock, so the one
+		// event sits in the stream's delivery order too. A failed commit
+		// leaves in owed: the batch still entered the stream, and deliver
+		// publishes its append.
+		err := w.e.hub.PublishArchive(w.in.Stream(), w.rows, w.recs, w.tx.Commit, w.tc.ID)
+		if err == nil {
+			w.in.Settle()
+		}
+		return err
 	}
 	return w.tx.Commit()
 }

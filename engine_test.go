@@ -402,3 +402,38 @@ func TestCQBlockingNext(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryNestingIsBounded: SQL text nests as deep as its sender likes — a
+// million "(" is 2 MB, well inside one wire frame — and the parser recurses
+// once per level: without a bound the process died of a stack overflow, which
+// no recover catches. Every production that contains itself, and every chain
+// that builds a deeper tree without recursing, now answers with a parse error
+// that names the limit; a statement inside it runs.
+func TestQueryNestingIsBounded(t *testing.T) {
+	e := openMem(t)
+	mustExec(t, e, `CREATE TABLE t (a bigint)`)
+	mustExec(t, e, `INSERT INTO t VALUES (1)`)
+	nested := func(open, leaf, close string, n int) string {
+		return strings.Repeat(open, n) + leaf + strings.Repeat(close, n)
+	}
+	for name, sql := range map[string]string{
+		"parentheses":   "SELECT " + nested("(", "1", ")", 1_000_000),
+		"signs":         "SELECT " + nested("- ", "1", "", 50_000),
+		"NOT":           "SELECT " + nested("NOT ", "true", "", 50_000),
+		"CASE":          "SELECT " + nested("CASE WHEN true THEN ", "1", " END", 50_000),
+		"function args": "SELECT " + nested("abs(", "1", ")", 50_000),
+		"subqueries":    "SELECT a FROM " + nested("(SELECT a FROM ", "t", ") x", 50_000),
+		"IN lists":      "SELECT " + nested("1 IN (", "1", ")", 50_000),
+		"operators":     "SELECT 1" + strings.Repeat("+1", 2_000_000),
+		"AND":           "SELECT true" + strings.Repeat(" AND true", 50_000),
+		"casts":         "SELECT 1" + strings.Repeat("::bigint", 50_000),
+		"joins":         "SELECT 1 FROM t" + strings.Repeat(" CROSS JOIN t", 50_000),
+		"unions":        "SELECT 1" + strings.Repeat(" UNION ALL SELECT 1", 50_000),
+	} {
+		if _, err := e.Query(sql); err == nil || !strings.Contains(err.Error(), "nests deeper than 10000 levels") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	expectData(t, mustQuery(t, e, "SELECT "+nested("(", "a", ")", 9_000)+" + 1"+strings.Repeat("+1", 900)+" FROM t"), "902")
+	expectData(t, mustQuery(t, e, "SELECT "+nested("- ", "a", "", 4_000)+" FROM t"), "1")
+}

@@ -15,6 +15,15 @@
 // published under each source's delivery lock, and WAL events are
 // published while the transaction commits, so a replica applying events
 // in frame order reconstructs an exact prefix of the primary's history.
+//
+// A row crosses the link once. A base-stream batch that the stream's one
+// raw-archive channel stored unchanged is both things at once — rows
+// accepted into the stream and rows inserted into the table — and travels
+// as one KindArchive event, published while the channel's transaction
+// commits and under the source's delivery lock, so both ordering rules
+// above hold for it. Every other shape (a cast on the way into the table,
+// two channels on one stream, a channel commit that failed, a derived
+// stream's channel) ships a KindAppend and a KindWAL as before.
 package repl
 
 import (
@@ -24,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"streamrel/internal/types"
 	"streamrel/internal/wal"
@@ -60,7 +70,19 @@ const (
 	// KindTableNext, inside a snapshot, sets a table's next RowID so the
 	// replica reproduces trailing gaps left by aborted transactions.
 	KindTableNext
+	// KindArchive carries rows accepted into a base stream that the stream's
+	// channel archived, unchanged, into Table at the RowIDs in Runs: a
+	// KindAppend and the insert-only KindWAL of the same rows in one event.
+	KindArchive
 )
+
+// RowIDRun is N consecutive RowIDs starting at First. A table's RowIDs are
+// consecutive within one transaction unless another writer of the same table
+// (a second stream's channel, an INSERT) got in between, so a batch is
+// usually one run.
+type RowIDRun struct {
+	First, N uint64
+}
 
 // Event is one replication frame's logical content.
 type Event struct {
@@ -76,12 +98,15 @@ type Event struct {
 	Trace uint64
 
 	Recs   []wal.Record // KindWAL
-	Stream string       // KindAppend, KindAdvance
-	Rows   []types.Row  // KindAppend
+	Stream string       // KindAppend, KindAdvance, KindArchive
+	Rows   []types.Row  // KindAppend, KindArchive
 	TS     int64        // KindAdvance
 	Run    string       // KindSnapBegin, KindResume
-	Table  string       // KindTableNext
+	Table  string       // KindTableNext, KindArchive
 	Next   uint64       // KindTableNext
+	// Runs are the RowIDs of Rows in Table, in row order; their lengths sum
+	// to len(Rows).
+	Runs []RowIDRun // KindArchive
 }
 
 // maxFramePayload bounds a frame payload so a corrupt length prefix
@@ -110,10 +135,16 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 		dst = wal.AppendRecords(dst, ev.Recs)
 	case KindAppend:
 		dst = appendString(dst, ev.Stream)
-		dst = binary.AppendUvarint(dst, uint64(len(ev.Rows)))
-		for _, r := range ev.Rows {
-			dst = types.EncodeRow(dst, r)
+		dst = appendRows(dst, ev.Rows)
+	case KindArchive:
+		dst = appendString(dst, ev.Stream)
+		dst = appendString(dst, ev.Table)
+		dst = binary.AppendUvarint(dst, uint64(len(ev.Runs)))
+		for _, run := range ev.Runs {
+			dst = binary.AppendUvarint(dst, run.First)
+			dst = binary.AppendUvarint(dst, run.N)
 		}
+		dst = appendRows(dst, ev.Rows)
 	case KindAdvance:
 		dst = appendString(dst, ev.Stream)
 		dst = binary.AppendVarint(dst, ev.TS)
@@ -200,24 +231,25 @@ func DecodeEvent(payload []byte) (*Event, error) {
 		if ev.Stream, buf, err = readString(buf); err != nil {
 			return nil, err
 		}
-		var n uint64
-		if n, buf, err = readUvarint(buf); err != nil {
+		if ev.Rows, err = readRows(buf); err != nil {
 			return nil, err
 		}
-		if n > uint64(len(buf)) {
-			return nil, errors.New("repl: row count exceeds payload")
+	case KindArchive:
+		if ev.Stream, buf, err = readString(buf); err != nil {
+			return nil, err
 		}
-		ev.Rows = make([]types.Row, 0, min(n, types.MaxPresize))
-		var strs types.RowStrings
-		for i := uint64(0); i < n; i++ {
-			var row types.Row
-			if row, buf, err = types.DecodeRow(buf, &strs); err != nil {
-				return nil, err
-			}
-			ev.Rows = append(ev.Rows, row)
+		if ev.Table, buf, err = readString(buf); err != nil {
+			return nil, err
 		}
-		if len(buf) != 0 {
-			return nil, errors.New("repl: trailing bytes in append frame")
+		var covered uint64
+		if ev.Runs, covered, buf, err = readRuns(buf); err != nil {
+			return nil, err
+		}
+		if ev.Rows, err = readRows(buf); err != nil {
+			return nil, err
+		}
+		if uint64(len(ev.Rows)) != covered {
+			return nil, fmt.Errorf("repl: RowID runs cover %d rows, frame carries %d", covered, len(ev.Rows))
 		}
 	case KindAdvance:
 		if ev.Stream, buf, err = readString(buf); err != nil {
@@ -243,6 +275,68 @@ func DecodeEvent(payload []byte) (*Event, error) {
 		return nil, fmt.Errorf("repl: unknown frame kind %d", ev.Kind)
 	}
 	return ev, nil
+}
+
+func appendRows(dst []byte, rows []types.Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	for _, r := range rows {
+		dst = types.EncodeRow(dst, r)
+	}
+	return dst
+}
+
+// readRows decodes a row count and that many rows, which must end buf.
+func readRows(buf []byte) ([]types.Row, error) {
+	n, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(buf)) {
+		return nil, errors.New("repl: row count exceeds payload")
+	}
+	rows := make([]types.Row, 0, min(n, types.MaxPresize))
+	var strs types.RowStrings
+	for i := uint64(0); i < n; i++ {
+		var row types.Row
+		if row, buf, err = types.DecodeRow(buf, &strs); err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	if len(buf) != 0 {
+		return nil, errors.New("repl: trailing bytes in append frame")
+	}
+	return rows, nil
+}
+
+// readRuns decodes a run count and that many RowID runs, returning how many
+// rows they cover. A run is at least two bytes and a row at least one, so the
+// bytes that remain bound both counts; an empty run, or one that would wrap
+// the RowID space, is malformed.
+func readRuns(buf []byte) (runs []RowIDRun, covered uint64, rest []byte, err error) {
+	n, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if n > uint64(len(buf)) {
+		return nil, 0, nil, errors.New("repl: run count exceeds payload")
+	}
+	runs = make([]RowIDRun, 0, min(n, types.MaxPresize))
+	for i := uint64(0); i < n; i++ {
+		var run RowIDRun
+		if run.First, buf, err = readUvarint(buf); err != nil {
+			return nil, 0, nil, err
+		}
+		if run.N, buf, err = readUvarint(buf); err != nil {
+			return nil, 0, nil, err
+		}
+		if left := uint64(len(buf)); run.N == 0 || run.N > left || covered+run.N > left || run.First > math.MaxUint64-run.N {
+			return nil, 0, nil, errors.New("repl: bad RowID run")
+		}
+		covered += run.N
+		runs = append(runs, run)
+	}
+	return runs, covered, buf, nil
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -3,7 +3,11 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -36,6 +40,96 @@ func sampleEvents() []Event {
 	}
 }
 
+// archiveEvents are the KindArchive samples, apart from sampleEvents because
+// framesWrittenByParent is the parent's framing of exactly those: one run, and
+// the two a table shared with another writer leaves.
+func archiveEvents() []Event {
+	return []Event{
+		{Kind: KindArchive, LSN: 11, Wall: 5555, Trace: 9, Stream: "s", Table: "raw",
+			Runs: []RowIDRun{{First: 40, N: 2}},
+			Rows: []types.Row{
+				{types.NewInt(1), types.NewTimestampMicros(60_000_000)},
+				{types.Null, types.NewString("x")},
+			}},
+		{Kind: KindArchive, LSN: 12, Wall: 6666, Stream: "s", Table: "raw",
+			Runs: []RowIDRun{{First: 0, N: 1}, {First: 7, N: 2}},
+			Rows: []types.Row{{types.NewInt(1)}, {types.NewInt(2)}, {types.NewFloat(1.5)}}},
+	}
+}
+
+// archiveFrames is archiveEvents as this format was introduced.
+const archiveFrames = "1c0000003d63afdf0a0be656090173037261770128020202030206809c9c39020105017822000000e925e7170a0c946800017303726177020001070203010302010304010480808080808080fc3f"
+
+// TestArchiveFrameGolden pins the KindArchive encoding byte for byte: header,
+// stream, table, run count, (first, length) per run, row count, rows.
+func TestArchiveFrameGolden(t *testing.T) {
+	golden, err := hex.DecodeString(archiveFrames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := archiveEvents()
+	var buf []byte
+	r := NewReader(bufio.NewReader(bytes.NewReader(golden)))
+	for i := range events {
+		buf = AppendFrame(buf, &events[i])
+		got, err := r.ReadEvent()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if !sameEvent(*got, events[i]) {
+			t.Fatalf("event %d:\n got %+v\nwant %+v", i, *got, events[i])
+		}
+	}
+	if !bytes.Equal(buf, golden) {
+		t.Fatalf("this build frames the events differently:\n%x", buf)
+	}
+}
+
+// TestDecodeArchiveRunsMustCoverRows: runs that cover more or fewer rows than
+// the frame carries, an empty run, one that wraps the RowID space and a run
+// count the payload cannot hold are errors, never a panic — and a corrupt
+// count earns no allocation (types.MaxPresize, as for rows).
+func TestDecodeArchiveRunsMustCoverRows(t *testing.T) {
+	body := func(runs []RowIDRun, rows int) []byte {
+		ev := Event{Kind: KindArchive, LSN: 1, Stream: "s", Table: "t", Runs: runs}
+		for i := 0; i < rows; i++ {
+			ev.Rows = append(ev.Rows, types.Row{types.NewInt(int64(i))})
+		}
+		return AppendFrame(nil, &ev)[8:]
+	}
+	if _, err := DecodeEvent(body([]RowIDRun{{First: 3, N: 2}, {First: 9, N: 1}}, 3)); err != nil {
+		t.Fatalf("runs that cover the rows: %v", err)
+	}
+	for name, payload := range map[string][]byte{
+		"too few":   body([]RowIDRun{{First: 3, N: 2}}, 3),
+		"too many":  body([]RowIDRun{{First: 3, N: 4}}, 3),
+		"empty run": body([]RowIDRun{{First: 3, N: 3}, {First: 9, N: 0}}, 3),
+		"wraps":     body([]RowIDRun{{First: math.MaxUint64 - 1, N: 3}}, 3),
+		"no runs":   body(nil, 3),
+	} {
+		if ev, err := DecodeEvent(payload); err == nil {
+			t.Errorf("%s: decoded %+v", name, ev)
+		}
+	}
+
+	const size = 1 << 20
+	payload := []byte{byte(KindArchive), 1, 2, 0, 1, 's', 1, 't'}
+	payload = binary.AppendUvarint(payload, size) // run count
+	for n := len(payload); len(payload) < n+size; {
+		payload = append(payload, 0xFF)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeEvent(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame of runs with impossible counts decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= size/8 {
+		t.Fatalf("refusing a corrupt %d-byte frame allocated %d bytes", size, got)
+	}
+}
+
 // sameEvent compares field for field, rows by type and value
 // (reflect.DeepEqual would compare the addresses of their string bytes).
 func sameEvent(got, want Event) bool {
@@ -52,7 +146,7 @@ func sameEvent(got, want Event) bool {
 // TestFrameRoundTrip encodes every event kind into one byte stream and
 // reads it back, field for field.
 func TestFrameRoundTrip(t *testing.T) {
-	events := sampleEvents()
+	events := append(sampleEvents(), archiveEvents()...)
 	var buf []byte
 	for i := range events {
 		buf = AppendFrame(buf, &events[i])
@@ -100,12 +194,16 @@ func TestReadEventTruncated(t *testing.T) {
 // error and value for value, and that valid payloads round-trip through
 // AppendFrame.
 func FuzzDecodeEvent(f *testing.F) {
-	for _, ev := range sampleEvents() {
+	for _, ev := range append(sampleEvents(), archiveEvents()...) {
 		frame := AppendFrame(nil, &ev)
 		f.Add(frame[8:]) // payload without the length/crc header
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
+	// KindArchive with runs that disagree with its rows, and with a run count
+	// its payload cannot hold.
+	f.Add([]byte{byte(KindArchive), 1, 2, 0, 1, 's', 1, 't', 1, 5, 3, 1, 1, byte(types.TypeInt), 2})
+	f.Add([]byte{byte(KindArchive), 1, 2, 0, 1, 's', 1, 't', 0xff, 0xff, 0x03, 1, 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		ev, err := againstOracle(t, payload)
 		if err != nil {
@@ -118,6 +216,15 @@ func FuzzDecodeEvent(f *testing.F) {
 		}
 		if again.Kind != ev.Kind || again.LSN != ev.LSN {
 			t.Fatalf("round trip mismatch: %+v vs %+v", again, ev)
+		}
+		if ev.Kind == KindArchive {
+			var covered uint64
+			for _, run := range ev.Runs {
+				covered += run.N
+			}
+			if covered != uint64(len(ev.Rows)) || !sameEvent(*again, *ev) {
+				t.Fatalf("archive of %d rows with runs %v; re-decoded %+v", len(ev.Rows), ev.Runs, again)
+			}
 		}
 	})
 }

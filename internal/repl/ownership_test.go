@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"streamrel/internal/types"
@@ -218,6 +219,7 @@ func TestAppendFrameAllocs(t *testing.T) {
 	for _, ev := range []Event{
 		{Kind: KindWAL, LSN: 1, Wall: 1, Recs: recs},
 		{Kind: KindAppend, LSN: 2, Wall: 2, Stream: "hits", Rows: rows},
+		{Kind: KindArchive, LSN: 3, Wall: 3, Stream: "hits", Table: "archive_hits", Rows: rows, Runs: rowIDRuns(recs)},
 	} {
 		dst := AppendFrame(nil, &ev)
 		if n := testing.AllocsPerRun(50, func() { dst = AppendFrame(dst[:0], &ev) }); n != 0 {
@@ -238,8 +240,11 @@ func TestReaderOwnershipAcrossFrames(t *testing.T) {
 		rows[0][0] = types.NewString(fmt.Sprintf("/frame/%d", i))
 		recs[0].Table = fmt.Sprintf("t%d", i)
 		ev := Event{Kind: KindAppend, LSN: uint64(i + 1), Wall: int64(i), Stream: "hits", Rows: rows}
-		if i%2 == 1 {
+		switch i % 3 {
+		case 1:
 			ev = Event{Kind: KindWAL, LSN: uint64(i + 1), Wall: int64(i), Recs: recs}
+		case 2: // i == 20 is one of these
+			ev.Kind, ev.Table, ev.Runs = KindArchive, recs[0].Table, rowIDRuns(recs)
 		}
 		if i == 20 {
 			ev.Rows[0][2] = types.NewString(string(make([]byte, retainPayloadBytes+1)))
@@ -265,7 +270,8 @@ func TestReaderOwnershipAcrossFrames(t *testing.T) {
 	}
 	for i, w := range want {
 		g := got[i]
-		if g.Kind != w.Kind || g.LSN != w.LSN || g.Stream != w.Stream || len(g.Rows) != len(w.Rows) || len(g.Recs) != len(w.Recs) {
+		if g.Kind != w.Kind || g.LSN != w.LSN || g.Stream != w.Stream || g.Table != w.Table || !slices.Equal(g.Runs, w.Runs) ||
+			len(g.Rows) != len(w.Rows) || len(g.Recs) != len(w.Recs) {
 			t.Fatalf("frame %d: %+v", i, *g)
 		}
 		for j := range w.Rows {
@@ -312,16 +318,21 @@ func TestDecodeEventCorruptCountAllocs(t *testing.T) {
 }
 
 // TestDecodeEventDropsPlaceholders is the placeholder rule (internal/
-// server/proto.go) for replication frames: an append payload that fails
-// after a VARCHAR column — cut short anywhere, or any byte of it replaced —
-// yields no event, so the length-without-bytes types.RowStrings put in the
-// row is never read; one that still decodes reads.
+// server/proto.go) for replication frames: an append or archive payload that
+// fails after a VARCHAR column — cut short anywhere, or any byte of it
+// replaced — yields no event, so the length-without-bytes types.RowStrings put
+// in the row is never read; one that still decodes reads.
 func TestDecodeEventDropsPlaceholders(t *testing.T) {
-	frame := AppendFrame(nil, &Event{Kind: KindAppend, LSN: 2, Wall: 7, Stream: "s", Rows: []types.Row{
+	ev := Event{Kind: KindAppend, LSN: 2, Wall: 7, Stream: "s", Rows: []types.Row{
 		{types.NewString("first"), types.NewInt(7), types.NewString("second")},
 		{types.NewString("third"), types.NewFloat(1.5)},
-	}})
-	payload := frame[8:] // without the length/crc header
+	}}
+	dropsPlaceholders(t, AppendFrame(nil, &ev)[8:]) // without the length/crc header
+	ev.Kind, ev.Table, ev.Runs = KindArchive, "t", []RowIDRun{{First: 4, N: 2}}
+	dropsPlaceholders(t, AppendFrame(nil, &ev)[8:])
+}
+
+func dropsPlaceholders(t *testing.T, payload []byte) {
 	check := func(bad []byte) {
 		t.Helper()
 		ev, err := DecodeEvent(bad)

@@ -26,8 +26,9 @@ type SnapshotFunc func(emit func(Event) error) error
 type Config struct {
 	// Metrics registers replication series; nil disables them.
 	Metrics *metrics.Registry
-	// RingSize is how many recent events the replication ring retains for
-	// incremental catch-up; 0 means DefaultRingSize.
+	// RingSize is the most recent events the replication ring retains for
+	// incremental catch-up; 0 means DefaultRingSize. What they carry is
+	// bounded separately, at maxRingBytes.
 	RingSize int
 	// SubBuffer is each subscriber's channel depth; 0 means
 	// DefaultSubBuffer. A subscriber that falls this far behind is
@@ -43,6 +44,12 @@ const (
 	DefaultRingSize  = 8192
 	DefaultSubBuffer = 1024
 )
+
+// maxRingBytes bounds what the ring's events carry, by the estimate that
+// splits them (chunkEnd): an event count alone bounds nothing when one event
+// may be MaxEventBytes. Two events of that size always fit, so a replica one
+// oversized batch behind still catches up from the ring.
+const maxRingBytes = 2 * MaxEventBytes
 
 type subscriber struct {
 	ch chan Event
@@ -66,26 +73,31 @@ type Primary struct {
 	// short ring-append critical section.
 	commitMu sync.Mutex
 
-	mu   sync.Mutex
-	lsn  uint64
-	run  string
-	ring []Event // circular buffer, capacity ringSize
-	head int     // index of the oldest retained event
-	// ringSizes[i] is the chunkEnd estimate of what ring[i] carries, summed
-	// in the ringBytes gauge: the ring is bounded in events, not in bytes.
+	mu  sync.Mutex
+	lsn uint64
+	run string
+	// ring is a circular buffer of len(ring) slots holding the ringLen most
+	// recent events, the oldest at head. ringSizes[i] is the chunkEnd
+	// estimate of what ring[i] carries and retained their sum: the ring evicts
+	// from the head past len(ring) events or maxRingBytes, whichever it meets
+	// first.
+	ring      []Event
 	ringSizes []int
+	head      int
+	ringLen   int
+	retained  int
 	subs      map[*subscriber]struct{}
 
 	subBuf    int
 	pingEvery time.Duration
 
-	connected *metrics.Gauge
-	frames    *metrics.Counter
-	events    *metrics.Counter
-	snaps     *metrics.Counter
-	overflows *metrics.Counter
-	ringLen   *metrics.Gauge
-	ringBytes *metrics.Gauge
+	connected  *metrics.Gauge
+	frames     *metrics.Counter
+	events     *metrics.Counter
+	snaps      *metrics.Counter
+	overflows  *metrics.Counter
+	ringEvents *metrics.Gauge
+	ringBytes  *metrics.Gauge
 }
 
 // NewPrimary creates a replication hub with a fresh random run ID.
@@ -104,7 +116,8 @@ func NewPrimary(cfg Config) *Primary {
 	}
 	p := &Primary{
 		run:       newRunID(),
-		ring:      make([]Event, 0, ringSize),
+		ring:      make([]Event, ringSize),
+		ringSizes: make([]int, ringSize),
 		subs:      make(map[*subscriber]struct{}),
 		subBuf:    subBuf,
 		pingEvery: pingEvery,
@@ -118,7 +131,7 @@ func NewPrimary(cfg Config) *Primary {
 			"full logical snapshots streamed to replicas"),
 		overflows: cfg.Metrics.Counter("streamrel_repl_subscriber_overflows_total",
 			"replicas dropped back to catch-up because their queue overflowed"),
-		ringLen: cfg.Metrics.Gauge("streamrel_repl_ring_events",
+		ringEvents: cfg.Metrics.Gauge("streamrel_repl_ring_events",
 			"events retained in the replication ring for incremental catch-up"),
 		ringBytes: cfg.Metrics.Gauge("streamrel_repl_ring_bytes",
 			"estimated encoded bytes of the rows and WAL records the replication ring retains"),
@@ -248,6 +261,47 @@ func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64)
 	}
 }
 
+// PublishArchive commits the transaction that stored a base stream's
+// accepted batch, unchanged, in a table — recs[i] is the insert of rows[i] —
+// and publishes the batch once, as KindArchive events that stand for both the
+// KindAppend and the KindWAL of those rows. The caller holds the stream's
+// delivery lock, which fixes the per-stream event order as it does for
+// PublishAppend, and commitMu is held across commit and publication as in
+// PublishTxn, so the event also sits in the table's commit order. An
+// oversized batch splits rows and RowID runs together. If commit fails
+// nothing is published: the caller still owes the stream its KindAppend.
+func (p *Primary) PublishArchive(stream string, rows []types.Row, recs []wal.Record, commit func() error, traceID uint64) error {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	if commit != nil {
+		if err := commit(); err != nil {
+			return err
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for start := 0; start < len(rows); {
+		end, size := chunkEnd(start, len(rows), MaxEventBytes, func(i int) int { return rowSize(rows[i]) })
+		p.publishLocked(Event{Kind: KindArchive, Stream: stream, Table: recs[start].Table,
+			Rows: rows[start:end], Runs: rowIDRuns(recs[start:end]), Trace: traceID}, size)
+		start = end
+	}
+	return nil
+}
+
+// rowIDRuns folds the records' RowIDs into runs of consecutive ones.
+func rowIDRuns(recs []wal.Record) []RowIDRun {
+	runs := make([]RowIDRun, 0, 1)
+	for _, rec := range recs {
+		if n := len(runs); n > 0 && runs[n-1].First+runs[n-1].N == rec.RowID {
+			runs[n-1].N++
+			continue
+		}
+		runs = append(runs, RowIDRun{First: rec.RowID, N: 1})
+	}
+	return runs
+}
+
 // PublishAdvance publishes an effective heartbeat.
 func (p *Primary) PublishAdvance(stream string, ts int64) {
 	p.mu.Lock()
@@ -263,21 +317,24 @@ func (p *Primary) PublishCheckpoint() {
 	p.mu.Unlock()
 }
 
-// publishLocked sequences and retains ev, which carries size bytes of rows.
+// publishLocked sequences and retains ev, which carries size bytes of rows,
+// evicting from the head whatever no longer fits beside it — never ev itself.
 func (p *Primary) publishLocked(ev Event, size int) {
 	p.lsn++
 	ev.LSN = p.lsn
 	ev.Wall = time.Now().UnixMicro()
-	// Ring append (circular).
-	if len(p.ring) < cap(p.ring) {
-		p.ring, p.ringSizes = append(p.ring, ev), append(p.ringSizes, size)
-		p.ringLen.Add(1)
-	} else {
-		p.ringBytes.Add(-float64(p.ringSizes[p.head]))
-		p.ring[p.head], p.ringSizes[p.head] = ev, size
+	for p.ringLen > 0 && (p.ringLen == len(p.ring) || p.retained+size > maxRingBytes) {
+		p.retained -= p.ringSizes[p.head]
+		p.ring[p.head] = Event{} // let go of its rows
 		p.head = (p.head + 1) % len(p.ring)
+		p.ringLen--
 	}
-	p.ringBytes.Add(float64(size))
+	tail := (p.head + p.ringLen) % len(p.ring)
+	p.ring[tail], p.ringSizes[tail] = ev, size
+	p.ringLen++
+	p.retained += size
+	p.ringEvents.Set(float64(p.ringLen))
+	p.ringBytes.Set(float64(p.retained))
 	p.events.Inc()
 	for sub := range p.subs {
 		select {
@@ -293,13 +350,10 @@ func (p *Primary) publishLocked(ev Event, size int) {
 	}
 }
 
-// oldestLocked returns the LSN of the oldest ring event, or lsn+1 when
-// the ring is empty (every "future" LSN is trivially covered).
+// oldestLocked returns the LSN of the oldest ring event — lsn+1 when the
+// ring is empty (every "future" LSN is trivially covered).
 func (p *Primary) oldestLocked() uint64 {
-	if len(p.ring) == 0 {
-		return p.lsn + 1
-	}
-	return p.lsn - uint64(len(p.ring)) + 1
+	return p.lsn - uint64(p.ringLen) + 1
 }
 
 // attach registers a new subscriber and decides how it catches up: an
@@ -312,7 +366,7 @@ func (p *Primary) attach(fromLSN uint64, runID string) (sub *subscriber, backlog
 	defer p.mu.Unlock()
 	sub = &subscriber{ch: make(chan Event, p.subBuf)}
 	if runID == p.run && fromLSN <= p.lsn && fromLSN+1 >= p.oldestLocked() {
-		for i := 0; i < len(p.ring); i++ {
+		for i := 0; i < p.ringLen; i++ {
 			ev := p.ring[(p.head+i)%len(p.ring)]
 			if ev.LSN > fromLSN {
 				backlog = append(backlog, ev)
@@ -379,7 +433,7 @@ func (p *Primary) ServeConn(conn net.Conn, fromLSN uint64, runID string) error {
 				// just overflow again. Disconnect; the replica reconnects
 				// and resyncs at its own pace.
 				p.detach(sub)
-				return fmt.Errorf("repl: replica too slow for ring of %d events", cap(p.ring))
+				return fmt.Errorf("repl: replica too slow for ring of %d events", len(p.ring))
 			}
 			if p.Snapshot == nil {
 				p.detach(sub)

@@ -3,6 +3,7 @@ package repl
 import (
 	"bufio"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -116,6 +117,44 @@ func TestPrimarySnapshotWhenStale(t *testing.T) {
 	}
 }
 
+// TestPrimaryCatchupByBytes: the ring lets go of events by what they carry as
+// well as by their number. Seventy events of an estimated mebibyte each leave
+// a ring of 8192 slots holding fewer than maxRingBytes of them: a replica
+// whose resume point went that way gets a snapshot, one still inside the ring
+// catches up incrementally.
+func TestPrimaryCatchupByBytes(t *testing.T) {
+	p := testPrimary(t, Config{})
+	p.Snapshot = func(emit func(Event) error) error { return nil }
+	wide := types.Row{types.NewInt(1), types.NewString(string(make([]byte, 1<<20)))}
+	const published = 70
+	for i := 0; i < published; i++ {
+		p.PublishAppend("s", []types.Row{wide}, 0)
+	}
+	p.mu.Lock()
+	oldest, retained := p.oldestLocked(), p.retained
+	p.mu.Unlock()
+	if oldest <= 1 || oldest > published || retained > maxRingBytes || retained+rowSize(wide) <= maxRingBytes {
+		t.Fatalf("ring starts at lsn %d and retains %d bytes (bound %d)", oldest, retained, maxRingBytes)
+	}
+
+	stale, cleanupStale := serve(t, p, oldest-2, p.RunID())
+	defer cleanupStale()
+	if ev := mustRead(t, stale); ev.Kind != KindSnapBegin {
+		t.Fatalf("resume point %d evicted by bytes: want a snapshot, got %+v", oldest-2, ev)
+	}
+
+	inRange, cleanup := serve(t, p, published-2, p.RunID())
+	defer cleanup()
+	if ev := mustRead(t, inRange); ev.Kind != KindResume {
+		t.Fatalf("resume point %d is in the ring: want resume, got %+v", published-2, ev)
+	}
+	for lsn := uint64(published - 1); lsn <= published; lsn++ {
+		if ev := mustRead(t, inRange); ev.Kind != KindAppend || ev.LSN != lsn || len(ev.Rows) != 1 {
+			t.Fatalf("backlog: kind %d lsn %d, want append %d", ev.Kind, ev.LSN, lsn)
+		}
+	}
+}
+
 // TestPrimaryRunMismatchForcesSnapshot: a matching LSN under a stale run
 // ID must not resume incrementally.
 func TestPrimaryRunMismatchForcesSnapshot(t *testing.T) {
@@ -224,6 +263,22 @@ func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
 	if lsn := p.LSN(); lsn != 4 {
 		t.Fatalf("lsn after empty append: %d, want 4", lsn)
 	}
+
+	// An archived batch splits its rows and its RowID runs at the same place.
+	recs[2].RowID = 7
+	if err := p.PublishArchive("s", rows, recs, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []Event{
+		{Rows: rows[:2], Runs: []RowIDRun{{First: 1, N: 2}}},
+		{Rows: rows[2:], Runs: []RowIDRun{{First: 7, N: 1}}},
+	} {
+		ev := mustRead(t, r)
+		if ev.Kind != KindArchive || ev.LSN != uint64(5+i) || ev.Stream != "s" || ev.Table != "t" ||
+			!slices.Equal(ev.Runs, want.Runs) || !slices.EqualFunc(ev.Rows, want.Rows, types.Row.Equal) {
+			t.Fatalf("archive chunk %d: kind %d lsn %d table %q runs %v, %d rows", i, ev.Kind, ev.LSN, ev.Table, ev.Runs, len(ev.Rows))
+		}
+	}
 }
 
 // TestSnapshotSpooledBeforeNetworkWrites pins the locking contract of the
@@ -267,9 +322,10 @@ func TestSnapshotSpooledBeforeNetworkWrites(t *testing.T) {
 	}
 }
 
-// TestRingGauges: the ring is bounded in events, so what it pins is only
-// visible as bytes — which must rise with each published batch and fall
-// when eviction swaps a large event for a small one.
+// TestRingGauges: what the ring pins is visible as bytes — which must rise
+// with each published batch, fall when eviction swaps a large event for a
+// small one, count an archived batch's rows once, and stay under
+// maxRingBytes however few events that is, the newest always kept.
 func TestRingGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	p := testPrimary(t, Config{RingSize: 4, Metrics: reg})
@@ -310,5 +366,34 @@ func TestRingGauges(t *testing.T) {
 	}
 	if last != 0 {
 		t.Fatalf("a ring of heartbeats holds %v bytes", last)
+	}
+
+	// One event stands for a batch's append and its archive: its rows count once.
+	recs := []wal.Record{{Kind: wal.RecInsert, Table: "t", RowID: 1, Row: big}, {Kind: wal.RecInsert, Table: "t", RowID: 2, Row: big}}
+	if err := p.PublishArchive("s", []types.Row{big, big}, recs, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if bytes := gauge("streamrel_repl_ring_bytes"); bytes != float64(2*rowSize(big)) {
+		t.Fatalf("an archived batch of two rows counts %v bytes, want %v", bytes, 2*rowSize(big))
+	}
+
+	// Bytes evict before the four slots do, down to the newest event alone.
+	half := types.Row{types.NewString(string(make([]byte, maxRingBytes/2)))}
+	p.PublishAppend("s", []types.Row{half}, 0)
+	if events, bytes := gauge("streamrel_repl_ring_events"), gauge("streamrel_repl_ring_bytes"); events != 4 || bytes > maxRingBytes {
+		t.Fatalf("one large event beside three small: ring_events %v, ring_bytes %v", events, bytes)
+	}
+	p.PublishAppend("s", []types.Row{half}, 0)
+	if events, bytes := gauge("streamrel_repl_ring_events"), gauge("streamrel_repl_ring_bytes"); events != 1 || bytes != float64(rowSize(half)) {
+		t.Fatalf("two events that cannot both fit: ring_events %v, ring_bytes %v, want the newest alone", events, bytes)
+	}
+	over := types.Row{types.NewString(string(make([]byte, maxRingBytes/2))), types.NewString(string(make([]byte, maxRingBytes/2)))}
+	p.PublishAppend("s", []types.Row{over}, 0)
+	if events, bytes := gauge("streamrel_repl_ring_events"), gauge("streamrel_repl_ring_bytes"); events != 1 || bytes <= maxRingBytes {
+		t.Fatalf("an event beyond the bound: ring_events %v, ring_bytes %v, want it kept alone", events, bytes)
+	}
+	p.PublishAdvance("s", 9)
+	if events, bytes := gauge("streamrel_repl_ring_events"), gauge("streamrel_repl_ring_bytes"); events != 1 || bytes != 0 {
+		t.Fatalf("after the oversized event left: ring_events %v, ring_bytes %v", events, bytes)
 	}
 }

@@ -108,3 +108,25 @@ func TestUnencodableResponse(t *testing.T) {
 		t.Fatalf("got %.200q, %v; want %q", got, err, want)
 	}
 }
+
+// TestDeeplyNestedSQLAnswersAnError: a query nested a million deep is one
+// 2 MB frame, far inside MaxFrameBytes, and used to overflow the parser's
+// stack — the whole process gone, every connection with it. It is answered
+// with an error frame under its id, and the connection keeps serving.
+func TestDeeplyNestedSQLAnswersAnError(t *testing.T) {
+	conn, _ := pipeSession(t)
+	conn.SetDeadline(time.Now().Add(60 * time.Second))
+	const depth = 1_000_000
+	go func() {
+		io.WriteString(conn, `{"id":1,"op":"query","sql":"SELECT `+strings.Repeat("(", depth)+"1"+strings.Repeat(")", depth)+`"}`+"\n")
+		io.WriteString(conn, `{"id":2,"op":"query","sql":"SELECT ((1))"}`+"\n")
+	}()
+	r := bufio.NewReader(conn)
+	line, err := r.ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, `{"id":1,"error":"sql: statement nests deeper than 10000 levels`) {
+		t.Fatalf("got %.200q, %v; want an error frame naming the nesting limit", line, err)
+	}
+	if line, err = r.ReadString('\n'); err != nil || !strings.Contains(line, `"id":2`) || strings.Contains(line, `"error"`) {
+		t.Fatalf("after the refused query the connection answered %.200q, %v", line, err)
+	}
+}

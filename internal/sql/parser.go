@@ -13,7 +13,37 @@ type Parser struct {
 	toks []Token
 	pos  int
 	src  string
+	// depth is how far below the statement the tree is being built right now
+	// (deeper).
+	depth int
 }
+
+// maxNesting bounds how deep a statement's tree may get. A level is whatever
+// puts one node under another: a parenthesised expression, a function
+// argument, a CASE branch, a NOT or a sign, a subquery — each a dozen parser
+// frames — and equally one more operator in a chain (a AND b AND c …, JOINs,
+// UNIONs), which the parser loops over but every later walk of the tree
+// recurses into. SQL text arrives off the wire in frames of up to 64 MiB, and a
+// Go stack that overflows cannot be recovered from: five million "(", or two
+// million "+1", took the process down. The number is the one the wire decoder
+// and encoding/json stop at — far above anything written or generated in
+// earnest, far below what a stack holds.
+const maxNesting = 10000
+
+// deeper takes one level. A production that can contain itself, or that
+// chains, defers p.restore(p.depth) and then calls deeper once per level it
+// adds.
+func (p *Parser) deeper() error {
+	if p.depth >= maxNesting {
+		return p.errf("statement nests deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+// restore gives back the levels a production took: deferred with the depth it
+// started at.
+func (p *Parser) restore(depth int) { p.depth = depth }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
@@ -678,6 +708,10 @@ func (p *Parser) parseDelete() (Statement, error) {
 // --------------------------------------------------------------- select
 
 func (p *Parser) parseSelect() (*Select, error) {
+	defer p.restore(p.depth)
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
@@ -750,6 +784,9 @@ func (p *Parser) parseSelect() (*Select, error) {
 			goto setDone
 		}
 		all := p.acceptKeyword("all")
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseSelectCore()
 		if err != nil {
 			return nil, err
@@ -912,6 +949,7 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.restore(p.depth)
 	for {
 		var jt JoinType
 		switch {
@@ -947,6 +985,9 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 			jt = JoinCross
 		default:
 			return left, nil
+		}
+		if err := p.deeper(); err != nil {
+			return nil, err
 		}
 		right, err := p.parseTablePrimary()
 		if err != nil {
@@ -1130,14 +1171,24 @@ func (p *Parser) parseWindowExtent() (int64, bool, error) {
 
 // parseExpr parses with standard SQL precedence:
 // OR < AND < NOT < comparison/IS/LIKE/BETWEEN/IN < add < mul < unary < cast.
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (Expr, error) {
+	defer p.restore(p.depth)
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	return p.parseOr()
+}
 
 func (p *Parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
+	defer p.restore(p.depth)
 	for p.acceptKeyword("or") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -1152,7 +1203,11 @@ func (p *Parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.restore(p.depth)
 	for p.acceptKeyword("and") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -1164,6 +1219,10 @@ func (p *Parser) parseAnd() (Expr, error) {
 
 func (p *Parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("not") {
+		defer p.restore(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -1182,11 +1241,15 @@ func (p *Parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.restore(p.depth)
 	for {
 		t := p.peek()
 		if t.Kind == TokSymbol {
 			if op, ok := cmpOps[t.Text]; ok {
 				p.pos++
+				if err := p.deeper(); err != nil {
+					return nil, err
+				}
 				r, err := p.parseAdditive()
 				if err != nil {
 					return nil, err
@@ -1196,6 +1259,9 @@ func (p *Parser) parseComparison() (Expr, error) {
 			}
 		}
 		if p.acceptKeyword("is") {
+			if err := p.deeper(); err != nil {
+				return nil, err
+			}
 			neg := p.acceptKeyword("not")
 			if err := p.expectKeyword("null"); err != nil {
 				return nil, err
@@ -1210,6 +1276,9 @@ func (p *Parser) parseComparison() (Expr, error) {
 		}
 		switch {
 		case p.acceptKeyword("between"):
+			if err := p.deeper(); err != nil {
+				return nil, err
+			}
 			lo, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
@@ -1224,6 +1293,9 @@ func (p *Parser) parseComparison() (Expr, error) {
 			l = &BetweenExpr{E: l, Lo: lo, Hi: hi, Neg: neg}
 			continue
 		case p.acceptKeyword("in"):
+			if err := p.deeper(); err != nil {
+				return nil, err
+			}
 			if err := p.expectSymbol("("); err != nil {
 				return nil, err
 			}
@@ -1244,6 +1316,9 @@ func (p *Parser) parseComparison() (Expr, error) {
 			l = &InExpr{E: l, List: list, Neg: neg}
 			continue
 		case p.acceptKeyword("like"):
+			if err := p.deeper(); err != nil {
+				return nil, err
+			}
 			pat, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
@@ -1263,6 +1338,7 @@ func (p *Parser) parseAdditive() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.restore(p.depth)
 	for {
 		t := p.peek()
 		if t.Kind != TokSymbol {
@@ -1280,6 +1356,9 @@ func (p *Parser) parseAdditive() (Expr, error) {
 			return l, nil
 		}
 		p.pos++
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseMultiplicative()
 		if err != nil {
 			return nil, err
@@ -1293,6 +1372,7 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.restore(p.depth)
 	for {
 		t := p.peek()
 		if t.Kind != TokSymbol {
@@ -1310,6 +1390,9 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 			return l, nil
 		}
 		p.pos++
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -1320,6 +1403,10 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 
 func (p *Parser) parseUnary() (Expr, error) {
 	if p.acceptSymbol("-") {
+		defer p.restore(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -1335,7 +1422,11 @@ func (p *Parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.restore(p.depth)
 	for p.acceptSymbol("::") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		typ, err := p.parseTypeName()
 		if err != nil {
 			return nil, err

@@ -461,3 +461,29 @@ func TestWindowSpecString(t *testing.T) {
 		}
 	}
 }
+
+// TestNestingBudget: a level is counted while it is open and given back when
+// it closes — maxNesting bounds how deep a statement goes, not how long it is.
+func TestNestingBudget(t *testing.T) {
+	parens := func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) }
+	// ParseExpr itself opens one level; each parenthesis one more.
+	if _, err := ParseExpr(parens(maxNesting - 1)); err != nil {
+		t.Fatalf("%d parentheses: %v", maxNesting-1, err)
+	}
+	if _, err := ParseExpr(parens(maxNesting)); err == nil || !strings.Contains(err.Error(), "nests deeper than") {
+		t.Fatalf("%d parentheses: %v", maxNesting, err)
+	}
+	// Three times the budget in siblings, a third of it in depth.
+	wide := parens(maxNesting/3) + strings.Repeat(" AND f("+parens(maxNesting/3)+") = 1", 9)
+	if _, err := ParseExpr(wide); err != nil {
+		t.Fatalf("sibling subtrees: %v", err)
+	}
+	// A chain's levels last as long as the chain: the next statement starts over.
+	chain := "SELECT 1" + strings.Repeat("+1", maxNesting-3)
+	if _, err := ParseAll(chain + ";" + chain); err != nil {
+		t.Fatalf("two chains in one script: %v", err)
+	}
+	if _, err := Parse(chain + "+1+1+1"); err == nil {
+		t.Fatal("a chain longer than the budget parsed")
+	}
+}

@@ -62,6 +62,54 @@ import (
 // SetParallel); it must not call back into the pipeline's own stream.
 type Sink func(tc trace.Ctx, closeTS int64, rows []types.Row) error
 
+// Tap receives everything a stream's subscribers are sent — a base stream's
+// accepted batch, a derived stream's emission — as a Sink does, and with a
+// base stream's batch the replication observation it may take over (Ingest;
+// nil for an emission or when nothing observes ingest).
+type Tap func(tc trace.Ctx, closeTS int64, rows []types.Row, in *Ingest) error
+
+// Ingest is the OnIngest observation of one base-stream batch, handed to
+// whoever archives that batch so that storing the very rows it was handed and
+// the batch entering the stream can be reported as one event (replication's
+// KindArchive) instead of two that carry the rows twice. While it is Owed,
+// one of three things happens, each under the source lock: the archiver
+// reports the batch itself and calls Settle; it will not — the rows it stores
+// are not the stream's — and calls Publish, before reporting its own write;
+// or it returns having done neither and deliver publishes. A stream with no
+// tap, or with several, has its batch published before fan-out as ever, and
+// the taps see an Ingest that is no longer owed. The Ingest is the source's,
+// reused from batch to batch: it must not be kept past the call it came with.
+type Ingest struct {
+	r      *Runtime
+	tc     trace.Ctx
+	stream string
+	batch  []tsRow
+	owed   bool
+}
+
+// Owed reports whether the batch still has to be reported; false on nil.
+func (in *Ingest) Owed() bool { return in != nil && in.owed }
+
+// Stream names the stream the batch entered.
+func (in *Ingest) Stream() string { return in.stream }
+
+// Settle records that the caller reported the batch itself.
+func (in *Ingest) Settle() { in.owed = false }
+
+// Publish reports the batch through OnIngest if that is still owed. The rows
+// are copied out of the pooled batch block: the observer may retain the slice.
+func (in *Ingest) Publish() {
+	if !in.Owed() {
+		return
+	}
+	in.owed = false
+	accepted := make([]types.Row, len(in.batch))
+	for i := range in.batch {
+		accepted[i] = in.batch[i].row
+	}
+	in.r.OnIngest(in.tc, in.stream, accepted)
+}
+
 // LatePolicy decides what happens to a row whose timestamp precedes the
 // stream's high-water mark. The paper's streams are "ordered on an
 // attribute"; real feeds occasionally violate that, so deployments choose
@@ -110,7 +158,8 @@ type Runtime struct {
 
 	// OnIngest, when set, observes every batch accepted into a base stream
 	// (after validation and late-policy filtering) along with its trace
-	// context, and OnAdvance observes every effective heartbeat. Both run
+	// context — unless whoever archived the batch reported it instead (see
+	// Ingest) — and OnAdvance observes every effective heartbeat. Both run
 	// under the source lock, so the observation order is exactly the
 	// delivery order for that stream. Replication ships these events to
 	// replicas (carrying the trace ID across the wire); derived-stream
@@ -223,7 +272,9 @@ type source struct {
 	mu     sync.Mutex
 	lastTS int64
 	hasTS  bool
-	taps   []*Sink
+	taps   []*Tap
+	// ingest is the current delivery's Ingest (deliver).
+	ingest Ingest
 	// feeds is the delivery list, in the order the feeds were opened: only
 	// they are fed rows, so delivery cost is O(feeds) no matter how many CQs
 	// subscribe. stores indexes the feeds that keep a slice-partial store, by
@@ -499,7 +550,23 @@ func (r *Runtime) PushBatch(tc trace.Ctx, stream string, rows []types.Row, now f
 	if now != nil {
 		rows = src.stampArrival(rows, now)
 	}
-	return src.deliver(r, tc, rows)
+	return src.deliver(r, tc, rows, nil)
+}
+
+// PushArchived is PushBatch for rows the caller also stores in a table, as a
+// replica applying a KindArchive event does: archive runs under the source
+// lock once the batch is validated and before any of it is delivered — so a
+// window the batch closes sees it archived, whoever drains the mailboxes —
+// with the batch's Ingest, owed whatever taps the stream has (nil when
+// nothing observes ingest). If archive fails the batch is not delivered.
+func (r *Runtime) PushArchived(tc trace.Ctx, stream string, rows []types.Row, archive func(in *Ingest) error) error {
+	src, err := r.lookup(stream)
+	if err != nil {
+		return err
+	}
+	src.mu.Lock()
+	defer src.unlock()
+	return src.deliver(r, tc, rows, archive)
 }
 
 // prepare validates a batch and stamps each row with its timestamp,
@@ -582,9 +649,9 @@ func (s *source) stampArrival(rows []types.Row, now func() time.Time) []types.Ro
 // deliver validates one batch of a base stream and fans it out. A row at
 // ts proves every window closing at or before ts complete, so each feed
 // fires those closes before taking the row — per feed, rows and closes
-// interleave exactly as in row-at-a-time delivery.
-// Callers hold s.mu.
-func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
+// interleave exactly as in row-at-a-time delivery. archive, when not nil, is
+// PushArchived's. Callers hold s.mu.
+func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive func(*Ingest) error) error {
 	block, err := s.prepare(r, rows, 0, false)
 	if err != nil {
 		return err
@@ -601,20 +668,25 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
 	if r.tracer != nil && tc.ID == 0 && tc.Ingest == 0 && !s.internal {
 		tc = r.tracer.Begin(s.name, len(batch))
 	}
-	s.rows.Add(int64(len(batch)))
+	var in *Ingest
 	if r.OnIngest != nil && s.cqtimeCol >= 0 && !s.internal {
-		// The batch entered the stream (the clock advanced) even if a
-		// subscriber sink fails below, so the event is published before
-		// fan-out. Copy the rows out of the pooled batch block: the
-		// observer may retain the slice.
-		accepted := make([]types.Row, len(batch))
-		for i := range batch {
-			accepted[i] = batch[i].row
-		}
-		r.OnIngest(tc, s.name, accepted)
+		s.ingest = Ingest{r: r, tc: tc, stream: s.name, batch: batch, owed: true}
+		in = &s.ingest
 	}
+	if archive != nil {
+		if err := archive(in); err != nil {
+			return err
+		}
+	} else if len(s.taps) != 1 {
+		// Nobody archives the batch, or more than one channel does: it entered
+		// the stream (the clock advanced) even if a subscriber sink fails
+		// below, so it is published before fan-out. A stream's one tap gets
+		// the chance to report it first; fanOut publishes what the tap left.
+		in.Publish()
+	}
+	s.rows.Add(int64(len(batch)))
 	return errors.Join(s.fanOut(r, task{kind: taskBatch, batch: batch, block: block,
-		ts: batch[len(batch)-1].ts, tc: tc}, true))
+		ts: batch[len(batch)-1].ts, tc: tc}, true, in))
 }
 
 // fanOut hands one task to every subscriber of the source. Mailboxes are
@@ -627,8 +699,11 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row) error {
 // back apart from the swept ones, which are the subscribers' own. bounded
 // applies the mailbox backpressure bound — true only on the external
 // producer path, never for work originating inside the pool (see
-// worker.go). Callers hold s.mu.
-func (s *source) fanOut(r *Runtime, t task, bounded bool) (tapErr, swept error) {
+// worker.go). in is a base-stream batch's Ingest (nil otherwise): what the
+// taps leave owed is published before any mailbox is drained here, so what
+// this goroutine derives from the batch is sequenced after it. Callers hold
+// s.mu.
+func (s *source) fanOut(r *Runtime, t task, bounded bool, in *Ingest) (tapErr, swept error) {
 	s.enqueue(r, t, bounded)
 	var errs []error
 	if t.kind != taskAdvance && len(s.taps) > 0 {
@@ -637,12 +712,13 @@ func (s *source) fanOut(r *Runtime, t task, bounded bool) (tapErr, swept error) 
 			rb.rows = append(rb.rows, tr.row)
 		}
 		for _, tap := range s.taps {
-			if err := (*tap)(t.tc, t.ts, rb.rows); err != nil {
+			if err := (*tap)(t.tc, t.ts, rb.rows, in); err != nil {
 				errs = append(errs, err)
 			}
 		}
 		rb.put()
 	}
+	in.Publish()
 	s.drainClaimedLocked()
 	return errors.Join(errs...), s.sweepFailedLocked()
 }
@@ -708,23 +784,23 @@ func (r *Runtime) Advance(stream string, ts int64) error {
 	if r.OnAdvance != nil && src.cqtimeCol >= 0 {
 		r.OnAdvance(src.name, ts)
 	}
-	return errors.Join(src.fanOut(r, task{kind: taskAdvance, ts: ts}, true))
+	return errors.Join(src.fanOut(r, task{kind: taskAdvance, ts: ts}, true, nil))
 }
 
 // Tap attaches a raw sink to a stream. On a derived stream the sink
 // receives every emission (close timestamp + rows); on a base stream it
-// receives each pushed row. Channels use taps to copy stream contents into
+// receives each pushed batch. Channels use taps to copy stream contents into
 // tables (paper §3.3); a base-stream channel archives the raw feed. The
 // returned function detaches the tap.
-func (r *Runtime) Tap(stream string, sink Sink) (func(), error) {
+func (r *Runtime) Tap(stream string, tap Tap) (func(), error) {
 	src, err := r.lookup(stream)
 	if err != nil {
 		return nil, err
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	src.taps = append(src.taps, &sink)
-	handle := &sink
+	handle := &tap
+	src.taps = append(src.taps, handle)
 	return func() {
 		src.mu.Lock()
 		defer src.mu.Unlock()
@@ -772,7 +848,7 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 	// Unbounded: emissions may originate on a pool worker, which must
 	// never block on another feed's mailbox bound (deadlock).
 	tapErr, swept := src.fanOut(r, task{kind: taskEmission, batch: block.rows, block: block,
-		ts: closeTS, tc: tc}, false)
+		ts: closeTS, tc: tc}, false, nil)
 	if tapErr == nil && swept != nil {
 		return downstream{swept}
 	}

@@ -82,6 +82,7 @@ func TestMetricNamingConventions(t *testing.T) {
 		"streamrel_repl_events_total",
 		"streamrel_repl_ring_events",
 		"streamrel_repl_ring_bytes",
+		"streamrel_repl_unfused_batches_total",
 		"streamrel_sysmon_snapshots_total",
 		"streamrel_sysmon_errors_total",
 		"streamrel_sysmon_snapshot_seconds",

@@ -1,7 +1,8 @@
 // Package replica runs a streamrel engine as a read replica of a primary
 // server: it connects with the client package's "replicate" op, applies
 // the primary's replication frames (DDL, inserts/deletes at the
-// primary's RowIDs, stream appends and heartbeats) into its local engine
+// primary's RowIDs, stream appends — alone, or with the raw archive of the
+// same rows — and heartbeats) into its local engine
 // — which runs its own continuous queries, so local subscribers get
 // window fires — reconnects with exponential backoff plus jitter when the
 // primary goes away, persists its resume point, and supports explicit
@@ -372,6 +373,14 @@ func (r *Replica) apply(ev *repl.Event) error {
 	case repl.KindAppend:
 		start := r.spanStart(ev)
 		if err := r.eng.ApplyReplicatedAppend(ev.Stream, ev.Rows, ev.Trace); err != nil {
+			return err
+		}
+		r.recordApply(ev, start, ev.Stream, len(ev.Rows))
+		return r.applied(ev)
+
+	case repl.KindArchive:
+		start := r.spanStart(ev)
+		if err := r.eng.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace); err != nil {
 			return err
 		}
 		r.recordApply(ev, start, ev.Stream, len(ev.Rows))

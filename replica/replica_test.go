@@ -22,7 +22,14 @@ type node struct {
 
 func startNode(t *testing.T, dir, listen string) *node {
 	t.Helper()
-	eng, err := streamrel.Open(streamrel.Config{Dir: dir, Replicate: true})
+	return startServing(t, streamrel.Config{Dir: dir}, listen)
+}
+
+// startServing opens an engine and serves it on listen, replication included.
+func startServing(t *testing.T, cfg streamrel.Config, listen string) *node {
+	t.Helper()
+	cfg.Replicate = true
+	eng, err := streamrel.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +54,13 @@ func startReplica(t *testing.T, addr, dir string) (*streamrel.Engine, *replica.R
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng, follow(t, eng, addr, dir)
+}
+
+// follow starts a replica of addr on eng, persisting its resume point in dir
+// when that is not empty.
+func follow(t *testing.T, eng *streamrel.Engine, addr, dir string) *replica.Replica {
+	t.Helper()
 	rep, err := replica.New(replica.Options{
 		Addr:       addr,
 		Engine:     eng,
@@ -58,7 +72,7 @@ func startReplica(t *testing.T, addr, dir string) (*streamrel.Engine, *replica.R
 		t.Fatal(err)
 	}
 	rep.Start()
-	return eng, rep
+	return rep
 }
 
 func mustExec(t *testing.T, e *streamrel.Engine, sql string) {
@@ -213,8 +227,10 @@ func TestReplicaRestartResumesIncrementally(t *testing.T) {
 	reng2, rep2 := startReplica(t, prim.addr, dir)
 	defer reng2.Close()
 	defer rep2.Stop()
-	if rep2.LastLSN() != resumeAt {
-		t.Fatalf("restarted replica resumes at %d, want persisted %d", rep2.LastLSN(), resumeAt)
+	// startReplica has already started streaming, so the resume point may
+	// have moved on from the persisted one — never back to zero.
+	if got := rep2.LastLSN(); got < resumeAt {
+		t.Fatalf("restarted replica resumes at %d, want persisted %d", got, resumeAt)
 	}
 	if err := rep2.WaitCaughtUp(10 * time.Second); err != nil {
 		t.Fatal(err)

@@ -5,52 +5,28 @@ import (
 	"time"
 
 	"streamrel"
-	"streamrel/internal/server"
 	"streamrel/internal/trace"
 	"streamrel/replica"
 )
 
 // startTracedPair starts a primary node and an attached replica, both with
-// every-batch tracing (the harness startNode hardcodes default tracing, so
-// the trace tests build their own pair).
+// every-batch tracing.
 func startTracedPair(t *testing.T) (*node, *streamrel.Engine, *replica.Replica) {
 	t.Helper()
-	peng, err := streamrel.Open(streamrel.Config{Replicate: true, TraceSampleEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(peng)
-	srv.Replicate = peng.Repl().ServeConn
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	prim := &node{eng: peng, srv: srv, addr: addr}
-
+	prim := startServing(t, streamrel.Config{TraceSampleEvery: 1}, "127.0.0.1:0")
 	reng, err := streamrel.Open(streamrel.Config{Replicate: true, TraceSampleEvery: 1})
 	if err != nil {
 		prim.stop()
 		t.Fatal(err)
 	}
-	rep, err := replica.New(replica.Options{
-		Addr:       addr,
-		Engine:     reng,
-		BackoffMin: 20 * time.Millisecond,
-		BackoffMax: 200 * time.Millisecond,
-	})
-	if err != nil {
-		reng.Close()
-		prim.stop()
-		t.Fatal(err)
-	}
-	rep.Start()
-	return prim, reng, rep
+	return prim, reng, follow(t, reng, prim.addr, "")
 }
 
 // TestReplicaApplySharesPrimaryTraceID is the end-to-end acceptance check:
 // a sampled batch ingested on the primary produces a replica-apply span on
-// the replica under the SAME trace ID as the primary's ingest span.
+// the replica under the SAME trace ID as the primary's ingest span — and
+// exactly one when the batch was also archived by the stream's channel, since
+// append and archive cross the link as one event.
 func TestReplicaApplySharesPrimaryTraceID(t *testing.T) {
 	prim, reng, rep := startTracedPair(t)
 	defer prim.stop()
@@ -89,9 +65,50 @@ func TestReplicaApplySharesPrimaryTraceID(t *testing.T) {
 			if sp.Stream != "s" || sp.Rows == 0 {
 				t.Fatalf("replica-apply span missing stream/rows: %+v", sp)
 			}
+			archivedBatchAppliesOnce(t, prim, reng, rep, base.Add(time.Hour))
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("replica never recorded a replica-apply span")
+}
+
+// archivedBatchAppliesOnce gives s a raw-archive channel and appends one
+// batch: the replica must record one replica-apply span under that batch's
+// trace, covering its rows, where an append frame and a WAL frame made two.
+func archivedBatchAppliesOnce(t *testing.T, prim *node, reng *streamrel.Engine, rep *replica.Replica, at time.Time) {
+	t.Helper()
+	mustExec(t, prim.eng, `CREATE TABLE raw (v bigint, at timestamp)`)
+	mustExec(t, prim.eng, `CREATE CHANNEL raw_ch FROM s INTO raw APPEND`)
+	before := map[uint64]bool{}
+	for _, sp := range prim.eng.Traces() {
+		before[sp.Trace] = true
+	}
+	if err := prim.eng.Append("s",
+		streamrel.Row{streamrel.Int(1), streamrel.Timestamp(at)},
+		streamrel.Row{streamrel.Int(2), streamrel.Timestamp(at.Add(time.Second))}); err != nil {
+		t.Fatal(err)
+	}
+	var batch uint64
+	for _, sp := range prim.eng.Traces() {
+		if sp.Stage == trace.StageIngest && sp.Stream == "s" && !before[sp.Trace] {
+			batch = sp.Trace
+		}
+	}
+	if batch == 0 {
+		t.Fatal("the primary did not trace the archived batch")
+	}
+	if err := rep.WaitFor(prim.eng.Repl().LSN(), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var applies []trace.Span
+	for _, sp := range reng.Traces() {
+		if sp.Stage == trace.StageReplicaApply && sp.Trace == batch {
+			applies = append(applies, sp)
+		}
+	}
+	if len(applies) != 1 || applies[0].Stream != "s" || applies[0].Rows != 2 {
+		t.Fatalf("replica-apply spans under the archived batch's trace %016x: %+v, want one of 2 rows on s", batch, applies)
+	}
+	waitConverged(t, prim.eng, reng, `SELECT v FROM raw ORDER BY v`, false)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"streamrel/internal/catalog"
+	"streamrel/internal/metrics"
 	"streamrel/internal/repl"
 	"streamrel/internal/sql"
 	"streamrel/internal/storage"
@@ -25,11 +26,25 @@ var ErrReadReplica = errors.New("streamrel: engine is a read replica; writes are
 // the current LSN.
 func (e *Engine) Repl() *repl.Primary { return e.hub }
 
+// Why a base-stream channel's batch shipped as a stream append and a separate
+// WAL batch, not as one event: Engine.unfused's indices, and the reason label
+// of streamrel_repl_unfused_batches_total.
+const (
+	unfusedCast          = iota // the table's column types differ from the stream's
+	unfusedSecondChannel        // the stream feeds more than one channel
+	unfusedCommitFailed         // the channel's write failed; only the append ships
+)
+
 // initReplication builds the hub and wires the publish hooks. Called once
 // from Open, before any writes.
 func (e *Engine) initReplication() {
 	e.hub = repl.NewPrimary(repl.Config{Metrics: e.reg, RingSize: e.cfg.ReplRingSize})
 	e.hub.Snapshot = e.replicationSnapshot
+	for i, reason := range [...]string{"cast", "second_channel", "commit_failed"} {
+		e.unfused[i] = e.reg.Counter("streamrel_repl_unfused_batches_total",
+			"raw-archive channel batches that crossed the replication link as a stream append and a separate WAL batch instead of one event",
+			metrics.L("reason", reason))
+	}
 	// The repl package stays trace-agnostic: the hook narrows the trace
 	// context to the bare ID the wire format carries.
 	e.rt.OnIngest = func(tc trace.Ctx, stream string, rows []types.Row) {
@@ -52,10 +67,11 @@ func (e *Engine) ReplicaMode() bool { return e.replicaMode.Load() }
 
 // BeginReplica puts the engine into replica mode: user writes are
 // rejected, channel taps stop writing tables (the primary's channel
-// writes arrive through the replicated WAL instead, avoiding
-// double-apply), and the late-row policy becomes clamp so replayed stream
-// rows whose timestamps the primary already clamped are accepted
-// verbatim.
+// writes arrive through the replicated log instead — a raw archive's with
+// the batch it stored, ApplyReplicatedArchive, every other channel's as a
+// WAL batch — avoiding double-apply), and the late-row policy becomes clamp
+// so replayed stream rows whose timestamps the primary already clamped are
+// accepted verbatim.
 func (e *Engine) BeginReplica() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -146,6 +162,58 @@ func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID ui
 	return e.rt.PushBatch(tc, streamName, rows, nil)
 }
 
+// ApplyReplicatedArchive applies a batch the primary both accepted into a
+// base stream and archived, unchanged, into table at the RowIDs in runs: the
+// one decoded row serves as the heap's and the stream's. The rows are inserted
+// at the primary's RowIDs in one local transaction — idempotent like
+// ApplyReplicated, so a snapshot overlap or a crash redo leaves the table as it
+// was — which runs and commits under the stream's delivery lock, once the
+// stream has accepted the batch and before it is delivered (a window the batch closes sees it archived, as fanOut arranges on
+// the primary), and then the rows enter the stream as in
+// ApplyReplicatedAppend. This engine's own hub republishes the batch as the
+// same single event when every row was new here; a batch that overlapped
+// what a snapshot already brought ships its append and whatever it did
+// insert separately.
+func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, runs []repl.RowIDRun, traceID uint64) error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	t, ok := e.cat.Table(table)
+	if !ok {
+		return fmt.Errorf("streamrel: replicated write to unknown table %q", table)
+	}
+	var tc trace.Ctx
+	if traceID != 0 && e.tracer != nil {
+		tc = e.tracer.Adopt(traceID)
+	}
+	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {
+		w := e.beginWrite(len(rows))
+		w.tc = tc
+		next := 0
+		for _, run := range runs {
+			if run.N > uint64(len(rows)-next) {
+				return w.fail(fmt.Errorf("streamrel: replicated archive of %d rows has RowID runs for more", len(rows)))
+			}
+			for rid := run.First; rid < run.First+run.N; rid++ {
+				if err := w.insertRowAt(t, storage.RowID(rid), rows[next]); err != nil {
+					return w.fail(err)
+				}
+				next++
+			}
+		}
+		if next != len(rows) {
+			return w.fail(fmt.Errorf("streamrel: replicated archive of %d rows has RowID runs for %d", len(rows), next))
+		}
+		if in.Owed() {
+			if len(w.recs) == len(rows) {
+				w.in, w.rows = in, rows
+			} else {
+				in.Publish()
+			}
+		}
+		return w.commit()
+	})
+}
+
 // ApplyReplicatedAdvance applies a replicated heartbeat.
 func (e *Engine) ApplyReplicatedAdvance(streamName string, ts int64) error {
 	e.mu.RLock()
@@ -169,7 +237,8 @@ func (e *Engine) ApplyReplicatedTableNext(table string, next uint64) error {
 // ReplicaCheckpoint runs when the primary checkpointed: both sides
 // compact heaps at the same point in the event order, so RowID numbering
 // stays aligned. Durable replicas take a full local checkpoint (which
-// also truncates their WAL); in-memory replicas just compact.
+// also truncates their WAL); in-memory replicas just compact. Either way the
+// marker goes on to this engine's own followers, which must compact too.
 func (e *Engine) ReplicaCheckpoint() error {
 	if e.log != nil {
 		return e.Checkpoint()
@@ -177,6 +246,9 @@ func (e *Engine) ReplicaCheckpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.compactTablesLocked()
+	if e.hub != nil {
+		e.hub.PublishCheckpoint()
+	}
 	return nil
 }
 
