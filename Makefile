@@ -112,10 +112,14 @@ bench-selftest:
 # VARCHAR, kept as test-only oracles — the shard router's batch split/merge
 # round-trip, the window-state equivalence property (what a store fires —
 # several views of one store, materialized and slice-merging, with CQs
-# detaching mid-run — == what re-execution fires, for arbitrary
-# append/advance/close sequences), the row-key encoding every hash
-# operator groups by (equal keys == equal rows, self-delimiting), and the
-# three-word Datum against the four-field one it replaced, every operation.
+# detaching mid-run, beside CQs sqlgen writes from the fuzzer's bytes — ==
+# what re-execution fires, for arbitrary append/advance/close sequences),
+# the row-key encoding every hash operator groups by (equal keys == equal
+# rows, self-delimiting), the three-word Datum against the four-field one it
+# replaced, every operation, and the SQL parser, on arbitrary bytes and on
+# the statement the same bytes choose from its grammar (no panic, an error
+# inside the input, a tree within maxNesting, and every SELECT prints as text
+# that parses and prints the same).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRowKey -fuzztime=$(FUZZTIME) ./internal/types
@@ -125,6 +129,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSamples -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzShardSplitMerge -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sql
 	$(GO) test -run=^$$ -fuzz=FuzzIVMEquivalence -fuzztime=$(FUZZTIME) .
 
 # cluster-smoke boots two shard streamrelds, a router, a replica of one

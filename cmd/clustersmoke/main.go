@@ -309,6 +309,9 @@ func main() {
 		// not an average of per-shard averages.
 		`SELECT avg(sv) FROM s_archive`,
 		`SELECT k, avg(sv) AS m, count(*) FROM s_archive GROUP BY k`,
+		// The scattered text is printed from the rewritten tree: temporal
+		// literals and a quoted name must reach the shards as they parsed.
+		`SELECT k, avg(sv), count(*) AS "N" FROM s_archive WHERE stime > TIMESTAMP '2000-01-01' + INTERVAL '1 day' GROUP BY k`,
 	} {
 		rres, err := router.Query(q)
 		if err != nil {

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamrel/internal/sql"
+	"streamrel/internal/sql/sqlgen"
 )
 
 // fuzzStoreQueries is the CQ set FuzzIVMEquivalence runs. q0 and q1 are
@@ -38,6 +41,44 @@ var fuzzStoreQueries = []string{
 		FROM s <VISIBLE '40 seconds' ADVANCE '10 seconds'>, dim d WHERE d.url = s.url GROUP BY d.cat`,
 }
 
+// fuzzStoreCQ writes, around sqlgen's typed expressions, an aggregate over
+// one time window of s grouped by url (and perhaps an expression), whose
+// aggregates and filters read v: the shape plan.WindowState keeps in a
+// slice-partial store, beside the fixed ones above. Arithmetic is over small
+// integers and divides by nothing but a literal, so no row makes a query fail
+// and no order of additions changes a sum.
+func fuzzStoreCQ(g *sqlgen.Gen) string {
+	g.Keys, g.Ints = []string{"url"}, []string{"v"}
+	groups := []string{"url"}
+	if g.Pick(3) == 2 {
+		groups = append(groups, g.Expr(sql.PrecAdd, 1)+" + v") // not a bare literal: that is a position
+	}
+	by := strings.Join(groups, ", ")
+	aggs := g.List(3, func() string {
+		agg := g.One("count(*)", "count(", "sum(", "min(", "max(", "avg(", "count(DISTINCT ", "last(")
+		if agg == "count(*)" {
+			return agg
+		}
+		return agg + g.Expr(sql.PrecAdd, 2) + ")"
+	})
+	q := fmt.Sprintf("SELECT %s, %s FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'>", by, aggs, 10*(1+g.Pick(4)))
+	if g.Pick(2) == 1 {
+		q += " WHERE " + g.Expr(sql.PrecOr, 2)
+	}
+	q += " GROUP BY " + by
+	if g.Pick(3) == 1 {
+		q += " HAVING count(*) > " + g.One("0", "1", "2")
+	}
+	if g.Pick(3) == 1 { // every group key breaks the tie, so LIMIT cuts one order
+		q += fmt.Sprintf(" ORDER BY %d%s", len(groups)+1, g.One("", " DESC"))
+		for i := range groups {
+			q += fmt.Sprintf(", %d", i+1)
+		}
+		q += fmt.Sprintf(" LIMIT %d", 1+g.Pick(3))
+	}
+	return q
+}
+
 // fuzzDimDML is what a tape byte 0xe0+k does to the dimension table: moves
 // between categories, removals, and inserts that duplicate a key (N:M) or
 // add one the stream may or may not carry.
@@ -65,39 +106,61 @@ var fuzzDimDML = []string{
 // small group-key space (including NULL keys and NULL aggregate inputs,
 // so retraction of NULL-bearing slices is covered). Values stay
 // integer-valued so float arithmetic is exact under any add/retract order.
+// A second byte string chooses up to three more CQs (fuzzStoreCQ), which
+// run beside fuzzStoreQueries and are never closed.
 func FuzzIVMEquivalence(f *testing.F) {
-	f.Add([]byte{0x00, 0x11, 0x22, 0xf0, 0x33, 0x44, 0xff, 0x55})
-	f.Add([]byte{0xf7, 0xf7, 0xf7, 0x01})
-	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0xf1, 0x90, 0xa0})
-	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x11, 0x22, 0xf0, 0x33, 0x44, 0xff, 0x55}, []byte{})
+	f.Add([]byte{0xf7, 0xf7, 0xf7, 0x01}, []byte{})
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0xf1, 0x90, 0xa0}, []byte{})
+	f.Add([]byte{}, []byte{})
 	// The widest view of each multi-view store closes mid-run (q4 at 40 s,
 	// q6 at 60 s): retention must shrink under the survivors.
 	f.Add([]byte{0x08, 0x11, 0x1a, 0xf1, 0x0b, 0x23, 0xf2, 0x09, 0xec, 0xee, 0x12, 0xf1, 0x0a, 0x1b,
-		0xf2, 0x13, 0xf3, 0x09, 0xf9})
+		0xf2, 0x13, 0xf3, 0x09, 0xf9}, []byte{})
 	// Every view of a store but one closes (q2, q3 leave q4; q5 leaves q6).
 	f.Add([]byte{0x09, 0x12, 0xf1, 0x0a, 0x4b, 0xea, 0xf2, 0x0b, 0xeb, 0x13, 0xf1, 0xed, 0x0c, 0x1d,
-		0xf2, 0x0a, 0xf4, 0x11, 0xfa})
+		0xf2, 0x0a, 0xf4, 0x11, 0xfa}, []byte{})
 	// The dimension table changes between closes: a move, an N:M duplicate,
 	// a delete of everything and a re-insert.
 	f.Add([]byte{0x09, 0x12, 0x1b, 0xf1, 0xe0, 0x0a, 0x13, 0xf2, 0xe3, 0x11, 0x19, 0xf1, 0xe7, 0x0b, 0xf1,
-		0xe2, 0xe6, 0x14, 0x2b, 0x33, 0xf3, 0xe4, 0xe1, 0xf9})
+		0xe2, 0xe6, 0x14, 0x2b, 0x33, 0xf3, 0xe4, 0xe1, 0xf9}, []byte{})
 	// Rows held across closes: /u2 leaves q0's window at the close of 40 s,
 	// which is also a full carve (the blocks carved at 10, 20 and 30 s hold
 	// 7 rows, over twice the 2 live groups), and re-enters at 50 s; /u0 and
 	// /u1 change at every close, and every multi-second view sees the same.
 	f.Add([]byte{0x01, 0x09, 0x11, 0xf2, 0x01, 0x09, 0xf2, 0x01, 0x09, 0xf2, 0x11, 0x01, 0xf2, 0x09, 0x11,
-		0xf2, 0x01, 0xf5})
-	f.Fuzz(func(t *testing.T, tape []byte) {
+		0xf2, 0x01, 0xf5}, []byte{})
+	// Generated CQs over the last tape: hoisted and base filters, ORDER BY …
+	// LIMIT, a grouping expression, DISTINCT (no retract form), OR, HAVING,
+	// NOT IN, NOT BETWEEN.
+	//	SELECT url, avg(3) … WHERE url IS NOT NULL and url = '/u1' and url IS NOT NULL GROUP BY url ORDER BY 2 DESC, 1 LIMIT 3
+	//	SELECT url, v + v, count(DISTINCT v) … WHERE v - 2 NOT IN (v, v + 3, 1) GROUP BY url, v + v HAVING count(*) > 2
+	//	SELECT url, avg(7), avg(v), count(*) … WHERE v IS NOT NULL or v IN (v, v) GROUP BY url HAVING count(*) > 0 ORDER BY 2, 1 LIMIT 1
+	//	SELECT url, sum(v) … WHERE (v) NOT BETWEEN 1 AND v GROUP BY url
+	for _, gen := range []string{
+		"\x3d\x75\x48\x58\xde\x4e\xa5\x71\x9e\x0c\xec\xa9\x7e\x81\xd5\x08\x84\xb4\xce\xc9\xe8\x34\x4d\x79\x99\x26\x2f\x7f\x0f\x98\x55\x74\x86\xfd\x1f\xca\x77\x43\x14\xc5\x56\x60\x00\x7f\x18\xe7\xc4\x74\x25\x7b\x75\xcb\xeb\x82\xcd\xb6\xa6\x2c\xa4\x62\x23\x8e\x73\x5c" +
+			"\x32\x3f\x70\x87\x01\xdc\xe4\x4d\x9e\x54\x57\x71\xc9\x77\xe8\x5e\xcc\x69\x69\xe2\x73\x7b\x7d\x41\x2c\x09\x34\xa6\x24\x33\xc9\x10\x15\x18\x4f\x37\x5d\xd3\xd3\x7e\xf4\x9d\x98\xb3\x2e\x2e\x11\xc1\xf0\x71\x11\xf8\xbe\x12\x88\xae\xb4\x27\x72\xdd\xc9\x92\x5c\x87\x3a\x50\x76\x5f\xbc\x1f\x2c\x69",
+		"\x18\x5d\xd2\xa8\xe9\x6e\x0a\x93\x23\x0e\x05\x3e\x8a\xe4\x6e\x11\xba\x0e\x48\x2c\x49\xd1\x46\x68\xc4\xc1\xe5\x2a\x11\xb0\x52\xb2\x25\x79\xd5\xea\x99\xc4\x7c\x63\x59\xac\x90\x5e\xb0\x03\xc8\xea\x9f\xc5\x43\xec\x9e\x67\xb1\xb6\x03\xda\x87\x3a\x83\xf7\xfc\xee\xac\xed" +
+			"\x82\x4a\xef\xe6\x83\xb7\x3e\x24\x6f\x6f\x38\xd1\x3e\x9f\x10\xb2\xa0\xa5\x6a\xe0\x07\xe1\x3d\xce\x25\x1a\xbb\xf5\x4a\xa8\x4b\xd9\x66\xc3\xe7\x84\x36\xfa\xa7\xc7\x6b\xd8\xd7\xf5\x14",
+	} {
+		f.Add([]byte{0x01, 0x09, 0x11, 0xf2, 0x01, 0x09, 0xf2, 0x01, 0x09, 0xf2, 0x11, 0x01, 0xf2, 0x09, 0x11,
+			0xf2, 0x01, 0xf5}, []byte(gen))
+	}
+	f.Fuzz(func(t *testing.T, tape, gen []byte) {
+		queries := fuzzStoreQueries
+		for g := (&sqlgen.Gen{Data: gen}); len(g.Data) > 0 && len(queries) < len(fuzzStoreQueries)+3; {
+			queries = append(queries[:len(queries):len(queries)], fuzzStoreCQ(g))
+		}
 		run := func(mode string) [][]string {
 			e := openMemMode(t, mode)
 			mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint, f double)`)
 			mustExec(t, e, `CREATE TABLE dim (url varchar, cat varchar)`)
 			mustExec(t, e, `INSERT INTO dim VALUES ('/u0', 'c0'), ('/u1', 'c0'), ('/u2', 'c1'), ('/u3', 'c1'), ('/u3', 'c2')`)
-			cqs := make([]*CQ, len(fuzzStoreQueries))
-			for i, q := range fuzzStoreQueries {
+			cqs := make([]*CQ, len(queries))
+			for i, q := range queries {
 				cq, err := e.Subscribe(q)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", q, err)
 				}
 				defer cq.Close()
 				cqs[i] = cq
@@ -146,9 +209,9 @@ func FuzzIVMEquivalence(f *testing.F) {
 		ref := run("reexec")
 		for _, mode := range []string{"incremental", "shared"} {
 			got := run(mode)
-			for qi := range fuzzStoreQueries {
+			for qi, q := range queries {
 				if a, b := strings.Join(got[qi], "\n"), strings.Join(ref[qi], "\n"); a != b {
-					t.Fatalf("q%d: %s and re-exec transcripts differ:\n%s:\n%s\nreexec:\n%s", qi, mode, mode, a, b)
+					t.Fatalf("q%d (%s): %s and re-exec transcripts differ:\n%s:\n%s\nreexec:\n%s", qi, q, mode, mode, a, b)
 				}
 			}
 		}

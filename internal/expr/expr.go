@@ -485,8 +485,5 @@ type ConstBinder struct{}
 
 // ResolveColumn always fails.
 func (ConstBinder) ResolveColumn(table, name string) (ColumnBinding, error) {
-	if table != "" {
-		name = table + "." + name
-	}
-	return ColumnBinding{}, fmt.Errorf("expr: column %q not allowed in this context", name)
+	return ColumnBinding{}, fmt.Errorf("expr: column %s not allowed in this context", &sql.ColumnRef{Table: table, Name: name})
 }

@@ -69,7 +69,6 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 			name = cr.Name
 		}
 		postCols = append(postCols, scopeCol{qual: aggQual, name: name, typ: compiledGroups[i].Type})
-		_ = name
 	}
 	for i, spec := range aggSpecs {
 		postCols = append(postCols, scopeCol{qual: aggQual, name: fmt.Sprintf("#a%d", i), typ: spec.ResultType()})
@@ -79,7 +78,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 	// rewrite maps post-aggregation AST onto the agg output layout.
 	rewrite := func(e sql.Expr) (sql.Expr, error) {
 		var rewriteErr error
-		out := rewriteExpr(e, func(x sql.Expr) (sql.Expr, bool) {
+		out := sql.Rewrite(e, func(x sql.Expr) (sql.Expr, bool) {
 			// Aggregate call → its output column.
 			if fc, ok := x.(*sql.FuncCall); ok && expr.IsAggregate(fc.Name) {
 				for i, call := range aggCalls {
@@ -347,23 +346,13 @@ func aggCallsOf(sel *sql.Select) []*sql.FuncCall {
 func postKeyString(resid []sql.Expr, sel *sql.Select) string {
 	rs := make([]string, len(resid))
 	for i, c := range resid {
-		rs[i] = c.String()
+		rs[i] = sql.Format(c) + ";"
 	}
 	sort.Strings(rs)
 	var b strings.Builder
-	b.WriteString("R:")
-	for _, s := range rs {
-		b.WriteString(s)
-		b.WriteByte(';')
-	}
-	b.WriteString("|H:")
-	if sel.Having != nil {
-		b.WriteString(sel.Having.String())
-	}
-	b.WriteString("|S:")
+	b.WriteString("R:" + strings.Join(rs, "") + "|H:" + sql.Format(sel.Having) + "|S:")
 	for _, item := range sel.Items {
-		b.WriteString(item.Expr.String())
-		b.WriteByte(';')
+		b.WriteString(sql.Format(item.Expr) + ";")
 	}
 	if sel.Distinct {
 		b.WriteString("|D")
@@ -393,33 +382,26 @@ func sameExpr(a, c sql.Expr, sc *scope) bool {
 // under an alias and plain `url` key the same store.
 func fingerprint(stream string, where sql.Expr, groups []sql.Expr, aggs []*sql.FuncCall) string {
 	var b strings.Builder
-	b.WriteString(stream)
-	b.WriteString("|W:")
-	if where != nil {
-		b.WriteString(unqualified(where))
-	}
-	b.WriteString("|G:")
+	b.WriteString(stream + "|W:" + unqualified(where) + "|G:")
 	for _, g := range groups {
-		b.WriteString(unqualified(g))
-		b.WriteByte(';')
+		b.WriteString(unqualified(g) + ";")
 	}
 	b.WriteString("|A:")
 	for _, a := range aggs {
-		b.WriteString(unqualified(a))
-		b.WriteByte(';')
+		b.WriteString(unqualified(a) + ";")
 	}
 	return b.String()
 }
 
-// unqualified prints e with the qualifier dropped from every column
-// reference.
+// unqualified prints e (nothing for nil) with the qualifier dropped from
+// every column reference.
 func unqualified(e sql.Expr) string {
-	return rewriteExpr(e, func(x sql.Expr) (sql.Expr, bool) {
+	return sql.Format(sql.Rewrite(e, func(x sql.Expr) (sql.Expr, bool) {
 		if cr, ok := x.(*sql.ColumnRef); ok && cr.Table != "" {
 			return &sql.ColumnRef{Name: cr.Name}, true
 		}
 		return x, false
-	}).String()
+	}))
 }
 
 // sliceExprsCall reports whether the slice-evaluated parts of the query

@@ -190,7 +190,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 	// lift rewrites an expression above the aggregation — aggregate calls
 	// to their final forms, stream-side group expressions to #pre columns.
 	lift := func(e sql.Expr) sql.Expr {
-		return rewriteExpr(e, func(x sql.Expr) (sql.Expr, bool) {
+		return sql.Rewrite(e, func(x sql.Expr) (sql.Expr, bool) {
 			if fc, ok := x.(*sql.FuncCall); ok && expr.IsAggregate(fc.Name) {
 				return final[fc.String()], true
 			}
@@ -320,24 +320,17 @@ func (f *flatFrom) sides(e sql.Expr) (stream, table bool) {
 }
 
 // selectKey canonically renders an enrichment post block for PostKey:
-// everything that distinguishes two post stages over the same store —
-// projection (aliases excluded), joined tables, WHERE conjuncts (sorted:
-// conjunction commutes), final GROUP BY, HAVING, ORDER BY, LIMIT, DISTINCT.
+// everything that distinguishes two post stages over the same store, which
+// is the block as the printer prints it, less what names without computing
+// (aliases) or orders without meaning (WHERE conjuncts, sorted).
 func selectKey(sel *sql.Select) string {
-	items := make([]sql.Expr, len(sel.Items))
+	key := *sel
+	key.Items = make([]sql.SelectItem, len(sel.Items))
 	for i, item := range sel.Items {
-		items[i] = item.Expr
+		key.Items[i].Expr = item.Expr
 	}
-	from := make([]string, len(sel.From))
-	for i, ref := range sel.From {
-		t := ref.(*sql.BaseTable)
-		from[i] = t.Name + " " + tableAlias(t)
-	}
-	var where []string
-	for _, c := range splitConjuncts(sel.Where) {
-		where = append(where, c.String())
-	}
-	sort.Strings(where)
-	return fmt.Sprintf("%v|F:%q|W:%q|G:%v|H:%v|O:%v|L:%v,%v|D:%v", items, from, where,
-		sel.GroupBy, sel.Having, sel.OrderBy, sel.Limit, sel.Offset, sel.Distinct)
+	conjs := splitConjuncts(sel.Where)
+	sort.Slice(conjs, func(i, j int) bool { return sql.Format(conjs[i]) < sql.Format(conjs[j]) })
+	key.Where = andAll(conjs)
+	return sql.Format(&key)
 }

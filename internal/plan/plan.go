@@ -188,21 +188,14 @@ func (s *scope) ResolveColumn(table, name string) (expr.ColumnBinding, error) {
 			continue
 		}
 		if found >= 0 {
-			return expr.ColumnBinding{}, fmt.Errorf("plan: column reference %q is ambiguous", refName(table, name))
+			return expr.ColumnBinding{}, fmt.Errorf("plan: column reference %s is ambiguous", &sql.ColumnRef{Table: table, Name: name})
 		}
 		found = i
 	}
 	if found < 0 {
-		return expr.ColumnBinding{}, fmt.Errorf("plan: column %q does not exist", refName(table, name))
+		return expr.ColumnBinding{}, fmt.Errorf("plan: column %s does not exist", &sql.ColumnRef{Table: table, Name: name})
 	}
 	return expr.ColumnBinding{Index: found, Type: s.cols[found].typ}, nil
-}
-
-func refName(table, name string) string {
-	if table != "" {
-		return table + "." + name
-	}
-	return name
 }
 
 // schemaOf converts scope columns to an output schema.
@@ -293,53 +286,6 @@ func containsAggregate(e sql.Expr) bool {
 		return true
 	})
 	return found
-}
-
-// rewriteExpr returns a copy of e with every node for which repl returns a
-// replacement substituted (top-down; replaced subtrees are not descended).
-func rewriteExpr(e sql.Expr, repl func(sql.Expr) (sql.Expr, bool)) sql.Expr {
-	if e == nil {
-		return nil
-	}
-	if r, ok := repl(e); ok {
-		return r
-	}
-	switch n := e.(type) {
-	case *sql.Literal, *sql.ColumnRef:
-		return e
-	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: n.Op, L: rewriteExpr(n.L, repl), R: rewriteExpr(n.R, repl)}
-	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: n.Op, E: rewriteExpr(n.E, repl)}
-	case *sql.FuncCall:
-		args := make([]sql.Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = rewriteExpr(a, repl)
-		}
-		return &sql.FuncCall{Name: n.Name, Args: args, Star: n.Star, Distinct: n.Distinct}
-	case *sql.CastExpr:
-		return &sql.CastExpr{E: rewriteExpr(n.E, repl), To: n.To}
-	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{E: rewriteExpr(n.E, repl), Neg: n.Neg}
-	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{E: rewriteExpr(n.E, repl), Lo: rewriteExpr(n.Lo, repl),
-			Hi: rewriteExpr(n.Hi, repl), Neg: n.Neg}
-	case *sql.InExpr:
-		list := make([]sql.Expr, len(n.List))
-		for i, a := range n.List {
-			list[i] = rewriteExpr(a, repl)
-		}
-		return &sql.InExpr{E: rewriteExpr(n.E, repl), List: list, Neg: n.Neg}
-	case *sql.LikeExpr:
-		return &sql.LikeExpr{E: rewriteExpr(n.E, repl), Pattern: rewriteExpr(n.Pattern, repl), Neg: n.Neg}
-	case *sql.CaseExpr:
-		whens := make([]sql.CaseWhen, len(n.Whens))
-		for i, w := range n.Whens {
-			whens[i] = sql.CaseWhen{Cond: rewriteExpr(w.Cond, repl), Result: rewriteExpr(w.Result, repl)}
-		}
-		return &sql.CaseExpr{Operand: rewriteExpr(n.Operand, repl), Whens: whens, Else: rewriteExpr(n.Else, repl)}
-	}
-	return e
 }
 
 // outName derives the output column name for a projection item.

@@ -285,17 +285,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 		var ob strings.Builder
 		ob.WriteString("|O:")
 		for _, item := range sel.OrderBy {
-			ob.WriteString(item.Expr.String())
-			if item.Desc {
-				ob.WriteString(" desc")
-			}
-			switch item.Nulls {
-			case sql.NullsFirst:
-				ob.WriteString(" nf")
-			case sql.NullsLast:
-				ob.WriteString(" nl")
-			}
-			ob.WriteByte(';')
+			ob.WriteString(sql.Format(item) + ";")
 		}
 		out.streamAgg = &StreamAgg{
 			Pred:        n.streamAgg.Pred,

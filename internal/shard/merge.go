@@ -122,8 +122,8 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 		keys[g.String()] = true
 	}
 	plan := &MergePlan{Kind: MergeAggregate, Cols: make([]ColMerge, 0, len(sel.Items))}
-	var scatterItems []string
-	rewrote := false
+	scatter := *sel // the query the shards run: sel with each avg split in two
+	scatter.Items = nil
 	for _, it := range sel.Items {
 		if it.Star || it.TableStar != "" {
 			return nil, fmt.Errorf("shard: * projection cannot be combined with aggregates across shards")
@@ -133,18 +133,18 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 		// sum(x), count(x) instead and recombine sum/count after the
 		// global merge.
 		if fc, ok := it.Expr.(*sql.FuncCall); ok && strings.EqualFold(fc.Name, "avg") && !fc.Distinct && len(fc.Args) == 1 {
-			arg := fc.Args[0].String()
-			scatterItems = append(scatterItems, "sum("+arg+")", "count("+arg+")")
+			scatter.Items = append(scatter.Items,
+				sql.SelectItem{Expr: &sql.FuncCall{Name: "sum", Args: fc.Args}},
+				sql.SelectItem{Expr: &sql.FuncCall{Name: "count", Args: fc.Args}})
 			name := it.Alias
 			if name == "" {
 				name = "avg"
 			}
 			plan.Out = append(plan.Out, OutCol{Src: len(plan.Cols), Count: len(plan.Cols) + 1, Name: name})
 			plan.Cols = append(plan.Cols, ColSum, ColCount)
-			rewrote = true
 			continue
 		}
-		scatterItems = append(scatterItems, itemText(it))
+		scatter.Items = append(scatter.Items, it)
 		plan.Out = append(plan.Out, OutCol{Src: len(plan.Cols), Count: -1})
 		if cm, ok := aggColMerge(it.Expr); ok {
 			var err error
@@ -160,62 +160,12 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 		}
 		return nil, fmt.Errorf("shard: output column %s is neither a combinable aggregate (count/sum/avg/min/max) nor a GROUP BY key", it.Expr.String())
 	}
-	if !rewrote {
+	if len(scatter.Items) == len(sel.Items) {
 		plan.Out = nil
 		return plan, nil
 	}
-	text, err := scatterText(sel, scatterItems)
-	if err != nil {
-		return nil, err
-	}
-	plan.ScatterSQL = text
+	plan.ScatterSQL = sql.Format(&scatter)
 	return plan, nil
-}
-
-// itemText renders one projection item for the scatter query, keeping the
-// alias so per-shard output columns keep their client-visible names.
-func itemText(it sql.SelectItem) string {
-	s := it.Expr.String()
-	if it.Alias != "" {
-		s += " AS " + it.Alias
-	}
-	return s
-}
-
-// scatterText renders the rewritten per-shard query. Only the shape the
-// rewrite applies to — a single windowed-or-plain base relation with
-// optional WHERE and GROUP BY (joins and subqueries never reach here:
-// they have no single partitioned base) — needs rendering.
-func scatterText(sel *sql.Select, items []string) (string, error) {
-	if len(sel.From) != 1 {
-		return "", fmt.Errorf("shard: avg over a multi-relation FROM cannot be scatter-gathered")
-	}
-	bt, ok := sel.From[0].(*sql.BaseTable)
-	if !ok {
-		return "", fmt.Errorf("shard: avg over a %T FROM cannot be scatter-gathered", sel.From[0])
-	}
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	b.WriteString(strings.Join(items, ", "))
-	b.WriteString(" FROM ")
-	b.WriteString(bt.Name)
-	if bt.Window != nil {
-		b.WriteString(" " + bt.Window.String())
-	}
-	if bt.Alias != "" {
-		b.WriteString(" " + bt.Alias)
-	}
-	if sel.Where != nil {
-		b.WriteString(" WHERE " + sel.Where.String())
-	}
-	if len(sel.GroupBy) > 0 {
-		gs := make([]string, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			gs[i] = g.String()
-		}
-		b.WriteString(" GROUP BY " + strings.Join(gs, ", "))
-	}
-	return b.String(), nil
 }
 
 // groupsByColumn reports whether any GROUP BY expression is a bare

@@ -338,3 +338,98 @@ func TestRouterWireTranscript(t *testing.T) {
 	defer conn.Close()
 	wiretest.Run(t, conn, wiretest.Transcript("router"))
 }
+
+// TestRouterScattersWhatItParsed: the query a router sends its shards when it
+// splits an avg is sql.Format of the rewritten tree, so whatever parsed at the
+// router parses at the shards and means the same — an INTERVAL and a
+// TIMESTAMP literal, a quoted column that needs its quotes, a mixed-case one
+// that would otherwise fold to another column — as a scatter query and as a
+// subscription, equal to what one node answers. The parent scattered
+// "(now() - 5 minutes)", "2020-01-01 00:00:00.000000", "sum(my col)" and
+// MixedCase unquoted.
+func TestRouterScattersWhatItParsed(t *testing.T) {
+	tc := startCluster(t, 2)
+	c, err := client.Dial(tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	single, err := streamrel.Open(streamrel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, ddl := range []string{
+		`CREATE STREAM s (k varchar, region varchar, "MixedCase" bigint, mixedcase bigint, "my col" bigint, at timestamp CQTIME USER) PARTITION BY k`,
+		`CREATE TABLE raw (k varchar, region varchar, "MixedCase" bigint, mixedcase bigint, "my col" bigint, at timestamp)`,
+		`CREATE CHANNEL raw_ch FROM s INTO raw APPEND`,
+	} {
+		if _, err := c.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+		if _, err := single.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	const where = ` WHERE at > TIMESTAMP '2009-01-04 00:00:10' - INTERVAL '5 seconds' AND at < TIMESTAMP '2009-01-04T00:00:50Z'`
+	const items = `SELECT region, avg("my col") AS m, avg("MixedCase"), avg(mixedcase) AS lower, count(*) FROM `
+	cq := items + `s <VISIBLE '1 minute' ADVANCE '1 minute'>` + where + ` GROUP BY region`
+	sub, err := c.Subscribe(cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := single.Subscribe(cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base := ts(t, "2009-01-04 00:00:00")
+	var rows []client.Row
+	for i := 0; i < 60; i++ {
+		rows = append(rows, client.Row{
+			types.NewString([]string{"alpha", "bravo", "charlie", "delta", "echo"}[i%5]),
+			types.NewString([]string{"eu", "us", "ap"}[i%3]),
+			types.NewInt(int64(i * i)), types.NewInt(int64(-i)), types.NewInt(int64(7 * i)),
+			types.NewTimestamp(base.Add(time.Duration(i) * time.Second)),
+		})
+	}
+	if err := c.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance("s", base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.AdvanceTime("s", base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	render := func(rows []types.Row) string {
+		sortRows(rows)
+		var lines []string
+		for _, r := range rows {
+			lines = append(lines, r.String())
+		}
+		return strings.Join(lines, "\n")
+	}
+	want, ok := ref.Next()
+	if got := nextBatch(t, sub); !ok || len(want.Rows) != 3 || render(got.Rows) != render(want.Rows) {
+		t.Fatalf("subscription through the router:\n%s\nsingle node:\n%s", render(got.Rows), render(want.Rows))
+	}
+	q := items + `raw` + where + ` GROUP BY region`
+	got, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := single.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Data) != 3 || render(got.Data) != render(one.Data) {
+		t.Fatalf("query through the router:\n%s\nsingle node:\n%s", render(got.Data), render(one.Data))
+	}
+	if got.Columns[1].Name != "m" || got.Columns[2].Name != "avg" {
+		t.Fatalf("columns %+v", got.Columns)
+	}
+}

@@ -118,6 +118,23 @@ func TestPlanMergeRules(t *testing.T) {
 		t.Fatalf("scatter sql does not re-parse: %v", err)
 	}
 
+	// The scatter text is the printer's: what needs quotes or a keyword to
+	// parse again has them.
+	p, err = planFor(t, `SELECT region, avg("my col"), avg("MixedCase") x FROM s <ADVANCE '1 minute'>
+		WHERE at > now() - INTERVAL '5 minutes' AND at < TIMESTAMP '2020-01-01' GROUP BY region`, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSQL = `SELECT region, sum("my col"), count("my col"), sum("MixedCase"), count("MixedCase") ` +
+		`FROM s <VISIBLE '1 minute' ADVANCE '1 minute'> ` +
+		`WHERE ((at > (now() - INTERVAL '5 minutes')) AND (at < TIMESTAMP '2020-01-01 00:00:00.000000')) GROUP BY region`
+	if p.ScatterSQL != wantSQL {
+		t.Fatalf("scatter sql = %q, want %q", p.ScatterSQL, wantSQL)
+	}
+	if again, err := sql.Parse(p.ScatterSQL); err != nil || sql.Format(again) != wantSQL {
+		t.Fatalf("scatter sql parses to %v, %v", again, err)
+	}
+
 	for _, bad := range []string{
 		`SELECT avg(DISTINCT v) FROM s`,
 		`SELECT stddev(v) FROM s`,

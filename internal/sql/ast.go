@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"fmt"
 	"strings"
 
 	"streamrel/internal/types"
@@ -324,18 +323,7 @@ type WindowSpec struct {
 	Advance int64 // micros or rows; for WindowSlices fixed at 1 emission
 }
 
-func (w *WindowSpec) String() string {
-	switch w.Kind {
-	case WindowTime:
-		return fmt.Sprintf("<VISIBLE '%s' ADVANCE '%s'>",
-			types.FormatInterval(w.Visible), types.FormatInterval(w.Advance))
-	case WindowRows:
-		return fmt.Sprintf("<VISIBLE %d ROWS ADVANCE %d ROWS>", w.Visible, w.Advance)
-	case WindowSlices:
-		return fmt.Sprintf("<SLICES %d WINDOWS>", w.Visible)
-	}
-	return "<?>"
-}
+func (w *WindowSpec) String() string { return Format(w) }
 
 // ---------------------------------------------------------------- exprs
 
@@ -366,13 +354,16 @@ const (
 	OpConcat
 )
 
-var binOpNames = map[BinOp]string{
-	OpEq: "=", OpNe: "<>", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
-	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpMod: "%",
-	OpAnd: "AND", OpOr: "OR", OpConcat: "||",
+// String is the operator as the printer spells it: its first spelling in
+// the precedence table.
+func (o BinOp) String() string {
+	for _, b := range BinaryOps {
+		if b.Op == o {
+			return strings.ToUpper(b.Text)
+		}
+	}
+	return "?"
 }
-
-func (o BinOp) String() string { return binOpNames[o] }
 
 // BinaryExpr is L op R.
 type BinaryExpr struct {
@@ -456,100 +447,17 @@ func (*InExpr) exprNode()      {}
 func (*LikeExpr) exprNode()    {}
 func (*CaseExpr) exprNode()    {}
 
-func (e *Literal) String() string {
-	if e.Val.Type() == types.TypeString {
-		return "'" + strings.ReplaceAll(e.Val.Str(), "'", "''") + "'"
-	}
-	return e.Val.String()
-}
-
-func (e *ColumnRef) String() string {
-	if e.Table != "" {
-		return e.Table + "." + e.Name
-	}
-	return e.Name
-}
-
-func (e *BinaryExpr) String() string {
-	return "(" + e.L.String() + " " + e.Op.String() + " " + e.R.String() + ")"
-}
-
-func (e *UnaryExpr) String() string {
-	if e.Op == OpNot {
-		return "(NOT " + e.E.String() + ")"
-	}
-	return "(-" + e.E.String() + ")"
-}
-
-func (e *FuncCall) String() string {
-	if e.Star {
-		return e.Name + "(*)"
-	}
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
-	}
-	d := ""
-	if e.Distinct {
-		d = "DISTINCT "
-	}
-	return e.Name + "(" + d + strings.Join(args, ", ") + ")"
-}
-
-func (e *CastExpr) String() string {
-	return "CAST(" + e.E.String() + " AS " + e.To.String() + ")"
-}
-
-func (e *IsNullExpr) String() string {
-	if e.Neg {
-		return "(" + e.E.String() + " IS NOT NULL)"
-	}
-	return "(" + e.E.String() + " IS NULL)"
-}
-
-func (e *BetweenExpr) String() string {
-	n := ""
-	if e.Neg {
-		n = "NOT "
-	}
-	return "(" + e.E.String() + " " + n + "BETWEEN " + e.Lo.String() + " AND " + e.Hi.String() + ")"
-}
-
-func (e *InExpr) String() string {
-	items := make([]string, len(e.List))
-	for i, a := range e.List {
-		items[i] = a.String()
-	}
-	n := ""
-	if e.Neg {
-		n = "NOT "
-	}
-	return "(" + e.E.String() + " " + n + "IN (" + strings.Join(items, ", ") + "))"
-}
-
-func (e *LikeExpr) String() string {
-	n := ""
-	if e.Neg {
-		n = "NOT "
-	}
-	return "(" + e.E.String() + " " + n + "LIKE " + e.Pattern.String() + ")"
-}
-
-func (e *CaseExpr) String() string {
-	var b strings.Builder
-	b.WriteString("CASE")
-	if e.Operand != nil {
-		b.WriteString(" " + e.Operand.String())
-	}
-	for _, w := range e.Whens {
-		b.WriteString(" WHEN " + w.Cond.String() + " THEN " + w.Result.String())
-	}
-	if e.Else != nil {
-		b.WriteString(" ELSE " + e.Else.String())
-	}
-	b.WriteString(" END")
-	return b.String()
-}
+func (e *Literal) String() string     { return Format(e) }
+func (e *ColumnRef) String() string   { return Format(e) }
+func (e *BinaryExpr) String() string  { return Format(e) }
+func (e *UnaryExpr) String() string   { return Format(e) }
+func (e *FuncCall) String() string    { return Format(e) }
+func (e *CastExpr) String() string    { return Format(e) }
+func (e *IsNullExpr) String() string  { return Format(e) }
+func (e *BetweenExpr) String() string { return Format(e) }
+func (e *InExpr) String() string      { return Format(e) }
+func (e *LikeExpr) String() string    { return Format(e) }
+func (e *CaseExpr) String() string    { return Format(e) }
 
 // WalkExprs visits every expression in the tree rooted at e, depth-first.
 // The visitor returns false to stop descending into a node's children.
@@ -591,4 +499,47 @@ func WalkExprs(e Expr, visit func(Expr) bool) {
 		}
 		WalkExprs(n.Else, visit)
 	}
+}
+
+// Rewrite returns a copy of e with every node for which repl returns a
+// replacement substituted (top-down; replaced subtrees are not descended).
+func Rewrite(e Expr, repl func(Expr) (Expr, bool)) Expr {
+	if e == nil {
+		return nil
+	}
+	if r, ok := repl(e); ok {
+		return r
+	}
+	list := func(es []Expr) []Expr {
+		out := make([]Expr, len(es))
+		for i, a := range es {
+			out[i] = Rewrite(a, repl)
+		}
+		return out
+	}
+	switch n := e.(type) {
+	case *BinaryExpr:
+		return &BinaryExpr{Op: n.Op, L: Rewrite(n.L, repl), R: Rewrite(n.R, repl)}
+	case *UnaryExpr:
+		return &UnaryExpr{Op: n.Op, E: Rewrite(n.E, repl)}
+	case *FuncCall:
+		return &FuncCall{Name: n.Name, Args: list(n.Args), Star: n.Star, Distinct: n.Distinct}
+	case *CastExpr:
+		return &CastExpr{E: Rewrite(n.E, repl), To: n.To}
+	case *IsNullExpr:
+		return &IsNullExpr{E: Rewrite(n.E, repl), Neg: n.Neg}
+	case *BetweenExpr:
+		return &BetweenExpr{E: Rewrite(n.E, repl), Lo: Rewrite(n.Lo, repl), Hi: Rewrite(n.Hi, repl), Neg: n.Neg}
+	case *InExpr:
+		return &InExpr{E: Rewrite(n.E, repl), List: list(n.List), Neg: n.Neg}
+	case *LikeExpr:
+		return &LikeExpr{E: Rewrite(n.E, repl), Pattern: Rewrite(n.Pattern, repl), Neg: n.Neg}
+	case *CaseExpr:
+		whens := make([]CaseWhen, len(n.Whens))
+		for i, w := range n.Whens {
+			whens[i] = CaseWhen{Cond: Rewrite(w.Cond, repl), Result: Rewrite(w.Result, repl)}
+		}
+		return &CaseExpr{Operand: Rewrite(n.Operand, repl), Whens: whens, Else: Rewrite(n.Else, repl)}
+	}
+	return e // *Literal, *ColumnRef, *Param
 }

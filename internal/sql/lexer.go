@@ -22,6 +22,7 @@ const (
 	TokNumber
 	TokSymbol // punctuation and operators
 	TokParam  // $1, $2, … positional parameter (Text holds the digits)
+	tokBad    // the lexer failed here; Parser.err says how
 )
 
 // Token is one lexical token. For TokKeyword and TokIdent, Text is
@@ -32,8 +33,21 @@ type Token struct {
 	Pos  int // byte offset in the input, for error messages
 }
 
-// keywords is the reserved-word list. Words not in this set lex as
-// identifiers; the parser treats several of these contextually.
+// isIdent reports whether the token can name something: an identifier, or
+// one of the keywords the dialect does not reserve (a column named "key").
+func (t Token) isIdent() bool {
+	return t.Kind == TokIdent || t.Kind == TokKeyword && unreserved[t.Text]
+}
+
+var unreserved = map[string]bool{
+	"user": true, "system": true, "key": true, "first": true, "last": true,
+	"visible": true, "advance": true, "slices": true, "windows": true,
+	"append": true, "replace": true, "show": true, "tables": true,
+	"streams": true, "views": true, "channels": true,
+}
+
+// keywords is the keyword list. Words not in this set lex as identifiers;
+// those also in unreserved are accepted wherever an identifier is.
 var keywords = map[string]bool{
 	"select": true, "from": true, "where": true, "group": true, "by": true,
 	"having": true, "order": true, "limit": true, "offset": true, "as": true,
@@ -64,9 +78,6 @@ type Lexer struct {
 	pos int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
-
 // Next returns the next token. At end of input it returns TokEOF forever.
 func (l *Lexer) Next() (Token, error) {
 	l.skipSpaceAndComments()
@@ -79,11 +90,11 @@ func (l *Lexer) Next() (Token, error) {
 	case isIdentStart(c):
 		return l.lexIdent(start), nil
 	case c == '"':
-		return l.lexQuotedIdent(start)
+		return l.lexQuoted(start, TokIdent, "quoted identifier")
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		return l.lexNumber(start)
 	case c == '\'':
-		return l.lexString(start)
+		return l.lexQuoted(start, TokString, "string literal")
 	case c == '$':
 		return l.lexParam(start)
 	default:
@@ -136,24 +147,27 @@ func (l *Lexer) lexIdent(start int) Token {
 	return Token{Kind: kind, Text: text, Pos: start}
 }
 
-func (l *Lexer) lexQuotedIdent(start int) (Token, error) {
+// lexQuoted lexes a 'string' or a "quoted identifier"; the quote doubled
+// stands for itself.
+func (l *Lexer) lexQuoted(start int, kind TokenKind, what string) (Token, error) {
+	quote := l.src[start]
 	l.pos++ // opening quote
 	var b strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if c == '"' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '"' {
-				b.WriteByte('"')
+		if c == quote {
+			if l.pos+1 < len(l.src) && l.src[l.pos+1] == quote {
+				b.WriteByte(quote)
 				l.pos += 2
 				continue
 			}
 			l.pos++
-			return Token{Kind: TokIdent, Text: b.String(), Pos: start}, nil
+			return Token{Kind: kind, Text: b.String(), Pos: start}, nil
 		}
 		b.WriteByte(c)
 		l.pos++
 	}
-	return Token{}, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
+	return Token{}, fmt.Errorf("sql: unterminated %s at offset %d", what, start)
 }
 
 func (l *Lexer) lexNumber(start int) (Token, error) {
@@ -182,26 +196,6 @@ done:
 		return Token{}, fmt.Errorf("sql: invalid number at offset %d", start)
 	}
 	return Token{Kind: TokNumber, Text: text, Pos: start}, nil
-}
-
-func (l *Lexer) lexString(start int) (Token, error) {
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: TokString, Text: b.String(), Pos: start}, nil
-		}
-		b.WriteByte(c)
-		l.pos++
-	}
-	return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 }
 
 func (l *Lexer) lexParam(start int) (Token, error) {
@@ -237,20 +231,4 @@ func (l *Lexer) lexSymbol(start int) (Token, error) {
 		r = '?'
 	}
 	return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", r, start)
-}
-
-// Tokenize lexes the whole input; used by tests.
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-		out = append(out, t)
-	}
 }

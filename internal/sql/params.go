@@ -13,51 +13,42 @@ type Param struct{ Index int }
 func (*Param) exprNode() {}
 
 // String renders the placeholder.
-func (p *Param) String() string { return fmt.Sprintf("$%d", p.Index) }
+func (p *Param) String() string { return Format(p) }
 
 // BindParams returns a copy of the statement with every $n placeholder
 // replaced by the corresponding value from args (1-based). It errors on
 // out-of-range placeholders and on unused trailing arguments.
 func BindParams(stmt Statement, args []types.Datum) (Statement, error) {
 	maxSeen := 0
-	bind := func(e Expr) (Expr, error) {
-		if e == nil {
-			return nil, nil
-		}
-		var bindErr error
-		out := rewriteParams(e, func(p *Param) Expr {
-			if p.Index < 1 || p.Index > len(args) {
-				bindErr = fmt.Errorf("sql: parameter $%d out of range (%d arguments)", p.Index, len(args))
-				return p
+	var err error // the first placeholder out of range
+	bind := func(e Expr) Expr {
+		return Rewrite(e, func(x Expr) (Expr, bool) {
+			p, ok := x.(*Param)
+			switch {
+			case !ok:
+				return x, false
+			case p.Index >= 1 && p.Index <= len(args):
+				maxSeen = max(maxSeen, p.Index)
+				return &Literal{Val: args[p.Index-1]}, true
+			case err == nil:
+				err = fmt.Errorf("sql: parameter $%d out of range (%d arguments)", p.Index, len(args))
 			}
-			if p.Index > maxSeen {
-				maxSeen = p.Index
-			}
-			return &Literal{Val: args[p.Index-1]}
+			return p, true
 		})
-		return out, bindErr
 	}
 
-	var err error
 	var out Statement
 	switch s := stmt.(type) {
 	case *Select:
-		var sel *Select
-		sel, err = bindSelect(s, bind)
-		out = sel
+		out = bindSelect(s, bind)
 	case *Insert:
 		ins := *s
 		if s.Query != nil {
-			ins.Query, err = bindSelect(s.Query, bind)
+			ins.Query = bindSelect(s.Query, bind)
 		} else {
 			ins.Rows = make([][]Expr, len(s.Rows))
 			for i, row := range s.Rows {
-				ins.Rows[i] = make([]Expr, len(row))
-				for j, e := range row {
-					if ins.Rows[i][j], err = bind(e); err != nil {
-						return nil, err
-					}
-				}
+				ins.Rows[i] = bindList(row, bind)
 			}
 		}
 		out = &ins
@@ -65,20 +56,13 @@ func BindParams(stmt Statement, args []types.Datum) (Statement, error) {
 		up := *s
 		up.Set = make([]Assignment, len(s.Set))
 		for i, a := range s.Set {
-			up.Set[i] = a
-			if up.Set[i].Value, err = bind(a.Value); err != nil {
-				return nil, err
-			}
+			up.Set[i] = Assignment{Column: a.Column, Value: bind(a.Value)}
 		}
-		if up.Where, err = bind(s.Where); err != nil {
-			return nil, err
-		}
+		up.Where = bind(s.Where)
 		out = &up
 	case *Delete:
 		del := *s
-		if del.Where, err = bind(s.Where); err != nil {
-			return nil, err
-		}
+		del.Where = bind(s.Where)
 		out = &del
 	default:
 		if len(args) > 0 {
@@ -95,134 +79,49 @@ func BindParams(stmt Statement, args []types.Datum) (Statement, error) {
 	return out, nil
 }
 
+func bindList(es []Expr, bind func(Expr) Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = bind(e)
+	}
+	return out
+}
+
 // bindSelect rewrites parameters throughout a select block (recursively
 // through FROM and set operations).
-func bindSelect(s *Select, bind func(Expr) (Expr, error)) (*Select, error) {
+func bindSelect(s *Select, bind func(Expr) Expr) *Select {
 	out := *s
-	var err error
 	out.Items = make([]SelectItem, len(s.Items))
 	for i, item := range s.Items {
 		out.Items[i] = item
-		if item.Expr != nil {
-			if out.Items[i].Expr, err = bind(item.Expr); err != nil {
-				return nil, err
-			}
-		}
+		out.Items[i].Expr = bind(item.Expr)
 	}
 	out.From = make([]TableRef, len(s.From))
 	for i, ref := range s.From {
-		if out.From[i], err = bindTableRef(ref, bind); err != nil {
-			return nil, err
-		}
+		out.From[i] = bindTableRef(ref, bind)
 	}
-	if out.Where, err = bind(s.Where); err != nil {
-		return nil, err
-	}
-	out.GroupBy = make([]Expr, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		if out.GroupBy[i], err = bind(g); err != nil {
-			return nil, err
-		}
-	}
-	if out.Having, err = bind(s.Having); err != nil {
-		return nil, err
-	}
+	out.Where = bind(s.Where)
+	out.GroupBy = bindList(s.GroupBy, bind)
+	out.Having = bind(s.Having)
 	out.OrderBy = make([]OrderItem, len(s.OrderBy))
 	for i, o := range s.OrderBy {
 		out.OrderBy[i] = o
-		if out.OrderBy[i].Expr, err = bind(o.Expr); err != nil {
-			return nil, err
-		}
+		out.OrderBy[i].Expr = bind(o.Expr)
 	}
-	if out.Limit, err = bind(s.Limit); err != nil {
-		return nil, err
-	}
-	if out.Offset, err = bind(s.Offset); err != nil {
-		return nil, err
-	}
+	out.Limit = bind(s.Limit)
+	out.Offset = bind(s.Offset)
 	if s.SetOp != nil {
-		right, err := bindSelect(s.SetOp.Right, bind)
-		if err != nil {
-			return nil, err
-		}
-		out.SetOp = &SetOp{Kind: s.SetOp.Kind, All: s.SetOp.All, Right: right}
+		out.SetOp = &SetOp{Kind: s.SetOp.Kind, All: s.SetOp.All, Right: bindSelect(s.SetOp.Right, bind)}
 	}
-	return &out, nil
+	return &out
 }
 
-func bindTableRef(ref TableRef, bind func(Expr) (Expr, error)) (TableRef, error) {
+func bindTableRef(ref TableRef, bind func(Expr) Expr) TableRef {
 	switch r := ref.(type) {
-	case *BaseTable:
-		return r, nil
 	case *Subquery:
-		q, err := bindSelect(r.Query, bind)
-		if err != nil {
-			return nil, err
-		}
-		return &Subquery{Query: q, Alias: r.Alias}, nil
+		return &Subquery{Query: bindSelect(r.Query, bind), Alias: r.Alias}
 	case *Join:
-		left, err := bindTableRef(r.Left, bind)
-		if err != nil {
-			return nil, err
-		}
-		right, err := bindTableRef(r.Right, bind)
-		if err != nil {
-			return nil, err
-		}
-		on, err := bind(r.On)
-		if err != nil {
-			return nil, err
-		}
-		return &Join{Type: r.Type, Left: left, Right: right, On: on}, nil
+		return &Join{Type: r.Type, Left: bindTableRef(r.Left, bind), Right: bindTableRef(r.Right, bind), On: bind(r.On)}
 	}
-	return ref, nil
-}
-
-// rewriteParams substitutes parameter nodes throughout an expression.
-func rewriteParams(e Expr, repl func(*Param) Expr) Expr {
-	switch n := e.(type) {
-	case *Param:
-		return repl(n)
-	case *Literal, *ColumnRef:
-		return e
-	case *BinaryExpr:
-		return &BinaryExpr{Op: n.Op, L: rewriteParams(n.L, repl), R: rewriteParams(n.R, repl)}
-	case *UnaryExpr:
-		return &UnaryExpr{Op: n.Op, E: rewriteParams(n.E, repl)}
-	case *FuncCall:
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = rewriteParams(a, repl)
-		}
-		return &FuncCall{Name: n.Name, Args: args, Star: n.Star, Distinct: n.Distinct}
-	case *CastExpr:
-		return &CastExpr{E: rewriteParams(n.E, repl), To: n.To}
-	case *IsNullExpr:
-		return &IsNullExpr{E: rewriteParams(n.E, repl), Neg: n.Neg}
-	case *BetweenExpr:
-		return &BetweenExpr{E: rewriteParams(n.E, repl), Lo: rewriteParams(n.Lo, repl),
-			Hi: rewriteParams(n.Hi, repl), Neg: n.Neg}
-	case *InExpr:
-		list := make([]Expr, len(n.List))
-		for i, a := range n.List {
-			list[i] = rewriteParams(a, repl)
-		}
-		return &InExpr{E: rewriteParams(n.E, repl), List: list, Neg: n.Neg}
-	case *LikeExpr:
-		return &LikeExpr{E: rewriteParams(n.E, repl), Pattern: rewriteParams(n.Pattern, repl), Neg: n.Neg}
-	case *CaseExpr:
-		whens := make([]CaseWhen, len(n.Whens))
-		for i, w := range n.Whens {
-			whens[i] = CaseWhen{Cond: rewriteParams(w.Cond, repl), Result: rewriteParams(w.Result, repl)}
-		}
-		var operand, els Expr
-		if n.Operand != nil {
-			operand = rewriteParams(n.Operand, repl)
-		}
-		if n.Else != nil {
-			els = rewriteParams(n.Else, repl)
-		}
-		return &CaseExpr{Operand: operand, Whens: whens, Else: els}
-	}
-	return e
+	return ref
 }

@@ -1,5 +1,79 @@
 package sql
 
+// The TruSQL grammar, as the parser below reads it. UPPER CASE is a keyword
+// (any case in the text), 'x' a symbol, STR a 'string', NUM a number, and ID
+// an identifier: bare (folded to lower case), "quoted" (kept as written) or an
+// unreserved keyword (lexer.go). x? is optional, x* any number, a | b either.
+// [n] marks what takes nesting levels (maxNesting).
+//
+// ### statements -------------------------------------------------------------
+//
+// script  := (stmt? ';')* stmt?
+// stmt    := select | create | drop | insert | update | delete
+//          | TRUNCATE TABLE? rel
+//          | SHOW (TABLES | STREAMS | VIEWS | CHANNELS)
+//          | EXPLAIN ANALYZE? stmt                                  [1]
+// create  := CREATE TABLE ine? rel coldefs
+//          | CREATE STREAM ine? rel coldefs (PARTITION BY ID)?
+//          | CREATE STREAM ine? rel AS select       -- derived: an always-on CQ
+//          | CREATE VIEW ine? rel AS select
+//          | CREATE CHANNEL ine? rel FROM rel INTO rel (APPEND | REPLACE)?
+//          | CREATE INDEX ine? rel ON rel '(' ID (',' ID)* ')'
+// ine     := IF NOT EXISTS
+// coldefs := '(' coldef (',' coldef)* ')'
+// coldef  := ID type (CQTIME (USER | SYSTEM)?)?     -- CQTIME: streams only
+// type    := ID ('(' NUM (',' NUM)* ')')?           -- bigint, varchar(64), …;
+//                                                   -- DOUBLE PRECISION
+// drop    := DROP (TABLE | STREAM | VIEW | CHANNEL | INDEX) (IF EXISTS)? rel
+// insert  := INSERT INTO rel ('(' ID (',' ID)* ')')? (VALUES row (',' row)* | select)
+// row     := '(' exprs ')'
+// update  := UPDATE rel SET ID '=' expr (',' ID '=' expr)* (WHERE expr)?
+// delete  := DELETE FROM rel (WHERE expr)?
+// rel     := ID ('.' ID)?                           -- sys.metrics: one name
+//
+// ### select -----------------------------------------------------------------
+//
+// select  := block (setop (block | '(' select ')'))*                [1, +1 per setop]
+//            (ORDER BY order (',' order)*)? (LIMIT expr)? (OFFSET expr)?
+// setop   := (UNION | EXCEPT | INTERSECT) ALL?
+// block   := SELECT (DISTINCT | ALL)? item (',' item)* (FROM ref (',' ref)*)?
+//            (WHERE expr)? (GROUP BY exprs)? (HAVING expr)?
+// item    := '*' | ID '.' '*' | expr alias?
+// alias   := AS ID | ID                             -- without AS: no keyword
+// order   := expr (ASC | DESC)? (NULLS (FIRST | LAST))?
+// ref     := source (join source (ON expr)?)*                       [+1 per join]
+// join    := INNER? JOIN | (LEFT | RIGHT | FULL) OUTER? JOIN | CROSS JOIN
+// source  := '(' select ')' alias? | rel window? alias? window?
+// window  := '<' (VISIBLE extent | ADVANCE extent)* '>'  -- one of the two alone: tumbling
+//          | '<' SLICES NUM WINDOWS '>'                  -- of a derived stream
+// extent  := STR | NUM ROWS                              -- '5 minutes'; one kind per window
+//
+// ### expressions ------------------------------------------------------------
+//
+// exprs   := expr (',' expr)*
+// expr    := binary(OR)                                             [1]
+//
+// The binary operators are the table BinaryOps, loosest level first, each
+// level left-associative over the next:                            [+1 per operator]
+//
+//	OR · AND · comparison · + - || · * / %
+//
+// with the comparison level spelled out, NOT above it:
+//
+// not     := NOT not | cmp                                          [+1 per NOT]
+// cmp     := binary(+) ( cmpop binary(+) | IS NOT? NULL             [+1 per turn]
+//          | NOT? BETWEEN binary(+) AND binary(+) | NOT? LIKE binary(+)
+//          | NOT? IN '(' exprs ')' )*
+// unary   := '-' unary | '+'? postfix         -- '-' NUM is one literal   [+1 per '-']
+// postfix := primary ('::' type)*                                   [+1 per cast]
+// primary := NUM | STR | '$' NUM | NULL | TRUE | FALSE | INTERVAL STR | TIMESTAMP STR
+//          | '(' binary(OR) ')'                                     [a parenthesis]
+//          | CAST '(' expr AS type ')'
+//          | CASE expr? (WHEN expr THEN expr)* (ELSE expr)? END
+//          | ID '(' ('*' | DISTINCT? exprs)? ')' | ID ('.' ID)?
+//
+// ----------------------------------------------------------------------------
+
 import (
 	"fmt"
 	"strconv"
@@ -8,42 +82,86 @@ import (
 	"streamrel/internal/types"
 )
 
-// Parser is a recursive-descent parser over a pre-lexed token stream.
+// Parser is a recursive-descent parser that pulls its tokens from a Lexer as
+// it needs them, never holding more than the one it looks at and two behind
+// it: a statement that fails at its third token costs three tokens, whatever
+// the length of the frame it came in.
 type Parser struct {
-	toks []Token
-	pos  int
-	src  string
-	// depth is how far below the statement the tree is being built right now
-	// (deeper).
-	depth int
+	lex     Lexer
+	toks    [3]Token // a ring: toks[head] is the token looked at
+	head, n int
+	// err is the lexer's error once it has one; the token there, and every
+	// one after it, is tokBad, and errf reports err when the parser gets that
+	// far — so errors come in text order, a syntax error before a lexical
+	// one further on.
+	err error
+	// depth is how far below the statement the node being parsed sits; high
+	// is the deepest any node has sat since a chain last asked (see chain);
+	// parens is how many parentheses of the expression kind are open.
+	depth, high, parens int
 }
 
-// maxNesting bounds how deep a statement's tree may get. A level is whatever
-// puts one node under another: a parenthesised expression, a function
-// argument, a CASE branch, a NOT or a sign, a subquery — each a dozen parser
-// frames — and equally one more operator in a chain (a AND b AND c …, JOINs,
-// UNIONs), which the parser loops over but every later walk of the tree
-// recurses into. SQL text arrives off the wire in frames of up to 64 MiB, and a
-// Go stack that overflows cannot be recovered from: five million "(", or two
-// million "+1", took the process down. The number is the one the wire decoder
-// and encoding/json stop at — far above anything written or generated in
-// earnest, far below what a stack holds.
+// maxNesting bounds how deep a statement's tree may get, and (separately, as
+// they put no node in it) how many parentheses may be open around an
+// expression. A level is whatever puts one node under another: a function
+// argument, a CASE branch, a NOT or a sign, a subquery, and equally one more
+// operator in a chain (a AND b AND c …, JOINs, UNIONs), which the parser
+// loops over but every later walk of the tree recurses into. SQL text arrives
+// off the wire in frames of up to 64 MiB, and a Go stack that overflows
+// cannot be recovered from: five million "(", or two million "+1", took the
+// process down. The number is the one the wire decoder and encoding/json stop
+// at — far above anything written or generated in earnest, far below what a
+// stack holds. The count is of the tree, not of its spelling, so what Format
+// prints of an accepted statement is accepted.
 const maxNesting = 10000
 
-// deeper takes one level. A production that can contain itself, or that
-// chains, defers p.restore(p.depth) and then calls deeper once per level it
-// adds.
+func (p *Parser) tooDeep() error {
+	return p.errf("statement nests deeper than %d levels", maxNesting)
+}
+
+// deeper takes one level. A production that contains itself defers
+// p.restore(p.depth) and then calls deeper.
 func (p *Parser) deeper() error {
 	if p.depth >= maxNesting {
-		return p.errf("statement nests deeper than %d levels", maxNesting)
+		return p.tooDeep()
 	}
 	p.depth++
+	p.high = max(p.high, p.depth)
 	return nil
 }
 
 // restore gives back the levels a production took: deferred with the depth it
 // started at.
 func (p *Parser) restore(depth int) { p.depth = depth }
+
+// A chain is a production that parses an operand and then, once per turn of a
+// loop, puts what it has so far under one more node: a AND b AND c, x::t::t,
+// JOINs, UNIONs. Nothing recurses, but the tree under the chain is as deep as
+// its deepest operand plus the turns taken since, which top tracks.
+type chain struct {
+	p                *Parser
+	base, outer, top int
+}
+
+// chain starts one: deferred end, then grow once per turn.
+func (p *Parser) chain() chain {
+	c := chain{p: p, base: p.depth, outer: p.high, top: p.depth}
+	p.high = p.depth
+	return c
+}
+
+// grow puts one more node over everything parsed since the chain began.
+func (c *chain) grow() error {
+	c.top = max(c.top, c.p.high) + 1
+	c.p.high = c.base
+	if c.top > maxNesting {
+		return c.p.tooDeep()
+	}
+	return nil
+}
+
+// end lets the enclosing chain, if any, see how deep this one got.
+func (c *chain) end() { c.p.high = max(c.outer, c.top, c.p.high) }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
@@ -81,42 +199,29 @@ type ParsedStmt struct {
 // ParseScript parses a semicolon-separated script, retaining each
 // statement's source text.
 func ParseScript(src string) ([]ParsedStmt, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, src: src}
+	p := &Parser{lex: Lexer{src: src}}
 	var stmts []ParsedStmt
 	for {
 		for p.acceptSymbol(";") {
 		}
 		if p.peek().Kind == TokEOF {
-			break
+			return stmts, nil
 		}
 		start := p.peek().Pos
 		s, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
-		end := len(src)
-		if p.pos < len(p.toks) {
-			end = p.toks[p.pos].Pos
-		}
-		stmts = append(stmts, ParsedStmt{Stmt: s, Text: strings.TrimSpace(src[start:end])})
+		stmts = append(stmts, ParsedStmt{Stmt: s, Text: strings.TrimSpace(src[start:p.peek().Pos])})
 		if !p.acceptSymbol(";") && p.peek().Kind != TokEOF {
 			return nil, p.errf("expected ';' or end of input")
 		}
 	}
-	return stmts, nil
 }
 
 // ParseExpr parses a standalone scalar expression; used by tests and tools.
 func ParseExpr(src string) (Expr, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, src: src}
+	p := &Parser{lex: Lexer{src: src}}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -129,41 +234,49 @@ func ParseExpr(src string) (Expr, error) {
 
 // --------------------------------------------------------------- helpers
 
-func (p *Parser) peek() Token {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
-	}
-	return Token{Kind: TokEOF, Pos: len(p.src)}
-}
+func (p *Parser) peek() Token { return p.peekAt(0) }
 
+// peekAt looks n tokens ahead, n at most 2.
 func (p *Parser) peekAt(n int) Token {
-	if p.pos+n < len(p.toks) {
-		return p.toks[p.pos+n]
+	for ; p.n <= n; p.n++ {
+		var t Token
+		if p.err == nil {
+			t, p.err = p.lex.Next()
+		}
+		if p.err != nil {
+			t = Token{Kind: tokBad, Pos: p.lex.pos}
+		}
+		p.toks[(p.head+p.n)%len(p.toks)] = t
 	}
-	return Token{Kind: TokEOF, Pos: len(p.src)}
+	return p.toks[(p.head+n)%len(p.toks)]
 }
 
 func (p *Parser) next() Token {
 	t := p.peek()
-	if p.pos < len(p.toks) {
-		p.pos++
-	}
+	p.head = (p.head + 1) % len(p.toks)
+	p.n--
 	return t
 }
 
 func (p *Parser) errf(format string, args ...any) error {
 	t := p.peek()
-	loc := fmt.Sprintf(" near offset %d", t.Pos)
-	if t.Kind != TokEOF {
-		loc = fmt.Sprintf(" near %q (offset %d)", t.Text, t.Pos)
+	switch t.Kind {
+	case tokBad:
+		return p.err
+	case TokEOF:
+		return fmt.Errorf("sql: "+format+" near offset %d", append(args, t.Pos)...)
 	}
-	return fmt.Errorf("sql: "+format+loc, args...)
+	return fmt.Errorf("sql: "+format+" near %q (offset %d)", append(args, t.Text, t.Pos)...)
 }
 
+func (t Token) isKeyword(kw string) bool { return t.Kind == TokKeyword && t.Text == kw }
+func (t Token) isSymbol(s string) bool   { return t.Kind == TokSymbol && t.Text == s }
+
+func (p *Parser) peekKeyword(kw string) bool { return p.peek().isKeyword(kw) }
+
 func (p *Parser) acceptKeyword(kw string) bool {
-	t := p.peek()
-	if t.Kind == TokKeyword && t.Text == kw {
-		p.pos++
+	if p.peekKeyword(kw) {
+		p.next()
 		return true
 	}
 	return false
@@ -177,9 +290,8 @@ func (p *Parser) expectKeyword(kw string) error {
 }
 
 func (p *Parser) acceptSymbol(s string) bool {
-	t := p.peek()
-	if t.Kind == TokSymbol && t.Text == s {
-		p.pos++
+	if p.peek().isSymbol(s) {
+		p.next()
 		return true
 	}
 	return false
@@ -192,30 +304,26 @@ func (p *Parser) expectSymbol(s string) error {
 	return nil
 }
 
-func (p *Parser) peekKeyword(kw string) bool {
-	t := p.peek()
-	return t.Kind == TokKeyword && t.Text == kw
-}
-
-// parseIdent accepts an identifier, or a keyword usable as an identifier in
-// this dialect (e.g. a column named "key").
+// parseIdent accepts an identifier, or a keyword usable as one in this
+// dialect (e.g. a column named "key").
 func (p *Parser) parseIdent() (string, error) {
-	t := p.peek()
-	if t.Kind == TokIdent {
-		p.pos++
+	if t := p.peek(); t.isIdent() {
+		p.next()
 		return t.Text, nil
 	}
-	// Allow a few non-reserved keywords as identifiers.
-	if t.Kind == TokKeyword {
-		switch t.Text {
-		case "user", "system", "key", "first", "last", "visible", "advance",
-			"slices", "windows", "append", "replace", "show", "tables",
-			"streams", "views", "channels":
-			p.pos++
-			return t.Text, nil
-		}
-	}
 	return "", p.errf("expected identifier")
+}
+
+// parseAlias accepts AS name, or a bare identifier (no keyword, reserved or
+// not), or nothing.
+func (p *Parser) parseAlias() (string, error) {
+	if p.acceptKeyword("as") {
+		return p.parseIdent()
+	}
+	if p.peek().Kind == TokIdent {
+		return p.next().Text, nil
+	}
+	return "", nil
 }
 
 // parseRelName accepts a relation name: a bare identifier, or a
@@ -224,18 +332,45 @@ func (p *Parser) parseIdent() (string, error) {
 // sys namespace uses it today).
 func (p *Parser) parseRelName() (string, error) {
 	name, err := p.parseIdent()
-	if err != nil {
-		return "", err
+	if err != nil || !p.acceptSymbol(".") {
+		return name, err
 	}
-	if p.peek().Kind == TokSymbol && p.peek().Text == "." {
-		p.pos++
-		rest, err := p.parseIdent()
-		if err != nil {
-			return "", err
+	rest, err := p.parseIdent()
+	return name + "." + rest, err
+}
+
+// commaList parses item, and again after every comma.
+func (p *Parser) commaList(item func() error) error {
+	for {
+		if err := item(); err != nil || !p.acceptSymbol(",") {
+			return err
 		}
-		return name + "." + rest, nil
 	}
-	return name, nil
+}
+
+func (p *Parser) parseExprList() (es []Expr, err error) {
+	err = p.commaList(func() error {
+		e, err := p.parseExpr()
+		es = append(es, e)
+		return err
+	})
+	return es, err
+}
+
+// parseIdentList parses '(' ID (',' ID)* ')'.
+func (p *Parser) parseIdentList() (ids []string, err error) {
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	err = p.commaList(func() error {
+		id, err := p.parseIdent()
+		ids = append(ids, id)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ids, p.expectSymbol(")")
 }
 
 // --------------------------------------------------------------- stmts
@@ -259,7 +394,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case "delete":
 		return p.parseDelete()
 	case "truncate":
-		p.pos++
+		p.next()
 		p.acceptKeyword("table")
 		name, err := p.parseRelName()
 		if err != nil {
@@ -267,15 +402,20 @@ func (p *Parser) parseStatement() (Statement, error) {
 		}
 		return &Truncate{Table: name}, nil
 	case "show":
-		p.pos++
-		w := p.next()
-		switch w.Text {
-		case "tables", "streams", "views", "channels":
-			return &Show{What: w.Text}, nil
+		p.next()
+		if w := p.next(); w.Kind == TokKeyword {
+			switch w.Text {
+			case "tables", "streams", "views", "channels":
+				return &Show{What: w.Text}, nil
+			}
 		}
 		return nil, p.errf("expected TABLES, STREAMS, VIEWS or CHANNELS")
 	case "explain":
-		p.pos++
+		defer p.restore(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
+		p.next()
 		analyze := p.acceptKeyword("analyze")
 		inner, err := p.parseStatement()
 		if err != nil {
@@ -287,65 +427,63 @@ func (p *Parser) parseStatement() (Statement, error) {
 }
 
 func (p *Parser) parseCreate() (Statement, error) {
-	p.pos++ // create
-	switch {
-	case p.acceptKeyword("table"):
-		return p.parseCreateTable()
-	case p.acceptKeyword("stream"):
-		return p.parseCreateStream()
-	case p.acceptKeyword("view"):
-		return p.parseCreateView()
-	case p.acceptKeyword("channel"):
-		return p.parseCreateChannel()
-	case p.acceptKeyword("index"):
-		return p.parseCreateIndex()
+	p.next() // create
+	kind := p.peek()
+	if _, ok := objectKinds[kind.Text]; !ok || kind.Kind != TokKeyword {
+		return nil, p.errf("expected TABLE, STREAM, VIEW, CHANNEL or INDEX after CREATE")
 	}
-	return nil, p.errf("expected TABLE, STREAM, VIEW, CHANNEL or INDEX after CREATE")
-}
-
-func (p *Parser) parseIfNotExists() (bool, error) {
+	p.next()
+	var ine bool
 	if p.acceptKeyword("if") {
 		if err := p.expectKeyword("not"); err != nil {
-			return false, err
-		}
-		if err := p.expectKeyword("exists"); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-func (p *Parser) parseCreateTable() (Statement, error) {
-	ine, err := p.parseIfNotExists()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.parseRelName()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := p.parseColumnDefs(false)
-	if err != nil {
-		return nil, err
-	}
-	return &CreateTable{Name: name, Columns: cols, IfNotExists: ine}, nil
-}
-
-func (p *Parser) parseCreateStream() (Statement, error) {
-	ine, err := p.parseIfNotExists()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.parseRelName()
-	if err != nil {
-		return nil, err
-	}
-	if p.acceptKeyword("as") {
-		if err := p.expectKeyword("select"); err != nil {
 			return nil, err
 		}
-		p.pos-- // parseSelect consumes SELECT itself
+		if err := p.expectKeyword("exists"); err != nil {
+			return nil, err
+		}
+		ine = true
+	}
+	name, err := p.parseRelName()
+	if err != nil {
+		return nil, err
+	}
+	switch kind.Text {
+	case "table":
+		cols, err := p.parseColumnDefs(false)
+		if err != nil {
+			return nil, err
+		}
+		return &CreateTable{Name: name, Columns: cols, IfNotExists: ine}, nil
+	case "stream":
+		return p.parseCreateStream(name, ine)
+	case "view":
+		if err := p.expectKeyword("as"); err != nil {
+			return nil, err
+		}
+		q, err := p.parseSelect()
+		if err != nil {
+			return nil, err
+		}
+		return &CreateView{Name: name, Query: q, IfNotExists: ine}, nil
+	case "channel":
+		return p.parseCreateChannel(name, ine)
+	}
+	if err := p.expectKeyword("on"); err != nil {
+		return nil, err
+	}
+	table, err := p.parseRelName()
+	if err != nil {
+		return nil, err
+	}
+	cols, err := p.parseIdentList()
+	if err != nil {
+		return nil, err
+	}
+	return &CreateIndex{Name: name, Table: table, Columns: cols, IfNotExists: ine}, nil
+}
+
+func (p *Parser) parseCreateStream(name string, ine bool) (Statement, error) {
+	if p.acceptKeyword("as") {
 		q, err := p.parseSelect()
 		if err != nil {
 			return nil, err
@@ -386,19 +524,19 @@ func (p *Parser) parseColumnDefs(stream bool) ([]ColumnDef, error) {
 		return nil, err
 	}
 	var cols []ColumnDef
-	for {
+	err := p.commaList(func() error {
 		name, err := p.parseIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		typ, err := p.parseTypeName()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		col := ColumnDef{Name: name, Type: typ}
 		if p.acceptKeyword("cqtime") {
 			if !stream {
-				return nil, p.errf("CQTIME is only valid on streams")
+				return p.errf("CQTIME is only valid on streams")
 			}
 			// "CQTIME USER": timestamps supplied in the data; "CQTIME
 			// SYSTEM": assigned by the engine at arrival. USER is the
@@ -409,94 +547,61 @@ func (p *Parser) parseColumnDefs(stream bool) ([]ColumnDef, error) {
 			col.CQTime = true
 		}
 		cols = append(cols, col)
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectSymbol(")"); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return cols, nil
+	return cols, p.expectSymbol(")")
 }
 
-// parseTypeName maps SQL type spellings to types.Type. Length arguments
-// like varchar(1024) parse and are ignored (all strings are unbounded).
+// typeNames maps SQL type spellings to types.Type.
+var typeNames = map[string]types.Type{
+	"int": types.TypeInt, "integer": types.TypeInt, "bigint": types.TypeInt,
+	"smallint": types.TypeInt, "int4": types.TypeInt, "int8": types.TypeInt,
+	"float": types.TypeFloat, "double": types.TypeFloat, "real": types.TypeFloat,
+	"numeric": types.TypeFloat, "decimal": types.TypeFloat, "float8": types.TypeFloat,
+	"varchar": types.TypeString, "text": types.TypeString, "char": types.TypeString,
+	"string": types.TypeString, "bool": types.TypeBool, "boolean": types.TypeBool,
+	"timestamp": types.TypeTimestamp, "timestamptz": types.TypeTimestamp,
+	"datetime": types.TypeTimestamp, "interval": types.TypeInterval,
+}
+
+// parseTypeName parses a type. Length arguments like varchar(1024) parse and
+// are ignored (all strings are unbounded).
 func (p *Parser) parseTypeName() (types.Type, error) {
-	t := p.next()
+	t := p.peek()
 	if t.Kind != TokIdent && t.Kind != TokKeyword {
 		return types.TypeUnknown, p.errf("expected type name")
 	}
-	var typ types.Type
-	switch t.Text {
-	case "int", "integer", "bigint", "smallint", "int4", "int8":
-		typ = types.TypeInt
-	case "float", "double", "real", "numeric", "decimal", "float8":
-		typ = types.TypeFloat
-	case "varchar", "text", "char", "string":
-		typ = types.TypeString
-	case "bool", "boolean":
-		typ = types.TypeBool
-	case "timestamp", "timestamptz", "datetime":
-		typ = types.TypeTimestamp
-	case "interval":
-		typ = types.TypeInterval
-	default:
+	p.next()
+	typ, ok := typeNames[t.Text]
+	if !ok {
 		return types.TypeUnknown, fmt.Errorf("sql: unknown type %q (offset %d)", t.Text, t.Pos)
 	}
-	// Optional precision/length arguments.
 	if p.acceptSymbol("(") {
-		for {
-			n := p.next()
-			if n.Kind != TokNumber {
-				return types.TypeUnknown, p.errf("expected number in type modifier")
+		err := p.commaList(func() error {
+			if p.peek().Kind != TokNumber {
+				return p.errf("expected number in type modifier")
 			}
-			if !p.acceptSymbol(",") {
-				break
-			}
+			p.next()
+			return nil
+		})
+		if err != nil {
+			return types.TypeUnknown, err
 		}
 		if err := p.expectSymbol(")"); err != nil {
 			return types.TypeUnknown, err
 		}
 	}
 	// "double precision"
-	if t.Text == "double" {
-		p.acceptKeyword("precision")
-		if pk := p.peek(); pk.Kind == TokIdent && pk.Text == "precision" {
-			p.pos++
-		}
+	if pk := p.peek(); t.Text == "double" && pk.Kind == TokIdent && pk.Text == "precision" {
+		p.next()
 	}
 	return typ, nil
 }
 
-func (p *Parser) parseCreateView() (Statement, error) {
-	ine, err := p.parseIfNotExists()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.parseRelName()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("as"); err != nil {
-		return nil, err
-	}
-	q, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	return &CreateView{Name: name, Query: q, IfNotExists: ine}, nil
-}
-
-func (p *Parser) parseCreateChannel() (Statement, error) {
-	ine, err := p.parseIfNotExists()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.parseRelName()
-	if err != nil {
-		return nil, err
-	}
+func (p *Parser) parseCreateChannel(name string, ine bool) (Statement, error) {
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
@@ -512,67 +617,23 @@ func (p *Parser) parseCreateChannel() (Statement, error) {
 		return nil, err
 	}
 	mode := ChannelAppend
-	switch {
-	case p.acceptKeyword("append"):
-	case p.acceptKeyword("replace"):
+	if !p.acceptKeyword("append") && p.acceptKeyword("replace") {
 		mode = ChannelReplace
 	}
 	return &CreateChannel{Name: name, From: from, Into: into, Mode: mode, IfNotExists: ine}, nil
 }
 
-func (p *Parser) parseCreateIndex() (Statement, error) {
-	ine, err := p.parseIfNotExists()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.parseRelName()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("on"); err != nil {
-		return nil, err
-	}
-	table, err := p.parseRelName()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	var cols []string
-	for {
-		c, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, c)
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return &CreateIndex{Name: name, Table: table, Columns: cols, IfNotExists: ine}, nil
+var objectKinds = map[string]ObjectKind{
+	"table": ObjTable, "stream": ObjStream, "view": ObjView, "channel": ObjChannel, "index": ObjIndex,
 }
 
 func (p *Parser) parseDrop() (Statement, error) {
-	p.pos++ // drop
-	var kind ObjectKind
-	switch {
-	case p.acceptKeyword("table"):
-		kind = ObjTable
-	case p.acceptKeyword("stream"):
-		kind = ObjStream
-	case p.acceptKeyword("view"):
-		kind = ObjView
-	case p.acceptKeyword("channel"):
-		kind = ObjChannel
-	case p.acceptKeyword("index"):
-		kind = ObjIndex
-	default:
+	p.next() // drop
+	kind, ok := objectKinds[p.peek().Text]
+	if !ok || p.peek().Kind != TokKeyword {
 		return nil, p.errf("expected object kind after DROP")
 	}
+	p.next()
 	ifExists := false
 	if p.acceptKeyword("if") {
 		if err := p.expectKeyword("exists"); err != nil {
@@ -588,7 +649,7 @@ func (p *Parser) parseDrop() (Statement, error) {
 }
 
 func (p *Parser) parseInsert() (Statement, error) {
-	p.pos++ // insert
+	p.next() // insert
 	if err := p.expectKeyword("into"); err != nil {
 		return nil, err
 	}
@@ -596,61 +657,38 @@ func (p *Parser) parseInsert() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cols []string
-	if p.acceptSymbol("(") {
-		for {
-			c, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, c)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
+	ins := &Insert{Table: table}
+	if p.peek().isSymbol("(") {
+		if ins.Columns, err = p.parseIdentList(); err != nil {
 			return nil, err
 		}
 	}
-	if p.acceptKeyword("values") {
-		var rows [][]Expr
-		for {
+	switch {
+	case p.acceptKeyword("values"):
+		err = p.commaList(func() error {
 			if err := p.expectSymbol("("); err != nil {
-				return nil, err
+				return err
 			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if !p.acceptSymbol(",") {
-					break
-				}
+			row, err := p.parseExprList()
+			if err != nil {
+				return err
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		return &Insert{Table: table, Columns: cols, Rows: rows}, nil
+			ins.Rows = append(ins.Rows, row)
+			return p.expectSymbol(")")
+		})
+	case p.peekKeyword("select"):
+		ins.Query, err = p.parseSelect()
+	default:
+		err = p.errf("expected VALUES or SELECT")
 	}
-	if p.peekKeyword("select") {
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		return &Insert{Table: table, Columns: cols, Query: q}, nil
+	if err != nil {
+		return nil, err
 	}
-	return nil, p.errf("expected VALUES or SELECT")
+	return ins, nil
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {
-	p.pos++ // update
+	p.next() // update
 	table, err := p.parseRelName()
 	if err != nil {
 		return nil, err
@@ -658,36 +696,30 @@ func (p *Parser) parseUpdate() (Statement, error) {
 	if err := p.expectKeyword("set"); err != nil {
 		return nil, err
 	}
-	var assigns []Assignment
-	for {
+	up := &Update{Table: table}
+	err = p.commaList(func() error {
 		col, err := p.parseIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectSymbol("="); err != nil {
-			return nil, err
+			return err
 		}
 		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		assigns = append(assigns, Assignment{Column: col, Value: val})
-		if !p.acceptSymbol(",") {
-			break
-		}
+		up.Set = append(up.Set, Assignment{Column: col, Value: val})
+		return err
+	})
+	if err == nil && p.acceptKeyword("where") {
+		up.Where, err = p.parseExpr()
 	}
-	var where Expr
-	if p.acceptKeyword("where") {
-		where, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	return &Update{Table: table, Set: assigns, Where: where}, nil
+	return up, nil
 }
 
 func (p *Parser) parseDelete() (Statement, error) {
-	p.pos++ // delete
+	p.next() // delete
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
@@ -707,106 +739,56 @@ func (p *Parser) parseDelete() (Statement, error) {
 
 // --------------------------------------------------------------- select
 
+var setOpKinds = map[string]SetOpKind{"union": SetUnion, "except": SetExcept, "intersect": SetIntersect}
+
 func (p *Parser) parseSelect() (*Select, error) {
 	defer p.restore(p.depth)
 	if err := p.deeper(); err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("select"); err != nil {
+	c := p.chain()
+	defer c.end()
+	s, err := p.parseBlock()
+	if err != nil {
 		return nil, err
 	}
-	s := &Select{}
-	if p.acceptKeyword("distinct") {
-		s.Distinct = true
-	} else {
-		p.acceptKeyword("all")
-	}
-	// Projection list.
-	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
-		s.Items = append(s.Items, item)
-		if !p.acceptSymbol(",") {
+	// Set operations bind before ORDER BY/LIMIT of the overall query, and
+	// chain onto the deepest select.
+	for leaf := s; ; {
+		kind, ok := setOpKinds[p.peek().Text]
+		if !ok || p.peek().Kind != TokKeyword {
 			break
 		}
-	}
-	if p.acceptKeyword("from") {
-		for {
-			ref, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
+		p.next()
+		op := &SetOp{Kind: kind, All: p.acceptKeyword("all")}
+		// The right side is a block without ORDER BY/LIMIT (those belong to
+		// the whole chain) unless it brings its own parentheses.
+		if p.acceptSymbol("(") {
+			if op.Right, err = p.parseSelect(); err == nil {
+				err = p.expectSymbol(")")
 			}
-			s.From = append(s.From, ref)
-			if !p.acceptSymbol(",") {
-				break
-			}
+		} else {
+			op.Right, err = p.parseBlock()
 		}
-	}
-	var err error
-	if p.acceptKeyword("where") {
-		if s.Where, err = p.parseExpr(); err != nil {
-			return nil, err
+		if err == nil {
+			err = c.grow()
 		}
-	}
-	if p.acceptKeyword("group") {
-		if err := p.expectKeyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("having") {
-		if s.Having, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	// Set operations bind before ORDER BY/LIMIT of the overall query.
-	for {
-		var kind SetOpKind
-		switch {
-		case p.acceptKeyword("union"):
-			kind = SetUnion
-		case p.acceptKeyword("except"):
-			kind = SetExcept
-		case p.acceptKeyword("intersect"):
-			kind = SetIntersect
-		default:
-			goto setDone
-		}
-		all := p.acceptKeyword("all")
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseSelectCore()
 		if err != nil {
 			return nil, err
 		}
-		// Chain onto the deepest select.
-		leaf := s
 		for leaf.SetOp != nil {
 			leaf = leaf.SetOp.Right
 		}
-		leaf.SetOp = &SetOp{Kind: kind, All: all, Right: right}
+		leaf.SetOp = op
 	}
-setDone:
 	if p.acceptKeyword("order") {
 		if err := p.expectKeyword("by"); err != nil {
 			return nil, err
 		}
-		for {
+		err := p.commaList(func() error {
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			item := OrderItem{Expr: e}
 			if p.acceptKeyword("desc") {
@@ -821,13 +803,14 @@ setDone:
 				case p.acceptKeyword("last"):
 					item.Nulls = NullsLast
 				default:
-					return nil, p.errf("expected FIRST or LAST")
+					return p.errf("expected FIRST or LAST")
 				}
 			}
 			s.OrderBy = append(s.OrderBy, item)
-			if !p.acceptSymbol(",") {
-				break
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if p.acceptKeyword("limit") {
@@ -843,73 +826,42 @@ setDone:
 	return s, nil
 }
 
-// parseSelectCore parses the right side of a set operation: a SELECT block
-// without trailing ORDER BY / LIMIT (those belong to the whole chain).
-func (p *Parser) parseSelectCore() (*Select, error) {
-	if p.acceptSymbol("(") {
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return q, nil
-	}
+// parseBlock parses SELECT … [FROM …] [WHERE …] [GROUP BY …] [HAVING …].
+func (p *Parser) parseBlock() (*Select, error) {
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
 	s := &Select{}
 	if p.acceptKeyword("distinct") {
 		s.Distinct = true
+	} else {
+		p.acceptKeyword("all")
 	}
-	for {
+	err := p.commaList(func() error {
 		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
 		s.Items = append(s.Items, item)
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	if p.acceptKeyword("from") {
-		for {
+		return err
+	})
+	if err == nil && p.acceptKeyword("from") {
+		err = p.commaList(func() error {
 			ref, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
 			s.From = append(s.From, ref)
-			if !p.acceptSymbol(",") {
-				break
-			}
+			return err
+		})
+	}
+	if err == nil && p.acceptKeyword("where") {
+		s.Where, err = p.parseExpr()
+	}
+	if err == nil && p.acceptKeyword("group") {
+		if err = p.expectKeyword("by"); err == nil {
+			s.GroupBy, err = p.parseExprList()
 		}
 	}
-	var err error
-	if p.acceptKeyword("where") {
-		if s.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
+	if err == nil && p.acceptKeyword("having") {
+		s.Having, err = p.parseExpr()
 	}
-	if p.acceptKeyword("group") {
-		if err := p.expectKeyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("having") {
-		if s.Having, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -918,10 +870,8 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 	if p.acceptSymbol("*") {
 		return SelectItem{Star: true}, nil
 	}
-	// t.* form: ident '.' '*'
-	if p.peek().Kind == TokIdent && p.peekAt(1).Kind == TokSymbol && p.peekAt(1).Text == "." &&
-		p.peekAt(2).Kind == TokSymbol && p.peekAt(2).Text == "*" {
-		t := p.next()
+	if t := p.peek(); t.isIdent() && p.peekAt(1).isSymbol(".") && p.peekAt(2).isSymbol("*") {
+		p.next()
 		p.next()
 		p.next()
 		return SelectItem{TableStar: t.Text}, nil
@@ -930,64 +880,36 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 	if err != nil {
 		return SelectItem{}, err
 	}
-	item := SelectItem{Expr: e}
-	if p.acceptKeyword("as") {
-		a, err := p.parseIdent()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = a
-	} else if p.peek().Kind == TokIdent {
-		item.Alias = p.next().Text
-	}
-	return item, nil
+	alias, err := p.parseAlias()
+	return SelectItem{Expr: e, Alias: alias}, err
+}
+
+var joinTypes = map[string]JoinType{
+	"join": JoinInner, "inner": JoinInner, "left": JoinLeft, "right": JoinRight, "full": JoinFull, "cross": JoinCross,
 }
 
 // parseTableRef parses one FROM item including trailing JOIN chains.
 func (p *Parser) parseTableRef() (TableRef, error) {
+	c := p.chain()
+	defer c.end()
 	left, err := p.parseTablePrimary()
 	if err != nil {
 		return nil, err
 	}
-	defer p.restore(p.depth)
 	for {
-		var jt JoinType
-		switch {
-		case p.acceptKeyword("join"):
-			jt = JoinInner
-		case p.acceptKeyword("inner"):
-			if err := p.expectKeyword("join"); err != nil {
-				return nil, err
-			}
-			jt = JoinInner
-		case p.acceptKeyword("left"):
-			p.acceptKeyword("outer")
-			if err := p.expectKeyword("join"); err != nil {
-				return nil, err
-			}
-			jt = JoinLeft
-		case p.acceptKeyword("right"):
-			p.acceptKeyword("outer")
-			if err := p.expectKeyword("join"); err != nil {
-				return nil, err
-			}
-			jt = JoinRight
-		case p.acceptKeyword("full"):
-			p.acceptKeyword("outer")
-			if err := p.expectKeyword("join"); err != nil {
-				return nil, err
-			}
-			jt = JoinFull
-		case p.acceptKeyword("cross"):
-			if err := p.expectKeyword("join"); err != nil {
-				return nil, err
-			}
-			jt = JoinCross
-		default:
+		t := p.peek()
+		jt, ok := joinTypes[t.Text]
+		if !ok || t.Kind != TokKeyword {
 			return left, nil
 		}
-		if err := p.deeper(); err != nil {
-			return nil, err
+		p.next()
+		if t.Text != "join" {
+			if jt == JoinLeft || jt == JoinRight || jt == JoinFull {
+				p.acceptKeyword("outer")
+			}
+			if err := p.expectKeyword("join"); err != nil {
+				return nil, err
+			}
 		}
 		right, err := p.parseTablePrimary()
 		if err != nil {
@@ -1002,6 +924,9 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 				return nil, err
 			}
 		}
+		if err := c.grow(); err != nil {
+			return nil, err
+		}
 		left = j
 	}
 }
@@ -1015,17 +940,8 @@ func (p *Parser) parseTablePrimary() (TableRef, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		sub := &Subquery{Query: q}
-		if p.acceptKeyword("as") {
-			a, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			sub.Alias = a
-		} else if p.peek().Kind == TokIdent {
-			sub.Alias = p.next().Text
-		}
-		return sub, nil
+		alias, err := p.parseAlias()
+		return &Subquery{Query: q, Alias: alias}, err
 	}
 	name, err := p.parseRelName()
 	if err != nil {
@@ -1033,32 +949,21 @@ func (p *Parser) parseTablePrimary() (TableRef, error) {
 	}
 	bt := &BaseTable{Name: name}
 	// Window clause: '<' VISIBLE … | SLICES … '>' — only valid right here,
-	// where a comparison operator cannot occur.
-	if p.peek().Kind == TokSymbol && p.peek().Text == "<" {
-		w, err := p.parseWindowSpec()
-		if err != nil {
-			return nil, err
+	// where a comparison operator cannot occur, or after the alias (both
+	// orders appear in practice).
+	window := func() (err error) {
+		if bt.Window == nil && p.peek().isSymbol("<") {
+			bt.Window, err = p.parseWindowSpec()
 		}
-		bt.Window = w
+		return err
 	}
-	if p.acceptKeyword("as") {
-		a, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		bt.Alias = a
-	} else if p.peek().Kind == TokIdent {
-		bt.Alias = p.next().Text
+	if err := window(); err != nil {
+		return nil, err
 	}
-	// Window may also follow the alias (both orders appear in practice).
-	if bt.Window == nil && p.peek().Kind == TokSymbol && p.peek().Text == "<" {
-		w, err := p.parseWindowSpec()
-		if err != nil {
-			return nil, err
-		}
-		bt.Window = w
+	if bt.Alias, err = p.parseAlias(); err != nil {
+		return nil, err
 	}
-	return bt, nil
+	return bt, window()
 }
 
 // parseWindowSpec parses the paper's window clause:
@@ -1072,7 +977,6 @@ func (p *Parser) parseWindowSpec() (*WindowSpec, error) {
 	if err := p.expectSymbol("<"); err != nil {
 		return nil, err
 	}
-	w := &WindowSpec{}
 	if p.acceptKeyword("slices") {
 		n := p.next()
 		if n.Kind != TokNumber {
@@ -1090,53 +994,43 @@ func (p *Parser) parseWindowSpec() (*WindowSpec, error) {
 		}
 		return &WindowSpec{Kind: WindowSlices, Visible: cnt, Advance: 1}, nil
 	}
-	var haveVisible, haveAdvance bool
+	w := &WindowSpec{Kind: WindowTime}
 	var rowBased, timeBased bool
 	for {
-		switch {
-		case p.acceptKeyword("visible"):
-			v, isRows, err := p.parseWindowExtent()
-			if err != nil {
-				return nil, err
+		extent := &w.Visible
+		if !p.acceptKeyword("visible") {
+			if !p.acceptKeyword("advance") {
+				break
 			}
-			w.Visible, haveVisible = v, true
-			rowBased = rowBased || isRows
-			timeBased = timeBased || !isRows
-		case p.acceptKeyword("advance"):
-			v, isRows, err := p.parseWindowExtent()
-			if err != nil {
-				return nil, err
-			}
-			w.Advance, haveAdvance = v, true
-			rowBased = rowBased || isRows
-			timeBased = timeBased || !isRows
-		default:
-			goto finish
+			extent = &w.Advance
 		}
+		v, isRows, err := p.parseWindowExtent()
+		if err != nil {
+			return nil, err
+		}
+		if v <= 0 {
+			return nil, p.errf("window extents must be positive")
+		}
+		*extent = v
+		rowBased = rowBased || isRows
+		timeBased = timeBased || !isRows
 	}
-finish:
 	if err := p.expectSymbol(">"); err != nil {
 		return nil, err
 	}
-	if !haveVisible && !haveAdvance {
+	switch {
+	case !rowBased && !timeBased:
 		return nil, p.errf("window clause needs VISIBLE and/or ADVANCE")
-	}
-	if rowBased && timeBased {
+	case rowBased && timeBased:
 		return nil, p.errf("window clause mixes time and row extents")
-	}
-	if rowBased {
+	case rowBased:
 		w.Kind = WindowRows
-	} else {
-		w.Kind = WindowTime
 	}
-	if !haveVisible {
+	if w.Visible == 0 {
 		w.Visible = w.Advance // tumbling
 	}
-	if !haveAdvance {
+	if w.Advance == 0 {
 		w.Advance = w.Visible // tumbling
-	}
-	if w.Visible <= 0 || w.Advance <= 0 {
-		return nil, p.errf("window extents must be positive")
 	}
 	return w, nil
 }
@@ -1147,27 +1041,71 @@ func (p *Parser) parseWindowExtent() (int64, bool, error) {
 	t := p.peek()
 	switch t.Kind {
 	case TokString:
-		p.pos++
+		p.next()
 		d, err := types.ParseInterval(t.Text)
 		if err != nil {
 			return 0, false, fmt.Errorf("sql: window extent: %w", err)
 		}
 		return d.IntervalMicros(), false, nil
 	case TokNumber:
-		p.pos++
+		p.next()
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return 0, false, p.errf("invalid row count %q", t.Text)
 		}
-		if err := p.expectKeyword("rows"); err != nil {
-			return 0, false, err
-		}
-		return n, true, nil
+		return n, true, p.expectKeyword("rows")
 	}
 	return 0, false, p.errf("expected interval literal or row count")
 }
 
 // --------------------------------------------------------------- exprs
+
+// The levels of BinaryOps, loosest first. The comparison level also holds
+// NOT, IS NULL, BETWEEN, IN and LIKE.
+const (
+	PrecOr = iota
+	PrecAnd
+	PrecCmp
+	PrecAdd
+	PrecMul
+)
+
+// BinaryOps is the precedence table: every binary operator, the level it
+// binds at, and the token that spells it. An operator's first row is the
+// spelling Format prints. The parser's one operator loop and the statement
+// generator that fuzzes it (sqlgen) both read it.
+var BinaryOps = []struct {
+	Prec int
+	Kind TokenKind
+	Text string
+	Op   BinOp
+}{
+	{PrecOr, TokKeyword, "or", OpOr},
+	{PrecAnd, TokKeyword, "and", OpAnd},
+	{PrecCmp, TokSymbol, "=", OpEq},
+	{PrecCmp, TokSymbol, "<>", OpNe},
+	{PrecCmp, TokSymbol, "!=", OpNe},
+	{PrecCmp, TokSymbol, "<", OpLt},
+	{PrecCmp, TokSymbol, "<=", OpLe},
+	{PrecCmp, TokSymbol, ">", OpGt},
+	{PrecCmp, TokSymbol, ">=", OpGe},
+	{PrecAdd, TokSymbol, "+", OpAdd},
+	{PrecAdd, TokSymbol, "-", OpSub},
+	{PrecAdd, TokSymbol, "||", OpConcat},
+	{PrecMul, TokSymbol, "*", OpMul},
+	{PrecMul, TokSymbol, "/", OpDiv},
+	{PrecMul, TokSymbol, "%", OpMod},
+}
+
+// binaryOp looks t up among the operators of one level.
+func binaryOp(prec int, t Token) (BinOp, bool) {
+	for _, b := range BinaryOps {
+		if b.Prec == prec && b.Kind == t.Kind && b.Text == t.Text {
+			return b.Op, true
+		}
+	}
+	return 0, false
+}
 
 // parseExpr parses with standard SQL precedence:
 // OR < AND < NOT < comparison/IS/LIKE/BETWEEN/IN < add < mul < unary < cast.
@@ -1176,233 +1114,122 @@ func (p *Parser) parseExpr() (Expr, error) {
 	if err := p.deeper(); err != nil {
 		return nil, err
 	}
-	return p.parseOr()
+	return p.parseBinary(PrecOr)
 }
 
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// parseBinary parses the operators of one level over operands of the next.
+func (p *Parser) parseBinary(prec int) (Expr, error) {
+	switch {
+	case prec == PrecCmp:
+		return p.parseNot()
+	case prec > PrecMul:
+		return p.parseUnary()
 	}
-	defer p.restore(p.depth)
-	for p.acceptKeyword("or") {
-		if err := p.deeper(); err != nil {
-			return nil, err
+	c := p.chain()
+	defer c.end()
+	l, err := p.parseBinary(prec + 1)
+	for err == nil {
+		op, ok := binaryOp(prec, p.peek())
+		if !ok {
+			return l, nil
 		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
+		p.next()
+		var r Expr
+		if r, err = p.parseBinary(prec + 1); err == nil {
+			err = c.grow()
 		}
-		l = &BinaryExpr{Op: OpOr, L: l, R: r}
+		l = &BinaryExpr{Op: op, L: l, R: r}
 	}
-	return l, nil
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	defer p.restore(p.depth)
-	for p.acceptKeyword("and") {
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: OpAnd, L: l, R: r}
-	}
-	return l, nil
+	return nil, err
 }
 
 func (p *Parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("not") {
-		defer p.restore(p.depth)
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: OpNot, E: e}, nil
+	if !p.acceptKeyword("not") {
+		return p.parseComparison()
 	}
-	return p.parseComparison()
-}
-
-var cmpOps = map[string]BinOp{
-	"=": OpEq, "<>": OpNe, "!=": OpNe, "<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe,
+	defer p.restore(p.depth)
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseNot()
+	if err != nil {
+		return nil, err
+	}
+	return &UnaryExpr{Op: OpNot, E: e}, nil
 }
 
 func (p *Parser) parseComparison() (Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	defer p.restore(p.depth)
-	for {
+	c := p.chain()
+	defer c.end()
+	l, err := p.parseBinary(PrecAdd)
+	for err == nil {
 		t := p.peek()
-		if t.Kind == TokSymbol {
-			if op, ok := cmpOps[t.Text]; ok {
-				p.pos++
-				if err := p.deeper(); err != nil {
-					return nil, err
-				}
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &BinaryExpr{Op: op, L: l, R: r}
-				continue
-			}
+		neg := t.isKeyword("not") // NOT BETWEEN | IN | LIKE; any other NOT belongs to an outer context
+		if neg {
+			t = p.peekAt(1)
 		}
-		if p.acceptKeyword("is") {
-			if err := p.deeper(); err != nil {
-				return nil, err
-			}
-			neg := p.acceptKeyword("not")
-			if err := p.expectKeyword("null"); err != nil {
-				return nil, err
-			}
-			l = &IsNullExpr{E: l, Neg: neg}
-			continue
+		op, isOp := binaryOp(PrecCmp, t)
+		form := ""
+		if t.Kind == TokKeyword {
+			form = t.Text
 		}
-		neg := false
-		save := p.pos
-		if p.acceptKeyword("not") {
-			neg = true
+		if neg && (isOp || form == "is") {
+			return l, nil
 		}
 		switch {
-		case p.acceptKeyword("between"):
-			if err := p.deeper(); err != nil {
-				return nil, err
-			}
-			lo, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("and"); err != nil {
-				return nil, err
-			}
-			hi, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &BetweenExpr{E: l, Lo: lo, Hi: hi, Neg: neg}
-			continue
-		case p.acceptKeyword("in"):
-			if err := p.deeper(); err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			var list []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				list = append(list, e)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			l = &InExpr{E: l, List: list, Neg: neg}
-			continue
-		case p.acceptKeyword("like"):
-			if err := p.deeper(); err != nil {
-				return nil, err
-			}
-			pat, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &LikeExpr{E: l, Pattern: pat, Neg: neg}
-			continue
+		case isOp:
+			l = &BinaryExpr{Op: op, L: l}
+		case form == "is":
+			l = &IsNullExpr{E: l}
+		case form == "between":
+			l = &BetweenExpr{E: l, Neg: neg}
+		case form == "in":
+			l = &InExpr{E: l, Neg: neg}
+		case form == "like":
+			l = &LikeExpr{E: l, Neg: neg}
+		default:
+			return l, nil
 		}
 		if neg {
-			p.pos = save // the NOT belongs to an outer context
+			p.next()
 		}
-		return l, nil
+		p.next()
+		switch n := l.(type) {
+		case *BinaryExpr:
+			n.R, err = p.parseBinary(PrecAdd)
+		case *IsNullExpr:
+			n.Neg = p.acceptKeyword("not")
+			err = p.expectKeyword("null")
+		case *BetweenExpr:
+			if n.Lo, err = p.parseBinary(PrecAdd); err == nil {
+				if err = p.expectKeyword("and"); err == nil {
+					n.Hi, err = p.parseBinary(PrecAdd)
+				}
+			}
+		case *InExpr:
+			if err = p.expectSymbol("("); err == nil {
+				if n.List, err = p.parseExprList(); err == nil {
+					err = p.expectSymbol(")")
+				}
+			}
+		case *LikeExpr:
+			n.Pattern, err = p.parseBinary(PrecAdd)
+		}
+		if err == nil {
+			err = c.grow()
+		}
 	}
-}
-
-func (p *Parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	defer p.restore(p.depth)
-	for {
-		t := p.peek()
-		if t.Kind != TokSymbol {
-			return l, nil
-		}
-		var op BinOp
-		switch t.Text {
-		case "+":
-			op = OpAdd
-		case "-":
-			op = OpSub
-		case "||":
-			op = OpConcat
-		default:
-			return l, nil
-		}
-		p.pos++
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
-	}
-}
-
-func (p *Parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	defer p.restore(p.depth)
-	for {
-		t := p.peek()
-		if t.Kind != TokSymbol {
-			return l, nil
-		}
-		var op BinOp
-		switch t.Text {
-		case "*":
-			op = OpMul
-		case "/":
-			op = OpDiv
-		case "%":
-			op = OpMod
-		default:
-			return l, nil
-		}
-		p.pos++
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
-	}
+	return nil, err
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
 	if p.acceptSymbol("-") {
+		// A sign on a number is part of the literal — the most negative
+		// integer has no other spelling — unless a cast, which binds
+		// tighter than the sign, follows the number.
+		if p.peek().Kind == TokNumber && !p.peekAt(1).isSymbol("::") {
+			return p.parseNumber("-")
+		}
 		defer p.restore(p.depth)
 		if err := p.deeper(); err != nil {
 			return nil, err
@@ -1418,46 +1245,49 @@ func (p *Parser) parseUnary() (Expr, error) {
 }
 
 func (p *Parser) parsePostfix() (Expr, error) {
+	c := p.chain()
+	defer c.end()
 	e, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	defer p.restore(p.depth)
-	for p.acceptSymbol("::") {
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		typ, err := p.parseTypeName()
-		if err != nil {
-			return nil, err
+	for err == nil && p.acceptSymbol("::") {
+		var typ types.Type
+		if typ, err = p.parseTypeName(); err == nil {
+			err = c.grow()
 		}
 		e = &CastExpr{E: e, To: typ}
 	}
+	if err != nil {
+		return nil, err
+	}
 	return e, nil
+}
+
+// parseNumber parses the number token at hand, with the sign already read.
+func (p *Parser) parseNumber(sign string) (Expr, error) {
+	text := sign + p.next().Text
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return nil, p.errf("invalid number %q", text)
+		}
+		return &Literal{Val: types.NewFloat(f)}, nil
+	}
+	n, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return nil, p.errf("invalid number %q", text)
+	}
+	return &Literal{Val: types.NewInt(n)}, nil
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
 	case TokNumber:
-		p.pos++
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errf("invalid number %q", t.Text)
-			}
-			return &Literal{Val: types.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, p.errf("invalid number %q", t.Text)
-		}
-		return &Literal{Val: types.NewInt(n)}, nil
+		return p.parseNumber("")
 	case TokString:
-		p.pos++
+		p.next()
 		return &Literal{Val: types.NewString(t.Text)}, nil
 	case TokParam:
-		p.pos++
+		p.next()
 		idx, err := strconv.Atoi(t.Text)
 		if err != nil || idx < 1 {
 			return nil, p.errf("invalid parameter $%s", t.Text)
@@ -1465,51 +1295,42 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &Param{Index: idx}, nil
 	case TokSymbol:
 		if t.Text == "(" {
-			p.pos++
-			e, err := p.parseExpr()
+			if p.parens >= maxNesting-1 {
+				return nil, p.tooDeep()
+			}
+			p.next()
+			p.parens++
+			e, err := p.parseBinary(PrecOr)
+			p.parens--
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return e, p.expectSymbol(")")
 		}
 	case TokKeyword:
 		switch t.Text {
 		case "null":
-			p.pos++
+			p.next()
 			return &Literal{Val: types.Null}, nil
 		case "true":
-			p.pos++
+			p.next()
 			return &Literal{Val: types.True}, nil
 		case "false":
-			p.pos++
+			p.next()
 			return &Literal{Val: types.False}, nil
-		case "interval":
-			p.pos++
+		case "interval", "timestamp":
+			p.next()
 			lit := p.next()
 			if lit.Kind != TokString {
-				return nil, p.errf("expected string after INTERVAL")
+				return nil, p.errf("expected string after %s", strings.ToUpper(t.Text))
 			}
-			d, err := types.ParseInterval(lit.Text)
+			d, err := types.ParseLiteral(lit.Text, typeNames[t.Text])
 			if err != nil {
-				return nil, err
-			}
-			return &Literal{Val: d}, nil
-		case "timestamp":
-			p.pos++
-			lit := p.next()
-			if lit.Kind != TokString {
-				return nil, p.errf("expected string after TIMESTAMP")
-			}
-			d, err := types.ParseTimestamp(lit.Text)
-			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("sql: %w (offset %d)", err, lit.Pos)
 			}
 			return &Literal{Val: d}, nil
 		case "cast":
-			p.pos++
+			p.next()
 			if err := p.expectSymbol("("); err != nil {
 				return nil, err
 			}
@@ -1524,10 +1345,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return &CastExpr{E: e, To: typ}, nil
+			return &CastExpr{E: e, To: typ}, p.expectSymbol(")")
 		case "case":
 			return p.parseCase()
 		}
@@ -1540,79 +1358,53 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	}
 	if p.acceptSymbol("(") {
 		fc := &FuncCall{Name: name}
-		if p.acceptSymbol("*") {
+		switch {
+		case p.acceptSymbol("*"):
 			fc.Star = true
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return fc, nil
-		}
-		if !p.acceptSymbol(")") {
-			if p.acceptKeyword("distinct") {
-				fc.Distinct = true
-			}
-			for {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				fc.Args = append(fc.Args, a)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
+		case !p.peek().isSymbol(")"):
+			fc.Distinct = p.acceptKeyword("distinct")
+			if fc.Args, err = p.parseExprList(); err != nil {
 				return nil, err
 			}
 		}
-		return fc, nil
+		return fc, p.expectSymbol(")")
 	}
 	if p.acceptSymbol(".") {
 		col, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &ColumnRef{Table: name, Name: col}, nil
+		return &ColumnRef{Table: name, Name: col}, err
 	}
 	return &ColumnRef{Name: name}, nil
 }
 
 func (p *Parser) parseCase() (Expr, error) {
-	p.pos++ // case
+	p.next() // case
 	c := &CaseExpr{}
+	var err error
 	if !p.peekKeyword("when") {
-		op, err := p.parseExpr()
-		if err != nil {
+		if c.Operand, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		c.Operand = op
 	}
 	for p.acceptKeyword("when") {
-		cond, err := p.parseExpr()
-		if err != nil {
+		var w CaseWhen
+		if w.Cond, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
 		if err := p.expectKeyword("then"); err != nil {
 			return nil, err
 		}
-		res, err := p.parseExpr()
-		if err != nil {
+		if w.Result, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		c.Whens = append(c.Whens, CaseWhen{Cond: cond, Result: res})
+		c.Whens = append(c.Whens, w)
 	}
 	if len(c.Whens) == 0 {
 		return nil, p.errf("CASE requires at least one WHEN")
 	}
 	if p.acceptKeyword("else") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if c.Else, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		c.Else = e
 	}
-	if err := p.expectKeyword("end"); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c, p.expectKeyword("end")
 }

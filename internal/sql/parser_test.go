@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,6 +25,22 @@ func mustParseSelect(t *testing.T, src string) *Select {
 		t.Fatalf("Parse(%q): not a SELECT", src)
 	}
 	return s
+}
+
+// Tokenize lexes the whole input.
+func Tokenize(src string) ([]Token, error) {
+	l := Lexer{src: src}
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+		out = append(out, t)
+	}
 }
 
 func TestLexerBasics(t *testing.T) {
@@ -279,7 +297,13 @@ func TestExpressionForms(t *testing.T) {
 		{`case when a then 1 else 2 end`, "CASE WHEN a THEN 1 ELSE 2 END"},
 		{`case x when 1 then 'a' when 2 then 'b' end`, "CASE x WHEN 1 THEN 'a' WHEN 2 THEN 'b' END"},
 		{`count(distinct x)`, "count(DISTINCT x)"},
-		{`interval '2 hours'`, "2 hours"},
+		{`interval '2 hours'`, "INTERVAL '2 hours'"},
+		{`timestamp '2020-01-01'`, "TIMESTAMP '2020-01-01 00:00:00.000000'"},
+		{`"MixedCase" + "select" + "my col"`, `(("MixedCase" + "select") + "my col")`},
+		{`-9223372036854775808`, "(-9223372036854775808)"},
+		{`a - -1.5`, "(a - (-1.5))"},
+		{`-x::bigint`, "(-CAST(x AS BIGINT))"},
+		{`-1::bigint`, "(-CAST(1 AS BIGINT))"},
 		{`f(a, b)`, "f(a, b)"},
 		{`t.col`, "t.col"},
 		{`it''s`, "its"}, // double-quote escape handled by lexer… see below
@@ -485,5 +509,56 @@ func TestNestingBudget(t *testing.T) {
 	}
 	if _, err := Parse(chain + "+1+1+1"); err == nil {
 		t.Fatal("a chain longer than the budget parsed")
+	}
+}
+
+// TestMostNegativeInteger: the sign on a number is part of the literal, so
+// math.MinInt64 — which BindParams could always put in a tree, and which
+// printed as text that did not parse — has a spelling, in both directions.
+func TestMostNegativeInteger(t *testing.T) {
+	sel := mustParseSelect(t, `SELECT -9223372036854775808, a - -9223372036854775808, $1`)
+	lit, ok := sel.Items[0].Expr.(*Literal)
+	if !ok || lit.Val.Type() != types.TypeInt || lit.Val.Int() != math.MinInt64 {
+		t.Fatalf("parsed %#v", sel.Items[0].Expr)
+	}
+	bound, err := BindParams(sel, []types.Datum{types.NewInt(math.MinInt64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Format(bound)
+	if want := `SELECT (-9223372036854775808), (a - (-9223372036854775808)), (-9223372036854775808)`; text != want {
+		t.Fatalf("printed %s", text)
+	}
+	if again := mustParseSelect(t, text); Format(again) != text {
+		t.Fatalf("%s parses and prints as %s", text, Format(again))
+	}
+	if _, err := Parse(`SELECT -9223372036854775809`); err == nil {
+		t.Fatal("an integer below the most negative parsed")
+	}
+}
+
+// TestParserPullsTokens: the parser lexes as far as it has got and two tokens
+// more, so a frame that is wrong at its third token costs the same whatever
+// follows — the parent lexed all of it, 32 bytes a token, before looking —
+// and errors come in text order: the syntax error here, not the character
+// no token starts with further on.
+func TestParserPullsTokens(t *testing.T) {
+	src := "SELECT a ) " + strings.Repeat("x ", 4<<20) + "@"
+	var err error
+	if allocs := testing.AllocsPerRun(5, func() { _, err = Parse(src) }); allocs > 20 {
+		t.Errorf("%.0f allocations for an %d-byte frame wrong at its third token", allocs, len(src))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Parse(src)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
+		t.Errorf("%d bytes allocated", n)
+	}
+	if err == nil || !strings.Contains(err.Error(), `near ")" (offset 9)`) {
+		t.Fatalf("error %v", err)
+	}
+	if _, err := Parse("SELECT a @ b )"); err == nil || !strings.Contains(err.Error(), "unexpected character '@' at offset 9") {
+		t.Fatalf("a lexical error the parser reaches: %v", err)
 	}
 }

@@ -296,3 +296,20 @@ func TestRowHelpers(t *testing.T) {
 		t.Fatal("column comparison should dominate length")
 	}
 }
+
+// TestIntervalRoundTrip: what FormatInterval prints, ParseInterval reads back
+// exactly — the most negative interval included, whose magnitude no int64
+// holds — and a literal no int64 holds is an error, not a wrapped value.
+func TestIntervalRoundTrip(t *testing.T) {
+	for _, us := range []int64{0, 1, -1, 90 * 60_000_000, 1<<53 + 1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1} {
+		d, err := ParseInterval(FormatInterval(us))
+		if err != nil || d.IntervalMicros() != us {
+			t.Errorf("%d prints %q, which parses to %v, %v", us, FormatInterval(us), d, err)
+		}
+	}
+	for _, bad := range []string{"nan seconds", "inf us", "1e19 us", "-1e19 us", "9000000000000000000 us 9000000000000000000 us"} {
+		if d, err := ParseInterval(bad); err == nil {
+			t.Errorf("ParseInterval(%q) = %v", bad, d)
+		}
+	}
+}

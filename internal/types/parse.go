@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -90,6 +91,10 @@ func ParseInterval(s string) (Datum, error) {
 	if len(fields) == 0 || len(fields)%2 != 0 {
 		return Null, fmt.Errorf("types: invalid interval %q", s)
 	}
+	sign := 1.0
+	if neg {
+		sign = -1
+	}
 	var total int64
 	for i := 0; i < len(fields); i += 2 {
 		n, err := strconv.ParseFloat(fields[i], 64)
@@ -105,10 +110,15 @@ func ParseInterval(s string) (Datum, error) {
 		if !ok {
 			return Null, fmt.Errorf("types: invalid interval %q: unknown unit %q", s, fields[i+1])
 		}
-		total += int64(n * float64(us))
-	}
-	if neg {
-		total = -total
+		// The sign goes on each part so that the most negative interval,
+		// whose magnitude no int64 holds, parses as FormatInterval prints it.
+		part := sign * n * float64(us)
+		sum := total + int64(part)
+		if !(part >= math.MinInt64 && part < math.MaxInt64) || // NaN too
+			int64(part) > 0 && sum < total || int64(part) < 0 && sum > total {
+			return Null, fmt.Errorf("types: interval %q out of range", s)
+		}
+		total = sum
 	}
 	return NewIntervalMicros(total), nil
 }
@@ -119,14 +129,13 @@ func FormatInterval(us int64) string {
 	if us == 0 {
 		return "0 seconds"
 	}
-	neg := ""
+	neg, rest := "", uint64(us)
 	if us < 0 {
-		neg = "-"
-		us = -us
+		neg, rest = "-", -rest
 	}
 	type unit struct {
 		name string
-		us   int64
+		us   uint64
 	}
 	units := []unit{
 		{"week", 7 * 86_400_000_000},
@@ -139,9 +148,9 @@ func FormatInterval(us int64) string {
 	}
 	var parts []string
 	for _, u := range units {
-		if us >= u.us {
-			n := us / u.us
-			us -= n * u.us
+		if rest >= u.us {
+			n := rest / u.us
+			rest -= n * u.us
 			label := u.name
 			if n != 1 {
 				label += "s"
