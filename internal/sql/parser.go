@@ -1164,56 +1164,45 @@ func (p *Parser) parseComparison() (Expr, error) {
 	l, err := p.parseBinary(PrecAdd)
 	for err == nil {
 		t := p.peek()
-		neg := t.isKeyword("not") // NOT BETWEEN | IN | LIKE; any other NOT belongs to an outer context
+		neg := t.isKeyword("not") // of NOT BETWEEN | IN | LIKE; any other NOT belongs to an outer context
 		if neg {
 			t = p.peekAt(1)
 		}
 		op, isOp := binaryOp(PrecCmp, t)
-		form := ""
-		if t.Kind == TokKeyword {
-			form = t.Text
-		}
-		if neg && (isOp || form == "is") {
-			return l, nil
-		}
-		switch {
-		case isOp:
-			l = &BinaryExpr{Op: op, L: l}
-		case form == "is":
-			l = &IsNullExpr{E: l}
-		case form == "between":
-			l = &BetweenExpr{E: l, Neg: neg}
-		case form == "in":
-			l = &InExpr{E: l, Neg: neg}
-		case form == "like":
-			l = &LikeExpr{E: l, Neg: neg}
-		default:
+		if negatable := t.isKeyword("between") || t.isKeyword("in") || t.isKeyword("like"); !negatable && (neg || !isOp && !t.isKeyword("is")) {
 			return l, nil
 		}
 		if neg {
 			p.next()
 		}
 		p.next()
-		switch n := l.(type) {
-		case *BinaryExpr:
-			n.R, err = p.parseBinary(PrecAdd)
-		case *IsNullExpr:
-			n.Neg = p.acceptKeyword("not")
+		var r, hi Expr
+		switch {
+		case isOp:
+			r, err = p.parseBinary(PrecAdd)
+			l = &BinaryExpr{Op: op, L: l, R: r}
+		case t.isKeyword("is"):
+			not := p.acceptKeyword("not")
 			err = p.expectKeyword("null")
-		case *BetweenExpr:
-			if n.Lo, err = p.parseBinary(PrecAdd); err == nil {
+			l = &IsNullExpr{E: l, Neg: not}
+		case t.isKeyword("between"):
+			if r, err = p.parseBinary(PrecAdd); err == nil {
 				if err = p.expectKeyword("and"); err == nil {
-					n.Hi, err = p.parseBinary(PrecAdd)
+					hi, err = p.parseBinary(PrecAdd)
 				}
 			}
-		case *InExpr:
+			l = &BetweenExpr{E: l, Lo: r, Hi: hi, Neg: neg}
+		case t.isKeyword("in"):
+			var list []Expr
 			if err = p.expectSymbol("("); err == nil {
-				if n.List, err = p.parseExprList(); err == nil {
+				if list, err = p.parseExprList(); err == nil {
 					err = p.expectSymbol(")")
 				}
 			}
-		case *LikeExpr:
-			n.Pattern, err = p.parseBinary(PrecAdd)
+			l = &InExpr{E: l, List: list, Neg: neg}
+		default: // LIKE
+			r, err = p.parseBinary(PrecAdd)
+			l = &LikeExpr{E: l, Pattern: r, Neg: neg}
 		}
 		if err == nil {
 			err = c.grow()

@@ -141,9 +141,10 @@ func (g *Gen) unary(depth int) string {
 }
 
 func (g *Gen) leaf() string {
-	if g.typed() && g.Pick(2) == 0 {
-		return g.One(g.Ints...)
-	} else if g.typed() {
+	if g.typed() {
+		if g.Pick(2) == 0 {
+			return g.One(g.Ints...)
+		}
 		return g.One("1", "2", "3", "7")
 	}
 	return g.One(g.Name(), g.Name()+"."+g.Name(), "0", "42", "9223372036854775807", "1.5", ".5", "5.", "1e3", "2E-3",

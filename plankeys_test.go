@@ -53,7 +53,7 @@ func TestPlanKeysGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	orderSuffix := regexp.MustCompile(`( desc)?( nf| nl)?;`)
-	spell := map[string]string{" desc": " DESC", " nf": " NULLS FIRST", " nl": " NULLS LAST"}
+	spell := strings.NewReplacer(" desc", " DESC", " nf", " NULLS FIRST", " nl", " NULLS LAST")
 	// was/now group the enrichment CQs by post key, then and now.
 	was, now := map[string][]string{}, map[string][]string{}
 	n := 0
@@ -93,12 +93,7 @@ func TestPlanKeysGolden(t *testing.T) {
 			}
 			want := c
 			if head, order, ok := strings.Cut(want.PostKey, "|O:"); ok {
-				want.PostKey = head + "|O:" + orderSuffix.ReplaceAllStringFunc(order, func(s string) string {
-					for from, to := range spell {
-						s = strings.Replace(s, from, to, 1)
-					}
-					return s
-				})
+				want.PostKey = head + "|O:" + orderSuffix.ReplaceAllStringFunc(order, spell.Replace)
 			}
 			if head, _, ok := strings.Cut(want.PostKey, "|E:"); ok {
 				id := strings.Join(ctx.DDL, ";") + "\n" + c.SQL
