@@ -47,10 +47,12 @@ cover:
 # whose snapshot predates concurrent appends and deletes, and the replication
 # hub and the replica for the event a raw-archive channel publishes on the
 # delivering goroutine, inside its commit and under the source's lock
-# (primary ≡ followers by (table, RowID, row) at ParallelCQ 0 and 4).
+# (primary ≡ followers by (table, RowID, row) at ParallelCQ 0 and 4), and for
+# the cut: followers bootstrapping across DDL and checkpoints, and a checkpoint
+# between the commits of pool workers (TestCheckpointUnderWorkers).
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers' .
 
 # alloc-pins runs the ownership property (a decoded row is at most two
 # allocations and shares memory with nothing — internal/server/proto.go), the

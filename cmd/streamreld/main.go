@@ -135,7 +135,6 @@ func main() {
 		rep, err = replica.New(replica.Options{
 			Addr:   *replicaOf,
 			Engine: eng,
-			Dir:    *dir,
 			Log:    logger,
 		})
 		if err != nil {

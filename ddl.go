@@ -16,26 +16,33 @@ import (
 	"streamrel/internal/wal"
 )
 
-// execDDL applies a DDL statement to the catalog and runtime, and (outside
-// recovery) logs its SQL text so WAL replay re-executes it (paper §4:
-// durable state replays; CQ runtime state is then rebuilt from Active
-// Tables).
-func (e *Engine) execDDL(stmt sql.Statement, sqlText string) (*Result, error) {
+// execDDL applies a DDL statement to the catalog and runtime, and logs its
+// SQL text — with at, when that is a replica's mark (ApplyReplicatedAt) — so
+// WAL replay re-executes it (paper §4: durable state replays; CQ runtime
+// state is then rebuilt from Active Tables). Recovery has no log open and no
+// hub yet: what it replays is remembered in ddlLog and goes nowhere else.
+func (e *Engine) execDDL(stmt sql.Statement, sqlText string, at wal.Record) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	skipped, err := e.applyDDL(stmt)
 	if err != nil {
 		return nil, err
 	}
-	if !skipped && !e.recovering {
+	if !skipped {
 		e.ddlLog = append(e.ddlLog, sqlText)
+		recs := []wal.Record{{Kind: wal.RecDDL, SQL: sqlText}, at}
+		if at.Kind == 0 {
+			recs = recs[:1]
+		} else {
+			e.mark = at // moves with the statement: a cut holds both or neither
+		}
 		if e.log != nil {
-			if err := e.log.Append([]wal.Record{{Kind: wal.RecDDL, SQL: sqlText}}); err != nil {
+			if err := e.log.Append(recs); err != nil {
 				return nil, err
 			}
 		}
 		if e.hub != nil {
-			e.hub.PublishWAL([]wal.Record{{Kind: wal.RecDDL, SQL: sqlText}})
+			e.hub.PublishWAL(recs[:1])
 		}
 	}
 	return &Result{}, nil
@@ -417,7 +424,11 @@ type writeTxn struct {
 	// undo reverts delete stamps if the transaction aborts; inserted
 	// versions need no undo (they stay invisible forever).
 	undo []func()
-	n    int
+	// local records are logged with the batch and not passed on to the hub: a
+	// table's next RowID from a snapshot and, when set, mark, the replica's
+	// resume point this batch is the state as of (ApplyReplicatedAt).
+	local []wal.Record
+	mark  wal.Record
 	// in and rows are set when the transaction does nothing but store rows, a
 	// base stream's batch as it was delivered, recs[i] the insert of rows[i]:
 	// commit then publishes batch and inserts as one replication event and
@@ -443,7 +454,6 @@ func (w *writeTxn) insertRow(t *catalog.Table, row types.Row) error {
 		ix.Tree.Insert(ix.KeyOf(row), rid)
 	}
 	w.recs = append(w.recs, wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row})
-	w.n++
 	return nil
 }
 
@@ -453,15 +463,22 @@ func (w *writeTxn) deleteRow(t *catalog.Table, rid storage.RowID) error {
 	}
 	heap, id := t.Heap, rid
 	w.undo = append(w.undo, func() { heap.UndoDelete(w.tx.ID, id) })
-	// Index entries stay: MVCC visibility filters them; vacuum rebuilds.
+	// Index entries stay: MVCC visibility filters them, and a checkpoint's
+	// vacuum deletes those of the versions it reclaims.
 	w.recs = append(w.recs, wal.Record{Kind: wal.RecDelete, Table: t.Name, RowID: uint64(rid)})
-	w.n++
 	return nil
 }
 
+// commit logs and commits inside the commit gate, held shared: a cut
+// (Engine.cut) sees the transaction logged and committed, or neither.
 func (w *writeTxn) commit() error {
-	if w.e.log != nil && len(w.recs) > 0 {
-		if err := w.e.log.AppendCtx(w.tc, w.recs); err != nil {
+	w.e.gate.RLock()
+	defer w.e.gate.RUnlock()
+	if logged := append(w.recs, w.local...); w.e.log != nil && (len(logged) > 0 || w.mark.Kind != 0) {
+		if w.mark.Kind != 0 {
+			logged = append(logged, w.mark)
+		}
+		if err := w.e.log.AppendCtx(w.tc, logged); err != nil {
 			return w.fail(err)
 		}
 	}

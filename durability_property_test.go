@@ -11,8 +11,8 @@ import (
 // deletes, truncates) interleaved with checkpoints against a durable
 // engine while maintaining a shadow model, then restarts and verifies the
 // recovered table matches the model exactly. This exercises WAL batching,
-// RowID-stable replay, checkpoint compaction/index rebuild, and their
-// interactions.
+// RowID-stable replay, a checkpoint's in-place vacuum and index entry
+// deletion, and their interactions.
 func TestDurabilityMatchesModelProperty(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		trial := trial

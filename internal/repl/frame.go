@@ -51,12 +51,11 @@ const (
 	KindAppend
 	// KindAdvance carries an effective heartbeat on a base stream.
 	KindAdvance
-	// KindCheckpoint tells the replica the primary compacted its heaps;
-	// the replica runs the same deterministic compaction so RowID
-	// numbering stays aligned.
-	KindCheckpoint
+	// Number 4 was a checkpoint marker; a checkpoint moves no RowID, so
+	// nothing is sent for one, and a frame of that kind is rejected.
+	_
 	// KindSnapBegin opens a logical snapshot; Run is the primary's run ID.
-	// The replica discards local state when it had any.
+	// The replica discards the state it had.
 	KindSnapBegin
 	// KindSnapEnd closes a snapshot; LSN is the boundary — live events
 	// follow from LSN+1.
@@ -153,7 +152,7 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 	case KindTableNext:
 		dst = appendString(dst, ev.Table)
 		dst = binary.AppendUvarint(dst, ev.Next)
-	case KindCheckpoint, KindSnapEnd, KindPing:
+	case KindSnapEnd, KindPing:
 		// header only
 	}
 	payload := dst[start+8:]
@@ -269,7 +268,7 @@ func DecodeEvent(payload []byte) (*Event, error) {
 		if ev.Next, _, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
-	case KindCheckpoint, KindSnapEnd, KindPing:
+	case KindSnapEnd, KindPing:
 		// header only
 	default:
 		return nil, fmt.Errorf("repl: unknown frame kind %d", ev.Kind)

@@ -31,7 +31,6 @@ func sampleEvents() []Event {
 			{types.Null, types.NewFloat(1.5)},
 		}},
 		{Kind: KindAdvance, LSN: 3, Wall: 3333, Stream: "s", TS: 120_000_000},
-		{Kind: KindCheckpoint, LSN: 4, Wall: 4444},
 		{Kind: KindSnapBegin, Wall: 1, Run: "cafebabe01020304"},
 		{Kind: KindSnapEnd, LSN: 9, Wall: 2},
 		{Kind: KindResume, LSN: 5, Wall: 3, Run: "cafebabe01020304"},
@@ -200,6 +199,15 @@ func FuzzDecodeEvent(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
+	// The retired checkpoint marker (kind 4), a WAL batch holding a record of
+	// an unknown kind — both errors — and one ending in a table's next RowID
+	// and a replica's mark.
+	f.Add([]byte{4, 4, 0xb8, 0x45, 0})
+	f.Add([]byte{byte(KindWAL), 1, 2, 0, 1, 6, 1, 't', 9})
+	f.Add(AppendFrame(nil, &Event{Kind: KindWAL, LSN: 13, Wall: 7777, Recs: []wal.Record{
+		{Kind: wal.RecNext, Table: "t", RowID: 10_000_000},
+		{Kind: wal.RecMark, SQL: "cafebabe01020304", RowID: 41},
+	}})[8:])
 	// KindArchive with runs that disagree with its rows, and with a run count
 	// its payload cannot hold.
 	f.Add([]byte{byte(KindArchive), 1, 2, 0, 1, 's', 1, 't', 1, 5, 3, 1, 1, byte(types.TypeInt), 2})

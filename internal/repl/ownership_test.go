@@ -162,8 +162,9 @@ func againstOracle(t testing.TB, payload []byte) (*Event, error) {
 }
 
 // framesWrittenByParent is sampleEvents as the commit before this decoder
-// framed them.
-const framesWrittenByParent = "2f000000c2f15fef0101ae1100030119435245415445205441424c45207420286120626967696e74290201740402030e050178030174021c00000053876c330202dc220001730202030206809c9c3902010480808080808080fc3f0b00000031df832a03038a3400017380b8b8720500000062d283fa0404b8450015000000b90c2ec9050002001063616665626162653031303230333034040000004b7e926f060904001500000039d008ef070506001063616665626162653031303230333034050000000b87d615080ac60100070000009a6cd52809000000017411"
+// framed them — less the checkpoint marker (kind 4) that stood fourth, which
+// no build sends any more and this one refuses.
+const framesWrittenByParent = "2f000000c2f15fef0101ae1100030119435245415445205441424c45207420286120626967696e74290201740402030e050178030174021c00000053876c330202dc220001730202030206809c9c3902010480808080808080fc3f0b00000031df832a03038a3400017380b8b87215000000b90c2ec9050002001063616665626162653031303230333034040000004b7e926f060904001500000039d008ef070506001063616665626162653031303230333034050000000b87d615080ac60100070000009a6cd52809000000017411"
 
 // TestFramesWrittenByParent: same bytes, same values — and this build
 // still writes exactly those bytes.
@@ -200,7 +201,15 @@ func TestFramesWrittenByParent(t *testing.T) {
 	if !bytes.Equal(buf, golden) {
 		t.Fatalf("this build frames the events differently:\n%x", buf)
 	}
+	marker, _ := hex.DecodeString(checkpointFrameWrittenByParent)
+	if ev, err := NewReader(bufio.NewReader(bytes.NewReader(marker))).ReadEvent(); err == nil {
+		t.Fatalf("the parent's checkpoint marker decoded as %+v, want an error", ev)
+	}
 }
+
+// checkpointFrameWrittenByParent is Event{Kind: 4, LSN: 4, Wall: 4444} as the
+// parent framed it.
+const checkpointFrameWrittenByParent = "0500000062d283fa0404b84500"
 
 func archiveBatch(n int) ([]types.Row, []wal.Record) {
 	rows, recs := make([]types.Row, n), make([]wal.Record, n)

@@ -14,16 +14,19 @@ import (
 	"streamrel/internal/wal"
 )
 
-// SnapshotFunc produces a logical snapshot of the engine's durable state
-// by emitting events (KindWAL with LSN 0, KindTableNext). The engine sets
-// it on the Primary at startup; it runs with the engine's exclusive lock
-// held so the snapshot is a consistent cut. ServeConn spools the emitted
-// events and performs all network writes after it returns, so the lock is
-// held only for the in-memory scan — never for a network transfer.
-type SnapshotFunc func(emit func(Event) error) error
+// SnapshotFunc emits the engine's durable state at one cut, as events with
+// LSN 0: KindWAL for the DDL log and every table's rows at their RowIDs, then
+// a KindTableNext for each table. While it runs no transaction commits, no
+// stream event is published and no DDL runs, so this hub's LSN stands still;
+// atCut, when not nil, runs inside that same section, before the first event.
+// ServeConn only spools what is emitted and writes to the network after it
+// returns: the cut is held for an in-memory scan, never for a transfer.
+type SnapshotFunc func(atCut func(), emit func(Event) error) error
 
 // Config configures a Primary.
 type Config struct {
+	// Snapshot is the engine's snapshot producer; nil serves no snapshots.
+	Snapshot SnapshotFunc
 	// Metrics registers replication series; nil disables them.
 	Metrics *metrics.Registry
 	// RingSize is the most recent events the replication ring retains for
@@ -61,9 +64,7 @@ type subscriber struct {
 // overflowing subscriber is dropped instead, which is the backpressure
 // contract that keeps ingest independent of replica speed.
 type Primary struct {
-	// Snapshot is the engine's snapshot producer; set once at startup
-	// before the server accepts replicate requests.
-	Snapshot SnapshotFunc
+	snapshot SnapshotFunc
 
 	// commitMu serializes transaction commit+publish pairs so a
 	// transaction that depends on another's writes always receives a
@@ -115,6 +116,7 @@ func NewPrimary(cfg Config) *Primary {
 		pingEvery = time.Second
 	}
 	p := &Primary{
+		snapshot:  cfg.Snapshot,
 		run:       newRunID(),
 		ring:      make([]Event, ringSize),
 		ringSizes: make([]int, ringSize),
@@ -153,7 +155,27 @@ func newRunID() string {
 }
 
 // RunID returns this primary's replication epoch identifier.
-func (p *Primary) RunID() string { return p.run }
+func (p *Primary) RunID() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.run
+}
+
+// NewRun begins a new epoch and cuts every subscriber loose: the engine has
+// dropped the state they were following (ReplicaReset), so each reconnects
+// under the old run ID and is sent a snapshot.
+func (p *Primary) NewRun() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.run = newRunID()
+	for sub := range p.subs {
+		delete(p.subs, sub)
+		close(sub.ch)
+	}
+}
+
+// Snapshot emits the engine's durable state at one cut (SnapshotFunc).
+func (p *Primary) Snapshot(emit func(Event) error) error { return p.snapshot(nil, emit) }
 
 // LSN returns the most recently assigned sequence number.
 func (p *Primary) LSN() uint64 {
@@ -199,9 +221,9 @@ func rowSize(row types.Row) int {
 // publication, so a transaction that saw this one's writes commits — and
 // sequences — strictly after it. A batch larger than MaxEventBytes is
 // split across consecutive LSNs; a replica applies each chunk as its own
-// local transaction, which is safe because apply is idempotent and the
-// resume point advances per event. traceID (0 = untraced) rides the
-// published events so replicas close the batch's span chain.
+// local transaction, and its resume point advances per event. traceID
+// (0 = untraced) rides the published events so replicas close the batch's
+// span chain.
 func (p *Primary) PublishTxn(recs []wal.Record, commit func() error, traceID uint64) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
@@ -309,14 +331,6 @@ func (p *Primary) PublishAdvance(stream string, ts int64) {
 	p.mu.Unlock()
 }
 
-// PublishCheckpoint publishes a checkpoint marker; replicas compact their
-// heaps at the same point in the event order so RowIDs stay aligned.
-func (p *Primary) PublishCheckpoint() {
-	p.mu.Lock()
-	p.publishLocked(Event{Kind: KindCheckpoint}, 0)
-	p.mu.Unlock()
-}
-
 // publishLocked sequences and retains ev, which carries size bytes of rows,
 // evicting from the head whatever no longer fits beside it — never ev itself.
 func (p *Primary) publishLocked(ev Event, size int) {
@@ -356,28 +370,49 @@ func (p *Primary) oldestLocked() uint64 {
 	return p.lsn - uint64(p.ringLen) + 1
 }
 
-// attach registers a new subscriber and decides how it catches up: an
-// incremental backlog copied from the ring when the replica's run ID
-// matches and the ring still covers fromLSN+1, otherwise a full snapshot.
-// Registration and the decision share one critical section, so the
-// backlog plus the subscription covers every event with no gap.
-func (p *Primary) attach(fromLSN uint64, runID string) (sub *subscriber, backlog []Event, boundary uint64, needSnap bool) {
+// attach registers a subscriber that catches up from the ring — the
+// replica's run ID matches and the ring still covers fromLSN+1 — and returns
+// the backlog. Registration and the copy share one critical section, so
+// backlog plus subscription cover every event with no gap. Otherwise the
+// replica needs a snapshot (attachAtCut) and nothing is registered.
+func (p *Primary) attach(fromLSN uint64, runID string) (sub *subscriber, backlog []Event, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sub = &subscriber{ch: make(chan Event, p.subBuf)}
-	if runID == p.run && fromLSN <= p.lsn && fromLSN+1 >= p.oldestLocked() {
-		for i := 0; i < p.ringLen; i++ {
-			ev := p.ring[(p.head+i)%len(p.ring)]
-			if ev.LSN > fromLSN {
-				backlog = append(backlog, ev)
-			}
-		}
-	} else {
-		needSnap = true
+	if runID != p.run || fromLSN > p.lsn || fromLSN+1 < p.oldestLocked() {
+		return nil, nil, false
 	}
-	boundary = p.lsn
+	for i := 0; i < p.ringLen; i++ {
+		if ev := p.ring[(p.head+i)%len(p.ring)]; ev.LSN > fromLSN {
+			backlog = append(backlog, ev)
+		}
+	}
+	sub = &subscriber{ch: make(chan Event, p.subBuf)}
 	p.subs[sub] = struct{}{}
-	return sub, backlog, boundary, needSnap
+	return sub, backlog, true
+}
+
+// attachAtCut spools the engine's state at one cut and, inside that cut,
+// registers the subscriber and reads the boundary: nothing is published while
+// the cut is held, so every event is in the spool or after the boundary and
+// never both. The spool shares the heap's immutable rows — O(rows) pointers,
+// not a copy — and is streamed after the cut is released, so a slow or wedged
+// replica never freezes the engine for the transfer; events published
+// meanwhile queue in sub.ch.
+func (p *Primary) attachAtCut() (sub *subscriber, spool []Event, run string, boundary uint64, err error) {
+	if p.snapshot == nil {
+		return nil, nil, "", 0, fmt.Errorf("repl: no snapshot producer configured")
+	}
+	sub = &subscriber{ch: make(chan Event, p.subBuf)}
+	err = p.snapshot(func() {
+		p.mu.Lock()
+		run, boundary = p.run, p.lsn
+		p.subs[sub] = struct{}{}
+		p.mu.Unlock()
+	}, func(ev Event) error { spool = append(spool, ev); return nil })
+	if err != nil {
+		p.detach(sub)
+	}
+	return sub, spool, run, boundary, err
 }
 
 func (p *Primary) detach(sub *subscriber) {
@@ -424,64 +459,39 @@ func (p *Primary) ServeConn(conn net.Conn, fromLSN uint64, runID string) error {
 	}
 
 	for attempt := 0; ; attempt++ {
-		sub, backlog, boundary, needSnap := p.attach(fromLSN, runID)
-		lastSent := fromLSN
-		if needSnap {
+		sub, backlog, ok := p.attach(fromLSN, runID)
+		first, lastSent := Event{Kind: KindResume, Run: runID, LSN: fromLSN}, fromLSN
+		var last *Event // a snapshot's end
+		if !ok {
 			if attempt > 0 {
 				// The replica overflowed its queue and the ring has already
-				// moved past what it saw: a second snapshot would likely
-				// just overflow again. Disconnect; the replica reconnects
-				// and resyncs at its own pace.
-				p.detach(sub)
-				return fmt.Errorf("repl: replica too slow for ring of %d events", len(p.ring))
+				// moved past what it saw — a second snapshot would likely
+				// just overflow again — or the hub began a new run.
+				// Disconnect; the replica reconnects and resyncs at its own
+				// pace.
+				return fmt.Errorf("repl: replica too slow for ring of %d events, or a new run began", len(p.ring))
 			}
-			if p.Snapshot == nil {
-				p.detach(sub)
-				return fmt.Errorf("repl: no snapshot producer configured")
-			}
-			// Spool the snapshot first: the producer runs under the
-			// engine's exclusive lock, and streaming to the network from
-			// inside it would let one wedged or slow replica freeze every
-			// read and write on the primary for the whole transfer. The
-			// spool shares the heap's immutable row slices, so it costs
-			// O(rows) pointers, not a data copy. Events published while the
-			// transfer runs queue in sub.ch and replay after SnapEnd; apply
-			// is idempotent, so the overlap is harmless.
-			var spool []Event
-			if err := p.Snapshot(func(ev Event) error { spool = append(spool, ev); return nil }); err != nil {
-				p.detach(sub)
+			var boundary uint64
+			var err error
+			if sub, backlog, runID, boundary, err = p.attachAtCut(); err != nil {
 				return err
 			}
-			if err := send(&Event{Kind: KindSnapBegin, Run: p.run}); err != nil {
-				p.detach(sub)
-				return err
-			}
-			for i := range spool {
-				if err := send(&spool[i]); err != nil {
-					p.detach(sub)
-					return err
-				}
-			}
-			if err := send(&Event{Kind: KindSnapEnd, LSN: boundary}); err != nil {
-				p.detach(sub)
-				return err
-			}
-			p.snaps.Inc()
-			lastSent = boundary
-		} else {
-			if err := send(&Event{Kind: KindResume, Run: p.run, LSN: fromLSN}); err != nil {
-				p.detach(sub)
-				return err
-			}
-			for i := range backlog {
-				if err := send(&backlog[i]); err != nil {
-					p.detach(sub)
-					return err
-				}
-				lastSent = backlog[i].LSN
-			}
+			first, last = Event{Kind: KindSnapBegin, Run: runID}, &Event{Kind: KindSnapEnd, LSN: boundary}
 		}
-		if err := flush(); err != nil {
+		err := send(&first)
+		for i := 0; err == nil && i < len(backlog); i++ {
+			err = send(&backlog[i])
+			lastSent = max(lastSent, backlog[i].LSN) // a snapshot's events carry none
+		}
+		if err == nil && last != nil {
+			err = send(last)
+			lastSent = last.LSN
+			p.snaps.Inc()
+		}
+		if err == nil {
+			err = flush()
+		}
+		if err != nil {
 			p.detach(sub)
 			return err
 		}
@@ -495,8 +505,8 @@ func (p *Primary) ServeConn(conn net.Conn, fromLSN uint64, runID string) error {
 			return nil
 		}
 		// Queue overflow: retry incrementally from the last frame this
-		// replica actually received.
-		fromLSN, runID = lastSent, p.run
+		// replica actually received, of the run it was sent under.
+		fromLSN = lastSent
 	}
 }
 

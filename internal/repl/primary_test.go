@@ -86,7 +86,8 @@ func TestPrimaryIncrementalCatchup(t *testing.T) {
 // by SnapBegin/SnapEnd, then live events from the boundary.
 func TestPrimarySnapshotWhenStale(t *testing.T) {
 	p := testPrimary(t, Config{RingSize: 2})
-	p.Snapshot = func(emit func(Event) error) error {
+	p.snapshot = func(atCut func(), emit func(Event) error) error {
+		atCut()
 		if err := emit(Event{Kind: KindWAL, Recs: []wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}}}); err != nil {
 			return err
 		}
@@ -124,7 +125,7 @@ func TestPrimarySnapshotWhenStale(t *testing.T) {
 // catches up incrementally.
 func TestPrimaryCatchupByBytes(t *testing.T) {
 	p := testPrimary(t, Config{})
-	p.Snapshot = func(emit func(Event) error) error { return nil }
+	p.snapshot = func(atCut func(), emit func(Event) error) error { atCut(); return nil }
 	wide := types.Row{types.NewInt(1), types.NewString(string(make([]byte, 1<<20)))}
 	const published = 70
 	for i := 0; i < published; i++ {
@@ -159,7 +160,7 @@ func TestPrimaryCatchupByBytes(t *testing.T) {
 // ID must not resume incrementally.
 func TestPrimaryRunMismatchForcesSnapshot(t *testing.T) {
 	p := testPrimary(t, Config{RingSize: 16})
-	p.Snapshot = func(emit func(Event) error) error { return nil }
+	p.snapshot = func(atCut func(), emit func(Event) error) error { atCut(); return nil }
 	p.PublishAdvance("s", 1)
 
 	r, cleanup := serve(t, p, 1, "someotherrun0000")
@@ -290,8 +291,9 @@ func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
 func TestSnapshotSpooledBeforeNetworkWrites(t *testing.T) {
 	p := testPrimary(t, Config{RingSize: 2})
 	released := make(chan struct{})
-	p.Snapshot = func(emit func(Event) error) error {
+	p.snapshot = func(atCut func(), emit func(Event) error) error {
 		defer close(released)
+		atCut()
 		row := types.Row{types.NewString(string(make([]byte, 32<<10)))}
 		for i := 0; i < 8; i++ {
 			if err := emit(Event{Kind: KindWAL, Recs: []wal.Record{

@@ -128,19 +128,38 @@ func (t *BTree) deleteFrom(n *node, it item) bool {
 			n.items = append(n.items[:i], n.items[i+1:]...)
 			return true
 		}
-		// Replace with predecessor (rightmost of left subtree) and delete it
-		// there.
-		pred := n.children[i]
-		for !pred.leaf() {
-			pred = pred.children[len(pred.children)-1]
+		// Replace with the predecessor, taken out of the left subtree; a left
+		// subtree that lazy deletion has emptied goes, and the item with it.
+		if pred, ok := popMax(n.children[i]); ok {
+			n.items[i] = pred
+		} else {
+			n.items = append(n.items[:i], n.items[i+1:]...)
+			n.children = append(n.children[:i], n.children[i+1:]...)
 		}
-		n.items[i] = pred.items[len(pred.items)-1]
-		return t.deleteFrom(n.children[i], n.items[i])
+		return true
 	}
 	if n.leaf() {
 		return false
 	}
 	return t.deleteFrom(n.children[i], it)
+}
+
+// popMax removes and returns the largest item below n, if there is one. An
+// emptied rightmost subtree is dropped with the separator before it, which
+// was the largest.
+func popMax(n *node) (item, bool) {
+	last := len(n.items) - 1
+	if !n.leaf() {
+		if it, ok := popMax(n.children[last+1]); ok || last < 0 {
+			return it, ok
+		}
+		n.children = n.children[:last+1]
+	} else if last < 0 {
+		return item{}, false
+	}
+	it := n.items[last]
+	n.items = n.items[:last]
+	return it, true
 }
 
 // AscendRange visits entries with lo <= key <= hi in order; nil bounds are

@@ -20,8 +20,9 @@ import (
 )
 
 // RowID identifies a row version within a heap. RowIDs are stable for the
-// life of the heap (versions are never moved), which lets indexes reference
-// them and lets the WAL name them during replay.
+// life of the heap — a version is never moved and its RowID never given to
+// another, Vacuum included — which lets indexes reference them, lets the WAL
+// and replication events name them, and makes a checkpoint a local matter.
 type RowID uint64
 
 // version is one MVCC row version.
@@ -32,7 +33,11 @@ type version struct {
 }
 
 // segRows is how many versions a segment holds (40 B each). Version id
-// lives at segs[id/segRows][id%segRows]. The first segment grows as a slice
+// lives at segs[id/segRows][id%segRows], if the heap holds anything there: a
+// RowID below the next one with no slot behind it (a nil segment, or one
+// shorter than the offset) is a gap no snapshot sees, as is a slot whose xmin
+// is 0 — what an aborted transaction's RowIDs are to a replica, and what
+// Vacuum leaves. The first segment grows as a slice
 // does, so a five-row table costs what five rows cost; every later one is
 // allocated once at full size and never copied, where one slice regrowing
 // re-allocated the table 1.25× over each time it filled and kept the old
@@ -45,14 +50,13 @@ type version struct {
 const segRows = 4096
 
 // Heap is an append-only, versioned row store. Deletes stamp xmax; updates
-// are delete+insert. A background vacuum is unnecessary at the scale this
-// engine targets, but Vacuum is provided for long-running processes.
+// are delete+insert. Vacuum reclaims dead versions where they lie.
 type Heap struct {
 	mu     sync.RWMutex
 	name   string
 	schema types.Schema
-	segs   [][]version // all of length segRows but the last
-	n      RowID       // versions held: the next RowID
+	segs   [][]version
+	n      RowID // the next RowID
 }
 
 // NewHeap creates an empty heap for the given schema.
@@ -66,22 +70,39 @@ func (h *Heap) Name() string { return h.name }
 // Schema returns the heap's schema.
 func (h *Heap) Schema() types.Schema { return h.schema }
 
-// at returns version id, which the caller knows to exist. Callers hold mu.
-func (h *Heap) at(id RowID) *version { return &h.segs[id/segRows][id%segRows] }
-
-// push appends a version as RowID h.n. Callers hold mu.
-func (h *Heap) push(v version) {
-	last := len(h.segs) - 1
-	if last < 0 || len(h.segs[last]) == segRows {
-		var seg []version // the first segment grows by append
-		if last >= 0 {
-			seg = make([]version, 0, segRows)
+// at returns version id, or nil where the heap holds none. Callers hold mu.
+func (h *Heap) at(id RowID) *version {
+	if si := id / segRows; si < RowID(len(h.segs)) {
+		if seg := h.segs[si]; id%segRows < RowID(len(seg)) {
+			return &seg[id%segRows]
 		}
-		h.segs = append(h.segs, seg)
-		last++
 	}
-	h.segs[last] = append(h.segs[last], v)
-	h.n++
+	return nil
+}
+
+// slot returns the place of version id, making room for it: the segments
+// between are left nil, so a heap whose first row is RowID 10⁷ costs one
+// segment and the list of them. Callers hold mu for writing.
+func (h *Heap) slot(id RowID) *version {
+	si, off := int(id/segRows), int(id%segRows)
+	if si >= len(h.segs) {
+		if si >= cap(h.segs) {
+			h.segs = append(make([][]version, 0, max(si+1, 2*cap(h.segs))), h.segs...)
+		}
+		h.segs = h.segs[:si+1] // never shortened: what lies past the old length is nil
+	}
+	seg := h.segs[si]
+	switch {
+	case off < len(seg):
+	case si == 0 && off == len(seg):
+		seg = append(seg, version{}) // the first segment grows by append
+	case off < cap(seg):
+		seg = seg[:off+1]
+	default:
+		seg = append(make([]version, 0, segRows), seg...)[:off+1]
+	}
+	h.segs[si] = seg
+	return &seg[off]
 }
 
 func (h *Heap) checkArity(row types.Row) error {
@@ -100,57 +121,32 @@ func (h *Heap) Insert(tx txn.ID, row types.Row) (RowID, error) {
 	}
 	h.mu.Lock()
 	id := h.n
-	h.push(version{xmin: tx, row: row})
+	*h.slot(id) = version{xmin: tx, row: row}
+	h.n++
 	h.mu.Unlock()
 	return id, nil
 }
 
 // InsertAt places a row version owned by tx at an explicit RowID. Replay
 // and replication apply use it so local numbering matches what the
-// primary logged, including gaps left by aborted transactions: any gap
-// below id is padded with never-visible versions (xmin 0, which no
-// snapshot sees). Re-applying a record whose slot is already occupied
-// refreshes the stored row but keeps the existing visibility stamps, and
-// reports replaced=true so the caller can skip index maintenance — this
-// makes apply idempotent across an overlap of snapshot and live tail.
+// primary logged; the RowIDs it skips are a gap, for which nothing is
+// allocated. Re-applying a record whose slot is occupied refreshes the
+// stored row but keeps the existing visibility stamps, and reports
+// replaced=true so the caller can skip index maintenance.
 func (h *Heap) InsertAt(tx txn.ID, id RowID, row types.Row) (replaced bool, err error) {
 	if err := h.checkArity(row); err != nil {
 		return false, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for h.n < id {
-		h.push(version{})
+	h.n = max(h.n, id+1)
+	v := h.slot(id)
+	if v.xmin != 0 {
+		v.row = row
+		return true, nil
 	}
-	if h.n == id {
-		h.push(version{xmin: tx, row: row})
-		return false, nil
-	}
-	v := h.at(id)
-	if v.xmin == 0 {
-		*v = version{xmin: tx, row: row}
-		return false, nil
-	}
-	v.row = row
-	return true, nil
-}
-
-// DeleteReplay stamps id deleted like Delete, but tolerates
-// re-application: a missing or already-deleted version reports
-// applied=false instead of erroring, so a replayed log suffix can overlap
-// work already applied.
-func (h *Heap) DeleteReplay(tx txn.ID, id RowID) (applied bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if id >= h.n {
-		return false
-	}
-	v := h.at(id)
-	if v.xmin == 0 || v.xmax != 0 {
-		return false
-	}
-	v.xmax = tx
-	return true
+	*v = version{xmin: tx, row: row}
+	return false, nil
 }
 
 // NextID returns the RowID the next Insert will assign.
@@ -160,27 +156,25 @@ func (h *Heap) NextID() RowID {
 	return h.n
 }
 
-// EnsureNext pads the heap with never-visible versions until the next
-// Insert would assign RowID n. Replication snapshots use it so a replica
-// continues the primary's numbering even when the trailing versions were
-// invisible (aborted) and therefore absent from the snapshot.
+// EnsureNext makes the next Insert assign RowID n at least. A checkpoint and
+// a replication snapshot carry it, so numbering continues where it stood even
+// when the trailing versions were invisible and therefore absent.
 func (h *Heap) EnsureNext(n RowID) {
 	h.mu.Lock()
-	for h.n < n {
-		h.push(version{})
-	}
+	h.n = max(h.n, n)
 	h.mu.Unlock()
 }
 
-// Delete stamps the version as deleted by tx. Deleting an already-deleted
-// version is an error (write-write conflict surfaced to the caller).
+// Delete stamps the version as deleted by tx. A RowID that holds no version,
+// or one already deleted (a write-write conflict; a replayed record already
+// applied), is an error and changes nothing.
 func (h *Heap) Delete(tx txn.ID, id RowID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if id >= h.n {
+	v := h.at(id)
+	if v == nil || v.xmin == 0 {
 		return fmt.Errorf("storage: %s: no row %d", h.name, id)
 	}
-	v := h.at(id)
 	if v.xmax != 0 {
 		return fmt.Errorf("storage: %s: row %d concurrently deleted", h.name, id)
 	}
@@ -191,8 +185,8 @@ func (h *Heap) Delete(tx txn.ID, id RowID) error {
 // UndoDelete clears a delete stamp set by an aborted transaction.
 func (h *Heap) UndoDelete(tx txn.ID, id RowID) {
 	h.mu.Lock()
-	if id < h.n && h.at(id).xmax == tx {
-		h.at(id).xmax = 0
+	if v := h.at(id); v != nil && v.xmax == tx {
+		v.xmax = 0
 	}
 	h.mu.Unlock()
 }
@@ -201,14 +195,10 @@ func (h *Heap) UndoDelete(tx txn.ID, id RowID) {
 func (h *Heap) Get(snap txn.Snapshot, id RowID) (types.Row, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	if id >= h.n {
-		return nil, false
+	if v := h.at(id); v != nil && snap.VisibleVersion(v.xmin, v.xmax) {
+		return v.row, true
 	}
-	v := *h.at(id)
-	if !snap.VisibleVersion(v.xmin, v.xmax) {
-		return nil, false
-	}
-	return v.row, true
+	return nil, false
 }
 
 // Read is the heap's one read: under a single lock acquisition it appends
@@ -223,12 +213,10 @@ func (h *Heap) Get(snap txn.Snapshot, id RowID) (types.Row, bool) {
 func (h *Heap) Read(snap txn.Snapshot, pos, end RowID, max int, rows *[]types.Row, ids *[]RowID) RowID {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	held := min(end, h.n) // a Vacuum may have shortened the heap
-	for got := 0; pos < held; {
-		seg := h.segs[pos/segRows]
-		base := pos - pos%segRows // the RowID of seg[0]
-		stop := min(RowID(len(seg)), held-base)
-		for i := pos - base; i < stop; i++ {
+	for got := 0; pos < end && pos/segRows < RowID(len(h.segs)); {
+		seg := h.segs[pos/segRows] // nil where nothing lives
+		base := pos - pos%segRows  // the RowID of seg[0]
+		for i, stop := pos-base, min(RowID(len(seg)), end-base); i < stop; i++ {
 			if v := &seg[i]; snap.VisibleVersion(v.xmin, v.xmax) {
 				*rows = append(*rows, v.row)
 				if ids != nil {
@@ -239,7 +227,7 @@ func (h *Heap) Read(snap txn.Snapshot, pos, end RowID, max int, rows *[]types.Ro
 				}
 			}
 		}
-		pos = base + stop
+		pos = base + segRows
 	}
 	return end
 }
@@ -266,32 +254,38 @@ func (h *Heap) Scan(snap txn.Snapshot, fn func(RowID, types.Row) bool) {
 	}
 }
 
-// Vacuum removes versions invisible to every snapshot at or after horizon
-// and returns the number removed. RowIDs are NOT stable across Vacuum, so
-// callers must rebuild indexes afterwards; the engine only vacuums during
-// checkpoints when it holds an exclusive lock.
-func (h *Heap) Vacuum(horizon txn.Snapshot) int {
+// Vacuum reclaims, where they lie, the versions that horizon and every later
+// snapshot find dead (txn.Snapshot.Dead: created by an aborted transaction,
+// or deleted by one horizon sees; a version of a transaction still in flight
+// is left alone), handing each to dropped — its index entries can go — and
+// returns how many. A reclaimed slot is a gap; a segment left with nothing
+// but gaps is released. No RowID changes and none is reused, so callers need
+// no lock above the heap's own; what is given up is that a segment with one
+// survivor keeps its segRows slots until that row dies.
+func (h *Heap) Vacuum(horizon txn.Snapshot, dropped func(RowID, types.Row)) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Compact in place: the write position never passes the read position.
-	kept := RowID(0)
-	for id := RowID(0); id < h.n; id++ {
-		if v := h.at(id); horizon.VisibleVersion(v.xmin, v.xmax) {
-			// Freeze: owner is historic now.
-			*h.at(kept) = version{xmin: txn.Bootstrap, row: v.row}
-			kept++
+	removed := 0
+	for si, seg := range h.segs {
+		held := false
+		for i := range seg {
+			v := &seg[i]
+			if v.xmin == 0 {
+				continue
+			}
+			if !horizon.Dead(v.xmin, v.xmax) {
+				held = true
+				continue
+			}
+			if dropped != nil {
+				dropped(RowID(si*segRows+i), v.row)
+			}
+			*v = version{}
+			removed++
+		}
+		if !held {
+			h.segs[si] = nil
 		}
 	}
-	removed := int(h.n - kept)
-	// Drop the emptied segments and the rows behind the new end.
-	inUse := int((kept + segRows - 1) / segRows)
-	clear(h.segs[inUse:])
-	h.segs = h.segs[:inUse]
-	if rest := kept % segRows; rest != 0 {
-		last := h.segs[inUse-1]
-		clear(last[rest:])
-		h.segs[inUse-1] = last[:rest]
-	}
-	h.n = kept
 	return removed
 }

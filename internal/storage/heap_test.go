@@ -52,7 +52,7 @@ func (f *flatHeap) insertAt(tx txn.ID, id RowID, row types.Row) (replaced bool) 
 }
 
 func (f *flatHeap) delete(tx txn.ID, id RowID) bool {
-	if int(id) >= len(f.versions) || f.versions[id].xmax != 0 {
+	if int(id) >= len(f.versions) || f.versions[id].xmin == 0 || f.versions[id].xmax != 0 {
 		return false
 	}
 	f.versions[id].xmax = tx
@@ -65,15 +65,14 @@ func (f *flatHeap) undoDelete(tx txn.ID, id RowID) {
 	}
 }
 
-func (f *flatHeap) vacuum(horizon txn.Snapshot) int {
-	var kept []version
-	for _, v := range f.versions {
-		if horizon.VisibleVersion(v.xmin, v.xmax) {
-			kept = append(kept, version{xmin: txn.Bootstrap, row: v.row})
+// vacuum empties the slots of dead versions and moves nothing.
+func (f *flatHeap) vacuum(horizon txn.Snapshot) (removed int) {
+	for id, v := range f.versions {
+		if v.xmin != 0 && horizon.Dead(v.xmin, v.xmax) {
+			f.versions[id] = version{}
+			removed++
 		}
 	}
-	removed := len(f.versions) - len(kept)
-	f.versions = kept
 	return removed
 }
 
@@ -97,20 +96,47 @@ func scanned(h *Heap, snap txn.Snapshot) []string {
 	return out
 }
 
+// byValue looks every value ever inserted up in the index, as an index scan
+// does — the tree's RowIDs, each read through the heap under snap — and
+// renders what it finds as "value@id".
+func byValue(h *Heap, ix *BTree, snap txn.Snapshot, values int64) []string {
+	var out []string
+	for v := int64(1); v <= values; v++ {
+		ix.SeekEqual(intRow(v), func(id RowID) bool {
+			if row, ok := h.Get(snap, id); ok {
+				out = append(out, fmt.Sprintf("%d@%d", row[0].Int(), id))
+			}
+			return true
+		})
+	}
+	return out
+}
+
 // TestHeapMatchesFlatModel drives random Insert / InsertAt (appending,
-// leaving gaps, re-applying) / EnsureNext / Delete / DeleteReplay /
-// UndoDelete / Vacuum, under transactions that commit and abort, against
-// the flat reference, with explicit ids on both sides of the first two
-// segment boundaries. After every step the next RowID agrees and a probed
-// id reads the same; every so often, and at the end, so does a whole scan.
+// leaving gaps, re-applying) / EnsureNext / Delete / UndoDelete / Vacuum,
+// under transactions that commit and abort — one left in flight across every
+// Vacuum — against the flat reference, with explicit ids on both sides of the
+// first two segment boundaries. After every step the next RowID agrees and a
+// probed id reads the same; every so often, and at the end, so does a whole
+// scan. A Vacuum moves nothing: the visible (RowID, row) transcript and every
+// lookup through an index kept as the engine keeps one (an entry per insert,
+// the dropped versions' entries deleted after the Vacuum) are the same
+// immediately before and after it, and the version in flight commits into
+// the slot it took.
 func TestHeapMatchesFlatModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		mgr := txn.NewManager()
 		h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 		ref := &flatHeap{}
+		ix := NewBTree()
 		val := int64(0)
 		row := func() types.Row { val++; return intRow(val) }
+		indexed := func(id RowID, r types.Row, replaced bool) {
+			if !replaced {
+				ix.Insert(r, id)
+			}
+		}
 
 		check := func(step int, what string) {
 			t.Helper()
@@ -129,6 +155,9 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 		// primary's log with gaps would produce them.
 		for _, id := range []RowID{segRows - 1, segRows, 2*segRows + 1, segRows, 3} {
 			r := row()
+			if int(id) < len(ref.versions) && ref.versions[id].xmin != 0 {
+				r = ref.versions[id].row // a record applied again carries the row it did
+			}
 			tx := mgr.Begin()
 			replaced, err := h.InsertAt(tx.ID, id, r)
 			if err != nil {
@@ -137,6 +166,7 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 			if want := ref.insertAt(tx.ID, id, r); replaced != want {
 				t.Fatalf("InsertAt(%d): replaced %v, model %v", id, replaced, want)
 			}
+			indexed(id, r, replaced)
 			tx.Commit()
 			check(0, fmt.Sprint("InsertAt ", id))
 		}
@@ -156,6 +186,7 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 				if err != nil || id != ref.insert(tx.ID, r) {
 					t.Fatalf("seed %d step %d: Insert gave %d, %v", seed, step, id, err)
 				}
+				indexed(id, r, false)
 			case op < 70:
 				// At the end, past it (a gap), or over an existing slot.
 				id := n + RowID(rng.Intn(4))
@@ -164,10 +195,14 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 				}
 				what = fmt.Sprint("InsertAt ", id)
 				r := row()
+				if id < n && ref.versions[id].xmin != 0 {
+					r = ref.versions[id].row // a record applied again carries the row it did
+				}
 				replaced, err := h.InsertAt(tx.ID, id, r)
 				if want := ref.insertAt(tx.ID, id, r); err != nil || replaced != want {
 					t.Fatalf("seed %d step %d: %s replaced %v (%v), model %v", seed, step, what, replaced, err, want)
 				}
+				indexed(id, r, replaced)
 			case op < 73:
 				next := n + RowID(rng.Intn(6))
 				what = fmt.Sprint("EnsureNext ", next)
@@ -176,32 +211,46 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 			case op < 90 && n > 0:
 				id := RowID(rng.Intn(int(n) + 2))
 				what = fmt.Sprint("Delete ", id)
-				var got bool
-				if rng.Intn(2) == 0 {
-					got = h.Delete(tx.ID, id) == nil
-					// Delete stamps a padded slot too; DeleteReplay does not.
-					if want := ref.delete(tx.ID, id); got != want {
-						t.Fatalf("seed %d step %d: %s applied %v, model %v", seed, step, what, got, want)
-					}
-				} else {
-					what = fmt.Sprint("DeleteReplay ", id)
-					want := int(id) < len(ref.versions) && ref.versions[id].xmin != 0 && ref.delete(tx.ID, id)
-					if got = h.DeleteReplay(tx.ID, id); got != want {
-						t.Fatalf("seed %d step %d: %s applied %v, model %v", seed, step, what, got, want)
-					}
+				// A gap holds no row to delete, padded or never allocated.
+				got := h.Delete(tx.ID, id) == nil
+				if want := ref.delete(tx.ID, id); got != want {
+					t.Fatalf("seed %d step %d: %s applied %v, model %v", seed, step, what, got, want)
 				}
 				if got && rng.Intn(3) == 0 {
 					what += " + UndoDelete"
 					h.UndoDelete(tx.ID, id)
 					ref.undoDelete(tx.ID, id)
 				}
-			case op == 99 && step%25 == 0:
+			case op >= 98 && step%5 == 0:
 				what = "Vacuum"
 				tx.Commit()
 				finished = true
+				open := mgr.Begin() // in flight across the Vacuum: its version is not dead
+				r := row()
+				openID, _ := h.Insert(open.ID, r)
+				ref.insert(open.ID, r)
+				indexed(openID, r, false)
 				snap = mgr.SnapshotNow()
-				if got, want := h.Vacuum(snap), ref.vacuum(snap); got != want {
-					t.Fatalf("seed %d step %d: Vacuum removed %d, model %d", seed, step, got, want)
+				before, lookups := scanned(h, snap), byValue(h, ix, snap, val)
+				var gone []item
+				got := h.Vacuum(snap, func(id RowID, row types.Row) { gone = append(gone, item{key: row, rid: id}) })
+				if want := ref.vacuum(snap); got != want || got != len(gone) {
+					t.Fatalf("seed %d step %d: Vacuum removed %d and dropped %d, model %d", seed, step, got, len(gone), want)
+				}
+				for _, it := range gone {
+					if !ix.Delete(it.key, it.rid) {
+						t.Fatalf("seed %d step %d: dropped version %d was not indexed", seed, step, it.rid)
+					}
+				}
+				if after := scanned(h, snap); !slices.Equal(after, before) {
+					t.Fatalf("seed %d step %d: Vacuum changed what its horizon sees:\n%v\nwas\n%v", seed, step, after, before)
+				}
+				if after := byValue(h, ix, snap, val); !slices.Equal(after, lookups) {
+					t.Fatalf("seed %d step %d: Vacuum changed what index lookups find:\n%v\nwas\n%v", seed, step, after, lookups)
+				}
+				open.Commit()
+				if row, ok := h.Get(mgr.SnapshotNow(), openID); !ok || !row.Equal(r) {
+					t.Fatalf("seed %d step %d: the version in flight across the Vacuum reads %v, %v", seed, step, row, ok)
 				}
 				checkScan(step, what)
 			default:
@@ -442,5 +491,106 @@ func TestHeapGrowthAllocsOncePerSegment(t *testing.T) {
 	})
 	if seen != (segments+1)*segRows || allocs > 2 {
 		t.Errorf("a scan of %d rows saw %d and allocated %.0f times, want its two containers", (segments+1)*segRows, seen, allocs)
+	}
+}
+
+// liveHeapBytes is what the garbage collector finds reachable right now.
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestVacuumReleasesDeadSegments: of three full segments the second dies whole
+// and the third but for one row. Vacuum gives the second back — the heap's
+// reachable bytes fall by that segment's 40 B × segRows and by no second one —
+// and the third keeps its slots for its survivor, which is what stable RowIDs
+// cost. Nothing moved: the first segment's rows and the survivor read as
+// before under their RowIDs, the next row takes the next RowID, and a record
+// replayed into the released range finds room again.
+func TestVacuumReleasesDeadSegments(t *testing.T) {
+	mgr := txn.NewManager()
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	row := intRow(7) // one row for every version: the bytes counted are the heap's own
+	tx := mgr.Begin()
+	for i := 0; i < 3*segRows; i++ {
+		h.Insert(tx.ID, row)
+	}
+	tx.Commit()
+	const survivor = 2*segRows + 17
+	tx = mgr.Begin()
+	for id := RowID(segRows); id < 3*segRows; id++ {
+		if id != survivor {
+			if err := h.Delete(tx.ID, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tx.Commit()
+
+	before := liveHeapBytes()
+	removed := h.Vacuum(mgr.SnapshotNow(), nil)
+	freed := int64(before) - int64(liveHeapBytes())
+	if removed != 2*segRows-1 {
+		t.Fatalf("Vacuum removed %d versions, want %d", removed, 2*segRows-1)
+	}
+	if seg := int64(segRows * 40); freed < seg*9/10 || freed > seg*3/2 {
+		t.Errorf("Vacuum freed %d B, want one segment's %d", freed, seg)
+	}
+	if h.segs[1] != nil || len(h.segs[2]) != segRows {
+		t.Errorf("after Vacuum segment 1 holds %d slots and segment 2 %d, want 0 and %d", len(h.segs[1]), len(h.segs[2]), segRows)
+	}
+	snap := mgr.SnapshotNow()
+	if n := count(h, snap); n != segRows+1 {
+		t.Fatalf("%d rows visible after Vacuum, want %d", n, segRows+1)
+	}
+	for _, id := range []RowID{0, segRows - 1, survivor} {
+		if _, ok := h.Get(snap, id); !ok {
+			t.Errorf("RowID %d is gone", id)
+		}
+	}
+	if _, ok := h.Get(snap, segRows+5); ok {
+		t.Error("a reclaimed RowID reads as a row")
+	}
+	if id, _ := h.Insert(txn.Bootstrap, row); id != 3*segRows {
+		t.Errorf("the next RowID after Vacuum is %d, want %d", id, 3*segRows)
+	}
+	if replaced, err := h.InsertAt(txn.Bootstrap, segRows+5, row); err != nil || replaced {
+		t.Fatalf("InsertAt into the released segment: replaced %v, %v", replaced, err)
+	}
+	if _, ok := h.Get(mgr.SnapshotNow(), segRows+5); !ok {
+		t.Error("the row replayed into the released segment is not there")
+	}
+	runtime.KeepAlive(h)
+}
+
+// TestFarRowIDCostsOneSegment: a table whose first live RowID is ten million
+// — what recovery and a replica see of one that has lived long — costs the
+// segment that row is in and the list of segments, not 400 MB of padding, and
+// a scan of it finds the row. EnsureNext moves the next RowID and allocates
+// nothing.
+func TestFarRowIDCostsOneSegment(t *testing.T) {
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	const far = 10_000_000
+	row := intRow(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if replaced, err := h.InsertAt(txn.Bootstrap, far, row); err != nil || replaced {
+		t.Fatalf("InsertAt(%d): replaced %v, %v", far, replaced, err)
+	}
+	h.EnsureNext(2 * far)
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	// One segment, and the list of them: 59 kB, rounded up to a size class,
+	// and built twice under the race detector.
+	if limit := uint64(2 * segRows * 40); bytes > limit || mallocs > 4 {
+		t.Errorf("a row at RowID %d allocated %d B in %d allocations, want ≤ %d B (one segment and the list) in ≤ 4", far, bytes, mallocs, limit)
+	}
+	if got := scanned(h, txn.NewManager().SnapshotNow()); len(got) != 1 || got[0] != fmt.Sprint(far, ":1") {
+		t.Errorf("a scan finds %v", got)
+	}
+	if id, _ := h.Insert(txn.Bootstrap, row); id != 2*far {
+		t.Errorf("after EnsureNext(%d) the next RowID is %d", 2*far, id)
 	}
 }

@@ -156,12 +156,25 @@ func TestHeapVacuum(t *testing.T) {
 		h.Delete(tx2.ID, id)
 	}
 	tx2.Commit()
-	removed := h.Vacuum(mgr.SnapshotNow())
+	removed := h.Vacuum(mgr.SnapshotNow(), nil)
 	if removed != 5 {
 		t.Fatalf("Vacuum removed %d, want 5", removed)
 	}
 	if n := count(h, mgr.SnapshotNow()); n != 5 {
 		t.Fatalf("count after vacuum = %d", n)
+	}
+	// The survivors are where they were, and the next row goes where it would
+	// have gone: no RowID moved and none is handed out twice.
+	for i, id := range ids[5:] {
+		if row, ok := h.Get(mgr.SnapshotNow(), id); !ok || row[0].Int() != int64(5+i) {
+			t.Fatalf("after vacuum RowID %d reads %v, %v", id, row, ok)
+		}
+	}
+	if id, _ := h.Insert(txn.Bootstrap, intRow(10)); id != 10 {
+		t.Fatalf("after vacuum the next RowID is %d, want 10", id)
+	}
+	if err := h.Delete(txn.Bootstrap, ids[0]); err == nil {
+		t.Fatal("a reclaimed RowID still holds a row to delete")
 	}
 }
 
@@ -229,7 +242,10 @@ func TestBTreeEarlyStop(t *testing.T) {
 }
 
 // TestBTreeMatchesModel is a property test: random inserts and deletes
-// against a sorted-slice model must agree on full-order iteration.
+// against a sorted-slice model must agree on full-order iteration — while the
+// tree grows, while deletes outnumber inserts three to one until it is empty
+// (deletion never merges, so leaves and whole subtrees empty out under items
+// that are still there), and when it grows again from that.
 func TestBTreeMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	bt := NewBTree()
@@ -238,59 +254,61 @@ func TestBTreeMatchesModel(t *testing.T) {
 		rid RowID
 	}
 	var model []entry
-	for op := 0; op < 10000; op++ {
-		if r.Intn(3) != 0 || len(model) == 0 {
-			k := int64(r.Intn(500))
-			rid := RowID(op)
-			bt.Insert(intRow(k), rid)
-			model = append(model, entry{k, rid})
-		} else {
-			i := r.Intn(len(model))
-			e := model[i]
-			if !bt.Delete(intRow(e.k), e.rid) {
-				t.Fatalf("op %d: model entry missing from tree", op)
-			}
-			model = append(model[:i], model[i+1:]...)
-		}
-	}
-	sort.Slice(model, func(i, j int) bool {
-		if model[i].k != model[j].k {
-			return model[i].k < model[j].k
-		}
-		return model[i].rid < model[j].rid
-	})
-	if bt.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", bt.Len(), len(model))
-	}
-	i := 0
-	bt.Ascend(func(k types.Row, rid RowID) bool {
-		if i >= len(model) {
-			t.Fatalf("tree has extra entries")
-		}
-		if k[0].Int() != model[i].k || rid != model[i].rid {
-			t.Fatalf("position %d: tree (%d,%d) vs model (%d,%d)",
-				i, k[0].Int(), rid, model[i].k, model[i].rid)
-		}
-		i++
-		return true
-	})
-	if i != len(model) {
-		t.Fatalf("tree iterated %d, model %d", i, len(model))
-	}
-	// Range queries agree with the model too.
-	for trial := 0; trial < 50; trial++ {
-		lo := int64(r.Intn(500))
-		hi := lo + int64(r.Intn(100))
-		want := 0
-		for _, e := range model {
-			if e.k >= lo && e.k <= hi {
-				want++
+	for _, phase := range []struct{ ops, insertOf4 int }{{10000, 3}, {30000, 1}, {2000, 3}} {
+		for op := 0; op < phase.ops; op++ {
+			if r.Intn(4) < phase.insertOf4 || len(model) == 0 {
+				k := int64(r.Intn(500))
+				rid := RowID(r.Int63())
+				bt.Insert(intRow(k), rid)
+				model = append(model, entry{k, rid})
+			} else {
+				i := r.Intn(len(model))
+				e := model[i]
+				if !bt.Delete(intRow(e.k), e.rid) {
+					t.Fatalf("op %d: model entry missing from tree", op)
+				}
+				model = append(model[:i], model[i+1:]...)
 			}
 		}
-		got := 0
-		bt.AscendRange(intRow(lo), intRow(hi), func(types.Row, RowID) bool { got++; return true })
-		if got != want {
-			t.Fatalf("range [%d,%d]: got %d, want %d", lo, hi, got, want)
+		sort.Slice(model, func(i, j int) bool {
+			if model[i].k != model[j].k {
+				return model[i].k < model[j].k
+			}
+			return model[i].rid < model[j].rid
+		})
+		if bt.Len() != len(model) {
+			t.Fatalf("Len = %d, model %d", bt.Len(), len(model))
+		}
+		i := 0
+		bt.Ascend(func(k types.Row, rid RowID) bool {
+			if i >= len(model) {
+				t.Fatalf("tree has extra entries")
+			}
+			if k[0].Int() != model[i].k || rid != model[i].rid {
+				t.Fatalf("position %d: tree (%d,%d) vs model (%d,%d)",
+					i, k[0].Int(), rid, model[i].k, model[i].rid)
+			}
+			i++
+			return true
+		})
+		if i != len(model) {
+			t.Fatalf("tree iterated %d, model %d", i, len(model))
+		}
+		// Range queries agree with the model too.
+		for trial := 0; trial < 50; trial++ {
+			lo := int64(r.Intn(500))
+			hi := lo + int64(r.Intn(100))
+			want := 0
+			for _, e := range model {
+				if e.k >= lo && e.k <= hi {
+					want++
+				}
+			}
+			got := 0
+			bt.AscendRange(intRow(lo), intRow(hi), func(types.Row, RowID) bool { got++; return true })
+			if got != want {
+				t.Fatalf("range [%d,%d]: got %d, want %d", lo, hi, got, want)
+			}
 		}
 	}
 }

@@ -203,3 +203,13 @@ func (s Snapshot) VisibleVersion(xmin, xmax ID) bool {
 	}
 	return !s.sees(xmax)
 }
+
+// Dead reports whether a version is invisible to s and to every snapshot
+// taken after it: its creator aborted, or its deletion is visible. A version
+// whose creator was still in flight may yet commit, and is not dead.
+func (s Snapshot) Dead(xmin, xmax ID) bool {
+	if _, ok := s.aborted[xmin]; ok {
+		return true
+	}
+	return xmax != 0 && s.sees(xmax)
+}

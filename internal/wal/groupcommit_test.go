@@ -50,14 +50,14 @@ func TestGroupCommitConcurrent(t *testing.T) {
 
 	next := map[string]uint64{}
 	total := 0
-	if err := Replay(path, func(r Record) error {
+	if err := Replay(path, each(func(r Record) error {
 		if r.RowID != next[r.Table] {
 			return fmt.Errorf("%s: replayed RowID %d, want %d", r.Table, r.RowID, next[r.Table])
 		}
 		next[r.Table]++
 		total++
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if want := goroutines * batches; total != want {
@@ -131,13 +131,13 @@ func TestGroupCommitCloseDuringCommit(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		seen[fmt.Sprintf("t%d", g)] = -1
 	}
-	if err := Replay(path, func(r Record) error {
+	if err := Replay(path, each(func(r Record) error {
 		if want := seen[r.Table] + 1; int64(r.RowID) != want {
 			return fmt.Errorf("%s: replayed RowID %d, want %d", r.Table, r.RowID, want)
 		}
 		seen[r.Table]++
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < goroutines; g++ {
@@ -181,7 +181,7 @@ func TestGroupCommitMaxDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	if err := Replay(path, func(Record) error { total++; return nil }); err != nil {
+	if err := Replay(path, each(func(Record) error { total++; return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if want := goroutines * batches; total != want {
@@ -244,7 +244,7 @@ func TestTruncateWaitsForLeader(t *testing.T) {
 	}
 	// The file must still parse cleanly from the front (no interleaved
 	// garbage): Replay stops at a torn tail but must not error.
-	if err := Replay(path, func(Record) error { return nil }); err != nil {
+	if err := Replay(path, each(func(Record) error { return nil })); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"streamrel/internal/types"
@@ -42,7 +45,7 @@ func TestReplayFromOffsets(t *testing.T) {
 	offsets := append([]int64{0}, bounds...)
 	for i, off := range offsets {
 		var got []Record
-		end, err := ReplayFrom(path, off, func(r Record) error { got = append(got, r); return nil })
+		end, err := ReplayFrom(path, off, each(func(r Record) error { got = append(got, r); return nil }))
 		if err != nil {
 			t.Fatalf("ReplayFrom(%d): %v", off, err)
 		}
@@ -56,7 +59,7 @@ func TestReplayFromOffsets(t *testing.T) {
 
 	// RowIDs survive the round trip.
 	var got []Record
-	if _, err := ReplayFrom(path, bounds[0], func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if _, err := ReplayFrom(path, bounds[0], each(func(r Record) error { got = append(got, r); return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if got[0].RowID != 0 || got[1].RowID != 1 {
@@ -93,7 +96,7 @@ func TestReplayFromTornTail(t *testing.T) {
 	f.Close()
 
 	n := 0
-	end, err := ReplayFrom(path, 0, func(Record) error { n++; return nil })
+	end, err := ReplayFrom(path, 0, each(func(Record) error { n++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +109,48 @@ func TestReplayFromTornTail(t *testing.T) {
 // over-allocates on arbitrary bytes, agrees with the decoder it replaced
 // (ownership_test.go) error for error and value for value, and that valid
 // encodings round-trip.
+// unknownKind is a batch of one record of a kind no build has written: a
+// count, the kind byte, and what would be a table name and a RowID.
+var unknownKind = []byte{1, 6, 1, 't', 9}
+
+// TestUnknownRecordKindIsAnError: a batch whose checksum holds and whose
+// records this build cannot decode is not a torn tail. Replay stops there with
+// an error — it neither skips the batch nor ends quietly, dropping the
+// committed batches behind it — and has applied what came before.
+func TestUnknownRecordKindIsAnError(t *testing.T) {
+	if recs, err := DecodeRecords(unknownKind); err == nil {
+		t.Fatalf("decoded %+v", recs)
+	}
+	path := filepath.Join(t.TempDir(), "wal")
+	l, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := Record{Kind: RecMark, SQL: "cafebabe01020304", RowID: 41}
+	if err := l.Append([]Record{{Kind: RecNext, Table: "t", RowID: 12}, mark}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(unknownKind)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(unknownKind))
+	f.Write(append(hdr[:], unknownKind...))
+	f.Write(appendFrame(nil, []Record{{Kind: RecDelete, Table: "t", RowID: 1}}))
+	f.Close()
+	var got []Record
+	err = Replay(path, each(func(r Record) error { got = append(got, r); return nil }))
+	if err == nil || !strings.Contains(err.Error(), "unknown record kind 6") {
+		t.Fatalf("replay over a record of an unknown kind: %v", err)
+	}
+	if len(got) != 2 || got[0].Kind != RecNext || got[0].RowID != 12 || got[1].SQL != mark.SQL || got[1].RowID != 41 {
+		t.Fatalf("before the error replay applied %+v", got)
+	}
+}
+
 func FuzzDecodeRecords(f *testing.F) {
 	seed := [][]Record{
 		{{Kind: RecDDL, SQL: "CREATE TABLE t (a bigint)"}},
@@ -113,11 +158,16 @@ func FuzzDecodeRecords(f *testing.F) {
 		{{Kind: RecDelete, Table: "t", RowID: 9}},
 		{{Kind: RecInsert, Table: "t", RowID: 0, Row: types.Row{types.Null}},
 			{Kind: RecDelete, Table: "t", RowID: 0}},
+		{{Kind: RecInsert, Table: "t", RowID: 7, Row: types.Row{types.NewInt(2)}},
+			{Kind: RecNext, Table: "t", RowID: 10_000_000},
+			{Kind: RecMark, SQL: "cafebabe01020304", RowID: 41}},
+		{{Kind: RecMark, RowID: 3}}, // a checkpoint's generation: a mark naming no run
 	}
 	for _, recs := range seed {
 		f.Add(EncodeRecords(recs))
 	}
 	f.Add([]byte{})
+	f.Add(unknownKind)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := againstOracle(t, data)

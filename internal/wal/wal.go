@@ -43,6 +43,13 @@ const (
 	RecInsert
 	// RecDelete carries (table, rowid).
 	RecDelete
+	// RecNext carries (table, rowid): the table's next RowID is at least that.
+	// A checkpoint and a replication snapshot close each table with one.
+	RecNext
+	// RecMark carries a replica's resume point, the primary's run ID in SQL
+	// and its LSN in RowID: every event up to it is applied. It rides in the
+	// batch that event's effects were logged in, so the two recover together.
+	RecMark
 )
 
 // Record is one logical change. RecInsert and RecDelete both carry the
@@ -68,7 +75,9 @@ var fileMagic = [6]byte{'S', 'R', 'W', 'A', 'L', 'F'}
 // FormatVersion is the record-format version this build reads and writes.
 // Version 2 added the explicit RowID uvarint to RecInsert records;
 // version-1 files predate headers entirely and are rejected by their
-// missing magic.
+// missing magic. RecNext and RecMark joined version 2 without a bump: a file
+// written before them replays as it did, and a record kind a build does not
+// know fails its replay rather than ending it.
 const FormatVersion = 2
 
 const headerSize = 8
@@ -417,16 +426,16 @@ func (l *Log) Truncate() error {
 const maxBatchBytes = 1 << 30
 
 // Replay reads every intact committed batch from the log at path, calling
-// apply for each record in order. A corrupt or torn trailing batch ends
+// apply for each in order. A corrupt or torn trailing batch ends
 // replay without error (it is, by construction, an uncommitted tail). A
 // missing file replays zero records.
-func Replay(path string, apply func(Record) error) error {
+func Replay(path string, apply func([]Record) error) error {
 	_, err := ReplayFrom(path, 0, apply)
 	return err
 }
 
 // ReplayFrom streams intact committed batches starting at byte offset in
-// the log at path, calling apply for each record, and returns the offset
+// the log at path, calling apply for each, and returns the offset
 // just past the last intact batch. It reads batch-by-batch through a
 // buffered reader rather than loading the whole file, so replay memory is
 // bounded by the largest single batch; the returned offset lets a caller
@@ -435,8 +444,10 @@ func Replay(path string, apply func(Record) error) error {
 // corrupt tail ends replay without error; a missing file replays zero
 // records and returns offset unchanged. A file without a valid format
 // header (pre-versioning, foreign, or a different FormatVersion) is an
-// explicit error, never a silently truncated replay.
-func ReplayFrom(path string, offset int64, apply func(Record) error) (int64, error) {
+// explicit error, never a silently truncated replay, and so is a batch whose
+// checksum holds but whose records do not decode (a kind this build does not
+// know): that is not a torn tail.
+func ReplayFrom(path string, offset int64, apply func([]Record) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return offset, nil
@@ -483,12 +494,10 @@ func ReplayFrom(path string, offset int64, apply func(Record) error) (int64, err
 		}
 		recs, err := DecodeRecords(payload)
 		if err != nil {
-			return end, nil // undecodable despite CRC: stop conservatively
+			return end, fmt.Errorf("wal: %s: batch at offset %d: %w", path, end, err)
 		}
-		for _, r := range recs {
-			if err := apply(r); err != nil {
-				return end, err
-			}
+		if err := apply(recs); err != nil {
+			return end, err
 		}
 		end += int64(8 + n)
 	}
@@ -524,8 +533,11 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 			buf = appendString(buf, r.Table)
 			buf = binary.AppendUvarint(buf, r.RowID)
 			buf = types.EncodeRow(buf, r.Row)
-		case RecDelete:
+		case RecDelete, RecNext:
 			buf = appendString(buf, r.Table)
+			buf = binary.AppendUvarint(buf, r.RowID)
+		case RecMark:
+			buf = appendString(buf, r.SQL)
 			buf = binary.AppendUvarint(buf, r.RowID)
 		}
 	}
@@ -561,7 +573,11 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 		switch r.Kind {
 		case RecDDL:
 			r.SQL, buf, err = readString(buf, "")
-		case RecInsert, RecDelete:
+		case RecMark:
+			if r.SQL, buf, err = readString(buf, ""); err == nil {
+				r.RowID, buf, err = readUvarint(buf)
+			}
+		case RecInsert, RecDelete, RecNext:
 			r.Table, buf, err = readString(buf, table)
 			table = r.Table
 			if err == nil {

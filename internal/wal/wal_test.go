@@ -11,6 +11,18 @@ import (
 // EncodeRecords is AppendRecords into a fresh buffer.
 func EncodeRecords(recs []Record) []byte { return AppendRecords(nil, recs) }
 
+// each adapts a per-record callback to Replay's per-batch one.
+func each(fn func(Record) error) func([]Record) error {
+	return func(batch []Record) error {
+		for _, r := range batch {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func row(vs ...int64) types.Row {
 	r := make(types.Row, len(vs))
 	for i, v := range vs {
@@ -41,7 +53,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 
 	var got []Record
-	if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := Replay(path, each(func(r Record) error { got = append(got, r); return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 {
@@ -59,10 +71,10 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	err := Replay(filepath.Join(t.TempDir(), "absent"), func(Record) error {
+	err := Replay(filepath.Join(t.TempDir(), "absent"), each(func(Record) error {
 		t.Fatal("should not be called")
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +95,7 @@ func TestTornTailDiscarded(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []Record
-		if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+		if err := Replay(path, each(func(r Record) error { got = append(got, r); return nil })); err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
 		if len(got) != 1 || got[0].Row[0].Int() != 1 {
@@ -103,7 +115,7 @@ func TestCorruptBatchDiscarded(t *testing.T) {
 	data[len(data)-1] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
 	var got []Record
-	if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := Replay(path, each(func(r Record) error { got = append(got, r); return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
@@ -121,7 +133,7 @@ func TestTruncate(t *testing.T) {
 	l.Append([]Record{{Kind: RecInsert, Table: "t", Row: row(9)}})
 	l.Close()
 	var got []Record
-	Replay(path, func(r Record) error { got = append(got, r); return nil })
+	Replay(path, each(func(r Record) error { got = append(got, r); return nil }))
 	if len(got) != 1 || got[0].Row[0].Int() != 9 {
 		t.Fatalf("after truncate: %+v", got)
 	}
@@ -153,7 +165,7 @@ func TestPreVersioningFileRefused(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Replay(path, func(Record) error { return nil }); err == nil {
+	if err := Replay(path, each(func(Record) error { return nil })); err == nil {
 		t.Fatal("Replay accepted a pre-versioning file")
 	}
 	if _, err := Open(path, Options{}); err == nil {
@@ -168,7 +180,7 @@ func TestFormatVersionMismatchRefused(t *testing.T) {
 	if err := os.WriteFile(path, hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Replay(path, func(Record) error { return nil }); err == nil {
+	if err := Replay(path, each(func(Record) error { return nil })); err == nil {
 		t.Fatal("Replay accepted a mismatched format version")
 	}
 	if _, err := Open(path, Options{}); err == nil {
@@ -185,7 +197,7 @@ func TestTornHeaderIsEmptyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := Replay(path, func(Record) error { n++; return nil }); err != nil {
+	if err := Replay(path, each(func(Record) error { n++; return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -200,7 +212,7 @@ func TestTornHeaderIsEmptyLog(t *testing.T) {
 	}
 	l.Close()
 	var got []Record
-	if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := Replay(path, each(func(r Record) error { got = append(got, r); return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Row[0].Int() != 5 {
@@ -231,7 +243,7 @@ func TestMixedDatumTypesRoundTrip(t *testing.T) {
 	l.Append([]Record{{Kind: RecInsert, Table: "t", Row: in}})
 	l.Close()
 	var got types.Row
-	Replay(path, func(r Record) error { got = r.Row; return nil })
+	Replay(path, each(func(r Record) error { got = r.Row; return nil }))
 	if !types.RowsEqual(in, got) {
 		t.Fatalf("round trip: %v vs %v", in, got)
 	}

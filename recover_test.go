@@ -1,10 +1,15 @@
 package streamrel
 
 import (
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"streamrel/internal/wal"
 )
 
 func openDir(t *testing.T, dir string) *Engine {
@@ -110,10 +115,15 @@ func TestCheckpointAndWALTruncate(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// WAL is now empty; more writes follow the checkpoint.
-	info, err := os.Stat(filepath.Join(dir, "wal.log"))
-	if err != nil || info.Size() != 0 {
-		t.Fatalf("wal after checkpoint: %v size=%d", err, info.Size())
+	// The WAL now holds the checkpoint's generation and nothing else; more
+	// writes follow the checkpoint.
+	var left []wal.Record
+	err := wal.Replay(filepath.Join(dir, "wal.log"), func(recs []wal.Record) error {
+		left = append(left, recs...)
+		return nil
+	})
+	if err != nil || len(left) != 1 || left[0].Kind != wal.RecMark || left[0].SQL != "" || left[0].RowID != 1 {
+		t.Fatalf("wal after checkpoint: %v, %v", left, err)
 	}
 	mustExec(t, e, `INSERT INTO t VALUES (43)`)
 	mustExec(t, e, `DELETE FROM t WHERE a = 42`)
@@ -174,4 +184,205 @@ func TestFreshDirIsEmpty(t *testing.T) {
 	e := openDir(t, t.TempDir())
 	defer e.Close()
 	expectData(t, mustExec(t, e, `SHOW TABLES`).Rows)
+}
+
+// copyDataDir copies an engine's checkpoint and log as they stand — what a
+// crash at this instant would leave — into a new directory.
+func copyDataDir(t *testing.T, dir string) string {
+	t.Helper()
+	image := t.TempDir()
+	for _, name := range []string{"checkpoint", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return image
+}
+
+// TestCheckpointUnderWorkers: a checkpoint may fall anywhere. Two derived
+// streams fire into an APPEND and a REPLACE channel — on pool workers at
+// ParallelCQ 4, whose commits hold no engine lock, on the appender at 0 —
+// while 400-row batches arrive and one Checkpoint() is taken mid-run. Every
+// window committed is then in the checkpoint file or in the log behind it,
+// never in neither (the cut holds the commit gate), and the REPLACE channel's
+// transaction that straddles the cut deletes the RowIDs it read (no RowID
+// moves): no CQ fails, and an engine recovered from a copy of checkpoint +
+// wal.log holds every table's (RowID, row) transcript and next RowID, and
+// finds through the index what a scan finds.
+func TestCheckpointUnderWorkers(t *testing.T) {
+	for _, parallel := range []int{0, 4} {
+		t.Run(fmt.Sprintf("ParallelCQ=%d", parallel), func(t *testing.T) {
+			for round := 0; round < 3; round++ {
+				checkpointUnderWorkers(t, parallel, 20+10*round)
+			}
+		})
+	}
+}
+
+func checkpointUnderWorkers(t *testing.T, parallel, checkpointAt int) {
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir, ParallelCQ: parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ExecScript(`
+		CREATE STREAM s (k bigint, v bigint, at timestamp CQTIME USER);
+		CREATE STREAM agg AS SELECT k, count(*) AS n, sum(v) AS total, cq_close(*) AS w
+			FROM s <ADVANCE '1 second'> GROUP BY k;
+		CREATE TABLE agg_t (k bigint, n bigint, total bigint, w timestamp);
+		CREATE INDEX agg_k ON agg_t (k);
+		CREATE CHANNEL agg_ch FROM agg INTO agg_t APPEND;
+		CREATE STREAM latest AS SELECT k, count(*) AS n, cq_close(*) AS w
+			FROM s <VISIBLE '3 seconds' ADVANCE '1 second'> GROUP BY k;
+		CREATE TABLE latest_t (k bigint, n bigint, w timestamp);
+		CREATE INDEX latest_k ON latest_t (k);
+		CREATE CHANNEL latest_ch FROM latest INTO latest_t REPLACE;`); err != nil {
+		t.Fatal(err)
+	}
+	// A batch spans four seconds: each append closes windows of both streams.
+	const batches, batchRows, keys = 60, 400, 16
+	base := MustTimestamp("2009-01-04 00:00:00")
+	for b := 0; b < batches; b++ {
+		rows := make([]Row, batchRows)
+		for i := range rows {
+			seq := b*batchRows + i
+			rows[i] = Row{Int(int64(seq % keys)), Int(int64(seq % 97)), Timestamp(base.Add(time.Duration(seq) * 10 * time.Millisecond))}
+		}
+		if err := e.Append("s", rows...); err != nil {
+			t.Fatal(err)
+		}
+		if b == checkpointAt {
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// To the last row's window and no further: REPLACE keeps the newest window.
+	if err := e.AdvanceTime("s", base.Add(batches*batchRows*10*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatalf("a CQ failed: %v", err)
+	}
+
+	recovered, err := Open(Config{Dir: copyDataDir(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	for _, table := range []string{"agg_t", "latest_t"} {
+		live, got := heapTranscript(e, table), heapTranscript(recovered, table)
+		if strings.Count(live, "\n") < keys {
+			t.Fatalf("%s holds only\n%s", table, live)
+		}
+		if got != live {
+			t.Fatalf("%s recovered with %d lines, live %d:\n%s\nlive:\n%s", table,
+				strings.Count(got, "\n"), strings.Count(live, "\n"), got, live)
+		}
+		for _, eng := range []*Engine{e, recovered} {
+			byIndex := mustQuery(t, eng, `SELECT k, n, w FROM `+table+` WHERE k = 3 ORDER BY w`)
+			byScan := mustQuery(t, eng, `SELECT k, n, w FROM `+table+` WHERE k + 0 = 3 ORDER BY w`)
+			if len(byIndex.Data) == 0 || fmt.Sprint(byIndex.Data) != fmt.Sprint(byScan.Data) {
+				t.Fatalf("%s WHERE k = 3 through the index:\n%v\nby scan:\n%v", table, byIndex.Data, byScan.Data)
+			}
+		}
+	}
+}
+
+// TestCrashInsideCheckpoint: a checkpoint replaces the file and then restarts
+// the log, and a crash may fall between any two of its steps. The image after
+// the rename and before the truncation is the new checkpoint beside the log it
+// was taken over — a CREATE TABLE, an index, inserts and a delete, all in the
+// file already, and the statement cannot run twice; the image after the
+// truncation and before the stamp is the new checkpoint beside an empty log.
+// Both open, hold the live (RowID, row) transcript, and what they then commit
+// is in a log of the checkpoint's generation: it survives the next restart.
+// The first checkpoint is taken over a log with no generation, the second
+// over one stamped by the first.
+func TestCrashInsideCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	e := openDir(t, dir)
+	defer e.Close()
+	for round := 1; round <= 2; round++ {
+		mustExec(t, e, fmt.Sprintf(`CREATE TABLE t%d (a bigint)`, round))
+		mustExec(t, e, fmt.Sprintf(`CREATE INDEX ix%d ON t%d (a)`, round, round))
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO t%d VALUES (1), (2), (3)`, round))
+		mustExec(t, e, `DELETE FROM t1 WHERE a = 2`)
+		oldLog, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for window, log := range map[string][]byte{"rename, then the crash": oldLog, "truncation, then the crash": nil} {
+			image := copyDataDir(t, dir)
+			if err := os.WriteFile(filepath.Join(image, "wal.log"), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := ""
+			for restart := 0; restart < 2; restart++ {
+				r, err := Open(Config{Dir: image})
+				if err != nil {
+					t.Fatalf("round %d, %s, restart %d: %v", round, window, restart, err)
+				}
+				for n := 1; n <= round && restart == 0; n++ {
+					table := fmt.Sprintf("t%d", n)
+					if got, live := heapTranscript(r, table), heapTranscript(e, table); got != live {
+						t.Fatalf("round %d, %s: %s recovered as\n%slive\n%s", round, window, table, got, live)
+					}
+				}
+				if restart == 0 {
+					mustExec(t, r, `INSERT INTO t1 VALUES (9)`)
+					want = heapTranscript(r, "t1")
+				} else if got := heapTranscript(r, "t1"); got != want {
+					t.Fatalf("round %d, %s: after another restart t1 is\n%swas\n%s", round, window, got, want)
+				}
+				expectData(t, mustQuery(t, r, `SELECT count(*) FROM t1 WHERE a = 9`), "1")
+				r.Close()
+			}
+		}
+	}
+}
+
+// TestRecoverFilesWrittenByParent: a data directory the commit before this
+// one left — a checkpoint it took after deleting rows, so with the RowIDs its
+// Vacuum renumbered them to and neither a table's next RowID nor a mark, and
+// a log written behind that checkpoint (an insert, a delete by compacted
+// RowID, DDL) — recovers to the rows, RowIDs and index that build recovered.
+func TestRecoverFilesWrittenByParent(t *testing.T) {
+	dir := t.TempDir()
+	for name, written := range map[string]string{
+		"checkpoint": "535257414c4602004200000032325289020124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e2074202861293a0000001d4b200005020174000203060502723302017401020308050272340201740202030c050272360201740302030e050272370201740402030a050466697665",
+		"wal.log":    "535257414c4602000c000000f1b7cbc201020174050203100502723805000000109761d401030174011c00000012008cfb010119435245415445205441424c45207520287820626967696e74290f000000873ee193020201750001030202017501010304",
+		"repl.state": "7b2272756e223a2266663230633330306333333666313038222c226c736e223a31317d", // what its replica kept beside them; nothing reads it
+	} {
+		data, err := hex.DecodeString(written)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got, want := heapTranscript(e, "t"), "0 3|r3\n2 6|r6\n3 7|r7\n4 5|five\n5 8|r8\nnext 6\n"; got != want {
+		t.Fatalf("t recovered as\n%swant\n%s", got, want)
+	}
+	if got, want := heapTranscript(e, "u"), "0 1\n1 2\nnext 2\n"; got != want {
+		t.Fatalf("u recovered as\n%swant\n%s", got, want)
+	}
+	expectData(t, mustQuery(t, e, `SELECT b FROM t WHERE a = 5`), "five")
+	if run, lsn := e.ReplicaMark(); run != "" || lsn != 0 {
+		t.Fatalf("recovered a resume point (%q, %d) from files that hold none", run, lsn)
+	}
 }

@@ -182,20 +182,14 @@ func archiveEquivalence(t *testing.T, parallel int) {
 
 	first := startServing(t, streamrel.Config{ParallelCQ: parallel}, "127.0.0.1:0")
 	defer first.stop()
-	firstRep := follow(t, first.eng, prim.addr, "")
+	firstRep := follow(t, first.eng, prim.addr)
 	defer firstRep.Stop()
-	// The chained follower starts once the first has the DDL: a statement
-	// that reached it both in a snapshot and as a live event would fail the
-	// second time (DDL is the one apply that is not idempotent).
-	if err := firstRep.WaitCaughtUp(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
 	restartedDir := t.TempDir()
 	restarted := startServing(t, streamrel.Config{Dir: restartedDir}, "127.0.0.1:0")
-	restartedRep := follow(t, restarted.eng, prim.addr, restartedDir)
+	restartedRep := follow(t, restarted.eng, prim.addr)
 	chained := startServing(t, streamrel.Config{}, "127.0.0.1:0")
 	defer chained.stop()
-	chainedRep := follow(t, chained.eng, first.addr, "")
+	chainedRep := follow(t, chained.eng, first.addr)
 	defer chainedRep.Stop()
 	for _, rep := range []*replica.Replica{restartedRep, chainedRep} {
 		if err := rep.WaitCaughtUp(10 * time.Second); err != nil {
@@ -320,14 +314,14 @@ func archiveEquivalence(t *testing.T, parallel int) {
 	running(100 * time.Millisecond)
 	restarted = startServing(t, streamrel.Config{Dir: restartedDir}, "127.0.0.1:0")
 	defer restarted.stop()
-	restartedRep = follow(t, restarted.eng, prim.addr, restartedDir)
+	restartedRep = follow(t, restarted.eng, prim.addr)
 	defer restartedRep.Stop()
 
 	// A fresh follower joins under load: its snapshot overlaps the archive
 	// events published since its subscription began.
 	late := startServing(t, streamrel.Config{}, "127.0.0.1:0")
 	defer late.stop()
-	lateRep := follow(t, late.eng, prim.addr, "")
+	lateRep := follow(t, late.eng, prim.addr)
 	defer lateRep.Stop()
 	running(150 * time.Millisecond)
 	close(stop)
@@ -439,5 +433,277 @@ func archiveEquivalence(t *testing.T, parallel int) {
 	if tally := chainWatch.seen(t, promotedLSN); tally["archive/s2"] != batches[2]+more || tally["append/s2"] != 0 {
 		t.Errorf("the promoted node published %d × archive/s2 and %d × append/s2, want %d and 0",
 			tally["archive/s2"], tally["append/s2"], batches[2]+more)
+	}
+}
+
+// TestCutEquivalence: a checkpoint is a local matter and a snapshot's boundary
+// is cut with its state. While a stream archives into one table, its derived
+// stream's windows commit into another (on pool workers at ParallelCQ 4) and
+// DML with deletes and aborted transactions churns an indexed third, the
+// primary runs DDL and takes a checkpoint every few milliseconds — and
+// followers bootstrap across all of it, one after another: each DDL statement
+// and each event reaches a follower in its snapshot or after its boundary,
+// never both (a statement applied twice would fail, forever), and no RowID
+// moved under it. A durable follower is followed in turn by a chained one
+// attached before the first has anything, DDL included; the durable one takes
+// a checkpoint of its own, which its follower must not notice, and is then
+// restarted: it recovers its tables and its resume point from that checkpoint
+// and its log and catches up from the ring. All of them end with the
+// primary's (table, RowID, row) transcript.
+func TestCutEquivalence(t *testing.T) {
+	for _, parallel := range []int{0, 4} {
+		t.Run(fmt.Sprintf("ParallelCQ=%d", parallel), func(t *testing.T) { cutEquivalence(t, parallel) })
+	}
+}
+
+func cutEquivalence(t *testing.T, parallel int) {
+	prim := startServing(t, streamrel.Config{Dir: t.TempDir(), ParallelCQ: parallel}, "127.0.0.1:0")
+	defer prim.stop()
+	if err := prim.eng.ExecScript(`
+		CREATE STREAM s (k bigint, v bigint, at timestamp CQTIME USER);
+		CREATE TABLE raw (k bigint, v bigint, at timestamp);
+		CREATE CHANNEL c FROM s INTO raw APPEND;
+		CREATE STREAM agg AS SELECT k, count(*) AS n, cq_close(*) AS w FROM s <ADVANCE '1 second'> GROUP BY k;
+		CREATE TABLE agg_t (k bigint, n bigint, w timestamp);
+		CREATE CHANNEL agg_ch FROM agg INTO agg_t APPEND;
+		CREATE TABLE kv (k bigint, v bigint);
+		CREATE INDEX kv_k ON kv (k);`); err != nil {
+		t.Fatal(err)
+	}
+	// Something to bootstrap from, half of it dead: what the first checkpoint
+	// reclaims, and what the parent's renumbered the rest over.
+	preload := make([]streamrel.Row, 20000)
+	for i := range preload {
+		preload[i] = streamrel.Row{streamrel.Int(int64(i)), streamrel.Int(int64(i % 7))}
+	}
+	if err := prim.eng.BulkInsert("kv", preload); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, prim.eng, `DELETE FROM kv WHERE v < 3`)
+
+	durableDir := t.TempDir()
+	durable := startServing(t, streamrel.Config{Dir: durableDir, ParallelCQ: parallel}, "127.0.0.1:0")
+	durableRep := follow(t, durable.eng, prim.addr)
+	chained := startServing(t, streamrel.Config{}, "127.0.0.1:0")
+	defer chained.stop()
+	chainedRep := follow(t, chained.eng, durable.addr)
+	defer chainedRep.Stop()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	running := func(what func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				what(i)
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	exec := func(sql string) {
+		if _, err := prim.eng.Exec(sql); err != nil {
+			t.Error(err)
+		}
+	}
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	running(func(n int) { // a batch spans 0.8 s: nearly each one closes a window of agg
+		rows := make([]streamrel.Row, 8)
+		for i := range rows {
+			seq := n*len(rows) + i
+			rows[i] = streamrel.Row{streamrel.Int(int64(seq % 5)), streamrel.Int(int64(seq)), streamrel.Timestamp(base.Add(time.Duration(seq) * 100 * time.Millisecond))}
+		}
+		if err := prim.eng.Append("s", rows...); err != nil {
+			t.Error(err)
+		}
+	})
+	running(func(i int) {
+		exec(fmt.Sprintf(`INSERT INTO kv VALUES (%d, %d), (%d, 0)`, -i, i, -i))
+		if i%2 == 0 {
+			exec(fmt.Sprintf(`DELETE FROM kv WHERE k = %d`, -(i - 1)))
+		}
+		if i%4 == 0 { // an aborted transaction: the RowIDs it took stay a gap
+			if prim.eng.BulkInsert("kv", []streamrel.Row{{streamrel.Int(0), streamrel.Int(0)}, {streamrel.Int(0), streamrel.String("x")}}) == nil {
+				t.Error("a string went into a BIGINT column")
+			}
+		}
+	})
+	extras := 0
+	running(func(i int) {
+		exec(fmt.Sprintf(`CREATE TABLE extra_%d (a bigint)`, i))
+		exec(fmt.Sprintf(`INSERT INTO extra_%d VALUES (%d)`, i, i))
+		if err := prim.eng.Checkpoint(); err != nil {
+			t.Error(err)
+		}
+		extras = i
+	})
+
+	followers := map[string]*node{"chained": chained}
+	reps := map[string]*replica.Replica{}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("late %d", i)
+		late := startServing(t, streamrel.Config{ParallelCQ: parallel}, "127.0.0.1:0")
+		defer late.stop()
+		followers[name], reps[name] = late, follow(t, late.eng, prim.addr)
+		defer reps[name].Stop()
+		time.Sleep(40 * time.Millisecond)
+	}
+	// Once it has a resume point to put in it (its snapshot has ended), the
+	// durable follower takes a checkpoint of its own.
+	if err := durableRep.WaitFor(1, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+
+	// The durable follower goes down under load, and its own follower with it.
+	durableRep.Stop()
+	if err := chainedRep.WaitFor(durable.eng.Repl().LSN(), 20*time.Second); err != nil {
+		t.Fatalf("chained: %v", err)
+	}
+	chainedRep.Stop()
+	sameTranscript(t, "chained, of the durable follower", transcript(t, chained.eng), transcript(t, durable.eng))
+	for id, want := range map[string]float64{"streamrel_repl_snapshots_received_total": 1, "streamrel_repl_reconnects_total": 0} {
+		if got := metric(t, chained.eng, id); got != want {
+			t.Errorf("chained follower: %s = %v, want %v: its upstream's checkpoint disturbed it", id, got, want)
+		}
+	}
+	durable.stop()
+	delete(followers, "chained")
+	time.Sleep(40 * time.Millisecond)
+	durable = startServing(t, streamrel.Config{Dir: durableDir, ParallelCQ: parallel}, "127.0.0.1:0")
+	defer durable.stop()
+	followers["durable"], reps["durable"] = durable, follow(t, durable.eng, prim.addr)
+	defer reps["durable"].Stop()
+	time.Sleep(40 * time.Millisecond)
+	halt()
+	if t.Failed() {
+		return
+	}
+	// A follower learns of the RowIDs an aborted transaction took from the
+	// next insert beyond them (or from a snapshot's TableNext): end on one.
+	mustExec(t, prim.eng, `INSERT INTO kv VALUES (0, 0)`)
+	if err := prim.eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := prim.eng.Repl().LSN()
+	want := transcript(t, prim.eng)
+	if !strings.Contains(want, fmt.Sprintf("extra_%d 0 %d\n", extras, extras)) || !strings.Contains(want, "\nagg_t 0 ") {
+		t.Fatalf("the primary ran %d DDL rounds and its transcript lacks the last, or agg_t is empty", extras)
+	}
+	for name, n := range followers {
+		if err := reps[name].WaitFor(lsn, 20*time.Second); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameTranscript(t, name, transcript(t, n.eng), want)
+		wantSnaps := 1.0
+		if name == "durable" {
+			wantSnaps = 0 // since its restart: it resumed from the mark its checkpoint and log hold
+		}
+		if got := metric(t, n.eng, "streamrel_repl_snapshots_received_total"); got != wantSnaps {
+			t.Errorf("%s took %v snapshots, want %v", name, got, wantSnaps)
+		}
+		if got := metric(t, n.eng, "streamrel_repl_reconnects_total"); got != 0 {
+			t.Errorf("%s reconnected %v times: an event failed to apply", name, got)
+		}
+	}
+	t.Logf("%d DDL statements and checkpoints under %d followers' bootstraps", extras, len(followers))
+}
+
+// TestResetEquivalence: a follower made to bootstrap again drops what it held
+// (ReplicaReset), and what it held its own follower holds too. The primary is
+// replaced, at its address, by one of another run that never had table gone_t
+// and numbers kept_t's rows otherwise; the first follower reconnects, is sent a
+// snapshot and resets — under load, the new primary writing and running DDL
+// meanwhile. Its hub begins a new run with it: the chained follower is cut
+// loose, reconnects under the old run and bootstraps again too, rather than
+// keep gone_t and its rows and fail, forever, on the CREATE TABLE kept_t the
+// first follower republishes. Both end with the new primary's transcript.
+func TestResetEquivalence(t *testing.T) {
+	for _, parallel := range []int{0, 4} {
+		t.Run(fmt.Sprintf("ParallelCQ=%d", parallel), func(t *testing.T) { resetEquivalence(t, parallel) })
+	}
+}
+
+func resetEquivalence(t *testing.T, parallel int) {
+	prim := startServing(t, streamrel.Config{ParallelCQ: parallel}, "127.0.0.1:0")
+	if err := prim.eng.ExecScript(`
+		CREATE STREAM s (k bigint, at timestamp CQTIME USER);
+		CREATE STREAM agg AS SELECT k, count(*) AS n, cq_close(*) AS w FROM s <ADVANCE '1 second'> GROUP BY k;
+		CREATE TABLE gone_w (k bigint, n bigint, w timestamp);
+		CREATE CHANNEL gone_ch FROM agg INTO gone_w APPEND;
+		CREATE TABLE gone_t (k bigint);
+		CREATE VIEW gone_v AS SELECT k FROM gone_t;
+		CREATE TABLE kept_t (k bigint, v bigint);
+		CREATE INDEX kept_k ON kept_t (k);
+		INSERT INTO gone_t VALUES (1), (2), (3);
+		INSERT INTO kept_t VALUES (1, 1), (2, 2), (3, 3);
+		DELETE FROM kept_t WHERE k = 2;`); err != nil {
+		prim.stop()
+		t.Fatal(err)
+	}
+	first := startServing(t, streamrel.Config{Dir: t.TempDir(), ParallelCQ: parallel}, "127.0.0.1:0")
+	defer first.stop()
+	firstRep := follow(t, first.eng, prim.addr)
+	defer firstRep.Stop()
+	chained := startServing(t, streamrel.Config{ParallelCQ: parallel}, "127.0.0.1:0")
+	defer chained.stop()
+	chainedRep := follow(t, chained.eng, first.addr)
+	defer chainedRep.Stop()
+	converged := func(n *node, on *node) {
+		t.Helper()
+		var got, want string
+		for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			if got, want = transcript(t, n.eng), transcript(t, on.eng); got == want {
+				return
+			}
+		}
+		sameTranscript(t, "follower of "+on.addr, got, want)
+	}
+	converged(first, prim)
+	converged(chained, prim)
+	oldRun := first.eng.Repl().RunID()
+
+	addr := prim.addr
+	prim.stop()
+	prim = startServing(t, streamrel.Config{ParallelCQ: parallel}, addr)
+	defer prim.stop()
+	if err := prim.eng.ExecScript(`
+		CREATE TABLE kept_t (k bigint, v bigint);
+		CREATE INDEX kept_k ON kept_t (k);
+		INSERT INTO kept_t VALUES (10, 10);`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		mustExec(t, prim.eng, fmt.Sprintf(`INSERT INTO kept_t VALUES (%d, %d)`, 100+i, i))
+		if i%50 == 0 {
+			mustExec(t, prim.eng, fmt.Sprintf(`CREATE TABLE new_%d (a bigint)`, i))
+		}
+		if i%3 == 0 {
+			mustExec(t, prim.eng, fmt.Sprintf(`DELETE FROM kept_t WHERE k = %d`, 100+i-1))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	converged(first, prim)
+	converged(chained, prim)
+	if want := transcript(t, prim.eng); strings.Contains(want, "gone_t") || !strings.Contains(want, "kept_t 0 10|10\n") {
+		t.Fatalf("the new primary's transcript:\n%s", want)
+	}
+	if run := first.eng.Repl().RunID(); run == oldRun {
+		t.Error("the first follower reset and kept its run ID")
+	}
+	for name, n := range map[string]*node{"first": first, "chained": chained} {
+		if got := metric(t, n.eng, "streamrel_repl_snapshots_received_total"); got != 2 {
+			t.Errorf("%s took %v snapshots, want 2: one of each primary's state", name, got)
+		}
 	}
 }

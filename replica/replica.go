@@ -5,20 +5,18 @@
 // same rows — and heartbeats) into its local engine
 // — which runs its own continuous queries, so local subscribers get
 // window fires — reconnects with exponential backoff plus jitter when the
-// primary goes away, persists its resume point, and supports explicit
-// promotion to primary.
+// primary goes away, resumes from the point the engine's own state is the
+// state as of (Engine.ReplicaMark), and supports explicit promotion to
+// primary.
 package replica
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +26,7 @@ import (
 	"streamrel/internal/metrics"
 	"streamrel/internal/repl"
 	"streamrel/internal/trace"
+	"streamrel/internal/wal"
 )
 
 // Options configures a replica.
@@ -36,13 +35,10 @@ type Options struct {
 	Addr string
 	// Engine is the local engine events apply into. Open it with
 	// Config.Replicate so promotion yields a working primary (and so
-	// further replicas can chain off this node).
+	// further replicas can chain off this node). The resume point is part of
+	// its state: an engine with a data directory recovers it with its tables
+	// and resumes incrementally, an in-memory one starts from a snapshot.
 	Engine *streamrel.Engine
-	// Dir, when non-empty, persists the resume point (run ID + last
-	// applied LSN) to Dir/repl.state so a restarted replica resumes
-	// incrementally instead of taking a full snapshot. Point it at the
-	// engine's data directory.
-	Dir string
 	// Client sets dial and I/O timeouts for connections to the primary.
 	Client client.Options
 	// BackoffMin/BackoffMax bound the reconnect backoff (defaults
@@ -53,12 +49,6 @@ type Options struct {
 	// Log receives structured connection lifecycle messages; nil
 	// silences them.
 	Log *slog.Logger
-}
-
-// state is the persisted resume point.
-type state struct {
-	Run string `json:"run"`
-	LSN uint64 `json:"lsn"`
 }
 
 // idleTimeout is the per-frame read deadline. The primary pings about
@@ -72,7 +62,7 @@ type Replica struct {
 
 	mu      sync.Mutex
 	conn    net.Conn // current stream connection, for Stop to sever
-	st      state
+	primary string   // the primary's run ID on this connection; the apply loop's alone
 	started atomic.Bool
 	stopped atomic.Bool
 	stopCh  chan struct{}
@@ -89,9 +79,8 @@ type Replica struct {
 	applyLag      *metrics.Histogram
 }
 
-// New creates a replica bound to its engine and loads any persisted
-// resume point. The engine enters replica mode (writes rejected, channel
-// taps quiet) immediately; Start begins streaming.
+// New creates a replica bound to its engine. The engine enters replica mode
+// (writes rejected, channel taps quiet) immediately; Start begins streaming.
 func New(opts Options) (*Replica, error) {
 	if opts.Engine == nil {
 		return nil, errors.New("replica: Options.Engine is required")
@@ -124,20 +113,11 @@ func New(opts Options) (*Replica, error) {
 	reg.GaugeFunc("streamrel_repl_lag_seconds",
 		"replication lag in seconds (latest frame's publish-to-apply delay)",
 		func() float64 { return float64(r.lastWallLag.Load()) / 1e6 })
-	if opts.Dir != "" {
-		if data, err := os.ReadFile(r.statePath()); err == nil {
-			var st state
-			if json.Unmarshal(data, &st) == nil {
-				r.st = st
-				r.lastApplied.Store(st.LSN)
-			}
-		}
-	}
+	_, lsn := opts.Engine.ReplicaMark()
+	r.lastApplied.Store(lsn)
 	opts.Engine.BeginReplica()
 	return r, nil
 }
-
-func (r *Replica) statePath() string { return filepath.Join(r.opts.Dir, "repl.state") }
 
 func (r *Replica) log(msg string, args ...any) {
 	if r.opts.Log != nil {
@@ -153,8 +133,8 @@ func (r *Replica) Start() {
 	go r.run()
 }
 
-// Stop severs the stream and stops reconnecting; the resume point is
-// persisted. The engine stays in replica mode (use Promote to lift it).
+// Stop severs the stream and stops reconnecting. The engine stays in replica
+// mode (use Promote to lift it).
 func (r *Replica) Stop() {
 	if !r.stopped.Swap(true) {
 		close(r.stopCh)
@@ -167,9 +147,6 @@ func (r *Replica) Stop() {
 	if r.started.Load() {
 		<-r.done
 	}
-	r.mu.Lock()
-	r.persistLocked()
-	r.mu.Unlock()
 }
 
 // Promote stops replication and promotes the local engine to primary:
@@ -275,9 +252,7 @@ func (r *Replica) streamOnce() (applied bool, err error) {
 		return false, err
 	}
 	defer c.Close()
-	r.mu.Lock()
-	run, lsn := r.st.Run, r.st.LSN
-	r.mu.Unlock()
+	run, lsn := r.eng.ReplicaMark()
 	rs, err := c.Replicate(lsn, run)
 	if err != nil {
 		return false, err
@@ -311,94 +286,79 @@ func (r *Replica) streamOnce() (applied bool, err error) {
 	}
 }
 
-// apply dispatches one frame into the engine and maintains the resume
-// point and lag metrics.
+// apply dispatches one frame into the engine, which keeps the resume point
+// (a live event is applied at its LSN: Engine.ApplyReplicatedAt), and
+// maintains the lag metrics.
 func (r *Replica) apply(ev *repl.Event) error {
 	r.framesApplied.Inc()
 	if ev.LSN > r.lastPrimary.Load() {
 		r.lastPrimary.Store(ev.LSN)
 	}
+	var rows int
+	var stream string
+	var do func() error
 	switch ev.Kind {
 	case repl.KindPing:
 		r.observeLag(ev, false)
 		return nil
 
 	case repl.KindResume:
-		r.mu.Lock()
-		r.st.Run = ev.Run
-		r.mu.Unlock()
+		r.primary = ev.Run
 		r.log("resuming replication", "lsn", r.lastApplied.Load(), "run", ev.Run)
 		return nil
 
 	case repl.KindSnapBegin:
 		r.snapsRecv.Inc()
-		r.mu.Lock()
-		hadState := r.st.Run != "" || r.lastApplied.Load() > 0
-		r.st = state{Run: ev.Run}
-		r.mu.Unlock()
+		r.primary = ev.Run
 		r.log("receiving snapshot", "run", ev.Run)
-		if hadState {
-			// Different run (or a too-stale resume point): drop local
-			// state and rebuild from the snapshot.
-			if err := r.eng.ReplicaReset(); err != nil {
-				return err
-			}
-		}
-		return nil
+		// Whatever the engine holds is of another run, of a point the ring no
+		// longer reaches, or of no recorded point at all: the snapshot
+		// replaces it.
+		return r.eng.ReplicaReset()
 
 	case repl.KindSnapEnd:
-		r.advanceApplied(ev.LSN)
-		r.mu.Lock()
-		r.st.LSN = ev.LSN
-		err := r.persistLocked()
-		r.mu.Unlock()
 		r.log("snapshot complete", "lsn", ev.LSN)
-		return err
 
 	case repl.KindTableNext:
-		return r.eng.ApplyReplicatedTableNext(ev.Table, ev.Next)
+		do = func() error {
+			return r.eng.ApplyReplicated([]wal.Record{{Kind: wal.RecNext, Table: ev.Table, RowID: ev.Next}})
+		}
 
 	case repl.KindWAL:
-		start := r.spanStart(ev)
-		if err := r.eng.ApplyReplicated(ev.Recs); err != nil {
-			return err
-		}
-		stream := ""
-		if len(ev.Recs) > 0 {
+		if rows = len(ev.Recs); rows > 0 {
 			stream = ev.Recs[0].Table
 		}
-		r.recordApply(ev, start, stream, len(ev.Recs))
-		return r.applied(ev)
+		do = func() error { return r.eng.ApplyReplicated(ev.Recs) }
 
 	case repl.KindAppend:
-		start := r.spanStart(ev)
-		if err := r.eng.ApplyReplicatedAppend(ev.Stream, ev.Rows, ev.Trace); err != nil {
-			return err
-		}
-		r.recordApply(ev, start, ev.Stream, len(ev.Rows))
-		return r.applied(ev)
+		rows, stream = len(ev.Rows), ev.Stream
+		do = func() error { return r.eng.ApplyReplicatedAppend(ev.Stream, ev.Rows, ev.Trace) }
 
 	case repl.KindArchive:
-		start := r.spanStart(ev)
-		if err := r.eng.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace); err != nil {
-			return err
+		rows, stream = len(ev.Rows), ev.Stream
+		do = func() error {
+			return r.eng.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace)
 		}
-		r.recordApply(ev, start, ev.Stream, len(ev.Rows))
-		return r.applied(ev)
 
 	case repl.KindAdvance:
-		if err := r.eng.ApplyReplicatedAdvance(ev.Stream, ev.TS); err != nil {
-			return err
-		}
-		return r.applied(ev)
+		do = func() error { return r.eng.ApplyReplicatedAdvance(ev.Stream, ev.TS) }
 
-	case repl.KindCheckpoint:
-		if err := r.eng.ReplicaCheckpoint(); err != nil {
-			return err
-		}
-		return r.applied(ev)
+	default:
+		return fmt.Errorf("replica: unknown frame kind %d", ev.Kind)
 	}
-	return fmt.Errorf("replica: unknown frame kind %d", ev.Kind)
+	if ev.LSN == 0 && do != nil {
+		return do() // a snapshot's state frame: the resume point moves at its end
+	}
+	start := r.spanStart(ev)
+	if err := r.eng.ApplyReplicatedAt(r.primary, ev.LSN, do); err != nil {
+		return err
+	}
+	r.recordApply(ev, start, stream, rows)
+	if ev.LSN > r.lastApplied.Load() {
+		r.lastApplied.Store(ev.LSN)
+	}
+	r.observeLag(ev, ev.Kind != repl.KindSnapEnd)
+	return nil
 }
 
 // spanStart returns the wall-clock start for a traced frame's
@@ -422,30 +382,6 @@ func (r *Replica) recordApply(ev *repl.Event, start time.Time, stream string, ro
 		Dur: time.Since(start).Nanoseconds(), Rows: rows})
 }
 
-// applied records a live event's LSN, observes lag, and persists the
-// resume point after every applied event. WAL events are idempotent, but
-// stream appends are not — re-applying one double-counts its rows in
-// window/CQ state observed by this replica's local subscribers — so the
-// crash redo window must stay at most the single event whose persist was
-// in flight, not a batch of them.
-func (r *Replica) applied(ev *repl.Event) error {
-	if ev.LSN == 0 {
-		return nil // snapshot state frame: resume point moves at SnapEnd
-	}
-	r.advanceApplied(ev.LSN)
-	r.observeLag(ev, true)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.st.LSN = ev.LSN
-	return r.persistLocked()
-}
-
-func (r *Replica) advanceApplied(lsn uint64) {
-	if lsn > r.lastApplied.Load() {
-		r.lastApplied.Store(lsn)
-	}
-}
-
 // observeLag converts the frame's publish wall clock into the seconds-lag
 // gauge (and, for applied events, the apply-lag histogram). Clock skew
 // between nodes can make the delta negative; clamp to zero.
@@ -461,20 +397,4 @@ func (r *Replica) observeLag(ev *repl.Event, histogram bool) {
 	if histogram {
 		r.applyLag.Observe(float64(lag) / 1e6)
 	}
-}
-
-// persistLocked writes the resume point (tmp + rename). Callers hold r.mu.
-func (r *Replica) persistLocked() error {
-	if r.opts.Dir == "" {
-		return nil
-	}
-	data, err := json.Marshal(r.st)
-	if err != nil {
-		return err
-	}
-	tmp := r.statePath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, r.statePath())
 }

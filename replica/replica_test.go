@@ -1,8 +1,11 @@
 package replica_test
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -54,17 +57,15 @@ func startReplica(t *testing.T, addr, dir string) (*streamrel.Engine, *replica.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, follow(t, eng, addr, dir)
+	return eng, follow(t, eng, addr)
 }
 
-// follow starts a replica of addr on eng, persisting its resume point in dir
-// when that is not empty.
-func follow(t *testing.T, eng *streamrel.Engine, addr, dir string) *replica.Replica {
+// follow starts a replica of addr on eng.
+func follow(t *testing.T, eng *streamrel.Engine, addr string) *replica.Replica {
 	t.Helper()
 	rep, err := replica.New(replica.Options{
 		Addr:       addr,
 		Engine:     eng,
-		Dir:        dir,
 		BackoffMin: 20 * time.Millisecond,
 		BackoffMax: 200 * time.Millisecond,
 	})
@@ -263,8 +264,15 @@ func TestReplicaResyncsAfterPrimaryRestart(t *testing.T) {
 	defer prim2.stop()
 	mustExec(t, prim2.eng, `INSERT INTO t VALUES (3)`)
 
-	if err := rep.WaitCaughtUp(15 * time.Second); err != nil {
-		t.Fatal(err)
+	// WaitCaughtUp can be satisfied by the replica's view of the old primary,
+	// with the reset under way and t dropped: wait for the row itself.
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if rows, err := reng.Query(`SELECT a FROM t WHERE a = 3`); err == nil && len(rows.Data) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the replica did not resync")
+		}
 	}
 	waitConverged(t, prim2.eng, reng, `SELECT a FROM t ORDER BY a`, false)
 	if snaps := metric(t, reng, "streamrel_repl_snapshots_received_total"); snaps < 2 {
@@ -297,5 +305,140 @@ func TestPromoteAfterPrimaryDeath(t *testing.T) {
 	// Stream ingest works again too (channel taps and stamping resume).
 	if err := reng.Append("s", streamrel.Row{streamrel.Int(1), streamrel.Timestamp(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplicaResumePointRecoversWithState: a durable replica's resume point is
+// in its log, in the batch that logged the event it is the point after — DDL
+// included, the one apply that cannot be done twice. The replica dies the
+// moment it has applied a CREATE TABLE; the image of its directory holds that
+// statement and, as if the parent had written it, a repl.state one event
+// behind. An engine opened on the image ignores that file and knows exactly
+// where it is: the new replica resumes after the statement — no snapshot, no
+// reconnect, which a second CREATE TABLE would force forever — skips nothing
+// and ends with the primary's transcript. A replica over an engine with no
+// directory has no point to resume from, and starts from a snapshot.
+func TestReplicaResumePointRecoversWithState(t *testing.T) {
+	prim := startNode(t, "", "127.0.0.1:0")
+	defer prim.stop()
+	mustExec(t, prim.eng, `CREATE TABLE a (x bigint)`)
+	mustExec(t, prim.eng, `INSERT INTO a VALUES (1)`)
+
+	dir := t.TempDir()
+	reng, rep := startReplica(t, prim.addr, dir)
+	if err := rep.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, prim.eng, `INSERT INTO a VALUES (2)`)
+	mustExec(t, prim.eng, `CREATE TABLE b (y bigint)`)
+	ddlLSN := prim.eng.Repl().LSN()
+	if err := rep.WaitFor(ddlLSN, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	image := t.TempDir()
+	for _, name := range []string{"checkpoint", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := fmt.Sprintf(`{"run":%q,"lsn":%d}`, prim.eng.Repl().RunID(), ddlLSN-1)
+	if err := os.WriteFile(filepath.Join(image, "repl.state"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep.Stop()
+	reng.Close()
+
+	mustExec(t, prim.eng, `INSERT INTO b VALUES (7)`)
+	mustExec(t, prim.eng, `INSERT INTO a VALUES (3)`)
+	reng2, err := streamrel.Open(streamrel.Config{Dir: image, Replicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reng2.Close()
+	if run, lsn := reng2.ReplicaMark(); run != prim.eng.Repl().RunID() || lsn != ddlLSN {
+		t.Fatalf("recovered the resume point (%q, %d), want the CREATE TABLE's (%q, %d)", run, lsn, prim.eng.Repl().RunID(), ddlLSN)
+	}
+	rep2 := follow(t, reng2, prim.addr)
+	defer rep2.Stop()
+	if err := rep2.WaitFor(prim.eng.Repl().LSN(), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sameTranscript(t, "the restarted replica", transcript(t, reng2), transcript(t, prim.eng))
+	for _, id := range []string{"streamrel_repl_snapshots_received_total", "streamrel_repl_reconnects_total"} {
+		if got := metric(t, reng2, id); got != 0 {
+			t.Errorf("%s = %v after the restart, want 0", id, got)
+		}
+	}
+
+	mem, memRep := startReplica(t, prim.addr, "")
+	defer mem.Close()
+	defer memRep.Stop()
+	if err := memRep.WaitFor(prim.eng.Repl().LSN(), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sameTranscript(t, "the in-memory replica", transcript(t, mem), transcript(t, prim.eng))
+	if got := metric(t, mem, "streamrel_repl_snapshots_received_total"); got != 1 {
+		t.Errorf("the in-memory replica took %v snapshots, want 1", got)
+	}
+}
+
+// TestUpgradeFromParentDirectory: the data directory of a durable replica as
+// the commit before this one left it (hex recorded at 6204023) — a checkpoint
+// written when the primary's marker made the replica compact, so with
+// renumbered RowIDs and no next RowID, generation or mark; a log behind it with
+// an insert, DDL and a delete by compacted RowID; and beside them a repl.state,
+// here naming the live primary's run and an LSN its ring still covers. The
+// directory still replays, to the rows that build recovered; the file is not
+// read, the engine holds no resume point, and the replica takes exactly one
+// snapshot, after which it follows like any other.
+func TestUpgradeFromParentDirectory(t *testing.T) {
+	prim := startNode(t, "", "127.0.0.1:0")
+	defer prim.stop()
+	mustExec(t, prim.eng, `CREATE TABLE t (a bigint, b varchar)`)
+	mustExec(t, prim.eng, `CREATE INDEX t_a ON t (a)`)
+	mustExec(t, prim.eng, `INSERT INTO t VALUES (4, 'r4'), (5, 'five'), (6, 'six'), (8, 'new')`)
+
+	dir := t.TempDir()
+	for name, written := range map[string]string{
+		"checkpoint": "535257414c4602004200000032325289020124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e207420286129170000004fa06d3e0202017400020306050272330201740102030805027234",
+		"wal.log":    "535257414c4602000e00000056c4f141010201740202030a0504666976651c00000012008cfb010119435245415445205441424c45207520287820626967696e74290800000037662e09010201750001030e0d00000093c5745b010201740302030c05037369780500000086a766a30103017400",
+		"repl.state": hex.EncodeToString([]byte(fmt.Sprintf(`{"run":%q,"lsn":%d}`, prim.eng.Repl().RunID(), prim.eng.Repl().LSN()))),
+	} {
+		data, err := hex.DecodeString(written)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reng, err := streamrel.Open(streamrel.Config{Dir: dir, Replicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reng.Close()
+	if got, want := dump(t, reng, `SELECT a, b FROM t WHERE a > 0 ORDER BY a`)+dump(t, reng, `SELECT x FROM u`), "4|r4\n5|five\n6|six\n7\n"; got != want {
+		t.Fatalf("the parent's directory replayed as\n%swant\n%s", got, want)
+	}
+	if run, lsn := reng.ReplicaMark(); run != "" || lsn != 0 {
+		t.Fatalf("a resume point (%q, %d) from files that hold none", run, lsn)
+	}
+	rep := follow(t, reng, prim.addr)
+	defer rep.Stop()
+	mustExec(t, prim.eng, `INSERT INTO t VALUES (9, 'later')`)
+	if err := rep.WaitFor(prim.eng.Repl().LSN(), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sameTranscript(t, "the upgraded replica", transcript(t, reng), transcript(t, prim.eng))
+	for id, want := range map[string]float64{"streamrel_repl_snapshots_received_total": 1, "streamrel_repl_reconnects_total": 0} {
+		if got := metric(t, reng, id); got != want {
+			t.Errorf("%s = %v after the upgrade, want %v", id, got, want)
+		}
 	}
 }

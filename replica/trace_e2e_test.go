@@ -19,7 +19,7 @@ func startTracedPair(t *testing.T) (*node, *streamrel.Engine, *replica.Replica) 
 		prim.stop()
 		t.Fatal(err)
 	}
-	return prim, reng, follow(t, reng, prim.addr, "")
+	return prim, reng, follow(t, reng, prim.addr)
 }
 
 // TestReplicaApplySharesPrimaryTraceID is the end-to-end acceptance check:

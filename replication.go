@@ -38,8 +38,7 @@ const (
 // initReplication builds the hub and wires the publish hooks. Called once
 // from Open, before any writes.
 func (e *Engine) initReplication() {
-	e.hub = repl.NewPrimary(repl.Config{Metrics: e.reg, RingSize: e.cfg.ReplRingSize})
-	e.hub.Snapshot = e.replicationSnapshot
+	e.hub = repl.NewPrimary(repl.Config{Metrics: e.reg, RingSize: e.cfg.ReplRingSize, Snapshot: e.replicationSnapshot})
 	for i, reason := range [...]string{"cast", "second_channel", "commit_failed"} {
 		e.unfused[i] = e.reg.Counter("streamrel_repl_unfused_batches_total",
 			"raw-archive channel batches that crossed the replication link as a stream append and a separate WAL batch instead of one event",
@@ -100,25 +99,33 @@ func (e *Engine) Promote() {
 
 // ---------------------------------------------------------------- apply
 
-// ApplyReplicated applies one replicated WAL batch: DDL batches re-execute
-// their SQL (which also logs and republishes them locally), data batches
-// apply insert/delete at the primary's RowIDs in one local transaction.
-// Apply is idempotent — re-applying a suffix after a crash or a
-// snapshot/live-tail overlap refreshes rows without duplicating them.
+// ApplyReplicated is the one record applier: a replica applies its primary's
+// WAL batches and snapshot through it, and recovery the checkpoint and the
+// log. A batch is DDL or data, not both. DDL re-executes its SQL (which logs
+// and republishes it locally); data applies inserts and deletes at the logged
+// RowIDs in one local transaction, logged and republished likewise, and a
+// table's next RowID, logged only (this engine's followers number from the
+// rows they are sent). A batch that ends in a RecMark is applied at that mark
+// (ApplyReplicatedAt). Row apply is idempotent: an insert into an occupied
+// slot refreshes the row, a delete of a missing or deleted one does nothing.
 func (e *Engine) ApplyReplicated(recs []wal.Record) error {
-	if len(recs) == 0 {
+	if n := len(recs); n > 0 && recs[n-1].Kind == wal.RecMark {
+		return e.ApplyReplicatedAt(recs[n-1].SQL, recs[n-1].RowID, func() error { return e.ApplyReplicated(recs[:n-1]) })
+	}
+	if len(recs) == 0 && e.applying.Kind == 0 {
 		return nil
 	}
-	if recs[0].Kind == wal.RecDDL {
-		for _, rec := range recs {
-			if rec.Kind != wal.RecDDL {
-				return fmt.Errorf("streamrel: replicated batch mixes DDL and data")
-			}
+	if len(recs) > 0 && recs[0].Kind == wal.RecDDL {
+		for i, rec := range recs {
 			stmt, err := sql.Parse(rec.SQL)
 			if err != nil {
 				return fmt.Errorf("streamrel: replicated DDL %q: %w", rec.SQL, err)
 			}
-			if _, err := e.execDDL(stmt, rec.SQL); err != nil {
+			var at wal.Record
+			if i == len(recs)-1 {
+				at = e.applying // logged with the last statement: then all of them are applied
+			}
+			if _, err := e.execDDL(stmt, rec.SQL, at); err != nil {
 				return err
 			}
 		}
@@ -127,23 +134,60 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	w := e.beginWrite(len(recs))
+	w.mark = e.applying
 	for _, rec := range recs {
 		t, ok := e.cat.Table(rec.Table)
 		if !ok {
 			return w.fail(fmt.Errorf("streamrel: replicated write to unknown table %q", rec.Table))
 		}
-		switch rec.Kind {
+		switch rid := storage.RowID(rec.RowID); rec.Kind {
 		case wal.RecInsert:
-			if err := w.insertRowAt(t, storage.RowID(rec.RowID), rec.Row); err != nil {
+			if err := w.insertRowAt(t, rid, rec.Row); err != nil {
 				return w.fail(err)
 			}
 		case wal.RecDelete:
-			w.deleteRowReplay(t, storage.RowID(rec.RowID))
+			_ = w.deleteRow(t, rid) // already applied: the row is gone or deleted, and stays so
+		case wal.RecNext:
+			t.Heap.EnsureNext(rid)
+			w.local = append(w.local, rec)
 		default:
 			return w.fail(fmt.Errorf("streamrel: replicated batch mixes DDL and data"))
 		}
 	}
 	return w.commit()
+}
+
+// ApplyReplicatedAt runs apply — the ApplyReplicated* call for event lsn of
+// the primary's run — and, when it succeeds, makes (run, lsn) the engine's
+// resume point (ReplicaMark). Whatever that call logs carries the mark in the
+// same WAL batch, DDL included, so the state and the point it is the state as
+// of recover together; apply nil, a snapshot's end, logs the mark alone. The
+// mark is logged, not republished: it is this engine's, not its followers'.
+// An event that writes nothing durable (a stream append, a heartbeat) moves
+// the mark in memory only: the window state it fed dies with the process, and
+// a restarted replica resumes after the last event that did write. One
+// goroutine applies events to an engine.
+func (e *Engine) ApplyReplicatedAt(run string, lsn uint64, apply func() error) error {
+	e.applying = wal.Record{Kind: wal.RecMark, SQL: run, RowID: lsn}
+	defer func() { e.applying = wal.Record{} }()
+	if apply == nil {
+		apply = func() error { return e.ApplyReplicated(nil) }
+	}
+	if err := apply(); err != nil {
+		return err
+	}
+	e.mu.RLock()
+	e.mark = e.applying
+	e.mu.RUnlock()
+	return nil
+}
+
+// ReplicaMark returns the engine's resume point as a replica: every event of
+// the primary's run up to lsn is applied here. ("", 0) asks for a snapshot.
+func (e *Engine) ReplicaMark() (run string, lsn uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.mark.SQL, e.mark.RowID
 }
 
 // ApplyReplicatedAppend pushes replicated stream rows without re-stamping
@@ -166,14 +210,13 @@ func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID ui
 // base stream and archived, unchanged, into table at the RowIDs in runs: the
 // one decoded row serves as the heap's and the stream's. The rows are inserted
 // at the primary's RowIDs in one local transaction — idempotent like
-// ApplyReplicated, so a snapshot overlap or a crash redo leaves the table as it
+// ApplyReplicated, so applying the event again leaves the table as it
 // was — which runs and commits under the stream's delivery lock, once the
 // stream has accepted the batch and before it is delivered (a window the batch closes sees it archived, as fanOut arranges on
 // the primary), and then the rows enter the stream as in
 // ApplyReplicatedAppend. This engine's own hub republishes the batch as the
-// same single event when every row was new here; a batch that overlapped
-// what a snapshot already brought ships its append and whatever it did
-// insert separately.
+// same single event when every row was new here; one applied again ships
+// its append and whatever it did insert separately.
 func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, runs []repl.RowIDRun, traceID uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -187,7 +230,7 @@ func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, ru
 	}
 	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {
 		w := e.beginWrite(len(rows))
-		w.tc = tc
+		w.tc, w.mark = tc, e.applying
 		next := 0
 		for _, run := range runs {
 			if run.N > uint64(len(rows)-next) {
@@ -221,54 +264,6 @@ func (e *Engine) ApplyReplicatedAdvance(streamName string, ts int64) error {
 	return e.rt.Advance(streamName, ts)
 }
 
-// ApplyReplicatedTableNext aligns a table's next RowID with the primary's
-// (snapshot epilogue per table; reproduces trailing aborted-txn gaps).
-func (e *Engine) ApplyReplicatedTableNext(table string, next uint64) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("streamrel: replicated snapshot references unknown table %q", table)
-	}
-	t.Heap.EnsureNext(storage.RowID(next))
-	return nil
-}
-
-// ReplicaCheckpoint runs when the primary checkpointed: both sides
-// compact heaps at the same point in the event order, so RowID numbering
-// stays aligned. Durable replicas take a full local checkpoint (which
-// also truncates their WAL); in-memory replicas just compact. Either way the
-// marker goes on to this engine's own followers, which must compact too.
-func (e *Engine) ReplicaCheckpoint() error {
-	if e.log != nil {
-		return e.Checkpoint()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.compactTablesLocked()
-	if e.hub != nil {
-		e.hub.PublishCheckpoint()
-	}
-	return nil
-}
-
-// compactTablesLocked vacuums every heap and rebuilds its indexes against
-// the compacted RowIDs. Callers hold e.mu exclusively.
-func (e *Engine) compactTablesLocked() {
-	snap := e.mgr.SnapshotNow()
-	for _, t := range e.cat.Tables() {
-		t.Heap.Vacuum(snap)
-		for _, ix := range t.Indexes {
-			rebuilt := storage.NewBTree()
-			t.Heap.Scan(snap, func(rid storage.RowID, row types.Row) bool {
-				rebuilt.Insert(ix.KeyOf(row), rid)
-				return true
-			})
-			ix.Tree = rebuilt
-		}
-	}
-}
-
 // ReplicaReset drops every object and clears durable state, preparing the
 // engine to receive a full snapshot from a (new) primary. Dependency
 // order: channels first, then derived streams, base streams, views,
@@ -276,38 +271,36 @@ func (e *Engine) compactTablesLocked() {
 func (e *Engine) ReplicaReset() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.hub != nil && len(e.ddlLog) > 0 {
+		e.hub.NewRun() // this engine's followers hold what it is about to drop
+	}
+	var drops []sql.Drop
 	for _, ch := range e.cat.Channels() {
-		if _, err := e.execDrop(&sql.Drop{Kind: sql.ObjChannel, Name: ch.Name}); err != nil {
-			return err
-		}
+		drops = append(drops, sql.Drop{Kind: sql.ObjChannel, Name: ch.Name})
 	}
 	for _, d := range e.cat.DerivedStreams() {
-		if _, err := e.execDrop(&sql.Drop{Kind: sql.ObjStream, Name: d.Name}); err != nil {
-			return err
-		}
+		drops = append(drops, sql.Drop{Kind: sql.ObjStream, Name: d.Name})
 	}
 	for _, name := range e.cat.Names("streams") {
-		if isSysName(name) {
-			// Engine-owned telemetry streams are never part of the
-			// primary's snapshot; they survive the reset so the local
-			// monitor keeps reporting through the resync.
-			continue
-		}
-		if _, err := e.execDrop(&sql.Drop{Kind: sql.ObjStream, Name: name}); err != nil {
-			return err
+		// Engine-owned telemetry streams are never part of the primary's
+		// snapshot; they survive the reset so the local monitor keeps
+		// reporting through the resync.
+		if _, derived := e.cat.Derived(name); !derived && !isSysName(name) {
+			drops = append(drops, sql.Drop{Kind: sql.ObjStream, Name: name})
 		}
 	}
 	for _, name := range e.cat.Names("views") {
-		if _, err := e.execDrop(&sql.Drop{Kind: sql.ObjView, Name: name}); err != nil {
-			return err
-		}
+		drops = append(drops, sql.Drop{Kind: sql.ObjView, Name: name})
 	}
 	for _, t := range e.cat.Tables() {
-		if _, err := e.execDrop(&sql.Drop{Kind: sql.ObjTable, Name: t.Name}); err != nil {
+		drops = append(drops, sql.Drop{Kind: sql.ObjTable, Name: t.Name})
+	}
+	for i := range drops {
+		if _, err := e.execDrop(&drops[i]); err != nil {
 			return err
 		}
 	}
-	e.ddlLog = nil
+	e.ddlLog, e.mark, e.gen = nil, wal.Record{}, 0
 	if e.log != nil {
 		if err := e.log.Truncate(); err != nil {
 			return err
@@ -322,8 +315,8 @@ func (e *Engine) ReplicaReset() error {
 // ----------------------------------------------------------- snapshot
 
 // scanBatchRows sizes the row batches scanTable emits: a synced checkpoint
-// batch is one fsync under the engine's exclusive lock, so fewer, larger
-// batches — the byte bound is what keeps a batch of wide rows readable.
+// batch is one fsync inside the cut, so fewer, larger batches — the byte
+// bound is what keeps a batch of wide rows readable.
 const scanBatchRows = 4096
 
 // scanTable hands emit every row of t visible at snap as insert records
@@ -352,39 +345,26 @@ func scanTable(t *catalog.Table, snap txn.Snapshot, emit func([]wal.Record) erro
 	return emit(batch)
 }
 
-// replicationSnapshot emits a consistent logical cut of durable state:
-// the DDL log, then every table's visible rows as insert records carrying
-// their RowIDs, each table closed by a TableNext event. It runs under the
-// engine's exclusive lock, so no DDL or checkpoint interleaves — but the
-// caller (repl.Primary.ServeConn) only spools the emitted events here and
-// streams them after this returns, so the lock is held for the in-memory
-// scan, never for the network transfer. Stream events and worker commits
-// published concurrently carry LSNs above the snapshot boundary and are
-// replayed after it — row apply is idempotent, so the overlap is
-// harmless.
-func (e *Engine) replicationSnapshot(emit func(repl.Event) error) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, stmtSQL := range e.ddlLog {
-		ev := repl.Event{Kind: repl.KindWAL, Recs: []wal.Record{{Kind: wal.RecDDL, SQL: stmtSQL}}}
-		if err := emit(ev); err != nil {
-			return err
+// replicationSnapshot is the hub's repl.SnapshotFunc: inside one cut, atCut
+// (the new follower's subscription and boundary), then the dump, each batch a
+// KindWAL event but the tables' next RowIDs, which have a frame kind of their own.
+func (e *Engine) replicationSnapshot(atCut func(), emit func(repl.Event) error) error {
+	return e.cut(func(snap txn.Snapshot) error {
+		if atCut != nil {
+			atCut()
 		}
-	}
-	snap := e.mgr.SnapshotNow()
-	for _, t := range e.cat.Tables() {
-		err := scanTable(t, snap, func(batch []wal.Record) error {
-			return emit(repl.Event{Kind: repl.KindWAL, Recs: batch})
+		return e.dump(snap, func(batch []wal.Record) error {
+			if batch[0].Kind != wal.RecNext {
+				return emit(repl.Event{Kind: repl.KindWAL, Recs: batch})
+			}
+			for _, next := range batch {
+				if err := emit(repl.Event{Kind: repl.KindTableNext, Table: next.Table, Next: next.RowID}); err != nil {
+					return err
+				}
+			}
+			return nil
 		})
-		if err != nil {
-			return err
-		}
-		ev := repl.Event{Kind: repl.KindTableNext, Table: t.Name, Next: uint64(t.Heap.NextID())}
-		if err := emit(ev); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // ----------------------------------------------------- writeTxn helpers
@@ -404,18 +384,5 @@ func (w *writeTxn) insertRowAt(t *catalog.Table, rid storage.RowID, row types.Ro
 		ix.Tree.Insert(ix.KeyOf(row), rid)
 	}
 	w.recs = append(w.recs, wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row})
-	w.n++
 	return nil
-}
-
-// deleteRowReplay is deleteRow with idempotent semantics: an unknown or
-// already-deleted RowID is a no-op (the record was already applied).
-func (w *writeTxn) deleteRowReplay(t *catalog.Table, rid storage.RowID) {
-	if !t.Heap.DeleteReplay(w.tx.ID, rid) {
-		return
-	}
-	heap, id := t.Heap, rid
-	w.undo = append(w.undo, func() { heap.UndoDelete(w.tx.ID, id) })
-	w.recs = append(w.recs, wal.Record{Kind: wal.RecDelete, Table: t.Name, RowID: uint64(rid)})
-	w.n++
 }

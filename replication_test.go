@@ -294,3 +294,43 @@ func TestReplicaArchiveApplyAllocs(t *testing.T) {
 	}
 	expectData(t, mustQuery(t, e, `SELECT count(*) FROM archive`), fmt.Sprint(len(frames)*allocBatch))
 }
+
+// TestMarkMovesWithTheStatement: a follower's checkpoint may fall between its
+// applying a DDL statement and ApplyReplicatedAt's return. The file must then
+// hold the statement's mark with the statement — an engine recovered from it
+// that resumed one event earlier would be sent CREATE TABLE again, and fail
+// on it for ever.
+func TestMarkMovesWithTheStatement(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.BeginReplica()
+	ddl := func(lsn uint64, sql string, then func() error) {
+		t.Helper()
+		err := e.ApplyReplicatedAt("run", lsn, func() error {
+			if err := e.ApplyReplicated([]wal.Record{{Kind: wal.RecDDL, SQL: sql}}); err != nil {
+				return err
+			}
+			return then()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ddl(4, `CREATE TABLE a (x bigint)`, func() error { return nil })
+	ddl(5, `CREATE TABLE b (y bigint)`, e.Checkpoint)
+	recovered, err := Open(Config{Dir: copyDataDir(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if _, err := recovered.Query(`SELECT y FROM b`); err != nil {
+		t.Fatal(err)
+	}
+	if run, lsn := recovered.ReplicaMark(); run != "run" || lsn != 5 {
+		t.Fatalf("recovered table b and the resume point (%q, %d), want (\"run\", 5)", run, lsn)
+	}
+}

@@ -196,8 +196,10 @@ type MetricsRegistry = metrics.Registry
 
 // Engine is a stream-relational database instance.
 type Engine struct {
-	// mu serializes writers against checkpoints; readers take RLock.
-	mu sync.RWMutex
+	// mu serializes DDL against everything else, and with gate — which every
+	// transaction's log-and-commit holds shared, pool workers' included — is
+	// the exclusive section of Engine.cut; readers and writers take RLock.
+	mu, gate sync.RWMutex
 
 	cfg     Config
 	cat     *catalog.Catalog
@@ -218,6 +220,13 @@ type Engine struct {
 	// primary's events; prevLate restores the late policy on Promote.
 	replicaMode atomic.Bool
 	prevLate    stream.LatePolicy
+	// mark is this engine's resume point as a replica, a wal.RecMark record
+	// (zero: none), written and read under mu; applying is the mark of the
+	// event ApplyReplicatedAt is applying, that goroutine's alone.
+	mark, applying wal.Record
+	// gen is the generation of the newest checkpoint (0: none), which the log
+	// was begun after; under mu.
+	gen uint64
 
 	// checkpointHist observes Checkpoint durations.
 	checkpointHist *metrics.Histogram
@@ -234,8 +243,7 @@ type Engine struct {
 	// Config.SysMonInterval is non-zero.
 	sysmon *sysmon.Monitor
 
-	recovering bool
-	closed     bool
+	closed bool
 }
 
 // Open creates or recovers an engine.
@@ -267,10 +275,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e.planner = &plan.Planner{Cat: e.cat}
 	e.checkpointHist = e.reg.Histogram("streamrel_checkpoint_seconds",
-		"duration of checkpoints (heap compaction + file write + WAL truncate)", nil)
-	if cfg.Replicate {
-		e.initReplication()
-	}
+		"duration of checkpoints (state dump + WAL truncate inside the cut, then reclaiming dead versions)", nil)
 
 	fail := func(err error) (*Engine, error) {
 		e.rt.Close() // stops the scheduler pool and any recovered pipelines
@@ -278,7 +283,8 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	if cfg.Dir != "" {
 		start := time.Now()
-		if err := e.recover(); err != nil {
+		stale, err := e.recover()
+		if err != nil {
 			return fail(err)
 		}
 		e.reg.Gauge("streamrel_recovery_replay_seconds",
@@ -290,6 +296,15 @@ func Open(cfg Config) (*Engine, error) {
 			return fail(err)
 		}
 		e.log = log
+		if stale {
+			if err := e.restartLog(); err != nil {
+				log.Close()
+				return fail(err)
+			}
+		}
+	}
+	if cfg.Replicate {
+		e.initReplication()
 	}
 	if cfg.SysMonInterval != 0 {
 		if err := e.initSysMon(); err != nil {
@@ -423,7 +438,7 @@ func (e *Engine) execStmt(stmt sql.Statement, sqlText string) (*Result, error) {
 		if n := sysDDLTarget(stmt); n != "" {
 			return nil, errSysReserved(n)
 		}
-		return e.execDDL(stmt, sqlText)
+		return e.execDDL(stmt, sqlText, wal.Record{})
 	case *sql.Insert:
 		if err := e.writeGate(); err != nil {
 			return nil, err
@@ -583,8 +598,8 @@ func (e *Engine) push(tc trace.Ctx, streamName string, rows []Row) error {
 	return e.rt.PushBatch(tc, streamName, rows, now)
 }
 
-// Checkpoint compacts heaps, writes a checkpoint file, and truncates the
-// WAL. No-op for in-memory engines.
+// Checkpoint writes a checkpoint file, truncates the WAL and reclaims dead
+// row versions. No-op for in-memory engines.
 func (e *Engine) Checkpoint() error {
 	if e.log == nil {
 		return nil
