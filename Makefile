@@ -49,7 +49,9 @@ cover:
 # delivering goroutine, inside its commit and under the source's lock
 # (primary ≡ followers by (table, RowID, row) at ParallelCQ 0 and 4), and for
 # the cut: followers bootstrapping across DDL and checkpoints, and a checkpoint
-# between the commits of pool workers (TestCheckpointUnderWorkers).
+# between the commits of pool workers (TestCheckpointUnderWorkers). The storage
+# package also holds the run insert to its one lock acquisition there
+# (TestInsertRunTakesTheLockOnce: a concurrent reader finds whole runs only).
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers' .
@@ -58,8 +60,12 @@ drain-policies:
 # allocations and shares memory with nothing — internal/server/proto.go), the
 # sizes the byte pins are reckoned in (a Datum 24 bytes, a heap version 40) and
 # every allocation pin on the decode → commit → replicate path (a follower
-# decodes and applies an archived batch in two allocations a row), in the
-# operators, and in the window-state store (first touch of a (slice, group)
+# decodes and applies an archived batch in two allocations a row; a primary
+# commits one in a few objects and under 32 bytes a row beyond the heap's and
+# the one row slice, TestArchiveCommitAllocs; a log append buys no buffer the
+# size of its frame, TestAppendAllocs; a snapshot costs the same however many
+# transactions ever aborted, TestSnapshotAllocsAfterTrim), in the operators,
+# and in the window-state store (first touch of a (slice, group)
 # ≤ 0.1 allocations amortized; an enrichment fire independent of window
 # rows; a fire two allocations and O(touched) bytes, and what its shared
 # rows keep reachable at most two copies of the window; an aggregate over a
@@ -67,7 +73,7 @@ drain-policies:
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof' ./internal/types ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
 
 # poison runs the root suites (the SQL suite, the equivalence suites) and
 # the experiments with every join in poison mode — a row a join takes back
@@ -107,7 +113,8 @@ bench-selftest:
 	bash bench/run.sh -smoke -seed 1
 
 # fuzz exercises the binary decoders (WAL batches, replication frames)
-# that parse untrusted bytes off disk and off the wire, the tagged-JSON
+# that parse untrusted bytes off disk and off the wire (a run-shaped insert
+# expands to what the per-row batch of the same rows decodes to), the tagged-JSON
 # wire codec against the reflective codec it replaced (and the metrics
 # samples that ride in it) — all three differentially, error for error and
 # value for value, against the row decoders that allocated a string per

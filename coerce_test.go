@@ -2,6 +2,7 @@ package streamrel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,6 +85,61 @@ func TestArchiveChannelAllocsAndOwnership(t *testing.T) {
 	})
 	if n != len(batches)*allocBatch {
 		t.Fatalf("archive holds %d rows, want %d", n, len(batches)*allocBatch)
+	}
+}
+
+// TestArchiveCommitAllocs: what a primary pays to commit an as-delivered
+// batch — the stream's one raw-archive channel, a log and a hub — is a few
+// objects a batch whatever its size and, beyond the heap's own (a 40-byte
+// version) and the one []types.Row the write set, the log's encoder and the
+// hub's ring share (24), under 32 bytes a row: no record per row, no copy of
+// the frame.
+func TestArchiveCommitAllocs(t *testing.T) {
+	const ddl = `CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar, bytes bigint);`
+	measure := func(ddl string, batch int) (allocs, bytes float64) {
+		e, err := Open(Config{Dir: t.TempDir(), Replicate: true, TraceSampleEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.ExecScript(ddl); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 64 // some 16 Ki versions at 256 rows a batch: four heap segments
+		base := MustTimestamp("2009-01-04 00:00:00")
+		batches := make([][]Row, runs+2)
+		for i := range batches {
+			batches[i] = hitRows(base, i*batch, batch)
+		}
+		push := func(i int) {
+			if err := e.Append("hits", batches[i]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		push(0)
+		push(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 2; i < len(batches); i++ {
+			push(i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	const archive = ddl + `
+		CREATE TABLE archive (url varchar, atime timestamp, client_ip varchar, bytes bigint);
+		CREATE CHANNEL archive_ch FROM hits INTO archive APPEND;`
+	plainAllocs, plainBytes := measure(ddl, allocBatch)
+	allocs, bytes := measure(archive, allocBatch)
+	allocs4, _ := measure(archive, 4*allocBatch)
+	perRow := (bytes - plainBytes) / allocBatch
+	t.Logf("commit of %d rows: %.1f allocations and %.0f bytes over the append's %.1f and %.0f: %.1f bytes a row; of %d rows: %.1f allocations",
+		allocBatch, allocs-plainAllocs, bytes-plainBytes, plainAllocs, plainBytes, perRow, 4*allocBatch, allocs4-plainAllocs)
+	if allocs-plainAllocs > 16 || allocs4 > allocs+2 {
+		t.Fatalf("the commit allocates %.1f objects a %d-row batch and %.1f a %d-row one: want a constant, at most 16", allocs-plainAllocs, allocBatch, allocs4-plainAllocs, 4*allocBatch)
+	}
+	if perRow >= 40+24+32 {
+		t.Fatalf("the commit allocates %.1f bytes a row, want under %d", perRow, 40+24+32)
 	}
 }
 

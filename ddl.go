@@ -42,7 +42,7 @@ func (e *Engine) execDDL(stmt sql.Statement, sqlText string, at wal.Record) (*Re
 			}
 		}
 		if e.hub != nil {
-			e.hub.PublishWAL(recs[:1])
+			_ = e.hub.PublishTxn(recs[:1], nil, 0) // no commit, no error
 		}
 	}
 	return &Result{}, nil
@@ -295,9 +295,9 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	if !ok {
 		return fmt.Errorf("streamrel: channel %q: table %q vanished", ch.Name, ch.Into)
 	}
-	expect := len(rows)
+	expect := 1 // the one insert
 	if ch.Mode == sql.ChannelReplace {
-		expect = 0 // only the groups that changed are written
+		expect = 0 // and a delete for each group that changed
 	}
 	w := e.beginWrite(expect)
 	w.tc = tc
@@ -320,7 +320,7 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	}
 	if in.Owed() {
 		if asDelivered {
-			w.in, w.rows = in, coerced
+			w.in = in
 		} else {
 			e.unfused[unfusedCast].Inc()
 			in.Publish()
@@ -350,20 +350,17 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 				return w.fail(err)
 			}
 		}
+		fresh := coerced[:0]
 		for _, cr := range coerced {
 			if k := cr.Key(); want[k] > 0 {
 				want[k]--
-				if err := w.insertRow(t, cr); err != nil {
-					return w.fail(err)
-				}
+				fresh = append(fresh, cr)
 			}
 		}
-		return w.commit()
+		coerced = fresh
 	}
-	for _, cr := range coerced {
-		if err := w.insertRow(t, cr); err != nil {
-			return w.fail(err)
-		}
+	if err := w.insert(t, nil, coerced); err != nil {
+		return w.fail(err)
 	}
 	return w.commit()
 }
@@ -412,8 +409,12 @@ func (e *Engine) dropMissOK(s *sql.Drop, err error) (bool, error) {
 
 // ------------------------------------------------------- write txns
 
-// writeTxn couples an MVCC transaction with its WAL batch and index
-// maintenance. All effects are logged only at commit, as one atomic batch.
+// writeTxn couples an MVCC transaction with its write set and index
+// maintenance. The write set (recs) is what commit logs, as one atomic batch,
+// and publishes; the run is its unit. An insert is one wal.RecRows record —
+// the table, the RowID runs the heap assigned (or the primary's) and the row
+// slice the caller handed over, shared from there by the log's encoder and
+// the hub's ring — and only a delete, a next RowID or a mark is its own.
 type writeTxn struct {
 	e    *Engine
 	tx   *txn.Txn
@@ -426,34 +427,83 @@ type writeTxn struct {
 	undo []func()
 	// local records are logged with the batch and not passed on to the hub: a
 	// table's next RowID from a snapshot and, when set, mark, the replica's
-	// resume point this batch is the state as of (ApplyReplicatedAt).
+	// resume point this batch is the state as of (ApplyReplicatedAt), which
+	// commit makes the engine's.
 	local []wal.Record
 	mark  wal.Record
-	// in and rows are set when the transaction does nothing but store rows, a
-	// base stream's batch as it was delivered, recs[i] the insert of rows[i]:
-	// commit then publishes batch and inserts as one replication event and
-	// settles in.
-	in   *stream.Ingest
-	rows []types.Row
+	// in is set when the transaction does nothing but store a base stream's
+	// batch as it was delivered — recs is that one insert: commit then
+	// publishes batch and insert as one replication event and settles in.
+	in *stream.Ingest
 }
 
 // beginWrite starts a write transaction. expect is the number of records
-// the caller knows it will log (0: not known before it scans), and sizes
-// the batch once: a 256-row commit otherwise regrows its 72-byte records
-// nine times, on the primary and again on the replica that applies them.
+// the caller knows it will log — one for an insert, however many rows — and
+// sizes the write set once (0: not known before it scans).
 func (e *Engine) beginWrite(expect int) *writeTxn {
 	return &writeTxn{e: e, tx: e.mgr.Begin(), recs: make([]wal.Record, 0, expect)}
 }
 
-func (w *writeTxn) insertRow(t *catalog.Table, row types.Row) error {
-	rid, err := t.Heap.Insert(w.tx.ID, row)
-	if err != nil {
-		return err
+// insert stores rows in t — one run at the next RowIDs, or with runs
+// (replicated apply, recovery) at the RowIDs the primary logged — a heap lock
+// a run, indexes them and adds the insert to the write set with the caller's
+// slices, which it must then leave alone. Rows that were here already (an
+// event applied again) are refreshed, and neither indexed nor logged again;
+// when every row was new the runs go on as they came.
+func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Row) error {
+	if len(rows) == 0 {
+		return nil
 	}
-	for _, ix := range t.Indexes {
-		ix.Tree.Insert(ix.KeyOf(row), rid)
+	var stale []int // the rows that were here already
+	next := 0
+	for _, run := range runs {
+		if run.N > uint64(len(rows)-next) {
+			break
+		}
+		occupied, err := t.Heap.InsertRunAt(w.tx.ID, storage.RowID(run.First), rows[next:next+int(run.N)])
+		if err != nil {
+			return err
+		}
+		for _, i := range occupied {
+			stale = append(stale, next+i)
+		}
+		next += int(run.N)
 	}
-	w.recs = append(w.recs, wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row})
+	if runs == nil {
+		first, err := t.Heap.InsertRun(w.tx.ID, rows)
+		if err != nil {
+			return err
+		}
+		runs, next = []wal.RowIDRun{{First: uint64(first), N: uint64(len(rows))}}, len(rows)
+	}
+	if next != len(rows) {
+		return fmt.Errorf("streamrel: %d rows for %s with RowID runs for %d", len(rows), t.Name, next)
+	}
+	if drop := stale != nil; drop || len(t.Indexes) > 0 {
+		var keptRuns []wal.RowIDRun
+		var kept []types.Row
+		next = 0
+		for _, run := range runs {
+			for rid := run.First; rid < run.First+run.N; rid, next = rid+1, next+1 {
+				if len(stale) > 0 && stale[0] == next {
+					stale = stale[1:]
+					continue
+				}
+				for _, ix := range t.Indexes {
+					ix.Tree.Insert(ix.KeyOf(rows[next]), storage.RowID(rid))
+				}
+				if drop {
+					keptRuns, kept = wal.AppendRun(keptRuns, rid), append(kept, rows[next])
+				}
+			}
+		}
+		if drop {
+			runs, rows = keptRuns, kept
+		}
+	}
+	if len(rows) > 0 {
+		w.recs = append(w.recs, wal.Record{Kind: wal.RecRows, Table: t.Name, Runs: runs, Rows: rows})
+	}
 	return nil
 }
 
@@ -470,8 +520,9 @@ func (w *writeTxn) deleteRow(t *catalog.Table, rid storage.RowID) error {
 }
 
 // commit logs and commits inside the commit gate, held shared: a cut
-// (Engine.cut) sees the transaction logged and committed, or neither.
-func (w *writeTxn) commit() error {
+// (Engine.cut) sees the transaction logged and committed — and the engine's
+// resume point moved to its mark — or none of it.
+func (w *writeTxn) commit() (err error) {
 	w.e.gate.RLock()
 	defer w.e.gate.RUnlock()
 	if logged := append(w.recs, w.local...); w.e.log != nil && (len(logged) > 0 || w.mark.Kind != 0) {
@@ -482,25 +533,29 @@ func (w *writeTxn) commit() error {
 			return w.fail(err)
 		}
 	}
-	if w.e.hub != nil && len(w.recs) > 0 {
+	switch {
+	case w.e.hub == nil || len(w.recs) == 0:
+		err = w.tx.Commit()
+	case w.in == nil:
 		// The hub commits the transaction inside its commit lock, so the
 		// published LSN order matches commit order across transactions
 		// (stream ingest publishes under a separate lock and never waits
 		// behind a commit).
-		if w.in == nil {
-			return w.e.hub.PublishTxn(w.recs, w.tx.Commit, w.tc.ID)
-		}
+		err = w.e.hub.PublishTxn(w.recs, w.tx.Commit, w.tc.ID)
+	default:
 		// This goroutine also holds the source's delivery lock, so the one
 		// event sits in the stream's delivery order too. A failed commit
 		// leaves in owed: the batch still entered the stream, and deliver
 		// publishes its append.
-		err := w.e.hub.PublishArchive(w.in.Stream(), w.rows, w.recs, w.tx.Commit, w.tc.ID)
-		if err == nil {
+		ins := &w.recs[0]
+		if err = w.e.hub.PublishArchive(w.in.Stream(), ins.Table, ins.Runs, ins.Rows, w.tx.Commit, w.tc.ID); err == nil {
 			w.in.Settle()
 		}
-		return err
 	}
-	return w.tx.Commit()
+	if err == nil && w.mark.Kind != 0 {
+		w.e.mark = w.mark
+	}
+	return err
 }
 
 func (w *writeTxn) fail(err error) error {

@@ -42,11 +42,9 @@ func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite(len(rows))
-	for _, row := range rows {
-		if err := w.insertRow(t, row); err != nil {
-			return nil, w.fail(err)
-		}
+	w := e.beginWrite(1)
+	if err := w.insert(t, nil, rows); err != nil {
+		return nil, w.fail(err)
 	}
 	if err := w.commit(); err != nil {
 		return nil, err
@@ -180,7 +178,8 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 	if scanErr != nil {
 		return nil, w.fail(scanErr)
 	}
-	for _, m := range matches {
+	newRows := make([]types.Row, len(matches))
+	for i, m := range matches {
 		newRow := m.row.Clone()
 		for _, a := range assigns {
 			v, err := a.val.Eval(&expr.Ctx{Row: m.row, Now: e.cfg.Now})
@@ -197,9 +196,10 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 		if err := w.deleteRow(t, m.rid); err != nil {
 			return nil, w.fail(err)
 		}
-		if err := w.insertRow(t, newRow); err != nil {
-			return nil, w.fail(err)
-		}
+		newRows[i] = newRow
+	}
+	if err := w.insert(t, nil, newRows); err != nil {
+		return nil, w.fail(err)
 	}
 	if err := w.commit(); err != nil {
 		return nil, err
@@ -284,7 +284,8 @@ func tableScope(t *catalog.Table) expr.Binder {
 // BulkInsert loads rows into a table through the write path (WAL, indexes,
 // MVCC) without per-row SQL parsing. It is the loader used by the
 // store-first baseline and by srload. Like Append, it keeps the rows it is
-// given (one that needs no cast is stored as it is): do not modify them.
+// given (one that needs no cast is stored as it is): do not modify them. The
+// slice stays the caller's.
 func (e *Engine) BulkInsert(table string, rows []Row) error {
 	if err := e.writeGate(); err != nil {
 		return err
@@ -295,15 +296,16 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite(len(rows))
-	for _, row := range rows {
-		coerced, err := coerceRow(row, t.Schema)
-		if err != nil {
+	w := e.beginWrite(1)
+	coerced := make([]types.Row, len(rows))
+	for i, row := range rows {
+		var err error
+		if coerced[i], err = coerceRow(row, t.Schema); err != nil {
 			return w.fail(err)
 		}
-		if err := w.insertRow(t, coerced); err != nil {
-			return w.fail(err)
-		}
+	}
+	if err := w.insert(t, nil, coerced); err != nil {
+		return w.fail(err)
 	}
 	return w.commit()
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"streamrel/internal/types"
 	"streamrel/internal/wal"
@@ -44,8 +43,9 @@ type Kind uint8
 
 // Event kinds.
 const (
-	// KindWAL carries one committed WAL batch (DDL, inserts, deletes).
-	// During a snapshot the LSN is 0 (state, not history).
+	// KindWAL carries one committed WAL batch (DDL, inserts, deletes): the
+	// log's own payload bytes. During a snapshot the LSN is 0 (state, not
+	// history).
 	KindWAL Kind = iota + 1
 	// KindAppend carries rows accepted into a base stream.
 	KindAppend
@@ -71,17 +71,10 @@ const (
 	KindTableNext
 	// KindArchive carries rows accepted into a base stream that the stream's
 	// channel archived, unchanged, into Table at the RowIDs in Runs: a
-	// KindAppend and the insert-only KindWAL of the same rows in one event.
+	// KindAppend and the insert-only KindWAL of the same rows in one event,
+	// the body behind its stream the bytes of that batch's wal.RecRows record.
 	KindArchive
 )
-
-// RowIDRun is N consecutive RowIDs starting at First. A table's RowIDs are
-// consecutive within one transaction unless another writer of the same table
-// (a second stream's channel, an INSERT) got in between, so a batch is
-// usually one run.
-type RowIDRun struct {
-	First, N uint64
-}
 
 // Event is one replication frame's logical content.
 type Event struct {
@@ -105,7 +98,7 @@ type Event struct {
 	Next   uint64       // KindTableNext
 	// Runs are the RowIDs of Rows in Table, in row order; their lengths sum
 	// to len(Rows).
-	Runs []RowIDRun // KindArchive
+	Runs []wal.RowIDRun // KindArchive
 }
 
 // maxFramePayload bounds a frame payload so a corrupt length prefix
@@ -133,25 +126,15 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 	case KindWAL:
 		dst = wal.AppendRecords(dst, ev.Recs)
 	case KindAppend:
-		dst = appendString(dst, ev.Stream)
-		dst = appendRows(dst, ev.Rows)
+		dst = wal.AppendRowList(wal.AppendString(dst, ev.Stream), ev.Rows)
 	case KindArchive:
-		dst = appendString(dst, ev.Stream)
-		dst = appendString(dst, ev.Table)
-		dst = binary.AppendUvarint(dst, uint64(len(ev.Runs)))
-		for _, run := range ev.Runs {
-			dst = binary.AppendUvarint(dst, run.First)
-			dst = binary.AppendUvarint(dst, run.N)
-		}
-		dst = appendRows(dst, ev.Rows)
+		dst = wal.AppendRows(wal.AppendString(dst, ev.Stream), ev.Table, ev.Runs, ev.Rows)
 	case KindAdvance:
-		dst = appendString(dst, ev.Stream)
-		dst = binary.AppendVarint(dst, ev.TS)
+		dst = binary.AppendVarint(wal.AppendString(dst, ev.Stream), ev.TS)
 	case KindSnapBegin, KindResume:
-		dst = appendString(dst, ev.Run)
+		dst = wal.AppendString(dst, ev.Run)
 	case KindTableNext:
-		dst = appendString(dst, ev.Table)
-		dst = binary.AppendUvarint(dst, ev.Next)
+		dst = binary.AppendUvarint(wal.AppendString(dst, ev.Table), ev.Next)
 	case KindSnapEnd, KindPing:
 		// header only
 	}
@@ -212,151 +195,49 @@ func DecodeEvent(payload []byte) (*Event, error) {
 	ev := &Event{Kind: Kind(payload[0])}
 	buf := payload[1:]
 	var err error
-	if ev.LSN, buf, err = readUvarint(buf); err != nil {
-		return nil, err
+	if ev.LSN, buf, err = wal.ReadUvarint(buf); err == nil {
+		if ev.Wall, buf, err = readVarint(buf); err == nil {
+			ev.Trace, buf, err = wal.ReadUvarint(buf)
+		}
 	}
-	if ev.Wall, buf, err = readVarint(buf); err != nil {
-		return nil, err
-	}
-	if ev.Trace, buf, err = readUvarint(buf); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	switch ev.Kind {
 	case KindWAL:
-		if ev.Recs, err = wal.DecodeRecords(buf); err != nil {
-			return nil, err
-		}
+		ev.Recs, err = wal.DecodeRecords(buf)
 	case KindAppend:
-		if ev.Stream, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if ev.Rows, err = readRows(buf); err != nil {
-			return nil, err
+		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
+			ev.Rows, buf, err = wal.ReadRowList(buf)
 		}
 	case KindArchive:
-		if ev.Stream, buf, err = readString(buf); err != nil {
-			return nil, err
+		var ins wal.Record
+		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
+			buf, err = wal.ReadRows(buf, &ins)
 		}
-		if ev.Table, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		var covered uint64
-		if ev.Runs, covered, buf, err = readRuns(buf); err != nil {
-			return nil, err
-		}
-		if ev.Rows, err = readRows(buf); err != nil {
-			return nil, err
-		}
-		if uint64(len(ev.Rows)) != covered {
-			return nil, fmt.Errorf("repl: RowID runs cover %d rows, frame carries %d", covered, len(ev.Rows))
-		}
+		ev.Table, ev.Runs, ev.Rows = ins.Table, ins.Runs, ins.Rows
 	case KindAdvance:
-		if ev.Stream, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if ev.TS, _, err = readVarint(buf); err != nil {
-			return nil, err
+		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
+			ev.TS, _, err = readVarint(buf)
 		}
 	case KindSnapBegin, KindResume:
-		if ev.Run, _, err = readString(buf); err != nil {
-			return nil, err
-		}
+		ev.Run, _, err = wal.ReadString(buf, "")
 	case KindTableNext:
-		if ev.Table, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if ev.Next, _, err = readUvarint(buf); err != nil {
-			return nil, err
+		if ev.Table, buf, err = wal.ReadString(buf, ""); err == nil {
+			ev.Next, _, err = wal.ReadUvarint(buf)
 		}
 	case KindSnapEnd, KindPing:
 		// header only
 	default:
 		return nil, fmt.Errorf("repl: unknown frame kind %d", ev.Kind)
 	}
-	return ev, nil
-}
-
-func appendRows(dst []byte, rows []types.Row) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	for _, r := range rows {
-		dst = types.EncodeRow(dst, r)
+	if err == nil && len(buf) != 0 && (ev.Kind == KindAppend || ev.Kind == KindArchive) {
+		err = errors.New("repl: trailing bytes behind the rows")
 	}
-	return dst
-}
-
-// readRows decodes a row count and that many rows, which must end buf.
-func readRows(buf []byte) ([]types.Row, error) {
-	n, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(buf)) {
-		return nil, errors.New("repl: row count exceeds payload")
-	}
-	rows := make([]types.Row, 0, min(n, types.MaxPresize))
-	var strs types.RowStrings
-	for i := uint64(0); i < n; i++ {
-		var row types.Row
-		if row, buf, err = types.DecodeRow(buf, &strs); err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	if len(buf) != 0 {
-		return nil, errors.New("repl: trailing bytes in append frame")
-	}
-	return rows, nil
-}
-
-// readRuns decodes a run count and that many RowID runs, returning how many
-// rows they cover. A run is at least two bytes and a row at least one, so the
-// bytes that remain bound both counts; an empty run, or one that would wrap
-// the RowID space, is malformed.
-func readRuns(buf []byte) (runs []RowIDRun, covered uint64, rest []byte, err error) {
-	n, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if n > uint64(len(buf)) {
-		return nil, 0, nil, errors.New("repl: run count exceeds payload")
-	}
-	runs = make([]RowIDRun, 0, min(n, types.MaxPresize))
-	for i := uint64(0); i < n; i++ {
-		var run RowIDRun
-		if run.First, buf, err = readUvarint(buf); err != nil {
-			return nil, 0, nil, err
-		}
-		if run.N, buf, err = readUvarint(buf); err != nil {
-			return nil, 0, nil, err
-		}
-		if left := uint64(len(buf)); run.N == 0 || run.N > left || covered+run.N > left || run.First > math.MaxUint64-run.N {
-			return nil, 0, nil, errors.New("repl: bad RowID run")
-		}
-		covered += run.N
-		runs = append(runs, run)
-	}
-	return runs, covered, buf, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readString(buf []byte) (string, []byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 || uint64(len(buf[k:])) < n {
-		return "", nil, errors.New("repl: bad string")
-	}
-	return string(buf[k : k+int(n)]), buf[k+int(n):], nil
-}
-
-func readUvarint(buf []byte) (uint64, []byte, error) {
-	v, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return 0, nil, errors.New("repl: bad uvarint")
-	}
-	return v, buf[k:], nil
+	return ev, nil
 }
 
 func readVarint(buf []byte) (int64, []byte, error) {

@@ -82,15 +82,12 @@ func oracleDecodeRow(buf []byte) (types.Row, []byte, error) {
 // oracleAppendBody decodes what follows the frame header of a KindAppend
 // payload.
 func oracleAppendBody(buf []byte) (stream string, rows []types.Row, err error) {
-	if stream, buf, err = readString(buf); err != nil {
+	if stream, buf, err = wal.ReadString(buf, ""); err != nil {
 		return "", nil, err
 	}
-	var n uint64
-	if n, buf, err = readUvarint(buf); err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(buf)) {
-		return "", nil, errors.New("repl: row count exceeds payload")
+	n, buf, err := wal.ReadUvarint(buf)
+	if err != nil || n > uint64(len(buf)) {
+		return "", nil, errors.New("wal: bad row count")
 	}
 	for i := uint64(0); i < n; i++ {
 		var row types.Row
@@ -100,7 +97,7 @@ func oracleAppendBody(buf []byte) (stream string, rows []types.Row, err error) {
 		rows = append(rows, row)
 	}
 	if len(buf) != 0 {
-		return "", nil, errors.New("repl: trailing bytes in append frame")
+		return "", nil, errors.New("repl: trailing bytes behind the rows")
 	}
 	return stream, rows, nil
 }
@@ -138,9 +135,9 @@ func againstOracle(t testing.TB, payload []byte) (*Event, error) {
 	}
 	body := payload[1:]
 	var herr error
-	if _, body, herr = readUvarint(body); herr == nil {
+	if _, body, herr = wal.ReadUvarint(body); herr == nil {
 		if _, body, herr = readVarint(body); herr == nil {
-			_, body, herr = readUvarint(body)
+			_, body, herr = wal.ReadUvarint(body)
 		}
 	}
 	if herr != nil {
@@ -211,6 +208,9 @@ func TestFramesWrittenByParent(t *testing.T) {
 // parent framed it.
 const checkpointFrameWrittenByParent = "0500000062d283fa0404b84500"
 
+// oneRun is the RowIDs archiveBatch's records name.
+func oneRun(n int) []wal.RowIDRun { return []wal.RowIDRun{{First: 1, N: uint64(n)}} }
+
 func archiveBatch(n int) ([]types.Row, []wal.Record) {
 	rows, recs := make([]types.Row, n), make([]wal.Record, n)
 	for i := range rows {
@@ -228,7 +228,8 @@ func TestAppendFrameAllocs(t *testing.T) {
 	for _, ev := range []Event{
 		{Kind: KindWAL, LSN: 1, Wall: 1, Recs: recs},
 		{Kind: KindAppend, LSN: 2, Wall: 2, Stream: "hits", Rows: rows},
-		{Kind: KindArchive, LSN: 3, Wall: 3, Stream: "hits", Table: "archive_hits", Rows: rows, Runs: rowIDRuns(recs)},
+		{Kind: KindArchive, LSN: 3, Wall: 3, Stream: "hits", Table: "archive_hits", Rows: rows, Runs: oneRun(64)},
+		{Kind: KindWAL, LSN: 4, Wall: 4, Recs: []wal.Record{{Kind: wal.RecRows, Table: "archive_hits", Rows: rows, Runs: oneRun(64)}}},
 	} {
 		dst := AppendFrame(nil, &ev)
 		if n := testing.AllocsPerRun(50, func() { dst = AppendFrame(dst[:0], &ev) }); n != 0 {
@@ -249,11 +250,14 @@ func TestReaderOwnershipAcrossFrames(t *testing.T) {
 		rows[0][0] = types.NewString(fmt.Sprintf("/frame/%d", i))
 		recs[0].Table = fmt.Sprintf("t%d", i)
 		ev := Event{Kind: KindAppend, LSN: uint64(i + 1), Wall: int64(i), Stream: "hits", Rows: rows}
-		switch i % 3 {
+		switch i % 4 { // i == 20 is an append
 		case 1:
 			ev = Event{Kind: KindWAL, LSN: uint64(i + 1), Wall: int64(i), Recs: recs}
-		case 2: // i == 20 is one of these
-			ev.Kind, ev.Table, ev.Runs = KindArchive, recs[0].Table, rowIDRuns(recs)
+		case 2:
+			ev.Kind, ev.Table, ev.Runs = KindArchive, recs[0].Table, oneRun(len(rows))
+		case 3: // the same insert as one record, beside a delete
+			ev = Event{Kind: KindWAL, LSN: uint64(i + 1), Wall: int64(i), Recs: []wal.Record{
+				{Kind: wal.RecRows, Table: recs[0].Table, Runs: oneRun(len(rows)), Rows: rows}, {Kind: wal.RecDelete, Table: recs[0].Table, RowID: 3}}}
 		}
 		if i == 20 {
 			ev.Rows[0][2] = types.NewString(string(make([]byte, retainPayloadBytes+1)))
@@ -287,10 +291,13 @@ func TestReaderOwnershipAcrossFrames(t *testing.T) {
 			sameRow(t, g.Rows[j], w.Rows[j])
 		}
 		for j := range w.Recs {
-			if g.Recs[j].Table != w.Recs[j].Table {
-				t.Fatalf("frame %d record %d: table %q, want %q", i, j, g.Recs[j].Table, w.Recs[j].Table)
+			if g.Recs[j].Table != w.Recs[j].Table || !slices.Equal(g.Recs[j].Runs, w.Recs[j].Runs) || len(g.Recs[j].Rows) != len(w.Recs[j].Rows) {
+				t.Fatalf("frame %d record %d: %+v, want %+v", i, j, g.Recs[j], w.Recs[j])
 			}
 			sameRow(t, g.Recs[j].Row, w.Recs[j].Row)
+			for k := range w.Recs[j].Rows {
+				sameRow(t, g.Recs[j].Rows[k], w.Recs[j].Rows[k])
+			}
 		}
 	}
 }
@@ -337,7 +344,7 @@ func TestDecodeEventDropsPlaceholders(t *testing.T) {
 		{types.NewString("third"), types.NewFloat(1.5)},
 	}}
 	dropsPlaceholders(t, AppendFrame(nil, &ev)[8:]) // without the length/crc header
-	ev.Kind, ev.Table, ev.Runs = KindArchive, "t", []RowIDRun{{First: 4, N: 2}}
+	ev.Kind, ev.Table, ev.Runs = KindArchive, "t", []wal.RowIDRun{{First: 4, N: 2}}
 	dropsPlaceholders(t, AppendFrame(nil, &ev)[8:])
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -174,8 +175,14 @@ func (p *Primary) NewRun() {
 	}
 }
 
-// Snapshot emits the engine's durable state at one cut (SnapshotFunc).
-func (p *Primary) Snapshot(emit func(Event) error) error { return p.snapshot(nil, emit) }
+// Snapshot emits the engine's durable state at one cut (SnapshotFunc) in the
+// form two engines compare by: a record for every (table, RowID, row).
+func (p *Primary) Snapshot(emit func(Event) error) error {
+	return p.snapshot(nil, func(ev Event) error {
+		ev.Recs = wal.Expand(ev.Recs)
+		return emit(ev)
+	})
+}
 
 // LSN returns the most recently assigned sequence number.
 func (p *Primary) LSN() uint64 {
@@ -192,19 +199,10 @@ func (p *Primary) LSN() uint64 {
 // producers apply the same budget to the batches they emit.
 const MaxEventBytes = 32 << 20
 
-// RecordSize estimates a WAL record's encoded size; it over-counts
-// varints slightly, which only makes splits more conservative.
-func RecordSize(r wal.Record) int {
-	n := 16 + len(r.Table) + len(r.SQL)
-	for _, d := range r.Row {
-		n += 11
-		if d.Type() == types.TypeString {
-			n += len(d.Str())
-		}
-	}
-	return n
-}
-
+// rowSize estimates a row's encoded size and recordSize a WAL record's, rows
+// and all; both over-count varints slightly, which only makes splits more
+// conservative. One estimate serves the MaxEventBytes splits and the ring's
+// byte bound, so a row counts the same whichever event carries it.
 func rowSize(row types.Row) int {
 	n := 10
 	for _, d := range row {
@@ -216,6 +214,14 @@ func rowSize(row types.Row) int {
 	return n
 }
 
+func recordSize(r *wal.Record) int {
+	n := 16 + len(r.Table) + len(r.SQL) + rowSize(r.Row)
+	for _, row := range r.Rows {
+		n += rowSize(row)
+	}
+	return n
+}
+
 // PublishTxn commits a transaction and publishes its WAL batch, atomic
 // with respect to LSN order: commitMu is held across commit and
 // publication, so a transaction that saw this one's writes commits — and
@@ -223,7 +229,7 @@ func rowSize(row types.Row) int {
 // split across consecutive LSNs; a replica applies each chunk as its own
 // local transaction, and its resume point advances per event. traceID
 // (0 = untraced) rides the published events so replicas close the batch's
-// span chain.
+// span chain. A nil commit publishes a batch committed already (DDL).
 func (p *Primary) PublishTxn(recs []wal.Record, commit func() error, traceID uint64) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
@@ -234,13 +240,6 @@ func (p *Primary) PublishTxn(recs []wal.Record, commit func() error, traceID uin
 	}
 	p.publishWAL(recs, traceID)
 	return nil
-}
-
-// PublishWAL publishes an already-committed WAL batch (DDL).
-func (p *Primary) PublishWAL(recs []wal.Record) {
-	p.commitMu.Lock()
-	p.publishWAL(recs, 0)
-	p.commitMu.Unlock()
 }
 
 // chunkEnd returns the end index and estimated size of the event starting
@@ -256,12 +255,49 @@ func chunkEnd(start, n, budget int, size func(int) int) (end, total int) {
 	return end, total
 }
 
+// Chunks hands emit rows and the RowID runs they are stored at (none: rows of
+// a stream) in pieces of at most MaxEventBytes, by the estimate: rows and runs
+// split at the same place, and a batch within the budget is handed over as it
+// came.
+func Chunks(runs []wal.RowIDRun, rows []types.Row, emit func(runs []wal.RowIDRun, rows []types.Row, size int)) {
+	for start := 0; start < len(rows); {
+		end, size := chunkEnd(start, len(rows), MaxEventBytes, func(i int) int { return rowSize(rows[i]) })
+		var head []wal.RowIDRun
+		head, runs = cutRuns(runs, uint64(end-start))
+		emit(head, rows[start:end], size)
+		start = end
+	}
+}
+
+// cutRuns splits runs behind their first n RowIDs, sharing what it can.
+func cutRuns(runs []wal.RowIDRun, n uint64) (head, tail []wal.RowIDRun) {
+	i := 0
+	for ; i < len(runs) && runs[i].N <= n; i++ {
+		n -= runs[i].N
+	}
+	if n == 0 || i == len(runs) {
+		return runs[:i], runs[i:]
+	}
+	head = append(slices.Clone(runs[:i]), wal.RowIDRun{First: runs[i].First, N: n})
+	tail = append([]wal.RowIDRun{{First: runs[i].First + n, N: runs[i].N - n}}, runs[i+1:]...)
+	return head, tail
+}
+
+// publishWAL packs recs into events greedily; an insert that is beyond the
+// budget by itself goes out in pieces (Chunks), each an event of its own.
 func (p *Primary) publishWAL(recs []wal.Record, traceID uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for start := 0; start < len(recs); {
-		end, size := chunkEnd(start, len(recs), MaxEventBytes, func(i int) int { return RecordSize(recs[i]) })
-		p.publishLocked(Event{Kind: KindWAL, Recs: recs[start:end], Trace: traceID}, size)
+		end, size := chunkEnd(start, len(recs), MaxEventBytes, func(i int) int { return recordSize(&recs[i]) })
+		if r := &recs[start]; size > MaxEventBytes && len(r.Rows) > 1 {
+			Chunks(r.Runs, r.Rows, func(runs []wal.RowIDRun, rows []types.Row, size int) {
+				p.publishLocked(Event{Kind: KindWAL, Trace: traceID,
+					Recs: []wal.Record{{Kind: wal.RecRows, Table: r.Table, Runs: runs, Rows: rows}}}, size)
+			})
+		} else {
+			p.publishLocked(Event{Kind: KindWAL, Recs: recs[start:end], Trace: traceID}, size)
+		}
 		start = end
 	}
 }
@@ -271,28 +307,23 @@ func (p *Primary) publishWAL(recs []wal.Record, traceID uint64) {
 // Oversized appends split like WAL batches do. traceID (0 = untraced)
 // carries the batch's trace context to replicas.
 func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64) {
-	if len(rows) == 0 {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for start := 0; start < len(rows); {
-		end, size := chunkEnd(start, len(rows), MaxEventBytes, func(i int) int { return rowSize(rows[i]) })
-		p.publishLocked(Event{Kind: KindAppend, Stream: stream, Rows: rows[start:end], Trace: traceID}, size)
-		start = end
-	}
+	Chunks(nil, rows, func(_ []wal.RowIDRun, rows []types.Row, size int) {
+		p.publishLocked(Event{Kind: KindAppend, Stream: stream, Rows: rows, Trace: traceID}, size)
+	})
 }
 
 // PublishArchive commits the transaction that stored a base stream's
-// accepted batch, unchanged, in a table — recs[i] is the insert of rows[i] —
-// and publishes the batch once, as KindArchive events that stand for both the
-// KindAppend and the KindWAL of those rows. The caller holds the stream's
-// delivery lock, which fixes the per-stream event order as it does for
-// PublishAppend, and commitMu is held across commit and publication as in
-// PublishTxn, so the event also sits in the table's commit order. An
-// oversized batch splits rows and RowID runs together. If commit fails
-// nothing is published: the caller still owes the stream its KindAppend.
-func (p *Primary) PublishArchive(stream string, rows []types.Row, recs []wal.Record, commit func() error, traceID uint64) error {
+// accepted batch, unchanged, in table at the RowIDs in runs, and publishes
+// the batch once, as KindArchive events that stand for both the KindAppend
+// and the KindWAL of those rows. The caller holds the stream's delivery lock,
+// which fixes the per-stream event order as it does for PublishAppend, and
+// commitMu is held across commit and publication as in PublishTxn, so the
+// event also sits in the table's commit order. An oversized batch splits rows
+// and RowID runs together. If commit fails nothing is published: the caller
+// still owes the stream its KindAppend.
+func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows []types.Row, commit func() error, traceID uint64) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	if commit != nil {
@@ -302,26 +333,10 @@ func (p *Primary) PublishArchive(stream string, rows []types.Row, recs []wal.Rec
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for start := 0; start < len(rows); {
-		end, size := chunkEnd(start, len(rows), MaxEventBytes, func(i int) int { return rowSize(rows[i]) })
-		p.publishLocked(Event{Kind: KindArchive, Stream: stream, Table: recs[start].Table,
-			Rows: rows[start:end], Runs: rowIDRuns(recs[start:end]), Trace: traceID}, size)
-		start = end
-	}
+	Chunks(runs, rows, func(runs []wal.RowIDRun, rows []types.Row, size int) {
+		p.publishLocked(Event{Kind: KindArchive, Stream: stream, Table: table, Rows: rows, Runs: runs, Trace: traceID}, size)
+	})
 	return nil
-}
-
-// rowIDRuns folds the records' RowIDs into runs of consecutive ones.
-func rowIDRuns(recs []wal.Record) []RowIDRun {
-	runs := make([]RowIDRun, 0, 1)
-	for _, rec := range recs {
-		if n := len(runs); n > 0 && runs[n-1].First+runs[n-1].N == rec.RowID {
-			runs[n-1].N++
-			continue
-		}
-		runs = append(runs, RowIDRun{First: rec.RowID, N: 1})
-	}
-	return runs
 }
 
 // PublishAdvance publishes an effective heartbeat.

@@ -59,7 +59,7 @@ func TestPrimaryIncrementalCatchup(t *testing.T) {
 	p := testPrimary(t, Config{RingSize: 16})
 	p.PublishAppend("s", []types.Row{{types.NewInt(1)}}, 0)
 	p.PublishAdvance("s", 60)
-	p.PublishWAL([]wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}})
+	p.PublishTxn([]wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}}, nil, 0)
 
 	r, cleanup := serve(t, p, 0, p.RunID())
 	defer cleanup()
@@ -265,19 +265,42 @@ func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
 		t.Fatalf("lsn after empty append: %d, want 4", lsn)
 	}
 
-	// An archived batch splits its rows and its RowID runs at the same place.
-	recs[2].RowID = 7
-	if err := p.PublishArchive("s", rows, recs, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []Event{
-		{Rows: rows[:2], Runs: []RowIDRun{{First: 1, N: 2}}},
-		{Rows: rows[2:], Runs: []RowIDRun{{First: 7, N: 1}}},
-	} {
-		ev := mustRead(t, r)
-		if ev.Kind != KindArchive || ev.LSN != uint64(5+i) || ev.Stream != "s" || ev.Table != "t" ||
-			!slices.Equal(ev.Runs, want.Runs) || !slices.EqualFunc(ev.Rows, want.Rows, types.Row.Equal) {
-			t.Fatalf("archive chunk %d: kind %d lsn %d table %q runs %v, %d rows", i, ev.Kind, ev.LSN, ev.Table, ev.Runs, len(ev.Rows))
+	// An archived batch splits its rows and its RowID runs at the same place,
+	// between two runs or inside one, and so does the insert-only WAL batch of
+	// the same rows — after the delete that fitted beside nothing.
+	lsn := uint64(5)
+	for _, runs := range [][]wal.RowIDRun{{{First: 1, N: 2}, {First: 7, N: 1}}, {{First: 5, N: 3}}} {
+		inside := wal.RowIDRun{First: runs[len(runs)-1].First + runs[len(runs)-1].N - 1, N: 1}
+		want := []Event{{Rows: rows[:2], Runs: []wal.RowIDRun{{First: runs[0].First, N: 2}}}, {Rows: rows[2:], Runs: []wal.RowIDRun{inside}}}
+		if err := p.PublishArchive("s", "t", runs, rows, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range want {
+			ev := mustRead(t, r)
+			if ev.Kind != KindArchive || ev.LSN != lsn || ev.Stream != "s" || ev.Table != "t" ||
+				!slices.Equal(ev.Runs, want.Runs) || !slices.EqualFunc(ev.Rows, want.Rows, types.Row.Equal) {
+				t.Fatalf("archive chunk %d: kind %d lsn %d table %q runs %v, %d rows", i, ev.Kind, ev.LSN, ev.Table, ev.Runs, len(ev.Rows))
+			}
+			lsn++
+		}
+		set := []wal.Record{{Kind: wal.RecDelete, Table: "t", RowID: 0}, {Kind: wal.RecRows, Table: "t", Runs: runs, Rows: rows}}
+		if err := p.PublishTxn(set, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if ev := mustRead(t, r); ev.Kind != KindWAL || ev.LSN != lsn || len(ev.Recs) != 1 || ev.Recs[0].Kind != wal.RecDelete {
+			t.Fatalf("the delete ahead of an oversized insert: %+v", ev)
+		}
+		lsn++
+		for i, want := range want {
+			ev := mustRead(t, r)
+			if ev.Kind != KindWAL || ev.LSN != lsn || len(ev.Recs) != 1 || ev.Recs[0].Kind != wal.RecRows || ev.Recs[0].Table != "t" ||
+				!slices.Equal(ev.Recs[0].Runs, want.Runs) || !slices.EqualFunc(ev.Recs[0].Rows, want.Rows, types.Row.Equal) {
+				t.Fatalf("insert chunk %d: %+v", i, ev)
+			}
+			lsn++
+		}
+		if !slices.Equal(set[1].Runs, runs) || len(set[1].Rows) != 3 {
+			t.Fatalf("splitting rewrote the caller's write set: %+v", set[1])
 		}
 	}
 }
@@ -354,7 +377,7 @@ func TestRingGauges(t *testing.T) {
 		}
 		last = bytes
 	}
-	if want := float64(2*RecordSize(wal.Record{Table: "t", Row: big}) + 4*rowSize(big)); last != want {
+	if want := float64(2*recordSize(&wal.Record{Table: "t", Row: big}) + 4*rowSize(big)); last != want {
 		t.Fatalf("full ring holds %v bytes, want %v", last, want)
 	}
 	// Heartbeats carry nothing: four of them evict everything.
@@ -370,13 +393,21 @@ func TestRingGauges(t *testing.T) {
 		t.Fatalf("a ring of heartbeats holds %v bytes", last)
 	}
 
-	// One event stands for a batch's append and its archive: its rows count once.
-	recs := []wal.Record{{Kind: wal.RecInsert, Table: "t", RowID: 1, Row: big}, {Kind: wal.RecInsert, Table: "t", RowID: 2, Row: big}}
-	if err := p.PublishArchive("s", []types.Row{big, big}, recs, nil, 0); err != nil {
+	// One event stands for a batch's append and its archive: its rows count
+	// once — and the same, but for the record's own few bytes, when the insert
+	// travels as a WAL batch.
+	runs := []wal.RowIDRun{{First: 1, N: 2}}
+	if err := p.PublishArchive("s", "t", runs, []types.Row{big, big}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if bytes := gauge("streamrel_repl_ring_bytes"); bytes != float64(2*rowSize(big)) {
 		t.Fatalf("an archived batch of two rows counts %v bytes, want %v", bytes, 2*rowSize(big))
+	}
+	if err := p.PublishTxn([]wal.Record{{Kind: wal.RecRows, Table: "t", Runs: runs, Rows: []types.Row{big, big}}}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if bytes, overhead := gauge("streamrel_repl_ring_bytes"), recordSize(&wal.Record{Table: "t"}); bytes != float64(4*rowSize(big)+overhead) || overhead > 32 {
+		t.Fatalf("with the same two rows as an insert-only WAL batch the ring counts %v bytes, want %v", bytes, 4*rowSize(big)+overhead)
 	}
 
 	// Bytes evict before the four slots do, down to the newest event alone.

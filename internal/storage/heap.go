@@ -105,48 +105,64 @@ func (h *Heap) slot(id RowID) *version {
 	return &seg[off]
 }
 
-func (h *Heap) checkArity(row types.Row) error {
-	if len(row) != len(h.schema) {
-		return fmt.Errorf("storage: %s: row has %d columns, schema has %d",
-			h.name, len(row), len(h.schema))
+// InsertRun is the heap's one write: under a single lock acquisition it
+// stores rows as versions owned by tx at consecutive RowIDs and returns the
+// first, so a reader sees all of a batch or none of it and a batch is one
+// RowID run. Every row must match the schema arity; the caller has already
+// type-checked.
+func (h *Heap) InsertRun(tx txn.ID, rows []types.Row) (RowID, error) {
+	if err := h.checkArity(rows); err != nil {
+		return 0, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	first := h.n
+	h.put(tx, first, rows)
+	return first, nil
+}
+
+// InsertRunAt is InsertRun at explicit RowIDs, first and up. Replay and
+// replication apply use it so local numbering matches what the primary
+// logged; the RowIDs it skips are a gap, for which nothing is allocated.
+// Re-applying a row whose slot is occupied refreshes the stored row but
+// keeps the existing visibility stamps; occupied lists those rows' indexes,
+// so the caller can skip their index maintenance — nil when every row was new.
+func (h *Heap) InsertRunAt(tx txn.ID, first RowID, rows []types.Row) (occupied []int, err error) {
+	if err := h.checkArity(rows); err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.put(tx, first, rows), nil
+}
+
+// Insert is InsertRun for one row.
+func (h *Heap) Insert(tx txn.ID, row types.Row) (RowID, error) {
+	return h.InsertRun(tx, []types.Row{row})
+}
+
+func (h *Heap) checkArity(rows []types.Row) error {
+	for _, row := range rows {
+		if len(row) != len(h.schema) {
+			return fmt.Errorf("storage: %s: row has %d columns, schema has %d",
+				h.name, len(row), len(h.schema))
+		}
 	}
 	return nil
 }
 
-// Insert appends a new row version owned by tx and returns its RowID.
-// The row must match the schema arity; the caller has already type-checked.
-func (h *Heap) Insert(tx txn.ID, row types.Row) (RowID, error) {
-	if err := h.checkArity(row); err != nil {
-		return 0, err
+// put stores rows at first and up. Callers hold mu for writing.
+func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
+	h.n = max(h.n, first+RowID(len(rows)))
+	for i, row := range rows {
+		if v := h.slot(first + RowID(i)); v.xmin != 0 {
+			v.row = row
+			occupied = append(occupied, i)
+		} else {
+			*v = version{xmin: tx, row: row}
+		}
 	}
-	h.mu.Lock()
-	id := h.n
-	*h.slot(id) = version{xmin: tx, row: row}
-	h.n++
-	h.mu.Unlock()
-	return id, nil
-}
-
-// InsertAt places a row version owned by tx at an explicit RowID. Replay
-// and replication apply use it so local numbering matches what the
-// primary logged; the RowIDs it skips are a gap, for which nothing is
-// allocated. Re-applying a record whose slot is occupied refreshes the
-// stored row but keeps the existing visibility stamps, and reports
-// replaced=true so the caller can skip index maintenance.
-func (h *Heap) InsertAt(tx txn.ID, id RowID, row types.Row) (replaced bool, err error) {
-	if err := h.checkArity(row); err != nil {
-		return false, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.n = max(h.n, id+1)
-	v := h.slot(id)
-	if v.xmin != 0 {
-		v.row = row
-		return true, nil
-	}
-	*v = version{xmin: tx, row: row}
-	return false, nil
+	return occupied
 }
 
 // NextID returns the RowID the next Insert will assign.

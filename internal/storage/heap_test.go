@@ -112,10 +112,12 @@ func byValue(h *Heap, ix *BTree, snap txn.Snapshot, values int64) []string {
 	return out
 }
 
-// TestHeapMatchesFlatModel drives random Insert / InsertAt (appending,
-// leaving gaps, re-applying) / EnsureNext / Delete / UndoDelete / Vacuum,
-// under transactions that commit and abort — one left in flight across every
-// Vacuum — against the flat reference, with explicit ids on both sides of the
+// TestHeapMatchesFlatModel drives random InsertRun / InsertRunAt (appending,
+// leaving gaps, re-applying over slots some of which are occupied) /
+// EnsureNext / Delete / UndoDelete / Vacuum, each Vacuum followed by the
+// transaction manager's Trim at the same horizon, under transactions that
+// commit and abort — one left in flight across every Vacuum — against the
+// flat reference, with explicit ids on both sides of the
 // first two segment boundaries. After every step the next RowID agrees and a
 // probed id reads the same; every so often, and at the end, so does a whole
 // scan. A Vacuum moves nothing: the visible (RowID, row) transcript and every
@@ -159,10 +161,11 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 				r = ref.versions[id].row // a record applied again carries the row it did
 			}
 			tx := mgr.Begin()
-			replaced, err := h.InsertAt(tx.ID, id, r)
+			occupied, err := h.InsertRunAt(tx.ID, id, []types.Row{r})
 			if err != nil {
 				t.Fatal(err)
 			}
+			replaced := occupied != nil
 			if want := ref.insertAt(tx.ID, id, r); replaced != want {
 				t.Fatalf("InsertAt(%d): replaced %v, model %v", id, replaced, want)
 			}
@@ -180,29 +183,45 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 			var what string
 			switch op := rng.Intn(100); {
 			case op < 55:
-				what = "Insert"
-				r := row()
-				id, err := h.Insert(tx.ID, r)
-				if err != nil || id != ref.insert(tx.ID, r) {
-					t.Fatalf("seed %d step %d: Insert gave %d, %v", seed, step, id, err)
+				what = "InsertRun"
+				rows := make([]types.Row, 1+rng.Intn(4))
+				for i := range rows {
+					rows[i] = row()
 				}
-				indexed(id, r, false)
+				first, err := h.InsertRun(tx.ID, rows)
+				for i, r := range rows {
+					if id := ref.insert(tx.ID, r); err != nil || id != first+RowID(i) {
+						t.Fatalf("seed %d step %d: InsertRun of %d began at %d (%v), model puts row %d at %d", seed, step, len(rows), first, err, i, id)
+					}
+					indexed(first+RowID(i), r, false)
+				}
 			case op < 70:
-				// At the end, past it (a gap), or over an existing slot.
+				// A run at the end, past it (a gap), or over existing slots,
+				// some occupied and some not.
 				id := n + RowID(rng.Intn(4))
 				if rng.Intn(3) == 0 && n > 0 {
 					id = RowID(rng.Intn(int(n)))
 				}
-				what = fmt.Sprint("InsertAt ", id)
-				r := row()
-				if id < n && ref.versions[id].xmin != 0 {
-					r = ref.versions[id].row // a record applied again carries the row it did
+				rows := make([]types.Row, 1+rng.Intn(3))
+				what = fmt.Sprintf("InsertRunAt %d, %d rows", id, len(rows))
+				for i := range rows {
+					rows[i] = row()
+					if at := id + RowID(i); at < n && ref.versions[at].xmin != 0 {
+						rows[i] = ref.versions[at].row // a record applied again carries the row it did
+					}
 				}
-				replaced, err := h.InsertAt(tx.ID, id, r)
-				if want := ref.insertAt(tx.ID, id, r); err != nil || replaced != want {
-					t.Fatalf("seed %d step %d: %s replaced %v (%v), model %v", seed, step, what, replaced, err, want)
+				occupied, err := h.InsertRunAt(tx.ID, id, rows)
+				var want []int
+				for i, r := range rows {
+					replaced := ref.insertAt(tx.ID, id+RowID(i), r)
+					if replaced {
+						want = append(want, i)
+					}
+					indexed(id+RowID(i), r, replaced)
 				}
-				indexed(id, r, replaced)
+				if err != nil || !slices.Equal(occupied, want) {
+					t.Fatalf("seed %d step %d: %s found %v occupied (%v), model %v", seed, step, what, occupied, err, want)
+				}
 			case op < 73:
 				next := n + RowID(rng.Intn(6))
 				what = fmt.Sprint("EnsureNext ", next)
@@ -242,6 +261,7 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 						t.Fatalf("seed %d step %d: dropped version %d was not indexed", seed, step, it.rid)
 					}
 				}
+				mgr.Trim(snap) // as a checkpoint does: what those transactions created is gone
 				if after := scanned(h, snap); !slices.Equal(after, before) {
 					t.Fatalf("seed %d step %d: Vacuum changed what its horizon sees:\n%v\nwas\n%v", seed, step, after, before)
 				}
@@ -281,6 +301,47 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 		}
 		checkScan(-1, "end")
 	}
+}
+
+// TestInsertRunTakesTheLockOnce: a run goes in under one acquisition of the
+// heap's lock, so a reader — which fixes its end with one and reads with
+// another — finds whole runs only, at the next RowIDs or at explicit ones past
+// a gap. A lock per row would let both land inside a run.
+func TestInsertRunTakesTheLockOnce(t *testing.T) {
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	snap := txn.NewManager().SnapshotNow() // sees the bootstrap transaction's rows
+	const run = 256
+	rows := make([]types.Row, run)
+	for i := range rows {
+		rows[i] = intRow(int64(i))
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var got []types.Row
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got = got[:0]
+			if h.Read(snap, 0, h.NextID(), 1<<30, &got, nil); len(got)%run != 0 {
+				t.Errorf("a reader found %d rows: part of a run of %d", len(got), run)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		if _, err := h.InsertRun(txn.Bootstrap, rows); err != nil {
+			t.Fatal(err)
+		}
+		if occupied, err := h.InsertRunAt(txn.Bootstrap, h.NextID()+3, rows); err != nil || occupied != nil {
+			t.Fatal(occupied, err)
+		}
+	}
+	close(stop)
+	<-done
 }
 
 // TestReadStopsAtMax: a chunk read stops at the row that fills it — the
@@ -556,7 +617,7 @@ func TestVacuumReleasesDeadSegments(t *testing.T) {
 	if id, _ := h.Insert(txn.Bootstrap, row); id != 3*segRows {
 		t.Errorf("the next RowID after Vacuum is %d, want %d", id, 3*segRows)
 	}
-	if replaced, err := h.InsertAt(txn.Bootstrap, segRows+5, row); err != nil || replaced {
+	if replaced, err := h.InsertRunAt(txn.Bootstrap, segRows+5, []types.Row{row}); err != nil || replaced != nil {
 		t.Fatalf("InsertAt into the released segment: replaced %v, %v", replaced, err)
 	}
 	if _, ok := h.Get(mgr.SnapshotNow(), segRows+5); !ok {
@@ -576,7 +637,7 @@ func TestFarRowIDCostsOneSegment(t *testing.T) {
 	row := intRow(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if replaced, err := h.InsertAt(txn.Bootstrap, far, row); err != nil || replaced {
+	if replaced, err := h.InsertRunAt(txn.Bootstrap, far, []types.Row{row}); err != nil || replaced != nil {
 		t.Fatalf("InsertAt(%d): replaced %v, %v", far, replaced, err)
 	}
 	h.EnsureNext(2 * far)

@@ -11,6 +11,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -37,12 +38,16 @@ const (
 // transactions are forgotten immediately (an ID below the allocation
 // horizon that is neither in progress nor aborted is committed), so state
 // is bounded by concurrent transactions plus the aborted set — Begin stays
-// O(concurrent), not O(history).
+// O(concurrent), not O(history): snapshots share the aborted set until an
+// abort or a trim replaces it, and Trim forgets the aborted transactions
+// whose versions a vacuum has reclaimed.
 type Manager struct {
 	mu         sync.RWMutex
 	next       ID
 	inProgress map[ID]struct{}
-	aborted    map[ID]struct{}
+	// aborted is sorted, and immutable once a snapshot holds it: setStatus
+	// and Trim replace it, never write it.
+	aborted []ID
 }
 
 // NewManager returns a manager with the bootstrap transaction committed.
@@ -50,7 +55,6 @@ func NewManager() *Manager {
 	return &Manager{
 		next:       Bootstrap + 1,
 		inProgress: make(map[ID]struct{}),
-		aborted:    make(map[ID]struct{}),
 	}
 }
 
@@ -72,7 +76,7 @@ func (m *Manager) Begin() *Txn {
 			}
 		}
 	}
-	aborted := m.copyAbortedLocked()
+	aborted := m.aborted
 	m.mu.Unlock()
 	return &Txn{
 		ID:  id,
@@ -84,20 +88,6 @@ func (m *Manager) Begin() *Txn {
 			self:     id,
 		},
 	}
-}
-
-// copyAbortedLocked snapshots the aborted set (callers hold m.mu). The set
-// is empty in the common case, so this is cheap; copying it makes
-// Snapshot.sees lock-free.
-func (m *Manager) copyAbortedLocked() map[ID]struct{} {
-	if len(m.aborted) == 0 {
-		return nil
-	}
-	out := make(map[ID]struct{}, len(m.aborted))
-	for x := range m.aborted {
-		out[x] = struct{}{}
-	}
-	return out
 }
 
 // SnapshotNow returns a read-only snapshot as of now, without allocating a
@@ -115,7 +105,7 @@ func (m *Manager) SnapshotNow() Snapshot {
 		}
 	}
 	xmax := m.next
-	aborted := m.copyAbortedLocked()
+	aborted := m.aborted
 	m.mu.RUnlock()
 	return Snapshot{XMax: xmax, InFlight: inFlight, aborted: aborted}
 }
@@ -124,9 +114,25 @@ func (m *Manager) setStatus(id ID, s Status) {
 	m.mu.Lock()
 	delete(m.inProgress, id)
 	if s == StatusAborted {
-		m.aborted[id] = struct{}{}
+		at, _ := slices.BinarySearch(m.aborted, id)
+		m.aborted = append(append(append(make([]ID, 0, len(m.aborted)+1), m.aborted[:at]...), id), m.aborted[at:]...)
 	}
 	m.mu.Unlock()
+}
+
+// Trim forgets the transactions that had aborted when horizon was taken. The
+// caller has reclaimed every version they created (storage.Heap.Vacuum at
+// horizon, over every heap), so no snapshot is asked about one again.
+func (m *Manager) Trim(horizon Snapshot) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var kept []ID
+	for _, id := range m.aborted {
+		if _, gone := slices.BinarySearch(horizon.aborted, id); !gone {
+			kept = append(kept, id)
+		}
+	}
+	m.aborted = kept
 }
 
 // Txn is an in-progress transaction.
@@ -163,8 +169,8 @@ func (t *Txn) Abort() error {
 type Snapshot struct {
 	XMax     ID // txns with ID >= XMax started after the snapshot
 	InFlight map[ID]struct{}
-	aborted  map[ID]struct{} // aborted as of snapshot time
-	self     ID              // the owning txn, if any: its own writes are visible
+	aborted  []ID // aborted as of snapshot time, sorted
+	self     ID   // the owning txn, if any: its own writes are visible
 }
 
 // sees reports whether a transaction's effects are visible.
@@ -185,10 +191,12 @@ func (s Snapshot) sees(id ID) bool {
 	if _, ok := s.InFlight[id]; ok {
 		return false
 	}
-	if _, ok := s.aborted[id]; ok {
-		return false
-	}
-	return true
+	return !s.hasAborted(id)
+}
+
+func (s Snapshot) hasAborted(id ID) bool {
+	_, ok := slices.BinarySearch(s.aborted, id)
+	return ok
 }
 
 // VisibleVersion applies the MVCC rule to a row version stamped with the
@@ -208,8 +216,5 @@ func (s Snapshot) VisibleVersion(xmin, xmax ID) bool {
 // taken after it: its creator aborted, or its deletion is visible. A version
 // whose creator was still in flight may yet commit, and is not dead.
 func (s Snapshot) Dead(xmin, xmax ID) bool {
-	if _, ok := s.aborted[xmin]; ok {
-		return true
-	}
-	return xmax != 0 && s.sees(xmax)
+	return s.hasAborted(xmin) || xmax != 0 && s.sees(xmax)
 }

@@ -1,6 +1,10 @@
 package txn
 
-import "testing"
+import (
+	"runtime"
+	"slices"
+	"testing"
+)
 
 func TestBeginCommitVisibility(t *testing.T) {
 	m := NewManager()
@@ -79,5 +83,51 @@ func TestBootstrapAlwaysVisible(t *testing.T) {
 	}
 	if m.SnapshotNow().VisibleVersion(0, 0) {
 		t.Fatal("xmin 0 should never be visible")
+	}
+}
+
+// TestSnapshotAllocsAfterTrim: the aborted set does not grow for ever —
+// Trim at a horizon forgets what had aborted by then (the caller vacuumed
+// those transactions' versions), and nothing aborted since — and taking a
+// snapshot costs the same whatever its size: Begin and SnapshotNow share it
+// until an abort or a trim replaces it, where each used to copy it.
+func TestSnapshotAllocsAfterTrim(t *testing.T) {
+	m := NewManager()
+	for i := 0; i < 10_000; i++ {
+		m.Begin().Abort()
+	}
+	committed := m.Begin()
+	committed.Commit()
+	horizon := m.SnapshotNow()
+	later := m.Begin()
+	later.Abort()
+	if got := testing.AllocsPerRun(100, func() { m.SnapshotNow() }); got != 0 {
+		t.Fatalf("SnapshotNow beside %d aborted transactions allocates %v times", len(horizon.aborted), got)
+	}
+	m.Trim(horizon)
+	snap := m.SnapshotNow()
+	if len(snap.aborted) != 1 || snap.VisibleVersion(later.ID, 0) || !snap.VisibleVersion(committed.ID, 0) {
+		t.Fatalf("after the trim a snapshot holds %d aborted transactions; sees the one aborted since: %v", len(snap.aborted), snap.VisibleVersion(later.ID, 0))
+	}
+	if len(horizon.aborted) != 10_000 || horizon.VisibleVersion(horizon.aborted[17], 0) || !horizon.Dead(horizon.aborted[17], 0) {
+		t.Fatal("the trim changed the horizon it was taken at")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const begins = 100
+	for i := 0; i < begins; i++ {
+		m.Begin().Commit()
+	}
+	runtime.ReadMemStats(&after)
+	if perBegin := (after.TotalAlloc - before.TotalAlloc) / begins; perBegin > 256 {
+		t.Fatalf("Begin allocates %d bytes after the trim", perBegin)
+	}
+	// Aborts out of ID order keep the set sorted: every one is found.
+	a, b, c := m.Begin(), m.Begin(), m.Begin()
+	c.Abort()
+	a.Abort()
+	b.Abort()
+	if snap := m.SnapshotNow(); snap.VisibleVersion(a.ID, 0) || snap.VisibleVersion(b.ID, 0) || snap.VisibleVersion(c.ID, 0) || !slices.IsSorted(snap.aborted) {
+		t.Fatalf("aborted out of order: %v", snap.aborted)
 	}
 }

@@ -107,7 +107,7 @@ func oracleDecodeRecords(buf []byte) ([]Record, error) {
 		case RecInsert:
 			r.Table, buf, err = oracleReadString(buf)
 			if err == nil {
-				r.RowID, buf, err = readUvarint(buf)
+				r.RowID, buf, err = ReadUvarint(buf)
 			}
 			if err == nil {
 				r.Row, buf, err = oracleDecodeRow(buf)
@@ -115,12 +115,27 @@ func oracleDecodeRecords(buf []byte) ([]Record, error) {
 		case RecDelete, RecNext:
 			r.Table, buf, err = oracleReadString(buf)
 			if err == nil {
-				r.RowID, buf, err = readUvarint(buf)
+				r.RowID, buf, err = ReadUvarint(buf)
 			}
 		case RecMark: // younger than the decoder this is the reference for: no row, nothing to own
 			r.SQL, buf, err = oracleReadString(buf)
 			if err == nil {
-				r.RowID, buf, err = readUvarint(buf)
+				r.RowID, buf, err = ReadUvarint(buf)
+			}
+		case RecRows: // younger too: its frame is ReadRows', its rows are the reference's
+			_, err = ReadRows(buf, &r)
+			if r.Rows = nil; err == nil {
+				_, buf, _ = oracleReadString(buf)
+				for range len(r.Runs)*2 + 2 { // past the run count, the runs, the row count
+					_, buf, _ = ReadUvarint(buf)
+				}
+				for _, run := range r.Runs {
+					for range run.N {
+						var row types.Row
+						row, buf, _ = oracleDecodeRow(buf)
+						r.Rows = append(r.Rows, row)
+					}
+				}
 			}
 		default:
 			return nil, fmt.Errorf("wal: unknown record kind %d", r.Kind)
@@ -130,13 +145,17 @@ func oracleDecodeRecords(buf []byte) ([]Record, error) {
 		}
 		recs = append(recs, r)
 	}
+	if len(buf) != 0 { // younger as well: nothing follows the last record
+		return nil, errors.New("wal: trailing bytes in batch")
+	}
 	return recs, nil
 }
 
 // sameRecords compares two decodes field for field: types exact, floats by
-// bits.
+// bits; run-shaped inserts by the rows they expand to, RowID for RowID.
 func sameRecords(t testing.TB, got, want []Record) {
 	t.Helper()
+	got, want = Expand(got), Expand(want)
 	if len(got) != len(want) {
 		t.Fatalf("%d records, reference has %d", len(got), len(want))
 	}
@@ -177,49 +196,69 @@ func againstOracle(t testing.TB, data []byte) ([]Record, error) {
 	return recs, err
 }
 
-// walWrittenByParent is a log file the commit before this decoder wrote: a
-// DDL batch, then inserts into two tables (NULL, an empty string, every
-// type, invalid UTF-8) and a delete.
-const walWrittenByParent = "535257414c4602002700000066bf53d6010124435245415445205441424c45207420286120626967696e742c20622076617263686172293e000000e8893188040201740102030d0503783c7902017402020105000201750905048080808080808082400202068080f2818389850607ff9b9c390504ff20c3a903017503"
+// walWrittenByParent is a log file the commit before the ownership rule
+// wrote: a DDL batch, then inserts into two tables (NULL, an empty string,
+// every type, invalid UTF-8) and a delete. walWrittenBeforeRows is a durable
+// follower's log as 2bf6392, the last commit to log an insert a row at a time,
+// left it: the generation stamp of the checkpoint it follows, a delete and an
+// insert at the primary's RowID under the mark of the event that carried them,
+// an archived row under its event's, and a DDL statement under its own.
+const (
+	walWrittenByParent   = "535257414c4602002700000066bf53d6010124435245415445205441424c45207420286120626967696e742c20622076617263686172293e000000e8893188040201740102030d0503783c7902017402020105000201750905048080808080808082400202068080f2818389850607ff9b9c390504ff20c3a903017503"
+	walWrittenBeforeRows = "535257414c46020004000000044a34e80105000125000000eb2b1ccd0303017400020174050203080504666f75720510636166656261626530313032303330340926000000a6f5a9100202037261770802030806c0a3beb09be7af040510636166656261626530313032303330340b2f0000004604858e020119435245415445205441424c45207520287820626967696e74290510636166656261626530313032303330340c"
+)
 
 // TestReplayLogWrittenByParent: same bytes, same values — and this build
-// still writes exactly those bytes.
+// still writes exactly those bytes when handed the same records, one per row.
 func TestReplayLogWrittenByParent(t *testing.T) {
-	want := [][]Record{
-		{{Kind: RecDDL, SQL: "CREATE TABLE t (a bigint, b varchar)"}},
-		{{Kind: RecInsert, Table: "t", RowID: 1, Row: types.Row{types.NewInt(-7), types.NewString("x<y")}},
-			{Kind: RecInsert, Table: "t", RowID: 2, Row: types.Row{types.Null, types.NewString("")}},
-			{Kind: RecInsert, Table: "u", RowID: 9, Row: types.Row{types.NewFloat(2.5), types.True, types.NewTimestampMicros(1700000000000000),
-				types.NewIntervalMicros(-60000000), types.NewString("\xff é")}},
-			{Kind: RecDelete, Table: "u", RowID: 3}},
-	}
-	golden, err := hex.DecodeString(walWrittenByParent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	old := filepath.Join(dir, "old")
-	if err := os.WriteFile(old, golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var got, flat []Record
-	if err := Replay(old, each(func(r Record) error { got = append(got, r); return nil })); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(filepath.Join(dir, "new"), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range want {
-		flat = append(flat, b...)
-		if err := l.Append(b); err != nil {
+	const run = "cafebabe01020304"
+	for written, want := range map[string][][]Record{
+		walWrittenByParent: {
+			{{Kind: RecDDL, SQL: "CREATE TABLE t (a bigint, b varchar)"}},
+			{{Kind: RecInsert, Table: "t", RowID: 1, Row: types.Row{types.NewInt(-7), types.NewString("x<y")}},
+				{Kind: RecInsert, Table: "t", RowID: 2, Row: types.Row{types.Null, types.NewString("")}},
+				{Kind: RecInsert, Table: "u", RowID: 9, Row: types.Row{types.NewFloat(2.5), types.True, types.NewTimestampMicros(1700000000000000),
+					types.NewIntervalMicros(-60000000), types.NewString("\xff é")}},
+				{Kind: RecDelete, Table: "u", RowID: 3}},
+		},
+		walWrittenBeforeRows: {
+			{{Kind: RecMark, RowID: 1}},
+			{{Kind: RecDelete, Table: "t", RowID: 0},
+				{Kind: RecInsert, Table: "t", RowID: 5, Row: types.Row{types.NewInt(4), types.NewString("four")}},
+				{Kind: RecMark, SQL: run, RowID: 9}},
+			{{Kind: RecInsert, Table: "raw", RowID: 8, Row: types.Row{types.NewInt(4), types.NewTimestampMicros(1231027201100000)}},
+				{Kind: RecMark, SQL: run, RowID: 11}},
+			{{Kind: RecDDL, SQL: "CREATE TABLE u (x bigint)"}, {Kind: RecMark, SQL: run, RowID: 12}},
+		},
+	} {
+		golden, err := hex.DecodeString(written)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	l.Close()
-	sameRecords(t, got, flat)
-	if written, _ := os.ReadFile(filepath.Join(dir, "new")); hex.EncodeToString(written) != walWrittenByParent {
-		t.Fatalf("this build writes a different log:\n%x", written)
+		dir := t.TempDir()
+		old := filepath.Join(dir, "old")
+		if err := os.WriteFile(old, golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got, flat []Record
+		if err := Replay(old, each(func(r Record) error { got = append(got, r); return nil })); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(filepath.Join(dir, "new"), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range want {
+			flat = append(flat, b...)
+			if err := l.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		sameRecords(t, got, flat)
+		if now, _ := os.ReadFile(filepath.Join(dir, "new")); hex.EncodeToString(now) != written {
+			t.Fatalf("this build writes a different log:\n%x", now)
+		}
 	}
 }
 
@@ -252,10 +291,33 @@ func TestDecodeRecordsAllocs(t *testing.T) {
 		payload[i] = 0xFF
 	}
 	sameRecords(t, recs, insertBatch(n))
+
+	// The same rows as one run-shaped record: the rows' two each, the row and
+	// run slices, the record slice, the table name and the scratch growing.
+	rows := make([]types.Row, n)
+	for i, rec := range insertBatch(n) {
+		rows[i] = rec.Row
+	}
+	payload = EncodeRecords([]Record{{Kind: RecRows, Table: "archive_hits", Runs: []RowIDRun{{First: 1, N: n}}, Rows: rows}})
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := DecodeRecords(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2*n+6 {
+		t.Fatalf("decoding %d inserts in one record allocates %v, want at most %d", n, got, 2*n+6)
+	}
+	recs, _ = DecodeRecords(payload)
+	for i := range payload {
+		payload[i] = 0xFF
+	}
+	if len(recs) != 1 || recs[0].Kind != RecRows {
+		t.Fatalf("decoded %+v", recs)
+	}
+	sameRecords(t, recs, insertBatch(n))
 }
 
 // TestDecodeRecordsCorruptCountAllocs: the largest record count a 1 MiB
-// payload can claim must not be believed (a Record is 72 bytes).
+// payload can claim must not be believed (a Record is 120 bytes).
 func TestDecodeRecordsCorruptCountAllocs(t *testing.T) {
 	const size = 1 << 20
 	buf := binary.AppendUvarint(nil, size)

@@ -105,13 +105,9 @@ func TestReplayFromTornTail(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecords checks the batch decoder never panics or
-// over-allocates on arbitrary bytes, agrees with the decoder it replaced
-// (ownership_test.go) error for error and value for value, and that valid
-// encodings round-trip.
 // unknownKind is a batch of one record of a kind no build has written: a
 // count, the kind byte, and what would be a table name and a RowID.
-var unknownKind = []byte{1, 6, 1, 't', 9}
+var unknownKind = []byte{1, 7, 1, 't', 9}
 
 // TestUnknownRecordKindIsAnError: a batch whose checksum holds and whose
 // records this build cannot decode is not a torn tail. Replay stops there with
@@ -143,7 +139,7 @@ func TestUnknownRecordKindIsAnError(t *testing.T) {
 	f.Close()
 	var got []Record
 	err = Replay(path, each(func(r Record) error { got = append(got, r); return nil }))
-	if err == nil || !strings.Contains(err.Error(), "unknown record kind 6") {
+	if err == nil || !strings.Contains(err.Error(), "unknown record kind 7") {
 		t.Fatalf("replay over a record of an unknown kind: %v", err)
 	}
 	if len(got) != 2 || got[0].Kind != RecNext || got[0].RowID != 12 || got[1].SQL != mark.SQL || got[1].RowID != 41 {
@@ -151,6 +147,11 @@ func TestUnknownRecordKindIsAnError(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRecords checks the batch decoder never panics or
+// over-allocates on arbitrary bytes, agrees with the decoder it replaced
+// (ownership_test.go) error for error and value for value, that valid
+// encodings round-trip, and that a batch of run-shaped inserts, expanded, is
+// what the per-row batch of the same rows decodes to.
 func FuzzDecodeRecords(f *testing.F) {
 	seed := [][]Record{
 		{{Kind: RecDDL, SQL: "CREATE TABLE t (a bigint)"}},
@@ -162,6 +163,8 @@ func FuzzDecodeRecords(f *testing.F) {
 			{Kind: RecNext, Table: "t", RowID: 10_000_000},
 			{Kind: RecMark, SQL: "cafebabe01020304", RowID: 41}},
 		{{Kind: RecMark, RowID: 3}}, // a checkpoint's generation: a mark naming no run
+		rowsBatch()[:1],             // the run-shaped insert alone
+		rowsBatch(),                 // and in one batch with deletes, another table's insert and a mark
 	}
 	for _, recs := range seed {
 		f.Add(EncodeRecords(recs))
@@ -174,7 +177,8 @@ func FuzzDecodeRecords(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Whatever decoded must re-encode and decode to the same shape.
+		// Whatever decoded must re-encode and decode to the same shape, and
+		// row by row to the same values, with nothing left in data.
 		again, err := DecodeRecords(EncodeRecords(recs))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -182,5 +186,13 @@ func FuzzDecodeRecords(f *testing.F) {
 		if len(again) != len(recs) {
 			t.Fatalf("round trip: %d records, want %d", len(again), len(recs))
 		}
+		perRow, err := DecodeRecords(EncodeRecords(Expand(recs)))
+		if err != nil {
+			t.Fatalf("the per-row batch of the same rows: %v", err)
+		}
+		for i := range data {
+			data[i] = 0xFF
+		}
+		sameRecords(t, Expand(recs), perRow)
 	})
 }

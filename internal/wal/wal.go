@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -50,19 +51,66 @@ const (
 	// and its LSN in RowID: every event up to it is applied. It rides in the
 	// batch that event's effects were logged in, so the two recover together.
 	RecMark
+	// RecRows carries (table, RowID runs, rows): Rows stored in Table at the
+	// RowIDs Runs name, in order — an insert, the name once and a RowID a run.
+	// RecInsert is the same a row at a time: read still, logged by no engine.
+	RecRows
 )
 
-// Record is one logical change. RecInsert and RecDelete both carry the
-// heap RowID of the affected version, so replay (and a replica applying
-// the same records) reconstructs the exact numbering the primary used —
-// including gaps left by aborted transactions — and later deletes by
-// RowID resolve correctly.
+// RowIDRun is N consecutive RowIDs starting at First. A batch is one run
+// unless another writer of the same table got in between two of its inserts.
+type RowIDRun struct{ First, N uint64 }
+
+// AppendRun adds id to runs, extending the last run when id follows it.
+func AppendRun(runs []RowIDRun, id uint64) []RowIDRun {
+	if n := len(runs); n > 0 && runs[n-1].First+runs[n-1].N == id {
+		runs[n-1].N++
+		return runs
+	}
+	return append(runs, RowIDRun{First: id, N: 1})
+}
+
+// Record is one logical change. Inserts and deletes carry the heap RowIDs of
+// the affected versions, so replay (and a replica applying the same records)
+// reconstructs the exact numbering the primary used — including gaps left by
+// aborted transactions — and later deletes by RowID resolve correctly.
 type Record struct {
 	Kind  RecordKind
 	Table string
 	SQL   string
 	Row   types.Row
 	RowID uint64
+	Runs  []RowIDRun  // RecRows
+	Rows  []types.Row // RecRows
+}
+
+// RowCount is how many rows recs touch, a record of no row counting as one:
+// what a batch's spans report, whichever record shape carries the rows.
+func RowCount(recs []Record) (n int) {
+	for i := range recs {
+		n += max(1, len(recs[i].Rows))
+	}
+	return n
+}
+
+// Expand returns recs with every RecRows record replaced by the RecInsert
+// records of its rows — the form earlier builds wrote, and the one in which
+// two batches, or two engines' states, compare record for record.
+func Expand(recs []Record) []Record {
+	out := make([]Record, 0, len(recs))
+	for _, r := range recs {
+		if r.Kind != RecRows {
+			out = append(out, r)
+			continue
+		}
+		next := 0
+		for _, run := range r.Runs {
+			for id := run.First; id < run.First+run.N; id, next = id+1, next+1 {
+				out = append(out, Record{Kind: RecInsert, Table: r.Table, RowID: id, Row: r.Rows[next]})
+			}
+		}
+	}
+	return out
 }
 
 // Every log and checkpoint file starts with an 8-byte header — a 6-byte
@@ -75,9 +123,9 @@ var fileMagic = [6]byte{'S', 'R', 'W', 'A', 'L', 'F'}
 // FormatVersion is the record-format version this build reads and writes.
 // Version 2 added the explicit RowID uvarint to RecInsert records;
 // version-1 files predate headers entirely and are rejected by their
-// missing magic. RecNext and RecMark joined version 2 without a bump: a file
-// written before them replays as it did, and a record kind a build does not
-// know fails its replay rather than ending it.
+// missing magic. RecNext, RecMark and RecRows joined version 2 without a
+// bump: a file written before them replays as it did, and a record kind a
+// build does not know fails its replay rather than ending it.
 const FormatVersion = 2
 
 const headerSize = 8
@@ -118,7 +166,10 @@ func checkHeader(path string, h []byte) error {
 // Waiters block on done; err and the span timings are written by the
 // leader before done closes and are read-only afterwards.
 type commitGroup struct {
-	buf  []byte        // concatenated complete frames: [len][crc][payload]...
+	// data is the complete frames, [len][crc][payload]...: the first batch's
+	// where its committer, who waits on done, encoded it — a group of one
+	// copies nothing — and from the second on gathered in Log.spare.
+	data []byte
 	n    int           // batches staged in this group
 	done chan struct{} // closed once the group is durable (or failed)
 	err  error
@@ -153,6 +204,7 @@ type Log struct {
 	maxDelay time.Duration // leader's pre-claim wait (Options.GroupCommitMaxDelay)
 
 	cur     *commitGroup // group accepting new frames; nil if none staged
+	spare   []byte       // the buffer the last group of several batches gathered them in
 	writing bool         // a leader is writing/syncing outside mu
 	closing bool         // Close in progress: reject new appends so the leader can drain
 
@@ -258,9 +310,11 @@ func (l *Log) Append(recs []Record) error {
 // (the group's sync — shared with every batch that rode the same group).
 //
 // Encoding happens entirely outside the lock, into a pooled buffer
-// pre-sized from the previous frame. The critical section is only "copy
-// the finished frame into the current group"; the file write and fsync
-// happen outside the lock too, serialized by the leader/writing handoff.
+// pre-sized from the previous frame and pooled again when this call returns
+// (the group may be written from it). The critical section is only "stage
+// the finished frame in the current group" — by reference as its first, by
+// copy behind another; the file write and fsync happen outside the lock
+// too, serialized by the leader/writing handoff.
 func (l *Log) AppendCtx(tc trace.Ctx, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -269,27 +323,30 @@ func (l *Log) AppendCtx(tc trace.Ctx, recs []Record) error {
 	// Encode the complete frame — [len u32][crc u32][payload] — outside
 	// the lock, in a pooled buffer.
 	eb := encPool.Get().(*encBuf)
+	defer encPool.Put(eb)
 	if hint := int(l.lastFrame.Load()); cap(eb.b) < hint {
 		eb.b = make([]byte, 0, hint)
 	}
-	frame := appendFrame(eb.b[:0], recs)
-	l.lastFrame.Store(int64(len(frame)))
+	eb.b = appendFrame(eb.b[:0], recs)
+	l.lastFrame.Store(int64(len(eb.b)))
 
 	l.mu.Lock()
 	if l.f == nil || l.closing {
 		l.mu.Unlock()
-		eb.b = frame[:0]
-		encPool.Put(eb)
 		return errors.New("wal: closed")
 	}
-	if l.cur == nil {
-		l.cur = &commitGroup{done: make(chan struct{})}
-	}
 	g := l.cur
-	g.buf = append(g.buf, frame...)
+	switch {
+	case g == nil:
+		g = &commitGroup{done: make(chan struct{}), data: eb.b}
+		l.cur = g
+	case g.n == 1:
+		g.data, l.spare = append(l.spare[:0], g.data...), nil
+		fallthrough
+	default:
+		g.data = append(g.data, eb.b...)
+	}
 	g.n++
-	eb.b = frame[:0]
-	encPool.Put(eb)
 
 	if l.writing {
 		// A leader is already on the file; it will pick this group up
@@ -305,11 +362,11 @@ func (l *Log) AppendCtx(tc trace.Ctx, recs []Record) error {
 	if tc.ID != 0 && l.tracer != nil {
 		l.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWALAppend,
 			Stream: recs[0].Table, Start: g.writeStart.UnixMicro(),
-			Dur: g.writeDur.Nanoseconds(), Rows: len(recs)})
+			Dur: g.writeDur.Nanoseconds(), Rows: RowCount(recs)})
 		if l.sync {
 			l.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWALFsync,
 				Stream: recs[0].Table, Start: g.syncStart.UnixMicro(),
-				Dur: g.syncDur.Nanoseconds(), Rows: len(recs)})
+				Dur: g.syncDur.Nanoseconds(), Rows: RowCount(recs)})
 		}
 	}
 	return nil
@@ -341,6 +398,9 @@ func (l *Log) lead() {
 		if g.err == nil && needHdr {
 			l.hdr = true
 		}
+		if g.n > 1 && cap(g.data) <= 1<<20 { // huge batches must not pin their size
+			l.spare = g.data
+		}
 		close(g.done)
 	}
 	l.writing = false
@@ -361,7 +421,7 @@ func (l *Log) writeGroup(g *commitGroup, needHdr bool) error {
 		}
 	}
 	g.writeStart = time.Now()
-	if _, err := l.f.Write(g.buf); err != nil {
+	if _, err := l.f.Write(g.data); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	g.writeDur = time.Since(g.writeStart)
@@ -374,7 +434,7 @@ func (l *Log) writeGroup(g *commitGroup, needHdr bool) error {
 		l.fsyncHist.Observe(g.syncDur.Seconds())
 	}
 	l.appends.Add(int64(g.n))
-	l.appendBytes.Add(int64(len(g.buf)))
+	l.appendBytes.Add(int64(len(g.data)))
 	l.groupHist.Observe(float64(g.n))
 	return nil
 }
@@ -528,27 +588,100 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 		buf = append(buf, byte(r.Kind))
 		switch r.Kind {
 		case RecDDL:
-			buf = appendString(buf, r.SQL)
+			buf = AppendString(buf, r.SQL)
 		case RecInsert:
-			buf = appendString(buf, r.Table)
+			buf = AppendString(buf, r.Table)
 			buf = binary.AppendUvarint(buf, r.RowID)
 			buf = types.EncodeRow(buf, r.Row)
 		case RecDelete, RecNext:
-			buf = appendString(buf, r.Table)
+			buf = AppendString(buf, r.Table)
 			buf = binary.AppendUvarint(buf, r.RowID)
 		case RecMark:
-			buf = appendString(buf, r.SQL)
+			buf = AppendString(buf, r.SQL)
 			buf = binary.AppendUvarint(buf, r.RowID)
+		case RecRows:
+			buf = AppendRows(buf, r.Table, r.Runs, r.Rows)
 		}
 	}
 	return buf
 }
 
+// AppendRows appends the run-shaped body — table, run count, (first, length)
+// per run, row list — that a RecRows record is behind its kind byte and a
+// replication KindArchive frame behind its stream.
+func AppendRows(buf []byte, table string, runs []RowIDRun, rows []types.Row) []byte {
+	buf = binary.AppendUvarint(AppendString(buf, table), uint64(len(runs)))
+	for _, run := range runs {
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, run.First), run.N)
+	}
+	return AppendRowList(buf, rows)
+}
+
+// AppendRowList appends a row count and the rows.
+func AppendRowList(buf []byte, rows []types.Row) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	for _, r := range rows {
+		buf = types.EncodeRow(buf, r)
+	}
+	return buf
+}
+
+// ReadRows decodes what AppendRows wrote into r and returns the bytes behind
+// it. The runs cover exactly the rows. A run is at least two bytes and a row
+// at least one, so the bytes that remain bound both counts; an empty run, or
+// one that would wrap the RowID space, is malformed.
+func ReadRows(buf []byte, r *Record) (rest []byte, err error) {
+	if r.Table, buf, err = ReadString(buf, ""); err != nil {
+		return nil, err
+	}
+	n, buf, err := ReadUvarint(buf)
+	if err != nil || n > uint64(len(buf)) {
+		return nil, errors.New("wal: bad run count")
+	}
+	r.Runs = make([]RowIDRun, 0, min(n, types.MaxPresize))
+	var covered uint64
+	for ; n > 0; n-- {
+		var run RowIDRun
+		if run.First, buf, err = ReadUvarint(buf); err == nil {
+			run.N, buf, err = ReadUvarint(buf)
+		}
+		if left := uint64(len(buf)); err != nil || run.N == 0 || run.N > left || covered+run.N > left || run.First > math.MaxUint64-run.N {
+			return nil, errors.New("wal: bad RowID run")
+		}
+		covered += run.N
+		r.Runs = append(r.Runs, run)
+	}
+	if r.Rows, buf, err = ReadRowList(buf); err == nil && uint64(len(r.Rows)) != covered {
+		err = fmt.Errorf("wal: RowID runs cover %d rows of %d", covered, len(r.Rows))
+	}
+	return buf, err
+}
+
+// ReadRowList decodes a row count and that many rows (the ownership rule in
+// internal/server/proto.go) and returns the bytes behind them.
+func ReadRowList(buf []byte) ([]types.Row, []byte, error) {
+	n, buf, err := ReadUvarint(buf)
+	if err != nil || n > uint64(len(buf)) {
+		return nil, nil, errors.New("wal: bad row count")
+	}
+	rows := make([]types.Row, 0, min(n, types.MaxPresize))
+	var strs types.RowStrings
+	for ; n > 0; n-- {
+		var row types.Row
+		if row, buf, err = types.DecodeRow(buf, &strs); err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, buf, nil
+}
+
 // DecodeRecords parses a WAL payload produced by AppendRecords. Arbitrary
 // (torn, corrupt, adversarial) input yields an error, never a panic or an
-// allocation its bytes did not earn (types.MaxPresize). Rows obey the
-// ownership rule in internal/server/proto.go; consecutive records naming
-// one table share one Table string.
+// allocation its bytes did not earn (types.MaxPresize), and so do bytes left
+// over behind the last record. Rows obey the ownership rule in
+// internal/server/proto.go; consecutive per-row records naming one table
+// share one Table string.
 func DecodeRecords(buf []byte) ([]Record, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
@@ -572,20 +705,22 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 		var err error
 		switch r.Kind {
 		case RecDDL:
-			r.SQL, buf, err = readString(buf, "")
+			r.SQL, buf, err = ReadString(buf, "")
 		case RecMark:
-			if r.SQL, buf, err = readString(buf, ""); err == nil {
-				r.RowID, buf, err = readUvarint(buf)
+			if r.SQL, buf, err = ReadString(buf, ""); err == nil {
+				r.RowID, buf, err = ReadUvarint(buf)
 			}
 		case RecInsert, RecDelete, RecNext:
-			r.Table, buf, err = readString(buf, table)
+			r.Table, buf, err = ReadString(buf, table)
 			table = r.Table
 			if err == nil {
-				r.RowID, buf, err = readUvarint(buf)
+				r.RowID, buf, err = ReadUvarint(buf)
 			}
 			if err == nil && r.Kind == RecInsert {
 				r.Row, buf, err = types.DecodeRow(buf, &strs)
 			}
+		case RecRows:
+			buf, err = ReadRows(buf, &r)
 		default:
 			return nil, fmt.Errorf("wal: unknown record kind %d", r.Kind)
 		}
@@ -594,10 +729,14 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 		}
 		recs = append(recs, r)
 	}
+	if len(buf) != 0 {
+		return nil, errors.New("wal: trailing bytes in batch")
+	}
 	return recs, nil
 }
 
-func readUvarint(buf []byte) (uint64, []byte, error) {
+// ReadUvarint, AppendString and ReadString: replication frames use them too.
+func ReadUvarint(buf []byte) (uint64, []byte, error) {
 	v, k := binary.Uvarint(buf)
 	if k <= 0 {
 		return 0, nil, errors.New("wal: bad uvarint")
@@ -605,13 +744,13 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 	return v, buf[k:], nil
 }
 
-func appendString(buf []byte, s string) []byte {
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-// readString returns prev itself when the string's bytes equal it.
-func readString(buf []byte, prev string) (string, []byte, error) {
+// ReadString returns prev itself when the string's bytes equal it.
+func ReadString(buf []byte, prev string) (string, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 || uint64(len(buf[k:])) < n {
 		return "", nil, errors.New("wal: bad string")

@@ -182,5 +182,6 @@ func (e *Engine) checkpoint() error {
 			}
 		}
 	}
+	e.mgr.Trim(horizon) // what the transactions aborted by then created is gone from every heap
 	return nil
 }

@@ -350,39 +350,77 @@ func TestCrashInsideCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecoverFilesWrittenByParent: a data directory the commit before this
-// one left — a checkpoint it took after deleting rows, so with the RowIDs its
-// Vacuum renumbered them to and neither a table's next RowID nor a mark, and
-// a log written behind that checkpoint (an insert, a delete by compacted
-// RowID, DDL) — recovers to the rows, RowIDs and index that build recovered.
+// TestRecoverFilesWrittenByParent: data directories earlier commits left
+// recover to the rows, RowIDs, next RowIDs and index their own builds
+// recovered. The first is from before RowIDs stood still — a checkpoint taken
+// after deleting rows, so with the RowIDs that build's Vacuum renumbered them
+// to and neither a table's next RowID nor a mark, and a log written behind it
+// (an insert, a delete by compacted RowID, DDL). The second is from 2bf6392,
+// the last commit to log an insert a row at a time: a generation stamp, a
+// checkpoint of per-row batches closed by the tables' next RowIDs, with the
+// gaps an aborted BulkInsert and a REPLACE channel's deletes left, and behind
+// it a log of inserts, an UPDATE, an archived batch and a REPLACE delta (the
+// RowIDs a last aborted BulkInsert took are in neither, as ever).
 func TestRecoverFilesWrittenByParent(t *testing.T) {
-	dir := t.TempDir()
-	for name, written := range map[string]string{
-		"checkpoint": "535257414c4602004200000032325289020124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e2074202861293a0000001d4b200005020174000203060502723302017401020308050272340201740202030c050272360201740302030e050272370201740402030a050466697665",
-		"wal.log":    "535257414c4602000c000000f1b7cbc201020174050203100502723805000000109761d401030174011c00000012008cfb010119435245415445205441424c45207520287820626967696e74290f000000873ee193020201750001030202017501010304",
-		"repl.state": "7b2272756e223a2266663230633330306333333666313038222c226c736e223a31317d", // what its replica kept beside them; nothing reads it
+	for _, parent := range []struct {
+		files map[string]string
+		want  map[string]string
+	}{
+		{files: map[string]string{
+			"checkpoint": "535257414c4602004200000032325289020124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e2074202861293a0000001d4b200005020174000203060502723302017401020308050272340201740202030c050272360201740302030e050272370201740402030a050466697665",
+			"wal.log":    "535257414c4602000c000000f1b7cbc201020174050203100502723805000000109761d401030174011c00000012008cfb010119435245415445205441424c45207520287820626967696e74290f000000873ee193020201750001030202017501010304",
+			"repl.state": "7b2272756e223a2266663230633330306333333666313038222c226c736e223a31317d", // what its replica kept beside them; nothing reads it
+		}, want: map[string]string{
+			"t": "0 3|r3\n2 6|r6\n3 7|r7\n4 5|five\n5 8|r8\nnext 6\n",
+			"u": "0 1\n1 2\nnext 2\n",
+		}},
+		{files: map[string]string{
+			"checkpoint": "535257414c46020004000000044a34e801050001c4010000743a989a080124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e20742028612901344352454154452053545245414d207320286b20626967696e742c2061742074696d657374616d7020435154494d45205553455229017c4352454154452053545245414d206c61746573742041532053454c454354206b2c20636f756e74282a29204153206e2c2063715f636c6f7365282a2920415320772046524f4d2073203c56495349424c45202732207365636f6e64732720414456414e4345202731207365636f6e64273e2047524f5550204259206b0137435245415445205441424c45206c61746573745f7420286b20626967696e742c206e20626967696e742c20772074696d657374616d7029013a435245415445204348414e4e454c206c61746573745f63682046524f4d206c617465737420494e544f206c61746573745f74205245504c4143450129435245415445205441424c452072617720286b20626967696e742c2061742074696d657374616d7029012c435245415445204348414e4e454c207261775f63682046524f4d207320494e544f2072617720415050454e4433000000b42f12920202086c61746573745f74020303020304068092acb19be7af0402086c61746573745f74030303040302068092acb19be7af04490000008d1b5c340402037261770002030206c09ac4af9be7af040203726177010203040680b5d0af9be7af0402037261770202030206c0a3beb09be7af0402037261770302030406c0acb8b19be7af0424000000a359d85503020174000203020502723102017402020306050272330201740402030a050466697665160000000f476a310304086c61746573745f740404037261770404017405",
+			"wal.log":    "535257414c46020004000000044a34e8010500010d00000019bc6e28010201740502030c0503736978110000009fec53be02030174000201740602030205036f6e6525000000fe947cfe0202037261770402030606c0b5b2b29be7af040203726177050203060680d0beb29be7af04490000001703a32b0403086c61746573745f740203086c61746573745f740302086c61746573745f7404030302030206809ba6b29be7af0402086c61746573745f7405030304030206809ba6b29be7af04",
+		}, want: map[string]string{
+			"t":        "2 3|r3\n4 5|five\n5 6|six\n6 1|one\nnext 7\n",
+			"latest_t": "4 1|1|2009-01-04 00:00:03.000000\n5 2|1|2009-01-04 00:00:03.000000\nnext 6\n",
+			"raw": "0 1|2009-01-04 00:00:00.100000\n1 2|2009-01-04 00:00:00.200000\n2 1|2009-01-04 00:00:01.100000\n" +
+				"3 2|2009-01-04 00:00:02.100000\n4 3|2009-01-04 00:00:03.100000\n5 3|2009-01-04 00:00:03.200000\nnext 6\n",
+		}},
 	} {
-		data, err := hex.DecodeString(written)
+		dir := t.TempDir()
+		for name, written := range parent.files {
+			data, err := hex.DecodeString(written)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		for table, want := range parent.want {
+			if got := heapTranscript(e, table); got != want {
+				t.Fatalf("%s recovered as\n%swant\n%s", table, got, want)
+			}
+		}
+		expectData(t, mustQuery(t, e, `SELECT b FROM t WHERE a = 5`), "five")
+		if run, lsn := e.ReplicaMark(); run != "" || lsn != 0 {
+			t.Fatalf("recovered a resume point (%q, %d) from files that hold none", run, lsn)
+		}
+		// The next checkpoint writes the same state a run to a record, and that
+		// recovers the same.
+		if err := e.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	e, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if got, want := heapTranscript(e, "t"), "0 3|r3\n2 6|r6\n3 7|r7\n4 5|five\n5 8|r8\nnext 6\n"; got != want {
-		t.Fatalf("t recovered as\n%swant\n%s", got, want)
-	}
-	if got, want := heapTranscript(e, "u"), "0 1\n1 2\nnext 2\n"; got != want {
-		t.Fatalf("u recovered as\n%swant\n%s", got, want)
-	}
-	expectData(t, mustQuery(t, e, `SELECT b FROM t WHERE a = 5`), "five")
-	if run, lsn := e.ReplicaMark(); run != "" || lsn != 0 {
-		t.Fatalf("recovered a resume point (%q, %d) from files that hold none", run, lsn)
+		e.Close()
+		if e, err = Open(Config{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		for table, want := range parent.want {
+			if got := heapTranscript(e, table); got != want {
+				t.Fatalf("after this build's checkpoint %s recovered as\n%swant\n%s", table, got, want)
+			}
+		}
+		e.Close()
 	}
 }

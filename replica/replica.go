@@ -308,6 +308,7 @@ func (r *Replica) apply(ev *repl.Event) error {
 		return nil
 
 	case repl.KindSnapBegin:
+		r.lastApplied.Store(0) // of this run nothing is applied yet, whatever was of another
 		r.snapsRecv.Inc()
 		r.primary = ev.Run
 		r.log("receiving snapshot", "run", ev.Run)
@@ -325,7 +326,7 @@ func (r *Replica) apply(ev *repl.Event) error {
 		}
 
 	case repl.KindWAL:
-		if rows = len(ev.Recs); rows > 0 {
+		if rows = wal.RowCount(ev.Recs); rows > 0 {
 			stream = ev.Recs[0].Table
 		}
 		do = func() error { return r.eng.ApplyReplicated(ev.Recs) }

@@ -389,14 +389,19 @@ func TestReplicaResumePointRecoversWithState(t *testing.T) {
 }
 
 // TestUpgradeFromParentDirectory: the data directory of a durable replica as
-// the commit before this one left it (hex recorded at 6204023) — a checkpoint
-// written when the primary's marker made the replica compact, so with
-// renumbered RowIDs and no next RowID, generation or mark; a log behind it with
-// an insert, DDL and a delete by compacted RowID; and beside them a repl.state,
-// here naming the live primary's run and an LSN its ring still covers. The
-// directory still replays, to the rows that build recovered; the file is not
-// read, the engine holds no resume point, and the replica takes exactly one
-// snapshot, after which it follows like any other.
+// earlier commits left it still replays, to the rows that build recovered.
+// From 6204023: a checkpoint written when the primary's marker made the
+// replica compact, so with renumbered RowIDs and no next RowID, generation or
+// mark; a log behind it with an insert, DDL and a delete by compacted RowID;
+// and beside them a repl.state, here naming the live primary's run and an LSN
+// its ring still covers — the file is not read and the engine holds no resume
+// point. From 2bf6392, the last commit to log an insert a row at a time: a
+// stamped checkpoint of per-row batches at the primary's RowIDs (gaps and all),
+// next RowIDs and the mark of the event it was taken after, and a log whose
+// batches — a delete and an insert, an archived row, DDL — each end in their
+// event's mark: the engine resumes from the last, of a run that is not this
+// primary's. Either way the replica takes exactly one snapshot, after which it
+// follows like any other.
 func TestUpgradeFromParentDirectory(t *testing.T) {
 	prim := startNode(t, "", "127.0.0.1:0")
 	defer prim.stop()
@@ -404,41 +409,70 @@ func TestUpgradeFromParentDirectory(t *testing.T) {
 	mustExec(t, prim.eng, `CREATE INDEX t_a ON t (a)`)
 	mustExec(t, prim.eng, `INSERT INTO t VALUES (4, 'r4'), (5, 'five'), (6, 'six'), (8, 'new')`)
 
-	dir := t.TempDir()
-	for name, written := range map[string]string{
-		"checkpoint": "535257414c4602004200000032325289020124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e207420286129170000004fa06d3e0202017400020306050272330201740102030805027234",
-		"wal.log":    "535257414c4602000e00000056c4f141010201740202030a0504666976651c00000012008cfb010119435245415445205441424c45207520287820626967696e74290800000037662e09010201750001030e0d00000093c5745b010201740302030c05037369780500000086a766a30103017400",
-		"repl.state": hex.EncodeToString([]byte(fmt.Sprintf(`{"run":%q,"lsn":%d}`, prim.eng.Repl().RunID(), prim.eng.Repl().LSN()))),
+	for _, parent := range []struct {
+		files     map[string]string
+		t, others string // SELECT a, b FROM t; the other table's rows
+		run       string
+		lsn       uint64
+	}{
+		{files: map[string]string{
+			"checkpoint": "535257414c4602004200000032325289020124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e207420286129170000004fa06d3e0202017400020306050272330201740102030805027234",
+			"wal.log":    "535257414c4602000e00000056c4f141010201740202030a0504666976651c00000012008cfb010119435245415445205441424c45207520287820626967696e74290800000037662e09010201750001030e0d00000093c5745b010201740302030c05037369780500000086a766a30103017400",
+			"repl.state": hex.EncodeToString([]byte(fmt.Sprintf(`{"run":%q,"lsn":%d}`, prim.eng.Repl().RunID(), prim.eng.Repl().LSN()))),
+		}, t: "4|r4\n5|five\n6|six\n", others: "SELECT x FROM u: 7\n"},
+		{files: map[string]string{
+			"checkpoint": "535257414c46020004000000044a34e801050001d10000003952217a050124435245415445205441424c45207420286120626967696e742c2062207661726368617229011943524541544520494e44455820745f61204f4e20742028612901344352454154452053545245414d207320286b20626967696e742c2061742074696d657374616d7020435154494d452055534552290129435245415445205441424c452072617720286b20626967696e742c2061742074696d657374616d7029012c435245415445204348414e4e454c207261775f63682046524f4d207320494e544f2072617720415050454e4437000000d94b0ebe0302037261770202030206c09ac4af9be7af040203726177030203040680b5d0af9be7af0402037261770702030606c0cfdcaf9be7af0418000000fef0bb310202017400020308050272340201740402030c05037369780b0000008b86f753020403726177080401740514000000465ffb130105106361666562616265303130323033303408",
+			"wal.log":    "535257414c46020004000000044a34e80105000125000000eb2b1ccd0303017400020174050203080504666f75720510636166656261626530313032303330340926000000a6f5a9100202037261770802030806c0a3beb09be7af040510636166656261626530313032303330340b2f0000004604858e020119435245415445205441424c45207520287820626967696e74290510636166656261626530313032303330340c",
+		}, t: "4|four\n6|six\n", others: "SELECT k FROM raw ORDER BY k: 1\n2\n3\n4\nSELECT count(*) FROM u: 0\n", run: "cafebabe01020304", lsn: 12},
 	} {
-		data, err := hex.DecodeString(written)
+		dir := t.TempDir()
+		for name, written := range parent.files {
+			data, err := hex.DecodeString(written)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reng, err := streamrel.Open(streamrel.Config{Dir: dir, Replicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		defer reng.Close()
+		got := dump(t, reng, `SELECT a, b FROM t WHERE a > 0 ORDER BY a`)
+		want := parent.t
+		for _, q := range strings.SplitAfter(parent.others, "\n") {
+			if sql, rows, ok := strings.Cut(q, ": "); ok {
+				got, want = got+dump(t, reng, sql), want+rows
+			} else {
+				want += q
+			}
+		}
+		if got != want {
+			t.Fatalf("the parent's directory replayed as\n%swant\n%s", got, want)
+		}
+		if run, lsn := reng.ReplicaMark(); run != parent.run || lsn != parent.lsn {
+			t.Fatalf("a resume point (%q, %d) from files that hold (%q, %d)", run, lsn, parent.run, parent.lsn)
+		}
+		rep := follow(t, reng, prim.addr)
+		defer rep.Stop()
+		mustExec(t, prim.eng, `INSERT INTO t VALUES (9, 'later')`)
+		// The LSN it recovered is another run's: it says nothing until the
+		// snapshot has begun.
+		for deadline := time.Now().Add(10 * time.Second); metric(t, reng, "streamrel_repl_snapshots_received_total") == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no snapshot began")
+			}
+		}
+		if err := rep.WaitFor(prim.eng.Repl().LSN(), 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
-	}
-	reng, err := streamrel.Open(streamrel.Config{Dir: dir, Replicate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reng.Close()
-	if got, want := dump(t, reng, `SELECT a, b FROM t WHERE a > 0 ORDER BY a`)+dump(t, reng, `SELECT x FROM u`), "4|r4\n5|five\n6|six\n7\n"; got != want {
-		t.Fatalf("the parent's directory replayed as\n%swant\n%s", got, want)
-	}
-	if run, lsn := reng.ReplicaMark(); run != "" || lsn != 0 {
-		t.Fatalf("a resume point (%q, %d) from files that hold none", run, lsn)
-	}
-	rep := follow(t, reng, prim.addr)
-	defer rep.Stop()
-	mustExec(t, prim.eng, `INSERT INTO t VALUES (9, 'later')`)
-	if err := rep.WaitFor(prim.eng.Repl().LSN(), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	sameTranscript(t, "the upgraded replica", transcript(t, reng), transcript(t, prim.eng))
-	for id, want := range map[string]float64{"streamrel_repl_snapshots_received_total": 1, "streamrel_repl_reconnects_total": 0} {
-		if got := metric(t, reng, id); got != want {
-			t.Errorf("%s = %v after the upgrade, want %v", id, got, want)
+		sameTranscript(t, "the upgraded replica", transcript(t, reng), transcript(t, prim.eng))
+		for id, want := range map[string]float64{"streamrel_repl_snapshots_received_total": 1, "streamrel_repl_reconnects_total": 0} {
+			if got := metric(t, reng, id); got != want {
+				t.Errorf("%s = %v after the upgrade, want %v", id, got, want)
+			}
 		}
 	}
 }

@@ -141,8 +141,11 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 			return w.fail(fmt.Errorf("streamrel: replicated write to unknown table %q", rec.Table))
 		}
 		switch rid := storage.RowID(rec.RowID); rec.Kind {
-		case wal.RecInsert:
-			if err := w.insertRowAt(t, rid, rec.Row); err != nil {
+		case wal.RecInsert: // a run of one, from a log or a primary older than RecRows
+			rec.Runs, rec.Rows = []wal.RowIDRun{{First: rec.RowID, N: 1}}, []types.Row{rec.Row}
+			fallthrough
+		case wal.RecRows:
+			if err := w.insert(t, rec.Runs, rec.Rows); err != nil {
 				return w.fail(err)
 			}
 		case wal.RecDelete:
@@ -217,38 +220,26 @@ func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID ui
 // ApplyReplicatedAppend. This engine's own hub republishes the batch as the
 // same single event when every row was new here; one applied again ships
 // its append and whatever it did insert separately.
-func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, runs []repl.RowIDRun, traceID uint64) error {
+func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, runs []wal.RowIDRun, traceID uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	t, ok := e.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("streamrel: replicated write to unknown table %q", table)
+	if !ok || len(runs) == 0 {
+		return fmt.Errorf("streamrel: replicated write of %d rows to %q: no such table, or no RowID runs", len(rows), table)
 	}
 	var tc trace.Ctx
 	if traceID != 0 && e.tracer != nil {
 		tc = e.tracer.Adopt(traceID)
 	}
 	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {
-		w := e.beginWrite(len(rows))
+		w := e.beginWrite(1)
 		w.tc, w.mark = tc, e.applying
-		next := 0
-		for _, run := range runs {
-			if run.N > uint64(len(rows)-next) {
-				return w.fail(fmt.Errorf("streamrel: replicated archive of %d rows has RowID runs for more", len(rows)))
-			}
-			for rid := run.First; rid < run.First+run.N; rid++ {
-				if err := w.insertRowAt(t, storage.RowID(rid), rows[next]); err != nil {
-					return w.fail(err)
-				}
-				next++
-			}
-		}
-		if next != len(rows) {
-			return w.fail(fmt.Errorf("streamrel: replicated archive of %d rows has RowID runs for %d", len(rows), next))
+		if err := w.insert(t, runs, rows); err != nil {
+			return w.fail(err)
 		}
 		if in.Owed() {
-			if len(w.recs) == len(rows) {
-				w.in, w.rows = in, rows
+			if len(w.recs) == 1 && len(w.recs[0].Rows) == len(rows) {
+				w.in = in
 			} else {
 				in.Publish()
 			}
@@ -319,30 +310,33 @@ func (e *Engine) ReplicaReset() error {
 // bound is what keeps a batch of wide rows readable.
 const scanBatchRows = 4096
 
-// scanTable hands emit every row of t visible at snap as insert records
-// carrying their RowIDs, in batches that close at scanBatchRows rows or
-// repl.MaxEventBytes, whichever comes first — so neither a snapshot frame
-// nor a checkpoint batch can exceed the size its reader accepts, however
-// wide the rows. emit owns the batch it is handed. A failing emit stops
-// the scan and its error is the one returned.
+// scanTable hands emit every row of t visible at snap, as inserts at their
+// RowIDs: one heap read (storage.Heap.Read) of at most scanBatchRows rows is
+// one wal.RecRows record, cut where it exceeds repl.MaxEventBytes — so neither
+// a snapshot frame nor a checkpoint batch can exceed the size its reader
+// accepts, however wide the rows. emit owns the batch it is handed. A failing
+// emit stops the scan and its error is the one returned.
 func scanTable(t *catalog.Table, snap txn.Snapshot, emit func([]wal.Record) error) error {
-	var batch []wal.Record
-	var batchBytes int
-	var err error
-	t.Heap.Scan(snap, func(rid storage.RowID, row types.Row) bool {
-		rec := wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row}
-		batch = append(batch, rec)
-		batchBytes += repl.RecordSize(rec)
-		if len(batch) >= scanBatchRows || batchBytes >= repl.MaxEventBytes {
-			err = emit(batch)
-			batch, batchBytes = nil, 0
+	var ids []storage.RowID
+	for pos, end := storage.RowID(0), t.Heap.NextID(); pos < end; {
+		rows := make([]types.Row, 0, min(scanBatchRows, end-pos))
+		var runs []wal.RowIDRun
+		ids = ids[:0]
+		pos = t.Heap.Read(snap, pos, end, scanBatchRows, &rows, &ids)
+		for _, id := range ids {
+			runs = wal.AppendRun(runs, uint64(id))
 		}
-		return err == nil
-	})
-	if err != nil || len(batch) == 0 {
-		return err
+		var err error
+		repl.Chunks(runs, rows, func(runs []wal.RowIDRun, rows []types.Row, _ int) {
+			if err == nil {
+				err = emit([]wal.Record{{Kind: wal.RecRows, Table: t.Name, Runs: runs, Rows: rows}})
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
-	return emit(batch)
+	return nil
 }
 
 // replicationSnapshot is the hub's repl.SnapshotFunc: inside one cut, atCut
@@ -365,24 +359,4 @@ func (e *Engine) replicationSnapshot(atCut func(), emit func(repl.Event) error) 
 			return nil
 		})
 	})
-}
-
-// ----------------------------------------------------- writeTxn helpers
-
-// insertRowAt is insertRow at an explicit RowID (replicated apply). A
-// replaced slot skips index maintenance and WAL logging — the record was
-// already applied locally.
-func (w *writeTxn) insertRowAt(t *catalog.Table, rid storage.RowID, row types.Row) error {
-	replaced, err := t.Heap.InsertAt(w.tx.ID, rid, row)
-	if err != nil {
-		return err
-	}
-	if replaced {
-		return nil
-	}
-	for _, ix := range t.Indexes {
-		ix.Tree.Insert(ix.KeyOf(row), rid)
-	}
-	w.recs = append(w.recs, wal.Record{Kind: wal.RecInsert, Table: t.Name, RowID: uint64(rid), Row: row})
-	return nil
 }

@@ -11,8 +11,9 @@ import (
 
 // TestScanTableFailingEmit pins the contract checkpoint and
 // replicationSnapshot rely on: every visible row reaches emit exactly once,
-// in batches of at most scanBatchRows; when emit fails on its n-th batch
-// that error comes back, nothing is emitted after it and no batch twice.
+// in batches of one run-shaped record of at most scanBatchRows rows; when
+// emit fails on its n-th batch that error comes back, nothing is emitted
+// after it and no batch twice.
 func TestScanTableFailingEmit(t *testing.T) {
 	e, err := Open(Config{})
 	if err != nil {
@@ -36,13 +37,13 @@ func TestScanTableFailingEmit(t *testing.T) {
 		calls := 0
 		err := scanTable(tab, e.mgr.SnapshotNow(), func(batch []wal.Record) error {
 			calls++
-			if len(batch) == 0 || len(batch) > scanBatchRows {
-				t.Fatalf("failAt %d: batch of %d records", failAt, len(batch))
+			if len(batch) != 1 || batch[0].Kind != wal.RecRows || len(batch[0].Runs) != 1 || len(batch[0].Rows) == 0 || len(batch[0].Rows) > scanBatchRows {
+				t.Fatalf("failAt %d: batch of %d records, the first with %d rows in runs %v", failAt, len(batch), len(batch[0].Rows), batch[0].Runs)
 			}
 			if calls == failAt {
 				return boom
 			}
-			for _, r := range batch {
+			for _, r := range wal.Expand(batch) {
 				if r.Kind != wal.RecInsert || r.Table != "t" || seen[r.RowID] {
 					t.Fatalf("failAt %d: bad or repeated record %+v", failAt, r)
 				}
