@@ -295,11 +295,7 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	if !ok {
 		return fmt.Errorf("streamrel: channel %q: table %q vanished", ch.Name, ch.Into)
 	}
-	expect := 1 // the one insert
-	if ch.Mode == sql.ChannelReplace {
-		expect = 0 // and a delete for each group that changed
-	}
-	w := e.beginWrite(expect)
+	w := e.beginWrite()
 	w.tc = tc
 	// A base stream's rows are stored as they are. A derived stream's are
 	// carved from types.RowBlocks, which a row the table keeps must not pin.
@@ -411,10 +407,9 @@ func (e *Engine) dropMissOK(s *sql.Drop, err error) (bool, error) {
 
 // writeTxn couples an MVCC transaction with its write set and index
 // maintenance. The write set (recs) is what commit logs, as one atomic batch,
-// and publishes; the run is its unit. An insert is one wal.RecRows record —
-// the table, the RowID runs the heap assigned (or the primary's) and the row
-// slice the caller handed over, shared from there by the log's encoder and
-// the hub's ring — and only a delete, a next RowID or a mark is its own.
+// and publishes. An insert is one wal.RecRows record — the table, the RowID
+// runs the heap assigned (or the primary's), the caller's own row slice —
+// and only a delete, a next RowID or a mark is a record per row.
 type writeTxn struct {
 	e    *Engine
 	tx   *txn.Txn
@@ -427,8 +422,8 @@ type writeTxn struct {
 	undo []func()
 	// local records are logged with the batch and not passed on to the hub: a
 	// table's next RowID from a snapshot and, when set, mark, the replica's
-	// resume point this batch is the state as of (ApplyReplicatedAt), which
-	// commit makes the engine's.
+	// resume point this batch is the state as of (ApplyReplicatedAt): commit
+	// makes it the engine's.
 	local []wal.Record
 	mark  wal.Record
 	// in is set when the transaction does nothing but store a base stream's
@@ -437,19 +432,14 @@ type writeTxn struct {
 	in *stream.Ingest
 }
 
-// beginWrite starts a write transaction. expect is the number of records
-// the caller knows it will log — one for an insert, however many rows — and
-// sizes the write set once (0: not known before it scans).
-func (e *Engine) beginWrite(expect int) *writeTxn {
-	return &writeTxn{e: e, tx: e.mgr.Begin(), recs: make([]wal.Record, 0, expect)}
-}
+// beginWrite starts a write transaction.
+func (e *Engine) beginWrite() *writeTxn { return &writeTxn{e: e, tx: e.mgr.Begin()} }
 
-// insert stores rows in t — one run at the next RowIDs, or with runs
-// (replicated apply, recovery) at the RowIDs the primary logged — a heap lock
-// a run, indexes them and adds the insert to the write set with the caller's
-// slices, which it must then leave alone. Rows that were here already (an
-// event applied again) are refreshed, and neither indexed nor logged again;
-// when every row was new the runs go on as they came.
+// insert stores rows in t — one run at the next RowIDs or, with runs
+// (replicated apply, recovery), at the RowIDs the primary logged — indexes
+// them and adds the insert to the write set with the caller's slices, which
+// it must then leave alone. Rows that were here already (an event applied
+// again) are refreshed, and neither indexed nor logged a second time.
 func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil

@@ -42,7 +42,7 @@ func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite(1)
+	w := e.beginWrite()
 	if err := w.insert(t, nil, rows); err != nil {
 		return nil, w.fail(err)
 	}
@@ -153,7 +153,7 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite(0)
+	w := e.beginWrite()
 	// Collect matches under the transaction's own snapshot, then apply.
 	type match struct {
 		rid storage.RowID
@@ -222,7 +222,7 @@ func (e *Engine) execDelete(s *sql.Delete) (*Result, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite(0)
+	w := e.beginWrite()
 	var rids []storage.RowID
 	var scanErr error
 	t.Heap.Scan(w.tx.Snap, func(rid storage.RowID, row types.Row) bool {
@@ -296,7 +296,7 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite(1)
+	w := e.beginWrite()
 	coerced := make([]types.Row, len(rows))
 	for i, row := range rows {
 		var err error

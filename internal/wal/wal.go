@@ -84,8 +84,7 @@ type Record struct {
 	Rows  []types.Row // RecRows
 }
 
-// RowCount is how many rows recs touch, a record of no row counting as one:
-// what a batch's spans report, whichever record shape carries the rows.
+// RowCount is the rows recs touch (a record of none counts one): what spans report.
 func RowCount(recs []Record) (n int) {
 	for i := range recs {
 		n += max(1, len(recs[i].Rows))
@@ -94,8 +93,7 @@ func RowCount(recs []Record) (n int) {
 }
 
 // Expand returns recs with every RecRows record replaced by the RecInsert
-// records of its rows — the form earlier builds wrote, and the one in which
-// two batches, or two engines' states, compare record for record.
+// records of its rows: the form in which two batches compare record for record.
 func Expand(recs []Record) []Record {
 	out := make([]Record, 0, len(recs))
 	for _, r := range recs {
@@ -312,9 +310,8 @@ func (l *Log) Append(recs []Record) error {
 // Encoding happens entirely outside the lock, into a pooled buffer
 // pre-sized from the previous frame and pooled again when this call returns
 // (the group may be written from it). The critical section is only "stage
-// the finished frame in the current group" — by reference as its first, by
-// copy behind another; the file write and fsync happen outside the lock
-// too, serialized by the leader/writing handoff.
+// the finished frame in the current group"; the file write and fsync
+// happen outside the lock too, serialized by the leader/writing handoff.
 func (l *Log) AppendCtx(tc trace.Ctx, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -606,9 +603,8 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 	return buf
 }
 
-// AppendRows appends the run-shaped body — table, run count, (first, length)
-// per run, row list — that a RecRows record is behind its kind byte and a
-// replication KindArchive frame behind its stream.
+// AppendRows appends table, run count, (first, length) per run, row list: a
+// RecRows record behind its kind, a KindArchive frame behind its stream.
 func AppendRows(buf []byte, table string, runs []RowIDRun, rows []types.Row) []byte {
 	buf = binary.AppendUvarint(AppendString(buf, table), uint64(len(runs)))
 	for _, run := range runs {
@@ -627,9 +623,8 @@ func AppendRowList(buf []byte, rows []types.Row) []byte {
 }
 
 // ReadRows decodes what AppendRows wrote into r and returns the bytes behind
-// it. The runs cover exactly the rows. A run is at least two bytes and a row
-// at least one, so the bytes that remain bound both counts; an empty run, or
-// one that would wrap the RowID space, is malformed.
+// it. The runs cover exactly the rows; the bytes that remain bound both counts
+// (a run is two at least, a row one); an empty or wrapping run is malformed.
 func ReadRows(buf []byte, r *Record) (rest []byte, err error) {
 	if r.Table, buf, err = ReadString(buf, ""); err != nil {
 		return nil, err
@@ -657,8 +652,7 @@ func ReadRows(buf []byte, r *Record) (rest []byte, err error) {
 	return buf, err
 }
 
-// ReadRowList decodes a row count and that many rows (the ownership rule in
-// internal/server/proto.go) and returns the bytes behind them.
+// ReadRowList decodes a row count and the rows (owned: server/proto.go).
 func ReadRowList(buf []byte) ([]types.Row, []byte, error) {
 	n, buf, err := ReadUvarint(buf)
 	if err != nil || n > uint64(len(buf)) {

@@ -133,7 +133,7 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite(len(recs))
+	w := e.beginWrite()
 	w.mark = e.applying
 	for _, rec := range recs {
 		t, ok := e.cat.Table(rec.Table)
@@ -232,7 +232,7 @@ func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, ru
 		tc = e.tracer.Adopt(traceID)
 	}
 	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {
-		w := e.beginWrite(1)
+		w := e.beginWrite()
 		w.tc, w.mark = tc, e.applying
 		if err := w.insert(t, runs, rows); err != nil {
 			return w.fail(err)

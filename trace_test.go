@@ -138,6 +138,24 @@ func TestTraceWALSpans(t *testing.T) {
 		trace.StageIngest, trace.StageWindowFire, trace.StageWALAppend, trace.StageWALFsync); !ok {
 		t.Fatalf("no trace covers ingest -> window-fire -> wal-append -> wal-fsync; spans: %+v", e.Traces())
 	}
+
+	// A batch is one record in the log; its spans still count its rows and
+	// name its table.
+	mustExec(t, e, `CREATE TABLE raw (v bigint, at timestamp)`)
+	mustExec(t, e, `CREATE CHANNEL raw_ch FROM s INTO raw APPEND`)
+	at := base.Add(3 * time.Minute)
+	if err := e.Append("s", Row{Int(7), Timestamp(at)}, Row{Int(8), Timestamp(at)}, Row{Int(9), Timestamp(at)}); err != nil {
+		t.Fatal(err)
+	}
+	stages := map[trace.Stage]bool{}
+	for _, sp := range e.Traces() {
+		if sp.Stream == "raw" && sp.Rows == 3 {
+			stages[sp.Stage] = true
+		}
+	}
+	if !stages[trace.StageWALAppend] || !stages[trace.StageWALFsync] {
+		t.Fatalf("no wal-append and wal-fsync span of 3 rows into raw; spans: %+v", e.Traces())
+	}
 }
 
 // TestSlowFireForcedTrace checks slow fires bypass sampling: with sampling
