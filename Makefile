@@ -49,12 +49,15 @@ cover:
 # delivering goroutine, inside its commit and under the source's lock
 # (primary ≡ followers by (table, RowID, row) at ParallelCQ 0 and 4), and for
 # the cut: followers bootstrapping across DDL and checkpoints, and a checkpoint
-# between the commits of pool workers (TestCheckpointUnderWorkers). The storage
+# between the commits of pool workers (TestCheckpointUnderWorkers); paired
+# stores (VISIBLE no multiple of ADVANCE) fire beside the others in
+# TestFireRowsStayValid, TestEnrichEquivalenceReexec (store ≡ StateMerge ≡
+# StateReexec) and TestIVMParallelRetraction at ParallelCQ 0 and 4. The storage
 # package also holds the run insert to its one lock acquisition there
 # (TestInsertRunTakesTheLockOnce: a concurrent reader finds whole runs only).
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestIVMParallelRetraction' .
 
 # alloc-pins runs the ownership property (a decoded row is at most two
 # allocations and shares memory with nothing — internal/server/proto.go), the
@@ -64,10 +67,12 @@ drain-policies:
 # commits one in a few objects and under 32 bytes a row beyond the heap's and
 # the one row slice, TestArchiveCommitAllocs; a log append buys no buffer the
 # size of its frame, TestAppendAllocs; a snapshot costs the same however many
-# transactions ever aborted, TestSnapshotAllocsAfterTrim), in the operators,
-# and in the window-state store (first touch of a (slice, group)
-# ≤ 0.1 allocations amortized; an enrichment fire independent of window
-# rows; a fire two allocations and O(touched) bytes, and what its shared
+# transactions ever aborted, TestSnapshotAllocsAfterTrim; the server's row
+# containers are views of the engine's, TestRowsViewAllocs), in the operators
+# (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup) and in
+# the window-state store (first touch of a (slice, group) ≤ 0.1 allocations
+# amortized; an enrichment fire independent of window rows; a fire two
+# allocations, on a paired store too, and O(touched) bytes, and what its shared
 # rows keep reachable at most two copies of the window; an aggregate over a
 # table scan O(groups) bytes, over a join O(build side)) by name and without
 # -race, which changes allocation counts: `test` runs them too, but a pin

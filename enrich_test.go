@@ -39,12 +39,15 @@ var enrichQueries = []string{
 		WHERE h.url = u.url GROUP BY u.category, u.weight % 2 ORDER BY max(h.bytes) - min(h.bytes), 1, 2`,
 	`SELECT u.category FROM hits h <VISIBLE '10 seconds' ADVANCE '10 seconds'>, urls u
 		WHERE h.url = u.url AND h.bytes < 50 GROUP BY u.category`,
+	`SELECT u.category, count(*) AS n, sum(h.bytes) AS total, max(h.bytes)
+		FROM hits h <VISIBLE '25 seconds' ADVANCE '10 seconds'>, urls u
+		WHERE h.url = u.url GROUP BY u.category`,
 }
 
 // enrichStrategies is what each of enrichQueries must report: the fifth
 // aggregates over a table column and is the near-miss that keeps
-// re-executing beside the stores.
-var enrichStrategies = []string{"incremental", "incremental", "incremental", "incremental", "reexec", "incremental", "incremental", "incremental"}
+// re-executing beside the stores; the last is on a paired store.
+var enrichStrategies = []string{"incremental", "incremental", "incremental", "incremental", "reexec", "incremental", "incremental", "incremental", "incremental"}
 
 // runEnrichWorkload feeds one deterministic event sequence — bursts over a
 // few urls (one of them absent from the table, some NULL), quiet gaps that

@@ -11,8 +11,9 @@ import (
 // fireRowsQueries are the CQs TestFireRowsStayValid retains every batch of:
 // a sliding materialized view twice over (two members of one post set, and
 // the derived stream d below is a third), a merge-strategy view, a tumbling
-// one, and a HAVING + ORDER BY + LIMIT post stage, which passes the view's
-// rows on by reference through three operators.
+// one, a HAVING + ORDER BY + LIMIT post stage, which passes the view's
+// rows on by reference through three operators, and a paired store, whose
+// closes move two slices.
 var fireRowsQueries = []string{
 	`SELECT url, count(*) AS n, sum(v) AS total FROM s <VISIBLE '10 seconds' ADVANCE '1 second'> GROUP BY url`,
 	`SELECT url, count(*) AS n, sum(v) AS total FROM s <VISIBLE '10 seconds' ADVANCE '1 second'> GROUP BY url`,
@@ -20,6 +21,7 @@ var fireRowsQueries = []string{
 	`SELECT url, count(*), sum(v) FROM s <VISIBLE '5 seconds' ADVANCE '5 seconds'> GROUP BY url`,
 	`SELECT url, count(*) AS n, sum(v) FROM s <VISIBLE '20 seconds' ADVANCE '1 second'> GROUP BY url
 		HAVING count(*) > 1 ORDER BY n DESC, url LIMIT 5`,
+	`SELECT url, count(*), sum(v), max(v) FROM s <VISIBLE '7500 milliseconds' ADVANCE '1 second'> GROUP BY url`,
 }
 
 func renderBatch(b Batch) string {

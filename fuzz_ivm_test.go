@@ -19,7 +19,10 @@ import (
 // q7–q9 are the enrichment shape over the dimension table dim, whose rows
 // the tape changes between closes: every two-level aggregate; a stream
 // filter, a stream-side group column and HAVING; and a join whose slice
-// spec is q2–q4's, so one store serves plain and joined members.
+// spec is q2–q4's, so one store serves plain and joined members. q10–q13 are
+// windows whose VISIBLE is not a multiple of ADVANCE, on paired stores: one
+// fingerprint at 25 s and 45 s (one remainder: one store, two views), a
+// VISIBLE below its ADVANCE, and an enrichment join.
 var fuzzStoreQueries = []string{
 	`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
 		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
@@ -39,6 +42,12 @@ var fuzzStoreQueries = []string{
 		WHERE v > 2 GROUP BY d.cat, s.url HAVING count(*) > 1`,
 	`SELECT d.cat, count(*) AS n, sum(v) AS sv
 		FROM s <VISIBLE '40 seconds' ADVANCE '10 seconds'>, dim d WHERE d.url = s.url GROUP BY d.cat`,
+	`SELECT url, count(*) AS n, avg(v), min(v), max(v) FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT url, count(*) AS n, avg(v), min(v), max(v) FROM s <VISIBLE '45 seconds' ADVANCE '10 seconds'>
+		WHERE url <> '/u0' GROUP BY url ORDER BY n, url LIMIT 3`,
+	`SELECT url, count(v), sum(v), max(f) FROM s <VISIBLE '4 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT d.cat, count(*) AS n, sum(v) AS sv, min(v)
+		FROM s <VISIBLE '15 seconds' ADVANCE '10 seconds'>, dim d WHERE d.url = s.url GROUP BY d.cat`,
 }
 
 // fuzzStoreCQ writes, around sqlgen's typed expressions, an aggregate over
@@ -61,7 +70,7 @@ func fuzzStoreCQ(g *sqlgen.Gen) string {
 		}
 		return agg + g.Expr(sql.PrecAdd, 2) + ")"
 	})
-	q := fmt.Sprintf("SELECT %s, %s FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'>", by, aggs, 10*(1+g.Pick(4)))
+	q := fmt.Sprintf("SELECT %s, %s FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'>", by, aggs, 5*(1+g.Pick(8)))
 	if g.Pick(2) == 1 {
 		q += " WHERE " + g.Expr(sql.PrecOr, 2)
 	}

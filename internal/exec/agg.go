@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sort"
+	"strings"
 
 	"streamrel/internal/expr"
 	"streamrel/internal/types"
@@ -11,10 +12,9 @@ import (
 // key values followed by one column per aggregate, which is the layout
 // the planner's post-aggregation expressions are rewritten against.
 //
-// HashAgg is also the slice-level workhorse of shared window aggregation:
-// the stream runtime aggregates each slice with the same AggSpecs and
-// merges the per-slice accumulators at window close (see
-// internal/stream/sharing.go).
+// It is what aggregates whatever is not kept in the window-state store
+// (internal/ivm): snapshot queries, re-executing CQs and the post stage of
+// an enrichment join, over the store's rows at every close.
 type HashAgg struct {
 	Child   Operator
 	GroupBy []*expr.Scalar
@@ -25,6 +25,9 @@ type HashAgg struct {
 	cursor
 }
 
+// firstGroups sizes a grouped aggregate's first chunk of groups.
+const firstGroups = 16
+
 // Open implements Operator: the aggregation is computed eagerly.
 func (h *HashAgg) Open(ctx *Ctx) error {
 	h.reset(nil)
@@ -34,19 +37,47 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	}
 	defer h.Child.Close()
 
+	// Group keys are evaluated into a scratch row and encoded into a scratch
+	// buffer, and most rows hit an existing group, so the steady state
+	// allocates nothing per row. A new group pays per chunk: it is a slab
+	// slot (its accumulator list and accumulators with it), its output row,
+	// keys first, comes from a block, and its map key is a substring of a
+	// chunk of key bytes, sized like the slab's chunks.
 	type group struct {
-		keys types.Row
+		out  types.Row
 		accs []expr.Acc
+		next *group // in order of first appearance
+	}
+	nk, first := len(h.GroupBy), firstGroups
+	if nk == 0 {
+		first = 1
 	}
 	groups := make(map[string]*group)
-	var order []*group
+	slab := expr.NewSlab[group](first)
+	blk := types.NewRowBlock(first, nk+len(h.Aggs))
+	scratch := make(types.Row, nk)
+	var keys strings.Builder
+	var head *group
+	tail := &head
+	born := func(key []byte) (*group, error) {
+		g, accs, err := slab.Next(h.Aggs)
+		if err != nil {
+			return nil, err
+		}
+		g.out, g.accs = blk.Row(), accs
+		copy(g.out, scratch)
+		*tail, tail = g, &g.next
+		if keys.Cap()-keys.Len() < len(key) {
+			keys.Reset() // the map's keys keep the chunk before
+			keys.Grow(len(key) * min(max(len(groups), first), 256))
+		}
+		at := keys.Len()
+		keys.Write(key)
+		groups[keys.String()[at:]] = g
+		return g, nil
+	}
 
-	// Evaluate group keys into a scratch row and its key bytes into a
-	// scratch buffer: the row is cloned and the key string built only when
-	// a new group is born — most rows hit an existing group, so the steady
-	// state allocates nothing per row.
 	ec := ctx.evalCtx()
-	scratch := make(types.Row, len(h.GroupBy))
 	var key []byte
 	for {
 		batch, err := h.Child.NextBatch(chunkRows)
@@ -66,15 +97,9 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 			key = scratch.AppendKey(key[:0])
 			grp, ok := groups[string(key)]
 			if !ok {
-				grp = &group{keys: scratch.Clone()}
-				grp.accs = make([]expr.Acc, len(h.Aggs))
-				for i, spec := range h.Aggs {
-					if grp.accs[i], err = expr.NewAcc(spec); err != nil {
-						return err
-					}
+				if grp, err = born(key); err != nil {
+					return err
 				}
-				groups[string(key)] = grp
-				order = append(order, grp)
 			}
 			for i, spec := range h.Aggs {
 				v := types.True // count(*) placeholder
@@ -92,27 +117,17 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 
 	// SQL scalar aggregate: no GROUP BY and empty input still yields one
 	// row of aggregate defaults.
-	if len(order) == 0 && len(h.GroupBy) == 0 {
-		accs := make([]expr.Acc, len(h.Aggs))
-		for i, spec := range h.Aggs {
-			var err error
-			if accs[i], err = expr.NewAcc(spec); err != nil {
-				return err
-			}
+	if head == nil && nk == 0 {
+		if _, err := born(nil); err != nil {
+			return err
 		}
-		order = append(order, &group{accs: accs})
 	}
-
-	nk := len(h.GroupBy)
-	blk := types.NewRowBlock(len(order), nk+len(h.Aggs))
-	h.rows = make([]types.Row, len(order))
-	for g, grp := range order {
-		out := blk.Row()
-		copy(out, grp.keys)
-		for i, acc := range grp.accs {
-			out[nk+i] = acc.Result()
+	h.rows = make([]types.Row, 0, len(groups))
+	for g := head; g != nil; g = g.next {
+		for i, acc := range g.accs {
+			g.out[nk+i] = acc.Result()
 		}
-		h.rows[g] = out
+		h.rows = append(h.rows, g.out)
 	}
 	if h.SortedOutput && nk > 0 {
 		sort.SliceStable(h.rows, func(i, j int) bool {

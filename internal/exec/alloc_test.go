@@ -72,10 +72,32 @@ func TestHashAggAllocsIndependentOfRows(t *testing.T) {
 	if b > a+2 {
 		t.Errorf("HashAgg allocations grow with rows: %.0f at 1000 rows, %.0f at 10000", a, b)
 	}
-	// Each group costs its struct, key string, cloned key row, accumulator
-	// slice and two accumulators (6.4 per group when this was written).
-	if a > 8*allocGroups {
-		t.Errorf("HashAgg over %d groups allocates %.0f times", allocGroups, a)
+}
+
+// TestHashAggAllocsPerGroup: a group is a slab slot, its output row a
+// block's and its map key a chunk's, so Open pays per chunk of groups — 6.4
+// allocations a group when each had its struct, key string, cloned key row,
+// accumulator slice and two accumulators to itself.
+func TestHashAggAllocsPerGroup(t *testing.T) {
+	for _, c := range []struct {
+		groups int
+		limit  float64
+	}{{8, 16}, {allocGroups, 100}, {10000, 0.1 * 10000}} {
+		rows := make([]types.Row, 2*c.groups)
+		for i := range rows {
+			rows[i] = irow(int64(i%c.groups), int64(i))
+		}
+		agg := countSum(&Relation{Rows: rows}, col(0), col(1))
+		runtime.GC()
+		got := testing.AllocsPerRun(5, func() {
+			if err := agg.Open(&Ctx{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Open over %d groups × 2 aggregates: %.0f allocations", c.groups, got)
+		if got > c.limit || len(agg.rows) != c.groups {
+			t.Errorf("Open over %d groups allocates %.0f times for %d rows, want ≤ %.0f", c.groups, got, len(agg.rows), c.limit)
+		}
 	}
 }
 
@@ -99,10 +121,13 @@ func TestJoinTreeAllocs(t *testing.T) {
 		}, col(3), col(1))
 	}
 	got := drainAllocs(t, build)
-	// 142 when this was written: ~35 output blocks, the fixed cost of the
-	// hash table, and the aggregate's 10 groups (categories).
-	if limit := float64(n/128 + 8*10 + 30); got > limit {
-		t.Errorf("join tree over %d rows allocates %.0f times, limit %.0f", n, got, limit)
+	t.Logf("join tree over %d rows: %.0f allocations", n, got)
+	// 52: the hash table over 100 build rows, the one recycled block of join
+	// output, and the aggregate's 10 groups (categories) in one chunk — 99
+	// when each group had six objects to itself, 142 when every batch of join
+	// output was carved afresh.
+	if got > 60 {
+		t.Errorf("join tree over %d rows allocates %.0f times, want ≤ 60", n, got)
 	}
 }
 
@@ -247,10 +272,9 @@ func TestScanAggAllocsIndependentOfTableRows(t *testing.T) {
 	if large > small+1024 {
 		t.Errorf("HashAgg(SeqScan) allocates %.0f B over 10 000 rows and %.0f B over 100 000", small, large)
 	}
-	// 69 kB at 24 bytes a datum (75 kB at 40): the container, and ≈ 440 B
-	// per group.
-	if limit := float64(24*chunkRows + 530*allocGroups); large > limit {
-		t.Errorf("HashAgg(SeqScan) over %d groups allocates %.0f B, want ≤ %.0f (the container + 530 B per group)", allocGroups, large, limit)
+	// 67 kB: the container, and ≈ 420 B per group.
+	if limit := float64(24*chunkRows + 440*allocGroups); large > limit {
+		t.Errorf("HashAgg(SeqScan) over %d groups allocates %.0f B, want ≤ %.0f (the container + 440 B per group)", allocGroups, large, limit)
 	}
 }
 

@@ -73,9 +73,9 @@ func NewAcc(spec AggSpec) (Acc, error) {
 // AccSlab hands out accumulators carved from typed chunks — one allocation
 // per Chunk accumulators of a kind instead of one apiece — for a caller
 // that makes them by the thousand and lets go of them together: the
-// window-state store's per-slice partials (internal/ivm). An accumulator
-// keeps its chunk alive, so a slab's memory goes when every accumulator it
-// handed out has; the zero value allocates one at a time.
+// state of a Slab's groups. An accumulator keeps its chunk alive, so a
+// slab's memory goes when every accumulator it handed out has; the zero
+// value allocates one at a time.
 type AccSlab struct {
 	// Chunk is how many accumulators of a kind the next refill makes.
 	Chunk int
@@ -136,6 +136,60 @@ func (s *AccSlab) New(spec AggSpec) (Acc, error) {
 		return &distinctAcc{seen: make(map[string]types.Datum), inner: inner}, nil
 	}
 	return inner, nil
+}
+
+// maxChunk bounds a slab chunk (types.RowBlock's bound); minRefill is the
+// least a slab allocates once its guess has run out.
+const (
+	maxChunk  = 256
+	minRefill = 4
+)
+
+// Slab carves the state of one group — a T (the window-state store's
+// per-slice partial or per-view group in internal/ivm, exec.HashAgg's
+// group), its []Acc and the accumulators themselves — out of chunks of
+// groups: the first as large as the slab was sized for, and when that guess
+// misses, a quarter of what the slab holds so far — a slice one group larger
+// than the last allocates for a quarter more groups, not (as a refill that
+// doubled did) for three times as many — until it holds maxChunk, the size
+// of every chunk from there on. Nothing is handed out twice: the chunks are
+// garbage once everything carved from them is.
+type Slab[T any] struct {
+	n      int // groups in the next chunk
+	carved int // groups in the chunks so far
+	objs   []T
+	accs   []Acc
+	// Pool is where the accumulators come from, for one made outside Next.
+	Pool AccSlab
+}
+
+// NewSlab returns a slab whose first chunk fits n groups: the size of the
+// slice or window before is the best guess at the next one.
+func NewSlab[T any](n int) Slab[T] { return Slab[T]{n: min(max(n, 1), maxChunk)} }
+
+// Next hands out the state of one more group.
+func (b *Slab[T]) Next(aggs []AggSpec) (*T, []Acc, error) {
+	if len(b.objs) == 0 {
+		b.objs = make([]T, b.n)
+		b.accs = make([]Acc, b.n*len(aggs))
+		b.Pool.Chunk = b.n
+		b.carved += b.n
+		b.n = maxChunk
+		if b.carved < maxChunk {
+			b.n = max(b.carved/4, minRefill)
+		}
+	}
+	o := &b.objs[0]
+	b.objs = b.objs[1:]
+	accs := b.accs[:len(aggs):len(aggs)]
+	b.accs = b.accs[len(aggs):]
+	for i, spec := range aggs {
+		var err error
+		if accs[i], err = b.Pool.New(spec); err != nil {
+			return nil, nil, err
+		}
+	}
+	return o, accs, nil
 }
 
 // countAcc implements count(*) and count(x).

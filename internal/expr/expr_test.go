@@ -565,3 +565,24 @@ func TestIsAggregateAndScalar(t *testing.T) {
 		t.Fatal("classification")
 	}
 }
+
+// TestSlabRefillFollowsTheMiss: a slab takes what it was sized for in one
+// chunk and, one group past that, a quarter more — not twice as much again
+// — while one that expects maxChunk groups or more takes whole chunks.
+func TestSlabRefillFollowsTheMiss(t *testing.T) {
+	aggs := []AggSpec{{Name: "count", Star: true}}
+	for _, c := range []struct{ want, take, carved int }{
+		{100, 100, 100}, {100, 101, 125}, {100, 126, 100 + 25 + 31}, {0, 1, 1}, {0, 2, 1 + minRefill},
+		{255, 256, 255 + 63}, {1000, 1001, 4 * maxChunk}, {1000, 1025, 5 * maxChunk},
+	} {
+		b := NewSlab[int](c.want)
+		for i := 0; i < c.take; i++ {
+			if _, _, err := b.Next(aggs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b.carved != c.carved {
+			t.Errorf("sized for %d, %d groups taken: chunks of %d groups in all, want %d", c.want, c.take, b.carved, c.carved)
+		}
+	}
+}

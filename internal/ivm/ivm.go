@@ -13,8 +13,8 @@
 // read the store. A View is one window extent (VISIBLE) over the store.
 // By definition its window layer is the merge, in slice order, of the
 // retained slices in its extent; a store built as materialized keeps that
-// layer between fires and moves it one boundary at a time — add the slice
-// that just closed, retract the slice that just left: Sub where the
+// layer between fires and moves it one boundary at a time — add what just
+// closed, retract what just left, a slice or a pair of them: Sub where the
 // accumulator has an inverse (COUNT/SUM/AVG), a re-merge of the group's
 // surviving slices where it has none (MIN/MAX; slice order reproduces
 // arrival-order ties, since streams are in order) — and emits a row afresh
@@ -29,7 +29,10 @@
 // emitted exactly as re-execution would.
 //
 // All views of a store close at the same boundaries (they share ADVANCE),
-// and the store retains slices for the widest attached view.
+// and the store retains slices for the widest attached view. Slices are
+// cut so that both edges of every window fall on a cut ([12]'s paired
+// windows): at k·ADVANCE and, when VISIBLE mod ADVANCE = r ≠ 0, at
+// k·ADVANCE + (ADVANCE − r) too — the store's offset, shared by its views.
 //
 // What the first touch of a (slice, group) or (view, group) needs — the
 // partial, its accumulator list and the accumulators — is carved from a
@@ -48,15 +51,15 @@ import (
 	"streamrel/internal/types"
 )
 
-// Store is the slice layer of one (stream, fingerprint, ADVANCE). Insert,
-// View.Fire and Expire are called only on the goroutine that applies the
-// owning pipeline's input. Attach and Detach may come from another
+// Store is the slice layer of one (stream, fingerprint, ADVANCE, offset).
+// Insert, View.Fire and Expire are called only on the goroutine that applies
+// the owning pipeline's input. Attach and Detach may come from another
 // goroutine as long as the caller serializes them with Fire and Expire;
 // they share no field with Insert.
 type Store struct {
-	spec         *plan.StreamAgg
-	advance      int64
-	materialized bool
+	spec            *plan.StreamAgg
+	advance, offset int64
+	materialized    bool
 	// sub[i]: aggregate i retracts by Sub; the others re-merge.
 	sub []bool
 
@@ -85,58 +88,7 @@ type Store struct {
 type slice struct {
 	start  int64
 	groups map[string]*partial
-	slab   slab[partial]
-}
-
-// maxChunk bounds a slab chunk (types.RowBlock's bound); minRefill is the
-// least a slab allocates once its guess has run out.
-const (
-	maxChunk  = 256
-	minRefill = 4
-)
-
-// slab carves the state of one group — a T (partial or winGroup), its
-// []expr.Acc and the accumulators themselves — out of chunks of groups: the
-// first as large as the slab was sized for, and when that guess misses, a
-// quarter of what the slab holds so far — a slice one group larger than the
-// last allocates for a quarter more groups, not (as a refill that doubled
-// did) for three times as many — until it holds maxChunk, the size of every
-// chunk from there on. Nothing is handed out twice: the chunks are garbage
-// once everything carved from them is.
-type slab[T any] struct {
-	n      int // groups in the next chunk
-	carved int // groups in the chunks so far
-	objs   []T
-	accs   []expr.Acc
-	pool   expr.AccSlab
-}
-
-// sized returns a slab whose first chunk fits n groups: the size of the
-// slice or window before is the best guess at the next one.
-func sized[T any](n int) slab[T] { return slab[T]{n: min(max(n, 1), maxChunk)} }
-
-func (b *slab[T]) next(aggs []expr.AggSpec) (*T, []expr.Acc, error) {
-	if len(b.objs) == 0 {
-		b.objs = make([]T, b.n)
-		b.accs = make([]expr.Acc, b.n*len(aggs))
-		b.pool.Chunk = b.n
-		b.carved += b.n
-		b.n = maxChunk
-		if b.carved < maxChunk {
-			b.n = max(b.carved/4, minRefill)
-		}
-	}
-	o := &b.objs[0]
-	b.objs = b.objs[1:]
-	accs := b.accs[:len(aggs):len(aggs)]
-	b.accs = b.accs[len(aggs):]
-	for i, spec := range aggs {
-		var err error
-		if accs[i], err = b.pool.New(spec); err != nil {
-			return nil, nil, err
-		}
-	}
-	return o, accs, nil
+	slab   expr.Slab[partial]
 }
 
 // partial is one group's aggregate over one slice.
@@ -158,10 +110,11 @@ type group struct {
 
 // New returns an empty store for the aggregate spec of a plan whose
 // WindowState chose a store.
-func New(spec *plan.StreamAgg, advance int64, materialized bool) (*Store, error) {
+func New(spec *plan.StreamAgg, advance, offset int64, materialized bool) (*Store, error) {
 	s := &Store{
 		spec:         spec,
 		advance:      advance,
+		offset:       offset,
 		materialized: materialized,
 		sub:          make([]bool, len(spec.Aggs)),
 		slices:       make(map[int64]*slice),
@@ -190,14 +143,28 @@ func (s *Store) newAccs() ([]expr.Acc, error) {
 	return accs, nil
 }
 
-// SliceStart returns the start of the advance-wide slice holding ts:
-// floored division, so pre-epoch timestamps slice correctly.
-func SliceStart(ts, advance int64) int64 {
+// SliceStart returns the start of the slice holding ts, the last cut at or
+// before it: cuts are at k·advance and, for offset > 0, at k·advance +
+// offset. Floored division, so pre-epoch timestamps slice correctly.
+func SliceStart(ts, advance, offset int64) int64 {
 	q := ts / advance
 	if ts%advance != 0 && (ts < 0) != (advance < 0) {
 		q--
 	}
-	return q * advance
+	base := q * advance
+	if offset > 0 && ts-base >= offset {
+		base += offset
+	}
+	return base
+}
+
+// next returns the first cut after t.
+func (s *Store) next(t int64) int64 {
+	base := SliceStart(t, s.advance, 0)
+	if t-base < s.offset {
+		return base + s.offset
+	}
+	return base + s.advance
 }
 
 // Insert folds one arriving row into its slice's partial — once, however
@@ -226,14 +193,14 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	s.keyBuf = s.keyScratch.AppendKey(s.keyBuf[:0])
 
 	sl := s.cur
-	if start := SliceStart(ts, s.advance); sl == nil || sl.start != start {
+	if start := SliceStart(ts, s.advance, s.offset); sl == nil || sl.start != start {
 		if sl = s.slices[start]; sl == nil {
 			// As many groups as the slice before it is the best guess.
 			n := 0
 			if s.cur != nil {
 				n = len(s.cur.groups)
 			}
-			sl = &slice{start: start, groups: make(map[string]*partial, n), slab: sized[partial](n)}
+			sl = &slice{start: start, groups: make(map[string]*partial, n), slab: expr.NewSlab[partial](n)}
 			s.slices[start] = sl
 			s.SlicesN.Add(1)
 		}
@@ -249,7 +216,7 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 		}
 		var accs []expr.Acc
 		var err error
-		if p, accs, err = sl.slab.next(s.spec.Aggs); err != nil {
+		if p, accs, err = sl.slab.Next(s.spec.Aggs); err != nil {
 			return err
 		}
 		p.g, p.accs = g, accs
@@ -304,7 +271,7 @@ type View struct {
 	// [lo, hi). hi starts below every timestamp: nothing built yet.
 	lo, hi int64
 	groups map[string]*winGroup
-	slab   slab[winGroup]
+	slab   expr.Slab[winGroup]
 
 	// ordered keeps the groups sorted by key (types.CompareRows order,
 	// matching exec.HashAgg's SortedOutput). It is maintained
@@ -335,8 +302,8 @@ type winGroup struct {
 	row   types.Row // what the last fire emitted for it; never rewritten
 }
 
-// Attach adds a view of the given extent (a multiple of the store's
-// ADVANCE) and widens retention to cover it.
+// Attach adds a view of the given extent (both edges of its windows fall on
+// the store's cuts) and widens retention to cover it.
 func (s *Store) Attach(visible int64) *View {
 	v := &View{st: s, visible: visible, hi: math.MinInt64, groups: make(map[string]*winGroup)}
 	s.views = append(s.views, v)
@@ -380,14 +347,14 @@ func (v *View) Fire(c int64) (rows []types.Row, touched, carved int, err error) 
 		// and a tumbling window shares no slice with its predecessor (so
 		// it never retracts, and its sums are those of re-execution to
 		// the last bit). Every group is new, so every row is carved.
-		v.slab = sized[winGroup](len(v.groups))
+		v.slab = expr.NewSlab[winGroup](len(v.groups))
 		clear(v.groups)
 		clear(v.ordered)
 		clear(v.pending)
 		v.ordered, v.pending, v.removed, v.held = v.ordered[:0], v.pending[:0], 0, 0
 		v.lo, v.hi = lo, lo
 	}
-	for ; v.hi < c; v.hi += s.advance {
+	for ; v.hi < c; v.hi = s.next(v.hi) {
 		if sl := s.slices[v.hi]; sl != nil {
 			n, err := v.add(sl, c)
 			if err != nil {
@@ -396,7 +363,7 @@ func (v *View) Fire(c int64) (rows []types.Row, touched, carved int, err error) 
 			touched += n
 		}
 	}
-	for ; v.lo < lo; v.lo += s.advance {
+	for ; v.lo < lo; v.lo = s.next(v.lo) {
 		if sl := s.slices[v.lo]; sl != nil {
 			n, err := v.retract(sl, c)
 			if err != nil {
@@ -415,7 +382,7 @@ func (v *View) add(sl *slice, c int64) (touched int, err error) {
 		wg := v.groups[k]
 		if wg == nil {
 			var accs []expr.Acc
-			if wg, accs, err = v.slab.next(v.st.spec.Aggs); err != nil {
+			if wg, accs, err = v.slab.Next(v.st.spec.Aggs); err != nil {
 				return 0, err
 			}
 			wg.g, wg.accs, wg.stamp = p.g, accs, c-1
@@ -464,11 +431,11 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 				}
 				continue
 			}
-			fresh, err := v.slab.pool.New(s.spec.Aggs[i])
+			fresh, err := v.slab.Pool.New(s.spec.Aggs[i])
 			if err != nil {
 				return 0, err
 			}
-			for start := v.lo + s.advance; start < v.hi; start += s.advance {
+			for start := s.next(v.lo); start < v.hi; start = s.next(start) {
 				if o := s.slices[start]; o != nil {
 					if op := o.groups[k]; op != nil {
 						if err := fresh.Merge(op.accs[i]); err != nil {

@@ -1,8 +1,10 @@
 package ivm
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,7 +42,7 @@ func newStore(t *testing.T, q string) *Store {
 	if key == "" {
 		t.Fatalf("plan keeps no store: %s", reason)
 	}
-	s, err := New(p.StreamAgg, p.Stream.Window.Advance, strategy == plan.Materialized)
+	s, err := New(p.StreamAgg, p.Stream.Window.Advance, plan.PairOffset(p.Stream.Window), strategy == plan.Materialized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,27 +150,6 @@ func TestFirstTouchAllocsAmortized(t *testing.T) {
 	}
 }
 
-// TestSlabRefillFollowsTheMiss: a slab takes what it was sized for in one
-// chunk and, one group past that, a quarter more — not twice as much again
-// — while one that expects maxChunk groups or more takes whole chunks.
-func TestSlabRefillFollowsTheMiss(t *testing.T) {
-	aggs := []expr.AggSpec{{Name: "count", Star: true}}
-	for _, c := range []struct{ want, take, carved int }{
-		{100, 100, 100}, {100, 101, 125}, {100, 126, 100 + 25 + 31}, {0, 1, 1}, {0, 2, 1 + minRefill},
-		{255, 256, 255 + 63}, {1000, 1001, 4 * maxChunk}, {1000, 1025, 5 * maxChunk},
-	} {
-		b := sized[partial](c.want)
-		for i := 0; i < c.take; i++ {
-			if _, _, err := b.next(aggs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if b.carved != c.carved {
-			t.Errorf("sized for %d, %d groups taken: chunks of %d groups in all, want %d", c.want, c.take, b.carved, c.carved)
-		}
-	}
-}
-
 // TestGroupLifecycle: NULL is a group like any other, a group leaves a
 // view with its last slice and the store with its last retained partial,
 // and its re-creation does not disturb the slices still holding the key.
@@ -257,15 +238,168 @@ func TestViewsEqualMergeOfRetainedSlices(t *testing.T) {
 	}
 }
 
-// TestSliceStartQuick: SliceStart is real floored division for any inputs.
+// TestSliceStartQuick: SliceStart is real floored division for any inputs,
+// to the last of a pair of cuts: k·advance and k·advance + offset.
 func TestSliceStartQuick(t *testing.T) {
-	f := func(a int64, b int64) bool {
+	f := func(a, b, o int64) bool {
 		a, b = a/2, b%1000+1001 // positive divisor, no overflow at the edges
-		q := SliceStart(a, b)
-		return q%b == 0 && q <= a && q+b > a
+		o = (o%b + b) % b
+		q := SliceStart(a, b, o)
+		m := (q%b + b) % b
+		next := (&Store{advance: b, offset: o}).next(q)
+		return (m == 0 || m == o) && q <= a && a < next && SliceStart(next, b, o) == next && SliceStart(next-1, b, o) == q
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPairedWindowsEqualBruteForce is the store's answer for any (VISIBLE,
+// ADVANCE) — coprime, VISIBLE below ADVANCE, a multiple of it — against the
+// aggregate of the logged rows in [c − VISIBLE, c), accumulated one row at a
+// time in arrival order: both edges of every window are cuts, two views of
+// one remainder share the store, rows arrive before the epoch and late into
+// a slice still retained, MIN/MAX survive the slices that leave, groups leave
+// and come back, and a detach shrinks what the store retains.
+func TestPairedWindowsEqualBruteForce(t *testing.T) {
+	type logged struct {
+		ts, v int64
+		url   string
+	}
+	aggs := []string{"count", "sum", "avg", "min", "max"}
+	paired, reentered := 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		advance := int64(rng.Intn(9)+2) * second
+		visible := int64(rng.Intn(29)+1) * second
+		s := newStore(t, fmt.Sprintf(`SELECT url, count(*), sum(v), avg(v), min(v), max(v)
+			FROM s <VISIBLE '%d seconds' ADVANCE '%d seconds'> GROUP BY url`, visible/second, advance/second))
+		if s.offset != 0 {
+			paired++
+		}
+		views := []*View{s.Attach(visible), s.Attach(visible + int64(rng.Intn(3)+1)*advance)}
+		var rows []logged
+		was := map[string]int{} // in the first view's last window: 1 present, 2 gone
+		brute := func(c, visible int64) string {
+			byURL := map[string][]expr.Acc{}
+			var urls []string
+			for _, r := range rows {
+				if r.ts < c-visible || r.ts >= c {
+					continue
+				}
+				accs := byURL[r.url]
+				if accs == nil {
+					for _, name := range aggs {
+						a, err := expr.NewAcc(expr.AggSpec{Name: name, Star: name == "count"})
+						if err != nil {
+							t.Fatal(err)
+						}
+						accs = append(accs, a)
+					}
+					byURL[r.url] = accs
+					urls = append(urls, r.url)
+				}
+				for _, a := range accs {
+					if err := a.Add(types.NewInt(r.v)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sort.Strings(urls)
+			var sb strings.Builder
+			for _, u := range urls {
+				row := types.Row{types.NewString(u)}
+				for _, a := range byURL[u] {
+					row = append(row, a.Result())
+				}
+				sb.WriteString(row.String() + ";")
+			}
+			return sb.String()
+		}
+		ts := -int64(rng.Intn(100)) * second
+		next := SliceStart(ts, advance, 0) + advance
+		closeTo := func(ts int64) {
+			for ; next <= ts; next += advance {
+				for i, v := range views {
+					if lo := next - v.visible; SliceStart(lo, advance, s.offset) != lo || SliceStart(next, advance, s.offset) != next {
+						t.Fatalf("seed %d: window [%d, %d) of %d/%d does not end on cuts", seed, lo, next, v.visible, advance)
+					}
+					got, _ := fire(t, v, next)
+					if want := brute(next, v.visible); got != want {
+						t.Fatalf("seed %d close %d VISIBLE %d ADVANCE %d:\nview  %s\nbrute %s", seed, next, v.visible, advance, got, want)
+					}
+					if i > 0 {
+						continue
+					}
+					for u, state := range was {
+						if state == 1 && !strings.Contains(got, u+"|") {
+							was[u] = 2
+						}
+					}
+					for _, u := range []string{"/a", "/b", "/rare"} {
+						if strings.Contains(got, u+"|") {
+							if was[u] == 2 {
+								reentered++
+							}
+							was[u] = 1
+						}
+					}
+				}
+				s.Expire(next)
+			}
+		}
+		for step := 0; step < 120; step++ {
+			ts += int64(rng.Intn(int(advance)))
+			closeTo(ts)
+			r := logged{ts: ts, v: int64(rng.Intn(19) - 9), url: []string{"/a", "/a", "/b", "/b", "/b", "/rare"}[rng.Intn(6)]}
+			if rng.Intn(8) == 0 { // late, into a slice not yet closed
+				r.ts = max(next-advance, ts-int64(rng.Intn(int(advance))))
+			}
+			rows = append(rows, r)
+			insert(t, s, hit(r.url, r.ts, r.v))
+			if step == 80 {
+				s.Detach(views[1])
+				views = views[:1]
+			}
+		}
+		closeTo(next)
+		// Every cut in (c − VISIBLE − ADVANCE, c], at most two an ADVANCE.
+		if got, bound := s.SlicesN.Load(), 2*(visible/advance+2); got > bound {
+			t.Fatalf("seed %d: %d slices retained for VISIBLE %d ADVANCE %d after the wider view left", seed, got, visible, advance)
+		}
+	}
+	if paired < 100 || reentered == 0 {
+		t.Errorf("%d paired stores, %d groups re-entered a window: the tape exercised neither", paired, reentered)
+	}
+}
+
+// TestPairedFireAllocs: a close of a paired store adds two slices and
+// retracts two, for the two allocations of any close — the block and the
+// slice.
+func TestPairedFireAllocs(t *testing.T) {
+	const groups, closes = 1000, 50
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(25 * second)
+	var mallocs float64
+	for k := int64(0); k < 4+closes; k++ {
+		for i := 0; i < 2*groups; i++ {
+			insert(t, s, hit("/page/"+strconv.Itoa(i%groups), k*10*second+int64(i/groups)*5*second, 1))
+		}
+		n, _ := allocated(func() {
+			if out, touched, _, err := v.Fire((k + 1) * 10 * second); err != nil || len(out) != groups || touched != groups {
+				t.Fatalf("fire %d: %d rows, %d touched, %v", k, len(out), touched, err)
+			}
+		})
+		s.Expire((k + 1) * 10 * second)
+		if got := s.SlicesN.Load(); k >= 4 && got != 5 {
+			t.Fatalf("close %d: %d slices retained, want the five of [c − 25 s, c)", k, got)
+		}
+		if k >= 4 {
+			mallocs += n
+		}
+	}
+	if per := mallocs / closes; per > 2.1 {
+		t.Errorf("a paired close allocates %.2f times, want 2: the block and the slice", per)
 	}
 }
 

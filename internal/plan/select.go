@@ -20,7 +20,11 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 
 	// Chained set operations.
 	for setOp := sel.SetOp; setOp != nil; setOp = setOp.Right.SetOp {
-		right, err := b.buildSelectCore(setOp.Right)
+		// The right side alone — its SetOp is the rest of this chain — with
+		// the ORDER BY/LIMIT/OFFSET it has when it came in parentheses.
+		block := *setOp.Right
+		block.SetOp = nil
+		right, err := b.buildSelect(&block, false)
 		if err != nil {
 			return nil, err
 		}

@@ -47,14 +47,14 @@ const (
 // WindowState is the one statement of which continuous queries keep their
 // window in a slice-partial store and how such a store fires. A plan
 // attaches when it is a filter/group-by aggregate directly over one
-// time-windowed stream (the StreamAgg shape) whose VISIBLE is a multiple
-// of ADVANCE; key then names the store — CQs over the stream with equal
-// keys share slice partials whatever their VISIBLE. The store is
-// materialized when every aggregate can leave a window again: COUNT/SUM/
-// AVG subtract (AVG as SUM+COUNT), MIN/MAX re-merge the surviving slices;
-// anything else (DISTINCT, stddev, first/last …) merges per fire. reason
-// says why the answer is not the better one: why re-execution when key is
-// empty, otherwise why merge (empty for materialized).
+// time-windowed stream (the StreamAgg shape); key then names the store,
+// <fingerprint>@<ADVANCE> and +<PairOffset> when that is not zero — CQs over
+// the stream with equal keys share slice partials whatever their VISIBLE.
+// The store is materialized when every aggregate can leave a window again:
+// COUNT/SUM/AVG subtract (AVG as SUM+COUNT), MIN/MAX re-merge the surviving
+// slices; anything else (DISTINCT, stddev, first/last …) merges per fire.
+// reason says why the answer is not the better one: why re-execution when
+// key is empty, otherwise why merge (empty for materialized).
 func (p *Plan) WindowState(o StateOverride) (key string, s Strategy, reason string) {
 	switch {
 	case p.Stream == nil:
@@ -70,12 +70,15 @@ func (p *Plan) WindowState(o StateOverride) (key string, s Strategy, reason stri
 	switch {
 	case w.Kind != sql.WindowTime:
 		return "", Reexec, "window is not a time window"
-	case w.Visible <= 0 || w.Advance <= 0 || w.Visible%w.Advance != 0:
-		return "", Reexec, "VISIBLE is not a multiple of ADVANCE"
+	case w.Visible <= 0 || w.Advance <= 0:
+		return "", Reexec, "window extents must be positive"
 	case o == StateReexec:
 		return "", Reexec, "window-state override"
 	}
 	key = fmt.Sprintf("%s@%d", p.StreamAgg.Fingerprint, w.Advance)
+	if off := PairOffset(w); off != 0 {
+		key += fmt.Sprintf("+%d", off)
+	}
 	if o == StateMerge {
 		return key, Merge, "window-state override"
 	}
@@ -90,4 +93,11 @@ func (p *Plan) WindowState(o StateOverride) (key string, s Strategy, reason stri
 		}
 	}
 	return key, Materialized, ""
+}
+
+// PairOffset is where a store of w's windows cuts every ADVANCE a second
+// time ([12]'s paired windows): closes fall on k·ADVANCE, so windows open
+// ADVANCE − VISIBLE mod ADVANCE after one. Zero when one cut serves both.
+func PairOffset(w sql.WindowSpec) int64 {
+	return (w.Advance - w.Visible%w.Advance) % w.Advance
 }

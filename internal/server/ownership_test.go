@@ -180,3 +180,30 @@ func TestDecodeDropsPlaceholders(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsViewAllocs: Rows and WireRows re-type a container they do not
+// copy — no allocation either way, and a write through one name is seen
+// through the other, which is why no caller may keep both.
+func TestRowsViewAllocs(t *testing.T) {
+	wire := ownershipBatch(rand.New(rand.NewSource(1)))
+	var rows []types.Row
+	var back [][]WireValue
+	if n := testing.AllocsPerRun(100, func() { rows, back = Rows(wire), WireRows(rows) }); n != 0 {
+		t.Errorf("Rows and WireRows allocate %.0f times, want 0", n)
+	}
+	if len(rows) != len(wire) || cap(rows) != cap(wire) || len(back) != len(wire) {
+		t.Fatalf("%d wire rows viewed as %d rows (cap %d, was %d) and back as %d", len(wire), len(rows), cap(rows), cap(wire), len(back))
+	}
+	for i := range wire {
+		if !rows[i].Equal(types.Row(wire[i])) {
+			t.Fatalf("row %d: %v viewed as %v", i, wire[i], rows[i])
+		}
+	}
+	rows[0] = types.Row{types.NewInt(42)}
+	if len(wire[0]) != 1 || !wire[0][0].Equal(types.NewInt(42)) || len(WireRows(rows)[0]) != 1 {
+		t.Errorf("a row set through the view is not seen in the wire rows: %v", wire[0])
+	}
+	if Rows(nil) != nil || WireRows(nil) != nil {
+		t.Error("a nil container is not viewed as nil")
+	}
+}

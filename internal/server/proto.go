@@ -191,24 +191,12 @@ func EncodeRow(r types.Row) []WireValue { return r }
 // ambiguous values are refused by the frame decoder.
 func DecodeRow(ws []WireValue) (types.Row, error) { return ws, nil }
 
-// Rows views wire rows as engine rows: one slice of headers, no datum
-// copied.
-func Rows(wire [][]WireValue) []types.Row {
-	out := make([]types.Row, len(wire))
-	for i, r := range wire {
-		out[i] = r
-	}
-	return out
-}
+// Rows views wire rows as engine rows — the same memory under another type
+// (types.RowsView), so a caller keeps one name and lets go of the other.
+func Rows(wire [][]WireValue) []types.Row { return types.RowsView(wire) }
 
 // WireRows is the inverse view of Rows.
-func WireRows(rows []types.Row) [][]WireValue {
-	out := make([][]WireValue, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
-}
+func WireRows(rows []types.Row) [][]WireValue { return types.DatumsView(rows) }
 
 // EncodeSchema converts a schema to wire form.
 func EncodeSchema(s types.Schema) []WireColumn {

@@ -767,6 +767,12 @@ func (p *Parser) parseSelect() (*Select, error) {
 			if op.Right, err = p.parseSelect(); err == nil {
 				err = p.expectSymbol(")")
 			}
+			// The chain is kept flat, so a chain in parentheses stands in it
+			// as one block, SELECT * FROM (the chain): its operators bind
+			// and its ORDER BY/LIMIT apply inside.
+			if err == nil && op.Right.SetOp != nil {
+				op.Right = &Select{Items: []SelectItem{{Star: true}}, From: []TableRef{&Subquery{Query: op.Right}}}
+			}
 		} else {
 			op.Right, err = p.parseBlock()
 		}

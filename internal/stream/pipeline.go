@@ -273,7 +273,7 @@ func (f *feed) advanceTo(ts int64) error {
 
 // alignUp returns the smallest multiple of ADVANCE that is >= ts.
 func (f *feed) alignUp(ts int64) int64 {
-	return ivm.SliceStart(ts+f.win.Advance-1, f.win.Advance)
+	return ivm.SliceStart(ts+f.win.Advance-1, f.win.Advance, 0)
 }
 
 // endEmission seals the current derived-stream emission and, for SLICES

@@ -26,10 +26,10 @@ import (
 //
 // The window state is a slice-partial store (internal/ivm) for every
 // continuous query plan.WindowState gives a key — same stream, slice
-// fingerprint and ADVANCE, whatever its VISIBLE, residual filter, projection
-// or ORDER BY: they all subscribe to the one feed of that key — and a buffer
-// of raw rows for a plan it gives none, which gets a feed to itself. At
-// each close every view computes its window's rows once — a store's view
+// fingerprint, ADVANCE and VISIBLE mod ADVANCE, whatever its VISIBLE, residual
+// filter, projection or ORDER BY: they all subscribe to the one feed of that
+// key — and a buffer of raw rows for a plan it gives none, alone on its feed.
+// At each close every view computes its window's rows once — a store's view
 // its aggregate rows, a buffer the rows in the extent — each distinct post
 // stage runs once over them (residual filters, HAVING, projection, ORDER
 // BY, LIMIT over aggregate rows; the whole plan over raw ones; none at all
@@ -152,7 +152,7 @@ func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.
 	stream := metrics.L("stream", src.name)
 	pipe := metrics.L("pipe", strconv.FormatInt(id, 10))
 	if key != "" {
-		state, err := ivm.New(p.StreamAgg, f.win.Advance, strategy == plan.Materialized)
+		state, err := ivm.New(p.StreamAgg, f.win.Advance, plan.PairOffset(f.win), strategy == plan.Materialized)
 		if err != nil {
 			return nil, err
 		}

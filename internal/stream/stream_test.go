@@ -238,6 +238,9 @@ func TestSharedMatchesUnshared(t *testing.T) {
 		`SELECT count(distinct url) FROM url_stream <VISIBLE '4 minutes' ADVANCE '2 minutes'>`,
 		`SELECT url, avg(length(client_ip)) FROM url_stream <ADVANCE '1 minute'> GROUP BY url ORDER BY url`,
 		`SELECT url, stddev(length(client_ip)) FROM url_stream <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY url`,
+		// Paired stores: VISIBLE is no multiple of ADVANCE, and is below it.
+		`SELECT url, count(*), avg(length(client_ip)), min(client_ip) FROM url_stream <VISIBLE '150 seconds' ADVANCE '1 minute'> GROUP BY url`,
+		`SELECT url, count(*), last(client_ip) FROM url_stream <VISIBLE '20 seconds' ADVANCE '1 minute'> GROUP BY url`,
 	}
 	r := rand.New(rand.NewSource(42))
 	var events []types.Row
@@ -327,8 +330,9 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 
 // TestLateSubscriberWindows pins Subscribe's one late-subscriber rule. A
 // row arrives every 5 s from 0 s on; two CQs of one fingerprint, VISIBLE
-// 10 s and 60 s, have been attached to their store since the start, and
-// 125 s in each case below subscribes. The table is the row count of its
+// 10 s and 60 s, have been attached to their store since the start, a third
+// of VISIBLE 65 s to the paired store of that remainder, and 125 s in each
+// case below subscribes. The table is the row count of its
 // windows up to the close at 160 s — from 130 s for a CQ on the store's
 // running clock, from 140 s for one whose own clock starts with its first
 // row; a full window of VISIBLE v holds v/5.
@@ -350,13 +354,21 @@ func TestLateSubscriberWindows(t *testing.T) {
 		// First member of a store of its own: nothing retained.
 		{"new fingerprint",
 			`SELECT count(client_ip) FROM url_stream <VISIBLE '30 seconds' ADVANCE '10 seconds'>`, []int64{2, 4, 6}},
-		// Cannot attach (VISIBLE is no multiple of ADVANCE): empty buffer.
+		// VISIBLE mod ADVANCE = 5 s: attaches to the paired store the 65 s
+		// member keeps, whose cuts at 105 s … 125 s are its window's too.
+		{"same fingerprint and remainder, within retention",
+			`SELECT count(*) FROM url_stream <VISIBLE '25 seconds' ADVANCE '10 seconds'>`, []int64{5, 5, 5, 5}},
+		// No store is shared across remainders: first member of its own.
+		{"new remainder",
+			`SELECT count(*) FROM url_stream <VISIBLE '27 seconds' ADVANCE '10 seconds'>`, []int64{2, 4, 5}},
+		// Cannot attach (a subquery in FROM): empty buffer.
 		{"re-executing",
-			`SELECT count(*) FROM url_stream <VISIBLE '25 seconds' ADVANCE '10 seconds'>`, []int64{2, 4, 5}},
+			`SELECT count(*) FROM (SELECT url FROM url_stream <VISIBLE '25 seconds' ADVANCE '10 seconds'>) x`, []int64{2, 4, 5}},
 	} {
 		e := newEnvOverride(t, plan.StateAuto)
 		e.subscribe(t, `SELECT count(*) FROM url_stream <VISIBLE '10 seconds' ADVANCE '10 seconds'>`)
 		e.subscribe(t, `SELECT count(*) FROM url_stream <VISIBLE '60 seconds' ADVANCE '10 seconds'>`)
+		e.subscribe(t, `SELECT count(*) FROM url_stream <VISIBLE '65 seconds' ADVANCE '10 seconds'>`)
 		for ts := int64(0); ts <= 125*second; ts += 5 * second {
 			e.hit(t, "/x", ts, "ip")
 		}

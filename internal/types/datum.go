@@ -354,3 +354,12 @@ func (d Datum) Equal(e Datum) bool {
 	}
 	return d.typ != TypeString || d.str() == e.str()
 }
+
+// RowsView views datum slices as rows, and DatumsView rows as datum slices.
+// A Row is a []Datum, so the two containers have one layout and the view
+// re-types the slice header: nothing is copied, a write through one name is
+// seen through the other, and a caller keeps only one of them.
+func RowsView(d [][]Datum) []Row { return *(*[]Row)(unsafe.Pointer(&d)) }
+
+// DatumsView is the inverse of RowsView.
+func DatumsView(r []Row) [][]Datum { return *(*[][]Datum)(unsafe.Pointer(&r)) }

@@ -54,8 +54,9 @@ func TestIVMModeSelection(t *testing.T) {
 		// Row windows re-execute.
 		{`SELECT url, count(*) FROM s <VISIBLE 100 ROWS ADVANCE 10 ROWS> GROUP BY url`,
 			"reexec", "state: reexec (window is not a time window)"},
+		// VISIBLE mod ADVANCE = 5 s: a paired store, cut again 15 s into every ADVANCE.
 		{`SELECT count(*) FROM s <VISIBLE '45 seconds' ADVANCE '20 seconds'>`,
-			"reexec", "state: reexec (VISIBLE is not a multiple of ADVANCE)"},
+			"incremental", "state: store s|W:|G:|A:count(*);@20000000+15000000 view 45s (materialized)"},
 		// Projection without aggregation re-executes per window.
 		{`SELECT url FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> WHERE v > 3`,
 			"reexec", "state: reexec (plan is not a filter/group-by aggregate directly over the stream)"},
@@ -136,8 +137,9 @@ func TestNowReadAtFire(t *testing.T) {
 
 // ivmWorkloadQueries is the CQ set the equivalence tests run: every delta
 // kind, NULL group keys, NULL aggregate inputs, a filter, a scalar
-// aggregate (fires defaults over empty windows), and HAVING above the
-// delta-maintained state.
+// aggregate (fires defaults over empty windows), HAVING above the
+// delta-maintained state, and two paired windows — VISIBLE no multiple of
+// ADVANCE, and below it.
 var ivmWorkloadQueries = []string{
 	`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
 		FROM s <VISIBLE '60 seconds' ADVANCE '10 seconds'> GROUP BY url`,
@@ -145,6 +147,8 @@ var ivmWorkloadQueries = []string{
 	`SELECT url, sum(v) FROM s <VISIBLE '40 seconds' ADVANCE '20 seconds'>
 		WHERE v % 3 = 0 GROUP BY url HAVING count(*) > 1`,
 	`SELECT url, min(f), max(f), sum(f) FROM s <VISIBLE '50 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT url, count(*), sum(v), avg(v), min(v), max(f) FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT count(*), count(v), max(v) FROM s <VISIBLE '7 seconds' ADVANCE '20 seconds'>`,
 }
 
 // ivmRandomRow draws a row with NULLable group key, NULLable bigint and a

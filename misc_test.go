@@ -47,7 +47,7 @@ func TestExplainVariants(t *testing.T) {
 		}
 	}
 	// A re-executing CQ has no post stage to speak of.
-	res = mustExec(t, e, `EXPLAIN SELECT url, count(*) FROM h <VISIBLE '45 seconds' ADVANCE '20 seconds'> GROUP BY url`)
+	res = mustExec(t, e, `EXPLAIN SELECT url, count(*) FROM h <VISIBLE 45 ROWS ADVANCE 20 ROWS> GROUP BY url`)
 	if out = strings.Join(rowStrings(res.Rows), "\n"); strings.Contains(out, "post:") {
 		t.Errorf("EXPLAIN of a re-executing CQ prints a post line:\n%s", out)
 	}

@@ -39,7 +39,11 @@ type planKeyCase struct {
 // (every one holds "#pre", a name only quoting can spell) and is compared by
 // which CQs it groups together. No recorded key holds a quoted identifier or
 // a temporal literal, the other two things the parent printed as text that
-// did not parse.
+// did not parse. Since windows whose VISIBLE is not a multiple of ADVANCE keep
+// a paired store, the three such CQs recorded with an empty state key carry
+// <fingerprint>@<ADVANCE>+<offset>, and the last context — VISIBLE below
+// ADVANCE, two VISIBLEs of one remainder, an enrichment join — was recorded
+// then; every other key is the parent's.
 func TestPlanKeysGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/plankeys.json")
 	if err != nil {

@@ -3,6 +3,8 @@ package streamrel
 import (
 	"strings"
 	"testing"
+
+	"streamrel/internal/sql"
 )
 
 // sqlCase is one statement with its expected output (rows joined by
@@ -71,6 +73,20 @@ func TestSQLSuite(t *testing.T) {
 		       EXCEPT SELECT k FROM pairs ORDER BY 1`, want: "3\n4"},
 		{sql: `SELECT k FROM pairs INTERSECT SELECT n FROM nums ORDER BY 1`, want: "1\n2"},
 		{sql: `SELECT 1 UNION SELECT 1 UNION ALL SELECT 1`, want: "1\n1"},
+		// A right side in parentheses keeps its own ORDER BY/LIMIT/OFFSET.
+		{sql: `SELECT n FROM nums WHERE n < 3
+		       UNION ALL (SELECT k FROM pairs ORDER BY k DESC LIMIT 1) ORDER BY 1`, want: "1\n2\n5"},
+		{sql: `SELECT n FROM nums WHERE n IS NOT NULL
+		       EXCEPT (SELECT k FROM pairs ORDER BY k LIMIT 1) ORDER BY 1`, want: "2\n3\n4"},
+		{sql: `SELECT k FROM pairs
+		       INTERSECT (SELECT n FROM nums ORDER BY n NULLS LAST LIMIT 1 OFFSET 1)`, want: "2"},
+		{sql: `SELECT n FROM nums WHERE n = 4
+		       UNION ALL (SELECT k FROM pairs ORDER BY length(v), k DESC LIMIT 1)
+		       UNION ALL (SELECT n FROM nums ORDER BY n NULLS LAST LIMIT 2) ORDER BY 1 DESC LIMIT 3`, want: "5\n4\n2"},
+		// A chain in parentheses is one operand, with its own tail.
+		{sql: `SELECT 1 UNION ALL (SELECT 2 UNION ALL SELECT 3 ORDER BY 1 DESC LIMIT 1)`, want: "1\n3"},
+		{sql: `SELECT n FROM nums WHERE n IS NOT NULL
+		       EXCEPT (SELECT k FROM pairs EXCEPT SELECT 1) ORDER BY 1`, want: "1\n3\n4"},
 
 		// Sorting and paging.
 		{sql: `SELECT n FROM nums ORDER BY n DESC NULLS LAST LIMIT 2`, want: "4\n3"},
@@ -124,12 +140,18 @@ func runSQLCases(t *testing.T, e *Engine, cases []sqlCase) {
 			t.Errorf("Query(%s): %v", c.sql, err)
 			continue
 		}
-		var got []string
-		for _, r := range rows.Data {
-			got = append(got, r.String())
+		got := strings.Join(rowStrings(rows), "\n")
+		if got != c.want {
+			t.Errorf("Query(%s):\ngot:\n%s\nwant:\n%s", c.sql, got, c.want)
 		}
-		if strings.Join(got, "\n") != c.want {
-			t.Errorf("Query(%s):\ngot:\n%s\nwant:\n%s", c.sql, strings.Join(got, "\n"), c.want)
+		// What the one printer makes of the statement reads the same rows.
+		if stmt, err := sql.Parse(c.sql); err == nil {
+			if sel, ok := stmt.(*sql.Select); ok {
+				again, err := e.Query(sql.Format(sel))
+				if err != nil || strings.Join(rowStrings(again), "\n") != got {
+					t.Errorf("Query(%s) printed as\n%s\nreads %v, %v", c.sql, sql.Format(sel), again, err)
+				}
+			}
 		}
 	}
 }

@@ -34,7 +34,7 @@ const faultDDL = `
 // reexecShapes take an aggregate over their stream's value column col in
 // place of %s.
 var reexecShapes = []struct{ name, sql, col string }{
-	{"nearmiss", `SELECT url, %s AS a FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`, "v"},
+	{"nearmiss", `SELECT url, %s AS a FROM (SELECT url, v FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'>) x GROUP BY url`, "v"},
 	{"rows", `SELECT url, %s AS a FROM s <VISIBLE 20 ROWS ADVANCE 5 ROWS> GROUP BY url`, "v"},
 	{"slices", `SELECT url, %s AS a FROM d <SLICES 3 WINDOWS> GROUP BY url`, "m"},
 }

@@ -124,9 +124,9 @@ type Config struct {
 	// StateOverride replaces the engine's own choice of window state, for
 	// ablations and tests; production configurations leave it zero.
 	// Automatically, a continuous query that is a filter/group-by aggregate
-	// over one time-windowed stream with VISIBLE a multiple of ADVANCE
-	// attaches to the slice-partial store of its (stream, fingerprint,
-	// ADVANCE) — materialized when every aggregate can be retracted,
+	// over one time-windowed stream attaches to the slice-partial store of
+	// its (stream, fingerprint, ADVANCE, VISIBLE mod ADVANCE) — materialized
+	// when every aggregate can be retracted,
 	// slice-merging otherwise — and anything else re-executes its plan over
 	// buffered rows (DESIGN.md "Window state"). StateReexec makes every CQ
 	// re-execute (the equivalence oracle; E3's baseline), StateMerge keeps
