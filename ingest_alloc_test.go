@@ -151,10 +151,10 @@ func TestEnrichFireAllocsIndependentOfWindowRows(t *testing.T) {
 	}
 	small, large := fire(1000), fire(10000)
 	t.Logf("enrichment fire: %.0f allocations over 1000 window rows, %.0f over 10000", small, large)
-	// 43: the view's block and slice, the scan and hash table over the 100
+	// 38: the view's block and slice, the scan and hash table over the 100
 	// table rows, and the post stage's 8 groups in one chunk (91 at six
 	// objects a group).
-	if large > small+4 || large > 48 {
-		t.Errorf("an enrichment fire allocates %.0f times over 1000 window rows and %.0f over 10000, want ≤ 48 over either", small, large)
+	if large > small+4 || large > 44 {
+		t.Errorf("an enrichment fire allocates %.0f times over 1000 window rows and %.0f over 10000, want ≤ 44 over either", small, large)
 	}
 }

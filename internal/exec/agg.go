@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"streamrel/internal/expr"
@@ -78,7 +78,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	}
 
 	ec := ctx.evalCtx()
-	var key []byte
+	key := make([]byte, 0, 64) // on the stack; a longer key moves it to the heap once
 	for {
 		batch, err := h.Child.NextBatch(chunkRows)
 		if err != nil {
@@ -130,9 +130,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		h.rows = append(h.rows, g.out)
 	}
 	if h.SortedOutput && nk > 0 {
-		sort.SliceStable(h.rows, func(i, j int) bool {
-			return types.CompareRows(h.rows[i][:nk], h.rows[j][:nk]) < 0
-		})
+		slices.SortStableFunc(h.rows, func(a, b types.Row) int { return types.CompareRows(a[:nk], b[:nk]) })
 	}
 	return nil
 }
