@@ -59,17 +59,23 @@ drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestIVMParallelRetraction' .
 
-# alloc-pins runs the ownership property (a decoded row is at most two
-# allocations and shares memory with nothing — internal/server/proto.go), the
-# sizes the byte pins are reckoned in (a Datum 24 bytes, a heap version 40) and
-# every allocation pin on the decode → commit → replicate path (a follower
-# decodes and applies an archived batch in two allocations a row; a primary
-# commits one in a few objects and under 32 bytes a row beyond the heap's and
-# the one row slice, TestArchiveCommitAllocs; a log append buys no buffer the
-# size of its frame, TestAppendAllocs; a snapshot costs the same however many
-# transactions ever aborted, TestSnapshotAllocsAfterTrim; the server's row
-# containers are views of the engine's, TestRowsViewAllocs), in the operators
-# (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup) and in
+# alloc-pins runs the ownership property (a decoded batch is its container and
+# two allocations a block — its values, its strings — where a block is at most
+# 4 096 rows and 512 KiB of values and of strings, and shares memory with no
+# frame and no other batch: internal/server/proto.go, types.CheckBatch; the
+# window store keeps none of it, TestStoreKeysPinNoBatch), the sizes the
+# byte pins are reckoned in (a Datum 24 bytes, a heap version 40) and every
+# allocation pin on the decode → commit → replicate path (decoding costs a
+# constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
+# TestDecodeRecordsAllocs; an append over the wire costs the same on the
+# primary and on a replica at 256 rows as at 1 024, TestAppendAllocsPerBatch;
+# a follower reads and applies an archived batch in a per-event constant; a
+# primary commits one in a few objects and under 16 bytes a row beyond the
+# heap's and the one row slice, TestArchiveCommitAllocs; a log append buys no
+# buffer the size of its frame, TestAppendAllocs; a snapshot costs the same
+# however many transactions ever aborted, TestSnapshotAllocsAfterTrim; the
+# server's row containers are views of the engine's, TestRowsViewAllocs), in
+# the operators (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup) and in
 # the window-state store (first touch of a (slice, group) ≤ 0.1 allocations
 # amortized; an enrichment fire independent of window rows; a fire two
 # allocations, on a paired store too, and O(touched) bytes, and what its shared
@@ -78,14 +84,16 @@ drain-policies:
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|PinNoBatch' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
 
-# poison runs the root suites (the SQL suite, the equivalence suites) and
-# the experiments with every join in poison mode — a row a join takes back
-# from a consumer that declared it keeps none is overwritten with a sentinel
-# at once — as internal/exec's own tests always run (its TestMain).
+# poison runs the root suites (the SQL suite, the equivalence suites), the
+# experiments and the decoders' packages in poison mode (types.Poison): a row
+# a join takes back from a consumer that declared it keeps none is overwritten
+# with a sentinel at once, as internal/exec's own tests always run (its
+# TestMain), and every decoder zeroes its scratch once a block is carved from
+# it, so a row that aliased the scratch rather than its block reads garbage.
 poison:
-	$(GO) test -count=1 -tags poison . ./internal/experiments
+	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/server ./internal/wal ./internal/repl ./replica
 
 check: build fmt vet staticcheck test race drain-policies alloc-pins poison clean-stamps
 
@@ -123,7 +131,8 @@ bench-selftest:
 # wire codec against the reflective codec it replaced (and the metrics
 # samples that ride in it) — all three differentially, error for error and
 # value for value, against the row decoders that allocated a string per
-# VARCHAR, kept as test-only oracles — the shard router's batch split/merge
+# VARCHAR, kept as test-only oracles, and each batch they accept carved as the
+# ownership rule says — the shard router's batch split/merge
 # round-trip, the window-state equivalence property (what a store fires —
 # several views of one store, materialized and slice-merging, with CQs
 # detaching mid-run, beside CQs sqlgen writes from the fuzzer's bytes — ==

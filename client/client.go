@@ -1,6 +1,7 @@
 // Package client is the Go client for a streamrel server: Exec/Query for
 // SQL, Append/Advance for stream ingestion, and Subscribe for continuous
-// queries whose window batches arrive on a channel.
+// queries whose window batches arrive on a channel. A row of a result shares
+// a block of up to 4 096 rows with its neighbours, so keeping it keeps them.
 package client
 
 import (

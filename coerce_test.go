@@ -92,8 +92,10 @@ func TestArchiveChannelAllocsAndOwnership(t *testing.T) {
 // batch — the stream's one raw-archive channel, a log and a hub — is a few
 // objects a batch whatever its size and, beyond the heap's own (a 40-byte
 // version) and the one []types.Row the write set, the log's encoder and the
-// hub's ring share (24), under 32 bytes a row: no record per row, no copy of
-// the frame.
+// hub's ring share (24), under 16 bytes a row: no record per row, no copy of
+// the frame. Measured on the commit that wrote these bounds: 6.2–6.4 objects a
+// batch at 256 and at 1 024 rows and 72–74 bytes a row; under -race, 7.4–7.9
+// objects, and the bytes are not held (race_test.go).
 func TestArchiveCommitAllocs(t *testing.T) {
 	const ddl = `CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar, bytes bigint);`
 	measure := func(ddl string, batch int) (allocs, bytes float64) {
@@ -135,13 +137,15 @@ func TestArchiveCommitAllocs(t *testing.T) {
 	perRow := (bytes - plainBytes) / allocBatch
 	t.Logf("commit of %d rows: %.1f allocations and %.0f bytes over the append's %.1f and %.0f: %.1f bytes a row; of %d rows: %.1f allocations",
 		allocBatch, allocs-plainAllocs, bytes-plainBytes, plainAllocs, plainBytes, perRow, 4*allocBatch, allocs4-plainAllocs)
-	if allocs-plainAllocs > 16 || allocs4 > allocs+2 {
-		t.Fatalf("the commit allocates %.1f objects a %d-row batch and %.1f a %d-row one: want a constant, at most 16", allocs-plainAllocs, allocBatch, allocs4-plainAllocs, 4*allocBatch)
+	if allocs-plainAllocs > 10 || allocs4 > allocs+2 {
+		t.Fatalf("the commit allocates %.1f objects a %d-row batch and %.1f a %d-row one: want a constant, at most 10", allocs-plainAllocs, allocBatch, allocs4-plainAllocs, 4*allocBatch)
 	}
-	if perRow >= 40+24+32 {
-		t.Fatalf("the commit allocates %.1f bytes a row, want under %d", perRow, 40+24+32)
+	if perRow >= 40+24+16 && !racing {
+		t.Fatalf("the commit allocates %.1f bytes a row, want under %d", perRow, 40+24+16)
 	}
 }
+
+var racing bool // race_test.go
 
 // TestDerivedChannelDetachesRows: a derived stream's emission is carved from
 // the executor's row blocks, so — unlike a base stream's rows — what its

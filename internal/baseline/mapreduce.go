@@ -100,6 +100,7 @@ func (mr *MapReduce) Run(input string, m MapFunc, r ReduceFunc) ([]types.Row, er
 
 	// Reduce phase: read each partition back, group by key, reduce.
 	var out []types.Row
+	var strs types.RowStrings
 	for _, f := range partFiles {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, err
@@ -107,7 +108,7 @@ func (mr *MapReduce) Run(input string, m MapFunc, r ReduceFunc) ([]types.Row, er
 		groups := make(map[string][]types.Row)
 		rd := bufio.NewReader(f)
 		for {
-			key, value, err := readKV(rd)
+			key, value, err := readKV(rd, &strs)
 			if err == io.EOF {
 				break
 			}
@@ -208,7 +209,7 @@ func writeKV(w *bufio.Writer, key string, value types.Row) error {
 	return writeRow(w, value)
 }
 
-func readKV(rd *bufio.Reader) (string, types.Row, error) {
+func readKV(rd *bufio.Reader, strs *types.RowStrings) (string, types.Row, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 		return "", nil, err
@@ -224,7 +225,7 @@ func readKV(rd *bufio.Reader) (string, types.Row, error) {
 	if _, err := io.ReadFull(rd, buf); err != nil {
 		return "", nil, err
 	}
-	row, _, err := types.DecodeRow(buf, new(types.RowStrings))
+	row, _, err := types.DecodeRow(buf, strs)
 	return string(key), row, err
 }
 

@@ -359,13 +359,9 @@ type rowConcat struct {
 // reset readies c for an execution; what the consumer declared stays.
 func (c *rowConcat) reset() { *c = rowConcat{width: -1, recycle: c.recycle} }
 
-// poisonRecycled makes gather overwrite the rows it takes back with poison,
-// so that a consumer which declared its rows transient and kept one anyway
-// reads nonsense at once, not when the memory happens to be carved again.
-// Only tests set it (internal/exec's own in TestMain, suites outside the
-// package through the build tag `poison`).
-var poisonRecycled bool
-
+// poison is what gather writes over the rows it takes back under
+// types.Poison, so that a consumer which declared its rows transient and kept
+// one anyway reads nonsense at once, not when the memory is carved again.
 var poison = types.NewString("\x00recycled row read after rewind\x00")
 
 // gather fills a join's reused output container from next until the demand
@@ -375,7 +371,7 @@ func (c *rowConcat) gather(buf *[]types.Row, max int, next func() (types.Row, er
 	if c.recycle {
 		taken := c.blk.Rewind()
 		c.spare = nil // one of them
-		if poisonRecycled {
+		if types.Poison {
 			for i := range taken {
 				taken[i] = poison
 			}

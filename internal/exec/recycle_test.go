@@ -18,7 +18,7 @@ import (
 // build tag `poison` (make poison). Poisoning allocates nothing, so the
 // allocation pins hold in either mode.
 func TestMain(m *testing.M) {
-	poisonRecycled = true
+	types.Poison = true
 	os.Exit(m.Run())
 }
 

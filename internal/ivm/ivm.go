@@ -100,8 +100,8 @@ type partial struct {
 
 // group is a live group's identity: the one string built for its key
 // bytes — every slice map and view map is keyed with it, so they share
-// its storage — and its key row. It lives while a retained slice holds a
-// partial for it.
+// its storage — and its key row, whose strings are that string's bytes too.
+// It lives while a retained slice holds a partial for it.
 type group struct {
 	key    string
 	keys   types.Row
@@ -170,10 +170,12 @@ func (s *Store) next(t int64) int64 {
 // Insert folds one arriving row into its slice's partial — once, however
 // many views will read it: evaluate the filter and the group keys, then
 // add the aggregate arguments. An existing (slice, group) allocates
-// nothing.
+// nothing. The store keeps nothing of row — a new group's key row points
+// into the group's key string — so it pins no input batch.
 func (s *Store) Insert(row types.Row, ts int64) error {
 	ec := &s.ec
 	ec.Row = row
+	defer func() { ec.Row = nil; clear(s.keyScratch) }()
 	if s.spec.Pred != nil {
 		v, err := s.spec.Pred.Eval(ec)
 		if err != nil {
@@ -211,6 +213,7 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 		g, ok := s.groups[string(s.keyBuf)]
 		if !ok {
 			g = &group{key: string(s.keyBuf), keys: s.keyScratch.Clone()}
+			g.keys.ShareKey(g.key)
 			s.groups[g.key] = g
 			s.GroupsN.Add(1)
 		}

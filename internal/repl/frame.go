@@ -146,10 +146,11 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 
 // Reader reads frames off a replication connection through one payload
 // buffer it reuses from frame to frame — safe because nothing DecodeEvent
-// returns aliases the payload.
+// returns aliases the payload — and decodes their rows through one scratch.
 type Reader struct {
-	r   *bufio.Reader
-	buf []byte
+	r    *bufio.Reader
+	buf  []byte
+	strs types.RowStrings
 }
 
 // NewReader reads frames from r.
@@ -181,14 +182,16 @@ func (fr *Reader) ReadEvent() (*Event, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, errors.New("repl: frame CRC mismatch")
 	}
-	return DecodeEvent(payload)
+	return decodeEvent(payload, &fr.strs)
 }
 
 // DecodeEvent parses a frame payload (the bytes covered by the CRC).
 // Arbitrary input yields an error, never a panic or an allocation its bytes
 // did not earn (types.MaxPresize). The event aliases nothing in payload
 // (the ownership rule in internal/server/proto.go).
-func DecodeEvent(payload []byte) (*Event, error) {
+func DecodeEvent(payload []byte) (*Event, error) { return decodeEvent(payload, new(types.RowStrings)) }
+
+func decodeEvent(payload []byte, strs *types.RowStrings) (*Event, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("repl: empty frame")
 	}
@@ -205,15 +208,15 @@ func DecodeEvent(payload []byte) (*Event, error) {
 	}
 	switch ev.Kind {
 	case KindWAL:
-		ev.Recs, err = wal.DecodeRecords(buf)
+		ev.Recs, err = wal.ReadRecords(buf, strs)
 	case KindAppend:
 		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
-			ev.Rows, buf, err = wal.ReadRowList(buf)
+			ev.Rows, buf, err = wal.ReadRowList(buf, strs)
 		}
 	case KindArchive:
 		var ins wal.Record
 		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
-			buf, err = wal.ReadRows(buf, &ins)
+			buf, err = wal.ReadRows(buf, &ins, strs)
 		}
 		ev.Table, ev.Runs, ev.Rows = ins.Table, ins.Runs, ins.Rows
 	case KindAdvance:

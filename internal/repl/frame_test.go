@@ -239,8 +239,9 @@ func TestReadEventTruncated(t *testing.T) {
 
 // FuzzDecodeEvent checks the payload decoder never panics on arbitrary
 // bytes, agrees with the decoder it replaced (ownership_test.go) error for
-// error and value for value, and that valid payloads round-trip through
-// AppendFrame.
+// error and value for value, that valid payloads round-trip through
+// AppendFrame, and that their rows keep the ownership rule once the payload
+// is gone.
 func FuzzDecodeEvent(f *testing.F) {
 	// Every kind; the run-shaped insert alone and in one batch with deletes
 	// (insertEvents); and the pieces an oversized one is published in.
@@ -310,6 +311,15 @@ func FuzzDecodeEvent(f *testing.F) {
 		}
 		if !sameEvent(Event{Recs: wal.Expand(ev.Recs)}, Event{Recs: perRow}) {
 			t.Fatalf("expanded %+v, the per-row batch decodes to %+v", wal.Expand(ev.Recs), perRow)
+		}
+		batches := [][]types.Row{ev.Rows}
+		for _, r := range ev.Recs {
+			batches = append(batches, r.Rows, []types.Row{r.Row})
+		}
+		for _, batch := range batches {
+			if err := types.CheckBatch(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -304,11 +304,8 @@ type decoder struct {
 	pos int
 	// inObject is set once the frame's first field has been read.
 	inObject bool
-	// width is the length of the last row read, 0 before the first: the
-	// rows of a batch are alike, so it sizes the next row's one allocation.
-	width int
-	// strs collects the string payloads of the row being read.
-	strs types.RowStrings
+	// strs is the scratch of the reader that owns the decode.
+	strs *types.RowStrings
 }
 
 func (d *decoder) errAt(msg string) error {
@@ -553,7 +550,7 @@ func (d *decoder) value() (types.Datum, error) {
 	case "s":
 		var raw []byte
 		raw, err = d.rawString()
-		out = d.strs.Add(raw) // copied out of the frame; readRow resolves it
+		out = d.strs.Add(raw) // copied out of the frame; the list's end resolves it
 	case "ts":
 		var v int64
 		v, err = d.readInt(64)
@@ -575,71 +572,50 @@ func (d *decoder) value() (types.Datum, error) {
 	return out, nil
 }
 
-// readRow consumes one array of values into a row of its own, as proto.go's
-// ownership rule has it: sized to the row, its strings in one backing. null
-// stands for the empty row, as it did under encoding/json.
-func (d *decoder) readRow() ([]WireValue, error) {
+// readRow consumes one array of values into the batch d.strs is decoding.
+// null stands for the empty row, as it did under encoding/json.
+func (d *decoder) readRow() error {
 	if d.literal("null") {
-		return nil, nil
+		d.strs.EndRow()
+		return nil
 	}
 	if err := d.expect('['); err != nil {
-		return nil, err
+		return err
 	}
-	guess := d.width
-	if guess == 0 {
-		guess = 8
-	}
-	out := make([]WireValue, 0, guess)
 	for first := true; ; first = false {
 		ok, err := d.more(first, ']')
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
-			break
+			d.strs.EndRow()
+			return nil
 		}
 		v, err := d.value()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, v)
+		d.strs.Push(v)
 	}
-	d.width = len(out)
-	if cap(out) > len(out) {
-		// The guess was off (a first row, a ragged batch): trim, so that a
-		// retained row holds no more than itself.
-		out = append(make([]WireValue, 0, len(out)), out...)
-	}
-	d.strs.Own(out)
-	return out, nil
 }
 
+// readRows consumes a list of rows, one batch (proto.go's ownership rule).
 func (d *decoder) readRows() ([][]WireValue, error) {
 	if err := d.expect('['); err != nil {
 		return nil, err
 	}
-	out := [][]WireValue{}
+	d.strs.Reset()
 	for first := true; ; first = false {
 		ok, err := d.more(first, ']')
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return out, nil
+			return types.DatumsView(d.strs.Rows()), nil
 		}
-		start := d.pos
-		row, err := d.readRow()
-		if err != nil {
+		if err := d.readRow(); err != nil {
 			return nil, err
 		}
-		if first {
-			// Size the list once, from the first row's width plus an eighth:
-			// the rows of a batch are alike. The floor on the width keeps
-			// the headers smaller than the frame bytes that asked for them.
-			n := (len(d.buf)-d.pos)/max(d.pos-start, 24) + 1
-			out = make([][]WireValue, 0, n+n/8)
-		}
-		out = append(out, row)
 	}
 }
 
@@ -747,9 +723,16 @@ var requestFields = []string{"id", "op", "sql", "stream", "rows", "ts", "cq", "a
 // UnmarshalJSON decodes one request frame, replacing *r. Unknown fields
 // are skipped and a repeated field keeps its last value; null leaves a
 // scalar as it is and empties a list, as under encoding/json.
-func (r *Request) UnmarshalJSON(data []byte) error {
+func (r *Request) UnmarshalJSON(data []byte) error { return r.decode(data, new(types.RowStrings)) }
+
+// UnmarshalJSON decodes one response frame, replacing *r, under the same
+// rules as Request.UnmarshalJSON.
+func (r *Response) UnmarshalJSON(data []byte) error { return r.decode(data, new(types.RowStrings)) }
+
+// decode is UnmarshalJSON with the scratch of the reader that owns the decode.
+func (r *Request) decode(data []byte, strs *types.RowStrings) error {
 	*r = Request{}
-	d := decoder{buf: data}
+	d := decoder{buf: data, strs: strs}
 	for {
 		name, null, err := d.field(requestFields)
 		switch {
@@ -778,7 +761,10 @@ func (r *Request) UnmarshalJSON(data []byte) error {
 		case name == "cq":
 			r.CQ, err = d.readInt(64)
 		case name == "args":
-			r.Args, err = d.readRow()
+			d.strs.Reset() // a batch of one
+			if err = d.readRow(); err == nil {
+				r.Args = d.strs.Row()
+			}
 		case name == "lsn":
 			r.LSN, err = d.readUint64()
 		case name == "run":
@@ -794,11 +780,9 @@ func (r *Request) UnmarshalJSON(data []byte) error {
 
 var responseFields = []string{"id", "ok", "error", "columns", "rows", "affected", "cq", "close", "batch", "spans", "samples", "partial"}
 
-// UnmarshalJSON decodes one response frame, replacing *r, under the same
-// rules as Request.UnmarshalJSON.
-func (r *Response) UnmarshalJSON(data []byte) error {
+func (r *Response) decode(data []byte, strs *types.RowStrings) error {
 	*r = Response{}
-	d := decoder{buf: data}
+	d := decoder{buf: data, strs: strs}
 	for {
 		name, null, err := d.field(responseFields)
 		switch {

@@ -326,38 +326,75 @@ func benchRows(n int) [][]WireValue {
 }
 
 // TestCodecAllocs is the gate for the kernel's cost model: encoding into a
-// warm buffer allocates nothing, and decoding allocates two per row — the
-// row and the one backing of its strings — plus five for the frame: its
-// two strings (or the response), the rows slice sized once from the first
-// row, the first row's trim, and the string scratch.
+// warm buffer allocates nothing, and decoding through the scratch a reader
+// keeps allocates a constant whatever the rows up to a block — the rows'
+// container, their one []Datum and their strings' one backing, and the
+// request's op and stream; a row of args no container.
 func TestCodecAllocs(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		rows  int
-		frame frame
-		into  func([]byte) error
-	}{
-		{"append request", 64, &Request{ID: 1, Op: "append", Stream: "events", Rows: benchRows(64)},
-			func(b []byte) error { return new(Request).UnmarshalJSON(b) }},
-		{"batch frame", 100, &Response{Batch: true, CQ: 1, Close: 60000000, Rows: benchRows(100)},
-			func(b []byte) error { return new(Response).UnmarshalJSON(b) }},
-	} {
-		buf, err := c.frame.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(20, func() { buf, _ = c.frame.AppendJSON(buf[:0]) }); n != 0 {
-			t.Errorf("%s: encoding into a warm buffer allocates %v, want 0", c.name, n)
-		}
-		bound := float64(2*c.rows + 5)
-		if n := testing.AllocsPerRun(20, func() {
-			if err := c.into(buf); err != nil {
+	var strs types.RowStrings
+	var req Request
+	var resp Response
+	for _, rows := range []int{1, 16, 256, types.BlockRows} {
+		for _, c := range []struct {
+			name  string
+			frame frame
+			into  func([]byte) error
+			want  float64
+		}{
+			{"append request", &Request{ID: 1, Op: "append", Stream: "events", Rows: benchRows(rows)},
+				func(b []byte) error { return req.decode(b, &strs) }, 5},
+			{"batch frame", &Response{Batch: true, CQ: 1, Close: 60000000, Rows: benchRows(rows)},
+				func(b []byte) error { return resp.decode(b, &strs) }, 3},
+		} {
+			buf, err := c.frame.AppendJSON(nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}); n > bound {
-			t.Errorf("%s: decoding allocates %v, want at most %v", c.name, n, bound)
-		} else {
-			t.Logf("%s: decode %v allocs for %d rows (bound %v)", c.name, n, c.rows, bound)
+			if n := testing.AllocsPerRun(10, func() { buf, _ = c.frame.AppendJSON(buf[:0]) }); n != 0 {
+				t.Errorf("%s: encoding into a warm buffer allocates %v, want 0", c.name, n)
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				if err := c.into(buf); err != nil {
+					t.Fatal(err)
+				}
+			}); n != c.want {
+				t.Errorf("%s of %d rows: decoding allocates %v, want %v", c.name, rows, n, c.want)
+			}
+		}
+	}
+	// A request's args are a batch of one row: its values and its strings'
+	// backing, with no container — beside the op and the SQL.
+	buf, _ := (&Request{ID: 1, Op: "query", SQL: "SELECT $1", Args: benchRows(1)[0]}).AppendJSON(nil)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := req.decode(buf, &strs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 4 {
+		t.Errorf("a query request with args: decoding allocates %v, want 4", n)
+	}
+}
+
+// TestHugeFrameKeepsNoScratch: a frame at the cap decodes, and the reader
+// keeps none of the scratch it grew for it past 1 MiB.
+func TestHugeFrameKeepsNoScratch(t *testing.T) {
+	row := []WireValue{types.NewString(strings.Repeat("x", 1000)), types.NewInt(1)}
+	rows := make([][]WireValue, (MaxFrameBytes-1024)/(len(appendRow(nil, row))+1))
+	for i := range rows {
+		rows[i] = row
+	}
+	frame, _ := (&Request{ID: 1, Op: "append", Rows: rows}).AppendJSON(nil)
+	if len(frame) > MaxFrameBytes || len(frame) < MaxFrameBytes-64<<10 {
+		t.Fatalf("a %d-byte frame, want just under %d", len(frame), MaxFrameBytes)
+	}
+	fr := NewFrameReader(bytes.NewReader(append(frame, '\n')))
+	var req Request
+	if err := fr.Read(&req); err != nil || len(req.Rows) != len(rows) || req.Rows[len(rows)-1][0].Str() != row[0].Str() {
+		t.Fatalf("%d rows, %v", len(req.Rows), err)
+	}
+	scratch := reflect.ValueOf(fr.strs)
+	for i := 0; i < scratch.NumField(); i++ {
+		if f := scratch.Field(i); f.Cap()*int(f.Type().Elem().Size()) > 1<<20 {
+			t.Errorf("the reader keeps %d bytes of scratch in %s", f.Cap()*int(f.Type().Elem().Size()), scratch.Type().Field(i).Name)
 		}
 	}
 }
@@ -367,7 +404,8 @@ func TestCodecAllocs(t *testing.T) {
 // reference rejects (the three non-finite forms excepted), and agrees with
 // it whenever both accept. From the input's first '[' on, the row decoder
 // must agree with the one it replaced (oracle_test.go), value for value and
-// error for error. The same bytes also seed a generated frame, which must
+// error for error, and the rows it accepts keep the ownership rule once the
+// bytes they came from are gone. The same bytes also seed a generated frame, which must
 // encode to the reference's bytes and decode back exactly.
 func FuzzWireFrame(f *testing.F) {
 	for _, c := range []string{
@@ -413,14 +451,21 @@ func FuzzWireFrame(f *testing.F) {
 		}
 
 		if i := bytes.IndexByte(data, '['); i >= 0 {
-			d, p := decoder{buf: data[i:]}, decoder{buf: data[i:]}
+			in := append([]byte(nil), data[i:]...)
+			d, p := decoder{buf: in, strs: new(types.RowStrings)}, decoder{buf: data[i:]}
 			got, err := d.readRows()
 			want, perr := p.parentReadRows()
 			if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) || d.pos != p.pos {
 				t.Fatalf("rows of %q: %v at %d, the decoder before says %v at %d", data[i:], err, d.pos, perr, p.pos)
 			}
 			if err == nil {
+				for j := range in {
+					in[j] = 0xFF
+				}
 				sameRows(t, got, want)
+				if err := types.CheckBatch(Rows(got)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"streamrel/internal/types"
 )
 
 // ErrFrameTooLarge reports a frame longer than MaxFrameBytes, read or
@@ -25,10 +27,12 @@ const readBufBytes = 64 << 10
 const retainBufBytes = 1 << 20
 
 // FrameReader reads newline-terminated frames, never holding more than
-// MaxFrameBytes (plus one bufio window) of a line.
+// MaxFrameBytes (plus one bufio window) of a line, and decodes them through
+// a row scratch it keeps from frame to frame.
 type FrameReader struct {
 	br    *bufio.Reader
 	spill []byte
+	strs  types.RowStrings
 }
 
 // NewFrameReader reads frames from r. A *bufio.Reader at least as large
@@ -39,12 +43,14 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Read decodes the next frame into f, a *Request or *Response.
-func (fr *FrameReader) Read(f interface{ UnmarshalJSON([]byte) error }) error {
+func (fr *FrameReader) Read(f interface {
+	decode([]byte, *types.RowStrings) error
+}) error {
 	line, err := fr.next()
 	if err != nil {
 		return err
 	}
-	return f.UnmarshalJSON(line)
+	return f.decode(line, &fr.strs)
 }
 
 // next returns the next frame without its newline, skipping blank lines.

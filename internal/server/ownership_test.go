@@ -1,10 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"math/rand"
-	"sort"
 	"testing"
-	"unsafe"
 
 	"streamrel/internal/types"
 )
@@ -44,54 +43,17 @@ func ownershipBatch(r *rand.Rand) [][]WireValue {
 	return rows
 }
 
-// checkOwnership is internal/types's check of the same name over wire
-// rows: exactly sized arrays, each row's non-empty strings end to end in
-// one backing, no memory shared between two rows.
-func checkOwnership(t *testing.T, rows [][]WireValue) {
-	t.Helper()
-	type span struct{ lo, hi uintptr }
-	var arrays, backings []span
-	for ri, row := range rows {
-		if cap(row) != len(row) {
-			t.Fatalf("row %d: cap %d, len %d", ri, cap(row), len(row))
-		}
-		if len(row) > 0 {
-			lo := uintptr(unsafe.Pointer(&row[0]))
-			arrays = append(arrays, span{lo, lo + uintptr(len(row))*unsafe.Sizeof(row[0])})
-		}
-		var b span
-		for ci, d := range row {
-			if d.Type() != types.TypeString || d.Str() == "" {
-				continue
-			}
-			p := uintptr(unsafe.Pointer(unsafe.StringData(d.Str())))
-			if b.lo == 0 {
-				b = span{p, p}
-			}
-			if p != b.hi {
-				t.Fatalf("row %d column %d: string is not where the row's backing continues", ri, ci)
-			}
-			b.hi += uintptr(len(d.Str()))
-		}
-		if b.hi-b.lo > 1 { // a one-byte string is the runtime's static one, not an allocation
-			backings = append(backings, b)
-		}
-	}
-	for _, spans := range [][]span{arrays, backings} {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].lo < spans[i-1].hi {
-				t.Fatalf("two rows share memory: %#x-%#x and %#x-%#x", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
-			}
-		}
-	}
-}
-
 // TestOwnershipJSON is the ownership rule over the wire codec: the rows of
-// a request and of a batch frame equal what the reference decoder reads,
-// survive the frame buffer being overwritten, and share memory with nothing.
+// a request and of a batch frame — and a request's args, a batch of their
+// own — equal what the reference decoder reads, survive the frame buffer
+// being overwritten, and are carved as the rule says (types.CheckBatch).
+// They are read the way a connection reads them, through one FrameReader and
+// its one scratch.
 func TestOwnershipJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
+	var stream bytes.Buffer
+	fr := NewFrameReader(&stream)
+	var kept, wanted [][][]WireValue
 	for batch := 0; batch < 2000; batch++ {
 		sent := ownershipBatch(r)
 		args := sent[r.Intn(len(sent))]
@@ -106,18 +68,17 @@ func TestOwnershipJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		stream.Write(append(buf, '\n'))
 		var got, want [][]WireValue
+		var gotArgs []WireValue
 		if batch%2 == 1 {
 			var resp Response
-			err = resp.UnmarshalJSON(buf)
+			err = fr.Read(&resp)
 			got = resp.Rows
 		} else {
 			var req Request
-			err = req.UnmarshalJSON(buf)
-			got = req.Rows
-			if args != nil {
-				got = append(got, req.Args)
-			}
+			err = fr.Read(&req)
+			got, gotArgs = req.Rows, req.Args
 		}
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
@@ -143,11 +104,20 @@ func TestOwnershipJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := range buf {
-			buf[i] = 0xFF
+		for _, b := range [][]types.Row{Rows(got), {gotArgs}} {
+			if err := types.CheckBatch(b); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
+			}
 		}
-		sameRows(t, got, want)
-		checkOwnership(t, got)
+		if gotArgs != nil {
+			got = append(got, gotArgs)
+		}
+		kept = append(kept, got)
+		wanted = append(wanted, want)
+	}
+	// Every later frame has overwritten the reader's buffer and its scratch.
+	for i := range kept {
+		sameRows(t, kept[i], wanted[i])
 	}
 }
 

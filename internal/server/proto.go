@@ -54,25 +54,26 @@
 // {"id":…,"error":…} and the connection stays up.
 //
 // Ownership, the one rule every row decoder keeps — this one, and
-// types.DecodeRow under the WAL reader and replication frames — so that
-// what outlives a frame pins nothing else: a decoded row is at most two
-// allocations, a []Datum sized to the row and one backing string holding all
-// of its VARCHAR payloads (types.RowStrings; none for a row without string
-// bytes), and it shares memory with no other row and no frame buffer. A
-// retained datum may so pin the other string bytes of its own row — a
-// window-state group key pins one row's strings per live group — never a
-// neighbour's or the frame's. Hence no per-frame arena, at a tenth of the
-// allocations: an archive or selective CQ that keeps one row in a thousand
-// keeps that row, not the 20 kB frame it came in nor its 255 neighbours.
+// types.RowStrings under the WAL reader and replication frames: a decoded
+// batch (a list of rows) is its container and, a block, one []Datum and one
+// string holding every VARCHAR payload — three allocations while it is one
+// block of at most types.BlockRows rows and 512 KiB of values and of strings;
+// a batch of one (a request's args, a per-row WAL record, a spilled row) has
+// no container. Each row is a full-capacity slice of its block, sharing memory
+// with no frame buffer and no other batch (types.CheckBatch). A retained row
+// pins its block, a heap segment's worth, as a live version its segment. Who may
+// keep a subset of a batch for long: the heap after DELETE or Vacuum, or a
+// base stream's REPLACE channel; MIN/MAX over VARCHAR, bounded by the window;
+// a client caller keeping a row of a result frame. A window-state group key
+// keeps nothing of its rows (ivm points it into the group's own key string).
 //
-// Placeholders, the rule beside it: while a row is being decoded each of its
-// VARCHAR columns is what types.RowStrings.Add returned — a length and no
-// bytes, which panics if read — and becomes a string only when the finished
-// row goes through RowStrings.Own. So a decoder never hands out, formats,
-// compares or encodes a datum of a row it has not finished: a row that
-// fails midway is dropped whole (value and readRow return no datum with
-// their error, types.DecodeRow no row, and the frame, record batch or event
-// above them nothing).
+// Placeholders, the rule beside it: while a batch is being decoded each
+// VARCHAR column is what types.RowStrings.Add returned — a length and no
+// bytes, which panics if read — and becomes a string only when the batch
+// ends. So a decoder never hands out, formats, compares or encodes a datum of
+// a batch it has not finished: a batch that fails midway is dropped whole
+// (value and readRows return no datum with their error, types.DecodeRow no
+// row, and the frame, record batch or event above them nothing).
 package server
 
 import "streamrel/internal/types"

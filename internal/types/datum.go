@@ -108,7 +108,7 @@ func (d Datum) int() int64   { return int64(d.n) }
 func (d Datum) flt() float64 { return math.Float64frombits(d.n) }
 
 // str is the string p and n describe. A RowStrings placeholder (p nil,
-// n > 0) panics here: it must never be read before Own.
+// n > 0) panics here: it must never be read before its batch ends.
 func (d Datum) str() string { return unsafe.String((*byte)(d.p), d.n) }
 
 // Null is the SQL NULL value.

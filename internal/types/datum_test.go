@@ -247,13 +247,13 @@ func TestEncodeDecodeQuick(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	strs := new(RowStrings)
-	if _, _, err := decodeDatum(nil, strs); err == nil {
+	if _, err := strs.Decode([]byte{2, byte(TypeInt), 2}); err == nil || err.Error() != "types: decode: empty buffer" {
 		t.Error("empty buffer should error")
 	}
-	if _, _, err := decodeDatum([]byte{byte(TypeString), 200}, strs); err == nil {
+	if _, err := strs.Decode([]byte{1, byte(TypeString), 200}); err == nil {
 		t.Error("truncated string should error")
 	}
-	if _, _, err := decodeDatum([]byte{99}, strs); err == nil {
+	if _, err := strs.Decode([]byte{1, 99}); err == nil {
 		t.Error("unknown tag should error")
 	}
 	if _, _, err := DecodeRow([]byte{}, strs); err == nil {

@@ -24,70 +24,130 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 	return buf
 }
 
-// RowStrings gives a row being decoded its one backing string (the
-// ownership rule: internal/server/proto.go). A decoder calls Add with each
-// VARCHAR payload as it meets it — the bytes are copied, so they may alias
-// a frame buffer — puts the placeholder it gets back in the row, and calls
-// Own on the finished row. The zero value is ready, and one value serves
-// any number of rows, reusing its scratch.
-type RowStrings struct{ scratch []byte }
+// BlockRows is the most rows a decoded block holds: a heap segment's worth
+// (storage's segRows), so a row kept alone pins no more than a segment does.
+// A block also ends once its values or its strings reach blockBytes, so the
+// scratch that carved it stays under the 1 MiB Reset keeps at any width.
+const BlockRows, blockBytes = 4096, 1 << 19
 
-// Add appends one string payload to the scratch. The datum it returns is a
-// placeholder — the payload's length and no bytes — that only Own may touch:
-// reading it (Str, String, Compare, encoding) panics. A decoder that fails
-// before Own drops the row.
+// blockFull says whether a block of n rows, vals values and strs string bytes ends there.
+func blockFull(n, vals, strs int) bool {
+	return n == BlockRows || 24*vals >= blockBytes || strs >= blockBytes
+}
+
+// RowStrings is the scratch of the reader that owns a decode (the ownership
+// rule: internal/server/proto.go). A decoder calls Reset, Push for each value
+// of a row — a VARCHAR as the placeholder Add returns, its payload copied, so
+// it may alias a frame buffer — and EndRow after each row; Rows ends the
+// batch. The zero value is ready, and one value serves any number of batches.
+type RowStrings struct {
+	vals    []Datum // the open block's values, VARCHARs as placeholders
+	ends    []int   // where each of its rows ends in vals
+	scratch []byte  // its VARCHAR payloads, end to end
+	done    []Row   // the rows of the batch's full blocks
+}
+
+// Add copies a string payload into the scratch and returns its placeholder,
+// its length and no bytes: reading it (Str, String, Compare, encoding) before
+// the batch ends panics, so a decoder that fails before then drops the batch.
 func (b *RowStrings) Add(p []byte) Datum {
 	b.scratch = append(b.scratch, p...)
 	return Datum{typ: TypeString, n: uint64(len(p))}
 }
 
-// Own makes the one string(scratch) — no allocation when no string had any
-// bytes — and points each placeholder of row, in column order, at its part
-// of it; a placeholder already carries its length in the word that keeps it.
-func (b *RowStrings) Own(row Row) {
-	backing := unsafe.Pointer(unsafe.StringData(string(b.scratch)))
-	b.scratch = b.scratch[:0]
-	off := 0
-	for i := range row {
-		if d := &row[i]; d.typ == TypeString && d.p == nil && d.n > 0 {
-			d.p = unsafe.Add(backing, off)
-			off += int(d.n)
-		}
+// Push appends a value to the row being decoded.
+func (b *RowStrings) Push(d Datum) { b.vals = append(b.vals, d) }
+
+// EndRow ends the row being decoded, and its block once the block is full.
+func (b *RowStrings) EndRow() {
+	if b.ends = append(b.ends, len(b.vals)); blockFull(len(b.ends), len(b.vals), len(b.scratch)) {
+		b.done = b.carve(b.done)
 	}
 }
 
-// decodeDatum decodes one datum from buf, returning it and the remaining
-// bytes; a string comes back as a placeholder of strs.
-func decodeDatum(buf []byte, strs *RowStrings) (Datum, []byte, error) {
-	if len(buf) == 0 {
-		return Null, nil, fmt.Errorf("types: decode: empty buffer")
+// Reset starts a batch, letting go of what the last one left (rows handed
+// out, a failed batch) and of every buffer if one has grown past 1 MiB (a
+// Datum and a Row are 24 bytes): one huge batch must not pin its size.
+func (b *RowStrings) Reset() {
+	if max(24*cap(b.vals), 24*cap(b.done), cap(b.scratch)) > 1<<20 {
+		*b = RowStrings{}
 	}
-	t := Type(buf[0])
-	buf = buf[1:]
-	switch t {
-	case TypeNull, TypeUnknown:
-		return Null, buf, nil
-	case TypeBool, TypeInt, TypeTimestamp, TypeInterval:
-		v, n := binary.Varint(buf)
-		if n <= 0 {
-			return Null, nil, fmt.Errorf("types: decode: bad varint")
-		}
-		return word(t, v), buf[n:], nil
-	case TypeFloat:
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return Null, nil, fmt.Errorf("types: decode: bad float")
-		}
-		return NewFloat(math.Float64frombits(v)), buf[n:], nil
-	case TypeString:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf[n:])) < l {
-			return Null, nil, fmt.Errorf("types: decode: bad string length")
-		}
-		return strs.Add(buf[n : n+int(l)]), buf[n+int(l):], nil
-	}
-	return Null, nil, fmt.Errorf("types: decode: unknown type tag %d", t)
+	clear(b.done)
+	b.vals, b.ends, b.scratch, b.done = b.vals[:0], b.ends[:0], b.scratch[:0], b.done[:0]
 }
+
+// Rows ends the batch and returns its rows in order, in an exactly sized slice.
+func (b *RowStrings) Rows() []Row {
+	defer b.Reset()
+	return b.carve(append(make([]Row, 0, len(b.done)+len(b.ends)), b.done...))
+}
+
+// Row ends a batch of one row and returns the row, with no container.
+func (b *RowStrings) Row() Row {
+	defer b.Reset()
+	b.done = b.carve(b.done)
+	return b.done[0]
+}
+
+// CheckBatch is the ownership tests' one check of a decoded batch: each row
+// a full-capacity slice, a block's rows end to end in one array and its
+// strings end to end in one backing, a block ending only where EndRow ends one.
+func CheckBatch(rows []Row) error {
+	var array, backing uintptr // where the open block's array and backing continue
+	var n, vals, strs int      // its rows, values and string bytes
+	for ri, row := range rows {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(row)))
+		if cap(row) != len(row) || len(row) > 0 && array != 0 && lo != array {
+			return fmt.Errorf("row %d (len %d, cap %d) is not where its block's array continues", ri, len(row), cap(row))
+		}
+		if len(row) > 0 {
+			array = lo + 24*uintptr(len(row))
+		}
+		for _, d := range row {
+			if d.typ == TypeString && d.n > 0 {
+				if backing != 0 && uintptr(d.p) != backing {
+					return fmt.Errorf("row %d: a string is not where its block's backing continues", ri)
+				}
+				backing, strs = uintptr(d.p)+uintptr(d.n), strs+int(d.n)
+			}
+		}
+		if n, vals = n+1, vals+len(row); blockFull(n, vals, strs) {
+			array, backing, n, vals, strs = 0, 0, 0, 0, 0
+		}
+	}
+	return nil
+}
+
+// carve appends the open block's rows to dst: one exactly sized []Datum and
+// one string of their payloads (neither allocated when empty), each
+// placeholder pointed at its part of the string, each row a full-capacity
+// subslice, so appending to one never reaches its neighbour.
+func (b *RowStrings) carve(dst []Row) []Row {
+	vals := make([]Datum, len(b.vals))
+	copy(vals, b.vals)
+	backing := unsafe.Pointer(unsafe.StringData(string(b.scratch)))
+	for i, off := 0, 0; i < len(vals); i++ {
+		if d := &vals[i]; d.typ == TypeString && d.p == nil && d.n > 0 {
+			d.p, off = unsafe.Add(backing, off), off+int(d.n)
+		}
+	}
+	start := 0
+	for _, end := range b.ends {
+		dst, start = append(dst, vals[start:end:end]), end
+	}
+	if Poison {
+		clear(b.vals[:cap(b.vals)])
+		clear(b.scratch[:cap(b.scratch)])
+	}
+	b.vals, b.ends, b.scratch = b.vals[:0], b.ends[:0], b.scratch[:0]
+	return dst
+}
+
+// Poison is the use-after-release check, on under the build tag poison (make
+// poison) and in internal/exec's tests: a decoder zeroes its scratch once a
+// block is carved from it, and a join overwrites the rows it takes back, so
+// a row kept past its release reads garbage at once.
+var Poison bool
 
 // EncodeRow appends a length-prefixed encoding of the row to buf.
 func EncodeRow(buf []byte, r Row) []byte {
@@ -105,32 +165,61 @@ func EncodeRow(buf []byte, r Row) []byte {
 // exactly; beyond, it grows geometrically as elements actually decode.
 const MaxPresize = 1024
 
-// DecodeRow decodes one row from buf, returning it and the remaining
-// bytes. The row is an exactly sized []Datum plus the one backing string
-// strs makes for it; it aliases neither buf nor any other row.
-func DecodeRow(buf []byte, strs *RowStrings) (Row, []byte, error) {
+// Decode decodes one row from buf into the batch b is decoding, a VARCHAR
+// as a placeholder, and returns the bytes behind it.
+func (b *RowStrings) Decode(buf []byte) ([]byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("types: decode row: bad length")
+		return nil, fmt.Errorf("types: decode row: bad length")
 	}
 	buf = buf[k:]
 	// Each datum occupies at least one byte, so a column count beyond the
 	// remaining bytes is corrupt input.
 	if n > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("types: decode row: length exceeds payload")
+		return nil, fmt.Errorf("types: decode row: length exceeds payload")
 	}
-	strs.scratch = strs.scratch[:0] // a row that failed half-way left its strings
-	row := make(Row, 0, min(n, MaxPresize))
 	for ; n > 0; n-- {
-		d, rest, err := decodeDatum(buf, strs)
-		if err != nil {
-			return nil, nil, err
+		if len(buf) == 0 {
+			return nil, fmt.Errorf("types: decode: empty buffer")
 		}
-		row, buf = append(row, d), rest
+		t, v, k := Type(buf[0]), uint64(0), 0
+		switch buf = buf[1:]; t {
+		case TypeNull, TypeUnknown:
+			b.Push(Null)
+		case TypeBool, TypeInt, TypeTimestamp, TypeInterval:
+			var i int64
+			if i, k = binary.Varint(buf); k <= 0 {
+				return nil, fmt.Errorf("types: decode: bad varint")
+			}
+			b.Push(word(t, i))
+		case TypeFloat:
+			if v, k = binary.Uvarint(buf); k <= 0 {
+				return nil, fmt.Errorf("types: decode: bad float")
+			}
+			b.Push(NewFloat(math.Float64frombits(v)))
+		case TypeString:
+			if v, k = binary.Uvarint(buf); k <= 0 || uint64(len(buf[k:])) < v {
+				return nil, fmt.Errorf("types: decode: bad string length")
+			}
+			b.Push(b.Add(buf[k : k+int(v)]))
+			k += int(v)
+		default:
+			return nil, fmt.Errorf("types: decode: unknown type tag %d", t)
+		}
+		buf = buf[k:]
 	}
-	if cap(row) > len(row) {
-		row = row.Clone()
+	b.EndRow()
+	return buf, nil
+}
+
+// DecodeRow decodes one row from buf, a batch of one, returning it and the
+// remaining bytes: an exactly sized []Datum and one backing string for its
+// VARCHARs, aliasing neither buf nor strs.
+func DecodeRow(buf []byte, strs *RowStrings) (Row, []byte, error) {
+	strs.Reset()
+	rest, err := strs.Decode(buf)
+	if err != nil {
+		return nil, nil, err
 	}
-	strs.Own(row)
-	return row, buf, nil
+	return strs.Row(), rest, nil
 }

@@ -443,13 +443,15 @@ var modelSpecs = func() []spec {
 // the one backing a RowStrings makes, so each is a substring of it.
 func owned(ps ...pair) []pair {
 	var strs RowStrings
-	row := make(Row, len(ps))
-	for i, p := range ps {
-		if row[i] = p.d; p.o.typ == TypeString {
-			row[i] = strs.Add([]byte(p.o.s))
+	for _, p := range ps {
+		d := p.d
+		if p.o.typ == TypeString {
+			d = strs.Add([]byte(p.o.s))
 		}
+		strs.Push(d)
 	}
-	strs.Own(row)
+	strs.EndRow()
+	row := strs.Rows()[0]
 	out := make([]pair, len(ps))
 	for i, p := range ps {
 		out[i] = pair{row[i], p.o}

@@ -1,14 +1,13 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
-	"unsafe"
 )
 
 // The binary decoder this package had until rows got a backing string of
@@ -95,88 +94,57 @@ func ownershipBatch(r *rand.Rand) []Row {
 	return rows
 }
 
-// checkOwnership requires what the rule in internal/server/proto.go says of
-// rows decoded together: each row is exactly its own []Datum, its non-empty
-// strings lie end to end in one backing (so the backing is as long as their
-// sum), and neither the arrays nor the backings of two rows overlap.
-func checkOwnership(t *testing.T, rows []Row) {
-	t.Helper()
-	type span struct{ lo, hi uintptr }
-	var arrays, backings []span
-	for ri, row := range rows {
-		if cap(row) != len(row) {
-			t.Fatalf("row %d: cap %d, len %d", ri, cap(row), len(row))
-		}
-		if len(row) > 0 {
-			lo := uintptr(unsafe.Pointer(&row[0]))
-			arrays = append(arrays, span{lo, lo + uintptr(len(row))*unsafe.Sizeof(row[0])})
-		}
-		var b span
-		for ci, d := range row {
-			if d.Type() != TypeString || d.Str() == "" {
-				continue
-			}
-			p := uintptr(unsafe.Pointer(unsafe.StringData(d.Str())))
-			if b.lo == 0 {
-				b = span{p, p}
-			}
-			if p != b.hi {
-				t.Fatalf("row %d column %d: string is not where the row's backing continues", ri, ci)
-			}
-			b.hi += uintptr(len(d.Str()))
-		}
-		if b.hi-b.lo > 1 { // a one-byte string is the runtime's static one, not an allocation
-			backings = append(backings, b)
-		}
-	}
-	for _, spans := range [][]span{arrays, backings} {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].lo < spans[i-1].hi {
-				t.Fatalf("two rows share memory: %#x-%#x and %#x-%#x", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
-			}
-		}
-	}
-}
-
-// TestOwnershipBinary is the ownership rule over the binary codec: rows
-// decoded out of one buffer equal what the reference decodes, survive the
-// buffer being overwritten, and share memory with nothing.
+// TestOwnershipBinary is the ownership rule over the binary codec: a batch
+// decoded out of one buffer equals what the reference decodes, survives the
+// buffer being overwritten, and is carved as the rule says (CheckBatch) — a
+// batch more than a block long now and then.
 func TestOwnershipBinary(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	var strs RowStrings
 	for batch := 0; batch < 2000; batch++ {
 		want := ownershipBatch(r)
+		for batch%500 == 0 && len(want) <= BlockRows {
+			want = append(want, want...)
+		}
 		var buf []byte
 		for _, row := range want {
 			buf = EncodeRow(buf, row)
 		}
-		got := make([]Row, 0, len(want))
+		var owant []Row
+		strs.Reset()
 		rest, orest := buf, buf
 		for range want {
-			var row, orow Row
+			var orow Row
 			var err, oerr error
-			row, rest, err = DecodeRow(rest, &strs)
+			rest, err = strs.Decode(rest)
 			orow, orest, oerr = oracleDecodeRow(orest)
-			if err != nil || oerr != nil || len(rest) != len(orest) || !row.Equal(orow) {
-				t.Fatalf("batch %d: got %v (%v), reference %v (%v)", batch, row, err, orow, oerr)
+			if err != nil || oerr != nil || len(rest) != len(orest) {
+				t.Fatalf("batch %d: %v, reference %v", batch, err, oerr)
 			}
-			got = append(got, row)
+			owant = append(owant, orow)
 		}
+		got := strs.Rows()
 		for i := range buf {
 			buf[i] = 0xFF
 		}
+		if len(got) != len(want) || cap(got) != len(got) {
+			t.Fatalf("batch %d: %d rows (cap %d), want %d", batch, len(got), cap(got), len(want))
+		}
 		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("batch %d row %d changed with the frame buffer: %v, want %v", batch, i, got[i], want[i])
+			if !got[i].Equal(owant[i]) || !got[i].Equal(want[i]) {
+				t.Fatalf("batch %d row %d: %v, reference %v, sent %v", batch, i, got[i], owant[i], want[i])
 			}
 		}
-		checkOwnership(t, got)
+		if err := CheckBatch(got); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
 	}
 }
 
-// TestDecodeRowAllocs pins the rule's cost: a row is its []Datum plus, if
-// it has any string bytes, one backing string — whatever its width.
+// TestDecodeRowAllocs pins the rule's cost: a batch is its container and, a
+// block, one []Datum plus, if it has any string bytes, one backing string —
+// whatever its rows' width and number; a row alone is a batch of one with no
+// container. Wide rows fill a block by bytes long before BlockRows.
 func TestDecodeRowAllocs(t *testing.T) {
 	var strs RowStrings
 	for _, width := range []int{1, 4, 16, 200} {
@@ -199,14 +167,43 @@ func TestDecodeRowAllocs(t *testing.T) {
 			for i := range row {
 				row[i] = c.fill(i)
 			}
-			buf := EncodeRow(nil, row)
-			DecodeRow(buf, &strs) // grow the scratch
+			one := EncodeRow(nil, row)
+			DecodeRow(one, &strs) // grow the scratch
 			if n := testing.AllocsPerRun(50, func() {
-				if _, _, err := DecodeRow(buf, &strs); err != nil {
+				if _, _, err := DecodeRow(one, &strs); err != nil {
 					t.Fatal(err)
 				}
 			}); n != c.want {
-				t.Errorf("width %d, %s: %v allocations, want %v", width, c.name, n, c.want)
+				t.Errorf("width %d, %s: a row alone allocates %v times, want %v", width, c.name, n, c.want)
+			}
+			strBytes := 0
+			for _, d := range row {
+				if d.Type() == TypeString {
+					strBytes += len(d.Str())
+				}
+			}
+			for _, rows := range []int{1, 16, 256, BlockRows} {
+				blocks, n := 1, 0
+				for i := 1; i < rows; i++ {
+					if n++; blockFull(n, n*width, n*strBytes) {
+						blocks, n = blocks+1, 0
+					}
+				}
+				buf := bytes.Repeat(one, rows)
+				decode := func() {
+					strs.Reset()
+					for rest := buf; len(rest) > 0; {
+						var err error
+						if rest, err = strs.Decode(rest); err != nil {
+							t.Fatal(err)
+						}
+					}
+					strs.Rows()
+				}
+				decode() // grow the scratch
+				if n, want := testing.AllocsPerRun(10, decode), 1+float64(blocks)*c.want; n != want {
+					t.Errorf("width %d, %s: a batch of %d rows in %d blocks allocates %v times, want %v", width, c.name, rows, blocks, n, want)
+				}
 			}
 		}
 	}
@@ -251,8 +248,8 @@ func TestDecodeRowCorruptCountAllocs(t *testing.T) {
 }
 
 // TestDecodeRowDropsPlaceholders is the placeholder rule (internal/server/
-// proto.go) for this decoder: until Own, a VARCHAR column is a length with
-// no bytes, which panics if read, so a row that fails after one — cut short
+// proto.go) for this decoder: until its batch ends, a VARCHAR column is a
+// length with no bytes, which panics if read, so a row that fails after one — cut short
 // anywhere, or any byte of it replaced — must come back as no row at all,
 // and a row that still decodes must read; the RowStrings then serves the
 // next row as if nothing had happened.

@@ -233,3 +233,17 @@ func (r Row) AppendKey(dst []byte) []byte {
 // Key returns the row's grouping key as a string, for cold callers that
 // do not keep a buffer.
 func (r Row) Key() string { return string(r.AppendKey(nil)) }
+
+// ShareKey points each VARCHAR of r at its bytes inside key, which must be
+// r's key: a row kept beside its key string then holds no string bytes of its
+// own, nor any of the row it was evaluated from.
+func (r Row) ShareKey(key string) {
+	var buf [9]byte // the longest key of a datum with no string
+	for i, off := 0, 0; i < len(r); i++ {
+		if d := r[i]; d.typ == TypeString {
+			r[i], off = NewString(key[off+10:off+10+int(d.n)]), off+10+int(d.n)
+		} else {
+			off += len(d.AppendKey(buf[:0]))
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestRowKeyGolden pins the key encoding byte for byte. The bytes were
@@ -204,6 +205,18 @@ func checkRowKey(t *testing.T, a, b Row) {
 	// argument: a key determines its width).
 	if len(a) > 0 && bytes.Equal(a[:len(a)-1].AppendKey(nil), ka) {
 		t.Fatalf("row %v keys like its own prefix", a)
+	}
+	// ShareKey leaves the values as they were and every string inside the key.
+	key, shared := string(ka), a.Clone()
+	shared.ShareKey(key)
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(key)))
+	for i, d := range shared {
+		if !d.Equal(a[i]) {
+			t.Fatalf("row %v: column %d is %v after ShareKey", a, i, d)
+		}
+		if d.typ == TypeString && d.n > 0 && (uintptr(d.p) < lo || uintptr(d.p)+uintptr(d.n) > lo+uintptr(len(key))) {
+			t.Fatalf("row %v: column %d is not inside its key after ShareKey", a, i)
+		}
 	}
 }
 

@@ -150,8 +150,9 @@ func TestUnknownRecordKindIsAnError(t *testing.T) {
 // FuzzDecodeRecords checks the batch decoder never panics or
 // over-allocates on arbitrary bytes, agrees with the decoder it replaced
 // (ownership_test.go) error for error and value for value, that valid
-// encodings round-trip, and that a batch of run-shaped inserts, expanded, is
-// what the per-row batch of the same rows decodes to.
+// encodings round-trip, that a batch of run-shaped inserts, expanded, is
+// what the per-row batch of the same rows decodes to, and that every record's
+// rows keep the ownership rule once data is gone.
 func FuzzDecodeRecords(f *testing.F) {
 	seed := [][]Record{
 		{{Kind: RecDDL, SQL: "CREATE TABLE t (a bigint)"}},
@@ -194,5 +195,12 @@ func FuzzDecodeRecords(f *testing.F) {
 			data[i] = 0xFF
 		}
 		sameRecords(t, Expand(recs), perRow)
+		for _, r := range recs {
+			for _, batch := range [][]types.Row{r.Rows, {r.Row}} {
+				if err := types.CheckBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	})
 }

@@ -533,6 +533,7 @@ func ReplayFrom(path string, offset int64, apply func([]Record) error) (int64, e
 	rd := bufio.NewReaderSize(f, 1<<20)
 	end := offset
 	var hdr [8]byte
+	var strs types.RowStrings
 	for {
 		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 			return end, nil // EOF or torn header
@@ -549,7 +550,7 @@ func ReplayFrom(path string, offset int64, apply func([]Record) error) (int64, e
 		if crc32.ChecksumIEEE(payload) != crc {
 			return end, nil // corrupt batch: treat as uncommitted tail
 		}
-		recs, err := DecodeRecords(payload)
+		recs, err := ReadRecords(payload, &strs)
 		if err != nil {
 			return end, fmt.Errorf("wal: %s: batch at offset %d: %w", path, end, err)
 		}
@@ -625,7 +626,7 @@ func AppendRowList(buf []byte, rows []types.Row) []byte {
 // ReadRows decodes what AppendRows wrote into r and returns the bytes behind
 // it. The runs cover exactly the rows; the bytes that remain bound both counts
 // (a run is two at least, a row one); an empty or wrapping run is malformed.
-func ReadRows(buf []byte, r *Record) (rest []byte, err error) {
+func ReadRows(buf []byte, r *Record, strs *types.RowStrings) (rest []byte, err error) {
 	if r.Table, buf, err = ReadString(buf, ""); err != nil {
 		return nil, err
 	}
@@ -646,28 +647,25 @@ func ReadRows(buf []byte, r *Record) (rest []byte, err error) {
 		covered += run.N
 		r.Runs = append(r.Runs, run)
 	}
-	if r.Rows, buf, err = ReadRowList(buf); err == nil && uint64(len(r.Rows)) != covered {
+	if r.Rows, buf, err = ReadRowList(buf, strs); err == nil && uint64(len(r.Rows)) != covered {
 		err = fmt.Errorf("wal: RowID runs cover %d rows of %d", covered, len(r.Rows))
 	}
 	return buf, err
 }
 
-// ReadRowList decodes a row count and the rows (owned: server/proto.go).
-func ReadRowList(buf []byte) ([]types.Row, []byte, error) {
+// ReadRowList decodes a row count and the rows, one batch of strs (server/proto.go).
+func ReadRowList(buf []byte, strs *types.RowStrings) ([]types.Row, []byte, error) {
 	n, buf, err := ReadUvarint(buf)
 	if err != nil || n > uint64(len(buf)) {
 		return nil, nil, errors.New("wal: bad row count")
 	}
-	rows := make([]types.Row, 0, min(n, types.MaxPresize))
-	var strs types.RowStrings
+	strs.Reset()
 	for ; n > 0; n-- {
-		var row types.Row
-		if row, buf, err = types.DecodeRow(buf, &strs); err != nil {
+		if buf, err = strs.Decode(buf); err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, row)
 	}
-	return rows, buf, nil
+	return strs.Rows(), buf, nil
 }
 
 // DecodeRecords parses a WAL payload produced by AppendRecords. Arbitrary
@@ -676,7 +674,10 @@ func ReadRowList(buf []byte) ([]types.Row, []byte, error) {
 // over behind the last record. Rows obey the ownership rule in
 // internal/server/proto.go; consecutive per-row records naming one table
 // share one Table string.
-func DecodeRecords(buf []byte) ([]Record, error) {
+func DecodeRecords(buf []byte) ([]Record, error) { return ReadRecords(buf, new(types.RowStrings)) }
+
+// ReadRecords is DecodeRecords through the scratch of the reader that owns the decode.
+func ReadRecords(buf []byte, strs *types.RowStrings) ([]Record, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
 		return nil, errors.New("wal: bad record count")
@@ -688,7 +689,6 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 		return nil, errors.New("wal: record count exceeds payload")
 	}
 	recs := make([]Record, 0, min(n, types.MaxPresize))
-	var strs types.RowStrings
 	var table string // of the previous record that named one
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
@@ -711,10 +711,10 @@ func DecodeRecords(buf []byte) ([]Record, error) {
 				r.RowID, buf, err = ReadUvarint(buf)
 			}
 			if err == nil && r.Kind == RecInsert {
-				r.Row, buf, err = types.DecodeRow(buf, &strs)
+				r.Row, buf, err = types.DecodeRow(buf, strs)
 			}
 		case RecRows:
-			buf, err = ReadRows(buf, &r)
+			buf, err = ReadRows(buf, &r, strs)
 		default:
 			return nil, fmt.Errorf("wal: unknown record kind %d", r.Kind)
 		}

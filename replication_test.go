@@ -2,6 +2,7 @@ package streamrel
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -244,55 +245,59 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestReplicaArchiveApplyAllocs: decoding a KindArchive frame and applying it
-// costs a follower the decoded row's two allocations (its values, its
-// strings' bytes) and a per-event constant — the one row serves the heap, the
-// stream and this engine's own ring; no wal.Record is decoded, so the row is
-// not decoded a second time.
+// TestReplicaArchiveApplyAllocs: reading a KindArchive frame through the
+// Reader a replica keeps and applying it costs a follower a per-event constant
+// whatever its rows — the decoded batch (container, values, strings), the
+// event, its runs and the apply's own: the one batch serves the heap, the
+// stream and this engine's own ring, and no wal.Record is decoded, so no row
+// is decoded a second time.
 func TestReplicaArchiveApplyAllocs(t *testing.T) {
-	e, err := Open(Config{Replicate: true, TraceSampleEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.ExecScript(`
-		CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar, bytes bigint);
-		CREATE TABLE archive (url varchar, atime timestamp, client_ip varchar, bytes bigint);
-		CREATE CHANNEL archive_ch FROM hits INTO archive APPEND;`); err != nil {
-		t.Fatal(err)
-	}
-	e.BeginReplica()
-	const runs = 40
-	base := MustTimestamp("2009-01-04 00:00:00")
-	frames := make([][]byte, runs+3)
-	for i := range frames {
-		frames[i] = repl.AppendFrame(nil, &repl.Event{Kind: repl.KindArchive, LSN: uint64(i + 1), Stream: "hits", Table: "archive",
-			Rows: hitRows(base, i*allocBatch, allocBatch), Runs: []wal.RowIDRun{{First: uint64(i * allocBatch), N: allocBatch}}})
-	}
-	idx := 0
-	apply := func() {
-		ev, err := repl.DecodeEvent(frames[idx][8:]) // past length and CRC
+	perEvent := func(rows int) float64 {
+		e, err := Open(Config{Replicate: true, TraceSampleEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.Recs != nil {
-			t.Fatal("an archive event decoded WAL records")
-		}
-		if err := e.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace); err != nil {
+		defer e.Close()
+		if err := e.ExecScript(`
+			CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar, bytes bigint);
+			CREATE TABLE archive (url varchar, atime timestamp, client_ip varchar, bytes bigint);
+			CREATE CHANNEL archive_ch FROM hits INTO archive APPEND;`); err != nil {
 			t.Fatal(err)
 		}
-		idx++
+		e.BeginReplica()
+		const runs, events = 40, 40 + 3
+		base := MustTimestamp("2009-01-04 00:00:00")
+		var frames []byte
+		for i := 0; i < events; i++ {
+			frames = repl.AppendFrame(frames, &repl.Event{Kind: repl.KindArchive, LSN: uint64(i + 1), Stream: "hits", Table: "archive",
+				Rows: hitRows(base, i*rows, rows), Runs: []wal.RowIDRun{{First: uint64(i * rows), N: uint64(rows)}}})
+		}
+		r := repl.NewReader(bufio.NewReaderSize(bytes.NewReader(frames), 1<<20))
+		apply := func() {
+			ev, err := r.ReadEvent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Recs != nil {
+				t.Fatal("an archive event decoded WAL records")
+			}
+			if err := e.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apply()
+		apply()
+		n := testing.AllocsPerRun(runs, apply)
+		expectData(t, mustQuery(t, e, `SELECT count(*) FROM archive`), fmt.Sprint(events*rows))
+		return n
 	}
-	apply()
-	apply()
-	perEvent := testing.AllocsPerRun(runs, apply)
-	t.Logf("decode + apply: %.1f allocations per %d-row event, %.3f per row", perEvent, allocBatch, perEvent/allocBatch)
-	const perEventBudget = 10
-	if perEvent > 2*allocBatch+perEventBudget {
-		t.Fatalf("decoding and applying a %d-row archive event allocates %.1f times, want at most 2 per row + %d",
-			allocBatch, perEvent, perEventBudget)
+	small, large := perEvent(allocBatch), perEvent(4*allocBatch)
+	t.Logf("read + apply: %.1f allocations per %d-row event, %.1f per %d-row event", small, allocBatch, large, 4*allocBatch)
+	const perEventBudget = 12
+	if small > perEventBudget || large > small+0.5 {
+		t.Fatalf("reading and applying an archive event allocates %.1f times at %d rows and %.1f at %d: want a constant, at most %d",
+			small, allocBatch, large, 4*allocBatch, perEventBudget)
 	}
-	expectData(t, mustQuery(t, e, `SELECT count(*) FROM archive`), fmt.Sprint(len(frames)*allocBatch))
 }
 
 // TestMarkMovesWithTheStatement: a follower's checkpoint may fall between its
