@@ -52,12 +52,14 @@ cover:
 # between the commits of pool workers (TestCheckpointUnderWorkers); paired
 # stores (VISIBLE no multiple of ADVANCE) fire beside the others in
 # TestFireRowsStayValid, TestEnrichEquivalenceReexec (store ≡ StateMerge ≡
-# StateReexec) and TestIVMParallelRetraction at ParallelCQ 0 and 4. The storage
+# StateReexec) and TestIVMParallelRetraction at ParallelCQ 0 and 4, and an
+# enrichment post stage's kept build side with writers in flight across the
+# closes (TestEnrichKeptBuildUnderWriters, ≡ StateReexec). The storage
 # package also holds the run insert to its one lock acquisition there
 # (TestInsertRunTakesTheLockOnce: a concurrent reader finds whole runs only).
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestIVMParallelRetraction' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction' .
 
 # alloc-pins runs the ownership property (a decoded batch is its container and
 # two allocations a block — its values, its strings — where a block is at most
@@ -77,7 +79,9 @@ drain-policies:
 # server's row containers are views of the engine's, TestRowsViewAllocs), in
 # the operators (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup) and in
 # the window-state store (first touch of a (slice, group) ≤ 0.1 allocations
-# amortized; an enrichment fire independent of window rows; a fire two
+# amortized; an enrichment fire independent of window rows, over the build side
+# its post stage kept, and paying for the build again after a table write;
+# HashJoin.Open over a kept side nothing; a fire two
 # allocations, on a paired store too, and O(touched) bytes, and what its shared
 # rows keep reachable at most two copies of the window; an aggregate over a
 # table scan O(groups) bytes, over a join O(build side)) by name and without

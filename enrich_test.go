@@ -6,6 +6,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamrel/internal/exec"
+	"streamrel/internal/storage"
+	"streamrel/internal/types"
 )
 
 // enrichQueries is the enrichment-shape CQ set (stream hits joined to the
@@ -210,8 +214,10 @@ func TestEnrichSharesStore(t *testing.T) {
 }
 
 // TestEnrichExplain is the table of eligibility rules: the enrichment shape
-// names its pre-aggregation on EXPLAIN's state line, and each near-miss
-// re-executes with the rule it failed.
+// names its pre-aggregation on EXPLAIN's state line, and the tables whose
+// build sides its post stage keeps between closes — a bare table's, not one
+// under a table-only filter or keyed by the close's clock — and each
+// near-miss re-executes with the rule it failed.
 func TestEnrichExplain(t *testing.T) {
 	e := openMem(t)
 	mustExec(t, e, `CREATE STREAM hits (url varchar, at timestamp CQTIME USER, bytes bigint)`)
@@ -220,9 +226,13 @@ func TestEnrichExplain(t *testing.T) {
 	const w = `hits h <VISIBLE '1 minute' ADVANCE '10 seconds'>`
 	for _, c := range []struct{ q, mode, state string }{
 		{`SELECT u.category, count(*), sum(h.bytes) FROM ` + w + `, urls u WHERE h.url = u.url AND h.bytes > 5 GROUP BY u.category`,
-			"incremental", `|G:url;|A:count(*);sum(bytes);@10000000 pre-aggregated by (url) below join urls view 1m0s (materialized), 0 members`},
+			"incremental", `|G:url;|A:count(*);sum(bytes);@10000000 pre-aggregated by (url) below join urls (build side of urls kept between closes) view 1m0s (materialized), 0 members`},
 		{`SELECT u.category, h.bytes % 2, max(h.bytes) FROM ` + w + ` JOIN urls u ON h.url = u.url GROUP BY u.category, h.bytes % 2`,
-			"incremental", `pre-aggregated by (url, (bytes % 2)) below join urls`},
+			"incremental", `pre-aggregated by (url, (bytes % 2)) below join urls (build side of urls kept between closes)`},
+		{`SELECT u.category, count(*) FROM ` + w + `, urls u WHERE h.url = u.url AND u.weight > 1 GROUP BY u.category`,
+			"incremental", `pre-aggregated by (url) below join urls view 1m0s`},
+		{`SELECT u.category, count(*) FROM ` + w + `, urls u WHERE h.bytes = u.weight + hour(now()) GROUP BY u.category`,
+			"incremental", `pre-aggregated by (bytes) below join urls view 1m0s`},
 		{`SELECT u.category, count(*) FROM ` + w + ` LEFT JOIN urls u ON h.url = u.url GROUP BY u.category`,
 			"reexec", `(LEFT JOIN: only inner joins aggregate below the join)`},
 		{`SELECT u.category, sum(u.weight) FROM ` + w + `, urls u WHERE h.url = u.url GROUP BY u.category`,
@@ -256,5 +266,172 @@ func TestEnrichExplain(t *testing.T) {
 		if !strings.Contains(plan, "mode: "+c.mode+"\n") || !strings.Contains(plan, c.state) {
 			t.Errorf("EXPLAIN misses %q / %q:\n%s", "mode: "+c.mode, c.state, plan)
 		}
+	}
+}
+
+// keptBuildOf returns where cq's post stage keeps the build side of its join.
+func keptBuildOf(t *testing.T, cq *CQ) *exec.JoinBuild {
+	t.Helper()
+	for op := cq.pipe.Plan().StreamAgg.PostBuild(nil); ; {
+		switch o := op.(type) {
+		case *exec.HashJoin:
+			if o.Keep == nil {
+				t.Fatal("the post stage's join keeps no build side")
+			}
+			return o.Keep
+		case *exec.HashAgg:
+			op = o.Child
+		case *exec.Project:
+			op = o.Child
+		case *exec.Filter:
+			op = o.Child
+		default:
+			t.Fatalf("no join in the post stage: %T", op)
+			return nil
+		}
+	}
+}
+
+// TestEnrichKeptBuildUnderWriters: a post stage that keeps its build side
+// between closes sees the dimension table as every close's snapshot does,
+// with writers in flight across the closes — byte-identical to re-execution,
+// which builds afresh at every close, at ParallelCQ 0 and 4. An uncommitted
+// insert of a matching row and an uncommitted delete are excluded from the
+// close they span and included in the first after their commit; a delete
+// that aborts changes nothing in the output, but its undoing moves the
+// table's generation, so the next close builds again; and while a
+// transaction that began before the table's last write is still in flight,
+// no snapshot decides the table's stamps and closes build afresh.
+func TestEnrichKeptBuildUnderWriters(t *testing.T) {
+	run := func(e *Engine, store bool) []string {
+		mustExec(t, e, `CREATE STREAM hits (url varchar, at timestamp CQTIME USER, bytes bigint)`)
+		mustExec(t, e, `CREATE TABLE urls (url varchar, category varchar)`)
+		mustExec(t, e, `INSERT INTO urls VALUES ('/u0', 'news'), ('/u1', 'shop'), ('/u2', 'video')`)
+		cq, err := e.Subscribe(`SELECT u.category, count(*) AS n, sum(h.bytes) AS total
+			FROM hits h <VISIBLE '10 seconds' ADVANCE '10 seconds'>, urls u WHERE h.url = u.url GROUP BY u.category`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cq.Close()
+		urls, _ := e.cat.Table("urls")
+		rid := func(url string) (id storage.RowID) {
+			urls.Heap.Scan(e.mgr.SnapshotNow(), func(r storage.RowID, row types.Row) bool {
+				if row[0].Str() == url {
+					id = r
+				}
+				return true
+			})
+			return id
+		}
+		var out []string
+		// fire appends window k's hits — one per url, /u5 matching nothing —
+		// closes it, and checks that the fire contains and lacks what it must
+		// and whether it left a side kept at the table's generation.
+		fire := func(k int, has, lacks string, fresh bool) {
+			t.Helper()
+			base := time.UnixMicro(ivmBase).Add(time.Duration(k) * 10 * time.Second)
+			for i := 0; i < 6; i++ {
+				row := Row{String(fmt.Sprintf("/u%d", i)), Timestamp(base.Add(time.Duration(i) * time.Second)), Int(int64(i))}
+				if err := e.Append("hits", row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.AdvanceTime("hits", base.Add(10*time.Second))
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got := collectBatches(t, cq)
+			if len(got) != 1 || !strings.Contains(got[0], has) || lacks != "" && strings.Contains(got[0], lacks) {
+				t.Fatalf("close %d fired %q, want one batch with %q and without %q", k, got, has, lacks)
+			}
+			out = append(out, got...)
+			if !store {
+				return
+			}
+			keptGen, _ := keptBuildOf(t, cq).Kept()
+			if gen, _ := urls.Heap.Stamp(); (keptGen != gen) != fresh {
+				t.Fatalf("close %d: kept side at generation %d, the table at %d; want it left stale %v", k, keptGen, gen, fresh)
+			}
+		}
+		fire(0, "|news|", "", false)
+
+		w := e.beginWrite()
+		if err := w.insert(urls, nil, []types.Row{{types.NewString("/u3"), types.NewString("games")}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.deleteRow(urls, rid("/u0")); err != nil {
+			t.Fatal(err)
+		}
+		fire(1, "|news|", "games", true)
+		if err := w.commit(); err != nil {
+			t.Fatal(err)
+		}
+		fire(2, "|games|", "news", false)
+
+		w = e.beginWrite()
+		if err := w.deleteRow(urls, rid("/u1")); err != nil {
+			t.Fatal(err)
+		}
+		fire(3, "|shop|", "", true)
+		before, _ := urls.Heap.Stamp()
+		w.fail(fmt.Errorf("rolled back"))
+		if after, _ := urls.Heap.Stamp(); after == before {
+			t.Fatal("an undone delete left the table's generation where it was")
+		}
+		fire(4, "|shop|", "", false)
+		if strings.SplitN(out[3], "|", 2)[1] != strings.SplitN(out[4], "|", 2)[1] {
+			t.Fatalf("an aborted delete changed the output:\n%s\n%s", out[3], out[4])
+		}
+
+		reader := e.beginWrite()
+		mustExec(t, e, `INSERT INTO urls VALUES ('/u4', 'music')`)
+		fire(5, "|music|", "", true)
+		fire(6, "|music|", "", true)
+		if err := reader.commit(); err != nil {
+			t.Fatal(err)
+		}
+		fire(7, "|music|", "", false)
+		return out
+	}
+	for _, parallel := range []int{0, 4} {
+		want := run(openMemModeCfg(t, "reexec", Config{ParallelCQ: parallel}), false)
+		got := run(openMemModeCfg(t, "incremental", Config{ParallelCQ: parallel}), true)
+		if a, b := strings.Join(got, "\n"), strings.Join(want, "\n"); a != b {
+			t.Fatalf("ParallelCQ %d: the kept build side and re-execution differ:\n%s\nreexec:\n%s", parallel, a, b)
+		}
+	}
+}
+
+// TestEnrichBuildKeyedByTheClock: a post stage whose table-side join key
+// reads cq_close(*) hashes other keys at every close, so it keeps no build
+// side, and fires what re-execution fires.
+func TestEnrichBuildKeyedByTheClock(t *testing.T) {
+	run := func(mode string) []string {
+		e := openMemMode(t, mode)
+		mustExec(t, e, `CREATE STREAM hits (url varchar, at timestamp CQTIME USER, bytes bigint)`)
+		mustExec(t, e, `CREATE TABLE urls (category varchar, weight bigint)`)
+		mustExec(t, e, `INSERT INTO urls VALUES ('c0', 0), ('c1', 1), ('c2', 2), ('c3', 3)`)
+		cq, err := e.Subscribe(`SELECT u.category, count(*) AS n FROM hits h <VISIBLE '2 seconds' ADVANCE '1 second'>, urls u
+			WHERE h.bytes = u.weight + second(cq_close(*)) GROUP BY u.category`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cq.Close()
+		if cq.Strategy != mode {
+			t.Fatalf("%s: strategy %s", mode, cq.Strategy)
+		}
+		base := time.UnixMicro(ivmBase)
+		for i := 0; i < 40; i++ {
+			row := Row{String("/"), Timestamp(base.Add(time.Duration(i) * 150 * time.Millisecond)), Int(int64(i % 8))}
+			if err := e.Append("hits", row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.AdvanceTime("hits", base.Add(10*time.Second))
+		return collectBatches(t, cq)
+	}
+	want, got := run("reexec"), run("incremental")
+	if a, b := strings.Join(got, "\n"), strings.Join(want, "\n"); a != b || len(want) < 5 {
+		t.Fatalf("a build side keyed by cq_close(*) fires\n%s\nre-execution\n%s", a, b)
 	}
 }

@@ -96,65 +96,97 @@ func TestIngestAllocsReport(t *testing.T) {
 	}
 }
 
+// enrichFire measures one close of an enrichment CQ over windowRows window
+// rows of hits joined to a 100-row urls table in 8 categories, after running
+// write (if any) against the table, and returns the close's allocations and
+// the groups it fired. AdvanceTime closes the boundary without appending, so
+// the measured call is the fire alone; the closes before it were fired by
+// the append, so a post stage that keeps its build side has kept it.
+func enrichFire(t *testing.T, windowRows int, write string) (allocs float64, groups int) {
+	t.Helper()
+	e, err := Open(Config{TraceSampleEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustExec(t, e, `CREATE STREAM hits (url varchar, at timestamp CQTIME USER, bytes bigint)`)
+	mustExec(t, e, `CREATE TABLE urls (url varchar, category varchar)`)
+	dim := make([]Row, 100)
+	for i := range dim {
+		dim[i] = Row{String(fmt.Sprintf("/page/%03d", i)), String(fmt.Sprintf("cat-%d", i%8))}
+	}
+	if err := e.BulkInsert("urls", dim); err != nil {
+		t.Fatal(err)
+	}
+	cq, err := e.Subscribe(`SELECT u.category, count(*) AS n, sum(h.bytes) AS total
+		FROM hits h <VISIBLE '10 seconds' ADVANCE '1 second'>, urls u
+		WHERE h.url = u.url AND h.bytes > 10 GROUP BY u.category`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cq.Close()
+	if cq.Strategy != "incremental" {
+		t.Fatalf("the enrichment CQ keeps no materialized store: %s", cq.Strategy)
+	}
+	// Twelve seconds of traffic, windowRows of them in any ten: the
+	// window is full and sliding when the measured boundary closes.
+	base := MustTimestamp("2009-01-04 00:00:00")
+	rows := make([]Row, windowRows*12/10)
+	for i := range rows {
+		at := base.Add(time.Duration(i) * 10 * time.Second / time.Duration(windowRows))
+		rows[i] = Row{dim[i%len(dim)][0], Timestamp(at), Int(int64(11 + i%50))}
+	}
+	if err := e.Append("hits", rows...); err != nil {
+		t.Fatal(err)
+	}
+	cq.Drain()
+	if write != "" {
+		mustExec(t, e, write)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.AdvanceTime("hits", base.Add(12*time.Second))
+	runtime.ReadMemStats(&after)
+	b := cq.Drain()
+	if len(b) != 1 {
+		t.Fatalf("the heartbeat fired %d windows", len(b))
+	}
+	return float64(after.Mallocs - before.Mallocs), len(b[0].Rows)
+}
+
 // TestEnrichFireAllocsIndependentOfWindowRows pins what aggregating below
 // the join buys at the close: an enrichment CQ joins one partial row per
 // url to the dimension table, so a fire over 10 000 window rows allocates
 // what a fire over 1 000 does (re-executing the join carved a joined row
-// per window row). AdvanceTime closes the boundary without appending, so
-// the measured call is the fire alone.
+// per window row).
 func TestEnrichFireAllocsIndependentOfWindowRows(t *testing.T) {
-	fire := func(windowRows int) float64 {
-		e, err := Open(Config{TraceSampleEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		mustExec(t, e, `CREATE STREAM hits (url varchar, at timestamp CQTIME USER, bytes bigint)`)
-		mustExec(t, e, `CREATE TABLE urls (url varchar, category varchar)`)
-		dim := make([]Row, 100)
-		for i := range dim {
-			dim[i] = Row{String(fmt.Sprintf("/page/%03d", i)), String(fmt.Sprintf("cat-%d", i%8))}
-		}
-		if err := e.BulkInsert("urls", dim); err != nil {
-			t.Fatal(err)
-		}
-		cq, err := e.Subscribe(`SELECT u.category, count(*) AS n, sum(h.bytes) AS total
-			FROM hits h <VISIBLE '10 seconds' ADVANCE '1 second'>, urls u
-			WHERE h.url = u.url AND h.bytes > 10 GROUP BY u.category`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cq.Close()
-		if cq.Strategy != "incremental" {
-			t.Fatalf("the enrichment CQ keeps no materialized store: %s", cq.Strategy)
-		}
-		// Twelve seconds of traffic, windowRows of them in any ten: the
-		// window is full and sliding when the measured boundary closes.
-		base := MustTimestamp("2009-01-04 00:00:00")
-		rows := make([]Row, windowRows*12/10)
-		for i := range rows {
-			at := base.Add(time.Duration(i) * 10 * time.Second / time.Duration(windowRows))
-			rows[i] = Row{dim[i%len(dim)][0], Timestamp(at), Int(int64(11 + i%50))}
-		}
-		if err := e.Append("hits", rows...); err != nil {
-			t.Fatal(err)
-		}
-		cq.Drain()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		e.AdvanceTime("hits", base.Add(12*time.Second))
-		runtime.ReadMemStats(&after)
-		if b := cq.Drain(); len(b) != 1 || len(b[0].Rows) != 8 {
-			t.Fatalf("the heartbeat fired %d windows", len(b))
-		}
-		return float64(after.Mallocs - before.Mallocs)
-	}
-	small, large := fire(1000), fire(10000)
+	small, groups := enrichFire(t, 1000, "")
+	large, _ := enrichFire(t, 10000, "")
 	t.Logf("enrichment fire: %.0f allocations over 1000 window rows, %.0f over 10000", small, large)
-	// 38: the view's block and slice, the scan and hash table over the 100
-	// table rows, and the post stage's 8 groups in one chunk (91 at six
-	// objects a group).
-	if large > small+4 || large > 44 {
-		t.Errorf("an enrichment fire allocates %.0f times over 1000 window rows and %.0f over 10000, want ≤ 44 over either", small, large)
+	if groups != 8 {
+		t.Fatalf("the fire emitted %d groups, want 8", groups)
+	}
+	// 22: the view's block and slice, the post stage's operators over the
+	// build side of the 100 table rows it kept at the close before, and its 8
+	// groups in one chunk (38 when every close scanned and hashed the table
+	// again, 91 at six objects a group).
+	if large > small+4 || large > 26 {
+		t.Errorf("an enrichment fire allocates %.0f times over 1000 window rows and %.0f over 10000, want ≤ 26 over either", small, large)
+	}
+}
+
+// TestEnrichFireAllocsAfterTableWrite: the first close after a write to the
+// dimension table sees it — an url moved to a ninth category — and pays for
+// the build side again, the table's scan and hash table; a side kept
+// regardless of the table would fire 8 groups at the cost of a hit.
+func TestEnrichFireAllocsAfterTableWrite(t *testing.T) {
+	hit, _ := enrichFire(t, 1000, "")
+	rebuilt, groups := enrichFire(t, 1000, `UPDATE urls SET category = 'cat-9' WHERE url = '/page/000'`)
+	t.Logf("enrichment fire: %.0f allocations over the kept side, %.0f after a table write", hit, rebuilt)
+	if groups != 9 {
+		t.Fatalf("the close after the write fired %d groups, want 9", groups)
+	}
+	if rebuilt < hit+6 {
+		t.Errorf("the close after a table write allocates %.0f times against %.0f over a kept side, want the build's ≥ 6 more", rebuilt, hit)
 	}
 }

@@ -260,7 +260,7 @@ func TestScanAggAllocsIndependentOfTableRows(t *testing.T) {
 	bytesAt := func(n int) float64 {
 		tx := mgr.Begin()
 		for i := int(heap.NextID()); i < n; i++ {
-			heap.Insert(tx.ID, irow(int64(i%allocGroups), int64(i)))
+			heap.InsertRun(tx.ID, []types.Row{irow(int64(i%allocGroups), int64(i))})
 		}
 		tx.Commit()
 		return drainBytes(t, &Ctx{Snap: mgr.SnapshotNow()}, func() Operator {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"time"
 
 	"streamrel/internal/types"
@@ -65,21 +66,10 @@ func instrument(op Operator, stats *[]*OpStat, depth int) Operator {
 	return &counted{op: op, stat: st}
 }
 
-// opName names an operator kind for ANALYZE output.
+// opName names an operator kind for ANALYZE output: its type's name, but a
+// set operation by its kind and a join with its type.
 func opName(op Operator) string {
 	switch o := op.(type) {
-	case *Filter:
-		return "Filter"
-	case *Project:
-		return "Project"
-	case *Limit:
-		return "Limit"
-	case *Sort:
-		return "Sort"
-	case *Distinct:
-		return "Distinct"
-	case *HashAgg:
-		return "HashAgg"
 	case *SetOp:
 		switch o.Kind {
 		case SetUnion:
@@ -94,18 +84,10 @@ func opName(op Operator) string {
 		return "HashJoin" + joinSuffix(o.Type)
 	case *NestedLoopJoin:
 		return "NestedLoopJoin" + joinSuffix(o.Type)
-	case *SeqScan:
-		return "SeqScan"
-	case *IndexScan:
-		return "IndexScan"
-	case *Values:
-		return "Values"
-	case *Relation:
-		return "Relation"
 	case *counted:
 		return o.stat.Name
 	}
-	return "Operator"
+	return reflect.TypeOf(op).Elem().Name()
 }
 
 func joinSuffix(t JoinType) string {

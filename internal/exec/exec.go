@@ -40,7 +40,10 @@ func (c *Ctx) evalCtx() expr.Ctx {
 // Operator is a pull-based iterator over chunks of rows. The contract:
 //
 //   - Open before NextBatch; Close releases state and is idempotent.
-//     Operators are single-use: build a fresh tree per execution.
+//     Operators are single-use: build a fresh tree per execution. The one
+//     thing executions share is a JoinBuild: a build side the plan owns,
+//     immutable once kept, which a HashJoin adopts while its table is
+//     unchanged.
 //   - NextBatch returns the next non-empty chunk, or nil at end of stream.
 //   - The returned slice (the container) is owned by the operator and valid
 //     only until its next NextBatch call; a consumer that keeps rows copies

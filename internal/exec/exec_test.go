@@ -105,10 +105,10 @@ func TestSeqScanVisibility(t *testing.T) {
 	mgr := txn.NewManager()
 	h := storage.NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 	tx := mgr.Begin()
-	h.Insert(tx.ID, irow(1))
+	h.InsertRun(tx.ID, []types.Row{irow(1)})
 	tx.Commit()
 	tx2 := mgr.Begin()
-	h.Insert(tx2.ID, irow(2)) // uncommitted
+	h.InsertRun(tx2.ID, []types.Row{irow(2)}) // uncommitted
 
 	rows := runCtx(t, &Ctx{Snap: mgr.SnapshotNow()}, &SeqScan{Heap: h})
 	if len(rows) != 1 || rows[0][0].Int() != 1 {
@@ -360,7 +360,7 @@ func TestIndexScan(t *testing.T) {
 	tree := storage.NewBTree()
 	tx := mgr.Begin()
 	for i := int64(0); i < 100; i++ {
-		rid, _ := h.Insert(tx.ID, irow(i, i*10))
+		rid, _ := h.InsertRun(tx.ID, []types.Row{irow(i, i*10)})
 		tree.Insert(types.Row{types.NewInt(i)}, rid)
 	}
 	tx.Commit()
@@ -387,7 +387,7 @@ func TestSeqScanStreams(t *testing.T) {
 	const n = 3*chunkRows + 5
 	tx := mgr.Begin()
 	for i := int64(0); i < n; i++ {
-		heap.Insert(tx.ID, irow(i))
+		heap.InsertRun(tx.ID, []types.Row{irow(i)})
 	}
 	tx.Commit()
 	ctx := &Ctx{Snap: mgr.SnapshotNow()}
@@ -434,7 +434,7 @@ func TestSeqScanStreams(t *testing.T) {
 			// Writes the snapshot must not see, landing between pulls.
 			if pulls%50 == 0 {
 				w := mgr.Begin()
-				heap.Insert(w.ID, irow(-1))
+				heap.InsertRun(w.ID, []types.Row{irow(-1)})
 				heap.Delete(w.ID, storage.RowID(next%n))
 				w.Commit()
 			}
@@ -448,7 +448,7 @@ func TestSeqScanStreams(t *testing.T) {
 	// A five-row table gets a five-row container.
 	small := storage.NewHeap("s", types.Schema{{Name: "a", Type: types.TypeInt}})
 	for i := int64(0); i < 5; i++ {
-		small.Insert(txn.Bootstrap, irow(i))
+		small.InsertRun(txn.Bootstrap, []types.Row{irow(i)})
 	}
 	scan = &SeqScan{Heap: small}
 	if rows := runCtx(t, &Ctx{Snap: mgr.SnapshotNow()}, scan); len(rows) != 5 {

@@ -1,7 +1,11 @@
 package exec
 
 import (
+	"sync/atomic"
+
 	"streamrel/internal/expr"
+	"streamrel/internal/storage"
+	"streamrel/internal/txn"
 	"streamrel/internal/types"
 )
 
@@ -27,7 +31,8 @@ type HashJoin struct {
 	LeftKeys, RightKeys   []*expr.Scalar
 	Type                  JoinType
 	Residual              *expr.Scalar
-	LeftWidth, RightWidth int // column counts, for NULL padding
+	LeftWidth, RightWidth int        // column counts, for NULL padding
+	Keep                  *JoinBuild // if set, Right scans Keep.Heap and Type is INNER or LEFT
 
 	ec expr.Ctx
 	// The hash table over the build side. build holds its rows in build
@@ -38,6 +43,7 @@ type HashJoin struct {
 	table     map[string]int32
 	build     []buildRow
 	key       []byte
+	keyBuf    [64]byte // key's first backing
 	out       rowConcat
 	buf       []types.Row // output container, reused per chunk
 	padLeft   types.Row   // NULLs standing in for the missing side (outer joins)
@@ -59,13 +65,40 @@ type buildRow struct {
 	keyEnd     int32 // where its key ends in the backing string
 	next, tail int32
 	null       bool
-	matched    bool
+	matched    bool // FULL and RIGHT only: a kept side is never written
 }
 
-// Open implements Operator.
+// JoinBuild is the build side of a HashJoin over a bare table scan that one
+// plan keeps between executions while the table is unchanged: the delta of
+// partials ⋈ T in T kept as a map (DBToaster, first order). The plan owns it;
+// what it holds is immutable, shared by the plan's executions, never written.
+type JoinBuild struct {
+	Heap *storage.Heap
+	kept atomic.Pointer[keptBuild]
+}
+
+type keptBuild struct {
+	gen   uint64 // Heap's generation when it was built
+	table map[string]int32
+	build []buildRow
+}
+
+// Kept returns the kept side's heap generation and rows; nil rows: none kept.
+func (b *JoinBuild) Kept() (gen uint64, rows []buildRow) {
+	if k := b.kept.Load(); k != nil {
+		return k.gen, k.build
+	}
+	return 0, nil
+}
+
+// Open implements Operator. With Keep set it reads the heap's stamp after
+// ctx.Snap was taken and adopts the kept side if the snapshot decides every
+// stamp at the generation the side was built at (storage.Heap.Stamp says
+// why); otherwise it builds, and keeps what it built if the snapshot decides.
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.ec = ctx.evalCtx()
 	j.out.reset()
+	j.key = j.keyBuf[:0]
 	if j.Type == JoinLeft || j.Type == JoinFull {
 		j.padRight = nullRow(j.RightWidth)
 	}
@@ -77,6 +110,18 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.leftDone = false
 	j.unmatched = nil
 	j.unmatchedPos = 0
+	var gen uint64
+	decided := false
+	if j.Keep != nil {
+		var last txn.ID
+		gen, last = j.Keep.Heap.Stamp()
+		decided = ctx.Snap.Decided(last)
+		if k := j.Keep.kept.Load(); decided && k != nil && k.gen == gen {
+			j.table, j.build = k.table, k.build
+			rowsTransient(j.Left)
+			return j.Left.Open(ctx)
+		}
+	}
 	rows, err := Drain(ctx, j.Right, 0) // build rows are kept: never rewritten
 	if err != nil {
 		return err
@@ -116,6 +161,9 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		}
 		j.build[j.build[head].tail].next = int32(i)
 		j.build[head].tail = int32(i)
+	}
+	if decided {
+		j.Keep.kept.Store(&keptBuild{gen: gen, table: j.table, build: j.build})
 	}
 	rowsTransient(j.Left) // a probe row is done with before the next is pulled
 	return j.Left.Open(ctx)
@@ -166,7 +214,9 @@ func (j *HashJoin) next() (types.Row, error) {
 				}
 			}
 			j.leftMatch = true
-			m.matched = true
+			if j.Type == JoinFull || j.Type == JoinRight {
+				m.matched = true
+			}
 			return out, nil
 		}
 		// Current probe row exhausted: left-outer padding if unmatched.
@@ -376,6 +426,9 @@ func (c *rowConcat) gather(buf *[]types.Row, max int, next func() (types.Row, er
 				taken[i] = poison
 			}
 		}
+	}
+	if *buf == nil {
+		*buf = make([]types.Row, 0, min(max, 16)) // a batch carved from the first block
 	}
 	out := (*buf)[:0]
 	for len(out) < max && !(c.recycle && c.spare == nil && c.blk.Full()) {

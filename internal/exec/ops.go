@@ -363,9 +363,6 @@ func (s *SetOp) Open(ctx *Ctx) error {
 	switch s.Kind {
 	case SetUnion:
 		s.rows = append(left, right...)
-		if !s.All {
-			s.rows = dedup(s.rows)
-		}
 	case SetExcept:
 		for _, r := range left {
 			n := count(r)
@@ -379,9 +376,6 @@ func (s *SetOp) Open(ctx *Ctx) error {
 				s.rows = append(s.rows, r)
 			}
 		}
-		if !s.All {
-			s.rows = dedup(s.rows)
-		}
 	case SetIntersect:
 		for _, r := range left {
 			if n := count(r); *n > 0 {
@@ -391,9 +385,9 @@ func (s *SetOp) Open(ctx *Ctx) error {
 				s.rows = append(s.rows, r)
 			}
 		}
-		if !s.All {
-			s.rows = dedup(s.rows)
-		}
+	}
+	if !s.All {
+		s.rows = dedup(s.rows)
 	}
 	return nil
 }

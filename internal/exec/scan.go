@@ -109,14 +109,10 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		}
 		hi = types.Row{v}
 	}
-	// Hi bound compares on the first key column only: extend with a
-	// sentinel so composite keys under the same first column all qualify.
-	var hiKey types.Row
-	if hi != nil {
-		hiKey = hi
-	}
+	// Hi compares with the first key column only, so that composite keys
+	// under it all qualify.
 	s.Tree.AscendRange(lo, nil, func(key types.Row, rid storage.RowID) bool {
-		if hiKey != nil && types.Compare(key[0], hiKey[0]) > 0 {
+		if hi != nil && types.Compare(key[0], hi[0]) > 0 {
 			return false
 		}
 		if row, ok := s.Heap.Get(ctx.Snap, rid); ok {

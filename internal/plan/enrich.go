@@ -245,6 +245,10 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 	if err != nil {
 		return nil, "post stage: " + err.Error()
 	}
+	preAggNote := fmt.Sprintf("pre-aggregated by (%s) below join %s", strings.Join(preKeys, ", "), strings.Join(names, ", "))
+	if len(qb.kept) > 0 {
+		preAggNote += fmt.Sprintf(" (build side of %s kept between closes)", strings.Join(qb.kept, ", "))
+	}
 	return &StreamAgg{
 		Pred:        preAgg.Pred,
 		GroupBy:     preAgg.GroupBy,
@@ -252,8 +256,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 		Fingerprint: preAgg.Fingerprint,
 		PostKey:     preAgg.PostKey + "|E:" + selectKey(post),
 		PostBuild:   func(aggRows []types.Row) exec.Operator { return qn.build(Input{WindowRows: aggRows}) },
-		PreAgg: fmt.Sprintf("pre-aggregated by (%s) below join %s",
-			strings.Join(preKeys, ", "), strings.Join(names, ", ")),
+		PreAgg:      preAggNote,
 	}, ""
 }
 

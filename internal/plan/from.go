@@ -169,6 +169,14 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 				return nil, err
 			}
 		}
+		// An enrichment post stage keeps a bare table's build side between
+		// closes, unless the close's clock is in its keys.
+		var keep *exec.JoinBuild
+		if on := andAll(conds); b.pre != nil && right.table != nil && (jt == exec.JoinInner || jt == exec.JoinLeft) &&
+			!callsFunc(on, "now") && !callsFunc(on, "cq_close") {
+			keep = &exec.JoinBuild{Heap: right.table.Heap}
+			b.kept = append(b.kept, right.table.Name)
+		}
 		lb, rb := left.build, right.build
 		return &relNode{
 			scope: joined,
@@ -178,7 +186,7 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 					Left: lb(in), Right: rb(in),
 					LeftKeys: leftKeys, RightKeys: rightKeys,
 					Type: jt, Residual: res,
-					LeftWidth: lw, RightWidth: rw,
+					LeftWidth: lw, RightWidth: rw, Keep: keep,
 				}
 			},
 		}, nil
@@ -329,39 +337,30 @@ func (b *builder) tryIndex(rel *relNode, conds []sql.Expr) (*relNode, []sql.Expr
 			if !ok {
 				continue
 			}
-			var colSide, constSide sql.Expr
+			var constSide sql.Expr
 			var op sql.BinOp
 			if cr, ok := be.L.(*sql.ColumnRef); ok && cr.Name == firstCol && isConst(be.R) &&
 				(cr.Table == "" || cr.Table == rel.scope.cols[0].qual) {
-				colSide, constSide, op = be.L, be.R, be.Op
+				constSide, op = be.R, be.Op
 			} else if cr, ok := be.R.(*sql.ColumnRef); ok && cr.Name == firstCol && isConst(be.L) &&
 				(cr.Table == "" || cr.Table == rel.scope.cols[0].qual) {
-				colSide, constSide, op = be.R, be.L, flipOp(be.Op)
+				constSide, op = be.L, flipOp(be.Op)
 			} else {
 				continue
 			}
-			_ = colSide
 			switch op {
 			case sql.OpEq:
 				cLo, cHi, eq = constSide, constSide, true
 				cUsed[c] = true
 			case sql.OpGe, sql.OpGt:
 				if cLo == nil {
-					cLo = constSide
-					cUsed[c] = true
-					if op == sql.OpGt {
-						// Strict bound kept as a residual filter too; the
-						// index delivers >=, the filter tightens to >.
-						cUsed[c] = false
-					}
+					// A strict bound stays a residual filter too: the index
+					// delivers >=, the filter tightens it to >.
+					cLo, cUsed[c] = constSide, op == sql.OpGe
 				}
 			case sql.OpLe, sql.OpLt:
 				if cHi == nil {
-					cHi = constSide
-					cUsed[c] = true
-					if op == sql.OpLt {
-						cUsed[c] = false
-					}
+					cHi, cUsed[c] = constSide, op == sql.OpLe
 				}
 			}
 			if eq {

@@ -66,7 +66,8 @@ type StreamAgg struct {
 	PostKey string
 	// PreAgg is empty for an aggregate directly over the stream; for the
 	// enrichment shape (see enrich) it is EXPLAIN's note of what the store
-	// aggregates by and below which join.
+	// aggregates by, below which join, and which build sides the post stage
+	// keeps between closes.
 	PreAgg string
 }
 
@@ -138,8 +139,10 @@ type builder struct {
 	// viewDepth guards against recursive view definitions.
 	viewDepth int
 	// pre, when set, is what FROM #pre plans to: the pre-aggregated stream
-	// of an enrichment post block (see enrich).
-	pre *relNode
+	// of an enrichment post block (see enrich); kept names the tables whose
+	// build sides that block keeps between closes (see combine).
+	pre  *relNode
+	kept []string
 }
 
 // node is a planned (sub)tree.

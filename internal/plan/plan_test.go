@@ -56,7 +56,7 @@ func newEnv(t *testing.T) *testEnv {
 		{types.NewInt(5), types.NewString("erin"), types.NewString("hr"), types.NewInt(70)},
 	}
 	for _, r := range rows {
-		if _, err := emp.Heap.Insert(txn.Bootstrap, r); err != nil {
+		if _, err := emp.Heap.InsertRun(txn.Bootstrap, []types.Row{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func newEnv(t *testing.T) *testEnv {
 		{types.NewString("eng"), types.NewInt(1000)},
 		{types.NewString("sales"), types.NewInt(500)},
 	} {
-		if _, err := dept.Heap.Insert(txn.Bootstrap, r); err != nil {
+		if _, err := dept.Heap.InsertRun(txn.Bootstrap, []types.Row{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func TestFullJoin(t *testing.T) {
 	env := newEnv(t)
 	// hr has employees but no dept row; add a dept with no employees.
 	d, _ := env.cat.Table("dept")
-	d.Heap.Insert(txn.Bootstrap, types.Row{types.NewString("legal"), types.NewInt(50)})
+	d.Heap.InsertRun(txn.Bootstrap, []types.Row{types.Row{types.NewString("legal"), types.NewInt(50)}})
 	rows, _ := env.query(t, `
 		SELECT e.dept, d.name FROM (SELECT DISTINCT dept FROM emp) e
 		FULL JOIN dept d ON e.dept = d.name ORDER BY 1, 2`)

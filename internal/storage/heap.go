@@ -56,7 +56,9 @@ type Heap struct {
 	name   string
 	schema types.Schema
 	segs   [][]version
-	n      RowID // the next RowID
+	n      RowID  // the next RowID
+	gen    uint64 // writes that can change what a snapshot reads (see Stamp)
+	last   txn.ID // the largest transaction ID stamped
 }
 
 // NewHeap creates an empty heap for the given schema.
@@ -136,11 +138,6 @@ func (h *Heap) InsertRunAt(tx txn.ID, first RowID, rows []types.Row) (occupied [
 	return h.put(tx, first, rows), nil
 }
 
-// Insert is InsertRun for one row.
-func (h *Heap) Insert(tx txn.ID, row types.Row) (RowID, error) {
-	return h.InsertRun(tx, []types.Row{row})
-}
-
 func (h *Heap) checkArity(rows []types.Row) error {
 	for _, row := range rows {
 		if len(row) != len(h.schema) {
@@ -154,6 +151,7 @@ func (h *Heap) checkArity(rows []types.Row) error {
 // put stores rows at first and up. Callers hold mu for writing.
 func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
 	h.n = max(h.n, first+RowID(len(rows)))
+	h.gen, h.last = h.gen+1, max(h.last, tx)
 	for i, row := range rows {
 		if v := h.slot(first + RowID(i)); v.xmin != 0 {
 			v.row = row
@@ -165,14 +163,14 @@ func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
 	return occupied
 }
 
-// NextID returns the RowID the next Insert will assign.
+// NextID returns the RowID the next InsertRun will assign.
 func (h *Heap) NextID() RowID {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return h.n
 }
 
-// EnsureNext makes the next Insert assign RowID n at least. A checkpoint and
+// EnsureNext makes the next InsertRun assign RowID n at least. A checkpoint and
 // a replication snapshot carry it, so numbering continues where it stood even
 // when the trailing versions were invisible and therefore absent.
 func (h *Heap) EnsureNext(n RowID) {
@@ -195,6 +193,7 @@ func (h *Heap) Delete(tx txn.ID, id RowID) error {
 		return fmt.Errorf("storage: %s: row %d concurrently deleted", h.name, id)
 	}
 	v.xmax = tx
+	h.gen, h.last = h.gen+1, max(h.last, tx)
 	return nil
 }
 
@@ -203,8 +202,19 @@ func (h *Heap) UndoDelete(tx txn.ID, id RowID) {
 	h.mu.Lock()
 	if v := h.at(id); v != nil && v.xmax == tx {
 		v.xmax = 0
+		h.gen++
 	}
 	h.mu.Unlock()
+}
+
+// Stamp returns the heap's write generation, which every insert, delete and
+// undone delete moves, and the largest transaction ID it has stamped. Two
+// snapshots taken before it was read that both Decide last read the same rows
+// at one generation. Vacuum moves neither: no such snapshot sees what it takes.
+func (h *Heap) Stamp() (gen uint64, last txn.ID) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.gen, h.last
 }
 
 // Get returns the row for id if it is visible under snap.

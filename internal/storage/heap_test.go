@@ -246,7 +246,7 @@ func TestHeapMatchesFlatModel(t *testing.T) {
 				finished = true
 				open := mgr.Begin() // in flight across the Vacuum: its version is not dead
 				r := row()
-				openID, _ := h.Insert(open.ID, r)
+				openID, _ := h.InsertRun(open.ID, []types.Row{r})
 				ref.insert(open.ID, r)
 				indexed(openID, r, false)
 				snap = mgr.SnapshotNow()
@@ -355,7 +355,7 @@ func TestReadStopsAtMax(t *testing.T) {
 	var want []RowID
 	for i := 0; i < n; i++ {
 		tx := mgr.Begin()
-		id, _ := h.Insert(tx.ID, intRow(int64(i)))
+		id, _ := h.InsertRun(tx.ID, []types.Row{intRow(int64(i))})
 		// Runs of invisible versions of every length up to 6, some of them
 		// straddling a boundary.
 		if i%11 < i%7 {
@@ -435,7 +435,7 @@ func TestScanSeesItsSnapshotUnderWrites(t *testing.T) {
 	const n = segRows + segRows/2
 	tx := mgr.Begin()
 	for i := 0; i < n; i++ {
-		h.Insert(tx.ID, intRow(int64(i)))
+		h.InsertRun(tx.ID, []types.Row{intRow(int64(i))})
 	}
 	tx.Commit()
 	snap := mgr.SnapshotNow()
@@ -452,7 +452,7 @@ func TestScanSeesItsSnapshotUnderWrites(t *testing.T) {
 			default:
 			}
 			tx := mgr.Begin()
-			h.Insert(tx.ID, intRow(-1))
+			h.InsertRun(tx.ID, []types.Row{intRow(-1)})
 			if i%5 == 0 {
 				tx.Abort()
 			} else {
@@ -528,13 +528,13 @@ func TestHeapGrowthAllocsOncePerSegment(t *testing.T) {
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 	row := intRow(1)
 	for i := 0; i < segRows; i++ {
-		h.Insert(txn.Bootstrap, row)
+		h.InsertRun(txn.Bootstrap, []types.Row{row})
 	}
 	const segments = 8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < segments*segRows; i++ {
-		h.Insert(txn.Bootstrap, row)
+		h.InsertRun(txn.Bootstrap, []types.Row{row})
 	}
 	runtime.ReadMemStats(&after)
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
@@ -576,7 +576,7 @@ func TestVacuumReleasesDeadSegments(t *testing.T) {
 	row := intRow(7) // one row for every version: the bytes counted are the heap's own
 	tx := mgr.Begin()
 	for i := 0; i < 3*segRows; i++ {
-		h.Insert(tx.ID, row)
+		h.InsertRun(tx.ID, []types.Row{row})
 	}
 	tx.Commit()
 	const survivor = 2*segRows + 17
@@ -614,7 +614,7 @@ func TestVacuumReleasesDeadSegments(t *testing.T) {
 	if _, ok := h.Get(snap, segRows+5); ok {
 		t.Error("a reclaimed RowID reads as a row")
 	}
-	if id, _ := h.Insert(txn.Bootstrap, row); id != 3*segRows {
+	if id, _ := h.InsertRun(txn.Bootstrap, []types.Row{row}); id != 3*segRows {
 		t.Errorf("the next RowID after Vacuum is %d, want %d", id, 3*segRows)
 	}
 	if replaced, err := h.InsertRunAt(txn.Bootstrap, segRows+5, []types.Row{row}); err != nil || replaced != nil {
@@ -651,7 +651,68 @@ func TestFarRowIDCostsOneSegment(t *testing.T) {
 	if got := scanned(h, txn.NewManager().SnapshotNow()); len(got) != 1 || got[0] != fmt.Sprint(far, ":1") {
 		t.Errorf("a scan finds %v", got)
 	}
-	if id, _ := h.Insert(txn.Bootstrap, row); id != 2*far {
+	if id, _ := h.InsertRun(txn.Bootstrap, []types.Row{row}); id != 2*far {
 		t.Errorf("after EnsureNext(%d) the next RowID is %d", 2*far, id)
+	}
+}
+
+// TestHeapStampFollowsEveryWrite: every write that can change what a snapshot
+// reads moves the heap's generation — an insert, the refresh of an occupied
+// slot, a delete, an undone delete — and stamps its transaction into last;
+// what changes nothing a snapshot reads does not: a refused delete, an undo
+// of a stamp that is not there, EnsureNext, the reads, and Vacuum, which
+// reclaims only versions dead to every snapshot that decides the heap's
+// stamps.
+func TestHeapStampFollowsEveryWrite(t *testing.T) {
+	mgr := txn.NewManager()
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
+	if gen, last := h.Stamp(); gen != 0 || last != 0 {
+		t.Fatalf("an empty heap is stamped (%d, %d)", gen, last)
+	}
+	ins, del := mgr.Begin(), mgr.Begin()
+	step := func(what string, moves bool, wantLast txn.ID, write func()) {
+		t.Helper()
+		gen, _ := h.Stamp()
+		write()
+		after, last := h.Stamp()
+		if moved := after != gen; moved != moves || last != wantLast {
+			t.Errorf("%s: generation %d → %d, last %d; want moved %v, last %d", what, gen, after, last, moves, wantLast)
+		}
+	}
+	step("InsertRun", true, ins.ID, func() { h.InsertRun(ins.ID, []types.Row{intRow(1), intRow(2), intRow(3)}) })
+	step("InsertRunAt past the end", true, ins.ID, func() { h.InsertRunAt(txn.Bootstrap, 10, []types.Row{intRow(10)}) })
+	step("InsertRunAt over an occupied slot", true, ins.ID, func() { h.InsertRunAt(txn.Bootstrap, 1, []types.Row{intRow(20)}) })
+	step("Delete", true, del.ID, func() {
+		if err := h.Delete(del.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("a Delete of a deleted row", false, del.ID, func() { h.Delete(ins.ID, 0) })
+	step("a Delete of a gap", false, del.ID, func() { h.Delete(del.ID, 5) })
+	step("UndoDelete of another's stamp", false, del.ID, func() { h.UndoDelete(ins.ID, 0) })
+	step("UndoDelete", true, del.ID, func() { h.UndoDelete(del.ID, 0) })
+	step("UndoDelete again", false, del.ID, func() { h.UndoDelete(del.ID, 0) })
+	ins.Commit()
+	del.Abort()
+	step("Delete and commit", true, del.ID+1, func() {
+		tx := mgr.Begin()
+		h.Delete(tx.ID, 2)
+		tx.Commit()
+	})
+	snap := mgr.SnapshotNow()
+	before := scanned(h, snap)
+	step("Vacuum", false, del.ID+1, func() {
+		if n := h.Vacuum(snap, nil); n != 1 {
+			t.Fatalf("Vacuum reclaimed %d versions, want the deleted one", n)
+		}
+	})
+	step("EnsureNext and the reads", false, del.ID+1, func() {
+		h.EnsureNext(100)
+		h.Get(snap, 1)
+		h.NextID()
+		scanned(h, snap)
+	})
+	if after := scanned(h, mgr.SnapshotNow()); !slices.Equal(before, after) {
+		t.Fatalf("Vacuum changed what a later snapshot reads: %v, then %v", before, after)
 	}
 }

@@ -29,7 +29,7 @@ func TestHeapInsertScanVisibility(t *testing.T) {
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 
 	tx1 := mgr.Begin()
-	if _, err := h.Insert(tx1.ID, intRow(1)); err != nil {
+	if _, err := h.InsertRun(tx1.ID, []types.Row{intRow(1)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,7 +52,7 @@ func TestHeapInsertScanVisibility(t *testing.T) {
 	// its rows.
 	tx2 := mgr.Begin()
 	early := mgr.SnapshotNow()
-	if _, err := h.Insert(tx2.ID, intRow(2)); err != nil {
+	if _, err := h.InsertRun(tx2.ID, []types.Row{intRow(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx2.Commit(); err != nil {
@@ -70,7 +70,7 @@ func TestHeapAbortInvisible(t *testing.T) {
 	mgr := txn.NewManager()
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 	tx := mgr.Begin()
-	if _, err := h.Insert(tx.ID, intRow(9)); err != nil {
+	if _, err := h.InsertRun(tx.ID, []types.Row{intRow(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Abort(); err != nil {
@@ -85,7 +85,7 @@ func TestHeapDelete(t *testing.T) {
 	mgr := txn.NewManager()
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 	tx := mgr.Begin()
-	id, _ := h.Insert(tx.ID, intRow(1))
+	id, _ := h.InsertRun(tx.ID, []types.Row{intRow(1)})
 	tx.Commit()
 
 	before := mgr.SnapshotNow()
@@ -119,7 +119,7 @@ func TestHeapUndoDelete(t *testing.T) {
 	mgr := txn.NewManager()
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 	tx := mgr.Begin()
-	id, _ := h.Insert(tx.ID, intRow(1))
+	id, _ := h.InsertRun(tx.ID, []types.Row{intRow(1)})
 	tx.Commit()
 
 	tx2 := mgr.Begin()
@@ -133,7 +133,7 @@ func TestHeapUndoDelete(t *testing.T) {
 
 func TestHeapSchemaMismatch(t *testing.T) {
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
-	if _, err := h.Insert(txn.Bootstrap, intRow(1, 2)); err == nil {
+	if _, err := h.InsertRun(txn.Bootstrap, []types.Row{intRow(1, 2)}); err == nil {
 		t.Fatal("arity mismatch should error")
 	}
 	if err := h.Delete(txn.Bootstrap, 99); err == nil {
@@ -147,7 +147,7 @@ func TestHeapVacuum(t *testing.T) {
 	tx := mgr.Begin()
 	var ids []RowID
 	for i := int64(0); i < 10; i++ {
-		id, _ := h.Insert(tx.ID, intRow(i))
+		id, _ := h.InsertRun(tx.ID, []types.Row{intRow(i)})
 		ids = append(ids, id)
 	}
 	tx.Commit()
@@ -170,7 +170,7 @@ func TestHeapVacuum(t *testing.T) {
 			t.Fatalf("after vacuum RowID %d reads %v, %v", id, row, ok)
 		}
 	}
-	if id, _ := h.Insert(txn.Bootstrap, intRow(10)); id != 10 {
+	if id, _ := h.InsertRun(txn.Bootstrap, []types.Row{intRow(10)}); id != 10 {
 		t.Fatalf("after vacuum the next RowID is %d, want 10", id)
 	}
 	if err := h.Delete(txn.Bootstrap, ids[0]); err == nil {

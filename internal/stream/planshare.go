@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -229,13 +230,13 @@ func (f *feed) detach(m *Pipeline) bool {
 				s.members[last] = nil
 				s.members = s.members[:last]
 				if last == 0 {
-					sv.sets = append(sv.sets[:si], sv.sets[si+1:]...)
+					sv.sets = slices.Delete(sv.sets, si, si+1)
 				}
 				if len(sv.sets) == 0 {
 					if sv.view != nil {
 						f.store.Detach(sv.view)
 					}
-					f.views = append(f.views[:vi], f.views[vi+1:]...)
+					f.views = slices.Delete(f.views, vi, vi+1)
 				}
 				f.n.Add(-1)
 				return true

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -460,7 +461,7 @@ func (s *source) detachLocked(pipe *Pipeline) {
 func (s *source) dropCQ(m *Pipeline) {
 	for i, x := range s.cqs {
 		if x == m {
-			s.cqs = append(s.cqs[:i], s.cqs[i+1:]...)
+			s.cqs = slices.Delete(s.cqs, i, i+1)
 			return
 		}
 	}
@@ -474,7 +475,7 @@ func (s *source) retireLocked(f *feed) {
 	}
 	for i, x := range s.feeds {
 		if x == f {
-			s.feeds = append(s.feeds[:i], s.feeds[i+1:]...)
+			s.feeds = slices.Delete(s.feeds, i, i+1)
 			s.retired = append(s.retired, f)
 			return
 		}

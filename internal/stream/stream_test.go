@@ -501,7 +501,7 @@ func TestWindowConsistency(t *testing.T) {
 	}
 	insert := func(url, label string) {
 		tx := e.mgr.Begin()
-		dim.Heap.Insert(tx.ID, types.Row{types.NewString(url), types.NewString(label)})
+		dim.Heap.InsertRun(tx.ID, []types.Row{types.Row{types.NewString(url), types.NewString(label)}})
 		tx.Commit()
 	}
 	insert("/a", "alpha")

@@ -212,6 +212,17 @@ func (s Snapshot) VisibleVersion(xmin, xmax ID) bool {
 	return !s.sees(xmax)
 }
 
+// Decided reports whether every transaction up to last had finished when s
+// was taken, so that s, like every other such snapshot, knows each outcome.
+func (s Snapshot) Decided(last ID) bool {
+	for id := range s.InFlight {
+		if id <= last {
+			return false
+		}
+	}
+	return s.self == 0 && last < s.XMax
+}
+
 // Dead reports whether a version is invisible to s and to every snapshot
 // taken after it: its creator aborted, or its deletion is visible. A version
 // whose creator was still in flight may yet commit, and is not dead.

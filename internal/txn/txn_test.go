@@ -86,6 +86,45 @@ func TestBootstrapAlwaysVisible(t *testing.T) {
 	}
 }
 
+// TestSnapshotDecided: a snapshot decides the transactions up to last when
+// each had finished by the time it was taken — committed or aborted, but not
+// in flight and not begun after it — and a transaction's own snapshot, which
+// sees its own writes, decides nothing.
+func TestSnapshotDecided(t *testing.T) {
+	m := NewManager()
+	if !m.SnapshotNow().Decided(0) || !m.SnapshotNow().Decided(Bootstrap) {
+		t.Fatal("a heap nothing but the bootstrap transaction wrote is undecided")
+	}
+	committed, aborted := m.Begin(), m.Begin()
+	committed.Commit()
+	aborted.Abort()
+	inFlight := m.Begin()
+	snap := m.SnapshotNow()
+	later := m.Begin()
+	for _, c := range []struct {
+		last ID
+		want bool
+	}{{committed.ID, true}, {aborted.ID, true}, {inFlight.ID, false}, {inFlight.ID + 1, false}, {later.ID, false}} {
+		if got := snap.Decided(c.last); got != c.want {
+			t.Errorf("Decided(%d) with %d in flight and XMax %d = %v, want %v", c.last, inFlight.ID, snap.XMax, got, c.want)
+		}
+	}
+	// An in-flight transaction above last leaves what is below it decided.
+	early := m.SnapshotNow()
+	if !early.Decided(aborted.ID) || early.Decided(inFlight.ID) {
+		t.Fatalf("with %d and %d in flight: Decided(%d) = %v, Decided(%d) = %v",
+			inFlight.ID, later.ID, aborted.ID, early.Decided(aborted.ID), inFlight.ID, early.Decided(inFlight.ID))
+	}
+	if later.Snap.Decided(committed.ID) {
+		t.Fatal("a transaction's own snapshot decides")
+	}
+	inFlight.Commit()
+	later.Abort()
+	if !m.SnapshotNow().Decided(later.ID) || snap.Decided(inFlight.ID) {
+		t.Fatal("finishing a transaction changed what an older snapshot decides, or a newer one does not")
+	}
+}
+
 // TestSnapshotAllocsAfterTrim: the aborted set does not grow for ever —
 // Trim at a horizon forgets what had aborted by then (the caller vacuumed
 // those transactions' versions), and nothing aborted since — and taking a
