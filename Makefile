@@ -79,25 +79,38 @@ drain-policies:
 # server's row containers are views of the engine's, TestRowsViewAllocs), in
 # the operators (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup) and in
 # the window-state store (first touch of a (slice, group) ≤ 0.1 allocations
-# amortized; an enrichment fire independent of window rows, over the build side
-# its post stage kept, and paying for the build again after a table write;
-# HashJoin.Open over a kept side nothing; a fire two
+# amortized; an expired slice is the next slice at no allocation; what it keeps
+# is bounded by twice its groups and one boundary, and pins no batch,
+# TestSliceRecycleAllocs, TestRecycledSliceMemoryBounded,
+# TestRecycledSparesMemoryBounded, TestRecycledSlicePinsNoBatch; an enrichment
+# fire independent of window rows, over the build side its post stage kept,
+# and paying for the build again after a table write; HashJoin.Open over a
+# kept side nothing; a fire two
 # allocations, on a paired store too, and O(touched) bytes, and what its shared
 # rows keep reachable at most two copies of the window; an aggregate over a
-# table scan O(groups) bytes, over a join O(build side)) by name and without
+# table scan O(groups) bytes, over a join O(build side)) and in a CQ's queue (a
+# reader that keeps up costs it nothing, and it keeps no batch handed out,
+# TestCQQueueAllocs, TestCQQueuePinsNoBatch) and in a derived stream's channel
+# (APPEND copies an emission into one block and an index keys a row by a view
+# of it, TestChannelWriteAllocs; a REPLACE row is a copy of its own, which goes
+# once vacuumed, TestReplaceChannelPinsNoBatch) by name (Pins?NoBatch takes
+# both TestStoreKeysPinNoBatch and the PinsNoBatch tests) and without
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|PinNoBatch' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?NoBatch' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
 
 # poison runs the root suites (the SQL suite, the equivalence suites), the
 # experiments and the decoders' packages in poison mode (types.Poison): a row
 # a join takes back from a consumer that declared it keeps none is overwritten
 # with a sentinel at once, as internal/exec's own tests always run (its
 # TestMain), and every decoder zeroes its scratch once a block is carved from
-# it, so a row that aliased the scratch rather than its block reads garbage.
+# it, so a row that aliased the scratch rather than its block reads garbage;
+# the window-state store fills an expired slice's partials with a sentinel
+# that Insert resets on reuse, so a view that still merged or retracted the
+# slice fires garbage, not a quiet zero.
 poison:
-	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/server ./internal/wal ./internal/repl ./replica
+	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/server ./internal/wal ./internal/repl ./replica ./internal/ivm
 
 check: build fmt vet staticcheck test race drain-policies alloc-pins poison clean-stamps
 

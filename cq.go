@@ -48,7 +48,8 @@ type CQ struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []Batch
+	queue  []Batch // queue[head:] is undelivered
+	head   int
 	closed bool
 }
 
@@ -79,15 +80,7 @@ func (e *Engine) SubscribeArgs(sqlText string, args ...Value) (*CQ, error) {
 	}
 	cq := &CQ{Columns: p.Columns, eng: e}
 	cq.cond = sync.NewCond(&cq.mu)
-	pipe, err := e.rt.Subscribe(p, func(_ trace.Ctx, closeTS int64, rows []types.Row) error {
-		cq.mu.Lock()
-		if !cq.closed {
-			cq.queue = append(cq.queue, Batch{Close: time.UnixMicro(closeTS).UTC(), Rows: rows})
-			cq.cond.Broadcast()
-		}
-		cq.mu.Unlock()
-		return nil
-	})
+	pipe, err := e.rt.Subscribe(p, cq.deliver)
 	if err != nil {
 		return nil, err
 	}
@@ -96,16 +89,38 @@ func (e *Engine) SubscribeArgs(sqlText string, args ...Value) (*CQ, error) {
 	return cq, nil
 }
 
+// deliver queues the batch of one window close.
+func (cq *CQ) deliver(_ trace.Ctx, closeTS int64, rows []types.Row) error {
+	cq.mu.Lock()
+	if !cq.closed {
+		cq.queue = append(cq.queue, Batch{Close: time.UnixMicro(closeTS).UTC(), Rows: rows})
+		cq.cond.Broadcast()
+	}
+	cq.mu.Unlock()
+	return nil
+}
+
+// pop takes the oldest batch, if any, and clears its slot; once half the
+// array is taken the rest moves to its front (head is 0 whenever the queue is
+// empty), so a reader that keeps up reuses one array.
+func (cq *CQ) pop() (b Batch, ok bool) {
+	if len(cq.queue) == 0 {
+		return b, false
+	}
+	b, cq.queue[cq.head] = cq.queue[cq.head], Batch{}
+	if cq.head++; 2*cq.head >= len(cq.queue) {
+		n := copy(cq.queue, cq.queue[cq.head:])
+		clear(cq.queue[n:])
+		cq.queue, cq.head = cq.queue[:n], 0
+	}
+	return b, true
+}
+
 // TryNext returns the next queued batch without blocking.
 func (cq *CQ) TryNext() (Batch, bool) {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	if len(cq.queue) == 0 {
-		return Batch{}, false
-	}
-	b := cq.queue[0]
-	cq.queue = cq.queue[1:]
-	return b, true
+	return cq.pop()
 }
 
 // Next blocks until a batch is available or the CQ is closed. The second
@@ -116,20 +131,15 @@ func (cq *CQ) Next() (Batch, bool) {
 	for len(cq.queue) == 0 && !cq.closed {
 		cq.cond.Wait()
 	}
-	if len(cq.queue) == 0 {
-		return Batch{}, false
-	}
-	b := cq.queue[0]
-	cq.queue = cq.queue[1:]
-	return b, true
+	return cq.pop()
 }
 
 // Drain returns every queued batch.
 func (cq *CQ) Drain() []Batch {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	out := cq.queue
-	cq.queue = nil
+	out := cq.queue[cq.head:]
+	cq.queue, cq.head = nil, 0
 	return out
 }
 
@@ -137,7 +147,7 @@ func (cq *CQ) Drain() []Batch {
 func (cq *CQ) Pending() int {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	return len(cq.queue)
+	return len(cq.queue) - cq.head
 }
 
 // Close terminates the continuous query and wakes blocked readers.

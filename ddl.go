@@ -298,8 +298,12 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	w := e.beginWrite()
 	w.tc = tc
 	// A base stream's rows are stored as they are. A derived stream's are
-	// carved from types.RowBlocks, which a row the table keeps must not pin.
+	// carved from the view's types.RowBlocks, which a row the table keeps must
+	// not pin: APPEND copies the emission into one block of its own, whose rows
+	// are stored and stay together. REPLACE copies row by row, since it deletes
+	// one row at a time and a shared block would live as long as its last row.
 	_, carved := e.cat.Derived(ch.From)
+	blk := types.NewRowBlock(len(rows), len(t.Schema))
 	coerced := make([]types.Row, len(rows))
 	asDelivered := true
 	for i, row := range rows {
@@ -309,8 +313,10 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 		}
 		if len(cr) > 0 && &cr[0] != &row[0] {
 			asDelivered = false
-		} else if carved {
+		} else if carved && ch.Mode == sql.ChannelReplace {
 			cr = cr.Clone()
+		} else if carved {
+			cr = append(blk.Row()[:0], cr...)
 		}
 		coerced[i] = cr
 	}

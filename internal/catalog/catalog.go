@@ -30,10 +30,16 @@ type Index struct {
 	Table   string
 	Columns []int // positions in the table schema
 	Tree    *storage.BTree
+	run     bool // Columns ascend by one: a key is a view of its row
 }
 
-// KeyOf extracts the index key from a table row.
+// KeyOf extracts the index key from a table row: a view of the row when the
+// columns are one ascending run, as every single-column index's are, else a
+// copy. The tree keeps the key only while the heap keeps the row.
 func (ix *Index) KeyOf(row types.Row) types.Row {
+	if c := ix.Columns; ix.run {
+		return row[c[0] : c[0]+len(c) : c[0]+len(c)]
+	}
 	key := make(types.Row, len(ix.Columns))
 	for i, c := range ix.Columns {
 		key[i] = row[c]
@@ -236,15 +242,16 @@ func (c *Catalog) CreateIndex(name, table string, cols []string) (*Index, error)
 	if !ok {
 		return nil, ErrNotFound{"table", table}
 	}
-	positions := make([]int, len(cols))
+	positions, run := make([]int, len(cols)), len(cols) > 0
 	for i, col := range cols {
 		p := t.Schema.IndexOf(col)
 		if p < 0 {
 			return nil, fmt.Errorf("catalog: table %q has no column %q", table, col)
 		}
 		positions[i] = p
+		run = run && p == positions[0]+i
 	}
-	ix := &Index{Name: name, Table: table, Columns: positions, Tree: storage.NewBTree()}
+	ix := &Index{Name: name, Table: table, Columns: positions, Tree: storage.NewBTree(), run: run}
 	c.indexes[name] = ix
 	t.Indexes = append(t.Indexes, ix)
 	return ix, nil

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"streamrel/internal/sql"
@@ -139,6 +140,40 @@ func TestIndexLifecycle(t *testing.T) {
 	var nf ErrNotFound
 	if err := c.Drop(sql.ObjIndex, "ix2"); !errors.As(err, &nf) {
 		t.Fatalf("index should be gone with its table: %v", err)
+	}
+}
+
+// TestKeyOfViewsItsRow: an index whose columns are one ascending run keys a
+// row by a view of it, at no allocation; any other order copies. Either way
+// the key is the row's values in the index's column order.
+func TestKeyOfViewsItsRow(t *testing.T) {
+	c := New()
+	c.CreateTable("t", intSchema("a", "b", "c"))
+	row := types.Row{types.NewInt(1), types.NewInt(2), types.NewInt(3)}
+	for i, tc := range []struct {
+		cols []string
+		view bool
+		want types.Row
+	}{
+		{[]string{"a"}, true, types.Row{row[0]}},
+		{[]string{"a", "b"}, true, types.Row{row[0], row[1]}},
+		{[]string{"b", "a"}, false, types.Row{row[1], row[0]}},
+		{[]string{"a", "c"}, false, types.Row{row[0], row[2]}},
+	} {
+		ix, err := c.CreateIndex(fmt.Sprint("ix", i), "t", tc.cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := ix.KeyOf(row)
+		if !key.Equal(tc.want) || cap(key) != len(key) {
+			t.Errorf("%v: KeyOf = %v (cap %d), want %v", tc.cols, key, cap(key), tc.want)
+		}
+		if view := &key[0] == &row[ix.Columns[0]]; view != tc.view {
+			t.Errorf("%v: the key is a view of its row: %v, want %v", tc.cols, view, tc.view)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { key = ix.KeyOf(row) }); (allocs == 0) != tc.view {
+			t.Errorf("%v: KeyOf allocates %.0f times", tc.cols, allocs)
+		}
 	}
 }
 

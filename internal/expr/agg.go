@@ -138,6 +138,28 @@ func (s *AccSlab) New(spec AggSpec) (Acc, error) {
 	return inner, nil
 }
 
+// Reset returns an accumulator AccSlab.New made to the state New gave it: the
+// spec's flags kept, every value it held let go, so it pins no input batch.
+func Reset(a Acc) {
+	switch a := a.(type) {
+	case *countAcc:
+		a.n = 0
+	case *sumAcc:
+		*a = sumAcc{}
+	case *avgAcc:
+		*a = avgAcc{}
+	case *minmaxAcc:
+		*a = minmaxAcc{want: a.want}
+	case *momentsAcc:
+		*a = momentsAcc{stddev: a.stddev}
+	case *firstLastAcc:
+		*a = firstLastAcc{first: a.first}
+	case *distinctAcc:
+		clear(a.seen)
+		Reset(a.inner)
+	}
+}
+
 // maxChunk bounds a slab chunk (types.RowBlock's bound); minRefill is the
 // least a slab allocates once its guess has run out.
 const (
@@ -159,8 +181,7 @@ type Slab[T any] struct {
 	carved int // groups in the chunks so far
 	objs   []T
 	accs   []Acc
-	// Pool is where the accumulators come from, for one made outside Next.
-	Pool AccSlab
+	pool   AccSlab
 }
 
 // NewSlab returns a slab whose first chunk fits n groups: the size of the
@@ -172,7 +193,7 @@ func (b *Slab[T]) Next(aggs []AggSpec) (*T, []Acc, error) {
 	if len(b.objs) == 0 {
 		b.objs = make([]T, b.n)
 		b.accs = make([]Acc, b.n*len(aggs))
-		b.Pool.Chunk = b.n
+		b.pool.Chunk = b.n
 		b.carved += b.n
 		b.n = maxChunk
 		if b.carved < maxChunk {
@@ -185,7 +206,7 @@ func (b *Slab[T]) Next(aggs []AggSpec) (*T, []Acc, error) {
 	b.accs = b.accs[len(aggs):]
 	for i, spec := range aggs {
 		var err error
-		if accs[i], err = b.Pool.New(spec); err != nil {
+		if accs[i], err = b.pool.New(spec); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -563,6 +564,73 @@ func TestIsAggregateAndScalar(t *testing.T) {
 	}
 	if IsAggregate("lower") || !IsScalarFunc("lower") || !IsScalarFunc("cq_close") {
 		t.Fatal("classification")
+	}
+}
+
+// TestResetMatchesNew: an accumulator a slab carved, fed values of every type
+// (some of which it refuses) and Reset, is one New just made — the same
+// Result before anything arrives and after each step of one Add, Merge and
+// Sub sequence, for every aggregate spec: Reset keeps the flags New set
+// (count's star, min/max's direction, stddev, first) and forgets the rest,
+// a DISTINCT set's members included.
+func TestResetMatchesNew(t *testing.T) {
+	dirt := []types.Datum{types.NewString("zz"), types.NewInt(4), types.NewFloat(2.5), types.NewInterval(time.Second), types.NewInt(-40)}
+	seq := ints(4, -2, 4, 11, 0, 7)
+	specs := []AggSpec{{Name: "count", Star: true}}
+	var names []string // every aggregate there is
+	for name := range aggregateNames {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		specs = append(specs, AggSpec{Name: name})
+		if name != "first" && name != "last" { // their DISTINCT merges a set in map order
+			specs = append(specs, AggSpec{Name: name, Distinct: true})
+		}
+	}
+	for _, spec := range specs {
+		var slab AccSlab
+		reset, err := slab.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range dirt {
+			_ = reset.Add(v) // min/max refuse the types after the first
+		}
+		Reset(reset)
+		fresh, err := NewAcc(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, _ := NewAcc(spec)
+		addAll(t, part, seq[3:]...)
+		steps := []struct {
+			name string
+			do   func(a Acc) error
+		}{
+			{"nothing", func(Acc) error { return nil }},
+			{"Add", func(a Acc) error {
+				for _, v := range append(seq[:3:3], types.Null) {
+					if err := a.Add(v); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{"Merge", func(a Acc) error { return a.Merge(part) }},
+			{"Sub", func(a Acc) error {
+				if r, ok := a.(Retractable); ok {
+					return r.Sub(part)
+				}
+				return nil
+			}},
+		}
+		for _, step := range steps {
+			errReset, errFresh := step.do(reset), step.do(fresh)
+			if got, want := reset.Result(), fresh.Result(); (errReset == nil) != (errFresh == nil) || !got.Equal(want) {
+				t.Errorf("%+v after %s: reset %v (%v), new %v (%v)", spec, step.name, got, errReset, want, errFresh)
+			}
+		}
 	}
 }
 

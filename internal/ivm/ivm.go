@@ -35,15 +35,18 @@
 // k·ADVANCE + (ADVANCE − r) too — the store's offset, shared by its views.
 //
 // What the first touch of a (slice, group) or (view, group) needs — the
-// partial, its accumulator list and the accumulators — is carved from a
-// slab: a slice's slab goes with the slice at Expire, a view's when the
-// view rebuilds, so state costs an allocation per chunk of groups, not
-// several per group.
+// partial, its accumulator list and the accumulators — is carved from a slab
+// (a view's replaced when it rebuilds), an allocation per chunk of groups. An
+// expired slice is the next slice: Expire resets its partials onto its own
+// free list (a store-wide one kept leftovers' chunk-mates reachable:
+// mem_fanout RSS 71 → 81 MB) and spares it for one boundary if it holds at
+// most twice the groups it had; Insert opens a slice from a spare and takes
+// its partials from the free list before the slab.
 package ivm
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"streamrel/internal/expr"
@@ -60,11 +63,11 @@ type Store struct {
 	spec            *plan.StreamAgg
 	advance, offset int64
 	materialized    bool
-	// sub[i]: aggregate i retracts by Sub; the others re-merge.
-	sub []bool
+	empty           []expr.Acc // never added to: an empty window's scalar results
 
 	slices map[int64]*slice // keyed by slice start timestamp
 	cur    *slice           // the slice of the last inserted row
+	spares []*slice         // expired at the last boundary, reset, to open the next ones from
 	groups map[string]*group
 
 	views  []*View
@@ -89,6 +92,8 @@ type slice struct {
 	start  int64
 	groups map[string]*partial
 	slab   expr.Slab[partial]
+	free   *partial // the slab's partials no group holds, reset
+	size   int      // the most groups its map and slab were sized for or held
 }
 
 // partial is one group's aggregate over one slice.
@@ -96,6 +101,19 @@ type partial struct {
 	g    *group
 	rows int64 // rows that passed the filter into this group, this slice
 	accs []expr.Acc
+	next *partial // on its slice's free list
+}
+
+// reset empties a partial for reuse, pinning no input batch; poison (Expire's
+// under types.Poison, until Insert resets again) then folds in a value every
+// accumulator takes, so a view still reading the slice fires garbage.
+func (p *partial) reset(poison bool) {
+	p.g, p.rows = nil, 0
+	for _, a := range p.accs {
+		if expr.Reset(a); poison {
+			_ = a.Add(types.NewInt(-1 << 50))
+		}
+	}
 }
 
 // group is a live group's identity: the one string built for its key
@@ -116,31 +134,18 @@ func New(spec *plan.StreamAgg, advance, offset int64, materialized bool) (*Store
 		advance:      advance,
 		offset:       offset,
 		materialized: materialized,
-		sub:          make([]bool, len(spec.Aggs)),
 		slices:       make(map[int64]*slice),
 		groups:       make(map[string]*group),
 		keyScratch:   make(types.Row, len(spec.GroupBy)),
 	}
-	accs, err := s.newAccs()
-	if err != nil {
-		return nil, err
-	}
-	for i, a := range accs {
-		_, s.sub[i] = a.(expr.Retractable)
-	}
-	return s, nil
-}
-
-func (s *Store) newAccs() ([]expr.Acc, error) {
-	accs := make([]expr.Acc, len(s.spec.Aggs))
-	for i, spec := range s.spec.Aggs {
+	for _, spec := range spec.Aggs {
 		a, err := expr.NewAcc(spec)
 		if err != nil {
 			return nil, err
 		}
-		accs[i] = a
+		s.empty = append(s.empty, a)
 	}
-	return accs, nil
+	return s, nil
 }
 
 // SliceStart returns the start of the slice holding ts, the last cut at or
@@ -197,12 +202,16 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	sl := s.cur
 	if start := SliceStart(ts, s.advance, s.offset); sl == nil || sl.start != start {
 		if sl = s.slices[start]; sl == nil {
-			// As many groups as the slice before it is the best guess.
-			n := 0
-			if s.cur != nil {
-				n = len(s.cur.groups)
+			if n := len(s.spares); n > 0 {
+				sl, s.spares[n-1], s.spares = s.spares[n-1], nil, s.spares[:n-1]
+			} else {
+				// As many groups as the slice before it is the best guess.
+				if s.cur != nil {
+					n = len(s.cur.groups)
+				}
+				sl = &slice{groups: make(map[string]*partial, n), slab: expr.NewSlab[partial](n), size: n}
 			}
-			sl = &slice{start: start, groups: make(map[string]*partial, n), slab: expr.NewSlab[partial](n)}
+			sl.start = start
 			s.slices[start] = sl
 			s.SlicesN.Add(1)
 		}
@@ -217,12 +226,18 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 			s.groups[g.key] = g
 			s.GroupsN.Add(1)
 		}
-		var accs []expr.Acc
-		var err error
-		if p, accs, err = sl.slab.Next(s.spec.Aggs); err != nil {
-			return err
+		if p = sl.free; p == nil {
+			var accs []expr.Acc
+			var err error
+			if p, accs, err = sl.slab.Next(s.spec.Aggs); err != nil {
+				return err
+			}
+			p.accs = accs
+			sl.size = max(sl.size, len(sl.groups)+1) // no free partial: every one holds a group
+		} else if sl.free, p.next = p.next, nil; types.Poison {
+			p.reset(false)
 		}
-		p.g, p.accs = g, accs
+		p.g = g
 		g.slices++
 		sl.groups[g.key] = p
 	}
@@ -242,10 +257,12 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	return nil
 }
 
-// Expire drops the slices no attached view reads at a boundary after c.
-// Call it once every view has fired c: the next fire still retracts the
-// slice that opened the window closing at c.
+// Expire drops the slices no attached view reads at a boundary after c, and
+// the spares the last boundary left. Call it once every view has fired c:
+// the next fire still retracts the slice that opened the window closing at c.
 func (s *Store) Expire(c int64) {
+	clear(s.spares)
+	s.spares = s.spares[:0]
 	horizon := c - s.retain
 	for start, sl := range s.slices {
 		if start >= horizon {
@@ -261,6 +278,12 @@ func (s *Store) Expire(c int64) {
 				delete(s.groups, p.g.key)
 				s.GroupsN.Add(-1)
 			}
+			p.reset(types.Poison)
+			p.next, sl.free = sl.free, p
+		}
+		if sl.size <= 2*len(sl.groups) {
+			clear(sl.groups)
+			s.spares = append(s.spares, sl)
 		}
 	}
 }
@@ -407,8 +430,8 @@ func (v *View) add(sl *slice, c int64) (touched int, err error) {
 }
 
 // retract removes the slice at v.lo, which just left the window.
-// Aggregates without an inverse are rebuilt for the groups that slice held
-// from the slices still in the window, in ascending order.
+// Aggregates without an inverse are reset and rebuilt, for the groups that
+// slice held, from the slices still in the window, in ascending order.
 func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 	s := v.st
 	for k, p := range sl.groups {
@@ -428,26 +451,22 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 			continue
 		}
 		for i, a := range wg.accs {
-			if s.sub[i] {
-				if err := a.(expr.Retractable).Sub(p.accs[i]); err != nil {
+			if r, ok := a.(expr.Retractable); ok {
+				if err := r.Sub(p.accs[i]); err != nil {
 					return 0, err
 				}
 				continue
 			}
-			fresh, err := v.slab.Pool.New(s.spec.Aggs[i])
-			if err != nil {
-				return 0, err
-			}
+			expr.Reset(a)
 			for start := s.next(v.lo); start < v.hi; start = s.next(start) {
 				if o := s.slices[start]; o != nil {
 					if op := o.groups[k]; op != nil {
-						if err := fresh.Merge(op.accs[i]); err != nil {
+						if err := a.Merge(op.accs[i]); err != nil {
 							return 0, err
 						}
 					}
 				}
 			}
-			wg.accs[i] = fresh
 		}
 	}
 	return touched, nil
@@ -466,12 +485,8 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 func (v *View) emit(c int64, touched int) (rows []types.Row, carved int, err error) {
 	spec := v.st.spec
 	if len(v.groups) == 0 && len(spec.GroupBy) == 0 {
-		accs, err := v.st.newAccs()
-		if err != nil {
-			return nil, 0, err
-		}
-		row := make(types.Row, len(accs))
-		for i, a := range accs {
+		row := make(types.Row, len(v.st.empty))
+		for i, a := range v.st.empty {
 			row[i] = a.Result()
 		}
 		return []types.Row{row}, 1, nil
@@ -519,9 +534,7 @@ func (v *View) maintainOrder() {
 			add = append(add, g)
 		}
 	}
-	sort.Slice(add, func(i, j int) bool {
-		return types.CompareRows(add[i].g.keys, add[j].g.keys) < 0
-	})
+	slices.SortFunc(add, func(a, b *winGroup) int { return types.CompareRows(a.g.keys, b.g.keys) })
 	merged := v.scratch[:0]
 	ai := 0
 	for _, g := range v.ordered {

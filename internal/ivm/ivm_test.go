@@ -150,6 +150,56 @@ func TestFirstTouchAllocsAmortized(t *testing.T) {
 	}
 }
 
+// TestSliceRecycleAllocs: an expired slice is the next slice, so once a store
+// has cycled one retention, opening a slice, filling it with every group and
+// expiring the slice one retention back allocates nothing — for every kind of
+// accumulator, on a plain store and on a paired one (two slices an ADVANCE).
+// A DISTINCT set still makes one key string per value it takes, as it does on
+// a fresh slice (and one more for the sentinel under types.Poison); nothing
+// else.
+func TestSliceRecycleAllocs(t *testing.T) {
+	const groups, cycles = 100, 20
+	for _, agg := range []string{"count(*)", "count(v)", "sum(v)", "avg(v)", "min(v)", "max(v)",
+		"stddev(v)", "first(v)", "last(v)", "count(DISTINCT v)"} {
+		for _, visible := range []int64{30, 25} {
+			s := newStore(t, fmt.Sprintf(`SELECT url, %s FROM s <VISIBLE '%d seconds' ADVANCE '10 seconds'> GROUP BY url`, agg, visible))
+			s.Attach(visible * second)
+			rows := make([]types.Row, 2*groups) // every group in both halves of an ADVANCE
+			for i := range rows {
+				rows[i] = hit("/page/"+strconv.Itoa(i%groups), 0, int64(i%groups))
+			}
+			k := int64(0)
+			cycle := func() {
+				for i, r := range rows {
+					r[1] = types.NewTimestampMicros(k*10*second + int64(i/groups)*5*second + int64(i))
+					insert(t, s, r)
+				}
+				k++
+				s.Expire(k * 10 * second)
+			}
+			for k < 4 {
+				cycle()
+			}
+			want := 0.0
+			if strings.Contains(agg, "DISTINCT") {
+				want = float64(groups) // one value per group and slice
+				if s.offset != 0 {
+					want *= 2
+				}
+				if types.Poison {
+					want *= 2
+				}
+			}
+			if got := testing.AllocsPerRun(cycles, cycle); got != want {
+				t.Errorf("%s VISIBLE %d: a slice opened, filled and expired allocates %.1f times, want %.0f", agg, visible, got, want)
+			}
+			if got, want := s.SlicesN.Load(), map[int64]int64{30: 3, 25: 5}[visible]; got != want {
+				t.Errorf("%s VISIBLE %d: %d slices retained, want %d", agg, visible, got, want)
+			}
+		}
+	}
+}
+
 // TestGroupLifecycle: NULL is a group like any other, a group leaves a
 // view with its last slice and the store with its last retained partial,
 // and its re-creation does not disturb the slices still holding the key.
@@ -404,8 +454,8 @@ func TestPairedFireAllocs(t *testing.T) {
 }
 
 // TestRetractRebuildAllocsAmortized: MIN and MAX have no inverse, so a slice
-// leaving the window rebuilds them for every group it held; the fresh
-// accumulators are carved from the view's slab, not allocated one apiece.
+// leaving the window rebuilds them for every group it held; each is reset and
+// re-merged in place, not allocated afresh.
 func TestRetractRebuildAllocsAmortized(t *testing.T) {
 	const groups, closes = 1000, 20
 	s := newStore(t, `SELECT url, min(v), max(v) FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`)

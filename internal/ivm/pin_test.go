@@ -5,6 +5,7 @@ package ivm
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -51,4 +52,121 @@ func TestStoreKeysPinNoBatch(t *testing.T) {
 	if got, _ := fire(t, v, 10*second); got != want.String() {
 		t.Fatalf("fire = %s, want %s", got, want.String())
 	}
+}
+
+// TestRecycledSlicePinsNoBatch: a min(url) partial holds a string of the batch
+// its row came from while its slice is live. Once the slice expires it waits as
+// a spare for the next one, reset: it holds nothing of the batch.
+func TestRecycledSlicePinsNoBatch(t *testing.T) {
+	s := newStore(t, `SELECT url, min(url) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	s.Attach(10 * second)
+	var strs types.RowStrings
+	strs.Reset()
+	for i := 0; i < 8; i++ { // strings past the tiny allocator's 16 bytes, which share blocks
+		if _, err := strs.Decode(types.EncodeRow(nil, hit(fmt.Sprintf("/page/%d", i), 1*second, 1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := strs.Rows()
+	values, bytes := weak.Make(&rows[0][0]), weak.Make(unsafe.StringData(rows[0][0].Str()))
+	for _, r := range rows {
+		insert(t, s, r)
+	}
+	rows = nil
+	s.Expire(20 * second) // the fire at 10 s retracted [0, 10)
+	if len(s.spares) != 1 || s.spares[0].free == nil {
+		t.Fatalf("the expired slice is not a spare: %d spares", len(s.spares))
+	}
+	runtime.GC()
+	runtime.GC()
+	if values.Value() != nil || bytes.Value() != nil {
+		t.Fatalf("a spare keeps the decoded batch reachable: values %v, strings %v", values.Value() != nil, bytes.Value() != nil)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestRecycledSliceMemoryBounded: a slice of 10 000 groups followed by slices
+// of 10 is kept as a spare and opens a 10-group slice; when that one expires,
+// holding far fewer than half the groups it was grown for, it is dropped. A
+// burst is forgotten one retention after it expired.
+func TestRecycledSliceMemoryBounded(t *testing.T) {
+	const burst, steady = 10000, 10
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	s.Attach(30 * second)
+	fill := func(k int64, groups int) {
+		for i := 0; i < groups; i++ {
+			insert(t, s, hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), 1))
+		}
+	}
+	fill(0, burst)
+	// The first partial of a fresh store's first slice is the whole of its
+	// slab's first chunk.
+	chunk := weak.Make(s.slices[0].groups[types.Row{types.NewString("/page/0")}.Key()])
+	for k := int64(1); k <= 8; k++ {
+		s.Expire(k * 10 * second)
+		runtime.GC()
+		switch alive := chunk.Value() != nil; {
+		case k == 4 && (!alive || len(s.spares) != 1):
+			t.Fatalf("close %d: the burst slice expired and is not a spare (%d spares)", k, len(s.spares))
+		case k == 8 && alive:
+			t.Fatalf("close %d: the burst slice's chunk is reachable a retention after it expired", k)
+		}
+		fill(k, steady)
+	}
+	if got := s.GroupsN.Load(); got != steady {
+		t.Errorf("store holds %d groups, want %d", got, steady)
+	}
+}
+
+// TestRecycledSparesMemoryBounded: a detach that narrows retention expires
+// five slices at one boundary. The next boundary opens one slice from them
+// and drops the other four; the one it reused goes in its turn when it
+// expires holding fewer than half the groups it was grown for.
+func TestRecycledSparesMemoryBounded(t *testing.T) {
+	s := newStore(t, `SELECT url, count(*) FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	s.Attach(30 * second)
+	wide := s.Attach(70 * second)
+	fill := func(k int64, groups int) {
+		for i := 0; i < groups; i++ {
+			insert(t, s, hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), 1))
+		}
+	}
+	for k := int64(0); k < 10; k++ {
+		s.Expire(k * 10 * second)
+		fill(k, 10)
+	}
+	var expiring []weak.Pointer[slice]
+	for start, sl := range s.slices {
+		if start < 70*second {
+			expiring = append(expiring, weak.Make(sl))
+		}
+	}
+	alive := func() (n int) {
+		runtime.GC()
+		runtime.GC()
+		for _, w := range expiring {
+			if w.Value() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	s.Detach(wide)
+	s.Expire(100 * second)
+	if len(expiring) != 5 || len(s.spares) != 5 {
+		t.Fatalf("%d slices expired at once, %d spares: want 5 and 5", len(expiring), len(s.spares))
+	}
+	fill(10, 2)
+	s.Expire(110 * second)
+	if n := alive(); n != 1 {
+		t.Fatalf("%d of the 5 slices expired a boundary ago are reachable, want the one reused", n)
+	}
+	for k := int64(11); k <= 13; k++ {
+		fill(k, 2)
+		s.Expire((k + 1) * 10 * second)
+	}
+	if n := alive(); n != 0 {
+		t.Fatalf("the reused spare is reachable after it expired with 2 of its 10 groups")
+	}
+	runtime.KeepAlive(s) // the store, not its garbage, must be what keeps nothing
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -103,8 +104,8 @@ func (t *BTree) insertNonFull(n *node, it item) {
 
 // Delete removes (key, rid) if present, reporting whether it was found.
 // Deletion uses lazy rebalancing (no merge): nodes may become sparse but
-// never invalid. Index lifetime matches table lifetime here, and sparse
-// nodes only cost memory, not correctness.
+// never invalid, and cost memory, not correctness. A removed item's slot is
+// cleared: an index key may be a view of its heap row, which it must not pin.
 func (t *BTree) Delete(key types.Row, rid RowID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -125,7 +126,7 @@ func (t *BTree) deleteFrom(n *node, it item) bool {
 	if i < len(n.items) && !itemLess(it, n.items[i]) && !itemLess(n.items[i], it) {
 		// Found at position i.
 		if n.leaf() {
-			n.items = append(n.items[:i], n.items[i+1:]...)
+			n.items = slices.Delete(n.items, i, i+1)
 			return true
 		}
 		// Replace with the predecessor, taken out of the left subtree; a left
@@ -133,8 +134,8 @@ func (t *BTree) deleteFrom(n *node, it item) bool {
 		if pred, ok := popMax(n.children[i]); ok {
 			n.items[i] = pred
 		} else {
-			n.items = append(n.items[:i], n.items[i+1:]...)
-			n.children = append(n.children[:i], n.children[i+1:]...)
+			n.items = slices.Delete(n.items, i, i+1)
+			n.children = slices.Delete(n.children, i, i+1)
 		}
 		return true
 	}
@@ -158,7 +159,7 @@ func popMax(n *node) (item, bool) {
 		return item{}, false
 	}
 	it := n.items[last]
-	n.items = n.items[:last]
+	n.items = slices.Delete(n.items, last, last+1)
 	return it, true
 }
 
