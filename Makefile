@@ -77,13 +77,20 @@ drain-policies:
 # buffer the size of its frame, TestAppendAllocs; a snapshot costs the same
 # however many transactions ever aborted, TestSnapshotAllocsAfterTrim; the
 # server's row containers are views of the engine's, TestRowsViewAllocs), in
-# the operators (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup) and in
+# the operators (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup;
+# opened again it pays for its output rows only and keeps at most twice the
+# groups it last used, TestHashAggReopenAllocsPerGroup, TestHashAggKeptGroupsMemoryBounded;
+# a tree kept for its next execution keeps no row, TestReopenedTreePinsNoRow) and in
 # the window-state store (first touch of a (slice, group) ≤ 0.1 allocations
 # amortized; an expired slice is the next slice at no allocation; what it keeps
 # is bounded by twice its groups and one boundary, and pins no batch,
 # TestSliceRecycleAllocs, TestRecycledSliceMemoryBounded,
-# TestRecycledSparesMemoryBounded, TestRecycledSlicePinsNoBatch; an enrichment
+# TestRecycledSparesMemoryBounded, TestRecycledSlicePinsNoBatch; a group whose
+# last partial expired waits one boundary and a key that recurs costs nothing,
+# TestIdleGroupRevives, TestIdleGroupsMemoryBounded; an enrichment
 # fire independent of window rows, over the build side its post stage kept,
+# through the tree it built at its first close, which keeps none of the rows
+# it delivered, TestPostTreePinsNoFire,
 # and paying for the build again after a table write; HashJoin.Open over a
 # kept side nothing; a fire two
 # allocations, on a paired store too, and O(touched) bytes, and what its shared
@@ -93,12 +100,12 @@ drain-policies:
 # TestCQQueueAllocs, TestCQQueuePinsNoBatch) and in a derived stream's channel
 # (APPEND copies an emission into one block and an index keys a row by a view
 # of it, TestChannelWriteAllocs; a REPLACE row is a copy of its own, which goes
-# once vacuumed, TestReplaceChannelPinsNoBatch) by name (Pins?NoBatch takes
-# both TestStoreKeysPinNoBatch and the PinsNoBatch tests) and without
+# once vacuumed, TestReplaceChannelPinsNoBatch) by name (Pins?No takes
+# TestStoreKeysPinNoBatch and the Pins{NoBatch,NoFire,NoRow} tests) and without
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?NoBatch' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm .
 
 # poison runs the root suites (the SQL suite, the equivalence suites), the
 # experiments and the decoders' packages in poison mode (types.Poison): a row
@@ -108,7 +115,9 @@ alloc-pins:
 # it, so a row that aliased the scratch rather than its block reads garbage;
 # the window-state store fills an expired slice's partials with a sentinel
 # that Insert resets on reuse, so a view that still merged or retracted the
-# slice fires garbage, not a quiet zero.
+# slice fires garbage, not a quiet zero. The root suites include
+# TestReopenEquivalence: one operator tree opened again, after a failed
+# execution too, reads what a fresh one does.
 poison:
 	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/server ./internal/wal ./internal/repl ./replica ./internal/ivm
 

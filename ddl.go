@@ -590,8 +590,3 @@ func coerceRow(row types.Row, schema types.Schema) (types.Row, error) {
 func (e *Engine) execCtx() *exec.Ctx {
 	return &exec.Ctx{Snap: e.mgr.SnapshotNow(), Now: e.cfg.Now}
 }
-
-// execDrain runs a plan to completion.
-func execDrain(ctx *exec.Ctx, p *plan.Plan, in plan.Input) ([]types.Row, error) {
-	return exec.Drain(ctx, p.Build(in), 0)
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"streamrel/internal/exec"
+	"streamrel/internal/plan"
 	"streamrel/internal/storage"
 	"streamrel/internal/types"
 )
@@ -272,7 +273,7 @@ func TestEnrichExplain(t *testing.T) {
 // keptBuildOf returns where cq's post stage keeps the build side of its join.
 func keptBuildOf(t *testing.T, cq *CQ) *exec.JoinBuild {
 	t.Helper()
-	for op := cq.pipe.Plan().StreamAgg.PostBuild(nil); ; {
+	for op := cq.pipe.Plan().StreamAgg.PostBuild(&plan.Input{}); ; {
 		switch o := op.(type) {
 		case *exec.HashJoin:
 			if o.Keep == nil {

@@ -83,7 +83,7 @@ func postStage(agg *plan.StreamAgg) string {
 	if agg.PostBuild == nil {
 		return "none (view rows delivered as emitted)"
 	}
-	_, stats := exec.Instrument(agg.PostBuild(nil))
+	_, stats := exec.Instrument(agg.PostBuild(&plan.Input{}))
 	var ops []string
 	for i := len(stats) - 1; i >= 0; i-- {
 		if name := stats[i].Name; name != "Relation" {
@@ -105,7 +105,7 @@ func (e *Engine) execExplainAnalyze(p *plan.Plan) (*Result, error) {
 	defer e.mu.RUnlock()
 	ctx := e.execCtx()
 	start := time.Now()
-	root, stats := exec.Instrument(p.Build(plan.Input{}))
+	root, stats := exec.Instrument(p.Build(&plan.Input{}))
 	out, err := exec.Drain(ctx, root, 0)
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func filterProject(child Operator) Operator {
 // operators being reused: batch containers are reused, row values must
 // not be.
 func TestBatchRetainSafe(t *testing.T) {
-	p := filterProject(&Relation{Rows: makeRows(64)})
+	p := filterProject(&Values{Rows: makeRows(64)})
 	first := run(t, p)
 	snapshot := fmt.Sprint(first)
 	// Drive a second execution through the same operator values (fresh
@@ -46,7 +46,7 @@ func TestBatchRetainSafe(t *testing.T) {
 // must keep pulling when an entire child chunk is filtered out.
 func TestFilterBatchSkipsEmptyChunks(t *testing.T) {
 	f := &Filter{
-		Child: &Relation{Rows: makeRows(21)},
+		Child: &Values{Rows: makeRows(21)},
 		Pred:  predFn(func(r types.Row) bool { return false }),
 	}
 	if err := f.Open(&Ctx{}); err != nil {
@@ -112,7 +112,7 @@ func TestHashJoinFrozenOutput(t *testing.T) {
 	}
 	for _, c := range cases {
 		j := &HashJoin{
-			Left: &Relation{Rows: left}, Right: &Relation{Rows: right},
+			Left: &Values{Rows: left}, Right: &Values{Rows: right},
 			LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(0)},
 			Type: c.typ, Residual: c.residual, LeftWidth: 2, RightWidth: 2,
 		}
@@ -147,12 +147,12 @@ func TestJoinOutputRowsDoNotAlias(t *testing.T) {
 		}
 	}
 	hash := &HashJoin{
-		Left: &Relation{Rows: left}, Right: &Relation{Rows: right},
+		Left: &Values{Rows: left}, Right: &Values{Rows: right},
 		LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(0)},
 		Type: JoinInner, Residual: predFn(keep), LeftWidth: 2, RightWidth: 2,
 	}
 	loop := &NestedLoopJoin{
-		Left: &Relation{Rows: left}, Right: &Relation{Rows: right}, Type: JoinInner, RightWidth: 2,
+		Left: &Values{Rows: left}, Right: &Values{Rows: right}, Type: JoinInner, RightWidth: 2,
 		Pred: predFn(func(r types.Row) bool { return r[0].Int() == r[2].Int() && keep(r) }),
 	}
 	for name, op := range map[string]Operator{"hash": hash, "nested loop": loop} {

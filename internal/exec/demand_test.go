@@ -31,15 +31,15 @@ func TestLimitLaziness(t *testing.T) {
 	overFilter := func(count, offset int64) Operator {
 		return &Limit{Count: count, Offset: offset, Child: &Project{
 			Exprs: []*expr.Scalar{counting(&projects, col(0))},
-			Child: &Filter{Pred: counting(&filters, notThird), Child: &Relation{Rows: makeRows(1000)}},
+			Child: &Filter{Pred: counting(&filters, notThird), Child: &Values{Rows: makeRows(1000)}},
 		}}
 	}
 	overJoin := func(residual *expr.Scalar) Operator {
 		return &Limit{Count: 1, Child: &Project{
 			Exprs: []*expr.Scalar{counting(&projects, col(3))},
 			Child: &HashJoin{
-				Left:     &Filter{Pred: counting(&filters, all), Child: &Relation{Rows: makeRows(1000)}},
-				Right:    &Relation{Rows: build},
+				Left:     &Filter{Pred: counting(&filters, all), Child: &Values{Rows: makeRows(1000)}},
+				Right:    &Values{Rows: build},
 				LeftKeys: []*expr.Scalar{col(1)}, RightKeys: []*expr.Scalar{col(0)},
 				Type: JoinInner, Residual: residual, LeftWidth: 2, RightWidth: 2,
 			},

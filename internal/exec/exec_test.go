@@ -95,7 +95,8 @@ func TestValuesAndRelation(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatal("values")
 	}
-	rows = run(t, &Relation{Rows: []types.Row{irow(3)}})
+	window := []types.Row{irow(3)}
+	rows = run(t, &Relation{Rows: &window})
 	if len(rows) != 1 || rows[0][0].Int() != 3 {
 		t.Fatal("relation")
 	}

@@ -99,10 +99,10 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.ec = ctx.evalCtx()
 	j.out.reset()
 	j.key = j.keyBuf[:0]
-	if j.Type == JoinLeft || j.Type == JoinFull {
+	if (j.Type == JoinLeft || j.Type == JoinFull) && j.padRight == nil {
 		j.padRight = nullRow(j.RightWidth)
 	}
-	if j.Type == JoinRight || j.Type == JoinFull {
+	if (j.Type == JoinRight || j.Type == JoinFull) && j.padLeft == nil {
 		j.padLeft = nullRow(j.LeftWidth)
 	}
 	j.leftRow = nil
@@ -283,9 +283,9 @@ func (j *HashJoin) collectUnmatched() {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.table = nil
-	j.build = nil
-	j.unmatched = nil
+	j.table, j.build, j.unmatched, j.leftRow, j.ec.Row = nil, nil, nil, nil, nil
+	j.out.reset()
+	j.buf = clearRows(j.buf)
 	return j.Left.Close()
 }
 
@@ -312,7 +312,7 @@ type NestedLoopJoin struct {
 func (j *NestedLoopJoin) Open(ctx *Ctx) error {
 	j.ec = ctx.evalCtx()
 	j.out.reset()
-	if j.Type == JoinLeft {
+	if j.Type == JoinLeft && j.padRight == nil {
 		j.padRight = nullRow(j.RightWidth)
 	}
 	j.leftRow = nil
@@ -372,7 +372,9 @@ func (j *NestedLoopJoin) next() (types.Row, error) {
 
 // Close implements Operator.
 func (j *NestedLoopJoin) Close() error {
-	j.right = nil
+	j.right, j.leftRow, j.ec.Row = nil, nil, nil
+	j.out.reset()
+	j.buf = clearRows(j.buf)
 	return j.Left.Close()
 }
 
@@ -398,7 +400,8 @@ func probeRow(left Operator) (types.Row, error) {
 // demand or the input has not ended it sooner, and the next pull takes the
 // block's rows back before it carves again (gather). The block is the one a
 // join that recycles nothing starts with, so a join of a few rows allocates
-// what it always did, and one of a million rows nothing more.
+// what it always did, and one of a million rows nothing more; a tree opened
+// again keeps it, so the next execution allocates nothing for it either.
 type rowConcat struct {
 	blk     types.RowBlock
 	width   int       // of the rows blk carves; -1 before the first
@@ -406,8 +409,16 @@ type rowConcat struct {
 	recycle bool
 }
 
-// reset readies c for an execution; what the consumer declared stays.
-func (c *rowConcat) reset() { *c = rowConcat{width: -1, recycle: c.recycle} }
+// reset readies c for an execution; what the consumer declared stays, and so
+// does a recycling join's block, its rows taken back and cleared.
+func (c *rowConcat) reset() {
+	if !c.recycle || c.width < 0 {
+		*c = rowConcat{width: -1, recycle: c.recycle}
+	} else {
+		clear(c.blk.Rewind())
+		c.spare = nil
+	}
+}
 
 // poison is what gather writes over the rows it takes back under
 // types.Poison, so that a consumer which declared its rows transient and kept

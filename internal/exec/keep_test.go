@@ -15,7 +15,7 @@ import (
 // keptJoin is probe ⋈ heap on the first column of each, keeping its build
 // side in keep when keep is set.
 func keptJoin(probe []types.Row, h *storage.Heap, typ JoinType, keep *JoinBuild) *HashJoin {
-	return &HashJoin{Left: &Relation{Rows: probe}, Right: &SeqScan{Heap: h},
+	return &HashJoin{Left: &Values{Rows: probe}, Right: &SeqScan{Heap: h},
 		LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(0)},
 		Type: typ, LeftWidth: 2, RightWidth: 2, Keep: keep}
 }

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"streamrel/internal/expr"
 	"streamrel/internal/types"
@@ -53,7 +53,10 @@ func (f *Filter) NextBatch(max int) ([]types.Row, error) {
 }
 
 // Close implements Operator.
-func (f *Filter) Close() error { return f.Child.Close() }
+func (f *Filter) Close() error {
+	f.buf, f.ec.Row = clearRows(f.buf), nil
+	return f.Child.Close()
+}
 
 func (f *Filter) rowsTransient() { rowsTransient(f.Child) }
 
@@ -107,8 +110,12 @@ func (p *Project) NextBatch(max int) ([]types.Row, error) {
 	return out, nil
 }
 
-// Close implements Operator.
-func (p *Project) Close() error { return p.Child.Close() }
+// Close implements Operator. The block goes: its rows are the execution's
+// output, which the consumer may retain.
+func (p *Project) Close() error {
+	p.buf, p.blk, p.ec.Row = clearRows(p.buf), types.RowBlock{}, nil
+	return p.Child.Close()
+}
 
 // Limit implements LIMIT/OFFSET.
 type Limit struct {
@@ -178,21 +185,23 @@ type Sort struct {
 	Child Operator
 	Keys  []SortKey
 	cursor
+
+	ec expr.Ctx
 }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Ctx) error {
-	s.reset(nil)
+	s.Close()
+	defer s.Child.Close()
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	defer s.Child.Close()
-	type keyed struct {
+	type keyedRow struct {
 		row  types.Row
 		keys types.Row
 	}
-	var all []keyed
-	ec := ctx.evalCtx()
+	var keyed []keyedRow // sized from the first chunk
+	s.ec = ctx.evalCtx()
 	for {
 		in, err := s.Child.NextBatch(chunkRows)
 		if err != nil {
@@ -201,56 +210,59 @@ func (s *Sort) Open(ctx *Ctx) error {
 		if in == nil {
 			break
 		}
+		if keyed == nil {
+			keyed = make([]keyedRow, 0, len(in))
+		}
 		// Key rows are carved from one block per input chunk.
 		blk := types.NewRowBlock(len(in), len(s.Keys))
 		for _, row := range in {
 			ks := blk.Row()
-			ec.Row = row
+			s.ec.Row = row
 			for i, k := range s.Keys {
-				if ks[i], err = k.Expr.Eval(&ec); err != nil {
+				if ks[i], err = k.Expr.Eval(&s.ec); err != nil {
 					return err
 				}
 			}
-			all = append(all, keyed{row, ks})
+			keyed = append(keyed, keyedRow{row, ks})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		for k := range s.Keys {
-			key := s.Keys[k]
-			a, b := all[i].keys[k], all[j].keys[k]
-			an, bn := a.IsNull(), b.IsNull()
-			if an || bn {
-				if an && bn {
-					continue
-				}
-				// Explicit placement overrides the total order.
-				if key.NullsFirst {
-					return an
-				}
-				if key.NullsLast {
-					return bn
-				}
-			}
-			c := types.Compare(a, b)
-			if c == 0 {
+	slices.SortStableFunc(keyed, func(a, b keyedRow) int {
+		for i, key := range s.Keys {
+			an, bn := a.keys[i].IsNull(), b.keys[i].IsNull()
+			if an && bn {
 				continue
 			}
-			if key.Desc {
-				return c > 0
+			// Explicit placement overrides the total order.
+			if (an || bn) && (key.NullsFirst || key.NullsLast) {
+				if an == key.NullsFirst {
+					return -1
+				}
+				return 1
 			}
-			return c < 0
+			if c := types.Compare(a.keys[i], b.keys[i]); c != 0 {
+				if key.Desc {
+					return -c
+				}
+				return c
+			}
 		}
-		return false
+		return 0
 	})
-	s.rows = make([]types.Row, len(all))
-	for i, a := range all {
-		s.rows[i] = a.row
+	if cap(s.rows) < len(keyed) {
+		s.rows = make([]types.Row, 0, len(keyed))
+	}
+	for _, k := range keyed {
+		s.rows = append(s.rows, k.row)
 	}
 	return nil
 }
 
 // Close implements Operator.
-func (s *Sort) Close() error { s.rows = nil; return nil }
+func (s *Sort) Close() error {
+	s.ec.Row = nil
+	s.reset(clearRows(s.rows))
+	return nil
+}
 
 // Distinct removes duplicate rows (SQL DISTINCT: NULLs compare equal).
 type Distinct struct {
@@ -288,7 +300,10 @@ func (d *Distinct) NextBatch(max int) ([]types.Row, error) {
 }
 
 // Close implements Operator.
-func (d *Distinct) Close() error { d.seen = rowSet{}; return d.Child.Close() }
+func (d *Distinct) Close() error {
+	d.seen, d.buf = rowSet{}, clearRows(d.buf)
+	return d.Child.Close()
+}
 
 // rowSet is a set of rows under grouping equality. It probes with the
 // row's key bytes in a reused buffer and builds a key string only for a

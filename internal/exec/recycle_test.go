@@ -35,7 +35,7 @@ func joinedRows(n, keys int, residual *expr.Scalar) *HashJoin {
 		build[i] = irow(int64(i/2), int64(1000+i))
 	}
 	return &HashJoin{
-		Left: &Relation{Rows: probe}, Right: &Relation{Rows: build},
+		Left: &Values{Rows: probe}, Right: &Values{Rows: build},
 		LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(0)},
 		Type: JoinInner, Residual: residual, LeftWidth: 2, RightWidth: 2,
 	}
@@ -64,7 +64,7 @@ func TestRecycledJoinsAggregateTheSame(t *testing.T) {
 	}
 	// outer joins join's output (as its probe side) to dims on the key.
 	outer := func(join Operator) Operator {
-		return &HashJoin{Left: join, Right: &Relation{Rows: dims},
+		return &HashJoin{Left: join, Right: &Values{Rows: dims},
 			LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(0)},
 			Type: JoinInner, LeftWidth: 4, RightWidth: 2}
 	}
@@ -86,7 +86,7 @@ func TestRecycledJoinsAggregateTheSame(t *testing.T) {
 			"hash, residual": func() Operator { return joinedRows(n, keys, keepTwoThirds) },
 			"nested loop":    loop,
 		} {
-			// The reference consumes the join's rows retained: a Relation
+			// The reference consumes the join's rows retained: a Values
 			// over what Drain collected from a join nobody told anything.
 			retained, err := Drain(&Ctx{}, join(), 0)
 			if err != nil {
@@ -95,7 +95,7 @@ func TestRecycledJoinsAggregateTheSame(t *testing.T) {
 			if len(retained) <= chunkRows {
 				t.Fatalf("%s: %d rows fit one pull", joinName, len(retained))
 			}
-			want := rowStrings(run(t, build(&Relation{Rows: retained})))
+			want := rowStrings(run(t, build(&Values{Rows: retained})))
 			got := rowStrings(run(t, build(join())))
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s over a %s join: recycled output gives\n%.300v\nretained output gives\n%.300v", name, joinName, got, want)
@@ -127,13 +127,13 @@ func TestOnlyDeclaredConsumersRecycle(t *testing.T) {
 		}, false},
 		"HashAgg(Distinct)": {func(j *HashJoin) Operator { return countSum(&Distinct{Child: j}, col(0), col(3)) }, false},
 		"HashAgg(Union all)": {func(j *HashJoin) Operator {
-			return countSum(&SetOp{Kind: SetUnion, All: true, Left: j, Right: &Relation{}}, col(0), col(3))
+			return countSum(&SetOp{Kind: SetUnion, All: true, Left: j, Right: &Values{}}, col(0), col(3))
 		}, false},
 		"probe side": {func(j *HashJoin) Operator {
-			return &NestedLoopJoin{Left: j, Right: &Relation{Rows: []types.Row{irow(1)}}, Type: JoinCross, RightWidth: 1}
+			return &NestedLoopJoin{Left: j, Right: &Values{Rows: []types.Row{irow(1)}}, Type: JoinCross, RightWidth: 1}
 		}, true},
 		"build side under HashAgg": {func(j *HashJoin) Operator {
-			return countSum(&HashJoin{Left: &Relation{Rows: makeRows(10)}, Right: j,
+			return countSum(&HashJoin{Left: &Values{Rows: makeRows(10)}, Right: j,
 				LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(1)},
 				Type: JoinInner, LeftWidth: 2, RightWidth: 4}, col(0), col(5))
 		}, false},

@@ -25,19 +25,20 @@ func (v *Values) Open(*Ctx) error { v.reset(v.Rows); return nil }
 // Close implements Operator.
 func (v *Values) Close() error { return nil }
 
-// Relation scans an in-memory slice of rows. Window closes materialize
-// each window as a relation (the paper's Figure 1: "windows produce a
-// sequence of tables") and feed it to the plan through this operator.
+// Relation is a plan's window leaf. Window closes materialize each window as
+// a relation (the paper's Figure 1: "windows produce a sequence of tables")
+// and feed it to the one tree the plan built through this operator, which
+// reads the close's rows through Rows at Open.
 type Relation struct {
-	Rows []types.Row
+	Rows *[]types.Row
 	cursor
 }
 
 // Open implements Operator.
-func (r *Relation) Open(*Ctx) error { r.reset(r.Rows); return nil }
+func (r *Relation) Open(*Ctx) error { r.reset(*r.Rows); return nil }
 
 // Close implements Operator.
-func (r *Relation) Close() error { return nil }
+func (r *Relation) Close() error { r.reset(nil); return nil }
 
 // SeqScan reads every visible row of a heap under the execution snapshot.
 // It streams: each pull hands out rows of one container of at most chunkRows
@@ -67,8 +68,8 @@ func (s *SeqScan) Open(ctx *Ctx) error {
 // NextBatch implements Operator: the cursor's, refilled when it runs dry.
 func (s *SeqScan) NextBatch(max int) ([]types.Row, error) {
 	if s.pos == len(s.rows) && s.next < s.end {
-		if s.rows == nil {
-			s.rows = make([]types.Row, 0, min(chunkRows, int(s.end-s.next)))
+		if want := min(chunkRows, int(s.end-s.next)); cap(s.rows) < want {
+			s.rows = make([]types.Row, 0, want)
 		}
 		buf := s.rows[:0]
 		s.next = s.Heap.Read(s.snap, s.next, s.end, cap(buf), &buf, nil)
@@ -78,7 +79,7 @@ func (s *SeqScan) NextBatch(max int) ([]types.Row, error) {
 }
 
 // Close implements Operator.
-func (s *SeqScan) Close() error { s.rows = nil; return nil }
+func (s *SeqScan) Close() error { s.reset(clearRows(s.rows)); return nil }
 
 // IndexScan reads rows whose index key lies in [Lo, Hi] (nil bounds are
 // open), checking MVCC visibility against the heap.
@@ -88,22 +89,24 @@ type IndexScan struct {
 	// Lo and Hi are single-column bounds on the index's first column.
 	Lo, Hi *expr.Scalar
 	cursor
+
+	ec expr.Ctx
 }
 
 // Open implements Operator.
 func (s *IndexScan) Open(ctx *Ctx) error {
-	s.reset(s.rows[:0])
+	s.reset(clearRows(s.rows))
 	var lo, hi types.Row
-	ec := ctx.evalCtx() // bounds are constants: no row
+	s.ec = ctx.evalCtx() // bounds are constants: no row
 	if s.Lo != nil {
-		v, err := s.Lo.Eval(&ec)
+		v, err := s.Lo.Eval(&s.ec)
 		if err != nil {
 			return err
 		}
 		lo = types.Row{v}
 	}
 	if s.Hi != nil {
-		v, err := s.Hi.Eval(&ec)
+		v, err := s.Hi.Eval(&s.ec)
 		if err != nil {
 			return err
 		}
@@ -124,4 +127,4 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 }
 
 // Close implements Operator.
-func (s *IndexScan) Close() error { s.rows = nil; return nil }
+func (s *IndexScan) Close() error { s.reset(clearRows(s.rows)); return nil }

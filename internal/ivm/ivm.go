@@ -41,7 +41,9 @@
 // free list (a store-wide one kept leftovers' chunk-mates reachable:
 // mem_fanout RSS 71 → 81 MB) and spares it for one boundary if it holds at
 // most twice the groups it had; Insert opens a slice from a spare and takes
-// its partials from the free list before the slab.
+// its partials from the free list before the slab. A group whose last
+// partial expires idles a boundary, in the map but not in GroupsN: a key
+// recurring in the window after gets it back, and the next Expire drops it.
 package ivm
 
 import (
@@ -69,6 +71,7 @@ type Store struct {
 	cur    *slice           // the slice of the last inserted row
 	spares []*slice         // expired at the last boundary, reset, to open the next ones from
 	groups map[string]*group
+	idle   []*group // in groups, their last partial expired at the last boundary
 
 	views  []*View
 	retain int64 // widest attached VISIBLE
@@ -119,7 +122,8 @@ func (p *partial) reset(poison bool) {
 // group is a live group's identity: the one string built for its key
 // bytes — every slice map and view map is keyed with it, so they share
 // its storage — and its key row, whose strings are that string's bytes too.
-// It lives while a retained slice holds a partial for it.
+// It lives while a retained slice holds a partial for it, and idles one
+// boundary more.
 type group struct {
 	key    string
 	keys   types.Row
@@ -224,6 +228,8 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 			g = &group{key: string(s.keyBuf), keys: s.keyScratch.Clone()}
 			g.keys.ShareKey(g.key)
 			s.groups[g.key] = g
+		}
+		if g.slices == 0 { // new, or idle and revived
 			s.GroupsN.Add(1)
 		}
 		if p = sl.free; p == nil {
@@ -257,12 +263,19 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	return nil
 }
 
-// Expire drops the slices no attached view reads at a boundary after c, and
-// the spares the last boundary left. Call it once every view has fired c:
+// Expire drops the slices no view reads at a boundary after c, and the spares
+// and idle groups the last boundary left. Call it once every view has fired c:
 // the next fire still retracts the slice that opened the window closing at c.
 func (s *Store) Expire(c int64) {
 	clear(s.spares)
 	s.spares = s.spares[:0]
+	for _, g := range s.idle {
+		if g.slices == 0 {
+			delete(s.groups, g.key)
+		}
+	}
+	clear(s.idle)
+	s.idle = s.idle[:0]
 	horizon := c - s.retain
 	for start, sl := range s.slices {
 		if start >= horizon {
@@ -275,7 +288,7 @@ func (s *Store) Expire(c int64) {
 		}
 		for _, p := range sl.groups {
 			if p.g.slices--; p.g.slices == 0 {
-				delete(s.groups, p.g.key)
+				s.idle = append(s.idle, p.g)
 				s.GroupsN.Add(-1)
 			}
 			p.reset(types.Poison)

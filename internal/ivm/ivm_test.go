@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,6 +51,8 @@ func newStore(t *testing.T, q string) *Store {
 }
 
 const second = 1_000_000
+
+var racing bool // race_test.go
 
 func hit(url string, ts, v int64) types.Row {
 	return types.Row{types.NewString(url), types.NewTimestampMicros(ts), types.NewInt(v)}
@@ -197,6 +200,39 @@ func TestSliceRecycleAllocs(t *testing.T) {
 				t.Errorf("%s VISIBLE %d: %d slices retained, want %d", agg, visible, got, want)
 			}
 		}
+	}
+}
+
+// TestIdleGroupRevives: under a tumbling window a group's last partial
+// expires one boundary after its window closed; a key that recurs in the
+// window after that finds its group idle, not gone, and costs nothing — the
+// slice from a spare, the partial from its free list, the group itself kept
+// — where re-creating it built its key string and key row again.
+func TestIdleGroupRevives(t *testing.T) {
+	const groups, cycles = 100, 20
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	s.Attach(10 * second)
+	var sets [2][]types.Row // alternate windows: every key is absent from one in two
+	for i := 0; i < 2*groups; i++ {
+		sets[i/groups] = append(sets[i/groups], hit("/page/"+strconv.Itoa(i), 0, 1))
+	}
+	k := int64(0)
+	cycle := func() {
+		for i, r := range sets[k%2] {
+			r[1] = types.NewTimestampMicros(k*10*second + int64(i))
+			insert(t, s, r)
+		}
+		k++
+		s.Expire(k * 10 * second)
+	}
+	for k < 4 {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(cycles, cycle); got != 0 {
+		t.Errorf("a window of %d keys that were idle a boundary allocates %.1f times, want 0", groups, got)
+	}
+	if live, held := s.GroupsN.Load(), len(s.groups); live != groups || held != 2*groups {
+		t.Errorf("%d live groups and %d held, want %d and %d (the idle ones)", live, held, groups, 2*groups)
 	}
 }
 
@@ -425,9 +461,14 @@ func TestPairedWindowsEqualBruteForce(t *testing.T) {
 
 // TestPairedFireAllocs: a close of a paired store adds two slices and
 // retracts two, for the two allocations of any close — the block and the
-// slice.
+// slice. (Under -race the count reads 2.12–2.14, the detector's own
+// allocations in the window; make alloc-pins runs it without.)
 func TestPairedFireAllocs(t *testing.T) {
 	const groups, closes = 1000, 50
+	// A collection cycle that starts inside a fire counts the runtime's own
+	// objects (2.12–2.16 a close in about half the runs, exactly 2 under
+	// GOGC=off): the pin is on what the fire allocates.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`)
 	v := s.Attach(25 * second)
 	var mallocs float64
@@ -448,7 +489,7 @@ func TestPairedFireAllocs(t *testing.T) {
 			mallocs += n
 		}
 	}
-	if per := mallocs / closes; per > 2.1 {
+	if per := mallocs / closes; per > 2.1 && !racing {
 		t.Errorf("a paired close allocates %.2f times, want 2: the block and the slice", per)
 	}
 }

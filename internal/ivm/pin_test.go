@@ -170,3 +170,29 @@ func TestRecycledSparesMemoryBounded(t *testing.T) {
 	}
 	runtime.KeepAlive(s) // the store, not its garbage, must be what keeps nothing
 }
+
+// TestIdleGroupsMemoryBounded: a group whose last partial expired waits idle
+// for one boundary, in case its key recurs; one that does not is gone the
+// boundary after, key string and all.
+func TestIdleGroupsMemoryBounded(t *testing.T) {
+	s := newStore(t, `SELECT url, count(*) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(10 * second)
+	insert(t, s, hit("/page/gone", 1*second, 1))
+	key := weak.Make(unsafe.StringData(s.groups[types.Row{types.NewString("/page/gone")}.Key()].key))
+	for k := int64(1); k <= 3; k++ {
+		insert(t, s, hit("/page/stays", k*10*second-1, 1))
+		if _, _, _, err := v.Fire(k * 10 * second); err != nil {
+			t.Fatal(err)
+		}
+		s.Expire(k * 10 * second)
+		runtime.GC()
+		runtime.GC()
+		switch alive := key.Value() != nil; {
+		case k == 2 && (!alive || s.GroupsN.Load() != 1):
+			t.Fatalf("boundary %d: the group idle since its last partial expired is gone, or counted live (%d live)", k, s.GroupsN.Load())
+		case k == 3 && alive:
+			t.Fatalf("boundary %d: the key string of a group that did not recur is reachable", k)
+		}
+	}
+	runtime.KeepAlive(s)
+}

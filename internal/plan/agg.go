@@ -172,32 +172,17 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 		}
 		return op
 	}
-	aggStage := func(in Input) exec.Operator {
-		var op exec.Operator = &exec.HashAgg{
-			Child:        inner(in),
-			GroupBy:      compiledGroups,
-			Aggs:         aggSpecs,
-			SortedOutput: sortedOutput,
-		}
-		if having != nil {
-			op = &exec.Filter{Child: op, Pred: having}
-		}
-		return op
+	agg := func(in *Input) exec.Operator {
+		return &exec.HashAgg{Child: inner(in), GroupBy: compiledGroups, Aggs: aggSpecs, SortedOutput: sortedOutput}
 	}
 	n := &node{
 		schema:   schema,
 		closeCol: closeCol,
-		build: func(in Input) exec.Operator {
-			agg := &exec.HashAgg{
-				Child:        inner(in),
-				GroupBy:      compiledGroups,
-				Aggs:         aggSpecs,
-				SortedOutput: sortedOutput,
-			}
-			return buildAbove(agg, true)
-		},
-		preScope:   postScope,
-		preBuild:   aggStage,
+		build:    func(in *Input) exec.Operator { return buildAbove(agg(in), true) },
+		preScope: postScope,
+		// Hidden ORDER BY columns are projected over this; with DISTINCT
+		// they are refused (applyOrderBy), so it is never built then.
+		preBuild:   func(in *Input) exec.Operator { return buildAbove(agg(in), false) },
 		projExprs:  projExprs,
 		distinct:   sel.Distinct,
 		preRewrite: rewrite,
@@ -264,8 +249,8 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 			PostKey:     postKeyString(residConjs, sel),
 		}
 		if !identity || having != nil || len(residual) > 0 {
-			n.streamAgg.PostBuild = func(aggRows []types.Row) exec.Operator {
-				var op exec.Operator = &exec.Relation{Rows: aggRows}
+			n.streamAgg.PostBuild = func(in *Input) exec.Operator {
+				var op exec.Operator = &exec.Relation{Rows: &in.WindowRows}
 				for _, rs := range residual {
 					op = &exec.Filter{Child: op, Pred: rs}
 				}

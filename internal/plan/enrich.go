@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"streamrel/internal/catalog"
-	"streamrel/internal/exec"
 	"streamrel/internal/expr"
 	"streamrel/internal/sql"
 	"streamrel/internal/types"
@@ -239,7 +238,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 	preAgg := pn.streamAgg
 	qb := &builder{cat: p.Cat, pre: &relNode{
 		scope: scopeFrom(preName, pn.schema),
-		build: func(in Input) exec.Operator { return preAgg.post(in.WindowRows) },
+		build: preAgg.post,
 	}}
 	qn, err := qb.buildSelect(post, true)
 	if err != nil {
@@ -255,7 +254,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 		Aggs:        preAgg.Aggs,
 		Fingerprint: preAgg.Fingerprint,
 		PostKey:     preAgg.PostKey + "|E:" + selectKey(post),
-		PostBuild:   func(aggRows []types.Row) exec.Operator { return qn.build(Input{WindowRows: aggRows}) },
+		PostBuild:   qn.build,
 		PreAgg:      preAggNote,
 	}, ""
 }

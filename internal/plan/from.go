@@ -13,7 +13,7 @@ import (
 // relNode is a planned FROM item.
 type relNode struct {
 	scope *scope
-	build func(in Input) exec.Operator
+	build func(in *Input) exec.Operator
 	// table is set when this node is still a bare table scan, making it a
 	// valid target for predicate pushdown and index selection.
 	table *catalog.Table
@@ -86,7 +86,7 @@ func (b *builder) buildBaseTable(r *sql.BaseTable) (*relNode, error) {
 	heap := t.Heap
 	return &relNode{
 		scope: scopeFrom(alias, t.Schema),
-		build: func(Input) exec.Operator { return &exec.SeqScan{Heap: heap} },
+		build: func(*Input) exec.Operator { return &exec.SeqScan{Heap: heap} },
 		table: t,
 	}, nil
 }
@@ -106,7 +106,7 @@ func (b *builder) streamLeaf(r *sql.BaseTable, alias string, schema types.Schema
 	}
 	return &relNode{
 		scope:    scopeFrom(alias, schema),
-		build:    func(in Input) exec.Operator { return &exec.Relation{Rows: in.WindowRows} },
+		build:    func(in *Input) exec.Operator { return &exec.Relation{Rows: &in.WindowRows} },
 		isStream: true,
 	}, nil
 }
@@ -181,7 +181,7 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 		return &relNode{
 			scope: joined,
 			outer: left.outer || right.outer,
-			build: func(in Input) exec.Operator {
+			build: func(in *Input) exec.Operator {
 				return &exec.HashJoin{
 					Left: lb(in), Right: rb(in),
 					LeftKeys: leftKeys, RightKeys: rightKeys,
@@ -220,7 +220,7 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 		return &relNode{
 			scope: joined,
 			outer: true,
-			build: func(in Input) exec.Operator {
+			build: func(in *Input) exec.Operator {
 				return &exec.Project{Child: sb(in), Exprs: reorder}
 			},
 		}, nil
@@ -229,7 +229,7 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 	return &relNode{
 		scope: joined,
 		outer: left.outer || right.outer || jt == exec.JoinLeft,
-		build: func(in Input) exec.Operator {
+		build: func(in *Input) exec.Operator {
 			return &exec.NestedLoopJoin{
 				Left: lb(in), Right: rb(in),
 				Pred: pred, Type: jt, RightWidth: rw,
@@ -307,7 +307,7 @@ func (b *builder) pushFilter(rel *relNode, conds []sql.Expr) (*relNode, error) {
 		scope:    rel.scope,
 		isStream: rel.isStream,
 		outer:    rel.outer,
-		build: func(in Input) exec.Operator {
+		build: func(in *Input) exec.Operator {
 			return &exec.Filter{Child: inner(in), Pred: pred}
 		},
 	}, nil
@@ -399,7 +399,7 @@ func (b *builder) tryIndex(rel *relNode, conds []sql.Expr) (*relNode, []sql.Expr
 	heap, tree := t.Heap, ix.Tree
 	newRel := &relNode{
 		scope: rel.scope,
-		build: func(Input) exec.Operator {
+		build: func(*Input) exec.Operator {
 			return &exec.IndexScan{Heap: heap, Tree: tree, Lo: loS, Hi: hiS}
 		},
 	}
@@ -434,7 +434,7 @@ func (b *builder) buildFrom(refs []sql.TableRef, where sql.Expr) (*relNode, []sq
 		// FROM-less SELECT: a single empty row.
 		return &relNode{
 			scope: &scope{},
-			build: func(Input) exec.Operator {
+			build: func(*Input) exec.Operator {
 				return &exec.Values{Rows: []types.Row{{}}}
 			},
 		}, splitConjuncts(where), nil

@@ -23,7 +23,8 @@ import (
 )
 
 // Input carries per-execution inputs into a built plan: the rows of the
-// current window for the plan's stream leaf (nil for snapshot queries).
+// current window for the plan's stream leaf (nil for snapshot queries),
+// which a tree built over it reads at every Open.
 type Input struct {
 	WindowRows []types.Row
 }
@@ -47,11 +48,12 @@ type StreamAgg struct {
 	GroupBy []*expr.Scalar
 	Aggs    []expr.AggSpec
 	// PostBuild assembles the operators that run over the aggregated rows
-	// (group keys ++ agg results), which arrive in group-key order. It is
+	// (group keys ++ agg results), which arrive in group-key order as the
+	// Input's WindowRows. It is
 	// nil when there is no post stage — the select list is exactly that
 	// layout and nothing filters, sorts or limits it — and the store's rows
 	// are the result as they are (DESIGN §11: which post stages copy).
-	PostBuild func(aggRows []types.Row) exec.Operator
+	PostBuild func(in *Input) exec.Operator
 	// Fingerprint identifies the sliceable computation: two CQs with equal
 	// fingerprints over the same stream can share slice partials. WHERE
 	// conjuncts hoisted into the post stage (see PostKey) are excluded, so
@@ -73,11 +75,11 @@ type StreamAgg struct {
 
 // post is PostBuild for the planner's own wrapping of it in a sort or a
 // limit: with no post stage, those run over the rows themselves.
-func (a *StreamAgg) post(aggRows []types.Row) exec.Operator {
+func (a *StreamAgg) post(in *Input) exec.Operator {
 	if a.PostBuild == nil {
-		return &exec.Relation{Rows: aggRows}
+		return &exec.Relation{Rows: &in.WindowRows}
 	}
-	return a.PostBuild(aggRows)
+	return a.PostBuild(in)
 }
 
 // Plan is a compiled query.
@@ -100,8 +102,9 @@ type Plan struct {
 	// CloseCol is the output column produced by cq_close(*), or -1; it is
 	// how recovery locates the archived window timestamp (paper §4).
 	CloseCol int
-	// Build assembles a fresh operator tree for one execution.
-	Build func(in Input) exec.Operator
+	// Build assembles the operator tree over in: a snapshot query opens it
+	// once, a re-executing continuous query at every close (exec.Operator).
+	Build func(in *Input) exec.Operator
 }
 
 // Planner compiles statements against a catalog.
@@ -148,7 +151,7 @@ type builder struct {
 // node is a planned (sub)tree.
 type node struct {
 	schema    types.Schema
-	build     func(in Input) exec.Operator
+	build     func(in *Input) exec.Operator
 	streamAgg *StreamAgg
 	// closeCol is the output column carrying cq_close(*), or -1.
 	closeCol int
@@ -158,7 +161,7 @@ type node struct {
 	// rewrite applied before compiling (aggregate rewriting), and the
 	// pieces needed to add hidden sort columns.
 	preScope     *scope
-	preBuild     func(in Input) exec.Operator
+	preBuild     func(in *Input) exec.Operator
 	preRewrite   func(sql.Expr) (sql.Expr, error)
 	projExprs    []*expr.Scalar
 	distinct     bool

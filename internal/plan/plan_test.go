@@ -83,7 +83,7 @@ func (env *testEnv) query(t *testing.T, src string) ([]types.Row, *Plan) {
 	if err != nil {
 		t.Fatalf("plan %q: %v", src, err)
 	}
-	rows, err := exec.Drain(&exec.Ctx{Snap: env.mgr.SnapshotNow()}, plan.Build(Input{}), 0)
+	rows, err := exec.Drain(&exec.Ctx{Snap: env.mgr.SnapshotNow()}, plan.Build(&Input{}), 0)
 	if err != nil {
 		t.Fatalf("exec %q: %v", src, err)
 	}
@@ -355,7 +355,7 @@ func TestStreamQueryPlanning(t *testing.T) {
 		{types.NewString("/a"), types.NewTimestampMicros(2), types.NewString("ip2")},
 		{types.NewString("/b"), types.NewTimestampMicros(3), types.NewString("ip1")},
 	}
-	rows, err := exec.Drain(&exec.Ctx{Snap: env.mgr.SnapshotNow()}, plan.Build(Input{WindowRows: win}), 0)
+	rows, err := exec.Drain(&exec.Ctx{Snap: env.mgr.SnapshotNow()}, plan.Build(&Input{WindowRows: win}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

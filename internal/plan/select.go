@@ -46,7 +46,7 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 		n = &node{
 			schema:   n.schema,
 			closeCol: -1,
-			build: func(in Input) exec.Operator {
+			build: func(in *Input) exec.Operator {
 				return &exec.SetOp{Kind: kind, All: all, Left: lb(in), Right: rb(in)}
 			},
 		}
@@ -76,14 +76,14 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 			schema:    n.schema,
 			streamAgg: n.streamAgg,
 			closeCol:  n.closeCol,
-			build: func(in Input) exec.Operator {
+			build: func(in *Input) exec.Operator {
 				return &exec.Limit{Child: inner(in), Count: limit, Offset: offset}
 			},
 		}
 		if n.streamAgg != nil {
 			below := *n.streamAgg
-			n.streamAgg.PostBuild = func(rows []types.Row) exec.Operator {
-				return &exec.Limit{Child: below.post(rows), Count: limit, Offset: offset}
+			n.streamAgg.PostBuild = func(in *Input) exec.Operator {
+				return &exec.Limit{Child: below.post(in), Count: limit, Offset: offset}
 			}
 			n.streamAgg.PostKey += fmt.Sprintf("|L:%d,%d", limit, offset)
 		}
@@ -140,13 +140,13 @@ func (b *builder) buildProjection(sel *sql.Select, rel *relNode) (*node, error) 
 	n := &node{
 		schema:   schema,
 		closeCol: closeCol,
-		build: func(in Input) exec.Operator {
+		build: func(in *Input) exec.Operator {
 			return &exec.Project{Child: inner(in), Exprs: exprs}
 		},
 	}
 	if sel.Distinct {
 		pb := n.build
-		n.build = func(in Input) exec.Operator { return &exec.Distinct{Child: pb(in)} }
+		n.build = func(in *Input) exec.Operator { return &exec.Distinct{Child: pb(in)} }
 	}
 	// Stash the pre-projection scope for ORDER BY hidden columns.
 	n.preScope = rel.scope
@@ -253,10 +253,10 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 
 	schema := n.schema
 	width := len(schema)
-	var build func(in Input) exec.Operator
+	var build func(in *Input) exec.Operator
 	if len(hidden) == 0 {
 		inner := n.build
-		build = func(in Input) exec.Operator {
+		build = func(in *Input) exec.Operator {
 			return &exec.Sort{Child: inner(in), Keys: keys}
 		}
 	} else {
@@ -270,7 +270,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 		for i := range strip {
 			strip[i] = columnScalar(i, schema[i].Type)
 		}
-		build = func(in Input) exec.Operator {
+		build = func(in *Input) exec.Operator {
 			proj := &exec.Project{Child: pre(in), Exprs: all}
 			sorted := &exec.Sort{Child: proj, Keys: keys}
 			return &exec.Project{Child: sorted, Exprs: strip}
@@ -297,8 +297,8 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 			Aggs:        n.streamAgg.Aggs,
 			Fingerprint: n.streamAgg.Fingerprint,
 			PostKey:     n.streamAgg.PostKey + ob.String(),
-			PostBuild: func(rows []types.Row) exec.Operator {
-				return &exec.Sort{Child: below.post(rows), Keys: keys}
+			PostBuild: func(in *Input) exec.Operator {
+				return &exec.Sort{Child: below.post(in), Keys: keys}
 			},
 		}
 	} else if n.streamAgg != nil {

@@ -31,11 +31,11 @@ type Pipeline struct {
 	plan *plan.Plan
 	sink Sink
 
-	// post runs over the rows of the feed's window at each close, once for
-	// all subscribers with the same postKey; nil delivers the rows as they
-	// are. On a store that is the plan's post-aggregation stage, on a buffer
-	// of raw rows the whole plan.
-	post    func(rows []types.Row) exec.Operator
+	// post builds what runs over the rows of the feed's window at each
+	// close, once for all subscribers with the same postKey (their set keeps
+	// the tree); nil delivers the rows as they are. On a store that is the
+	// plan's post-aggregation stage, on a buffer of raw rows the whole plan.
+	post    func(in *plan.Input) exec.Operator
 	postKey string
 
 	// resumeAfter suppresses closes at or before this boundary; recovery
@@ -99,7 +99,7 @@ func subscribePipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) (*Pipe
 	key, strategy, _ := p.WindowState(rt.override)
 	var err error
 	if key == "" {
-		pipe.post = func(rows []types.Row) exec.Operator { return p.Build(plan.Input{WindowRows: rows}) }
+		pipe.post = p.Build
 		pipe.feed, err = openFeed(rt, src, p, "", strategy, pipe.id)
 	} else {
 		pipe.post, pipe.postKey = p.StreamAgg.PostBuild, p.StreamAgg.PostKey
@@ -298,41 +298,35 @@ func (f *feed) endEmission(ts int64) error {
 // window returns the rows of sv's window closing at c. A store's view moves
 // to the boundary and emits its groups. A buffer is materialized — the rows
 // with timestamps in [c-VISIBLE, c), the last VISIBLE rows, the last n
-// emissions — into a pooled container the caller puts back once the post
-// stage has drained: operators copy row references into fresh output rows
-// and never retain the input slice itself.
-func (f *feed) window(sv *feedView, c int64) ([]types.Row, *rowsBlock, error) {
+// emissions — into the feed's window container, which fireView clears once
+// the post stage has drained: operators copy row references into fresh
+// output rows and never retain the input slice itself.
+func (f *feed) window(sv *feedView, c int64) ([]types.Row, error) {
 	if sv.view != nil {
 		rows, touched, carved, err := sv.view.Fire(c)
 		f.touched.Add(int64(touched))
 		f.carved.Add(int64(carved))
-		return rows, nil, err
+		return rows, err
 	}
-	var rb *rowsBlock
+	rows := f.winRows[:0]
 	switch f.win.Kind {
 	case sql.WindowTime:
-		rb = getRowsBlock(len(f.pending))
 		for _, tr := range f.pending {
 			if tr.ts >= c-sv.visible && tr.ts < c {
-				rb.rows = append(rb.rows, tr.row)
+				rows = append(rows, tr.row)
 			}
 		}
 	case sql.WindowRows:
-		rb = getRowsBlock(len(f.rowBuf))
 		for _, tr := range f.rowBuf {
-			rb.rows = append(rb.rows, tr.row)
+			rows = append(rows, tr.row)
 		}
 	default:
-		total := 0
 		for _, em := range f.emissions {
-			total += len(em.rows)
-		}
-		rb = getRowsBlock(total)
-		for _, em := range f.emissions {
-			rb.rows = append(rb.rows, em.rows...)
+			rows = append(rows, em.rows...)
 		}
 	}
-	return rb.rows, rb, nil
+	f.winRows = rows
+	return rows, nil
 }
 
 // expire drops what no window after boundary c can see: a store's slices

@@ -80,8 +80,11 @@ type feed struct {
 	views []*feedView
 	n     atomic.Int64 // subscriber count, readable without mu
 
-	// outs is fire's per-view scratch (guarded by mu).
-	outs []setOut
+	// What fire keeps between closes, holding no row past one: the context
+	// post stages run under, a buffer's window, per-view scratch (under mu).
+	ctx     exec.Ctx
+	winRows []types.Row
+	outs    []setOut
 	// passed holds what sinks handed up from downstream since the last sweep
 	// (guarded by mu): failures of a derived stream's consumers, not of the
 	// CQ that emitted into it.
@@ -129,12 +132,16 @@ type feedView struct {
 	sets    []*postSet
 }
 
-// postSet is the CQs sharing one canonical post stage.
+// postSet is the CQs sharing one canonical post stage: one operator tree,
+// built from a member's post at the set's first fire, opened again over in
+// at every close after and gone with the set.
 type postSet struct {
 	key     string
 	members []*Pipeline
 	run     []*Pipeline // per-fire scratch: live members (guarded by feed mu)
 	lastOut int         // rows the last fire's post stage produced: the next one's expected size
+	in      plan.Input
+	tree    exec.Operator
 }
 
 type setOut struct {
@@ -278,11 +285,11 @@ func (f *feed) clearMembers() []*Pipeline {
 // state's own and fails the feed, and with it every subscriber.
 func (f *feed) fire(c int64) error {
 	tc := f.takeFireCtx()
-	ctx := f.rt.snapshotCtx(c)
+	f.ctx = f.rt.snapshotCtx(c) // only the feed's drainer fires: no lock needed
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, sv := range f.views {
-		if err := f.fireView(sv, c, ctx, &tc); err != nil {
+		if err := f.fireView(sv, c, &tc); err != nil {
 			return err
 		}
 	}
@@ -299,9 +306,9 @@ func (f *feed) fire(c int64) error {
 // disturbs the window state or its peers — and the source sweeps it out on
 // the next producer call. Closes at or before a CQ's resume point are muted
 // for that CQ alone.
-func (f *feed) fireView(sv *feedView, c int64, ctx *exec.Ctx, tc *trace.Ctx) error {
+func (f *feed) fireView(sv *feedView, c int64, tc *trace.Ctx) error {
 	ft := f.beginFire()
-	rows, rb, err := f.window(sv, c)
+	rows, err := f.window(sv, c)
 	if err != nil {
 		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
@@ -320,7 +327,13 @@ func (f *feed) fireView(sv *feedView, c int64, ctx *exec.Ctx, tc *trace.Ctx) err
 		}
 		out := rows
 		if post := run[0].post; post != nil {
-			if out, err = exec.Drain(ctx, post(rows), set.lastOut); err != nil {
+			if set.tree == nil {
+				set.tree = post(&set.in)
+			}
+			set.in.WindowRows = rows
+			out, err = exec.Drain(&f.ctx, set.tree, set.lastOut)
+			set.in.WindowRows = nil
+			if err != nil {
 				err = fmt.Errorf("stream: window close at %d: %w", c, err)
 				for _, m := range run {
 					m.fail(err, f.src)
@@ -333,7 +346,8 @@ func (f *feed) fireView(sv *feedView, c int64, ctx *exec.Ctx, tc *trace.Ctx) err
 		outs = append(outs, setOut{out: out, run: run})
 	}
 	f.outs = outs
-	rb.put()
+	clear(f.winRows)
+	f.winRows = f.winRows[:0]
 	f.viewCloses.Inc()
 	f.evaluated(&ft, tc)
 	// The output slice is shared across a set — without a post stage across
@@ -352,6 +366,7 @@ func (f *feed) fireView(sv *feedView, c int64, ctx *exec.Ctx, tc *trace.Ctx) err
 			}
 		}
 	}
+	clear(outs)
 	f.delivered(&ft, *tc, n)
 	return nil
 }

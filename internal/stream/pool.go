@@ -3,26 +3,24 @@ package stream
 import (
 	"sync"
 	"sync/atomic"
-
-	"streamrel/internal/types"
 )
 
-// Pooled containers for the ingest hot path. Two rules make the pooling
-// safe (see DESIGN.md "Ingest hot path"):
+// The pooled container of the ingest hot path: a prepared micro-batch,
+// shared by reference count across the goroutines that apply it. Two rules
+// make the pooling safe (see DESIGN.md "Ingest hot path"):
 //
 //  1. Row values (types.Row and the datums inside) are immutable and
-//     shared freely; only the CONTAINERS — []tsRow batch slices and
-//     []types.Row window materializations — are pooled. Nothing
-//     downstream may retain a pooled container: feeds copy tsRow
-//     values into their own buffers, operators copy Row slice headers
-//     into fresh output rows, taps insert rows into the heap.
-//  2. A pooled container is returned only by its owner: the producer for
-//     a batch block (after every synchronous subscriber ran), each
-//     worker for its reference (after apply), the firing feed for a
-//     window block (after the plan drained).
+//     shared freely; only the []tsRow CONTAINER is pooled. Nothing
+//     downstream may retain it: feeds copy tsRow values into their own
+//     buffers, and what a feed or a source hands on from it — a buffer's
+//     window, a tap's rows — goes in a container of its own, kept and
+//     cleared where it is used.
+//  2. A block is returned only by its owner: the producer for its own
+//     reference (after every synchronous subscriber ran), each worker for
+//     its reference (after apply).
 //
-// Containers are cleared of row references before going back to the pool
-// so a pooled slice cannot keep a dead batch's rows live.
+// A block is cleared of row references before going back to the pool so a
+// pooled slice cannot keep a dead batch's rows live.
 
 // batchBlock is one prepared micro-batch with a reference count. The
 // producer holds one reference; fan-out to the feeds takes one
@@ -62,36 +60,4 @@ func (b *batchBlock) release() {
 	}
 	b.rows = b.rows[:0]
 	batchPool.Put(b)
-}
-
-// rowsBlock is a pooled []types.Row container for transient row lists:
-// window materializations handed to the plan (released after the fire
-// drains) and per-batch tap deliveries (released after the tap returns).
-type rowsBlock struct {
-	rows []types.Row
-}
-
-var rowsPool = sync.Pool{New: func() any { return new(rowsBlock) }}
-
-func getRowsBlock(capHint int) *rowsBlock {
-	b := rowsPool.Get().(*rowsBlock)
-	if cap(b.rows) < capHint {
-		b.rows = make([]types.Row, 0, capHint)
-	} else {
-		b.rows = b.rows[:0]
-	}
-	return b
-}
-
-// put clears the container and pools it; a nil block (rows that were never
-// pooled) is left alone.
-func (b *rowsBlock) put() {
-	if b == nil {
-		return
-	}
-	for i := range b.rows {
-		b.rows[i] = nil
-	}
-	b.rows = b.rows[:0]
-	rowsPool.Put(b)
 }

@@ -66,7 +66,8 @@ type Sink func(tc trace.Ctx, closeTS int64, rows []types.Row) error
 // Tap receives everything a stream's subscribers are sent — a base stream's
 // accepted batch, a derived stream's emission — as a Sink does, and with a
 // base stream's batch the replication observation it may take over (Ingest;
-// nil for an emission or when nothing observes ingest).
+// nil for an emission or when nothing observes ingest). The rows come in a
+// container the source reuses: a tap may keep rows, never the slice.
 type Tap func(tc trace.Ctx, closeTS int64, rows []types.Row, in *Ingest) error
 
 // Ingest is the OnIngest observation of one base-stream batch, handed to
@@ -293,6 +294,7 @@ type source struct {
 	// claimed is enqueue's per-call scratch: the feeds whose mailboxes the
 	// enqueuing goroutine claimed and must drain before releasing mu.
 	claimed []*feed
+	tapRows []types.Row // fanOut's container for the taps' rows, cleared after
 
 	// rows counts validated rows accepted into this stream
 	// (streamrel_stream_rows_total{stream=…}; nil without a registry).
@@ -708,16 +710,17 @@ func (s *source) fanOut(r *Runtime, t task, bounded bool, in *Ingest) (tapErr, s
 	s.enqueue(r, t, bounded)
 	var errs []error
 	if t.kind != taskAdvance && len(s.taps) > 0 {
-		rb := getRowsBlock(len(t.batch))
+		rows := s.tapRows[:0]
 		for _, tr := range t.batch {
-			rb.rows = append(rb.rows, tr.row)
+			rows = append(rows, tr.row)
 		}
 		for _, tap := range s.taps {
-			if err := (*tap)(t.tc, t.ts, rb.rows, in); err != nil {
+			if err := (*tap)(t.tc, t.ts, rows, in); err != nil {
 				errs = append(errs, err)
 			}
 		}
-		rb.put()
+		clear(rows)
+		s.tapRows = rows[:0]
 	}
 	in.Publish()
 	s.drainClaimedLocked()
@@ -959,8 +962,8 @@ func (r *Runtime) StoreMembers(stream, key string) int {
 // snapshotCtx builds the per-window execution context: a fresh snapshot at
 // the window boundary (window consistency) plus the closing timestamp for
 // cq_close(*).
-func (r *Runtime) snapshotCtx(closeTS int64) *exec.Ctx {
-	return &exec.Ctx{
+func (r *Runtime) snapshotCtx(closeTS int64) exec.Ctx {
+	return exec.Ctx{
 		Snap:        r.mgr.SnapshotNow(),
 		WindowClose: types.NewTimestampMicros(closeTS),
 		Now:         r.now,

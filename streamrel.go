@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"streamrel/internal/catalog"
+	"streamrel/internal/exec"
 	"streamrel/internal/metrics"
 	"streamrel/internal/plan"
 	"streamrel/internal/repl"
@@ -533,7 +534,7 @@ func (e *Engine) querySelect(sel *sql.Select) (*Rows, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ctx := e.execCtx()
-	rows, err := execDrain(ctx, p, plan.Input{})
+	rows, err := exec.Drain(ctx, p.Build(&plan.Input{}), 0) // a tree opened once
 	if err != nil {
 		return nil, err
 	}
