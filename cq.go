@@ -39,8 +39,8 @@ type CQ struct {
 	// vocabulary of sys.pipelines.mode: "incremental" (attached to a
 	// materialized window-state store: fires emit from per-group state
 	// maintained by deltas), "shared" (attached to a store that merges its
-	// slices at each fire) or "reexec" (buffers rows and runs the plan
-	// over them).
+	// slices at each fire) or "reexec" (keeps its rows in a raw store of
+	// its own and runs the plan over them).
 	Strategy string
 
 	eng  *Engine

@@ -8,9 +8,10 @@ import (
 )
 
 // Steady-state allocation regression tests for the ingest hot path:
-// Append → source.prepare (pooled batch block) → window pending buffer.
-// The CQ window is sized so it never fires during the measurement, which
-// isolates the per-row buffering cost from fire-time work. Budgets are
+// Append → source.prepare (pooled batch block) → the slice of the window's
+// raw store (a ROWS window re-executes, so its store keeps the rows). The CQ
+// window is sized so it never fires during the measurement, which isolates
+// the per-row cost of keeping a row from fire-time work. Budgets are
 // deliberately loose (the measured steady state is well under 1
 // alloc/row; the pre-overhaul code sat near 3) so the tests catch a
 // reintroduced per-row allocation, not scheduler noise.
@@ -55,7 +56,7 @@ func measureIngestAllocs(t *testing.T, cfg Config) float64 {
 		}
 		idx++
 	}
-	// Warm the batch pools and grow the pending buffer past its first
+	// Warm the batch pools and grow the open slice's rows past their first
 	// doublings before measuring.
 	push()
 	push()

@@ -1,5 +1,5 @@
 // Package ivm is the engine's window-state store: the one place a
-// sliceable continuous query's window lives. It holds the paper's shared
+// continuous query's window lives. It holds the paper's shared
 // slice aggregation ([12], Arasu & Widom [4]) — each slice of a stream is
 // aggregated once per (stream, fingerprint, ADVANCE), whatever the number
 // of queries reading it — with DBToaster's refinement (PAPERS.md) on top:
@@ -44,6 +44,16 @@
 // its partials from the free list before the slab. A group whose last
 // partial expires idles a boundary, in the map but not in GroupsN: a key
 // recurring in the window after gets it back, and the next Expire drops it.
+//
+// A store built with no aggregate spec is raw: the window state of a plan
+// that must re-execute. Its slice partial is the slice's rows themselves, in
+// arrival order — so a raw slice pins the blocks its rows came in until it
+// expires — and a view's fire is their concatenation over its extent, the
+// rows the plan then runs over. Everything else — the cuts, retention,
+// Expire and its spares, Attach and Detach — is one code for both forms,
+// which part in exactly two places: Insert and View.Fire. A raw store's cut
+// need not be a timestamp: Insert takes any non-decreasing coordinate, a
+// row's ordinal for a ROWS window, an emission's number for a SLICES one.
 package ivm
 
 import (
@@ -62,7 +72,7 @@ import (
 // goroutine as long as the caller serializes them with Fire and Expire;
 // they share no field with Insert.
 type Store struct {
-	spec            *plan.StreamAgg
+	spec            *plan.StreamAgg // nil: a raw store
 	advance, offset int64
 	materialized    bool
 	empty           []expr.Acc // never added to: an empty window's scalar results
@@ -80,7 +90,8 @@ type Store struct {
 	// expression context is re-pointed at each row, and group keys are
 	// evaluated into keyScratch and encoded into keyBuf, which probes the
 	// maps as string(keyBuf) without allocating. The context carries no
-	// window close and no clock: plans reading either never get a store.
+	// window close and no clock: plans reading either never get an
+	// aggregate store.
 	ec         expr.Ctx
 	keyScratch types.Row
 	keyBuf     []byte
@@ -95,8 +106,9 @@ type slice struct {
 	start  int64
 	groups map[string]*partial
 	slab   expr.Slab[partial]
-	free   *partial // the slab's partials no group holds, reset
-	size   int      // the most groups its map and slab were sized for or held
+	free   *partial    // the slab's partials no group holds, reset
+	rows   []types.Row // a raw store's partial: the slice's rows in arrival order
+	size   int         // the most groups (rows) its containers were sized for or held
 }
 
 // partial is one group's aggregate over one slice.
@@ -131,7 +143,7 @@ type group struct {
 }
 
 // New returns an empty store for the aggregate spec of a plan whose
-// WindowState chose a store.
+// WindowState chose a store, or a raw store for a nil spec.
 func New(spec *plan.StreamAgg, advance, offset int64, materialized bool) (*Store, error) {
 	s := &Store{
 		spec:         spec,
@@ -140,8 +152,11 @@ func New(spec *plan.StreamAgg, advance, offset int64, materialized bool) (*Store
 		materialized: materialized,
 		slices:       make(map[int64]*slice),
 		groups:       make(map[string]*group),
-		keyScratch:   make(types.Row, len(spec.GroupBy)),
 	}
+	if spec == nil {
+		return s, nil
+	}
+	s.keyScratch = make(types.Row, len(spec.GroupBy))
 	for _, spec := range spec.Aggs {
 		a, err := expr.NewAcc(spec)
 		if err != nil {
@@ -176,12 +191,19 @@ func (s *Store) next(t int64) int64 {
 	return base + s.advance
 }
 
-// Insert folds one arriving row into its slice's partial — once, however
-// many views will read it: evaluate the filter and the group keys, then
-// add the aggregate arguments. An existing (slice, group) allocates
+// Insert folds one arriving row at ts into its slice's partial — once,
+// however many views will read it: evaluate the filter and the group keys,
+// then add the aggregate arguments. An existing (slice, group) allocates
 // nothing. The store keeps nothing of row — a new group's key row points
-// into the group's key string — so it pins no input batch.
+// into the group's key string — so it pins no input batch. A raw store
+// appends the row to its slice instead, and so pins the row's block until
+// the slice expires.
 func (s *Store) Insert(row types.Row, ts int64) error {
+	if s.spec == nil {
+		sl := s.sliceAt(ts)
+		sl.rows = append(sl.rows, row)
+		return nil
+	}
 	ec := &s.ec
 	ec.Row = row
 	defer func() { ec.Row = nil; clear(s.keyScratch) }()
@@ -203,24 +225,7 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	}
 	s.keyBuf = s.keyScratch.AppendKey(s.keyBuf[:0])
 
-	sl := s.cur
-	if start := SliceStart(ts, s.advance, s.offset); sl == nil || sl.start != start {
-		if sl = s.slices[start]; sl == nil {
-			if n := len(s.spares); n > 0 {
-				sl, s.spares[n-1], s.spares = s.spares[n-1], nil, s.spares[:n-1]
-			} else {
-				// As many groups as the slice before it is the best guess.
-				if s.cur != nil {
-					n = len(s.cur.groups)
-				}
-				sl = &slice{groups: make(map[string]*partial, n), slab: expr.NewSlab[partial](n), size: n}
-			}
-			sl.start = start
-			s.slices[start] = sl
-			s.SlicesN.Add(1)
-		}
-		s.cur = sl
-	}
+	sl := s.sliceAt(ts)
 	p, ok := sl.groups[string(s.keyBuf)]
 	if !ok {
 		g, ok := s.groups[string(s.keyBuf)]
@@ -263,9 +268,37 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	return nil
 }
 
+// sliceAt returns the slice holding ts: the last one inserted into, a
+// retained one, or one opened from a spare or, failing that, afresh.
+func (s *Store) sliceAt(ts int64) *slice {
+	start := SliceStart(ts, s.advance, s.offset)
+	if sl := s.cur; sl != nil && sl.start == start {
+		return sl
+	}
+	sl := s.slices[start]
+	if sl == nil {
+		if n := len(s.spares); n > 0 {
+			sl, s.spares[n-1], s.spares = s.spares[n-1], nil, s.spares[:n-1]
+		} else {
+			// As many groups as the slice before it is the best guess.
+			if s.cur != nil {
+				n = len(s.cur.groups)
+			}
+			sl = &slice{groups: make(map[string]*partial, n), slab: expr.NewSlab[partial](n), size: n}
+		}
+		sl.start = start
+		s.slices[start] = sl
+		s.SlicesN.Add(1)
+	}
+	s.cur = sl
+	return sl
+}
+
 // Expire drops the slices no view reads at a boundary after c, and the spares
-// and idle groups the last boundary left. Call it once every view has fired c:
-// the next fire still retracts the slice that opened the window closing at c.
+// and idle groups the last boundary left, and empties every raw view's
+// window. Call it once every view has fired c. A materialized view's next
+// fire still retracts the slice that opened the window closing at c; a store
+// that never retracts keeps only what the next window reads.
 func (s *Store) Expire(c int64) {
 	clear(s.spares)
 	s.spares = s.spares[:0]
@@ -276,7 +309,14 @@ func (s *Store) Expire(c int64) {
 	}
 	clear(s.idle)
 	s.idle = s.idle[:0]
+	for _, v := range s.views {
+		clear(v.rows)
+		v.rows = v.rows[:0]
+	}
 	horizon := c - s.retain
+	if !s.materialized {
+		horizon += s.advance
+	}
 	for start, sl := range s.slices {
 		if start >= horizon {
 			continue
@@ -294,7 +334,11 @@ func (s *Store) Expire(c int64) {
 			p.reset(types.Poison)
 			p.next, sl.free = sl.free, p
 		}
-		if sl.size <= 2*len(sl.groups) {
+		n := len(sl.groups) + len(sl.rows)
+		sl.size = max(sl.size, cap(sl.rows))
+		clear(sl.rows)
+		sl.rows = sl.rows[:0]
+		if sl.size <= 2*n {
 			clear(sl.groups)
 			s.spares = append(s.spares, sl)
 		}
@@ -329,6 +373,9 @@ type View struct {
 	// can hold, that one included: what the groups' rows may keep reachable
 	// (see emit).
 	held int
+
+	// rows is a raw view's window, from its fire to the store's Expire.
+	rows []types.Row
 }
 
 // winGroup is one group's aggregate over a view's window.
@@ -377,9 +424,23 @@ func (s *Store) Detach(v *View) {
 // produce the SQL default row, matching exec.HashAgg. touched reports the
 // distinct groups the move changed, carved the rows written afresh.
 // Boundaries must be fired in ascending order.
+//
+// A raw view returns the rows of the retained slices in [c-VISIBLE, c) in
+// slice and arrival order, in a container it keeps until the store's next
+// Expire; touched and carved are 0.
 func (v *View) Fire(c int64) (rows []types.Row, touched, carved int, err error) {
 	s := v.st
 	lo := c - v.visible
+	if s.spec == nil {
+		// The walk stops once it has read every retained slice.
+		for at, n := lo, 0; at < c && n < len(s.slices); at = s.next(at) {
+			if sl := s.slices[at]; sl != nil {
+				v.rows = append(v.rows, sl.rows...)
+				n++
+			}
+		}
+		return v.rows, 0, 0, nil
+	}
 	if !s.materialized || v.hi <= lo {
 		// Nothing kept carries over: a merge store combines the covering
 		// slices afresh, a new view starts from what the store retains,

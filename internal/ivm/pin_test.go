@@ -85,6 +85,49 @@ func TestRecycledSlicePinsNoBatch(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
+// TestRawStorePinsNoExpiredRow: a raw store holds a row in its slice's rows,
+// and its view's window holds it from a fire to the next Expire. Once two
+// closes have passed the row's slice, neither the view, nor the slice kept
+// as a spare, nor the row array the next slice reuses keeps it reachable.
+func TestRawStorePinsNoExpiredRow(t *testing.T) {
+	s, err := New(nil, 10*second, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.Attach(20 * second)
+	insert(t, s, hit("/page/before", 1*second, 1))
+	insert(t, s, hit("/page/before", 2*second, 2))
+	row := hit("/page/pinned", 3*second, 3)
+	data := weak.Make(&row[0])
+	insert(t, s, row)
+	row = nil
+	gone := func() bool {
+		runtime.GC()
+		runtime.GC()
+		return data.Value() == nil
+	}
+	closeAt := func(c int64, want int) {
+		if rows, _, _, err := v.Fire(c); err != nil || len(rows) != want {
+			t.Fatalf("window closing at %d s: %d rows, want %d (%v)", c/second, len(rows), want, err)
+		}
+		s.Expire(c)
+	}
+	closeAt(10*second, 3)
+	insert(t, s, hit("/page/after", 11*second, 4))
+	if gone() {
+		t.Fatal("a row the next window reads is gone")
+	}
+	closeAt(20*second, 4)
+	if len(s.spares) != 1 || !gone() {
+		t.Fatalf("the expired slice keeps its row reachable (%d spares)", len(s.spares))
+	}
+	insert(t, s, hit("/page/after", 21*second, 5)) // opens from the spare: one of its three slots refilled
+	if len(s.spares) != 0 || !gone() {
+		t.Fatalf("the reused row array keeps an expired row reachable (%d spares)", len(s.spares))
+	}
+	runtime.KeepAlive(s)
+}
+
 // TestRecycledSliceMemoryBounded: a slice of 10 000 groups followed by slices
 // of 10 is kept as a spare and opens a 10-group slice; when that one expires,
 // holding far fewer than half the groups it was grown for, it is dropped. A

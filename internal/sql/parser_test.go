@@ -3,11 +3,14 @@ package sql
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"streamrel/internal/types"
 )
+
+var racing bool // race_test.go
 
 func mustParse(t *testing.T, src string) Statement {
 	t.Helper()
@@ -548,12 +551,19 @@ func TestParserPullsTokens(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { _, err = Parse(src) }); allocs > 20 {
 		t.Errorf("%.0f allocations for an %d-byte frame wrong at its third token", allocs, len(src))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = Parse(src)
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
-		t.Errorf("%d bytes allocated", n)
+	// One delta also counts what the runtime allocates meanwhile (it read
+	// 5 760 B once): take the least of three, with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Parse(src)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4096 && !racing {
+		t.Errorf("%d bytes allocated", least)
 	}
 	if err == nil || !strings.Contains(err.Error(), `near ")" (offset 9)`) {
 		t.Fatalf("error %v", err)

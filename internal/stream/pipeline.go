@@ -15,7 +15,7 @@ import (
 	"streamrel/internal/types"
 )
 
-// tsRow is a buffered stream row with its extracted timestamp.
+// tsRow is a prepared stream row with its extracted timestamp.
 type tsRow struct {
 	ts  int64
 	row types.Row
@@ -24,8 +24,8 @@ type tsRow struct {
 // Pipeline is one running continuous query, the handle Subscribe returns: a
 // plan, a sink and what runs between a window and the sink. It is always a
 // subscriber of exactly one feed (planshare.go), which holds the window and
-// calls the sink at each close; a Pipeline has no mailbox, no buffer and no
-// clock of its own.
+// calls the sink at each close; a Pipeline has no mailbox, no window state
+// and no clock of its own.
 type Pipeline struct {
 	feed *feed
 	plan *plan.Plan
@@ -33,8 +33,9 @@ type Pipeline struct {
 
 	// post builds what runs over the rows of the feed's window at each
 	// close, once for all subscribers with the same postKey (their set keeps
-	// the tree); nil delivers the rows as they are. On a store that is the
-	// plan's post-aggregation stage, on a buffer of raw rows the whole plan.
+	// the tree); nil delivers the rows as they are. On an aggregate store
+	// that is the plan's post-aggregation stage, on a raw store the whole
+	// plan.
 	post    func(in *plan.Input) exec.Operator
 	postKey string
 
@@ -77,18 +78,13 @@ func (f *failure) takeErr() error {
 	return err
 }
 
-type emission struct {
-	ts   int64
-	rows []types.Row
-}
-
 // subscribePipeline subscribes p to the feed its window state says: a plan
-// that keeps its window in a store (plan.WindowState gives it a key) joins
-// the feed of that store — opened on first use — and its post stage is the
-// plan's post-aggregation stage; any other plan gets a feed of its own that
-// buffers raw rows, labelled with the subscriber's id, and its post stage is
-// the whole plan. Joining an existing feed is O(1) in its subscriber count.
-// Callers hold src.mu.
+// that keeps its window in an aggregate store (plan.WindowState gives it a
+// key) joins the feed of that store — opened on first use — and its post
+// stage is the plan's post-aggregation stage; any other plan gets a feed of
+// its own over a raw store, labelled with the subscriber's id, and its post
+// stage is the whole plan. Joining an existing feed is O(1) in its
+// subscriber count. Callers hold src.mu.
 func subscribePipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) (*Pipeline, error) {
 	if err := validateWindow(src, p.Stream.Window); err != nil {
 		return nil, err
@@ -191,7 +187,7 @@ func (f *feed) processBatch(batch []tsRow, tc trace.Ctx) error {
 }
 
 // noteBatch folds an arriving batch's trace context into the feed's
-// pending fire attribution. The fire a batch triggers is the one its
+// next fire's attribution. The fire a batch triggers is the one its
 // arrival proves complete, so the context is noted before any boundary
 // closes.
 func (f *feed) noteBatch(tc trace.Ctx) {
@@ -207,40 +203,22 @@ func (f *feed) noteBatch(tc trace.Ctx) {
 }
 
 // push puts one row (already proven in-order by the source) into the window
-// state.
+// state: a time window's at its timestamp; a ROWS window's at its ordinal,
+// closing [n-VISIBLE, n) once the count n reaches a multiple of ADVANCE, with
+// that row's timestamp as cq_close; a SLICES window's into the open
+// emission, which endEmission seals.
 func (f *feed) push(row types.Row, ts int64) error {
 	f.rowsSeen.Inc()
-	switch f.win.Kind {
-	case sql.WindowTime:
-		if f.store != nil {
-			return f.store.Insert(row, ts)
-		}
-		f.pending = append(f.pending, tsRow{ts, row})
-		return nil
-	case sql.WindowRows:
-		f.rowBuf = append(f.rowBuf, tsRow{ts, row})
-		if len(f.rowBuf) > int(f.win.Visible) {
-			f.rowBuf = f.rowBuf[1:]
-		}
-		f.sinceAdvance++
-		if f.sinceAdvance >= f.win.Advance {
-			// The window is the last VISIBLE rows as of the row that completed
-			// the ADVANCE count; cq_close is that row's timestamp.
-			f.sinceAdvance = 0
-			return f.fire(ts)
-		}
-		return nil
-	case sql.WindowSlices:
-		// Rows accumulate into the current emission; endEmission seals it.
-		n := len(f.emissions)
-		if n == 0 || f.emissions[n-1].ts != ts {
-			f.emissions = append(f.emissions, emission{ts: ts})
-			n++
-		}
-		f.emissions[n-1].rows = append(f.emissions[n-1].rows, row)
-		return nil
+	if f.win.Kind == sql.WindowTime {
+		return f.store.Insert(row, ts)
 	}
-	return fmt.Errorf("stream: unknown window kind")
+	if err := f.store.Insert(row, f.ord); err != nil || f.win.Kind != sql.WindowRows {
+		return err
+	}
+	if f.ord++; f.ord%f.win.Advance == 0 {
+		return f.fire(ts, f.ord)
+	}
+	return nil
 }
 
 // advanceTo fires every time-window boundary at or before ts.
@@ -264,7 +242,7 @@ func (f *feed) advanceTo(ts int64) error {
 	for f.nextClose <= ts {
 		c := f.nextClose
 		f.nextClose += f.win.Advance
-		if err := f.fire(c); err != nil {
+		if err := f.fire(c, c); err != nil {
 			return err
 		}
 	}
@@ -276,75 +254,15 @@ func (f *feed) alignUp(ts int64) int64 {
 	return ivm.SliceStart(ts+f.win.Advance-1, f.win.Advance, 0)
 }
 
-// endEmission seals the current derived-stream emission and, for SLICES
-// windows, fires over the last n emissions.
+// endEmission seals the open derived-stream emission at ts and, for SLICES
+// windows, fires over the last n of them; an empty one is a number with
+// no slice.
 func (f *feed) endEmission(ts int64) error {
 	if f.win.Kind != sql.WindowSlices {
 		return nil
 	}
-	// Ensure an (possibly empty) emission exists for ts.
-	n := len(f.emissions)
-	if n == 0 || f.emissions[n-1].ts != ts {
-		f.emissions = append(f.emissions, emission{ts: ts})
-		n++
-	}
-	// Retain only the last `Visible` emissions.
-	if over := n - int(f.win.Visible); over > 0 {
-		f.emissions = append(f.emissions[:0], f.emissions[over:]...)
-	}
-	return f.fire(ts)
-}
-
-// window returns the rows of sv's window closing at c. A store's view moves
-// to the boundary and emits its groups. A buffer is materialized — the rows
-// with timestamps in [c-VISIBLE, c), the last VISIBLE rows, the last n
-// emissions — into the feed's window container, which fireView clears once
-// the post stage has drained: operators copy row references into fresh
-// output rows and never retain the input slice itself.
-func (f *feed) window(sv *feedView, c int64) ([]types.Row, error) {
-	if sv.view != nil {
-		rows, touched, carved, err := sv.view.Fire(c)
-		f.touched.Add(int64(touched))
-		f.carved.Add(int64(carved))
-		return rows, err
-	}
-	rows := f.winRows[:0]
-	switch f.win.Kind {
-	case sql.WindowTime:
-		for _, tr := range f.pending {
-			if tr.ts >= c-sv.visible && tr.ts < c {
-				rows = append(rows, tr.row)
-			}
-		}
-	case sql.WindowRows:
-		for _, tr := range f.rowBuf {
-			rows = append(rows, tr.row)
-		}
-	default:
-		for _, em := range f.emissions {
-			rows = append(rows, em.rows...)
-		}
-	}
-	f.winRows = rows
-	return rows, nil
-}
-
-// expire drops what no window after boundary c can see: a store's slices
-// behind its widest view, a time buffer's rows behind the sliding extent.
-// Row and emission buffers are trimmed as they fill.
-func (f *feed) expire(c int64) {
-	if f.store != nil {
-		f.store.Expire(c)
-		return
-	}
-	keepFrom := c + f.win.Advance - f.win.Visible
-	i := 0
-	for i < len(f.pending) && f.pending[i].ts < keepFrom {
-		i++
-	}
-	if i > 0 {
-		f.pending = append(f.pending[:0], f.pending[i:]...)
-	}
+	f.ord++
+	return f.fire(ts, f.ord)
 }
 
 // fireTimer times one window close for the fire histogram, the
@@ -363,7 +281,7 @@ func (f *feed) beginFire() fireTimer {
 	return fireTimer{}
 }
 
-// takeFireCtx consumes the pending trace attribution for the fires of one
+// takeFireCtx consumes the unfired trace attribution for the fires of one
 // boundary. The returned context keeps the oldest unfired ingest time so
 // downstream consumers (derived streams, channels) measure latency from
 // original ingest.

@@ -25,13 +25,14 @@ import (
 //
 //	feed → one view per distinct VISIBLE → one post set per postKey → CQs
 //
-// The window state is a slice-partial store (internal/ivm) for every
-// continuous query plan.WindowState gives a key — same stream, slice
-// fingerprint, ADVANCE and VISIBLE mod ADVANCE, whatever its VISIBLE, residual
-// filter, projection or ORDER BY: they all subscribe to the one feed of that
-// key — and a buffer of raw rows for a plan it gives none, alone on its feed.
-// At each close every view computes its window's rows once — a store's view
-// its aggregate rows, a buffer the rows in the extent — each distinct post
+// The window state is one slice-partial store (internal/ivm): an aggregate
+// store for every continuous query plan.WindowState gives a key — same
+// stream, slice fingerprint, ADVANCE and VISIBLE mod ADVANCE, whatever its
+// VISIBLE, residual filter, projection or ORDER BY: they all subscribe to
+// the one feed of that key — and a raw store, whose slices hold the rows
+// themselves, for a plan it gives none, alone on its feed. At each close
+// every view computes its window's rows once — an aggregate store's view its
+// aggregate rows, a raw one the rows in the extent — each distinct post
 // stage runs once over them (residual filters, HAVING, projection, ORDER
 // BY, LIMIT over aggregate rows; the whole plan over raw ones; none at all
 // for plan.StreamAgg.PostBuild == nil, which takes the view's rows as they
@@ -47,14 +48,14 @@ import (
 type feed struct {
 	rt  *Runtime
 	src *source
-	// key names the store in src.stores; empty for a buffer's private feed.
+	// key names the store in src.stores; empty for a raw store's private
+	// feed.
 	key string
 	// win is the window of the plan that opened the feed. Kind and Advance
-	// hold for every subscriber; Visible is the extent of a buffer (a
-	// store's views carry their own).
+	// hold for every subscriber, and its views carry their own VISIBLE.
 	win sql.WindowSpec
-	// id labels the feed in metric series and spans: a buffer's feed carries
-	// its one subscriber's id.
+	// id labels the feed in metric series and spans: a raw store's feed
+	// carries its one subscriber's id.
 	id int64
 
 	// The boundary clock of a time window.
@@ -62,16 +63,11 @@ type feed struct {
 	started   bool // the clock has seen its first event
 	resumed   bool // nextClose holds a resume point (Pipeline.ResumeAfter)
 
-	// The window state: a store, or the raw rows the window of a plan that
-	// cannot use one can still read — the sliding extent of a time window,
-	// the last VISIBLE rows of a row window with the countdown to its next
-	// close, the last n emissions of a SLICES window.
-	store        *ivm.Store
-	strategy     plan.Strategy
-	pending      []tsRow
-	rowBuf       []tsRow
-	sinceAdvance int64
-	emissions    []emission
+	// The window state. A time window cuts store at timestamps; a ROWS or
+	// SLICES window at ord, the rows pushed or the open emission's number.
+	store    *ivm.Store
+	strategy plan.Strategy
+	ord      int64
 
 	// mu serializes fires against attach/detach, so unsubscribing one CQ
 	// never races a fire delivering to it, and a view is never created or
@@ -81,10 +77,9 @@ type feed struct {
 	n     atomic.Int64 // subscriber count, readable without mu
 
 	// What fire keeps between closes, holding no row past one: the context
-	// post stages run under, a buffer's window, per-view scratch (under mu).
-	ctx     exec.Ctx
-	winRows []types.Row
-	outs    []setOut
+	// post stages run under and per-view scratch (under mu).
+	ctx  exec.Ctx
+	outs []setOut
 	// passed holds what sinks handed up from downstream since the last sweep
 	// (guarded by mu): failures of a derived stream's consumers, not of the
 	// CQ that emitted into it.
@@ -112,9 +107,10 @@ type feed struct {
 
 	// rowsSeen is always non-nil; with a registry it is the registered
 	// streamrel_pipeline_rows_total series, so Stats and /metrics read the
-	// same counter. The rest are nil without a registry: viewCloses
+	// same counter. The rest are nil without a registry, and all but
+	// fireHist on a raw store's feed: viewCloses
 	// (streamrel_pipeline_windows_total under a store feed's own id; a
-	// buffer's closes are its one subscriber's), touched (distinct groups
+	// raw feed's closes are its one subscriber's), touched (distinct groups
 	// changed per fire), carved (rows a view wrote afresh rather than handed
 	// out again) and fireHist (window-fire latency: evaluation plus sink
 	// delivery).
@@ -127,9 +123,8 @@ type feed struct {
 
 // feedView is the CQs sharing one window extent.
 type feedView struct {
-	visible int64
-	view    *ivm.View // the store's window layer; nil over a buffer
-	sets    []*postSet
+	view *ivm.View
+	sets []*postSet
 }
 
 // postSet is the CQs sharing one canonical post stage: one operator tree,
@@ -150,8 +145,8 @@ type setOut struct {
 }
 
 // openFeed builds the feed for key — its store taking the slice computation
-// from p, or a buffer for the empty key — gives it its mailbox and puts it
-// on the source's delivery list, so no task can precede it. Callers hold
+// from p, or a raw store for the empty key — gives it its mailbox and puts
+// it on the source's delivery list, so no task can precede it. Callers hold
 // src.mu.
 func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.Strategy, id int64) (*feed, error) {
 	f := &feed{rt: rt, src: src, key: key, win: p.Stream.Window, strategy: strategy, id: id}
@@ -159,12 +154,16 @@ func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.
 	f.mbox.cond = sync.NewCond(&f.mbox.mu)
 	stream := metrics.L("stream", src.name)
 	pipe := metrics.L("pipe", strconv.FormatInt(id, 10))
+	var spec *plan.StreamAgg
 	if key != "" {
-		state, err := ivm.New(p.StreamAgg, f.win.Advance, plan.PairOffset(f.win), strategy == plan.Materialized)
-		if err != nil {
-			return nil, err
-		}
-		f.store = state
+		spec = p.StreamAgg
+	}
+	state, err := ivm.New(spec, f.win.Advance, plan.PairOffset(f.win), strategy == plan.Materialized)
+	if err != nil {
+		return nil, err
+	}
+	f.store = state
+	if key != "" {
 		src.stores[key] = f
 		f.viewCloses = rt.reg.Counter("streamrel_pipeline_windows_total",
 			"window closes evaluated by a continuous-query pipeline", stream, pipe)
@@ -189,9 +188,8 @@ func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.
 	return f, nil
 }
 
-// attach adds m to the view of its VISIBLE (created on first use: a store's
-// starts from the slices the store retains) and to the post set of its
-// postKey.
+// attach adds m to the view of its VISIBLE (created on first use, starting
+// from the slices the store retains) and to the post set of its postKey.
 func (f *feed) attach(m *Pipeline) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -199,16 +197,13 @@ func (f *feed) attach(m *Pipeline) {
 	visible := m.plan.Stream.Window.Visible
 	var sv *feedView
 	for _, v := range f.views {
-		if v.visible == visible {
+		if v.view.Visible() == visible {
 			sv = v
 			break
 		}
 	}
 	if sv == nil {
-		sv = &feedView{visible: visible}
-		if f.store != nil {
-			sv.view = f.store.Attach(visible)
-		}
+		sv = &feedView{view: f.store.Attach(visible)}
 		f.views = append(f.views, sv)
 	}
 	for _, s := range sv.sets {
@@ -240,9 +235,7 @@ func (f *feed) detach(m *Pipeline) bool {
 					sv.sets = slices.Delete(sv.sets, si, si+1)
 				}
 				if len(sv.sets) == 0 {
-					if sv.view != nil {
-						f.store.Detach(sv.view)
-					}
+					f.store.Detach(sv.view)
 					f.views = slices.Delete(f.views, vi, vi+1)
 				}
 				f.n.Add(-1)
@@ -277,23 +270,25 @@ func (f *feed) clearMembers() []*Pipeline {
 	return ms
 }
 
-// fire closes boundary c: every view closes its window in turn, then the
-// state drops what nothing reads any more. One window-fire/cq-deliver span
-// pair and one fire-latency observation are recorded per view close
-// (subscriber count is a fan-out width, not extra windows), all attributed
-// to the batch that proved the boundary complete. An error is the window
-// state's own and fails the feed, and with it every subscriber.
-func (f *feed) fire(c int64) error {
+// fire closes the store's boundary at, whose cq_close is c — the same
+// timestamp for a time window, the last row's or emission's for a count
+// window: every view closes its window in turn, then the store drops what
+// nothing reads any more. One window-fire/cq-deliver span pair and one
+// fire-latency observation are recorded per view close (subscriber count is
+// a fan-out width, not extra windows), all attributed to the batch that
+// proved the boundary complete. An error is the window state's own and fails
+// the feed, and with it every subscriber.
+func (f *feed) fire(c, at int64) error {
 	tc := f.takeFireCtx()
 	f.ctx = f.rt.snapshotCtx(c) // only the feed's drainer fires: no lock needed
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, sv := range f.views {
-		if err := f.fireView(sv, c, &tc); err != nil {
+		if err := f.fireView(sv, c, at, &tc); err != nil {
 			return err
 		}
 	}
-	f.expire(c)
+	f.store.Expire(at)
 	return nil
 }
 
@@ -305,13 +300,17 @@ func (f *feed) fire(c int64) error {
 // is marked failed and skipped — isolation: one subscriber's failure never
 // disturbs the window state or its peers — and the source sweeps it out on
 // the next producer call. Closes at or before a CQ's resume point are muted
-// for that CQ alone.
-func (f *feed) fireView(sv *feedView, c int64, tc *trace.Ctx) error {
+// for that CQ alone. A raw view's rows stay in its container until the
+// store's Expire: operators copy row references into fresh output rows and
+// never retain the input slice itself.
+func (f *feed) fireView(sv *feedView, c, at int64, tc *trace.Ctx) error {
 	ft := f.beginFire()
-	rows, err := f.window(sv, c)
+	rows, touched, carved, err := sv.view.Fire(at)
 	if err != nil {
 		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
+	f.touched.Add(int64(touched))
+	f.carved.Add(int64(carved))
 	outs := f.outs[:0]
 	n := 0
 	for _, set := range sv.sets {
@@ -346,8 +345,6 @@ func (f *feed) fireView(sv *feedView, c int64, tc *trace.Ctx) error {
 		outs = append(outs, setOut{out: out, run: run})
 	}
 	f.outs = outs
-	clear(f.winRows)
-	f.winRows = f.winRows[:0]
 	f.viewCloses.Inc()
 	f.evaluated(&ft, tc)
 	// The output slice is shared across a set — without a post stage across

@@ -11,8 +11,8 @@ import (
 //
 //  1. Row values (types.Row and the datums inside) are immutable and
 //     shared freely; only the []tsRow CONTAINER is pooled. Nothing
-//     downstream may retain it: feeds copy tsRow values into their own
-//     buffers, and what a feed or a source hands on from it — a buffer's
+//     downstream may retain it: a raw store appends the rows to its own
+//     slices, and what a feed or a source hands on from it — a raw view's
 //     window, a tap's rows — goes in a container of its own, kept and
 //     cleared where it is used.
 //  2. A block is returned only by its owner: the producer for its own

@@ -28,12 +28,12 @@
 // instead of one.
 //
 // A continuous query is in one state: subscribed to a feed, which holds the
-// window and fires it. The feed is shared — one slice-partial store per
-// (stream, slice fingerprint, ADVANCE) for all the CQs on it, whatever their
-// VISIBLE, residual filter or projection — when the plan is a sliceable
-// aggregate, and the CQ's own otherwise, buffering raw rows; re-executing
-// the plan over them is then the post stage a close runs, not a second kind
-// of pipeline.
+// window in a slice-partial store and fires it. The feed is shared — one
+// store per (stream, slice fingerprint, ADVANCE) for all the CQs on it,
+// whatever their VISIBLE, residual filter or projection — when the plan is a
+// sliceable aggregate, and the CQ's own otherwise, over a raw store whose
+// slices hold the rows; re-executing the plan over them is then the post
+// stage a close runs, not a second kind of pipeline.
 package stream
 
 import (
@@ -165,8 +165,8 @@ type Runtime struct {
 	// under the source lock, so the observation order is exactly the
 	// delivery order for that stream. Replication ships these events to
 	// replicas (carrying the trace ID across the wire); derived-stream
-	// emissions are deliberately not reported, because a replica
-	// re-derives them by running its own pipelines. Set both before
+	// output is deliberately not reported, because a replica
+	// re-derives it by running its own pipelines. Set both before
 	// pushing begins.
 	OnIngest  func(tc trace.Ctx, stream string, rows []types.Row)
 	OnAdvance func(stream string, ts int64)
@@ -418,7 +418,7 @@ func (r *Runtime) snapshotSources() []*source {
 // feed still holds in its extent. On a store's feed (see plan.WindowState)
 // that is the slices the store retains — nothing when it is the store's
 // first member, up to the widest existing member's VISIBLE otherwise — and
-// a feed opened for the CQ alone starts from an empty buffer. Queries
+// a feed opened for the CQ alone starts from an empty raw store. Queries
 // needing exact history replay it from an archive table instead (INSERT
 // INTO stream SELECT … ORDER BY ts).
 func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
@@ -849,7 +849,7 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 	}
 	defer block.release()
 	src.rows.Add(int64(len(block.rows)))
-	// Unbounded: emissions may originate on a pool worker, which must
+	// Unbounded: an emission may originate on a pool worker, which must
 	// never block on another feed's mailbox bound (deadlock).
 	tapErr, swept := src.fanOut(r, task{kind: taskEmission, batch: block.rows, block: block,
 		ts: closeTS, tc: tc}, false, nil)
@@ -924,7 +924,7 @@ func (r *Runtime) Close() error {
 	r.closed = true
 	r.mu.Unlock()
 
-	// Graceful drain first, so cascaded emissions still find their
+	// Graceful drain first, so a cascaded emission still finds its
 	// consumers attached.
 	errs := []error{r.Quiesce()}
 	for _, src := range r.snapshotSources() {
@@ -977,8 +977,9 @@ type Stats struct {
 	Sources int
 	// Pipelines counts continuous queries, whatever feed they are on.
 	Pipelines int
-	// PlanGroups counts window-state stores (one feed each; a buffer's
-	// private feed is not one); PlanSubscribers counts the CQs on them.
+	// PlanGroups counts the keyed window-state stores (one feed each; a raw
+	// store's private feed is not one); PlanSubscribers counts the CQs on
+	// them.
 	PlanGroups      int
 	PlanSubscribers int
 	WindowsFired    int64
@@ -1013,7 +1014,7 @@ type PipelineStats struct {
 	QueueDepth int
 	// Strategy is Pipeline.Strategy: "incremental", "shared" or "reexec".
 	Strategy string
-	// PlanShared marks CQs on a window-state store's feed.
+	// PlanShared marks CQs on a keyed window-state store's feed.
 	PlanShared bool
 }
 
@@ -1024,7 +1025,7 @@ type PipelineStats struct {
 // justify.
 func (p *Pipeline) statsSnapshot() PipelineStats {
 	f := p.feed
-	ps := PipelineStats{Stream: f.src.name, ID: p.id, Strategy: p.Strategy(), PlanShared: f.store != nil}
+	ps := PipelineStats{Stream: f.src.name, ID: p.id, Strategy: p.Strategy(), PlanShared: f.key != ""}
 	ps.WindowsFired = p.windowsFired.Value()
 	ps.RowsSeen = f.rowsSeen.Value()
 	ps.QueueDepth = f.mbox.depth()

@@ -328,6 +328,21 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 	}
 }
 
+// TestReexecIsNotPlanShared: a re-executing CQ keeps a raw store of its own,
+// which is not one of the keyed stores the plan-sharing stats count.
+func TestReexecIsNotPlanShared(t *testing.T) {
+	e := newEnv(t, false)
+	e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '5 minutes' ADVANCE '1 minute'> GROUP BY url`)
+	e.hit(t, "/a", 10*minute, "x")
+	st := e.rt.Stats()
+	if st.Pipelines != 1 || st.PlanGroups != 0 || st.PlanSubscribers != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if ps := st.PerPipeline[0]; ps.PlanShared || ps.Strategy != "reexec" {
+		t.Fatalf("pipeline stats: %+v", ps)
+	}
+}
+
 // TestLateSubscriberWindows pins Subscribe's one late-subscriber rule. A
 // row arrives every 5 s from 0 s on; two CQs of one fingerprint, VISIBLE
 // 10 s and 60 s, have been attached to their store since the start, a third

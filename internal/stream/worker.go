@@ -68,7 +68,7 @@ const (
 	mboxRunning
 )
 
-// mailbox is one feed's task queue. q[head:] are pending tasks; size
+// mailbox is one feed's task queue. q[head:] are the queued tasks; size
 // mirrors that count atomically for lock-free depth reads (metrics).
 type mailbox struct {
 	mu    sync.Mutex

@@ -5,7 +5,6 @@ package streamrel
 // Under the race detector sync.Pool drops a quarter of what is put in it, so
 // the log's encode buffer is bought again now and then: TestArchiveCommitAllocs's
 // byte bound holds only without it (make alloc-pins), as internal/wal's
-// TestAppendAllocs's does, and so does TestReplicaArchiveApplyAllocs's bound
-// on how much more a larger event may cost (it read 10 against 11 in about
-// a quarter of its runs under -race, never without).
+// TestAppendAllocs's does, and so do TestReplicaArchiveApplyAllocs's bounds
+// (they failed 8 of 30 runs under -race, never without).
 func init() { racing = true }

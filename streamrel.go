@@ -129,7 +129,7 @@ type Config struct {
 	// its (stream, fingerprint, ADVANCE, VISIBLE mod ADVANCE) — materialized
 	// when every aggregate can be retracted,
 	// slice-merging otherwise — and anything else re-executes its plan over
-	// buffered rows (DESIGN.md "Window state"). StateReexec makes every CQ
+	// the rows a raw store of its own keeps (DESIGN.md "Window state"). StateReexec makes every CQ
 	// re-execute (the equivalence oracle; E3's baseline), StateMerge keeps
 	// the stores but never materializes (E3's shared arm), StatePrivate
 	// gives each CQ a store of its own (N independent pipelines: E16, the
