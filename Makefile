@@ -57,9 +57,11 @@ cover:
 # closes (TestEnrichKeptBuildUnderWriters, ≡ StateReexec). The storage
 # package also holds the run insert to its one lock acquisition there
 # (TestInsertRunTakesTheLockOnce: a concurrent reader finds whole runs only).
+# The plan cache's trees, checked out by concurrent snapshot queries with
+# their own arguments beside a writer, ride along too (TestPlanCache*).
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache' .
 
 # alloc-pins runs the ownership property (a decoded batch is its container and
 # two allocations a block — its values, its strings — where a block is at most
@@ -100,8 +102,12 @@ drain-policies:
 # TestCQQueueAllocs, TestCQQueuePinsNoBatch) and in a derived stream's channel
 # (APPEND copies an emission into one block and an index keys a row by a view
 # of it, TestChannelWriteAllocs; a REPLACE row is a copy of its own, which goes
-# once vacuumed, TestReplaceChannelPinsNoBatch) by name (Pins?No takes
-# TestStoreKeysPinNoBatch and the Pins{NoBatch,NoFire,NoRow} tests) and without
+# once vacuumed, TestReplaceChannelPinsNoBatch) and in the plan cache (a
+# cached snapshot query costs its execution, not its planning,
+# TestCachedQueryAllocs; a dropped table's heap goes with the next statement,
+# TestPlanCachePinsNoDroppedHeap) by name (Pins?No takes
+# TestStoreKeysPinNoBatch and the Pins{NoBatch,NoFire,NoRow,NoDroppedHeap}
+# tests) and without
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:

@@ -56,14 +56,12 @@ type CQ struct {
 // Subscribe compiles a continuous query — a SELECT over a windowed stream
 // — and starts it. The CQ runs until Close (paper §3.1: "CQs produce
 // answers incrementally and run until they are explicitly terminated").
-func (e *Engine) Subscribe(sqlText string) (*CQ, error) {
-	return e.SubscribeArgs(sqlText)
-}
+func (e *Engine) Subscribe(sqlText string) (*CQ, error) { return e.SubscribeArgs(sqlText) }
 
 // SubscribeArgs starts a continuous query with $1, $2, … placeholders
 // bound to args; the bindings are fixed for the CQ's lifetime.
 func (e *Engine) SubscribeArgs(sqlText string, args ...Value) (*CQ, error) {
-	stmt, err := e.parseWithArgs(sqlText, args)
+	stmt, err := sql.ParseArgs(sqlText, args)
 	if err != nil {
 		return nil, err
 	}

@@ -58,10 +58,7 @@ func (e *Engine) applyDDL(stmt sql.Statement) (skipped bool, err error) {
 			return false, err
 		}
 		if _, err := e.cat.CreateTable(s.Name, schema); err != nil {
-			if s.IfNotExists && errors.As(err, &catalog.ErrExists{}) {
-				return true, nil
-			}
-			return false, err
+			return existsOK(s.IfNotExists, err)
 		}
 		return false, nil
 
@@ -87,10 +84,7 @@ func (e *Engine) applyDDL(stmt sql.Statement) (skipped bool, err error) {
 			}
 		}
 		if _, err := e.cat.CreateStreamPartitioned(s.Name, schema, cqCol, system, partCol); err != nil {
-			if s.IfNotExists && errors.As(err, &catalog.ErrExists{}) {
-				return true, nil
-			}
-			return false, err
+			return existsOK(s.IfNotExists, err)
 		}
 		if err := e.rt.RegisterSource(s.Name, schema, cqCol); err != nil {
 			return false, err
@@ -108,10 +102,7 @@ func (e *Engine) applyDDL(stmt sql.Statement) (skipped bool, err error) {
 		}
 		err := e.cat.CreateView(&catalog.View{Name: s.Name, Query: s.Query})
 		if err != nil {
-			if s.IfNotExists && errors.As(err, &catalog.ErrExists{}) {
-				return true, nil
-			}
-			return false, err
+			return existsOK(s.IfNotExists, err)
 		}
 		return false, nil
 
@@ -121,10 +112,7 @@ func (e *Engine) applyDDL(stmt sql.Statement) (skipped bool, err error) {
 	case *sql.CreateIndex:
 		ix, err := e.cat.CreateIndex(s.Name, s.Table, s.Columns)
 		if err != nil {
-			if s.IfNotExists && errors.As(err, &catalog.ErrExists{}) {
-				return true, nil
-			}
-			return false, err
+			return existsOK(s.IfNotExists, err)
 		}
 		// Backfill from the current table contents.
 		t, _ := e.cat.Table(s.Table)
@@ -186,10 +174,7 @@ func (e *Engine) createDerivedStream(s *sql.CreateDerivedStream) (bool, error) {
 		CloseCol: p.CloseCol,
 	}
 	if err := e.cat.CreateDerivedStream(d); err != nil {
-		if s.IfNotExists && errors.As(err, &catalog.ErrExists{}) {
-			return true, nil
-		}
-		return false, err
+		return existsOK(s.IfNotExists, err)
 	}
 	if err := e.rt.RegisterSource(s.Name, p.Columns, -1); err != nil {
 		e.cat.Drop(sql.ObjStream, s.Name)
@@ -242,10 +227,7 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 	}
 	ch := &catalog.Channel{Name: s.Name, From: s.From, Into: s.Into, Mode: s.Mode}
 	if err := e.cat.CreateChannel(ch); err != nil {
-		if s.IfNotExists && errors.As(err, &catalog.ErrExists{}) {
-			return true, nil
-		}
-		return false, err
+		return existsOK(s.IfNotExists, err)
 	}
 	detach, err := e.rt.Tap(s.From, func(tc trace.Ctx, closeTS int64, rows []types.Row, in *stream.Ingest) error {
 		return e.channelWrite(tc, ch, rows, in)
@@ -400,6 +382,15 @@ func (e *Engine) execDrop(s *sql.Drop) (bool, error) {
 		}
 		return false, nil
 	}
+}
+
+// existsOK is what a CREATE that failed with err returns: skipped, when IF
+// NOT EXISTS met the name taken.
+func existsOK(ifNotExists bool, err error) (bool, error) {
+	if ifNotExists && errors.As(err, &catalog.ErrExists{}) {
+		return true, nil
+	}
+	return false, err
 }
 
 func (e *Engine) dropMissOK(s *sql.Drop, err error) (bool, error) {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"streamrel/internal/catalog"
+	"streamrel/internal/exec"
 	"streamrel/internal/expr"
+	"streamrel/internal/plan"
 	"streamrel/internal/sql"
 	"streamrel/internal/storage"
 	"streamrel/internal/trace"
@@ -16,14 +18,14 @@ import (
 // queries *before* any storage — the paper's core reversal of
 // store-first-query-later.
 func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	// Target resolution: stream or table.
 	if st, ok := e.cat.Stream(s.Table); ok {
 		rows, err := e.insertSourceRows(s, st.Schema)
 		if err != nil {
 			return nil, err
 		}
-		e.mu.RLock()
-		defer e.mu.RUnlock()
 		if err := e.push(trace.Ctx{}, s.Table, rows); err != nil {
 			return nil, err
 		}
@@ -40,8 +42,6 @@ func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	w := e.beginWrite()
 	if err := w.insert(t, nil, rows); err != nil {
 		return nil, w.fail(err)
@@ -75,11 +75,13 @@ func (e *Engine) insertSourceRows(s *sql.Insert, schema types.Schema) ([]types.R
 	var srcRows []types.Row
 	switch {
 	case s.Query != nil:
-		res, err := e.querySelect(s.Query)
+		p, err := e.snapshotPlan(s.Query)
 		if err != nil {
 			return nil, err
 		}
-		srcRows = res.Data
+		if srcRows, err = exec.Drain(e.execCtx(), p.Build(&plan.Input{}), 0); err != nil {
+			return nil, err
+		}
 	default:
 		for _, exprRow := range s.Rows {
 			row := make(types.Row, len(exprRow))
@@ -126,7 +128,7 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("streamrel: table %q does not exist", s.Table)
 	}
-	sc := tableScope(t)
+	sc := schemaBinder{qual: t.Name, schema: t.Schema}
 	var where *expr.Scalar
 	var err error
 	if s.Where != nil {
@@ -154,29 +156,9 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	w := e.beginWrite()
-	// Collect matches under the transaction's own snapshot, then apply.
-	type match struct {
-		rid storage.RowID
-		row types.Row
-	}
-	var matches []match
-	var scanErr error
-	t.Heap.Scan(w.tx.Snap, func(rid storage.RowID, row types.Row) bool {
-		if where != nil {
-			v, err := where.Eval(&expr.Ctx{Row: row, Now: e.cfg.Now})
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if v.IsNull() || !v.Bool() {
-				return true
-			}
-		}
-		matches = append(matches, match{rid, row})
-		return true
-	})
-	if scanErr != nil {
-		return nil, w.fail(scanErr)
+	matches, err := e.matching(w, t, where)
+	if err != nil {
+		return nil, w.fail(err)
 	}
 	newRows := make([]types.Row, len(matches))
 	for i, m := range matches {
@@ -216,46 +198,48 @@ func (e *Engine) execDelete(s *sql.Delete) (*Result, error) {
 	var where *expr.Scalar
 	var err error
 	if s.Where != nil {
-		if where, err = expr.Compile(s.Where, tableScope(t)); err != nil {
+		if where, err = expr.Compile(s.Where, schemaBinder{qual: t.Name, schema: t.Schema}); err != nil {
 			return nil, err
 		}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	w := e.beginWrite()
-	var rids []storage.RowID
-	var scanErr error
-	t.Heap.Scan(w.tx.Snap, func(rid storage.RowID, row types.Row) bool {
-		if where != nil {
-			v, err := where.Eval(&expr.Ctx{Row: row, Now: e.cfg.Now})
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if v.IsNull() || !v.Bool() {
-				return true
-			}
-		}
-		rids = append(rids, rid)
-		return true
-	})
-	if scanErr != nil {
-		return nil, w.fail(scanErr)
+	matches, err := e.matching(w, t, where)
+	if err != nil {
+		return nil, w.fail(err)
 	}
-	for _, rid := range rids {
-		if err := w.deleteRow(t, rid); err != nil {
+	for _, m := range matches {
+		if err := w.deleteRow(t, m.rid); err != nil {
 			return nil, w.fail(err)
 		}
 	}
 	if err := w.commit(); err != nil {
 		return nil, err
 	}
-	return &Result{RowsAffected: len(rids)}, nil
+	return &Result{RowsAffected: len(matches)}, nil
 }
 
-// execTruncate removes every visible row.
-func (e *Engine) execTruncate(s *sql.Truncate) (*Result, error) {
-	return e.execDelete(&sql.Delete{Table: s.Table})
+// match is a row an UPDATE or DELETE selected: its RowID and version.
+type match struct {
+	rid storage.RowID
+	row types.Row
+}
+
+// matching collects the rows of t that where (nil: every row) selects, under
+// w's own snapshot.
+func (e *Engine) matching(w *writeTxn, t *catalog.Table, where *expr.Scalar) (out []match, err error) {
+	t.Heap.Scan(w.tx.Snap, func(rid storage.RowID, row types.Row) bool {
+		if where != nil {
+			var v types.Datum
+			if v, err = where.Eval(&expr.Ctx{Row: row, Now: e.cfg.Now}); err != nil || v.IsNull() || !v.Bool() {
+				return err == nil
+			}
+		}
+		out = append(out, match{rid, row})
+		return true
+	})
+	return out, err
 }
 
 // schemaBinder resolves column references against one table's schema.
@@ -274,11 +258,6 @@ func (b schemaBinder) ResolveColumn(table, name string) (expr.ColumnBinding, err
 		return expr.ColumnBinding{}, fmt.Errorf("streamrel: column %q does not exist", name)
 	}
 	return expr.ColumnBinding{Index: i, Type: b.schema[i].Type}, nil
-}
-
-// tableScope builds an expression binder over a table's schema.
-func tableScope(t *catalog.Table) expr.Binder {
-	return schemaBinder{qual: t.Name, schema: t.Schema}
 }
 
 // BulkInsert loads rows into a table through the write path (WAL, indexes,

@@ -8,7 +8,6 @@ import (
 	"streamrel/internal/exec"
 	"streamrel/internal/plan"
 	"streamrel/internal/sql"
-	"streamrel/internal/types"
 )
 
 // execExplain reports what the planner decided for a statement: snapshot
@@ -31,6 +30,13 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 	var lines []string
 	if p.Stream == nil {
 		lines = append(lines, "Snapshot Query (SQ): runs once over an MVCC snapshot")
+		if s.Params > 0 { // the tree the plan cache keeps (DESIGN §11 "The plan cache")
+			_, stats := exec.Instrument(p.Build(&plan.Input{}))
+			lines = append(lines, "  generic plan ($n read at Open):")
+			for _, st := range stats {
+				lines = append(lines, strings.Repeat("  ", st.Depth+2)+strings.TrimSpace(st.Name+" "+st.Detail))
+			}
+		}
 	} else {
 		lines = append(lines, "Continuous Query (CQ): runs per window close")
 		lines = append(lines, fmt.Sprintf("  stream: %s %s", p.Stream.Name, p.Stream.Window.String()))
@@ -66,14 +72,7 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 		}
 	}
 	lines = append(lines, "  output: "+p.Columns.String())
-	rows := make([]Row, len(lines))
-	for i, l := range lines {
-		rows[i] = Row{types.NewString(l)}
-	}
-	return &Result{Rows: &Rows{
-		Columns: Schema{{Name: "plan", Type: types.TypeString}},
-		Data:    rows,
-	}}, nil
+	return textResult("plan", lines), nil
 }
 
 // postStage names what runs over a store-backed CQ's rows at every close,
@@ -117,12 +116,5 @@ func (e *Engine) execExplainAnalyze(p *plan.Plan) (*Result, error) {
 			strings.Repeat("  ", st.Depth+1), st.Name, st.Rows, st.Elapsed.Round(time.Microsecond)))
 	}
 	lines = append(lines, fmt.Sprintf("  output: %d rows in %s", len(out), total.Round(time.Microsecond)))
-	rows := make([]Row, len(lines))
-	for i, l := range lines {
-		rows[i] = Row{types.NewString(l)}
-	}
-	return &Result{Rows: &Rows{
-		Columns: Schema{{Name: "plan", Type: types.TypeString}},
-		Data:    rows,
-	}}, nil
+	return textResult("plan", lines), nil
 }

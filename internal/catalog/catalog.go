@@ -6,8 +6,9 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"streamrel/internal/sql"
 	"streamrel/internal/storage"
@@ -101,6 +102,9 @@ type Catalog struct {
 	views    map[string]*View
 	channels map[string]*Channel
 	indexes  map[string]*Index
+	// gen counts the Create* and Drop calls, moved under mu (change): a plan
+	// made at one generation reads the heaps and indexes that are there.
+	gen atomic.Uint64
 }
 
 // New returns an empty catalog.
@@ -147,8 +151,7 @@ func (e ErrNotFound) Error() string {
 
 // CreateTable registers a new table with a fresh heap.
 func (c *Catalog) CreateTable(name string, schema types.Schema) (*Table, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.change()()
 	if c.relationExists(name) {
 		return nil, ErrExists{name}
 	}
@@ -165,8 +168,7 @@ func (c *Catalog) CreateStream(name string, schema types.Schema, cqtimeCol int, 
 // CreateStreamPartitioned registers a base stream with an optional
 // PARTITION BY column (partitionCol = -1 for none).
 func (c *Catalog) CreateStreamPartitioned(name string, schema types.Schema, cqtimeCol int, systemTime bool, partitionCol int) (*Stream, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.change()()
 	if c.relationExists(name) {
 		return nil, ErrExists{name}
 	}
@@ -190,8 +192,7 @@ func (c *Catalog) CreateStreamPartitioned(name string, schema types.Schema, cqti
 // CreateDerivedStream registers a derived stream. The schema and CloseCol
 // are computed by the planner before registration.
 func (c *Catalog) CreateDerivedStream(d *DerivedStream) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.change()()
 	if c.relationExists(d.Name) {
 		return ErrExists{d.Name}
 	}
@@ -201,8 +202,7 @@ func (c *Catalog) CreateDerivedStream(d *DerivedStream) error {
 
 // CreateView registers a view.
 func (c *Catalog) CreateView(v *View) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.change()()
 	if c.relationExists(v.Name) {
 		return ErrExists{v.Name}
 	}
@@ -212,8 +212,7 @@ func (c *Catalog) CreateView(v *View) error {
 
 // CreateChannel registers a channel and marks the target table Active.
 func (c *Catalog) CreateChannel(ch *Channel) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.change()()
 	if _, ok := c.channels[ch.Name]; ok {
 		return ErrExists{ch.Name}
 	}
@@ -233,8 +232,7 @@ func (c *Catalog) CreateChannel(ch *Channel) error {
 
 // CreateIndex registers a B-tree index; the engine backfills it.
 func (c *Catalog) CreateIndex(name, table string, cols []string) (*Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.change()()
 	if _, ok := c.indexes[name]; ok {
 		return nil, ErrExists{name}
 	}
@@ -259,8 +257,7 @@ func (c *Catalog) CreateIndex(name, table string, cols []string) (*Index, error)
 
 // Drop removes an object of the given kind.
 func (c *Catalog) Drop(kind sql.ObjectKind, name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.change()()
 	switch kind {
 	case sql.ObjTable:
 		t, ok := c.tables[name]
@@ -337,6 +334,18 @@ func (c *Catalog) Drop(kind sql.ObjectKind, name string) error {
 	return nil
 }
 
+// change takes c.mu to change the catalog, moving its generation, and
+// returns the unlock.
+func (c *Catalog) change() func() {
+	c.mu.Lock()
+	c.gen.Add(1)
+	return c.mu.Unlock
+}
+
+// Gen returns the catalog's generation: it moves with every Create* and
+// Drop, replicated and recovered DDL included.
+func (c *Catalog) Gen() uint64 { return c.gen.Load() }
+
 // Table looks up a table.
 func (c *Catalog) Table(name string) (*Table, bool) {
 	c.mu.RLock()
@@ -385,61 +394,54 @@ func (c *Catalog) Names(what string) []string {
 	var out []string
 	switch what {
 	case "tables":
-		for n := range c.tables {
-			out = append(out, n)
-		}
+		out = appendNames(out, c.tables)
 	case "streams":
-		for n := range c.streams {
-			out = append(out, n)
-		}
-		for n := range c.derived {
-			out = append(out, n)
-		}
+		out = appendNames(appendNames(out, c.streams), c.derived)
 	case "views":
-		for n := range c.views {
-			out = append(out, n)
-		}
+		out = appendNames(out, c.views)
 	case "channels":
-		for n := range c.channels {
-			out = append(out, n)
-		}
+		out = appendNames(out, c.channels)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-// Tables returns every table; used by checkpointing.
+// appendNames appends m's keys to out.
+func appendNames[T any](out []string, m map[string]*T) []string {
+	for n := range m {
+		out = append(out, n)
+	}
+	return out
+}
+
+// byName lists a map's objects sorted by name.
+func byName[T any](m map[string]*T) []*T {
+	names := appendNames(nil, m)
+	slices.Sort(names)
+	out := make([]*T, len(names))
+	for i, n := range names {
+		out[i] = m[n]
+	}
+	return out
+}
+
+// Tables returns every table, sorted by name; used by checkpointing.
 func (c *Catalog) Tables() []*Table {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return byName(c.tables)
 }
 
 // Channels returns every channel, sorted by name.
 func (c *Catalog) Channels() []*Channel {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*Channel, 0, len(c.channels))
-	for _, ch := range c.channels {
-		out = append(out, ch)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return byName(c.channels)
 }
 
 // DerivedStreams returns every derived stream, sorted by name.
 func (c *Catalog) DerivedStreams() []*DerivedStream {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*DerivedStream, 0, len(c.derived))
-	for _, d := range c.derived {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return byName(c.derived)
 }

@@ -162,7 +162,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 // Close implements Operator: the execution's groups are reset and let go of
 // their rows — a row the consumer kept none of is cleared instead.
 func (h *HashAgg) Close() error {
-	h.ec.Row = nil
+	h.ec = expr.Ctx{}
 	clear(h.scratch)
 	h.reset(clearRows(h.rows))
 	for g := h.head; g != nil; g = g.next {

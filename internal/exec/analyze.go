@@ -12,8 +12,9 @@ import (
 // inside the parent's Open/NextBatch), which matches EXPLAIN ANALYZE "actual
 // time" reporting elsewhere.
 type OpStat struct {
-	// Name is the operator kind (SeqScan, HashJoin, …).
-	Name string
+	// Name is the operator kind (SeqScan, HashJoin, …), and Detail what
+	// EXPLAIN prints beside it: an IndexScan's Range.
+	Name, Detail string
 	// Depth is the operator's depth in the plan tree (root = 0).
 	Depth int
 	// Rows counts the rows in the chunks the operator returned from
@@ -39,6 +40,9 @@ func instrument(op Operator, stats *[]*OpStat, depth int) Operator {
 		return nil
 	}
 	st := &OpStat{Name: opName(op), Depth: depth}
+	if ix, ok := op.(*IndexScan); ok {
+		st.Detail = ix.Range
+	}
 	*stats = append(*stats, st)
 	switch o := op.(type) {
 	case *Filter:

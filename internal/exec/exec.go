@@ -20,12 +20,13 @@ import (
 )
 
 // Ctx carries per-execution state: the MVCC snapshot for table reads
-// (window consistency hands CQs a fresh one per window close) and the
-// window-close timestamp for cq_close(*).
+// (window consistency hands CQs a fresh one per window close), the
+// window-close timestamp for cq_close(*) and the arguments $n reads.
 type Ctx struct {
 	Snap        txn.Snapshot
 	WindowClose types.Datum
 	Now         func() time.Time
+	Args        []types.Datum
 }
 
 // evalCtx returns the expression-evaluation context of this execution,
@@ -33,8 +34,9 @@ type Ctx struct {
 // (set in Open) and only re-points Row per input row, so evaluation
 // allocates nothing; a copy cannot live here, because one Ctx is shared by
 // a whole operator tree and each operator is mid-row at a different row.
+// Close drops the copy, so a kept tree holds no execution's arguments.
 func (c *Ctx) evalCtx() expr.Ctx {
-	return expr.Ctx{WindowClose: c.WindowClose, Now: c.Now}
+	return expr.Ctx{WindowClose: c.WindowClose, Now: c.Now, Args: c.Args}
 }
 
 // Operator is a pull-based iterator over chunks of rows. The contract:

@@ -283,7 +283,7 @@ func (j *HashJoin) collectUnmatched() {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.table, j.build, j.unmatched, j.leftRow, j.ec.Row = nil, nil, nil, nil, nil
+	j.table, j.build, j.unmatched, j.leftRow, j.ec = nil, nil, nil, nil, expr.Ctx{}
 	j.out.reset()
 	j.buf = clearRows(j.buf)
 	return j.Left.Close()
@@ -372,7 +372,7 @@ func (j *NestedLoopJoin) next() (types.Row, error) {
 
 // Close implements Operator.
 func (j *NestedLoopJoin) Close() error {
-	j.right, j.leftRow, j.ec.Row = nil, nil, nil
+	j.right, j.leftRow, j.ec = nil, nil, expr.Ctx{}
 	j.out.reset()
 	j.buf = clearRows(j.buf)
 	return j.Left.Close()

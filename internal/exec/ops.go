@@ -54,7 +54,7 @@ func (f *Filter) NextBatch(max int) ([]types.Row, error) {
 
 // Close implements Operator.
 func (f *Filter) Close() error {
-	f.buf, f.ec.Row = clearRows(f.buf), nil
+	f.buf, f.ec = clearRows(f.buf), expr.Ctx{}
 	return f.Child.Close()
 }
 
@@ -113,7 +113,7 @@ func (p *Project) NextBatch(max int) ([]types.Row, error) {
 // Close implements Operator. The block goes: its rows are the execution's
 // output, which the consumer may retain.
 func (p *Project) Close() error {
-	p.buf, p.blk, p.ec.Row = clearRows(p.buf), types.RowBlock{}, nil
+	p.buf, p.blk, p.ec = clearRows(p.buf), types.RowBlock{}, expr.Ctx{}
 	return p.Child.Close()
 }
 
@@ -259,7 +259,7 @@ func (s *Sort) Open(ctx *Ctx) error {
 
 // Close implements Operator.
 func (s *Sort) Close() error {
-	s.ec.Row = nil
+	s.ec = expr.Ctx{}
 	s.reset(clearRows(s.rows))
 	return nil
 }

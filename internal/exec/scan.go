@@ -88,6 +88,8 @@ type IndexScan struct {
 	Tree *storage.BTree
 	// Lo and Hi are single-column bounds on the index's first column.
 	Lo, Hi *expr.Scalar
+	// Range names the index and the bounds as written, for EXPLAIN.
+	Range string
 	cursor
 
 	ec expr.Ctx
@@ -127,4 +129,4 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 }
 
 // Close implements Operator.
-func (s *IndexScan) Close() error { s.reset(clearRows(s.rows)); return nil }
+func (s *IndexScan) Close() error { s.reset(clearRows(s.rows)); s.ec = expr.Ctx{}; return nil }

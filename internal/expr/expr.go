@@ -6,6 +6,7 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,7 +23,14 @@ type Ctx struct {
 	WindowClose types.Datum
 	// Now returns the current time for now(); nil means wall clock.
 	Now func() time.Time
+	// Args are the execution's arguments: what $n reads is Args[n-1].
+	Args []types.Datum
 }
+
+// ErrUnbound is what evaluating a parameter without its argument fails
+// with: at run time, or while planning, which reads a LIMIT and a
+// select-list position.
+var ErrUnbound = errors.New("unbound parameter")
 
 // Scalar is a compiled scalar expression.
 type Scalar struct {
@@ -173,7 +181,13 @@ func Compile(e sql.Expr, b Binder) (*Scalar, error) {
 		return compileFunc(n, b)
 
 	case *sql.Param:
-		return nil, fmt.Errorf("expr: unbound parameter $%d (pass arguments via QueryArgs/ExecArgs/SubscribeArgs)", n.Index)
+		i := n.Index - 1
+		return &Scalar{Type: n.Type, Eval: func(ctx *Ctx) (types.Datum, error) {
+			if i >= len(ctx.Args) {
+				return types.Null, fmt.Errorf("expr: %w $%d (pass arguments via QueryArgs/ExecArgs/SubscribeArgs)", ErrUnbound, i+1)
+			}
+			return ctx.Args[i], nil
+		}}, nil
 	}
 	return nil, fmt.Errorf("expr: unsupported expression %T", e)
 }
@@ -449,8 +463,7 @@ func compileCase(n *sql.CaseExpr, b Binder) (*Scalar, error) {
 			typ = elseS.Type
 		}
 	}
-	return &Scalar{Type: typ, Eval: func(ctx *Ctx) (types.Datum, error) {
-		var opv types.Datum
+	return &Scalar{Type: typ, Eval: func(ctx *Ctx) (opv types.Datum, err error) {
 		if operand != nil {
 			if opv, err = operand.Eval(ctx); err != nil {
 				return types.Null, err

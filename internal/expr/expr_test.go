@@ -44,9 +44,18 @@ var testRow = types.Row{
 	types.NewFloat(2.5), types.Null, types.NewString("hello world"),
 }
 
+// parseExpr parses a standalone scalar expression: a select list of one.
+func parseExpr(src string) (sql.Expr, error) {
+	stmt, err := sql.Parse("SELECT " + src)
+	if err != nil {
+		return nil, err
+	}
+	return stmt.(*sql.Select).Items[0].Expr, nil
+}
+
 func evalStr(t *testing.T, src string) types.Datum {
 	t.Helper()
-	ast, err := sql.ParseExpr(src)
+	ast, err := parseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
@@ -201,7 +210,7 @@ func mustTS(t *testing.T, s string) types.Datum {
 }
 
 func TestCQClose(t *testing.T) {
-	ast, _ := sql.ParseExpr("cq_close(*)")
+	ast, _ := parseExpr("cq_close(*)")
 	s, err := Compile(ast, testBinder{})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +238,7 @@ func TestCompileErrors(t *testing.T) {
 		"'a' < 1",       // incomparable static types
 	}
 	for _, src := range bad {
-		ast, err := sql.ParseExpr(src)
+		ast, err := parseExpr(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
@@ -241,7 +250,7 @@ func TestCompileErrors(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	for _, src := range []string{"a / 0", "b % 0", "sqrt(-1.0)", "ln(0.0)"} {
-		ast, _ := sql.ParseExpr(src)
+		ast, _ := parseExpr(src)
 		s, err := Compile(ast, testBinder{})
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)

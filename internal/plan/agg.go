@@ -269,6 +269,9 @@ func resolveGroupBy(sel *sql.Select, inScope *scope) ([]sql.Expr, error) {
 	groupExprs := make([]sql.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		groupExprs[i] = g
+		if p, ok := g.(*sql.Param); ok { // a position, read while planning
+			return nil, fmt.Errorf("plan: GROUP BY %s: %w", p, expr.ErrUnbound)
+		}
 		if lit, ok := g.(*sql.Literal); ok && lit.Val.Type() == types.TypeInt {
 			pos := int(lit.Val.Int())
 			if pos < 1 || pos > len(sel.Items) || sel.Items[pos-1].Expr == nil {

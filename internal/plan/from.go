@@ -319,10 +319,6 @@ func (b *builder) pushFilter(rel *relNode, conds []sql.Expr) (*relNode, error) {
 // not absorbed into bounds.
 func (b *builder) tryIndex(rel *relNode, conds []sql.Expr) (*relNode, []sql.Expr, error) {
 	t := rel.table
-	type bound struct {
-		e  sql.Expr
-		op sql.BinOp
-	}
 	best := -1 // index into t.Indexes
 	var lo, hi sql.Expr
 	var used map[sql.Expr]bool
@@ -397,10 +393,11 @@ func (b *builder) tryIndex(rel *relNode, conds []sql.Expr) (*relNode, []sql.Expr
 		}
 	}
 	heap, tree := t.Heap, ix.Tree
+	rng := fmt.Sprintf("%s [%s, %s]", ix.Name, sql.Format(lo), sql.Format(hi)) // an open bound prints as nothing
 	newRel := &relNode{
 		scope: rel.scope,
 		build: func(*Input) exec.Operator {
-			return &exec.IndexScan{Heap: heap, Tree: tree, Lo: loS, Hi: hiS}
+			return &exec.IndexScan{Heap: heap, Tree: tree, Lo: loS, Hi: hiS, Range: rng}
 		},
 	}
 	var remaining []sql.Expr

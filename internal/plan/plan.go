@@ -312,7 +312,9 @@ func outName(item sql.SelectItem, idx int) string {
 	return fmt.Sprintf("column%d", idx+1)
 }
 
-// evalConstInt evaluates a constant integer expression (LIMIT/OFFSET).
+// evalConstInt evaluates a constant integer expression (LIMIT/OFFSET). A $n
+// there fails with expr.ErrUnbound, as one standing for a GROUP BY or ORDER
+// BY position does: its statement is then planned with its arguments bound.
 func evalConstInt(e sql.Expr, what string) (int64, error) {
 	s, err := expr.Compile(e, expr.ConstBinder{})
 	if err != nil {

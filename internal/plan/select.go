@@ -211,7 +211,10 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 	for _, item := range sel.OrderBy {
 		nf := item.Nulls == sql.NullsFirst
 		nl := item.Nulls == sql.NullsLast
-		// ORDER BY <position>.
+		// ORDER BY <position>: a $n there would be read while planning.
+		if p, ok := item.Expr.(*sql.Param); ok {
+			return nil, fmt.Errorf("plan: ORDER BY %s: %w", p, expr.ErrUnbound)
+		}
 		if lit, ok := item.Expr.(*sql.Literal); ok && lit.Val.Type() == types.TypeInt {
 			pos := int(lit.Val.Int())
 			if pos < 1 || pos > len(n.schema) {

@@ -161,10 +161,12 @@ type Truncate struct{ Table string }
 type Show struct{ What string }
 
 // Explain wraps a statement for plan display. With Analyze the statement
-// is executed and per-operator row counts and timings are reported.
+// is executed and per-operator row counts and timings are reported. Params
+// is the highest $n in Stmt (0: none).
 type Explain struct {
 	Stmt    Statement
 	Analyze bool
+	Params  int
 }
 
 func (*CreateTable) stmtNode()         {}

@@ -41,14 +41,10 @@ func TestParseParams(t *testing.T) {
 	}
 }
 
-func TestBindParamsSelect(t *testing.T) {
-	stmt, err := Parse(`SELECT a + $1 FROM t WHERE b = $2 GROUP BY a + $1 HAVING count(*) > $3 ORDER BY 1 LIMIT 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := BindParams(stmt, []types.Datum{
-		types.NewInt(10), types.NewString("x"), types.NewInt(2),
-	})
+func TestParseArgsSelect(t *testing.T) {
+	const src = `SELECT a + $1 FROM t WHERE b = $2 GROUP BY a + $1 HAVING count(*) > $3 ORDER BY 1 LIMIT 5`
+	args := []types.Datum{types.NewInt(10), types.NewString("x"), types.NewInt(2)}
+	bound, err := ParseArgs(src, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +58,20 @@ func TestBindParamsSelect(t *testing.T) {
 	if sel.Having.String() != "(count(*) > 2)" {
 		t.Fatalf("having: %s", sel.Having.String())
 	}
-	// The original AST is untouched.
-	if !strings.Contains(stmt.(*Select).Where.String(), "$2") {
-		t.Fatal("BindParams mutated the original statement")
+	// The generic form keeps each $n, of its argument's type.
+	generic, err := ParseGeneric(src, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := generic.(*Select).Where.(*BinaryExpr).R.(*Param)
+	if where.Index != 2 || where.Type != types.TypeString || Format(generic) != Format(mustParse(t, src)) {
+		t.Fatalf("generic: %#v in %s", where, Format(generic))
 	}
 }
 
-func TestBindParamsSubqueryAndJoin(t *testing.T) {
-	stmt, _ := Parse(`SELECT * FROM (SELECT a FROM t WHERE a > $1) s JOIN u ON s.a = u.a AND u.b = $2`)
-	bound, err := BindParams(stmt, []types.Datum{types.NewInt(1), types.NewInt(2)})
+func TestParseArgsSubqueryAndJoin(t *testing.T) {
+	bound, err := ParseArgs(`SELECT * FROM (SELECT a FROM t WHERE a > $1) s JOIN u ON s.a = u.a AND u.b = $2`,
+		[]types.Datum{types.NewInt(1), types.NewInt(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +109,9 @@ func boundString(stmt Statement) string {
 	return strings.Join(parts, " ")
 }
 
-func TestBindParamsDML(t *testing.T) {
-	stmt, _ := Parse(`INSERT INTO t VALUES ($1, $2)`)
-	bound, err := BindParams(stmt, []types.Datum{types.NewInt(1), types.NewInt(2)})
+func TestParseArgsDML(t *testing.T) {
+	two := []types.Datum{types.NewInt(1), types.NewInt(2)}
+	bound, err := ParseArgs(`INSERT INTO t VALUES ($1, $2)`, two)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +120,7 @@ func TestBindParamsDML(t *testing.T) {
 		t.Fatalf("%v", ins.Rows)
 	}
 
-	stmt, _ = Parse(`UPDATE t SET a = $1 WHERE b = $2`)
-	bound, err = BindParams(stmt, []types.Datum{types.NewInt(1), types.NewInt(2)})
+	bound, err = ParseArgs(`UPDATE t SET a = $1 WHERE b = $2`, two)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,40 +129,43 @@ func TestBindParamsDML(t *testing.T) {
 		t.Fatalf("%+v", up)
 	}
 
-	stmt, _ = Parse(`DELETE FROM t WHERE a IN ($1, $2)`)
-	if _, err := BindParams(stmt, []types.Datum{types.NewInt(1), types.NewInt(2)}); err != nil {
+	if _, err := ParseArgs(`DELETE FROM t WHERE a IN ($1, $2)`, two); err != nil {
 		t.Fatal(err)
 	}
-
-	stmt, _ = Parse(`INSERT INTO t SELECT a FROM u WHERE a = $1`)
-	if _, err := BindParams(stmt, []types.Datum{types.NewInt(1)}); err != nil {
+	if _, err := ParseArgs(`INSERT INTO t SELECT a FROM u WHERE a = $1`, two[:1]); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBindParamsErrors(t *testing.T) {
-	stmt, _ := Parse(`SELECT $2 FROM t`)
-	if _, err := BindParams(stmt, []types.Datum{types.NewInt(1)}); err == nil {
-		t.Fatal("out of range")
-	}
-	stmt, _ = Parse(`SELECT $1 FROM t`)
-	if _, err := BindParams(stmt, []types.Datum{types.NewInt(1), types.NewInt(2)}); err == nil {
-		t.Fatal("unused trailing arg")
-	}
-	stmt, _ = Parse(`CREATE TABLE t (a bigint)`)
-	if _, err := BindParams(stmt, []types.Datum{types.NewInt(1)}); err == nil {
-		t.Fatal("DDL with args")
-	}
-	// DDL with zero args passes through unchanged.
-	if out, err := BindParams(stmt, nil); err != nil || out != stmt {
-		t.Fatal("DDL without args should pass through")
+func TestParseArgsErrors(t *testing.T) {
+	one := []types.Datum{types.NewInt(1)}
+	for _, parse := range []func(string, []types.Datum) (Statement, error){ParseArgs, ParseGeneric} {
+		if _, err := parse(`SELECT $2 FROM t`, one); err == nil || err.Error() != "sql: parameter $2 out of range (1 arguments)" {
+			t.Fatalf("out of range: %v", err)
+		}
+		if _, err := parse(`SELECT $1 FROM t`, append(one, one...)); err == nil || err.Error() != "sql: 2 arguments supplied but only $1 used" {
+			t.Fatalf("unused trailing arg: %v", err)
+		}
+		if _, err := parse(`CREATE TABLE t (a bigint)`, one); err == nil {
+			t.Fatal("DDL with args")
+		}
+		// DDL with zero args parses as it does without.
+		if _, err := parse(`CREATE TABLE t (a bigint)`, nil); err != nil {
+			t.Fatal("DDL without args should parse")
+		}
+		// An EXPLAINed statement's $n stay parameters, and it takes no arguments.
+		if ex, err := parse(`EXPLAIN SELECT a FROM t WHERE a = $1`, nil); err != nil || ex.(*Explain).Params != 1 {
+			t.Fatalf("EXPLAIN: %v %v", ex, err)
+		}
+		if _, err := parse(`EXPLAIN SELECT a FROM t WHERE a = $1`, one); err == nil {
+			t.Fatal("EXPLAIN with args")
+		}
 	}
 }
 
-func TestBindParamsInCaseAndSetOps(t *testing.T) {
-	stmt, _ := Parse(`SELECT CASE WHEN a > $1 THEN $2 ELSE $3 END FROM t
-		UNION SELECT b FROM u WHERE b < $4`)
-	bound, err := BindParams(stmt, []types.Datum{
+func TestParseArgsInCaseAndSetOps(t *testing.T) {
+	bound, err := ParseArgs(`SELECT CASE WHEN a > $1 THEN $2 ELSE $3 END FROM t
+		UNION SELECT b FROM u WHERE b < $4`, []types.Datum{
 		types.NewInt(1), types.NewString("hi"), types.NewString("lo"), types.NewInt(9),
 	})
 	if err != nil {

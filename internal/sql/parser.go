@@ -99,6 +99,11 @@ type Parser struct {
 	// is the deepest any node has sat since a chain last asked (see chain);
 	// parens is how many parentheses of the expression kind are open.
 	depth, high, parens int
+	// params says what a $n parses to (keepParams, bindParams, typeParams),
+	// args are the arguments it binds or takes its type from, and top is the
+	// highest n read.
+	params, top int
+	args        []types.Datum
 }
 
 // maxNesting bounds how deep a statement's tree may get, and (separately, as
@@ -164,29 +169,19 @@ func (c *chain) grow() error {
 func (c *chain) end() { c.p.high = max(c.outer, c.top, c.p.high) }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
-// allowed).
-func Parse(src string) (Statement, error) {
-	stmts, err := ParseAll(src)
+// allowed). Its $n are parameters of unknown type.
+func Parse(src string) (Statement, error) { return (&Parser{lex: Lexer{src: src}}).one() }
+
+// one parses exactly one statement.
+func (p *Parser) one() (Statement, error) {
+	stmts, err := p.script()
 	if err != nil {
 		return nil, err
 	}
 	if len(stmts) != 1 {
 		return nil, fmt.Errorf("sql: expected exactly one statement, got %d", len(stmts))
 	}
-	return stmts[0], nil
-}
-
-// ParseAll parses a semicolon-separated script.
-func ParseAll(src string) ([]Statement, error) {
-	parsed, err := ParseScript(src)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Statement, len(parsed))
-	for i, p := range parsed {
-		out[i] = p.Stmt
-	}
-	return out, nil
+	return stmts[0].Stmt, nil
 }
 
 // ParsedStmt pairs a statement with its source text, so callers (the WAL)
@@ -198,8 +193,11 @@ type ParsedStmt struct {
 
 // ParseScript parses a semicolon-separated script, retaining each
 // statement's source text.
-func ParseScript(src string) ([]ParsedStmt, error) {
-	p := &Parser{lex: Lexer{src: src}}
+func ParseScript(src string) ([]ParsedStmt, error) { return (&Parser{lex: Lexer{src: src}}).script() }
+
+// script parses statements to the end of the input.
+func (p *Parser) script() ([]ParsedStmt, error) {
+	src := p.lex.src
 	var stmts []ParsedStmt
 	for {
 		for p.acceptSymbol(";") {
@@ -217,19 +215,6 @@ func ParseScript(src string) ([]ParsedStmt, error) {
 			return nil, p.errf("expected ';' or end of input")
 		}
 	}
-}
-
-// ParseExpr parses a standalone scalar expression; used by tests and tools.
-func ParseExpr(src string) (Expr, error) {
-	p := &Parser{lex: Lexer{src: src}}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().Kind != TokEOF {
-		return nil, p.errf("unexpected input after expression")
-	}
-	return e, nil
 }
 
 // --------------------------------------------------------------- helpers
@@ -417,11 +402,17 @@ func (p *Parser) parseStatement() (Statement, error) {
 		}
 		p.next()
 		analyze := p.acceptKeyword("analyze")
+		// An explained statement's $n stay parameters: EXPLAIN shows the
+		// plan a call with arguments would run.
+		params, top := p.params, p.top
+		p.params, p.top = keepParams, 0
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
-		return &Explain{Stmt: inner, Analyze: analyze}, nil
+		ex := &Explain{Stmt: inner, Analyze: analyze, Params: p.top}
+		p.params, p.top = params, top
+		return ex, nil
 	}
 	return nil, p.errf("unsupported statement %q", t.Text)
 }
@@ -1287,7 +1278,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil || idx < 1 {
 			return nil, p.errf("invalid parameter $%s", t.Text)
 		}
-		return &Param{Index: idx}, nil
+		return p.param(idx)
 	case TokSymbol:
 		if t.Text == "(" {
 			if p.parens >= maxNesting-1 {

@@ -30,6 +30,32 @@ func mustParseSelect(t *testing.T, src string) *Select {
 	return s
 }
 
+// ParseAll parses a semicolon-separated script.
+func ParseAll(src string) ([]Statement, error) {
+	parsed, err := ParseScript(src)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Statement, len(parsed))
+	for i, p := range parsed {
+		out[i] = p.Stmt
+	}
+	return out, nil
+}
+
+// ParseExpr parses a standalone scalar expression.
+func ParseExpr(src string) (Expr, error) {
+	p := &Parser{lex: Lexer{src: src}}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if p.peek().Kind != TokEOF {
+		return nil, p.errf("unexpected input after expression")
+	}
+	return e, nil
+}
+
 // Tokenize lexes the whole input.
 func Tokenize(src string) ([]Token, error) {
 	l := Lexer{src: src}
@@ -516,15 +542,16 @@ func TestNestingBudget(t *testing.T) {
 }
 
 // TestMostNegativeInteger: the sign on a number is part of the literal, so
-// math.MinInt64 — which BindParams could always put in a tree, and which
+// math.MinInt64 — which ParseArgs can always put in a tree, and which
 // printed as text that did not parse — has a spelling, in both directions.
 func TestMostNegativeInteger(t *testing.T) {
-	sel := mustParseSelect(t, `SELECT -9223372036854775808, a - -9223372036854775808, $1`)
+	const src = `SELECT -9223372036854775808, a - -9223372036854775808, $1`
+	sel := mustParseSelect(t, src)
 	lit, ok := sel.Items[0].Expr.(*Literal)
 	if !ok || lit.Val.Type() != types.TypeInt || lit.Val.Int() != math.MinInt64 {
 		t.Fatalf("parsed %#v", sel.Items[0].Expr)
 	}
-	bound, err := BindParams(sel, []types.Datum{types.NewInt(math.MinInt64)})
+	bound, err := ParseArgs(src, []types.Datum{types.NewInt(math.MinInt64)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,9 +229,9 @@ func (t *Tracer) Begin(stream string, rows int) Ctx {
 // Adopt builds a context for a batch whose trace ID was assigned
 // elsewhere (a replica re-injecting the primary's ID); the ingest
 // timestamp is local, so downstream slow-fire latency measures local
-// apply-to-fire time.
+// apply-to-fire time. ID 0, or a nil tracer, is the untraced context.
 func (t *Tracer) Adopt(id uint64) Ctx {
-	if t == nil {
+	if t == nil || id == 0 {
 		return Ctx{}
 	}
 	return Ctx{ID: id, Ingest: time.Now().UnixNano()}

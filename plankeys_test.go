@@ -78,7 +78,7 @@ func TestPlanKeysGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			stmt, err := e.parseWithArgs(c.SQL, args)
+			stmt, err := sql.ParseArgs(c.SQL, args)
 			if err != nil {
 				t.Fatalf("%s: %v", c.SQL, err)
 			}

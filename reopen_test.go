@@ -15,52 +15,50 @@ import (
 )
 
 // TestReopenEquivalence: an operator tree is built once and opened again for
-// every execution — a continuous query's post stage at every close — so what
-// it reads on its second, third … execution must be what a fresh tree reads.
-// Every query of the SQL suite and 200 generated over a table of three chunks
-// and a dimension table run twice through one tree, each result
-// byte-identical to a fresh tree's; and a tree whose execution failed midway,
-// on a row past its first chunk, then runs clean input as a fresh tree does —
-// over a table and over a window.
+// every execution — a continuous query's post stage at every close, a cached
+// snapshot query at every call — so what it reads on its second, third …
+// execution must be what a fresh tree reads. Every query of the SQL suite and
+// 200 generated over a table of three chunks and a dimension table run twice
+// through one tree, each result byte-identical to a fresh tree's, and so does
+// each with its literals lifted to parameters (where that still plans
+// generic); and a tree whose execution failed midway, on a row past its first
+// chunk, then runs clean input as a fresh tree does — over a table and over
+// a window.
 func TestReopenEquivalence(t *testing.T) {
 	e := openMem(t)
 	if err := e.ExecScript(sqlSuiteSetup); err != nil {
 		t.Fatal(err)
 	}
+	lifted := 0
+	both := func(q string) bool {
+		generic, args := lift(t, q)
+		ctx := e.execCtx()
+		ctx.Args = args
+		if reopenEquals(t, e, generic, ctx, nil) {
+			lifted++
+		}
+		return reopenEquals(t, e, q, e.execCtx(), nil)
+	}
 	for _, c := range sqlSuiteCases {
 		if c.exec {
 			mustExec(t, e, c.sql)
 		} else {
-			reopenEquals(t, e, c.sql, e.execCtx(), nil)
+			both(c.sql)
 		}
 	}
 
-	mustExec(t, e, `CREATE TABLE g (url varchar, v bigint, w bigint)`)
-	mustExec(t, e, `CREATE TABLE d (url varchar, cat varchar)`)
-	mustExec(t, e, `INSERT INTO d VALUES ('/u0', 'c0'), ('/u1', 'c0'), ('/u2', 'c1'), ('/u3', 'c1'), ('/u3', 'c2')`)
-	mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint, w bigint)`)
-	rng := rand.New(rand.NewSource(7))
-	rows := make([]Row, 3*1024)
-	window := make([]types.Row, len(rows))
-	for i := range rows {
-		url, v := String(fmt.Sprintf("/u%d", rng.Intn(5))), Int(int64(rng.Intn(40)-10))
-		rows[i] = Row{url, v, Int(int64(1 + rng.Intn(9)))}
-		window[i] = types.Row{url, Timestamp(time.UnixMicro(ivmBase + int64(i))), v, rows[i][2]}
-	}
-	if err := e.BulkInsert("g", rows); err != nil {
-		t.Fatal(err)
-	}
-
+	window := genTables(t, e)
 	ran := 0
 	for seed := int64(0); ran < 200; seed++ {
 		if seed == 2000 {
 			t.Fatalf("%d of %d generated queries planned", ran, seed)
 		}
-		data := make([]byte, 64)
-		rand.New(rand.NewSource(seed)).Read(data)
-		if reopenEquals(t, e, reopenQuery(&sqlgen.Gen{Data: data, Keys: []string{"g.url"}, Ints: []string{"g.v", "g.w"}}), e.execCtx(), nil) {
+		if both(reopenQuery(genSeed(seed))) {
 			ran++
 		}
+	}
+	if lifted < 150 {
+		t.Fatalf("only %d parameterised queries planned generic", lifted)
 	}
 
 	// A failure midway: the row that divides by zero is the last of a table
@@ -81,6 +79,36 @@ func TestReopenEquivalence(t *testing.T) {
 	}
 }
 
+// genTables creates g — three chunks of rows — and d, the tables reopenQuery
+// writes over, and the stream s of g's columns; it returns g's rows as a
+// window of s.
+func genTables(t *testing.T, e *Engine) []types.Row {
+	t.Helper()
+	mustExec(t, e, `CREATE TABLE g (url varchar, v bigint, w bigint)`)
+	mustExec(t, e, `CREATE TABLE d (url varchar, cat varchar)`)
+	mustExec(t, e, `INSERT INTO d VALUES ('/u0', 'c0'), ('/u1', 'c0'), ('/u2', 'c1'), ('/u3', 'c1'), ('/u3', 'c2')`)
+	mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint, w bigint)`)
+	rng := rand.New(rand.NewSource(7))
+	rows := make([]Row, 3*1024)
+	window := make([]types.Row, len(rows))
+	for i := range rows {
+		url, v := String(fmt.Sprintf("/u%d", rng.Intn(5))), Int(int64(rng.Intn(40)-10))
+		rows[i] = Row{url, v, Int(int64(1 + rng.Intn(9)))}
+		window[i] = types.Row{url, Timestamp(time.UnixMicro(ivmBase + int64(i))), v, rows[i][2]}
+	}
+	if err := e.BulkInsert("g", rows); err != nil {
+		t.Fatal(err)
+	}
+	return window
+}
+
+// genSeed is the generator of the seed'th query over genTables' g and d.
+func genSeed(seed int64) *sqlgen.Gen {
+	data := make([]byte, 64)
+	rand.New(rand.NewSource(seed)).Read(data)
+	return &sqlgen.Gen{Data: data, Keys: []string{"g.url"}, Ints: []string{"g.v", "g.w"}}
+}
+
 // reopenFailure is what runs through the tree before the clean execution:
 // an execution under ctx, over the window bad, that must fail.
 type reopenFailure struct {
@@ -88,13 +116,13 @@ type reopenFailure struct {
 	bad, clean []types.Row
 }
 
-// reopenEquals plans q and compares a fresh tree's result under ctx with one
-// tree's, executed twice — or, with fail, executed once to fail and then on
-// the clean window. It reports false, checking nothing, for a query that
-// does not plan.
+// reopenEquals plans q — generic, for arguments of ctx.Args' types — and
+// compares a fresh tree's result under ctx with one tree's, executed twice —
+// or, with fail, executed once to fail and then on the clean window. It
+// reports false, checking nothing, for a query that does not plan.
 func reopenEquals(t *testing.T, e *Engine, q string, ctx *exec.Ctx, fail *reopenFailure) bool {
 	t.Helper()
-	stmt, err := sql.Parse(q)
+	stmt, err := sql.ParseGeneric(q, ctx.Args)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}

@@ -158,3 +158,6 @@ func TestRecoveryUnderLoad(t *testing.T) {
 	}
 	expectData(t, mustQuery(t, e2, `SELECT count(*) FROM misc`), "0")
 }
+
+// usToTime converts microseconds since the epoch to a UTC time.
+func usToTime(us int64) time.Time { return time.UnixMicro(us).UTC() }

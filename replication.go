@@ -202,11 +202,7 @@ func (e *Engine) ReplicaMark() (run string, lsn uint64) {
 func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var tc trace.Ctx
-	if traceID != 0 && e.tracer != nil {
-		tc = e.tracer.Adopt(traceID)
-	}
-	return e.rt.PushBatch(tc, streamName, rows, nil)
+	return e.rt.PushBatch(e.tracer.Adopt(traceID), streamName, rows, nil)
 }
 
 // ApplyReplicatedArchive applies a batch the primary both accepted into a
@@ -227,10 +223,7 @@ func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, ru
 	if !ok || len(runs) == 0 {
 		return fmt.Errorf("streamrel: replicated write of %d rows to %q: no such table, or no RowID runs", len(rows), table)
 	}
-	var tc trace.Ctx
-	if traceID != 0 && e.tracer != nil {
-		tc = e.tracer.Adopt(traceID)
-	}
+	tc := e.tracer.Adopt(traceID)
 	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {
 		w := e.beginWrite()
 		w.tc, w.mark = tc, e.applying

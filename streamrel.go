@@ -27,6 +27,7 @@
 package streamrel
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"path/filepath"
@@ -36,6 +37,7 @@ import (
 
 	"streamrel/internal/catalog"
 	"streamrel/internal/exec"
+	"streamrel/internal/expr"
 	"streamrel/internal/metrics"
 	"streamrel/internal/plan"
 	"streamrel/internal/repl"
@@ -244,6 +246,9 @@ type Engine struct {
 	// Config.SysMonInterval is non-zero.
 	sysmon *sysmon.Monitor
 
+	// plans keeps snapshot queries planned, by statement text.
+	plans planCache
+
 	closed bool
 }
 
@@ -397,7 +402,9 @@ type Result struct {
 	Rows *Rows
 }
 
-// Rows is a fully materialized query result.
+// Rows is a fully materialized query result. Columns is the cached plan's
+// own and the rows may be shared with the engine: read them, do not modify
+// them.
 type Rows struct {
 	Columns Schema
 	Data    []Row
@@ -406,13 +413,7 @@ type Rows struct {
 // Exec parses and executes one statement: DDL, INSERT/UPDATE/DELETE, SHOW
 // or EXPLAIN. SELECT goes through Query (snapshot) or Subscribe
 // (continuous) instead.
-func (e *Engine) Exec(sqlText string) (*Result, error) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return e.execStmt(stmt, sqlText)
-}
+func (e *Engine) Exec(sqlText string) (*Result, error) { return e.ExecArgs(sqlText) }
 
 // ExecScript executes a semicolon-separated script, stopping at the first
 // error.
@@ -422,7 +423,7 @@ func (e *Engine) ExecScript(script string) error {
 		return err
 	}
 	for _, s := range stmts {
-		if _, err := e.execStmt(s.Stmt, s.Text); err != nil {
+		if _, err := e.Exec(s.Text); err != nil {
 			return err
 		}
 	}
@@ -430,49 +431,33 @@ func (e *Engine) ExecScript(script string) error {
 }
 
 func (e *Engine) execStmt(stmt sql.Statement, sqlText string) (*Result, error) {
-	switch s := stmt.(type) {
-	case *sql.CreateTable, *sql.CreateStream, *sql.CreateDerivedStream,
-		*sql.CreateView, *sql.CreateChannel, *sql.CreateIndex, *sql.Drop:
+	switch stmt.(type) {
+	case *sql.Show, *sql.Explain, *sql.Select:
+	default: // every other statement writes
 		if err := e.writeGate(); err != nil {
 			return nil, err
 		}
+	}
+	switch s := stmt.(type) {
+	case *sql.CreateTable, *sql.CreateStream, *sql.CreateDerivedStream,
+		*sql.CreateView, *sql.CreateChannel, *sql.CreateIndex, *sql.Drop:
 		if n := sysDDLTarget(stmt); n != "" {
 			return nil, errSysReserved(n)
 		}
 		return e.execDDL(stmt, sqlText, wal.Record{})
 	case *sql.Insert:
-		if err := e.writeGate(); err != nil {
-			return nil, err
-		}
 		if isSysName(s.Table) {
 			return nil, errSysReserved(s.Table)
 		}
 		return e.execInsert(s)
 	case *sql.Update:
-		if err := e.writeGate(); err != nil {
-			return nil, err
-		}
 		return e.execUpdate(s)
 	case *sql.Delete:
-		if err := e.writeGate(); err != nil {
-			return nil, err
-		}
 		return e.execDelete(s)
 	case *sql.Truncate:
-		if err := e.writeGate(); err != nil {
-			return nil, err
-		}
-		return e.execTruncate(s)
+		return e.execDelete(&sql.Delete{Table: s.Table})
 	case *sql.Show:
-		names := e.cat.Names(s.What)
-		rows := make([]Row, len(names))
-		for i, n := range names {
-			rows[i] = Row{types.NewString(n)}
-		}
-		return &Result{Rows: &Rows{
-			Columns: Schema{{Name: s.What, Type: types.TypeString}},
-			Data:    rows,
-		}}, nil
+		return textResult(s.What, e.cat.Names(s.What)), nil
 	case *sql.Explain:
 		return e.execExplain(s)
 	case *sql.Select:
@@ -481,49 +466,87 @@ func (e *Engine) execStmt(stmt sql.Statement, sqlText string) (*Result, error) {
 	return nil, fmt.Errorf("streamrel: unsupported statement %T", stmt)
 }
 
-// Query runs a snapshot query (SQ): a SELECT over tables and views only.
-// It executes against a fresh MVCC snapshot and terminates (paper §3.1).
-func (e *Engine) Query(sqlText string) (*Rows, error) {
-	return e.QueryArgs(sqlText)
+// textResult is a result of one text column, named col, holding lines.
+func textResult(col string, lines []string) *Result {
+	rows := make([]Row, len(lines))
+	for i, l := range lines {
+		rows[i] = Row{types.NewString(l)}
+	}
+	return &Result{Rows: &Rows{Columns: Schema{{Name: col, Type: types.TypeString}}, Data: rows}}
 }
 
+// Query runs a snapshot query (SQ): a SELECT over tables and views only.
+// It executes against a fresh MVCC snapshot and terminates (paper §3.1).
+func (e *Engine) Query(sqlText string) (*Rows, error) { return e.QueryArgs(sqlText) }
+
 // QueryArgs runs a snapshot query with $1, $2, … placeholders bound to
-// args.
+// args. A statement is planned once per text and argument types; later calls
+// re-open a tree built from that plan (DESIGN §11 "The plan cache").
 func (e *Engine) QueryArgs(sqlText string, args ...Value) (*Rows, error) {
-	stmt, err := e.parseWithArgs(sqlText, args)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("streamrel: Query takes a SELECT")
-	}
-	return e.querySelect(sel)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.query(e.execCtx(), sqlText, args)
 }
 
 // ExecArgs executes a DML statement with $1, $2, … placeholders bound to
 // args. (DDL does not take parameters.)
 func (e *Engine) ExecArgs(sqlText string, args ...Value) (*Result, error) {
-	stmt, err := e.parseWithArgs(sqlText, args)
+	stmt, err := sql.ParseArgs(sqlText, args)
 	if err != nil {
 		return nil, err
 	}
 	return e.execStmt(stmt, sqlText)
 }
 
-// parseWithArgs parses and binds positional parameters.
-func (e *Engine) parseWithArgs(sqlText string, args []Value) (sql.Statement, error) {
-	stmt, err := sql.Parse(sqlText)
+// query runs a snapshot SELECT under ctx with args: a tree of its cached
+// plan, opened with args, or — when planning reads an argument's value (a
+// LIMIT, a select-list position) — a plan of this call's own, the arguments
+// bound into it. Callers hold e.mu.
+func (e *Engine) query(ctx *exec.Ctx, sqlText string, args []Value) (*Rows, error) {
+	gen := e.cat.Gen()
+	ent := e.plans.get(sqlText, gen, args)
+	if ent == nil {
+		stmt, err := sql.ParseGeneric(sqlText, args)
+		if err != nil {
+			return nil, err
+		}
+		p, err := e.snapshotPlan(stmt)
+		if errors.Is(err, expr.ErrUnbound) {
+			if stmt, err = sql.ParseArgs(sqlText, args); err == nil {
+				p, err = e.snapshotPlan(stmt)
+			}
+			ent = &cachedPlan{plan: p} // kept by no one: no idle trees
+		} else if err == nil {
+			ent = e.plans.put(sqlText, gen, args, p)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	var tree exec.Operator
+	select {
+	case tree = <-ent.idle:
+	default:
+		tree = ent.plan.Build(&plan.Input{})
+	}
+	ctx.Args = args
+	rows, err := exec.Drain(ctx, tree, 0)
+	select {
+	case ent.idle <- tree:
+	default:
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(args) == 0 {
-		return stmt, nil
-	}
-	return sql.BindParams(stmt, args)
+	return &Rows{Columns: ent.plan.Columns, Data: rows}, nil
 }
 
-func (e *Engine) querySelect(sel *sql.Select) (*Rows, error) {
+// snapshotPlan plans stmt as a snapshot query.
+func (e *Engine) snapshotPlan(stmt sql.Statement) (*plan.Plan, error) {
+	sel, ok := stmt.(*sql.Select)
+	if !ok {
+		return nil, fmt.Errorf("streamrel: Query takes a SELECT")
+	}
 	p, err := e.planner.BuildSelect(sel)
 	if err != nil {
 		return nil, err
@@ -531,14 +554,7 @@ func (e *Engine) querySelect(sel *sql.Select) (*Rows, error) {
 	if p.Stream != nil {
 		return nil, fmt.Errorf("streamrel: query over stream %q never terminates; use Subscribe", p.Stream.Name)
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ctx := e.execCtx()
-	rows, err := exec.Drain(ctx, p.Build(&plan.Input{}), 0) // a tree opened once
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{Columns: p.Columns, Data: rows}, nil
+	return p, nil
 }
 
 // AdvanceTime delivers a heartbeat: the stream's clock moves to ts,
@@ -578,11 +594,7 @@ func (e *Engine) AppendTraced(traceID uint64, streamName string, rows ...Row) er
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var tc trace.Ctx
-	if traceID != 0 {
-		tc = e.tracer.Adopt(traceID)
-	}
-	return e.push(tc, streamName, rows)
+	return e.push(e.tracer.Adopt(traceID), streamName, rows)
 }
 
 // push hands locally produced rows to the stream runtime. On a CQTIME
@@ -622,6 +634,3 @@ func MustTimestamp(s string) time.Time {
 	}
 	return d.Time()
 }
-
-// usToTime converts microseconds since the epoch to a UTC time.
-func usToTime(us int64) time.Time { return time.UnixMicro(us).UTC() }

@@ -33,40 +33,26 @@ func errSysReserved(name string) error {
 // create or drop an object in the sys namespace, "" otherwise. Reading
 // from sys.* (a channel's FROM clause, view queries) is allowed.
 func sysDDLTarget(stmt sql.Statement) string {
+	var names []string
 	switch s := stmt.(type) {
 	case *sql.CreateTable:
-		if isSysName(s.Name) {
-			return s.Name
-		}
+		names = []string{s.Name}
 	case *sql.CreateStream:
-		if isSysName(s.Name) {
-			return s.Name
-		}
+		names = []string{s.Name}
 	case *sql.CreateDerivedStream:
-		if isSysName(s.Name) {
-			return s.Name
-		}
+		names = []string{s.Name}
 	case *sql.CreateView:
-		if isSysName(s.Name) {
-			return s.Name
-		}
+		names = []string{s.Name}
 	case *sql.CreateChannel:
-		if isSysName(s.Name) {
-			return s.Name
-		}
-		if isSysName(s.Into) {
-			return s.Into
-		}
+		names = []string{s.Name, s.Into}
 	case *sql.CreateIndex:
-		if isSysName(s.Name) {
-			return s.Name
-		}
-		if isSysName(s.Table) {
-			return s.Table
-		}
+		names = []string{s.Name, s.Table}
 	case *sql.Drop:
-		if isSysName(s.Name) {
-			return s.Name
+		names = []string{s.Name}
+	}
+	for _, n := range names {
+		if isSysName(n) {
+			return n
 		}
 	}
 	return ""
