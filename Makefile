@@ -51,8 +51,8 @@ cover:
 # the cut: followers bootstrapping across DDL and checkpoints, and a checkpoint
 # between the commits of pool workers (TestCheckpointUnderWorkers); paired
 # stores (VISIBLE no multiple of ADVANCE) fire beside the others in
-# TestFireRowsStayValid, TestEnrichEquivalenceReexec (store ≡ StateMerge ≡
-# StateReexec) and TestIVMParallelRetraction at ParallelCQ 0 and 4, and an
+# TestFireRowsStayValid, TestEnrichEquivalenceReexec (store ≡ StateReexec)
+# and TestIVMParallelRetraction at ParallelCQ 0 and 4, and an
 # enrichment post stage's kept build side with writers in flight across the
 # closes (TestEnrichKeptBuildUnderWriters, ≡ StateReexec). The storage
 # package also holds the run insert to its one lock acquisition there
@@ -105,9 +105,9 @@ drain-policies:
 # once vacuumed, TestReplaceChannelPinsNoBatch) and in the plan cache (a
 # cached snapshot query costs its execution, not its planning,
 # TestCachedQueryAllocs; a dropped table's heap goes with the next statement,
-# TestPlanCachePinsNoDroppedHeap) by name (Pins?No takes
-# TestStoreKeysPinNoBatch and the Pins{NoBatch,NoFire,NoRow,NoDroppedHeap}
-# tests) and without
+# TestPlanCachePinsNoDroppedHeap; an idle tree keeps no call's arguments,
+# TestCachedTreePinsNoArgs) by name (Pins?No takes TestStoreKeysPinNoBatch
+# and the Pins{NoBatch,NoFire,NoRow,NoDroppedHeap,NoArgs} tests) and without
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
@@ -168,7 +168,7 @@ bench-selftest:
 # VARCHAR, kept as test-only oracles, and each batch they accept carved as the
 # ownership rule says — the shard router's batch split/merge
 # round-trip, the window-state equivalence property (what a store fires —
-# several views of one store, materialized and slice-merging, with CQs
+# several views of one store, aggregates with and without an inverse, with CQs
 # detaching mid-run, beside CQs sqlgen writes from the fuzzer's bytes — ==
 # what re-execution fires, for arbitrary append/advance/close sequences),
 # the row-key encoding every hash operator groups by (equal keys == equal

@@ -5,6 +5,7 @@ package streamrel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -140,25 +141,36 @@ func BenchmarkAblationIngestBulk(b *testing.B) {
 // --- Ablation 5: window-close cost for raw-buffer recompute vs shared
 // slices, isolating the slice mechanism from fan-out (k=1).
 
-func benchWindowClose(b *testing.B, share bool) {
+// windowCloseQueries are the CQs the window-close ablation fires: a count,
+// which a store retracts by subtraction, and two shapes with no inverse,
+// which a slice leaving the window re-merges from the slices still in it.
+var windowCloseQueries = []struct{ name, q string }{
+	{"count", `SELECT k, count(*) FROM s <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY k`},
+	{"distinct_first_last", `SELECT k, count(DISTINCT v), first(v), last(v) FROM s <VISIBLE '5 minutes' ADVANCE '1 minute'> GROUP BY k`},
+	{"stddev", `SELECT k, stddev(v) FROM s <VISIBLE '5 minutes' ADVANCE '10 seconds'> GROUP BY k`},
+}
+
+// benchWindowClose reports, beside ns/op and B/op, the heap in use with the
+// CQ's window state live after the last close (heap-MB).
+func benchWindowClose(b *testing.B, share bool, q string) {
 	e := mustOpen(b, Config{StateOverride: mergeOrReexec(share)})
-	mustScript(b, e, `CREATE STREAM s (k bigint, at timestamp CQTIME USER)`)
-	cq, err := e.Subscribe(`SELECT k, count(*) FROM s <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY k`)
+	mustScript(b, e, `CREATE STREAM s (k bigint, at timestamp CQTIME USER, v bigint)`)
+	cq, err := e.Subscribe(q)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cq.Close()
 	base := MustTimestamp("2009-01-04 00:00:00").UnixMicro()
 	// Prime ten minutes of data so the sliding extent is full, then per
-	// iteration stream one more minute (5,000 rows) and close one window:
-	// the unshared path re-reads the whole 10-minute extent per close, the
-	// shared path merges ten slice partials.
+	// iteration stream one more minute (5,000 rows) and close its windows:
+	// the unshared path re-reads the whole extent per close, the shared path
+	// moves the store's view by the slices that entered and left.
 	const perMinute = 5000
 	const gap = 60_000_000 / perMinute
 	mint := func(minute int64) []Row {
 		rows := make([]Row, perMinute)
 		for i := int64(0); i < perMinute; i++ {
-			rows[i] = Row{Int(i % 500), Timestamp(usToTime(base + minute*60_000_000 + i*gap))}
+			rows[i] = Row{Int(i % 500), Timestamp(usToTime(base + minute*60_000_000 + i*gap)), Int((i + minute) % 37)}
 		}
 		return rows
 	}
@@ -180,7 +192,18 @@ func benchWindowClose(b *testing.B, share bool) {
 		cq.Drain()
 		b.StartTimer()
 	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapInuse)/1e6, "heap-MB")
 }
 
-func BenchmarkAblationWindowCloseShared(b *testing.B)   { benchWindowClose(b, true) }
-func BenchmarkAblationWindowCloseUnshared(b *testing.B) { benchWindowClose(b, false) }
+func BenchmarkAblationWindowCloseShared(b *testing.B)   { benchWindowCloses(b, true) }
+func BenchmarkAblationWindowCloseUnshared(b *testing.B) { benchWindowCloses(b, false) }
+
+func benchWindowCloses(b *testing.B, share bool) {
+	for _, c := range windowCloseQueries {
+		b.Run(c.name, func(b *testing.B) { benchWindowClose(b, share, c.q) })
+	}
+}

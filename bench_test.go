@@ -165,11 +165,11 @@ func BenchmarkE2GrowthActive(b *testing.B) {
 
 // ------------------------------------------------------------------ E3
 
-// mergeOrReexec is E3's pair of window-state overrides: one slice-merging
-// store for all CQs, or no store at all.
+// mergeOrReexec is E3's pair of window-state overrides: one store for all
+// CQs, or no store at all.
 func mergeOrReexec(share bool) StateOverride {
 	if share {
-		return StateMerge
+		return StateAuto
 	}
 	return StateReexec
 }

@@ -412,7 +412,7 @@ type Span struct {
 	// Slow marks spans force-recorded by slow-fire detection.
 	Slow bool
 	// Mode tags window-fire spans with the fire strategy ("incremental",
-	// "shared", "reexec"); empty on other stages.
+	// "reexec"); empty on other stages.
 	Mode string
 }
 

@@ -38,8 +38,7 @@ type CQ struct {
 	// Strategy names how this CQ's window is kept and fired, in the
 	// vocabulary of sys.pipelines.mode: "incremental" (attached to a
 	// materialized window-state store: fires emit from per-group state
-	// maintained by deltas), "shared" (attached to a store that merges its
-	// slices at each fire) or "reexec" (keeps its rows in a raw store of
+	// maintained by deltas) or "reexec" (keeps its rows in a raw store of
 	// its own and runs the plan over them).
 	Strategy string
 

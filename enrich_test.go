@@ -139,16 +139,14 @@ func TestEnrichEquivalenceReexec(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		want := runEnrichWorkload(t, openMemMode(t, "reexec"), seed)
 		for _, parallel := range []int{0, 4} {
-			for _, mode := range []string{"incremental", "shared"} {
-				got := runEnrichWorkload(t, openMemModeCfg(t, mode, Config{ParallelCQ: parallel}), seed)
-				for qi := range enrichQueries {
-					if len(want[qi]) == 0 {
-						t.Fatalf("seed %d query %d: no fires", seed, qi)
-					}
-					if a, b := strings.Join(got[qi], "\n"), strings.Join(want[qi], "\n"); a != b {
-						t.Fatalf("seed %d query %d ParallelCQ %d: %s and re-exec transcripts differ:\n%s\nreexec:\n%s",
-							seed, qi, parallel, mode, a, b)
-					}
+			got := runEnrichWorkload(t, openMemModeCfg(t, "incremental", Config{ParallelCQ: parallel}), seed)
+			for qi := range enrichQueries {
+				if len(want[qi]) == 0 {
+					t.Fatalf("seed %d query %d: no fires", seed, qi)
+				}
+				if a, b := strings.Join(got[qi], "\n"), strings.Join(want[qi], "\n"); a != b {
+					t.Fatalf("seed %d query %d ParallelCQ %d: store and re-exec transcripts differ:\n%s\nreexec:\n%s",
+						seed, qi, parallel, a, b)
 				}
 			}
 		}

@@ -49,7 +49,7 @@ func TestContinuousEqualsSnapshot(t *testing.T) {
 	}
 
 	for qi, q := range queries {
-		for _, mode := range []string{"incremental", "shared", "reexec"} {
+		for _, mode := range []string{"incremental", "reexec"} {
 			rng := rand.New(rand.NewSource(int64(qi) + 100))
 			eng := openMemMode(t, mode)
 			mustExec(t, eng, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
@@ -119,9 +119,8 @@ func TestContinuousEqualsSnapshot(t *testing.T) {
 
 // openMemMode opens an engine under one setting of Config.StateOverride,
 // named by the strategy a sliceable count/sum CQ then reports:
-// "incremental" (automatic: stores, materialized where the aggregates
-// allow), "shared" (StateMerge: stores that merge slices per fire), or
-// "reexec" (StateReexec: per-fire plan re-execution only).
+// "incremental" (automatic: materialized stores) or "reexec" (StateReexec:
+// per-fire plan re-execution only).
 func openMemMode(t *testing.T, mode string) *Engine {
 	t.Helper()
 	return openMemModeCfg(t, mode, Config{})
@@ -132,8 +131,6 @@ func openMemModeCfg(t *testing.T, mode string, cfg Config) *Engine {
 	t.Helper()
 	switch mode {
 	case "incremental":
-	case "shared":
-		cfg.StateOverride = StateMerge
 	case "reexec":
 		cfg.StateOverride = StateReexec
 	default:

@@ -43,22 +43,17 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 		// mode is the one-word strategy sys.pipelines.mode and the
 		// window-fire span carry; state says where the window lives. The
 		// member count is the store's current one: this CQ would add one.
-		key, strategy, reason := p.WindowState(e.cfg.StateOverride)
-		lines = append(lines, "  mode: "+strategy.String())
-		switch strategy {
-		case plan.Reexec:
+		key, reason := p.WindowState(e.cfg.StateOverride)
+		lines = append(lines, "  mode: "+plan.Mode(key))
+		if key == "" {
 			lines = append(lines, "  state: reexec ("+reason+")")
-		default:
-			fires := "materialized"
-			if strategy == plan.Merge {
-				fires = "merge: " + reason
-			}
+		} else {
 			store := key
 			if pre := p.StreamAgg.PreAgg; pre != "" {
 				store += " " + pre
 			}
-			lines = append(lines, fmt.Sprintf("  state: store %s view %s (%s), %d members", store,
-				time.Duration(p.Stream.Window.Visible)*time.Microsecond, fires, e.rt.StoreMembers(p.Stream.Name, key)))
+			lines = append(lines, fmt.Sprintf("  state: store %s view %s (materialized), %d members", store,
+				time.Duration(p.Stream.Window.Visible)*time.Microsecond, e.rt.StoreMembers(p.Stream.Name, key)))
 			lines = append(lines, "  post: "+postStage(p.StreamAgg))
 		}
 		if e.cfg.ParallelCQ > 0 {

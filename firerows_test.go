@@ -10,10 +10,10 @@ import (
 
 // fireRowsQueries are the CQs TestFireRowsStayValid retains every batch of:
 // a sliding materialized view twice over (two members of one post set, and
-// the derived stream d below is a third), a merge-strategy view, a tumbling
-// one, a HAVING + ORDER BY + LIMIT post stage, which passes the view's
-// rows on by reference through three operators, and a paired store, whose
-// closes move two slices.
+// the derived stream d below is a third), a stddev view, re-merged at every
+// retract, a tumbling one, a HAVING + ORDER BY + LIMIT post stage, which
+// passes the view's rows on by reference through three operators, and a
+// paired store, whose closes move two slices.
 var fireRowsQueries = []string{
 	`SELECT url, count(*) AS n, sum(v) AS total FROM s <VISIBLE '10 seconds' ADVANCE '1 second'> GROUP BY url`,
 	`SELECT url, count(*) AS n, sum(v) AS total FROM s <VISIBLE '10 seconds' ADVANCE '1 second'> GROUP BY url`,

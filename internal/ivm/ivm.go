@@ -1,10 +1,9 @@
 // Package ivm is the engine's window-state store: the one place a
-// continuous query's window lives. It holds the paper's shared
-// slice aggregation ([12], Arasu & Widom [4]) — each slice of a stream is
-// aggregated once per (stream, fingerprint, ADVANCE), whatever the number
-// of queries reading it — with DBToaster's refinement (PAPERS.md) on top:
-// the combined answer of a window is kept materialized and maintained by
-// deltas where the aggregates allow it.
+// continuous query's window lives. It holds the paper's shared slice
+// aggregation ([12], Arasu & Widom [4]) — each slice of a stream is
+// aggregated once per (stream, fingerprint, ADVANCE), whatever the number of
+// queries reading it — with DBToaster's refinement (PAPERS.md) on top: the
+// combined answer of a window is kept materialized and maintained by deltas.
 //
 // A Store is the slice layer: per-slice per-group partial accumulators,
 // and one key string and key row per live group shared by every slice and
@@ -12,20 +11,17 @@
 // nothing else, so the per-row cost does not depend on how many windows
 // read the store. A View is one window extent (VISIBLE) over the store.
 // By definition its window layer is the merge, in slice order, of the
-// retained slices in its extent; a store built as materialized keeps that
-// layer between fires and moves it one boundary at a time — add what just
-// closed, retract what just left, a slice or a pair of them: Sub where the
-// accumulator has an inverse (COUNT/SUM/AVG), a re-merge of the group's
-// surviving slices where it has none (MIN/MAX; slice order reproduces
-// arrival-order ties, since streams are in order) — and emits a row afresh
-// only for the groups the move changed, handing out again the row it
-// emitted before for every other group; a merge store rebuilds the layer
-// from the k covering slices at every fire, which is all an aggregate with
-// neither form (DISTINCT, stddev, first/last) admits. plan.WindowState
-// picks the strategy from the aggregate list. A view is first built at its
-// first fire, from whatever the store retains in its extent, so one created
-// after rows have arrived starts from the store's history, and a group
-// leaves a view when its last row does, so a vanished group stops being
+// retained slices in its extent; the view keeps that layer between fires and
+// moves it one boundary at a time — add what just closed, retract what just
+// left, a slice or a pair of them: Sub where the accumulator has an inverse
+// (COUNT/SUM/AVG), a reset of every one that has none (MIN/MAX, DISTINCT,
+// stddev, first/last) and one re-merge walk over the group's surviving slices
+// (slice order reproduces arrival-order ties, since streams are in order) —
+// and emits a row afresh only for the groups the move changed, handing out
+// again the row it emitted before for every other group. A view is first
+// built at its first fire, from whatever the store retains in its extent, so
+// one created after rows have arrived starts from the store's history, and a
+// group leaves a view when its last row does, so a vanished group stops being
 // emitted exactly as re-execution would.
 //
 // All views of a store close at the same boundaries (they share ADVANCE),
@@ -49,11 +45,11 @@
 // that must re-execute. Its slice partial is the slice's rows themselves, in
 // arrival order — so a raw slice pins the blocks its rows came in until it
 // expires — and a view's fire is their concatenation over its extent, the
-// rows the plan then runs over. Everything else — the cuts, retention,
-// Expire and its spares, Attach and Detach — is one code for both forms,
-// which part in exactly two places: Insert and View.Fire. A raw store's cut
-// need not be a timestamp: Insert takes any non-decreasing coordinate, a
-// row's ordinal for a ROWS window, an emission's number for a SLICES one.
+// rows the plan then runs over; it never retracts, so it keeps a slice less.
+// Everything else — the cuts, Expire and its spares, Attach and Detach — is
+// one code for both forms. A raw store's cut need not be a timestamp: Insert
+// takes any non-decreasing coordinate, a row's ordinal for a ROWS window, an
+// emission's number for a SLICES one.
 package ivm
 
 import (
@@ -74,8 +70,8 @@ import (
 type Store struct {
 	spec            *plan.StreamAgg // nil: a raw store
 	advance, offset int64
-	materialized    bool
 	empty           []expr.Acc // never added to: an empty window's scalar results
+	remerge         []int      // the aggregates with no inverse, re-merged at a retract
 
 	slices map[int64]*slice // keyed by slice start timestamp
 	cur    *slice           // the slice of the last inserted row
@@ -144,23 +140,20 @@ type group struct {
 
 // New returns an empty store for the aggregate spec of a plan whose
 // WindowState chose a store, or a raw store for a nil spec.
-func New(spec *plan.StreamAgg, advance, offset int64, materialized bool) (*Store, error) {
-	s := &Store{
-		spec:         spec,
-		advance:      advance,
-		offset:       offset,
-		materialized: materialized,
-		slices:       make(map[int64]*slice),
-		groups:       make(map[string]*group),
-	}
+func New(spec *plan.StreamAgg, advance, offset int64) (*Store, error) {
+	s := &Store{spec: spec, advance: advance, offset: offset,
+		slices: make(map[int64]*slice), groups: make(map[string]*group)}
 	if spec == nil {
 		return s, nil
 	}
 	s.keyScratch = make(types.Row, len(spec.GroupBy))
-	for _, spec := range spec.Aggs {
+	for i, spec := range spec.Aggs {
 		a, err := expr.NewAcc(spec)
 		if err != nil {
 			return nil, err
+		}
+		if _, ok := a.(expr.Retractable); !ok {
+			s.remerge = append(s.remerge, i)
 		}
 		s.empty = append(s.empty, a)
 	}
@@ -295,10 +288,9 @@ func (s *Store) sliceAt(ts int64) *slice {
 }
 
 // Expire drops the slices no view reads at a boundary after c, and the spares
-// and idle groups the last boundary left, and empties every raw view's
-// window. Call it once every view has fired c. A materialized view's next
-// fire still retracts the slice that opened the window closing at c; a store
-// that never retracts keeps only what the next window reads.
+// and idle groups the last boundary left, and empties every raw view's window.
+// Call it once every view has fired c. An aggregate view's next fire still
+// retracts the slice that opened the window closing at c; a raw one never.
 func (s *Store) Expire(c int64) {
 	clear(s.spares)
 	s.spares = s.spares[:0]
@@ -314,7 +306,7 @@ func (s *Store) Expire(c int64) {
 		v.rows = v.rows[:0]
 	}
 	horizon := c - s.retain
-	if !s.materialized {
+	if s.spec == nil {
 		horizon += s.advance
 	}
 	for start, sl := range s.slices {
@@ -376,6 +368,7 @@ type View struct {
 
 	// rows is a raw view's window, from its fire to the store's Expire.
 	rows []types.Row
+	walk []*slice // retract's scratch: the slices still in the window
 }
 
 // winGroup is one group's aggregate over a view's window.
@@ -441,12 +434,11 @@ func (v *View) Fire(c int64) (rows []types.Row, touched, carved int, err error) 
 		}
 		return v.rows, 0, 0, nil
 	}
-	if !s.materialized || v.hi <= lo {
-		// Nothing kept carries over: a merge store combines the covering
-		// slices afresh, a new view starts from what the store retains,
-		// and a tumbling window shares no slice with its predecessor (so
-		// it never retracts, and its sums are those of re-execution to
-		// the last bit). Every group is new, so every row is carved.
+	if v.hi <= lo {
+		// Nothing kept carries over: a new view starts from what the store
+		// retains, and a tumbling window shares no slice with its predecessor
+		// (so it never retracts, and its sums are those of re-execution to the
+		// last bit). Every group is new, so every row is carved.
 		v.slab = expr.NewSlab[winGroup](len(v.groups))
 		clear(v.groups)
 		clear(v.ordered)
@@ -503,11 +495,17 @@ func (v *View) add(sl *slice, c int64) (touched int, err error) {
 	return touched, nil
 }
 
-// retract removes the slice at v.lo, which just left the window.
-// Aggregates without an inverse are reset and rebuilt, for the groups that
-// slice held, from the slices still in the window, in ascending order.
+// retract removes the slice at v.lo, which just left the window. Aggregates
+// without an inverse are reset and rebuilt, for the groups that slice held,
+// in one walk a group over the slices still in the window, in ascending order.
 func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 	s := v.st
+	walk := v.walk[:0]
+	for start := s.next(v.lo); len(s.remerge) > 0 && start < v.hi; start = s.next(start) {
+		if o := s.slices[start]; o != nil {
+			walk = append(walk, o)
+		}
+	}
 	for k, p := range sl.groups {
 		wg := v.groups[k]
 		if wg == nil {
@@ -529,20 +527,22 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 				if err := r.Sub(p.accs[i]); err != nil {
 					return 0, err
 				}
-				continue
+			} else {
+				expr.Reset(a)
 			}
-			expr.Reset(a)
-			for start := s.next(v.lo); start < v.hi; start = s.next(start) {
-				if o := s.slices[start]; o != nil {
-					if op := o.groups[k]; op != nil {
-						if err := a.Merge(op.accs[i]); err != nil {
-							return 0, err
-						}
+		}
+		for _, o := range walk {
+			if op := o.groups[k]; op != nil {
+				for _, i := range s.remerge {
+					if err := wg.accs[i].Merge(op.accs[i]); err != nil {
+						return 0, err
 					}
 				}
 			}
 		}
 	}
+	clear(walk)
+	v.walk = walk[:0]
 	return touched, nil
 }
 

@@ -19,8 +19,7 @@ import (
 )
 
 // newStore plans q over stream s (url varchar, at timestamp CQTIME, v
-// bigint) and returns the store its plan would attach to, with the
-// strategy plan.WindowState picks.
+// bigint) and returns the store its plan would attach to.
 func newStore(t *testing.T, q string) *Store {
 	t.Helper()
 	cat := catalog.New()
@@ -39,11 +38,10 @@ func newStore(t *testing.T, q string) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, strategy, reason := p.WindowState(plan.StateAuto)
-	if key == "" {
+	if key, reason := p.WindowState(plan.StateAuto); key == "" {
 		t.Fatalf("plan keeps no store: %s", reason)
 	}
-	s, err := New(p.StreamAgg, p.Stream.Window.Advance, plan.PairOffset(p.Stream.Window), strategy == plan.Materialized)
+	s, err := New(p.StreamAgg, p.Stream.Window.Advance, plan.PairOffset(p.Stream.Window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +194,7 @@ func TestSliceRecycleAllocs(t *testing.T) {
 			if got := testing.AllocsPerRun(cycles, cycle); got != want {
 				t.Errorf("%s VISIBLE %d: a slice opened, filled and expired allocates %.1f times, want %.0f", agg, visible, got, want)
 			}
-			// A merge store keeps only what its next window reads: an ADVANCE less.
-			retained := map[bool]map[int64]int64{true: {30: 3, 25: 5}, false: {30: 2, 25: 3}}
-			if got, want := s.SlicesN.Load(), retained[s.materialized][visible]; got != want {
+			if got, want := s.SlicesN.Load(), map[int64]int64{30: 3, 25: 5}[visible]; got != want {
 				t.Errorf("%s VISIBLE %d: %d slices retained, want %d", agg, visible, got, want)
 			}
 		}
@@ -496,31 +492,35 @@ func TestPairedFireAllocs(t *testing.T) {
 	}
 }
 
-// TestRetractRebuildAllocsAmortized: MIN and MAX have no inverse, so a slice
-// leaving the window rebuilds them for every group it held; each is reset and
-// re-merged in place, not allocated afresh.
+// TestRetractRebuildAllocsAmortized: MIN, MAX, stddev, first, last and a
+// DISTINCT count have no inverse, so a slice leaving the window rebuilds them
+// for every group it held; each is reset and re-merged in place, not
+// allocated afresh.
 func TestRetractRebuildAllocsAmortized(t *testing.T) {
 	const groups, closes = 1000, 20
-	s := newStore(t, `SELECT url, min(v), max(v) FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`)
-	v := s.Attach(30 * second)
-	var fires float64
-	for k := int64(0); k < 3+closes; k++ {
-		for i := 0; i < groups; i++ {
-			insert(t, s, hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), k+int64(i)))
-		}
-		n, _ := allocated(func() {
-			if out, touched, _, err := v.Fire((k + 1) * 10 * second); err != nil || len(out) != groups || touched != groups {
-				t.Fatalf("fire %d: %d rows, %d touched, %v", k, len(out), touched, err)
+	for _, aggs := range []string{"min(v), max(v)", "stddev(v)", "first(v)", "last(v)", "count(DISTINCT v)"} {
+		s := newStore(t, `SELECT url, `+aggs+` FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+		v := s.Attach(30 * second)
+		var fires float64
+		for k := int64(0); k < 3+closes; k++ {
+			for i := 0; i < groups; i++ {
+				insert(t, s, hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), k+int64(i)))
 			}
-		})
-		s.Expire((k + 1) * 10 * second)
-		if k >= 3 { // from here every close retracts a slice of every group
-			fires += n
+			n, _ := allocated(func() {
+				if out, touched, _, err := v.Fire((k + 1) * 10 * second); err != nil || len(out) != groups || touched != groups {
+					t.Fatalf("%s fire %d: %d rows, %d touched, %v", aggs, k, len(out), touched, err)
+				}
+			})
+			s.Expire((k + 1) * 10 * second)
+			if k >= 3 { // from here every close retracts a slice of every group
+				fires += n
+			}
 		}
-	}
-	// Two accumulators rebuilt per group per close.
-	if per := fires / (closes * groups * 2); per > 0.1 {
-		t.Errorf("a rebuilt MIN/MAX accumulator costs %.3f allocations, want ≤ 0.1", per)
+		rebuilt := float64(closes * groups * len(s.remerge))
+		t.Logf("%s: %.3f allocations a rebuilt accumulator", aggs, fires/rebuilt)
+		if per := fires / rebuilt; per > 0.1 {
+			t.Errorf("a rebuilt %s accumulator costs %.3f allocations, want ≤ 0.1", aggs, per)
+		}
 	}
 }
 

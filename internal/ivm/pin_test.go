@@ -90,7 +90,7 @@ func TestRecycledSlicePinsNoBatch(t *testing.T) {
 // closes have passed the row's slice, neither the view, nor the slice kept
 // as a spare, nor the row array the next slice reuses keeps it reachable.
 func TestRawStorePinsNoExpiredRow(t *testing.T) {
-	s, err := New(nil, 10*second, 0, false)
+	s, err := New(nil, 10*second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,18 +92,18 @@ func subscribePipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) (*Pipe
 	pipe := &Pipeline{plan: p, sink: sink, resumeAfter: -1 << 62, id: rt.nextPipeID.Add(1)}
 	pipe.windowsFired = rt.pipeCounter("streamrel_pipeline_windows_total",
 		"window closes evaluated by a continuous-query pipeline", src, pipe.id)
-	key, strategy, _ := p.WindowState(rt.override)
+	key, _ := p.WindowState(rt.override)
 	var err error
 	if key == "" {
 		pipe.post = p.Build
-		pipe.feed, err = openFeed(rt, src, p, "", strategy, pipe.id)
+		pipe.feed, err = openFeed(rt, src, p, "", pipe.id)
 	} else {
 		pipe.post, pipe.postKey = p.StreamAgg.PostBuild, p.StreamAgg.PostKey
 		if rt.override == plan.StatePrivate {
 			key += "#" + strconv.FormatInt(pipe.id, 10)
 		}
 		if pipe.feed = src.stores[key]; pipe.feed == nil {
-			pipe.feed, err = openFeed(rt, src, p, key, strategy, rt.nextPipeID.Add(1))
+			pipe.feed, err = openFeed(rt, src, p, key, rt.nextPipeID.Add(1))
 		}
 	}
 	if err != nil {
@@ -148,9 +148,9 @@ func validateWindow(src *source, w sql.WindowSpec) error {
 func (p *Pipeline) Plan() *plan.Plan { return p.plan }
 
 // Strategy names how this CQ's window is kept and fired — "incremental"
-// (materialized store), "shared" (slice-merging store) or "reexec" — in
-// the vocabulary of span Mode fields and sys.pipelines.mode.
-func (p *Pipeline) Strategy() string { return p.feed.strategy.String() }
+// (a store) or "reexec" — in the vocabulary of span Mode fields and
+// sys.pipelines.mode.
+func (p *Pipeline) Strategy() string { return plan.Mode(p.feed.key) }
 
 // ResumeAfter suppresses window closes at or before ts; used by recovery
 // so an Active Table is not fed duplicate windows after restart. The feed's
@@ -327,7 +327,7 @@ func (f *feed) delivered(ft *fireTimer, tc trace.Ctx, rows int) {
 	if tc.ID != 0 {
 		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWindowFire, Stream: f.src.name,
 			Pipe: f.id, Start: ft.start.UnixMicro(), Dur: ft.execDone.Sub(ft.start).Nanoseconds(),
-			Rows: rows, Slow: ft.slow, Mode: f.strategy.String()})
+			Rows: rows, Slow: ft.slow, Mode: plan.Mode(f.key)})
 		tr.Record(trace.Span{Trace: tc.ID, Stage: trace.StageCQDeliver, Stream: f.src.name,
 			Pipe: f.id, Start: ft.execDone.UnixMicro(), Dur: end.Sub(ft.execDone).Nanoseconds(),
 			Rows: rows, Slow: ft.slow})

@@ -65,9 +65,8 @@ type feed struct {
 
 	// The window state. A time window cuts store at timestamps; a ROWS or
 	// SLICES window at ord, the rows pushed or the open emission's number.
-	store    *ivm.Store
-	strategy plan.Strategy
-	ord      int64
+	store *ivm.Store
+	ord   int64
 
 	// mu serializes fires against attach/detach, so unsubscribing one CQ
 	// never races a fire delivering to it, and a view is never created or
@@ -148,8 +147,8 @@ type setOut struct {
 // from p, or a raw store for the empty key — gives it its mailbox and puts
 // it on the source's delivery list, so no task can precede it. Callers hold
 // src.mu.
-func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.Strategy, id int64) (*feed, error) {
-	f := &feed{rt: rt, src: src, key: key, win: p.Stream.Window, strategy: strategy, id: id}
+func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, id int64) (*feed, error) {
+	f := &feed{rt: rt, src: src, key: key, win: p.Stream.Window, id: id}
 	f.mbox.bound = rt.parallel
 	f.mbox.cond = sync.NewCond(&f.mbox.mu)
 	stream := metrics.L("stream", src.name)
@@ -158,7 +157,7 @@ func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, strategy plan.
 	if key != "" {
 		spec = p.StreamAgg
 	}
-	state, err := ivm.New(spec, f.win.Advance, plan.PairOffset(f.win), strategy == plan.Materialized)
+	state, err := ivm.New(spec, f.win.Advance, plan.PairOffset(f.win))
 	if err != nil {
 		return nil, err
 	}

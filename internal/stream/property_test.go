@@ -113,28 +113,26 @@ func retained(t *testing.T, f *feed, lo, hi int64) ([]types.Row, int64) {
 }
 
 // TestStoreRetention: a store keeps the slices its widest view can still
-// read and no more — bounded over a 30-minute run under every store
-// strategy, and shrinking once the widest view's last member leaves.
+// read and no more — bounded over a 30-minute run, and shrinking once the
+// widest view's last member leaves.
 func TestStoreRetention(t *testing.T) {
-	for _, override := range []plan.StateOverride{plan.StateAuto, plan.StateMerge} {
-		e := newEnvOverride(t, override)
-		narrow, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
-		wide, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY url`)
-		state := narrow.feed.store
-		if wide.feed != narrow.feed {
-			t.Fatal("CQs differing only in VISIBLE must attach to one store")
+	e := newEnvOverride(t, plan.StateAuto)
+	narrow, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
+	wide, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY url`)
+	state := narrow.feed.store
+	if wide.feed != narrow.feed {
+		t.Fatal("CQs differing only in VISIBLE must attach to one store")
+	}
+	for m := 0; m < 30; m++ {
+		e.hit(t, "/x", int64(100+m)*minute+1, "ip")
+		if got := state.SlicesN.Load(); got > 12 {
+			t.Fatalf("%d slices retained under a 10-minute view", got)
 		}
-		for m := 0; m < 30; m++ {
-			e.hit(t, "/x", int64(100+m)*minute+1, "ip")
-			if got := state.SlicesN.Load(); got > 12 {
-				t.Fatalf("override %d: %d slices retained under a 10-minute view", override, got)
-			}
-		}
-		e.rt.Unsubscribe(wide)
-		e.hit(t, "/x", 130*minute+1, "ip")
-		if got := state.SlicesN.Load(); got > 4 {
-			t.Fatalf("override %d: %d slices retained after the 10-minute view left a 2-minute one", override, got)
-		}
+	}
+	e.rt.Unsubscribe(wide)
+	e.hit(t, "/x", 130*minute+1, "ip")
+	if got := state.SlicesN.Load(); got > 4 {
+		t.Fatalf("%d slices retained after the 10-minute view left a 2-minute one", got)
 	}
 }
 

@@ -1012,7 +1012,7 @@ type PipelineStats struct {
 	// of micro-batch tasks queued in that feed's mailbox — the backlog every
 	// CQ on it waits behind; 0 between calls when producers drain.
 	QueueDepth int
-	// Strategy is Pipeline.Strategy: "incremental", "shared" or "reexec".
+	// Strategy is Pipeline.Strategy: "incremental" or "reexec".
 	Strategy string
 	// PlanShared marks CQs on a keyed window-state store's feed.
 	PlanShared bool

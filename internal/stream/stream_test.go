@@ -28,15 +28,13 @@ type env struct {
 	rt  *Runtime
 }
 
-// newEnv builds a runtime pinned to one side of the window-state
-// decision: sharing attaches sliceable CQs to stores that merge their
-// slices per fire (plan.StateMerge), !sharing makes every CQ buffer and
-// re-execute (plan.StateReexec). The automatic setting, which also
-// materializes, is covered by newEnvOverride(t, plan.StateAuto).
+// newEnv builds a runtime on one side of the window-state decision:
+// sharing attaches sliceable CQs to stores (plan.StateAuto), !sharing makes
+// every CQ buffer and re-execute (plan.StateReexec).
 func newEnv(t *testing.T, sharing bool) *env {
 	t.Helper()
 	if sharing {
-		return newEnvOverride(t, plan.StateMerge)
+		return newEnvOverride(t, plan.StateAuto)
 	}
 	return newEnvOverride(t, plan.StateReexec)
 }
@@ -162,7 +160,7 @@ func TestScalarAggEmptyWindow(t *testing.T) {
 	for _, sharing := range []bool{true, false} {
 		e := newEnv(t, sharing)
 		pipe, out := e.subscribe(t, `SELECT count(*), sum(length(url)) FROM url_stream <ADVANCE '1 minute'>`)
-		if want := map[bool]string{true: "shared", false: "reexec"}[sharing]; pipe.Strategy() != want {
+		if want := map[bool]string{true: "incremental", false: "reexec"}[sharing]; pipe.Strategy() != want {
 			t.Fatalf("sharing=%v but pipe.Strategy()=%s", sharing, pipe.Strategy())
 		}
 		e.rt.Advance("url_stream", 10*minute) // starts the clock
@@ -226,8 +224,7 @@ func TestRowWindow(t *testing.T) {
 }
 
 // TestSharedMatchesUnshared is the central sharing property: identical
-// queries, attached to a store (merging per fire, mode 0; materialized
-// where the aggregates allow, mode 2) vs re-executing (mode 1), over
+// queries, attached to a store (mode 0) vs re-executing (mode 1), over
 // identical random input, produce identical batches.
 func TestSharedMatchesUnshared(t *testing.T) {
 	queries := []string{
@@ -256,18 +253,15 @@ func TestSharedMatchesUnshared(t *testing.T) {
 	end := ts + 10*minute
 
 	for qi, q := range queries {
-		var results [3][]batch
-		for mode, override := range []plan.StateOverride{plan.StateMerge, plan.StateReexec, plan.StateAuto} {
+		var results [2][]batch
+		for mode, override := range []plan.StateOverride{plan.StateAuto, plan.StateReexec} {
 			e := newEnvOverride(t, override)
 			pipe, out := e.subscribe(t, q)
-			if mode == 0 && pipe.Strategy() != "shared" {
-				t.Fatalf("query %d: expected a merging store, got %s", qi, pipe.Strategy())
+			if mode == 0 && pipe.Strategy() != "incremental" {
+				t.Fatalf("query %d: expected a store, got %s", qi, pipe.Strategy())
 			}
 			if mode == 1 && pipe.Strategy() != "reexec" {
 				t.Fatalf("query %d: store overridden off but strategy is %s", qi, pipe.Strategy())
-			}
-			if mode == 2 && pipe.Strategy() == "reexec" {
-				t.Fatalf("query %d: expected a store", qi)
 			}
 			for _, ev := range events {
 				if err := e.push("url_stream", ev); err != nil {
@@ -278,9 +272,6 @@ func TestSharedMatchesUnshared(t *testing.T) {
 			results[mode] = *out
 		}
 		a, b := flatten(results[0]), flatten(results[1])
-		if auto := flatten(results[2]); strings.Join(auto, "\n") != strings.Join(b, "\n") {
-			t.Errorf("query %d: automatic and unshared outputs differ", qi)
-		}
 		if strings.Join(a, "\n") != strings.Join(b, "\n") {
 			t.Errorf("query %d: shared and unshared outputs differ\nshared: %d lines\nunshared: %d lines",
 				qi, len(a), len(b))

@@ -111,7 +111,7 @@ func TestPipelineRows(t *testing.T) {
 	st := stream.Stats{PerPipeline: []stream.PipelineStats{
 		{Stream: "a", ID: 1, Strategy: "reexec", WindowsFired: 3, RowsSeen: 30},
 		{Stream: "b", ID: 2, Strategy: "incremental", QueueDepth: 5},
-		{Stream: "c", ID: 3, Strategy: "shared", PlanShared: true},
+		{Stream: "c", ID: 3, Strategy: "incremental", PlanShared: true},
 	}}
 	rows := pipelineRows(st)
 	if len(rows) != 3 {
@@ -123,7 +123,7 @@ func TestPipelineRows(t *testing.T) {
 	if mode := rows[1][6].Str(); mode != "incremental" {
 		t.Errorf("mode[1] = %q", mode)
 	}
-	if mode := rows[2][6].Str(); mode != "shared+plan" {
+	if mode := rows[2][6].Str(); mode != "incremental+plan" {
 		t.Errorf("mode[2] = %q", mode)
 	}
 	if rows[1][5].Int() != 5 {

@@ -79,8 +79,8 @@ func (c Ctx) Sampled() bool { return c.ID != 0 }
 
 // Span is one completed hop. Start is wall-clock microseconds since the
 // epoch (the engine's timestamp unit); Dur is nanoseconds. Mode tags
-// window-fire spans with the fire strategy ("incremental", "shared",
-// "reexec"); it is empty on other stages.
+// window-fire spans with the fire strategy ("incremental", "reexec"); it
+// is empty on other stages.
 type Span struct {
 	Trace  uint64
 	Stage  Stage

@@ -32,8 +32,7 @@ func collectBatches(t *testing.T, cq *CQ) []string {
 }
 
 // TestIVMModeSelection pins the one window-state decision: which shapes
-// attach to a store and with which fire strategy, which re-execute and
-// why, what the override changes, and that CQ.Strategy and EXPLAIN's
+// attach to a store, which re-execute and why, what the override changes, and that CQ.Strategy and EXPLAIN's
 // mode/state lines say the same thing.
 func TestIVMModeSelection(t *testing.T) {
 	cases := []struct {
@@ -45,12 +44,11 @@ func TestIVMModeSelection(t *testing.T) {
 			FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`, "incremental", "view 1m0s (materialized), 0 members"},
 		{`SELECT count(*) FROM s <VISIBLE '30 seconds' ADVANCE '30 seconds'>`, "incremental", "view 30s (materialized)"},
 		{`SELECT sum(v) FROM s <VISIBLE '1 minute' ADVANCE '20 seconds'> WHERE url = '/a'`, "incremental", "(materialized)"},
-		// count(DISTINCT …) has no retract form: the store merges slices.
+		// count(DISTINCT …) and stddev have no inverse: a retract re-merges them.
 		{`SELECT url, count(distinct v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`,
-			"shared", "(merge: count(DISTINCT …) has no retract form)"},
-		// stddev has no delta form.
+			"incremental", "view 1m0s (materialized), 0 members"},
 		{`SELECT stddev(v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'>`,
-			"shared", "(merge: aggregate stddev has no delta form)"},
+			"incremental", "view 1m0s (materialized), 0 members"},
 		// Row windows re-execute.
 		{`SELECT url, count(*) FROM s <VISIBLE 100 ROWS ADVANCE 10 ROWS> GROUP BY url`,
 			"reexec", "state: reexec (window is not a time window)"},
@@ -84,14 +82,9 @@ func TestIVMModeSelection(t *testing.T) {
 	for _, c := range cases {
 		check(e, c.q, c.strategy, c.state)
 	}
-	for mode, state := range map[string]string{
-		"shared": "(merge: window-state override), 0 members",
-		"reexec": "state: reexec (window-state override)",
-	} {
-		off := openMemMode(t, mode)
-		mustExec(t, off, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
-		check(off, cases[0].q, mode, state)
-	}
+	off := openMemMode(t, "reexec")
+	mustExec(t, off, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+	check(off, cases[0].q, "reexec", "state: reexec (window-state override)")
 }
 
 // TestNowReadAtFire pins when and from which clock a CQ reads now():
@@ -105,7 +98,7 @@ func TestNowReadAtFire(t *testing.T) {
 		WHERE at < now() GROUP BY url`
 	base := time.UnixMicro(ivmBase).UTC()
 	clock := base.Add(25 * time.Second)
-	for _, mode := range []string{"incremental", "shared", "reexec"} {
+	for _, mode := range []string{"incremental", "reexec"} {
 		e := openMemModeCfg(t, mode, Config{Now: func() time.Time { return clock }})
 		mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
 		cq, err := e.Subscribe(q)

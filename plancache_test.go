@@ -282,3 +282,44 @@ func TestExplainGenericPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedTreePinsNoArgs: a cached statement's tree goes back to the idle
+// list after each call, and keeps nothing of that call's arguments — every
+// operator that copied them into its expression context at Open lets go of
+// it at Close. Each query puts one more kind of operator under the $n it
+// reads.
+func TestCachedTreePinsNoArgs(t *testing.T) {
+	e := openMem(t)
+	mustExec(t, e, `CREATE TABLE big (k bigint, v bigint)`)
+	mustExec(t, e, `CREATE TABLE small (k bigint, name varchar)`)
+	mustExec(t, e, `CREATE INDEX big_k ON big (k)`)
+	rows := make([]Row, 5000)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i % 10)), Int(int64(i))}
+	}
+	if err := e.BulkInsert("big", rows); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, `INSERT INTO small VALUES (1, 'a'), (2, 'b'), (3, 'c')`)
+	for _, c := range []struct{ sql, tree string }{
+		{`SELECT k, sum(v) + $1 AS s FROM big WHERE v > $1 GROUP BY k ORDER BY s DESC`, "Sort Project HashAgg Filter SeqScan"},
+		{`SELECT v FROM big WHERE k = $1`, "Project IndexScan"},
+		{`SELECT count(*) FROM big JOIN small ON big.k = small.k WHERE big.v < $1`, "Project HashAgg Filter HashJoin SeqScan SeqScan"},
+		{`SELECT a.name, b.name FROM small a JOIN small b ON a.k < b.k + $1`, "Project NestedLoopJoin SeqScan SeqScan"},
+	} {
+		mustQueryArgs(t, e, c.sql, Int(100))
+		if got := cachedTree(e, c.sql); got != c.tree {
+			t.Errorf("%s: cached tree %s, want %s", c.sql, got, c.tree)
+		}
+		args := func() weak.Pointer[Value] {
+			args := []Value{Int(200)}
+			mustQueryArgs(t, e, c.sql, args...)
+			return weak.Make(&args[0])
+		}()
+		runtime.GC()
+		runtime.GC()
+		if args.Value() != nil {
+			t.Errorf("%s: the idle tree keeps the last call's arguments reachable", c.sql)
+		}
+	}
+}

@@ -91,7 +91,7 @@ func TestPlanKeysGolden(t *testing.T) {
 				t.Fatalf("%s: %v", c.SQL, err)
 			}
 			var got planKeyCase
-			got.StateKey, _, _ = p.WindowState(plan.StateAuto)
+			got.StateKey, _ = p.WindowState(plan.StateAuto)
 			if p.StreamAgg != nil {
 				got.Fingerprint, got.PostKey = p.StreamAgg.Fingerprint, p.StreamAgg.PostKey
 			}

@@ -106,7 +106,6 @@ type StateOverride = plan.StateOverride
 const (
 	StateAuto    = plan.StateAuto
 	StateReexec  = plan.StateReexec
-	StateMerge   = plan.StateMerge
 	StatePrivate = plan.StatePrivate
 )
 
@@ -127,15 +126,13 @@ type Config struct {
 	// StateOverride replaces the engine's own choice of window state, for
 	// ablations and tests; production configurations leave it zero.
 	// Automatically, a continuous query that is a filter/group-by aggregate
-	// over one time-windowed stream attaches to the slice-partial store of
-	// its (stream, fingerprint, ADVANCE, VISIBLE mod ADVANCE) — materialized
-	// when every aggregate can be retracted,
-	// slice-merging otherwise — and anything else re-executes its plan over
-	// the rows a raw store of its own keeps (DESIGN.md "Window state"). StateReexec makes every CQ
-	// re-execute (the equivalence oracle; E3's baseline), StateMerge keeps
-	// the stores but never materializes (E3's shared arm), StatePrivate
-	// gives each CQ a store of its own (N independent pipelines: E16, the
-	// BenchmarkFanout*/BenchmarkIngest* loops).
+	// over one time-windowed stream attaches to the materialized
+	// slice-partial store of its (stream, fingerprint, ADVANCE, VISIBLE mod
+	// ADVANCE), and anything else re-executes its plan over the rows a raw
+	// store of its own keeps (DESIGN.md "Window state"). StateReexec makes
+	// every CQ re-execute (the equivalence oracle; E3's baseline),
+	// StatePrivate gives each CQ a store of its own (N independent
+	// pipelines: E16, the BenchmarkFanout*/BenchmarkIngest* loops).
 	StateOverride StateOverride
 	// LateRows chooses what happens to out-of-order stream input:
 	// reject (default), drop, or clamp to the high-water mark.
