@@ -12,8 +12,10 @@ import (
 // a sliding materialized view twice over (two members of one post set, and
 // the derived stream d below is a third), a stddev view, re-merged at every
 // retract, a tumbling one, a HAVING + ORDER BY + LIMIT post stage, which
-// passes the view's rows on by reference through three operators, and a
-// paired store, whose closes move two slices.
+// passes the view's rows on by reference through three operators, a paired
+// store, whose closes move two slices, a projection on a VISIBLE of its own,
+// whose view — read by the projection alone — writes its rows in place, and
+// a HAVING + LIMIT one, whose view's rows pass by reference to the result.
 var fireRowsQueries = []string{
 	`SELECT url, count(*) AS n, sum(v) AS total FROM s <VISIBLE '10 seconds' ADVANCE '1 second'> GROUP BY url`,
 	`SELECT url, count(*) AS n, sum(v) AS total FROM s <VISIBLE '10 seconds' ADVANCE '1 second'> GROUP BY url`,
@@ -22,6 +24,8 @@ var fireRowsQueries = []string{
 	`SELECT url, count(*) AS n, sum(v) FROM s <VISIBLE '20 seconds' ADVANCE '1 second'> GROUP BY url
 		HAVING count(*) > 1 ORDER BY n DESC, url LIMIT 5`,
 	`SELECT url, count(*), sum(v), max(v) FROM s <VISIBLE '7500 milliseconds' ADVANCE '1 second'> GROUP BY url`,
+	`SELECT url, sum(v) * 2 AS twice FROM s <VISIBLE '15 seconds' ADVANCE '1 second'> GROUP BY url`,
+	`SELECT url, count(*) AS n FROM s <VISIBLE '30 seconds' ADVANCE '1 second'> GROUP BY url HAVING count(*) > 2 LIMIT 4`,
 }
 
 func renderBatch(b Batch) string {

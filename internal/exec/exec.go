@@ -66,6 +66,9 @@ func (c *Ctx) evalCtx() expr.Ctx {
 //     groups' rows again at the next Open. Drain, Sort, Distinct, SetOp and
 //     join build sides never declare it, so what they collect stays valid.
 //     The operator tree decides this by its own shape; nothing configures it.
+//     Relation, the window leaf, records its consumer's declaration
+//     (Relation.Transient): a window view whose every reader declared it
+//     writes its rows in place from one close to the next.
 //   - max, always positive, is the consumer's demand: the operator returns
 //     at most max rows (it may return fewer) and does no work beyond what
 //     producing them takes, so NextBatch(1) is row-at-a-time execution.

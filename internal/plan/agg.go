@@ -250,7 +250,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 		}
 		if !identity || having != nil || len(residual) > 0 {
 			n.streamAgg.PostBuild = func(in *Input) exec.Operator {
-				var op exec.Operator = &exec.Relation{Rows: &in.WindowRows}
+				op := in.window()
 				for _, rs := range residual {
 					op = &exec.Filter{Child: op, Pred: rs}
 				}

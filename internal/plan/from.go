@@ -106,7 +106,7 @@ func (b *builder) streamLeaf(r *sql.BaseTable, alias string, schema types.Schema
 	}
 	return &relNode{
 		scope:    scopeFrom(alias, schema),
-		build:    func(in *Input) exec.Operator { return &exec.Relation{Rows: &in.WindowRows} },
+		build:    (*Input).window,
 		isStream: true,
 	}, nil
 }

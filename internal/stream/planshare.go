@@ -301,17 +301,13 @@ func (f *feed) fire(c, at int64) error {
 // the next producer call. Closes at or before a CQ's resume point are muted
 // for that CQ alone. A raw view's rows stay in its container until the
 // store's Expire: operators copy row references into fresh output rows and
-// never retain the input slice itself.
+// never retain the input slice itself. A view writes its rows in place when
+// every set it delivers to reads them through a tree whose window leaf was
+// declared transient (plan.Input.RowsTransient); a set with no post stage,
+// or whose tree has not run yet, may keep them.
 func (f *feed) fireView(sv *feedView, c, at int64, tc *trace.Ctx) error {
 	ft := f.beginFire()
-	rows, touched, carved, err := sv.view.Fire(at)
-	if err != nil {
-		return fmt.Errorf("stream: window close at %d: %w", c, err)
-	}
-	f.touched.Add(int64(touched))
-	f.carved.Add(int64(carved))
-	outs := f.outs[:0]
-	n := 0
+	inPlace := true
 	for _, set := range sv.sets {
 		run := set.run[:0]
 		for _, m := range set.members {
@@ -320,6 +316,20 @@ func (f *feed) fireView(sv *feedView, c, at int64, tc *trace.Ctx) error {
 			}
 		}
 		set.run = run
+		if len(run) > 0 && (set.tree == nil || !set.in.RowsTransient()) {
+			inPlace = false
+		}
+	}
+	rows, touched, carved, err := sv.view.Fire(at, inPlace)
+	if err != nil {
+		return fmt.Errorf("stream: window close at %d: %w", c, err)
+	}
+	f.touched.Add(int64(touched))
+	f.carved.Add(int64(carved))
+	outs := f.outs[:0]
+	n := 0
+	for _, set := range sv.sets {
+		run := set.run
 		if len(run) == 0 {
 			continue
 		}

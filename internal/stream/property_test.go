@@ -105,7 +105,7 @@ func retained(t *testing.T, f *feed, lo, hi int64) ([]types.Row, int64) {
 	defer f.mu.Unlock()
 	v := f.store.Attach(hi - lo)
 	defer f.store.Detach(v)
-	rows, _, _, err := v.Fire(hi)
+	rows, _, _, err := v.Fire(hi, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,6 +53,9 @@ type schedDeque struct {
 	mu   sync.Mutex
 	q    []*feed
 	head int
+	// stolen is the scratch its worker steals into: only that worker
+	// touches it, so it needs no lock, and it is cleared after each steal.
+	stolen []*feed
 }
 
 // schedQuantum is the number of mailbox tasks a worker applies before
@@ -111,26 +114,28 @@ func (s *scheduler) submit(f *feed) {
 // the back half of the first non-empty victim (the first stolen feed
 // runs now, the rest land in i's deque).
 func (s *scheduler) poll(i int) *feed {
-	if f := s.deques[i].pop(); f != nil {
+	d := &s.deques[i]
+	if f := d.pop(); f != nil {
 		s.runnable.Add(-1)
 		return f
 	}
 	n := len(s.deques)
 	for off := 1; off < n; off++ {
-		v := &s.deques[(i+off)%n]
-		stolen := v.stealHalf()
+		stolen := s.deques[(i+off)%n].stealHalf(d.stolen)
 		if len(stolen) == 0 {
 			continue
 		}
 		s.steals.Inc()
 		s.runnable.Add(-1)
+		f := stolen[0]
 		if len(stolen) > 1 {
-			d := &s.deques[i]
 			d.mu.Lock()
 			d.q = append(d.q, stolen[1:]...)
 			d.mu.Unlock()
 		}
-		return stolen[0]
+		clear(stolen)
+		d.stolen = stolen[:0]
+		return f
 	}
 	return nil
 }
@@ -150,25 +155,19 @@ func (d *schedDeque) pop() *feed {
 	return f
 }
 
-// stealHalf removes and returns the back half (rounded up) of the deque.
-func (d *schedDeque) stealHalf() []*feed {
+// stealHalf removes the back half (rounded up) of the deque and appends it
+// to into.
+func (d *schedDeque) stealHalf(into []*feed) []*feed {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := len(d.q) - d.head
-	if n == 0 {
-		return nil
-	}
-	take := (n + 1) / 2
-	cut := len(d.q) - take
-	stolen := append([]*feed(nil), d.q[cut:]...)
-	for i := cut; i < len(d.q); i++ {
-		d.q[i] = nil
-	}
+	cut := len(d.q) - (len(d.q)-d.head+1)/2
+	into = append(into, d.q[cut:]...)
+	clear(d.q[cut:])
 	d.q = d.q[:cut]
 	if d.head == len(d.q) {
 		d.q, d.head = d.q[:0], 0
 	}
-	return stolen
+	return into
 }
 
 // worker claims runnable feeds and drains their mailboxes until the
