@@ -91,7 +91,12 @@ drain-policies:
 # TestSliceRecycleAllocs, TestRecycledSliceMemoryBounded,
 # TestRecycledSparesMemoryBounded, TestRecycledSlicePinsNoBatch; a group whose
 # last partial expired waits one boundary and a key that recurs costs nothing,
-# TestIdleGroupRevives, TestIdleGroupsMemoryBounded; an enrichment
+# TestIdleGroupRevives, TestIdleGroupsMemoryBounded; a dropped group is the
+# next new key's, which costs its key string, TestNewGroupAllocs,
+# TestRecycledGroupsMemoryBounded; a tumbling view's window groups are the next
+# window's, so its in-place close costs nothing, TestTumblingRebuildAllocs,
+# TestTumblingViewMemoryBounded; a client's RPC timeout costs a round trip
+# nothing, TestRoundTripAllocs; an enrichment
 # fire independent of window rows, over the build side its post stage kept,
 # through the tree it built at its first close, which keeps none of the rows
 # it delivered, TestPostTreePinsNoFire, its view written in place so the fire
@@ -116,7 +121,7 @@ drain-policies:
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream ./client .
 
 # poison runs the root suites (the SQL suite, the equivalence suites), the
 # experiments and the decoders' packages in poison mode (types.Poison): a row
@@ -126,7 +131,9 @@ alloc-pins:
 # it, so a row that aliased the scratch rather than its block reads garbage;
 # the window-state store fills an expired slice's partials with a sentinel
 # that Insert resets on reuse, so a view that still merged or retracted the
-# slice fires garbage, not a quiet zero, and fills an in-place view's rows
+# slice fires garbage, not a quiet zero (and so a tumbling view's recycled
+# window groups until add takes them; a dropped group's key row holds one in
+# every mode until a new key takes it), and fills an in-place view's rows
 # with one after each close, so a consumer that kept such a row reads
 # garbage and the next close must write every row again. The root suites include
 # TestReopenEquivalence: one operator tree opened again, after a failed

@@ -108,6 +108,7 @@ type Client struct {
 	subs    map[int64]*Subscription
 	closed  bool
 	readErr error
+	timers  sync.Pool // roundTrip's RPCTimeout timers, stopped and drained
 }
 
 // Dial connects to a server with default timeouts.
@@ -226,8 +227,13 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 
 	var timeout <-chan time.Time
 	if c.opts.RPCTimeout > 0 {
-		t := time.NewTimer(c.opts.RPCTimeout)
-		defer t.Stop()
+		t, _ := c.timers.Get().(*time.Timer)
+		if t == nil {
+			t = time.NewTimer(c.opts.RPCTimeout)
+		} else {
+			t.Reset(c.opts.RPCTimeout)
+		}
+		defer c.putTimer(t)
 		timeout = t.C
 	}
 	select {
@@ -245,6 +251,19 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("client: request timed out after %v", c.opts.RPCTimeout)
 	}
+}
+
+// putTimer pools a roundTrip timer, drained: under go 1.22's timer semantics
+// one that fired while the response won keeps its tick past Reset. (A pooled
+// response channel could hand a late response to the next call.)
+func (c *Client) putTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	c.timers.Put(t)
 }
 
 // Exec runs a DDL/DML statement with optional $n parameters and returns

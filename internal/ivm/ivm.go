@@ -32,15 +32,20 @@
 // k·ADVANCE + (ADVANCE − r) too — the store's offset, shared by its views.
 //
 // What the first touch of a (slice, group) or (view, group) needs — the
-// partial, its accumulator list and the accumulators — is carved from a slab
-// (a view's replaced when it rebuilds), an allocation per chunk of groups. An
-// expired slice is the next slice: Expire resets its partials onto its own
-// free list (a store-wide one kept leftovers' chunk-mates reachable:
-// mem_fanout RSS 71 → 81 MB) and spares it for one boundary if it holds at
-// most twice the groups it had; Insert opens a slice from a spare and takes
-// its partials from the free list before the slab. A group whose last
-// partial expires idles a boundary, in the map but not in GroupsN: a key
-// recurring in the window after gets it back, and the next Expire drops it.
+// partial, its accumulator list and the accumulators — is carved from a slab,
+// an allocation per chunk of groups. An expired slice is the next slice:
+// Expire resets its partials onto its own free list (a store-wide one kept
+// leftovers' chunk-mates reachable: mem_fanout RSS 71 → 81 MB) and spares it
+// for one boundary if it holds at most twice the groups it had; Insert opens
+// a slice from a spare and takes its partials from the free list before the
+// slab. A tumbling view's window is the next window: its rebuild resets the
+// last window's groups onto the view's free list, which add takes from before
+// the slab, while the slab has carved at most twice the groups released (else
+// a new slab, and the list goes). A group whose last partial expires idles a
+// boundary, in the map but not in GroupsN: a key recurring in the window
+// after gets it back, and the next Expire drops it onto the store's free
+// list, where a new key takes it and builds only its key string; the boundary
+// after lets go of what no key took.
 //
 // A store built with no aggregate spec is raw: the window state of a plan
 // that must re-execute. Its slice partial is the slice's rows themselves, in
@@ -79,6 +84,7 @@ type Store struct {
 	spares []*slice         // expired at the last boundary, reset, to open the next ones from
 	groups map[string]*group
 	idle   []*group // in groups, their last partial expired at the last boundary
+	free   *group   // dropped at the last boundary, for Insert's new keys
 
 	views  []*View
 	retain int64 // widest attached VISIBLE
@@ -116,14 +122,18 @@ type partial struct {
 	next *partial // on its slice's free list
 }
 
-// reset empties a partial for reuse, pinning no input batch; poison (Expire's
-// under types.Poison, until Insert resets again) then folds in a value every
-// accumulator takes, so a view still reading the slice fires garbage.
-func (p *partial) reset(poison bool) {
-	p.g, p.rows = nil, 0
-	for _, a := range p.accs {
+// sentinel is what recycled state holds until it is reused: a dropped group's
+// key row always, accumulators and in-place rows under types.Poison.
+var sentinel = types.NewInt(-1 << 50)
+
+// resetAccs empties a partial's or a view group's accumulators for reuse,
+// pinning no input batch; poison (under types.Poison, until they are reset
+// again) then folds in a value every accumulator takes, so a view still
+// reading them fires garbage.
+func resetAccs(accs []expr.Acc, poison bool) {
+	for _, a := range accs {
 		if expr.Reset(a); poison {
-			_ = a.Add(types.NewInt(-1 << 50))
+			_ = a.Add(sentinel)
 		}
 	}
 }
@@ -131,12 +141,16 @@ func (p *partial) reset(poison bool) {
 // group is a live group's identity: the one string built for its key
 // bytes — every slice map and view map is keyed with it, so they share
 // its storage — and its key row, whose strings are that string's bytes too.
-// It lives while a retained slice holds a partial for it, and idles one
-// boundary more.
+// It lives while a retained slice holds a partial for it and idles one
+// boundary more; then Expire drops it onto the store's free list, its key
+// row a sentinel, for a new key. No live view group points at it by then:
+// every view retracts the last slice holding the key before the slice
+// expires. A dead view group in a slab may, but a tombstone is never read.
 type group struct {
 	key    string
 	keys   types.Row
 	slices int
+	next   *group // on the store's free list
 }
 
 // New returns an empty store for the aggregate spec of a plan whose
@@ -188,10 +202,10 @@ func (s *Store) next(t int64) int64 {
 // Insert folds one arriving row at ts into its slice's partial — once,
 // however many views will read it: evaluate the filter and the group keys,
 // then add the aggregate arguments. An existing (slice, group) allocates
-// nothing. The store keeps nothing of row — a new group's key row points
-// into the group's key string — so it pins no input batch. A raw store
-// appends the row to its slice instead, and so pins the row's block until
-// the slice expires.
+// nothing, and a new group from the free list only its key string. The store
+// keeps nothing of row — a new group's key row points into the group's key
+// string — so it pins no input batch. A raw store appends the row to its
+// slice instead, and so pins the row's block until the slice expires.
 func (s *Store) Insert(row types.Row, ts int64) error {
 	if s.spec == nil {
 		sl := s.sliceAt(ts)
@@ -224,7 +238,12 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	if !ok {
 		g, ok := s.groups[string(s.keyBuf)]
 		if !ok {
-			g = &group{key: string(s.keyBuf), keys: s.keyScratch.Clone()}
+			if g = s.free; g == nil {
+				g = new(group)
+			} else {
+				s.free, g.next = g.next, nil
+			}
+			g.key, g.keys = string(s.keyBuf), append(g.keys[:0], s.keyScratch...)
 			g.keys.ShareKey(g.key)
 			s.groups[g.key] = g
 		}
@@ -240,7 +259,7 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 			p.accs = accs
 			sl.size = max(sl.size, len(sl.groups)+1) // no free partial: every one holds a group
 		} else if sl.free, p.next = p.next, nil; types.Poison {
-			p.reset(false)
+			resetAccs(p.accs, false)
 		}
 		p.g = g
 		g.slices++
@@ -289,16 +308,21 @@ func (s *Store) sliceAt(ts int64) *slice {
 }
 
 // Expire drops the slices no view reads at a boundary after c, and the spares
-// and idle groups the last boundary left, and empties every raw view's window;
-// under types.Poison it fills every in-place view's rows with a sentinel.
+// and free groups the last boundary left; it moves the idle groups nothing
+// revived onto the free list, and empties every raw view's window; under
+// types.Poison it fills every in-place view's rows with a sentinel.
 // Call it once every view has fired c. An aggregate view's next fire still
 // retracts the slice that opened the window closing at c; a raw one never.
 func (s *Store) Expire(c int64) {
 	clear(s.spares)
-	s.spares = s.spares[:0]
+	s.spares, s.free = s.spares[:0], nil
 	for _, g := range s.idle {
 		if g.slices == 0 {
 			delete(s.groups, g.key)
+			for i := range g.keys {
+				g.keys[i] = sentinel // holds no byte of the key string
+			}
+			g.key, g.next, s.free = "", s.free, g
 		}
 	}
 	clear(s.idle)
@@ -309,7 +333,7 @@ func (s *Store) Expire(c int64) {
 		if types.Poison && v.inPlace {
 			for _, row := range v.out {
 				for i := range row {
-					row[i] = types.NewInt(-1 << 50)
+					row[i] = sentinel
 				}
 			}
 		}
@@ -332,8 +356,8 @@ func (s *Store) Expire(c int64) {
 				s.idle = append(s.idle, p.g)
 				s.GroupsN.Add(-1)
 			}
-			p.reset(types.Poison)
-			p.next, sl.free = sl.free, p
+			resetAccs(p.accs, types.Poison)
+			p.g, p.rows, p.next, sl.free = nil, 0, sl.free, p
 		}
 		n := len(sl.groups) + len(sl.rows)
 		sl.size = max(sl.size, cap(sl.rows))
@@ -356,6 +380,8 @@ type View struct {
 	lo, hi int64
 	groups map[string]*winGroup
 	slab   expr.Slab[winGroup]
+	spare  *winGroup // the last window's groups, reset by a rebuild, for add
+	slabN  int       // groups carved from slab: spare is kept while ≤ 2 × those released
 
 	// ordered keeps the groups sorted by key (types.CompareRows order,
 	// matching exec.HashAgg's SortedOutput). It is maintained
@@ -396,12 +422,13 @@ type winGroup struct {
 	dead  bool      // left the window; awaiting compaction from ordered/pending
 	stamp int64     // the last fire that changed it
 	row   types.Row // what the last fire emitted for it; rewritten only in place
+	next  *winGroup // on the view's spare list
 }
 
 // Attach adds a view of the given extent (both edges of its windows fall on
 // the store's cuts) and widens retention to cover it.
 func (s *Store) Attach(visible int64) *View {
-	v := &View{st: s, visible: visible, hi: math.MinInt64, groups: make(map[string]*winGroup)}
+	v := &View{st: s, visible: visible, hi: math.MinInt64, groups: make(map[string]*winGroup), slab: expr.NewSlab[winGroup](0)}
 	s.views = append(s.views, v)
 	s.retain = max(s.retain, visible)
 	return v
@@ -462,11 +489,19 @@ func (v *View) Fire(c int64, inPlace bool) (rows []types.Row, touched, carved in
 		// Nothing kept carries over: a new view starts from what the store
 		// retains, and a tumbling window shares no slice with its predecessor
 		// (so it never retracts, and its sums are those of re-execution to the
-		// last bit). Every group is new, so every row is carved.
-		for _, g := range v.groups {
-			v.release(g)
+		// last bit). Every group is new, so every row is carved; the groups
+		// are the last window's, reset, while the slab has carved at most
+		// twice as many (a burst's go with its slab at the rebuild after).
+		recycle := v.slabN <= 2*len(v.groups)
+		if !recycle {
+			v.slab, v.spare, v.slabN = expr.NewSlab[winGroup](len(v.groups)), nil, 0
 		}
-		v.slab = expr.NewSlab[winGroup](len(v.groups))
+		for _, g := range v.groups {
+			if v.release(g); recycle {
+				resetAccs(g.accs, types.Poison)
+				*g, v.spare = winGroup{accs: g.accs, next: v.spare}, g
+			}
+		}
 		clear(v.groups)
 		clear(v.ordered)
 		clear(v.pending)
@@ -511,11 +546,16 @@ func (v *View) add(sl *slice, c int64) (touched int, err error) {
 	for k, p := range sl.groups {
 		wg := v.groups[k]
 		if wg == nil {
-			var accs []expr.Acc
-			if wg, accs, err = v.slab.Next(v.st.spec.Aggs); err != nil {
-				return 0, err
+			if wg = v.spare; wg == nil {
+				var accs []expr.Acc
+				if wg, accs, err = v.slab.Next(v.st.spec.Aggs); err != nil {
+					return 0, err
+				}
+				wg.accs, v.slabN = accs, v.slabN+1
+			} else if v.spare, wg.next = wg.next, nil; types.Poison {
+				resetAccs(wg.accs, false)
 			}
-			wg.g, wg.accs, wg.stamp = p.g, accs, c-1
+			wg.g, wg.stamp = p.g, c-1
 			v.groups[p.g.key] = wg
 			v.pending = append(v.pending, wg)
 		}

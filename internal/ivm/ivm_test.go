@@ -218,7 +218,8 @@ func TestSliceRecycleAllocs(t *testing.T) {
 // expires one boundary after its window closed; a key that recurs in the
 // window after that finds its group idle, not gone, and costs nothing — the
 // slice from a spare, the partial from its free list, the group itself kept
-// — where re-creating it built its key string and key row again.
+// — where re-creating it, even from the store's free list, builds its key
+// string again.
 func TestIdleGroupRevives(t *testing.T) {
 	const groups, cycles = 100, 20
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
@@ -244,6 +245,73 @@ func TestIdleGroupRevives(t *testing.T) {
 	}
 	if live, held := s.GroupsN.Load(), len(s.groups); live != groups || held != 2*groups {
 		t.Errorf("%d live groups and %d held, want %d and %d (the idle ones)", live, held, groups, 2*groups)
+	}
+}
+
+// TestNewGroupAllocs: a group the store drops goes onto its free list, key and
+// key row cleared, and a key never seen before takes it. So once the store has
+// cycled, a window of new keys costs each its key string — which the rows
+// emitted for it share, so it must be its own — and the map's churn now and
+// then; re-creating a group cost its struct and key row besides.
+func TestNewGroupAllocs(t *testing.T) {
+	const groups, warm, cycles = 100, 5, 20
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	s.Attach(10 * second)
+	windows := make([][]types.Row, warm+cycles+1) // AllocsPerRun runs once more to warm up
+	for k := range windows {
+		for i := 0; i < groups; i++ {
+			windows[k] = append(windows[k], hit("/page/"+strconv.Itoa(k*groups+i), int64(k)*10*second+int64(i), 1))
+		}
+	}
+	k := 0
+	cycle := func() {
+		for _, r := range windows[k] {
+			insert(t, s, r)
+		}
+		k++
+		s.Expire(int64(k) * 10 * second)
+	}
+	for k < warm {
+		cycle()
+	}
+	if per := testing.AllocsPerRun(cycles, cycle) / groups; per > 1.1 {
+		t.Errorf("a new group costs %.2f allocations, want ≤ 1.1: its key string", per)
+	}
+}
+
+// TestTumblingRebuildAllocs: a tumbling view's window is the next window — its
+// rebuild resets the last window's groups onto the view's free list, which the
+// new window takes before the slab — so over a steady key set an in-place
+// close allocates nothing, Insert, Fire and Expire together. Each close's
+// count and sum are checked: a group reused unreset would carry its last one.
+func TestTumblingRebuildAllocs(t *testing.T) {
+	const groups, closes = 1000, 20
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(10 * second)
+	urls := make([]types.Datum, groups)
+	for i := range urls {
+		urls[i] = types.NewString("/page/" + strconv.Itoa(i))
+	}
+	k, row := int64(0), make(types.Row, 3) // Insert keeps no row
+	cycle := func() {
+		for i, u := range urls {
+			row[0], row[1], row[2] = u, types.NewTimestampMicros(k*10*second+int64(i)), types.NewInt(k)
+			insert(t, s, row)
+		}
+		k++
+		rows, _, _, err := v.Fire(k*10*second, true)
+		if err != nil || len(rows) != groups || rows[0][1].Int() != 1 || rows[0][2].Int() != k-1 {
+			t.Fatalf("close %d: %d rows, first %v, %v", k, len(rows), rows[0], err)
+		}
+		s.Expire(k * 10 * second)
+	}
+	for k < 4 {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(closes, cycle); got != 0 {
+		t.Errorf("an in-place tumbling close over %d steady keys allocates %.0f times, want 0", groups, got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 	"weak"
 
+	"streamrel/internal/expr"
 	"streamrel/internal/types"
 )
 
@@ -236,6 +237,99 @@ func TestIdleGroupsMemoryBounded(t *testing.T) {
 			t.Fatalf("boundary %d: the group idle since its last partial expired is gone, or counted live (%d live)", k, s.GroupsN.Load())
 		case k == 3 && alive:
 			t.Fatalf("boundary %d: the key string of a group that did not recur is reachable", k)
+		}
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestRecycledGroupsMemoryBounded: a group the store drops waits on its free
+// list for one boundary, for the window's new keys; what no key took goes at
+// the next. A burst of 10 000 one-off keys idles a boundary, is dropped onto
+// the list at the next, and is unreachable — group structs and key rows — once
+// the list has gone unused for one boundary.
+func TestRecycledGroupsMemoryBounded(t *testing.T) {
+	const burst, steady = 10000, 10
+	s := newStore(t, `SELECT url, count(*) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(10 * second)
+	fill := func(k int64, prefix string, groups int) {
+		for i := 0; i < groups; i++ {
+			insert(t, s, hit(prefix+strconv.Itoa(i), k*10*second+int64(i), 1))
+		}
+	}
+	fill(0, "/burst/", burst)
+	var burstGroups []weak.Pointer[group]
+	var burstKeys []weak.Pointer[types.Datum]
+	for _, i := range []int{0, burst / 2, burst - 1} {
+		g := s.groups[types.Row{types.NewString("/burst/" + strconv.Itoa(i))}.Key()]
+		burstGroups, burstKeys = append(burstGroups, weak.Make(g)), append(burstKeys, weak.Make(&g.keys[0]))
+	}
+	alive := func() (n int) {
+		runtime.GC()
+		runtime.GC()
+		for i := range burstGroups {
+			if burstGroups[i].Value() != nil || burstKeys[i].Value() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for k := int64(1); k <= 4; k++ {
+		fire(t, v, k*10*second, true)
+		s.Expire(k * 10 * second)
+		switch n := alive(); {
+		case k == 2 && (n != 3 || len(s.groups) != burst+steady):
+			t.Fatalf("boundary %d: %d of 3 burst groups reachable, %d groups held: want the idle burst held", k, n, len(s.groups))
+		case k == 3 && (n != 3 || len(s.groups) != steady || s.free == nil):
+			t.Fatalf("boundary %d: %d of 3 burst groups reachable, %d groups held: want the burst on the free list", k, n, len(s.groups))
+		case k == 4 && n != 0:
+			t.Fatalf("boundary %d: %d of 3 burst groups reachable a boundary after the free list went unused", k, n)
+		}
+		fill(k, "/steady/", steady)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestTumblingViewMemoryBounded: a tumbling view recycles its last window's
+// groups only while its slab has carved at most twice as many. A window of
+// 10 000 groups is recycled for the 10-group window after it; at the next
+// rebuild 10 groups are released against 10 000 carved, so the view starts a
+// new slab, and the burst's window groups and their slab's chunks — of
+// groups and of accumulator lists — are unreachable within two closes.
+func TestTumblingViewMemoryBounded(t *testing.T) {
+	const burst, steady = 10000, 10
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(10 * second)
+	fill := func(k int64, groups int) {
+		for i := 0; i < groups; i++ {
+			insert(t, s, hit("/page/"+strconv.Itoa(i), k*10*second+int64(i), 1))
+		}
+	}
+	fill(0, burst)
+	fire(t, v, 10*second, false)
+	var groups []weak.Pointer[winGroup]
+	var accs []weak.Pointer[expr.Acc]
+	for i := 0; i < burst; i += burst / 100 { // the first chunk, the last, and chunks between
+		wg := v.ordered[i]
+		groups, accs = append(groups, weak.Make(wg)), append(accs, weak.Make(&wg.accs[0]))
+	}
+	s.Expire(10 * second)
+	for k := int64(1); k <= 3; k++ {
+		fill(k, steady)
+		fire(t, v, (k+1)*10*second, false)
+		s.Expire((k + 1) * 10 * second)
+		runtime.GC()
+		runtime.GC()
+		alive := 0
+		for i := range groups {
+			if groups[i].Value() != nil || accs[i].Value() != nil {
+				alive++
+			}
+		}
+		switch {
+		case k == 1 && (alive == 0 || v.spare == nil):
+			t.Fatalf("close %d: the burst's groups were not recycled (%d of %d reachable)", k, alive, len(groups))
+		case k >= 2 && alive != 0:
+			t.Fatalf("close %d: %d of %d burst window groups reachable, their slab replaced a close ago", k, alive, len(groups))
 		}
 	}
 	runtime.KeepAlive(s)
