@@ -60,10 +60,13 @@ cover:
 # package also holds the run insert to its one lock acquisition there
 # (TestInsertRunTakesTheLockOnce: a concurrent reader finds whole runs only).
 # The plan cache's trees, checked out by concurrent snapshot queries with
-# their own arguments beside a writer, ride along too (TestPlanCache*).
+# their own arguments beside a writer, ride along too (TestPlanCache*), and so
+# do the cached trees whose aggregates fold what a writer appends between
+# calls into the groups they kept (TestMaintained*: each call against a
+# statement planned for it alone at the same snapshot).
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestInPlaceViewModeChange|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestInPlaceViewModeChange|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache|TestMaintained' .
 
 # alloc-pins runs the ownership property (a decoded batch is its container and
 # two allocations a block — its values, its strings — where a block is at most

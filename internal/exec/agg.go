@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"streamrel/internal/expr"
+	"streamrel/internal/storage"
 	"streamrel/internal/types"
 )
 
@@ -15,6 +16,15 @@ import (
 // It is what aggregates whatever is not kept in the window-state store
 // (internal/ivm): snapshot queries, re-executing CQs and the post stage of
 // an enrichment join, over the store's rows at every close.
+//
+// A maintained aggregate — Maintain set, a consumer that keeps no row, and a
+// child that reads one table scan and nothing else (deltaScan) — keeps its
+// groups between executions whose snapshots decide the table's stamp, and
+// the table's mark: while the mark's Mut and every build side on the way stay
+// where they were, the next execution adds the rows appended since, from the
+// mark's Next, to the groups it kept (DBToaster's first-order delta; DESIGN
+// §11 "The plan cache"). Rows are added in RowID order and new groups go
+// last, so the output is the rescan's, float sums included.
 type HashAgg struct {
 	Child   Operator
 	GroupBy []*expr.Scalar
@@ -22,6 +32,9 @@ type HashAgg struct {
 	// SortedOutput makes group iteration deterministic (keyed order);
 	// used when no explicit ORDER BY will run above.
 	SortedOutput bool
+	// Maintain says no expression below the aggregate reads what only an
+	// execution knows ($n, now(), cq_close(*)).
+	Maintain bool
 	cursor
 
 	// What executions share: the groups, in the map by key — an execution
@@ -33,6 +46,8 @@ type HashAgg struct {
 	head        *aggGroup // this execution's groups, in order of first appearance
 	epoch, used int       // this execution, and the groups it has used
 	transient   bool      // the consumer keeps no row (see rowsTransient)
+	kept        bool      // maintained: the groups are the table's up to mark
+	mark        storage.Mark
 }
 
 type aggGroup struct {
@@ -50,9 +65,17 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	h.Close()
 	rowsTransient(h.Child) // a group keeps datums (its key, its accumulators), never a row
 	defer h.Child.Close()
+	kept := h.kept
+	h.kept = false // until the execution succeeds
 	if err := h.Child.Open(ctx); err != nil {
 		return err
 	}
+	var scan *SeqScan
+	held, same := false, false
+	if h.Maintain && h.transient {
+		scan, held, same = deltaScan(h.Child)
+	}
+	keep := scan != nil && held && ctx.Snap.Decided(scan.last)
 
 	// Group keys are evaluated into a scratch row and encoded into a scratch
 	// buffer, and most rows hit an existing group, so the steady state
@@ -66,14 +89,22 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	if nk == 0 {
 		first = 1
 	}
-	if 2*h.used <= len(h.groups) {
-		h.groups, h.slab = make(map[string]*aggGroup, h.used), expr.NewSlab[aggGroup](max(h.used, first))
-		h.scratch = make(types.Row, nk)
+	tail := &h.head
+	if kept && keep && same && scan.mark.Mut == h.mark.Mut {
+		scan.next = h.mark.Next // the groups hold the rows below it
+		for *tail != nil {
+			tail = &(*tail).next
+		}
+	} else {
+		h.forget()
+		if 2*h.used <= len(h.groups) {
+			h.groups, h.slab = make(map[string]*aggGroup, h.used), expr.NewSlab[aggGroup](max(h.used, first))
+			h.scratch = make(types.Row, nk)
+		}
+		h.epoch, h.used = h.epoch+1, 0
 	}
-	h.epoch, h.used = h.epoch+1, 0
 	blk := types.NewRowBlock(max(len(h.groups), first), nk+len(h.Aggs))
 	var keys strings.Builder
-	tail := &h.head
 	group := func(key []byte) (*aggGroup, error) {
 		g, ok := h.groups[string(key)]
 		if !ok {
@@ -156,15 +187,27 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	if h.SortedOutput && nk > 0 {
 		slices.SortStableFunc(h.rows, func(a, b types.Row) int { return types.CompareRows(a[:nk], b[:nk]) })
 	}
+	if h.kept = keep; keep {
+		h.mark = scan.mark
+	}
 	return nil
 }
 
 // Close implements Operator: the execution's groups are reset and let go of
-// their rows — a row the consumer kept none of is cleared instead.
+// their rows — a row the consumer kept none of is cleared instead — unless
+// the aggregate is maintained and keeps them for the next.
 func (h *HashAgg) Close() error {
 	h.ec = expr.Ctx{}
 	clear(h.scratch)
 	h.reset(clearRows(h.rows))
+	if !h.kept {
+		h.forget()
+	}
+	return nil
+}
+
+// forget resets the groups of the last execution.
+func (h *HashAgg) forget() {
 	for g := h.head; g != nil; g = g.next {
 		if h.transient {
 			clear(g.out)
@@ -175,8 +218,34 @@ func (h *HashAgg) Close() error {
 			expr.Reset(a)
 		}
 	}
-	h.head = nil
-	return nil
+	h.head, h.kept = nil, false
+}
+
+// deltaScan returns the table scan op reads and nothing else: op itself, or
+// under filters, projections and the probe side of joins that keep their
+// build side — with whether every such side is kept this execution (held)
+// and at the mark the last execution read (same).
+func deltaScan(op Operator) (scan *SeqScan, held, same bool) {
+	held, same = true, true
+	for {
+		switch o := op.(type) {
+		case *SeqScan:
+			return o, held, same
+		case *Filter:
+			op = o.Child
+		case *Project:
+			op = o.Child
+		case *counted:
+			op = o.op
+		case *HashJoin:
+			if o.Keep == nil {
+				return nil, false, false
+			}
+			op, held, same = o.Left, held && o.held, same && o.same
+		default:
+			return nil, false, false
+		}
+	}
 }
 
 func (h *HashAgg) rowsTransient() { h.transient = true }

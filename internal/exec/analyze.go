@@ -13,7 +13,8 @@ import (
 // time" reporting elsewhere.
 type OpStat struct {
 	// Name is the operator kind (SeqScan, HashJoin, …), and Detail what
-	// EXPLAIN prints beside it: an IndexScan's Range.
+	// EXPLAIN prints beside it: an IndexScan's Range, a HashAgg that is
+	// maintained (see HashAgg) "(maintained)".
 	Name, Detail string
 	// Depth is the operator's depth in the plan tree (root = 0).
 	Depth int
@@ -40,8 +41,13 @@ func instrument(op Operator, stats *[]*OpStat, depth int) Operator {
 		return nil
 	}
 	st := &OpStat{Name: opName(op), Depth: depth}
-	if ix, ok := op.(*IndexScan); ok {
-		st.Detail = ix.Range
+	switch o := op.(type) {
+	case *IndexScan:
+		st.Detail = o.Range
+	case *HashAgg:
+		if scan, _, _ := deltaScan(o.Child); o.Maintain && scan != nil {
+			st.Detail = "(maintained)"
+		}
 	}
 	*stats = append(*stats, st)
 	switch o := op.(type) {

@@ -46,7 +46,8 @@ func (c *Ctx) evalCtx() expr.Ctx {
 //     stage at every close; a snapshot query's once): Open re-arms all an
 //     execution reads, however the last one ended. Close lets go of every
 //     row the execution read or handed out — containers are cleared, not
-//     dropped — and keeps only scratch (HashAgg's map and reset groups);
+//     dropped — and keeps only scratch (HashAgg's map and reset groups, or
+//     a maintained HashAgg's groups as they stand: datums, never a row);
 //     rows a consumer may retain are fresh for each execution. The one
 //     thing trees share is a JoinBuild: a build side the plan owns,
 //     immutable once kept, which a HashJoin adopts while its table is

@@ -5,7 +5,6 @@ import (
 
 	"streamrel/internal/expr"
 	"streamrel/internal/storage"
-	"streamrel/internal/txn"
 	"streamrel/internal/types"
 )
 
@@ -55,6 +54,10 @@ type HashJoin struct {
 	// FULL outer: unmatched build rows are emitted after the probe.
 	unmatched    []types.Row
 	unmatchedPos int
+	// With Keep: the table's mark this execution read, whether its build side
+	// is kept (held) and whether the last execution read the same mark.
+	mark       storage.Mark
+	held, same bool
 }
 
 // buildRow is one build-side row in its key's chain. The head of a chain
@@ -78,23 +81,23 @@ type JoinBuild struct {
 }
 
 type keptBuild struct {
-	gen   uint64 // Heap's generation when it was built
+	mark  storage.Mark // Heap's when it was built
 	table map[string]int32
 	build []buildRow
 }
 
-// Kept returns the kept side's heap generation and rows; nil rows: none kept.
-func (b *JoinBuild) Kept() (gen uint64, rows []buildRow) {
+// Kept returns the kept side's heap mark and rows; nil rows: none kept.
+func (b *JoinBuild) Kept() (storage.Mark, []buildRow) {
 	if k := b.kept.Load(); k != nil {
-		return k.gen, k.build
+		return k.mark, k.build
 	}
-	return 0, nil
+	return storage.Mark{}, nil
 }
 
 // Open implements Operator. With Keep set it reads the heap's stamp after
 // ctx.Snap was taken and adopts the kept side if the snapshot decides every
-// stamp at the generation the side was built at (storage.Heap.Stamp says
-// why); otherwise it builds, and keeps what it built if the snapshot decides.
+// stamp at the mark the side was built at (storage.Heap.Stamp says why);
+// otherwise it builds, and keeps what it built if the snapshot decides.
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.ec = ctx.evalCtx()
 	j.out.reset()
@@ -110,13 +113,12 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.leftDone = false
 	j.unmatched = nil
 	j.unmatchedPos = 0
-	var gen uint64
 	decided := false
 	if j.Keep != nil {
-		var last txn.ID
-		gen, last = j.Keep.Heap.Stamp()
+		mark, last := j.Keep.Heap.Stamp()
 		decided = ctx.Snap.Decided(last)
-		if k := j.Keep.kept.Load(); decided && k != nil && k.gen == gen {
+		j.mark, j.held, j.same = mark, decided, mark == j.mark
+		if k := j.Keep.kept.Load(); decided && k != nil && k.mark == mark {
 			j.table, j.build = k.table, k.build
 			rowsTransient(j.Left)
 			return j.Left.Open(ctx)
@@ -163,7 +165,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		j.build[head].tail = int32(i)
 	}
 	if decided {
-		j.Keep.kept.Store(&keptBuild{gen: gen, table: j.table, build: j.build})
+		j.Keep.kept.Store(&keptBuild{mark: j.mark, table: j.table, build: j.build})
 	}
 	rowsTransient(j.Left) // a probe row is done with before the next is pulled
 	return j.Left.Open(ctx)

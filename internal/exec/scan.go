@@ -60,28 +60,32 @@ func (r *Relation) Transient() bool { return r.transient }
 type SeqScan struct {
 	Heap *storage.Heap
 
-	snap      txn.Snapshot
-	next, end storage.RowID // versions still to read
-	cursor                  // the container, and how much of it has been handed out
+	snap   txn.Snapshot
+	next   storage.RowID // the next version to read
+	mark   storage.Mark  // the heap's at Open: its Next ends the scan
+	last   txn.ID        // the heap's last stamp at Open
+	cursor               // the container, and how much of it has been handed out
 }
 
 // Open implements Operator. The heap's end is fixed here: a version appended
-// after it is invisible to the execution snapshot.
+// after it is invisible to the execution snapshot. A maintained HashAgg above
+// moves next to where its last execution stopped before the first pull.
 func (s *SeqScan) Open(ctx *Ctx) error {
 	s.snap = ctx.Snap
-	s.next, s.end = 0, s.Heap.NextID()
+	s.mark, s.last = s.Heap.Stamp()
+	s.next = 0
 	s.reset(s.rows[:0])
 	return nil
 }
 
 // NextBatch implements Operator: the cursor's, refilled when it runs dry.
 func (s *SeqScan) NextBatch(max int) ([]types.Row, error) {
-	if s.pos == len(s.rows) && s.next < s.end {
-		if want := min(chunkRows, int(s.end-s.next)); cap(s.rows) < want {
+	if s.pos == len(s.rows) && s.next < s.mark.Next {
+		if want := min(chunkRows, int(s.mark.Next-s.next)); cap(s.rows) < want {
 			s.rows = make([]types.Row, 0, want)
 		}
 		buf := s.rows[:0]
-		s.next = s.Heap.Read(s.snap, s.next, s.end, cap(buf), &buf, nil)
+		s.next = s.Heap.Read(s.snap, s.next, s.mark.Next, cap(buf), &buf, nil)
 		s.reset(buf)
 	}
 	return s.cursor.NextBatch(max)

@@ -17,8 +17,9 @@ const aggQual = "#agg"
 // buildAggregate plans GROUP BY / aggregate queries. The aggregation
 // output row layout is [group keys…, aggregate results…]; every post-
 // aggregation expression (projection, HAVING, ORDER BY) is rewritten to
-// reference that layout.
-func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool) (*node, error) {
+// reference that layout. pure says nothing planned below it reads an
+// execution's own state (see builder.reads).
+func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure bool) (*node, error) {
 	inScope := rel.scope
 
 	groupExprs, err := resolveGroupBy(sel, inScope)
@@ -42,7 +43,9 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 		compiledGroups[i] = s
 	}
 	aggSpecs := make([]expr.AggSpec, len(aggCalls))
+	pure = pure && !readsCall(groupExprs...)
 	for i, fc := range aggCalls {
+		pure = pure && !readsCall(fc.Args...)
 		spec := expr.AggSpec{Name: strings.ToLower(fc.Name), Star: fc.Star, Distinct: fc.Distinct}
 		if !fc.Star {
 			if len(fc.Args) != 1 {
@@ -173,7 +176,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 		return op
 	}
 	agg := func(in *Input) exec.Operator {
-		return &exec.HashAgg{Child: inner(in), GroupBy: compiledGroups, Aggs: aggSpecs, SortedOutput: sortedOutput}
+		return &exec.HashAgg{Child: inner(in), GroupBy: compiledGroups, Aggs: aggSpecs, SortedOutput: sortedOutput, Maintain: pure}
 	}
 	n := &node{
 		schema:   schema,
@@ -411,6 +414,21 @@ func sliceExprsCall(fn string, sel *sql.Select, groups []sql.Expr, aggs []*sql.F
 		}
 	}
 	return false
+}
+
+// readsCall reports whether any of es reads what only an execution knows: a
+// $n, now() or cq_close(*).
+func readsCall(es ...sql.Expr) bool {
+	found := false
+	for _, e := range es {
+		sql.WalkExprs(e, func(x sql.Expr) bool {
+			fc, call := x.(*sql.FuncCall)
+			_, param := x.(*sql.Param)
+			found = found || param || call && (strings.EqualFold(fc.Name, "now") || strings.EqualFold(fc.Name, "cq_close"))
+			return !found
+		})
+	}
+	return found
 }
 
 // callsFunc reports whether the expression calls the named function

@@ -169,11 +169,13 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 				return nil, err
 			}
 		}
-		// An enrichment post stage keeps a bare table's build side between
-		// closes, unless the close's clock is in its keys.
+		// A tree keeps a bare table's build side between executions — an
+		// enrichment post stage's between closes, a cached snapshot tree's
+		// between calls; a re-executing CQ's builds it at every close, the
+		// oracle of the first — unless the ON clause reads an execution's own
+		// state (then no aggregate above is maintained: see exec.deltaScan).
 		var keep *exec.JoinBuild
-		if on := andAll(conds); b.pre != nil && right.table != nil && (jt == exec.JoinInner || jt == exec.JoinLeft) &&
-			!callsFunc(on, "now") && !callsFunc(on, "cq_close") {
+		if (b.pre != nil || b.stream == nil) && right.table != nil && (jt == exec.JoinInner || jt == exec.JoinLeft) && !readsCall(conds...) {
 			keep = &exec.JoinBuild{Heap: right.table.Heap}
 			b.kept = append(b.kept, right.table.Name)
 		}
@@ -286,6 +288,9 @@ func (b *builder) equiKeys(c sql.Expr, left, right *scope) (*expr.Scalar, *expr.
 func (b *builder) pushFilter(rel *relNode, conds []sql.Expr) (*relNode, error) {
 	if len(conds) == 0 {
 		return rel, nil
+	}
+	if readsCall(conds...) {
+		b.reads++
 	}
 	remaining := conds
 	if rel.table != nil {

@@ -166,6 +166,9 @@ type builder struct {
 	// build sides that block keeps between closes (see combine).
 	pre  *relNode
 	kept []string
+	// reads counts the expressions planned so far that read an execution's
+	// own state (readsCall): an aggregate over none is maintained.
+	reads int
 }
 
 // node is a planned (sub)tree.

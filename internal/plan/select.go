@@ -94,6 +94,7 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 // buildSelectCore plans items/from/where/group/having of one block.
 func (b *builder) buildSelectCore(sel *sql.Select) (*node, error) {
 	hadStream := b.stream != nil
+	reads := b.reads
 
 	rel, postConds, err := b.buildFrom(sel.From, sel.Where)
 	if err != nil {
@@ -113,7 +114,7 @@ func (b *builder) buildSelectCore(sel *sql.Select) (*node, error) {
 	if !isAggregate(sel) {
 		return b.buildProjection(sel, rel)
 	}
-	return b.buildAggregate(sel, rel, streamOnlyFrom)
+	return b.buildAggregate(sel, rel, streamOnlyFrom, b.reads == reads)
 }
 
 // isAggregate reports whether the block groups or aggregates.
@@ -135,6 +136,11 @@ func (b *builder) buildProjection(sel *sql.Select, rel *relNode) (*node, error) 
 	exprs, schema, closeCol, err := b.compileItems(sel.Items, rel.scope)
 	if err != nil {
 		return nil, err
+	}
+	for _, item := range sel.Items {
+		if readsCall(item.Expr) { // an aggregate over this block reads it
+			b.reads++
+		}
 	}
 	inner := rel.build
 	n := &node{

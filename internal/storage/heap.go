@@ -57,7 +57,7 @@ type Heap struct {
 	schema types.Schema
 	segs   [][]version
 	n      RowID  // the next RowID
-	gen    uint64 // writes that can change what a snapshot reads (see Stamp)
+	mut    uint64 // writes below n that can change what a snapshot reads (see Stamp)
 	last   txn.ID // the largest transaction ID stamped
 }
 
@@ -148,10 +148,13 @@ func (h *Heap) checkArity(rows []types.Row) error {
 	return nil
 }
 
-// put stores rows at first and up. Callers hold mu for writing.
+// put stores rows at first and up; one that lands below the next RowID — a
+// slot refreshed, a gap filled — is a mutation. Callers hold mu for writing.
 func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
-	h.n = max(h.n, first+RowID(len(rows)))
-	h.gen, h.last = h.gen+1, max(h.last, tx)
+	if first < h.n {
+		h.mut++
+	}
+	h.n, h.last = max(h.n, first+RowID(len(rows))), max(h.last, tx)
 	for i, row := range rows {
 		if v := h.slot(first + RowID(i)); v.xmin != 0 {
 			v.row = row
@@ -193,7 +196,7 @@ func (h *Heap) Delete(tx txn.ID, id RowID) error {
 		return fmt.Errorf("storage: %s: row %d concurrently deleted", h.name, id)
 	}
 	v.xmax = tx
-	h.gen, h.last = h.gen+1, max(h.last, tx)
+	h.mut, h.last = h.mut+1, max(h.last, tx)
 	return nil
 }
 
@@ -202,19 +205,29 @@ func (h *Heap) UndoDelete(tx txn.ID, id RowID) {
 	h.mu.Lock()
 	if v := h.at(id); v != nil && v.xmax == tx {
 		v.xmax = 0
-		h.gen++
+		h.mut++
 	}
 	h.mu.Unlock()
 }
 
-// Stamp returns the heap's write generation, which every insert, delete and
-// undone delete moves, and the largest transaction ID it has stamped. Two
-// snapshots taken before it was read that both Decide last read the same rows
-// at one generation. Vacuum moves neither: no such snapshot sees what it takes.
-func (h *Heap) Stamp() (gen uint64, last txn.ID) {
+// Mark is where a heap stood: its mutation generation — moved by a delete,
+// an undone delete and a row stored below the next RowID — and the next RowID,
+// which every append moves. Below Next, what two marks that are equal hold is
+// the same.
+type Mark struct {
+	Mut  uint64
+	Next RowID
+}
+
+// Stamp returns, under one read of the lock, the heap's mark and the largest
+// transaction ID it has stamped. Two snapshots taken before it was read that
+// both Decide last read the same rows at one mark, and below a mark's Next at
+// any later mark of the same Mut. Vacuum moves neither: no such snapshot sees
+// what it takes.
+func (h *Heap) Stamp() (Mark, txn.ID) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.gen, h.last
+	return Mark{h.mut, h.n}, h.last
 }
 
 // Get returns the row for id if it is visible under snap.

@@ -657,57 +657,59 @@ func TestFarRowIDCostsOneSegment(t *testing.T) {
 }
 
 // TestHeapStampFollowsEveryWrite: every write that can change what a snapshot
-// reads moves the heap's generation — an insert, the refresh of an occupied
-// slot, a delete, an undone delete — and stamps its transaction into last;
-// what changes nothing a snapshot reads does not: a refused delete, an undo
-// of a stamp that is not there, EnsureNext, the reads, and Vacuum, which
-// reclaims only versions dead to every snapshot that decides the heap's
-// stamps.
+// reads below the next RowID moves the heap's mutation generation — the
+// refresh of an occupied slot, a row filling a gap, a delete, an undone
+// delete — and every append moves the next RowID; each stamps its
+// transaction into last. What changes nothing a snapshot reads moves
+// neither: a refused delete, an undo of a stamp that is not there, the reads,
+// and Vacuum, which reclaims only versions dead to every snapshot that
+// decides the heap's stamps. EnsureNext moves the next RowID alone.
 func TestHeapStampFollowsEveryWrite(t *testing.T) {
 	mgr := txn.NewManager()
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
-	if gen, last := h.Stamp(); gen != 0 || last != 0 {
-		t.Fatalf("an empty heap is stamped (%d, %d)", gen, last)
+	if mark, last := h.Stamp(); mark != (Mark{}) || last != 0 {
+		t.Fatalf("an empty heap is stamped (%v, %d)", mark, last)
 	}
 	ins, del := mgr.Begin(), mgr.Begin()
-	step := func(what string, moves bool, wantLast txn.ID, write func()) {
+	step := func(what string, mut, next bool, wantLast txn.ID, write func()) {
 		t.Helper()
-		gen, _ := h.Stamp()
+		before, _ := h.Stamp()
 		write()
 		after, last := h.Stamp()
-		if moved := after != gen; moved != moves || last != wantLast {
-			t.Errorf("%s: generation %d → %d, last %d; want moved %v, last %d", what, gen, after, last, moves, wantLast)
+		if (after.Mut != before.Mut) != mut || (after.Next != before.Next) != next || last != wantLast {
+			t.Errorf("%s: mark %v → %v, last %d; want Mut moved %v, Next moved %v, last %d", what, before, after, last, mut, next, wantLast)
 		}
 	}
-	step("InsertRun", true, ins.ID, func() { h.InsertRun(ins.ID, []types.Row{intRow(1), intRow(2), intRow(3)}) })
-	step("InsertRunAt past the end", true, ins.ID, func() { h.InsertRunAt(txn.Bootstrap, 10, []types.Row{intRow(10)}) })
-	step("InsertRunAt over an occupied slot", true, ins.ID, func() { h.InsertRunAt(txn.Bootstrap, 1, []types.Row{intRow(20)}) })
-	step("Delete", true, del.ID, func() {
+	step("InsertRun", false, true, ins.ID, func() { h.InsertRun(ins.ID, []types.Row{intRow(1), intRow(2), intRow(3)}) })
+	step("InsertRunAt past the end", false, true, ins.ID, func() { h.InsertRunAt(txn.Bootstrap, 10, []types.Row{intRow(10)}) })
+	step("InsertRunAt over an occupied slot", true, false, ins.ID, func() { h.InsertRunAt(txn.Bootstrap, 1, []types.Row{intRow(20)}) })
+	step("Delete", true, false, del.ID, func() {
 		if err := h.Delete(del.ID, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	step("a Delete of a deleted row", false, del.ID, func() { h.Delete(ins.ID, 0) })
-	step("a Delete of a gap", false, del.ID, func() { h.Delete(del.ID, 5) })
-	step("UndoDelete of another's stamp", false, del.ID, func() { h.UndoDelete(ins.ID, 0) })
-	step("UndoDelete", true, del.ID, func() { h.UndoDelete(del.ID, 0) })
-	step("UndoDelete again", false, del.ID, func() { h.UndoDelete(del.ID, 0) })
+	step("a Delete of a deleted row", false, false, del.ID, func() { h.Delete(ins.ID, 0) })
+	step("a Delete of a gap", false, false, del.ID, func() { h.Delete(del.ID, 5) })
+	step("InsertRunAt into a gap below the end", true, false, del.ID, func() { h.InsertRunAt(txn.Bootstrap, 5, []types.Row{intRow(5)}) })
+	step("UndoDelete of another's stamp", false, false, del.ID, func() { h.UndoDelete(ins.ID, 0) })
+	step("UndoDelete", true, false, del.ID, func() { h.UndoDelete(del.ID, 0) })
+	step("UndoDelete again", false, false, del.ID, func() { h.UndoDelete(del.ID, 0) })
 	ins.Commit()
 	del.Abort()
-	step("Delete and commit", true, del.ID+1, func() {
+	step("Delete and commit", true, false, del.ID+1, func() {
 		tx := mgr.Begin()
 		h.Delete(tx.ID, 2)
 		tx.Commit()
 	})
 	snap := mgr.SnapshotNow()
 	before := scanned(h, snap)
-	step("Vacuum", false, del.ID+1, func() {
+	step("Vacuum", false, false, del.ID+1, func() {
 		if n := h.Vacuum(snap, nil); n != 1 {
 			t.Fatalf("Vacuum reclaimed %d versions, want the deleted one", n)
 		}
 	})
-	step("EnsureNext and the reads", false, del.ID+1, func() {
-		h.EnsureNext(100)
+	step("EnsureNext", false, true, del.ID+1, func() { h.EnsureNext(100) })
+	step("the reads", false, false, del.ID+1, func() {
 		h.Get(snap, 1)
 		h.NextID()
 		scanned(h, snap)

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 	"weak"
+
+	"streamrel/internal/exec"
 )
 
 // TestKeptBuildReleasedOnClose: the build side an enrichment post stage
@@ -49,5 +51,59 @@ func TestKeptBuildReleasedOnClose(t *testing.T) {
 	runtime.GC()
 	if alive() {
 		t.Fatal("the kept build side outlives its CQ")
+	}
+}
+
+// TestMaintainedAggregatePinsNoDroppedTable: a cached report's idle tree keeps
+// its aggregate's groups and its join's build side between calls; once a table
+// it reads is dropped, the next statement drops the cached plan, and with it
+// both become garbage.
+func TestMaintainedAggregatePinsNoDroppedTable(t *testing.T) {
+	e := openMem(t)
+	mustExec(t, e, `CREATE TABLE fact (k bigint, v bigint)`)
+	mustExec(t, e, `CREATE TABLE dim (k bigint, name varchar)`)
+	mustExec(t, e, `INSERT INTO dim VALUES (1, 'a'), (2, 'b'), (3, 'a')`)
+	rows := make([]Row, 5000)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i % 4)), Int(int64(i))}
+	}
+	if err := e.BulkInsert("fact", rows); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT dim.name, count(*), sum(fact.v) FROM fact JOIN dim ON fact.k = dim.k GROUP BY dim.name`
+	for range 2 {
+		mustQuery(t, e, q)
+	}
+	agg, build := func() (weak.Pointer[exec.HashAgg], func() bool) {
+		idle := e.plans.entries[q].idle
+		tree := <-idle
+		defer func() { idle <- tree }()
+		for op := tree; ; {
+			switch o := op.(type) {
+			case *exec.Project:
+				op = o.Child
+			case *exec.HashAgg:
+				join := o.Child.(*exec.HashJoin)
+				_, kept := join.Keep.Kept()
+				if len(kept) != 3 {
+					t.Fatalf("the join kept %d build rows, want 3", len(kept))
+				}
+				w := weak.Make(&kept[0])
+				return weak.Make(o), func() bool { return w.Value() != nil }
+			default:
+				t.Fatalf("no aggregate in the cached tree: %T", op)
+			}
+		}
+	}()
+	runtime.GC()
+	if agg.Value() == nil || !build() {
+		t.Fatal("the idle tree's aggregate or its kept build side was collected while the plan is cached")
+	}
+	mustExec(t, e, `DROP TABLE dim`)
+	mustQuery(t, e, `SELECT 1`)
+	runtime.GC()
+	runtime.GC()
+	if agg.Value() != nil || build() {
+		t.Fatalf("after DROP TABLE the aggregate is reachable %v, the kept build side %v", agg.Value() != nil, build())
 	}
 }

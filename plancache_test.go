@@ -215,18 +215,29 @@ func TestPlanCacheConcurrent(t *testing.T) {
 
 // TestCachedQueryAllocs: a cached statement costs its execution, not its
 // planning. Over report_mixed's tables (20 000 rows, 512 sources, indexed by
-// source), its point lookup allocates at most 8 times a call and its
-// 512-group top five at most 12; planned per call they read 166 and 199.
+// source; 512 hosts over 24 sites), its point lookup allocates at most 8 times
+// a call, its 512-group top five at most 12 and its 24-site top five, a join
+// to the hosts, at most 8; planned per call the first two read 166 and 199, and
+// the join 15 cached before its tree kept its build side (7 after).
 func TestCachedQueryAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	e := openMem(t)
 	mustExec(t, e, `CREATE TABLE deny_archive (src_ip varchar, denials bigint, vol bigint)`)
 	mustExec(t, e, `CREATE INDEX deny_archive_ip ON deny_archive (src_ip)`)
-	rows := make([]Row, 20000)
+	mustExec(t, e, `CREATE TABLE hosts (src_ip varchar, site varchar)`)
+	mustExec(t, e, `CREATE INDEX hosts_ip ON hosts (src_ip)`)
+	ip := func(i int) Value { return String(fmt.Sprintf("10.0.%d.%d", i%512/256, i%256)) }
+	rows, hosts := make([]Row, 20000), make([]Row, 512)
 	for i := range rows {
-		rows[i] = Row{String(fmt.Sprintf("10.0.%d.%d", i%512/256, i%256)), Int(int64(1 + i%20)), Int(int64(40 + i))}
+		rows[i] = Row{ip(i), Int(int64(1 + i%20)), Int(int64(40 + i))}
+	}
+	for i := range hosts {
+		hosts[i] = Row{ip(i), String(fmt.Sprintf("site-%02d", i%24))}
 	}
 	if err := e.BulkInsert("deny_archive", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BulkInsert("hosts", hosts); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -236,6 +247,7 @@ func TestCachedQueryAllocs(t *testing.T) {
 	}{
 		{`SELECT count(*), sum(denials) FROM deny_archive WHERE src_ip = $1`, []Value{String("10.0.1.7")}, 8},
 		{`SELECT src_ip, sum(denials) AS d FROM deny_archive GROUP BY src_ip ORDER BY d DESC, src_ip LIMIT 5`, nil, 12},
+		{`SELECT h.site, sum(a.denials) AS d FROM deny_archive a, hosts h WHERE a.src_ip = h.src_ip GROUP BY h.site ORDER BY d DESC, h.site LIMIT 5`, nil, 8},
 	} {
 		run := func() {
 			if _, err := e.QueryArgs(c.sql, c.args...); err != nil {
@@ -252,8 +264,9 @@ func TestCachedQueryAllocs(t *testing.T) {
 }
 
 // TestExplainGenericPlan: EXPLAIN of a SELECT with parameters prints the
-// tree the plan cache keeps for it, $1 in its index range; a statement with
-// no parameters is explained as it always was.
+// tree the plan cache keeps for it, $1 in its index range, and marks an
+// aggregate that no $n reads below as maintained; a statement with no
+// parameters is explained as it always was.
 func TestExplainGenericPlan(t *testing.T) {
 	e := openMem(t)
 	mustExec(t, e, `CREATE TABLE kv (k bigint, v varchar)`)
@@ -270,6 +283,24 @@ func TestExplainGenericPlan(t *testing.T) {
 			"        Filter",
 			"          IndexScan kv_k [$1, $1]",
 			"  output: (count BIGINT, max VARCHAR)",
+		}},
+		{`SELECT k, count(*) FROM kv GROUP BY k HAVING count(*) > $1`, []string{
+			"Snapshot Query (SQ): runs once over an MVCC snapshot",
+			"  generic plan ($n read at Open):",
+			"    Project",
+			"      Filter",
+			"        HashAgg (maintained)",
+			"          SeqScan",
+			"  output: (k BIGINT, count BIGINT)",
+		}},
+		{`SELECT k, count(*) FROM kv WHERE v <> $1 GROUP BY k`, []string{
+			"Snapshot Query (SQ): runs once over an MVCC snapshot",
+			"  generic plan ($n read at Open):",
+			"    Project",
+			"      HashAgg",
+			"        Filter",
+			"          SeqScan",
+			"  output: (k BIGINT, count BIGINT)",
 		}},
 		{`SELECT count(*), max(v) FROM kv WHERE k = 1 AND v <> 'a'`, []string{
 			"Snapshot Query (SQ): runs once over an MVCC snapshot",
@@ -320,6 +351,58 @@ func TestCachedTreePinsNoArgs(t *testing.T) {
 		runtime.GC()
 		if args.Value() != nil {
 			t.Errorf("%s: the idle tree keeps the last call's arguments reachable", c.sql)
+		}
+	}
+}
+
+// TestCachedTreeKeepsBuildSide: a cached snapshot tree keeps its join's build
+// side between calls, as an enrichment post stage does between closes —
+// unless the ON clause reads a $n, whose value is the call's.
+func TestCachedTreeKeepsBuildSide(t *testing.T) {
+	e := openMem(t)
+	mustExec(t, e, `CREATE TABLE big (k bigint, v bigint)`)
+	mustExec(t, e, `CREATE TABLE small (k bigint, name varchar)`)
+	mustExec(t, e, `INSERT INTO big VALUES (1, 10), (2, 20), (3, 30)`)
+	mustExec(t, e, `INSERT INTO small VALUES (1, 'a'), (2, 'b'), (3, 'c')`)
+	for _, c := range []struct {
+		sql  string
+		kept bool
+	}{
+		{`SELECT count(*) FROM big JOIN small ON big.k = small.k WHERE big.v < $1`, true},
+		{`SELECT count(*) FROM big JOIN small ON big.k = small.k - $1 + 1`, false},
+		{`SELECT big.v, small.name FROM big JOIN small ON big.k = small.k AND small.k <> $1`, false},
+	} {
+		for range 2 {
+			mustQueryArgs(t, e, c.sql, Int(1))
+		}
+		ent := e.plans.entries[c.sql]
+		if ent == nil {
+			t.Fatalf("%s: not cached", c.sql)
+		}
+		tree := <-ent.idle
+		ent.idle <- tree
+		for op := tree; ; {
+			if j, ok := op.(*exec.HashJoin); ok {
+				var rows int
+				if j.Keep != nil {
+					_, kept := j.Keep.Kept()
+					rows = len(kept)
+				}
+				if (rows == 3) != c.kept {
+					t.Errorf("%s: keeps %d build rows (JoinBuild %v), want the table kept %v", c.sql, rows, j.Keep != nil, c.kept)
+				}
+				break
+			}
+			switch o := op.(type) {
+			case *exec.Project:
+				op = o.Child
+			case *exec.HashAgg:
+				op = o.Child
+			case *exec.Filter:
+				op = o.Child
+			default:
+				t.Fatalf("%s: no join in the cached tree: %T", c.sql, op)
+			}
 		}
 	}
 }
