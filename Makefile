@@ -118,9 +118,11 @@ drain-policies:
 # once vacuumed, TestReplaceChannelPinsNoBatch) and in the plan cache (a
 # cached snapshot query costs its execution, not its planning,
 # TestCachedQueryAllocs; a dropped table's heap goes with the next statement,
-# TestPlanCachePinsNoDroppedHeap; an idle tree keeps no call's arguments,
-# TestCachedTreePinsNoArgs) by name (Pins?No takes TestStoreKeysPinNoBatch
-# and the Pins{NoBatch,NoFire,NoRow,NoDroppedHeap,NoArgs} tests) and without
+# TestPlanCachePinsNoDroppedHeap, and so do a maintained aggregate's groups and
+# a kept build side, TestMaintainedAggregatePinsNoDroppedTable; an idle tree
+# keeps no call's arguments, TestCachedTreePinsNoArgs) by name (Pins?No takes
+# TestStoreKeysPinNoBatch and the Pins{NoBatch,NoFire,NoRow,NoDroppedHeap,
+# NoDroppedTable,NoArgs} tests) and without
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:

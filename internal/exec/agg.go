@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"streamrel/internal/expr"
-	"streamrel/internal/storage"
 	"streamrel/internal/types"
 )
 
@@ -17,14 +16,10 @@ import (
 // (internal/ivm): snapshot queries, re-executing CQs and the post stage of
 // an enrichment join, over the store's rows at every close.
 //
-// A maintained aggregate — Maintain set, a consumer that keeps no row, and a
-// child that reads one table scan and nothing else (deltaScan) — keeps its
-// groups between executions whose snapshots decide the table's stamp, and
-// the table's mark: while the mark's Mut and every build side on the way stay
-// where they were, the next execution adds the rows appended since, from the
-// mark's Next, to the groups it kept (DBToaster's first-order delta; DESIGN
-// §11 "The plan cache"). Rows are added in RowID order and new groups go
-// last, so the output is the rescan's, float sums included.
+// Maintained — Maintain set, a consumer that keeps no row, a child that reads
+// one table scan (deltaScan) — it keeps its groups and the table's mark, and
+// the next execution adds only the rows appended since (DESIGN §11 "The plan
+// cache").
 type HashAgg struct {
 	Child   Operator
 	GroupBy []*expr.Scalar
@@ -32,9 +27,7 @@ type HashAgg struct {
 	// SortedOutput makes group iteration deterministic (keyed order);
 	// used when no explicit ORDER BY will run above.
 	SortedOutput bool
-	// Maintain says no expression below the aggregate reads what only an
-	// execution knows ($n, now(), cq_close(*)).
-	Maintain bool
+	Maintain     bool // nothing below reads a $n, now() or cq_close(*)
 	cursor
 
 	// What executions share: the groups, in the map by key — an execution
@@ -46,8 +39,7 @@ type HashAgg struct {
 	head        *aggGroup // this execution's groups, in order of first appearance
 	epoch, used int       // this execution, and the groups it has used
 	transient   bool      // the consumer keeps no row (see rowsTransient)
-	kept        bool      // maintained: the groups are the table's up to mark
-	mark        storage.Mark
+	kept        bool      // maintained: the groups hold the table up to the scan's mark
 }
 
 type aggGroup struct {
@@ -70,12 +62,8 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	if err := h.Child.Open(ctx); err != nil {
 		return err
 	}
-	var scan *SeqScan
-	held, same := false, false
-	if h.Maintain && h.transient {
-		scan, held, same = deltaScan(h.Child)
-	}
-	keep := scan != nil && held && ctx.Snap.Decided(scan.last)
+	scan, held, same := deltaScan(h.Child)
+	keep := h.Maintain && h.transient && scan != nil && held && ctx.Snap.Decided(scan.last)
 
 	// Group keys are evaluated into a scratch row and encoded into a scratch
 	// buffer, and most rows hit an existing group, so the steady state
@@ -90,13 +78,13 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		first = 1
 	}
 	tail := &h.head
-	if kept && keep && same && scan.mark.Mut == h.mark.Mut {
-		scan.next = h.mark.Next // the groups hold the rows below it
+	if kept && keep && same && scan.mark.Mut == scan.prev.Mut {
+		scan.next = scan.prev.Next // the groups hold the rows below it
 		for *tail != nil {
 			tail = &(*tail).next
 		}
 	} else {
-		h.forget()
+		h.Close() // not kept: the groups are reset
 		if 2*h.used <= len(h.groups) {
 			h.groups, h.slab = make(map[string]*aggGroup, h.used), expr.NewSlab[aggGroup](max(h.used, first))
 			h.scratch = make(types.Row, nk)
@@ -187,9 +175,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	if h.SortedOutput && nk > 0 {
 		slices.SortStableFunc(h.rows, func(a, b types.Row) int { return types.CompareRows(a[:nk], b[:nk]) })
 	}
-	if h.kept = keep; keep {
-		h.mark = scan.mark
-	}
+	h.kept = keep
 	return nil
 }
 
@@ -200,14 +186,9 @@ func (h *HashAgg) Close() error {
 	h.ec = expr.Ctx{}
 	clear(h.scratch)
 	h.reset(clearRows(h.rows))
-	if !h.kept {
-		h.forget()
+	if h.kept {
+		return nil
 	}
-	return nil
-}
-
-// forget resets the groups of the last execution.
-func (h *HashAgg) forget() {
 	for g := h.head; g != nil; g = g.next {
 		if h.transient {
 			clear(g.out)
@@ -218,13 +199,13 @@ func (h *HashAgg) forget() {
 			expr.Reset(a)
 		}
 	}
-	h.head, h.kept = nil, false
+	h.head = nil
+	return nil
 }
 
-// deltaScan returns the table scan op reads and nothing else: op itself, or
-// under filters, projections and the probe side of joins that keep their
-// build side — with whether every such side is kept this execution (held)
-// and at the mark the last execution read (same).
+// deltaScan returns the table scan op reads and nothing else, under filters,
+// projections and the probe side of joins that keep their build side, and
+// whether every such side is kept (held) and read the last execution's mark.
 func deltaScan(op Operator) (scan *SeqScan, held, same bool) {
 	held, same = true, true
 	for {

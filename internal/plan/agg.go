@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,7 +19,7 @@ const aggQual = "#agg"
 // output row layout is [group keys…, aggregate results…]; every post-
 // aggregation expression (projection, HAVING, ORDER BY) is rewritten to
 // reference that layout. pure says nothing planned below it reads an
-// execution's own state (see builder.reads).
+// execution's own state (builder.reads).
 func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure bool) (*node, error) {
 	inScope := rel.scope
 
@@ -43,9 +44,9 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 		compiledGroups[i] = s
 	}
 	aggSpecs := make([]expr.AggSpec, len(aggCalls))
-	pure = pure && !readsCall(groupExprs...)
+	below := append([]sql.Expr{sel.Where}, groupExprs...) // what a slice or a maintained aggregate evaluates
 	for i, fc := range aggCalls {
-		pure = pure && !readsCall(fc.Args...)
+		below = append(below, fc.Args...)
 		spec := expr.AggSpec{Name: strings.ToLower(fc.Name), Star: fc.Star, Distinct: fc.Distinct}
 		if !fc.Star {
 			if len(fc.Args) != 1 {
@@ -175,6 +176,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 		}
 		return op
 	}
+	pure = pure && !calls(below, execState...)
 	agg := func(in *Input) exec.Operator {
 		return &exec.HashAgg{Child: inner(in), GroupBy: compiledGroups, Aggs: aggSpecs, SortedOutput: sortedOutput, Maintain: pure}
 	}
@@ -214,9 +216,9 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 	// and now() must be read at the fire, as re-execution reads it, not
 	// per arriving row.
 	sliceShape := streamOnly && b.stream != nil
-	readsNow := sliceShape && sliceExprsCall("now", sel, groupExprs, aggCalls)
+	readsNow := sliceShape && calls(below, "now")
 	b.readsNow = b.readsNow || readsNow
-	if sliceShape && !readsNow && !sliceExprsCall("cq_close", sel, groupExprs, aggCalls) {
+	if sliceShape && !readsNow && !calls(below, "cq_close") {
 		var baseConjs, residConjs []sql.Expr
 		var residual []*expr.Scalar
 		for _, c := range splitConjuncts(sel.Where) {
@@ -395,52 +397,24 @@ func unqualified(e sql.Expr) string {
 	}))
 }
 
-// sliceExprsCall reports whether the slice-evaluated parts of the query
-// (WHERE, group keys, aggregate arguments) call the named scalar function.
-func sliceExprsCall(fn string, sel *sql.Select, groups []sql.Expr, aggs []*sql.FuncCall) bool {
-	if sel.Where != nil && callsFunc(sel.Where, fn) {
-		return true
-	}
-	for _, g := range groups {
-		if callsFunc(g, fn) {
-			return true
-		}
-	}
-	for _, fc := range aggs {
-		for _, arg := range fc.Args {
-			if callsFunc(arg, fn) {
-				return true
-			}
-		}
-	}
-	return false
-}
+// execState names what calls reports an expression reads when only an
+// execution knows it: a $n, now() and cq_close(*).
+var execState = []string{"$", "now", "cq_close"}
 
-// readsCall reports whether any of es reads what only an execution knows: a
-// $n, now() or cq_close(*).
-func readsCall(es ...sql.Expr) bool {
+// calls reports whether any of es calls one of the named functions (lower
+// case) or, with "$" among them, reads a $n.
+func calls(es []sql.Expr, names ...string) bool {
 	found := false
 	for _, e := range es {
 		sql.WalkExprs(e, func(x sql.Expr) bool {
-			fc, call := x.(*sql.FuncCall)
-			_, param := x.(*sql.Param)
-			found = found || param || call && (strings.EqualFold(fc.Name, "now") || strings.EqualFold(fc.Name, "cq_close"))
+			switch x := x.(type) {
+			case *sql.FuncCall:
+				found = found || slices.Contains(names, strings.ToLower(x.Name))
+			case *sql.Param:
+				found = found || slices.Contains(names, "$")
+			}
 			return !found
 		})
 	}
-	return found
-}
-
-// callsFunc reports whether the expression calls the named function
-// (lower case).
-func callsFunc(e sql.Expr, fn string) bool {
-	found := false
-	sql.WalkExprs(e, func(x sql.Expr) bool {
-		if fc, ok := x.(*sql.FuncCall); ok && strings.ToLower(fc.Name) == fn {
-			found = true
-			return false
-		}
-		return true
-	})
 	return found
 }

@@ -169,13 +169,11 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 				return nil, err
 			}
 		}
-		// A tree keeps a bare table's build side between executions — an
-		// enrichment post stage's between closes, a cached snapshot tree's
-		// between calls; a re-executing CQ's builds it at every close, the
-		// oracle of the first — unless the ON clause reads an execution's own
-		// state (then no aggregate above is maintained: see exec.deltaScan).
+		// An enrichment post stage keeps a bare table's build side between
+		// closes and a snapshot tree between calls (a re-executing CQ, their
+		// oracle, builds it at every close), unless the ON clause reads execState.
 		var keep *exec.JoinBuild
-		if (b.pre != nil || b.stream == nil) && right.table != nil && (jt == exec.JoinInner || jt == exec.JoinLeft) && !readsCall(conds...) {
+		if (b.pre != nil || b.stream == nil) && right.table != nil && (jt == exec.JoinInner || jt == exec.JoinLeft) && !calls(conds, execState...) {
 			keep = &exec.JoinBuild{Heap: right.table.Heap}
 			b.kept = append(b.kept, right.table.Name)
 		}
@@ -289,7 +287,7 @@ func (b *builder) pushFilter(rel *relNode, conds []sql.Expr) (*relNode, error) {
 	if len(conds) == 0 {
 		return rel, nil
 	}
-	if readsCall(conds...) {
+	if calls(conds, execState...) {
 		b.reads++
 	}
 	remaining := conds

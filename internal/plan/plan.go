@@ -166,8 +166,8 @@ type builder struct {
 	// build sides that block keeps between closes (see combine).
 	pre  *relNode
 	kept []string
-	// reads counts the expressions planned so far that read an execution's
-	// own state (readsCall): an aggregate over none is maintained.
+	// reads counts the expressions planned that read execState: an aggregate
+	// over none is maintained.
 	reads int
 }
 

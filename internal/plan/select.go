@@ -137,11 +137,6 @@ func (b *builder) buildProjection(sel *sql.Select, rel *relNode) (*node, error) 
 	if err != nil {
 		return nil, err
 	}
-	for _, item := range sel.Items {
-		if readsCall(item.Expr) { // an aggregate over this block reads it
-			b.reads++
-		}
-	}
 	inner := rel.build
 	n := &node{
 		schema:   schema,
@@ -193,6 +188,9 @@ func (b *builder) compileItems(items []sql.SelectItem, sc *scope) ([]*expr.Scala
 			}
 			if isCQClose(item.Expr) && closeCol == -1 {
 				closeCol = len(exprs)
+			}
+			if calls([]sql.Expr{item.Expr}, execState...) { // an aggregate over this block reads it
+				b.reads++
 			}
 			schema = append(schema, types.Column{Name: outName(item, len(exprs)), Type: s.Type})
 			exprs = append(exprs, s)

@@ -148,8 +148,8 @@ func (h *Heap) checkArity(rows []types.Row) error {
 	return nil
 }
 
-// put stores rows at first and up; one that lands below the next RowID — a
-// slot refreshed, a gap filled — is a mutation. Callers hold mu for writing.
+// put stores rows at first and up; below the next RowID (a slot refreshed, a
+// gap filled) that is a mutation. Callers hold mu for writing.
 func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
 	if first < h.n {
 		h.mut++
@@ -210,20 +210,17 @@ func (h *Heap) UndoDelete(tx txn.ID, id RowID) {
 	h.mu.Unlock()
 }
 
-// Mark is where a heap stood: its mutation generation — moved by a delete,
-// an undone delete and a row stored below the next RowID — and the next RowID,
-// which every append moves. Below Next, what two marks that are equal hold is
-// the same.
+// Mark is a heap's mutation generation — moved by a delete, an undone delete
+// and a row stored below the next RowID — and its next RowID.
 type Mark struct {
 	Mut  uint64
 	Next RowID
 }
 
-// Stamp returns, under one read of the lock, the heap's mark and the largest
-// transaction ID it has stamped. Two snapshots taken before it was read that
-// both Decide last read the same rows at one mark, and below a mark's Next at
-// any later mark of the same Mut. Vacuum moves neither: no such snapshot sees
-// what it takes.
+// Stamp returns the heap's mark and the largest transaction ID it has
+// stamped, from one read. Snapshots taken before it was read that Decide last
+// read the same rows below Next at every mark of the same Mut. Vacuum moves
+// neither: no such snapshot sees what it takes.
 func (h *Heap) Stamp() (Mark, txn.ID) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
