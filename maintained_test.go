@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -261,7 +262,7 @@ func TestMaintainedAggregateUnderWriter(t *testing.T) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		for n := 0; ; n++ {
+		for n := 0; n < 400; n++ {
 			select {
 			case <-stop:
 				return
@@ -280,6 +281,7 @@ func TestMaintainedAggregateUnderWriter(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			runtime.Gosched()
 		}
 	}()
 	for r := range 4 {
