@@ -16,10 +16,9 @@ import (
 // (internal/ivm): snapshot queries, re-executing CQs and the post stage of
 // an enrichment join, over the store's rows at every close.
 //
-// Maintained — Maintain set, a consumer that keeps no row, a child that reads
-// one table scan (deltaScan) — it keeps its groups and the table's mark, and
-// the next execution adds only the rows appended since (DESIGN §11 "The plan
-// cache").
+// Maintained (Maintain, a consumer that keeps no row, one table scan below:
+// deltaScan), it keeps its groups, and the next execution adds only the rows
+// appended since (DESIGN §11 "The plan cache").
 type HashAgg struct {
 	Child   Operator
 	GroupBy []*expr.Scalar
@@ -36,10 +35,11 @@ type HashAgg struct {
 	scratch     types.Row
 	groups      map[string]*aggGroup
 	slab        expr.Slab[aggGroup]
-	head        *aggGroup // this execution's groups, in order of first appearance
-	epoch, used int       // this execution, and the groups it has used
-	transient   bool      // the consumer keeps no row (see rowsTransient)
-	kept        bool      // maintained: the groups hold the table up to the scan's mark
+	head        *aggGroup  // this execution's groups, in order of first appearance
+	epoch, used int        // this execution, and the groups it has used
+	transient   bool       // the consumer keeps no row (see rowsTransient)
+	kept        bool       // maintained: the groups hold the table up to the scan's mark
+	tail        **aggGroup // where a maintained execution links its next new group
 }
 
 type aggGroup struct {
@@ -79,10 +79,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	}
 	tail := &h.head
 	if kept && keep && same && scan.mark.Mut == scan.prev.Mut {
-		scan.next = scan.prev.Next // the groups hold the rows below it
-		for *tail != nil {
-			tail = &(*tail).next
-		}
+		scan.next, tail = scan.prev.Next, h.tail // the groups hold the rows below it
 	} else {
 		h.Close() // not kept: the groups are reset
 		if 2*h.used <= len(h.groups) {
@@ -175,13 +172,12 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	if h.SortedOutput && nk > 0 {
 		slices.SortStableFunc(h.rows, func(a, b types.Row) int { return types.CompareRows(a[:nk], b[:nk]) })
 	}
-	h.kept = keep
+	h.kept, h.tail = keep, tail
 	return nil
 }
 
 // Close implements Operator: the execution's groups are reset and let go of
-// their rows — a row the consumer kept none of is cleared instead — unless
-// the aggregate is maintained and keeps them for the next.
+// their rows — a row the consumer kept none of is cleared instead — unless kept.
 func (h *HashAgg) Close() error {
 	h.ec = expr.Ctx{}
 	clear(h.scratch)
@@ -199,16 +195,15 @@ func (h *HashAgg) Close() error {
 			expr.Reset(a)
 		}
 	}
-	h.head = nil
+	h.head, h.tail = nil, nil
 	return nil
 }
 
-// deltaScan returns the table scan op reads and nothing else, under filters,
-// projections and the probe side of joins that keep their build side, and
-// whether every such side is kept (held) and read the last execution's mark.
+// deltaScan returns the one table scan op reads, through filters, projections
+// and the probe side of joins with a JoinBuild, and whether every such join's
+// side is kept (held) and at the mark the last execution read (same).
 func deltaScan(op Operator) (scan *SeqScan, held, same bool) {
-	held, same = true, true
-	for {
+	for held, same = true, true; ; {
 		switch o := op.(type) {
 		case *SeqScan:
 			return o, held, same
@@ -216,8 +211,6 @@ func deltaScan(op Operator) (scan *SeqScan, held, same bool) {
 			op = o.Child
 		case *Project:
 			op = o.Child
-		case *counted:
-			op = o.op
 		case *HashJoin:
 			if o.Keep == nil {
 				return nil, false, false

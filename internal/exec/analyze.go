@@ -13,8 +13,7 @@ import (
 // time" reporting elsewhere.
 type OpStat struct {
 	// Name is the operator kind (SeqScan, HashJoin, …), and Detail what
-	// EXPLAIN prints beside it: an IndexScan's Range, a HashAgg that is
-	// maintained (see HashAgg) "(maintained)".
+	// EXPLAIN prints beside it: an IndexScan's Range, a HashAgg's "(maintained)".
 	Name, Detail string
 	// Depth is the operator's depth in the plan tree (root = 0).
 	Depth int

@@ -54,8 +54,7 @@ type HashJoin struct {
 	// FULL outer: unmatched build rows are emitted after the probe.
 	unmatched    []types.Row
 	unmatchedPos int
-	// With Keep: the table's mark this execution read, whether its build side
-	// is kept (held) and whether the last execution read the same mark.
+	// With Keep: the table's mark read, the side kept, the last execution's mark.
 	mark       storage.Mark
 	held, same bool
 }

@@ -16,10 +16,14 @@ import (
 // fact's (g, v) rows — bare, or joined on g to dim's (g, name) rows and
 // grouped by name — with count(*), a float sum and min(v). The aggregate is
 // maintained when maintain is set; keep, if set, is the join's kept build
-// side. The float sum fails at v = 4243. The tree is instrumented: stats[1]
-// is the aggregate, and the scan of fact the first SeqScan.
-func report(fact, dim *storage.Heap, keep *JoinBuild, maintain bool) (Operator, []*OpStat) {
-	var in Operator = &Filter{Child: &SeqScan{Heap: fact}, Pred: predFn(func(r types.Row) bool { return r[1].IsNull() || r[1].Int()%7 != 0 })}
+// side. The float sum fails at v = 4243. *read counts the rows fact's scan
+// hands out: the filter above it evaluates each.
+func report(fact, dim *storage.Heap, keep *JoinBuild, maintain bool) (tree Operator, read *int64) {
+	read = new(int64)
+	var in Operator = &Filter{Child: &SeqScan{Heap: fact}, Pred: predFn(func(r types.Row) bool {
+		*read++
+		return r[1].IsNull() || r[1].Int()%7 != 0
+	})}
 	group := col(0)
 	if dim != nil {
 		in = &HashJoin{Left: in, Right: &SeqScan{Heap: dim}, Keep: keep,
@@ -35,16 +39,7 @@ func report(fact, dim *storage.Heap, keep *JoinBuild, maintain bool) (Operator, 
 	}}
 	agg := &HashAgg{Child: in, GroupBy: []*expr.Scalar{group}, Maintain: maintain, Aggs: []expr.AggSpec{
 		{Name: "count", Star: true}, {Name: "sum", Arg: tenth}, {Name: "min", Arg: col(1)}}}
-	return Instrument(&Project{Child: agg, Exprs: []*expr.Scalar{col(0), col(1), col(2), col(3)}})
-}
-
-// scanned is how many rows the first SeqScan in stats has handed out so far.
-func scanned(stats []*OpStat) int64 {
-	for i := 0; ; i++ {
-		if stats[i].Name == "SeqScan" {
-			return stats[i].Rows
-		}
-	}
+	return &Project{Child: agg, Exprs: []*expr.Scalar{col(0), col(1), col(2), col(3)}}, read
 }
 
 func drainStrings(t *testing.T, snap txn.Snapshot, op Operator) []string {
@@ -71,7 +66,7 @@ func TestMaintainedAggMatchesFresh(t *testing.T) {
 		mgr := txn.NewManager()
 		fact, dim := storage.NewHeap("fact", schema), storage.NewHeap("dim", schema)
 		bare, _ := report(fact, nil, nil, true)
-		joined, stats := report(fact, dim, &JoinBuild{Heap: dim}, true)
+		joined, read := report(fact, dim, &JoinBuild{Heap: dim}, true)
 		type open struct {
 			tx      *txn.Txn
 			deleted map[*storage.Heap][]storage.RowID
@@ -137,14 +132,14 @@ func TestMaintainedAggMatchesFresh(t *testing.T) {
 					tree Operator
 					dim  *storage.Heap
 				}{{bare, nil}, {joined, dim}} {
-					fresh, freshStats := report(fact, c.dim, nil, false)
+					fresh, freshRead := report(fact, c.dim, nil, false)
 					want := drainStrings(t, snap, fresh)
-					before := scanned(stats)
+					before := *read
 					got := drainStrings(t, snap, c.tree)
 					if !slices.Equal(got, want) {
 						t.Fatalf("seed %d step %d, join %v: the maintained tree reads\n%v\na fresh one\n%v", seed, step, c.dim != nil, got, want)
 					}
-					if execs++; c.dim != nil && scanned(stats)-before < scanned(freshStats) {
+					if execs++; c.dim != nil && *read-before < *freshRead {
 						deltas++
 					}
 				}
@@ -159,10 +154,11 @@ func TestMaintainedAggMatchesFresh(t *testing.T) {
 
 // TestMaintainedAggReadsOnlyTheDelta is the counting pin: over a table of
 // 5 000 rows — two heap segments — a maintained aggregate, bare or over a
-// join to a kept build side, reads at each execution the k rows appended since
-// the last, counted at the SeqScan, and EXPLAIN marks it; a delete, a change
-// to the build side, an undecided snapshot or a failed execution makes the
-// next read the whole table, and without Maintain every execution does.
+// join to a kept build side, reads at each execution the k rows appended
+// since the last, counted as the SeqScan hands them out, and EXPLAIN marks
+// it; a delete, a change to the build side, an undecided snapshot or a failed
+// execution makes the next read the whole table, and without Maintain every
+// execution does.
 func TestMaintainedAggReadsOnlyTheDelta(t *testing.T) {
 	schema := types.Schema{{Name: "g", Type: types.TypeInt}, {Name: "v", Type: types.TypeInt}}
 	for _, c := range []struct {
@@ -186,27 +182,28 @@ func TestMaintainedAggReadsOnlyTheDelta(t *testing.T) {
 		}
 		insert(dim, 10)
 		insert(fact, 5000)
-		var tree Operator
-		var stats []*OpStat
-		if c.join {
-			tree, stats = report(fact, dim, &JoinBuild{Heap: dim}, c.maintain)
-		} else {
-			tree, stats = report(fact, nil, nil, c.maintain)
+		build := func() (Operator, *int64) {
+			if c.join {
+				return report(fact, dim, &JoinBuild{Heap: dim}, c.maintain)
+			}
+			return report(fact, nil, nil, c.maintain)
 		}
-		if marked := stats[1].Detail == "(maintained)"; marked != c.maintain {
+		explained, _ := build()
+		if _, stats := Instrument(explained); (stats[1].Detail == "(maintained)") != c.maintain {
 			t.Errorf("%s: EXPLAIN reads %q", c.name, stats[1].Name+" "+stats[1].Detail)
 		}
+		tree, read := build()
 		step := func(what string, want int64, snap txn.Snapshot) {
 			t.Helper()
 			if !c.maintain {
 				want = table
 			}
-			before := scanned(stats)
+			before := *read
 			fresh, _ := report(fact, map[bool]*storage.Heap{true: dim}[c.join], nil, false)
 			if got, fresh := drainStrings(t, snap, tree), drainStrings(t, snap, fresh); !slices.Equal(got, fresh) {
 				t.Fatalf("%s, %s: %v, fresh %v", c.name, what, got, fresh)
 			}
-			if got := scanned(stats) - before; got != want {
+			if got := *read - before; got != want {
 				t.Errorf("%s, %s: the scan read %d rows, want %d", c.name, what, got, want)
 			}
 		}
@@ -237,11 +234,11 @@ func TestMaintainedAggReadsOnlyTheDelta(t *testing.T) {
 
 		insert(fact, 1, irow(1, 4243))
 		for _, want := range []int64{1, table} { // the delta, then the table: the failure kept nothing
-			before := scanned(stats)
+			before := *read
 			if _, err := Drain(&Ctx{Snap: mgr.SnapshotNow()}, tree, 0); err == nil {
 				t.Fatalf("%s: a row that fails the aggregate was read without an error", c.name)
 			}
-			if got := scanned(stats) - before; got != want && c.maintain {
+			if got := *read - before; got != want && c.maintain {
 				t.Errorf("%s, failing: the scan read %d rows, want %d", c.name, got, want)
 			}
 		}

@@ -63,14 +63,13 @@ type SeqScan struct {
 	snap   txn.Snapshot
 	next   storage.RowID // the next version to read
 	mark   storage.Mark  // the heap's at Open, whose Next ends the scan
-	prev   storage.Mark  // the heap's at the Open before
+	prev   storage.Mark  // the heap's at the Open before: a maintained HashAgg resumes there
 	last   txn.ID        // the heap's last stamp at Open
 	cursor               // the container, and how much of it has been handed out
 }
 
 // Open implements Operator. The heap's end is fixed here: a version appended
-// after it is invisible to the execution snapshot. (A maintained HashAgg
-// moves next before the first pull.)
+// after it is invisible to the execution snapshot.
 func (s *SeqScan) Open(ctx *Ctx) error {
 	s.snap, s.next, s.prev = ctx.Snap, 0, s.mark
 	s.mark, s.last = s.Heap.Stamp()

@@ -397,8 +397,7 @@ func unqualified(e sql.Expr) string {
 	}))
 }
 
-// execState names what calls reports an expression reads when only an
-// execution knows it: a $n, now() and cq_close(*).
+// execState is what only an execution knows: a $n, now() and cq_close(*).
 var execState = []string{"$", "now", "cq_close"}
 
 // calls reports whether any of es calls one of the named functions (lower

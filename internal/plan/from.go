@@ -169,9 +169,8 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 				return nil, err
 			}
 		}
-		// An enrichment post stage keeps a bare table's build side between
-		// closes and a snapshot tree between calls (a re-executing CQ, their
-		// oracle, builds it at every close), unless the ON clause reads execState.
+		// A post stage keeps a bare table's build side between closes, a snapshot
+		// tree between calls (a re-executing CQ builds it: their oracle), unless ON reads execState.
 		var keep *exec.JoinBuild
 		if (b.pre != nil || b.stream == nil) && right.table != nil && (jt == exec.JoinInner || jt == exec.JoinLeft) && !calls(conds, execState...) {
 			keep = &exec.JoinBuild{Heap: right.table.Heap}

@@ -164,11 +164,9 @@ type builder struct {
 	// pre, when set, is what FROM #pre plans to: the pre-aggregated stream
 	// of an enrichment post block (see enrich); kept names the tables whose
 	// build sides that block keeps between closes (see combine).
-	pre  *relNode
-	kept []string
-	// reads counts the expressions planned that read execState: an aggregate
-	// over none is maintained.
-	reads int
+	pre   *relNode
+	kept  []string
+	reads int // expressions planned that read execState: an aggregate over none is maintained
 }
 
 // node is a planned (sub)tree.

@@ -148,8 +148,7 @@ func (h *Heap) checkArity(rows []types.Row) error {
 	return nil
 }
 
-// put stores rows at first and up; below the next RowID (a slot refreshed, a
-// gap filled) that is a mutation. Callers hold mu for writing.
+// put stores rows at first and up, a mutation below n. Callers hold mu for writing.
 func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
 	if first < h.n {
 		h.mut++
