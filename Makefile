@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck cover bench bench-selftest check clean-stamps drain-policies alloc-pins poison fuzz cluster-smoke loc
+.PHONY: all build test race vet fmt staticcheck cover bench-selftest check drain-policies alloc-pins poison fuzz cluster-smoke loc
 
 all: build
 
@@ -38,7 +38,8 @@ cover:
 
 # drain-policies runs the stream runtime, the experiments and the root
 # fan-out/sharing/alloc suites under the race detector at 1 and 4 CPUs, so
-# both mailbox drain policies (producer-drained, scheduler pool),
+# both mailbox drain policies (producer-drained, scheduler pool) — at a
+# thousand subscribers too, TestFanoutStealingMatchesSerialAtScale —
 # concurrent CQTIME SYSTEM stamping, the rows a store's fires share with
 # every member and with later fires, and the suites that subscribe, detach,
 # fail and cascade under a pool (store faults, concurrent subscribe/
@@ -99,7 +100,12 @@ drain-policies:
 # TestRecycledGroupsMemoryBounded; a tumbling view's window groups are the next
 # window's, so its in-place close costs nothing, TestTumblingRebuildAllocs,
 # TestTumblingViewMemoryBounded; a client's RPC timeout costs a round trip
-# nothing, TestRoundTripAllocs; an enrichment
+# nothing, TestRoundTripAllocs; an append of 4 keyed rows over the wire into a
+# durable shard, directly or through a one-shard router, a bounded count a row
+# for the whole process, TestRouterAppendAllocs; a batch delivered to one of a
+# hundred subscribers of one feed under the scheduler a bounded count,
+# TestSharedFireAllocs; a telemetry snapshot one too, TestSysSnapshotAllocs;
+# an enrichment
 # fire independent of window rows, over the build side its post stage kept,
 # through the tree it built at its first close, which keeps none of the rows
 # it delivered, TestPostTreePinsNoFire, its view written in place so the fire
@@ -126,7 +132,7 @@ drain-policies:
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream ./client .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream ./internal/shard ./client .
 
 # poison runs the root suites (the SQL suite, the equivalence suites), the
 # experiments and the decoders' packages in poison mode (types.Poison): a row
@@ -148,27 +154,7 @@ alloc-pins:
 poison:
 	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/server ./internal/wal ./internal/repl ./replica ./internal/ivm ./internal/stream
 
-check: build fmt vet staticcheck test race drain-policies alloc-pins poison clean-stamps
-
-# clean-stamps fails if a committed srbench report was stamped from a dirty
-# tree: a dirty stamp is not evidence (a clean report omits the key).
-clean-stamps:
-	@! grep -l '"git_dirty": true' BENCH_*.json
-
-# bench regenerates what srbench still measures because bench/ cannot host
-# it yet — the shard scale-out ladder (E13) into BENCH_shard.json, the
-# scheduler + plan-sharing ladder (E15) into BENCH_sched.json, the sysmon
-# overhead (E16) into BENCH_sysmon.json, gated on the checked-in allocs
-# budget, and the replication apply lag (E10) into BENCH_repl.json. Each
-# report carries git_sha, git_dirty and started; commit the code first, so
-# the stamps are clean. Comparing two runs, and every other engineering
-# number, is bench/'s job (`bash bench/run.sh`, bench/README.md); `go test
-# -bench . -benchmem` is the microbenchmark loop.
-bench:
-	$(GO) run ./cmd/srbench -scale 0.5 -only E13 -json BENCH_shard.json -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 1 -only E15 -json BENCH_sched.json -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 1 -only E16 -json BENCH_sysmon.json -budget BENCH_budget.json
-	$(GO) run ./cmd/srbench -scale 1 -only E10 -json BENCH_repl.json
+check: build fmt vet staticcheck test race drain-policies alloc-pins poison
 
 # bench-selftest compiles, vets and self-tests the benchmark (bench/ is a
 # module of its own, so `go build ./... && go test ./...` never sees it and

@@ -3,9 +3,13 @@ package streamrel
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"streamrel/internal/workload"
 )
 
 // fanoutQueries are eight CQs of varying shape over one stream — the
@@ -104,6 +108,123 @@ func TestFanoutParallelMatchesSerial(t *testing.T) {
 					i, len(parallel[i]), len(serial[i]))
 			}
 		}
+	}
+}
+
+// sharedClickQuery is one dashboard query that many subscribers watch; they
+// all attach to one feed. uniqueClickQuery(i) is a distinct plan per i: its
+// predicate is on a column it does not group by, so it cannot become a
+// residual over a shared store, and each CQ gets a feed of its own.
+const sharedClickQuery = `SELECT url, count(*) AS hits
+	FROM url_stream <VISIBLE '60 seconds' ADVANCE '20 seconds'> GROUP BY url`
+
+func uniqueClickQuery(i int) string {
+	return fmt.Sprintf(`SELECT url, count(*) AS hits
+		FROM url_stream <VISIBLE '60 seconds' ADVANCE '20 seconds'>
+		WHERE client_ip <> '10.9.9.%d' GROUP BY url`, i)
+}
+
+// runClickCQs subscribes one CQ per query to a clickstream on an engine
+// opened with cfg, appends rows in batches of 256, advances the stream past
+// the last row by tail and flushes. It returns each CQ's transcript (every
+// batch's close and rows, a line each), the batches delivered, and the heap
+// allocations the whole process made from the first append to the flush.
+func runClickCQs(t *testing.T, cfg Config, queries []string, rows []Row, tail time.Duration) (transcripts []string, fires int, mallocs uint64) {
+	t.Helper()
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustExec(t, e, `CREATE STREAM url_stream (url varchar, atime timestamp CQTIME USER, client_ip varchar)`)
+	cqs := make([]*CQ, len(queries))
+	for i, q := range queries {
+		if cqs[i], err = e.Subscribe(q); err != nil {
+			t.Fatalf("Subscribe(%q): %v", q, err)
+		}
+	}
+	// Registration garbage is not the ingest's.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := 0; off < len(rows); off += 256 {
+		if err := e.Append("url_stream", rows[off:min(off+256, len(rows))]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := time.UnixMicro(rows[len(rows)-1][1].TimestampMicros())
+	if err := e.AdvanceTime("url_stream", last.Add(tail)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	transcripts = make([]string, len(cqs))
+	for i, cq := range cqs {
+		var b strings.Builder
+		for _, batch := range cq.Drain() {
+			fmt.Fprintf(&b, "c=%d\n", batch.Close.UnixMicro())
+			for _, r := range batch.Rows {
+				b.WriteString(r.String())
+				b.WriteByte('\n')
+			}
+			fires++
+		}
+		transcripts[i] = b.String()
+		cq.Close()
+	}
+	return transcripts, fires, after.Mallocs - before.Mallocs
+}
+
+// TestFanoutStealingMatchesSerialAtScale runs the work-stealing scheduler at
+// a thousand subscribers: a thousand copies of one query on one feed, then a
+// thousand distinct plans with a feed apiece. At ParallelCQ 8 every CQ's
+// transcript — closes, rows, row order — is byte-identical to the synchronous
+// engine's, and none is empty. At 100 events a second the stream crosses two
+// closes while it ingests and a third after.
+func TestFanoutStealingMatchesSerialAtScale(t *testing.T) {
+	const k = 1000
+	rows := workload.NewClickstream(workload.ClickConfig{Seed: 15, EventsPerSec: 100}).Take(4000)
+	shared := make([]string, k)
+	unique := make([]string, k)
+	for i := range shared {
+		shared[i] = sharedClickQuery
+		unique[i] = uniqueClickQuery(i)
+	}
+	for name, queries := range map[string][]string{"shared": shared, "unique": unique} {
+		serial, _, _ := runClickCQs(t, Config{}, queries, rows, 30*time.Second)
+		stealing, _, _ := runClickCQs(t, Config{ParallelCQ: 8}, queries, rows, 30*time.Second)
+		for i := range serial {
+			if serial[i] == "" {
+				t.Fatalf("%s CQ %d delivered nothing; workload too small", name, i)
+			}
+			if stealing[i] != serial[i] {
+				t.Fatalf("%s CQ %d diverges:\nserial:\n%s\nstealing:\n%s", name, i, serial[i], stealing[i])
+			}
+		}
+	}
+}
+
+// TestSharedFireAllocs: a hundred subscribers of one query under the
+// scheduler cost at most 10.24 allocations per batch delivered, counting
+// the whole ingest — 12 000 rows at 2 000 events a second — and the closes
+// the clock's advance fires. The subscribers share the feed's store, its
+// fire and the rows it emits, so a fire's cost to each is a queue slot.
+func TestSharedFireAllocs(t *testing.T) {
+	queries := make([]string, 100)
+	for i := range queries {
+		queries[i] = sharedClickQuery
+	}
+	rows := workload.NewClickstream(workload.ClickConfig{Seed: 15, EventsPerSec: 2000}).Take(12_000)
+	_, fires, mallocs := runClickCQs(t, Config{ParallelCQ: 8}, queries, rows, 30*time.Second)
+	if fires < len(queries) {
+		t.Fatalf("%d CQs delivered %d batches", len(queries), fires)
+	}
+	perFire := float64(mallocs) / float64(fires)
+	t.Logf("%d batches delivered, %.2f allocations a batch", fires, perFire)
+	if perFire > 10.24 && !racing {
+		t.Fatalf("%.2f allocations per delivered batch, want at most 10.24", perFire)
 	}
 }
 

@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -25,9 +24,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// Metrics carries machine-readable scalars (latency quantiles and
-	// the like) into the -json report alongside the formatted rows.
-	Metrics map[string]float64 `json:"Metrics,omitempty"`
 }
 
 // String renders the table with aligned columns.
@@ -66,16 +62,6 @@ func (t *Table) String() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	if len(t.Metrics) > 0 {
-		keys := make([]string, 0, len(t.Metrics))
-		for k := range t.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "metric: %s = %g\n", k, t.Metrics[k])
-		}
 	}
 	return b.String()
 }
@@ -135,9 +121,8 @@ func fmtX(x float64) string {
 
 // Index is the one list of experiments: cmd/srbench's -list, -only and
 // dispatch, All and the test all range over it. F1 and E1–E8 reproduce the
-// paper's figure and quantified claims; E10, E13, E15 and E16 are the
-// engineering rungs bench/ cannot host yet (the rest moved there — see
-// EXPERIMENTS.md).
+// paper's figure and quantified claims; every engineering number is bench/'s
+// (see EXPERIMENTS.md).
 var Index = []struct {
 	ID, What string
 	Run      func(Scale) (*Table, error)
@@ -151,10 +136,6 @@ var Index = []struct {
 	{"E6", "§4 recovery: rebuild from Active Tables vs recompute from raw archive", E6},
 	{"E7", "§5 map/reduce comparison: successive refreshes over a growing log", E7},
 	{"E8", "§1.2 result-availability delay: batch period vs 1-minute windows", E8},
-	{"E10", "replication: replica apply-lag quantiles under live ingest (log shipping over loopback TCP)", E10},
-	{"E13", "shard scale-out ladder: keyed ingest rows/s + window fire latency, direct vs router over 1/2/4 shards", E13},
-	{"E15", "work-stealing scheduler + plan sharing: 100/1k/10k CQs, registration + ingest + fire latency, serial-equivalence gated", E15},
-	{"E16", "self-observability overhead: ingest throughput with sysmon off / 1s default / 10ms aggressive, allocs/snapshot", E16},
 }
 
 // All runs every experiment at the given scale.

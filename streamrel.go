@@ -132,7 +132,7 @@ type Config struct {
 	// store of its own keeps (DESIGN.md "Window state"). StateReexec makes
 	// every CQ re-execute (the equivalence oracle; E3's baseline),
 	// StatePrivate gives each CQ a store of its own (N independent
-	// pipelines: E16, the BenchmarkFanout*/BenchmarkIngest* loops).
+	// pipelines: the BenchmarkFanout*/BenchmarkIngest* loops).
 	StateOverride StateOverride
 	// LateRows chooses what happens to out-of-order stream input:
 	// reject (default), drop, or clamp to the high-water mark.

@@ -2,6 +2,7 @@ package streamrel
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"streamrel/internal/metrics"
+	"streamrel/internal/workload"
 )
 
 // sysClockAt returns a Config.Now closure backed by a settable fake
@@ -222,6 +224,42 @@ func TestSysmonDisabledByDefault(t *testing.T) {
 	}
 	if _, err := e.Subscribe(`SELECT count(*) FROM sys.metrics <ADVANCE '1 minute'>`); err == nil {
 		t.Fatal("sys.metrics should not exist when sysmon is off")
+	}
+}
+
+// TestSysSnapshotAllocs: a telemetry snapshot of an engine with four
+// pipelines' series costs at most 400 allocations. A snapshot gathers the
+// registry, the pipeline stats and the trace ring and appends a batch to
+// each sys.* stream, so its cost follows the series, not the ingest rate;
+// the ticker pays it once an interval.
+func TestSysSnapshotAllocs(t *testing.T) {
+	e, err := Open(Config{StateOverride: StatePrivate, SysMonInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustExec(t, e, `CREATE STREAM url_stream (url varchar, atime timestamp CQTIME USER, client_ip varchar)`)
+	for i := 0; i < 4; i++ {
+		cq, err := e.Subscribe(fmt.Sprintf(`SELECT client_ip, count(*)
+			FROM url_stream <VISIBLE 2000 ROWS ADVANCE 500 ROWS>
+			WHERE url <> '/none%d' GROUP BY client_ip`, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cq.Close()
+	}
+	rows := workload.NewClickstream(workload.ClickConfig{Seed: 16, EventsPerSec: 400}).Take(4096)
+	if err := e.Append("url_stream", rows...); err != nil {
+		t.Fatal(err)
+	}
+	perSnapshot := testing.AllocsPerRun(50, func() {
+		if err := e.SysSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations a snapshot", perSnapshot)
+	if perSnapshot > 400 && !racing {
+		t.Fatalf("%.0f allocations a snapshot, want at most 400", perSnapshot)
 	}
 }
 
