@@ -201,8 +201,9 @@ func checkText(t *testing.T, src string, mustParse bool) {
 
 // corpus is every string constant in the Go files matching the patterns —
 // the statements the suites and the experiments run are among them, and
-// anything else is as good a fuzzing seed as any — and every statement of the
-// plan-key golden file, which holds each CQ they plan in full.
+// anything else is as good a fuzzing seed as any — every string of the JSON
+// lists among them, and every statement of the plan-key golden file, which
+// holds each CQ they plan in full.
 func corpus(t testing.TB, patterns ...string) (out []string) {
 	for _, pattern := range patterns {
 		files, err := filepath.Glob(pattern)
@@ -210,6 +211,18 @@ func corpus(t testing.TB, patterns ...string) (out []string) {
 			t.Fatalf("%s: %v, %d files", pattern, err, len(files))
 		}
 		for _, file := range files {
+			if filepath.Ext(file) == ".json" {
+				raw, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var strs []string
+				if err := json.Unmarshal(raw, &strs); err != nil {
+					t.Fatalf("%s: %v", file, err)
+				}
+				out = append(out, strs...)
+				continue
+			}
 			f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -296,9 +309,11 @@ func TestNestingIsOfTheTree(t *testing.T) {
 }
 
 // FuzzParse feeds the parser arbitrary bytes, and the statement the same
-// bytes choose from the grammar, which must parse.
+// bytes choose from the grammar, which must parse. The strings of the retired
+// experiments E10, E13, E15 and E16 stay seeds from testdata, ahead of the
+// others as their files once sorted.
 func FuzzParse(f *testing.F) {
-	for _, src := range corpus(f, "../../sql_suite_test.go", "parser_test.go", "../experiments/e[1-8]*.go") {
+	for _, src := range corpus(f, "../../sql_suite_test.go", "parser_test.go", "testdata/retired_experiments.json", "../experiments/e[1-8]*.go") {
 		f.Add([]byte(src))
 	}
 	f.Add([]byte("SELECT -9223372036854775808, a - -1, - - 2, -3::int, INTERVAL '-9223372036854775808 us'"))
