@@ -64,10 +64,13 @@ cover:
 # their own arguments beside a writer, ride along too (TestPlanCache*), and so
 # do the cached trees whose aggregates fold what a writer appends between
 # calls into the groups they kept (TestMaintained*: each call against a
-# statement planned for it alone at the same snapshot).
+# statement planned for it alone at the same snapshot), and so does the wire
+# append whose memory the server's reader recycles when nothing kept it, with
+# every kind of keeper coming and going between appends and pool workers
+# applying them (TestWireAppendRecycleEquivalence, ≡ Engine.Append).
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestInPlaceViewModeChange|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache|TestMaintained' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestInPlaceViewModeChange|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache|TestMaintained|TestWireAppendRecycleEquivalence' .
 
 # alloc-pins runs the ownership property (a decoded batch is its container and
 # two allocations a block — its values, its strings — where a block is at most
@@ -79,6 +82,7 @@ drain-policies:
 # constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
 # TestDecodeRecordsAllocs; an append over the wire costs the same on the
 # primary and on a replica at 256 rows as at 1 024, TestAppendAllocsPerBatch;
+# one nothing keeps is decoded into the last one's memory, TestDeadAppendAllocs;
 # a follower reads and applies an archived batch in a per-event constant; a
 # primary commits one in a few objects and under 16 bytes a row beyond the
 # heap's and the one row slice, TestArchiveCommitAllocs; a log append buys no
@@ -148,11 +152,14 @@ alloc-pins:
 # with one after each close, so a consumer that kept such a row reads
 # garbage and the next close must write every row again. The root suites include
 # TestReopenEquivalence: one operator tree opened again, after a failed
-# execution too, reads what a fresh one does. The stream runtime's own suites
+# execution too, reads what a fresh one does, and TestWireAppendRecycleEquivalence:
+# a batch the server's reader recycles is zeroed at once, so a keeper the
+# engine failed to report reads garbage. internal/types runs the decoders'
+# scratch itself (RowStrings) in poison mode. The stream runtime's own suites
 # run half their cases (StateReexec) on raw stores, whose expired slices are
 # emptied rather than poisoned, beside the poisoned aggregate slices.
 poison:
-	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/server ./internal/wal ./internal/repl ./replica ./internal/ivm ./internal/stream
+	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/types ./internal/server ./internal/wal ./internal/repl ./replica ./internal/ivm ./internal/stream
 
 check: build fmt vet staticcheck test race drain-policies alloc-pins poison
 

@@ -26,7 +26,7 @@ func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := e.push(trace.Ctx{}, s.Table, rows); err != nil {
+		if _, err := e.push(trace.Ctx{}, s.Table, rows); err != nil {
 			return nil, err
 		}
 		return &Result{RowsAffected: len(rows)}, nil

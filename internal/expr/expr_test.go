@@ -503,13 +503,20 @@ func TestSubUndoesMerge(t *testing.T) {
 	}
 }
 
-// TestRetractableSet pins which accumulators claim an exact inverse; the
-// window-state store re-merges surviving slices for the rest.
+// TestRetractableSet pins which accumulators claim an exact inverse, for
+// every aggregate there is; the window-state store re-merges surviving slices
+// for the rest, and says it keeps the rows it is handed (ivm's TestKeepsRows).
 func TestRetractableSet(t *testing.T) {
-	for name, want := range map[string]bool{
+	set := map[string]bool{
 		"count": true, "sum": true, "avg": true,
 		"min": false, "max": false, "stddev": false, "variance": false, "first": false, "last": false,
-	} {
+	}
+	for name := range aggregateNames {
+		if _, ok := set[name]; !ok {
+			t.Errorf("aggregate %s is not pinned here", name)
+		}
+	}
+	for name, want := range set {
 		if _, ok := newAcc(t, name, false).(Retractable); ok != want {
 			t.Errorf("%s retractable = %v, want %v", name, ok, want)
 		}

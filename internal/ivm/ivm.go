@@ -175,6 +175,10 @@ func New(spec *plan.StreamAgg, advance, offset int64) (*Store, error) {
 	return s, nil
 }
 
+// KeepsRows says whether the store may hold a datum of a row it was handed: a
+// raw store its rows, an aggregate with no inverse the values it saw.
+func (s *Store) KeepsRows() bool { return s.spec == nil || len(s.remerge) > 0 }
+
 // SliceStart returns the start of the slice holding ts, the last cut at or
 // before it: cuts are at k·advance and, for offset > 0, at k·advance +
 // offset. Floored division, so pre-epoch timestamps slice correctly.

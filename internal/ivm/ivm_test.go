@@ -800,3 +800,30 @@ func TestViewRowMemoryBounded(t *testing.T) {
 		t.Errorf("a group that left the window still holds its row: %+v", left)
 	}
 }
+
+// TestKeepsRows pins what a store says it may hold of the rows it is handed
+// against the accumulators it keeps, for every aggregate, plain and DISTINCT:
+// one with no exact inverse (expr.Retractable) may keep a datum it saw, so its
+// store keeps rows; a store of invertible aggregates keeps none, whatever its
+// group keys; a raw store keeps every row.
+func TestKeepsRows(t *testing.T) {
+	for _, name := range []string{"count", "sum", "avg", "min", "max", "stddev", "variance", "first", "last"} {
+		if !expr.IsAggregate(name) {
+			t.Fatalf("%s is no aggregate", name)
+		}
+		for _, distinct := range []string{"", "DISTINCT "} {
+			acc, err := expr.NewAcc(expr.AggSpec{Name: name, Distinct: distinct != ""})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, inverse := acc.(expr.Retractable)
+			s := newStore(t, fmt.Sprintf("SELECT url, %s(%sv) FROM s <VISIBLE '2 seconds' ADVANCE '1 second'> GROUP BY url", name, distinct))
+			if s.KeepsRows() == inverse {
+				t.Errorf("%s(%sv): KeepsRows %v, and the accumulator is retractable: %v", name, distinct, s.KeepsRows(), inverse)
+			}
+		}
+	}
+	if raw, _ := New(nil, second, 0); !raw.KeepsRows() {
+		t.Error("a raw store keeps its rows")
+	}
+}

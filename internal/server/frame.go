@@ -168,8 +168,8 @@ func (fw *FrameWriter) WriteResponse(resp *Response) error {
 // dispatch, answer under the request's id. dispatch returning nil ends the
 // loop without an answer (the connection has been handed elsewhere). A
 // malformed or oversized frame is answered with one error frame and ends
-// the session, since the stream cannot be trusted past it. The returned
-// error is nil for an orderly end.
+// the session, since the stream cannot be trusted past it. Rows dispatch
+// marks unkept (Request.recycle) are recycled. nil is an orderly end.
 func ServeFrames(conn net.Conn, fw *FrameWriter, dispatch func(*Request) *Response) error {
 	fr := NewFrameReader(conn)
 	for {
@@ -189,6 +189,9 @@ func ServeFrames(conn net.Conn, fw *FrameWriter, dispatch func(*Request) *Respon
 		resp := dispatch(req)
 		if resp == nil {
 			return nil
+		}
+		if req.recycle {
+			fr.strs.Recycle()
 		}
 		resp.ID = req.ID
 		if err := fw.WriteResponse(resp); err != nil {

@@ -56,16 +56,16 @@
 // Ownership, the one rule every row decoder keeps — this one, and
 // types.RowStrings under the WAL reader and replication frames: a decoded
 // batch (a list of rows) is its container and, a block, one []Datum and one
-// string holding every VARCHAR payload — three allocations while it is one
-// block of at most types.BlockRows rows and 512 KiB of values and of strings;
-// a batch of one (a request's args, a per-row WAL record, a spilled row) has
-// no container. Each row is a full-capacity slice of its block, sharing memory
-// with no frame buffer and no other batch (types.CheckBatch). A retained row
-// pins its block, a heap segment's worth, as a live version its segment. Who may
-// keep a subset of a batch for long: the heap after DELETE or Vacuum, or a
-// base stream's REPLACE channel; MIN/MAX over VARCHAR, bounded by the window;
-// a client caller keeping a row of a result frame. A window-state group key
-// keeps nothing of its rows (ivm points it into the group's own key string).
+// backing of every VARCHAR payload — three allocations while it is one block
+// of at most types.BlockRows rows and 512 KiB of values and of strings; a
+// batch of one (a request's args, a per-row WAL record) has no container. Each
+// row is a full-capacity slice of its block, sharing memory with no frame
+// buffer and no other batch (types.CheckBatch); a retained row pins its block.
+// An append the engine reports unkept (Engine.AppendBorrowed: no channel,
+// replication, pending mailbox or window state holds a row) goes back to the
+// server's reader, which carves its next batch into it. Who keeps a batch: a
+// channel's heap, the replication ring, a CQ's raw rows, an aggregate with no
+// inverse (ivm.Store.KeepsRows); a group key keeps nothing (its own string).
 //
 // Placeholders, the rule beside it: while a batch is being decoded each
 // VARCHAR column is what types.RowStrings.Add returned — a length and no
@@ -105,6 +105,8 @@ type Request struct {
 	// Trace carries a sampled trace ID (16-hex, see internal/trace)
 	// across a router hop so shard-side spans join the router's trace.
 	Trace string `json:"trace,omitempty"`
+	// recycle: nothing kept Rows (non-empty, so this frame's); ServeFrames recycles them.
+	recycle bool
 }
 
 // Response is one server frame. Async CQ batches have ID 0 and CQ set.

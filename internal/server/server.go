@@ -224,7 +224,9 @@ func (sess *session) dispatch(req *Request) *Response {
 			// A bad ID only costs the span linkage, never the data.
 			traceID, _ = trace.ParseID(req.Trace)
 		}
-		if err := eng.AppendTraced(traceID, req.Stream, rows...); err != nil {
+		kept, err := eng.AppendBorrowed(traceID, req.Stream, rows)
+		req.recycle = !kept && len(rows) > 0
+		if err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true, Affected: len(rows)}

@@ -187,6 +187,8 @@ func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, id int64) (*fe
 	return f, nil
 }
 
+func (f *feed) keepsRows() bool { return f.store.KeepsRows() }
+
 // attach adds m to the view of its VISIBLE (created on first use, starting
 // from the slices the store retains) and to the post set of its postKey.
 func (f *feed) attach(m *Pipeline) {

@@ -9,12 +9,12 @@ import (
 // shared by reference count across the goroutines that apply it. Two rules
 // make the pooling safe (see DESIGN.md "Ingest hot path"):
 //
-//  1. Row values (types.Row and the datums inside) are immutable and
-//     shared freely; only the []tsRow CONTAINER is pooled. Nothing
-//     downstream may retain it: a raw store appends the rows to its own
-//     slices, and what a feed or a source hands on from it — a raw view's
-//     window, a tap's rows — goes in a container of its own, kept and
-//     cleared where it is used.
+//  1. Row values are immutable while anything holds them — a batch deliver
+//     reports unkept its producer may rewrite — and only the []tsRow
+//     CONTAINER is pooled. Nothing downstream may retain it: a raw store
+//     appends the rows to its own slices, and what a feed or a source hands
+//     on — a raw view's window, a tap's rows — goes in a container of its
+//     own, kept and cleared where it is used.
 //  2. A block is returned only by its owner: the producer for its own
 //     reference (after every synchronous subscriber ran), each worker for
 //     its reference (after apply).

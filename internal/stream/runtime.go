@@ -543,10 +543,11 @@ func (s *source) sweepFailedLocked() error {
 // column is replaced, on a copy of the row, by its arrival time read from
 // now under the source lock — so concurrent producers are stamped in the
 // order they are delivered — and never earlier than the stream's clock.
-func (r *Runtime) PushBatch(tc trace.Ctx, stream string, rows []types.Row, now func() time.Time) error {
+// kept false says nothing the batch reached holds its rows (see deliver).
+func (r *Runtime) PushBatch(tc trace.Ctx, stream string, rows []types.Row, now func() time.Time) (kept bool, err error) {
 	src, err := r.lookup(stream)
 	if err != nil {
-		return err
+		return false, err
 	}
 	src.mu.Lock()
 	defer src.unlock()
@@ -569,7 +570,8 @@ func (r *Runtime) PushArchived(tc trace.Ctx, stream string, rows []types.Row, ar
 	}
 	src.mu.Lock()
 	defer src.unlock()
-	return src.deliver(r, tc, rows, archive)
+	_, err = src.deliver(r, tc, rows, archive)
+	return err
 }
 
 // prepare validates a batch and stamps each row with its timestamp,
@@ -649,20 +651,25 @@ func (s *source) stampArrival(rows []types.Row, now func() time.Time) []types.Ro
 	return stamped
 }
 
-// deliver validates one batch of a base stream and fans it out. A row at
-// ts proves every window closing at or before ts complete, so each feed
-// fires those closes before taking the row — per feed, rows and closes
-// interleave exactly as in row-at-a-time delivery. archive, when not nil, is
-// PushArchived's. Callers hold s.mu.
-func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive func(*Ingest) error) error {
+// deliver validates one batch of a base stream and fans it out. A row at ts
+// proves every window closing at or before ts complete, so each feed fires
+// those closes before taking the row — per feed, rows and closes interleave
+// exactly as in row-at-a-time delivery. archive is PushArchived's, or nil;
+// kept says a tap, OnIngest, a store that KeepsRows or a mailbox yet to apply
+// them may still hold the rows as delivery ends. Callers hold s.mu.
+func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive func(*Ingest) error) (kept bool, err error) {
 	block, err := s.prepare(r, rows, 0, false)
 	if err != nil {
-		return err
+		return false, err
 	}
-	defer block.release()
+	defer func() {
+		kept = len(s.taps) > 0 || r.OnIngest != nil || block.refs.Load() > 1 ||
+			slices.ContainsFunc(s.feeds, (*feed).keepsRows) || slices.ContainsFunc(s.retired, (*feed).keepsRows)
+		block.release()
+	}()
 	batch := block.rows
 	if len(batch) == 0 {
-		return nil
+		return
 	}
 	// Sampling decision at ingest: a batch without an externally assigned
 	// context (replica re-injection) rolls the dice here. Unsampled batches
@@ -677,8 +684,8 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive fun
 		in = &s.ingest
 	}
 	if archive != nil {
-		if err := archive(in); err != nil {
-			return err
+		if err = archive(in); err != nil {
+			return
 		}
 	} else if len(s.taps) != 1 {
 		// Nobody archives the batch, or more than one channel does: it entered
@@ -688,7 +695,7 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive fun
 		in.Publish()
 	}
 	s.rows.Add(int64(len(batch)))
-	return errors.Join(s.fanOut(r, task{kind: taskBatch, batch: batch, block: block,
+	return kept, errors.Join(s.fanOut(r, task{kind: taskBatch, batch: batch, block: block,
 		ts: batch[len(batch)-1].ts, tc: tc}, true, in))
 }
 

@@ -88,7 +88,8 @@ func (e *env) subscribe(t *testing.T, src string) (*Pipeline, *[]batch) {
 // push appends rows to a stream with no trace context and their own
 // timestamps.
 func (e *env) push(stream string, rows ...types.Row) error {
-	return e.rt.PushBatch(trace.Ctx{}, stream, rows, nil)
+	_, err := e.rt.PushBatch(trace.Ctx{}, stream, rows, nil)
+	return err
 }
 
 // hit pushes one url_stream event.

@@ -45,6 +45,11 @@ type RowStrings struct {
 	ends    []int   // where each of its rows ends in vals
 	scratch []byte  // its VARCHAR payloads, end to end
 	done    []Row   // the rows of the batch's full blocks
+	// The last batch handed out (its container, its last block's values and
+	// strings), and what Recycle made of them: the next carve's, if big enough.
+	lastRows, spareRows []Row
+	lastVals, spareVals []Datum
+	lastStrs, spareStrs []byte
 }
 
 // Add copies a string payload into the scratch and returns its placeholder,
@@ -69,24 +74,48 @@ func (b *RowStrings) EndRow() {
 // out, a failed batch) and of every buffer if one has grown past 1 MiB (a
 // Datum and a Row are 24 bytes): one huge batch must not pin its size.
 func (b *RowStrings) Reset() {
-	if max(24*cap(b.vals), 24*cap(b.done), cap(b.scratch)) > 1<<20 {
+	if max(24*max(cap(b.vals), cap(b.done), cap(b.lastRows), cap(b.spareRows), cap(b.lastVals), cap(b.spareVals)),
+		cap(b.scratch), cap(b.lastStrs), cap(b.spareStrs)) > 1<<20 {
 		*b = RowStrings{}
 	}
 	clear(b.done)
 	b.vals, b.ends, b.scratch, b.done = b.vals[:0], b.ends[:0], b.scratch[:0], b.done[:0]
 }
 
-// Rows ends the batch and returns its rows in order, in an exactly sized slice.
+// Rows ends the batch and returns its rows in order, in an exactly sized slice
+// (of the recycled container if it is big enough).
 func (b *RowStrings) Rows() []Row {
 	defer b.Reset()
-	return b.carve(append(make([]Row, 0, len(b.done)+len(b.ends)), b.done...))
+	n := len(b.done) + len(b.ends)
+	b.lastRows = b.carve(append(spare(&b.spareRows, n), b.done...))
+	return b.lastRows[:n:n]
 }
 
 // Row ends a batch of one row and returns the row, with no container.
 func (b *RowStrings) Row() Row {
 	defer b.Reset()
-	b.done = b.carve(b.done)
+	b.done, b.lastRows = b.carve(b.done), nil
 	return b.done[0]
+}
+
+// Recycle says no one holds the last batch: the next ones are carved into its
+// container and last block, which under Poison are zeroed at once.
+func (b *RowStrings) Recycle() {
+	if Poison {
+		clear(b.lastRows[:cap(b.lastRows)])
+		clear(b.lastVals[:cap(b.lastVals)])
+		clear(b.lastStrs[:cap(b.lastStrs)])
+	}
+	b.spareRows, b.spareVals, b.spareStrs = b.lastRows, b.lastVals, b.lastStrs
+}
+
+// spare takes *s, emptied, if it holds n elements, else makes room for n.
+func spare[T any](s *[]T, n int) []T {
+	x := *s
+	if *s = nil; x == nil || cap(x) < n {
+		return make([]T, 0, n)
+	}
+	return x[:0]
 }
 
 // CheckBatch is the ownership tests' one check of a decoded batch: each row
@@ -118,14 +147,15 @@ func CheckBatch(rows []Row) error {
 	return nil
 }
 
-// carve appends the open block's rows to dst: one exactly sized []Datum and
-// one string of their payloads (neither allocated when empty), each
-// placeholder pointed at its part of the string, each row a full-capacity
-// subslice, so appending to one never reaches its neighbour.
+// carve appends the open block's rows to dst: one []Datum and one backing of
+// their payloads (exactly sized unless recycled, neither allocated when
+// empty), each placeholder pointed at its part of the backing, each row a
+// full-capacity subslice, so appending to one never reaches its neighbour.
 func (b *RowStrings) carve(dst []Row) []Row {
-	vals := make([]Datum, len(b.vals))
-	copy(vals, b.vals)
-	backing := unsafe.Pointer(unsafe.StringData(string(b.scratch)))
+	vals := append(spare(&b.spareVals, len(b.vals)), b.vals...)
+	strs := append(spare(&b.spareStrs, len(b.scratch)), b.scratch...)
+	b.lastVals, b.lastStrs = vals, strs
+	backing := unsafe.Pointer(unsafe.SliceData(strs))
 	for i, off := 0, 0; i < len(vals); i++ {
 		if d := &vals[i]; d.typ == TypeString && d.p == nil && d.n > 0 {
 			d.p, off = unsafe.Add(backing, off), off+int(d.n)

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // The binary decoder this package had until rows got a backing string of
@@ -279,6 +281,50 @@ func TestDecodeRowDropsPlaceholders(t *testing.T) {
 			bad := append([]byte(nil), enc...)
 			bad[at] = b
 			check(bad)
+		}
+	}
+}
+
+// TestRecycle: a batch handed back is where the next one is carved, container
+// and block, and a batch not handed back never is.
+func TestRecycle(t *testing.T) {
+	var b RowStrings
+	decode := func(n int, s string) []Row {
+		b.Reset()
+		for i := 0; i < n; i++ {
+			if _, err := b.Decode(EncodeRow(nil, Row{NewString(s), NewInt(int64(i))})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows := b.Rows()
+		if err := CheckBatch(rows); err != nil || len(rows) != n || cap(rows) != n || rows[n-1][0].Str() != s {
+			t.Fatalf("%d rows of %q: %v, %d rows of capacity %d", n, s, err, len(rows), cap(rows))
+		}
+		return rows
+	}
+	at := func(rows []Row) [3]unsafe.Pointer {
+		return [3]unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(rows)), unsafe.Pointer(unsafe.SliceData(rows[0])), rows[0][0].p}
+	}
+	first := at(decode(8, "abcdef"))
+	b.Recycle()
+	if again := at(decode(6, "abc")); again != first {
+		t.Errorf("a recycled batch's container, block and strings are at %v, the next batch's at %v", first, again)
+	}
+	if kept := at(decode(6, "xyz")); kept == first {
+		t.Error("a batch not recycled was carved into again")
+	}
+}
+
+// TestResetKeepsNoHugeBuffer: Reset's 1 MiB rule covers the last batch's
+// arrays and the recycled ones, as it does the scratch.
+func TestResetKeepsNoHugeBuffer(t *testing.T) {
+	for _, name := range []string{"lastRows", "spareRows", "lastVals", "spareVals", "lastStrs", "spareStrs"} {
+		var b RowStrings
+		f := reflect.ValueOf(&b).Elem().FieldByName(name)
+		n := 1<<20/int(f.Type().Elem().Size()) + 1
+		reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Set(reflect.MakeSlice(f.Type(), n, n))
+		if b.Reset(); f.Cap() != 0 {
+			t.Errorf("Reset keeps %s of %d elements", name, f.Cap())
 		}
 	}
 }

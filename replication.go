@@ -202,7 +202,8 @@ func (e *Engine) ReplicaMark() (run string, lsn uint64) {
 func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID uint64) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.rt.PushBatch(e.tracer.Adopt(traceID), streamName, rows, nil)
+	_, err := e.rt.PushBatch(e.tracer.Adopt(traceID), streamName, rows, nil)
+	return err
 }
 
 // ApplyReplicatedArchive applies a batch the primary both accepted into a

@@ -583,22 +583,30 @@ func (e *Engine) Append(streamName string, rows ...Row) error {
 // hops (enqueue, window fire, WAL fsync, …) join the router's span
 // chain. traceID 0 lets the engine's own tracer sample as usual.
 func (e *Engine) AppendTraced(traceID uint64, streamName string, rows ...Row) error {
+	_, err := e.AppendBorrowed(traceID, streamName, rows)
+	return err
+}
+
+// AppendBorrowed is AppendTraced for a caller that would reuse the rows' memory:
+// kept false means nothing holds a row of them now (no channel, replication,
+// mailbox still to apply them or CQ whose window state keeps rows).
+func (e *Engine) AppendBorrowed(traceID uint64, streamName string, rows []Row) (kept bool, err error) {
 	if err := e.writeGate(); err != nil {
-		return err
+		return false, err
 	}
 	if isSysName(streamName) {
-		return errSysReserved(streamName)
+		return false, errSysReserved(streamName)
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.push(e.tracer.Adopt(traceID), streamName, rows)
 }
 
-// push hands locally produced rows to the stream runtime. On a CQTIME
-// SYSTEM stream the runtime overwrites each row's CQTIME column with a
-// non-decreasing arrival timestamp from the engine clock, under the
+// push hands locally produced rows to the stream runtime (kept: AppendBorrowed).
+// On a CQTIME SYSTEM stream the runtime overwrites each row's CQTIME column
+// with a non-decreasing arrival timestamp from the engine clock, under the
 // stream's own lock so stamp order is delivery order. Callers hold e.mu.
-func (e *Engine) push(tc trace.Ctx, streamName string, rows []Row) error {
+func (e *Engine) push(tc trace.Ctx, streamName string, rows []Row) (kept bool, err error) {
 	var now func() time.Time
 	if st, ok := e.cat.Stream(streamName); ok && st.SystemTime {
 		if now = e.cfg.Now; now == nil {

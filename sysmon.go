@@ -114,7 +114,8 @@ func (e *Engine) sysAppend(streamName string, rows []types.Row) error {
 	if e.closed {
 		return nil
 	}
-	return e.push(trace.Ctx{}, streamName, rows)
+	_, err := e.push(trace.Ctx{}, streamName, rows)
+	return err
 }
 
 // SysSnapshot takes one telemetry snapshot immediately, appending fresh
