@@ -77,7 +77,7 @@ drain-policies:
 # 4 096 rows and 512 KiB of values and of strings, and shares memory with no
 # frame and no other batch: internal/server/proto.go, types.CheckBatch; the
 # window store keeps none of it, TestStoreKeysPinNoBatch), the sizes the
-# byte pins are reckoned in (a Datum 24 bytes, a heap version 40) and every
+# byte pins are reckoned in (a Datum 16 bytes, a heap version 40) and every
 # allocation pin on the decode → commit → replicate path (decoding costs a
 # constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
 # TestDecodeRecordsAllocs; an append over the wire costs the same on the
@@ -184,7 +184,7 @@ bench-selftest:
 # detaching mid-run, beside CQs sqlgen writes from the fuzzer's bytes — ==
 # what re-execution fires, for arbitrary append/advance/close sequences),
 # the row-key encoding every hash operator groups by (equal keys == equal
-# rows, self-delimiting), the three-word Datum against the four-field one it
+# rows, self-delimiting), the two-word Datum against the four-field one it
 # replaced, every operation, and the SQL parser, on arbitrary bytes and on
 # the statement the same bytes choose from its grammar (no panic, an error
 # inside the input, a tree within maxNesting, and every SELECT prints as text

@@ -342,8 +342,9 @@ func TestRecycledJoinAllocsIndependentOfProbeRows(t *testing.T) {
 	if twenty > two+1024 {
 		t.Errorf("HashAgg(HashJoin) allocates %.0f B over %d probe rows and %.0f B over %d", two, 2*chunkRows, twenty, 20*chunkRows)
 	}
-	// 20 kB at 24 bytes a datum (22 kB at 40): the hash table over 100 build
-	// rows, the aggregate's 10 groups, the block (1.5 kB) and the containers.
+	// 20 kB at 16 bytes a datum (21 kB at 24, 22 kB at 40): the hash table
+	// over 100 build rows, the aggregate's 10 groups, the block (1 kB) and the
+	// containers.
 	if twenty > 30<<10 {
 		t.Errorf("HashAgg(HashJoin) allocates %.0f B, want ≤ 30 kB", twenty)
 	}

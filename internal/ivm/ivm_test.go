@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamrel/internal/catalog"
 	"streamrel/internal/expr"
@@ -692,14 +693,14 @@ func TestFireAllocsFollowTouched(t *testing.T) {
 	if per := mallocs / closes; per > 2.1 {
 		t.Errorf("a close allocates %.2f times, want 2: the block and the slice", per)
 	}
-	const rowBytes = 3 * 24 // url, count, sum
+	const rowBytes = float64(3 * unsafe.Sizeof(types.Datum{})) // url, count, sum
 	// Size classes round the 240 kB slice up by ≤ 3 % and the 7.2 kB block
 	// to 8 kB.
 	limit := 1.03*24*groups + 1.15*2*rowBytes*touched
 	per := bytes / closes
 	t.Logf("%.0f B per close of %d groups, %d touched", per, groups, touched)
 	if per > limit {
-		t.Errorf("a close allocates %.0f B, want ≤ %.0f (24 B × %d groups + 2 × %d B × %d touched)", per, limit, groups, rowBytes, touched)
+		t.Errorf("a close allocates %.0f B, want ≤ %.0f (24 B × %d groups + 2 × %.0f B × %d touched)", per, limit, groups, rowBytes, touched)
 	}
 }
 

@@ -15,18 +15,18 @@ func Add(a, b Datum) (Datum, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
-	switch {
-	case a.typ == TypeInt && b.typ == TypeInt:
+	switch at, bt := a.typ(), b.typ(); {
+	case at == TypeInt && bt == TypeInt:
 		return NewInt(a.int() + b.int()), nil
-	case a.typ.Numeric() && b.typ.Numeric():
+	case at.Numeric() && bt.Numeric():
 		return NewFloat(a.Float() + b.Float()), nil
-	case a.typ == TypeTimestamp && b.typ == TypeInterval:
+	case at == TypeTimestamp && bt == TypeInterval:
 		return NewTimestampMicros(a.int() + b.int()), nil
-	case a.typ == TypeInterval && b.typ == TypeTimestamp:
+	case at == TypeInterval && bt == TypeTimestamp:
 		return NewTimestampMicros(a.int() + b.int()), nil
-	case a.typ == TypeInterval && b.typ == TypeInterval:
+	case at == TypeInterval && bt == TypeInterval:
 		return NewIntervalMicros(a.int() + b.int()), nil
-	case a.typ == TypeString && b.typ == TypeString:
+	case at == TypeString && bt == TypeString:
 		// '+' on strings is not SQL, but || maps here in the evaluator.
 		return NewString(a.str() + b.str()), nil
 	}
@@ -38,16 +38,16 @@ func Sub(a, b Datum) (Datum, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
-	switch {
-	case a.typ == TypeInt && b.typ == TypeInt:
+	switch at, bt := a.typ(), b.typ(); {
+	case at == TypeInt && bt == TypeInt:
 		return NewInt(a.int() - b.int()), nil
-	case a.typ.Numeric() && b.typ.Numeric():
+	case at.Numeric() && bt.Numeric():
 		return NewFloat(a.Float() - b.Float()), nil
-	case a.typ == TypeTimestamp && b.typ == TypeInterval:
+	case at == TypeTimestamp && bt == TypeInterval:
 		return NewTimestampMicros(a.int() - b.int()), nil
-	case a.typ == TypeTimestamp && b.typ == TypeTimestamp:
+	case at == TypeTimestamp && bt == TypeTimestamp:
 		return NewIntervalMicros(a.int() - b.int()), nil
-	case a.typ == TypeInterval && b.typ == TypeInterval:
+	case at == TypeInterval && bt == TypeInterval:
 		return NewIntervalMicros(a.int() - b.int()), nil
 	}
 	return Null, typeErr("-", a, b)
@@ -58,18 +58,18 @@ func Mul(a, b Datum) (Datum, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
-	switch {
-	case a.typ == TypeInt && b.typ == TypeInt:
+	switch at, bt := a.typ(), b.typ(); {
+	case at == TypeInt && bt == TypeInt:
 		return NewInt(a.int() * b.int()), nil
-	case a.typ.Numeric() && b.typ.Numeric():
+	case at.Numeric() && bt.Numeric():
 		return NewFloat(a.Float() * b.Float()), nil
-	case a.typ == TypeInterval && b.typ == TypeInt:
+	case at == TypeInterval && bt == TypeInt:
 		return NewIntervalMicros(a.int() * b.int()), nil
-	case a.typ == TypeInt && b.typ == TypeInterval:
+	case at == TypeInt && bt == TypeInterval:
 		return NewIntervalMicros(a.int() * b.int()), nil
-	case a.typ == TypeInterval && b.typ == TypeFloat:
+	case at == TypeInterval && bt == TypeFloat:
 		return NewIntervalMicros(int64(float64(a.int()) * b.flt())), nil
-	case a.typ == TypeFloat && b.typ == TypeInterval:
+	case at == TypeFloat && bt == TypeInterval:
 		return NewIntervalMicros(int64(a.flt() * float64(b.int()))), nil
 	}
 	return Null, typeErr("*", a, b)
@@ -81,19 +81,19 @@ func Div(a, b Datum) (Datum, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
-	switch {
-	case a.typ == TypeInt && b.typ == TypeInt:
+	switch at, bt := a.typ(), b.typ(); {
+	case at == TypeInt && bt == TypeInt:
 		if b.int() == 0 {
 			return Null, ErrDivisionByZero
 		}
 		return NewInt(a.int() / b.int()), nil
-	case a.typ.Numeric() && b.typ.Numeric():
+	case at.Numeric() && bt.Numeric():
 		bf := b.Float()
 		if bf == 0 {
 			return Null, ErrDivisionByZero
 		}
 		return NewFloat(a.Float() / bf), nil
-	case a.typ == TypeInterval && b.typ == TypeInt:
+	case at == TypeInterval && bt == TypeInt:
 		if b.int() == 0 {
 			return Null, ErrDivisionByZero
 		}
@@ -107,7 +107,7 @@ func Mod(a, b Datum) (Datum, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
-	if a.typ == TypeInt && b.typ == TypeInt {
+	if a.typ() == TypeInt && b.typ() == TypeInt {
 		if b.int() == 0 {
 			return Null, ErrDivisionByZero
 		}
@@ -121,7 +121,7 @@ func Neg(a Datum) (Datum, error) {
 	if a.IsNull() {
 		return Null, nil
 	}
-	switch a.typ {
+	switch a.typ() {
 	case TypeInt:
 		return NewInt(-a.int()), nil
 	case TypeFloat:
@@ -129,7 +129,7 @@ func Neg(a Datum) (Datum, error) {
 	case TypeInterval:
 		return NewIntervalMicros(-a.int()), nil
 	}
-	return Null, fmt.Errorf("types: cannot negate %s", a.typ)
+	return Null, fmt.Errorf("types: cannot negate %s", a.typ())
 }
 
 // Cast converts d to type to, following Postgres-ish cast rules. Casting
@@ -138,19 +138,20 @@ func Cast(d Datum, to Type) (Datum, error) {
 	if d.IsNull() {
 		return Null, nil
 	}
-	if d.typ == to {
+	from := d.typ()
+	if from == to {
 		return d, nil
 	}
 	switch to {
 	case TypeBool:
-		switch d.typ {
+		switch from {
 		case TypeInt:
 			return NewBool(d.int() != 0), nil
 		case TypeString:
 			return ParseBool(d.str())
 		}
 	case TypeInt:
-		switch d.typ {
+		switch from {
 		case TypeBool:
 			return NewInt(d.int()), nil
 		case TypeFloat:
@@ -171,7 +172,7 @@ func Cast(d Datum, to Type) (Datum, error) {
 			return NewInt(d.int()), nil
 		}
 	case TypeFloat:
-		switch d.typ {
+		switch from {
 		case TypeInt:
 			return NewFloat(float64(d.int())), nil
 		case TypeString:
@@ -184,23 +185,23 @@ func Cast(d Datum, to Type) (Datum, error) {
 	case TypeString:
 		return NewString(d.String()), nil
 	case TypeTimestamp:
-		switch d.typ {
+		switch from {
 		case TypeString:
 			return ParseTimestamp(d.str())
 		case TypeInt:
 			return NewTimestampMicros(d.int()), nil
 		}
 	case TypeInterval:
-		switch d.typ {
+		switch from {
 		case TypeString:
 			return ParseInterval(d.str())
 		case TypeInt:
 			return NewIntervalMicros(d.int()), nil
 		}
 	}
-	return Null, fmt.Errorf("types: cannot cast %s to %s", d.typ, to)
+	return Null, fmt.Errorf("types: cannot cast %s to %s", from, to)
 }
 
 func typeErr(op string, a, b Datum) error {
-	return fmt.Errorf("types: operator %s undefined for %s and %s", op, a.typ, b.typ)
+	return fmt.Errorf("types: operator %s undefined for %s and %s", op, a.typ(), b.typ())
 }

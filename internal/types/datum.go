@@ -77,42 +77,97 @@ func Comparable(a, b Type) bool {
 // NewNull for explicit NULLs. Datum is a value type and is never mutated
 // after construction.
 //
-// It is three words. n is the value of an integer, boolean (0/1), timestamp
-// or interval, the math.Float64bits of a float, or the length of a string
-// whose bytes p points at (p is nil for every other type); no value ever
-// needed more than two of the old layout's five words (typ, i int64,
-// f float64, s string — 40 bytes), and every row in every layer (heap
-// version, window close, WAL record, replication event, wire row) is a flat
-// []Datum. Measured when the layout changed, alloc_bytes_per_row of bench/'s
-// four workloads at seed 11, 40-byte → 24-byte: wide_window 1 087 → 801,
-// mem_fanout 1 830 → 1 382, wire_durable 1 384 → 1 119, report_mixed
-// 940 → 717, with allocs_per_row unmoved.
+// It is two words, in one of three forms, and every value has exactly one:
+//
+//   - VARCHAR: p points at the bytes (nil when the string is empty, and nil
+//     with a length for a RowStrings placeholder) and n is the length with
+//     TypeString in its top byte.
+//   - inline: a BOOLEAN (0/1), BIGINT, TIMESTAMP or INTERVAL whose value fits
+//     56 signed bits (a timestamp of the years 828 to 3111), NULL and the
+//     zero value: p is nil and n is the value's low 56 bits under the type.
+//   - boxed: every DOUBLE, and any other value outside 56 bits: p points at
+//     tags[type] and n is the whole 64-bit value (a float's Float64bits).
+//
+// Every row in every layer (heap version, window close, WAL record,
+// replication event, wire row) is a flat []Datum, so a word less is a third
+// less memory everywhere. The other types are inline rather than all boxed
+// because the collector follows every non-nil pointer word, however static
+// its target (BenchmarkGCMarkRows).
 //
 // Two values holding the same text may point at different bytes, so == on a
 // Datum would compare addresses: the zero-size func array makes it (and a
 // map key, and a switch) a compile error. Call d.Equal(e) for identity of
 // type and value, Equal(a, b) or Compare for SQL semantics.
 type Datum struct {
-	_   [0]func()
-	p   unsafe.Pointer
-	n   uint64
-	typ Type
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
 
-// word builds a datum of a type whose whole value is the one word.
-func word(t Type, v int64) Datum { return Datum{typ: t, n: uint64(v)} }
+// An inline datum keeps its type in n's top byte and its value below it.
+const (
+	typeShift = 56
+	low       = 1<<typeShift - 1
+)
 
-// int, flt and str read the payload as the type tag says to; everything in
-// the package that is not a constructor goes through them.
-func (d Datum) int() int64   { return int64(d.n) }
+// tags are the boxed form's type tags: a datum whose p points at tags[t] is
+// of type t.
+var tags [8]byte
+
+// inline is the signed value in n's low 56 bits.
+func inline(n uint64) int64 { return int64(n<<(64-typeShift)) >> (64 - typeShift) }
+
+// word builds a datum of a type whose whole value is the one word, inline
+// when the value fits.
+func word(t Type, v int64) Datum {
+	if inline(uint64(v)) == v {
+		return Datum{n: uint64(v)&low | uint64(t)<<typeShift}
+	}
+	return Datum{p: unsafe.Pointer(&tags[t]), n: uint64(v)}
+}
+
+// typ is the datum's type: its tag if p points into tags, else n's top byte.
+func (d Datum) typ() Type {
+	if off := uintptr(d.p) - uintptr(unsafe.Pointer(&tags)); off < uintptr(len(tags)) {
+		return Type(off)
+	}
+	return Type(d.n >> typeShift)
+}
+
+// int, flt and str read the payload as the type says to; everything in the
+// package that is not a constructor goes through them.
+func (d Datum) int() int64 {
+	s := uint(0) // a shift, not a branch: both forms are common in one row
+	if d.p == nil {
+		s = 64 - typeShift
+	}
+	return int64(d.n<<s) >> s
+}
+
 func (d Datum) flt() float64 { return math.Float64frombits(d.n) }
 
 // str is the string p and n describe. A RowStrings placeholder (p nil,
-// n > 0) panics here: it must never be read before its batch ends.
-func (d Datum) str() string { return unsafe.String((*byte)(d.p), d.n) }
+// a length) panics here: it must never be read before its batch ends.
+func (d Datum) str() string { return unsafe.String((*byte)(d.p), d.n&low) }
+
+// as is the value of a datum that must be of a word type t.
+func (d Datum) as(t Type) int64 {
+	if d.p == nil && d.n>>typeShift == uint64(t) {
+		return inline(d.n)
+	}
+	if d.p != unsafe.Pointer(&tags[t]) {
+		panic(typeError{d.typ(), t})
+	}
+	return int64(d.n)
+}
+
+// typeError is what an accessor panics with on a datum of another type.
+type typeError struct{ got, want Type }
+
+func (e typeError) Error() string { return fmt.Sprintf("types: %s datum used as %s", e.got, e.want) }
 
 // Null is the SQL NULL value.
-var Null = Datum{typ: TypeNull}
+var Null = word(TypeNull, 0)
 
 // True and False are the boolean constants.
 var (
@@ -135,11 +190,17 @@ func NewBool(b bool) Datum {
 func NewInt(v int64) Datum { return word(TypeInt, v) }
 
 // NewFloat returns a floating-point datum.
-func NewFloat(v float64) Datum { return Datum{typ: TypeFloat, n: math.Float64bits(v)} }
+func NewFloat(v float64) Datum {
+	return Datum{p: unsafe.Pointer(&tags[TypeFloat]), n: math.Float64bits(v)}
+}
 
 // NewString returns a string datum; it shares v's bytes.
 func NewString(v string) Datum {
-	return Datum{typ: TypeString, p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+	d := Datum{n: uint64(len(v)) | uint64(TypeString)<<typeShift}
+	if len(v) > 0 {
+		d.p = unsafe.Pointer(unsafe.StringData(v))
+	}
+	return d
 }
 
 // NewTimestamp returns a timestamp datum, truncated to microseconds.
@@ -160,73 +221,55 @@ func NewInterval(d time.Duration) Datum {
 func NewIntervalMicros(us int64) Datum { return word(TypeInterval, us) }
 
 // Type returns the datum's type.
-func (d Datum) Type() Type { return d.typ }
+func (d Datum) Type() Type { return d.typ() }
 
-// IsNull reports whether the datum is SQL NULL (or the unknown zero value).
-func (d Datum) IsNull() bool { return d.typ == TypeNull || d.typ == TypeUnknown }
+// IsNull reports whether the datum is SQL NULL (or the unknown zero value),
+// both of which are always inline.
+func (d Datum) IsNull() bool { return d.p == nil && d.n>>typeShift <= uint64(TypeNull) }
 
 // Bool returns the boolean value; it panics on other types.
-func (d Datum) Bool() bool {
-	d.mustBe(TypeBool)
-	return d.int() != 0
-}
+func (d Datum) Bool() bool { return d.as(TypeBool) != 0 }
 
 // Int returns the integer value; it panics on other types.
-func (d Datum) Int() int64 {
-	d.mustBe(TypeInt)
-	return d.int()
-}
+func (d Datum) Int() int64 { return d.as(TypeInt) }
 
 // Float returns the floating-point value; for TypeInt it widens.
 func (d Datum) Float() float64 {
-	switch d.typ {
+	switch t := d.typ(); t {
 	case TypeFloat:
 		return d.flt()
 	case TypeInt:
 		return float64(d.int())
+	default:
+		panic(fmt.Sprintf("types: Float on %s", t))
 	}
-	panic(fmt.Sprintf("types: Float on %s", d.typ))
 }
 
 // Str returns the string value; it panics on other types.
 func (d Datum) Str() string {
-	d.mustBe(TypeString)
+	if t := d.typ(); t != TypeString {
+		panic(typeError{t, TypeString})
+	}
 	return d.str()
 }
 
 // TimestampMicros returns the timestamp in microseconds since the epoch.
-func (d Datum) TimestampMicros() int64 {
-	d.mustBe(TypeTimestamp)
-	return d.int()
-}
+func (d Datum) TimestampMicros() int64 { return d.as(TypeTimestamp) }
 
 // Time returns the timestamp as a time.Time in UTC.
-func (d Datum) Time() time.Time {
-	d.mustBe(TypeTimestamp)
-	return time.UnixMicro(d.int()).UTC()
-}
+func (d Datum) Time() time.Time { return time.UnixMicro(d.as(TypeTimestamp)).UTC() }
 
 // IntervalMicros returns the interval in microseconds.
-func (d Datum) IntervalMicros() int64 {
-	d.mustBe(TypeInterval)
-	return d.int()
-}
+func (d Datum) IntervalMicros() int64 { return d.as(TypeInterval) }
 
 // Duration returns the interval as a time.Duration.
 func (d Datum) Duration() time.Duration {
-	d.mustBe(TypeInterval)
-	return time.Duration(d.int()) * time.Microsecond
-}
-
-func (d Datum) mustBe(t Type) {
-	if d.typ != t {
-		panic(fmt.Sprintf("types: %s datum used as %s", d.typ, t))
-	}
+	return time.Duration(d.as(TypeInterval)) * time.Microsecond
 }
 
 // String renders the datum the way the REPL and test goldens print values.
 func (d Datum) String() string {
-	switch d.typ {
+	switch t := d.typ(); t {
 	case TypeNull, TypeUnknown:
 		return "NULL"
 	case TypeBool:
@@ -245,7 +288,7 @@ func (d Datum) String() string {
 	case TypeInterval:
 		return FormatInterval(d.int())
 	default:
-		return fmt.Sprintf("<%d>", d.typ)
+		return fmt.Sprintf("<%d>", t)
 	}
 }
 
@@ -275,8 +318,8 @@ func formatFloat(f float64) string {
 // handles. Comparing incomparable types panics: the planner inserts casts
 // so executing plans never do that.
 func Compare(a, b Datum) int {
-	an, bn := a.IsNull(), b.IsNull()
-	if an || bn {
+	at, bt := a.typ(), b.typ()
+	if an, bn := at <= TypeNull, bt <= TypeNull; an || bn {
 		switch {
 		case an && bn:
 			return 0
@@ -286,22 +329,21 @@ func Compare(a, b Datum) int {
 			return 1
 		}
 	}
-	if a.typ.Numeric() && b.typ.Numeric() {
-		if a.typ == TypeInt && b.typ == TypeInt {
-			return cmpInt(a.int(), b.int())
+	if at != bt {
+		if at.Numeric() && bt.Numeric() {
+			return cmpFloat(a.Float(), b.Float())
 		}
-		return cmpFloat(a.Float(), b.Float())
+		panic(fmt.Sprintf("types: cannot compare %s with %s", at, bt))
 	}
-	if a.typ != b.typ {
-		panic(fmt.Sprintf("types: cannot compare %s with %s", a.typ, b.typ))
-	}
-	switch a.typ {
-	case TypeBool, TypeTimestamp, TypeInterval:
+	switch at {
+	case TypeInt, TypeBool, TypeTimestamp, TypeInterval:
 		return cmpInt(a.int(), b.int())
+	case TypeFloat:
+		return cmpFloat(a.flt(), b.flt())
 	case TypeString:
 		return strings.Compare(a.str(), b.str())
 	default:
-		panic(fmt.Sprintf("types: cannot compare %s", a.typ))
+		panic(fmt.Sprintf("types: cannot compare %s", at))
 	}
 }
 
@@ -338,7 +380,7 @@ func cmpFloat(a, b float64) int {
 // need three-valued logic use expr's comparison evaluation instead. This
 // is the definition GROUP BY and DISTINCT use.
 func Equal(a, b Datum) bool {
-	if !Comparable(a.typ, b.typ) {
+	if !Comparable(a.typ(), b.typ()) {
 		return false
 	}
 	return Compare(a, b) == 0
@@ -347,12 +389,15 @@ func Equal(a, b Datum) bool {
 // Equal reports whether d and e are the same value of the same type: equal
 // type tags and equal numbers bit for bit (a NaN equals the same NaN, 0.0
 // differs from -0.0 and from the integer 0) or equal text. It is what ==
-// would mean if Datum allowed it; SQL equality is the function Equal.
+// would mean if Datum allowed it; SQL equality is the function Equal. A value
+// has one form, so outside VARCHAR it is the same two words.
 func (d Datum) Equal(e Datum) bool {
-	if d.typ != e.typ || d.n != e.n {
-		return false
-	}
-	return d.typ != TypeString || d.str() == e.str()
+	return d.n == e.n && (d.p == e.p || d.n>>typeShift == uint64(TypeString) && !boxed(d.p) && !boxed(e.p) && d.str() == e.str())
+}
+
+// boxed says whether p is a boxed datum's tag.
+func boxed(p unsafe.Pointer) bool {
+	return uintptr(p)-uintptr(unsafe.Pointer(&tags)) < uintptr(len(tags))
 }
 
 // RowsView views datum slices as rows, and DatumsView rows as datum slices.

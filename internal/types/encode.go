@@ -10,8 +10,9 @@ import (
 // EncodeDatum appends a self-describing binary encoding of d to buf. The
 // encoding is used by the WAL and by the map/reduce baseline's spill files.
 func EncodeDatum(buf []byte, d Datum) []byte {
-	buf = append(buf, byte(d.typ))
-	switch d.typ {
+	t := d.typ()
+	buf = append(buf, byte(t))
+	switch t {
 	case TypeNull, TypeUnknown:
 	case TypeBool, TypeInt, TypeTimestamp, TypeInterval:
 		buf = binary.AppendVarint(buf, d.int())
@@ -30,9 +31,12 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 // scratch that carved it stays under the 1 MiB Reset keeps at any width.
 const BlockRows, blockBytes = 4096, 1 << 19
 
+// The bytes of a value and of a row header.
+const datumSize, rowSize = int(unsafe.Sizeof(Datum{})), int(unsafe.Sizeof(Row{}))
+
 // blockFull says whether a block of n rows, vals values and strs string bytes ends there.
 func blockFull(n, vals, strs int) bool {
-	return n == BlockRows || 24*vals >= blockBytes || strs >= blockBytes
+	return n == BlockRows || datumSize*vals >= blockBytes || strs >= blockBytes
 }
 
 // RowStrings is the scratch of the reader that owns a decode (the ownership
@@ -57,7 +61,7 @@ type RowStrings struct {
 // the batch ends panics, so a decoder that fails before then drops the batch.
 func (b *RowStrings) Add(p []byte) Datum {
 	b.scratch = append(b.scratch, p...)
-	return Datum{typ: TypeString, n: uint64(len(p))}
+	return Datum{n: uint64(len(p)) | uint64(TypeString)<<typeShift}
 }
 
 // Push appends a value to the row being decoded.
@@ -71,10 +75,10 @@ func (b *RowStrings) EndRow() {
 }
 
 // Reset starts a batch, letting go of what the last one left (rows handed
-// out, a failed batch) and of every buffer if one has grown past 1 MiB (a
-// Datum and a Row are 24 bytes): one huge batch must not pin its size.
+// out, a failed batch) and of every buffer if one has grown past 1 MiB: one
+// huge batch must not pin its size.
 func (b *RowStrings) Reset() {
-	if max(24*max(cap(b.vals), cap(b.done), cap(b.lastRows), cap(b.spareRows), cap(b.lastVals), cap(b.spareVals)),
+	if max(datumSize*max(cap(b.vals), cap(b.lastVals), cap(b.spareVals)), rowSize*max(cap(b.done), cap(b.lastRows), cap(b.spareRows)),
 		cap(b.scratch), cap(b.lastStrs), cap(b.spareStrs)) > 1<<20 {
 		*b = RowStrings{}
 	}
@@ -130,14 +134,14 @@ func CheckBatch(rows []Row) error {
 			return fmt.Errorf("row %d (len %d, cap %d) is not where its block's array continues", ri, len(row), cap(row))
 		}
 		if len(row) > 0 {
-			array = lo + 24*uintptr(len(row))
+			array = lo + uintptr(datumSize*len(row))
 		}
 		for _, d := range row {
-			if d.typ == TypeString && d.n > 0 {
+			if k := int(d.n & low); d.typ() == TypeString && k > 0 {
 				if backing != 0 && uintptr(d.p) != backing {
 					return fmt.Errorf("row %d: a string is not where its block's backing continues", ri)
 				}
-				backing, strs = uintptr(d.p)+uintptr(d.n), strs+int(d.n)
+				backing, strs = uintptr(d.p)+uintptr(k), strs+k
 			}
 		}
 		if n, vals = n+1, vals+len(row); blockFull(n, vals, strs) {
@@ -157,8 +161,8 @@ func (b *RowStrings) carve(dst []Row) []Row {
 	b.lastVals, b.lastStrs = vals, strs
 	backing := unsafe.Pointer(unsafe.SliceData(strs))
 	for i, off := 0, 0; i < len(vals); i++ {
-		if d := &vals[i]; d.typ == TypeString && d.p == nil && d.n > 0 {
-			d.p, off = unsafe.Add(backing, off), off+int(d.n)
+		if d := &vals[i]; d.p == nil && d.typ() == TypeString && d.n&low > 0 {
+			d.p, off = unsafe.Add(backing, off), off+int(d.n&low)
 		}
 	}
 	start := 0
@@ -190,7 +194,7 @@ func EncodeRow(buf []byte, r Row) []byte {
 
 // MaxPresize is the most elements a decoder allocates on the word of a
 // count: a count can only be checked against the bytes that remain, and an
-// element in memory is 24–72 times its smallest encoding, so a corrupt count
+// element in memory is 16–72 times its smallest encoding, so a corrupt count
 // in a large frame would buy gigabytes. Up to MaxPresize a slice is sized
 // exactly; beyond, it grows geometrically as elements actually decode.
 const MaxPresize = 1024

@@ -12,9 +12,9 @@ import (
 	"unsafe"
 )
 
-// The four-field Datum this package had until the value became three words,
-// with every operation that read its fields, kept verbatim as the test-only
-// reference the 24-byte layout must agree with.
+// The four-field Datum this package had until the value became three words
+// (and then two), with every operation that read its fields, kept verbatim as
+// the test-only reference the 16-byte layout must agree with.
 type old struct {
 	typ Type
 	i   int64 // TypeInt, TypeBool (0/1), TypeTimestamp, TypeInterval
@@ -418,19 +418,22 @@ func (sp spec) pair() pair {
 }
 
 // modelSpecs are the edges of the representation: every NaN shape, both
-// zeros and infinities, subnormals, the integers a float cannot hold, and
-// text that is empty, holds NUL, is not UTF-8, or casts to another type.
+// zeros and infinities, subnormals, the integers a float cannot hold, both
+// sides of the 56 bits an inline value holds (and a boxed value whose word is
+// an inline one's: -1's), timestamps of the years 1 and 9999, and text that
+// is empty, holds NUL, is not UTF-8, or casts to another type.
 var modelSpecs = func() []spec {
 	out := []spec{{k: 0}, {k: 1}, {k: 2, n: 0}, {k: 2, n: 1}}
-	for _, v := range []int64{0, 1, -1, 3, 42, math.MinInt64, math.MaxInt64, 1 << 53, 1<<53 + 1, 60_000_000, 1_700_000_000_000_000} {
+	for _, v := range []int64{0, 1, -1, 3, 42, math.MinInt64, math.MaxInt64, 1 << 53, 1<<53 + 1, 60_000_000, 1_700_000_000_000_000,
+		1<<55 - 1, -1 << 55, 1 << 55, -1<<55 - 1, int64(NewInt(-1).n), -62_135_596_800_000_000, 253_402_300_799_999_999} {
 		out = append(out, spec{k: 3, n: uint64(v)}, spec{k: 6, n: uint64(v)}, spec{k: 7, n: uint64(v)})
 	}
 	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, 3, -3, math.Inf(1), math.Inf(-1), math.NaN(),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, 1 << 63, -(1 << 63), 1e19, 1 << 53} {
 		out = append(out, spec{k: 4, n: math.Float64bits(f)})
 	}
-	for _, bits := range []uint64{0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 1 << 51} {
-		out = append(out, spec{k: 4, n: bits}) // quiet, negative and signalling NaNs, a large subnormal
+	for _, bits := range []uint64{0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 1 << 51, 1<<52 - 1} {
+		out = append(out, spec{k: 4, n: bits}) // quiet, negative and signalling NaNs, large subnormals
 	}
 	for _, s := range []string{"", "a", "abc", "abd", "true", "42", "-9223372036854775808", "4.5", "NaN",
 		"2009-01-04 09:30:00", "5 minutes", "a\x00b", "\x00", "\xff\xfe bad \xc3", strings.Repeat("long ", 100)} {
@@ -603,10 +606,94 @@ func FuzzDatumRoundTrip(f *testing.F) {
 	})
 }
 
-// TestSizeofDatum pins the layout: three words. Every row in every layer is
-// a flat []Datum, so a fourth word is a third more memory everywhere.
+// TestSizeofDatum pins the layout: two words. Every row in every layer is
+// a flat []Datum, so a third word is half again the memory everywhere.
 func TestSizeofDatum(t *testing.T) {
-	if got := unsafe.Sizeof(Datum{}); got != 24 {
-		t.Fatalf("a Datum is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(Datum{}); got != 16 {
+		t.Fatalf("a Datum is %d bytes, want 16", got)
+	}
+}
+
+// TestDatumLayout is the truth table of the two-word layout: each constructor
+// at the edges of its forms reads back its type, its nullness and its value,
+// equals a twin built afresh, and holds in p what the layout says — nil
+// (inline, or an empty string), a tag (boxed) or its bytes.
+func TestDatumLayout(t *testing.T) {
+	const inline, boxed, bytes = "nil", "a tag", "its bytes"
+	check := func(name string, mk func() Datum, typ Type, want any, form string) {
+		t.Helper()
+		d, twin := mk(), mk()
+		var got any
+		switch typ {
+		case TypeBool:
+			got = d.Bool()
+		case TypeInt:
+			got = d.Int()
+		case TypeFloat:
+			got, want = math.Float64bits(d.Float()), math.Float64bits(want.(float64))
+		case TypeString:
+			got = d.Str()
+		case TypeTimestamp:
+			got = d.TimestampMicros()
+		case TypeInterval:
+			got = d.IntervalMicros()
+		}
+		p := bytes
+		if off := uintptr(d.p) - uintptr(unsafe.Pointer(&tags)); off < uintptr(len(tags)) {
+			p = boxed
+		} else if d.p == nil {
+			p = inline
+		}
+		if d.Type() != typ || d.IsNull() != (typ <= TypeNull) || got != want || !d.Equal(twin) || !twin.Equal(d) || p != form {
+			t.Errorf("%s: %s (null %v) holding %v with p %s, equal to its twin %v; want %s holding %v with p %s",
+				name, d.Type(), d.IsNull(), got, p, d.Equal(twin), typ, want, form)
+		}
+	}
+	for _, v := range []int64{0, 1, -1, 1<<55 - 1, -1 << 55, 1 << 55, -1<<55 - 1, math.MinInt64, math.MaxInt64} {
+		form := inline
+		if v >= 1<<55 || v < -1<<55 {
+			form = boxed
+		}
+		name := strconv.FormatInt(v, 10)
+		check("BIGINT "+name, func() Datum { return NewInt(v) }, TypeInt, v, form)
+		check("INTERVAL "+name, func() Datum { return NewIntervalMicros(v) }, TypeInterval, v, form)
+	}
+	day := func(y int, m time.Month) time.Time { return time.Date(y, m, 1, 0, 0, 0, 0, time.UTC) }
+	for _, c := range []struct {
+		ts   time.Time
+		form string
+	}{{day(1, 1), boxed}, {day(828, 1), boxed}, {day(828, 12), inline}, {time.Now(), inline}, {day(3111, 6), inline}, {day(3112, 1), boxed}, {day(9999, 12), boxed}} {
+		check(c.ts.String(), func() Datum { return NewTimestamp(c.ts) }, TypeTimestamp, c.ts.UnixMicro(), c.form)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 1.5} {
+		check(fmt.Sprint("DOUBLE ", f), func() Datum { return NewFloat(f) }, TypeFloat, f, boxed)
+	}
+	check("Null", func() Datum { return Null }, TypeNull, nil, inline)
+	check("NewNull", NewNull, TypeNull, nil, inline)
+	check("the zero Datum", func() Datum { return Datum{} }, TypeUnknown, nil, inline)
+	check("True", func() Datum { return True }, TypeBool, true, inline)
+	check("NewBool(false)", func() Datum { return NewBool(false) }, TypeBool, false, inline)
+
+	buf := append(make([]byte, 0, 8), "buffer"...)
+	atEnd := unsafe.String(unsafe.SliceData(buf[len(buf):]), 0) // empty, but with an address
+	mib := strings.Repeat("x", 1<<20)
+	check(`NewString("")`, func() Datum { return NewString("") }, TypeString, "", inline)
+	check("an empty string at a buffer's end", func() Datum { return NewString(atEnd) }, TypeString, "", inline)
+	check("a 1-byte string", func() Datum { return NewString(string(buf[:1])) }, TypeString, "b", bytes)
+	check("a 1 MiB string", func() Datum { return NewString(mib) }, TypeString, mib, bytes)
+
+	var strs RowStrings
+	ph := strs.Add([]byte("abc"))
+	if ph.Type() != TypeString || ph.IsNull() || !panicked(func() { _ = ph.Str() }) {
+		t.Errorf("a placeholder reads as %s (null %v) and does not panic on Str", ph.Type(), ph.IsNull())
+	}
+	strs.Push(ph)
+	strs.EndRow()
+	if s := strs.Rows()[0][0].Str(); s != "abc" {
+		t.Errorf("a carved placeholder reads %q", s)
+	}
+	// A boxed value whose word is an inline one's is not that value.
+	if a, b := NewInt(-1), NewInt(int64(NewInt(-1).n)); a.Equal(b) || Compare(a, b) == 0 {
+		t.Errorf("%v and %v, one word apart in form only, are equal", a, b)
 	}
 }

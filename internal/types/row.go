@@ -111,14 +111,14 @@ var hashSeed = maphash.MakeSeed()
 // Values that compare Equal hash equally: integral floats hash as their
 // integer value so INT 3 and FLOAT 3.0 collide as required.
 func HashDatum(h *maphash.Hash, d Datum) {
-	switch d.typ {
+	switch t := d.typ(); t {
 	case TypeNull, TypeUnknown:
 		h.WriteByte(0)
 	case TypeBool:
 		h.WriteByte(1)
 		h.WriteByte(byte(d.int()))
-	case TypeInt:
-		h.WriteByte(2)
+	case TypeInt, TypeTimestamp, TypeInterval: // as AppendKey tags them
+		h.WriteByte(byte(t) - 1)
 		writeUint64(h, uint64(d.int()))
 	case TypeFloat:
 		if i, ok := integralFloat(d.flt()); ok {
@@ -132,12 +132,6 @@ func HashDatum(h *maphash.Hash, d Datum) {
 	case TypeString:
 		h.WriteByte(4)
 		h.WriteString(d.str())
-	case TypeTimestamp:
-		h.WriteByte(5)
-		writeUint64(h, uint64(d.int()))
-	case TypeInterval:
-		h.WriteByte(6)
-		writeUint64(h, uint64(d.int()))
 	}
 }
 
@@ -196,23 +190,20 @@ func integralFloat(f float64) (int64, bool) {
 // Compare orders all NaNs as equal. ±Inf, 2^63 and 1e19 take the 03 form
 // on every platform.
 func (d Datum) AppendKey(dst []byte) []byte {
-	switch d.typ {
+	switch t := d.typ(); t {
 	case TypeBool:
 		return append(dst, 1, byte(d.int()))
-	case TypeInt:
-		return binary.LittleEndian.AppendUint64(append(dst, 2), uint64(d.int()))
+	case TypeInt, TypeTimestamp, TypeInterval: // a word type's tag is its Type less one
+		return binary.LittleEndian.AppendUint64(append(dst, byte(t)-1), uint64(d.int()))
 	case TypeFloat:
 		if i, ok := integralFloat(d.flt()); ok {
 			return binary.LittleEndian.AppendUint64(append(dst, 2), uint64(i))
 		}
 		return binary.LittleEndian.AppendUint64(append(dst, 3), math.Float64bits(d.flt()))
 	case TypeString:
-		dst = binary.LittleEndian.AppendUint64(append(dst, 4, 4), uint64(len(d.str())))
-		return append(dst, d.str()...)
-	case TypeTimestamp:
-		return binary.LittleEndian.AppendUint64(append(dst, 5), uint64(d.int()))
-	case TypeInterval:
-		return binary.LittleEndian.AppendUint64(append(dst, 6), uint64(d.int()))
+		s := d.str()
+		dst = binary.LittleEndian.AppendUint64(append(dst, 4, 4), uint64(len(s)))
+		return append(dst, s...)
 	default: // TypeNull, TypeUnknown
 		return append(dst, 0)
 	}
@@ -240,8 +231,9 @@ func (r Row) Key() string { return string(r.AppendKey(nil)) }
 func (r Row) ShareKey(key string) {
 	var buf [9]byte // the longest key of a datum with no string
 	for i, off := 0, 0; i < len(r); i++ {
-		if d := r[i]; d.typ == TypeString {
-			r[i], off = NewString(key[off+10:off+10+int(d.n)]), off+10+int(d.n)
+		if d := r[i]; d.typ() == TypeString {
+			k := len(d.str())
+			r[i], off = NewString(key[off+10:off+10+k]), off+10+k
 		} else {
 			off += len(d.AppendKey(buf[:0]))
 		}

@@ -214,7 +214,7 @@ func checkRowKey(t *testing.T, a, b Row) {
 		if !d.Equal(a[i]) {
 			t.Fatalf("row %v: column %d is %v after ShareKey", a, i, d)
 		}
-		if d.typ == TypeString && d.n > 0 && (uintptr(d.p) < lo || uintptr(d.p)+uintptr(d.n) > lo+uintptr(len(key))) {
+		if d.typ() == TypeString && d.p != nil && (uintptr(d.p) < lo || uintptr(d.p)+uintptr(len(d.str())) > lo+uintptr(len(key))) {
 			t.Fatalf("row %v: column %d is not inside its key after ShareKey", a, i)
 		}
 	}
