@@ -35,11 +35,12 @@ type HashAgg struct {
 	scratch     types.Row
 	groups      map[string]*aggGroup
 	slab        expr.Slab[aggGroup]
-	head        *aggGroup  // this execution's groups, in order of first appearance
-	epoch, used int        // this execution, and the groups it has used
-	transient   bool       // the consumer keeps no row (see rowsTransient)
-	kept        bool       // maintained: the groups hold the table up to the scan's mark
-	tail        **aggGroup // where a maintained execution links its next new group
+	carved      expr.Recycler[*aggGroup] // counts the groups carved: the map keeps them all
+	head        *aggGroup                // this execution's groups, in order of first appearance
+	epoch, used int                      // this execution, and the groups it has used
+	transient   bool                     // the consumer keeps no row (see rowsTransient)
+	kept        bool                     // maintained: the groups hold the table up to the scan's mark
+	tail        **aggGroup               // where a maintained execution links its next new group
 }
 
 type aggGroup struct {
@@ -71,8 +72,8 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 	// accumulators with it) and a substring of a chunk of key bytes; a
 	// group's output row, keys first, is carved from a block — or, for a
 	// consumer that keeps no row, is the one it had. After an execution that
-	// used at most half of the groups (or none of none), all start afresh:
-	// a tree keeps at most twice what its last execution needed.
+	// used less than half of the groups, all start afresh (expr.Recycler's
+	// rule): a tree keeps at most twice what its last execution needed.
 	nk, first := len(h.GroupBy), firstGroups
 	if nk == 0 {
 		first = 1
@@ -82,7 +83,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		scan.next, tail = scan.prev.Next, h.tail // the groups hold the rows below it
 	} else {
 		h.Close() // not kept: the groups are reset
-		if 2*h.used <= len(h.groups) {
+		if h.groups == nil || h.carved.Boundary(h.used) {
 			h.groups, h.slab = make(map[string]*aggGroup, h.used), expr.NewSlab[aggGroup](max(h.used, first))
 			h.scratch = make(types.Row, nk)
 		}
@@ -99,6 +100,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 				return nil, err
 			}
 			g.accs = accs
+			h.carved.Made(1)
 			if keys.Cap()-keys.Len() < len(key) {
 				keys.Reset() // the map's keys keep the chunk before
 				keys.Grow(len(key) * min(max(len(h.groups), first), 256))

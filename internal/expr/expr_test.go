@@ -670,3 +670,109 @@ func TestSlabRefillFollowsTheMiss(t *testing.T) {
 		}
 	}
 }
+
+// TestRecyclerRule: a recycler hands back the object put last; what a
+// boundary kept and nothing took goes at the next one, unless its owner
+// counts what it carves; a boundary where more than twice the live objects
+// were carved drops everything, and one where exactly twice were does not;
+// Put resets, and under types.Poison poisons, what Take resets again.
+func TestRecyclerRule(t *testing.T) {
+	type obj struct{ id, resets, poisons int }
+	newRecycler := func() Recycler[*obj] {
+		return NewRecycler(func(o *obj, poison bool) {
+			if o.resets++; poison {
+				o.poisons++
+			}
+		}, 4)
+	}
+	objs := make([]*obj, 6)
+	for i := range objs {
+		objs[i] = &obj{id: i}
+	}
+	ids := func(r *Recycler[*obj]) (got []int) {
+		for o := r.Take(); o != nil; o = r.Take() {
+			got = append(got, o.id)
+		}
+		return got
+	}
+
+	r := newRecycler()
+	if r.Take() != nil {
+		t.Fatal("an empty recycler handed out an object")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, o := range objs[:4] {
+			r.Put(o)
+		}
+		r.Boundary(0)
+		for r.Take() != nil {
+		}
+	}); allocs != 0 {
+		t.Errorf("putting the 4 objects it has room for allocates %.0f times", allocs)
+	}
+	for _, o := range objs[:3] {
+		r.Put(o)
+	}
+	if got := ids(&r); !slices.Equal(got, []int{2, 1, 0}) {
+		t.Errorf("take order %v, want the object put last first", got)
+	}
+
+	// One boundary kept, the next dropped, unless taken and put again.
+	r.Put(objs[0])
+	r.Put(objs[1])
+	r.Boundary(0)
+	if r.Len() != 2 {
+		t.Fatalf("a boundary dropped what it was put for: %d kept", r.Len())
+	}
+	r.Put(r.Take()) // objs[1], taken and put again
+	r.Put(objs[2])
+	r.Boundary(0)
+	if got := ids(&r); !slices.Equal(got, []int{2, 1}) {
+		t.Errorf("after a second boundary %v kept, want 2 and 1: 0 went unused for a boundary", got)
+	}
+
+	// Counted objects stay past boundaries: dropping them would free nothing.
+	r.Made(3)
+	r.Put(objs[3])
+	for i := 0; i < 3; i++ {
+		if r.Boundary(2) || r.Len() != 1 {
+			t.Fatalf("boundary %d: 3 carved for 2 live, %d kept: want the counted object kept", i, r.Len())
+		}
+	}
+	if r.Take() != objs[3] {
+		t.Fatal("the counted object was not handed back")
+	}
+
+	// The 2× edge: twice live carved keeps, one more drops all and counts anew.
+	for _, live := range []int{1, 5} {
+		r := newRecycler()
+		r.Made(2 * live)
+		r.Put(objs[0])
+		if r.Boundary(live) || r.Len() != 1 {
+			t.Errorf("live %d, %d carved: fresh, or %d kept, want 1", live, 2*live, r.Len())
+		}
+		r.Made(1)
+		if !r.Boundary(live) || r.Len() != 0 {
+			t.Errorf("live %d, %d carved: not fresh, or %d kept, want 0", live, 2*live+1, r.Len())
+		}
+		if r.Boundary(0) {
+			t.Errorf("live %d: a fresh start did not count anew", live)
+		}
+	}
+
+	// Reset and poison: once at Put, once more at Take under types.Poison.
+	defer func(p bool) { types.Poison = p }(types.Poison)
+	for _, poison := range []bool{false, true} {
+		types.Poison = poison
+		o := &obj{}
+		r := newRecycler()
+		r.Put(o)
+		if o.resets != 1 || (o.poisons == 1) != poison {
+			t.Errorf("Poison %v: Put reset %d times, poisoned %d", poison, o.resets, o.poisons)
+		}
+		r.Take()
+		if want := map[bool]int{false: 1, true: 2}[poison]; o.resets != want || o.poisons > 1 {
+			t.Errorf("Poison %v: after Take reset %d times (want %d), poisoned %d", poison, o.resets, want, o.poisons)
+		}
+	}
+}

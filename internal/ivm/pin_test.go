@@ -74,9 +74,10 @@ func TestRecycledSlicePinsNoBatch(t *testing.T) {
 		insert(t, s, r)
 	}
 	rows = nil
+	sl := s.slices[0]
 	s.Expire(20 * second) // the fire at 10 s retracted [0, 10)
-	if len(s.spares) != 1 || s.spares[0].free == nil {
-		t.Fatalf("the expired slice is not a spare: %d spares", len(s.spares))
+	if s.spares.Len() != 1 || sl.free.Len() == 0 {
+		t.Fatalf("the expired slice is not a spare: %d spares", s.spares.Len())
 	}
 	runtime.GC()
 	runtime.GC()
@@ -119,12 +120,12 @@ func TestRawStorePinsNoExpiredRow(t *testing.T) {
 		t.Fatal("a row the next window reads is gone")
 	}
 	closeAt(20*second, 4)
-	if len(s.spares) != 1 || !gone() {
-		t.Fatalf("the expired slice keeps its row reachable (%d spares)", len(s.spares))
+	if s.spares.Len() != 1 || !gone() {
+		t.Fatalf("the expired slice keeps its row reachable (%d spares)", s.spares.Len())
 	}
 	insert(t, s, hit("/page/after", 21*second, 5)) // opens from the spare: one of its three slots refilled
-	if len(s.spares) != 0 || !gone() {
-		t.Fatalf("the reused row array keeps an expired row reachable (%d spares)", len(s.spares))
+	if s.spares.Len() != 0 || !gone() {
+		t.Fatalf("the reused row array keeps an expired row reachable (%d spares)", s.spares.Len())
 	}
 	runtime.KeepAlive(s)
 }
@@ -150,8 +151,8 @@ func TestRecycledSliceMemoryBounded(t *testing.T) {
 		s.Expire(k * 10 * second)
 		runtime.GC()
 		switch alive := chunk.Value() != nil; {
-		case k == 4 && (!alive || len(s.spares) != 1):
-			t.Fatalf("close %d: the burst slice expired and is not a spare (%d spares)", k, len(s.spares))
+		case k == 4 && (!alive || s.spares.Len() != 1):
+			t.Fatalf("close %d: the burst slice expired and is not a spare (%d spares)", k, s.spares.Len())
 		case k == 8 && alive:
 			t.Fatalf("close %d: the burst slice's chunk is reachable a retention after it expired", k)
 		}
@@ -197,8 +198,8 @@ func TestRecycledSparesMemoryBounded(t *testing.T) {
 	}
 	s.Detach(wide)
 	s.Expire(100 * second)
-	if len(expiring) != 5 || len(s.spares) != 5 {
-		t.Fatalf("%d slices expired at once, %d spares: want 5 and 5", len(expiring), len(s.spares))
+	if len(expiring) != 5 || s.spares.Len() != 5 {
+		t.Fatalf("%d slices expired at once, %d spares: want 5 and 5", len(expiring), s.spares.Len())
 	}
 	fill(10, 2)
 	s.Expire(110 * second)
@@ -279,7 +280,7 @@ func TestRecycledGroupsMemoryBounded(t *testing.T) {
 		switch n := alive(); {
 		case k == 2 && (n != 3 || len(s.groups) != burst+steady):
 			t.Fatalf("boundary %d: %d of 3 burst groups reachable, %d groups held: want the idle burst held", k, n, len(s.groups))
-		case k == 3 && (n != 3 || len(s.groups) != steady || s.free == nil):
+		case k == 3 && (n != 3 || len(s.groups) != steady || s.free.Len() == 0):
 			t.Fatalf("boundary %d: %d of 3 burst groups reachable, %d groups held: want the burst on the free list", k, n, len(s.groups))
 		case k == 4 && n != 0:
 			t.Fatalf("boundary %d: %d of 3 burst groups reachable a boundary after the free list went unused", k, n)
@@ -326,7 +327,7 @@ func TestTumblingViewMemoryBounded(t *testing.T) {
 			}
 		}
 		switch {
-		case k == 1 && (alive == 0 || v.spare == nil):
+		case k == 1 && (alive == 0 || v.spare.Len() == 0):
 			t.Fatalf("close %d: the burst's groups were not recycled (%d of %d reachable)", k, alive, len(groups))
 		case k >= 2 && alive != 0:
 			t.Fatalf("close %d: %d of %d burst window groups reachable, their slab replaced a close ago", k, alive, len(groups))
@@ -376,7 +377,7 @@ func TestInPlaceViewMemoryBounded(t *testing.T) {
 		case 5:
 			steadyRow = weak.Make(&rows[0][0])
 		}
-		if kept := len(v.ordered) + len(v.free); kept > 2*len(v.ordered) {
+		if kept := len(v.ordered) + v.free.Len(); kept > 2*len(v.ordered) {
 			t.Fatalf("close %d: %d live groups keep %d rows", k, len(v.ordered), kept)
 		}
 		s.Expire((k + 1) * 10 * second)
