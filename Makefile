@@ -93,9 +93,10 @@ drain-policies:
 # opened again it pays for its output rows only and keeps at most twice the
 # groups it last used, TestHashAggReopenAllocsPerGroup, TestHashAggKeptGroupsMemoryBounded;
 # a tree kept for its next execution keeps no row, TestReopenedTreePinsNoRow) and in
-# the window-state store (first touch of a (slice, group) ≤ 0.1 allocations
-# amortized; an expired slice is the next slice at no allocation; what it keeps
-# is bounded by twice its groups and one boundary, and pins no batch,
+# the window-state store, which recycles by expr.Recycler's one rule (first
+# touch of a (slice, group) ≤ 0.1 allocations amortized; an expired slice is
+# the next slice at no allocation; what it keeps is bounded by twice its
+# groups and one boundary, and pins no batch,
 # TestSliceRecycleAllocs, TestRecycledSliceMemoryBounded,
 # TestRecycledSparesMemoryBounded, TestRecycledSlicePinsNoBatch; a group whose
 # last partial expired waits one boundary and a key that recurs costs nothing,
@@ -144,11 +145,12 @@ alloc-pins:
 # with a sentinel at once, as internal/exec's own tests always run (its
 # TestMain), and every decoder zeroes its scratch once a block is carved from
 # it, so a row that aliased the scratch rather than its block reads garbage;
-# the window-state store fills an expired slice's partials with a sentinel
-# that Insert resets on reuse, so a view that still merged or retracted the
-# slice fires garbage, not a quiet zero (and so a tumbling view's recycled
-# window groups until add takes them; a dropped group's key row holds one in
-# every mode until a new key takes it), and fills an in-place view's rows
+# the window-state store fills what it recycles with a sentinel that the
+# recycler resets on reuse (expr.Recycler: an expired slice's partials, a
+# tumbling view's window groups), so a view that still merged or retracted
+# them fires garbage, not a quiet zero (a dropped group's key row holds one in
+# every mode until a new key takes it; FuzzStoreLifecycle's seeds run here
+# too), and fills an in-place view's rows
 # with one after each close, so a consumer that kept such a row reads
 # garbage and the next close must write every row again. The root suites include
 # TestReopenEquivalence: one operator tree opened again, after a failed
@@ -183,6 +185,10 @@ bench-selftest:
 # several views of one store, aggregates with and without an inverse, with CQs
 # detaching mid-run, beside CQs sqlgen writes from the fuzzer's bytes — ==
 # what re-execution fires, for arbitrary append/advance/close sequences),
+# the window store's lifecycle (inserts with key churn and bursts, closes in
+# place or not, expiry, views attached and detached, over tumbling, sliding
+# and paired extents: every view ≡ one built afresh from the retained slices,
+# no row handed out of place rewritten, every recycler within its one rule),
 # the row-key encoding every hash operator groups by (equal keys == equal
 # rows, self-delimiting), the two-word Datum against the four-field one it
 # replaced, every operation, and the SQL parser, on arbitrary bytes and on
@@ -200,6 +206,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzShardSplitMerge -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sql
 	$(GO) test -run=^$$ -fuzz=FuzzIVMEquivalence -fuzztime=$(FUZZTIME) .
+	$(GO) test -run=^$$ -fuzz=FuzzStoreLifecycle -fuzztime=$(FUZZTIME) ./internal/ivm
 
 # cluster-smoke boots two shard streamrelds, a router, a replica of one
 # shard, and a single-node reference daemon as separate processes,
