@@ -251,9 +251,10 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 //
 // A base stream's batch arrives on the delivering goroutine, under the
 // source's lock, with the replication event it still owes (in). When the
-// table takes the delivered rows as they are — coerceRow returned every one of
-// them itself, which the stream's and the table's column types decide, not a
-// setting — the commit publishes batch and insert as one event
+// table takes the delivered rows' values as they are — coerceRow returned
+// every one of them itself, which the stream's and the table's column types
+// decide, not a setting — the commit publishes batch and insert (the heap's
+// copies) as one event
 // (writeTxn.in); otherwise the stream's append is published first and
 // the write ships as its own WAL batch, counted in
 // streamrel_repl_unfused_batches_total by what made it so.
@@ -279,13 +280,9 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	}
 	w := e.beginWrite()
 	w.tc = tc
-	// A base stream's rows are stored as they are. A derived stream's are
-	// carved from the view's types.RowBlocks, which a row the table keeps must
-	// not pin: APPEND copies the emission into one block of its own, whose rows
-	// are stored and stay together. REPLACE copies row by row, since it deletes
-	// one row at a time and a shared block would live as long as its last row.
-	_, carved := e.cat.Derived(ch.From)
-	blk := types.NewRowBlock(len(rows), len(t.Schema))
+	// The heap copies what it stores (storage.Heap), so neither a decoded
+	// batch nor a view's rows are pinned by the table, and the insert points
+	// coerced at the stored copies for the log and the replication ring.
 	coerced := make([]types.Row, len(rows))
 	asDelivered := true
 	for i, row := range rows {
@@ -293,13 +290,7 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 		if err != nil {
 			return w.fail(err)
 		}
-		if len(cr) > 0 && &cr[0] != &row[0] {
-			asDelivered = false
-		} else if carved && ch.Mode == sql.ChannelReplace {
-			cr = cr.Clone()
-		} else if carved {
-			cr = append(blk.Row()[:0], cr...)
-		}
+		asDelivered = asDelivered && (len(cr) == 0 || &cr[0] == &row[0])
 		coerced[i] = cr
 	}
 	if in.Owed() {
@@ -432,11 +423,12 @@ type writeTxn struct {
 // beginWrite starts a write transaction.
 func (e *Engine) beginWrite() *writeTxn { return &writeTxn{e: e, tx: e.mgr.Begin()} }
 
-// insert stores rows in t — one run at the next RowIDs or, with runs
-// (replicated apply, recovery), at the RowIDs the primary logged — indexes
-// them and adds the insert to the write set with the caller's slices, which
-// it must then leave alone. Rows that were here already (an event applied
-// again) are refreshed, and neither indexed nor logged a second time.
+// insert stores copies of rows in t — one run at the next RowIDs or, with
+// runs (replicated apply, recovery), at the RowIDs the primary logged —
+// points rows at them, indexes them and adds the insert to the write set with
+// the caller's container, which it must then leave alone. Rows that were here
+// already (an event applied again) keep what is stored, and are neither
+// indexed nor logged a second time.
 func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -554,8 +546,8 @@ func (w *writeTxn) fail(err error) error {
 }
 
 // coerceRow casts a row's values to the target schema's types, copying on
-// the first cast only: a row that needs none is returned as it is — rows
-// are immutable, so a stream and the Active Table behind its channel share it.
+// the first cast only: a row that needs none is returned as it is, and the
+// heap copies what it stores.
 func coerceRow(row types.Row, schema types.Schema) (types.Row, error) {
 	if len(row) != len(schema) {
 		return nil, fmt.Errorf("streamrel: row has %d values, schema needs %d", len(row), len(schema))

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"streamrel/internal/types"
 	"streamrel/internal/wal"
@@ -151,6 +152,7 @@ type Reader struct {
 	r    *bufio.Reader
 	buf  []byte
 	strs types.RowStrings
+	rows bool // the last event read carried rows
 }
 
 // NewReader reads frames from r.
@@ -182,7 +184,21 @@ func (fr *Reader) ReadEvent() (*Event, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, errors.New("repl: frame CRC mismatch")
 	}
-	return decodeEvent(payload, &fr.strs)
+	ev, err := decodeEvent(payload, &fr.strs)
+	fr.rows = err == nil && (len(ev.Rows) > 0 || slices.ContainsFunc(ev.Recs, func(r wal.Record) bool { return r.Kind == wal.RecRows || r.Kind == wal.RecInsert }))
+	return ev, err
+}
+
+// Recycle says nothing holds the row values and strings of the last event
+// read any more: the next one is decoded into them. An event that carried no
+// rows leaves alone those of the events before it. Its row containers are not
+// reused, because applying an event's rows hands them to the transaction that
+// stores the rows (streamrel's ApplyReplicated*, which point them at the
+// table's copies).
+func (fr *Reader) Recycle() {
+	if fr.rows {
+		fr.strs.RecycleValues()
+	}
 }
 
 // DecodeEvent parses a frame payload (the bytes covered by the CRC).

@@ -89,6 +89,9 @@ type Primary struct {
 	ringLen   int
 	retained  int
 	subs      map[*subscriber]struct{}
+	// copies carves the blocks PublishAppend copies a batch into; the ring
+	// owns each block it hands out.
+	copies types.RowStrings
 
 	subBuf    int
 	pingEvery time.Duration
@@ -305,11 +308,16 @@ func (p *Primary) publishWAL(recs []wal.Record, traceID uint64) {
 // PublishAppend publishes rows accepted into a base stream. Called under
 // the source's delivery lock, which fixes the per-stream event order.
 // Oversized appends split like WAL batches do. traceID (0 = untraced)
-// carries the batch's trace context to replicas.
+// carries the batch's trace context to replicas. The ring keeps a copy of
+// the rows, strings included, in blocks of its own: the caller's may be a
+// decode its reader reuses.
 func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	Chunks(nil, rows, func(_ []wal.RowIDRun, rows []types.Row, size int) {
+	for _, row := range rows {
+		p.copies.PushRow(row)
+	}
+	Chunks(nil, p.copies.Rows(), func(_ []wal.RowIDRun, rows []types.Row, size int) {
 		p.publishLocked(Event{Kind: KindAppend, Stream: stream, Rows: rows, Trace: traceID}, size)
 	})
 }

@@ -61,11 +61,12 @@
 // batch of one (a request's args, a per-row WAL record) has no container. Each
 // row is a full-capacity slice of its block, sharing memory with no frame
 // buffer and no other batch (types.CheckBatch); a retained row pins its block.
-// An append the engine reports unkept (Engine.AppendBorrowed: no channel,
-// replication, pending mailbox or window state holds a row) goes back to the
-// server's reader, which carves its next batch into it. Who keeps a batch: a
-// channel's heap, the replication ring, a CQ's raw rows, an aggregate with no
-// inverse (ivm.Store.KeepsRows); a group key keeps nothing (its own string).
+// An append the engine reports unkept (Engine.AppendBorrowed: no pending
+// mailbox or window state holds a row) goes back to the server's reader, which
+// carves its next batch into it; a replica's repl.Reader does the same with an
+// event's values and strings. Who keeps a batch: a CQ's raw rows, an aggregate
+// with no inverse (ivm.Store.KeepsRows); a group key keeps nothing (its own
+// string), and a channel's heap and the replication ring keep copies.
 //
 // Placeholders, the rule beside it: while a batch is being decoded each
 // VARCHAR column is what types.RowStrings.Add returned — a length and no

@@ -67,7 +67,9 @@ type Sink func(tc trace.Ctx, closeTS int64, rows []types.Row) error
 // accepted batch, a derived stream's emission — as a Sink does, and with a
 // base stream's batch the replication observation it may take over (Ingest;
 // nil for an emission or when nothing observes ingest). The rows come in a
-// container the source reuses: a tap may keep rows, never the slice.
+// container the source reuses, and a wire append's rows are decoded into
+// memory its reader reuses once delivery ends (deliver's kept): a tap copies
+// what it keeps, as a channel's table does.
 type Tap func(tc trace.Ctx, closeTS int64, rows []types.Row, in *Ingest) error
 
 // Ingest is the OnIngest observation of one base-stream batch, handed to
@@ -99,7 +101,8 @@ func (in *Ingest) Stream() string { return in.stream }
 func (in *Ingest) Settle() { in.owed = false }
 
 // Publish reports the batch through OnIngest if that is still owed. The rows
-// are copied out of the pooled batch block: the observer may retain the slice.
+// are copied out of the pooled batch block: the observer may retain the slice,
+// and copies the rows it keeps.
 func (in *Ingest) Publish() {
 	if !in.Owed() {
 		return
@@ -163,7 +166,8 @@ type Runtime struct {
 	// context — unless whoever archived the batch reported it instead (see
 	// Ingest) — and OnAdvance observes every effective heartbeat. Both run
 	// under the source lock, so the observation order is exactly the
-	// delivery order for that stream. Replication ships these events to
+	// delivery order for that stream. OnIngest copies the rows it keeps, as a
+	// Tap does. Replication ships these events to
 	// replicas (carrying the trace ID across the wire); derived-stream
 	// output is deliberately not reported, because a replica
 	// re-derives it by running its own pipelines. Set both before
@@ -563,15 +567,15 @@ func (r *Runtime) PushBatch(tc trace.Ctx, stream string, rows []types.Row, now f
 // window the batch closes sees it archived, whoever drains the mailboxes —
 // with the batch's Ingest, owed whatever taps the stream has (nil when
 // nothing observes ingest). If archive fails the batch is not delivered.
-func (r *Runtime) PushArchived(tc trace.Ctx, stream string, rows []types.Row, archive func(in *Ingest) error) error {
+// kept is PushBatch's.
+func (r *Runtime) PushArchived(tc trace.Ctx, stream string, rows []types.Row, archive func(in *Ingest) error) (kept bool, err error) {
 	src, err := r.lookup(stream)
 	if err != nil {
-		return err
+		return false, err
 	}
 	src.mu.Lock()
 	defer src.unlock()
-	_, err = src.deliver(r, tc, rows, archive)
-	return err
+	return src.deliver(r, tc, rows, archive)
 }
 
 // prepare validates a batch and stamps each row with its timestamp,
@@ -655,16 +659,16 @@ func (s *source) stampArrival(rows []types.Row, now func() time.Time) []types.Ro
 // proves every window closing at or before ts complete, so each feed fires
 // those closes before taking the row — per feed, rows and closes interleave
 // exactly as in row-at-a-time delivery. archive is PushArchived's, or nil;
-// kept says a tap, OnIngest, a store that KeepsRows or a mailbox yet to apply
-// them may still hold the rows as delivery ends. Callers hold s.mu.
+// kept says a store that KeepsRows or a mailbox yet to apply them may still
+// hold the rows as delivery ends — taps and OnIngest copy what they keep.
+// Callers hold s.mu.
 func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive func(*Ingest) error) (kept bool, err error) {
 	block, err := s.prepare(r, rows, 0, false)
 	if err != nil {
 		return false, err
 	}
 	defer func() {
-		kept = len(s.taps) > 0 || r.OnIngest != nil || block.refs.Load() > 1 ||
-			slices.ContainsFunc(s.feeds, (*feed).keepsRows) || slices.ContainsFunc(s.retired, (*feed).keepsRows)
+		kept = block.refs.Load() > 1 || slices.ContainsFunc(s.feeds, (*feed).keepsRows) || slices.ContainsFunc(s.retired, (*feed).keepsRows)
 		block.release()
 	}()
 	batch := block.rows

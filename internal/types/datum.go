@@ -408,3 +408,6 @@ func RowsView(d [][]Datum) []Row { return *(*[]Row)(unsafe.Pointer(&d)) }
 
 // DatumsView is the inverse of RowsView.
 func DatumsView(r []Row) [][]Datum { return *(*[][]Datum)(unsafe.Pointer(&r)) }
+
+// DatumsAt is the n values from *p on, which must all be one array's.
+func DatumsAt(p *Datum, n int) []Datum { return unsafe.Slice(p, n) }

@@ -67,6 +67,17 @@ func (b *RowStrings) Add(p []byte) Datum {
 // Push appends a value to the row being decoded.
 func (b *RowStrings) Push(d Datum) { b.vals = append(b.vals, d) }
 
+// PushRow pushes a copy of r, its VARCHAR bytes included, and ends the row.
+func (b *RowStrings) PushRow(r Row) {
+	for _, d := range r {
+		if d.typ() == TypeString {
+			b.scratch, d.p = append(b.scratch, d.str()...), nil
+		}
+		b.Push(d)
+	}
+	b.EndRow()
+}
+
 // EndRow ends the row being decoded, and its block once the block is full.
 func (b *RowStrings) EndRow() {
 	if b.ends = append(b.ends, len(b.vals)); blockFull(len(b.ends), len(b.vals), len(b.scratch)) {
@@ -107,10 +118,52 @@ func (b *RowStrings) Row() Row {
 func (b *RowStrings) Recycle() {
 	if Poison {
 		clear(b.lastRows[:cap(b.lastRows)])
+	}
+	b.spareRows = b.lastRows
+	b.RecycleValues()
+}
+
+// RecycleValues is Recycle for a batch whose container someone else now holds
+// (a transaction that stored the rows, pointing it at the stored copies): only
+// its last block's values and strings are carved into again.
+func (b *RowStrings) RecycleValues() {
+	if Poison {
 		clear(b.lastVals[:cap(b.lastVals)])
 		clear(b.lastStrs[:cap(b.lastStrs)])
 	}
-	b.spareRows, b.spareVals, b.spareStrs = b.lastRows, b.lastVals, b.lastStrs
+	b.spareVals, b.spareStrs = b.lastVals, b.lastStrs
+}
+
+// Arena holds copies of VARCHAR bytes in chunks it never reallocates, so a
+// datum pointing into one stays valid while more are added: a keeper that owns
+// its rows' strings (a storage heap segment) copies them into one.
+type Arena struct {
+	chunk []byte
+	used  int // the bytes copied in
+}
+
+// arenaChunk is where an arena's chunks stop doubling.
+const arenaChunk = 64 << 10
+
+// Used returns the bytes copied into the arena.
+func (a *Arena) Used() int { return a.used }
+
+// CopyRow copies src into dst, which is as long, each VARCHAR's bytes into the
+// arena: into its chunk while that has room, else into a new one, twice as
+// long up to 64 KiB, least bytes at least — a keeper that knows what it will
+// copy asks for that at once — and as long as the string if that is longer.
+func (a *Arena) CopyRow(dst, src Row, least int) {
+	for i, d := range src {
+		if n := int(d.n & low); d.typ() == TypeString && n > 0 {
+			if cap(a.chunk)-len(a.chunk) < n {
+				a.chunk = make([]byte, 0, max(n, min(2*cap(a.chunk), arenaChunk), least))
+			}
+			a.used += n
+			a.chunk = append(a.chunk, d.str()...)
+			d.p = unsafe.Pointer(&a.chunk[len(a.chunk)-n])
+		}
+		dst[i] = d
+	}
 }
 
 // spare takes *s, emptied, if it holds n elements, else makes room for n.

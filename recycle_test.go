@@ -11,18 +11,23 @@ import (
 
 	"streamrel"
 	"streamrel/internal/server"
+	"streamrel/replica"
 )
 
 // TestWireAppendRecycleEquivalence drives one seeded tape of appends into a
 // stream through a server session and, as the oracle, through Engine.Append,
 // whose rows are never written over. Beside two count/sum CQs that keep
-// nothing — so frames are reported unkept and the next one is decoded into
+// nothing and an APPEND channel attached for the whole tape, which copies what
+// it stores — so frames are reported unkept and the next one is decoded into
 // their memory — it creates and drops, between appends, each consumer that
 // keeps rows: a re-executing CQ, min, first and count(DISTINCT) over VARCHAR,
-// and an APPEND channel. Each CQ's batches are rendered only at the end, and
-// the channel's table read there, so a row recycled while something still
-// held it shows as a difference (under make poison, as zeroes). Both runs
-// must agree byte for byte, at ParallelCQ 0 and 4.
+// and a second APPEND channel. The wire run also has an in-process replica
+// follow the server, which recycles its own decode of every event whose rows
+// nothing of its own keeps. Each CQ's batches are rendered only at the end,
+// and the channels' tables read there — the primary's, then the replica's in
+// the wire run and the primary's again in the oracle — so a row recycled while
+// something still held it shows as a difference (under make poison, as
+// zeroes). Both runs must agree byte for byte, at ParallelCQ 0 and 4.
 func TestWireAppendRecycleEquivalence(t *testing.T) {
 	for _, parallel := range []int{0, 4} {
 		t.Run(fmt.Sprintf("ParallelCQ %d", parallel), func(t *testing.T) {
@@ -54,24 +59,38 @@ var recycleKeepers = []string{
 // when wire is set, and returns every CQ's batches and the channel's table,
 // rendered.
 func recycleTape(t *testing.T, parallel int, wire bool) []string {
-	eng, err := streamrel.Open(streamrel.Config{ParallelCQ: parallel, TraceSampleEvery: -1})
+	eng, err := streamrel.Open(streamrel.Config{ParallelCQ: parallel, TraceSampleEvery: -1, Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	if err := eng.ExecScript(`CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, ip varchar, bytes bigint);
-		CREATE TABLE arch (url varchar, atime timestamp, ip varchar, bytes bigint);`); err != nil {
+		CREATE TABLE arch (url varchar, atime timestamp, ip varchar, bytes bigint);
+		CREATE TABLE keep (url varchar, atime timestamp, ip varchar, bytes bigint);
+		CREATE CHANNEL keep_ch FROM hits INTO keep APPEND;`); err != nil {
 		t.Fatal(err)
 	}
 	push := func(rows []streamrel.Row) error { return eng.Append("hits", rows...) }
+	archives := eng // rendered beside the primary's tables: the wire run's replica
+	var rep *replica.Replica
 	if wire {
 		srv := server.New(eng)
+		srv.Replicate = eng.Repl().ServeConn
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		go srv.Serve()
 		defer srv.Close()
+		if archives, err = streamrel.Open(streamrel.Config{TraceSampleEvery: -1}); err != nil {
+			t.Fatal(err)
+		}
+		defer archives.Close()
+		if rep, err = replica.New(replica.Options{Addr: addr, Engine: archives}); err != nil {
+			t.Fatal(err)
+		}
+		rep.Start()
+		defer rep.Stop()
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -189,15 +208,26 @@ func recycleTape(t *testing.T, parallel int, wire bool) []string {
 			out = append(out, line)
 		}
 	}
-	arch, err := eng.Query(`SELECT * FROM arch`)
-	if err != nil {
-		t.Fatal(err)
+	if rep != nil {
+		if err := rep.WaitFor(eng.Repl().LSN(), 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, r := range arch.Data {
-		out = append(out, "arch "+r.String())
+	var archived []int
+	for _, e := range []*streamrel.Engine{eng, archives} {
+		for _, table := range []string{"arch", "keep"} {
+			res, err := e.Query(`SELECT * FROM ` + table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res.Data {
+				out = append(out, table+" "+r.String())
+			}
+			archived = append(archived, len(res.Data))
+		}
 	}
-	if len(arch.Data) == 0 || unkept < 50 {
-		t.Fatalf("the channel archived %d rows, and %d appends reached no keeper", len(arch.Data), unkept)
+	if archived[0] == 0 || archived[1] <= archived[0] || unkept < 50 {
+		t.Fatalf("the channels archived %v rows, and %d appends reached no keeper", archived, unkept)
 	}
 	return out
 }

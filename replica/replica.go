@@ -279,8 +279,12 @@ func (r *Replica) streamOnce() (applied bool, err error) {
 		if r.stopped.Load() {
 			return applied, nil
 		}
-		if err := r.apply(ev); err != nil {
+		kept, err := r.apply(ev)
+		if err != nil {
 			return applied, fmt.Errorf("apply %v frame (lsn %d): %w", ev.Kind, ev.LSN, err)
+		}
+		if !kept {
+			rs.R.Recycle()
 		}
 		applied = true
 	}
@@ -288,8 +292,9 @@ func (r *Replica) streamOnce() (applied bool, err error) {
 
 // apply dispatches one frame into the engine, which keeps the resume point
 // (a live event is applied at its LSN: Engine.ApplyReplicatedAt), and
-// maintains the lag metrics.
-func (r *Replica) apply(ev *repl.Event) error {
+// maintains the lag metrics. kept says a stream still holds the event's rows
+// (Engine.AppendBorrowed); a table holds copies of its own.
+func (r *Replica) apply(ev *repl.Event) (kept bool, err error) {
 	r.framesApplied.Inc()
 	if ev.LSN > r.lastPrimary.Load() {
 		r.lastPrimary.Store(ev.LSN)
@@ -300,12 +305,12 @@ func (r *Replica) apply(ev *repl.Event) error {
 	switch ev.Kind {
 	case repl.KindPing:
 		r.observeLag(ev, false)
-		return nil
+		return false, nil
 
 	case repl.KindResume:
 		r.primary = ev.Run
 		r.log("resuming replication", "lsn", r.lastApplied.Load(), "run", ev.Run)
-		return nil
+		return false, nil
 
 	case repl.KindSnapBegin:
 		r.lastApplied.Store(0) // of this run nothing is applied yet, whatever was of another
@@ -315,7 +320,7 @@ func (r *Replica) apply(ev *repl.Event) error {
 		// Whatever the engine holds is of another run, of a point the ring no
 		// longer reaches, or of no recorded point at all: the snapshot
 		// replaces it.
-		return r.eng.ReplicaReset()
+		return false, r.eng.ReplicaReset()
 
 	case repl.KindSnapEnd:
 		r.log("snapshot complete", "lsn", ev.LSN)
@@ -333,33 +338,38 @@ func (r *Replica) apply(ev *repl.Event) error {
 
 	case repl.KindAppend:
 		rows, stream = len(ev.Rows), ev.Stream
-		do = func() error { return r.eng.ApplyReplicatedAppend(ev.Stream, ev.Rows, ev.Trace) }
+		do = func() (err error) {
+			kept, err = r.eng.ApplyReplicatedAppendBorrowed(ev.Stream, ev.Rows, ev.Trace)
+			return err
+		}
 
 	case repl.KindArchive:
 		rows, stream = len(ev.Rows), ev.Stream
-		do = func() error {
-			return r.eng.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace)
+		do = func() (err error) {
+			kept, err = r.eng.ApplyReplicatedArchiveBorrowed(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace)
+			return err
 		}
 
 	case repl.KindAdvance:
 		do = func() error { return r.eng.ApplyReplicatedAdvance(ev.Stream, ev.TS) }
 
 	default:
-		return fmt.Errorf("replica: unknown frame kind %d", ev.Kind)
+		return false, fmt.Errorf("replica: unknown frame kind %d", ev.Kind)
 	}
 	if ev.LSN == 0 && do != nil {
-		return do() // a snapshot's state frame: the resume point moves at its end
+		err = do() // a snapshot's state frame: the resume point moves at its end
+		return kept, err
 	}
 	start := r.spanStart(ev)
 	if err := r.eng.ApplyReplicatedAt(r.primary, ev.LSN, do); err != nil {
-		return err
+		return false, err
 	}
 	r.recordApply(ev, start, stream, rows)
 	if ev.LSN > r.lastApplied.Load() {
 		r.lastApplied.Store(ev.LSN)
 	}
 	r.observeLag(ev, ev.Kind != repl.KindSnapEnd)
-	return nil
+	return kept, nil
 }
 
 // spanStart returns the wall-clock start for a traced frame's

@@ -107,7 +107,10 @@ func (e *Engine) Promote() {
 // table's next RowID, logged only (this engine's followers number from the
 // rows they are sent). A batch that ends in a RecMark is applied at that mark
 // (ApplyReplicatedAt). Row apply is idempotent: an insert into an occupied
-// slot refreshes the row, a delete of a missing or deleted one does nothing.
+// slot keeps the row stored there, a delete of a missing or deleted one does
+// nothing. The heap copies what it stores, and the transaction then holds the
+// records' row containers, pointed at the copies: recs' rows themselves are
+// the caller's to reuse.
 func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 	if n := len(recs); n > 0 && recs[n-1].Kind == wal.RecMark {
 		return e.ApplyReplicatedAt(recs[n-1].SQL, recs[n-1].RowID, func() error { return e.ApplyReplicated(recs[:n-1]) })
@@ -200,15 +203,21 @@ func (e *Engine) ReplicaMark() (run string, lsn uint64) {
 // monotonic. A non-zero traceID re-injects the primary's trace context so
 // local fires chain onto the same trace.
 func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID uint64) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, err := e.rt.PushBatch(e.tracer.Adopt(traceID), streamName, rows, nil)
+	_, err := e.ApplyReplicatedAppendBorrowed(streamName, rows, traceID)
 	return err
 }
 
+// ApplyReplicatedAppendBorrowed is ApplyReplicatedAppend for a caller that
+// would reuse the rows' memory; kept is AppendBorrowed's.
+func (e *Engine) ApplyReplicatedAppendBorrowed(streamName string, rows []Row, traceID uint64) (kept bool, err error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.rt.PushBatch(e.tracer.Adopt(traceID), streamName, rows, nil)
+}
+
 // ApplyReplicatedArchive applies a batch the primary both accepted into a
-// base stream and archived, unchanged, into table at the RowIDs in runs: the
-// one decoded row serves as the heap's and the stream's. The rows are inserted
+// base stream and archived, unchanged, into table at the RowIDs in runs: one
+// decoded row serves the stream and is copied into the heap. The rows are inserted
 // at the primary's RowIDs in one local transaction — idempotent like
 // ApplyReplicated, so applying the event again leaves the table as it
 // was — which runs and commits under the stream's delivery lock, once the
@@ -218,11 +227,20 @@ func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID ui
 // same single event when every row was new here; one applied again ships
 // its append and whatever it did insert separately.
 func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, runs []wal.RowIDRun, traceID uint64) error {
+	_, err := e.ApplyReplicatedArchiveBorrowed(streamName, table, rows, runs, traceID)
+	return err
+}
+
+// ApplyReplicatedArchiveBorrowed is ApplyReplicatedArchive for a caller that
+// would reuse the rows' memory. The transaction takes the rows' container,
+// pointed at the table's copies, so only the rows' values and strings are
+// the caller's again, and only when kept (AppendBorrowed's) is false.
+func (e *Engine) ApplyReplicatedArchiveBorrowed(streamName, table string, rows []Row, runs []wal.RowIDRun, traceID uint64) (kept bool, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	t, ok := e.cat.Table(table)
 	if !ok || len(runs) == 0 {
-		return fmt.Errorf("streamrel: replicated write of %d rows to %q: no such table, or no RowID runs", len(rows), table)
+		return false, fmt.Errorf("streamrel: replicated write of %d rows to %q: no such table, or no RowID runs", len(rows), table)
 	}
 	tc := e.tracer.Adopt(traceID)
 	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {

@@ -108,8 +108,8 @@ func TestArchiveShipsOnceOrAsBefore(t *testing.T) {
 	}
 	tbl, _ := e.cat.Table("arch")
 	tbl.Heap.Scan(e.mgr.SnapshotNow(), func(rid storage.RowID, row types.Row) bool {
-		if &row[0] != &asDelivered[rid][0] {
-			t.Errorf("heap row %d is a copy of the row the stream delivered", rid)
+		if &row[0] == &asDelivered[rid][0] || !row.Equal(asDelivered[rid]) {
+			t.Errorf("heap row %d is %v, want the table's own copy of %v", rid, row, asDelivered[rid])
 		}
 		return true
 	})
@@ -249,9 +249,10 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 // TestReplicaArchiveApplyAllocs: reading a KindArchive frame through the
 // Reader a replica keeps and applying it costs a follower a per-event constant
 // whatever its rows — the decoded batch (container, values, strings), the
-// event, its runs and the apply's own: the one batch serves the heap, the
-// stream and this engine's own ring, and no wal.Record is decoded, so no row
-// is decoded a second time.
+// event, its runs and the apply's own: the one batch serves the stream, the
+// heap copies it into its segments (an object per segRows rows) and this
+// engine's own ring takes the container, pointed at the copies, and no
+// wal.Record is decoded, so no row is decoded a second time.
 func TestReplicaArchiveApplyAllocs(t *testing.T) {
 	// A collection cycle that starts inside an apply counts the runtime's own
 	// objects: the pin is on what the apply allocates.

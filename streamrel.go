@@ -588,8 +588,9 @@ func (e *Engine) AppendTraced(traceID uint64, streamName string, rows ...Row) er
 }
 
 // AppendBorrowed is AppendTraced for a caller that would reuse the rows' memory:
-// kept false means nothing holds a row of them now (no channel, replication,
-// mailbox still to apply them or CQ whose window state keeps rows).
+// kept false means nothing holds a row of them now — no mailbox still to apply
+// them and no CQ whose window state keeps rows. A channel's table and the
+// replication ring copy what they keep, so they never make a batch kept.
 func (e *Engine) AppendBorrowed(traceID uint64, streamName string, rows []Row) (kept bool, err error) {
 	if err := e.writeGate(); err != nil {
 		return false, err
