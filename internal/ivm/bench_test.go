@@ -1,0 +1,57 @@
+package ivm
+
+import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"streamrel/internal/types"
+)
+
+// BenchmarkStoreSliding is the store's CPU guard: one store under three
+// sliding views (VISIBLE 10, 30 and 60 s, ADVANCE 1 s) over cubic-skewed keys,
+// each op a second of rows inserted, every view fired and the store expired,
+// reported per row. "inverse" aggregates retract by Sub; "remerge" ones have no
+// inverse, so every close rebuilds them for the groups the leaving slice held.
+func BenchmarkStoreSliding(b *testing.B) {
+	const perSlice = 1000
+	for _, aggs := range []struct{ name, sel string }{{"inverse", "count(*), sum(v)"}, {"remerge", "min(v), max(v)"}} {
+		for _, keys := range []int{1000, 10000} {
+			b.Run(fmt.Sprintf("%s/%dk", aggs.name, keys/1000), func(b *testing.B) {
+				s := newStore(b, `SELECT url, `+aggs.sel+` FROM s <VISIBLE '60 seconds' ADVANCE '1 second'> GROUP BY url`)
+				views := []*View{s.Attach(10 * second), s.Attach(30 * second), s.Attach(60 * second)}
+				urls := make([]types.Datum, keys)
+				for i := range urls {
+					urls[i] = types.NewString("/page/" + strconv.Itoa(i))
+				}
+				rng := rand.New(rand.NewSource(1))
+				k, row := int64(0), make(types.Row, 3) // Insert keeps no row
+				op := func() {
+					for j := 0; j < perSlice; j++ {
+						u := rng.Float64()
+						row[0], row[1], row[2] = urls[int(u*u*u*float64(keys))], types.NewTimestampMicros(k*second+int64(j)), types.NewInt(int64(j))
+						if err := s.Insert(row, k*second+int64(j)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					k++
+					for _, v := range views {
+						if _, _, _, err := v.Fire(k*second, true); err != nil {
+							b.Fatal(err)
+						}
+					}
+					s.Expire(k * second)
+				}
+				for k < 70 { // past the widest window
+					op()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perSlice), "ns/row")
+			})
+		}
+	}
+}

@@ -5,25 +5,27 @@
 // queries reading it — with DBToaster's refinement (PAPERS.md) on top: the
 // combined answer of a window is kept materialized and maintained by deltas.
 //
-// A Store is the slice layer: per-slice per-group partial accumulators,
-// and one key string and key row per live group shared by every slice and
-// every view. Insert folds an arriving row into its slice and touches
-// nothing else, so the per-row cost does not depend on how many windows
-// read the store. A View is one window extent (VISIBLE) over the store.
-// By definition its window layer is the merge, in slice order, of the
-// retained slices in its extent; the view keeps that layer between fires and
-// moves it one boundary at a time — add what just closed, retract what just
-// left, a slice or a pair of them: Sub where the accumulator has an inverse
-// (COUNT/SUM/AVG), a reset of every one that has none (MIN/MAX, DISTINCT,
-// stddev, first/last) and one re-merge walk over the group's surviving slices
-// (slice order reproduces arrival-order ties, since streams are in order) —
-// and emits a row afresh only for the groups the move changed, handing out
-// again the row it emitted before for every other group; when nobody reading
-// the close keeps a row, it rewrites the changed rows in place instead. A view
-// is first built at its first fire, from whatever the store retains in its
-// extent, so one created after rows have arrived starts from the store's
-// history, and a group leaves a view when its last row does, so a vanished
-// group stops being emitted exactly as re-execution would.
+// A Store is the slice layer: per-slice per-group partial accumulators, and
+// one group per live key — key string, key row and a dense id — shared by
+// every slice and every view. Its map from key to group is the one lookup: a
+// slice lists its partials, a view indexes its window groups by id. Insert
+// folds an arriving row into the newest slice and touches nothing else, so
+// the per-row cost does not depend on how many windows read the store. A View
+// is one window extent (VISIBLE) over the store. By definition its window
+// layer is the merge, in slice order, of the retained slices in its extent;
+// the view keeps that layer between fires and moves it one boundary at a time
+// — add what just closed, retract what just left, a slice or a pair of them:
+// Sub where the accumulator has an inverse (COUNT/SUM/AVG), a reset of every
+// one that has none (MIN/MAX, DISTINCT, stddev, first/last), which the same
+// walk rebuilds from the surviving slices (slice order reproduces
+// arrival-order ties, since streams are in order) — and emits a row afresh
+// only for the groups the move changed, handing out again the row it emitted
+// before for every other group; when nobody reading the close keeps a row, it
+// rewrites the changed rows in place instead. A view is first built at its
+// first fire, from whatever the store retains in its extent, so one created
+// after rows have arrived starts from the store's history, and a group leaves
+// a view when its last row does, so a vanished group stops being emitted
+// exactly as re-execution would.
 //
 // All views of a store close at the same boundaries (they share ADVANCE),
 // and the store retains slices for the widest attached view. Slices are
@@ -36,16 +38,16 @@
 // an allocation per chunk of groups. What a store or a view lets go of is
 // recycled by expr.Recycler's one rule: kept for what comes next — one
 // boundary, or, what was carved from a slab or a block, until more than twice
-// what is in use was carved, and then carved afresh. So an
-// expired slice is the next slice, its partials the next slice's (each slice
-// keeps its own: one list for the store kept leftovers' chunk-mates reachable,
-// mem_fanout RSS 71 → 81 MB); a group the store drops is a new key's, which
-// builds only its key string; a tumbling view's window groups are the next
-// window's; an in-place view's dead groups' rows are its newcomers'; and the
-// rows a view carves, in either mode, are what its full carve bounds. One
-// mechanism is not a recycler: a group whose last partial expires idles a
-// boundary, in the map but not in GroupsN, so a key recurring in the window
-// after gets it back by key; the next Expire drops it.
+// what is in use was carved, and then carved afresh. So an expired slice is
+// the next slice, its partials the next slice's (each slice keeps its own: one
+// list for the store kept leftovers' chunk-mates reachable, mem_fanout RSS 71
+// → 81 MB); a group the store drops is a new key's, which builds only its key
+// string; a tumbling view's window groups are the next window's; an in-place
+// view's dead groups' rows are its newcomers'; and the rows a view carves, in
+// either mode, are what its full carve bounds. One mechanism is not a
+// recycler: a group whose last partial expires idles a boundary, in the map
+// but not in GroupsN, so a key recurring in the window after gets it back by
+// key; the next Expire drops it and frees its id, which no view holds by then.
 //
 // A store built with no aggregate spec is raw: the window state of a plan
 // that must re-execute. Its slice partial is the slice's rows themselves, in
@@ -54,13 +56,15 @@
 // rows the plan then runs over; it never retracts, so it keeps a slice less.
 // Everything else — the cuts, Expire and its spares, Attach and Detach — is
 // one code for both forms. A raw store's cut need not be a timestamp: Insert
-// takes any non-decreasing coordinate, a row's ordinal for a ROWS window, an
-// emission's number for a SLICES one.
+// takes any coordinate that does not precede its newest slice, a row's ordinal
+// for a ROWS window, an emission's number for a SLICES one.
 package ivm
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"streamrel/internal/expr"
@@ -79,12 +83,13 @@ type Store struct {
 	empty           []expr.Acc // never added to: an empty window's scalar results
 	remerge         []int      // the aggregates with no inverse, re-merged at a retract
 
-	slices map[int64]*slice      // keyed by slice start timestamp
-	cur    *slice                // the slice of the last inserted row
+	slices []*slice              // ascending by start; rows go into the last
 	spares expr.Recycler[*slice] // expired slices, emptied, to open the next ones from
 	groups map[string]*group
 	idle   []*group              // in groups, their last partial expired at the last boundary
 	free   expr.Recycler[*group] // dropped groups, for Insert's new keys
+	ids    []int                 // dropped groups' ids, for Insert's new keys
+	nids   int                   // ids handed out: the length of a view's groups
 
 	views  []*View
 	retain int64 // widest attached VISIBLE
@@ -92,7 +97,7 @@ type Store struct {
 	// ec, keyScratch and keyBuf are Insert's per-row scratch: the
 	// expression context is re-pointed at each row, and group keys are
 	// evaluated into keyScratch and encoded into keyBuf, which probes the
-	// maps as string(keyBuf) without allocating. The context carries no
+	// map as string(keyBuf) without allocating. The context carries no
 	// window close and no clock: plans reading either never get an
 	// aggregate store.
 	ec         expr.Ctx
@@ -106,11 +111,11 @@ type Store struct {
 }
 
 type slice struct {
-	start  int64
-	groups map[string]*partial
-	slab   expr.Slab[partial]
-	free   expr.Recycler[*partial] // the slab's partials no group holds
-	rows   []types.Row             // a raw store's partial: the slice's rows in arrival order
+	start int64
+	parts []*partial // in first-touch order
+	slab  expr.Slab[partial]
+	free  expr.Recycler[*partial] // the slab's partials no group holds
+	rows  []types.Row             // a raw store's partial: the slice's rows in arrival order
 }
 
 // partial is one group's aggregate over one slice.
@@ -140,7 +145,8 @@ func resetPartial(p *partial, poison bool) { resetAccs(p.accs, poison); p.g, p.r
 
 func resetWinGroup(g *winGroup, poison bool) { resetAccs(g.accs, poison); *g = winGroup{accs: g.accs} }
 
-func resetSlice(sl *slice, _ bool) { clear(sl.groups); clear(sl.rows); sl.rows = sl.rows[:0] }
+// resetSlice need not clear its list of partials: every one is its own slab's.
+func resetSlice(sl *slice, _ bool) { clear(sl.rows); sl.parts, sl.rows = sl.parts[:0], sl.rows[:0] }
 
 // resetGroup lets go of the key string: the key row holds no byte of it.
 func resetGroup(g *group, _ bool) {
@@ -150,24 +156,26 @@ func resetGroup(g *group, _ bool) {
 	g.key = ""
 }
 
-// group is a live group's identity: the one string built for its key
-// bytes — every slice map and view map is keyed with it, so they share
-// its storage — and its key row, whose strings are that string's bytes too.
-// It lives while a retained slice holds a partial for it and idles one
-// boundary more; then Expire drops it onto the store's recycler, its key
-// row a sentinel, for a new key. No live view group points at it by then:
-// every view retracts the last slice holding the key before the slice
-// expires. A dead view group in a slab may, but a tombstone is never read.
+// group is a live group's identity: the one string built for its key bytes,
+// which keys the store's map; its key row, whose strings are that string's
+// bytes too; and its id, which indexes every view's groups. It lives while a
+// retained slice holds a partial for it and idles one boundary more; then
+// Expire drops it onto the store's recycler, its key row a sentinel, and its
+// id for a new key. No live view group holds it or its id by then: every view
+// retracts the last slice holding the key before the slice expires. A dead
+// view group in a slab may point at it, but a tombstone is never read.
 type group struct {
 	key    string
 	keys   types.Row
-	slices int
+	id     int
+	last   *partial // its partial in the newest slice holding it; nil once none does
+	lastAt int64    // that slice's start
 }
 
 // New returns an empty store for the aggregate spec of a plan whose
 // WindowState chose a store, or a raw store for a nil spec.
 func New(spec *plan.StreamAgg, advance, offset int64) (*Store, error) {
-	s := &Store{spec: spec, advance: advance, offset: offset, slices: make(map[int64]*slice),
+	s := &Store{spec: spec, advance: advance, offset: offset,
 		groups: make(map[string]*group), spares: expr.NewRecycler(resetSlice, 0),
 		free: expr.NewRecycler(resetGroup, 0)}
 	if spec == nil {
@@ -206,27 +214,21 @@ func SliceStart(ts, advance, offset int64) int64 {
 	return base
 }
 
-// next returns the first cut after t.
-func (s *Store) next(t int64) int64 {
-	base := SliceStart(t, s.advance, 0)
-	if t-base < s.offset {
-		return base + s.offset
-	}
-	return base + s.advance
-}
-
 // Insert folds one arriving row at ts into its slice's partial — once,
 // however many views will read it: evaluate the filter and the group keys,
 // then add the aggregate arguments. An existing (slice, group) allocates
 // nothing, and a new group, recycled, only its key string. The store
 // keeps nothing of row — a new group's key row points into the group's key
 // string — so it pins no input batch. A raw store appends the row to its
-// slice instead, and so pins the row's block until the slice expires.
+// slice instead, and so pins the row's block until the slice expires. A ts
+// before the newest slice is an error.
 func (s *Store) Insert(row types.Row, ts int64) error {
 	if s.spec == nil {
-		sl := s.sliceAt(ts)
-		sl.rows = append(sl.rows, row)
-		return nil
+		sl, err := s.sliceAt(ts)
+		if err == nil {
+			sl.rows = append(sl.rows, row)
+		}
+		return err
 	}
 	ec := &s.ec
 	ec.Row = row
@@ -249,19 +251,26 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	}
 	s.keyBuf = s.keyScratch.AppendKey(s.keyBuf[:0])
 
-	sl := s.sliceAt(ts)
-	p, ok := sl.groups[string(s.keyBuf)]
+	sl, err := s.sliceAt(ts)
+	if err != nil {
+		return err
+	}
+	g, ok := s.groups[string(s.keyBuf)]
 	if !ok {
-		g, ok := s.groups[string(s.keyBuf)]
-		if !ok {
-			if g = s.free.Take(); g == nil {
-				g = new(group)
-			}
-			g.key, g.keys = string(s.keyBuf), append(g.keys[:0], s.keyScratch...)
-			g.keys.ShareKey(g.key)
-			s.groups[g.key] = g
+		if g = s.free.Take(); g == nil {
+			g = new(group)
 		}
-		if g.slices == 0 { // new, or idle and revived
+		if len(s.ids) == 0 {
+			s.ids, s.nids = append(s.ids, s.nids), s.nids+1
+		}
+		g.id, s.ids = s.ids[len(s.ids)-1], s.ids[:len(s.ids)-1]
+		g.key, g.keys = string(s.keyBuf), append(g.keys[:0], s.keyScratch...)
+		g.keys.ShareKey(g.key)
+		s.groups[g.key] = g
+	}
+	p := g.last
+	if p == nil || g.lastAt != sl.start {
+		if p == nil { // new, or idle and revived
 			s.GroupsN.Add(1)
 		}
 		if p = sl.free.Take(); p == nil {
@@ -274,8 +283,8 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 			sl.free.Made(1)
 		}
 		p.g = g
-		g.slices++
-		sl.groups[g.key] = p
+		g.last, g.lastAt = p, sl.start
+		sl.parts = append(sl.parts, p)
 	}
 	p.rows++
 	for i, spec := range s.spec.Aggs {
@@ -293,31 +302,31 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	return nil
 }
 
-// sliceAt returns the slice holding ts: the last one inserted into, a
-// retained one, or one opened from a spare or, failing that, afresh.
-func (s *Store) sliceAt(ts int64) *slice {
+// sliceAt returns the slice holding ts: the newest, or one opened after it
+// from a spare or, failing that, afresh.
+func (s *Store) sliceAt(ts int64) (*slice, error) {
 	start := SliceStart(ts, s.advance, s.offset)
-	if sl := s.cur; sl != nil && sl.start == start {
-		return sl
-	}
-	sl := s.slices[start]
-	if sl == nil {
-		if sl = s.spares.Take(); sl == nil {
-			n := 0 // as many groups as the slice before it is the best guess
-			if s.cur != nil {
-				n = len(s.cur.groups)
-			}
-			// The recycler has room for a quarter more, as the slab's refill
-			// does: a slice that outgrows it grows it at its first Expire.
-			sl = &slice{groups: make(map[string]*partial, n), slab: expr.NewSlab[partial](n),
-				free: expr.NewRecycler(resetPartial, n+n/4)}
+	n := 0 // as many groups as the slice before it is the best guess
+	if len(s.slices) > 0 {
+		newest := s.slices[len(s.slices)-1]
+		if newest.start == start {
+			return newest, nil
+		} else if newest.start > start {
+			return nil, fmt.Errorf("ivm: coordinate %d precedes the newest slice, at %d", ts, newest.start)
 		}
-		sl.start = start
-		s.slices[start] = sl
-		s.SlicesN.Add(1)
+		n = len(newest.parts)
 	}
-	s.cur = sl
-	return sl
+	sl := s.spares.Take()
+	if sl == nil {
+		// The recycler has room for a quarter more, as the slab's refill
+		// does: a slice that outgrows it grows it at its first Expire.
+		sl = &slice{parts: make([]*partial, 0, n), slab: expr.NewSlab[partial](n),
+			free: expr.NewRecycler(resetPartial, n+n/4)}
+	}
+	sl.start = start
+	s.slices = append(s.slices, sl)
+	s.SlicesN.Add(1)
+	return sl, nil
 }
 
 // Expire drops the slices no view reads at a boundary after c, recycling them
@@ -327,8 +336,9 @@ func (s *Store) sliceAt(ts int64) *slice {
 // retracts the slice that opened the window closing at c; a raw one never.
 func (s *Store) Expire(c int64) {
 	for _, g := range s.idle {
-		if g.slices == 0 {
+		if g.last == nil {
 			delete(s.groups, g.key)
+			s.ids = append(s.ids, g.id)
 			s.free.Put(g)
 		}
 	}
@@ -350,27 +360,23 @@ func (s *Store) Expire(c int64) {
 	if s.spec == nil {
 		horizon += s.advance
 	}
-	for start, sl := range s.slices {
-		if start >= horizon {
-			continue
-		}
-		delete(s.slices, start)
-		s.SlicesN.Add(-1)
-		if s.cur == sl {
-			s.cur = nil
-		}
-		for _, p := range sl.groups {
-			if p.g.slices--; p.g.slices == 0 {
+	expired := s.span(math.MinInt64, horizon)
+	for _, sl := range expired {
+		for _, p := range sl.parts {
+			if p.g.last == p { // slices expire in order: its last partial
+				p.g.last = nil
 				s.idle = append(s.idle, p.g)
 				s.GroupsN.Add(-1)
 			}
 			sl.free.Put(p)
 		}
 		// A raw slice's rows are carved from one array too.
-		if !sl.free.Boundary(len(sl.groups)) && cap(sl.rows) <= 2*len(sl.rows) {
+		if !sl.free.Boundary(len(sl.parts)) && cap(sl.rows) <= 2*len(sl.rows) {
 			s.spares.Put(sl)
 		}
 	}
+	s.SlicesN.Add(-int64(len(expired)))
+	s.slices = slices.Delete(s.slices, 0, len(expired))
 	s.spares.Boundary(0)
 }
 
@@ -382,18 +388,19 @@ type View struct {
 	// The window layer: the merge of the retained slices starting in
 	// [lo, hi). hi starts below every timestamp: nothing built yet.
 	lo, hi int64
-	groups map[string]*winGroup
+	groups []*winGroup // indexed by group id
 	slab   expr.Slab[winGroup]
 	spare  expr.Recycler[*winGroup] // the last window's groups, for a rebuild's add
 
 	// ordered keeps the groups sorted by key (types.CompareRows order,
 	// matching exec.HashAgg's SortedOutput). It is maintained
-	// incrementally: new groups collect in pending and are merged in at
-	// the next fire, removed groups are tombstoned in place and compacted
-	// then. A skewed stream adds a few tail groups every advance, and a
-	// full re-sort per fire was the dominant fire cost at 10k+ groups;
-	// the merge costs O(groups) pointer copies and only as many key
-	// comparisons as it takes to place the newcomers.
+	// incrementally: new groups collect in pending and are merged in at the
+	// next fire, removed groups stay in place as tombstones — groups their
+	// id no longer indexes — and are compacted then. A skewed stream adds a
+	// few tail groups every advance, and a full re-sort per fire was the
+	// dominant fire cost at 10k+ groups; the merge costs O(groups) pointer
+	// copies and only as many key comparisons as it takes to place the
+	// newcomers.
 	ordered []*winGroup
 	pending []*winGroup
 	scratch []*winGroup
@@ -409,7 +416,6 @@ type View struct {
 
 	// rows is a raw view's window, from its fire to the store's Expire.
 	rows []types.Row
-	walk []*slice // retract's scratch: the slices still in the window
 }
 
 // winGroup is one group's aggregate over a view's window.
@@ -417,15 +423,15 @@ type winGroup struct {
 	g     *group
 	rows  int64 // filtered rows in the window
 	accs  []expr.Acc
-	dead  bool      // left the window; awaiting compaction from ordered/pending
 	stamp int64     // the last fire that changed it
+	reset int64     // the last fire that reset its aggregates with no inverse
 	row   types.Row // what the last fire emitted for it; rewritten only in place
 }
 
 // Attach adds a view of the given extent (both edges of its windows fall on
 // the store's cuts) and widens retention to cover it.
 func (s *Store) Attach(visible int64) *View {
-	v := &View{st: s, visible: visible, hi: math.MinInt64, groups: make(map[string]*winGroup),
+	v := &View{st: s, visible: visible, hi: math.MinInt64,
 		slab: expr.NewSlab[winGroup](0), spare: expr.NewRecycler(resetWinGroup, 0),
 		free: expr.NewRecycler(func(row types.Row, _ bool) { clear(row) }, 0)}
 	s.views = append(s.views, v)
@@ -475,54 +481,49 @@ func (v *View) Fire(c int64, inPlace bool) (rows []types.Row, touched, carved in
 	s := v.st
 	lo := c - v.visible
 	if s.spec == nil {
-		// The walk stops once it has read every retained slice.
-		for at, n := lo, 0; at < c && n < len(s.slices); at = s.next(at) {
-			if sl := s.slices[at]; sl != nil {
-				v.rows = append(v.rows, sl.rows...)
-				n++
-			}
+		for _, sl := range s.span(lo, c) {
+			v.rows = append(v.rows, sl.rows...)
 		}
 		return v.rows, 0, 0, nil
 	}
+	v.groups = append(v.groups, make([]*winGroup, s.nids-len(v.groups))...)
 	if v.hi <= lo {
 		// Nothing kept carries over: a new view starts from what the store
 		// retains, and a tumbling window shares no slice with its predecessor
 		// (so it never retracts, and its sums are those of re-execution to the
 		// last bit). Every group is new, so every row is carved; the groups
 		// are the last window's.
-		for _, g := range v.groups {
+		v.maintainOrder()
+		for _, g := range v.ordered {
 			v.release(g)
 			v.spare.Put(g)
 		}
-		if v.spare.Boundary(len(v.groups)) {
-			v.slab = expr.NewSlab[winGroup](len(v.groups))
+		if v.spare.Boundary(len(v.ordered)) {
+			v.slab = expr.NewSlab[winGroup](len(v.ordered))
 		}
 		clear(v.groups)
 		clear(v.ordered)
-		clear(v.pending)
-		v.ordered, v.pending, v.removed = v.ordered[:0], v.pending[:0], 0
+		v.ordered = v.ordered[:0]
 		v.lo, v.hi = lo, lo
 	}
-	for ; v.hi < c; v.hi = s.next(v.hi) {
-		if sl := s.slices[v.hi]; sl != nil {
-			n, err := v.add(sl, c)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			touched += n
-		}
+	added, err := v.add(c)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	for ; v.lo < lo; v.lo = s.next(v.lo) {
-		if sl := s.slices[v.lo]; sl != nil {
-			n, err := v.retract(sl, c)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			touched += n
-		}
+	retracted, err := v.retract(lo, c)
+	if err != nil {
+		return nil, 0, 0, err
 	}
+	v.lo, v.hi, touched = lo, c, added+retracted
 	rows, carved, err = v.emit(c, touched, inPlace)
 	return rows, touched, carved, err
+}
+
+// span returns the retained slices starting in [lo, hi), in ascending order.
+func (s *Store) span(lo, hi int64) []*slice {
+	i := sort.Search(len(s.slices), func(i int) bool { return s.slices[i].start >= lo })
+	j := sort.Search(len(s.slices), func(j int) bool { return s.slices[j].start >= hi })
+	return s.slices[i:j]
 }
 
 // release takes a group's row from it as the group leaves the view: the slab
@@ -535,85 +536,84 @@ func (v *View) release(g *winGroup) {
 	g.row = nil
 }
 
-// add merges a slice that entered the window into the layer.
-func (v *View) add(sl *slice, c int64) (touched int, err error) {
-	for k, p := range sl.groups {
-		wg := v.groups[k]
-		if wg == nil {
-			if wg = v.spare.Take(); wg == nil {
-				var accs []expr.Acc
-				if wg, accs, err = v.slab.Next(v.st.spec.Aggs); err != nil {
+// add merges the slices that entered the window, [v.hi, c), into the layer.
+func (v *View) add(c int64) (touched int, err error) {
+	for _, sl := range v.st.span(v.hi, c) {
+		for _, p := range sl.parts {
+			wg := v.groups[p.g.id]
+			if wg == nil {
+				if wg = v.spare.Take(); wg == nil {
+					var accs []expr.Acc
+					if wg, accs, err = v.slab.Next(v.st.spec.Aggs); err != nil {
+						return 0, err
+					}
+					wg.accs = accs
+					v.spare.Made(1)
+				}
+				wg.g, wg.stamp, wg.reset = p.g, c-1, c-1
+				v.groups[p.g.id] = wg
+				v.pending = append(v.pending, wg)
+			}
+			wg.rows += p.rows
+			for i, a := range wg.accs {
+				if err := a.Merge(p.accs[i]); err != nil {
 					return 0, err
 				}
-				wg.accs = accs
-				v.spare.Made(1)
 			}
-			wg.g, wg.stamp = p.g, c-1
-			v.groups[p.g.key] = wg
-			v.pending = append(v.pending, wg)
-		}
-		wg.rows += p.rows
-		for i, a := range wg.accs {
-			if err := a.Merge(p.accs[i]); err != nil {
-				return 0, err
+			if wg.stamp != c {
+				wg.stamp = c
+				touched++
 			}
-		}
-		if wg.stamp != c {
-			wg.stamp = c
-			touched++
 		}
 	}
 	return touched, nil
 }
 
-// retract removes the slice at v.lo, which just left the window. Aggregates
-// without an inverse are reset and rebuilt, for the groups that slice held,
-// in one walk a group over the slices still in the window, in ascending order.
-func (v *View) retract(sl *slice, c int64) (touched int, err error) {
+// retract removes the slices in [v.lo, lo), which just left the window, in
+// one walk up to c: Sub where an aggregate has an inverse, a reset of every
+// one that has none, which the walk then rebuilds, for the groups reset at
+// this close, from the slices still in the window, in ascending order.
+func (v *View) retract(lo, c int64) (touched int, err error) {
 	s := v.st
-	walk := v.walk[:0]
-	for start := s.next(v.lo); len(s.remerge) > 0 && start < v.hi; start = s.next(start) {
-		if o := s.slices[start]; o != nil {
-			walk = append(walk, o)
+	reset := false
+	for _, sl := range s.span(v.lo, c) {
+		if sl.start >= lo && !reset {
+			break // still in the window, and nothing to rebuild
 		}
-	}
-	for k, p := range sl.groups {
-		wg := v.groups[k]
-		if wg == nil {
-			continue // unreachable: every slice in [lo, hi) was added
-		}
-		if wg.stamp != c {
-			wg.stamp = c
-			touched++
-		}
-		if wg.rows -= p.rows; wg.rows <= 0 {
-			delete(v.groups, k)
-			v.release(wg)
-			wg.dead = true
-			v.removed++
-			continue
-		}
-		for i, a := range wg.accs {
-			if r, ok := a.(expr.Retractable); ok {
-				if err := r.Sub(p.accs[i]); err != nil {
-					return 0, err
-				}
-			} else {
-				expr.Reset(a)
-			}
-		}
-		for _, o := range walk {
-			if op := o.groups[k]; op != nil {
-				for _, i := range s.remerge {
-					if err := wg.accs[i].Merge(op.accs[i]); err != nil {
-						return 0, err
+		for _, p := range sl.parts {
+			wg := v.groups[p.g.id]
+			if sl.start >= lo { // still in the window
+				if wg.reset == c {
+					for _, i := range s.remerge {
+						if err := wg.accs[i].Merge(p.accs[i]); err != nil {
+							return 0, err
+						}
 					}
 				}
+				continue
+			}
+			if wg.stamp != c {
+				wg.stamp = c
+				touched++
+			}
+			if wg.rows -= p.rows; wg.rows <= 0 {
+				v.groups[p.g.id] = nil
+				v.release(wg)
+				v.removed++
+				continue
+			}
+			for i, a := range wg.accs {
+				if r, ok := a.(expr.Retractable); ok {
+					if err := r.Sub(p.accs[i]); err != nil {
+						return 0, err
+					}
+				} else {
+					expr.Reset(a)
+					wg.reset, reset = c, true
+				}
 			}
 		}
 	}
-	clear(walk)
-	v.walk = walk[:0]
 	return touched, nil
 }
 
@@ -637,16 +637,16 @@ func (v *View) retract(sl *slice, c int64) (touched int, err error) {
 // the rows with a sentinel) every row is written again.
 func (v *View) emit(c int64, touched int, inPlace bool) (rows []types.Row, carved int, err error) {
 	spec := v.st.spec
-	if len(v.groups) == 0 && len(spec.GroupBy) == 0 {
+	born := len(v.pending) // new groups: in place, each needs a row
+	v.maintainOrder()
+	n := len(v.ordered)
+	if n == 0 && len(spec.GroupBy) == 0 {
 		row := make(types.Row, len(v.st.empty))
 		for i, a := range v.st.empty {
 			row[i] = a.Result()
 		}
 		return []types.Row{row}, 1, nil
 	}
-	born := len(v.pending) // new groups: in place, each needs a row
-	v.maintainOrder()
-	n := len(v.ordered)
 	full := v.free.Boundary(n) || inPlace != v.inPlace
 	if n == 0 {
 		// No group holds a row: the view has let go of the ones it kept, and
@@ -704,7 +704,7 @@ func (v *View) maintainOrder() {
 	}
 	add := v.pending[:0]
 	for _, g := range v.pending {
-		if !g.dead {
+		if v.groups[g.g.id] == g {
 			add = append(add, g)
 		}
 	}
@@ -712,7 +712,7 @@ func (v *View) maintainOrder() {
 	merged := v.scratch[:0]
 	ai := 0
 	for _, g := range v.ordered {
-		if g.dead {
+		if v.groups[g.g.id] != g {
 			continue
 		}
 		for ai < len(add) && types.CompareRows(add[ai].g.keys, g.g.keys) < 0 {

@@ -1,7 +1,9 @@
 package ivm
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,7 +54,9 @@ func tape(extent byte, ops ...byte) []byte { return append([]byte{extent}, ops..
 //     against its groups.
 //
 // The seeds include the scenarios of the memory pins: a burst then steady
-// keys, a detach that expires five slices at once, an idle key reviving.
+// keys, a detach that expires five slices at once, an idle key reviving; and
+// new keys taking the ids of a burst dropped a boundary before (those seeds
+// fail if no id was reused).
 func FuzzStoreLifecycle(f *testing.F) {
 	const in, out = 0xff, 0
 	steady := func(closes int, inPlace byte) (ops []byte) { // keys 0–3, a value that changes every close
@@ -72,7 +76,22 @@ func FuzzStoreLifecycle(f *testing.F) {
 	f.Add(tape(2, append([]byte{opAttach, 1, opAttach, 2}, steady(5, 0b101)...)...)) // paired, views in both modes
 	f.Add(tape(1, opInsert, 7, opClose, 1, opInsert, 7, opClose, 0, opInsert, 7, opClose, 1, opClose, 1))
 	f.Add(tape(0, append(steady(2, in), append(steady(2, out), steady(2, in)...)...)...)) // changes of mode
-	f.Fuzz(func(t *testing.T, b []byte) { storeLifecycle(t, b) })
+	// A burst expires and is dropped, and a second one takes its ids: under a
+	// tumbling view alone, and beside a sliding one (bit 1), in place and not.
+	reuse := [][]byte{
+		tape(0, append([]byte{opBurst, 56, opClose, in, opClose, out, opClose, in, opBurst, 56, opClose, out},
+			steady(2, in)...)...),
+		tape(0, append([]byte{opAttach, 2, opBurst, 56, opClose, 0b01, opClose, 0b10, opClose, 0b01, opClose, 0b10,
+			opClose, 0b01, opBurst, 56, opClose, 0b10}, append(steady(2, 0b01), steady(2, 0b10)...)...)...),
+	}
+	for _, b := range reuse {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if reused := storeLifecycle(t, b); reused == 0 && slices.ContainsFunc(reuse, func(r []byte) bool { return bytes.Equal(r, b) }) {
+			t.Fatal("no new key took a dropped group's id")
+		}
+	})
 }
 
 // firedBatch is a batch a view handed out of place, and how it rendered then.
@@ -89,9 +108,11 @@ func render(rows []types.Row) string {
 	return sb.String()
 }
 
-func storeLifecycle(t *testing.T, b []byte) {
+// storeLifecycle runs a tape and returns how many new keys took the id of a
+// dropped group.
+func storeLifecycle(t *testing.T, b []byte) (reused int) {
 	if len(b) == 0 || len(b) > 1024 {
-		return
+		return 0
 	}
 	const advance = 10 * second
 	extent := lifecycleExtents[int(b[0])%len(lifecycleExtents)] * second
@@ -104,6 +125,14 @@ func storeLifecycle(t *testing.T, b []byte) {
 		ts, v int64
 	}
 	var rows []logged // the first view's window and after
+	add := func(r logged) {
+		rows = append(rows, r)
+		free := len(s.ids)
+		insert(t, s, hit(r.url, r.ts, r.v))
+		if len(s.ids) < free {
+			reused++
+		}
+	}
 	brute := func(c int64) string {
 		type agg struct{ n, sum, min int64 }
 		byURL := map[string]*agg{}
@@ -136,7 +165,12 @@ func storeLifecycle(t *testing.T, b []byte) {
 		next += advance
 		ts = max(ts, c)
 		for i, v := range views {
-			before, rebuilds := len(v.groups), v.hi <= c-v.visible
+			before, rebuilds := 0, v.hi <= c-v.visible
+			for _, wg := range v.groups {
+				if wg != nil {
+					before++
+				}
+			}
 			rows, _, _, err := v.Fire(c, inPlace>>i&1 == 1)
 			if err != nil {
 				t.Fatal(err)
@@ -168,13 +202,11 @@ func storeLifecycle(t *testing.T, b []byte) {
 		}
 		slicesBefore, groupsBefore := map[*slice]int{}, len(s.groups)
 		for _, sl := range s.slices {
-			slicesBefore[sl] = len(sl.groups)
+			slicesBefore[sl] = len(sl.parts)
 		}
 		s.Expire(c)
-		for sl := range slicesBefore {
-			if s.slices[sl.start] == sl {
-				delete(slicesBefore, sl)
-			}
+		for _, sl := range s.slices {
+			delete(slicesBefore, sl)
 		}
 		if n := s.spares.Len(); n > len(slicesBefore) {
 			t.Fatalf("close %d s: %d spare slices, %d expired", c/second, n, len(slicesBefore))
@@ -186,7 +218,7 @@ func storeLifecycle(t *testing.T, b []byte) {
 			expiredWith[sl] = groups
 		}
 		for _, sl := range s.slices {
-			if live, free := len(sl.groups), sl.free.Len(); free+live > max(2*expiredWith[sl], live) {
+			if live, free := len(sl.parts), sl.free.Len(); free+live > max(2*expiredWith[sl], live) {
 				t.Fatalf("close %d s: a slice of %d groups keeps %d partials, and held %d when it last expired", c/second, live, free, expiredWith[sl])
 			}
 		}
@@ -210,14 +242,10 @@ func storeLifecycle(t *testing.T, b []byte) {
 			for ts >= next {
 				closeNext(0)
 			}
-			r := logged{"/k" + strconv.Itoa(int(arg%16)), ts, int64(arg / 16)}
-			rows = append(rows, r)
-			insert(t, s, hit(r.url, r.ts, r.v))
+			add(logged{"/k" + strconv.Itoa(int(arg%16)), ts, int64(arg / 16)})
 		case opBurst:
 			for j := 0; j < 8+int(arg%57); j++ {
-				r := logged{"/b" + strconv.Itoa(bursts), ts, int64(j)}
-				rows = append(rows, r)
-				insert(t, s, hit(r.url, r.ts, r.v))
+				add(logged{"/b" + strconv.Itoa(bursts), ts, int64(j)})
 				bursts++
 			}
 		case opClose, opClose2:
@@ -236,4 +264,5 @@ func storeLifecycle(t *testing.T, b []byte) {
 	}
 	closeNext(0)
 	closeNext(0xff)
+	return reused
 }

@@ -146,7 +146,7 @@ func TestRecycledSliceMemoryBounded(t *testing.T) {
 	fill(0, burst)
 	// The first partial of a fresh store's first slice is the whole of its
 	// slab's first chunk.
-	chunk := weak.Make(s.slices[0].groups[types.Row{types.NewString("/page/0")}.Key()])
+	chunk := weak.Make(s.slices[0].parts[0])
 	for k := int64(1); k <= 8; k++ {
 		s.Expire(k * 10 * second)
 		runtime.GC()
@@ -181,8 +181,8 @@ func TestRecycledSparesMemoryBounded(t *testing.T) {
 		fill(k, 10)
 	}
 	var expiring []weak.Pointer[slice]
-	for start, sl := range s.slices {
-		if start < 70*second {
+	for _, sl := range s.slices {
+		if sl.start < 70*second {
 			expiring = append(expiring, weak.Make(sl))
 		}
 	}
