@@ -208,14 +208,16 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIVMEquivalence -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzStoreLifecycle -fuzztime=$(FUZZTIME) ./internal/ivm
 
-# cluster-smoke boots two shard streamrelds, a router, a replica of one
-# shard, and a single-node reference daemon as separate processes,
-# ingests the same keyed workload into both paths, and asserts the
-# router's scatter-gather query and merged CQ output match the
-# single-node run byte for byte and the replica converges read-only with
-# settled lag metrics.
+# cluster-smoke runs TestClusterSmoke alone, under the race detector: the
+# test binary re-executes itself as two shard streamrelds, a router, a replica
+# of one shard and a single-node reference, ingests the same keyed workload
+# into both paths, and asserts the router's scatter-gather queries and merged
+# CQ output match the single-node run byte for byte, the replica converges
+# read-only with lag metrics, the federated /metrics agrees with each shard's
+# own, and a lost shard degrades to flagged partial results. `test` runs it
+# too, as part of ./...
 cluster-smoke:
-	$(GO) run ./cmd/clustersmoke
+	$(GO) test -race -count=1 -run '^TestClusterSmoke$$' ./cmd/streamreld
 
 # loc prints the non-test Go line count outside bench/ — the figure ROADMAP
 # tracks and every PR states its delta of — per package directory (internal/

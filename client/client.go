@@ -122,6 +122,14 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return New(conn, addr, opts), nil
+}
+
+// New speaks the protocol over conn, which the client now owns: a connection
+// already open to a server at addr (one end of a net.Pipe whose other end a
+// server.Server serves, for a client in the same process). Replicate dials
+// addr again.
+func New(conn net.Conn, addr string, opts Options) *Client {
 	c := &Client{
 		conn:    conn,
 		fw:      server.NewFrameWriter(conn, opts.RPCTimeout),
@@ -131,7 +139,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		subs:    make(map[int64]*Subscription),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 func dialRaw(addr string, opts Options) (net.Conn, error) {

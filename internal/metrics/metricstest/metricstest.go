@@ -1,6 +1,6 @@
-// Package metricstest holds the repo-wide metric naming rules, so that
-// every registry (an engine's, the shard router's) is audited against one
-// rule table.
+// Package metricstest holds what only tests use of metrics: the repo-wide
+// naming rules, so that every registry (an engine's, the shard router's) is
+// audited against one rule table, and a parser of the text exposition.
 package metricstest
 
 import (

@@ -1,16 +1,19 @@
-package metrics
+package metrics_test
 
 import (
 	"strings"
 	"testing"
+
+	"streamrel/internal/metrics"
+	"streamrel/internal/metrics/metricstest"
 )
 
 // TestParseRoundTrip: WritePrometheus output must parse back losslessly —
 // every gathered counter/gauge value and every histogram _bucket/_sum/_count
 // line appears as a parsed sample.
 func TestParseRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("streamrel_test_events_total", "events", L("stream", "s"), L("op", "append")).Add(42)
+	reg := metrics.NewRegistry()
+	reg.Counter("streamrel_test_events_total", "events", metrics.L("stream", "s"), metrics.L("op", "append")).Add(42)
 	reg.Gauge("streamrel_test_depth", "queue depth").Set(7.5)
 	h := reg.Histogram("streamrel_test_lat_seconds", "latency", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.005)
@@ -21,7 +24,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseExposition(strings.NewReader(b.String()))
+	parsed, err := metricstest.ParseExposition(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("own exposition failed to parse: %v\n%s", err, b.String())
 	}
@@ -53,15 +56,15 @@ func TestParseRoundTrip(t *testing.T) {
 // the shard, WriteSamples to render) must produce valid exposition with the
 // shard label intact.
 func TestParseFederatedOutput(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("streamrel_test_rows_total", "rows", L("stream", "s")).Add(3)
-	var tagged []*Sample
+	reg := metrics.NewRegistry()
+	reg.Counter("streamrel_test_rows_total", "rows", metrics.L("stream", "s")).Add(3)
+	var tagged []*metrics.Sample
 	for _, s := range reg.Gather() {
 		tagged = append(tagged, s.WithLabel("shard", "1"))
 	}
 	var b strings.Builder
-	WriteSamples(&b, tagged)
-	parsed, err := ParseExposition(strings.NewReader(b.String()))
+	metrics.WriteSamples(&b, tagged)
+	parsed, err := metricstest.ParseExposition(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("federated exposition failed to parse: %v\n%s", err, b.String())
 	}
@@ -81,7 +84,7 @@ func TestParseFederatedOutput(t *testing.T) {
 
 func TestParseLabelEscapes(t *testing.T) {
 	in := `streamrel_x{msg="a\"b\\c\nd"} 1` + "\n"
-	parsed, err := ParseExposition(strings.NewReader(in))
+	parsed, err := metricstest.ParseExposition(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +109,13 @@ func TestParseMalformed(t *testing.T) {
 		"bad name":           "9streamrel 1\n",
 	}
 	for name, in := range cases {
-		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
+		if _, err := metricstest.ParseExposition(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: want parse error for %q", name, in)
 		}
 	}
 	// A trailing timestamp and non-HELP/TYPE comments are legal.
 	ok := "# scraped by test\nstreamrel_x 1 1690000000\n"
-	if _, err := ParseExposition(strings.NewReader(ok)); err != nil {
+	if _, err := metricstest.ParseExposition(strings.NewReader(ok)); err != nil {
 		t.Errorf("legal input rejected: %v", err)
 	}
 }

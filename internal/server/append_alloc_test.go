@@ -54,7 +54,7 @@ func TestAppendAllocsPerBatch(t *testing.T) {
 
 		cli, ours := net.Pipe()
 		defer cli.Close()
-		go New(eng).handle(ours)
+		go New(eng).ServeConn(ours)
 		frames := make([][]byte, batches+2)
 		for i := range frames {
 			var b strings.Builder
@@ -210,7 +210,7 @@ func TestArchivedRowMemoryBounded(t *testing.T) {
 
 	cli, ours := net.Pipe()
 	defer cli.Close()
-	go New(eng).handle(ours)
+	go New(eng).ServeConn(ours)
 	br := bufio.NewReader(cli)
 	send := func(i int) {
 		if _, err := cli.Write(frames[i]); err != nil {

@@ -37,7 +37,7 @@ func TestDeadAppendAllocs(t *testing.T) {
 
 	cli, ours := net.Pipe()
 	defer cli.Close()
-	go New(eng).handle(ours)
+	go New(eng).ServeConn(ours)
 	frames := make([][]byte, batches+2) // 12.5 s of rows: no window closes
 	for i := range frames {
 		var b strings.Builder

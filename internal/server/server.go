@@ -88,10 +88,7 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.handle(conn)
+		go s.ServeConn(conn)
 	}
 }
 
@@ -125,7 +122,18 @@ type session struct {
 	done   chan struct{}
 }
 
-func (s *Server) handle(conn net.Conn) {
+// ServeConn serves one session on conn — a TCP connection Serve accepted, or
+// one end of a net.Pipe for a client in the same process — and returns when
+// it ends. Close ends it too.
+func (s *Server) ServeConn(conn net.Conn) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	s.conns[conn] = struct{}{}
+	s.mu.Unlock()
 	sess := &session{
 		srv:  s,
 		conn: conn,

@@ -24,7 +24,7 @@ func pipeSession(t *testing.T) (net.Conn, *Server) {
 	cli, ours := net.Pipe()
 	done := make(chan struct{})
 	go func() {
-		srv.handle(ours)
+		srv.ServeConn(ours)
 		close(done)
 	}()
 	t.Cleanup(func() {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streamrel/internal/metrics"
+	"streamrel/internal/metrics/metricstest"
 )
 
 func TestFederateTagShard(t *testing.T) {
@@ -42,7 +43,7 @@ func TestFederateDownShards(t *testing.T) {
 	if rec.Header().Get("X-Streamrel-Partial") != "true" {
 		t.Error("/metrics not flagged partial with all shards down")
 	}
-	parsed, err := metrics.ParseExposition(strings.NewReader(rec.Body.String()))
+	parsed, err := metricstest.ParseExposition(strings.NewReader(rec.Body.String()))
 	if err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, rec.Body.String())
 	}

@@ -217,66 +217,104 @@ func checkAgg(fc *sql.FuncCall, cm ColMerge) (ColMerge, error) {
 
 // Merge combines per-shard result sets according to the plan. Output
 // rows are in canonical row order (types.CompareRows) so results are
-// deterministic regardless of shard arrival order.
+// deterministic regardless of shard arrival order. An AVG whose merged sum
+// is not numeric comes out NULL; scatter answers it with merge's error.
 func (p *MergePlan) Merge(parts [][]types.Row) []types.Row {
+	out, _ := p.merge(parts)
+	return out
+}
+
+// merge folds each group's partials with the aggregates' own accumulators —
+// COUNT and SUM partials add as sum does, MIN and MAX compare — so a merged
+// column is typed as one node types it.
+func (p *MergePlan) merge(parts [][]types.Row) ([]types.Row, error) {
 	if p.Kind == MergeConcat {
 		var out []types.Row
 		for _, rows := range parts {
 			out = append(out, rows...)
 		}
 		sortRows(out)
-		return out
+		return out, nil
 	}
-	groups := make(map[string]types.Row)
-	var order []string
+	type group struct {
+		row  types.Row
+		accs []expr.Acc
+	}
+	groups := make(map[string]*group)
+	var order []*group
+	var firstErr error
 	for _, rows := range parts {
 		for _, r := range rows {
 			if len(r) != len(p.Cols) {
 				continue // shard disagreement; drop rather than corrupt
 			}
 			k := p.groupKey(r)
-			acc, ok := groups[k]
+			g, ok := groups[k]
 			if !ok {
-				groups[k] = append(types.Row(nil), r...)
-				order = append(order, k)
-				continue
+				g = &group{row: append(types.Row(nil), r...), accs: make([]expr.Acc, len(p.Cols))}
+				for i, cm := range p.Cols {
+					if cm != ColKey { // NewAcc fails only on a name colAgg does not hold
+						g.accs[i], _ = expr.NewAcc(expr.AggSpec{Name: colAgg[cm]})
+					}
+				}
+				groups[k] = g
+				order = append(order, g)
 			}
-			for i, cm := range p.Cols {
-				acc[i] = combine(cm, acc[i], r[i])
+			for i, acc := range g.accs {
+				if acc == nil {
+					continue
+				}
+				if err := acc.Add(r[i]); err != nil && firstErr == nil {
+					firstErr = err
+				}
 			}
 		}
 	}
-	out := make([]types.Row, 0, len(order))
-	for _, k := range order {
-		out = append(out, groups[k])
-	}
-	if p.Out != nil {
-		for i, r := range out {
-			out[i] = p.project(r)
+	out := make([]types.Row, len(order))
+	for i, g := range order {
+		for j, acc := range g.accs {
+			if acc != nil {
+				g.row[j] = acc.Result()
+			}
+		}
+		out[i] = g.row
+		if p.Out != nil {
+			var err error
+			if out[i], err = p.project(g.row); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	sortRows(out)
-	return out
+	return out, firstErr
 }
+
+// colAgg names the accumulator that folds a column's per-shard partials.
+var colAgg = [...]string{ColCount: "sum", ColSum: "sum", ColMin: "min", ColMax: "max"}
 
 // project maps one merged scatter row to the client-visible projection,
 // recombining AVG's sum/count pairs: sum/count as DOUBLE, NULL when no
-// non-NULL input survived anywhere (SQL avg of nothing).
-func (p *MergePlan) project(r types.Row) types.Row {
+// non-NULL input survived anywhere (SQL avg of nothing). A sum that is not
+// numeric is the error one node gives for avg over its type.
+func (p *MergePlan) project(r types.Row) (types.Row, error) {
 	out := make(types.Row, len(p.Out))
+	var err error
 	for i, oc := range p.Out {
 		if oc.Count < 0 {
 			out[i] = r[oc.Src]
 			continue
 		}
-		n := r[oc.Count].Int()
-		if n == 0 || r[oc.Src].IsNull() {
+		n, sum := r[oc.Count].Int(), r[oc.Src]
+		switch {
+		case n == 0 || sum.IsNull():
 			out[i] = types.Null
-			continue
+		case !sum.Type().Numeric():
+			out[i], err = types.Null, fmt.Errorf("expr: avg over %s", sum.Type())
+		default:
+			out[i] = types.NewFloat(sum.Float() / float64(n))
 		}
-		out[i] = types.NewFloat(numeric(r[oc.Src]) / float64(n))
 	}
-	return out
+	return out, err
 }
 
 // groupKey encodes the ColKey columns unambiguously (type tag +
@@ -295,47 +333,6 @@ func (p *MergePlan) groupKey(r types.Row) string {
 		b.WriteString(s)
 	}
 	return b.String()
-}
-
-// combine folds one shard's column value into the accumulator.
-func combine(cm ColMerge, acc, v types.Datum) types.Datum {
-	switch cm {
-	case ColKey:
-		return acc
-	case ColCount:
-		return types.NewInt(acc.Int() + v.Int())
-	case ColSum:
-		switch {
-		case v.IsNull():
-			return acc
-		case acc.IsNull():
-			return v
-		case acc.Type() == types.TypeInt && v.Type() == types.TypeInt:
-			return types.NewInt(acc.Int() + v.Int())
-		default:
-			return types.NewFloat(numeric(acc) + numeric(v))
-		}
-	case ColMin, ColMax:
-		if v.IsNull() {
-			return acc
-		}
-		if acc.IsNull() {
-			return v
-		}
-		c := types.Compare(acc, v)
-		if (cm == ColMin && c <= 0) || (cm == ColMax && c >= 0) {
-			return acc
-		}
-		return v
-	}
-	return acc
-}
-
-func numeric(d types.Datum) float64 {
-	if d.Type() == types.TypeInt {
-		return float64(d.Int())
-	}
-	return d.Float()
 }
 
 func sortRows(rows []types.Row) {

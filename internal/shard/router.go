@@ -407,8 +407,12 @@ func (r *Router) scatter(req *server.Request, plan *MergePlan) *server.Response 
 	if len(parts) == 0 {
 		return fail(fmt.Errorf("router: all shards down"))
 	}
+	rows, err := plan.merge(parts)
+	if err != nil {
+		return fail(err)
+	}
 	return &server.Response{OK: true, Columns: outColumns(plan, columns), Partial: partial,
-		Rows: server.WireRows(plan.Merge(parts))}
+		Rows: server.WireRows(rows)}
 }
 
 // append splits a keyed batch into per-shard sub-batches and hands them

@@ -433,3 +433,73 @@ func TestRouterScattersWhatItParsed(t *testing.T) {
 		t.Fatalf("columns %+v", got.Columns)
 	}
 }
+
+// TestRouterMergesIntervalSums: a SUM over INTERVAL partials merges as one
+// node sums them — the parent's merge widened every non-integer partial to a
+// float and panicked on an interval, killing the router — and an AVG over an
+// interval answers the error one node gives.
+func TestRouterMergesIntervalSums(t *testing.T) {
+	tc := startCluster(t, 2)
+	c, err := client.Dial(tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	single, err := streamrel.Open(streamrel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, ddl := range []string{
+		`CREATE STREAM s (k varchar, d interval, at timestamp CQTIME USER) PARTITION BY k`,
+		`CREATE TABLE raw (k varchar, d interval, at timestamp)`,
+		`CREATE CHANNEL raw_ch FROM s INTO raw APPEND`,
+	} {
+		if _, err := c.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+		if _, err := single.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	base := ts(t, "2009-01-04 00:00:00")
+	var rows []client.Row
+	for i := 0; i < 40; i++ {
+		rows = append(rows, client.Row{
+			types.NewString([]string{"alpha", "bravo", "charlie", "delta", "echo"}[i%5]),
+			types.NewInterval(time.Duration(i+1) * time.Second),
+			types.NewTimestamp(base.Add(time.Duration(i) * time.Second)),
+		})
+	}
+	if err := c.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	for i, eng := range tc.engines {
+		if n, err := eng.Query(`SELECT count(*) FROM raw`); err != nil || n.Data[0][0].Int() == 0 {
+			t.Fatalf("shard %d archived nothing: %v", i, err)
+		}
+	}
+	const q = `SELECT sum(d), count(*) FROM raw`
+	got, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := single.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRows(got.Data, one.Data) || got.Data[0][0].Type() != types.TypeInterval {
+		t.Fatalf("router %v, single node %v", got.Data, one.Data)
+	}
+	_, err = c.Query(`SELECT avg(d) FROM raw`)
+	_, oneErr := single.Query(`SELECT avg(d) FROM raw`)
+	if err == nil || oneErr == nil || err.Error() != oneErr.Error() {
+		t.Fatalf("avg over an interval: router %v, single node %v", err, oneErr)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("router after the interval merge: %v", err)
+	}
+}

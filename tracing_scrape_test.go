@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"streamrel/internal/metrics"
+	"streamrel/internal/metrics/metricstest"
 	"streamrel/internal/trace"
 )
 
@@ -101,7 +102,7 @@ func TestTracingScrapeUnderIngest(t *testing.T) {
 	for g := 0; g < scrapers; g++ {
 		scrapeWG.Add(2)
 		go scrape(metricsSrv.URL, func(body string) error {
-			_, err := metrics.ParseExposition(strings.NewReader(body))
+			_, err := metricstest.ParseExposition(strings.NewReader(body))
 			return err
 		})
 		go scrape(tracesSrv.URL, func(string) error { return nil })
@@ -122,7 +123,7 @@ func TestTracingScrapeUnderIngest(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	parsed, err := metrics.ParseExposition(strings.NewReader(string(body)))
+	parsed, err := metricstest.ParseExposition(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
