@@ -67,9 +67,12 @@ cover:
 # statement planned for it alone at the same snapshot), and so does the wire
 # append whose memory the server's reader recycles when nothing kept it, with
 # every kind of keeper coming and going between appends and pool workers
-# applying them (TestWireAppendRecycleEquivalence, ≡ Engine.Append).
+# applying them (TestWireAppendRecycleEquivalence, ≡ Engine.Append). The
+# server, the shard router and the client ride along for the one session
+# loop both front doors share: its batch pumps, an engine CQ's and a routed
+# merge's, write beside responses and stop when the session ends.
 drain-policies:
-	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl ./internal/shard ./internal/server ./client
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestInPlaceViewModeChange|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache|TestMaintained|TestWireAppendRecycleEquivalence' .
 
 # alloc-pins runs the ownership property (a decoded batch is its container and

@@ -454,7 +454,7 @@ func (c *Client) Traces() ([]Span, error) {
 	for i, ws := range resp.Spans {
 		out[i] = Span{
 			Trace:  ws.Trace,
-			Stage:  ws.Stage,
+			Stage:  string(ws.Stage),
 			Stream: ws.Stream,
 			Pipe:   ws.Pipe,
 			Start:  time.UnixMicro(ws.StartUS).UTC(),

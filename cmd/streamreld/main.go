@@ -155,16 +155,32 @@ func main() {
 		fmt.Printf("streamreld listening on %s (dir=%q)\n", bound, *dir)
 	}
 
-	if *metricsAddr != "" {
-		mlis, err := net.Listen("tcp", *metricsAddr)
+	serve(srv, *metricsAddr, logger, fatal, map[string]http.Handler{
+		"/metrics":      metrics.Handler(eng.Metrics()),
+		"/debug/traces": trace.Handler(eng.Tracer()),
+		"/readyz":       readyzHandler(rep, *readyMaxLag),
+	})
+}
+
+// serve is both modes' tail. It starts the debug listener, when addr is
+// set, with the mode's handlers beside /healthz and the profiling routes,
+// then serves srv until SIGINT or SIGTERM closes it.
+func serve(srv *server.Server, addr string, logger *slog.Logger, fatal func(string, error), handlers map[string]http.Handler) {
+	if addr != "" {
+		mlis, err := net.Listen("tcp", addr)
 		if err != nil {
 			fatal("metrics listen failed", err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler(eng.Metrics()))
-		mux.Handle("/debug/traces", trace.Handler(eng.Tracer()))
-		mux.Handle("/healthz", healthzHandler())
-		mux.Handle("/readyz", readyzHandler(rep, *readyMaxLag))
+		for path, h := range handlers {
+			mux.Handle(path, h)
+		}
+		// Liveness: 200 while the process serves, whatever its shards or
+		// its primary are doing — restarting it heals neither.
+		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintln(w, `{"status":"ok"}`)
+		})
 		// Profiling handlers registered on this explicit mux (not
 		// http.DefaultServeMux) so they exist only on the metrics
 		// listener. The metrics address must not be publicly reachable.
@@ -194,14 +210,6 @@ func main() {
 	if err := srv.Serve(); err != nil {
 		fatal("serve failed", err)
 	}
-}
-
-// healthzHandler is the liveness probe: 200 while the process serves.
-func healthzHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
 }
 
 // readyzHandler is the readiness probe. A primary is ready once it

@@ -5,11 +5,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"streamrel/client"
@@ -46,54 +43,25 @@ func runRouter(addr, shardList, initScript, metricsAddr string, traceSample int,
 	fmt.Printf("streamreld listening on %s (router over %d shards: %s)\n", bound, len(addrs), shardList)
 
 	if initScript != "" {
-		if err := routerInit(bound, initScript); err != nil {
+		if err := routerInit(r, initScript); err != nil {
 			fatal("init script failed", err)
 		}
 	}
-
-	if metricsAddr != "" {
-		mlis, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fatal("metrics listen failed", err)
-		}
-		mux := http.NewServeMux()
-		// Federated views: /metrics merges every shard's registry with the
-		// router's own (shard-labeled series); /debug/traces stitches
-		// distributed spans back together by trace ID.
-		mux.Handle("/metrics", r.MetricsHandler())
-		mux.Handle("/debug/traces", r.TracesHandler())
-		mux.Handle("/healthz", r.HealthzHandler())
-		mux.Handle("/readyz", r.ReadyzHandler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		fmt.Printf("metrics on http://%s/metrics\n", mlis.Addr())
-		go func() {
-			if err := http.Serve(mlis, mux); err != nil {
-				logger.Warn("metrics server stopped", "error", err.Error())
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Println("\nshutting down")
-		r.Close()
-	}()
-	if err := r.Serve(); err != nil {
-		fatal("serve failed", err)
-	}
+	// Federated views: /metrics merges every shard's registry with the
+	// router's own (shard-labeled series); /debug/traces stitches
+	// distributed spans back together by trace ID.
+	serve(r.Server, metricsAddr, logger, fatal, map[string]http.Handler{
+		"/metrics":      r.MetricsHandler(),
+		"/debug/traces": r.TracesHandler(),
+		"/readyz":       r.ReadyzHandler(),
+	})
 }
 
-// routerInit replays a SQL script through the router's own client
-// protocol, so DDL broadcasts to every shard and the router's catalog
+// routerInit replays a SQL script through the router's own session loop,
+// over a pipe, so DDL broadcasts to every shard and the router's catalog
 // mirror learns the schema — the supported way to re-seed a restarted
 // router.
-func routerInit(addr, path string) error {
+func routerInit(r *shard.Router, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -102,10 +70,9 @@ func routerInit(addr, path string) error {
 	if err != nil {
 		return err
 	}
-	c, err := client.Dial(addr)
-	if err != nil {
-		return err
-	}
+	conn, ours := net.Pipe()
+	go r.ServeConn(ours)
+	c := client.New(conn, "", client.Options{})
 	defer c.Close()
 	for _, st := range stmts {
 		if _, err := c.Exec(st.Text); err != nil {

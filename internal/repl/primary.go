@@ -30,10 +30,6 @@ type Config struct {
 	Snapshot SnapshotFunc
 	// Metrics registers replication series; nil disables them.
 	Metrics *metrics.Registry
-	// RingSize is the most recent events the replication ring retains for
-	// incremental catch-up; 0 means DefaultRingSize. What they carry is
-	// bounded separately, at maxRingBytes.
-	RingSize int
 	// SubBuffer is each subscriber's channel depth; 0 means
 	// DefaultSubBuffer. A subscriber that falls this far behind is
 	// dropped back to ring catch-up (and to a disconnect if the ring has
@@ -43,7 +39,9 @@ type Config struct {
 	PingEvery time.Duration
 }
 
-// Default sizing for the replication ring and subscriber queues.
+// DefaultRingSize is the most recent events the replication ring retains
+// for incremental catch-up; what they carry is bounded separately, at
+// maxRingBytes. DefaultSubBuffer is a subscriber's default queue depth.
 const (
 	DefaultRingSize  = 8192
 	DefaultSubBuffer = 1024
@@ -107,10 +105,6 @@ type Primary struct {
 
 // NewPrimary creates a replication hub with a fresh random run ID.
 func NewPrimary(cfg Config) *Primary {
-	ringSize := cfg.RingSize
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
 	subBuf := cfg.SubBuffer
 	if subBuf <= 0 {
 		subBuf = DefaultSubBuffer
@@ -122,8 +116,8 @@ func NewPrimary(cfg Config) *Primary {
 	p := &Primary{
 		snapshot:  cfg.Snapshot,
 		run:       newRunID(),
-		ring:      make([]Event, ringSize),
-		ringSizes: make([]int, ringSize),
+		ring:      make([]Event, DefaultRingSize),
+		ringSizes: make([]int, DefaultRingSize),
 		subs:      make(map[*subscriber]struct{}),
 		subBuf:    subBuf,
 		pingEvery: pingEvery,

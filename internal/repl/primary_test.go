@@ -23,6 +23,13 @@ func testPrimary(t *testing.T, cfg Config) *Primary {
 	return NewPrimary(cfg)
 }
 
+// withRing shrinks a fresh primary's ring to n events, so that eviction
+// shows after a handful of publishes.
+func withRing(p *Primary, n int) *Primary {
+	p.ring, p.ringSizes = make([]Event, n), make([]int, n)
+	return p
+}
+
 // serve runs ServeConn in the background and returns the replica-side
 // frame reader plus a cleanup joining the goroutine.
 func serve(t *testing.T, p *Primary, fromLSN uint64, runID string) (*bufio.Reader, func()) {
@@ -56,7 +63,7 @@ func mustRead(t *testing.T, r *bufio.Reader) *Event {
 // connects with a matching run ID; the replica must get a Resume frame,
 // the ring backlog in order, then live events — with monotonic LSNs.
 func TestPrimaryIncrementalCatchup(t *testing.T) {
-	p := testPrimary(t, Config{RingSize: 16})
+	p := withRing(testPrimary(t, Config{}), 16)
 	p.PublishAppend("s", []types.Row{{types.NewInt(1)}}, 0)
 	p.PublishAdvance("s", 60)
 	p.PublishTxn([]wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}}, nil, 0)
@@ -85,7 +92,7 @@ func TestPrimaryIncrementalCatchup(t *testing.T) {
 // ring no longer covers; the primary must serve a full snapshot bounded
 // by SnapBegin/SnapEnd, then live events from the boundary.
 func TestPrimarySnapshotWhenStale(t *testing.T) {
-	p := testPrimary(t, Config{RingSize: 2})
+	p := withRing(testPrimary(t, Config{}), 2)
 	p.snapshot = func(atCut func(), emit func(Event) error) error {
 		atCut()
 		if err := emit(Event{Kind: KindWAL, Recs: []wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}}}); err != nil {
@@ -159,7 +166,7 @@ func TestPrimaryCatchupByBytes(t *testing.T) {
 // TestPrimaryRunMismatchForcesSnapshot: a matching LSN under a stale run
 // ID must not resume incrementally.
 func TestPrimaryRunMismatchForcesSnapshot(t *testing.T) {
-	p := testPrimary(t, Config{RingSize: 16})
+	p := withRing(testPrimary(t, Config{}), 16)
 	p.snapshot = func(atCut func(), emit func(Event) error) error { atCut(); return nil }
 	p.PublishAdvance("s", 1)
 
@@ -199,7 +206,7 @@ func TestChunkEnd(t *testing.T) {
 // frame can ever exceed the replica's frame-size limit (which would wedge
 // replication in a permanent reconnect loop).
 func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
-	p := testPrimary(t, Config{RingSize: 16})
+	p := withRing(testPrimary(t, Config{}), 16)
 	r, cleanup := serve(t, p, 0, p.RunID())
 	defer cleanup()
 	if ev := mustRead(t, r); ev.Kind != KindResume {
@@ -312,7 +319,7 @@ func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
 // producer emits more than the 64KB writer buffer into a pipe nobody
 // reads — streaming inside the producer would block it forever.
 func TestSnapshotSpooledBeforeNetworkWrites(t *testing.T) {
-	p := testPrimary(t, Config{RingSize: 2})
+	p := withRing(testPrimary(t, Config{}), 2)
 	released := make(chan struct{})
 	p.snapshot = func(atCut func(), emit func(Event) error) error {
 		defer close(released)
@@ -353,7 +360,7 @@ func TestSnapshotSpooledBeforeNetworkWrites(t *testing.T) {
 // maxRingBytes however few events that is, the newest always kept.
 func TestRingGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
-	p := testPrimary(t, Config{RingSize: 4, Metrics: reg})
+	p := withRing(testPrimary(t, Config{Metrics: reg}), 4)
 	gauge := func(name string) float64 {
 		for _, s := range reg.Gather() {
 			if s.Name == name {

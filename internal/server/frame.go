@@ -162,40 +162,3 @@ func (fw *FrameWriter) WriteResponse(resp *Response) error {
 	}
 	return err
 }
-
-// ServeFrames is the session loop of every front door that speaks this
-// protocol (the server and the shard router): read a frame, decode it,
-// dispatch, answer under the request's id. dispatch returning nil ends the
-// loop without an answer (the connection has been handed elsewhere). A
-// malformed or oversized frame is answered with one error frame and ends
-// the session, since the stream cannot be trusted past it. Rows dispatch
-// marks unkept (Request.recycle) are recycled. nil is an orderly end.
-func ServeFrames(conn net.Conn, fw *FrameWriter, dispatch func(*Request) *Response) error {
-	fr := NewFrameReader(conn)
-	for {
-		req := new(Request)
-		err := fr.Read(req)
-		var ne net.Error
-		switch {
-		case err == nil:
-		case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), errors.Is(err, io.ErrClosedPipe):
-			return nil
-		case errors.As(err, &ne):
-			return err
-		default:
-			fw.Write(&Response{Error: err.Error()}) // best effort: the close follows either way
-			return err
-		}
-		resp := dispatch(req)
-		if resp == nil {
-			return nil
-		}
-		if req.recycle {
-			fr.strs.Recycle()
-		}
-		resp.ID = req.ID
-		if err := fw.WriteResponse(resp); err != nil {
-			return err
-		}
-	}
-}

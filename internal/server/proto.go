@@ -77,7 +77,10 @@
 // row, and the frame, record batch or event above them nothing).
 package server
 
-import "streamrel/internal/types"
+import (
+	"streamrel/internal/trace"
+	"streamrel/internal/types"
+)
 
 // MaxFrameBytes caps one frame on the wire, read or written. It is a
 // constant of the protocol, not a knob: twice repl.MaxEventBytes, because
@@ -106,7 +109,7 @@ type Request struct {
 	// Trace carries a sampled trace ID (16-hex, see internal/trace)
 	// across a router hop so shard-side spans join the router's trace.
 	Trace string `json:"trace,omitempty"`
-	// recycle: nothing kept Rows (non-empty, so this frame's); ServeFrames recycles them.
+	// recycle: nothing kept Rows (non-empty, so this frame's); the session loop recycles them.
 	recycle bool
 }
 
@@ -137,20 +140,9 @@ type Response struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// WireSpan is one completed trace span on the wire; field names match the
-// JSON served at /debug/traces. The trace ID is hex so it survives JSON
-// consumers that parse integers as doubles.
-type WireSpan struct {
-	Trace   string `json:"trace"`
-	Stage   string `json:"stage"`
-	Stream  string `json:"stream,omitempty"`
-	Pipe    int64  `json:"pipe,omitempty"`
-	StartUS int64  `json:"start_us"`
-	DurNS   int64  `json:"dur_ns"`
-	Rows    int    `json:"rows,omitempty"`
-	Slow    bool   `json:"slow,omitempty"`
-	Mode    string `json:"mode,omitempty"`
-}
+// WireSpan is one completed trace span on the wire, the shape
+// /debug/traces serves too.
+type WireSpan = trace.WireSpan
 
 // WireSample is one metrics series on the wire (the "metrics" op): a
 // structured counterpart of one Prometheus exposition family member, rich

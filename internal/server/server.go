@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -16,9 +18,28 @@ import (
 // pre-created so dispatch never takes the registry lock.
 var ops = []string{"exec", "query", "append", "advance", "subscribe", "unsubscribe", "ping", "metrics", "trace", "replicate", "promote"}
 
-// Server serves one engine over TCP.
+// Backend is what a front door answers behind the session loop. The
+// Server owns the rest, once for every backend: the listener, the
+// connections, the per-op series, the CQ handle table and the ping,
+// metrics, trace, unsubscribe, replicate and promote ops. New serves an
+// engine; the shard router (internal/shard) is the other backend.
+type Backend interface {
+	// Do answers exec, query, append and advance, and any op the session
+	// does not own with the front door's own unknown-op error.
+	Do(req *Request) *Response
+	// Subscribe starts a continuous query. It answers with the columns (or
+	// an error, and no stop), and hands each window batch to emit until
+	// emit reports that the session has ended; stop ends the query.
+	Subscribe(req *Request, emit func(*Response) bool) (resp *Response, stop func())
+	// Metrics is the registry the session's series register in and the
+	// metrics op gathers; Tracer is the ring the trace op reads (nil: off).
+	Metrics() *metrics.Registry
+	Tracer() *trace.Tracer
+}
+
+// Server serves one backend over TCP.
 type Server struct {
-	eng *streamrel.Engine
+	b   Backend
 	lis net.Listener
 
 	mu     sync.Mutex
@@ -37,7 +58,7 @@ type Server struct {
 	// Promote, when set, serves the "promote" op (replica → primary).
 	Promote func() error
 
-	// Metric handles, registered in the engine's registry.
+	// Metric handles, registered in the backend's registry.
 	connGauge *metrics.Gauge
 	cmdHist   map[string]*metrics.Histogram
 	cmdErrs   map[string]*metrics.Counter
@@ -45,14 +66,18 @@ type Server struct {
 
 // New creates a server for the engine; its metrics register in the
 // engine's registry so one /metrics endpoint serves both.
-func New(eng *streamrel.Engine) *Server {
+func New(eng *streamrel.Engine) *Server { return Over(engine{eng}) }
+
+// Over creates a server for any backend; its metrics register in the
+// backend's registry.
+func Over(b Backend) *Server {
 	s := &Server{
-		eng:     eng,
+		b:       b,
 		conns:   make(map[net.Conn]struct{}),
 		cmdHist: make(map[string]*metrics.Histogram),
 		cmdErrs: make(map[string]*metrics.Counter),
 	}
-	reg := eng.Metrics()
+	reg := b.Metrics()
 	s.connGauge = reg.Gauge("streamrel_server_connections", "open client connections")
 	for _, op := range ops {
 		s.cmdHist[op] = reg.Histogram("streamrel_server_command_seconds",
@@ -118,7 +143,7 @@ type session struct {
 	conn   net.Conn
 	fw     *FrameWriter // serializes frame writes (responses vs CQ pushes)
 	nextCQ int64
-	cqs    map[int64]*streamrel.CQ
+	stops  map[int64]func() // by CQ handle
 	done   chan struct{}
 }
 
@@ -135,17 +160,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
 	sess := &session{
-		srv:  s,
-		conn: conn,
-		fw:   NewFrameWriter(conn, 0),
-		cqs:  make(map[int64]*streamrel.CQ),
-		done: make(chan struct{}),
+		srv:   s,
+		conn:  conn,
+		fw:    NewFrameWriter(conn, 0),
+		stops: make(map[int64]func()),
+		done:  make(chan struct{}),
 	}
 	s.connGauge.Add(1)
 	defer func() {
 		close(sess.done)
-		for _, cq := range sess.cqs {
-			cq.Close()
+		for _, stop := range sess.stops {
+			stop()
 		}
 		conn.Close()
 		s.mu.Lock()
@@ -153,8 +178,34 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.connGauge.Add(-1)
 	}()
+	if err := sess.serve(); err != nil {
+		s.logErr("session ended", err)
+	}
+}
 
-	err := ServeFrames(conn, sess.fw, func(req *Request) *Response {
+// serve is the session loop: read a frame, decode it, dispatch, answer
+// under the request's id. A malformed or oversized frame is answered with
+// one error frame and ends the session, since the stream cannot be trusted
+// past it; so does a replicate request, whose connection is handed to the
+// replication hook. Rows the backend marks unkept (Request.recycle) are
+// recycled. nil is an orderly end.
+func (sess *session) serve() error {
+	s := sess.srv
+	fr := NewFrameReader(sess.conn)
+	for {
+		req := new(Request)
+		err := fr.Read(req)
+		var ne net.Error
+		switch {
+		case err == nil:
+		case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), errors.Is(err, io.ErrClosedPipe):
+			return nil
+		case errors.As(err, &ne):
+			return err
+		default:
+			sess.fw.Write(&Response{Error: err.Error()}) // best effort: the close follows either way
+			return err
+		}
 		if req.Op == "replicate" {
 			s.serveReplicate(sess, req)
 			return nil
@@ -167,10 +218,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if resp.Error != "" {
 			s.cmdErrs[req.Op].Inc() // nil-safe for unknown ops
 		}
-		return resp
-	})
-	if err != nil {
-		s.logErr("session ended", err)
+		if req.recycle {
+			fr.strs.Recycle()
+		}
+		resp.ID = req.ID
+		if err := sess.fw.WriteResponse(resp); err != nil {
+			return err
+		}
 	}
 }
 
@@ -202,12 +256,66 @@ func (s *Server) serveReplicate(sess *session, req *Request) {
 
 func fail(err error) *Response { return &Response{Error: err.Error()} }
 
+// dispatch answers the ops the session owns and hands the rest to the
+// backend.
 func (sess *session) dispatch(req *Request) *Response {
-	eng := sess.srv.eng
-	args := req.Args
+	s := sess.srv
+	switch req.Op {
+	case "subscribe":
+		handle := sess.nextCQ + 1
+		resp, stop := s.b.Subscribe(req, func(batch *Response) bool {
+			batch.Batch, batch.CQ = true, handle
+			select {
+			case <-sess.done:
+				return false
+			default:
+			}
+			return sess.fw.WriteResponse(batch) == nil
+		})
+		if resp.Error == "" {
+			sess.nextCQ = handle
+			sess.stops[handle] = stop
+			resp.CQ = handle
+		}
+		return resp
+
+	case "unsubscribe":
+		stop, ok := sess.stops[req.CQ]
+		if !ok {
+			return fail(fmt.Errorf("server: unknown cq %d", req.CQ))
+		}
+		stop()
+		delete(sess.stops, req.CQ)
+		return &Response{OK: true}
+
+	case "ping":
+		return &Response{OK: true}
+
+	case "promote":
+		if s.Promote == nil {
+			return fail(fmt.Errorf("server: this server is not a replica"))
+		}
+		if err := s.Promote(); err != nil {
+			return fail(err)
+		}
+		return &Response{OK: true}
+
+	case "metrics":
+		return &Response{OK: true, Samples: EncodeSamples(s.b.Metrics().Gather())}
+
+	case "trace":
+		return &Response{OK: true, Spans: trace.WireSpans(s.b.Tracer().Snapshot())}
+	}
+	return s.b.Do(req)
+}
+
+// engine is the backend that serves one engine.
+type engine struct{ *streamrel.Engine }
+
+func (e engine) Do(req *Request) *Response {
 	switch req.Op {
 	case "exec":
-		res, err := eng.ExecArgs(req.SQL, args...)
+		res, err := e.ExecArgs(req.SQL, req.Args...)
 		if err != nil {
 			return fail(err)
 		}
@@ -219,7 +327,7 @@ func (sess *session) dispatch(req *Request) *Response {
 		return out
 
 	case "query":
-		rows, err := eng.QueryArgs(req.SQL, args...)
+		rows, err := e.QueryArgs(req.SQL, req.Args...)
 		if err != nil {
 			return fail(err)
 		}
@@ -232,7 +340,7 @@ func (sess *session) dispatch(req *Request) *Response {
 			// A bad ID only costs the span linkage, never the data.
 			traceID, _ = trace.ParseID(req.Trace)
 		}
-		kept, err := eng.AppendBorrowed(traceID, req.Stream, rows)
+		kept, err := e.AppendBorrowed(traceID, req.Stream, rows)
 		req.recycle = !kept && len(rows) > 0
 		if err != nil {
 			return fail(err)
@@ -240,80 +348,27 @@ func (sess *session) dispatch(req *Request) *Response {
 		return &Response{OK: true, Affected: len(rows)}
 
 	case "advance":
-		if err := eng.AdvanceTime(req.Stream, time.UnixMicro(req.TS).UTC()); err != nil {
+		if err := e.AdvanceTime(req.Stream, time.UnixMicro(req.TS).UTC()); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
-
-	case "subscribe":
-		cq, err := eng.SubscribeArgs(req.SQL, args...)
-		if err != nil {
-			return fail(err)
-		}
-		sess.nextCQ++
-		handle := sess.nextCQ
-		sess.cqs[handle] = cq
-		// Pump batches to the client until the CQ or connection closes.
-		go func() {
-			for {
-				b, ok := cq.Next()
-				if !ok {
-					return
-				}
-				frame := &Response{Batch: true, CQ: handle, Close: b.Close.UnixMicro(), Rows: WireRows(b.Rows)}
-				select {
-				case <-sess.done:
-					return
-				default:
-				}
-				if err := sess.fw.WriteResponse(frame); err != nil {
-					return
-				}
-			}
-		}()
-		return &Response{OK: true, CQ: handle, Columns: EncodeSchema(cq.Columns)}
-
-	case "unsubscribe":
-		cq, ok := sess.cqs[req.CQ]
-		if !ok {
-			return fail(fmt.Errorf("server: unknown cq %d", req.CQ))
-		}
-		cq.Close()
-		delete(sess.cqs, req.CQ)
-		return &Response{OK: true}
-
-	case "ping":
-		return &Response{OK: true}
-
-	case "promote":
-		if sess.srv.Promote == nil {
-			return fail(fmt.Errorf("server: this server is not a replica"))
-		}
-		if err := sess.srv.Promote(); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
-
-	case "metrics":
-		return &Response{OK: true, Samples: EncodeSamples(eng.Metrics().Gather())}
-
-	case "trace":
-		spans := eng.Traces()
-		out := &Response{OK: true, Spans: make([]WireSpan, len(spans))}
-		for i, sp := range spans {
-			out.Spans[i] = WireSpan{
-				Trace:   trace.FormatID(sp.Trace),
-				Stage:   string(sp.Stage),
-				Stream:  sp.Stream,
-				Pipe:    sp.Pipe,
-				StartUS: sp.Start,
-				DurNS:   sp.Dur,
-				Rows:    sp.Rows,
-				Slow:    sp.Slow,
-				Mode:    sp.Mode,
-			}
-		}
-		return out
 	}
 	return fail(fmt.Errorf("server: unknown op %q", req.Op))
+}
+
+func (e engine) Subscribe(req *Request, emit func(*Response) bool) (*Response, func()) {
+	cq, err := e.SubscribeArgs(req.SQL, req.Args...)
+	if err != nil {
+		return fail(err), nil
+	}
+	// Pump batches to the client until the CQ or the session ends.
+	go func() {
+		for {
+			b, ok := cq.Next()
+			if !ok || !emit(&Response{Close: b.Close.UnixMicro(), Rows: WireRows(b.Rows)}) {
+				return
+			}
+		}
+	}()
+	return &Response{OK: true, Columns: EncodeSchema(cq.Columns)}, cq.Close
 }

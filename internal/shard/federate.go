@@ -18,7 +18,7 @@ import (
 // This file is the router's cluster observability plane: one /metrics
 // scrape that federates every shard's registry (series tagged with a
 // shard label), one /debug/traces view that stitches distributed spans
-// back together by trace ID, and /healthz + /readyz probes. The paper
+// back together by trace ID, and the /readyz probe. The paper
 // frames monitoring as just another continuous query over the system's
 // own event streams; federation extends that to the cluster by making
 // every node's telemetry reachable through a single pane.
@@ -161,12 +161,8 @@ func (r *Router) FederatedTraces() (traces []FedTrace, partial bool) {
 		}
 		ft.Spans = append(ft.Spans, FedSpan{Node: node, WireSpan: ws})
 	}
-	for _, sp := range r.tracer.Snapshot() {
-		add("router", server.WireSpan{
-			Trace: trace.FormatID(sp.Trace), Stage: string(sp.Stage),
-			Stream: sp.Stream, Pipe: sp.Pipe, StartUS: sp.Start,
-			DurNS: sp.Dur, Rows: sp.Rows, Slow: sp.Slow, Mode: sp.Mode,
-		})
+	for _, ws := range trace.WireSpans(r.tracer.Snapshot()) {
+		add("router", ws)
 	}
 	for i, res := range results {
 		if res.err != nil {
@@ -210,21 +206,12 @@ func (r *Router) TracesHandler() http.Handler {
 	})
 }
 
-// probeStatus is the JSON body of the /healthz and /readyz probes.
+// probeStatus is the JSON body of the /readyz probe.
 type probeStatus struct {
 	Status string `json:"status"`
 	Up     int    `json:"shards_up,omitempty"`
 	Total  int    `json:"shards_total,omitempty"`
 	Down   []int  `json:"shards_down,omitempty"`
-}
-
-// HealthzHandler is the router's liveness probe: it answers 200 as long
-// as the process is serving, regardless of shard health — restarting the
-// router does not heal a downed shard.
-func (r *Router) HealthzHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeProbe(w, http.StatusOK, probeStatus{Status: "ok"})
-	})
 }
 
 // ReadyzHandler is the router's readiness probe: ready only while every
@@ -245,12 +232,8 @@ func (r *Router) ReadyzHandler() http.Handler {
 			st.Status = "degraded"
 			code = http.StatusServiceUnavailable
 		}
-		writeProbe(w, code, st)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(st)
 	})
-}
-
-func writeProbe(w http.ResponseWriter, code int, st probeStatus) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(st)
 }

@@ -33,6 +33,8 @@ func TestRouterMetricNamingConventions(t *testing.T) {
 		"streamrel_router_shard_up",
 		"streamrel_router_queue_depth",
 		"streamrel_server_connections",
+		"streamrel_server_command_seconds",
+		"streamrel_server_command_errors_total",
 	} {
 		if byName[name] == nil {
 			t.Errorf("expected router series %s not registered", name)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"sync"
 	"time"
 
@@ -38,6 +37,10 @@ type Options struct {
 // catalog mirror stays truthful). Unpartitioned relations live on shard
 // 0 by convention.
 type Router struct {
+	// The session loop the router answers behind; Listen, Serve and
+	// ServeConn are its.
+	*server.Server
+
 	shardMap Map
 	shards   []*shardConn
 	mir      *mirror
@@ -45,17 +48,10 @@ type Router struct {
 	tracer   *trace.Tracer
 	log      *slog.Logger
 
-	lis net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-
 	appendRows  *metrics.Counter
 	appendHist  *metrics.Histogram
 	partialCtr  *metrics.Counter
 	scatterHist *metrics.Histogram
-	connGauge   *metrics.Gauge
 }
 
 // NewRouter builds a router over the given shard addresses and starts
@@ -70,7 +66,6 @@ func NewRouter(opts Options) (*Router, error) {
 		mir:      newMirror(),
 		reg:      reg,
 		log:      opts.Log,
-		conns:    make(map[net.Conn]struct{}),
 	}
 	if opts.TraceSampleEvery >= 0 {
 		r.tracer = trace.New(trace.Options{
@@ -87,7 +82,8 @@ func NewRouter(opts Options) (*Router, error) {
 		"responses flagged partial because one or more shards were down")
 	r.scatterHist = reg.Histogram("streamrel_router_scatter_seconds",
 		"scatter-gather snapshot query latency, fan-out to merge", nil)
-	r.connGauge = reg.Gauge("streamrel_server_connections", "open client connections")
+	r.Server = server.Over(r)
+	r.Server.Log = opts.Log
 	for i, addr := range opts.Addrs {
 		sc := newShardConn(i, addr, opts.Client, reg, opts.Log)
 		r.shards = append(r.shards, sc)
@@ -121,153 +117,36 @@ func (r *Router) WaitReady(timeout time.Duration) int {
 	}
 }
 
-// Listen binds the router's client listener.
-func (r *Router) Listen(addr string) (string, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	r.lis = lis
-	return lis.Addr().String(), nil
-}
-
-// Serve accepts client connections until Close. Blocks.
-func (r *Router) Serve() error {
-	for {
-		conn, err := r.lis.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		go r.handle(conn)
-	}
-}
-
-// Close stops the router: listener, client sessions, shard connections.
+// Close stops the router: its front door, then the shard connections.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	for c := range r.conns {
-		c.Close()
-	}
-	r.mu.Unlock()
+	err := r.Server.Close()
 	for _, sc := range r.shards {
 		sc.close()
 	}
-	if r.lis != nil {
-		return r.lis.Close()
-	}
-	return nil
-}
-
-// rsession is one client connection's state on the router.
-type rsession struct {
-	r    *Router
-	conn net.Conn
-	fw   *server.FrameWriter
-
-	nextCQ int64
-	subs   map[int64]*routedSub
-	done   chan struct{}
-}
-
-// routedSub is one routed subscription: the per-shard client
-// subscriptions feeding either a merge (partitioned) or a passthrough.
-type routedSub struct {
-	subs []*client.Subscription
-}
-
-func (rs *routedSub) close() {
-	for _, s := range rs.subs {
-		if s != nil {
-			s.Close()
-		}
-	}
-}
-
-func (r *Router) handle(conn net.Conn) {
-	sess := &rsession{
-		r:    r,
-		conn: conn,
-		fw:   server.NewFrameWriter(conn, 0),
-		subs: make(map[int64]*routedSub),
-		done: make(chan struct{}),
-	}
-	r.connGauge.Add(1)
-	defer func() {
-		close(sess.done)
-		for _, rs := range sess.subs {
-			rs.close()
-		}
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		r.connGauge.Add(-1)
-	}()
-
-	err := server.ServeFrames(conn, sess.fw, func(req *server.Request) *server.Response {
-		resp := sess.dispatch(req)
-		if resp.Partial {
-			r.partialCtr.Inc()
-		}
-		return resp
-	})
-	if err != nil && r.log != nil {
-		r.log.Warn("router: session ended", "error", err.Error())
-	}
+	return err
 }
 
 func fail(err error) *server.Response { return &server.Response{Error: err.Error()} }
 
-func (sess *rsession) dispatch(req *server.Request) *server.Response {
-	r := sess.r
+// Do answers the data ops behind the session loop (server.Backend).
+func (r *Router) Do(req *server.Request) *server.Response {
+	var resp *server.Response
 	switch req.Op {
 	case "exec":
-		return r.execStmt(req)
+		resp = r.execStmt(req)
 	case "query":
-		return r.query(req)
+		resp = r.query(req)
 	case "append":
-		return r.append(req)
+		resp = r.append(req)
 	case "advance":
-		return r.advance(req)
-	case "subscribe":
-		return sess.subscribe(req)
-	case "unsubscribe":
-		rs, ok := sess.subs[req.CQ]
-		if !ok {
-			return fail(fmt.Errorf("router: unknown cq %d", req.CQ))
-		}
-		rs.close()
-		delete(sess.subs, req.CQ)
-		return &server.Response{OK: true}
-	case "ping":
-		return &server.Response{OK: true}
-	case "metrics":
-		return &server.Response{OK: true, Samples: server.EncodeSamples(r.reg.Gather())}
-	case "trace":
-		spans := r.tracer.Snapshot()
-		out := &server.Response{OK: true, Spans: make([]server.WireSpan, len(spans))}
-		for i, sp := range spans {
-			out.Spans[i] = server.WireSpan{
-				Trace: trace.FormatID(sp.Trace), Stage: string(sp.Stage),
-				Stream: sp.Stream, Pipe: sp.Pipe, StartUS: sp.Start,
-				DurNS: sp.Dur, Rows: sp.Rows, Slow: sp.Slow,
-			}
-		}
-		return out
-	case "replicate", "promote":
-		return fail(fmt.Errorf("router: %s is a per-shard operation; connect to the shard server directly", req.Op))
+		resp = r.advance(req)
+	default:
+		return fail(fmt.Errorf("router: unknown op %q", req.Op))
 	}
-	return fail(fmt.Errorf("router: unknown op %q", req.Op))
+	if resp.Partial {
+		r.partialCtr.Inc()
+	}
+	return resp
 }
 
 // execStmt routes one exec. DDL broadcasts to every shard in shard
@@ -502,61 +381,54 @@ func (r *Router) advance(req *server.Request) *server.Response {
 	return &server.Response{OK: true, Partial: partial}
 }
 
-// subscribe starts a continuous query. Partitioned sources subscribe on
-// every live shard and merge window results close-by-close; everything
-// else passes through to shard 0.
-func (sess *rsession) subscribe(req *server.Request) *server.Response {
-	r := sess.r
+// Subscribe starts a continuous query (server.Backend). Partitioned
+// sources subscribe on every live shard and merge window results
+// close-by-close; everything else passes through to shard 0.
+func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool) (*server.Response, func()) {
 	stmt, err := sql.Parse(req.SQL)
 	if err != nil {
-		return fail(err)
+		return fail(err), nil
 	}
 	sel, ok := stmt.(*sql.Select)
 	if !ok {
-		return fail(fmt.Errorf("router: subscribe expects a SELECT"))
+		return fail(fmt.Errorf("router: subscribe expects a SELECT")), nil
 	}
 	base := r.mir.baseOfSelect(sel)
-
-	sess.nextCQ++
-	handle := sess.nextCQ
-
 	if base == "" {
-		// Single-shard CQ: passthrough with handle translation.
 		cli, err := r.shards[0].client()
 		if err != nil {
-			return fail(err)
+			return fail(err), nil
 		}
-		sub, err := cli.Subscribe(req.SQL)
+		sub, err := cli.Subscribe(req.SQL, req.Args...)
 		if err != nil {
-			return fail(err)
+			return fail(err), nil
 		}
-		rs := &routedSub{subs: []*client.Subscription{sub}}
-		sess.subs[handle] = rs
 		go func() {
 			for b := range sub.C {
-				frame := &server.Response{Batch: true, CQ: handle, Close: b.Close.UnixMicro(), Rows: server.WireRows(b.Rows)}
-				select {
-				case <-sess.done:
-					return
-				default:
-				}
-				if sess.fw.WriteResponse(frame) != nil {
+				if !emit(&server.Response{Close: b.Close.UnixMicro(), Rows: server.WireRows(b.Rows)}) {
 					return
 				}
 			}
 		}()
-		return &server.Response{OK: true, CQ: handle, Columns: sub.WireColumns}
+		return &server.Response{OK: true, Columns: sub.WireColumns}, func() { sub.Close() }
 	}
 
 	plan, err := PlanMerge(sel, r.mir.partColOf(base))
 	if err != nil {
-		return fail(err)
+		return fail(err), nil
 	}
 	sqlText := req.SQL
 	if plan.ScatterSQL != "" {
 		sqlText = plan.ScatterSQL
 	}
 	subs := make([]*client.Subscription, len(r.shards))
+	stop := func() {
+		for _, s := range subs {
+			if s != nil {
+				s.Close()
+			}
+		}
+	}
 	var columns []server.WireColumn
 	live := 0
 	for i, sc := range r.shards {
@@ -564,14 +436,10 @@ func (sess *rsession) subscribe(req *server.Request) *server.Response {
 		if err != nil {
 			continue // downed shard: merge flags partial
 		}
-		sub, err := cli.Subscribe(sqlText)
+		sub, err := cli.Subscribe(sqlText, req.Args...)
 		if err != nil {
-			for _, s := range subs {
-				if s != nil {
-					s.Close()
-				}
-			}
-			return fail(err)
+			stop()
+			return fail(err), nil
 		}
 		subs[i] = sub
 		live++
@@ -580,21 +448,15 @@ func (sess *rsession) subscribe(req *server.Request) *server.Response {
 		}
 	}
 	if live == 0 {
-		return fail(fmt.Errorf("router: all shards down"))
+		return fail(fmt.Errorf("router: all shards down")), nil
 	}
-	rs := &routedSub{subs: subs}
-	sess.subs[handle] = rs
-
-	m := newCQMerger(plan, len(r.shards), live < len(r.shards),
-		func(closeUS int64, rows []types.Row, partial bool) {
-			frame := &server.Response{Batch: true, CQ: handle, Close: closeUS, Partial: partial, Rows: server.WireRows(rows)}
-			select {
-			case <-sess.done:
-				return
-			default:
-			}
-			sess.fw.WriteResponse(frame)
-		})
+	partial := live < len(r.shards)
+	if partial {
+		r.partialCtr.Inc()
+	}
+	m := newCQMerger(plan, len(r.shards), partial, func(closeUS int64, rows []types.Row, partial bool) {
+		emit(&server.Response{Close: closeUS, Partial: partial, Rows: server.WireRows(rows)})
+	})
 	for i, sub := range subs {
 		if sub == nil {
 			m.markDead(i)
@@ -607,7 +469,7 @@ func (sess *rsession) subscribe(req *server.Request) *server.Response {
 			m.markDead(i)
 		}(i, sub)
 	}
-	return &server.Response{OK: true, CQ: handle, Columns: outColumns(plan, columns), Partial: live < len(r.shards)}
+	return &server.Response{OK: true, Columns: outColumns(plan, columns), Partial: partial}, stop
 }
 
 // outColumns maps the per-shard scatter schema to the client-visible

@@ -326,6 +326,49 @@ func encodeWire(rows []client.Row) [][]server.WireValue {
 	return out
 }
 
+// TestRouterSubscribeArgs binds a CQ's $1 through the router, on the merged
+// path (a partitioned stream) and on the passthrough one (an unpartitioned
+// stream on shard 0): each shard must see the client's arguments.
+func TestRouterSubscribeArgs(t *testing.T) {
+	tc := startCluster(t, 2)
+	c, err := client.Dial(tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	base := ts(t, "2009-01-04 00:00:00")
+	for _, stream := range []string{"p", "u"} {
+		ddl := `CREATE STREAM ` + stream + ` (k varchar(20), v bigint, at timestamp CQTIME USER)`
+		if stream == "p" {
+			ddl += ` PARTITION BY k`
+		}
+		if _, err := c.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := c.Subscribe(`SELECT count(*) AS n FROM `+stream+` <ADVANCE '1 minute'> WHERE v > $1`, types.NewInt(10))
+		if err != nil {
+			t.Fatalf("%s: %v", stream, err)
+		}
+		var rows []client.Row
+		for i := 0; i < 30; i++ {
+			rows = append(rows, client.Row{
+				types.NewString(string(rune('a' + i%6))),
+				types.NewInt(int64(i)),
+				types.NewTimestamp(base.Add(time.Duration(i) * time.Second)),
+			})
+		}
+		if err := c.Append(stream, rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Advance(stream, base.Add(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		if b := nextBatch(t, sub); len(b.Rows) != 1 || b.Rows[0][0].Int() != 19 {
+			t.Fatalf("%s: batch = %v, want count 19 (v > 10 of 0…29)", stream, b.Rows)
+		}
+	}
+}
+
 // TestRouterWireTranscript plays the frozen session internal/server plays
 // against its own front door through the router's: same frame reader, same
 // codec, same bytes (the router's name in the unknown-op error apart).

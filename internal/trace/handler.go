@@ -5,10 +5,10 @@ import (
 	"net/http"
 )
 
-// wireSpan is the JSON shape served at /debug/traces. The trace ID is a
-// hex string so it survives JSON consumers that truncate 64-bit
-// integers to doubles.
-type wireSpan struct {
+// WireSpan is a completed span as it leaves the process: in the "trace"
+// op's response and as JSON at /debug/traces. The trace ID is a hex string
+// so it survives JSON consumers that truncate 64-bit integers to doubles.
+type WireSpan struct {
 	Trace   string `json:"trace"`
 	Stage   Stage  `json:"stage"`
 	Stream  string `json:"stream,omitempty"`
@@ -20,28 +20,32 @@ type wireSpan struct {
 	Mode    string `json:"mode,omitempty"`
 }
 
+// WireSpans converts spans to their wire form, in order; never nil.
+func WireSpans(spans []Span) []WireSpan {
+	out := make([]WireSpan, len(spans))
+	for i, s := range spans {
+		out[i] = WireSpan{
+			Trace:   FormatID(s.Trace),
+			Stage:   s.Stage,
+			Stream:  s.Stream,
+			Pipe:    s.Pipe,
+			StartUS: s.Start,
+			DurNS:   s.Dur,
+			Rows:    s.Rows,
+			Slow:    s.Slow,
+			Mode:    s.Mode,
+		}
+	}
+	return out
+}
+
 // Handler serves the span ring as a JSON array, oldest span first. Safe
 // with a nil tracer (serves an empty array).
 func Handler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		spans := t.Snapshot()
-		out := make([]wireSpan, len(spans))
-		for i, s := range spans {
-			out[i] = wireSpan{
-				Trace:   FormatID(s.Trace),
-				Stage:   s.Stage,
-				Stream:  s.Stream,
-				Pipe:    s.Pipe,
-				StartUS: s.Start,
-				DurNS:   s.Dur,
-				Rows:    s.Rows,
-				Slow:    s.Slow,
-				Mode:    s.Mode,
-			}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		enc.Encode(WireSpans(t.Snapshot()))
 	})
 }

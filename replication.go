@@ -38,7 +38,7 @@ const (
 // initReplication builds the hub and wires the publish hooks. Called once
 // from Open, before any writes.
 func (e *Engine) initReplication() {
-	e.hub = repl.NewPrimary(repl.Config{Metrics: e.reg, RingSize: e.cfg.ReplRingSize, Snapshot: e.replicationSnapshot})
+	e.hub = repl.NewPrimary(repl.Config{Metrics: e.reg, Snapshot: e.replicationSnapshot})
 	for i, reason := range [...]string{"cast", "second_channel", "commit_failed"} {
 		e.unfused[i] = e.reg.Counter("streamrel_repl_unfused_batches_total",
 			"raw-archive channel batches that crossed the replication link as a stream append and a separate WAL batch instead of one event",

@@ -152,9 +152,6 @@ type Config struct {
 	// §replication). Off by default — publishing costs a mutex per commit
 	// even with no replicas connected.
 	Replicate bool
-	// ReplRingSize overrides the replication ring capacity in events;
-	// 0 uses repl.DefaultRingSize.
-	ReplRingSize int
 	// Metrics is the registry engine subsystems (stream runtime, WAL,
 	// checkpoints) register their series in. Nil creates a private
 	// registry, reachable via Engine.Metrics() — share one registry
