@@ -6,6 +6,7 @@ package client
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -94,6 +95,11 @@ type Options struct {
 
 // DefaultDialTimeout bounds Dial when Options.DialTimeout is zero.
 const DefaultDialTimeout = 10 * time.Second
+
+// ErrConnLost is wrapped by every failure of the connection itself — a
+// closed client, an ended read loop, a failed write, a request timeout — so
+// errors.Is tells it from an error the server answered with.
+var ErrConnLost = errors.New("client: connection lost")
 
 // Client is a connection to a streamrel server. Safe for concurrent use.
 type Client struct {
@@ -216,12 +222,12 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("client: closed")
+		return nil, fmt.Errorf("%w: client closed", ErrConnLost)
 	}
 	if c.readErr != nil {
 		err := c.readErr
 		c.mu.Unlock()
-		return nil, fmt.Errorf("client: connection lost: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrConnLost, err)
 	}
 	c.pending[req.ID] = ch
 	c.mu.Unlock()
@@ -230,6 +236,10 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
+		var enc *server.EncodeError
+		if !errors.As(err, &enc) { // an EncodeError sent nothing
+			err = fmt.Errorf("%w: %w", ErrConnLost, err)
+		}
 		return nil, err
 	}
 
@@ -247,7 +257,7 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			return nil, fmt.Errorf("client: connection closed")
+			return nil, fmt.Errorf("%w: connection closed", ErrConnLost)
 		}
 		if resp.Error != "" {
 			return nil, fmt.Errorf("%s", resp.Error)
@@ -257,7 +267,7 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("client: request timed out after %v", c.opts.RPCTimeout)
+		return nil, fmt.Errorf("%w: request timed out after %v", ErrConnLost, c.opts.RPCTimeout)
 	}
 }
 

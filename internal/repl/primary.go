@@ -30,22 +30,17 @@ type Config struct {
 	Snapshot SnapshotFunc
 	// Metrics registers replication series; nil disables them.
 	Metrics *metrics.Registry
-	// SubBuffer is each subscriber's channel depth; 0 means
-	// DefaultSubBuffer. A subscriber that falls this far behind is
-	// dropped back to ring catch-up (and to a disconnect if the ring has
-	// moved on), so a slow replica never stalls ingest.
-	SubBuffer int
 	// PingEvery is the live-tail keepalive interval; 0 means one second.
 	PingEvery time.Duration
 }
 
 // DefaultRingSize is the most recent events the replication ring retains
-// for incremental catch-up; what they carry is bounded separately, at
-// maxRingBytes. DefaultSubBuffer is a subscriber's default queue depth.
-const (
-	DefaultRingSize  = 8192
-	DefaultSubBuffer = 1024
-)
+// for catch-up and the live tail alike; what they carry is bounded
+// separately, at maxRingBytes.
+const DefaultRingSize = 8192
+
+// tailBatch is the most events a follower copies out of the ring in one pass.
+const tailBatch = 256
 
 // maxRingBytes bounds what the ring's events carry, by the estimate that
 // splits them (chunkEnd): an event count alone bounds nothing when one event
@@ -53,15 +48,11 @@ const (
 // oversized batch behind still catches up from the ring.
 const maxRingBytes = 2 * MaxEventBytes
 
-type subscriber struct {
-	ch chan Event
-}
-
-// Primary assigns LSNs, retains the event ring, and fans events out to
-// connected replicas. Publish methods block only on the (short) critical
-// section; subscriber channels are never sent to while full — an
-// overflowing subscriber is dropped instead, which is the backpressure
-// contract that keeps ingest independent of replica speed.
+// Primary assigns LSNs and retains the event ring, which is the one queue
+// its followers read: each is an LSN cursor into it. Publish methods block
+// only on the (short) critical section and never on a follower — they wake
+// it, and a follower whose next event the ring has evicted is dropped, which
+// is the backpressure contract that keeps ingest independent of replica speed.
 type Primary struct {
 	snapshot SnapshotFunc
 
@@ -86,12 +77,13 @@ type Primary struct {
 	head      int
 	ringLen   int
 	retained  int
-	subs      map[*subscriber]struct{}
+	// wakes holds each follower's 1-slot wake channel; a publish or a new
+	// run sends to each without blocking.
+	wakes map[chan struct{}]struct{}
 	// copies carves the blocks PublishAppend copies a batch into; the ring
 	// owns each block it hands out.
 	copies types.RowStrings
 
-	subBuf    int
 	pingEvery time.Duration
 
 	connected  *metrics.Gauge
@@ -105,10 +97,6 @@ type Primary struct {
 
 // NewPrimary creates a replication hub with a fresh random run ID.
 func NewPrimary(cfg Config) *Primary {
-	subBuf := cfg.SubBuffer
-	if subBuf <= 0 {
-		subBuf = DefaultSubBuffer
-	}
 	pingEvery := cfg.PingEvery
 	if pingEvery <= 0 {
 		pingEvery = time.Second
@@ -118,8 +106,7 @@ func NewPrimary(cfg Config) *Primary {
 		run:       newRunID(),
 		ring:      make([]Event, DefaultRingSize),
 		ringSizes: make([]int, DefaultRingSize),
-		subs:      make(map[*subscriber]struct{}),
-		subBuf:    subBuf,
+		wakes:     make(map[chan struct{}]struct{}),
 		pingEvery: pingEvery,
 		connected: cfg.Metrics.Gauge("streamrel_repl_connected_replicas",
 			"replicas currently streaming from this primary"),
@@ -130,9 +117,9 @@ func NewPrimary(cfg Config) *Primary {
 		snaps: cfg.Metrics.Counter("streamrel_repl_snapshots_served_total",
 			"full logical snapshots streamed to replicas"),
 		overflows: cfg.Metrics.Counter("streamrel_repl_subscriber_overflows_total",
-			"replicas dropped back to catch-up because their queue overflowed"),
+			"replicas disconnected because the ring evicted the next event they needed"),
 		ringEvents: cfg.Metrics.Gauge("streamrel_repl_ring_events",
-			"events retained in the replication ring for incremental catch-up"),
+			"events retained in the replication ring, which its followers read"),
 		ringBytes: cfg.Metrics.Gauge("streamrel_repl_ring_bytes",
 			"estimated encoded bytes of the rows and WAL records the replication ring retains"),
 	}
@@ -159,16 +146,23 @@ func (p *Primary) RunID() string {
 	return p.run
 }
 
-// NewRun begins a new epoch and cuts every subscriber loose: the engine has
+// NewRun begins a new epoch and cuts every follower loose: the engine has
 // dropped the state they were following (ReplicaReset), so each reconnects
 // under the old run ID and is sent a snapshot.
 func (p *Primary) NewRun() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.run = newRunID()
-	for sub := range p.subs {
-		delete(p.subs, sub)
-		close(sub.ch)
+	p.wakeLocked()
+}
+
+// wakeLocked tells every follower to look at the ring again.
+func (p *Primary) wakeLocked() {
+	for wake := range p.wakes {
+		select {
+		case wake <- struct{}{}:
+		default: // a wake is pending already
+		}
 	}
 }
 
@@ -367,18 +361,7 @@ func (p *Primary) publishLocked(ev Event, size int) {
 	p.ringEvents.Set(float64(p.ringLen))
 	p.ringBytes.Set(float64(p.retained))
 	p.events.Inc()
-	for sub := range p.subs {
-		select {
-		case sub.ch <- ev:
-		default:
-			// Slow replica: cut it loose rather than block ingest. Its
-			// serving goroutine sees the closed channel and retries from
-			// the ring (or disconnects, forcing a reconnect + resync).
-			delete(p.subs, sub)
-			close(sub.ch)
-			p.overflows.Inc()
-		}
-	}
+	p.wakeLocked()
 }
 
 // oldestLocked returns the LSN of the oldest ring event — lsn+1 when the
@@ -387,58 +370,58 @@ func (p *Primary) oldestLocked() uint64 {
 	return p.lsn - uint64(p.ringLen) + 1
 }
 
-// attach registers a subscriber that catches up from the ring — the
-// replica's run ID matches and the ring still covers fromLSN+1 — and returns
-// the backlog. Registration and the copy share one critical section, so
-// backlog plus subscription cover every event with no gap. Otherwise the
-// replica needs a snapshot (attachAtCut) and nothing is registered.
-func (p *Primary) attach(fromLSN uint64, runID string) (sub *subscriber, backlog []Event, ok bool) {
+// follow registers a follower's wake channel and reports whether it can
+// resume from fromLSN under runID: the run matches and the ring still holds
+// every event after fromLSN. Otherwise the follower needs a snapshot.
+func (p *Primary) follow(wake chan struct{}, fromLSN uint64, runID string) (resume bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if runID != p.run || fromLSN > p.lsn || fromLSN+1 < p.oldestLocked() {
-		return nil, nil, false
-	}
-	for i := 0; i < p.ringLen; i++ {
-		if ev := p.ring[(p.head+i)%len(p.ring)]; ev.LSN > fromLSN {
-			backlog = append(backlog, ev)
-		}
-	}
-	sub = &subscriber{ch: make(chan Event, p.subBuf)}
-	p.subs[sub] = struct{}{}
-	return sub, backlog, true
+	p.wakes[wake] = struct{}{}
+	return runID == p.run && fromLSN <= p.lsn && fromLSN+1 >= p.oldestLocked()
 }
 
-// attachAtCut spools the engine's state at one cut and, inside that cut,
-// registers the subscriber and reads the boundary: nothing is published while
-// the cut is held, so every event is in the spool or after the boundary and
-// never both. The spool shares the heap's immutable rows — O(rows) pointers,
-// not a copy — and is streamed after the cut is released, so a slow or wedged
-// replica never freezes the engine for the transfer; events published
-// meanwhile queue in sub.ch.
-func (p *Primary) attachAtCut() (sub *subscriber, spool []Event, run string, boundary uint64, err error) {
+func (p *Primary) unfollow(wake chan struct{}) {
+	p.mu.Lock()
+	delete(p.wakes, wake)
+	p.mu.Unlock()
+}
+
+// spoolAtCut spools the engine's state at one cut and reads the run and the
+// boundary inside it: nothing is published while the cut is held, so every
+// event is in the spool or after the boundary and never both. The spool
+// shares the heap's immutable rows — O(rows) pointers, not a copy — and is
+// streamed after the cut is released, so a slow or wedged replica never
+// freezes the engine for the transfer; events published meanwhile wait in
+// the ring.
+func (p *Primary) spoolAtCut() (spool []Event, run string, boundary uint64, err error) {
 	if p.snapshot == nil {
-		return nil, nil, "", 0, fmt.Errorf("repl: no snapshot producer configured")
+		return nil, "", 0, fmt.Errorf("repl: no snapshot producer configured")
 	}
-	sub = &subscriber{ch: make(chan Event, p.subBuf)}
 	err = p.snapshot(func() {
 		p.mu.Lock()
 		run, boundary = p.run, p.lsn
-		p.subs[sub] = struct{}{}
 		p.mu.Unlock()
 	}, func(ev Event) error { spool = append(spool, ev); return nil })
-	if err != nil {
-		p.detach(sub)
-	}
-	return sub, spool, run, boundary, err
+	return spool, run, boundary, err
 }
 
-func (p *Primary) detach(sub *subscriber) {
+// eventsAfter appends to dst, up to its capacity, the ring's events after
+// lsn. It fails when the run is no longer runID or the ring has evicted
+// lsn+1: the follower must reconnect and resync.
+func (p *Primary) eventsAfter(dst []Event, lsn uint64, runID string) ([]Event, error) {
 	p.mu.Lock()
-	if _, ok := p.subs[sub]; ok {
-		delete(p.subs, sub)
-		close(sub.ch)
+	defer p.mu.Unlock()
+	if runID != p.run {
+		return dst, fmt.Errorf("repl: a new run began")
 	}
-	p.mu.Unlock()
+	if lsn+1 < p.oldestLocked() {
+		p.overflows.Inc()
+		return dst, fmt.Errorf("repl: replica at lsn %d fell behind the ring, which starts at %d", lsn, p.oldestLocked())
+	}
+	for i := p.ringLen - int(p.lsn-lsn); i < p.ringLen && len(dst) < cap(dst); i++ {
+		dst = append(dst, p.ring[(p.head+i)%len(p.ring)])
+	}
+	return dst, nil
 }
 
 // writeDeadline bounds each flush to a replica so a hung connection
@@ -446,9 +429,9 @@ func (p *Primary) detach(sub *subscriber) {
 const writeDeadline = 30 * time.Second
 
 // ServeConn streams replication frames to one replica until the
-// connection fails or the replica falls irrecoverably behind. fromLSN is
-// the last LSN the replica has applied under runID ("", 0 for a fresh
-// replica). The caller owns conn and closes it afterwards; ServeConn
+// connection fails, the replica falls behind the ring or a new run begins.
+// fromLSN is the last LSN the replica has applied under runID ("", 0 for a
+// fresh replica). The caller owns conn and closes it afterwards; ServeConn
 // blocks for the lifetime of the stream.
 func (p *Primary) ServeConn(conn net.Conn, fromLSN uint64, runID string) error {
 	if p == nil {
@@ -475,104 +458,63 @@ func (p *Primary) ServeConn(conn net.Conn, fromLSN uint64, runID string) error {
 		return bw.Flush()
 	}
 
-	for attempt := 0; ; attempt++ {
-		sub, backlog, ok := p.attach(fromLSN, runID)
-		first, lastSent := Event{Kind: KindResume, Run: runID, LSN: fromLSN}, fromLSN
-		var last *Event // a snapshot's end
-		if !ok {
-			if attempt > 0 {
-				// The replica overflowed its queue and the ring has already
-				// moved past what it saw — a second snapshot would likely
-				// just overflow again — or the hub began a new run.
-				// Disconnect; the replica reconnects and resyncs at its own
-				// pace.
-				return fmt.Errorf("repl: replica too slow for ring of %d events, or a new run began", len(p.ring))
-			}
-			var boundary uint64
-			var err error
-			if sub, backlog, runID, boundary, err = p.attachAtCut(); err != nil {
-				return err
-			}
-			first, last = Event{Kind: KindSnapBegin, Run: runID}, &Event{Kind: KindSnapEnd, LSN: boundary}
+	// Registered before the first look at the ring, so no publish after it
+	// goes unnoticed.
+	wake := make(chan struct{}, 1)
+	defer p.unfollow(wake)
+	var err error
+	if p.follow(wake, fromLSN, runID) {
+		err = send(&Event{Kind: KindResume, Run: runID, LSN: fromLSN})
+	} else {
+		var spool []Event
+		if spool, runID, fromLSN, err = p.spoolAtCut(); err != nil {
+			return err
 		}
-		err := send(&first)
-		for i := 0; err == nil && i < len(backlog); i++ {
-			err = send(&backlog[i])
-			lastSent = max(lastSent, backlog[i].LSN) // a snapshot's events carry none
-		}
-		if err == nil && last != nil {
-			err = send(last)
-			lastSent = last.LSN
-			p.snaps.Inc()
+		err = send(&Event{Kind: KindSnapBegin, Run: runID})
+		for i := 0; err == nil && i < len(spool); i++ {
+			err = send(&spool[i])
 		}
 		if err == nil {
-			err = flush()
+			err = send(&Event{Kind: KindSnapEnd, LSN: fromLSN})
+			p.snaps.Inc()
 		}
-		if err != nil {
-			p.detach(sub)
-			return err
-		}
-
-		overflowed, err := p.tail(sub, send, flush, &lastSent)
-		p.detach(sub)
-		if err != nil {
-			return err
-		}
-		if !overflowed {
-			return nil
-		}
-		// Queue overflow: retry incrementally from the last frame this
-		// replica actually received, of the run it was sent under.
-		fromLSN = lastSent
 	}
-}
+	if err != nil {
+		return err
+	}
 
-// tail streams live events from sub until the channel closes (overflow)
-// or a write fails, interleaving pings so an idle replica still observes
-// the primary's LSN and clock.
-func (p *Primary) tail(sub *subscriber, send func(*Event) error, flush func() error, lastSent *uint64) (overflowed bool, err error) {
+	// The tail: catch-up and live events alike are read from the ring after
+	// the cursor, a batch a pass, and the loop sleeps only once it has sent
+	// everything there is, pinging an idle replica with the primary's LSN and
+	// clock.
 	ticker := time.NewTicker(p.pingEvery)
 	defer ticker.Stop()
+	batch := make([]Event, 0, tailBatch)
 	for {
+		if batch, err = p.eventsAfter(batch[:0], fromLSN, runID); err != nil {
+			return err
+		}
+		for i := 0; err == nil && i < len(batch); i++ {
+			err = send(&batch[i])
+		}
+		if err != nil {
+			return err
+		}
+		if n := len(batch); n > 0 {
+			fromLSN = batch[n-1].LSN
+			clear(batch) // let go of what the ring may evict
+			if n == cap(batch) {
+				continue
+			}
+		}
+		if err := flush(); err != nil {
+			return err
+		}
 		select {
-		case ev, ok := <-sub.ch:
-			if !ok {
-				return true, nil
-			}
-			if err := send(&ev); err != nil {
-				return false, err
-			}
-			*lastSent = ev.LSN
-			// Opportunistically drain whatever is queued before flushing,
-			// so a burst becomes one syscall.
-		drain:
-			for {
-				select {
-				case ev, ok := <-sub.ch:
-					if !ok {
-						// Flush what we have, then report the overflow.
-						if err := flush(); err != nil {
-							return false, err
-						}
-						return true, nil
-					}
-					if err := send(&ev); err != nil {
-						return false, err
-					}
-					*lastSent = ev.LSN
-				default:
-					break drain
-				}
-			}
-			if err := flush(); err != nil {
-				return false, err
-			}
+		case <-wake:
 		case <-ticker.C:
 			if err := send(&Event{Kind: KindPing, LSN: p.LSN(), Wall: time.Now().UnixMicro()}); err != nil {
-				return false, err
-			}
-			if err := flush(); err != nil {
-				return false, err
+				return err
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package repl
 import (
 	"bufio"
 	"net"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -174,6 +175,140 @@ func TestPrimaryRunMismatchForcesSnapshot(t *testing.T) {
 	defer cleanup()
 	if ev := mustRead(t, r); ev.Kind != KindSnapBegin {
 		t.Fatalf("want snapshot on run mismatch, got %+v", ev)
+	}
+}
+
+// TestPausedFollowerKeepsItsCursor: a follower that stops reading while more
+// events publish than a per-follower queue of 1 024 would hold, but fewer than
+// the ring keeps, is not cut loose: once it reads again it gets every event
+// once, in LSN order, after its one resume frame.
+func TestPausedFollowerKeepsItsCursor(t *testing.T) {
+	p := testPrimary(t, Config{})
+	r, cleanup := serve(t, p, 0, p.RunID())
+	defer cleanup()
+	if ev := mustRead(t, r); ev.Kind != KindResume {
+		t.Fatalf("want resume, got %+v", ev)
+	}
+	const published = 3000
+	for i := 1; i <= published; i++ {
+		p.PublishAdvance("s", int64(i))
+	}
+	for lsn := uint64(1); lsn <= published; lsn++ {
+		if ev := mustRead(t, r); ev.Kind != KindAdvance || ev.LSN != lsn || ev.TS != int64(lsn) {
+			t.Fatalf("event %d: kind %d lsn %d ts %d", lsn, ev.Kind, ev.LSN, ev.TS)
+		}
+	}
+	if n := p.overflows.Value(); n != 0 {
+		t.Fatalf("a follower paused inside the ring was dropped %d times", n)
+	}
+}
+
+// TestFollowerBehindTheRingIsDropped: a follower that stops reading while the
+// ring evicts the next event it needs is disconnected and counted; from the
+// last event it got it reconnects to a snapshot.
+func TestFollowerBehindTheRingIsDropped(t *testing.T) {
+	const ring, published = 16, 100
+	p := withRing(testPrimary(t, Config{}), ring)
+	p.snapshot = func(atCut func(), emit func(Event) error) error { atCut(); return nil }
+	r, cleanup := serve(t, p, 0, p.RunID())
+	defer cleanup()
+	if ev := mustRead(t, r); ev.Kind != KindResume {
+		t.Fatalf("want resume, got %+v", ev)
+	}
+	p.PublishAdvance("s", 1)
+	last := mustRead(t, r).LSN
+	for i := 2; i <= published; i++ {
+		p.PublishAdvance("s", int64(i))
+	}
+	for last < published {
+		ev, err := ReadEvent(r)
+		if err != nil {
+			break // the primary hung up
+		}
+		if ev.Kind != KindAdvance || ev.LSN != last+1 {
+			t.Fatalf("after lsn %d: kind %d lsn %d", last, ev.Kind, ev.LSN)
+		}
+		last = ev.LSN
+	}
+	if last > published-ring {
+		t.Fatalf("the follower got as far as lsn %d, inside the ring", last)
+	}
+	if n := p.overflows.Value(); n != 1 {
+		t.Fatalf("overflows %d, want 1", n)
+	}
+
+	again, cleanupAgain := serve(t, p, last, p.RunID())
+	defer cleanupAgain()
+	if ev := mustRead(t, again); ev.Kind != KindSnapBegin {
+		t.Fatalf("reconnect from evicted lsn %d: want a snapshot, got %+v", last, ev)
+	}
+	if ev := mustRead(t, again); ev.Kind != KindSnapEnd || ev.LSN != published {
+		t.Fatalf("want snapend at boundary %d, got %+v", published, ev)
+	}
+}
+
+// TestTailAllocs: a follower reads the ring in place, so with one follower
+// keeping up, a published heartbeat and its send cost under 0.05 allocations
+// (what the runtime allocates on its own, amortized).
+func TestTailAllocs(t *testing.T) {
+	p := testPrimary(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		accepted <- conn
+		served <- p.ServeConn(conn, 0, p.RunID())
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		b := make([]byte, 64<<10)
+		for {
+			if _, err := conn.Read(b); err != nil {
+				return
+			}
+		}
+	}()
+	serverConn := <-accepted
+	defer func() {
+		serverConn.Close()
+		p.PublishAdvance("s", 0) // wake the tail into its failing write
+		<-served
+	}()
+
+	// Rounds of 100, each sent before the next publishes: the follower keeps
+	// up, and the ring never evicts what it has yet to send.
+	publish := func(rounds int) {
+		for ; rounds > 0; rounds-- {
+			want := p.frames.Value() + 100
+			for i := 0; i < 100; i++ {
+				p.PublishAdvance("s", int64(i))
+			}
+			for p.frames.Value() < want {
+				runtime.Gosched()
+			}
+		}
+	}
+	publish(10) // warm the frame buffer and the writer
+	const rounds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	publish(rounds)
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / (rounds * 100); per >= 0.05 {
+		t.Fatalf("%.3f allocations an event, want < 0.05", per)
 	}
 }
 

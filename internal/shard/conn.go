@@ -1,11 +1,11 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -188,7 +188,7 @@ func (sc *shardConn) do(req *server.Request) (*server.Response, error) {
 	}
 	resp, err := cli.Do(req)
 	if err != nil {
-		if isConnErr(err) {
+		if errors.Is(err, client.ErrConnLost) {
 			sc.fail(cli, err)
 			return nil, ErrShardDown{Shard: sc.id, Addr: sc.addr}
 		}
@@ -291,7 +291,7 @@ func (sc *shardConn) sendGroup(cli *client.Client, stream string, group []pendin
 	sc.coalesceH.Observe(float64(len(group)))
 	if err == nil {
 		sc.rowsRouted.Add(int64(rowCount))
-	} else if isConnErr(err) {
+	} else if errors.Is(err, client.ErrConnLost) {
 		sc.fail(cli, err)
 		err = ErrShardDown{Shard: sc.id, Addr: sc.addr}
 	} else {
@@ -323,24 +323,4 @@ func (sc *shardConn) close() {
 	if sc.unregisterQ != nil {
 		sc.unregisterQ()
 	}
-}
-
-// isConnErr reports whether an error from the client means the
-// connection itself is unusable (vs. a server-side SQL error, which
-// arrives as a normal error response on a healthy connection).
-func isConnErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	s := err.Error()
-	for _, marker := range []string{
-		"connection lost", "connection closed", "client: closed",
-		"request timed out", "broken pipe", "connection refused",
-		"connection reset", "use of closed network connection", "EOF",
-	} {
-		if strings.Contains(s, marker) {
-			return true
-		}
-	}
-	return false
 }

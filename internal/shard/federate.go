@@ -2,13 +2,11 @@ package shard
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"streamrel/internal/metrics"
 	"streamrel/internal/server"
@@ -32,29 +30,7 @@ import (
 // scraped; their series are simply absent, mirroring how scatter-gather
 // queries degrade.
 func (r *Router) FederatedSamples() (samples []*metrics.Sample, partial bool) {
-	type result struct {
-		samples []*metrics.Sample
-		err     error
-	}
-	results := make([]result, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sc := range r.shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			resp, err := sc.do(&server.Request{Op: "metrics"})
-			switch {
-			case err != nil:
-				results[i] = result{err: err}
-			case resp.Error != "":
-				results[i] = result{err: fmt.Errorf("shard %d: %s", i, resp.Error)}
-			default:
-				results[i] = result{samples: server.DecodeSamples(resp.Samples)}
-			}
-		}(i, sc)
-	}
-	wg.Wait()
-
+	results := r.fanOut(server.Request{Op: "metrics"})
 	for _, s := range r.reg.Gather() {
 		samples = append(samples, tagShard(s, "router"))
 	}
@@ -67,7 +43,7 @@ func (r *Router) FederatedSamples() (samples []*metrics.Sample, partial bool) {
 			continue
 		}
 		label := strconv.Itoa(i)
-		for _, s := range res.samples {
+		for _, s := range server.DecodeSamples(res.resp.Samples) {
 			samples = append(samples, tagShard(s, label))
 		}
 	}
@@ -126,29 +102,7 @@ type FedTrace struct {
 // router ingest span followed by each shard's pipeline spans. Traces are
 // ordered oldest first. partial is true when a shard scrape failed.
 func (r *Router) FederatedTraces() (traces []FedTrace, partial bool) {
-	type result struct {
-		spans []server.WireSpan
-		err   error
-	}
-	results := make([]result, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sc := range r.shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			resp, err := sc.do(&server.Request{Op: "trace"})
-			switch {
-			case err != nil:
-				results[i] = result{err: err}
-			case resp.Error != "":
-				results[i] = result{err: fmt.Errorf("shard %d: %s", i, resp.Error)}
-			default:
-				results[i] = result{spans: resp.Spans}
-			}
-		}(i, sc)
-	}
-	wg.Wait()
-
+	results := r.fanOut(server.Request{Op: "trace"})
 	byID := map[string]*FedTrace{}
 	add := func(node string, ws server.WireSpan) {
 		ft, ok := byID[ws.Trace]
@@ -173,7 +127,7 @@ func (r *Router) FederatedTraces() (traces []FedTrace, partial bool) {
 			continue
 		}
 		node := "shard-" + strconv.Itoa(i)
-		for _, ws := range res.spans {
+		for _, ws := range res.resp.Spans {
 			add(node, ws)
 		}
 	}

@@ -244,27 +244,13 @@ func (r *Router) query(req *server.Request) *server.Response {
 // Downed shards degrade the response to Partial rather than failing it;
 // a SQL error from any shard fails the whole query.
 func (r *Router) scatter(req *server.Request, plan *MergePlan) *server.Response {
-	type result struct {
-		resp *server.Response
-		err  error
-	}
 	// An AVG rewrite scatters a different query text (sum+count pairs)
 	// than the client sent; the merge step recombines.
 	sqlText := req.SQL
 	if plan.ScatterSQL != "" {
 		sqlText = plan.ScatterSQL
 	}
-	results := make([]result, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sc := range r.shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			resp, err := sc.do(&server.Request{Op: req.Op, SQL: sqlText, Args: req.Args})
-			results[i] = result{resp, err}
-		}(i, sc)
-	}
-	wg.Wait()
+	results := r.fanOut(server.Request{Op: req.Op, SQL: sqlText, Args: req.Args})
 
 	partial := false
 	parts := make([][]types.Row, 0, len(r.shards))
@@ -292,6 +278,29 @@ func (r *Router) scatter(req *server.Request, plan *MergePlan) *server.Response 
 	}
 	return &server.Response{OK: true, Columns: outColumns(plan, columns), Partial: partial,
 		Rows: server.WireRows(rows)}
+}
+
+// shardResult is one shard's answer to a request fanOut sent it.
+type shardResult struct {
+	resp *server.Response
+	err  error
+}
+
+// fanOut sends req to every shard at once, a copy each, and returns their
+// answers in shard order; what a missing answer means is the caller's rule.
+func (r *Router) fanOut(req server.Request) []shardResult {
+	results := make([]shardResult, len(r.shards))
+	var wg sync.WaitGroup
+	for i, sc := range r.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := req
+			results[i].resp, results[i].err = sc.do(&req)
+		}()
+	}
+	wg.Wait()
+	return results
 }
 
 // append splits a keyed batch into per-shard sub-batches and hands them

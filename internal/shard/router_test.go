@@ -318,6 +318,45 @@ func TestRouterPartialOnShardDown(t *testing.T) {
 	}
 }
 
+// TestRouterSQLErrorKeepsShard: a shard's SQL error reaches the client as it
+// is, whatever its text says, and leaves the shard's connection up, so a
+// routed CQ subscribed over both shards before it still emits whole windows.
+func TestRouterSQLErrorKeepsShard(t *testing.T) {
+	tc := startCluster(t, 2)
+	c, err := client.Dial(tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(`CREATE STREAM s (k bigint, at timestamp CQTIME USER) PARTITION BY k`); err != nil {
+		t.Fatal(err)
+	}
+
+	sub, err := c.Subscribe(`SELECT k, count(*) AS n FROM s <ADVANCE '1 minute'> GROUP BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	if _, err := c.Query(`SELECT CAST('EOF' AS BIGINT)`); err == nil || !strings.Contains(err.Error(), `invalid integer "EOF"`) {
+		t.Errorf("a shard's SQL error came back as %v", err)
+	}
+	base := ts(t, "2009-01-04 00:00:00")
+	var rows []client.Row
+	for k := 0; k < 8; k++ {
+		rows = append(rows, client.Row{types.NewInt(int64(k)), types.NewTimestamp(base.Add(time.Second))})
+	}
+	if err := c.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance("s", base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if b := nextBatch(t, sub); b.Partial || len(b.Rows) != len(rows) {
+		t.Fatalf("window after a SQL error: partial=%v with %d of %d groups", b.Partial, len(b.Rows), len(rows))
+	}
+}
+
 func encodeWire(rows []client.Row) [][]server.WireValue {
 	out := make([][]server.WireValue, len(rows))
 	for i, r := range rows {
