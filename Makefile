@@ -84,9 +84,15 @@ drain-policies:
 # allocation pin on the decode → commit → replicate path (decoding costs a
 # constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
 # TestDecodeRecordsAllocs; an append over the wire costs the same on the
-# primary and on a replica at 256 rows as at 1 024, TestAppendAllocsPerBatch;
-# one nothing keeps is decoded into the last one's memory, TestDeadAppendAllocs;
-# a follower reads and applies an archived batch in a per-event constant; the
+# primary and on a replica at 256 rows as at 1 024, and at most 7 and 5
+# allocations a batch, TestAppendAllocsPerBatch; one nothing keeps is decoded
+# into the last one's memory, at most 3.5 a frame, TestDeadAppendAllocs; the
+# per-request objects of the append round trip are reused by their owners — the
+# client's call, the session's request and response, a channel's transaction,
+# the log's commit group, the replica's reader — so a warm Client.Append of rows
+# nothing keeps costs the whole process at most 4, TestAppendRoundTripAllocs;
+# a follower reads and applies an archived batch in a per-event constant of at
+# most 5, TestReplicaArchiveApplyAllocs; the
 # hub's tail reads the ring in place, so a follower that keeps up costs an
 # event's publish and send under 0.05 allocations, TestTailAllocs; a
 # primary commits one in a few objects and under 16 bytes a row beyond the
@@ -111,8 +117,8 @@ drain-policies:
 # window's, so its in-place close costs nothing, TestTumblingRebuildAllocs,
 # TestTumblingViewMemoryBounded; a client's RPC timeout costs a round trip
 # nothing, TestRoundTripAllocs; an append of 4 keyed rows over the wire into a
-# durable shard, directly or through a one-shard router, a bounded count a row
-# for the whole process, TestRouterAppendAllocs; a batch delivered to one of a
+# durable shard, directly or through a one-shard router, at most 8.5 and 10.8
+# a row for the whole process, TestRouterAppendAllocs; a batch delivered to one of a
 # hundred subscribers of one feed under the scheduler a bounded count,
 # TestSharedFireAllocs; a telemetry snapshot one too, TestSysSnapshotAllocs;
 # an enrichment

@@ -40,10 +40,14 @@ type Rows struct {
 
 // Batch is one continuous-query window result. Partial has the same
 // meaning as Rows.Partial: some shards' window contributions are missing.
+// Err, when set, says the server fired the window at Close but could not
+// send it (a result over server.MaxFrameBytes): Rows is empty, and the
+// subscription goes on.
 type Batch struct {
 	Close   time.Time
 	Rows    []Row
 	Partial bool
+	Err     error
 }
 
 // Subscription is a running continuous query on the server. Batches
@@ -64,7 +68,7 @@ type Subscription struct {
 
 // Close stops the continuous query.
 func (s *Subscription) Close() error {
-	_, err := s.c.roundTrip(&server.Request{Op: "unsubscribe", CQ: s.handle})
+	err := s.c.roundTrip(server.Request{Op: "unsubscribe", CQ: s.handle}, nil)
 	s.c.mu.Lock()
 	_, ok := s.c.subs[s.handle]
 	delete(s.c.subs, s.handle)
@@ -110,11 +114,23 @@ type Client struct {
 	nextID atomic.Int64
 
 	mu      sync.Mutex
-	pending map[int64]chan *server.Response
+	pending map[int64]*call
 	subs    map[int64]*Subscription
 	closed  bool
 	readErr error
+	calls   []*call   // calls whose response was read, for the next requests
 	timers  sync.Pool // roundTrip's RPCTimeout timers, stopped and drained
+}
+
+// call is one request in flight and the response readLoop copies in for it.
+// A call goes back to Client.calls once its response has been read and let
+// go of, so a warm client sends a request and waits for its answer without
+// allocating. One that timed out or lost its connection is dropped: a late
+// response can still land in it.
+type call struct {
+	req  server.Request
+	resp server.Response
+	done chan struct{} // a send: resp is in; closed: the connection ended
 }
 
 // Dial connects to a server with default timeouts.
@@ -141,7 +157,7 @@ func New(conn net.Conn, addr string, opts Options) *Client {
 		fw:      server.NewFrameWriter(conn, opts.RPCTimeout),
 		addr:    addr,
 		opts:    opts,
-		pending: make(map[int64]chan *server.Response),
+		pending: make(map[int64]*call),
 		subs:    make(map[int64]*Subscription),
 	}
 	go c.readLoop()
@@ -171,13 +187,14 @@ func (c *Client) Close() error {
 
 func (c *Client) readLoop() {
 	fr := server.NewFrameReader(c.conn)
+	var resp server.Response // decoded into for every frame; a call gets a copy
 	for {
-		resp := new(server.Response)
-		if err := fr.Read(resp); err != nil {
+		resp = server.Response{} // nothing of the last frame is held while waiting
+		if err := fr.Read(&resp); err != nil {
 			c.mu.Lock()
 			c.readErr = err
-			for id, ch := range c.pending {
-				close(ch)
+			for id, cl := range c.pending {
+				close(cl.done)
 				delete(c.pending, id)
 			}
 			for h, sub := range c.subs {
@@ -191,56 +208,67 @@ func (c *Client) readLoop() {
 			c.mu.Lock()
 			sub := c.subs[resp.CQ]
 			c.mu.Unlock()
-			// A batch the server could not encode arrives as an error frame
-			// under the handle; there is no window to deliver.
-			if sub != nil && resp.Error == "" {
+			if sub != nil {
+				// A batch the server could not encode arrives as an error frame
+				// under the handle: the window closed, and its rows are lost.
+				b := Batch{Close: time.UnixMicro(resp.Close).UTC(), Rows: server.Rows(resp.Rows), Partial: resp.Partial}
+				if resp.Error != "" {
+					b.Err = errors.New(resp.Error)
+				}
 				sub.sendMu.Lock()
 				if !sub.closed {
-					sub.ch <- Batch{Close: time.UnixMicro(resp.Close).UTC(), Rows: server.Rows(resp.Rows), Partial: resp.Partial}
+					sub.ch <- b
 				}
 				sub.sendMu.Unlock()
 			}
 			continue
 		}
 		c.mu.Lock()
-		ch := c.pending[resp.ID]
+		cl := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		if cl != nil {
+			cl.resp = resp
+			cl.done <- struct{}{}
 		}
 	}
 }
 
-// roundTrip sends one request and waits for its response. The frame is
-// encoded and written outside c.mu, so goroutines sharing the client (the
-// shard router's per-shard connection is exactly that) contend only on the
-// socket write, not on JSON encoding.
-func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
-	req.ID = c.nextID.Add(1)
-	ch := make(chan *server.Response, 1)
+// roundTrip sends req and waits for its response, which it hands to read (if
+// not nil) before the call is reused: read must not keep the *Response. The
+// frame is encoded and written outside c.mu, so goroutines sharing the client
+// (the shard router's per-shard connection is exactly that) contend only on
+// the socket write, not on JSON encoding.
+func (c *Client) roundTrip(req server.Request, read func(*server.Response)) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: client closed", ErrConnLost)
+		return fmt.Errorf("%w: client closed", ErrConnLost)
 	}
 	if c.readErr != nil {
 		err := c.readErr
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", ErrConnLost, err)
+		return fmt.Errorf("%w: %w", ErrConnLost, err)
 	}
-	c.pending[req.ID] = ch
+	var cl *call
+	if n := len(c.calls); n > 0 {
+		cl, c.calls = c.calls[n-1], c.calls[:n-1]
+	} else {
+		cl = &call{done: make(chan struct{}, 1)}
+	}
+	cl.req = req
+	cl.req.ID = c.nextID.Add(1)
+	c.pending[cl.req.ID] = cl
 	c.mu.Unlock()
 
-	if err := c.fw.Write(req); err != nil {
+	if err := c.fw.Write(&cl.req); err != nil {
 		c.mu.Lock()
-		delete(c.pending, req.ID)
+		delete(c.pending, cl.req.ID)
 		c.mu.Unlock()
-		var enc *server.EncodeError
-		if !errors.As(err, &enc) { // an EncodeError sent nothing
+		if _, ok := err.(*server.EncodeError); !ok { // an EncodeError sent nothing
 			err = fmt.Errorf("%w: %w", ErrConnLost, err)
 		}
-		return nil, err
+		return err
 	}
 
 	var timeout <-chan time.Time
@@ -255,25 +283,31 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 		timeout = t.C
 	}
 	select {
-	case resp, ok := <-ch:
+	case _, ok := <-cl.done:
 		if !ok {
-			return nil, fmt.Errorf("%w: connection closed", ErrConnLost)
+			return fmt.Errorf("%w: connection closed", ErrConnLost)
 		}
-		if resp.Error != "" {
-			return nil, fmt.Errorf("%s", resp.Error)
-		}
-		return resp, nil
 	case <-timeout:
 		c.mu.Lock()
-		delete(c.pending, req.ID)
+		delete(c.pending, cl.req.ID)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: request timed out after %v", ErrConnLost, c.opts.RPCTimeout)
+		return fmt.Errorf("%w: request timed out after %v", ErrConnLost, c.opts.RPCTimeout)
 	}
+	var err error
+	if cl.resp.Error != "" {
+		err = errors.New(cl.resp.Error)
+	} else if read != nil {
+		read(&cl.resp)
+	}
+	cl.req, cl.resp = server.Request{}, server.Response{}
+	c.mu.Lock()
+	c.calls = append(c.calls, cl)
+	c.mu.Unlock()
+	return err
 }
 
 // putTimer pools a roundTrip timer, drained: under go 1.22's timer semantics
-// one that fired while the response won keeps its tick past Reset. (A pooled
-// response channel could hand a late response to the next call.)
+// one that fired while the response won keeps its tick past Reset.
 func (c *Client) putTimer(t *time.Timer) {
 	if !t.Stop() {
 		select {
@@ -286,21 +320,15 @@ func (c *Client) putTimer(t *time.Timer) {
 
 // Exec runs a DDL/DML statement with optional $n parameters and returns
 // the affected row count.
-func (c *Client) Exec(sql string, args ...Value) (int, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "exec", SQL: sql, Args: args})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Affected, nil
+func (c *Client) Exec(sql string, args ...Value) (n int, err error) {
+	err = c.roundTrip(server.Request{Op: "exec", SQL: sql, Args: args}, func(resp *server.Response) { n = resp.Affected })
+	return n, err
 }
 
 // Query runs a snapshot SELECT with optional $n parameters.
-func (c *Client) Query(sql string, args ...Value) (*Rows, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "query", SQL: sql, Args: args})
-	if err != nil {
-		return nil, err
-	}
-	return decodeRows(resp), nil
+func (c *Client) Query(sql string, args ...Value) (rows *Rows, err error) {
+	err = c.roundTrip(server.Request{Op: "query", SQL: sql, Args: args}, func(resp *server.Response) { rows = decodeRows(resp) })
+	return rows, err
 }
 
 func decodeRows(resp *server.Response) *Rows {
@@ -319,57 +347,59 @@ func (c *Client) Append(stream string, rows ...Row) error {
 	return c.AppendWire(stream, server.WireRows(rows), "")
 }
 
-// Do sends one raw protocol request and returns the raw response. It is
-// the escape hatch for proxies (the shard router) that forward wire rows
-// without decoding them; normal applications use the typed methods. The
-// request's ID is assigned by the client.
-func (c *Client) Do(req *server.Request) (*server.Response, error) {
-	return c.roundTrip(req)
+// Do sends one raw protocol request and returns the raw response, which is
+// the caller's. It is the escape hatch for proxies (the shard router) that
+// forward wire rows without decoding them; normal applications use the typed
+// methods. The client assigns the request its ID.
+func (c *Client) Do(req *server.Request) (resp *server.Response, err error) {
+	err = c.roundTrip(*req, func(r *server.Response) {
+		own := *r
+		resp = &own
+	})
+	return resp, err
 }
 
 // AppendWire pushes already-encoded rows into a stream, optionally
 // carrying a trace ID (16-hex) across the hop. It avoids the
 // decode/re-encode cost of Append for callers that hold wire rows.
 func (c *Client) AppendWire(stream string, rows [][]server.WireValue, traceID string) error {
-	_, err := c.roundTrip(&server.Request{Op: "append", Stream: stream, Rows: rows, Trace: traceID})
-	return err
+	return c.roundTrip(server.Request{Op: "append", Stream: stream, Rows: rows, Trace: traceID}, nil)
 }
 
 // Advance delivers a heartbeat moving the stream's clock to ts.
 func (c *Client) Advance(stream string, ts time.Time) error {
-	_, err := c.roundTrip(&server.Request{Op: "advance", Stream: stream, TS: ts.UnixMicro()})
-	return err
+	return c.roundTrip(server.Request{Op: "advance", Stream: stream, TS: ts.UnixMicro()}, nil)
 }
 
 // Subscribe starts a continuous query (with optional $n parameters);
 // batches arrive on the returned subscription's channel.
 func (c *Client) Subscribe(sql string, args ...Value) (*Subscription, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "subscribe", SQL: sql, Args: args})
+	var sub *Subscription
+	err := c.roundTrip(server.Request{Op: "subscribe", SQL: sql, Args: args}, func(resp *server.Response) {
+		ch := make(chan Batch, 1024)
+		sub = &Subscription{c: c, handle: resp.CQ, ch: ch, C: ch, WireColumns: resp.Columns}
+		for _, wc := range resp.Columns {
+			sub.Columns = append(sub.Columns, Column{Name: wc.Name})
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	ch := make(chan Batch, 1024)
-	sub := &Subscription{c: c, handle: resp.CQ, ch: ch, C: ch, WireColumns: resp.Columns}
-	for _, wc := range resp.Columns {
-		sub.Columns = append(sub.Columns, Column{Name: wc.Name})
-	}
 	c.mu.Lock()
-	c.subs[resp.CQ] = sub
+	c.subs[sub.handle] = sub
 	c.mu.Unlock()
 	return sub, nil
 }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(&server.Request{Op: "ping"})
-	return err
+	return c.roundTrip(server.Request{Op: "ping"}, nil)
 }
 
 // Promote asks a replica server to promote itself to primary; subsequent
 // writes against it succeed.
 func (c *Client) Promote() error {
-	_, err := c.roundTrip(&server.Request{Op: "promote"})
-	return err
+	return c.roundTrip(server.Request{Op: "promote"}, nil)
 }
 
 // ReplStream is an open replication stream: after the JSON handshake the
@@ -417,12 +447,12 @@ func (c *Client) Replicate(fromLSN uint64, runID string) (*ReplStream, error) {
 // metrics.Flatten view of what the "metrics" op carries, a metric being
 // the row's name followed by its labels.
 func (c *Client) Stats() (*Rows, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "metrics"})
-	if err != nil {
+	var samples []server.WireSample
+	if err := c.roundTrip(server.Request{Op: "metrics"}, func(resp *server.Response) { samples = resp.Samples }); err != nil {
 		return nil, err
 	}
 	out := &Rows{Columns: []Column{{Name: "metric"}, {Name: "value"}}}
-	for _, p := range metrics.Flatten(server.DecodeSamples(resp.Samples)) {
+	for _, p := range metrics.Flatten(server.DecodeSamples(samples)) {
 		out.Data = append(out.Data, Row{types.NewString(p.Name + p.Labels), types.NewFloat(p.Value)})
 	}
 	return out, nil
@@ -456,12 +486,12 @@ type Span struct {
 // Traces returns the server's completed trace spans, oldest first. Empty
 // when tracing is disabled on the server.
 func (c *Client) Traces() ([]Span, error) {
-	resp, err := c.roundTrip(&server.Request{Op: "trace"})
-	if err != nil {
+	var spans []server.WireSpan
+	if err := c.roundTrip(server.Request{Op: "trace"}, func(resp *server.Response) { spans = resp.Spans }); err != nil {
 		return nil, err
 	}
-	out := make([]Span, len(resp.Spans))
-	for i, ws := range resp.Spans {
+	out := make([]Span, len(spans))
+	for i, ws := range spans {
 		out[i] = Span{
 			Trace:  ws.Trace,
 			Stage:  string(ws.Stage),

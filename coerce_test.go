@@ -229,7 +229,7 @@ func TestChannelWriteAllocs(t *testing.T) {
 			rows[i][0], rows[i][1], rows[i][2] = String(fmt.Sprint("k", i)), Int(int64(i)), Timestamp(closeAt)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if err := e.channelWrite(trace.Ctx{}, ch, rows, nil); err != nil {
+			if err := e.channelWrite(trace.Ctx{}, ch, rows, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

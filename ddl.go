@@ -3,6 +3,7 @@ package streamrel
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"streamrel/internal/catalog"
 	"streamrel/internal/exec"
@@ -229,8 +230,9 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 	if err := e.cat.CreateChannel(ch); err != nil {
 		return existsOK(s.IfNotExists, err)
 	}
+	var scratch writeScratch
 	detach, err := e.rt.Tap(s.From, func(tc trace.Ctx, closeTS int64, rows []types.Row, in *stream.Ingest) error {
-		return e.channelWrite(tc, ch, rows, in)
+		return e.channelWrite(tc, ch, rows, in, &scratch)
 	})
 	if err != nil {
 		e.cat.Drop(sql.ObjChannel, s.Name)
@@ -258,7 +260,7 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 // (writeTxn.in); otherwise the stream's append is published first and
 // the write ships as its own WAL batch, counted in
 // streamrel_repl_unfused_batches_total by what made it so.
-func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Row, in *stream.Ingest) (err error) {
+func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Row, in *stream.Ingest, scratch *writeScratch) (err error) {
 	if e.replicaMode.Load() {
 		// A replica's channels stay quiet: the primary's channel writes
 		// arrive through the replicated log (KindArchive, KindWAL), so writing
@@ -278,7 +280,7 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	if !ok {
 		return fmt.Errorf("streamrel: channel %q: table %q vanished", ch.Name, ch.Into)
 	}
-	w := e.beginWrite()
+	w := e.beginWrite(scratch)
 	w.tc = tc
 	// The heap copies what it stores (storage.Heap), so neither a decoded
 	// batch nor a view's rows are pinned by the table, and the insert points
@@ -400,8 +402,9 @@ func (e *Engine) dropMissOK(s *sql.Drop, err error) (bool, error) {
 // and only a delete, a next RowID or a mark is a record per row.
 type writeTxn struct {
 	e    *Engine
-	tx   *txn.Txn
+	tx   txn.Txn
 	recs []wal.Record
+	runs []wal.RowIDRun // what inserts at the next RowIDs were assigned
 	// tc carries a channel write's trace context into the WAL append and
 	// across the replication wire; zero for untraced writes.
 	tc trace.Ctx
@@ -417,11 +420,39 @@ type writeTxn struct {
 	// in is set when the transaction does nothing but store a base stream's
 	// batch as it was delivered — recs is that one insert: commit then
 	// publishes batch and insert as one replication event and settles in.
-	in *stream.Ingest
+	in      *stream.Ingest
+	scratch *writeScratch // takes the transaction back once it has ended
 }
 
-// beginWrite starts a write transaction.
-func (e *Engine) beginWrite() *writeTxn { return &writeTxn{e: e, tx: e.mgr.Begin()} }
+// writeScratch keeps a write path's (a channel's, a replica's apply) spare
+// transaction and write set for its next write, which then allocates neither.
+// The log has encoded a write set, and the ring copied it, when it is back.
+type writeScratch struct{ spare atomic.Pointer[writeTxn] }
+
+// beginWrite starts a write transaction, s's spare if it has one (s nil: none).
+func (e *Engine) beginWrite(s *writeScratch) *writeTxn {
+	var w *writeTxn
+	if s != nil {
+		w = s.spare.Swap(nil)
+	}
+	if w == nil {
+		w = &writeTxn{e: e, scratch: s}
+	}
+	w.tx = e.mgr.Begin()
+	return w
+}
+
+// end hands the transaction back to its scratch, holding no row.
+func (w *writeTxn) end() {
+	if w.scratch == nil {
+		return
+	}
+	clear(w.recs[:cap(w.recs)]) // a commit's mark and local records sit past len
+	clear(w.local)
+	clear(w.undo)
+	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], local: w.local[:0]}
+	w.scratch.spare.Store(w)
+}
 
 // insert stores copies of rows in t — one run at the next RowIDs or, with
 // runs (replicated apply, recovery), at the RowIDs the primary logged —
@@ -453,7 +484,8 @@ func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Ro
 		if err != nil {
 			return err
 		}
-		runs, next = []wal.RowIDRun{{First: uint64(first), N: uint64(len(rows))}}, len(rows)
+		w.runs = append(w.runs, wal.RowIDRun{First: uint64(first), N: uint64(len(rows))})
+		runs, next = w.runs[len(w.runs)-1:len(w.runs):len(w.runs)], len(rows)
 	}
 	if next != len(rows) {
 		return fmt.Errorf("streamrel: %d rows for %s with RowID runs for %d", len(rows), t.Name, next)
@@ -508,6 +540,7 @@ func (w *writeTxn) commit() (err error) {
 		if w.mark.Kind != 0 {
 			logged = append(logged, w.mark)
 		}
+		w.recs = logged[:len(w.recs)] // what the batch grew into serves the next one
 		if err := w.e.log.AppendCtx(w.tc, logged); err != nil {
 			return w.fail(err)
 		}
@@ -534,6 +567,7 @@ func (w *writeTxn) commit() (err error) {
 	if err == nil && w.mark.Kind != 0 {
 		w.e.mark = w.mark
 	}
+	w.end()
 	return err
 }
 
@@ -542,6 +576,7 @@ func (w *writeTxn) fail(err error) error {
 		u()
 	}
 	w.tx.Abort()
+	w.end()
 	return err
 }
 

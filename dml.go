@@ -42,7 +42,7 @@ func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := e.beginWrite()
+	w := e.beginWrite(nil)
 	if err := w.insert(t, nil, rows); err != nil {
 		return nil, w.fail(err)
 	}
@@ -155,7 +155,7 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(nil)
 	matches, err := e.matching(w, t, where)
 	if err != nil {
 		return nil, w.fail(err)
@@ -204,7 +204,7 @@ func (e *Engine) execDelete(s *sql.Delete) (*Result, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(nil)
 	matches, err := e.matching(w, t, where)
 	if err != nil {
 		return nil, w.fail(err)
@@ -275,7 +275,7 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(nil)
 	coerced := make([]types.Row, len(rows))
 	for i, row := range rows {
 		var err error

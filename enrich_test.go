@@ -354,7 +354,7 @@ func TestEnrichKeptBuildUnderWriters(t *testing.T) {
 		}
 		fire(0, "|news|", "", false)
 
-		w := e.beginWrite()
+		w := e.beginWrite(nil)
 		if err := w.insert(urls, nil, []types.Row{{types.NewString("/u3"), types.NewString("games")}}); err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func TestEnrichKeptBuildUnderWriters(t *testing.T) {
 		}
 		fire(2, "|games|", "news", false)
 
-		w = e.beginWrite()
+		w = e.beginWrite(nil)
 		if err := w.deleteRow(urls, rid("/u1")); err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestEnrichKeptBuildUnderWriters(t *testing.T) {
 			t.Fatalf("an aborted delete changed the output:\n%s\n%s", out[3], out[4])
 		}
 
-		reader := e.beginWrite()
+		reader := e.beginWrite(nil)
 		mustExec(t, e, `INSERT INTO urls VALUES ('/u4', 'music')`)
 		fire(5, "|music|", "", true)
 		fire(6, "|music|", "", true)

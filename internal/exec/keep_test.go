@@ -66,7 +66,7 @@ func TestKeptBuildMatchesFresh(t *testing.T) {
 		h := storage.NewHeap("dim", types.Schema{{Name: "k", Type: types.TypeInt}, {Name: "v", Type: types.TypeInt}})
 		keeps := map[JoinType]*JoinBuild{JoinInner: {Heap: h}, JoinLeft: {Heap: h}}
 		type open struct {
-			tx      *txn.Txn
+			tx      txn.Txn
 			deleted []storage.RowID
 		}
 		var txs []*open

@@ -68,7 +68,7 @@ func TestMaintainedAggMatchesFresh(t *testing.T) {
 		bare, _ := report(fact, nil, nil, true)
 		joined, read := report(fact, dim, &JoinBuild{Heap: dim}, true)
 		type open struct {
-			tx      *txn.Txn
+			tx      txn.Txn
 			deleted map[*storage.Heap][]storage.RowID
 		}
 		var txs []*open

@@ -148,11 +148,16 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 // Reader reads frames off a replication connection through one payload
 // buffer it reuses from frame to frame — safe because nothing DecodeEvent
 // returns aliases the payload — and decodes their rows through one scratch.
+// Its Event, with the event's RowID runs and names, is decoded into again by
+// the next ReadEvent; the rows and records it hands over for good.
 type Reader struct {
 	r    *bufio.Reader
+	hdr  [8]byte
 	buf  []byte
 	strs types.RowStrings
 	rows bool // the last event read carried rows
+	ev   Event
+	ins  wal.Record // a KindArchive body's scratch: the last table and runs
 }
 
 // NewReader reads frames from r.
@@ -160,14 +165,14 @@ func NewReader(r *bufio.Reader) *Reader { return &Reader{r: r} }
 
 // ReadEvent reads one frame, verifying length and CRC. It returns io.EOF
 // (or io.ErrUnexpectedEOF) when the stream ends; any malformed frame is an
-// error, never a panic.
+// error, never a panic. The event is valid until the next ReadEvent; its Rows
+// and Recs stay valid after it (Recycle says when their values may be reused).
 func (fr *Reader) ReadEvent() (*Event, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
+	n := binary.LittleEndian.Uint32(fr.hdr[0:])
+	crc := binary.LittleEndian.Uint32(fr.hdr[4:])
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("repl: frame of %d bytes exceeds limit", n)
 	}
@@ -184,9 +189,13 @@ func (fr *Reader) ReadEvent() (*Event, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, errors.New("repl: frame CRC mismatch")
 	}
-	ev, err := decodeEvent(payload, &fr.strs)
+	ev := &fr.ev
+	err := decodeEvent(payload, &fr.strs, ev, &fr.ins)
 	fr.rows = err == nil && (len(ev.Rows) > 0 || slices.ContainsFunc(ev.Recs, func(r wal.Record) bool { return r.Kind == wal.RecRows || r.Kind == wal.RecInsert }))
-	return ev, err
+	if err != nil {
+		return nil, err
+	}
+	return ev, nil
 }
 
 // Recycle says nothing holds the row values and strings of the last event
@@ -205,13 +214,22 @@ func (fr *Reader) Recycle() {
 // Arbitrary input yields an error, never a panic or an allocation its bytes
 // did not earn (types.MaxPresize). The event aliases nothing in payload
 // (the ownership rule in internal/server/proto.go).
-func DecodeEvent(payload []byte) (*Event, error) { return decodeEvent(payload, new(types.RowStrings)) }
-
-func decodeEvent(payload []byte, strs *types.RowStrings) (*Event, error) {
-	if len(payload) == 0 {
-		return nil, errors.New("repl: empty frame")
+func DecodeEvent(payload []byte) (*Event, error) {
+	ev := new(Event)
+	if err := decodeEvent(payload, new(types.RowStrings), ev, new(wal.Record)); err != nil {
+		return nil, err
 	}
-	ev := &Event{Kind: Kind(payload[0])}
+	return ev, nil
+}
+
+// decodeEvent decodes payload into ev, keeping ev's names where they repeat;
+// ins is a KindArchive body's scratch (wal.ReadRows).
+func decodeEvent(payload []byte, strs *types.RowStrings, ev *Event, ins *wal.Record) error {
+	if len(payload) == 0 {
+		return errors.New("repl: empty frame")
+	}
+	stream, table := ev.Stream, ev.Table
+	*ev = Event{Kind: Kind(payload[0])}
 	buf := payload[1:]
 	var err error
 	if ev.LSN, buf, err = wal.ReadUvarint(buf); err == nil {
@@ -220,43 +238,40 @@ func decodeEvent(payload []byte, strs *types.RowStrings) (*Event, error) {
 		}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch ev.Kind {
 	case KindWAL:
 		ev.Recs, err = wal.ReadRecords(buf, strs)
 	case KindAppend:
-		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
+		if ev.Stream, buf, err = wal.ReadString(buf, stream); err == nil {
 			ev.Rows, buf, err = wal.ReadRowList(buf, strs)
 		}
 	case KindArchive:
-		var ins wal.Record
-		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
-			buf, err = wal.ReadRows(buf, &ins, strs)
+		if ev.Stream, buf, err = wal.ReadString(buf, stream); err == nil {
+			buf, err = wal.ReadRows(buf, ins, strs)
 		}
 		ev.Table, ev.Runs, ev.Rows = ins.Table, ins.Runs, ins.Rows
+		ins.Rows = nil
 	case KindAdvance:
-		if ev.Stream, buf, err = wal.ReadString(buf, ""); err == nil {
+		if ev.Stream, buf, err = wal.ReadString(buf, stream); err == nil {
 			ev.TS, _, err = readVarint(buf)
 		}
 	case KindSnapBegin, KindResume:
 		ev.Run, _, err = wal.ReadString(buf, "")
 	case KindTableNext:
-		if ev.Table, buf, err = wal.ReadString(buf, ""); err == nil {
+		if ev.Table, buf, err = wal.ReadString(buf, table); err == nil {
 			ev.Next, _, err = wal.ReadUvarint(buf)
 		}
 	case KindSnapEnd, KindPing:
 		// header only
 	default:
-		return nil, fmt.Errorf("repl: unknown frame kind %d", ev.Kind)
+		return fmt.Errorf("repl: unknown frame kind %d", ev.Kind)
 	}
 	if err == nil && len(buf) != 0 && (ev.Kind == KindAppend || ev.Kind == KindArchive) {
 		err = errors.New("repl: trailing bytes behind the rows")
 	}
-	if err != nil {
-		return nil, err
-	}
-	return ev, nil
+	return err
 }
 
 func readVarint(buf []byte) (int64, []byte, error) {

@@ -239,9 +239,11 @@ func TestAppendFrameAllocs(t *testing.T) {
 }
 
 // TestReaderOwnershipAcrossFrames reads frames through one Reader, which
-// reuses its payload buffer: every event must still hold its own values
-// once later frames have overwritten that buffer, and a frame larger than
-// retainPayloadBytes must not leave its buffer behind.
+// reuses its payload buffer: every event's rows and records must still hold
+// their own values once later frames have overwritten that buffer, and a
+// frame larger than retainPayloadBytes must not leave its buffer behind. The
+// Event itself and its runs are the reader's until the next read, so the test
+// keeps a copy of those.
 func TestReaderOwnershipAcrossFrames(t *testing.T) {
 	var stream []byte
 	var want []Event
@@ -272,7 +274,9 @@ func TestReaderOwnershipAcrossFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		got = append(got, ev)
+		own := *ev
+		own.Runs = slices.Clone(ev.Runs)
+		got = append(got, &own)
 		if i == 20 && r.buf != nil {
 			t.Fatalf("the reader kept a %d-byte buffer", cap(r.buf))
 		}

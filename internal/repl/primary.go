@@ -83,6 +83,10 @@ type Primary struct {
 	// copies carves the blocks PublishAppend copies a batch into; the ring
 	// owns each block it hands out.
 	copies types.RowStrings
+	// runs and recs are the blocks publishLocked copies an event's RowID runs
+	// and WAL records into (carve): a publisher reuses its own once it returns.
+	runs []wal.RowIDRun
+	recs []wal.Record
 
 	pingEvery time.Duration
 
@@ -344,7 +348,12 @@ func (p *Primary) PublishAdvance(stream string, ts int64) {
 
 // publishLocked sequences and retains ev, which carries size bytes of rows,
 // evicting from the head whatever no longer fits beside it — never ev itself.
+// The ring keeps ev's row containers and copies of its runs and records.
 func (p *Primary) publishLocked(ev Event, size int) {
+	ev.Runs, ev.Recs = carve(&p.runs, ev.Runs), carve(&p.recs, ev.Recs)
+	for i := range ev.Recs {
+		ev.Recs[i].Runs = carve(&p.runs, ev.Recs[i].Runs)
+	}
 	p.lsn++
 	ev.LSN = p.lsn
 	ev.Wall = time.Now().UnixMicro()
@@ -362,6 +371,21 @@ func (p *Primary) publishLocked(ev Event, size int) {
 	p.ringBytes.Set(float64(p.retained))
 	p.events.Inc()
 	p.wakeLocked()
+}
+
+// carve copies src into the free end of *block, or of a new block of at least
+// 256 items, and returns the copy, which nothing writes again: a block goes
+// once the ring has evicted every event in it. A nil src stays nil.
+func carve[T any](block *[]T, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	if cap(*block)-len(*block) < len(src) {
+		*block = make([]T, 0, max(256, len(src)))
+	}
+	start := len(*block)
+	*block = append(*block, src...)
+	return (*block)[start:len(*block):len(*block)]
 }
 
 // oldestLocked returns the LSN of the oldest ring event — lsn+1 when the

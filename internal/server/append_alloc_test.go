@@ -19,12 +19,18 @@ import (
 // end: an append of 256 rows and one of 1 024 cost the same allocations on
 // the primary — the frame decoded, committed through the stream's raw-archive
 // channel, logged and published — and on a replica — the hub's frame read
-// and applied — so nothing on either side costs a row an allocation.
+// and applied — so nothing on either side costs a row an allocation. And what
+// a batch costs is the rows its keepers store and little else: the session,
+// the channel's transaction, the log's commit group and the replica's reader
+// reuse their per-request objects, which took 14.7 and 10.5 allocations a
+// batch before. The primary pays the row container its transaction and the
+// ring keep; the replica the decoded batch (container, values, strings),
+// which the measure below never recycles.
 func TestAppendAllocsPerBatch(t *testing.T) {
 	const ddl = `CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar, bytes bigint);
 		CREATE TABLE archive (url varchar, atime timestamp, client_ip varchar, bytes bigint);
 		CREATE CHANNEL archive_ch FROM hits INTO archive APPEND;`
-	const batches = 48
+	const batches, maxPrimary, maxReplica = 48, 7, 5
 	perBatch := func(f func()) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -139,9 +145,16 @@ func TestAppendAllocsPerBatch(t *testing.T) {
 	primary4, replica4 := measure(1024)
 	t.Logf("per batch of 256 and of 1024 rows: %.2f and %.2f allocations on the primary, %.2f and %.2f on the replica",
 		primary, primary4, replica, replica4)
-	if !racing && (primary4 > primary+1 || replica4 > replica+1) {
+	if racing {
+		return
+	}
+	if primary4 > primary+1 || replica4 > replica+1 {
 		t.Errorf("a 1024-row batch allocates %.2f times on the primary and %.2f on the replica, a 256-row one %.2f and %.2f: want the same",
 			primary4, replica4, primary, replica)
+	}
+	if primary > maxPrimary || replica > maxReplica {
+		t.Errorf("a 256-row batch allocates %.2f times on the primary and %.2f on the replica, want at most %d and %d",
+			primary, replica, maxPrimary, maxReplica)
 	}
 }
 

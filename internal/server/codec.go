@@ -400,9 +400,13 @@ func (d *decoder) rawString() ([]byte, error) {
 	return nil, d.errAt("unterminated string")
 }
 
-// readString consumes a string literal into a string of its own.
-func (d *decoder) readString() (string, error) {
+// readString consumes a string literal into a string of its own, which is
+// prev (a name the last frame had) when the literal reads the same.
+func (d *decoder) readString(prev string) (string, error) {
 	b, err := d.rawString()
+	if err == nil && string(b) == prev {
+		return prev, nil
+	}
 	return string(b), err
 }
 
@@ -729,8 +733,11 @@ func (r *Request) UnmarshalJSON(data []byte) error { return r.decode(data, new(t
 // rules as Request.UnmarshalJSON.
 func (r *Response) UnmarshalJSON(data []byte) error { return r.decode(data, new(types.RowStrings)) }
 
-// decode is UnmarshalJSON with the scratch of the reader that owns the decode.
+// decode is UnmarshalJSON with the scratch of the reader that owns the
+// decode. A request decoded into again keeps its op and stream names when the
+// frame repeats them, so a session's stream of appends copies neither.
 func (r *Request) decode(data []byte, strs *types.RowStrings) error {
+	op, stream := r.Op, r.Stream
 	*r = Request{}
 	d := decoder{buf: data, strs: strs}
 	for {
@@ -749,11 +756,11 @@ func (r *Request) decode(data []byte, strs *types.RowStrings) error {
 		case name == "id":
 			r.ID, err = d.readInt(64)
 		case name == "op":
-			r.Op, err = d.readString()
+			r.Op, err = d.readString(op)
 		case name == "sql":
-			r.SQL, err = d.readString()
+			r.SQL, err = d.readString("")
 		case name == "stream":
-			r.Stream, err = d.readString()
+			r.Stream, err = d.readString(stream)
 		case name == "rows":
 			r.Rows, err = d.readRows()
 		case name == "ts":
@@ -768,9 +775,9 @@ func (r *Request) decode(data []byte, strs *types.RowStrings) error {
 		case name == "lsn":
 			r.LSN, err = d.readUint64()
 		case name == "run":
-			r.Run, err = d.readString()
+			r.Run, err = d.readString("")
 		case name == "trace":
-			r.Trace, err = d.readString()
+			r.Trace, err = d.readString("")
 		}
 		if err != nil {
 			return fmt.Errorf("server: malformed request: %w", err)
@@ -805,7 +812,7 @@ func (r *Response) decode(data []byte, strs *types.RowStrings) error {
 		case name == "ok":
 			r.OK, err = d.readBool()
 		case name == "error":
-			r.Error, err = d.readString()
+			r.Error, err = d.readString("")
 		case name == "columns":
 			err = d.cold(&r.Columns)
 		case name == "rows":

@@ -328,8 +328,9 @@ func benchRows(n int) [][]WireValue {
 // TestCodecAllocs is the gate for the kernel's cost model: encoding into a
 // warm buffer allocates nothing, and decoding through the scratch a reader
 // keeps allocates a constant whatever the rows up to a block — the rows'
-// container, their one []Datum and their strings' one backing, and the
-// request's op and stream; a row of args no container.
+// container, their one []Datum and their strings' one backing; a row of args
+// no container. A request decoded into again keeps its op and stream names
+// when the frame repeats them, so they cost nothing.
 func TestCodecAllocs(t *testing.T) {
 	var strs types.RowStrings
 	var req Request
@@ -342,7 +343,7 @@ func TestCodecAllocs(t *testing.T) {
 			want  float64
 		}{
 			{"append request", &Request{ID: 1, Op: "append", Stream: "events", Rows: benchRows(rows)},
-				func(b []byte) error { return req.decode(b, &strs) }, 5},
+				func(b []byte) error { return req.decode(b, &strs) }, 3},
 			{"batch frame", &Response{Batch: true, CQ: 1, Close: 60000000, Rows: benchRows(rows)},
 				func(b []byte) error { return resp.decode(b, &strs) }, 3},
 		} {
@@ -363,14 +364,14 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}
 	// A request's args are a batch of one row: its values and its strings'
-	// backing, with no container — beside the op and the SQL.
+	// backing, with no container — beside the SQL.
 	buf, _ := (&Request{ID: 1, Op: "query", SQL: "SELECT $1", Args: benchRows(1)[0]}).AppendJSON(nil)
 	if n := testing.AllocsPerRun(10, func() {
 		if err := req.decode(buf, &strs); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 4 {
-		t.Errorf("a query request with args: decoding allocates %v, want 4", n)
+	}); n != 3 {
+		t.Errorf("a query request with args: decoding allocates %v, want 3", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -156,8 +155,7 @@ func (fw *FrameWriter) Write(f frame) error {
 // error frame under the same id (or CQ handle) rather than a dead socket.
 func (fw *FrameWriter) WriteResponse(resp *Response) error {
 	err := fw.Write(resp)
-	var enc *EncodeError
-	if errors.As(err, &enc) {
+	if enc, ok := err.(*EncodeError); ok {
 		return fw.Write(&Response{ID: resp.ID, CQ: resp.CQ, Close: resp.Close, Batch: resp.Batch, Error: enc.Error()})
 	}
 	return err

@@ -252,7 +252,7 @@ func (d *decoder) parentValue() (types.Datum, error) {
 		out = types.NewFloat(v)
 	case "s":
 		var v string
-		v, err = d.readString() // copied out of the frame
+		v, err = d.readString("") // copied out of the frame
 		out = types.NewString(v)
 	case "ts":
 		var v int64

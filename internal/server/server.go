@@ -24,9 +24,10 @@ var ops = []string{"exec", "query", "append", "advance", "subscribe", "unsubscri
 // metrics, trace, unsubscribe, replicate and promote ops. New serves an
 // engine; the shard router (internal/shard) is the other backend.
 type Backend interface {
-	// Do answers exec, query, append and advance, and any op the session
-	// does not own with the front door's own unknown-op error.
-	Do(req *Request) *Response
+	// Do answers exec, query, append and advance into resp (zeroed), and any
+	// op the session does not own with the front door's own unknown-op error.
+	// It keeps neither: the session reuses both for its next request.
+	Do(req *Request, resp *Response)
 	// Subscribe starts a continuous query. It answers with the columns (or
 	// an error, and no stop), and hands each window batch to emit until
 	// emit reports that the session has ended; stop ends the query.
@@ -145,6 +146,8 @@ type session struct {
 	nextCQ int64
 	stops  map[int64]func() // by CQ handle
 	done   chan struct{}
+	req    Request  // every frame is decoded into it (Request.decode)
+	resp   Response // and answered in it
 }
 
 // ServeConn serves one session on conn — a TCP connection Serve accepted, or
@@ -192,17 +195,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 func (sess *session) serve() error {
 	s := sess.srv
 	fr := NewFrameReader(sess.conn)
+	req, resp := &sess.req, &sess.resp
 	for {
-		req := new(Request)
-		err := fr.Read(req)
-		var ne net.Error
-		switch {
-		case err == nil:
-		case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), errors.Is(err, io.ErrClosedPipe):
-			return nil
-		case errors.As(err, &ne):
-			return err
-		default:
+		if err := fr.Read(req); err != nil {
+			var ne net.Error
+			switch {
+			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), errors.Is(err, io.ErrClosedPipe):
+				return nil
+			case errors.As(err, &ne):
+				return err
+			}
 			sess.fw.Write(&Response{Error: err.Error()}) // best effort: the close follows either way
 			return err
 		}
@@ -211,7 +213,7 @@ func (sess *session) serve() error {
 			return nil
 		}
 		start := time.Now()
-		resp := sess.dispatch(req)
+		sess.dispatch(req, resp)
 		if h := s.cmdHist[req.Op]; h != nil {
 			h.ObserveSince(start)
 		}
@@ -225,6 +227,7 @@ func (sess *session) serve() error {
 		if err := sess.fw.WriteResponse(resp); err != nil {
 			return err
 		}
+		*req, *resp = Request{Op: req.Op, Stream: req.Stream}, Response{} // an idle session holds no rows
 	}
 }
 
@@ -256,14 +259,14 @@ func (s *Server) serveReplicate(sess *session, req *Request) {
 
 func fail(err error) *Response { return &Response{Error: err.Error()} }
 
-// dispatch answers the ops the session owns and hands the rest to the
-// backend.
-func (sess *session) dispatch(req *Request) *Response {
+// dispatch answers the ops the session owns into resp and hands the rest
+// to the backend.
+func (sess *session) dispatch(req *Request, resp *Response) {
 	s := sess.srv
 	switch req.Op {
 	case "subscribe":
 		handle := sess.nextCQ + 1
-		resp, stop := s.b.Subscribe(req, func(batch *Response) bool {
+		r, stop := s.b.Subscribe(req, func(batch *Response) bool {
 			batch.Batch, batch.CQ = true, handle
 			select {
 			case <-sess.done:
@@ -272,66 +275,70 @@ func (sess *session) dispatch(req *Request) *Response {
 			}
 			return sess.fw.WriteResponse(batch) == nil
 		})
+		*resp = *r
 		if resp.Error == "" {
 			sess.nextCQ = handle
 			sess.stops[handle] = stop
 			resp.CQ = handle
 		}
-		return resp
 
 	case "unsubscribe":
 		stop, ok := sess.stops[req.CQ]
 		if !ok {
-			return fail(fmt.Errorf("server: unknown cq %d", req.CQ))
+			resp.Error = fmt.Sprintf("server: unknown cq %d", req.CQ)
+			return
 		}
 		stop()
 		delete(sess.stops, req.CQ)
-		return &Response{OK: true}
+		resp.OK = true
 
 	case "ping":
-		return &Response{OK: true}
+		resp.OK = true
 
 	case "promote":
 		if s.Promote == nil {
-			return fail(fmt.Errorf("server: this server is not a replica"))
+			resp.Error = "server: this server is not a replica"
+		} else if err := s.Promote(); err != nil {
+			resp.Error = err.Error()
+		} else {
+			resp.OK = true
 		}
-		if err := s.Promote(); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
 
 	case "metrics":
-		return &Response{OK: true, Samples: EncodeSamples(s.b.Metrics().Gather())}
+		resp.OK, resp.Samples = true, EncodeSamples(s.b.Metrics().Gather())
 
 	case "trace":
-		return &Response{OK: true, Spans: trace.WireSpans(s.b.Tracer().Snapshot())}
+		resp.OK, resp.Spans = true, trace.WireSpans(s.b.Tracer().Snapshot())
+
+	default:
+		s.b.Do(req, resp)
 	}
-	return s.b.Do(req)
 }
 
 // engine is the backend that serves one engine.
 type engine struct{ *streamrel.Engine }
 
-func (e engine) Do(req *Request) *Response {
+func (e engine) Do(req *Request, resp *Response) {
 	switch req.Op {
 	case "exec":
 		res, err := e.ExecArgs(req.SQL, req.Args...)
 		if err != nil {
-			return fail(err)
+			resp.Error = err.Error()
+			return
 		}
-		out := &Response{OK: true, Affected: res.RowsAffected}
+		resp.OK, resp.Affected = true, res.RowsAffected
 		if res.Rows != nil {
-			out.Columns = EncodeSchema(res.Rows.Columns)
-			out.Rows = WireRows(res.Rows.Data)
+			resp.Columns = EncodeSchema(res.Rows.Columns)
+			resp.Rows = WireRows(res.Rows.Data)
 		}
-		return out
 
 	case "query":
 		rows, err := e.QueryArgs(req.SQL, req.Args...)
 		if err != nil {
-			return fail(err)
+			resp.Error = err.Error()
+			return
 		}
-		return &Response{OK: true, Columns: EncodeSchema(rows.Columns), Rows: WireRows(rows.Data)}
+		resp.OK, resp.Columns, resp.Rows = true, EncodeSchema(rows.Columns), WireRows(rows.Data)
 
 	case "append":
 		rows := Rows(req.Rows)
@@ -343,17 +350,21 @@ func (e engine) Do(req *Request) *Response {
 		kept, err := e.AppendBorrowed(traceID, req.Stream, rows)
 		req.recycle = !kept && len(rows) > 0
 		if err != nil {
-			return fail(err)
+			resp.Error = err.Error()
+			return
 		}
-		return &Response{OK: true, Affected: len(rows)}
+		resp.OK, resp.Affected = true, len(rows)
 
 	case "advance":
 		if err := e.AdvanceTime(req.Stream, time.UnixMicro(req.TS).UTC()); err != nil {
-			return fail(err)
+			resp.Error = err.Error()
+			return
 		}
-		return &Response{OK: true}
+		resp.OK = true
+
+	default:
+		resp.Error = fmt.Sprintf("server: unknown op %q", req.Op)
 	}
-	return fail(fmt.Errorf("server: unknown op %q", req.Op))
 }
 
 func (e engine) Subscribe(req *Request, emit func(*Response) bool) (*Response, func()) {

@@ -26,8 +26,9 @@ type cqMerger struct {
 	hwm      []int64                 // per shard: latest close seen
 	alive    []bool
 	partial  bool
-	emitted  bool  // any close emitted yet
-	lastEmit int64 // last emitted close; later frames for it are dropped
+	lost     map[int64]bool // closes a shard fired but could not send: they emit partial
+	emitted  bool           // any close emitted yet
+	lastEmit int64          // last emitted close; later frames for it are dropped
 }
 
 func newCQMerger(plan *MergePlan, shards int, partial bool, emit func(int64, []types.Row, bool)) *cqMerger {
@@ -38,6 +39,7 @@ func newCQMerger(plan *MergePlan, shards int, partial bool, emit func(int64, []t
 		hwm:     make([]int64, shards),
 		alive:   make([]bool, shards),
 		partial: partial,
+		lost:    make(map[int64]bool),
 	}
 	for i := range m.pending {
 		m.pending[i] = make(map[int64][]types.Row)
@@ -50,12 +52,23 @@ func newCQMerger(plan *MergePlan, shards int, partial bool, emit func(int64, []t
 // emitted are dropped — per-shard closes arrive in order, so this only
 // happens for pathological senders.
 func (m *cqMerger) onBatch(shard int, closeUS int64, rows []types.Row) {
+	m.ingest(shard, closeUS, rows, false)
+}
+
+// onLost ingests a close a shard fired but could not send (the error frame
+// that replaced a batch over the frame cap): no rows, and it emits partial.
+func (m *cqMerger) onLost(shard int, closeUS int64) { m.ingest(shard, closeUS, nil, true) }
+
+func (m *cqMerger) ingest(shard int, closeUS int64, rows []types.Row, lost bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.emitted && closeUS <= m.lastEmit {
 		return
 	}
-	m.pending[shard][closeUS] = append(m.pending[shard][closeUS], rows...)
+	if lost {
+		m.lost[closeUS] = true
+	}
+	m.pending[shard][closeUS] = append(m.pending[shard][closeUS], rows...) // a key even for no rows
 	if closeUS > m.hwm[shard] {
 		m.hwm[shard] = closeUS
 	}
@@ -95,7 +108,9 @@ func (m *cqMerger) drainLocked() {
 			}
 		}
 		m.emitted, m.lastEmit = true, t
-		m.emit(t, m.plan.Merge(parts), m.partial)
+		partial := m.partial || m.lost[t]
+		delete(m.lost, t)
+		m.emit(t, m.plan.Merge(parts), partial)
 	}
 }
 

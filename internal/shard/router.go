@@ -129,7 +129,7 @@ func (r *Router) Close() error {
 func fail(err error) *server.Response { return &server.Response{Error: err.Error()} }
 
 // Do answers the data ops behind the session loop (server.Backend).
-func (r *Router) Do(req *server.Request) *server.Response {
+func (r *Router) Do(req *server.Request, out *server.Response) {
 	var resp *server.Response
 	switch req.Op {
 	case "exec":
@@ -141,12 +141,12 @@ func (r *Router) Do(req *server.Request) *server.Response {
 	case "advance":
 		resp = r.advance(req)
 	default:
-		return fail(fmt.Errorf("router: unknown op %q", req.Op))
+		resp = fail(fmt.Errorf("router: unknown op %q", req.Op))
 	}
 	if resp.Partial {
 		r.partialCtr.Inc()
 	}
-	return resp
+	*out = *resp
 }
 
 // execStmt routes one exec. DDL broadcasts to every shard in shard
@@ -414,7 +414,11 @@ func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool
 		}
 		go func() {
 			for b := range sub.C {
-				if !emit(&server.Response{Close: b.Close.UnixMicro(), Rows: server.WireRows(b.Rows)}) {
+				out := &server.Response{Close: b.Close.UnixMicro(), Rows: server.WireRows(b.Rows)}
+				if b.Err != nil {
+					out.Error = b.Err.Error() // the shard's error frame, under this session's handle
+				}
+				if !emit(out) {
 					return
 				}
 			}
@@ -473,7 +477,11 @@ func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool
 		}
 		go func(i int, sub *client.Subscription) {
 			for b := range sub.C {
-				m.onBatch(i, b.Close.UnixMicro(), b.Rows)
+				if b.Err != nil {
+					m.onLost(i, b.Close.UnixMicro())
+				} else {
+					m.onBatch(i, b.Close.UnixMicro(), b.Rows)
+				}
 			}
 			m.markDead(i)
 		}(i, sub)

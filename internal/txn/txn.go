@@ -58,8 +58,10 @@ func NewManager() *Manager {
 	}
 }
 
-// Begin starts a new transaction and returns it with a fresh snapshot.
-func (m *Manager) Begin() *Txn {
+// Begin starts a new transaction and returns it with a fresh snapshot. The
+// Txn is a value, so a writer that keeps one in its own scratch begins a
+// transaction without allocating; Commit and Abort need it addressable.
+func (m *Manager) Begin() Txn {
 	m.mu.Lock()
 	id := m.next
 	m.next++
@@ -78,7 +80,7 @@ func (m *Manager) Begin() *Txn {
 	}
 	aborted := m.aborted
 	m.mu.Unlock()
-	return &Txn{
+	return Txn{
 		ID:  id,
 		mgr: m,
 		Snap: Snapshot{

@@ -133,7 +133,8 @@ func TestSnapshotDecided(t *testing.T) {
 func TestSnapshotAllocsAfterTrim(t *testing.T) {
 	m := NewManager()
 	for i := 0; i < 10_000; i++ {
-		m.Begin().Abort()
+		tx := m.Begin()
+		tx.Abort()
 	}
 	committed := m.Begin()
 	committed.Commit()
@@ -155,7 +156,8 @@ func TestSnapshotAllocsAfterTrim(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	const begins = 100
 	for i := 0; i < begins; i++ {
-		m.Begin().Commit()
+		tx := m.Begin()
+		tx.Commit()
 	}
 	runtime.ReadMemStats(&after)
 	if perBegin := (after.TotalAlloc - before.TotalAlloc) / begins; perBegin > 256 {

@@ -161,16 +161,18 @@ func checkHeader(path string, h []byte) error {
 // commitGroup is one generation of the group-commit protocol: the frames
 // of every batch staged while the previous generation was being written,
 // flushed to disk as a single Write (and, under Sync, a single Sync).
-// Waiters block on done; err and the span timings are written by the
-// leader before done closes and are read-only afterwards.
+// Waiters wait on Log.cond for done; err and the span timings are written
+// by the leader before done is set and are read-only afterwards. The last
+// committer to read them hands the group back to Log.free.
 type commitGroup struct {
 	// data is the complete frames, [len][crc][payload]...: the first batch's
-	// where its committer, who waits on done, encoded it — a group of one
+	// where its committer, who waits for done, encoded it — a group of one
 	// copies nothing — and from the second on gathered in Log.spare.
-	data []byte
-	n    int           // batches staged in this group
-	done chan struct{} // closed once the group is durable (or failed)
-	err  error
+	data    []byte
+	n       int  // batches staged in this group
+	waiting int  // committers that have not yet read the outcome
+	done    bool // the group is durable (or failed)
+	err     error
 
 	// Timings of the single write/sync, so traced committers can record
 	// spans for the group their batch rode in.
@@ -188,12 +190,12 @@ type commitGroup struct {
 // committer to find no write in flight becomes the leader: it claims the
 // group, writes all staged frames with one Write and one Sync, wakes the
 // group's waiters, and loops while new batches piled up behind it.
-// Everyone else just waits on its group's done channel. The result is one
+// Everyone else just waits on cond for its group to be done. The result is one
 // fsync per group rather than per batch, with no dedicated writer
 // goroutine.
 type Log struct {
 	mu   sync.Mutex
-	cond *sync.Cond // broadcast when writing falls to false
+	cond *sync.Cond // broadcast when a group is done and when writing falls to false
 	f    *os.File
 	path string
 	sync bool // fsync every group
@@ -201,10 +203,11 @@ type Log struct {
 
 	maxDelay time.Duration // leader's pre-claim wait (Options.GroupCommitMaxDelay)
 
-	cur     *commitGroup // group accepting new frames; nil if none staged
-	spare   []byte       // the buffer the last group of several batches gathered them in
-	writing bool         // a leader is writing/syncing outside mu
-	closing bool         // Close in progress: reject new appends so the leader can drain
+	cur     *commitGroup   // group accepting new frames; nil if none staged
+	free    []*commitGroup // groups whose every committer has read the outcome
+	spare   []byte         // the buffer the last group of several batches gathered them in
+	writing bool           // a leader is writing/syncing outside mu
+	closing bool           // Close in progress: reject new appends so the leader can drain
 
 	// lastFrame is the previous frame's encoded size, used to pre-size
 	// pooled encode buffers. Invariant (while mu is free): cur != nil ⇒
@@ -335,7 +338,12 @@ func (l *Log) AppendCtx(tc trace.Ctx, recs []Record) error {
 	g := l.cur
 	switch {
 	case g == nil:
-		g = &commitGroup{done: make(chan struct{}), data: eb.b}
+		if n := len(l.free); n > 0 {
+			g, l.free = l.free[n-1], l.free[:n-1]
+			*g = commitGroup{data: eb.b}
+		} else {
+			g = &commitGroup{data: eb.b}
+		}
 		l.cur = g
 	case g.n == 1:
 		g.data, l.spare = append(l.spare[:0], g.data...), nil
@@ -344,35 +352,43 @@ func (l *Log) AppendCtx(tc trace.Ctx, recs []Record) error {
 		g.data = append(g.data, eb.b...)
 	}
 	g.n++
+	g.waiting++
 
 	if l.writing {
 		// A leader is already on the file; it will pick this group up
 		// when it finishes the generation in flight.
-		l.mu.Unlock()
-		<-g.done
+		for !g.done {
+			l.cond.Wait()
+		}
 	} else {
 		l.lead()
 	}
-	if g.err != nil {
-		return g.err
+	err, writeStart, writeDur, syncStart, syncDur := g.err, g.writeStart, g.writeDur, g.syncStart, g.syncDur
+	if g.waiting--; g.waiting == 0 {
+		g.data = nil // a frame's buffer is not the free group's to keep
+		l.free = append(l.free, g)
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	if tc.ID != 0 && l.tracer != nil {
 		l.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWALAppend,
-			Stream: recs[0].Table, Start: g.writeStart.UnixMicro(),
-			Dur: g.writeDur.Nanoseconds(), Rows: RowCount(recs)})
+			Stream: recs[0].Table, Start: writeStart.UnixMicro(),
+			Dur: writeDur.Nanoseconds(), Rows: RowCount(recs)})
 		if l.sync {
 			l.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageWALFsync,
-				Stream: recs[0].Table, Start: g.syncStart.UnixMicro(),
-				Dur: g.syncDur.Nanoseconds(), Rows: RowCount(recs)})
+				Stream: recs[0].Table, Start: syncStart.UnixMicro(),
+				Dur: syncDur.Nanoseconds(), Rows: RowCount(recs)})
 		}
 	}
 	return nil
 }
 
 // lead runs the group-commit leader loop. Called with mu held and
-// l.writing false; returns with mu released, after every group staged up
-// to the moment it stops has been written (or failed) and its waiters
-// woken. While the leader is outside the lock, l.writing guards the file
+// l.writing false; returns with mu held, after every group staged up to
+// the moment it stops has been written (or failed) and its waiters woken.
+// While the leader is outside the lock, l.writing guards the file
 // against concurrent Close/Truncate.
 func (l *Log) lead() {
 	l.writing = true
@@ -398,11 +414,11 @@ func (l *Log) lead() {
 		if g.n > 1 && cap(g.data) <= 1<<20 { // huge batches must not pin their size
 			l.spare = g.data
 		}
-		close(g.done)
+		g.done = true
+		l.cond.Broadcast()
 	}
 	l.writing = false
 	l.cond.Broadcast()
-	l.mu.Unlock()
 }
 
 // writeGroup flushes one claimed group with a single Write (plus the
@@ -626,15 +642,19 @@ func AppendRowList(buf []byte, rows []types.Row) []byte {
 // ReadRows decodes what AppendRows wrote into r and returns the bytes behind
 // it. The runs cover exactly the rows; the bytes that remain bound both counts
 // (a run is two at least, a row one); an empty or wrapping run is malformed.
+// r's runs and table name are its reader's scratch: the runs are decoded into
+// their memory, and an unchanged name is kept rather than copied again.
 func ReadRows(buf []byte, r *Record, strs *types.RowStrings) (rest []byte, err error) {
-	if r.Table, buf, err = ReadString(buf, ""); err != nil {
+	if r.Table, buf, err = ReadString(buf, r.Table); err != nil {
 		return nil, err
 	}
 	n, buf, err := ReadUvarint(buf)
 	if err != nil || n > uint64(len(buf)) {
 		return nil, errors.New("wal: bad run count")
 	}
-	r.Runs = make([]RowIDRun, 0, min(n, types.MaxPresize))
+	if r.Runs = r.Runs[:0]; r.Runs == nil || uint64(cap(r.Runs)) < min(n, types.MaxPresize) {
+		r.Runs = make([]RowIDRun, 0, min(n, types.MaxPresize))
+	}
 	var covered uint64
 	for ; n > 0; n-- {
 		var run RowIDRun

@@ -136,7 +136,7 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w := e.beginWrite()
+	w := e.beginWrite(&e.applyScratch)
 	w.mark = e.applying
 	for _, rec := range recs {
 		t, ok := e.cat.Table(rec.Table)
@@ -244,7 +244,7 @@ func (e *Engine) ApplyReplicatedArchiveBorrowed(streamName, table string, rows [
 	}
 	tc := e.tracer.Adopt(traceID)
 	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {
-		w := e.beginWrite()
+		w := e.beginWrite(&e.applyScratch)
 		w.tc, w.mark = tc, e.applying
 		if err := w.insert(t, runs, rows); err != nil {
 			return w.fail(err)

@@ -40,7 +40,8 @@ func published(t *testing.T, e *Engine) []*repl.Event {
 			t.Fatal(err)
 		}
 		if ev.Kind != repl.KindResume {
-			events = append(events, ev)
+			own := *ev // the reader's until its next read
+			events = append(events, &own)
 		}
 		if ev.LSN >= last {
 			return events
@@ -248,11 +249,13 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 
 // TestReplicaArchiveApplyAllocs: reading a KindArchive frame through the
 // Reader a replica keeps and applying it costs a follower a per-event constant
-// whatever its rows — the decoded batch (container, values, strings), the
-// event, its runs and the apply's own: the one batch serves the stream, the
-// heap copies it into its segments (an object per segRows rows) and this
-// engine's own ring takes the container, pointed at the copies, and no
-// wal.Record is decoded, so no row is decoded a second time.
+// whatever its rows — the decoded batch (container, values, strings), which
+// this measure never recycles: the one batch serves the stream, the heap
+// copies it into its segments (an object per segRows rows) and this engine's
+// own ring takes the container, pointed at the copies, and no wal.Record is
+// decoded, so no row is decoded a second time. The event, its runs and table
+// name are the Reader's, and the apply's transaction and write set the
+// engine's, reused from event to event (10.0 allocations before).
 func TestReplicaArchiveApplyAllocs(t *testing.T) {
 	// A collection cycle that starts inside an apply counts the runtime's own
 	// objects: the pin is on what the apply allocates.
@@ -298,7 +301,7 @@ func TestReplicaArchiveApplyAllocs(t *testing.T) {
 	}
 	small, large := perEvent(allocBatch), perEvent(4*allocBatch)
 	t.Logf("read + apply: %.1f allocations per %d-row event, %.1f per %d-row event", small, allocBatch, large, 4*allocBatch)
-	const perEventBudget = 12
+	const perEventBudget = 5
 	if !racing && (small > perEventBudget || large > small+0.5) {
 		t.Fatalf("reading and applying an archive event allocates %.1f times at %d rows and %.1f at %d: want a constant, at most %d",
 			small, allocBatch, large, 4*allocBatch, perEventBudget)

@@ -221,6 +221,8 @@ type Engine struct {
 	// (zero: none), written and read under mu; applying is the mark of the
 	// event ApplyReplicatedAt is applying, that goroutine's alone.
 	mark, applying wal.Record
+	// applyScratch is the transaction ApplyReplicated* apply events in.
+	applyScratch writeScratch
 	// gen is the generation of the newest checkpoint (0: none), which the log
 	// was begun after; under mu.
 	gen uint64
