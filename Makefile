@@ -38,8 +38,9 @@ cover:
 
 # drain-policies runs the stream runtime, the experiments and the root
 # fan-out/sharing/alloc suites under the race detector at 1 and 4 CPUs, so
-# both mailbox drain policies (producer-drained, scheduler pool) — at a
-# thousand subscribers too, TestFanoutStealingMatchesSerialAtScale —
+# both mailbox drain policies (producer-drained, the pool's one run queue) —
+# at a thousand subscribers too, TestFanoutStealingMatchesSerialAtScale, and
+# through a derived stream of two feeds, TestParallelDerivedCascade —
 # concurrent CQTIME SYSTEM stamping, the rows a store's fires share with
 # every member and with later fires, and the suites that subscribe, detach,
 # fail and cascade under a pool (store faults, concurrent subscribe/
@@ -131,7 +132,8 @@ drain-policies:
 # allocations, on a paired store too, and O(touched) bytes, and what its shared
 # rows keep reachable at most two copies of the window; a fire in place
 # nothing, TestInPlaceFireAllocs, and its rows at most two copies too,
-# TestInPlaceViewMemoryBounded; a work steal nothing, TestStealAllocs; an aggregate over a
+# TestInPlaceViewMemoryBounded; the pool's run queue nothing a submit, take and
+# requeue, TestRunQueueAllocs; an aggregate over a
 # table scan O(groups) bytes, over a join O(build side)) and in a CQ's queue (a
 # reader that keeps up costs it nothing, and it keeps no batch handed out,
 # TestCQQueueAllocs, TestCQQueuePinsNoBatch) and in a derived stream's channel

@@ -205,6 +205,55 @@ func BenchmarkE3SharingUnshared(b *testing.B) {
 	}
 }
 
+// BenchmarkFanoutPool: 200 distinct plans, a feed apiece, over 20 000
+// clickstream rows appended in batches of 256, advanced past the last close
+// and flushed — the distinct-plan fan-out the scheduler's pool spreads over
+// its workers — drained by the appender ("serial") and by the pool at
+// ParallelCQ 8 ("pool"). Reports ns per row ingested.
+func BenchmarkFanoutPool(b *testing.B) {
+	queries := make([]string, 200)
+	for i := range queries {
+		queries[i] = uniqueClickQuery(i)
+	}
+	rows := workload.NewClickstream(workload.ClickConfig{Seed: 15, EventsPerSec: 100}).Take(20_000)
+	last := time.UnixMicro(rows[len(rows)-1][1].TimestampMicros())
+	for _, arm := range []struct {
+		name     string
+		parallel int
+	}{{"serial", 0}, {"pool", 8}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				e, err := Open(Config{ParallelCQ: arm.parallel})
+				if err != nil {
+					b.Fatal(err)
+				}
+				mustScript(b, e, `CREATE STREAM url_stream (url varchar, atime timestamp CQTIME USER, client_ip varchar)`)
+				for _, q := range queries {
+					if _, err := e.Subscribe(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				for off := 0; off < len(rows); off += 256 {
+					if err := e.Append("url_stream", rows[off:min(off+256, len(rows))]...); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := e.AdvanceTime("url_stream", last.Add(30*time.Second)); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				e.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+		})
+	}
+}
+
 // ------------------------------------------------------------------ E4
 
 // BenchmarkE4MVRefresh: one full periodic-MV recomputation over 100k raw

@@ -226,6 +226,11 @@ func (c *Client) readLoop() {
 		c.mu.Lock()
 		cl := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
+		if cl != nil && cl.req.Op == "subscribe" && resp.Error == "" {
+			// Registered before the next frame is read: the server may send
+			// the subscription's first batch right after the answer.
+			c.subs[resp.CQ] = newSubscription(c, &resp)
+		}
 		c.mu.Unlock()
 		if cl != nil {
 			cl.resp = resp
@@ -350,7 +355,8 @@ func (c *Client) Append(stream string, rows ...Row) error {
 // Do sends one raw protocol request and returns the raw response, which is
 // the caller's. It is the escape hatch for proxies (the shard router) that
 // forward wire rows without decoding them; normal applications use the typed
-// methods. The client assigns the request its ID.
+// methods, and a subscribe goes through Subscribe. The client assigns the
+// request its ID.
 func (c *Client) Do(req *server.Request) (resp *server.Response, err error) {
 	err = c.roundTrip(*req, func(r *server.Response) {
 		own := *r
@@ -374,21 +380,27 @@ func (c *Client) Advance(stream string, ts time.Time) error {
 // Subscribe starts a continuous query (with optional $n parameters);
 // batches arrive on the returned subscription's channel.
 func (c *Client) Subscribe(sql string, args ...Value) (*Subscription, error) {
-	var sub *Subscription
-	err := c.roundTrip(server.Request{Op: "subscribe", SQL: sql, Args: args}, func(resp *server.Response) {
-		ch := make(chan Batch, 1024)
-		sub = &Subscription{c: c, handle: resp.CQ, ch: ch, C: ch, WireColumns: resp.Columns}
-		for _, wc := range resp.Columns {
-			sub.Columns = append(sub.Columns, Column{Name: wc.Name})
-		}
-	})
+	var handle int64
+	err := c.roundTrip(server.Request{Op: "subscribe", SQL: sql, Args: args}, func(resp *server.Response) { handle = resp.CQ })
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.subs[sub.handle] = sub
-	c.mu.Unlock()
-	return sub, nil
+	defer c.mu.Unlock()
+	if sub := c.subs[handle]; sub != nil { // readLoop registered it with the answer
+		return sub, nil
+	}
+	return nil, fmt.Errorf("%w: connection closed", ErrConnLost)
+}
+
+// newSubscription makes the subscription a successful subscribe answered.
+func newSubscription(c *Client, resp *server.Response) *Subscription {
+	ch := make(chan Batch, 1024)
+	sub := &Subscription{c: c, handle: resp.CQ, ch: ch, C: ch, WireColumns: resp.Columns}
+	for _, wc := range resp.Columns {
+		sub.Columns = append(sub.Columns, Column{Name: wc.Name})
+	}
+	return sub
 }
 
 // Ping checks liveness.

@@ -350,7 +350,7 @@ func TestClientQueryArgs(t *testing.T) {
 // Stats reflects it: non-zero stream row counters and server
 // command-latency histogram series flattened to (metric, value) rows.
 func TestClientStats(t *testing.T) {
-	// Parallel mode so the work-stealing scheduler's gauges register; the
+	// Parallel mode so the scheduler pool's gauges register; the
 	// subscribe below creates the pool.
 	c := startServerCfg(t, streamrel.Config{ParallelCQ: 4})
 	if _, err := c.Exec(`CREATE STREAM s (v bigint, at timestamp CQTIME USER)`); err != nil {

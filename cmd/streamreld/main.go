@@ -65,13 +65,12 @@ func main() {
 	dir := flag.String("dir", "", "data directory (empty = in-memory)")
 	initScript := flag.String("init", "", "SQL script to execute at startup")
 	syncWAL := flag.Bool("sync", false, "fsync every commit")
-	groupCommitDelay := flag.Duration("group-commit-delay", 0, "WAL group-commit leader wait before writing, to merge concurrent commits into one fsync (0 = write immediately; needs -sync)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = disabled; keep it private)")
 	replicaOf := flag.String("replica-of", "", "follow this primary address as a read replica")
 	shards := flag.String("shards", "", "run as a shard router over this comma-separated list of shard servers (order is the shard map)")
 	traceSample := flag.Int("trace-sample", 0, "trace one in N ingested batches (0 = default 1/256, 1 = every batch, negative = off)")
 	slowFire := flag.Duration("slow-fire", 0, "force-record and log window fires slower than this push-to-fire latency (0 = off)")
-	parallelCQ := flag.Int("parallel-cq", 0, "run continuous queries on the work-stealing pool with this mailbox backpressure bound in micro-batches (0 = synchronous engine)")
+	parallelCQ := flag.Int("parallel-cq", 0, "run continuous queries on the worker pool with this mailbox backpressure bound in micro-batches (0 = synchronous engine)")
 	sysmonEvery := flag.Duration("sysmon", time.Second, "snapshot engine telemetry into the sys.* streams this often (0 = off)")
 	readyMaxLag := flag.Duration("ready-max-lag", 5*time.Second, "replica readiness threshold: /readyz fails while apply lag exceeds this")
 	flag.Parse()
@@ -95,15 +94,14 @@ func main() {
 	// Replication is always enabled so any node can serve replicas —
 	// including a promoted one.
 	eng, err := streamrel.Open(streamrel.Config{
-		Dir:                 *dir,
-		SyncWAL:             *syncWAL,
-		GroupCommitMaxDelay: *groupCommitDelay,
-		Replicate:           true,
-		TraceSampleEvery:    *traceSample,
-		SlowFireThreshold:   *slowFire,
-		ParallelCQ:          *parallelCQ,
-		SysMonInterval:      *sysmonEvery,
-		Logger:              logger,
+		Dir:               *dir,
+		SyncWAL:           *syncWAL,
+		Replicate:         true,
+		TraceSampleEvery:  *traceSample,
+		SlowFireThreshold: *slowFire,
+		ParallelCQ:        *parallelCQ,
+		SysMonInterval:    *sysmonEvery,
+		Logger:            logger,
 	})
 	if err != nil {
 		fatal("engine open failed", err)

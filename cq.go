@@ -29,7 +29,7 @@ type Batch struct {
 // every query of the same slices — whose input flows through a mailbox. By default the appending goroutine
 // drains it, so every batch produced by an Append or AdvanceTime call is
 // already queued when that call returns. With Config.ParallelCQ > 0 the
-// work-stealing scheduler pool drains it: batches arrive in the same
+// scheduler's worker pool drains it: batches arrive in the same
 // order with the same contents, but asynchronously — call Engine.Flush
 // (or read with Next) to wait for them.
 type CQ struct {

@@ -57,7 +57,7 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 			lines = append(lines, "  post: "+postStage(p.StreamAgg))
 		}
 		if e.cfg.ParallelCQ > 0 {
-			lines = append(lines, fmt.Sprintf("  sched: stealing (%d workers, mailbox bound %d)",
+			lines = append(lines, fmt.Sprintf("  sched: pool (%d workers, mailbox bound %d)",
 				e.rt.SchedWorkers(), e.cfg.ParallelCQ))
 		} else {
 			lines = append(lines, "  sched: synchronous (producer-driven)")

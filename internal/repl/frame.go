@@ -67,9 +67,10 @@ const (
 	// KindPing is a keepalive carrying the primary's current LSN and wall
 	// clock, letting an idle replica compute lag.
 	KindPing
-	// KindTableNext, inside a snapshot, sets a table's next RowID so the
-	// replica reproduces trailing gaps left by aborted transactions.
-	KindTableNext
+	// Number 9 set a table's next RowID inside a snapshot; the dump's
+	// wal.RecNext records ride in a KindWAL now, and a frame of that kind is
+	// rejected.
+	_
 	// KindArchive carries rows accepted into a base stream that the stream's
 	// channel archived, unchanged, into Table at the RowIDs in Runs: a
 	// KindAppend and the insert-only KindWAL of the same rows in one event,
@@ -95,8 +96,7 @@ type Event struct {
 	Rows   []types.Row  // KindAppend, KindArchive
 	TS     int64        // KindAdvance
 	Run    string       // KindSnapBegin, KindResume
-	Table  string       // KindTableNext, KindArchive
-	Next   uint64       // KindTableNext
+	Table  string       // KindArchive
 	// Runs are the RowIDs of Rows in Table, in row order; their lengths sum
 	// to len(Rows).
 	Runs []wal.RowIDRun // KindArchive
@@ -134,8 +134,6 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 		dst = binary.AppendVarint(wal.AppendString(dst, ev.Stream), ev.TS)
 	case KindSnapBegin, KindResume:
 		dst = wal.AppendString(dst, ev.Run)
-	case KindTableNext:
-		dst = binary.AppendUvarint(wal.AppendString(dst, ev.Table), ev.Next)
 	case KindSnapEnd, KindPing:
 		// header only
 	}
@@ -228,7 +226,7 @@ func decodeEvent(payload []byte, strs *types.RowStrings, ev *Event, ins *wal.Rec
 	if len(payload) == 0 {
 		return errors.New("repl: empty frame")
 	}
-	stream, table := ev.Stream, ev.Table
+	stream := ev.Stream
 	*ev = Event{Kind: Kind(payload[0])}
 	buf := payload[1:]
 	var err error
@@ -259,10 +257,6 @@ func decodeEvent(payload []byte, strs *types.RowStrings, ev *Event, ins *wal.Rec
 		}
 	case KindSnapBegin, KindResume:
 		ev.Run, _, err = wal.ReadString(buf, "")
-	case KindTableNext:
-		if ev.Table, buf, err = wal.ReadString(buf, table); err == nil {
-			ev.Next, _, err = wal.ReadUvarint(buf)
-		}
 	case KindSnapEnd, KindPing:
 		// header only
 	default:

@@ -35,7 +35,6 @@ func sampleEvents() []Event {
 		{Kind: KindSnapEnd, LSN: 9, Wall: 2},
 		{Kind: KindResume, LSN: 5, Wall: 3, Run: "cafebabe01020304"},
 		{Kind: KindPing, LSN: 10, Wall: 99},
-		{Kind: KindTableNext, Table: "t", Next: 17},
 	}
 }
 
@@ -260,10 +259,11 @@ func FuzzDecodeEvent(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
-	// The retired checkpoint marker (kind 4), a WAL batch holding a record of
-	// an unknown kind — both errors — and one ending in a table's next RowID
-	// and a replica's mark.
+	// The retired checkpoint marker (kind 4) and table-next (kind 9), a WAL
+	// batch holding a record of an unknown kind — all errors — and one ending
+	// in a table's next RowID and a replica's mark.
 	f.Add([]byte{4, 4, 0xb8, 0x45, 0})
+	f.Add([]byte{9, 0, 0, 0, 1, 't', 17})
 	f.Add([]byte{byte(KindWAL), 1, 2, 0, 1, 7, 1, 't', 9})
 	f.Add(AppendFrame(nil, &Event{Kind: KindWAL, LSN: 13, Wall: 7777, Recs: []wal.Record{
 		{Kind: wal.RecNext, Table: "t", RowID: 10_000_000},

@@ -16,10 +16,11 @@ import (
 )
 
 // SnapshotFunc emits the engine's durable state at one cut, as events with
-// LSN 0: KindWAL for the DDL log and every table's rows at their RowIDs, then
-// a KindTableNext for each table. While it runs no transaction commits, no
-// stream event is published and no DDL runs, so this hub's LSN stands still;
-// atCut, when not nil, runs inside that same section, before the first event.
+// LSN 0, each a KindWAL: the DDL log, every table's rows at their RowIDs, then
+// each table's next RowID as a wal.RecNext record. While it runs no
+// transaction commits, no stream event is published and no DDL runs, so this
+// hub's LSN stands still; atCut, when not nil, runs inside that same section,
+// before the first event.
 // ServeConn only spools what is emitted and writes to the network after it
 // returns: the cut is held for an in-memory scan, never for a transfer.
 type SnapshotFunc func(atCut func(), emit func(Event) error) error

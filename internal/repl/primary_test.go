@@ -99,7 +99,7 @@ func TestPrimarySnapshotWhenStale(t *testing.T) {
 		if err := emit(Event{Kind: KindWAL, Recs: []wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}}}); err != nil {
 			return err
 		}
-		return emit(Event{Kind: KindTableNext, Table: "t", Next: 3})
+		return emit(Event{Kind: KindWAL, Recs: []wal.Record{{Kind: wal.RecNext, Table: "t", RowID: 3}}})
 	}
 	for i := 0; i < 5; i++ {
 		p.PublishAppend("s", []types.Row{{types.NewInt(int64(i))}}, 0)
@@ -114,8 +114,9 @@ func TestPrimarySnapshotWhenStale(t *testing.T) {
 	if ev := mustRead(t, r); ev.Kind != KindWAL || ev.LSN != 0 {
 		t.Fatalf("want snapshot WAL state frame, got %+v", ev)
 	}
-	if ev := mustRead(t, r); ev.Kind != KindTableNext || ev.Table != "t" || ev.Next != 3 {
-		t.Fatalf("want tablenext, got %+v", ev)
+	if ev := mustRead(t, r); ev.Kind != KindWAL || len(ev.Recs) != 1 || ev.Recs[0].Kind != wal.RecNext ||
+		ev.Recs[0].Table != "t" || ev.Recs[0].RowID != 3 {
+		t.Fatalf("want the next RowID as a WAL state frame, got %+v", ev)
 	}
 	if ev := mustRead(t, r); ev.Kind != KindSnapEnd || ev.LSN != 5 {
 		t.Fatalf("want snapend at boundary 5, got %+v", ev)

@@ -30,7 +30,9 @@ type Backend interface {
 	Do(req *Request, resp *Response)
 	// Subscribe starts a continuous query. It answers with the columns (or
 	// an error, and no stop), and hands each window batch to emit until
-	// emit reports that the session has ended; stop ends the query.
+	// emit reports that the session has ended; stop ends the query. emit
+	// is called from a goroutine of the backend's own, never from inside
+	// Subscribe: it holds a batch back until the answer is written.
 	Subscribe(req *Request, emit func(*Response) bool) (resp *Response, stop func())
 	// Metrics is the registry the session's series register in and the
 	// metrics op gathers; Tracer is the ring the trace op reads (nil: off).
@@ -146,8 +148,11 @@ type session struct {
 	nextCQ int64
 	stops  map[int64]func() // by CQ handle
 	done   chan struct{}
-	req    Request  // every frame is decoded into it (Request.decode)
-	resp   Response // and answered in it
+	// answered, when set, is closed once the response in hand is written:
+	// a new subscription's emit waits for it.
+	answered chan struct{}
+	req      Request  // every frame is decoded into it (Request.decode)
+	resp     Response // and answered in it
 }
 
 // ServeConn serves one session on conn — a TCP connection Serve accepted, or
@@ -227,6 +232,10 @@ func (sess *session) serve() error {
 		if err := sess.fw.WriteResponse(resp); err != nil {
 			return err
 		}
+		if sess.answered != nil {
+			close(sess.answered)
+			sess.answered = nil
+		}
 		*req, *resp = Request{Op: req.Op, Stream: req.Stream}, Response{} // an idle session holds no rows
 	}
 }
@@ -266,8 +275,14 @@ func (sess *session) dispatch(req *Request, resp *Response) {
 	switch req.Op {
 	case "subscribe":
 		handle := sess.nextCQ + 1
+		answered := make(chan struct{})
+		sess.answered = answered
 		r, stop := s.b.Subscribe(req, func(batch *Response) bool {
 			batch.Batch, batch.CQ = true, handle
+			select { // the client knows the handle once the answer is written
+			case <-answered:
+			case <-sess.done:
+			}
 			select {
 			case <-sess.done:
 				return false

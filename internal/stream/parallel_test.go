@@ -209,12 +209,13 @@ func TestParallelUnsubscribeAndClose(t *testing.T) {
 	}
 }
 
-// TestParallelDerivedCascade runs a derived stream into a SLICES consumer
+// TestParallelDerivedCascade runs a derived stream into two SLICES consumers
 // under both drain policies. With a pool the upstream worker's emission
-// must flow through the derived source into the downstream worker, and
-// Quiesce must wait for the whole cascade; without one the fire on the
-// draining producer emits into the derived source and drains that too,
-// and is held to the same transcript.
+// must flow through the derived source into the downstream workers — two
+// feeds, so no enqueuer claims them and the cascade goes through the run
+// queue — and Quiesce must wait for the whole cascade; without one the fire
+// on the draining producer emits into the derived source and drains that
+// too, and is held to the same transcripts.
 func TestParallelDerivedCascade(t *testing.T) {
 	for _, depth := range []int{0, 2} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
@@ -233,6 +234,7 @@ func TestParallelDerivedCascade(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, out := e.subscribe(t, `SELECT sum(n) FROM counts <SLICES 2 WINDOWS>`)
+			_, last := e.subscribe(t, `SELECT sum(n) FROM counts <SLICES 1 WINDOWS>`)
 
 			e.hit(t, "/a", 10*minute, "ip1")
 			e.hit(t, "/b", 10*minute+1, "ip1")
@@ -245,14 +247,17 @@ func TestParallelDerivedCascade(t *testing.T) {
 				"12:3", // windows closing at 11m (2 rows) + 12m (1 row)
 				"13:1", // 12m (1 row) + 13m (0 rows, empty emission)
 			}
+			wantLast := []string{"11:2", "12:1", "13:0"}
 			if depth == 0 {
 				// Producer-drained: everything is delivered before Advance returns.
 				expect(t, flatten(*out), want...)
+				expect(t, flatten(*last), wantLast...)
 			}
 			if err := e.rt.Quiesce(); err != nil {
 				t.Fatal(err)
 			}
 			expect(t, flatten(*out), want...)
+			expect(t, flatten(*last), wantLast...)
 		})
 	}
 }

@@ -98,7 +98,6 @@ type feed struct {
 	// results do not depend on who drains.
 	mbox     mailbox
 	stopOnce sync.Once
-	enqueued atomic.Int64 // lifetime non-flush tasks; Quiesce's cascade detector
 
 	// failure is the window state's own — a row it cannot fold, a view it
 	// cannot move — and ends every subscriber.

@@ -21,8 +21,8 @@
 // mailboxes it just fed, in subscription order, before its call returns —
 // no goroutine is created and whole-engine execution is deterministic.
 // With SetParallel the mailboxes are bounded (blocking backpressure on
-// producers) and drained by a work-stealing scheduler: a fixed pool of
-// GOMAXPROCS workers with per-worker deques and steal-half rebalancing, so
+// producers) and drained by a fixed pool of GOMAXPROCS workers that take
+// runnable feeds from one FIFO run queue (sched.go), so
 // 10k mostly idle feeds cost 10k mailboxes, not 10k goroutines, per-CQ
 // results are identical, and fan-out to N feeds uses up to GOMAXPROCS cores
 // instead of one.
@@ -153,7 +153,7 @@ type Runtime struct {
 	// parallel is the per-feed mailbox backpressure bound in
 	// micro-batches; 0 means no pool: producers drain the mailboxes.
 	parallel int
-	// sched is the work-stealing pool; nil when parallel == 0.
+	// sched is the worker pool; nil when parallel == 0.
 	sched *scheduler
 	// now is the clock now() reads in a fire; nil means the wall clock.
 	now func() time.Time
@@ -251,9 +251,9 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 // begins; nil keeps tracing disabled.
 func (r *Runtime) SetTracer(t *trace.Tracer) { r.tracer = t }
 
-// SetParallel hands mailbox draining to the shared work-stealing worker
-// pool: mailboxes are bounded at depth tasks on the producer path
-// (blocking backpressure) and producers no longer wait for window fires.
+// SetParallel hands mailbox draining to the shared worker pool: mailboxes
+// are bounded at depth tasks on the producer path (blocking backpressure)
+// and producers no longer wait for window fires.
 // depth < 1 keeps the default, where the enqueuing goroutine drains.
 // Call once, after SetMetrics and before subscribing.
 func (r *Runtime) SetParallel(depth int) {
@@ -741,20 +741,17 @@ func (s *source) fanOut(r *Runtime, t task, bounded bool, in *Ingest) (tapErr, s
 // enqueue puts one task on every mailbox of the source — the only way
 // work reaches window state — recording an enqueue span
 // (duration = backpressure wait) for sampled batches. Each enqueue takes
-// one reference on the task's batch block (or one count on its flush
-// barrier), given back when the task is applied or dropped. The enqueuer
-// claims the mailboxes it must drain itself (drainClaimedLocked): all of
-// them without a pool, and under a pool the source's only feed when
-// idle — the hand-off's wake-up latency would otherwise make one CQ
-// slower with a pool than without. Callers hold s.mu.
+// one reference on the task's batch block, given back when the task is
+// applied or dropped. The enqueuer claims the mailboxes it must drain
+// itself (drainClaimedLocked): all of them without a pool, and under a
+// pool the source's only feed when idle — the hand-off's wake-up latency
+// would otherwise make one CQ slower with a pool than without. Callers
+// hold s.mu.
 func (s *source) enqueue(r *Runtime, t task, bounded bool) {
 	claim := r.parallel == 0 || len(s.feeds) == 1
 	for _, f := range s.feeds {
 		if t.block != nil {
 			t.block.retain()
-		}
-		if t.flushed != nil {
-			t.flushed.Add(1)
 		}
 		var start time.Time
 		if t.tc.ID != 0 {
@@ -876,49 +873,28 @@ type downstream struct{ error }
 
 // Quiesce blocks until every mailbox has drained all input enqueued before
 // the call — including work that cascades through derived streams — then
-// reports any failures not yet surfaced, detaching what failed. Without a
-// pool every call has drained its own work already, so the barrier passes
-// at once. Quiesce does not prevent concurrent producers; callers wanting a
-// true barrier stop pushing first.
+// reports any failures not yet surfaced, detaching what failed. Taking each
+// source's lock once waits out a goroutine that drains the mailboxes it
+// claimed, cascades included, since it holds the lock until it is done;
+// what it handed to the pool is queued by then, and the pool is waited on
+// until it is idle. Quiesce does not prevent concurrent producers; callers
+// wanting a true barrier stop pushing first.
 func (r *Runtime) Quiesce() error {
-	for {
-		before := r.tasksEnqueued()
-		for _, src := range r.snapshotSources() {
-			// One barrier task through every mailbox of the source, waited
-			// for outside its lock. Unbounded: the barrier must not add
-			// backpressure (and may run beside a blocked producer).
-			var barrier sync.WaitGroup
-			src.mu.Lock()
-			src.enqueue(r, task{kind: taskFlush, flushed: &barrier}, false)
-			src.drainClaimedLocked()
-			src.mu.Unlock()
-			barrier.Wait()
-		}
-		if r.tasksEnqueued() == before {
-			break
-		}
+	sources := r.snapshotSources()
+	for _, src := range sources {
+		src.mu.Lock()
+		src.unlock()
+	}
+	if r.sched != nil {
+		r.sched.waitIdle()
 	}
 	var errs []error
-	for _, src := range r.snapshotSources() {
+	for _, src := range sources {
 		src.mu.Lock()
 		errs = append(errs, src.sweepFailedLocked())
 		src.unlock()
 	}
 	return errors.Join(errs...)
-}
-
-// tasksEnqueued sums the lifetime task counts of every mailbox; Quiesce
-// uses it to detect cascaded work between barrier passes.
-func (r *Runtime) tasksEnqueued() int64 {
-	var n int64
-	for _, src := range r.snapshotSources() {
-		src.mu.Lock()
-		for _, f := range src.feeds {
-			n += f.enqueued.Load()
-		}
-		src.mu.Unlock()
-	}
-	return n
 }
 
 // Close drains every mailbox, stops the feeds, detaches everything and
@@ -996,10 +972,11 @@ type Stats struct {
 	WindowsFired    int64
 	RowsProcessed   int64
 	LateDropped     int64
-	// Scheduler counters (zero without a work-stealing pool).
-	// SchedWorkers is the pool size, SchedRunnable the pipelines queued
-	// awaiting a worker, SchedSteals/SchedParks the lifetime steal and
-	// park counts — the streamrel_sched_* series.
+	// Scheduler counters (zero without a pool). SchedWorkers is the pool
+	// size, SchedRunnable the feeds queued awaiting a worker, SchedParks the
+	// lifetime park count — the streamrel_sched_* series. SchedSteals is
+	// always 0: the pool has one run queue and nothing to steal from; it is
+	// kept for the benchmark, which reads it.
 	SchedWorkers  int
 	SchedRunnable int64
 	SchedSteals   int64
@@ -1050,9 +1027,8 @@ func (r *Runtime) Stats() Stats {
 	var s Stats
 	s.LateDropped = r.lateDropped.Value()
 	if r.sched != nil {
-		s.SchedWorkers = len(r.sched.deques)
-		s.SchedRunnable = r.sched.runnable.Load()
-		s.SchedSteals = r.sched.steals.Value()
+		s.SchedWorkers = r.sched.workers
+		s.SchedRunnable = int64(r.sched.runnable())
 		s.SchedParks = r.sched.parks.Value()
 	}
 	sources := r.snapshotSources()

@@ -3,12 +3,11 @@ package stream
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"streamrel/internal/metrics"
 )
 
-// Work-stealing scheduler for parallel continuous-query mode.
+// The worker pool of parallel continuous-query mode.
 //
 // Feeds are scheduled as actors: the unit of work handed to the pool is a
 // *feed whose mailbox has input, never an individual task. A feed is
@@ -20,42 +19,26 @@ import (
 // 10k idle mailboxes, not 10k parked goroutine stacks, and wake-up work
 // is bounded by the worker pool.
 //
-// Topology: one bounded deque per worker. A producer submits a runnable
-// feed to a deque chosen round-robin; the owning worker pops from the
-// front (FIFO fairness), and an idle worker steals the back half of the
-// first non-empty victim deque it finds (steal-half amortizes the steal
-// lock against future polls). Idle workers park on a single condition
-// variable; a submit bumps a generation counter and signals, and a parked
-// worker re-scans before sleeping so no submit is lost.
+// Topology: one FIFO of runnable feeds under the scheduler's mutex.
+// Producers, cascades and workers requeueing after their quantum submit to
+// the tail; a worker takes the head. Idle workers wait on a condition
+// variable. The queue also counts the workers inside a mailbox, so it can
+// tell when the pool is idle: nothing queued and nobody draining
+// (waitIdle, Runtime.Quiesce).
 type scheduler struct {
-	deques []schedDeque
-
-	mu     sync.Mutex // guards gen, parked, closed
-	cond   *sync.Cond
-	gen    uint64 // bumped per submit; parked workers re-scan on change
-	parked int
+	mu     sync.Mutex
+	work   sync.Cond // workers wait here for a runnable feed
+	idle   sync.Cond // waitIdle waits here for an empty queue and no active worker
+	q      []*feed   // q[head:] are the runnable feeds, oldest first
+	head   int
+	active int // workers inside runMailbox
 	closed bool
 
-	rr       atomic.Uint64 // round-robin submit cursor
-	runnable atomic.Int64  // feeds sitting in deques (queue depth)
-	wg       sync.WaitGroup
-
-	// steals counts victim deques robbed; parks counts worker sleeps.
-	// Both are cheap single-writer-ish counters; nil-safe via zero values.
-	steals *metrics.Counter
-	parks  *metrics.Counter
-	unreg  []func()
-}
-
-// schedDeque is one worker's run queue of claimable feeds. head
-// indexes the next front pop; stealers take the back half.
-type schedDeque struct {
-	mu   sync.Mutex
-	q    []*feed
-	head int
-	// stolen is the scratch its worker steals into: only that worker
-	// touches it, so it needs no lock, and it is cleared after each steal.
-	stolen []*feed
+	workers int
+	wg      sync.WaitGroup
+	// parks counts worker sleeps; nil-safe via the zero value.
+	parks *metrics.Counter
+	unreg []func()
 }
 
 // schedQuantum is the number of mailbox tasks a worker applies before
@@ -67,15 +50,9 @@ func newScheduler(workers int, reg *metrics.Registry) *scheduler {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &scheduler{
-		deques: make([]schedDeque, workers),
-		steals: &metrics.Counter{},
-		parks:  &metrics.Counter{},
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := &scheduler{workers: workers, parks: &metrics.Counter{}}
+	s.work.L, s.idle.L = &s.mu, &s.mu
 	if reg != nil {
-		s.steals = reg.Counter("streamrel_sched_steals_total",
-			"pipeline batches stolen from another worker's deque")
 		s.parks = reg.Counter("streamrel_sched_parks_total",
 			"times a scheduler worker parked with no runnable pipelines")
 		s.unreg = append(s.unreg,
@@ -83,130 +60,91 @@ func newScheduler(workers int, reg *metrics.Registry) *scheduler {
 				"scheduler worker pool size",
 				func() float64 { return float64(workers) }),
 			reg.GaugeFunc("streamrel_sched_runnable",
-				"pipelines queued in scheduler deques awaiting a worker",
-				func() float64 { return float64(s.runnable.Load()) }))
+				"pipelines queued in the scheduler's run queue awaiting a worker",
+				func() float64 { return float64(s.runnable()) }))
 	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
-		go s.worker(i)
+		go s.worker()
 	}
 	return s
 }
 
-// submit makes a feed claimable. Called exactly once per mailbox
-// idle→queued transition (the mailbox state machine is the claim token),
-// so a feed is never in two deques.
+// submit appends a runnable feed at the tail. Called exactly once per
+// mailbox idle→queued transition (the mailbox state machine is the claim
+// token), so a feed is never queued twice. A full array whose head has
+// moved is compacted first, so a queue that never empties stays within
+// twice its longest length.
 func (s *scheduler) submit(f *feed) {
-	d := &s.deques[int(s.rr.Add(1))%len(s.deques)]
-	d.mu.Lock()
-	d.q = append(d.q, f)
-	d.mu.Unlock()
-	s.runnable.Add(1)
 	s.mu.Lock()
-	s.gen++
-	if s.parked > 0 {
-		s.cond.Signal()
+	if len(s.q) == cap(s.q) && s.head > 0 {
+		n := copy(s.q, s.q[s.head:])
+		clear(s.q[n:])
+		s.q, s.head = s.q[:n], 0
 	}
+	s.q = append(s.q, f)
 	s.mu.Unlock()
+	s.work.Signal()
 }
 
-// poll returns the next feed for worker i: front of its own deque, or
-// the back half of the first non-empty victim (the first stolen feed
-// runs now, the rest land in i's deque).
-func (s *scheduler) poll(i int) *feed {
-	d := &s.deques[i]
-	if f := d.pop(); f != nil {
-		s.runnable.Add(-1)
-		return f
-	}
-	n := len(s.deques)
-	for off := 1; off < n; off++ {
-		stolen := s.deques[(i+off)%n].stealHalf(d.stolen)
-		if len(stolen) == 0 {
-			continue
-		}
-		s.steals.Inc()
-		s.runnable.Add(-1)
-		f := stolen[0]
-		if len(stolen) > 1 {
-			d.mu.Lock()
-			d.q = append(d.q, stolen[1:]...)
-			d.mu.Unlock()
-		}
-		clear(stolen)
-		d.stolen = stolen[:0]
-		return f
-	}
-	return nil
-}
-
-func (d *schedDeque) pop() *feed {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.q) {
+// take removes the head feed and counts its worker active; nil when the
+// queue is empty. Callers hold s.mu.
+func (s *scheduler) take() *feed {
+	if s.head == len(s.q) {
 		return nil
 	}
-	f := d.q[d.head]
-	d.q[d.head] = nil
-	d.head++
-	if d.head == len(d.q) {
-		d.q, d.head = d.q[:0], 0
+	f := s.q[s.head]
+	s.q[s.head] = nil
+	s.head++
+	if s.head == len(s.q) {
+		s.q, s.head = s.q[:0], 0
 	}
+	s.active++
 	return f
 }
 
-// stealHalf removes the back half (rounded up) of the deque and appends it
-// to into.
-func (d *schedDeque) stealHalf(into []*feed) []*feed {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cut := len(d.q) - (len(d.q)-d.head+1)/2
-	into = append(into, d.q[cut:]...)
-	clear(d.q[cut:])
-	d.q = d.q[:cut]
-	if d.head == len(d.q) {
-		d.q, d.head = d.q[:0], 0
-	}
-	return into
+// runnable reports the feeds queued awaiting a worker.
+func (s *scheduler) runnable() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.q) - s.head
 }
 
-// worker claims runnable feeds and drains their mailboxes until the
-// scheduler closes. The gen-check before parking closes the race between
-// a fruitless scan and a concurrent submit.
-func (s *scheduler) worker(i int) {
+// worker drains runnable feeds until the scheduler closes; once closed it
+// claims what is left, so stopped mailboxes settle to idle, and exits.
+func (s *scheduler) worker() {
 	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		f := s.poll(i)
+		f := s.take()
 		if f == nil {
-			s.mu.Lock()
-			g := s.gen
-			s.mu.Unlock()
-			if f = s.poll(i); f == nil {
-				s.mu.Lock()
-				for s.gen == g && !s.closed {
-					s.parked++
-					s.parks.Inc()
-					s.cond.Wait()
-					s.parked--
-				}
-				closed := s.closed
-				s.mu.Unlock()
-				if closed {
-					// Final sweep: claim leftovers so stopped mailboxes
-					// settle to idle before the pool exits.
-					for {
-						q := s.poll(i)
-						if q == nil {
-							return
-						}
-						q.runMailbox(schedQuantum)
-					}
-				}
-				continue
+			if s.closed {
+				return
 			}
+			s.parks.Inc()
+			s.work.Wait()
+			continue
 		}
+		s.mu.Unlock()
 		f.runMailbox(schedQuantum)
+		s.mu.Lock()
+		s.active--
+		if s.active == 0 && s.head == len(s.q) {
+			s.idle.Broadcast()
+		}
 	}
+}
+
+// waitIdle blocks until the queue is empty and no worker is inside a
+// mailbox. A worker's requeue and whatever its mailbox cascades into are
+// submitted before it leaves, so idle means no work is left in the pool.
+func (s *scheduler) waitIdle() {
+	s.mu.Lock()
+	for s.active > 0 || s.head < len(s.q) {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
 }
 
 // close stops the pool after runtime teardown has stopped every feed.
@@ -219,7 +157,7 @@ func (s *scheduler) close() {
 		return
 	}
 	s.closed = true
-	s.cond.Broadcast()
+	s.work.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
 	for _, u := range s.unreg {

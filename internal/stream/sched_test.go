@@ -7,32 +7,46 @@ import (
 	"streamrel/internal/metrics"
 )
 
-// TestStealAllocs: an idle worker steals the back half of a victim's deque
-// into a scratch of its own and moves all but the first stolen feed into its
-// own deque, allocating nothing once the deques and the scratch have grown;
-// the scratch keeps no feed after the steal.
-func TestStealAllocs(t *testing.T) {
+// TestRunQueueAllocs: submitting, taking and requeueing feeds through a warm
+// run queue allocates nothing, keeps FIFO order, and a queue that never
+// empties stays within twice its length instead of growing by what passed
+// through it.
+func TestRunQueueAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	s := &scheduler{deques: make([]schedDeque, 2), steals: &metrics.Counter{}, parks: &metrics.Counter{}}
-	own, victim := &s.deques[0], &s.deques[1]
+	s := &scheduler{parks: &metrics.Counter{}}
+	s.work.L, s.idle.L = &s.mu, &s.mu
 	feeds := make([]*feed, 8)
 	for i := range feeds {
 		feeds[i] = &feed{}
+		s.submit(feeds[i])
 	}
-	steal := func() {
-		victim.q, victim.head = append(victim.q[:0], feeds...), 0
-		s.runnable.Store(int64(len(feeds)))
-		if f := s.poll(0); f != feeds[4] || len(own.q) != 3 || own.q[0] != feeds[5] || len(victim.q) != 4 {
-			t.Fatalf("the steal took %d of 8 feeds and left %d", len(own.q)+1, len(victim.q))
+	next := 0
+	cycle := func() {
+		s.mu.Lock()
+		f := s.take()
+		s.active--
+		s.mu.Unlock()
+		if f != feeds[next%len(feeds)] {
+			t.Fatalf("take %d returned feed out of FIFO order", next)
 		}
-		if len(own.stolen) != 0 || own.stolen[:1][0] != nil {
-			t.Fatal("the steal's scratch keeps a feed")
-		}
-		clear(own.q)
-		own.q = own.q[:0]
+		next++
+		s.submit(f) // the requeue after a quantum
 	}
-	steal() // grows the deques and the scratch
-	if allocs := testing.AllocsPerRun(100, steal); allocs != 0 {
-		t.Errorf("a steal allocates %.1f times, want 0", allocs)
+	for range 64 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("a take and requeue allocates %.1f times, want 0", allocs)
+	}
+	if s.runnable() != len(feeds) || s.active != 0 {
+		t.Fatalf("queue holds %d feeds with %d active, want %d and 0", s.runnable(), s.active, len(feeds))
+	}
+	if cap(s.q) > 2*len(feeds) {
+		t.Errorf("the queue's array grew to %d for %d feeds", cap(s.q), len(feeds))
+	}
+	for _, f := range s.q[:s.head] {
+		if f != nil {
+			t.Fatal("a taken slot keeps its feed")
+		}
 	}
 }

@@ -15,13 +15,14 @@ import (
 // window closes — are applied in exactly the order the producer enqueued
 // them. Who drains is the only thing the ParallelCQ setting changes:
 // without a pool the enqueuing goroutine claims the mailbox and drains it
-// before its call returns; with a pool (sched.go) a worker does. Under a pool the mailbox bound gives blocking
-// backpressure on the producer path: a producer outrunning a slow CQ
-// parks on that CQ's feed instead of growing memory without bound.
-// Enqueues from inside the pool (derived-stream cascades, flush barriers)
-// are exempt from the bound so pool workers never block on a mailbox — a
-// bounded cascade enqueue could deadlock the pool when every worker waits
-// on a mailbox only another pool worker could drain.
+// before its call returns; with a pool (sched.go) a worker does. Under a
+// pool the mailbox bound gives blocking backpressure on the producer path:
+// a producer outrunning a slow CQ parks on that CQ's feed instead of
+// growing memory without bound. Enqueues from inside the pool
+// (derived-stream cascades) are exempt from the bound so pool workers never
+// block on a mailbox — a bounded cascade enqueue could deadlock the pool
+// when every worker waits on a mailbox only another pool worker could
+// drain.
 
 type taskKind uint8
 
@@ -33,9 +34,6 @@ const (
 	// taskEmission is one derived-stream emission: the batch plus the
 	// emission boundary for SLICES-window consumers.
 	taskEmission
-	// taskFlush is a barrier: the drainer marks flushed done once
-	// everything enqueued before it has been applied.
-	taskFlush
 )
 
 type task struct {
@@ -44,14 +42,13 @@ type task struct {
 	// block owns batch's backing storage when the batch rode in on a
 	// pooled block; the drainer releases its reference after the task is
 	// applied (or dropped by a stopped mailbox's drain). nil for advance
-	// and flush tasks.
+	// tasks.
 	block *batchBlock
 	// ts is the heartbeat (taskAdvance), the emission boundary
 	// (taskEmission) or the batch's last timestamp (taskBatch).
-	ts      int64
-	flushed *sync.WaitGroup // taskFlush: one Done per mailbox the barrier passed
-	tc      trace.Ctx
-	enqNS   int64 // sampled tasks: wall-clock ns at enqueue, for the pickup span
+	ts    int64
+	tc    trace.Ctx
+	enqNS int64 // sampled tasks: wall-clock ns at enqueue, for the pickup span
 }
 
 // Mailbox claim states. The state machine is the claim token: the enqueue
@@ -112,9 +109,6 @@ func (f *feed) enqueue(t task, bounded, claim bool) bool {
 		dropTask(t)
 		return false
 	}
-	if t.kind != taskFlush {
-		f.enqueued.Add(1)
-	}
 	m.q = append(m.q, t)
 	m.size.Add(1)
 	idle := m.state == mboxIdle
@@ -168,17 +162,13 @@ func (f *feed) runMailbox(quantum int) {
 		m.cond.Signal() // one slot freed: wake a bounded producer
 		m.mu.Unlock()
 		n++
-		if t.kind == taskFlush {
-			t.flushed.Done()
-		} else {
-			if !f.failed.Load() {
-				if err := f.apply(t); err != nil {
-					f.fail(err, f.src)
-				}
+		if !f.failed.Load() {
+			if err := f.apply(t); err != nil {
+				f.fail(err, f.src)
 			}
-			if t.block != nil {
-				t.block.release()
-			}
+		}
+		if t.block != nil {
+			t.block.release()
 		}
 		m.mu.Lock()
 	}
@@ -197,13 +187,9 @@ func (m *mailbox) dropQueuedLocked() {
 	m.q, m.head = m.q[:0], 0
 }
 
-// dropTask releases a dropped task's resources so stop/enqueue-after-stop
-// never leak pooled blocks or strand a flush barrier.
+// dropTask releases a dropped task's pooled block so stop and
+// enqueue-after-stop never leak one.
 func dropTask(t task) {
-	if t.kind == taskFlush {
-		t.flushed.Done()
-		return
-	}
 	if t.block != nil {
 		t.block.release()
 	}

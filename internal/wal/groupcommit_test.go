@@ -148,60 +148,6 @@ func TestGroupCommitCloseDuringCommit(t *testing.T) {
 	}
 }
 
-// TestGroupCommitMaxDelay: a leader configured to hold the door still
-// commits everything durably, and concurrent committers merge into
-// multi-batch groups.
-func TestGroupCommitMaxDelay(t *testing.T) {
-	const goroutines = 4
-	const batches = 10
-	reg := metrics.NewRegistry()
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(path, Options{Sync: true, GroupCommitMaxDelay: time.Millisecond, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for b := 0; b < batches; b++ {
-				if err := l.Append([]Record{{
-					Kind: RecInsert, Table: "t", RowID: uint64(g*batches + b),
-					Row: types.Row{types.NewInt(int64(b))},
-				}}); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	if err := Replay(path, each(func(Record) error { total++; return nil })); err != nil {
-		t.Fatal(err)
-	}
-	if want := goroutines * batches; total != want {
-		t.Fatalf("replayed %d records, want %d", total, want)
-	}
-	var groups int64
-	var sum float64
-	for _, s := range reg.Gather() {
-		if s.Name == "streamrel_wal_group_commit_batches" {
-			groups, sum = s.Count, s.Sum
-		}
-	}
-	if groups == 0 || int64(sum) != int64(goroutines*batches) {
-		t.Fatalf("histogram: %d groups summing %g batches, want sum %d", groups, sum, goroutines*batches)
-	}
-	if float64(groups) >= sum {
-		t.Logf("no batching observed (%d groups for %g batches) — legal but unexpected under MaxDelay", groups, sum)
-	}
-}
-
 // TestTruncateWaitsForLeader: Truncate during a commit storm must not
 // interleave with a leader's write (which would corrupt the file). After
 // the dust settles the log replays only post-truncate records.

@@ -201,8 +201,6 @@ type Log struct {
 	sync bool // fsync every group
 	hdr  bool // format header present on disk
 
-	maxDelay time.Duration // leader's pre-claim wait (Options.GroupCommitMaxDelay)
-
 	cur     *commitGroup   // group accepting new frames; nil if none staged
 	free    []*commitGroup // groups whose every committer has read the outcome
 	spare   []byte         // the buffer the last group of several batches gathered them in
@@ -229,12 +227,6 @@ type Options struct {
 	// the experiments in the paper concern CPU-path efficiency, and fsync
 	// noise would dominate micro-benchmarks. Crash tests turn it on.
 	Sync bool
-	// GroupCommitMaxDelay is how long a group-commit leader waits before
-	// claiming the current generation, letting concurrent committers pile
-	// more batches into the group it is about to write. 0 (default)
-	// claims immediately — concurrency alone still forms groups. Only
-	// meaningful with Sync, where the fsync is the cost being amortized.
-	GroupCommitMaxDelay time.Duration
 	// Metrics registers append/fsync series in this registry; nil
 	// disables WAL instrumentation.
 	Metrics *metrics.Registry
@@ -281,12 +273,11 @@ func Open(path string, opts Options) (*Log, error) {
 		}
 	}
 	l := &Log{
-		f:        f,
-		path:     path,
-		sync:     opts.Sync,
-		hdr:      hdr,
-		maxDelay: opts.GroupCommitMaxDelay,
-		tracer:   opts.Trace,
+		f:      f,
+		path:   path,
+		sync:   opts.Sync,
+		hdr:    hdr,
+		tracer: opts.Trace,
 		appends: opts.Metrics.Counter("streamrel_wal_appends_total",
 			"committed batches appended to the write-ahead log"),
 		appendBytes: opts.Metrics.Counter("streamrel_wal_append_bytes_total",
@@ -393,13 +384,6 @@ func (l *Log) AppendCtx(tc trace.Ctx, recs []Record) error {
 func (l *Log) lead() {
 	l.writing = true
 	for l.cur != nil {
-		if l.maxDelay > 0 && l.sync {
-			// Hold the door: let concurrent committers stage into the
-			// group we are about to write, amortizing the fsync further.
-			l.mu.Unlock()
-			time.Sleep(l.maxDelay)
-			l.mu.Lock()
-		}
 		g := l.cur
 		l.cur = nil
 		needHdr := !l.hdr

@@ -60,7 +60,7 @@ func TestMetricNamingConventions(t *testing.T) {
 		}
 	}
 
-	// Spot-check each namespace: tracing, the work-stealing scheduler,
+	// Spot-check each namespace: tracing, the scheduler pool,
 	// plan-level sharing, the window-state store (s_now's scalar count fires
 	// from one), the replication hub, and the sysmon
 	// self-observability series (including the internal-source row counter
@@ -69,7 +69,6 @@ func TestMetricNamingConventions(t *testing.T) {
 		"streamrel_traces_sampled_total",
 		"streamrel_slow_fires_total",
 		"streamrel_trace_ring_spans",
-		"streamrel_sched_steals_total",
 		"streamrel_sched_parks_total",
 		"streamrel_sched_workers",
 		"streamrel_sched_runnable",

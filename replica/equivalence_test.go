@@ -23,14 +23,14 @@ func transcript(t *testing.T, e *streamrel.Engine) string {
 	var b strings.Builder
 	err := e.Repl().Snapshot(func(ev repl.Event) error {
 		for _, rec := range ev.Recs {
-			if rec.Kind == wal.RecDDL {
+			switch rec.Kind {
+			case wal.RecDDL:
 				fmt.Fprintf(&b, "ddl %s\n", rec.SQL)
-			} else {
+			case wal.RecNext:
+				fmt.Fprintf(&b, "%s next %d\n", rec.Table, rec.RowID)
+			default:
 				fmt.Fprintf(&b, "%s %d %s\n", rec.Table, rec.RowID, rec.Row)
 			}
-		}
-		if ev.Kind == repl.KindTableNext {
-			fmt.Fprintf(&b, "%s next %d\n", ev.Table, ev.Next)
 		}
 		return nil
 	})
@@ -330,7 +330,7 @@ func archiveEquivalence(t *testing.T, parallel int) {
 		return
 	}
 	// A follower learns of the RowIDs an aborted transaction took from the
-	// next insert beyond them (or from a snapshot's TableNext): end on one.
+	// next insert beyond them (or from a snapshot's next-RowID record): end on one.
 	mustExec(t, prim.eng, `INSERT INTO raw VALUES (0, 0, timestamp '2026-01-01 00:00:00')`)
 	dmlBatches++
 
@@ -590,7 +590,7 @@ func cutEquivalence(t *testing.T, parallel int) {
 		return
 	}
 	// A follower learns of the RowIDs an aborted transaction took from the
-	// next insert beyond them (or from a snapshot's TableNext): end on one.
+	// next insert beyond them (or from a snapshot's next-RowID record): end on one.
 	mustExec(t, prim.eng, `INSERT INTO kv VALUES (0, 0)`)
 	if err := prim.eng.Flush(); err != nil {
 		t.Fatal(err)

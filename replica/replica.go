@@ -325,11 +325,6 @@ func (r *Replica) apply(ev *repl.Event) (kept bool, err error) {
 	case repl.KindSnapEnd:
 		r.log("snapshot complete", "lsn", ev.LSN)
 
-	case repl.KindTableNext:
-		do = func() error {
-			return r.eng.ApplyReplicated([]wal.Record{{Kind: wal.RecNext, Table: ev.Table, RowID: ev.Next}})
-		}
-
 	case repl.KindWAL:
 		if rows = wal.RowCount(ev.Recs); rows > 0 {
 			stream = ev.Recs[0].Table

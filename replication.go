@@ -353,22 +353,15 @@ func scanTable(t *catalog.Table, snap txn.Snapshot, emit func([]wal.Record) erro
 
 // replicationSnapshot is the hub's repl.SnapshotFunc: inside one cut, atCut
 // (the new follower's subscription and boundary), then the dump, each batch a
-// KindWAL event but the tables' next RowIDs, which have a frame kind of their own.
+// KindWAL event — the last one the tables' next RowIDs, as wal.RecNext
+// records.
 func (e *Engine) replicationSnapshot(atCut func(), emit func(repl.Event) error) error {
 	return e.cut(func(snap txn.Snapshot) error {
 		if atCut != nil {
 			atCut()
 		}
 		return e.dump(snap, func(batch []wal.Record) error {
-			if batch[0].Kind != wal.RecNext {
-				return emit(repl.Event{Kind: repl.KindWAL, Recs: batch})
-			}
-			for _, next := range batch {
-				if err := emit(repl.Event{Kind: repl.KindTableNext, Table: next.Table, Next: next.RowID}); err != nil {
-					return err
-				}
-			}
-			return nil
+			return emit(repl.Event{Kind: repl.KindWAL, Recs: batch})
 		})
 	})
 }

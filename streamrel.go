@@ -118,11 +118,6 @@ type Config struct {
 	// SyncWAL fsyncs every committed batch. Off by default; crash-safety
 	// tests and production deployments turn it on.
 	SyncWAL bool
-	// GroupCommitMaxDelay is how long a WAL group-commit leader waits
-	// before writing, letting concurrent committers merge into the same
-	// fsync (see internal/wal). 0 writes immediately; concurrency alone
-	// still forms groups. Only meaningful with SyncWAL.
-	GroupCommitMaxDelay time.Duration
 	// StateOverride replaces the engine's own choice of window state, for
 	// ablations and tests; production configurations leave it zero.
 	// Automatically, a continuous query that is a filter/group-by aggregate
@@ -139,8 +134,8 @@ type Config struct {
 	LateRows LateRowPolicy
 	// ParallelCQ chooses who drains the continuous queries' mailboxes.
 	// 0 (default): the goroutine that appended, before Append returns —
-	// no goroutines, fully deterministic. n > 0: a work-stealing pool of
-	// GOMAXPROCS workers, each mailbox bounded at n micro-batches
+	// no goroutines, fully deterministic. n > 0: a pool of GOMAXPROCS
+	// workers sharing one run queue, each mailbox bounded at n micro-batches
 	// (blocking backpressure on producers), so fan-out to N CQs scales
 	// across cores without N goroutines. Per-CQ results are identical
 	// either way; see DESIGN.md "Execution model" for the cross-CQ
@@ -292,8 +287,7 @@ func Open(cfg Config) (*Engine, error) {
 		e.reg.Gauge("streamrel_recovery_replay_seconds",
 			"duration of the last checkpoint+WAL replay and CQ resume").
 			Set(time.Since(start).Seconds())
-		log, err := wal.Open(e.walPath(), wal.Options{Sync: cfg.SyncWAL,
-			GroupCommitMaxDelay: cfg.GroupCommitMaxDelay, Metrics: e.reg, Trace: e.tracer})
+		log, err := wal.Open(e.walPath(), wal.Options{Sync: cfg.SyncWAL, Metrics: e.reg, Trace: e.tracer})
 		if err != nil {
 			return fail(err)
 		}
