@@ -113,8 +113,11 @@ drain-policies:
 # TestRecycledSparesMemoryBounded, TestRecycledSlicePinsNoBatch; a group whose
 # last partial expired waits one boundary and a key that recurs costs nothing,
 # TestIdleGroupRevives, TestIdleGroupsMemoryBounded; a dropped group is the
-# next new key's, which costs its key string, TestNewGroupAllocs,
-# TestRecycledGroupsMemoryBounded; a tumbling view's window groups are the next
+# next new key's, whose key string is carved from a chunk the store owns, at
+# most 0.1 allocations a new group, TestNewGroupAllocs,
+# TestRecycledGroupsMemoryBounded, and the chunks the groups and an in-place
+# view's rows reach hold at most twice the live keys,
+# TestStoreKeyChunksMemoryBounded; a tumbling view's window groups are the next
 # window's, so its in-place close costs nothing, TestTumblingRebuildAllocs,
 # TestTumblingViewMemoryBounded; a client's RPC timeout costs a round trip
 # nothing, TestRoundTripAllocs; an append of 4 keyed rows over the wire into a

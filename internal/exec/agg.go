@@ -2,7 +2,6 @@ package exec
 
 import (
 	"slices"
-	"strings"
 
 	"streamrel/internal/expr"
 	"streamrel/internal/types"
@@ -90,7 +89,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 		h.epoch, h.used = h.epoch+1, 0
 	}
 	blk := types.NewRowBlock(max(len(h.groups), first), nk+len(h.Aggs))
-	var keys strings.Builder
+	var keys expr.KeyChunk
 	group := func(key []byte) (*aggGroup, error) {
 		g, ok := h.groups[string(key)]
 		if !ok {
@@ -101,13 +100,7 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 			}
 			g.accs = accs
 			h.carved.Made(1)
-			if keys.Cap()-keys.Len() < len(key) {
-				keys.Reset() // the map's keys keep the chunk before
-				keys.Grow(len(key) * min(max(len(h.groups), first), 256))
-			}
-			at := keys.Len()
-			keys.Write(key)
-			h.groups[keys.String()[at:]] = g
+			h.groups[keys.Carve(key, len(h.groups))] = g
 		}
 		if g.epoch != h.epoch { // its first row in this execution
 			if g.out == nil || !h.transient {

@@ -214,6 +214,26 @@ func (b *Slab[T]) Next(aggs []AggSpec) (*T, []Acc, error) {
 	return o, accs, nil
 }
 
+// KeyChunk carves the key strings of groups — exec.HashAgg's map keys, the
+// window-state store's (internal/ivm) — out of chunks of bytes it writes once:
+// a key it hands out keeps its chunk reachable and stays valid for as long as
+// it lives. A key that does not fit starts a fresh chunk, for hint keys of its
+// length, at least 16 and at most 256; the keys carved before keep the old one.
+type KeyChunk struct{ b strings.Builder }
+
+// Carve copies key into the chunk and returns the copy.
+func (k *KeyChunk) Carve(key []byte, hint int) string {
+	if k.b.Cap()-k.b.Len() < len(key) {
+		k.Reset(len(key) * min(max(hint, 16), 256))
+	}
+	at := k.b.Len()
+	k.b.Write(key)
+	return k.b.String()[at:]
+}
+
+// Reset starts a fresh chunk of n bytes.
+func (k *KeyChunk) Reset(n int) { k.b.Reset(); k.b.Grow(n) }
+
 // Recycler keeps the objects its owner lets go of for the owner's next ones,
 // by one rule, whatever the object: the window-state store's slices, their
 // partials and its groups, a view's window groups and rows (internal/ivm),

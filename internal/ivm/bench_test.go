@@ -55,3 +55,45 @@ func BenchmarkStoreSliding(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreNewKeys is the store's CPU guard under key churn: a tumbling
+// view fired in place, 40 % of each window's keys new to the store, so every
+// window drops groups and recycles them for new keys, carves their key strings
+// and now and then rehomes the keys. Each op is a window, a row a key, its
+// close and Expire, reported per row.
+func BenchmarkStoreNewKeys(b *testing.B) {
+	for _, groups := range []int{100, 10000} {
+		b.Run(strconv.Itoa(groups), func(b *testing.B) {
+			s := newStore(b, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+			v := s.Attach(10 * second)
+			urls := make([]types.Datum, 5*groups) // a key comes back 12.5 windows after it first came
+			for i := range urls {
+				urls[i] = types.NewString("/page/" + strconv.Itoa(i))
+			}
+			k, row := int64(0), make(types.Row, 3)
+			op := func() {
+				first := int(k) * groups * 2 / 5
+				for i := 0; i < groups; i++ {
+					ts := k*10*second + int64(i)
+					row[0], row[1], row[2] = urls[(first+i)%len(urls)], types.NewTimestampMicros(ts), types.NewInt(int64(i))
+					if err := s.Insert(row, ts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				k++
+				if _, _, _, err := v.Fire(k*10*second, true); err != nil {
+					b.Fatal(err)
+				}
+				s.Expire(k * 10 * second)
+			}
+			for k < 20 {
+				op()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groups), "ns/row")
+		})
+	}
+}

@@ -41,8 +41,10 @@
 // what is in use was carved, and then carved afresh. So an expired slice is
 // the next slice, its partials the next slice's (each slice keeps its own: one
 // list for the store kept leftovers' chunk-mates reachable, mem_fanout RSS 71
-// → 81 MB); a group the store drops is a new key's, which builds only its key
-// string; a tumbling view's window groups are the next window's; an in-place
+// → 81 MB); a group the store drops is a new key's, whose key string is carved
+// from a chunk of key bytes the store writes once, and once the keys carved
+// since reach twice the live groups, Expire copies the live keys into a fresh
+// chunk; a tumbling view's window groups are the next window's; an in-place
 // view's dead groups' rows are its newcomers'; and the rows a view carves, in
 // either mode, are what its full carve bounds. One mechanism is not a
 // recycler: a group whose last partial expires idles a boundary, in the map
@@ -90,6 +92,9 @@ type Store struct {
 	free   expr.Recycler[*group] // dropped groups, for Insert's new keys
 	ids    []int                 // dropped groups' ids, for Insert's new keys
 	nids   int                   // ids handed out: the length of a view's groups
+	keys   expr.KeyChunk         // new groups' key strings are carved from it
+	carved int                   // keys carved since the last rehome
+	bytes  int                   // the groups' key bytes: a rehome's chunk
 
 	views  []*View
 	retain int64 // widest attached VISIBLE
@@ -156,7 +161,7 @@ func resetGroup(g *group, _ bool) {
 	g.key = ""
 }
 
-// group is a live group's identity: the one string built for its key bytes,
+// group is a live group's identity: the string carved for its key bytes,
 // which keys the store's map; its key row, whose strings are that string's
 // bytes too; and its id, which indexes every view's groups. It lives while a
 // retained slice holds a partial for it and idles one boundary more; then
@@ -217,9 +222,9 @@ func SliceStart(ts, advance, offset int64) int64 {
 // Insert folds one arriving row at ts into its slice's partial — once,
 // however many views will read it: evaluate the filter and the group keys,
 // then add the aggregate arguments. An existing (slice, group) allocates
-// nothing, and a new group, recycled, only its key string. The store
-// keeps nothing of row — a new group's key row points into the group's key
-// string — so it pins no input batch. A raw store appends the row to its
+// nothing, and a new group, recycled, only its share of a key chunk. The
+// store keeps nothing of row — a new group's key row points into the group's
+// key string — so it pins no input batch. A raw store appends the row to its
 // slice instead, and so pins the row's block until the slice expires. A ts
 // before the newest slice is an error.
 func (s *Store) Insert(row types.Row, ts int64) error {
@@ -264,9 +269,11 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 			s.ids, s.nids = append(s.ids, s.nids), s.nids+1
 		}
 		g.id, s.ids = s.ids[len(s.ids)-1], s.ids[:len(s.ids)-1]
-		g.key, g.keys = string(s.keyBuf), append(g.keys[:0], s.keyScratch...)
+		g.key = s.keys.Carve(s.keyBuf, len(s.groups))
+		g.keys = append(g.keys[:0], s.keyScratch...)
 		g.keys.ShareKey(g.key)
 		s.groups[g.key] = g
+		s.carved, s.bytes = s.carved+1, s.bytes+len(g.key)
 	}
 	p := g.last
 	if p == nil || g.lastAt != sl.start {
@@ -330,19 +337,24 @@ func (s *Store) sliceAt(ts int64) (*slice, error) {
 }
 
 // Expire drops the slices no view reads at a boundary after c, recycling them
-// and the idle groups nothing revived, and empties every raw view's window;
-// under types.Poison it fills every in-place view's rows with a sentinel.
-// Call it once every view has fired c. An aggregate view's next fire still
-// retracts the slice that opened the window closing at c; a raw one never.
+// and the idle groups nothing revived, rehomes the keys once the keys carved
+// since the last rehome reach twice the groups, and empties every raw view's
+// window; under types.Poison it fills every in-place view's rows with a
+// sentinel. Call it once every view has fired c. An aggregate view's next fire
+// still retracts the slice that opened the window closing at c; a raw one
+// never.
 func (s *Store) Expire(c int64) {
 	for _, g := range s.idle {
 		if g.last == nil {
 			delete(s.groups, g.key)
-			s.ids = append(s.ids, g.id)
+			s.ids, s.bytes = append(s.ids, g.id), s.bytes-len(g.key)
 			s.free.Put(g)
 		}
 	}
 	s.free.Boundary(0)
+	if s.carved > 0 && s.carved >= 2*len(s.groups) {
+		s.rehome()
+	}
 	clear(s.idle)
 	s.idle = s.idle[:0]
 	for _, v := range s.views {
@@ -378,6 +390,32 @@ func (s *Store) Expire(c int64) {
 	s.SlicesN.Add(-int64(len(expired)))
 	s.slices = slices.Delete(s.slices, 0, len(expired))
 	s.spares.Boundary(0)
+}
+
+// rehome copies every group's key into one fresh chunk, as expr.Recycler's
+// owners carve afresh, and points the group's key row, its entry in the map
+// and the key columns of every in-place view's rows at the copy: those rows
+// are the view's own, which Expire may write. A chunk is never written twice,
+// so a key a handed-out row holds stays valid; the chunks carved before stay
+// reachable only from rows handed out of place, immutable and shared, and a
+// view carves a group's row afresh at a close that touches it — every group in
+// a window is touched as its slices enter and leave, so within one VISIBLE.
+func (s *Store) rehome() {
+	s.keys.Reset(s.bytes)
+	s.carved = len(s.groups)
+	for _, g := range s.groups {
+		s.keyBuf = append(s.keyBuf[:0], g.key...)
+		g.key = s.keys.Carve(s.keyBuf, 0)
+		g.keys.ShareKey(g.key)
+		s.groups[g.key] = g // an equal key: the map keeps the string assigned
+	}
+	for _, v := range s.views {
+		for _, g := range v.ordered {
+			if v.inPlace && g.row != nil {
+				copy(g.row, g.g.keys)
+			}
+		}
+	}
 }
 
 // View is one window extent over a store.

@@ -2,12 +2,14 @@ package ivm
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"streamrel/internal/types"
 )
@@ -51,12 +53,17 @@ func tape(extent byte, ops ...byte) []byte { return append([]byte{extent}, ops..
 //     together within twice the live ones at the last boundary: a retained
 //     slice's partials against the groups it held when it last expired, a
 //     view's window groups against what its last rebuild released, its rows
-//     against its groups.
+//     against its groups;
+//   - every live group's key row renders its key in the map, and the keys
+//     the groups and the in-place views' rows hold were carved since the last
+//     rehome, which carved at most twice the live keys: the chunks those keys
+//     keep reachable hold no more.
 //
 // The seeds include the scenarios of the memory pins: a burst then steady
-// keys, a detach that expires five slices at once, an idle key reviving; and
-// new keys taking the ids of a burst dropped a boundary before (those seeds
-// fail if no id was reused).
+// keys, a detach that expires five slices at once, an idle key reviving; new
+// keys taking the ids of a burst dropped a boundary before (those seeds fail
+// if no id was reused); and a burst at every close under an in-place sliding
+// view, which fails unless the keys are rehomed three times.
 func FuzzStoreLifecycle(f *testing.F) {
 	const in, out = 0xff, 0
 	steady := func(closes int, inPlace byte) (ops []byte) { // keys 0–3, a value that changes every close
@@ -87,9 +94,19 @@ func FuzzStoreLifecycle(f *testing.F) {
 	for _, b := range reuse {
 		f.Add(b)
 	}
+	var churn []byte
+	for i := 0; i < 20; i++ {
+		churn = append(append(churn, opBurst, 8), steady(1, in)...)
+	}
+	rehomed := tape(1, churn...)
+	f.Add(rehomed)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if reused := storeLifecycle(t, b); reused == 0 && slices.ContainsFunc(reuse, func(r []byte) bool { return bytes.Equal(r, b) }) {
+		reused, rehomes := storeLifecycle(t, b)
+		if reused == 0 && slices.ContainsFunc(reuse, func(r []byte) bool { return bytes.Equal(r, b) }) {
 			t.Fatal("no new key took a dropped group's id")
+		}
+		if rehomes < 3 && bytes.Equal(b, rehomed) {
+			t.Fatalf("the keys were rehomed %d times, want ≥ 3", rehomes)
 		}
 	})
 }
@@ -109,10 +126,10 @@ func render(rows []types.Row) string {
 }
 
 // storeLifecycle runs a tape and returns how many new keys took the id of a
-// dropped group.
-func storeLifecycle(t *testing.T, b []byte) (reused int) {
+// dropped group, and how many times the store rehomed its keys.
+func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 	if len(b) == 0 || len(b) > 1024 {
-		return 0
+		return 0, 0
 	}
 	const advance = 10 * second
 	extent := lifecycleExtents[int(b[0])%len(lifecycleExtents)] * second
@@ -124,13 +141,17 @@ func storeLifecycle(t *testing.T, b []byte) (reused int) {
 		url   string
 		ts, v int64
 	}
-	var rows []logged // the first view's window and after
+	var rows []logged   // the first view's window and after
+	var carved []string // the keys carved since the last rehome, which the test keeps reachable
 	add := func(r logged) {
 		rows = append(rows, r)
-		free := len(s.ids)
+		free, groups := len(s.ids), len(s.groups)
 		insert(t, s, hit(r.url, r.ts, r.v))
 		if len(s.ids) < free {
 			reused++
+		}
+		if len(s.groups) > groups {
+			carved = append(carved, s.groups[types.Row{types.NewString(r.url)}.Key()].key)
 		}
 	}
 	brute := func(c int64) string {
@@ -200,11 +221,24 @@ func storeLifecycle(t *testing.T, b []byte) (reused int) {
 				t.Fatalf("close %d s, view %d s: %d rows kept beside %d groups", c/second, v.visible/second, n, len(v.ordered))
 			}
 		}
-		slicesBefore, groupsBefore := map[*slice]int{}, len(s.groups)
+		slicesBefore, groupsBefore, keysBefore := map[*slice]int{}, len(s.groups), map[*group]string{}
 		for _, sl := range s.slices {
 			slicesBefore[sl] = len(sl.parts)
 		}
+		for _, g := range s.groups {
+			keysBefore[g] = g.key
+		}
 		s.Expire(c)
+		if s.carved != len(carved) { // rehomed
+			rehomes, carved = rehomes+1, carved[:0]
+			for _, g := range s.groups {
+				if unsafe.StringData(g.key) == unsafe.StringData(keysBefore[g]) {
+					t.Fatalf("close %d s: a rehome left key %q in its chunk", c/second, g.key)
+				}
+				carved = append(carved, g.key)
+			}
+		}
+		checkKeys(t, s, carved)
 		for _, sl := range s.slices {
 			delete(slicesBefore, sl)
 		}
@@ -264,5 +298,51 @@ func storeLifecycle(t *testing.T, b []byte) (reused int) {
 	}
 	closeNext(0)
 	closeNext(0xff)
-	return reused
+	return reused, rehomes
+}
+
+// checkKeys checks that every live group's key row renders its key in the map,
+// that every key string the map, the groups and the in-place views' rows hold
+// lies inside a key carved since the last rehome, and that those are at most
+// twice the live keys: the chunks the store and its views keep reachable hold
+// no more.
+func checkKeys(t *testing.T, s *Store, carved []string) {
+	t.Helper()
+	if len(carved) != s.carved || len(carved) > 2*len(s.groups) {
+		t.Fatalf("%d keys carved since the last rehome (the store counts %d), %d groups live", len(carved), s.carved, len(s.groups))
+	}
+	spans := make([][2]uintptr, len(carved))
+	for i, k := range carved {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(k)))
+		spans[i] = [2]uintptr{p, p + uintptr(len(k))}
+	}
+	slices.SortFunc(spans, func(a, b [2]uintptr) int { return cmp.Compare(a[0], b[0]) })
+	held := func(k string, by string) {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(k)))
+		i := sort.Search(len(spans), func(i int) bool { return spans[i][0] > p }) - 1
+		if i < 0 || p+uintptr(len(k)) > spans[i][1] {
+			t.Fatalf("%s holds %q, carved before the last rehome", by, k)
+		}
+	}
+	for key, g := range s.groups {
+		if g.key != key || g.keys.Key() != key {
+			t.Fatalf("group %v: key %q, key row's %q, mapped by %q", g.keys, g.key, g.keys.Key(), key)
+		}
+		held(key, "the map")
+		held(g.key, "a group")
+		for _, d := range g.keys {
+			if d.Type() == types.TypeString {
+				held(d.Str(), "a group's key row")
+			}
+		}
+	}
+	for _, v := range s.views {
+		for _, row := range v.out {
+			for _, d := range row[:len(s.keyScratch)] {
+				if d.Type() == types.TypeString {
+					held(d.Str(), "an in-place view's row")
+				}
+			}
+		}
+	}
 }

@@ -387,3 +387,63 @@ func TestInPlaceViewMemoryBounded(t *testing.T) {
 	}
 	runtime.KeepAlive(s)
 }
+
+// TestStoreKeyChunksMemoryBounded: the store carves its groups' key strings
+// from chunks it never writes twice, so a chunk is reachable while any key
+// carved from it is. Each boundary brings a burst of one-off keys and one key
+// that stays for the rest of the test, whose string — in its group and in the
+// row of an in-place sliding view — would keep its boundary's chunk reachable
+// for good; a tumbling view fires out of place beside it. Once the keys carved
+// since the last rehome reach twice the groups, Expire copies the live keys
+// into one fresh chunk and re-keys the in-place view's rows, so at every close
+// the keys whose chunk is reachable are at most twice the groups the last
+// boundary left plus the keys this boundary carved.
+func TestStoreKeyChunksMemoryBounded(t *testing.T) {
+	const burst, boundaries = 64, 24
+	s := newStore(t, `SELECT url, count(*) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	sliding, tumbling := s.Attach(20*second), s.Attach(10*second)
+	carved := map[uintptr]weak.Pointer[byte]{} // every key carved, by address
+	record := func() {
+		for _, g := range s.groups {
+			p := unsafe.StringData(g.key)
+			if w, ok := carved[uintptr(unsafe.Pointer(p))]; !ok || w.Value() == nil {
+				carved[uintptr(unsafe.Pointer(p))] = weak.Make(p)
+			}
+		}
+	}
+	groups := 0 // what the last boundary left
+	for k := int64(0); k < boundaries; k++ {
+		for i := 0; i < burst; i++ {
+			insert(t, s, hit(fmt.Sprintf("/burst/%d/%d", k, i), k*10*second+int64(i), 1))
+		}
+		for j := int64(0); j <= k; j++ {
+			insert(t, s, hit(fmt.Sprintf("/stays/%d", j), k*10*second+burst+j, 1))
+		}
+		record()
+		c := (k + 1) * 10 * second
+		if _, _, _, err := sliding.Fire(c, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := tumbling.Fire(c, false); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		reachable := 0
+		for p, w := range carved {
+			if w.Value() == nil {
+				delete(carved, p)
+			} else {
+				reachable++
+			}
+		}
+		if limit := 2*groups + burst + 1; reachable > limit {
+			t.Fatalf("close %d: the chunks reachable hold %d keys, want ≤ %d: twice the %d groups the last boundary left and this boundary's %d",
+				k, reachable, limit, groups, burst+1)
+		}
+		s.Expire(c)
+		record()
+		groups = len(s.groups)
+	}
+	runtime.KeepAlive(s)
+}
