@@ -197,7 +197,8 @@ bench-selftest:
 # value for value, against the row decoders that allocated a string per
 # VARCHAR, kept as test-only oracles, and each batch they accept carved as the
 # ownership rule says — the shard router's batch split/merge
-# round-trip, the window-state equivalence property (what a store fires —
+# round-trip and its aggregate merge (each shard's partials merged ≡ the
+# whole batch aggregated, -0.0 and NaN among the values), the window-state equivalence property (what a store fires —
 # several views of one store, aggregates with and without an inverse, with CQs
 # detaching mid-run, beside CQs sqlgen writes from the fuzzer's bytes — ==
 # what re-execution fires, for arbitrary append/advance/close sequences),

@@ -56,6 +56,7 @@ import (
 	"streamrel"
 	"streamrel/internal/metrics"
 	"streamrel/internal/server"
+	"streamrel/internal/sysmon"
 	"streamrel/internal/trace"
 	"streamrel/replica"
 )
@@ -71,7 +72,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "trace one in N ingested batches (0 = default 1/256, 1 = every batch, negative = off)")
 	slowFire := flag.Duration("slow-fire", 0, "force-record and log window fires slower than this push-to-fire latency (0 = off)")
 	parallelCQ := flag.Int("parallel-cq", 0, "run continuous queries on the worker pool with this mailbox backpressure bound in micro-batches (0 = synchronous engine)")
-	sysmonEvery := flag.Duration("sysmon", time.Second, "snapshot engine telemetry into the sys.* streams this often (0 = off)")
+	sysmonEvery := flag.Duration("sysmon", sysmon.DefaultInterval, "snapshot engine telemetry into the sys.* streams this often (0 = off)")
 	readyMaxLag := flag.Duration("ready-max-lag", 5*time.Second, "replica readiness threshold: /readyz fails while apply lag exceeds this")
 	flag.Parse()
 

@@ -58,7 +58,7 @@ func runCtx(t *testing.T, ctx *Ctx, op Operator) []types.Row {
 			t.Fatalf("demand %d: %d rows, unbounded %d", max, len(got), len(rows))
 		}
 		for i := range got {
-			if !types.RowsEqual(got[i], rows[i]) {
+			if !got[i].Equal(rows[i]) {
 				t.Fatalf("demand %d: row %d is %v, unbounded %v", max, i, got[i], rows[i])
 			}
 		}

@@ -158,7 +158,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 		if isCQClose(item.Expr) && closeCol == -1 {
 			closeCol = len(projExprs)
 		}
-		schema = append(schema, types.Column{Name: outName(item, len(projExprs)), Type: s.Type})
+		schema = append(schema, types.Column{Name: OutName(item, len(projExprs)), Type: s.Type})
 		projExprs = append(projExprs, s)
 	}
 

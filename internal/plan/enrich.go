@@ -12,9 +12,24 @@ import (
 	"streamrel/internal/types"
 )
 
-// preName is the FROM name and qualifier of the pre-aggregated stream in an
-// enrichment post block; '#' keeps it out of the reach of parsed SQL.
-const preName = "#pre"
+// PreName is the FROM name and qualifier of partial rows a final block
+// reads: the pre-aggregated stream in an enrichment post block (enrich), the
+// shards' partial rows in a router's merge (BuildOver). '#' keeps it out of
+// the reach of parsed SQL.
+const PreName = "#pre"
+
+// BuildOver plans sel, whose FROM is PreName, over rows with the given
+// columns; a tree built over an Input reads its WindowRows as those rows. It
+// is the final block of a two-level aggregate whose partials were computed
+// elsewhere — a router's shards — planned as enrich plans its post block.
+func BuildOver(sel *sql.Select, cols types.Schema) (*Plan, error) {
+	b := &builder{pre: &relNode{scope: scopeFrom(PreName, cols), build: (*Input).window}}
+	n, err := b.buildSelect(sel, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Columns: n.schema, CloseCol: n.closeCol, Build: n.build}, nil
+}
 
 // enrich plans the enrichment shape — one windowed stream inner-joined to
 // base tables under a GROUP BY, the paper's Example 5 — as eager
@@ -80,7 +95,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 			pre.GroupBy = append(pre.GroupBy, e)
 			pre.Items = append(pre.Items, sql.SelectItem{Expr: e, Alias: fmt.Sprintf("#k%d", i)})
 		}
-		return &sql.ColumnRef{Table: preName, Name: fmt.Sprintf("#k%d", i)}
+		return &sql.ColumnRef{Table: PreName, Name: fmt.Sprintf("#k%d", i)}
 	}
 	var streamConds, postConds []sql.Expr
 	for _, c := range append(splitConjuncts(sel.Where), fl.on...) {
@@ -137,7 +152,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 			preAggs = append(preAggs, u)
 			pre.Items = append(pre.Items, sql.SelectItem{Expr: fc, Alias: fmt.Sprintf("#a%d", i)})
 		}
-		return &sql.ColumnRef{Table: preName, Name: fmt.Sprintf("#a%d", i)}
+		return &sql.ColumnRef{Table: PreName, Name: fmt.Sprintf("#a%d", i)}
 	}
 	final := map[string]sql.Expr{}
 	for _, fc := range aggCallsOf(sel) {
@@ -195,7 +210,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 			}
 			if s, t := fl.sides(x); s && !t {
 				if i := slices.Index(preKeys, unqualified(x)); i >= 0 {
-					return &sql.ColumnRef{Table: preName, Name: fmt.Sprintf("#k%d", i)}, true
+					return &sql.ColumnRef{Table: PreName, Name: fmt.Sprintf("#k%d", i)}, true
 				}
 			}
 			return x, false
@@ -203,7 +218,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 	}
 	post := &sql.Select{
 		Distinct: sel.Distinct,
-		From:     []sql.TableRef{&sql.BaseTable{Name: preName, Alias: preName}},
+		From:     []sql.TableRef{&sql.BaseTable{Name: PreName, Alias: PreName}},
 		Where:    andAll(postConds),
 		Having:   lift(sel.Having),
 		Limit:    sel.Limit,
@@ -216,7 +231,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 	}
 	outNames := map[string]bool{}
 	for i, item := range sel.Items {
-		name := outName(item, i)
+		name := OutName(item, i)
 		outNames[name] = true
 		post.Items = append(post.Items, sql.SelectItem{Expr: lift(item.Expr), Alias: name})
 	}
@@ -237,7 +252,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 	// Project in between would carve a block per group).
 	preAgg := pn.streamAgg
 	qb := &builder{cat: p.Cat, pre: &relNode{
-		scope: scopeFrom(preName, pn.schema),
+		scope: scopeFrom(PreName, pn.schema),
 		build: preAgg.post,
 	}}
 	qn, err := qb.buildSelect(post, true)

@@ -45,7 +45,7 @@ func (b *builder) buildTableRef(ref sql.TableRef) (*relNode, error) {
 }
 
 func (b *builder) buildBaseTable(r *sql.BaseTable) (*relNode, error) {
-	if r.Name == preName && b.pre != nil {
+	if r.Name == PreName && b.pre != nil {
 		return b.pre, nil
 	}
 	alias := tableAlias(r)

@@ -315,8 +315,8 @@ func containsAggregate(e sql.Expr) bool {
 	return found
 }
 
-// outName derives the output column name for a projection item.
-func outName(item sql.SelectItem, idx int) string {
+// OutName derives the output column name of the select list item at idx.
+func OutName(item sql.SelectItem, idx int) string {
 	if item.Alias != "" {
 		return item.Alias
 	}

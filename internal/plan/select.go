@@ -192,7 +192,7 @@ func (b *builder) compileItems(items []sql.SelectItem, sc *scope) ([]*expr.Scala
 			if calls([]sql.Expr{item.Expr}, execState...) { // an aggregate over this block reads it
 				b.reads++
 			}
-			schema = append(schema, types.Column{Name: outName(item, len(exprs)), Type: s.Type})
+			schema = append(schema, types.Column{Name: OutName(item, len(exprs)), Type: s.Type})
 			exprs = append(exprs, s)
 		}
 	}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sort"
 	"sync"
 
 	"streamrel/internal/types"
@@ -100,17 +99,18 @@ func (m *cqMerger) drainLocked() {
 				return // shard i may still fire t
 			}
 		}
-		parts := make([][]types.Row, 0, len(m.pending))
+		parts := make([][]types.Row, len(m.pending))
 		for i := range m.pending {
-			if rows, ok := m.pending[i][t]; ok {
-				parts = append(parts, rows)
-				delete(m.pending[i], t)
-			}
+			parts[i] = m.pending[i][t]
+			delete(m.pending[i], t)
 		}
 		m.emitted, m.lastEmit = true, t
 		partial := m.partial || m.lost[t]
 		delete(m.lost, t)
-		m.emit(t, m.plan.Merge(parts), partial)
+		// A close whose merge fails emits as a lost window does: partial,
+		// here with no rows.
+		rows, err := m.plan.Merge(parts)
+		m.emit(t, rows, partial || err != nil)
 	}
 }
 
@@ -125,16 +125,4 @@ func (m *cqMerger) minPendingLocked() (int64, bool) {
 		}
 	}
 	return min, ok
-}
-
-// closesOf is a test helper: the sorted pending closes of one shard.
-func (m *cqMerger) closesOf(shard int) []int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int64, 0, len(m.pending[shard]))
-	for c := range m.pending[shard] {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

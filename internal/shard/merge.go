@@ -2,80 +2,48 @@ package shard
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
+	"streamrel/internal/exec"
 	"streamrel/internal/expr"
+	"streamrel/internal/plan"
+	"streamrel/internal/server"
 	"streamrel/internal/sql"
 	"streamrel/internal/types"
 )
 
-// MergeKind selects how per-shard result sets combine into one.
-type MergeKind int
-
-// Merge kinds.
-const (
-	// MergeConcat interleaves per-shard rows into one canonically ordered
-	// result — correct whenever each output row is computed from rows of a
-	// single shard (plain projections, and GROUP BY on the partition key).
-	MergeConcat MergeKind = iota
-	// MergeAggregate re-combines per-shard partial aggregates by group
-	// key: COUNT and SUM add, MIN and MAX compare.
-	MergeAggregate
-)
-
-// ColMerge is the per-output-column combine rule of a MergeAggregate plan.
-type ColMerge int
-
-// Column combine rules.
-const (
-	// ColKey columns identify the group (GROUP BY exprs and cq_close(*));
-	// equal across shards within one group.
-	ColKey ColMerge = iota
-	// ColCount adds integer partial counts.
-	ColCount
-	// ColSum adds partial sums, skipping NULLs (SQL sum of nothing).
-	ColSum
-	// ColMin keeps the smaller non-NULL partial.
-	ColMin
-	// ColMax keeps the larger non-NULL partial.
-	ColMax
-)
-
-// MergePlan is the compiled merge step for one scatter-gathered query.
+// MergePlan is the compiled merge step for one scatter-gathered query. It
+// merges for one caller at a time: its tree is reopened by every Merge.
 type MergePlan struct {
-	Kind MergeKind
-	// Cols has one combine rule per scatter column (MergeAggregate only).
-	// With no AVG rewrite the scatter columns are the output columns.
-	Cols []ColMerge
-	// Out maps each client-visible output column onto the merged scatter
-	// columns; nil when the scatter projection IS the output projection.
-	// AVG makes them differ: avg(x) scatters as sum(x), count(x) and is
-	// recombined here after the global merge.
-	Out []OutCol
 	// ScatterSQL is the rewritten query text the router must send to the
 	// shards instead of the client's SQL; "" when no rewrite happened.
 	ScatterSQL string
+
+	// final finishes the shards' partial rows: the client's block over
+	// plan.PreName, whose column #ci is the scatter query's column i. It is
+	// nil when each output row comes from one shard and the rows concatenate.
+	final *sql.Select
+	width int       // the scatter query's columns
+	avgs  []avgItem // the final items that divide an avg's sum by its count
+	in    plan.Input
+	tree  exec.Operator // final, planned by Bind
 }
 
-// OutCol is one client-visible output column of a rewritten scatter plan.
-type OutCol struct {
-	// Src is the scatter column to emit (the SUM part for an AVG pair).
-	Src int
-	// Count is the scatter column holding the AVG pair's COUNT, or -1 to
-	// pass Src through unchanged. When set, the output value is
-	// sum/count as DOUBLE, NULL when the global count is zero.
-	Count int
-	// Name is the client-visible column name for a synthesized column
-	// (the query alias, or the engine's default "avg").
-	Name string
-}
+// avgItem is a final item that finishes avg(x), scattered as sum(x) in
+// column sum and count(x) in the next.
+type avgItem struct{ item, sum int }
 
 // PlanMerge compiles the merge step for a query that will be scattered
 // over shards partitioned on column partCol ("" when unknown). It
 // rejects queries whose global result cannot be reassembled from
 // per-shard results — the routing invariants documented in DESIGN.md §10.
+//
+// An aggregate over groups that span shards becomes two blocks, as enrich
+// splits one below a join: the shards run the client's query with each
+// avg(x) as sum(x), count(x), and the final block folds their partial rows
+// by its keys — count and sum as sum, min and max as themselves, avg as
+// float(sum(sum)) / sum(count).
 func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 	if sel.SetOp != nil {
 		return nil, fmt.Errorf("shard: UNION/EXCEPT/INTERSECT cannot be scatter-gathered")
@@ -102,16 +70,11 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 			return true
 		})
 	}
-	if !hasAgg {
-		// Pure row-wise query: every output row is computed on the shard
-		// that holds its input row; interleave.
-		return &MergePlan{Kind: MergeConcat}, nil
-	}
-
-	// GROUP BY on the partition key confines each group to one shard, so
-	// any aggregate (including AVG) concatenates.
-	if partCol != "" && groupsByColumn(sel.GroupBy, partCol) {
-		return &MergePlan{Kind: MergeConcat}, nil
+	// A pure row-wise query computes every output row on the shard that
+	// holds its input row, and GROUP BY on the partition key confines each
+	// group to one shard, so any aggregate (avg included) concatenates.
+	if !hasAgg || partCol != "" && groupsByColumn(sel.GroupBy, partCol) {
+		return &MergePlan{}, nil
 	}
 	if sel.Having != nil {
 		return nil, fmt.Errorf("shard: HAVING cannot be scatter-gathered (filters partial aggregates); GROUP BY the partition key or filter client-side")
@@ -121,52 +84,62 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 	for _, g := range sel.GroupBy {
 		keys[g.String()] = true
 	}
-	plan := &MergePlan{Kind: MergeAggregate, Cols: make([]ColMerge, 0, len(sel.Items))}
+	p := &MergePlan{final: &sql.Select{From: []sql.TableRef{&sql.BaseTable{Name: plan.PreName}}}}
 	scatter := *sel // the query the shards run: sel with each avg split in two
 	scatter.Items = nil
-	for _, it := range sel.Items {
+	for i, it := range sel.Items {
 		if it.Star || it.TableStar != "" {
 			return nil, fmt.Errorf("shard: * projection cannot be combined with aggregates across shards")
 		}
-		// avg(x) is not itself combinable — the average of per-shard
-		// averages is wrong — but its SUM+COUNT decomposition is: scatter
-		// sum(x), count(x) instead and recombine sum/count after the
-		// global merge.
-		if fc, ok := it.Expr.(*sql.FuncCall); ok && strings.EqualFold(fc.Name, "avg") && !fc.Distinct && len(fc.Args) == 1 {
+		item := sql.SelectItem{Alias: plan.OutName(it, i)}
+		n := len(scatter.Items)
+		c := partialCol(n)
+		fc, call := it.Expr.(*sql.FuncCall)
+		switch {
+		case call && strings.EqualFold(fc.Name, "avg") && !fc.Distinct && len(fc.Args) == 1:
+			// avg(x) is not itself combinable — the average of per-shard
+			// averages is wrong — but its sum and count are.
 			scatter.Items = append(scatter.Items,
 				sql.SelectItem{Expr: &sql.FuncCall{Name: "sum", Args: fc.Args}},
 				sql.SelectItem{Expr: &sql.FuncCall{Name: "count", Args: fc.Args}})
-			name := it.Alias
-			if name == "" {
-				name = "avg"
+			p.avgs = append(p.avgs, avgItem{item: len(p.final.Items), sum: n})
+			item.Expr = &sql.BinaryExpr{Op: sql.OpDiv,
+				L: &sql.CastExpr{E: fold("sum", c), To: types.TypeFloat},
+				R: fold("sum", partialCol(n+1))}
+		case call && expr.IsAggregate(fc.Name):
+			name := strings.ToLower(fc.Name)
+			if fc.Distinct {
+				return nil, fmt.Errorf("shard: %s(DISTINCT …) cannot be re-combined across shards", fc.Name)
 			}
-			plan.Out = append(plan.Out, OutCol{Src: len(plan.Cols), Count: len(plan.Cols) + 1, Name: name})
-			plan.Cols = append(plan.Cols, ColSum, ColCount)
-			continue
-		}
-		scatter.Items = append(scatter.Items, it)
-		plan.Out = append(plan.Out, OutCol{Src: len(plan.Cols), Count: -1})
-		if cm, ok := aggColMerge(it.Expr); ok {
-			var err error
-			if cm, err = checkAgg(it.Expr.(*sql.FuncCall), cm); err != nil {
-				return nil, err
+			switch name {
+			case "count":
+				name = "sum"
+			case "sum", "min", "max":
+			default:
+				return nil, fmt.Errorf("shard: %s cannot be re-combined across shards; GROUP BY the partition key to compute it per shard", fc.Name)
 			}
-			plan.Cols = append(plan.Cols, cm)
-			continue
+			scatter.Items = append(scatter.Items, it)
+			item.Expr = fold(name, c)
+		case isCQClose(it.Expr) || keys[it.Expr.String()]:
+			scatter.Items = append(scatter.Items, it)
+			item.Expr = c
+			p.final.GroupBy = append(p.final.GroupBy, c)
+		default:
+			return nil, fmt.Errorf("shard: output column %s is neither a combinable aggregate (count/sum/avg/min/max) nor a GROUP BY key", it.Expr.String())
 		}
-		if isCQClose(it.Expr) || keys[it.Expr.String()] {
-			plan.Cols = append(plan.Cols, ColKey)
-			continue
-		}
-		return nil, fmt.Errorf("shard: output column %s is neither a combinable aggregate (count/sum/avg/min/max) nor a GROUP BY key", it.Expr.String())
+		p.final.Items = append(p.final.Items, item)
 	}
-	if len(scatter.Items) == len(sel.Items) {
-		plan.Out = nil
-		return plan, nil
+	p.width = len(scatter.Items)
+	if p.width != len(sel.Items) {
+		p.ScatterSQL = sql.Format(&scatter)
 	}
-	plan.ScatterSQL = sql.Format(&scatter)
-	return plan, nil
+	return p, nil
 }
+
+// partialCol names scatter column i in the final block.
+func partialCol(i int) sql.Expr { return &sql.ColumnRef{Name: fmt.Sprintf("#c%d", i)} }
+
+func fold(agg string, c sql.Expr) sql.Expr { return &sql.FuncCall{Name: agg, Args: []sql.Expr{c}} }
 
 // groupsByColumn reports whether any GROUP BY expression is a bare
 // reference to column name.
@@ -184,159 +157,81 @@ func isCQClose(e sql.Expr) bool {
 	return ok && strings.EqualFold(fc.Name, "cq_close")
 }
 
-// aggColMerge classifies a direct aggregate call; (0,false) when e is not
-// an aggregate call at all.
-func aggColMerge(e sql.Expr) (ColMerge, bool) {
-	fc, ok := e.(*sql.FuncCall)
-	if !ok || !expr.IsAggregate(fc.Name) {
-		return 0, false
+// Bind plans the final block over the partial query's columns, as the first
+// shard answered them, and returns the columns the client sees: the final
+// block's, or the shards' own when their rows concatenate.
+func (p *MergePlan) Bind(cols []server.WireColumn) ([]server.WireColumn, error) {
+	if p.final == nil {
+		return cols, nil
 	}
-	switch strings.ToLower(fc.Name) {
-	case "count":
-		return ColCount, true
-	case "sum":
-		return ColSum, true
-	case "min":
-		return ColMin, true
-	case "max":
-		return ColMax, true
+	if len(cols) != p.width {
+		return nil, fmt.Errorf("shard: the shards answered %d columns, the merge expects %d", len(cols), p.width)
 	}
-	return ColKey, true // flagged; rejected by checkAgg
-}
-
-func checkAgg(fc *sql.FuncCall, cm ColMerge) (ColMerge, error) {
-	if fc.Distinct {
-		return 0, fmt.Errorf("shard: %s(DISTINCT …) cannot be re-combined across shards", fc.Name)
+	schema := make(types.Schema, len(cols))
+	for i, c := range cols {
+		schema[i] = types.Column{Name: fmt.Sprintf("#c%d", i), Type: typeNamed(c.Type)}
 	}
-	switch strings.ToLower(fc.Name) {
-	case "count", "sum", "min", "max":
-		return cm, nil
-	}
-	return 0, fmt.Errorf("shard: %s cannot be re-combined across shards; GROUP BY the partition key to compute it per shard", fc.Name)
-}
-
-// Merge combines per-shard result sets according to the plan. Output
-// rows are in canonical row order (types.CompareRows) so results are
-// deterministic regardless of shard arrival order. An AVG whose merged sum
-// is not numeric comes out NULL; scatter answers it with merge's error.
-func (p *MergePlan) Merge(parts [][]types.Row) []types.Row {
-	out, _ := p.merge(parts)
-	return out
-}
-
-// merge folds each group's partials with the aggregates' own accumulators —
-// COUNT and SUM partials add as sum does, MIN and MAX compare — so a merged
-// column is typed as one node types it.
-func (p *MergePlan) merge(parts [][]types.Row) ([]types.Row, error) {
-	if p.Kind == MergeConcat {
-		var out []types.Row
-		for _, rows := range parts {
-			out = append(out, rows...)
+	final := *p.final
+	final.Items = slices.Clone(final.Items)
+	for _, a := range p.avgs {
+		if schema[a.sum].Type == types.TypeInterval {
+			// One node's avg refuses an interval, and so does avg over the
+			// shards' sums of it; over no value both are NULL.
+			final.Items[a.item].Expr = fold("avg", partialCol(a.sum))
 		}
-		sortRows(out)
-		return out, nil
 	}
-	type group struct {
-		row  types.Row
-		accs []expr.Acc
+	pl, err := plan.BuildOver(&final, schema)
+	if err != nil {
+		return nil, err
 	}
-	groups := make(map[string]*group)
-	var order []*group
-	var firstErr error
-	for _, rows := range parts {
-		for _, r := range rows {
-			if len(r) != len(p.Cols) {
-				continue // shard disagreement; drop rather than corrupt
-			}
-			k := p.groupKey(r)
-			g, ok := groups[k]
-			if !ok {
-				g = &group{row: append(types.Row(nil), r...), accs: make([]expr.Acc, len(p.Cols))}
-				for i, cm := range p.Cols {
-					if cm != ColKey { // NewAcc fails only on a name colAgg does not hold
-						g.accs[i], _ = expr.NewAcc(expr.AggSpec{Name: colAgg[cm]})
-					}
-				}
-				groups[k] = g
-				order = append(order, g)
-			}
-			for i, acc := range g.accs {
-				if acc == nil {
-					continue
-				}
-				if err := acc.Add(r[i]); err != nil && firstErr == nil {
-					firstErr = err
-				}
+	p.tree = pl.Build(&p.in)
+	return server.EncodeSchema(pl.Columns), nil
+}
+
+// typeNamed is the type a wire column names (types.Type.String), or
+// TypeUnknown.
+func typeNamed(name string) types.Type {
+	for t := types.TypeNull; t <= types.TypeInterval; t++ {
+		if t.String() == name {
+			return t
+		}
+	}
+	return types.TypeUnknown
+}
+
+// Merge combines the shards' results — parts[i] is shard i's, nil for a
+// shard that sent none — in canonical row order (types.CompareRows), so
+// the result does not depend on the order shards answer in. Partial rows run
+// through the final block, which groups them as one node groups
+// (types.Datum.AppendKey) with the aggregates' own accumulators; a plan
+// Bind never saw is bound to untyped columns, its values carrying their
+// types. No partial row gives no row.
+func (p *MergePlan) Merge(parts [][]types.Row) ([]types.Row, error) {
+	var rows []types.Row
+	for i, part := range parts {
+		for _, r := range part {
+			if p.final != nil && len(r) != p.width {
+				return nil, fmt.Errorf("shard: shard %d sent a row of %d columns, the merge expects %d", i, len(r), p.width)
 			}
 		}
+		rows = append(rows, part...)
 	}
-	out := make([]types.Row, len(order))
-	for i, g := range order {
-		for j, acc := range g.accs {
-			if acc != nil {
-				g.row[j] = acc.Result()
+	if p.final != nil && len(rows) > 0 {
+		if p.tree == nil {
+			if _, err := p.Bind(make([]server.WireColumn, p.width)); err != nil {
+				return nil, err
 			}
 		}
-		out[i] = g.row
-		if p.Out != nil {
-			var err error
-			if out[i], err = p.project(g.row); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		p.in.WindowRows = rows
+		var err error
+		rows, err = exec.Drain(&exec.Ctx{}, p.tree, 0)
+		p.in.WindowRows = nil
+		if err != nil {
+			return nil, err
 		}
 	}
-	sortRows(out)
-	return out, firstErr
+	sortRows(rows)
+	return rows, nil
 }
 
-// colAgg names the accumulator that folds a column's per-shard partials.
-var colAgg = [...]string{ColCount: "sum", ColSum: "sum", ColMin: "min", ColMax: "max"}
-
-// project maps one merged scatter row to the client-visible projection,
-// recombining AVG's sum/count pairs: sum/count as DOUBLE, NULL when no
-// non-NULL input survived anywhere (SQL avg of nothing). A sum that is not
-// numeric is the error one node gives for avg over its type.
-func (p *MergePlan) project(r types.Row) (types.Row, error) {
-	out := make(types.Row, len(p.Out))
-	var err error
-	for i, oc := range p.Out {
-		if oc.Count < 0 {
-			out[i] = r[oc.Src]
-			continue
-		}
-		n, sum := r[oc.Count].Int(), r[oc.Src]
-		switch {
-		case n == 0 || sum.IsNull():
-			out[i] = types.Null
-		case !sum.Type().Numeric():
-			out[i], err = types.Null, fmt.Errorf("expr: avg over %s", sum.Type())
-		default:
-			out[i] = types.NewFloat(sum.Float() / float64(n))
-		}
-	}
-	return out, err
-}
-
-// groupKey encodes the ColKey columns unambiguously (type tag +
-// length-prefixed canonical text).
-func (p *MergePlan) groupKey(r types.Row) string {
-	var b strings.Builder
-	for i, cm := range p.Cols {
-		if cm != ColKey {
-			continue
-		}
-		d := r[i]
-		b.WriteByte(byte(d.Type()))
-		s := d.String()
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
-	}
-	return b.String()
-}
-
-func sortRows(rows []types.Row) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return types.CompareRows(rows[i], rows[j]) < 0
-	})
-}
+func sortRows(rows []types.Row) { slices.SortStableFunc(rows, types.CompareRows) }

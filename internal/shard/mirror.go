@@ -77,14 +77,8 @@ func (m *mirror) observe(stmt sql.Statement) {
 	}
 }
 
-// baseOf resolves a relation name to the partitioned base stream feeding
-// it ("" when the relation holds replicated or single-shard data).
-func (m *mirror) baseOf(name string) string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.baseOfLocked(name)
-}
-
+// baseOfLocked resolves a relation name to the partitioned base stream
+// feeding it ("" when the relation holds replicated or single-shard data).
 func (m *mirror) baseOfLocked(name string) string {
 	if _, ok := m.part[name]; ok {
 		return name

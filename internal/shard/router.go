@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -253,9 +254,9 @@ func (r *Router) scatter(req *server.Request, plan *MergePlan) *server.Response 
 	results := r.fanOut(server.Request{Op: req.Op, SQL: sqlText, Args: req.Args})
 
 	partial := false
-	parts := make([][]types.Row, 0, len(r.shards))
+	parts := make([][]types.Row, len(results))
 	var columns []server.WireColumn
-	for _, res := range results {
+	for i, res := range results {
 		if res.err != nil {
 			var down ErrShardDown
 			if errors.As(res.err, &down) {
@@ -264,20 +265,37 @@ func (r *Router) scatter(req *server.Request, plan *MergePlan) *server.Response 
 			}
 			return fail(res.err)
 		}
-		if columns == nil {
-			columns = res.resp.Columns
+		if err := agree(&columns, i, res.resp.Columns); err != nil {
+			return fail(err)
 		}
-		parts = append(parts, server.Rows(res.resp.Rows))
+		parts[i] = server.Rows(res.resp.Rows)
 	}
-	if len(parts) == 0 {
+	if columns == nil {
 		return fail(fmt.Errorf("router: all shards down"))
 	}
-	rows, err := plan.merge(parts)
+	out, err := plan.Bind(columns)
 	if err != nil {
 		return fail(err)
 	}
-	return &server.Response{OK: true, Columns: outColumns(plan, columns), Partial: partial,
-		Rows: server.WireRows(rows)}
+	rows, err := plan.Merge(parts)
+	if err != nil {
+		return fail(err)
+	}
+	return &server.Response{OK: true, Columns: out, Partial: partial, Rows: server.WireRows(rows)}
+}
+
+// agree records the first answering shard's columns in *cols and fails for
+// a later shard whose columns differ: the merge is planned over the first's,
+// and a planned tree must not index past a row.
+func agree(cols *[]server.WireColumn, shard int, got []server.WireColumn) error {
+	if *cols == nil {
+		*cols = got
+		return nil
+	}
+	if !slices.Equal(*cols, got) {
+		return fmt.Errorf("router: shard %d answered columns %v, unlike the shards before it (%v)", shard, got, *cols)
+	}
+	return nil
 }
 
 // shardResult is one shard's answer to a request fanOut sent it.
@@ -455,13 +473,19 @@ func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool
 			return fail(err), nil
 		}
 		subs[i] = sub
-		live++
-		if columns == nil {
-			columns = sub.WireColumns
+		if err := agree(&columns, i, sub.WireColumns); err != nil {
+			stop()
+			return fail(err), nil
 		}
+		live++
 	}
 	if live == 0 {
 		return fail(fmt.Errorf("router: all shards down")), nil
+	}
+	out, err := plan.Bind(columns)
+	if err != nil {
+		stop()
+		return fail(err), nil
 	}
 	partial := live < len(r.shards)
 	if partial {
@@ -486,25 +510,5 @@ func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool
 			m.markDead(i)
 		}(i, sub)
 	}
-	return &server.Response{OK: true, Columns: outColumns(plan, columns), Partial: partial}, stop
-}
-
-// outColumns maps the per-shard scatter schema to the client-visible
-// schema: passthrough columns keep the shard's name and type; an AVG
-// pair collapses to one synthesized DOUBLE column.
-func outColumns(plan *MergePlan, scatter []server.WireColumn) []server.WireColumn {
-	if plan.Out == nil {
-		return scatter
-	}
-	out := make([]server.WireColumn, len(plan.Out))
-	for i, oc := range plan.Out {
-		if oc.Count < 0 {
-			if oc.Src < len(scatter) {
-				out[i] = scatter[oc.Src]
-			}
-			continue
-		}
-		out[i] = server.WireColumn{Name: oc.Name, Type: types.TypeFloat.String()}
-	}
-	return out
+	return &server.Response{OK: true, Columns: out, Partial: partial}, stop
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -583,5 +585,91 @@ func TestRouterMergesIntervalSums(t *testing.T) {
 	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("router after the interval merge: %v", err)
+	}
+}
+
+// TestRouterGroupsLikeOneNode: the router groups the shards' partial rows as
+// one node groups rows (types.Datum.AppendKey), so a DOUBLE key that is 0.0
+// on one shard and -0.0 on the other is one group, through a scatter query
+// and a routed CQ alike. The parent keyed its own map by the values' text and
+// answered two groups, -0|8 and 0|32, where one node answers 0|40.
+func TestRouterGroupsLikeOneNode(t *testing.T) {
+	tc := startCluster(t, 2)
+	c, err := client.Dial(tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	single, err := streamrel.Open(streamrel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, ddl := range []string{
+		`CREATE STREAM s (k varchar, g double, at timestamp CQTIME USER) PARTITION BY k`,
+		`CREATE TABLE raw (k varchar, g double, at timestamp)`,
+		`CREATE CHANNEL raw_ch FROM s INTO raw APPEND`,
+	} {
+		if _, err := c.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+		if _, err := single.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	const cq = `SELECT g, count(*) FROM s <ADVANCE '1 minute'> GROUP BY g`
+	sub, err := c.Subscribe(cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := single.Subscribe(cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A key on each shard: 0.0 on shard 0, first, and -0.0 on shard 1.
+	m := Map{Addrs: make([]string, 2)}
+	var keys [2]string
+	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		keys[m.ShardOf(types.NewString(k))] = k
+	}
+	base := ts(t, "2009-01-04 00:00:00")
+	var rows []client.Row
+	for i := 0; i < 40; i++ {
+		shard, g := 0, 0.0
+		if i >= 32 {
+			shard, g = 1, math.Copysign(0, -1)
+		}
+		rows = append(rows, client.Row{types.NewString(keys[shard]), types.NewFloat(g),
+			types.NewTimestamp(base.Add(time.Duration(i) * time.Second))})
+	}
+	if err := c.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance("s", base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.AdvanceTime("s", base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := ref.Next()
+	if got := nextBatch(t, sub); !ok || !sameRows(got.Rows, want.Rows) {
+		t.Fatalf("subscription through the router %v, single node %v", got.Rows, want.Rows)
+	}
+	const q = `SELECT g, count(*) FROM raw GROUP BY g`
+	got, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := single.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRows(got.Data, one.Data) {
+		t.Fatalf("query through the router %v, single node %v", got.Data, one.Data)
 	}
 }

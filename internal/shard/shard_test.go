@@ -3,6 +3,7 @@ package shard
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"streamrel/internal/server"
@@ -75,26 +76,26 @@ func TestPlanMergeRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []ColMerge{ColCount, ColSum, ColMin, ColMax, ColKey}
-	if p.Kind != MergeAggregate || !reflect.DeepEqual(p.Cols, want) {
-		t.Fatalf("plan = %+v, want aggregate %v", p, want)
+	want := `SELECT sum("#c0") AS count, sum("#c1") AS sum, min("#c2") AS min, max("#c3") AS max, "#c4" AS cq_close FROM "#pre" GROUP BY "#c4"`
+	if got := finalSQL(p); got != want {
+		t.Fatalf("final block = %s, want %s", got, want)
 	}
 
 	p, err = planFor(t, `SELECT k, v FROM s`, "k")
-	if err != nil || p.Kind != MergeConcat {
+	if err != nil || p.final != nil {
 		t.Fatalf("plain projection: %+v, %v", p, err)
 	}
 
 	// GROUP BY the partition key confines groups to one shard: any
 	// aggregate concatenates, including AVG.
 	p, err = planFor(t, `SELECT k, avg(v) FROM s GROUP BY k`, "k")
-	if err != nil || p.Kind != MergeConcat {
+	if err != nil || p.final != nil {
 		t.Fatalf("group-by-partition-key: %+v, %v", p, err)
 	}
 
 	p, err = planFor(t, `SELECT u, count(*) FROM s GROUP BY u`, "k")
-	if err != nil || p.Kind != MergeAggregate || !reflect.DeepEqual(p.Cols, []ColMerge{ColKey, ColCount}) {
-		t.Fatalf("group-by-other: %+v, %v", p, err)
+	if want := `SELECT "#c0" AS u, sum("#c1") AS count FROM "#pre" GROUP BY "#c0"`; err != nil || finalSQL(p) != want {
+		t.Fatalf("group-by-other: %s, %v; want %s", finalSQL(p), err, want)
 	}
 
 	// avg over a non-partition-key grouping rewrites to a SUM+COUNT
@@ -103,12 +104,9 @@ func TestPlanMergeRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != MergeAggregate || !reflect.DeepEqual(p.Cols, []ColMerge{ColKey, ColSum, ColCount, ColCount}) {
-		t.Fatalf("avg rewrite cols = %+v", p.Cols)
-	}
-	wantOut := []OutCol{{Src: 0, Count: -1}, {Src: 1, Count: 2, Name: "m"}, {Src: 3, Count: -1}}
-	if !reflect.DeepEqual(p.Out, wantOut) {
-		t.Fatalf("avg rewrite out = %+v, want %+v", p.Out, wantOut)
+	wantFinal := `SELECT "#c0" AS u, (CAST(sum("#c1") AS DOUBLE) / sum("#c2")) AS m, sum("#c3") AS count FROM "#pre" GROUP BY "#c0"`
+	if got := finalSQL(p); got != wantFinal {
+		t.Fatalf("avg rewrite final block = %s, want %s", got, wantFinal)
 	}
 	wantSQL := `SELECT u, sum(v), count(v), count(*) FROM s <VISIBLE '1 minute' ADVANCE '1 minute'> GROUP BY u`
 	if p.ScatterSQL != wantSQL {
@@ -177,11 +175,33 @@ func rowsOf(vals ...[]any) []types.Row {
 // addresses of two datums' string bytes.
 func sameRows(a, b []types.Row) bool { return slices.EqualFunc(a, b, types.Row.Equal) }
 
+// finalSQL prints the block that finishes the shards' partial rows; "" when
+// they concatenate.
+func finalSQL(p *MergePlan) string {
+	if p == nil || p.final == nil {
+		return ""
+	}
+	return sql.Format(p.final)
+}
+
+// mergeOf sends parts through the merge PlanMerge compiles for q.
+func mergeOf(t *testing.T, q string, parts ...[]types.Row) []types.Row {
+	t.Helper()
+	p, err := planFor(t, q, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := p.Merge(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestMergeAggregate(t *testing.T) {
-	p := &MergePlan{Kind: MergeAggregate, Cols: []ColMerge{ColKey, ColCount, ColSum, ColMin, ColMax}}
 	shard0 := rowsOf([]any{"a", 2, 10, 1, 7}, []any{"b", 1, 5, 5, 5})
 	shard1 := rowsOf([]any{"a", 3, 20, 0, 9}, []any{"c", 1, nil, 2, 2})
-	got := p.Merge([][]types.Row{shard0, shard1})
+	got := mergeOf(t, `SELECT k, count(*), sum(v), min(v), max(v) FROM s GROUP BY k`, shard0, shard1)
 	want := rowsOf([]any{"a", 5, 30, 0, 9}, []any{"b", 1, 5, 5, 5}, []any{"c", 1, nil, 2, 2})
 	if !sameRows(got, want) {
 		t.Fatalf("merged = %v, want %v", got, want)
@@ -193,14 +213,9 @@ func TestMergeAvgRecombine(t *testing.T) {
 	// into one DOUBLE column. Group "a" proves it is the global average
 	// (35/5 = 7), not the average of per-shard averages ((5+6.67)/2);
 	// group "c" saw only NULL inputs everywhere and must stay NULL.
-	p := &MergePlan{
-		Kind: MergeAggregate,
-		Cols: []ColMerge{ColKey, ColSum, ColCount},
-		Out:  []OutCol{{Src: 0, Count: -1}, {Src: 1, Count: 2, Name: "avg"}},
-	}
 	shard0 := rowsOf([]any{"a", 10, 2}, []any{"b", 4, 4}, []any{"c", nil, 0})
 	shard1 := rowsOf([]any{"a", 25, 3}, []any{"c", nil, 0})
-	got := p.Merge([][]types.Row{shard0, shard1})
+	got := mergeOf(t, `SELECT k, avg(v) FROM s GROUP BY k`, shard0, shard1)
 	want := rowsOf([]any{"a", 7.0}, []any{"b", 1.0}, []any{"c", nil})
 	if !sameRows(got, want) {
 		t.Fatalf("avg merge = %v, want %v", got, want)
@@ -208,8 +223,7 @@ func TestMergeAvgRecombine(t *testing.T) {
 }
 
 func TestMergeAggregateNullSum(t *testing.T) {
-	p := &MergePlan{Kind: MergeAggregate, Cols: []ColMerge{ColCount, ColSum}}
-	got := p.Merge([][]types.Row{rowsOf([]any{0, nil}), rowsOf([]any{0, nil})})
+	got := mergeOf(t, `SELECT count(*), sum(v) FROM s`, rowsOf([]any{0, nil}), rowsOf([]any{0, nil}))
 	want := rowsOf([]any{0, nil})
 	if !sameRows(got, want) {
 		t.Fatalf("empty-window merge = %v, want %v", got, want)
@@ -217,11 +231,32 @@ func TestMergeAggregateNullSum(t *testing.T) {
 }
 
 func TestMergeConcatCanonicalOrder(t *testing.T) {
-	p := &MergePlan{Kind: MergeConcat}
-	got := p.Merge([][]types.Row{rowsOf([]any{"b", 2}), rowsOf([]any{"a", 1}, []any{"c", 3})})
+	got := mergeOf(t, `SELECT k, v FROM s`, rowsOf([]any{"b", 2}), rowsOf([]any{"a", 1}, []any{"c", 3}))
 	want := rowsOf([]any{"a", 1}, []any{"b", 2}, []any{"c", 3})
 	if !sameRows(got, want) {
 		t.Fatalf("concat = %v, want %v", got, want)
+	}
+}
+
+// TestMergeRefusesShardDisagreement: the final block is planned over the
+// first answering shard's columns, so a shard whose columns differ, or
+// whose row is of another width, fails the merge naming that shard, where
+// the parent dropped its rows.
+func TestMergeRefusesShardDisagreement(t *testing.T) {
+	p, err := planFor(t, `SELECT u, count(*) FROM s GROUP BY u`, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Merge([][]types.Row{rowsOf([]any{"a", 1}), rowsOf([]any{"a"})}); err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("short row from shard 1: %v", err)
+	}
+	var cols []server.WireColumn
+	first := []server.WireColumn{{Name: "u", Type: "VARCHAR"}, {Name: "count", Type: "BIGINT"}}
+	if err := agree(&cols, 0, first); err != nil || !slices.Equal(cols, first) {
+		t.Fatalf("first shard: %v, %v", cols, err)
+	}
+	if err := agree(&cols, 2, []server.WireColumn{{Name: "u", Type: "BIGINT"}, first[1]}); err == nil || !strings.Contains(err.Error(), "shard 2") {
+		t.Fatalf("shard 2 answering other columns: %v", err)
 	}
 }
 
@@ -232,7 +267,11 @@ func TestCQMergerWatermark(t *testing.T) {
 		partial bool
 	}
 	var got []emitted
-	m := newCQMerger(&MergePlan{Kind: MergeAggregate, Cols: []ColMerge{ColCount}}, 2, false,
+	p, err := planFor(t, `SELECT count(*) FROM s <ADVANCE '1 minute'>`, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newCQMerger(p, 2, false,
 		func(c int64, rows []types.Row, partial bool) {
 			got = append(got, emitted{c, rows, partial})
 		})
@@ -271,7 +310,11 @@ func TestCQMergerWatermark(t *testing.T) {
 
 func TestCQMergerOrdering(t *testing.T) {
 	var closes []int64
-	m := newCQMerger(&MergePlan{Kind: MergeConcat}, 2, false,
+	p, err := planFor(t, `SELECT v FROM s <ADVANCE '1 minute'>`, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newCQMerger(p, 2, false,
 		func(c int64, rows []types.Row, partial bool) { closes = append(closes, c) })
 	m.onBatch(0, 100, rowsOf([]any{1}))
 	m.onBatch(0, 200, rowsOf([]any{2}))
@@ -284,4 +327,16 @@ func TestCQMergerOrdering(t *testing.T) {
 	if left := m.closesOf(1); len(left) != 0 {
 		t.Fatalf("shard 1 leftover closes = %v", left)
 	}
+}
+
+// closesOf is the sorted pending closes of one shard.
+func (m *cqMerger) closesOf(shard int) []int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]int64, 0, len(m.pending[shard]))
+	for c := range m.pending[shard] {
+		out = append(out, c)
+	}
+	slices.Sort(out)
+	return out
 }

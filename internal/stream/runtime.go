@@ -383,14 +383,6 @@ func (s *source) unlock() {
 	}
 }
 
-// HasSource reports whether name is a registered stream.
-func (r *Runtime) HasSource(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.sources[name]
-	return ok
-}
-
 // lookup resolves a source name under the registry read lock.
 func (r *Runtime) lookup(stream string) (*source, error) {
 	r.mu.RLock()

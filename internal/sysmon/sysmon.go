@@ -33,8 +33,8 @@ const (
 	StreamRepl      = "sys.repl"
 )
 
-// DefaultInterval is the snapshot period streamreld uses when -sysmon is
-// enabled without an explicit interval.
+// DefaultInterval is the snapshot period streamreld's -sysmon flag
+// defaults to.
 const DefaultInterval = time.Second
 
 // StreamDef describes one reserved telemetry stream. CQTimeCol is always

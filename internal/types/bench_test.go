@@ -40,7 +40,7 @@ var benchSink int64
 
 // BenchmarkDatumOps times what every layer does with a value, per row of
 // benchRows: Compare of each column with the next row's, the row's grouping
-// key, its hash, Equal against a twin whose string is a copy, and the typed
+// key, Equal against a twin whose string is a copy, and the typed
 // reads a window store makes (IsNull, Int, TimestampMicros).
 func BenchmarkDatumOps(b *testing.B) {
 	const n = 4096
@@ -65,11 +65,6 @@ func BenchmarkDatumOps(b *testing.B) {
 			buf = rows[i%n].AppendKey(buf[:0])
 		}
 		sink += int64(len(buf))
-	})
-	b.Run("HashRow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += int64(HashRow(rows[i%n]))
-		}
 	})
 	b.Run("Equal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -3,7 +3,6 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -129,37 +128,6 @@ func oEqual(a, b old) bool {
 		return false
 	}
 	return oCompare(a, b) == 0
-}
-
-func oHash(h *maphash.Hash, d old) {
-	switch d.typ {
-	case TypeNull, TypeUnknown:
-		h.WriteByte(0)
-	case TypeBool:
-		h.WriteByte(1)
-		h.WriteByte(byte(d.i))
-	case TypeInt:
-		h.WriteByte(2)
-		writeUint64(h, uint64(d.i))
-	case TypeFloat:
-		if i, ok := integralFloat(d.f); ok {
-			// Hash like the equal integer.
-			h.WriteByte(2)
-			writeUint64(h, uint64(i))
-		} else {
-			h.WriteByte(3)
-			writeUint64(h, math.Float64bits(d.f))
-		}
-	case TypeString:
-		h.WriteByte(4)
-		h.WriteString(d.s)
-	case TypeTimestamp:
-		h.WriteByte(5)
-		writeUint64(h, uint64(d.i))
-	case TypeInterval:
-		h.WriteByte(6)
-		writeUint64(h, uint64(d.i))
-	}
 }
 
 func (d old) AppendKey(dst []byte) []byte {
@@ -532,14 +500,6 @@ func checkModel(t testing.TB, a, b pair) {
 		t.Fatalf("%s: Datum.Equal %v, fields identical %v", what, a.d.Equal(b.d), identical)
 	}
 
-	var h, oh maphash.Hash
-	h.SetSeed(hashSeed)
-	oh.SetSeed(hashSeed)
-	HashDatum(&h, a.d)
-	oHash(&oh, a.o)
-	if h.Sum64() != oh.Sum64() {
-		t.Fatalf("%s: hashes differ", what)
-	}
 	if got, want := a.d.AppendKey(nil), a.o.AppendKey(nil); string(got) != string(want) {
 		t.Fatalf("%s: key % x, reference % x", what, got, want)
 	}

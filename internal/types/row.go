@@ -2,7 +2,6 @@ package types
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
@@ -78,19 +77,6 @@ func (r Row) String() string {
 // Datum.Equal values.
 func (r Row) Equal(o Row) bool { return slices.EqualFunc(r, o, Datum.Equal) }
 
-// RowsEqual reports whether two rows are datum-wise Equal.
-func RowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // CompareRows orders rows lexicographically by Compare on each column.
 func CompareRows(a, b Row) int {
 	n := len(a)
@@ -103,52 +89,6 @@ func CompareRows(a, b Row) int {
 		}
 	}
 	return cmpInt(int64(len(a)), int64(len(b)))
-}
-
-var hashSeed = maphash.MakeSeed()
-
-// HashDatum folds a datum into h for hash joins and hash aggregation.
-// Values that compare Equal hash equally: integral floats hash as their
-// integer value so INT 3 and FLOAT 3.0 collide as required.
-func HashDatum(h *maphash.Hash, d Datum) {
-	switch t := d.typ(); t {
-	case TypeNull, TypeUnknown:
-		h.WriteByte(0)
-	case TypeBool:
-		h.WriteByte(1)
-		h.WriteByte(byte(d.int()))
-	case TypeInt, TypeTimestamp, TypeInterval: // as AppendKey tags them
-		h.WriteByte(byte(t) - 1)
-		writeUint64(h, uint64(d.int()))
-	case TypeFloat:
-		if i, ok := integralFloat(d.flt()); ok {
-			// Hash like the equal integer.
-			h.WriteByte(2)
-			writeUint64(h, uint64(i))
-		} else {
-			h.WriteByte(3)
-			writeUint64(h, math.Float64bits(d.flt()))
-		}
-	case TypeString:
-		h.WriteByte(4)
-		h.WriteString(d.str())
-	}
-}
-
-// HashRow returns a 64-bit hash of the row consistent with RowsEqual.
-func HashRow(r Row) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	for _, d := range r {
-		HashDatum(&h, d)
-	}
-	return h.Sum64()
-}
-
-func writeUint64(h *maphash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
 }
 
 // integralFloat returns f as an int64 when f is integral and inside the

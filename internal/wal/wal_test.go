@@ -244,7 +244,7 @@ func TestMixedDatumTypesRoundTrip(t *testing.T) {
 	l.Close()
 	var got types.Row
 	Replay(path, each(func(r Record) error { got = r.Row; return nil }))
-	if !types.RowsEqual(in, got) {
+	if !in.Equal(got) {
 		t.Fatalf("round trip: %v vs %v", in, got)
 	}
 }

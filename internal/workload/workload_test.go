@@ -3,8 +3,6 @@ package workload
 import (
 	"testing"
 	"time"
-
-	"streamrel/internal/types"
 )
 
 func TestClickstreamShape(t *testing.T) {
@@ -45,14 +43,14 @@ func TestClickstreamDeterminism(t *testing.T) {
 	a := NewClickstream(ClickConfig{Seed: 7}).Take(100)
 	b := NewClickstream(ClickConfig{Seed: 7}).Take(100)
 	for i := range a {
-		if !types.RowsEqual(a[i], b[i]) {
+		if !a[i].Equal(b[i]) {
 			t.Fatalf("row %d differs under same seed", i)
 		}
 	}
 	c := NewClickstream(ClickConfig{Seed: 8}).Take(100)
 	same := 0
 	for i := range a {
-		if types.RowsEqual(a[i], c[i]) {
+		if a[i].Equal(c[i]) {
 			same++
 		}
 	}
