@@ -238,12 +238,24 @@ cluster-smoke:
 
 # loc prints the non-test Go line count outside bench/ — the figure ROADMAP
 # tracks and every PR states its delta of — per package directory (internal/
-# by subpackage) and in total. Informational, not a gate.
+# by subpackage) and in total. Informational, not a gate. With BASE=<rev> it
+# prints each package's delta from <rev> instead, counted by the same rule
+# over a git archive of <rev> in a temporary directory.
+LOC_COUNT = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+	| xargs wc -l | awk '$$2 != "total" { \
+		n = split($$2, p, "/"); key = (n == 2) ? "." : p[2]; \
+		if (n > 3 && p[2] == "internal") key = p[2] "/" p[3]; \
+		by[key] += $$1; all += $$1 } \
+	END { for (k in by) printf "%7d  %s\n", by[k], k | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total\n", all }'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
-		| xargs wc -l | awk '$$2 != "total" { \
-			n = split($$2, p, "/"); key = (n == 2) ? "." : p[2]; \
-			if (n > 3 && p[2] == "internal") key = p[2] "/" p[3]; \
-			by[key] += $$1; all += $$1 } \
-		END { for (k in by) printf "%7d  %s\n", by[k], k | "sort -k2"; close("sort -k2"); \
-			printf "%7d  total\n", all }'
+ifeq ($(BASE),)
+	@$(LOC_COUNT)
+else
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive --format=tar $(BASE) | tar -x -C "$$tmp" && \
+	(cd "$$tmp" && $(LOC_COUNT)) > "$$tmp/.loc" && \
+	$(LOC_COUNT) | awk 'NR == FNR { base[$$2] = $$1; keys[$$2]; next } { now[$$2] = $$1; keys[$$2] } \
+		END { for (k in keys) if (k != "total") printf "%+7d  %s\n", now[k] - base[k], k | "sort -k2"; \
+			close("sort -k2"); printf "%+7d  total\n", now["total"] - base["total"] }' "$$tmp/.loc" -
+endif

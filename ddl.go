@@ -18,7 +18,7 @@ import (
 )
 
 // execDDL applies a DDL statement to the catalog and runtime, and logs its
-// SQL text — with at, when that is a replica's mark (ApplyReplicatedAt) — so
+// SQL text — with at, when that is a replica's mark (ApplyEvent) — so
 // WAL replay re-executes it (paper §4: durable state replays; CQ runtime
 // state is then rebuilt from Active Tables). Recovery has no log open and no
 // hub yet: what it replays is remembered in ddlLog and goes nowhere else.
@@ -413,7 +413,7 @@ type writeTxn struct {
 	undo []func()
 	// local records are logged with the batch and not passed on to the hub: a
 	// table's next RowID from a snapshot and, when set, mark, the replica's
-	// resume point this batch is the state as of (ApplyReplicatedAt): commit
+	// resume point this batch is the state as of (ApplyEvent): commit
 	// makes it the engine's.
 	local []wal.Record
 	mark  wal.Record

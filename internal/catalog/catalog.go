@@ -68,7 +68,6 @@ type DerivedStream struct {
 	Name   string
 	Schema types.Schema
 	Query  *sql.Select
-	SQL    string // original DDL text, for WAL replay
 	// CloseCol is the output column holding cq_close(*), or -1. Recovery
 	// uses it to resume from the last archived window (paper §4).
 	CloseCol int
@@ -79,7 +78,6 @@ type DerivedStream struct {
 type View struct {
 	Name  string
 	Query *sql.Select
-	SQL   string
 }
 
 // Channel connects a derived stream to a table, making the table Active
@@ -89,7 +87,6 @@ type Channel struct {
 	From string // derived stream
 	Into string // table
 	Mode sql.ChannelMode
-	SQL  string
 }
 
 // Catalog is the in-memory metadata store. It is rebuilt from the WAL's

@@ -200,8 +200,8 @@ func (fr *Reader) ReadEvent() (*Event, error) {
 // read any more: the next one is decoded into them. An event that carried no
 // rows leaves alone those of the events before it. Its row containers are not
 // reused, because applying an event's rows hands them to the transaction that
-// stores the rows (streamrel's ApplyReplicated*, which point them at the
-// table's copies).
+// stores the rows (streamrel's ApplyEvent, which points them at the table's
+// copies).
 func (fr *Reader) Recycle() {
 	if fr.rows {
 		fr.strs.RecycleValues()

@@ -152,7 +152,7 @@ func (p *Primary) RunID() string {
 }
 
 // NewRun begins a new epoch and cuts every follower loose: the engine has
-// dropped the state they were following (ReplicaReset), so each reconnects
+// dropped the state they were following (a snapshot's begin), so each reconnects
 // under the old run ID and is sent a snapshot.
 func (p *Primary) NewRun() {
 	p.mu.Lock()

@@ -121,9 +121,7 @@ func TestAppendAllocsPerBatch(t *testing.T) {
 			if ev.Kind != repl.KindArchive || len(ev.Rows) != rows {
 				t.Fatalf("event %v of %d rows, want an archive of %d", ev.Kind, len(ev.Rows), rows)
 			}
-			if err := follower.ApplyReplicatedAt(run, ev.LSN, func() error {
-				return follower.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace)
-			}); err != nil {
+			if _, err := follower.ApplyEvent(run, ev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -272,11 +270,8 @@ func TestArchivedRowMemoryBounded(t *testing.T) {
 		if ev.Kind == repl.KindResume {
 			return
 		}
-		var held bool
-		if err := follower.ApplyReplicatedAt(run, ev.LSN, func() (err error) {
-			held, err = follower.ApplyReplicatedArchiveBorrowed(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace)
-			return err
-		}); err != nil {
+		held, err := follower.ApplyEvent(run, ev)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !held {

@@ -19,13 +19,15 @@ import (
 // parts back must be lossless — exactly the original rows, in canonical
 // order. Aggregating each shard's part with the scatter query and merging
 // the partials must give what aggregating the whole batch gives, grouped on
-// a column that is not the key, so a group spans shards. The fuzzer drives
+// a column that is not the key, so a group spans shards — and selected or
+// not, as typeSeed's third bit says. The fuzzer drives
 // shard count, key column, and row contents from raw bytes; a DOUBLE column
 // holds -0.0 and 0.0, which group together, and NaN.
 func FuzzShardSplitMerge(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(0), []byte("alpha\x00bravo\x00charlie"))
 	f.Add(uint8(4), uint8(1), uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(1), uint8(0), uint8(2), []byte{})
+	f.Add(uint8(3), uint8(2), uint8(4), []byte("0123456789abcdefghijklmnopqrstuvwxyz"))
 	f.Fuzz(func(t *testing.T, nShards, keyCol, typeSeed uint8, data []byte) {
 		n := int(nShards)%8 + 1
 		m := Map{Addrs: make([]string, n)}
@@ -110,7 +112,11 @@ func FuzzShardSplitMerge(f *testing.F) {
 		}
 
 		g, v := (kc+1)%cols, (kc+2)%cols
-		q := fmt.Sprintf(`SELECT c%d, count(*), count(c%d), min(c%d), max(c%d)`, g, v, v, v)
+		key := fmt.Sprintf("c%d, ", g)
+		if typeSeed&4 != 0 {
+			key = "" // grouped by all the same
+		}
+		q := fmt.Sprintf(`SELECT %scount(*), count(c%d), min(c%d), max(c%d)`, key, v, v, v)
 		if schema[v].Type.Numeric() {
 			q += fmt.Sprintf(`, sum(c%d), avg(c%d)`, v, v)
 		}

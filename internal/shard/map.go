@@ -8,17 +8,14 @@
 // directly and reuse internal/repl unchanged.
 //
 // The placement function is deliberately boring: FNV-1a over the
-// partition datum's type tag and canonical bytes, modulo the shard
-// count. Membership is static for the life of the router process — the
-// routing invariant every merge step relies on is that all rows of one
-// key live on exactly one shard.
+// partition datum's grouping key, mixed, modulo the shard count.
+// Membership is static for the life of the router process — the routing
+// invariant every merge step relies on is that all rows of one key live on
+// exactly one shard.
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 
 	"streamrel/internal/server"
 	"streamrel/internal/types"
@@ -32,38 +29,22 @@ type Map struct {
 // N returns the shard count.
 func (m Map) N() int { return len(m.Addrs) }
 
-// HashDatum hashes one partition-key value with FNV-1a over its type tag
-// and canonical byte representation. NULL hashes on the tag alone, so
-// NULL keys land on one (arbitrary but stable) shard.
+// HashDatum hashes one partition-key value with FNV-1a over its grouping
+// key (types.Datum.AppendKey), so values one node groups together — 0.0 and
+// -0.0, INT 42 and DOUBLE 42.0 — hash alike, and NULL keys land on one
+// (arbitrary but stable) shard. FNV-1a carries a byte into higher bits only,
+// so its low bits — all a small modulus reads — barely see a key's last bytes
+// (a small integer's are zeros): MurmurHash3's finalizer spreads the high
+// bits over them.
 func HashDatum(d types.Datum) uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	buf[0] = byte(d.Type())
-	switch d.Type() {
-	case types.TypeBool:
-		if d.Bool() {
-			buf[1] = 1
-		}
-		h.Write(buf[:2])
-	case types.TypeInt:
-		binary.LittleEndian.PutUint64(buf[1:], uint64(d.Int()))
-		h.Write(buf[:9])
-	case types.TypeFloat:
-		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(d.Float()))
-		h.Write(buf[:9])
-	case types.TypeString:
-		h.Write(buf[:1])
-		h.Write([]byte(d.Str()))
-	case types.TypeTimestamp:
-		binary.LittleEndian.PutUint64(buf[1:], uint64(d.TimestampMicros()))
-		h.Write(buf[:9])
-	case types.TypeInterval:
-		binary.LittleEndian.PutUint64(buf[1:], uint64(d.IntervalMicros()))
-		h.Write(buf[:9])
-	default:
-		h.Write(buf[:1])
+	var buf [32]byte
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for _, c := range d.AppendKey(buf[:0]) {
+		h = (h ^ uint64(c)) * 1099511628211 // FNV-1a 64 prime
 	}
-	return h.Sum64()
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // ShardOf places one partition-key value.

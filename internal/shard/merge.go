@@ -84,6 +84,7 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 	for _, g := range sel.GroupBy {
 		keys[g.String()] = true
 	}
+	selected := make(map[string]bool, len(sel.GroupBy)) // the keys the final block groups by
 	p := &MergePlan{final: &sql.Select{From: []sql.TableRef{&sql.BaseTable{Name: plan.PreName}}}}
 	scatter := *sel // the query the shards run: sel with each avg split in two
 	scatter.Items = nil
@@ -124,10 +125,21 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 			scatter.Items = append(scatter.Items, it)
 			item.Expr = c
 			p.final.GroupBy = append(p.final.GroupBy, c)
+			selected[it.Expr.String()] = true
 		default:
 			return nil, fmt.Errorf("shard: output column %s is neither a combinable aggregate (count/sum/avg/min/max) nor a GROUP BY key", it.Expr.String())
 		}
 		p.final.Items = append(p.final.Items, item)
+	}
+	// A key the client does not select still splits the groups: the shards
+	// send it as a column of its own, which the final block groups by and
+	// leaves out.
+	for _, g := range sel.GroupBy {
+		if !selected[g.String()] {
+			selected[g.String()] = true
+			p.final.GroupBy = append(p.final.GroupBy, partialCol(len(scatter.Items)))
+			scatter.Items = append(scatter.Items, sql.SelectItem{Expr: g})
+		}
 	}
 	p.width = len(scatter.Items)
 	if p.width != len(sel.Items) {

@@ -393,7 +393,7 @@ func TestRouterSubscribeArgs(t *testing.T) {
 		var rows []client.Row
 		for i := 0; i < 30; i++ {
 			rows = append(rows, client.Row{
-				types.NewString(string(rune('a' + i%6))),
+				types.NewString([]string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}[i%6]), // on both shards
 				types.NewInt(int64(i)),
 				types.NewTimestamp(base.Add(time.Duration(i) * time.Second)),
 			})
@@ -670,6 +670,81 @@ func TestRouterGroupsLikeOneNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameRows(got.Data, one.Data) {
+		t.Fatalf("query through the router %v, single node %v", got.Data, one.Data)
+	}
+}
+
+// TestRouterGroupsByAnUnselectedKey: a GROUP BY key the select list leaves out
+// splits the groups through the router as on one node, as a snapshot query
+// and as a CQ. The parent folded every shard's per-u rows into one.
+func TestRouterGroupsByAnUnselectedKey(t *testing.T) {
+	tc := startCluster(t, 2)
+	c, err := client.Dial(tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	single, err := streamrel.Open(streamrel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, ddl := range []string{
+		`CREATE STREAM s (k varchar, u bigint, at timestamp CQTIME USER) PARTITION BY k`,
+		`CREATE TABLE raw (k varchar, u bigint, at timestamp)`,
+		`CREATE CHANNEL raw_ch FROM s INTO raw APPEND`,
+	} {
+		if _, err := c.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+		if _, err := single.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	const cq = `SELECT count(*) FROM s <ADVANCE '1 minute'> GROUP BY u`
+	sub, err := c.Subscribe(cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := single.Subscribe(cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ts(t, "2009-01-04 00:00:00")
+	var rows []client.Row
+	for i := 0; i < 30; i++ {
+		rows = append(rows, client.Row{
+			types.NewString([]string{"alpha", "bravo", "charlie", "delta", "echo"}[i%5]), // on both shards
+			types.NewInt(int64(i % 4 % 3)), types.NewTimestamp(base.Add(time.Duration(i) * time.Second))})
+	}
+	if err := c.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance("s", base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.AdvanceTime("s", base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := ref.Next()
+	sortRows(want.Rows)
+	if got := nextBatch(t, sub); !ok || len(want.Rows) != 3 || !sameRows(got.Rows, want.Rows) {
+		t.Fatalf("subscription through the router %v, single node %v", got.Rows, want.Rows)
+	}
+	const q = `SELECT count(*) FROM raw GROUP BY u`
+	got, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := single.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortRows(one.Data)
+	if len(one.Data) != 3 || !sameRows(got.Data, one.Data) {
 		t.Fatalf("query through the router %v, single node %v", got.Data, one.Data)
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -339,4 +340,20 @@ func (m *cqMerger) closesOf(shard int) []int64 {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// TestShardOfPlacesGroupingKeys: a key's shard follows its grouping key, so
+// the values one node groups together share a shard at every shard count.
+func TestShardOfPlacesGroupingKeys(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		m := Map{Addrs: make([]string, n)}
+		for _, pair := range [][2]types.Datum{
+			{types.NewFloat(0), types.NewFloat(math.Copysign(0, -1))},
+			{types.NewInt(42), types.NewFloat(42)},
+		} {
+			if a, b := m.ShardOf(pair[0]), m.ShardOf(pair[1]); a != b {
+				t.Errorf("%d shards: %v on shard %d, %v on shard %d", n, pair[0], a, pair[1], b)
+			}
+		}
+	}
 }

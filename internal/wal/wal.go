@@ -483,81 +483,63 @@ func (l *Log) Truncate() error {
 const maxBatchBytes = 1 << 30
 
 // Replay reads every intact committed batch from the log at path, calling
-// apply for each in order. A corrupt or torn trailing batch ends
-// replay without error (it is, by construction, an uncommitted tail). A
-// missing file replays zero records.
+// apply for each in order. It reads batch by batch through a buffered reader
+// rather than loading the whole file, so replay memory is bounded by the
+// largest single batch. A corrupt or torn trailing batch ends replay without
+// error (it is, by construction, an uncommitted tail). A missing file replays
+// zero records. A file without a valid format header (pre-versioning,
+// foreign, or a different FormatVersion) is an explicit error, never a
+// silently truncated replay, and so is a batch whose checksum holds but whose
+// records do not decode (a kind this build does not know): that is not a torn
+// tail.
 func Replay(path string, apply func([]Record) error) error {
-	_, err := ReplayFrom(path, 0, apply)
-	return err
-}
-
-// ReplayFrom streams intact committed batches starting at byte offset in
-// the log at path, calling apply for each, and returns the offset
-// just past the last intact batch. It reads batch-by-batch through a
-// buffered reader rather than loading the whole file, so replay memory is
-// bounded by the largest single batch; the returned offset lets a caller
-// resume tailing the log incrementally. offset must sit on a batch
-// boundary (0, or a value ReplayFrom previously returned). A torn or
-// corrupt tail ends replay without error; a missing file replays zero
-// records and returns offset unchanged. A file without a valid format
-// header (pre-versioning, foreign, or a different FormatVersion) is an
-// explicit error, never a silently truncated replay, and so is a batch whose
-// checksum holds but whose records do not decode (a kind this build does not
-// know): that is not a torn tail.
-func ReplayFrom(path string, offset int64, apply func([]Record) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return offset, nil
+		return nil
 	}
 	if err != nil {
-		return offset, fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 	hbuf := make([]byte, headerSize)
 	n, _ := io.ReadFull(f, hbuf)
 	if n == 0 {
-		return offset, nil // empty file: zero records
+		return nil // empty file: zero records
 	}
 	if err := checkHeader(path, hbuf[:n]); err != nil {
 		if errors.Is(err, errTornHeader) {
-			return offset, nil // crash before the first batch: logically empty
+			return nil // crash before the first batch: logically empty
 		}
-		return offset, err
-	}
-	if offset < headerSize {
-		offset = headerSize // offset 0 means "from the first batch"
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return offset, fmt.Errorf("wal: %w", err)
+		return err
 	}
 	rd := bufio.NewReaderSize(f, 1<<20)
-	end := offset
+	at := int64(headerSize) // the batch's offset, for errors
 	var hdr [8]byte
 	var strs types.RowStrings
 	for {
 		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-			return end, nil // EOF or torn header
+			return nil // EOF or torn header
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:])
 		crc := binary.LittleEndian.Uint32(hdr[4:])
 		if n > maxBatchBytes {
-			return end, nil // corrupt length: treat as uncommitted tail
+			return nil // corrupt length: treat as uncommitted tail
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(rd, payload); err != nil {
-			return end, nil // torn payload
+			return nil // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
-			return end, nil // corrupt batch: treat as uncommitted tail
+			return nil // corrupt batch: treat as uncommitted tail
 		}
 		recs, err := ReadRecords(payload, &strs)
 		if err != nil {
-			return end, fmt.Errorf("wal: %s: batch at offset %d: %w", path, end, err)
+			return fmt.Errorf("wal: %s: batch at offset %d: %w", path, at, err)
 		}
 		if err := apply(recs); err != nil {
-			return end, err
+			return err
 		}
-		end += int64(8 + n)
+		at += int64(8 + n)
 	}
 }
 

@@ -11,8 +11,10 @@ import (
 )
 
 // recover restores durable state from the checkpoint and the WAL — through
-// ApplyReplicated, the one record applier: the log is not open yet and the hub
-// not built, so what it applies is neither logged nor published again — then
+// applyRecords, the one record applier, a batch's trailing RecMark as its
+// mark (the replica's resume point it was logged with), as a replica applies
+// its primary's events: the log is not open yet and the hub not built, so
+// what it applies is neither logged nor published again — then
 // rebuilds continuous-query runtime state from Active Tables (paper §4):
 // instead of checkpointing every operator, each derived stream resumes
 // just past the newest window its channels archived. A checkpoint opens its
@@ -32,7 +34,11 @@ func (e *Engine) recover() (stale bool, err error) {
 			if first = false; gens[i] != gens[0] {
 				return nil
 			}
-			return e.ApplyReplicated(recs)
+			var mark wal.Record
+			if n := len(recs); n > 0 && recs[n-1].Kind == wal.RecMark {
+				recs, mark = recs[:n-1], recs[n-1]
+			}
+			return e.applyRecords(recs, mark)
 		})
 		if err != nil {
 			return false, fmt.Errorf("streamrel: recovery: %w", err)

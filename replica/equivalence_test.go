@@ -620,7 +620,7 @@ func cutEquivalence(t *testing.T, parallel int) {
 }
 
 // TestResetEquivalence: a follower made to bootstrap again drops what it held
-// (ReplicaReset), and what it held its own follower holds too. The primary is
+// (the snapshot's KindSnapBegin event), and what it held its own follower holds too. The primary is
 // replaced, at its address, by one of another run that never had table gone_t
 // and numbers kept_t's rows otherwise; the first follower reconnects, is sent a
 // snapshot and resets — under load, the new primary writing and running DDL

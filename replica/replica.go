@@ -1,13 +1,15 @@
 // Package replica runs a streamrel engine as a read replica of a primary
-// server: it connects with the client package's "replicate" op, applies
-// the primary's replication frames (DDL, inserts/deletes at the
-// primary's RowIDs, stream appends — alone, or with the raw archive of the
-// same rows — and heartbeats) into its local engine
-// — which runs its own continuous queries, so local subscribers get
-// window fires — reconnects with exponential backoff plus jitter when the
-// primary goes away, resumes from the point the engine's own state is the
-// state as of (Engine.ReplicaMark), and supports explicit promotion to
-// primary.
+// server: it connects with the client package's "replicate" op and hands
+// each of the primary's replication frames to the engine (Engine.ApplyEvent),
+// which maps it to state — DDL, inserts/deletes at the primary's RowIDs,
+// stream appends (alone, or with the raw archive of the same rows) and
+// heartbeats — runs its own continuous queries over it, so local subscribers
+// get window fires, and keeps the point its state is the state as of
+// (Engine.ReplicaMark). The replica keeps what is its own: the primary's run,
+// the LSNs it has seen and applied, the lag metrics and the replica-apply
+// span. It reconnects with exponential backoff plus jitter when the primary
+// goes away, resumes from the engine's mark, and supports explicit promotion
+// to primary.
 package replica
 
 import (
@@ -290,76 +292,36 @@ func (r *Replica) streamOnce() (applied bool, err error) {
 	}
 }
 
-// apply dispatches one frame into the engine, which keeps the resume point
-// (a live event is applied at its LSN: Engine.ApplyReplicatedAt), and
-// maintains the lag metrics. kept says a stream still holds the event's rows
-// (Engine.AppendBorrowed); a table holds copies of its own.
+// apply hands one frame to the engine, which maps it to state and keeps the
+// resume point (Engine.ApplyEvent), and keeps what is the replica's: the
+// primary's run, the LSNs, the lag metrics and the replica-apply span. kept
+// is ApplyEvent's.
 func (r *Replica) apply(ev *repl.Event) (kept bool, err error) {
 	r.framesApplied.Inc()
 	if ev.LSN > r.lastPrimary.Load() {
 		r.lastPrimary.Store(ev.LSN)
 	}
-	var rows int
-	var stream string
-	var do func() error
 	switch ev.Kind {
 	case repl.KindPing:
 		r.observeLag(ev, false)
 		return false, nil
-
 	case repl.KindResume:
 		r.primary = ev.Run
 		r.log("resuming replication", "lsn", r.lastApplied.Load(), "run", ev.Run)
 		return false, nil
-
 	case repl.KindSnapBegin:
 		r.lastApplied.Store(0) // of this run nothing is applied yet, whatever was of another
 		r.snapsRecv.Inc()
 		r.primary = ev.Run
 		r.log("receiving snapshot", "run", ev.Run)
-		// Whatever the engine holds is of another run, of a point the ring no
-		// longer reaches, or of no recorded point at all: the snapshot
-		// replaces it.
-		return false, r.eng.ReplicaReset()
-
 	case repl.KindSnapEnd:
 		r.log("snapshot complete", "lsn", ev.LSN)
-
-	case repl.KindWAL:
-		if rows = wal.RowCount(ev.Recs); rows > 0 {
-			stream = ev.Recs[0].Table
-		}
-		do = func() error { return r.eng.ApplyReplicated(ev.Recs) }
-
-	case repl.KindAppend:
-		rows, stream = len(ev.Rows), ev.Stream
-		do = func() (err error) {
-			kept, err = r.eng.ApplyReplicatedAppendBorrowed(ev.Stream, ev.Rows, ev.Trace)
-			return err
-		}
-
-	case repl.KindArchive:
-		rows, stream = len(ev.Rows), ev.Stream
-		do = func() (err error) {
-			kept, err = r.eng.ApplyReplicatedArchiveBorrowed(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace)
-			return err
-		}
-
-	case repl.KindAdvance:
-		do = func() error { return r.eng.ApplyReplicatedAdvance(ev.Stream, ev.TS) }
-
-	default:
-		return false, fmt.Errorf("replica: unknown frame kind %d", ev.Kind)
-	}
-	if ev.LSN == 0 && do != nil {
-		err = do() // a snapshot's state frame: the resume point moves at its end
-		return kept, err
 	}
 	start := r.spanStart(ev)
-	if err := r.eng.ApplyReplicatedAt(r.primary, ev.LSN, do); err != nil {
-		return false, err
+	if kept, err = r.eng.ApplyEvent(r.primary, ev); err != nil || ev.LSN == 0 {
+		return kept, err // a snapshot's begin or state frame: the resume point moves at its end
 	}
-	r.recordApply(ev, start, stream, rows)
+	r.recordApply(ev, start)
 	if ev.LSN > r.lastApplied.Load() {
 		r.lastApplied.Store(ev.LSN)
 	}
@@ -379,9 +341,15 @@ func (r *Replica) spanStart(ev *repl.Event) time.Time {
 // recordApply closes a traced frame's span chain on this replica: the
 // span shares the primary's trace ID, so reading the replica's trace ring
 // shows where a traced primary batch landed remotely.
-func (r *Replica) recordApply(ev *repl.Event, start time.Time, stream string, rows int) {
+func (r *Replica) recordApply(ev *repl.Event, start time.Time) {
 	if start.IsZero() {
 		return
+	}
+	rows, stream := len(ev.Rows), ev.Stream
+	if ev.Kind == repl.KindWAL {
+		if rows = wal.RowCount(ev.Recs); rows > 0 {
+			stream = ev.Recs[0].Table
+		}
 	}
 	r.eng.Tracer().Record(trace.Span{Trace: ev.Trace, Stage: trace.StageReplicaApply,
 		Stream: stream, Start: start.UnixMicro(),

@@ -67,7 +67,7 @@ func (e *Engine) ReplicaMode() bool { return e.replicaMode.Load() }
 // BeginReplica puts the engine into replica mode: user writes are
 // rejected, channel taps stop writing tables (the primary's channel
 // writes arrive through the replicated log instead — a raw archive's with
-// the batch it stored, ApplyReplicatedArchive, every other channel's as a
+// the batch it stored, as one KindArchive event, every other channel's as a
 // WAL batch — avoiding double-apply), and the late-row policy becomes clamp
 // so replayed stream rows whose timestamps the primary already clamped are
 // accepted verbatim.
@@ -99,23 +99,77 @@ func (e *Engine) Promote() {
 
 // ---------------------------------------------------------------- apply
 
-// ApplyReplicated is the one record applier: a replica applies its primary's
-// WAL batches and snapshot through it, and recovery the checkpoint and the
-// log. A batch is DDL or data, not both. DDL re-executes its SQL (which logs
-// and republishes it locally); data applies inserts and deletes at the logged
-// RowIDs in one local transaction, logged and republished likewise, and a
-// table's next RowID, logged only (this engine's followers number from the
-// rows they are sent). A batch that ends in a RecMark is applied at that mark
-// (ApplyReplicatedAt). Row apply is idempotent: an insert into an occupied
-// slot keeps the row stored there, a delete of a missing or deleted one does
-// nothing. The heap copies what it stores, and the transaction then holds the
-// records' row containers, pointed at the copies: recs' rows themselves are
-// the caller's to reuse.
-func (e *Engine) ApplyReplicated(recs []wal.Record) error {
-	if n := len(recs); n > 0 && recs[n-1].Kind == wal.RecMark {
-		return e.ApplyReplicatedAt(recs[n-1].SQL, recs[n-1].RowID, func() error { return e.ApplyReplicated(recs[:n-1]) })
+// ApplyEvent applies one event of the primary's run, the one way a replica's
+// events reach its engine. On success (run, ev.LSN) is the engine's resume
+// point (ReplicaMark), at LSN 0 (a snapshot's state frames) none. A write the
+// event makes durable logs the mark in its WAL batch, so the two recover
+// together (the hub does not republish it: it is this engine's); a stream
+// append or a heartbeat moves it in memory only; a snapshot's begin drops all
+// the engine holds, mark included; a ping or a resume applies nothing. Stream
+// rows keep the primary's CQTIME stamps, and a non-zero ev.Trace is the
+// primary's trace, which local fires join. kept says a stream still holds the
+// event's rows (AppendBorrowed's). One goroutine applies events to an engine.
+func (e *Engine) ApplyEvent(run string, ev *repl.Event) (kept bool, err error) {
+	var mark wal.Record
+	if ev.LSN > 0 {
+		mark = wal.Record{Kind: wal.RecMark, SQL: run, RowID: ev.LSN}
 	}
-	if len(recs) == 0 && e.applying.Kind == 0 {
+	switch ev.Kind {
+	case repl.KindSnapBegin:
+		return false, e.reset()
+	case repl.KindPing, repl.KindResume: // a ping's LSN is the primary's, a resume's this engine's already
+		return false, nil
+	case repl.KindWAL, repl.KindSnapEnd:
+		err = e.applyRecords(ev.Recs, mark)
+	case repl.KindAppend:
+		e.mu.RLock()
+		kept, err = e.rt.PushBatch(e.tracer.Adopt(ev.Trace), ev.Stream, ev.Rows, nil)
+		e.mu.RUnlock()
+	case repl.KindArchive:
+		kept, err = e.applyArchive(ev, mark)
+	case repl.KindAdvance:
+		e.mu.RLock()
+		err = e.rt.Advance(ev.Stream, ev.TS)
+		e.mu.RUnlock()
+	default:
+		return false, fmt.Errorf("streamrel: replication event of unknown kind %d", ev.Kind)
+	}
+	if err == nil && mark.Kind != 0 {
+		e.mu.RLock()
+		e.mark = mark
+		e.mu.RUnlock()
+	}
+	return kept, err
+}
+
+// ReplicaMark returns the engine's resume point as a replica: every event of
+// the primary's run up to lsn is applied here. ("", 0) asks for a snapshot.
+func (e *Engine) ReplicaMark() (run string, lsn uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.mark.SQL, e.mark.RowID
+}
+
+// ApplyReplicatedAppend applies rows the primary accepted into a base stream,
+// as a KindAppend event at no LSN: the mark stays where it was.
+func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID uint64) error {
+	_, err := e.ApplyEvent("", &repl.Event{Kind: repl.KindAppend, Stream: streamName, Rows: rows, Trace: traceID})
+	return err
+}
+
+// applyRecords is the one record applier: a replica applies its primary's WAL
+// batches and snapshot through it, and recovery the checkpoint and the log.
+// mark, if any, is logged with the batch (with its last statement, for DDL)
+// and is then the engine's resume point. A batch is DDL or data, not both.
+// DDL re-executes its SQL, which logs and republishes it; data applies inserts
+// and deletes at the logged RowIDs in one transaction, logged and republished
+// likewise, and a table's next RowID, logged only (this engine's followers
+// number from the rows they are sent). Row apply is idempotent: an insert
+// into an occupied slot keeps the row stored there, a delete of a missing or
+// deleted one does nothing. The transaction keeps recs' row containers,
+// pointed at the heap's copies: the rows' values are the caller's to reuse.
+func (e *Engine) applyRecords(recs []wal.Record, mark wal.Record) error {
+	if len(recs) == 0 && mark.Kind == 0 {
 		return nil
 	}
 	if len(recs) > 0 && recs[0].Kind == wal.RecDDL {
@@ -126,7 +180,7 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 			}
 			var at wal.Record
 			if i == len(recs)-1 {
-				at = e.applying // logged with the last statement: then all of them are applied
+				at = mark // logged with the last statement: then all of them are applied
 			}
 			if _, err := e.execDDL(stmt, rec.SQL, at); err != nil {
 				return err
@@ -137,7 +191,7 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	w := e.beginWrite(&e.applyScratch)
-	w.mark = e.applying
+	w.mark = mark
 	for _, rec := range recs {
 		t, ok := e.cat.Table(rec.Table)
 		if !ok {
@@ -163,94 +217,30 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) error {
 	return w.commit()
 }
 
-// ApplyReplicatedAt runs apply — the ApplyReplicated* call for event lsn of
-// the primary's run — and, when it succeeds, makes (run, lsn) the engine's
-// resume point (ReplicaMark). Whatever that call logs carries the mark in the
-// same WAL batch, DDL included, so the state and the point it is the state as
-// of recover together; apply nil, a snapshot's end, logs the mark alone. The
-// mark is logged, not republished: it is this engine's, not its followers'.
-// An event that writes nothing durable (a stream append, a heartbeat) moves
-// the mark in memory only: the window state it fed dies with the process, and
-// a restarted replica resumes after the last event that did write. One
-// goroutine applies events to an engine.
-func (e *Engine) ApplyReplicatedAt(run string, lsn uint64, apply func() error) error {
-	e.applying = wal.Record{Kind: wal.RecMark, SQL: run, RowID: lsn}
-	defer func() { e.applying = wal.Record{} }()
-	if apply == nil {
-		apply = func() error { return e.ApplyReplicated(nil) }
-	}
-	if err := apply(); err != nil {
-		return err
-	}
-	e.mu.RLock()
-	e.mark = e.applying
-	e.mu.RUnlock()
-	return nil
-}
-
-// ReplicaMark returns the engine's resume point as a replica: every event of
-// the primary's run up to lsn is applied here. ("", 0) asks for a snapshot.
-func (e *Engine) ReplicaMark() (run string, lsn uint64) {
+// applyArchive applies a KindArchive event: rows the primary accepted into a
+// base stream and archived, unchanged, into a table. One decoded row serves
+// the stream and is copied into the heap at the primary's RowIDs, in one
+// transaction logged with mark and idempotent like applyRecords, which commits
+// under the stream's delivery lock before the batch is delivered (a window it
+// closes sees it archived, as on the primary). This engine's hub republishes
+// the one event when every row was new here, else the append and what it did
+// insert.
+func (e *Engine) applyArchive(ev *repl.Event, mark wal.Record) (kept bool, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.mark.SQL, e.mark.RowID
-}
-
-// ApplyReplicatedAppend pushes replicated stream rows without re-stamping
-// CQTIME SYSTEM columns — the primary's arrival timestamps are part of
-// the replicated history. They advance the stream's clock like any row,
-// and post-promotion appends are stamped against that clock, so they stay
-// monotonic. A non-zero traceID re-injects the primary's trace context so
-// local fires chain onto the same trace.
-func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID uint64) error {
-	_, err := e.ApplyReplicatedAppendBorrowed(streamName, rows, traceID)
-	return err
-}
-
-// ApplyReplicatedAppendBorrowed is ApplyReplicatedAppend for a caller that
-// would reuse the rows' memory; kept is AppendBorrowed's.
-func (e *Engine) ApplyReplicatedAppendBorrowed(streamName string, rows []Row, traceID uint64) (kept bool, err error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.rt.PushBatch(e.tracer.Adopt(traceID), streamName, rows, nil)
-}
-
-// ApplyReplicatedArchive applies a batch the primary both accepted into a
-// base stream and archived, unchanged, into table at the RowIDs in runs: one
-// decoded row serves the stream and is copied into the heap. The rows are inserted
-// at the primary's RowIDs in one local transaction — idempotent like
-// ApplyReplicated, so applying the event again leaves the table as it
-// was — which runs and commits under the stream's delivery lock, once the
-// stream has accepted the batch and before it is delivered (a window the batch closes sees it archived, as fanOut arranges on
-// the primary), and then the rows enter the stream as in
-// ApplyReplicatedAppend. This engine's own hub republishes the batch as the
-// same single event when every row was new here; one applied again ships
-// its append and whatever it did insert separately.
-func (e *Engine) ApplyReplicatedArchive(streamName, table string, rows []Row, runs []wal.RowIDRun, traceID uint64) error {
-	_, err := e.ApplyReplicatedArchiveBorrowed(streamName, table, rows, runs, traceID)
-	return err
-}
-
-// ApplyReplicatedArchiveBorrowed is ApplyReplicatedArchive for a caller that
-// would reuse the rows' memory. The transaction takes the rows' container,
-// pointed at the table's copies, so only the rows' values and strings are
-// the caller's again, and only when kept (AppendBorrowed's) is false.
-func (e *Engine) ApplyReplicatedArchiveBorrowed(streamName, table string, rows []Row, runs []wal.RowIDRun, traceID uint64) (kept bool, err error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.cat.Table(table)
-	if !ok || len(runs) == 0 {
-		return false, fmt.Errorf("streamrel: replicated write of %d rows to %q: no such table, or no RowID runs", len(rows), table)
+	t, ok := e.cat.Table(ev.Table)
+	if !ok || len(ev.Runs) == 0 {
+		return false, fmt.Errorf("streamrel: replicated write of %d rows to %q: no such table, or no RowID runs", len(ev.Rows), ev.Table)
 	}
-	tc := e.tracer.Adopt(traceID)
-	return e.rt.PushArchived(tc, streamName, rows, func(in *stream.Ingest) error {
+	tc := e.tracer.Adopt(ev.Trace)
+	return e.rt.PushArchived(tc, ev.Stream, ev.Rows, func(in *stream.Ingest) error {
 		w := e.beginWrite(&e.applyScratch)
-		w.tc, w.mark = tc, e.applying
-		if err := w.insert(t, runs, rows); err != nil {
+		w.tc, w.mark = tc, mark
+		if err := w.insert(t, ev.Runs, ev.Rows); err != nil {
 			return w.fail(err)
 		}
 		if in.Owed() {
-			if len(w.recs) == 1 && len(w.recs[0].Rows) == len(rows) {
+			if len(w.recs) == 1 && len(w.recs[0].Rows) == len(ev.Rows) {
 				w.in = in
 			} else {
 				in.Publish()
@@ -260,18 +250,10 @@ func (e *Engine) ApplyReplicatedArchiveBorrowed(streamName, table string, rows [
 	})
 }
 
-// ApplyReplicatedAdvance applies a replicated heartbeat.
-func (e *Engine) ApplyReplicatedAdvance(streamName string, ts int64) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.rt.Advance(streamName, ts)
-}
-
-// ReplicaReset drops every object and clears durable state, preparing the
-// engine to receive a full snapshot from a (new) primary. Dependency
-// order: channels first, then derived streams, base streams, views,
-// tables (indexes go with their tables).
-func (e *Engine) ReplicaReset() error {
+// reset drops every object and all durable state, for a snapshot from a (new)
+// primary to replace. Dependency order: channels first, then derived streams,
+// base streams, views, tables (indexes go with their tables).
+func (e *Engine) reset() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.hub != nil && len(e.ddlLog) > 0 {

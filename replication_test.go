@@ -189,7 +189,7 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 		`CREATE TABLE raw (k bigint, at timestamp)`,
 		`CREATE CHANNEL c FROM s INTO raw APPEND`,
 	} {
-		if err := e.ApplyReplicated([]wal.Record{{Kind: wal.RecDDL, SQL: ddl}}); err != nil {
+		if _, err := e.ApplyEvent("", ddlEvent(0, ddl)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +199,8 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 		rows[i] = Row{Int(int64(i)), Timestamp(base.Add(time.Duration(i) * time.Second))}
 	}
 	runs := []wal.RowIDRun{{First: 2, N: 3}, {First: 9, N: 2}}
-	if err := e.ApplyReplicatedArchive("s", "raw", rows, runs, 0); err != nil {
+	archive := &repl.Event{Kind: repl.KindArchive, Stream: "s", Table: "raw", Rows: rows, Runs: runs}
+	if _, err := e.ApplyEvent("", archive); err != nil {
 		t.Fatal(err)
 	}
 	want := heapTranscript(e, "raw")
@@ -211,7 +212,7 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 		t.Fatalf("the follower republished %q", got)
 	}
 
-	if err := e.ApplyReplicatedArchive("s", "raw", rows, runs, 0); err != nil {
+	if _, err := e.ApplyEvent("", archive); err != nil {
 		t.Fatal(err)
 	}
 	if got := heapTranscript(e, "raw"); got != want {
@@ -223,7 +224,7 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 		t.Fatalf("the follower republished %q", got)
 	}
 	for _, bad := range [][]wal.RowIDRun{{{First: 2, N: 4}}, {{First: 2, N: 3}, {First: 9, N: 3}}, nil} {
-		if err := e.ApplyReplicatedArchive("s", "raw", rows, bad, 0); err == nil {
+		if _, err := e.ApplyEvent("", &repl.Event{Kind: repl.KindArchive, Stream: "s", Table: "raw", Rows: rows, Runs: bad}); err == nil {
 			t.Fatalf("runs %v applied to %d rows", bad, len(rows))
 		}
 	}
@@ -239,7 +240,7 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 	if got := heapTranscript(e, "raw"); got != want {
 		t.Fatalf("recovered from the follower's own log:\n%swant:\n%s", got, want)
 	}
-	if err := e.ApplyReplicatedArchive("s", "raw", rows, runs, 0); err != nil {
+	if _, err := e.ApplyEvent("", archive); err != nil {
 		t.Fatal(err)
 	}
 	if got := heapTranscript(e, "raw"); got != want {
@@ -289,7 +290,7 @@ func TestReplicaArchiveApplyAllocs(t *testing.T) {
 			if ev.Recs != nil {
 				t.Fatal("an archive event decoded WAL records")
 			}
-			if err := e.ApplyReplicatedArchive(ev.Stream, ev.Table, ev.Rows, ev.Runs, ev.Trace); err != nil {
+			if _, err := e.ApplyEvent("run", ev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -308,12 +309,12 @@ func TestReplicaArchiveApplyAllocs(t *testing.T) {
 	}
 }
 
-// TestMarkMovesWithTheStatement: a follower's checkpoint may fall between its
-// applying an event — a DDL statement, a WAL batch, an archived batch — and
-// ApplyReplicatedAt's return. The file must then hold the event's mark with
-// its effects: an engine recovered from it that resumed one event earlier
-// would be sent CREATE TABLE again, and fail on it for ever — or the batch
-// again, which is harmless only because row apply is idempotent.
+// TestMarkMovesWithTheStatement: a follower's checkpoint may fall right after
+// it applied an event — a DDL statement, a WAL batch, an archived batch. The
+// file must then hold the event's mark with its effects: an engine recovered
+// from it that resumed one event earlier would be sent CREATE TABLE again, and
+// fail on it for ever — or the batch again, which is harmless only because row
+// apply is idempotent.
 func TestMarkMovesWithTheStatement(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Config{Dir: dir, Replicate: true})
@@ -323,22 +324,18 @@ func TestMarkMovesWithTheStatement(t *testing.T) {
 	defer e.Close()
 	e.BeginReplica()
 	lsn := uint64(3)
-	at := func(apply func() error, then func() error) {
+	at := func(ev *repl.Event, then func() error) {
 		t.Helper()
 		lsn++
-		err := e.ApplyReplicatedAt("run", lsn, func() error {
-			if err := apply(); err != nil {
-				return err
-			}
-			return then()
-		})
-		if err != nil {
+		ev.LSN = lsn
+		if _, err := e.ApplyEvent("run", ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := then(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ddl := func(sql string) func() error {
-		return func() error { return e.ApplyReplicated([]wal.Record{{Kind: wal.RecDDL, SQL: sql}}) }
-	}
+	ddl := func(sql string) *repl.Event { return ddlEvent(0, sql) }
 	nothing := func() error { return nil }
 	recovered := func(query, want string) {
 		t.Helper()
@@ -356,16 +353,101 @@ func TestMarkMovesWithTheStatement(t *testing.T) {
 	at(ddl(`CREATE TABLE b (y bigint)`), e.Checkpoint)
 	recovered(`SELECT count(*) FROM b`, "0")
 
-	at(func() error {
-		return e.ApplyReplicated([]wal.Record{{Kind: wal.RecRows, Table: "b", Runs: []wal.RowIDRun{{First: 0, N: 2}}, Rows: []Row{{Int(1)}, {Int(2)}}}})
-	}, e.Checkpoint)
+	at(&repl.Event{Kind: repl.KindWAL, Recs: []wal.Record{{Kind: wal.RecRows, Table: "b", Runs: []wal.RowIDRun{{First: 0, N: 2}}, Rows: []Row{{Int(1)}, {Int(2)}}}}},
+		e.Checkpoint)
 	recovered(`SELECT count(*) FROM b`, "2")
 
 	at(ddl(`CREATE STREAM s (y bigint, at timestamp CQTIME USER)`), nothing)
 	at(ddl(`CREATE TABLE raw (y bigint, at timestamp)`), nothing)
 	at(ddl(`CREATE CHANNEL raw_ch FROM s INTO raw APPEND`), nothing)
-	at(func() error {
-		return e.ApplyReplicatedArchive("s", "raw", []Row{{Int(7), Timestamp(MustTimestamp("2009-01-04 00:00:00"))}}, []wal.RowIDRun{{First: 4, N: 1}}, 0)
-	}, e.Checkpoint)
+	at(&repl.Event{Kind: repl.KindArchive, Stream: "s", Table: "raw",
+		Rows: []Row{{Int(7), Timestamp(MustTimestamp("2009-01-04 00:00:00"))}}, Runs: []wal.RowIDRun{{First: 4, N: 1}}},
+		e.Checkpoint)
 	recovered(`SELECT y FROM raw`, "7")
+}
+
+// ddlEvent is a KindWAL event at lsn that runs one DDL statement.
+func ddlEvent(lsn uint64, stmt string) *repl.Event {
+	return &repl.Event{Kind: repl.KindWAL, LSN: lsn, Recs: []wal.Record{{Kind: wal.RecDDL, SQL: stmt}}}
+}
+
+// TestApplyEventMarks holds ApplyEvent to the mark rules, for every kind of
+// event at LSN 0 and above: a write the event makes durable logs its mark in
+// the same batch, so the mark survives a restart; a stream append or a
+// heartbeat moves it in memory only; a snapshot's state frames (LSN 0) move
+// it not at all; a ping or a resume applies nothing; a snapshot's begin drops
+// it, durably. Each row's want is the LSN of run "r" the mark is at after the
+// call and after Close and Open (0: no mark).
+func TestApplyEventMarks(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Engine {
+		e, err := Open(Config{Dir: dir, Replicate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.BeginReplica()
+		return e
+	}
+	at := MustTimestamp("2009-01-04 00:00:00")
+	rows := func(k int64) []Row { return []Row{{Int(k), Timestamp(at)}} }
+	insert := func(lsn uint64, table string, rid uint64) *repl.Event {
+		return &repl.Event{Kind: repl.KindWAL, LSN: lsn, Recs: []wal.Record{
+			{Kind: wal.RecRows, Table: table, Runs: []wal.RowIDRun{{First: rid, N: 1}}, Rows: rows(int64(rid))}}}
+	}
+	archive := func(lsn, rid uint64) *repl.Event {
+		return &repl.Event{Kind: repl.KindArchive, LSN: lsn, Stream: "s", Table: "raw",
+			Rows: rows(int64(rid)), Runs: []wal.RowIDRun{{First: rid, N: 1}}}
+	}
+	for _, c := range []struct {
+		name          string
+		ev            *repl.Event
+		mem, restored uint64
+	}{
+		{"snapshot begin", &repl.Event{Kind: repl.KindSnapBegin, Run: "r"}, 0, 0},
+		{"snapshot DDL", &repl.Event{Kind: repl.KindWAL, Recs: []wal.Record{
+			{Kind: wal.RecDDL, SQL: `CREATE STREAM s (k bigint, at timestamp CQTIME USER)`},
+			{Kind: wal.RecDDL, SQL: `CREATE TABLE t (k bigint, at timestamp)`}}}, 0, 0},
+		{"snapshot rows", insert(0, "t", 0), 0, 0},
+		{"snapshot end at 0", &repl.Event{Kind: repl.KindSnapEnd}, 0, 0},
+		{"DDL", ddlEvent(5, `CREATE TABLE raw (k bigint, at timestamp)`), 5, 5},
+		{"DDL at 0", ddlEvent(0, `CREATE CHANNEL raw_ch FROM s INTO raw APPEND`), 5, 5},
+		{"rows", insert(6, "t", 1), 6, 6},
+		{"rows at 0", insert(0, "t", 2), 6, 6},
+		{"append", &repl.Event{Kind: repl.KindAppend, LSN: 7, Stream: "s", Rows: rows(1)}, 7, 6},
+		{"append at 0", &repl.Event{Kind: repl.KindAppend, Stream: "s", Rows: rows(2)}, 6, 6},
+		{"archive", archive(8, 0), 8, 8},
+		{"archive at 0", archive(0, 1), 8, 8},
+		{"advance", &repl.Event{Kind: repl.KindAdvance, LSN: 9, Stream: "s", TS: at.UnixMicro() + 1}, 9, 8},
+		{"advance at 0", &repl.Event{Kind: repl.KindAdvance, Stream: "s", TS: at.UnixMicro() + 2}, 8, 8},
+		{"snapshot end", &repl.Event{Kind: repl.KindSnapEnd, LSN: 10}, 10, 10},
+		{"ping", &repl.Event{Kind: repl.KindPing, LSN: 50}, 10, 10},
+		{"ping at 0", &repl.Event{Kind: repl.KindPing}, 10, 10},
+		{"resume", &repl.Event{Kind: repl.KindResume, LSN: 10, Run: "r"}, 10, 10},
+		{"resume at 0", &repl.Event{Kind: repl.KindResume, Run: "r"}, 10, 10},
+		{"snapshot begin after a mark", &repl.Event{Kind: repl.KindSnapBegin, LSN: 11, Run: "r"}, 0, 0},
+	} {
+		e := open()
+		if _, err := e.ApplyEvent("r", c.ev); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		check := func(when string, want uint64) {
+			t.Helper()
+			wantRun := "r"
+			if want == 0 {
+				wantRun = ""
+			}
+			if run, lsn := e.ReplicaMark(); run != wantRun || lsn != want {
+				t.Fatalf("%s: %s the mark is (%q, %d), want (%q, %d)", c.name, when, run, lsn, wantRun, want)
+			}
+		}
+		check("after the call", c.mem)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e = open()
+		check("after a restart", c.restored)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -213,10 +213,9 @@ type Engine struct {
 	replicaMode atomic.Bool
 	prevLate    stream.LatePolicy
 	// mark is this engine's resume point as a replica, a wal.RecMark record
-	// (zero: none), written and read under mu; applying is the mark of the
-	// event ApplyReplicatedAt is applying, that goroutine's alone.
-	mark, applying wal.Record
-	// applyScratch is the transaction ApplyReplicated* apply events in.
+	// (zero: none), written and read under mu.
+	mark wal.Record
+	// applyScratch is the transaction ApplyEvent applies events in.
 	applyScratch writeScratch
 	// gen is the generation of the newest checkpoint (0: none), which the log
 	// was begun after; under mu.
