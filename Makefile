@@ -58,7 +58,10 @@ cover:
 # enrichment post stage's kept build side with writers in flight across the
 # closes (TestEnrichKeptBuildUnderWriters, ≡ StateReexec), and an enrichment
 # CQ's in-place view beside an identity CQ that comes and goes, each change
-# of mode a full carve (TestInPlaceViewModeChange, ≡ StateReexec). The storage
+# of mode a full carve (TestInPlaceViewModeChange, ≡ StateReexec), and a
+# CQ sorted by an aggregate it does not select, its post stage the plan's own
+# tree over the store it shares with a dashboard (TestPlanSharingHiddenSort,
+# ≡ StateReexec). The storage
 # package also holds the run insert to its one lock acquisition there
 # (TestInsertRunTakesTheLockOnce: a concurrent reader finds whole runs only).
 # The plan cache's trees, checked out by concurrent snapshot queries with

@@ -81,7 +81,16 @@ func fuzzStoreCQ(g *sqlgen.Gen) string {
 		q += " HAVING count(*) > " + g.One("0", "1", "2")
 	}
 	if g.Pick(3) == 1 { // every group key breaks the tie, so LIMIT cuts one order
-		q += fmt.Sprintf(" ORDER BY %d%s", len(groups)+1, g.One("", " DESC"))
+		// One byte picks the direction and what leads: the first aggregate
+		// selected, or one the select list omits (a hidden sort column).
+		how, lead := g.Pick(4), fmt.Sprint(len(groups)+1)
+		for _, agg := range []string{"sum(v)", "min(v)", "max(v)", "count(v)"} {
+			if how >= 2 && !strings.Contains(aggs, agg) {
+				lead = agg
+				break
+			}
+		}
+		q += " ORDER BY " + lead + []string{"", " DESC"}[how%2]
 		for i := range groups {
 			q += fmt.Sprintf(", %d", i+1)
 		}
@@ -142,9 +151,9 @@ func FuzzIVMEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x09, 0x11, 0xf2, 0x01, 0x09, 0xf2, 0x01, 0x09, 0xf2, 0x11, 0x01, 0xf2, 0x09, 0x11,
 		0xf2, 0x01, 0xf5}, []byte{})
 	// Generated CQs over the last tape: hoisted and base filters, ORDER BY …
-	// LIMIT, a grouping expression, DISTINCT (no retract form), OR, HAVING,
-	// NOT IN, NOT BETWEEN.
-	//	SELECT url, avg(3) … WHERE url IS NOT NULL and url = '/u1' and url IS NOT NULL GROUP BY url ORDER BY 2 DESC, 1 LIMIT 3
+	// LIMIT (led by an unselected aggregate, and by a position), a grouping
+	// expression, DISTINCT (no retract form), OR, HAVING, NOT IN, NOT BETWEEN.
+	//	SELECT url, avg(3) … WHERE url IS NOT NULL and url = '/u1' and url IS NOT NULL GROUP BY url ORDER BY sum(v) DESC, 1 LIMIT 3
 	//	SELECT url, v + v, count(DISTINCT v) … WHERE v - 2 NOT IN (v, v + 3, 1) GROUP BY url, v + v HAVING count(*) > 2
 	//	SELECT url, avg(7), avg(v), count(*) … WHERE v IS NOT NULL or v IN (v, v) GROUP BY url HAVING count(*) > 0 ORDER BY 2, 1 LIMIT 1
 	//	SELECT url, sum(v) … WHERE (v) NOT BETWEEN 1 AND v GROUP BY url

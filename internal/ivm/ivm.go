@@ -436,9 +436,9 @@ type View struct {
 	// next fire, removed groups stay in place as tombstones — groups their
 	// id no longer indexes — and are compacted then. A skewed stream adds a
 	// few tail groups every advance, and a full re-sort per fire was the
-	// dominant fire cost at 10k+ groups; the merge costs O(groups) pointer
-	// copies and only as many key comparisons as it takes to place the
-	// newcomers.
+	// dominant fire cost at 10k+ groups; the merge still tests every ordered
+	// group for a tombstone and, while any newcomer is left to place,
+	// compares its key (one newcomer sorting last compares with them all).
 	ordered []*winGroup
 	pending []*winGroup
 	scratch []*winGroup

@@ -177,29 +177,39 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 		return op
 	}
 	pure = pure && !calls(below, execState...)
-	agg := func(in *Input) exec.Operator {
-		return &exec.HashAgg{Child: inner(in), GroupBy: compiledGroups, Aggs: aggSpecs, SortedOutput: sortedOutput, Maintain: pure}
-	}
+	var residual []*expr.Scalar // WHERE conjuncts hoisted above a store (below)
 	n := &node{
-		schema:   schema,
-		closeCol: closeCol,
-		build:    func(in *Input) exec.Operator { return buildAbove(agg(in), true) },
-		preScope: postScope,
-		// Hidden ORDER BY columns are projected over this; with DISTINCT
-		// they are refused (applyOrderBy), so it is never built then.
-		preBuild:   func(in *Input) exec.Operator { return buildAbove(agg(in), false) },
+		schema:     schema,
+		closeCol:   closeCol,
+		preScope:   postScope,
 		projExprs:  projExprs,
 		distinct:   sel.Distinct,
 		preRewrite: rewrite,
 	}
+	// agg is the aggregation's output: HashAgg over the input or, in a
+	// store-backed CQ's post stage, the store's rows less the groups a
+	// hoisted conjunct rejects, over which an identity projection is not
+	// built (it would copy every group at every close).
+	agg := func(in *Input) (op exec.Operator, project bool) {
+		if n.streamAgg == nil || !in.storeRows {
+			return &exec.HashAgg{Child: inner(in), GroupBy: compiledGroups, Aggs: aggSpecs, SortedOutput: sortedOutput, Maintain: pure}, true
+		}
+		op = in.window()
+		for _, rs := range residual {
+			op = &exec.Filter{Child: op, Pred: rs}
+		}
+		return op, !identity
+	}
+	n.build = func(in *Input) exec.Operator { return buildAbove(agg(in)) }
+	// Hidden ORDER BY columns are projected over this; with DISTINCT they
+	// are refused (applyOrderBy), so it is never built then.
+	n.preBuild = func(in *Input) exec.Operator { op, _ := agg(in); return buildAbove(op, false) }
 
 	// Shared-aggregation fast path (paper refs [4],[12]): aggregation
 	// directly over the windowed stream. The runtime computes per-slice
 	// partials once per (stream, fingerprint) and merges at window close;
-	// PostBuild runs everything above the aggregation. A store's rows are
-	// immutable and already in the aggregation's layout, so an identity
-	// projection is not built over them (it would copy every group at every
-	// close), and with nothing else above either there is no post stage.
+	// PostBuild is this plan's own tree over the store's rows (agg above,
+	// buildSelect), everything above the aggregation included.
 	//
 	// Subsumption widening: WHERE conjuncts expressible over the
 	// post-aggregation scope — they reference only GROUP BY expressions,
@@ -220,7 +230,6 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 	b.readsNow = b.readsNow || readsNow
 	if sliceShape && !readsNow && !calls(below, "cq_close") {
 		var baseConjs, residConjs []sql.Expr
-		var residual []*expr.Scalar
 		for _, c := range splitConjuncts(sel.Where) {
 			// Scalar aggregates (no GROUP BY) never hoist: they emit a
 			// default row over an empty window, and a pre-agg filter that
@@ -253,16 +262,6 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 			Fingerprint: fp,
 			PostKey:     postKeyString(residConjs, sel),
 		}
-		if !identity || having != nil || len(residual) > 0 {
-			n.streamAgg.PostBuild = func(in *Input) exec.Operator {
-				op := in.window()
-				for _, rs := range residual {
-					op = &exec.Filter{Child: op, Pred: rs}
-				}
-				return buildAbove(op, !identity)
-			}
-		}
-		n.aggPostScope = postScope
 	}
 	return n, nil
 }

@@ -246,15 +246,13 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 		}
 		post.OrderBy = append(post.OrderBy, o)
 	}
-	// #pre selects its group keys, then its aggregates, each once, so its
-	// own post stage is at most the hoisted filters: the post block reads
-	// the store's rows (a join probes its left input a row at a time, and a
-	// Project in between would carve a block per group).
+	// #pre is the pre block's own build over the store's rows. It selects
+	// its group keys, then its aggregates, each once, so that build is at
+	// most the hoisted filters: the post block reads the store's rows (a
+	// join probes its left input a row at a time, and a Project in between
+	// would carve a block per group).
 	preAgg := pn.streamAgg
-	qb := &builder{cat: p.Cat, pre: &relNode{
-		scope: scopeFrom(PreName, pn.schema),
-		build: preAgg.post,
-	}}
+	qb := &builder{cat: p.Cat, pre: &relNode{scope: scopeFrom(PreName, pn.schema), build: pn.build}}
 	qn, err := qb.buildSelect(post, true)
 	if err != nil {
 		return nil, "post stage: " + err.Error()
@@ -269,7 +267,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 		Aggs:        preAgg.Aggs,
 		Fingerprint: preAgg.Fingerprint,
 		PostKey:     preAgg.PostKey + "|E:" + selectKey(post),
-		PostBuild:   qn.build,
+		PostBuild:   overStore(qn.build),
 		PreAgg:      preAggNote,
 	}, ""
 }

@@ -8,7 +8,8 @@
 // over a single windowed stream, or over that stream inner-joined to base
 // tables — see enrich) and exposes its pieces so the stream runtime can
 // evaluate per-slice partial aggregates shared across continuous queries
-// (paper refs [4], [12]).
+// (paper refs [4], [12]). What runs above that store, a maintained view, is
+// the plan's own tree built over the store's rows (StreamAgg.PostBuild).
 package plan
 
 import (
@@ -27,7 +28,15 @@ import (
 // which a tree built over it reads at every Open.
 type Input struct {
 	WindowRows []types.Row
-	leaves     []*exec.Relation // the window leaves built over it
+	// storeRows says WindowRows are a store's rows (group keys ++ aggregate
+	// results, one per group, in key order): see StreamAgg.PostBuild.
+	storeRows bool
+	leaves    []*exec.Relation // the window leaves built over it
+}
+
+// overStore is build over a store's rows: a store-backed CQ's post stage.
+func overStore(build func(in *Input) exec.Operator) func(in *Input) exec.Operator {
+	return func(in *Input) exec.Operator { in.storeRows = true; return build(in) }
 }
 
 // window returns a window leaf over in's rows, recorded for RowsTransient.
@@ -62,17 +71,17 @@ type StreamInfo struct {
 // (with optional filter) directly over the stream leaf. The window-state
 // store (internal/ivm) computes per-slice partials with Pred/GroupBy/Aggs
 // and combines them per window; the stream runtime feeds each window's
-// groups through PostBuild for HAVING, projection, ORDER BY and LIMIT.
+// groups through PostBuild, the plan's own tree over them.
 type StreamAgg struct {
 	Pred    *expr.Scalar // nil if no WHERE
 	GroupBy []*expr.Scalar
 	Aggs    []expr.AggSpec
-	// PostBuild assembles the operators that run over the aggregated rows
-	// (group keys ++ agg results), which arrive in group-key order as the
-	// Input's WindowRows. It is
-	// nil when there is no post stage — the select list is exactly that
-	// layout and nothing filters, sorts or limits it — and the store's rows
-	// are the result as they are (DESIGN §11: which post stages copy).
+	// PostBuild is the plan's own build over the aggregated rows (group keys
+	// ++ agg results, in group-key order, as the Input's WindowRows, which it
+	// marks so): the aggregate reads them where Plan.Build runs a HashAgg. It
+	// is nil when that is the bare window leaf, and the store's rows are the
+	// result as they are (DESIGN §11: which post stages copy). For the
+	// enrichment shape it is enrich's final block over the pre block's build.
 	PostBuild func(in *Input) exec.Operator
 	// Fingerprint identifies the sliceable computation: two CQs with equal
 	// fingerprints over the same stream can share slice partials. WHERE
@@ -91,15 +100,6 @@ type StreamAgg struct {
 	// aggregates by, below which join, and which build sides the post stage
 	// keeps between closes.
 	PreAgg string
-}
-
-// post is PostBuild for the planner's own wrapping of it in a sort or a
-// limit: with no post stage, those run over the rows themselves.
-func (a *StreamAgg) post(in *Input) exec.Operator {
-	if a.PostBuild == nil {
-		return in.window()
-	}
-	return a.PostBuild(in)
 }
 
 // Plan is a compiled query.
@@ -181,12 +181,11 @@ type node struct {
 	// may be compiled against (input scope, or post-aggregation scope), a
 	// rewrite applied before compiling (aggregate rewriting), and the
 	// pieces needed to add hidden sort columns.
-	preScope     *scope
-	preBuild     func(in *Input) exec.Operator
-	preRewrite   func(sql.Expr) (sql.Expr, error)
-	projExprs    []*expr.Scalar
-	distinct     bool
-	aggPostScope *scope
+	preScope   *scope
+	preBuild   func(in *Input) exec.Operator
+	preRewrite func(sql.Expr) (sql.Expr, error)
+	projExprs  []*expr.Scalar
+	distinct   bool
 }
 
 // ------------------------------------------------------------- scopes

@@ -11,7 +11,8 @@ import (
 )
 
 // buildSelect plans one SELECT block (with any chained set operations).
-// top marks the outermost block, which owns ORDER BY/LIMIT.
+// top marks the outermost block, which owns ORDER BY/LIMIT and, over a
+// store, the post stage.
 func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 	n, err := b.buildSelectCore(sel)
 	if err != nil {
@@ -58,9 +59,8 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 			return nil, err
 		}
 	}
+	limit, offset := int64(-1), int64(0)
 	if sel.Limit != nil || sel.Offset != nil {
-		limit := int64(-1)
-		offset := int64(0)
 		if sel.Limit != nil {
 			if limit, err = evalConstInt(sel.Limit, "LIMIT"); err != nil {
 				return nil, err
@@ -80,12 +80,23 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 				return &exec.Limit{Child: inner(in), Count: limit, Offset: offset}
 			},
 		}
-		if n.streamAgg != nil {
-			below := *n.streamAgg
-			n.streamAgg.PostBuild = func(in *Input) exec.Operator {
-				return &exec.Limit{Child: below.post(in), Count: limit, Offset: offset}
+	}
+
+	// A store-backed CQ's post stage is this block's own tree over the
+	// store's rows, and none when that tree is the bare window leaf.
+	if a := n.streamAgg; a != nil && top {
+		for i, o := range sel.OrderBy {
+			if i == 0 {
+				a.PostKey += "|O:"
 			}
-			n.streamAgg.PostKey += fmt.Sprintf("|L:%d,%d", limit, offset)
+			a.PostKey += sql.Format(o) + ";"
+		}
+		if sel.Limit != nil || sel.Offset != nil {
+			a.PostKey += fmt.Sprintf("|L:%d,%d", limit, offset)
+		}
+		a.PostBuild = overStore(n.build)
+		if _, bare := a.PostBuild(&Input{}).(*exec.Relation); bare {
+			a.PostBuild = nil
 		}
 	}
 	return n, nil
@@ -284,33 +295,5 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 		}
 	}
 
-	out := &node{
-		schema:    schema,
-		streamAgg: n.streamAgg,
-		closeCol:  n.closeCol,
-		build:     build,
-	}
-	if n.streamAgg != nil && n.aggPostScope != nil && len(hidden) == 0 {
-		// Mirror the sort into the shared-aggregation fast path.
-		below := n.streamAgg
-		var ob strings.Builder
-		ob.WriteString("|O:")
-		for _, item := range sel.OrderBy {
-			ob.WriteString(sql.Format(item) + ";")
-		}
-		out.streamAgg = &StreamAgg{
-			Pred:        n.streamAgg.Pred,
-			GroupBy:     n.streamAgg.GroupBy,
-			Aggs:        n.streamAgg.Aggs,
-			Fingerprint: n.streamAgg.Fingerprint,
-			PostKey:     n.streamAgg.PostKey + ob.String(),
-			PostBuild: func(in *Input) exec.Operator {
-				return &exec.Sort{Child: below.post(in), Keys: keys}
-			},
-		}
-	} else if n.streamAgg != nil {
-		// Hidden-column sorts are not mirrored; drop the fast path.
-		out.streamAgg = nil
-	}
-	return out, nil
+	return &node{schema: schema, streamAgg: n.streamAgg, closeCol: n.closeCol, build: build}, nil
 }

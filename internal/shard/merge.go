@@ -70,10 +70,10 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 			return true
 		})
 	}
-	// A pure row-wise query computes every output row on the shard that
-	// holds its input row, and GROUP BY on the partition key confines each
-	// group to one shard, so any aggregate (avg included) concatenates.
-	if !hasAgg || partCol != "" && groupsByColumn(sel.GroupBy, partCol) {
+	// With no aggregate and no GROUP BY each output row is computed on the
+	// shard holding its input row; GROUP BY on the partition key confines
+	// each group to one shard, so any aggregate (avg included) concatenates.
+	if !hasAgg && len(sel.GroupBy) == 0 || partCol != "" && groupsByColumn(sel.GroupBy, partCol) {
 		return &MergePlan{}, nil
 	}
 	if sel.Having != nil {

@@ -231,6 +231,16 @@ func TestMergeAggregateNullSum(t *testing.T) {
 	}
 }
 
+// TestMergeGroupByWithoutAggregate: a GROUP BY with no aggregate is no
+// row-wise query: a group on two shards is one row, as on one node.
+func TestMergeGroupByWithoutAggregate(t *testing.T) {
+	got := mergeOf(t, `SELECT u FROM s GROUP BY u`, rowsOf([]any{1}), rowsOf([]any{1}, []any{2}))
+	want := rowsOf([]any{1}, []any{2})
+	if !sameRows(got, want) {
+		t.Fatalf("merged = %v, want %v", got, want)
+	}
+}
+
 func TestMergeConcatCanonicalOrder(t *testing.T) {
 	got := mergeOf(t, `SELECT k, v FROM s`, rowsOf([]any{"b", 2}), rowsOf([]any{"a", 1}, []any{"c", 3}))
 	want := rowsOf([]any{"a", 1}, []any{"b", 2}, []any{"c", 3})

@@ -38,6 +38,8 @@ func TestExplainVariants(t *testing.T) {
 		{`SELECT url, count(*), cq_close(*)` + win + ` GROUP BY url`, "post: project"},
 		{`SELECT DISTINCT url, count(*)` + win + ` GROUP BY url`, "post: project, distinct"},
 		{`SELECT url, count(*) + 1` + win + ` GROUP BY url ORDER BY url`, "post: project, sort"},
+		{`SELECT url, count(*)` + win + ` GROUP BY url ORDER BY sum(v) DESC, url`, "post: project, sort, project"},
+		{`SELECT url, count(*)` + win + ` GROUP BY url LIMIT 2`, "post: limit"},
 		{`SELECT d.k, sum(x.v)` + win + ` x JOIN d ON x.v = d.k GROUP BY d.k`, "post: seqscan, hashjoin, hashagg, project"},
 	} {
 		res = mustExec(t, e, `EXPLAIN `+c.q)

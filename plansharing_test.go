@@ -142,8 +142,8 @@ func TestPlanSharingSubsumption(t *testing.T) {
 	}
 
 	full, filtered, ordered, st := run(Config{})
-	// The residual filter and the mirrored ORDER BY hoist into post
-	// stages, so all three attach to one store.
+	// The residual filter and the ORDER BY run in post stages over the
+	// store's rows, so all three attach to one store.
 	if st.PlanGroups != 1 || st.PlanSubscribers != 3 {
 		t.Fatalf("stats with sharing: %+v", st)
 	}
@@ -162,5 +162,53 @@ func TestPlanSharingSubsumption(t *testing.T) {
 	}
 	if filtered == full {
 		t.Error("residual filter had no effect")
+	}
+}
+
+// TestPlanSharingHiddenSort: an aggregate CQ whose ORDER BY leads with an
+// aggregate it does not select keeps a store, shared with a plain dashboard
+// of the same fingerprint — its post stage is the plan's own sort over the
+// store's rows — and its transcript is re-execution's, serial and under the
+// pool.
+func TestPlanSharingHiddenSort(t *testing.T) {
+	const (
+		dashboard = `SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY url`
+		hidden    = `SELECT url, count(*) AS n FROM s <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY url ORDER BY sum(v) DESC, url LIMIT 3`
+	)
+	run := func(cfg Config) string {
+		e, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+		if _, err := e.Subscribe(dashboard); err != nil {
+			t.Fatal(err)
+		}
+		cq, err := e.Subscribe(hidden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.StateOverride == StateAuto {
+			key, why := cq.pipe.Plan().WindowState(StateAuto)
+			if cq.Strategy != "incremental" {
+				t.Fatalf("parallel=%d: hidden sort is %s (%s), want incremental", cfg.ParallelCQ, cq.Strategy, why)
+			}
+			if n := e.rt.StoreMembers("s", key); n != 2 {
+				t.Fatalf("parallel=%d: store %s has %d members, want the dashboard and the hidden sort", cfg.ParallelCQ, key, n)
+			}
+		}
+		feedPlanShare(t, e, 11)
+		return transcript(cq)
+	}
+	for _, parallel := range []int{0, 4} {
+		got := run(Config{ParallelCQ: parallel})
+		want := run(Config{ParallelCQ: parallel, StateOverride: StateReexec})
+		if want == "" {
+			t.Fatalf("parallel=%d: no fires recorded", parallel)
+		}
+		if got != want {
+			t.Fatalf("parallel=%d: store transcript differs from StateReexec:\n%s\nwant:\n%s", parallel, got, want)
+		}
 	}
 }
