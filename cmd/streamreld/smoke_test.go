@@ -267,6 +267,10 @@ func TestClusterSmoke(t *testing.T) {
 		// The scattered text is printed from the rewritten tree: temporal
 		// literals and a quoted name must reach the shards as they parsed.
 		`SELECT k, avg(sv), count(*) AS "N" FROM s_archive WHERE stime > TIMESTAMP '2000-01-01' + INTERVAL '1 day' GROUP BY k`,
+		// A HAVING off the partition key and an expression over aggregates
+		// run in the router's final block, over the folded partials.
+		`SELECT stime, sum(n) FROM s_archive GROUP BY stime HAVING sum(n) > 1`,
+		`SELECT sum(sv) / count(*) + 1 FROM s_archive`,
 	} {
 		rres, err := router.Query(q)
 		if err != nil {

@@ -7,29 +7,8 @@ import (
 	"strings"
 
 	"streamrel/internal/catalog"
-	"streamrel/internal/expr"
 	"streamrel/internal/sql"
-	"streamrel/internal/types"
 )
-
-// PreName is the FROM name and qualifier of partial rows a final block
-// reads: the pre-aggregated stream in an enrichment post block (enrich), the
-// shards' partial rows in a router's merge (BuildOver). '#' keeps it out of
-// the reach of parsed SQL.
-const PreName = "#pre"
-
-// BuildOver plans sel, whose FROM is PreName, over rows with the given
-// columns; a tree built over an Input reads its WindowRows as those rows. It
-// is the final block of a two-level aggregate whose partials were computed
-// elsewhere — a router's shards — planned as enrich plans its post block.
-func BuildOver(sel *sql.Select, cols types.Schema) (*Plan, error) {
-	b := &builder{pre: &relNode{scope: scopeFrom(PreName, cols), build: (*Input).window}}
-	n, err := b.buildSelect(sel, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Columns: n.schema, CloseCol: n.closeCol, Build: n.build}, nil
-}
 
 // enrich plans the enrichment shape — one windowed stream inner-joined to
 // base tables under a GROUP BY, the paper's Example 5 — as eager
@@ -47,13 +26,13 @@ func BuildOver(sel *sql.Select, cols types.Schema) (*Plan, error) {
 //
 //	SELECT T…, agg'(#pre.agg) FROM #pre, tables t WHERE #pre.ks = kt AND Pt GROUP BY #pre.Gs, Gt
 //
-// with agg' = sum for count and sum, min/max for themselves and
-// sum/sum for avg. It is exact because every stream row of one #pre group
-// has the same ks and Gs and therefore joins the same table rows and lands
-// in the same final groups: a table row matching m stream rows of the
-// group contributes their aggregate once, which is what summing m joined
-// rows contributes, and a key matching several table rows (N:M) repeats the
-// partial once per match exactly as it repeated each stream row. Both
+// with agg' each aggregate's final form (Split). It is exact because every
+// stream row of one #pre group has the same ks and Gs and therefore joins
+// the same table rows and lands in the same final groups: a table row
+// matching m stream rows of the group contributes their aggregate once,
+// which is what summing m joined rows contributes, and a key matching
+// several table rows (N:M) repeats the partial once per match exactly as it
+// repeated each stream row. Both
 // blocks are planned by the ordinary planner — the first yields the
 // StreamAgg (filter hoisting and canonical fingerprint included, so it
 // shares a store with any plain dashboard of the same shape), the second
@@ -63,7 +42,7 @@ func BuildOver(sel *sql.Select, cols types.Schema) (*Plan, error) {
 // whyNot names the rule an enrichment-like query failed; it is empty, with
 // a nil result, for a query that is not a join aggregate at all.
 func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, whyNot string) {
-	if sel.SetOp != nil || !isAggregate(sel) {
+	if sel.SetOp != nil || !IsAggregate(sel) {
 		return nil, ""
 	}
 	fl := flatFrom{all: &scope{}}
@@ -84,19 +63,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 
 	// The slice spec: stream-only conjuncts, and the stream side of every
 	// key and group expression as the pre-aggregation's GROUP BY.
-	pre := &sql.Select{From: []sql.TableRef{fl.stream}}
-	var preKeys []string // unqualified, for matching and EXPLAIN
-	preKey := func(e sql.Expr) sql.Expr {
-		u := unqualified(e)
-		i := slices.Index(preKeys, u)
-		if i < 0 {
-			i = len(preKeys)
-			preKeys = append(preKeys, u)
-			pre.GroupBy = append(pre.GroupBy, e)
-			pre.Items = append(pre.Items, sql.SelectItem{Expr: e, Alias: fmt.Sprintf("#k%d", i)})
-		}
-		return &sql.ColumnRef{Table: PreName, Name: fmt.Sprintf("#k%d", i)}
-	}
+	sp := &Split{args: streamScope}
 	var streamConds, postConds []sql.Expr
 	for _, c := range append(splitConjuncts(sel.Where), fl.on...) {
 		switch s, t := fl.sides(c); {
@@ -117,13 +84,12 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 			if rs, _ := fl.sides(r); !ls || lt || rs {
 				return nil, fmt.Sprintf("conjunct %s mixes stream and table columns and is not an equality key", c)
 			}
-			postConds = append(postConds, &sql.BinaryExpr{Op: sql.OpEq, L: preKey(l), R: r})
+			postConds = append(postConds, &sql.BinaryExpr{Op: sql.OpEq, L: sp.Key(l), R: r})
 		}
 	}
-	if len(preKeys) == 0 {
+	if len(sp.keys.items) == 0 {
 		return nil, "no equality key between the stream and a table"
 	}
-	pre.Where = andAll(streamConds)
 
 	groupExprs, err := resolveGroupBy(sel, fl.all)
 	if err != nil {
@@ -133,61 +99,20 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 		if s, t := fl.sides(g); s && t {
 			return nil, fmt.Sprintf("GROUP BY %s mixes stream and table columns", g)
 		} else if s {
-			preKey(g)
+			sp.Key(g)
 		}
 	}
-
-	// The partial aggregates, and for each original call the expression
-	// over them that finishes it above the join.
-	var preAggs []string
-	partial := func(name string, arg sql.Expr, star bool) sql.Expr {
-		fc := &sql.FuncCall{Name: name, Star: star}
-		if !star {
-			fc.Args = []sql.Expr{arg}
-		}
-		u := unqualified(fc)
-		i := slices.Index(preAggs, u)
-		if i < 0 {
-			i = len(preAggs)
-			preAggs = append(preAggs, u)
-			pre.Items = append(pre.Items, sql.SelectItem{Expr: fc, Alias: fmt.Sprintf("#a%d", i)})
-		}
-		return &sql.ColumnRef{Table: PreName, Name: fmt.Sprintf("#a%d", i)}
-	}
-	final := map[string]sql.Expr{}
 	for _, fc := range aggCallsOf(sel) {
-		name := strings.ToLower(fc.Name)
-		var arg sql.Expr
-		if !fc.Star {
-			if len(fc.Args) != 1 {
-				return nil, fmt.Sprintf("%s takes exactly one argument", fc.Name)
-			}
-			arg = fc.Args[0]
+		for _, arg := range fc.Args {
 			if _, t := fl.sides(arg); t {
 				return nil, fmt.Sprintf("aggregate %s reads a table column", fc)
 			}
 		}
-		switch {
-		case fc.Distinct:
-			return nil, fmt.Sprintf("%s(DISTINCT …) cannot be aggregated below the join", name)
-		case name == "count" || name == "sum":
-			final[fc.String()] = &sql.FuncCall{Name: "sum", Args: []sql.Expr{partial(name, arg, fc.Star)}}
-		case name == "min" || name == "max":
-			final[fc.String()] = &sql.FuncCall{Name: name, Args: []sql.Expr{partial(name, arg, false)}}
-		case name == "avg":
-			// avg keeps a float sum and a count; so do its two partials, and
-			// only over a statically numeric argument (a cast would accept
-			// strings avg refuses).
-			if s, err := expr.Compile(arg, streamScope); err != nil || !s.Type.Numeric() {
-				return nil, fmt.Sprintf("%s is not over a numeric column", fc)
-			}
-			final[fc.String()] = &sql.BinaryExpr{Op: sql.OpDiv,
-				L: &sql.FuncCall{Name: "sum", Args: []sql.Expr{partial("sum", &sql.CastExpr{E: arg, To: types.TypeFloat}, false)}},
-				R: &sql.FuncCall{Name: "sum", Args: []sql.Expr{partial("count", arg, false)}}}
-		default:
-			return nil, fmt.Sprintf("aggregate %s has no two-level form", name)
-		}
 	}
+	if why := sp.Aggregates(sel, "the join"); why != "" {
+		return nil, why
+	}
+	pre := &sql.Select{From: []sql.TableRef{fl.stream}, Where: andAll(streamConds), GroupBy: sp.Keys(), Items: sp.Items()}
 
 	pb := &builder{cat: p.Cat}
 	pn, err := pb.buildSelect(pre, true)
@@ -200,49 +125,21 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 		return nil, "cq_close(*) below the aggregate"
 	}
 
-	// The post block: the original block over #pre in the stream's place.
-	// lift rewrites an expression above the aggregation — aggregate calls
-	// to their final forms, stream-side group expressions to #pre columns.
-	lift := func(e sql.Expr) sql.Expr {
-		return sql.Rewrite(e, func(x sql.Expr) (sql.Expr, bool) {
-			if fc, ok := x.(*sql.FuncCall); ok && expr.IsAggregate(fc.Name) {
-				return final[fc.String()], true
-			}
-			if s, t := fl.sides(x); s && !t {
-				if i := slices.Index(preKeys, unqualified(x)); i >= 0 {
-					return &sql.ColumnRef{Table: PreName, Name: fmt.Sprintf("#k%d", i)}, true
-				}
-			}
-			return x, false
-		})
-	}
-	post := &sql.Select{
-		Distinct: sel.Distinct,
-		From:     []sql.TableRef{&sql.BaseTable{Name: PreName, Alias: PreName}},
-		Where:    andAll(postConds),
-		Having:   lift(sel.Having),
-		Limit:    sel.Limit,
-		Offset:   sel.Offset,
-	}
+	// The post block: the original block over #pre in the stream's place,
+	// stream-side expressions lifted to #pre's columns.
+	streamSide := func(x sql.Expr) bool { s, t := fl.sides(x); return s && !t }
+	post := sp.Final(sel, groupExprs, streamSide)
+	post.Where = andAll(postConds)
 	names := make([]string, len(fl.tables))
 	for i, t := range fl.tables {
 		post.From = append(post.From, t)
 		names[i] = t.Name
 	}
-	outNames := map[string]bool{}
-	for i, item := range sel.Items {
-		name := OutName(item, i)
-		outNames[name] = true
-		post.Items = append(post.Items, sql.SelectItem{Expr: lift(item.Expr), Alias: name})
-	}
-	for _, g := range groupExprs {
-		post.GroupBy = append(post.GroupBy, lift(g))
-	}
 	for _, o := range sel.OrderBy {
 		// An output name or position sorts by that output column, as in
 		// applyOrderBy, even where a stream column has the same name.
-		if cr, ok := o.Expr.(*sql.ColumnRef); !ok || cr.Table != "" || !outNames[cr.Name] {
-			o.Expr = lift(o.Expr)
+		if cr, ok := o.Expr.(*sql.ColumnRef); !ok || cr.Table != "" || !slices.ContainsFunc(post.Items, func(it sql.SelectItem) bool { return it.Alias == cr.Name }) {
+			o.Expr = sp.Lift(o.Expr, streamSide)
 		}
 		post.OrderBy = append(post.OrderBy, o)
 	}
@@ -257,7 +154,7 @@ func (p *Planner) enrich(sel *sql.Select, stream *StreamInfo) (agg *StreamAgg, w
 	if err != nil {
 		return nil, "post stage: " + err.Error()
 	}
-	preAggNote := fmt.Sprintf("pre-aggregated by (%s) below join %s", strings.Join(preKeys, ", "), strings.Join(names, ", "))
+	preAggNote := fmt.Sprintf("pre-aggregated by (%s) below join %s", strings.Join(sp.keys.texts, ", "), strings.Join(names, ", "))
 	if len(qb.kept) > 0 {
 		preAggNote += fmt.Sprintf(" (build side of %s kept between closes)", strings.Join(qb.kept, ", "))
 	}

@@ -122,14 +122,14 @@ func (b *builder) buildSelectCore(sel *sql.Select) (*node, error) {
 	streamOnlyFrom := !hadStream && b.stream != nil &&
 		len(sel.From) == 1 && rel.isStreamShape()
 
-	if !isAggregate(sel) {
+	if !IsAggregate(sel) {
 		return b.buildProjection(sel, rel)
 	}
 	return b.buildAggregate(sel, rel, streamOnlyFrom, b.reads == reads)
 }
 
-// isAggregate reports whether the block groups or aggregates.
-func isAggregate(sel *sql.Select) bool {
+// IsAggregate reports whether the block groups or aggregates.
+func IsAggregate(sel *sql.Select) bool {
 	for _, item := range sel.Items {
 		if item.Expr != nil && containsAggregate(item.Expr) {
 			return true

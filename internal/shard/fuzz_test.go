@@ -20,7 +20,9 @@ import (
 // order. Aggregating each shard's part with the scatter query and merging
 // the partials must give what aggregating the whole batch gives, grouped on
 // a column that is not the key, so a group spans shards — and selected or
-// not, as typeSeed's third bit says. The fuzzer drives
+// not, as typeSeed's third bit says; its fourth bit adds a HAVING and an
+// expression over aggregates, which only the final block can compute. The
+// fuzzer drives
 // shard count, key column, and row contents from raw bytes; a DOUBLE column
 // holds -0.0 and 0.0, which group together, and NaN.
 func FuzzShardSplitMerge(f *testing.F) {
@@ -28,6 +30,7 @@ func FuzzShardSplitMerge(f *testing.F) {
 	f.Add(uint8(4), uint8(1), uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(1), uint8(0), uint8(2), []byte{})
 	f.Add(uint8(3), uint8(2), uint8(4), []byte("0123456789abcdefghijklmnopqrstuvwxyz"))
+	f.Add(uint8(3), uint8(1), uint8(9), []byte("0123456789abcdefghijklmnopqrstuvwxyz0123456789"))
 	f.Fuzz(func(t *testing.T, nShards, keyCol, typeSeed uint8, data []byte) {
 		n := int(nShards)%8 + 1
 		m := Map{Addrs: make([]string, n)}
@@ -120,37 +123,14 @@ func FuzzShardSplitMerge(f *testing.F) {
 		if schema[v].Type.Numeric() {
 			q += fmt.Sprintf(`, sum(c%d), avg(c%d)`, v, v)
 		}
+		if typeSeed&8 != 0 {
+			q += `, count(*) * 2`
+		}
 		q += fmt.Sprintf(` FROM t GROUP BY c%d`, g)
-		stmt, err := sql.Parse(q)
-		if err != nil {
-			t.Fatal(err)
+		if typeSeed&8 != 0 {
+			q += ` HAVING count(*) > 1`
 		}
-		mp, err := PlanMerge(stmt.(*sql.Select), schema[kc].Name)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		scatter := q
-		if mp.ScatterSQL != "" {
-			scatter = mp.ScatterSQL
-		}
-		partials := make([][]types.Row, n)
-		var partialCols types.Schema
-		for s, part := range parts {
-			if partials[s], partialCols, err = runOver(scatter, schema, part); err != nil {
-				t.Fatalf("shard %d: %s: %v", s, scatter, err)
-			}
-		}
-		if _, err := mp.Bind(server.EncodeSchema(partialCols)); err != nil {
-			t.Fatal(err)
-		}
-		if merged, err = mp.Merge(partials); err != nil {
-			t.Fatalf("%s: merge: %v", q, err)
-		}
-		whole, _, err := runOver(q, schema, rows)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		sortRows(whole)
+		merged, whole := splitMerge(t, q, schema[kc].Name, schema, parts)
 		// A group that holds both zeros shows either as its key or its min,
 		// on one node as merged, and NaN + NaN keeps either payload: compare
 		// as SQL does, value and type.
@@ -162,6 +142,44 @@ func FuzzShardSplitMerge(f *testing.F) {
 			t.Fatalf("%s over %d shards:\nmerged %v\n whole %v", q, n, merged, whole)
 		}
 	})
+}
+
+// splitMerge runs q as the router runs it over parts partitioned on
+// partCol — the scatter text over each part, as its shard would, then the
+// merge — and as one node runs it over all their rows, both in canonical
+// order.
+func splitMerge(t *testing.T, q, partCol string, cols types.Schema, parts [][]types.Row) (merged, whole []types.Row) {
+	t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := PlanMerge(stmt.(*sql.Select), partCol)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	scatter := q
+	if mp.ScatterSQL != "" {
+		scatter = mp.ScatterSQL
+	}
+	partials := make([][]types.Row, len(parts))
+	var partialCols types.Schema
+	for s, part := range parts {
+		if partials[s], partialCols, err = runOver(scatter, cols, part); err != nil {
+			t.Fatalf("shard %d: %s: %v", s, scatter, err)
+		}
+	}
+	if _, err := mp.Bind(server.EncodeSchema(partialCols)); err != nil {
+		t.Fatal(err)
+	}
+	if merged, err = mp.Merge(partials); err != nil {
+		t.Fatalf("%s: merge: %v", q, err)
+	}
+	if whole, _, err = runOver(q, cols, slices.Concat(parts...)); err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	sortRows(whole)
+	return merged, whole
 }
 
 // runOver runs q over rows with the columns cols, as one node runs it over

@@ -219,21 +219,12 @@ func (r *Router) single(shard int, req *server.Request) *server.Response {
 // query routes a snapshot query: scatter-gather + merge over every
 // relation fed by partitioned data, shard 0 otherwise.
 func (r *Router) query(req *server.Request) *server.Response {
-	stmt, err := sql.Parse(req.SQL)
+	plan, err := r.plan(req)
 	if err != nil {
 		return fail(err)
 	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return fail(fmt.Errorf("router: query expects a SELECT"))
-	}
-	base := r.mir.baseOfSelect(sel)
-	if base == "" {
+	if plan == nil {
 		return r.single(0, req)
-	}
-	plan, err := PlanMerge(sel, r.mir.partColOf(base))
-	if err != nil {
-		return fail(err)
 	}
 	start := time.Now()
 	resp := r.scatter(req, plan)
@@ -241,17 +232,37 @@ func (r *Router) query(req *server.Request) *server.Response {
 	return resp
 }
 
+// plan parses the SELECT of a query or subscription and plans its merge, with
+// the request's arguments; nil when it reads no partitioned data.
+func (r *Router) plan(req *server.Request) (*MergePlan, error) {
+	stmt, err := sql.ParseGeneric(req.SQL, req.Args)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sql.Select)
+	if !ok {
+		return nil, fmt.Errorf("router: %s expects a SELECT", req.Op)
+	}
+	base := r.mir.baseOfSelect(sel)
+	if base == "" {
+		return nil, nil
+	}
+	plan, err := PlanMerge(sel, r.mir.partColOf(base))
+	if err != nil {
+		return nil, err
+	}
+	plan.Args = slices.Clone(req.Args) // a CQ's outlive the request, which the session reuses
+	return plan, nil
+}
+
 // scatter fans one query out to every shard and merges the results.
 // Downed shards degrade the response to Partial rather than failing it;
 // a SQL error from any shard fails the whole query.
 func (r *Router) scatter(req *server.Request, plan *MergePlan) *server.Response {
-	// An AVG rewrite scatters a different query text (sum+count pairs)
-	// than the client sent; the merge step recombines.
-	sqlText := req.SQL
-	if plan.ScatterSQL != "" {
-		sqlText = plan.ScatterSQL
-	}
-	results := r.fanOut(server.Request{Op: req.Op, SQL: sqlText, Args: req.Args})
+	// An aggregate's partial block is a different query text than the
+	// client sent; the merge step folds its rows.
+	sqlText, args := plan.shardQuery(req.SQL)
+	results := r.fanOut(server.Request{Op: req.Op, SQL: sqlText, Args: args})
 
 	partial := false
 	parts := make([][]types.Row, len(results))
@@ -412,16 +423,11 @@ func (r *Router) advance(req *server.Request) *server.Response {
 // sources subscribe on every live shard and merge window results
 // close-by-close; everything else passes through to shard 0.
 func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool) (*server.Response, func()) {
-	stmt, err := sql.Parse(req.SQL)
+	plan, err := r.plan(req)
 	if err != nil {
 		return fail(err), nil
 	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return fail(fmt.Errorf("router: subscribe expects a SELECT")), nil
-	}
-	base := r.mir.baseOfSelect(sel)
-	if base == "" {
+	if plan == nil {
 		cli, err := r.shards[0].client()
 		if err != nil {
 			return fail(err), nil
@@ -444,14 +450,7 @@ func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool
 		return &server.Response{OK: true, Columns: sub.WireColumns}, func() { sub.Close() }
 	}
 
-	plan, err := PlanMerge(sel, r.mir.partColOf(base))
-	if err != nil {
-		return fail(err), nil
-	}
-	sqlText := req.SQL
-	if plan.ScatterSQL != "" {
-		sqlText = plan.ScatterSQL
-	}
+	sqlText, args := plan.shardQuery(req.SQL)
 	subs := make([]*client.Subscription, len(r.shards))
 	stop := func() {
 		for _, s := range subs {
@@ -467,7 +466,7 @@ func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool
 		if err != nil {
 			continue // downed shard: merge flags partial
 		}
-		sub, err := cli.Subscribe(sqlText, req.Args...)
+		sub, err := cli.Subscribe(sqlText, args...)
 		if err != nil {
 			stop()
 			return fail(err), nil
