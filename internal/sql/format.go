@@ -20,12 +20,22 @@ import (
 // ("a - (-1)", never the comment "a --1"); INTERVAL and TIMESTAMP literals
 // carry their keyword.
 func Format(node any) string {
-	var p printer
-	p.w(node)
-	return p.String()
+	s, _ := FormatArgs(node)
+	return s
 }
 
-type printer struct{ strings.Builder }
+// FormatArgs is Format, and how many arguments the text takes: its highest
+// $n (0: none).
+func FormatArgs(node any) (string, int) {
+	var p printer
+	p.w(node)
+	return p.String(), p.top
+}
+
+type printer struct {
+	strings.Builder
+	top int // the highest $n printed
+}
 
 // ident is a name to print quoted if it must be.
 type ident string
@@ -100,6 +110,7 @@ func (p *printer) expr(e Expr) {
 	case *Literal:
 		p.literal(e.Val)
 	case *Param:
+		p.top = max(p.top, e.Index)
 		fmt.Fprintf(p, "$%d", e.Index)
 	case *ColumnRef:
 		if e.Table != "" {
