@@ -88,8 +88,10 @@ drain-policies:
 # allocation pin on the decode → commit → replicate path (decoding costs a
 # constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
 # TestDecodeRecordsAllocs; an append over the wire costs the same on the
-# primary and on a replica at 256 rows as at 1 024, and at most 7 and 5
-# allocations a batch, TestAppendAllocsPerBatch; one nothing keeps is decoded
+# primary and on a replica at 256 rows as at 1 024, and at most 2.2 and 4.0
+# allocations a batch — 4.5 and 4.2 with two sessions appending to two streams
+# in turn, whose names a replica's reader interns —, TestAppendAllocsPerBatch;
+# one nothing keeps is decoded
 # into the last one's memory, at most 3.5 a frame, TestDeadAppendAllocs; the
 # per-request objects of the append round trip are reused by their owners — the
 # client's call, the session's request and response, a channel's transaction,
@@ -102,7 +104,9 @@ drain-policies:
 # primary commits one in a few objects and under 16 bytes a row beyond the
 # heap's and the one row slice, TestArchiveCommitAllocs; a log append buys no
 # buffer the size of its frame, TestAppendAllocs; a snapshot costs the same
-# however many transactions ever aborted, TestSnapshotAllocsAfterTrim; the
+# however many transactions ever aborted, TestSnapshotAllocsAfterTrim, and
+# Begin and SnapshotNow nothing beside 1–3 transactions in flight,
+# TestSnapshotAllocsInFlight; the
 # server's row containers are views of the engine's, TestRowsViewAllocs), in
 # the operators (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup;
 # opened again it pays for its output rows only and keeps at most twice the
@@ -214,7 +218,9 @@ bench-selftest:
 # replaced, every operation, and the SQL parser, on arbitrary bytes and on
 # the statement the same bytes choose from its grammar (no panic, an error
 # inside the input, a tree within maxNesting, and every SELECT prints as text
-# that parses and prints the same).
+# that parses and prints the same), and the MVCC snapshot (a tape of Begin,
+# Commit, Abort, SnapshotNow and Trim, more than 64 transactions in flight at
+# times: every snapshot's visibility ≡ a reference model of sets).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRowKey -fuzztime=$(FUZZTIME) ./internal/types
@@ -227,6 +233,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sql
 	$(GO) test -run=^$$ -fuzz=FuzzIVMEquivalence -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzStoreLifecycle -fuzztime=$(FUZZTIME) ./internal/ivm
+	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=$(FUZZTIME) ./internal/txn
 
 # cluster-smoke runs TestClusterSmoke alone, under the race detector: the
 # test binary re-executes itself as two shard streamrelds, a router, a replica

@@ -3,6 +3,7 @@ package streamrel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"streamrel/internal/catalog"
@@ -284,8 +285,10 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	w.tc = tc
 	// The heap copies what it stores (storage.Heap), so neither a decoded
 	// batch nor a view's rows are pinned by the table, and the insert points
-	// coerced at the stored copies for the log and the replication ring.
-	coerced := make([]types.Row, len(rows))
+	// coerced at the stored copies for the log and the replication ring, which
+	// copies the row headers it keeps: coerced is the transaction's scratch.
+	w.rows = slices.Grow(w.rows[:0], len(rows))[:len(rows)]
+	coerced := w.rows
 	asDelivered := true
 	for i, row := range rows {
 		cr, err := coerceRow(row, t.Schema)
@@ -411,6 +414,7 @@ type writeTxn struct {
 	// undo reverts delete stamps if the transaction aborts; inserted
 	// versions need no undo (they stay invisible forever).
 	undo []func()
+	rows []types.Row // a channel write's rows, cast to the table's types
 	// local records are logged with the batch and not passed on to the hub: a
 	// table's next RowID from a snapshot and, when set, mark, the replica's
 	// resume point this batch is the state as of (ApplyEvent): commit
@@ -425,8 +429,9 @@ type writeTxn struct {
 }
 
 // writeScratch keeps a write path's (a channel's, a replica's apply) spare
-// transaction and write set for its next write, which then allocates neither.
-// The log has encoded a write set, and the ring copied it, when it is back.
+// transaction, write set and row container for its next write, which then
+// allocates none of them. The log has encoded a write set, and the ring copied
+// it, row headers included, when it is back.
 type writeScratch struct{ spare atomic.Pointer[writeTxn] }
 
 // beginWrite starts a write transaction, s's spare if it has one (s nil: none).
@@ -450,7 +455,8 @@ func (w *writeTxn) end() {
 	clear(w.recs[:cap(w.recs)]) // a commit's mark and local records sit past len
 	clear(w.local)
 	clear(w.undo)
-	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], local: w.local[:0]}
+	clear(w.rows)
+	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], rows: w.rows[:0], local: w.local[:0]}
 	w.scratch.spare.Store(w)
 }
 

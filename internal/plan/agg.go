@@ -66,13 +66,19 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 
 	// The post-aggregation scope: group keys then aggregate results,
 	// addressed via the synthetic #agg qualifier.
+	// A key that is a column keeps its name unless another key has it too.
 	postCols := make([]scopeCol, 0, len(groupExprs)+len(aggSpecs))
+	colNames, keyNames := make([]string, len(groupExprs)), make([]string, len(groupExprs))
 	for i, g := range groupExprs {
-		name := fmt.Sprintf("#g%d", i)
 		if cr, ok := g.(*sql.ColumnRef); ok {
-			name = cr.Name
+			colNames[i] = cr.Name
 		}
-		postCols = append(postCols, scopeCol{qual: aggQual, name: name, typ: compiledGroups[i].Type})
+	}
+	for i, name := range colNames {
+		if keyNames[i] = name; name == "" || slices.Index(colNames, name) != i || slices.Index(colNames[i+1:], name) >= 0 {
+			keyNames[i] = fmt.Sprintf("#g%d", i)
+		}
+		postCols = append(postCols, scopeCol{qual: aggQual, name: keyNames[i], typ: compiledGroups[i].Type})
 	}
 	for i, spec := range aggSpecs {
 		postCols = append(postCols, scopeCol{qual: aggQual, name: fmt.Sprintf("#a%d", i), typ: spec.ResultType()})
@@ -96,10 +102,7 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 			// Whole group expression → its key column.
 			for i, g := range groupExprs {
 				if sameExpr(x, g, inScope) {
-					if cr, ok := g.(*sql.ColumnRef); ok {
-						return &sql.ColumnRef{Table: aggQual, Name: cr.Name}, true
-					}
-					return &sql.ColumnRef{Table: aggQual, Name: fmt.Sprintf("#g%d", i)}, true
+					return &sql.ColumnRef{Table: aggQual, Name: keyNames[i]}, true
 				}
 			}
 			return x, false
@@ -266,9 +269,16 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 	return n, nil
 }
 
+// CheckGroupBy refuses the GROUP BY positions a plan refuses: a parameter, one
+// out of range, one naming an aggregate.
+func CheckGroupBy(sel *sql.Select) error {
+	_, err := resolveGroupBy(sel, nil)
+	return err
+}
+
 // resolveGroupBy returns the GROUP BY list as expressions over the input:
 // positions and aliases refer to the select list; anything else is an
-// expression over the input.
+// expression over the input. With no inScope it resolves positions only.
 func resolveGroupBy(sel *sql.Select, inScope *scope) ([]sql.Expr, error) {
 	groupExprs := make([]sql.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
@@ -282,9 +292,7 @@ func resolveGroupBy(sel *sql.Select, inScope *scope) ([]sql.Expr, error) {
 				return nil, fmt.Errorf("plan: GROUP BY position %d out of range", pos)
 			}
 			groupExprs[i] = sel.Items[pos-1].Expr
-			continue
-		}
-		if cr, ok := g.(*sql.ColumnRef); ok && cr.Table == "" {
+		} else if cr, ok := g.(*sql.ColumnRef); ok && cr.Table == "" && inScope != nil {
 			if _, err := inScope.ResolveColumn("", cr.Name); err != nil {
 				// Not an input column: try select-list aliases.
 				for _, item := range sel.Items {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,6 +201,33 @@ func TestGroupByPositionAndAlias(t *testing.T) {
 	expectRows(t, rows, "eng|2", "hr|1", "sales|2")
 	rows, _ = env.query(t, `SELECT dept AS d, count(*) FROM emp GROUP BY d ORDER BY d`)
 	expectRows(t, rows, "eng|2", "hr|1", "sales|2")
+}
+
+// TestGroupByPositionOfAggregate: a GROUP BY position that names an
+// aggregate is refused as the aggregate itself would be.
+func TestGroupByPositionOfAggregate(t *testing.T) {
+	env := newEnv(t)
+	stmt, err := sql.Parse(`SELECT count(*) FROM emp GROUP BY 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = (&Planner{Cat: env.cat}).BuildSelect(stmt.(*sql.Select))
+	if want := "plan: aggregate functions are not allowed in GROUP BY"; err == nil || err.Error() != want {
+		t.Fatalf("GROUP BY a position naming count(*): %v, want %s", err, want)
+	}
+}
+
+// TestGroupByKeysOfOneName: two keys that are columns of one name, a.dept and
+// b.dept of a self-join, group as two keys of different names do.
+func TestGroupByKeysOfOneName(t *testing.T) {
+	env := newEnv(t)
+	rows, _ := env.query(t, `SELECT a.dept, b.dept, count(*) FROM emp a JOIN emp b ON a.salary / 50 = b.salary / 50
+		GROUP BY a.dept, b.dept HAVING count(*) > 0 ORDER BY a.dept, b.dept`)
+	twin, _ := env.query(t, `SELECT a.dept, b.d, count(*) FROM emp a JOIN (SELECT salary, dept AS d FROM emp) b ON a.salary / 50 = b.salary / 50
+		GROUP BY a.dept, b.d HAVING count(*) > 0 ORDER BY a.dept, b.d`)
+	if got, want := rowsToStrings(rows), rowsToStrings(twin); !slices.Equal(got, want) || len(got) < 3 {
+		t.Fatalf("keys of one name: %v, want %v", got, want)
+	}
 }
 
 func TestHaving(t *testing.T) {

@@ -145,9 +145,10 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 
 // Reader reads frames off a replication connection through one payload
 // buffer it reuses from frame to frame — safe because nothing DecodeEvent
-// returns aliases the payload — and decodes their rows through one scratch.
-// Its Event, with the event's RowID runs and names, is decoded into again by
-// the next ReadEvent; the rows and records it hands over for good.
+// returns aliases the payload — and decodes their rows through one scratch,
+// which also interns the stream and table names. Its Event, with the event's
+// RowID runs, is decoded into again by the next ReadEvent; the rows and
+// records it hands over until Recycle.
 type Reader struct {
 	r    *bufio.Reader
 	hdr  [8]byte
@@ -196,15 +197,14 @@ func (fr *Reader) ReadEvent() (*Event, error) {
 	return ev, nil
 }
 
-// Recycle says nothing holds the row values and strings of the last event
-// read any more: the next one is decoded into them. An event that carried no
-// rows leaves alone those of the events before it. Its row containers are not
-// reused, because applying an event's rows hands them to the transaction that
-// stores the rows (streamrel's ApplyEvent, which points them at the table's
-// copies).
+// Recycle says nothing holds the rows of the last event read any more — its
+// row container, values and strings: the next one is decoded into them. An
+// event that carried no rows leaves alone those of the events before it.
+// Applying an event keeps none of them unless it says so (streamrel's
+// ApplyEvent: the heap and the hub's ring keep copies).
 func (fr *Reader) Recycle() {
 	if fr.rows {
-		fr.strs.RecycleValues()
+		fr.strs.Recycle()
 	}
 }
 
@@ -220,13 +220,12 @@ func DecodeEvent(payload []byte) (*Event, error) {
 	return ev, nil
 }
 
-// decodeEvent decodes payload into ev, keeping ev's names where they repeat;
-// ins is a KindArchive body's scratch (wal.ReadRows).
+// decodeEvent decodes payload into ev, its names interned in strs; ins is a
+// KindArchive body's scratch (wal.ReadRows).
 func decodeEvent(payload []byte, strs *types.RowStrings, ev *Event, ins *wal.Record) error {
 	if len(payload) == 0 {
 		return errors.New("repl: empty frame")
 	}
-	stream := ev.Stream
 	*ev = Event{Kind: Kind(payload[0])}
 	buf := payload[1:]
 	var err error
@@ -242,21 +241,21 @@ func decodeEvent(payload []byte, strs *types.RowStrings, ev *Event, ins *wal.Rec
 	case KindWAL:
 		ev.Recs, err = wal.ReadRecords(buf, strs)
 	case KindAppend:
-		if ev.Stream, buf, err = wal.ReadString(buf, stream); err == nil {
+		if ev.Stream, buf, err = wal.ReadString(buf, strs); err == nil {
 			ev.Rows, buf, err = wal.ReadRowList(buf, strs)
 		}
 	case KindArchive:
-		if ev.Stream, buf, err = wal.ReadString(buf, stream); err == nil {
+		if ev.Stream, buf, err = wal.ReadString(buf, strs); err == nil {
 			buf, err = wal.ReadRows(buf, ins, strs)
 		}
 		ev.Table, ev.Runs, ev.Rows = ins.Table, ins.Runs, ins.Rows
 		ins.Rows = nil
 	case KindAdvance:
-		if ev.Stream, buf, err = wal.ReadString(buf, stream); err == nil {
+		if ev.Stream, buf, err = wal.ReadString(buf, strs); err == nil {
 			ev.TS, _, err = readVarint(buf)
 		}
 	case KindSnapBegin, KindResume:
-		ev.Run, _, err = wal.ReadString(buf, "")
+		ev.Run, _, err = wal.ReadString(buf, nil)
 	case KindSnapEnd, KindPing:
 		// header only
 	default:

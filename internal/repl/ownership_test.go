@@ -82,7 +82,7 @@ func oracleDecodeRow(buf []byte) (types.Row, []byte, error) {
 // oracleAppendBody decodes what follows the frame header of a KindAppend
 // payload.
 func oracleAppendBody(buf []byte) (stream string, rows []types.Row, err error) {
-	if stream, buf, err = wal.ReadString(buf, ""); err != nil {
+	if stream, buf, err = wal.ReadString(buf, nil); err != nil {
 		return "", nil, err
 	}
 	n, buf, err := wal.ReadUvarint(buf)

@@ -84,10 +84,12 @@ type Primary struct {
 	// copies carves the blocks PublishAppend copies a batch into; the ring
 	// owns each block it hands out.
 	copies types.RowStrings
-	// runs and recs are the blocks publishLocked copies an event's RowID runs
-	// and WAL records into (carve): a publisher reuses its own once it returns.
+	// runs, recs and rows are the blocks publishLocked copies an event's RowID
+	// runs, WAL records and row headers into (carve): a publisher reuses its
+	// own once it returns.
 	runs []wal.RowIDRun
 	recs []wal.Record
+	rows []types.Row
 
 	pingEvery time.Duration
 
@@ -349,11 +351,16 @@ func (p *Primary) PublishAdvance(stream string, ts int64) {
 
 // publishLocked sequences and retains ev, which carries size bytes of rows,
 // evicting from the head whatever no longer fits beside it — never ev itself.
-// The ring keeps ev's row containers and copies of its runs and records.
+// The ring keeps copies of ev's runs, records and row headers (a KindAppend's
+// rows are its own copies already); the rows' values stay the publisher's,
+// which never writes them again (the heap's copies).
 func (p *Primary) publishLocked(ev Event, size int) {
-	ev.Runs, ev.Recs = carve(&p.runs, ev.Runs), carve(&p.recs, ev.Recs)
+	ev.Runs, ev.Recs = carve(&p.runs, ev.Runs, 256), carve(&p.recs, ev.Recs, 256)
+	if ev.Kind == KindArchive {
+		ev.Rows = carve(&p.rows, ev.Rows, types.BlockRows)
+	}
 	for i := range ev.Recs {
-		ev.Recs[i].Runs = carve(&p.runs, ev.Recs[i].Runs)
+		ev.Recs[i].Runs, ev.Recs[i].Rows = carve(&p.runs, ev.Recs[i].Runs, 256), carve(&p.rows, ev.Recs[i].Rows, types.BlockRows)
 	}
 	p.lsn++
 	ev.LSN = p.lsn
@@ -375,14 +382,14 @@ func (p *Primary) publishLocked(ev Event, size int) {
 }
 
 // carve copies src into the free end of *block, or of a new block of at least
-// 256 items, and returns the copy, which nothing writes again: a block goes
+// least items, and returns the copy, which nothing writes again: a block goes
 // once the ring has evicted every event in it. A nil src stays nil.
-func carve[T any](block *[]T, src []T) []T {
+func carve[T any](block *[]T, src []T, least int) []T {
 	if src == nil {
 		return nil
 	}
 	if cap(*block)-len(*block) < len(src) {
-		*block = make([]T, 0, max(256, len(src)))
+		*block = make([]T, 0, max(least, len(src)))
 	}
 	start := len(*block)
 	*block = append(*block, src...)

@@ -574,19 +574,20 @@ func TestRingGauges(t *testing.T) {
 	}
 }
 
-// TestRingKeepsItsOwnRunsAndRecords: a publisher's runs and WAL records are
-// its scratch (a transaction's write set, a replica reader's event), reused
-// for its next write once the publish returns. The ring holds copies, so an
-// event a follower has yet to read says what was published, whatever the
-// publisher wrote into its slices since.
+// TestRingKeepsItsOwnRunsAndRecords: a publisher's runs, WAL records and row
+// containers are its scratch (a transaction's write set, a channel's rows, a
+// replica reader's event), reused for its next write once the publish
+// returns. The ring holds copies, so an event a follower has yet to read says
+// what was published, whatever the publisher wrote into its slices since.
 func TestRingKeepsItsOwnRunsAndRecords(t *testing.T) {
 	p := testPrimary(t, Config{})
 	rows, _ := archiveBatch(3)
+	walRows := slices.Clone(rows)
 	runs := []wal.RowIDRun{{First: 10, N: 2}, {First: 20, N: 1}}
-	recs := []wal.Record{{Kind: wal.RecRows, Table: "archive", Runs: slices.Clone(runs), Rows: rows}, {Kind: wal.RecDelete, Table: "archive", RowID: 4}}
+	recs := []wal.Record{{Kind: wal.RecRows, Table: "archive", Runs: slices.Clone(runs), Rows: walRows}, {Kind: wal.RecDelete, Table: "archive", RowID: 4}}
 	want := []Event{
-		{Kind: KindArchive, Stream: "hits", Table: "archive", Runs: slices.Clone(runs), Rows: rows},
-		{Kind: KindWAL, Recs: []wal.Record{{Kind: wal.RecRows, Table: "archive", Runs: slices.Clone(runs), Rows: rows}, {Kind: wal.RecDelete, Table: "archive", RowID: 4}}},
+		{Kind: KindArchive, Stream: "hits", Table: "archive", Runs: slices.Clone(runs), Rows: slices.Clone(rows)},
+		{Kind: KindWAL, Recs: []wal.Record{{Kind: wal.RecRows, Table: "archive", Runs: slices.Clone(runs), Rows: slices.Clone(rows)}, {Kind: wal.RecDelete, Table: "archive", RowID: 4}}},
 	}
 	if err := p.PublishArchive("hits", "archive", runs, rows, nil, 0); err != nil {
 		t.Fatal(err)
@@ -596,6 +597,9 @@ func TestRingKeepsItsOwnRunsAndRecords(t *testing.T) {
 	}
 	runs[0], runs[1] = wal.RowIDRun{First: 99, N: 1}, wal.RowIDRun{First: 77, N: 2}
 	recs[0].Runs[0] = wal.RowIDRun{First: 55, N: 3}
+	other, _ := archiveBatch(6)
+	copy(rows, other[3:])
+	copy(walRows, other[3:])
 	recs[0], recs[1] = wal.Record{Kind: wal.RecNext, Table: "other"}, wal.Record{Kind: wal.RecDelete, Table: "other", RowID: 9}
 	got, err := p.eventsAfter(make([]Event, 0, 4), 0, p.RunID())
 	if err != nil || len(got) != len(want) {
@@ -603,11 +607,11 @@ func TestRingKeepsItsOwnRunsAndRecords(t *testing.T) {
 	}
 	for i, w := range want {
 		g := got[i]
-		if g.Kind != w.Kind || g.Stream != w.Stream || g.Table != w.Table || !slices.Equal(g.Runs, w.Runs) || len(g.Rows) != len(w.Rows) || len(g.Recs) != len(w.Recs) {
+		if g.Kind != w.Kind || g.Stream != w.Stream || g.Table != w.Table || !slices.Equal(g.Runs, w.Runs) || !slices.EqualFunc(g.Rows, w.Rows, types.Row.Equal) || len(g.Recs) != len(w.Recs) {
 			t.Fatalf("event %d: %+v, want %+v", i, g, w)
 		}
 		for j, wr := range w.Recs {
-			if gr := g.Recs[j]; gr.Kind != wr.Kind || gr.Table != wr.Table || gr.RowID != wr.RowID || !slices.Equal(gr.Runs, wr.Runs) || len(gr.Rows) != len(wr.Rows) {
+			if gr := g.Recs[j]; gr.Kind != wr.Kind || gr.Table != wr.Table || gr.RowID != wr.RowID || !slices.Equal(gr.Runs, wr.Runs) || !slices.EqualFunc(gr.Rows, wr.Rows, types.Row.Equal) {
 				t.Fatalf("event %d record %d: %+v, want %+v", i, j, gr, wr)
 			}
 		}

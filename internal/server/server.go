@@ -32,7 +32,9 @@ type Backend interface {
 	// an error, and no stop), and hands each window batch to emit until
 	// emit reports that the session has ended; stop ends the query. emit
 	// is called from a goroutine of the backend's own, never from inside
-	// Subscribe: it holds a batch back until the answer is written.
+	// Subscribe: it holds a batch back until the answer is written, and
+	// writes it before it returns, keeping nothing, so a backend answers
+	// every batch in one Response.
 	Subscribe(req *Request, emit func(*Response) bool) (resp *Response, stop func())
 	// Metrics is the registry the session's series register in and the
 	// metrics op gathers; Tracer is the ring the trace op reads (nil: off).
@@ -387,13 +389,20 @@ func (e engine) Subscribe(req *Request, emit func(*Response) bool) (*Response, f
 	if err != nil {
 		return fail(err), nil
 	}
-	// Pump batches to the client until the CQ or the session ends.
+	// Pump batches to the client until the CQ or the session ends, each in
+	// the one Response emit keeps nothing of.
 	go func() {
+		var resp Response
 		for {
 			b, ok := cq.Next()
-			if !ok || !emit(&Response{Close: b.Close.UnixMicro(), Rows: WireRows(b.Rows)}) {
+			if !ok {
 				return
 			}
+			resp = Response{Close: b.Close.UnixMicro(), Rows: WireRows(b.Rows)}
+			if !emit(&resp) {
+				return
+			}
+			resp = Response{} // an idle pump holds no rows
 		}
 	}()
 	return &Response{OK: true, Columns: EncodeSchema(cq.Columns)}, cq.Close

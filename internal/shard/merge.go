@@ -61,6 +61,9 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 	if !plan.IsAggregate(sel) || partCol != "" && groupsByColumn(sel.GroupBy, partCol) {
 		return &MergePlan{}, nil
 	}
+	if err := plan.CheckGroupBy(sel); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	p := &MergePlan{split: new(plan.Split), sel: sel}
 	if why := p.split.Aggregates(sel, "the merge"); why != "" {
 		return nil, fmt.Errorf("shard: %s, so it cannot be re-combined across shards; GROUP BY the partition key to compute it per shard", why)

@@ -490,8 +490,11 @@ func (r *Router) Subscribe(req *server.Request, emit func(*server.Response) bool
 	if partial {
 		r.partialCtr.Inc()
 	}
+	var resp server.Response // the merger emits under its lock, one close at a time
 	m := newCQMerger(plan, len(r.shards), partial, func(closeUS int64, rows []types.Row, partial bool) {
-		emit(&server.Response{Close: closeUS, Partial: partial, Rows: server.WireRows(rows)})
+		resp = server.Response{Close: closeUS, Partial: partial, Rows: server.WireRows(rows)}
+		emit(&resp)
+		resp = server.Response{}
 	})
 	for i, sub := range subs {
 		if sub == nil {

@@ -146,6 +146,8 @@ func TestPlanMergeRules(t *testing.T) {
 		// any shard runs the partial block.
 		`SELECT v, count(*) FROM s GROUP BY u`,
 		`SELECT u, count(*) FROM s GROUP BY 1`,
+		// One node refuses a GROUP BY position naming an aggregate.
+		`SELECT count(*) FROM s GROUP BY 1`,
 	} {
 		if _, err := planFor(t, bad, "k"); err == nil {
 			t.Errorf("PlanMerge(%q) should fail", bad)

@@ -38,13 +38,14 @@ const (
 // transactions are forgotten immediately (an ID below the allocation
 // horizon that is neither in progress nor aborted is committed), so state
 // is bounded by concurrent transactions plus the aborted set — Begin stays
-// O(concurrent), not O(history): snapshots share the aborted set until an
-// abort or a trim replaces it, and Trim forgets the aborted transactions
-// whose versions a vacuum has reclaimed.
+// O(concurrent), not O(history), and allocates nothing while the
+// transactions in flight span at most 64 IDs: snapshots share the aborted
+// set until an abort or a trim replaces it, and Trim forgets the aborted
+// transactions whose versions a vacuum has reclaimed.
 type Manager struct {
 	mu         sync.RWMutex
 	next       ID
-	inProgress map[ID]struct{}
+	inProgress []ID // sorted: Begin appends the largest ID
 	// aborted is sorted, and immutable once a snapshot holds it: setStatus
 	// and Trim replace it, never write it.
 	aborted []ID
@@ -52,10 +53,7 @@ type Manager struct {
 
 // NewManager returns a manager with the bootstrap transaction committed.
 func NewManager() *Manager {
-	return &Manager{
-		next:       Bootstrap + 1,
-		inProgress: make(map[ID]struct{}),
-	}
+	return &Manager{next: Bootstrap + 1}
 }
 
 // Begin starts a new transaction and returns it with a fresh snapshot. The
@@ -65,31 +63,11 @@ func (m *Manager) Begin() Txn {
 	m.mu.Lock()
 	id := m.next
 	m.next++
-	m.inProgress[id] = struct{}{}
-	// Snapshot.sees treats a nil map as empty, so skip the allocation when
-	// this is the only transaction in flight — the common case on the CQ
-	// hot path.
-	var inFlight map[ID]struct{}
-	if len(m.inProgress) > 1 {
-		inFlight = make(map[ID]struct{}, len(m.inProgress)-1)
-		for x := range m.inProgress {
-			if x != id {
-				inFlight[x] = struct{}{}
-			}
-		}
-	}
-	aborted := m.aborted
+	snap := m.snapshotLocked(id)
+	snap.self = id
+	m.inProgress = append(m.inProgress, id)
 	m.mu.Unlock()
-	return Txn{
-		ID:  id,
-		mgr: m,
-		Snap: Snapshot{
-			XMax:     id,
-			InFlight: inFlight,
-			aborted:  aborted,
-			self:     id,
-		},
-	}
+	return Txn{ID: id, mgr: m, Snap: snap}
 }
 
 // SnapshotNow returns a read-only snapshot as of now, without allocating a
@@ -97,24 +75,33 @@ func (m *Manager) Begin() Txn {
 // close; pure SELECTs use them too.
 func (m *Manager) SnapshotNow() Snapshot {
 	m.mu.RLock()
-	// Every window close takes a snapshot; with no writers in flight (the
-	// steady state for pure streaming workloads) it is just two word reads.
-	var inFlight map[ID]struct{}
-	if len(m.inProgress) > 0 {
-		inFlight = make(map[ID]struct{}, len(m.inProgress))
-		for x := range m.inProgress {
-			inFlight[x] = struct{}{}
+	defer m.mu.RUnlock()
+	return m.snapshotLocked(m.next)
+}
+
+// snapshotLocked is the snapshot below xmax of the transactions in flight: the
+// oldest, and the rest as bits over the 64 IDs from it, each beyond those in
+// a sorted slice of its own.
+func (m *Manager) snapshotLocked(xmax ID) Snapshot {
+	s := Snapshot{XMax: xmax, xmin: xmax, aborted: m.aborted}
+	for i, id := range m.inProgress {
+		if i == 0 {
+			s.xmin = id
 		}
+		if id-s.xmin >= 64 {
+			s.later = slices.Clone(m.inProgress[i:])
+			break
+		}
+		s.bits |= 1 << (id - s.xmin)
 	}
-	xmax := m.next
-	aborted := m.aborted
-	m.mu.RUnlock()
-	return Snapshot{XMax: xmax, InFlight: inFlight, aborted: aborted}
+	return s
 }
 
 func (m *Manager) setStatus(id ID, s Status) {
 	m.mu.Lock()
-	delete(m.inProgress, id)
+	if at, ok := slices.BinarySearch(m.inProgress, id); ok {
+		m.inProgress = slices.Delete(m.inProgress, at, at+1)
+	}
 	if s == StatusAborted {
 		at, _ := slices.BinarySearch(m.aborted, id)
 		m.aborted = append(append(append(make([]ID, 0, len(m.aborted)+1), m.aborted[:at]...), id), m.aborted[at:]...)
@@ -167,18 +154,35 @@ func (t *Txn) Abort() error {
 
 // Snapshot is a point-in-time visibility horizon. It is entirely
 // self-contained: visibility checks touch no shared state, so scans never
-// contend with writers.
+// contend with writers. The transactions in flight when it was taken are
+// xmin, the oldest (XMax when there were none), and the bits of the 64 IDs
+// from it; one further from xmin is in later, which is nil unless the
+// transactions in flight spanned more than 64 IDs.
 type Snapshot struct {
-	XMax     ID // txns with ID >= XMax started after the snapshot
-	InFlight map[ID]struct{}
-	aborted  []ID // aborted as of snapshot time, sorted
-	self     ID   // the owning txn, if any: its own writes are visible
+	XMax    ID // txns with ID >= XMax started after the snapshot
+	xmin    ID
+	bits    uint64
+	later   []ID // sorted
+	aborted []ID // aborted as of snapshot time, sorted
+	self    ID   // the owning txn, if any: its own writes are visible
+}
+
+// inFlight reports whether id < XMax was in progress when s was taken.
+func (s Snapshot) inFlight(id ID) bool {
+	if id < s.xmin {
+		return false
+	}
+	if d := id - s.xmin; d < 64 {
+		return s.bits>>d&1 != 0
+	}
+	_, ok := slices.BinarySearch(s.later, id)
+	return ok
 }
 
 // sees reports whether a transaction's effects are visible.
 //
-// A txn that aborts after this snapshot was taken is necessarily in
-// InFlight (it was in progress at snapshot time), so the local aborted
+// A txn that aborts after this snapshot was taken was necessarily in
+// flight (it was in progress at snapshot time), so the local aborted
 // copy is complete for every ID this snapshot can otherwise see.
 func (s Snapshot) sees(id ID) bool {
 	if id == 0 {
@@ -187,10 +191,7 @@ func (s Snapshot) sees(id ID) bool {
 	if id == s.self {
 		return true
 	}
-	if id >= s.XMax {
-		return false
-	}
-	if _, ok := s.InFlight[id]; ok {
+	if id >= s.XMax || s.inFlight(id) {
 		return false
 	}
 	return !s.hasAborted(id)
@@ -216,14 +217,7 @@ func (s Snapshot) VisibleVersion(xmin, xmax ID) bool {
 
 // Decided reports whether every transaction up to last had finished when s
 // was taken, so that s, like every other such snapshot, knows each outcome.
-func (s Snapshot) Decided(last ID) bool {
-	for id := range s.InFlight {
-		if id <= last {
-			return false
-		}
-	}
-	return s.self == 0 && last < s.XMax
-}
+func (s Snapshot) Decided(last ID) bool { return s.self == 0 && last < s.xmin }
 
 // Dead reports whether a version is invisible to s and to every snapshot
 // taken after it: its creator aborted, or its deletion is visible. A version

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"maps"
 	"runtime"
 	"slices"
 	"testing"
@@ -171,4 +172,135 @@ func TestSnapshotAllocsAfterTrim(t *testing.T) {
 	if snap := m.SnapshotNow(); snap.VisibleVersion(a.ID, 0) || snap.VisibleVersion(b.ID, 0) || snap.VisibleVersion(c.ID, 0) || !slices.IsSorted(snap.aborted) {
 		t.Fatalf("aborted out of order: %v", snap.aborted)
 	}
+}
+
+// TestSnapshotAllocsInFlight: Begin and SnapshotNow allocate nothing while a
+// few transactions are in flight, as two writers keep them: a snapshot holds
+// the oldest and a word of bits, not a copy of the set.
+func TestSnapshotAllocsInFlight(t *testing.T) {
+	for inFlight := 1; inFlight <= 3; inFlight++ {
+		m := NewManager()
+		for i := 0; i < inFlight; i++ {
+			m.Begin()
+		}
+		if got := testing.AllocsPerRun(100, func() { m.SnapshotNow() }); got != 0 {
+			t.Errorf("SnapshotNow with %d in flight allocates %v times", inFlight, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { tx := m.Begin(); tx.Commit() }); got != 0 {
+			t.Errorf("Begin with %d in flight allocates %v times", inFlight, got)
+		}
+	}
+}
+
+// FuzzSnapshot drives a manager with a tape of Begin, Commit, Abort,
+// SnapshotNow and Trim — a byte's top three bits the operation, its low five
+// which transaction or snapshot, and 7 a burst of 32 Begins, so more than 64
+// are in flight — and checks every snapshot, when taken and at the end,
+// against a reference model of sets: VisibleVersion, Dead and Decided, for
+// each ID up to the last one begun and past it.
+func FuzzSnapshot(f *testing.F) {
+	f.Add([]byte{0, 0, 0xa0, 0x60, 0x80, 0xa0, 0xc1, 0xa0})
+	f.Add([]byte{0xe0, 0xe0, 0xe0, 0xa0, 0x61, 0x9f, 0xa0, 0xc0, 0x20, 0xa0, 0xc2, 0xa3})
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		if len(tape) > 256 {
+			return
+		}
+		type refSnap struct {
+			snap           Snapshot
+			xmax, self     ID
+			inFlight, abrt map[ID]bool
+			forgot         map[ID]bool // trimmed before it was taken: never asked about
+		}
+		m := NewManager()
+		var open []Txn
+		aborted, forgot := map[ID]bool{}, map[ID]bool{}
+		var snaps []refSnap
+		take := func(s Snapshot, xmax, self ID) {
+			r := refSnap{snap: s, xmax: xmax, self: self, inFlight: map[ID]bool{}, abrt: maps.Clone(aborted), forgot: maps.Clone(forgot)}
+			for _, tx := range open {
+				if tx.ID != self {
+					r.inFlight[tx.ID] = true
+				}
+			}
+			snaps = append(snaps, r)
+		}
+		check := func(r refSnap) {
+			sees := func(id ID) bool {
+				return id != 0 && (id == r.self || id < r.xmax && !r.inFlight[id] && !r.abrt[id])
+			}
+			decided := r.self == 0
+			for id := ID(0); id <= m.next+1; id++ {
+				decided = decided && id < r.xmax && !r.inFlight[id]
+				if r.forgot[id] {
+					continue
+				}
+				s := r.snap
+				if got, want := s.VisibleVersion(id, 0), sees(id); got != want {
+					t.Fatalf("snapshot %+v: VisibleVersion(%d, 0) = %v, want %v", r, id, got, want)
+				}
+				if got, want := s.VisibleVersion(Bootstrap, id), id == 0 || !sees(id); got != want {
+					t.Fatalf("snapshot %+v: VisibleVersion(1, %d) = %v, want %v", r, id, got, want)
+				}
+				if got, want := s.Dead(id, 0), r.abrt[id]; got != want {
+					t.Fatalf("snapshot %+v: Dead(%d, 0) = %v, want %v", r, id, got, want)
+				}
+				if got, want := s.Dead(Bootstrap, id), id != 0 && sees(id); got != want {
+					t.Fatalf("snapshot %+v: Dead(1, %d) = %v, want %v", r, id, got, want)
+				}
+				if got := s.Decided(id); got != decided {
+					t.Fatalf("snapshot %+v: Decided(%d) = %v, want %v", r, id, got, decided)
+				}
+			}
+		}
+		begin := func() {
+			tx := m.Begin()
+			open = append(open, tx)
+			take(tx.Snap, tx.ID, tx.ID)
+			check(snaps[len(snaps)-1])
+		}
+		for _, b := range tape {
+			arg := int(b & 31)
+			switch b >> 5 {
+			case 0, 1, 2:
+				begin()
+			case 3, 4:
+				if len(open) == 0 {
+					continue
+				}
+				i := arg % len(open)
+				tx := open[i]
+				open = slices.Delete(open, i, i+1)
+				if b>>5 == 3 {
+					tx.Commit()
+				} else {
+					tx.Abort()
+					aborted[tx.ID] = true
+				}
+			case 5:
+				take(m.SnapshotNow(), m.next, 0)
+				check(snaps[len(snaps)-1])
+			case 6:
+				// A horizon a vacuum reclaimed at: a snapshot taken by no
+				// transaction, the arg-th such one from the end.
+				for i := len(snaps) - 1; i >= 0; i-- {
+					if r := snaps[i]; r.self == 0 {
+						if arg--; arg < 0 {
+							m.Trim(r.snap)
+							for id := range r.abrt {
+								forgot[id] = true
+							}
+							break
+						}
+					}
+				}
+			case 7:
+				for i := 0; i < 32; i++ {
+					begin()
+				}
+			}
+		}
+		for _, r := range snaps {
+			check(r)
+		}
+	})
 }

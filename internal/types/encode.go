@@ -54,6 +54,8 @@ type RowStrings struct {
 	lastRows, spareRows []Row
 	lastVals, spareVals []Datum
 	lastStrs, spareStrs []byte
+	// names are the last distinct names Name returned, the latest first.
+	names [8]string
 }
 
 // Add copies a string payload into the scratch and returns its placeholder,
@@ -62,6 +64,23 @@ type RowStrings struct {
 func (b *RowStrings) Add(p []byte) Datum {
 	b.scratch = append(b.scratch, p...)
 	return Datum{n: uint64(len(p)) | uint64(TypeString)<<typeShift}
+}
+
+// Name returns p as a string, the one it returned for p before while that is
+// among the last len(names) distinct ones: a replication reader decodes the
+// names of a few streams and tables again and again, in any order.
+func (b *RowStrings) Name(p []byte) string {
+	i := 0
+	for i < len(b.names)-1 && b.names[i] != string(p) {
+		i++
+	}
+	s := b.names[i]
+	if s != string(p) {
+		s = string(p)
+	}
+	copy(b.names[1:i+1], b.names[:i])
+	b.names[0] = s
+	return s
 }
 
 // Push appends a value to the row being decoded.
@@ -91,7 +110,7 @@ func (b *RowStrings) EndRow() {
 func (b *RowStrings) Reset() {
 	if max(datumSize*max(cap(b.vals), cap(b.lastVals), cap(b.spareVals)), rowSize*max(cap(b.done), cap(b.lastRows), cap(b.spareRows)),
 		cap(b.scratch), cap(b.lastStrs), cap(b.spareStrs)) > 1<<20 {
-		*b = RowStrings{}
+		*b = RowStrings{names: b.names}
 	}
 	clear(b.done)
 	b.vals, b.ends, b.scratch, b.done = b.vals[:0], b.ends[:0], b.scratch[:0], b.done[:0]
@@ -118,20 +137,10 @@ func (b *RowStrings) Row() Row {
 func (b *RowStrings) Recycle() {
 	if Poison {
 		clear(b.lastRows[:cap(b.lastRows)])
-	}
-	b.spareRows = b.lastRows
-	b.RecycleValues()
-}
-
-// RecycleValues is Recycle for a batch whose container someone else now holds
-// (a transaction that stored the rows, pointing it at the stored copies): only
-// its last block's values and strings are carved into again.
-func (b *RowStrings) RecycleValues() {
-	if Poison {
 		clear(b.lastVals[:cap(b.lastVals)])
 		clear(b.lastStrs[:cap(b.lastStrs)])
 	}
-	b.spareVals, b.spareStrs = b.lastVals, b.lastStrs
+	b.spareRows, b.spareVals, b.spareStrs = b.lastRows, b.lastVals, b.lastStrs
 }
 
 // Arena holds copies of VARCHAR bytes in chunks it never reallocates, so a

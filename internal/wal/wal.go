@@ -608,10 +608,10 @@ func AppendRowList(buf []byte, rows []types.Row) []byte {
 // ReadRows decodes what AppendRows wrote into r and returns the bytes behind
 // it. The runs cover exactly the rows; the bytes that remain bound both counts
 // (a run is two at least, a row one); an empty or wrapping run is malformed.
-// r's runs and table name are its reader's scratch: the runs are decoded into
-// their memory, and an unchanged name is kept rather than copied again.
+// r's runs are its reader's scratch, decoded into their memory, and the table
+// name is interned in strs.
 func ReadRows(buf []byte, r *Record, strs *types.RowStrings) (rest []byte, err error) {
-	if r.Table, buf, err = ReadString(buf, r.Table); err != nil {
+	if r.Table, buf, err = ReadString(buf, strs); err != nil {
 		return nil, err
 	}
 	n, buf, err := ReadUvarint(buf)
@@ -675,7 +675,6 @@ func ReadRecords(buf []byte, strs *types.RowStrings) ([]Record, error) {
 		return nil, errors.New("wal: record count exceeds payload")
 	}
 	recs := make([]Record, 0, min(n, types.MaxPresize))
-	var table string // of the previous record that named one
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
 			return nil, errors.New("wal: truncated record")
@@ -685,15 +684,13 @@ func ReadRecords(buf []byte, strs *types.RowStrings) ([]Record, error) {
 		var err error
 		switch r.Kind {
 		case RecDDL:
-			r.SQL, buf, err = ReadString(buf, "")
+			r.SQL, buf, err = ReadString(buf, nil)
 		case RecMark:
-			if r.SQL, buf, err = ReadString(buf, ""); err == nil {
+			if r.SQL, buf, err = ReadString(buf, nil); err == nil {
 				r.RowID, buf, err = ReadUvarint(buf)
 			}
 		case RecInsert, RecDelete, RecNext:
-			r.Table, buf, err = ReadString(buf, table)
-			table = r.Table
-			if err == nil {
+			if r.Table, buf, err = ReadString(buf, strs); err == nil {
 				r.RowID, buf, err = ReadUvarint(buf)
 			}
 			if err == nil && r.Kind == RecInsert {
@@ -729,15 +726,16 @@ func AppendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// ReadString returns prev itself when the string's bytes equal it.
-func ReadString(buf []byte, prev string) (string, []byte, error) {
+// ReadString decodes a string; with names, a stream or table name, interned
+// there (types.RowStrings.Name).
+func ReadString(buf []byte, names *types.RowStrings) (string, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 || uint64(len(buf[k:])) < n {
 		return "", nil, errors.New("wal: bad string")
 	}
 	b, rest := buf[k:k+int(n)], buf[k+int(n):]
-	if string(b) == prev {
-		return prev, rest, nil
+	if names != nil {
+		return names.Name(b), rest, nil
 	}
 	return string(b), rest, nil
 }

@@ -253,10 +253,10 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 // whatever its rows — the decoded batch (container, values, strings), which
 // this measure never recycles: the one batch serves the stream, the heap
 // copies it into its segments (an object per segRows rows) and this engine's
-// own ring takes the container, pointed at the copies, and no wal.Record is
-// decoded, so no row is decoded a second time. The event, its runs and table
-// name are the Reader's, and the apply's transaction and write set the
-// engine's, reused from event to event (10.0 allocations before).
+// own ring copies the row headers, pointed at the copies, into a block of
+// 4 096, and no wal.Record is decoded, so no row is decoded a second time. The
+// event, its runs and names are the Reader's, and the apply's transaction and
+// write set the engine's, reused from event to event (10.0 allocations before).
 func TestReplicaArchiveApplyAllocs(t *testing.T) {
 	// A collection cycle that starts inside an apply counts the runtime's own
 	// objects: the pin is on what the apply allocates.
