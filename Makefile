@@ -102,7 +102,12 @@ drain-policies:
 # hub's tail reads the ring in place, so a follower that keeps up costs an
 # event's publish and send under 0.05 allocations, TestTailAllocs; a
 # primary commits one in a few objects and under 16 bytes a row beyond the
-# heap's and the one row slice, TestArchiveCommitAllocs; a log append buys no
+# heap's and the one row slice, with no row header in the ring,
+# TestArchiveCommitAllocs (40+16, was 40+24+16); the ring keeps a span of the
+# heap's values a run, so it costs under a byte a row and allocates with its
+# events / 256, not its rows, TestRingMemoryBounded, and an archived row costs
+# the primary and a replica the heap's copy and a constant a batch (no +24 B
+# header), TestArchivedRowMemoryBounded; a log append buys no
 # buffer the size of its frame, TestAppendAllocs; a snapshot costs the same
 # however many transactions ever aborted, TestSnapshotAllocsAfterTrim, and
 # Begin and SnapshotNow nothing beside 1–3 transactions in flight,

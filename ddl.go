@@ -44,7 +44,7 @@ func (e *Engine) execDDL(stmt sql.Statement, sqlText string, at wal.Record) (*Re
 			}
 		}
 		if e.hub != nil {
-			_ = e.hub.PublishTxn(recs[:1], nil, 0) // no commit, no error
+			_ = e.hub.PublishTxn(recs[:1], nil, nil, 0) // no commit, no error
 		}
 	}
 	return &Result{}, nil
@@ -285,8 +285,8 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	w.tc = tc
 	// The heap copies what it stores (storage.Heap), so neither a decoded
 	// batch nor a view's rows are pinned by the table, and the insert points
-	// coerced at the stored copies for the log and the replication ring, which
-	// copies the row headers it keeps: coerced is the transaction's scratch.
+	// coerced at the stored copies for the log, and the replication ring keeps
+	// spans of those copies: coerced is the transaction's scratch.
 	w.rows = slices.Grow(w.rows[:0], len(rows))[:len(rows)]
 	coerced := w.rows
 	asDelivered := true
@@ -413,8 +413,9 @@ type writeTxn struct {
 	tc trace.Ctx
 	// undo reverts delete stamps if the transaction aborts; inserted
 	// versions need no undo (they stay invisible forever).
-	undo []func()
-	rows []types.Row // a channel write's rows, cast to the table's types
+	undo  []func()
+	rows  []types.Row     // a channel write's rows, cast to the table's types
+	spans [][]types.Datum // recs' inserted rows in their heaps, for the hub (storage.Heap.Spans)
 	// local records are logged with the batch and not passed on to the hub: a
 	// table's next RowID from a snapshot and, when set, mark, the replica's
 	// resume point this batch is the state as of (ApplyEvent): commit
@@ -431,7 +432,7 @@ type writeTxn struct {
 // writeScratch keeps a write path's (a channel's, a replica's apply) spare
 // transaction, write set and row container for its next write, which then
 // allocates none of them. The log has encoded a write set, and the ring copied
-// it, row headers included, when it is back.
+// its records and spans, when it is back.
 type writeScratch struct{ spare atomic.Pointer[writeTxn] }
 
 // beginWrite starts a write transaction, s's spare if it has one (s nil: none).
@@ -456,7 +457,8 @@ func (w *writeTxn) end() {
 	clear(w.local)
 	clear(w.undo)
 	clear(w.rows)
-	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], rows: w.rows[:0], local: w.local[:0]}
+	clear(w.spans)
+	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], rows: w.rows[:0], spans: w.spans[:0], local: w.local[:0]}
 	w.scratch.spare.Store(w)
 }
 
@@ -520,6 +522,9 @@ func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Ro
 	}
 	if len(rows) > 0 {
 		w.recs = append(w.recs, wal.Record{Kind: wal.RecRows, Table: t.Name, Runs: runs, Rows: rows})
+		for i := 0; w.e.hub != nil && i < len(runs); i++ {
+			w.spans = t.Heap.Spans(storage.RowID(runs[i].First), int(runs[i].N), w.spans)
+		}
 	}
 	return nil
 }
@@ -559,14 +564,14 @@ func (w *writeTxn) commit() (err error) {
 		// published LSN order matches commit order across transactions
 		// (stream ingest publishes under a separate lock and never waits
 		// behind a commit).
-		err = w.e.hub.PublishTxn(w.recs, w.tx.Commit, w.tc.ID)
+		err = w.e.hub.PublishTxn(w.recs, w.spans, w.tx.Commit, w.tc.ID)
 	default:
 		// This goroutine also holds the source's delivery lock, so the one
 		// event sits in the stream's delivery order too. A failed commit
 		// leaves in owed: the batch still entered the stream, and deliver
 		// publishes its append.
 		ins := &w.recs[0]
-		if err = w.e.hub.PublishArchive(w.in.Stream(), ins.Table, ins.Runs, ins.Rows, w.tx.Commit, w.tc.ID); err == nil {
+		if err = w.e.hub.PublishArchive(w.in.Stream(), ins.Table, ins.Runs, ins.Rows, w.spans, w.tx.Commit, w.tc.ID); err == nil {
 			w.in.Settle()
 		}
 	}

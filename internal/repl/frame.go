@@ -201,7 +201,7 @@ func (fr *Reader) ReadEvent() (*Event, error) {
 // row container, values and strings: the next one is decoded into them. An
 // event that carried no rows leaves alone those of the events before it.
 // Applying an event keeps none of them unless it says so (streamrel's
-// ApplyEvent: the heap and the hub's ring keep copies).
+// ApplyEvent: the heap keeps copies, and the hub's ring spans of them).
 func (fr *Reader) Recycle() {
 	if fr.rows {
 		fr.strs.Recycle()

@@ -84,12 +84,12 @@ type Primary struct {
 	// copies carves the blocks PublishAppend copies a batch into; the ring
 	// owns each block it hands out.
 	copies types.RowStrings
-	// runs, recs and rows are the blocks publishLocked copies an event's RowID
-	// runs, WAL records and row headers into (carve): a publisher reuses its
-	// own once it returns.
-	runs []wal.RowIDRun
-	recs []wal.Record
-	rows []types.Row
+	// runs, recs and spans are the blocks publishLocked copies an event's RowID
+	// runs, WAL records and the spans of its stored rows into (carve): a
+	// publisher reuses its own once it returns.
+	runs  []wal.RowIDRun
+	recs  []wal.Record
+	spans []types.Row
 
 	pingEvery time.Duration
 
@@ -227,8 +227,9 @@ func recordSize(r *wal.Record) int {
 // split across consecutive LSNs; a replica applies each chunk as its own
 // local transaction, and its resume point advances per event. traceID
 // (0 = untraced) rides the published events so replicas close the batch's
-// span chain. A nil commit publishes a batch committed already (DDL).
-func (p *Primary) PublishTxn(recs []wal.Record, commit func() error, traceID uint64) error {
+// span chain. A nil commit publishes a batch committed already (DDL). The ring
+// keeps spans, the RecRows rows in their heaps (storage.Heap.Spans), if any.
+func (p *Primary) PublishTxn(recs []wal.Record, spans [][]types.Datum, commit func() error, traceID uint64) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	if commit != nil {
@@ -236,7 +237,7 @@ func (p *Primary) PublishTxn(recs []wal.Record, commit func() error, traceID uin
 			return err
 		}
 	}
-	p.publishWAL(recs, traceID)
+	p.publishWAL(recs, spans, traceID)
 	return nil
 }
 
@@ -283,18 +284,19 @@ func cutRuns(runs []wal.RowIDRun, n uint64) (head, tail []wal.RowIDRun) {
 
 // publishWAL packs recs into events greedily; an insert that is beyond the
 // budget by itself goes out in pieces (Chunks), each an event of its own.
-func (p *Primary) publishWAL(recs []wal.Record, traceID uint64) {
+func (p *Primary) publishWAL(recs []wal.Record, spans [][]types.Datum, traceID uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for start := 0; start < len(recs); {
 		end, size := chunkEnd(start, len(recs), MaxEventBytes, func(i int) int { return recordSize(&recs[i]) })
 		if r := &recs[start]; size > MaxEventBytes && len(r.Rows) > 1 {
+			_, spans = p.held(r.Rows, spans) // past its spans: its pieces keep their rows' headers
 			Chunks(r.Runs, r.Rows, func(runs []wal.RowIDRun, rows []types.Row, size int) {
 				p.publishLocked(Event{Kind: KindWAL, Trace: traceID,
-					Recs: []wal.Record{{Kind: wal.RecRows, Table: r.Table, Runs: runs, Rows: rows}}}, size)
+					Recs: []wal.Record{{Kind: wal.RecRows, Table: r.Table, Runs: runs, Rows: rows}}}, size, nil)
 			})
 		} else {
-			p.publishLocked(Event{Kind: KindWAL, Recs: recs[start:end], Trace: traceID}, size)
+			spans = p.publishLocked(Event{Kind: KindWAL, Recs: recs[start:end], Trace: traceID}, size, spans)
 		}
 		start = end
 	}
@@ -313,7 +315,7 @@ func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64)
 		p.copies.PushRow(row)
 	}
 	Chunks(nil, p.copies.Rows(), func(_ []wal.RowIDRun, rows []types.Row, size int) {
-		p.publishLocked(Event{Kind: KindAppend, Stream: stream, Rows: rows, Trace: traceID}, size)
+		p.publishLocked(Event{Kind: KindAppend, Stream: stream, Rows: rows, Trace: traceID}, size, nil)
 	})
 }
 
@@ -323,10 +325,11 @@ func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64)
 // and the KindWAL of those rows. The caller holds the stream's delivery lock,
 // which fixes the per-stream event order as it does for PublishAppend, and
 // commitMu is held across commit and publication as in PublishTxn, so the
-// event also sits in the table's commit order. An oversized batch splits rows
-// and RowID runs together. If commit fails nothing is published: the caller
-// still owes the stream its KindAppend.
-func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows []types.Row, commit func() error, traceID uint64) error {
+// event also sits in the table's commit order, and spans are as there. An
+// oversized batch splits rows and RowID runs together, its pieces keeping
+// their rows' headers. If commit fails nothing is published: the caller still
+// owes the stream its KindAppend.
+func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows []types.Row, spans [][]types.Datum, commit func() error, traceID uint64) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	if commit != nil {
@@ -336,8 +339,11 @@ func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	Chunks(runs, rows, func(runs []wal.RowIDRun, rows []types.Row, size int) {
-		p.publishLocked(Event{Kind: KindArchive, Stream: stream, Table: table, Rows: rows, Runs: runs, Trace: traceID}, size)
+	Chunks(runs, rows, func(runs []wal.RowIDRun, piece []types.Row, size int) {
+		if len(piece) < len(rows) {
+			spans = nil
+		}
+		p.publishLocked(Event{Kind: KindArchive, Stream: stream, Table: table, Rows: piece, Runs: runs, Trace: traceID}, size, spans)
 	})
 	return nil
 }
@@ -345,22 +351,23 @@ func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows
 // PublishAdvance publishes an effective heartbeat.
 func (p *Primary) PublishAdvance(stream string, ts int64) {
 	p.mu.Lock()
-	p.publishLocked(Event{Kind: KindAdvance, Stream: stream, TS: ts}, 0)
+	p.publishLocked(Event{Kind: KindAdvance, Stream: stream, TS: ts}, 0, nil)
 	p.mu.Unlock()
 }
 
 // publishLocked sequences and retains ev, which carries size bytes of rows,
-// evicting from the head whatever no longer fits beside it — never ev itself.
-// The ring keeps copies of ev's runs, records and row headers (a KindAppend's
-// rows are its own copies already); the rows' values stay the publisher's,
-// which never writes them again (the heap's copies).
-func (p *Primary) publishLocked(ev Event, size int) {
+// evicting from the head whatever no longer fits beside it — never ev itself —
+// and returns the spans behind ev's. The ring keeps copies of ev's runs,
+// records and spans (held; a KindAppend's rows are its own copies already);
+// the values stay the publisher's, which never writes them again (the heap's).
+func (p *Primary) publishLocked(ev Event, size int, spans [][]types.Datum) [][]types.Datum {
 	ev.Runs, ev.Recs = carve(&p.runs, ev.Runs, 256), carve(&p.recs, ev.Recs, 256)
 	if ev.Kind == KindArchive {
-		ev.Rows = carve(&p.rows, ev.Rows, types.BlockRows)
+		ev.Rows, spans = p.held(ev.Rows, spans)
 	}
 	for i := range ev.Recs {
-		ev.Recs[i].Runs, ev.Recs[i].Rows = carve(&p.runs, ev.Recs[i].Runs, 256), carve(&p.rows, ev.Recs[i].Rows, types.BlockRows)
+		ev.Recs[i].Runs = carve(&p.runs, ev.Recs[i].Runs, 256)
+		ev.Recs[i].Rows, spans = p.held(ev.Recs[i].Rows, spans)
 	}
 	p.lsn++
 	ev.LSN = p.lsn
@@ -379,6 +386,23 @@ func (p *Primary) publishLocked(ev Event, size int) {
 	p.ringBytes.Set(float64(p.retained))
 	p.events.Inc()
 	p.wakeLocked()
+	return spans
+}
+
+// held copies into a block of the ring's own what it keeps of rows — the first
+// of spans, which hold their values, or with none (or no column) the rows,
+// each a span of one — and returns it and the spans behind.
+func (p *Primary) held(rows []types.Row, spans [][]types.Datum) ([]types.Row, [][]types.Datum) {
+	k := 0
+	if len(rows) > 0 && spans != nil {
+		for vals := len(rows) * len(rows[0]); vals > 0; k++ {
+			vals -= len(spans[k])
+		}
+	}
+	if k == 0 {
+		return carve(&p.spans, rows, 256), spans
+	}
+	return carve(&p.spans, types.RowsView(spans[:k]), 256), spans[k:]
 }
 
 // carve copies src into the free end of *block, or of a new block of at least

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"runtime"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"streamrel/internal/metrics"
+	"streamrel/internal/storage"
 	"streamrel/internal/types"
 	"streamrel/internal/wal"
 )
@@ -67,7 +69,7 @@ func TestPrimaryIncrementalCatchup(t *testing.T) {
 	p := withRing(testPrimary(t, Config{}), 16)
 	p.PublishAppend("s", []types.Row{{types.NewInt(1)}}, 0)
 	p.PublishAdvance("s", 60)
-	p.PublishTxn([]wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}}, nil, 0)
+	p.PublishTxn([]wal.Record{{Kind: wal.RecDDL, SQL: "CREATE TABLE t (a bigint)"}}, nil, nil, 0)
 
 	r, cleanup := serve(t, p, 0, p.RunID())
 	defer cleanup()
@@ -378,7 +380,7 @@ func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
 		{Kind: wal.RecInsert, Table: "t", RowID: 2, Row: rows[1]},
 		{Kind: wal.RecInsert, Table: "t", RowID: 3, Row: rows[2]},
 	}
-	if err := p.PublishTxn(recs, nil, 0); err != nil {
+	if err := p.PublishTxn(recs, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	var gotRecs int
@@ -415,7 +417,7 @@ func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
 	for _, runs := range [][]wal.RowIDRun{{{First: 1, N: 2}, {First: 7, N: 1}}, {{First: 5, N: 3}}} {
 		inside := wal.RowIDRun{First: runs[len(runs)-1].First + runs[len(runs)-1].N - 1, N: 1}
 		want := []Event{{Rows: rows[:2], Runs: []wal.RowIDRun{{First: runs[0].First, N: 2}}}, {Rows: rows[2:], Runs: []wal.RowIDRun{inside}}}
-		if err := p.PublishArchive("s", "t", runs, rows, nil, 0); err != nil {
+		if err := p.PublishArchive("s", "t", runs, rows, spansOf(rows), nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i, want := range want {
@@ -427,7 +429,7 @@ func TestOversizedBatchSplitsAcrossEvents(t *testing.T) {
 			lsn++
 		}
 		set := []wal.Record{{Kind: wal.RecDelete, Table: "t", RowID: 0}, {Kind: wal.RecRows, Table: "t", Runs: runs, Rows: rows}}
-		if err := p.PublishTxn(set, nil, 0); err != nil {
+		if err := p.PublishTxn(set, spansOf(rows), nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		if ev := mustRead(t, r); ev.Kind != KindWAL || ev.LSN != lsn || len(ev.Recs) != 1 || ev.Recs[0].Kind != wal.RecDelete {
@@ -511,7 +513,7 @@ func TestRingGauges(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		if i%2 == 0 {
 			p.PublishAppend("s", []types.Row{big, big}, 0)
-		} else if err := p.PublishTxn([]wal.Record{{Kind: wal.RecInsert, Table: "t", RowID: uint64(i), Row: big}}, nil, 0); err != nil {
+		} else if err := p.PublishTxn([]wal.Record{{Kind: wal.RecInsert, Table: "t", RowID: uint64(i), Row: big}}, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		events, bytes := gauge("streamrel_repl_ring_events"), gauge("streamrel_repl_ring_bytes")
@@ -540,13 +542,13 @@ func TestRingGauges(t *testing.T) {
 	// once — and the same, but for the record's own few bytes, when the insert
 	// travels as a WAL batch.
 	runs := []wal.RowIDRun{{First: 1, N: 2}}
-	if err := p.PublishArchive("s", "t", runs, []types.Row{big, big}, nil, 0); err != nil {
+	if err := p.PublishArchive("s", "t", runs, []types.Row{big, big}, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if bytes := gauge("streamrel_repl_ring_bytes"); bytes != float64(2*rowSize(big)) {
 		t.Fatalf("an archived batch of two rows counts %v bytes, want %v", bytes, 2*rowSize(big))
 	}
-	if err := p.PublishTxn([]wal.Record{{Kind: wal.RecRows, Table: "t", Runs: runs, Rows: []types.Row{big, big}}}, nil, 0); err != nil {
+	if err := p.PublishTxn([]wal.Record{{Kind: wal.RecRows, Table: "t", Runs: runs, Rows: []types.Row{big, big}}}, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if bytes, overhead := gauge("streamrel_repl_ring_bytes"), recordSize(&wal.Record{Table: "t"}); bytes != float64(4*rowSize(big)+overhead) || overhead > 32 {
@@ -574,25 +576,28 @@ func TestRingGauges(t *testing.T) {
 	}
 }
 
-// TestRingKeepsItsOwnRunsAndRecords: a publisher's runs, WAL records and row
-// containers are its scratch (a transaction's write set, a channel's rows, a
-// replica reader's event), reused for its next write once the publish
-// returns. The ring holds copies, so an event a follower has yet to read says
-// what was published, whatever the publisher wrote into its slices since.
+// TestRingKeepsItsOwnRunsAndRecords: a publisher's runs, WAL records, row
+// containers and spans are its scratch (a transaction's write set, a channel's
+// rows, a replica reader's event), reused for its next write once the publish
+// returns. The ring holds copies of them, the spans included (their values are
+// a heap's, never written again), so an event a follower has yet to read is
+// sent as it was published, whatever the publisher wrote into its slices
+// since: its frame decodes to the rows.
 func TestRingKeepsItsOwnRunsAndRecords(t *testing.T) {
 	p := testPrimary(t, Config{})
 	rows, _ := archiveBatch(3)
 	walRows := slices.Clone(rows)
+	spans, walSpans := spansOf(rows), spansOf(rows)
 	runs := []wal.RowIDRun{{First: 10, N: 2}, {First: 20, N: 1}}
 	recs := []wal.Record{{Kind: wal.RecRows, Table: "archive", Runs: slices.Clone(runs), Rows: walRows}, {Kind: wal.RecDelete, Table: "archive", RowID: 4}}
 	want := []Event{
 		{Kind: KindArchive, Stream: "hits", Table: "archive", Runs: slices.Clone(runs), Rows: slices.Clone(rows)},
 		{Kind: KindWAL, Recs: []wal.Record{{Kind: wal.RecRows, Table: "archive", Runs: slices.Clone(runs), Rows: slices.Clone(rows)}, {Kind: wal.RecDelete, Table: "archive", RowID: 4}}},
 	}
-	if err := p.PublishArchive("hits", "archive", runs, rows, nil, 0); err != nil {
+	if err := p.PublishArchive("hits", "archive", runs, rows, spans, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.PublishTxn(recs, nil, 0); err != nil {
+	if err := p.PublishTxn(recs, walSpans, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	runs[0], runs[1] = wal.RowIDRun{First: 99, N: 1}, wal.RowIDRun{First: 77, N: 2}
@@ -600,15 +605,16 @@ func TestRingKeepsItsOwnRunsAndRecords(t *testing.T) {
 	other, _ := archiveBatch(6)
 	copy(rows, other[3:])
 	copy(walRows, other[3:])
+	spans[0], walSpans[0] = spansOf(other[3:])[0], spansOf(other[3:])[0]
 	recs[0], recs[1] = wal.Record{Kind: wal.RecNext, Table: "other"}, wal.Record{Kind: wal.RecDelete, Table: "other", RowID: 9}
 	got, err := p.eventsAfter(make([]Event, 0, 4), 0, p.RunID())
 	if err != nil || len(got) != len(want) {
 		t.Fatalf("%d events in the ring, %v; want %d", len(got), err, len(want))
 	}
 	for i, w := range want {
-		g := got[i]
-		if g.Kind != w.Kind || g.Stream != w.Stream || g.Table != w.Table || !slices.Equal(g.Runs, w.Runs) || !slices.EqualFunc(g.Rows, w.Rows, types.Row.Equal) || len(g.Recs) != len(w.Recs) {
-			t.Fatalf("event %d: %+v, want %+v", i, g, w)
+		g, err := DecodeEvent(AppendFrame(nil, &got[i])[8:])
+		if err != nil || g.Kind != w.Kind || g.Stream != w.Stream || g.Table != w.Table || !slices.Equal(g.Runs, w.Runs) || !slices.EqualFunc(g.Rows, w.Rows, types.Row.Equal) || len(g.Recs) != len(w.Recs) {
+			t.Fatalf("event %d: %+v, %v; want %+v", i, g, err, w)
 		}
 		for j, wr := range w.Recs {
 			if gr := g.Recs[j]; gr.Kind != wr.Kind || gr.Table != wr.Table || gr.RowID != wr.RowID || !slices.Equal(gr.Runs, wr.Runs) || !slices.EqualFunc(gr.Rows, wr.Rows, types.Row.Equal) {
@@ -616,4 +622,60 @@ func TestRingKeepsItsOwnRunsAndRecords(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRingMemoryBounded: the ring keeps an archived run's rows as spans of the
+// heap's own chunks, one a chunk the run crosses, so what publishing allocates
+// grows with the events — a block of runs and one of spans every 256 or so —
+// and not with their rows: under a byte a row, where a header a row was 24.
+// The frames the ring's events make are those of the rows as published.
+func TestRingMemoryBounded(t *testing.T) {
+	const events, rows = 256, 256
+	p := testPrimary(t, Config{})
+	heap := storage.NewHeap("archive", types.Schema{{Name: "url", Type: types.TypeString},
+		{Name: "atime", Type: types.TypeTimestamp}, {Name: "client_ip", Type: types.TypeString}, {Name: "bytes", Type: types.TypeInt}})
+	batches, runs, spans := make([][]types.Row, events), make([][]wal.RowIDRun, events), make([][][]types.Datum, events)
+	for i := range batches {
+		batches[i], _ = archiveBatch(rows)
+		first, err := heap.InsertRun(1, batches[i]) // points the batch at the heap's copies
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = []wal.RowIDRun{{First: uint64(first), N: rows}}
+		spans[i] = heap.Spans(first, rows, nil)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range batches {
+		if err := p.PublishArchive("hits", "archive", runs[i], batches[i], spans[i], nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs, perRow := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/(events*rows)
+	t.Logf("%d events of %d rows: %d allocations, %.2f B a row", events, rows, allocs, perRow)
+	if allocs > 2*(events/256+1) || perRow >= 1 {
+		t.Errorf("the ring allocates %d times and %.2f B a row for %d events of %d rows, want at most %d and under 1 B", allocs, perRow, events, rows, 2*(events/256+1))
+	}
+
+	got, err := p.eventsAfter(make([]Event, 0, events), 0, p.RunID())
+	if err != nil || len(got) != events {
+		t.Fatalf("%d events in the ring, %v; want %d", len(got), err, events)
+	}
+	for i := range got {
+		want := Event{Kind: KindArchive, LSN: got[i].LSN, Wall: got[i].Wall, Stream: "hits", Table: "archive", Runs: runs[i], Rows: batches[i]}
+		if frame := AppendFrame(nil, &got[i]); !bytes.Equal(frame, AppendFrame(nil, &want)) {
+			t.Fatalf("event %d: the ring's frame differs from the published rows'", i)
+		}
+	}
+}
+
+// spansOf lays rows' values end to end in one span, as a heap's chunk holds a
+// run of them.
+func spansOf(rows []types.Row) [][]types.Datum {
+	var span []types.Datum
+	for _, row := range rows {
+		span = append(span, row...)
+	}
+	return [][]types.Datum{span}
 }

@@ -384,6 +384,21 @@ func (h *Heap) Read(snap txn.Snapshot, pos, end RowID, max int, rows *[]types.Ro
 	return end
 }
 
+// Spans appends to dst the values of the n rows stored at first and up, as
+// slices of the heap's own chunks (one a chunk crossed) that nothing writes
+// again (see Heap). The rows must be stored, as a transaction's inserts are.
+func (h *Heap) Spans(first RowID, n int, dst [][]types.Datum) [][]types.Datum {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	for id, end, w := first, first+RowID(n), len(h.schema); id < end && w > 0; {
+		k, start := chunkOf(int(id/segRows), int(id%segRows))
+		chunk := h.segs[id/segRows].vals[k][(int(id%segRows)-start)*w:]
+		m := min(int(end-id), len(chunk)/w)
+		dst, id = append(dst, chunk[:m*w:m*w]), id+RowID(m)
+	}
+	return dst
+}
+
 // scanRows is how many rows Scan reads per lock acquisition.
 const scanRows = 1024
 

@@ -841,3 +841,63 @@ func BenchmarkGCMarkRows(b *testing.B) {
 		runtime.KeepAlive(h)
 	})
 }
+
+// TestSpansHoldTheRows: Spans gives a run's rows as slices of the heap's own
+// chunks — one a chunk, so a run across the first segment's growing chunks or
+// a segment boundary gets one a chunk it crosses — whose values, end to end,
+// are the rows Read hands out, the very memory: and a span outlives a Vacuum
+// that released its chunk, as a held row does.
+func TestSpansHoldTheRows(t *testing.T) {
+	mgr := txn.NewManager()
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}, {Name: "s", Type: types.TypeString}})
+	tx := mgr.Begin()
+	for i := 0; i < 2*segRows+100; i += 700 {
+		rows := make([]types.Row, min(700, 2*segRows+100-i))
+		for j := range rows {
+			rows[j] = types.Row{types.NewInt(int64(i + j)), types.NewString(fmt.Sprint("v", i+j))}
+		}
+		if _, err := h.InsertRun(tx.ID, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.Commit()
+	snap := mgr.SnapshotNow()
+	for _, c := range []struct {
+		first RowID
+		n     int
+		spans int
+	}{{0, 1, 1}, {0, 3, 3}, {1, 2, 2}, {5, 100, 5}, {1024, 1024, 1}, {2047, 2, 2}, {segRows - 3, 10, 2}, {segRows, segRows, 1}, {2*segRows - 1, 50, 2}} {
+		spans := h.Spans(c.first, c.n, nil)
+		var rows []types.Row
+		h.Read(snap, c.first, c.first+RowID(c.n), c.n, &rows, nil)
+		var vals []types.Datum
+		for _, s := range spans {
+			vals = append(vals, s...)
+		}
+		if len(spans) != c.spans || len(vals) != 2*c.n || len(rows) != c.n {
+			t.Fatalf("%d rows from %d: %d spans of %d values, %d rows read; want %d spans", c.n, c.first, len(spans), len(vals), len(rows), c.spans)
+		}
+		for i, s, k := 0, 0, 0; i < c.n; i, k = i+1, k+2 {
+			if k == len(spans[s]) {
+				s, k = s+1, 0
+			}
+			if &spans[s][k] != &rows[i][0] || !types.Row(vals[2*i:2*i+2]).Equal(rows[i]) {
+				t.Fatalf("%d rows from %d: row %d is not the span's", c.n, c.first, i)
+			}
+		}
+	}
+
+	held := h.Spans(segRows, 10, nil)
+	tx = mgr.Begin()
+	for id := RowID(segRows); id < 2*segRows; id++ {
+		if err := h.Delete(tx.ID, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.Commit()
+	h.Vacuum(mgr.SnapshotNow(), nil)
+	runtime.GC()
+	if h.segs[1] != nil || held[0][0].Int() != segRows || held[0][19].Str() != fmt.Sprint("v", segRows+9) {
+		t.Fatalf("after Vacuum segment 1 is %v and the span reads %v … %v", h.segs[1], held[0][0], held[0][19])
+	}
+}

@@ -169,3 +169,42 @@ func TestAppendAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRowsOfSpans: rows handed over as spans — the values of
+// consecutive rows end to end, as the replication ring keeps a heap's runs —
+// encode byte for byte as the rows, however they are cut; rows whose runs
+// cover another count, which no width makes spans of, encode as they are.
+func TestAppendRowsOfSpans(t *testing.T) {
+	rows := make([]types.Row, 10)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString(string(rune('a' + i))), types.Null}
+	}
+	runs := []RowIDRun{{First: 4, N: 3}, {First: 20, N: 7}}
+	want := AppendRows(nil, "t", runs, rows)
+	spans := func(cuts ...int) []types.Row {
+		var out []types.Row
+		for i, from := 0, 0; i <= len(cuts); i++ {
+			to := len(rows)
+			if i < len(cuts) {
+				to = cuts[i]
+			}
+			var span types.Row
+			for _, row := range rows[from:to] {
+				span = append(span, row...)
+			}
+			out, from = append(out, span), to
+		}
+		return out
+	}
+	for _, cuts := range [][]int{nil, {3}, {1, 2, 9}, {5, 6}} {
+		if got := AppendRows(nil, "t", runs, spans(cuts...)); !slices.Equal(got, want) {
+			t.Errorf("spans cut at %v encode as %x, want %x", cuts, got, want)
+		}
+	}
+	for _, n := range []uint64{9, 11, 20, 0} {
+		head := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(AppendString(nil, "t"), 1), 4), n)
+		if got, plain := AppendRows(nil, "t", []RowIDRun{{First: 4, N: n}}, rows), AppendRowList(head, rows); !slices.Equal(got, plain) {
+			t.Errorf("a run of %d rows over 10 rows: %x, want the rows as they are, %x", n, got, plain)
+		}
+	}
+}

@@ -587,11 +587,27 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 }
 
 // AppendRows appends table, run count, (first, length) per run, row list: a
-// RecRows record behind its kind, a KindArchive frame behind its stream.
+// RecRows record behind its kind, a KindArchive frame behind its stream. rows
+// may be spans, as the replication ring keeps them: values of consecutive rows
+// end to end, of the width that makes as many rows as the runs cover.
 func AppendRows(buf []byte, table string, runs []RowIDRun, rows []types.Row) []byte {
 	buf = binary.AppendUvarint(AppendString(buf, table), uint64(len(runs)))
+	n, vals := 0, 0
 	for _, run := range runs {
 		buf = binary.AppendUvarint(binary.AppendUvarint(buf, run.First), run.N)
+		n += int(run.N)
+	}
+	for i := 0; n != len(rows) && i < len(rows); i++ {
+		vals += len(rows[i])
+	}
+	if w := vals / max(n, 1); n != len(rows) && w > 0 && w*n == vals {
+		buf = binary.AppendUvarint(buf, uint64(n))
+		for _, span := range rows {
+			for i := 0; i+w <= len(span); i += w {
+				buf = types.EncodeRow(buf, span[i:i+w])
+			}
+		}
+		return buf
 	}
 	return AppendRowList(buf, rows)
 }

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"streamrel/internal/repl"
 	"streamrel/internal/storage"
@@ -65,6 +68,79 @@ func kinds(events []*repl.Event) string {
 		}
 	}
 	return strings.Join(out, " ")
+}
+
+// TestRingServesVacuumedRows: the hub's ring keeps an archived batch's rows as
+// spans of the heap's chunks, so a follower that resumes from before the batch
+// receives its rows, value for value as published, after they were deleted
+// and a checkpoint's vacuum freed their chunks: the ring alone keeps those,
+// until it has evicted the event.
+func TestRingServesVacuumedRows(t *testing.T) {
+	e, err := Open(Config{Dir: t.TempDir(), Replicate: true, TraceSampleEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ExecScript(`CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar, bytes bigint);
+		CREATE TABLE archive (url varchar, atime timestamp, client_ip varchar, bytes bigint);
+		CREATE CHANNEL archive_ch FROM hits INTO archive APPEND;`); err != nil {
+		t.Fatal(err)
+	}
+	base := MustTimestamp("2009-01-04 00:00:00")
+	want := hitRows(base, 0, 300) // first-segment chunks of 1, 1, 2, … 256 rows
+	if err := e.Append("hits", hitRows(base, 0, 300)...); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.cat.Table("archive")
+	stored := func() (n int, last weak.Pointer[types.Datum]) {
+		tbl.Heap.Scan(e.mgr.SnapshotNow(), func(_ storage.RowID, row types.Row) bool {
+			n, last = n+1, weak.Make(&row[0])
+			return true
+		})
+		return n, last
+	}
+	n, chunk := stored()
+	if n != len(want) {
+		t.Fatalf("the archive holds %d rows, want %d", n, len(want))
+	}
+	mustExec(t, e, "DELETE FROM archive")
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	if n, _ := stored(); n != 0 || chunk.Value() == nil {
+		t.Fatalf("after the delete and the checkpoint the archive holds %d rows and its last chunk is reachable: %v; want 0 and true", n, chunk.Value() != nil)
+	}
+
+	var archived *repl.Event
+	for _, ev := range published(t, e) {
+		if ev.Kind == repl.KindArchive {
+			archived = ev
+		}
+	}
+	if archived == nil || !slices.EqualFunc(archived.Rows, want, types.Row.Equal) {
+		t.Fatalf("a follower resuming from before the batch receives %v, want its %d rows as published", archived, len(want))
+	}
+	archived = nil
+
+	// Events of a span each fill the block the batch's spans were carved
+	// into, then a ring's worth of heartbeats evicts them all: nothing keeps
+	// the freed chunk any more.
+	row := types.Row{String("/"), Timestamp(base), String("10.1.2.3"), Int(1)}
+	for i := range 256 {
+		if err := e.hub.PublishArchive("hits", "archive", []wal.RowIDRun{{First: uint64(1000 + i), N: 1}}, []types.Row{row}, [][]types.Datum{row}, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range repl.DefaultRingSize {
+		e.hub.PublishAdvance("_evict", int64(i))
+	}
+	runtime.GC()
+	runtime.GC()
+	if chunk.Value() != nil {
+		t.Fatal("the vacuumed rows are still reachable once the ring evicted their event")
+	}
 }
 
 // TestArchiveShipsOnceOrAsBefore: which events a base-stream batch becomes is
@@ -223,6 +299,20 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 	if got := kinds(published(t, e)); got != "archive/s>raw×5 append/s×5" {
 		t.Fatalf("the follower republished %q", got)
 	}
+	// An event partly new here: what is passed on inserts the new rows alone,
+	// at their RowIDs and with their values.
+	fresh := []Row{{Int(5), Timestamp(base.Add(5 * time.Second))}, {Int(6), Timestamp(base.Add(6 * time.Second))}}
+	partly := &repl.Event{Kind: repl.KindArchive, Stream: "s", Table: "raw", Rows: append(slices.Clone(rows[3:]), fresh...), Runs: []wal.RowIDRun{{First: 9, N: 4}}}
+	if _, err := e.ApplyEvent("", partly); err != nil {
+		t.Fatal(err)
+	}
+	events := published(t, e)
+	last := events[len(events)-1]
+	if got := kinds(events); got != "archive/s>raw×5 append/s×5 append/s×4 wal/raw×2" ||
+		!slices.Equal(last.Recs[0].Runs, []wal.RowIDRun{{First: 11, N: 2}}) || !slices.EqualFunc(last.Recs[0].Rows, fresh, types.Row.Equal) {
+		t.Fatalf("the follower republished %q, its last insert %v %v; want %v at 11", got, last.Recs[0].Runs, last.Recs[0].Rows, fresh)
+	}
+	want = heapTranscript(e, "raw")
 	for _, bad := range [][]wal.RowIDRun{{{First: 2, N: 4}}, {{First: 2, N: 3}, {First: 9, N: 3}}, nil} {
 		if _, err := e.ApplyEvent("", &repl.Event{Kind: repl.KindArchive, Stream: "s", Table: "raw", Rows: rows, Runs: bad}); err == nil {
 			t.Fatalf("runs %v applied to %d rows", bad, len(rows))
@@ -253,8 +343,8 @@ func TestReplicatedArchiveRedoIsIdempotent(t *testing.T) {
 // whatever its rows — the decoded batch (container, values, strings), which
 // this measure never recycles: the one batch serves the stream, the heap
 // copies it into its segments (an object per segRows rows) and this engine's
-// own ring copies the row headers, pointed at the copies, into a block of
-// 4 096, and no wal.Record is decoded, so no row is decoded a second time. The
+// own ring keeps a span of the copies a run, in a block of 256, and no
+// wal.Record is decoded, so no row is decoded a second time. The
 // event, its runs and names are the Reader's, and the apply's transaction and
 // write set the engine's, reused from event to event (10.0 allocations before).
 func TestReplicaArchiveApplyAllocs(t *testing.T) {
