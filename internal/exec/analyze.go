@@ -141,4 +141,5 @@ func (c *counted) NextBatch(max int) ([]types.Row, error) {
 // Close implements Operator.
 func (c *counted) Close() error { return c.op.Close() }
 
-func (c *counted) rowsTransient() { rowsTransient(c.op) }
+func (c *counted) rowsTransient()   { rowsTransient(c.op) }
+func (c *counted) rowsWanted(n int) { rowsWanted(c.op, n) }

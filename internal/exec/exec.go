@@ -60,13 +60,15 @@ func (c *Ctx) evalCtx() expr.Ctx {
 //     retaining them is safe — unless the consumer declared, by calling
 //     rowsTransient(child) before child.Open, that it keeps no row past its
 //     next NextBatch call on that child (it copies the datums it keeps).
-//     HashAgg, Project and a join's probe side declare it; Filter, Limit and
-//     the EXPLAIN ANALYZE instrument hand rows through and so pass their own
-//     consumer's declaration down. A join carves every batch from one block
-//     (rowConcat), ending a batch where the block does; HashAgg fills its
-//     groups' rows again at the next Open. Drain, Sort, Distinct, SetOp and
-//     join build sides never declare it, so what they collect stays valid.
-//     The operator tree decides this by its own shape; nothing configures it.
+//     HashAgg, Project, a join's probe side and a Sort under a LIMIT
+//     (rowsWanted) declare it; Filter, Limit and the EXPLAIN ANALYZE
+//     instrument hand rows through and so pass their own consumer's
+//     declaration down. A join carves every batch from one block
+//     (rowConcat), ending a batch where the block does, and Project every
+//     chunk; HashAgg fills its groups' rows again at the next Open. Drain, a
+//     Sort that reads every row, Distinct, SetOp and join build sides never
+//     declare it, so what they collect stays valid. The operator tree
+//     decides this by its own shape; nothing configures it.
 //     Relation, the window leaf, records its consumer's declaration
 //     (Relation.Transient): a window view whose every reader declared it
 //     writes its rows in place from one close to the next.
@@ -90,6 +92,15 @@ type Operator interface {
 func rowsTransient(op Operator) {
 	if t, ok := op.(interface{ rowsTransient() }); ok {
 		t.rowsTransient()
+	}
+}
+
+// rowsWanted tells op, which its caller (a LIMIT) is about to Open, that the
+// caller reads at most n > 0 of its rows. Project and the EXPLAIN ANALYZE
+// instrument map rows one to one and pass it down; a Sort keeps n rows.
+func rowsWanted(op Operator, n int) {
+	if w, ok := op.(interface{ rowsWanted(int) }); ok {
+		w.rowsWanted(n)
 	}
 }
 

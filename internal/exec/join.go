@@ -411,33 +411,41 @@ type rowConcat struct {
 }
 
 // reset readies c for an execution; what the consumer declared stays, and so
-// does a recycling join's block, its rows taken back and cleared.
+// does a recycling join's block, its rows taken back and cleared — all of
+// its array, as an earlier batch's rows may lie past the last one's.
 func (c *rowConcat) reset() {
 	if !c.recycle || c.width < 0 {
 		*c = rowConcat{width: -1, recycle: c.recycle}
 	} else {
-		clear(c.blk.Rewind())
+		taken := c.blk.Rewind()
+		clear(taken[:cap(taken)])
 		c.spare = nil
 	}
 }
 
-// poison is what gather writes over the rows it takes back under
+// poison is what rewind writes over the rows it takes back under
 // types.Poison, so that a consumer which declared its rows transient and kept
 // one anyway reads nonsense at once, not when the memory is carved again.
 var poison = types.NewString("\x00recycled row read after rewind\x00")
+
+// rewind takes back the rows carved from blk's current array, whose
+// consumer keeps none of them, for the next rows to overwrite.
+func rewind(blk *types.RowBlock) {
+	taken := blk.Rewind()
+	if types.Poison {
+		for i := range taken {
+			taken[i] = poison
+		}
+	}
+}
 
 // gather fills a join's reused output container from next until the demand
 // is met, next reports the end of the join with a nil row or, recycling,
 // the block is used up.
 func (c *rowConcat) gather(buf *[]types.Row, max int, next func() (types.Row, error)) ([]types.Row, error) {
 	if c.recycle {
-		taken := c.blk.Rewind()
+		rewind(&c.blk)
 		c.spare = nil // one of them
-		if types.Poison {
-			for i := range taken {
-				taken[i] = poison
-			}
-		}
 	}
 	if *buf == nil {
 		*buf = make([]types.Row, 0, min(max, 16)) // a batch carved from the first block

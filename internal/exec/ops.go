@@ -65,15 +65,18 @@ type Project struct {
 	Child Operator
 	Exprs []*expr.Scalar
 
-	ec  expr.Ctx
-	buf []types.Row    // output container, reused per chunk
-	blk types.RowBlock // what output rows are carved from, kept across chunks
+	ec        expr.Ctx
+	buf       []types.Row    // output container, reused per chunk
+	blk       types.RowBlock // what output rows are carved from, kept across chunks
+	transient bool           // the consumer keeps no row (see rowsTransient)
 }
 
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx) error {
 	p.ec = ctx.evalCtx()
-	p.blk = types.NewRowBlock(1, len(p.Exprs))
+	if !p.transient || p.buf == nil { // a transient consumer's block is kept
+		p.blk = types.NewRowBlock(1, len(p.Exprs))
+	}
 	rowsTransient(p.Child) // an input row is evaluated into a fresh one
 	return p.Child.Open(ctx)
 }
@@ -83,7 +86,8 @@ func (p *Project) Open(ctx *Ctx) error {
 // bounded — and the output rows are carved from one flat datum block per
 // chunk, or per doubling run of chunks when a join above pulls a row at a
 // time. The rows are freshly allocated (consumers retain them); only the
-// []Row container is reused.
+// []Row container is reused — unless the consumer keeps no row: then every
+// chunk is carved from the one block, taken back before the next (rewind).
 func (p *Project) NextBatch(max int) ([]types.Row, error) {
 	in, err := p.Child.NextBatch(max)
 	if err != nil || in == nil {
@@ -91,6 +95,9 @@ func (p *Project) NextBatch(max int) ([]types.Row, error) {
 	}
 	ec := &p.ec
 	blk := &p.blk
+	if p.transient {
+		rewind(blk)
+	}
 	blk.Reserve(len(in))
 	out := p.buf[:0]
 	if cap(out) < len(in) {
@@ -110,12 +117,22 @@ func (p *Project) NextBatch(max int) ([]types.Row, error) {
 	return out, nil
 }
 
-// Close implements Operator. The block goes: its rows are the execution's
-// output, which the consumer may retain.
+// Close implements Operator. The block goes — its rows are the execution's
+// output, which the consumer may retain — or, kept for a transient
+// consumer, is cleared.
 func (p *Project) Close() error {
-	p.buf, p.blk, p.ec = clearRows(p.buf), types.RowBlock{}, expr.Ctx{}
+	if p.transient {
+		taken := p.blk.Rewind()
+		clear(taken[:cap(taken)])
+	} else {
+		p.blk = types.RowBlock{}
+	}
+	p.buf, p.ec = clearRows(p.buf), expr.Ctx{}
 	return p.Child.Close()
 }
+
+func (p *Project) rowsTransient()   { p.transient = true }
+func (p *Project) rowsWanted(n int) { rowsWanted(p.Child, n) }
 
 // Limit implements LIMIT/OFFSET.
 type Limit struct {
@@ -130,6 +147,9 @@ type Limit struct {
 // Open implements Operator.
 func (l *Limit) Open(ctx *Ctx) error {
 	l.skip, l.left = l.Offset, l.Count
+	if n := l.Offset + l.Count; l.Count > 0 && n > 0 {
+		rowsWanted(l.Child, int(n))
+	}
 	return l.Child.Open(ctx)
 }
 
@@ -180,53 +200,45 @@ type SortKey struct {
 
 // Sort materializes its input and emits it ordered by Keys. NULLs sort
 // first on ascending keys (types.Compare's total order), last on
-// descending.
+// descending. Under a consumer that reads at most k rows (rowsWanted), it
+// evaluates a row's keys into a spare slot and copies the row there only if
+// it sorts strictly before the k-th row kept, so a tie keeps the earlier
+// row; at 2k slots in use it sorts them and cuts back to k. The rows it
+// hands out are carved afresh, so its child's are transient. It keeps its
+// slots across opens, at most twice those its last execution used (as
+// expr.Recycler does).
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
 	cursor
 
-	ec expr.Ctx
+	ec           expr.Ctx
+	bound        int            // k, or 0: the consumer reads every row
+	top          []keyedRow     // the slots, all spare between executions
+	blk          types.RowBlock // what slots are carved from
+	carved, used int            // slots carved since the last afresh, and used by this execution
 }
+
+type keyedRow struct{ row, keys types.Row }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Ctx) error {
 	s.Close()
 	defer s.Child.Close()
+	k, nk := s.bound, len(s.Keys)
+	var keyed []keyedRow // under a bound the slots, else sized from the first chunk
+	if k > 0 {
+		rowsTransient(s.Child) // an admitted row is copied
+		if s.carved > 2*s.used {
+			s.top, s.carved = nil, 0
+		}
+		keyed, s.used = s.top, 0
+		defer func() { s.top = keyed }() // however the execution ends, for Close to clear
+	}
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	type keyedRow struct {
-		row  types.Row
-		keys types.Row
-	}
-	var keyed []keyedRow // sized from the first chunk
-	s.ec = ctx.evalCtx()
-	for {
-		in, err := s.Child.NextBatch(chunkRows)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			break
-		}
-		if keyed == nil {
-			keyed = make([]keyedRow, 0, len(in))
-		}
-		// Key rows are carved from one block per input chunk.
-		blk := types.NewRowBlock(len(in), len(s.Keys))
-		for _, row := range in {
-			ks := blk.Row()
-			s.ec.Row = row
-			for i, k := range s.Keys {
-				if ks[i], err = k.Expr.Eval(&s.ec); err != nil {
-					return err
-				}
-			}
-			keyed = append(keyed, keyedRow{row, ks})
-		}
-	}
-	slices.SortStableFunc(keyed, func(a, b keyedRow) int {
+	byKeys := func(a, b keyedRow) int {
 		for i, key := range s.Keys {
 			an, bn := a.keys[i].IsNull(), b.keys[i].IsNull()
 			if an && bn {
@@ -247,22 +259,85 @@ func (s *Sort) Open(ctx *Ctx) error {
 			}
 		}
 		return 0
-	})
+	}
+	cut := false // keyed[:k] is sorted: keyed[k-1] is the k-th row kept
+	s.ec = ctx.evalCtx()
+	for {
+		in, err := s.Child.NextBatch(chunkRows)
+		if err != nil {
+			return err
+		}
+		if in == nil {
+			break
+		}
+		if keyed == nil && k == 0 {
+			keyed = make([]keyedRow, 0, len(in))
+		}
+		// Key rows are carved from one block per input chunk.
+		blk := types.NewRowBlock(len(in), nk)
+		for _, row := range in {
+			kr := keyedRow{row, nil}
+			if k == 0 {
+				kr.keys = blk.Row()
+			} else if keyed = slices.Grow(keyed, 1); keyed[:len(keyed)+1][len(keyed)].row == nil {
+				if s.carved == 0 {
+					s.blk = types.NewRowBlock(1, nk+len(row))
+				}
+				slot := s.blk.Row()
+				kr, s.carved = keyedRow{slot[nk:], slot[:nk]}, s.carved+1
+			} else {
+				kr = keyed[:len(keyed)+1][len(keyed)]
+			}
+			s.ec.Row = row
+			for i, key := range s.Keys {
+				if kr.keys[i], err = key.Expr.Eval(&s.ec); err != nil {
+					return err
+				}
+			}
+			if k == 0 {
+				keyed = append(keyed, kr)
+			} else if !cut || byKeys(kr, keyed[k-1]) < 0 {
+				copy(kr.row, row)
+				keyed = append(keyed, kr)
+				if s.used = max(s.used, len(keyed)); len(keyed) == 2*k {
+					slices.SortStableFunc(keyed, byKeys)
+					keyed, cut = keyed[:k], true
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(keyed, byKeys)
+	var out types.RowBlock // under a bound, what the rows handed out are carved from
+	if k > 0 {
+		keyed = keyed[:min(len(keyed), k)]
+	}
 	if cap(s.rows) < len(keyed) {
 		s.rows = make([]types.Row, 0, len(keyed))
 	}
-	for _, k := range keyed {
-		s.rows = append(s.rows, k.row)
+	for i, kr := range keyed {
+		if k > 0 {
+			if i == 0 {
+				out = types.NewRowBlock(len(keyed), len(kr.row))
+			}
+			kr.row = append(out.Row()[:0], kr.row...)
+		}
+		s.rows = append(s.rows, kr.row)
 	}
 	return nil
 }
 
-// Close implements Operator.
+// Close implements Operator: the slots are kept, cleared.
 func (s *Sort) Close() error {
 	s.ec = expr.Ctx{}
 	s.reset(clearRows(s.rows))
+	for _, kr := range s.top[:cap(s.top)] {
+		clear(kr.keys[:cap(kr.keys)]) // the whole slot
+	}
+	s.top = s.top[:0]
 	return nil
 }
+
+func (s *Sort) rowsWanted(n int) { s.bound = n }
 
 // Distinct removes duplicate rows (SQL DISTINCT: NULLs compare equal).
 type Distinct struct {
