@@ -105,12 +105,14 @@ func TestArchiveChannelAllocsAndOwnership(t *testing.T) {
 // bounds: 6.2–6.4 objects a batch at 256 and at 1 024 rows and 72–74 bytes a
 // row, when the heap and the ring kept the delivered rows; 3.6–4.1 objects
 // and 23 bytes a row since they copy them, and -2 bytes a row since the ring
-// keeps spans. Under -race, 7.4–7.9 objects, and the bytes are not held
-// (race_test.go).
+// keeps spans. Against the same commit on an engine that does not replicate,
+// the hub costs under 8 bytes a row: 0–1.9 when this bound was written, 23–26
+// when its ring held a 24-byte header a row. Under -race, 7.4–7.9 objects,
+// and the bytes are not held (race_test.go).
 func TestArchiveCommitAllocs(t *testing.T) {
 	const ddl = `CREATE STREAM hits (url varchar, atime timestamp CQTIME USER, client_ip varchar, bytes bigint);`
-	measure := func(ddl string, batch int) (allocs, bytes float64) {
-		e, err := Open(Config{Dir: t.TempDir(), Replicate: true, TraceSampleEvery: -1})
+	measure := func(ddl string, batch int, replicate bool) (allocs, bytes float64) {
+		e, err := Open(Config{Dir: t.TempDir(), Replicate: replicate, TraceSampleEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,17 +144,21 @@ func TestArchiveCommitAllocs(t *testing.T) {
 	const archive = ddl + `
 		CREATE TABLE archive (url varchar, atime timestamp, client_ip varchar, bytes bigint);
 		CREATE CHANNEL archive_ch FROM hits INTO archive APPEND;`
-	plainAllocs, plainBytes := measure(ddl, allocBatch)
-	allocs, bytes := measure(archive, allocBatch)
-	allocs4, _ := measure(archive, 4*allocBatch)
-	perRow := (bytes - plainBytes) / allocBatch
-	t.Logf("commit of %d rows: %.1f allocations and %.0f bytes over the append's %.1f and %.0f: %.1f bytes a row; of %d rows: %.1f allocations",
-		allocBatch, allocs-plainAllocs, bytes-plainBytes, plainAllocs, plainBytes, perRow, 4*allocBatch, allocs4-plainAllocs)
+	plainAllocs, plainBytes := measure(ddl, allocBatch, true)
+	allocs, bytes := measure(archive, allocBatch, true)
+	allocs4, _ := measure(archive, 4*allocBatch, true)
+	_, hubless := measure(archive, allocBatch, false)
+	perRow, hubRow := (bytes-plainBytes)/allocBatch, (bytes-hubless)/allocBatch
+	t.Logf("commit of %d rows: %.1f allocations and %.0f bytes over the append's %.1f and %.0f: %.1f bytes a row, %.1f of them the hub's; of %d rows: %.1f allocations",
+		allocBatch, allocs-plainAllocs, bytes-plainBytes, plainAllocs, plainBytes, perRow, hubRow, 4*allocBatch, allocs4-plainAllocs)
 	if allocs-plainAllocs > 10 || allocs4 > allocs+2 {
 		t.Fatalf("the commit allocates %.1f objects a %d-row batch and %.1f a %d-row one: want a constant, at most 10", allocs-plainAllocs, allocBatch, allocs4-plainAllocs, 4*allocBatch)
 	}
 	if perRow >= 40+16 && !racing {
 		t.Fatalf("the commit allocates %.1f bytes a row, want under %d", perRow, 40+16)
+	}
+	if hubRow >= 8 && !racing {
+		t.Fatalf("the hub allocates %.1f bytes a row of an archived commit, want under 8: a row header in its ring?", hubRow)
 	}
 }
 

@@ -68,15 +68,13 @@ func instrument(op Operator, stats *[]*OpStat, depth int) Operator {
 	case *HashJoin:
 		o.Left = instrument(o.Left, stats, depth+1)
 		o.Right = instrument(o.Right, stats, depth+1)
-	case *NestedLoopJoin:
-		o.Left = instrument(o.Left, stats, depth+1)
-		o.Right = instrument(o.Right, stats, depth+1)
 	}
 	return &counted{op: op, stat: st}
 }
 
 // opName names an operator kind for ANALYZE output: its type's name, but a
-// set operation by its kind and a join with its type.
+// set operation by its kind, and a join with its type and, keyless, as the
+// nested loop it is.
 func opName(op Operator) string {
 	switch o := op.(type) {
 	case *SetOp:
@@ -90,9 +88,10 @@ func opName(op Operator) string {
 		}
 		return "SetOp"
 	case *HashJoin:
+		if len(o.LeftKeys) == 0 {
+			return "NestedLoopJoin" + joinSuffix(o.Type)
+		}
 		return "HashJoin" + joinSuffix(o.Type)
-	case *NestedLoopJoin:
-		return "NestedLoopJoin" + joinSuffix(o.Type)
 	case *counted:
 		return o.stat.Name
 	}

@@ -151,9 +151,9 @@ func TestJoinOutputRowsDoNotAlias(t *testing.T) {
 		LeftKeys: []*expr.Scalar{col(0)}, RightKeys: []*expr.Scalar{col(0)},
 		Type: JoinInner, Residual: predFn(keep), LeftWidth: 2, RightWidth: 2,
 	}
-	loop := &NestedLoopJoin{
-		Left: &Values{Rows: left}, Right: &Values{Rows: right}, Type: JoinInner, RightWidth: 2,
-		Pred: predFn(func(r types.Row) bool { return r[0].Int() == r[2].Int() && keep(r) }),
+	loop := &HashJoin{
+		Left: &Values{Rows: left}, Right: &Values{Rows: right}, Type: JoinInner, LeftWidth: 2, RightWidth: 2,
+		Residual: predFn(func(r types.Row) bool { return r[0].Int() == r[2].Int() && keep(r) }),
 	}
 	for name, op := range map[string]Operator{"hash": hash, "nested loop": loop} {
 		got := run(t, op)

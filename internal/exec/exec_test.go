@@ -259,19 +259,19 @@ func TestNestedLoopJoin(t *testing.T) {
 	left := &Values{Rows: []types.Row{irow(1), irow(5)}}
 	right := &Values{Rows: []types.Row{irow(2), irow(6)}}
 	// Non-equi: l.a < r.a
-	j := &NestedLoopJoin{
-		Left: left, Right: right, Type: JoinInner, RightWidth: 1,
-		Pred: predFn(func(r types.Row) bool { return r[0].Int() < r[1].Int() }),
+	j := &HashJoin{
+		Left: left, Right: right, Type: JoinInner, LeftWidth: 1, RightWidth: 1,
+		Residual: predFn(func(r types.Row) bool { return r[0].Int() < r[1].Int() }),
 	}
 	rows := run(t, j)
 	if len(rows) != 3 {
 		t.Fatalf("nl join: %v", rows)
 	}
 	// Cross join.
-	j2 := &NestedLoopJoin{
+	j2 := &HashJoin{
 		Left:  &Values{Rows: []types.Row{irow(1), irow(2)}},
 		Right: &Values{Rows: []types.Row{irow(3), irow(4)}},
-		Type:  JoinCross, RightWidth: 1,
+		Type:  JoinCross, LeftWidth: 1, RightWidth: 1,
 	}
 	if rows := run(t, j2); len(rows) != 4 {
 		t.Fatalf("cross join: %v", rows)

@@ -22,9 +22,11 @@ const (
 
 // HashJoin joins on equality of LeftKeys and RightKeys, building a hash
 // table over the right input and probing with the left. Residual is an
-// optional extra predicate evaluated over the concatenated row. LEFT and
-// FULL outer are supported natively; the planner swaps inputs to express
-// RIGHT outer as LEFT.
+// optional extra predicate evaluated over the concatenated row. Every join
+// type is native: LEFT, RIGHT and FULL pad the side that found no match, and
+// CROSS is INNER. With no keys it is the nested loop: every build row's key
+// is "", so all of them sit in one chain in build order, each probe row
+// meets them all, and Residual is the ON predicate.
 type HashJoin struct {
 	Left, Right           Operator
 	LeftKeys, RightKeys   []*expr.Scalar
@@ -136,8 +138,8 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		if j.build[i].null, err = j.keyOf(r, j.RightKeys); err != nil {
 			return err
 		}
-		if keys == nil {
-			// Keys of one column list are much of a size.
+		if keys == nil && len(j.RightKeys) > 0 {
+			// Keys of one column list are much of a size; no keys, no bytes.
 			keys = make([]byte, 0, len(rows)*(len(j.key)+4))
 		}
 		if !j.build[i].null {
@@ -146,7 +148,11 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		j.build[i].keyEnd = int32(len(keys))
 	}
 	backing := string(keys)
-	j.table = make(map[string]int32, len(rows))
+	entries := len(rows)
+	if len(j.RightKeys) == 0 {
+		entries = 1 // one chain
+	}
+	j.table = make(map[string]int32, entries)
 	at := int32(0)
 	for i := range j.build {
 		key := backing[at:j.build[i].keyEnd]
@@ -285,95 +291,6 @@ func (j *HashJoin) collectUnmatched() {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.table, j.build, j.unmatched, j.leftRow, j.ec = nil, nil, nil, nil, expr.Ctx{}
-	j.out.reset()
-	j.buf = clearRows(j.buf)
-	return j.Left.Close()
-}
-
-// NestedLoopJoin joins on an arbitrary predicate by buffering the right
-// input and scanning it per probe row. It handles CROSS joins (nil
-// predicate) and non-equi conditions; LEFT outer is supported.
-type NestedLoopJoin struct {
-	Left, Right Operator
-	Pred        *expr.Scalar // nil for CROSS
-	Type        JoinType
-	RightWidth  int
-
-	ec        expr.Ctx
-	out       rowConcat
-	buf       []types.Row // output container, reused per chunk
-	padRight  types.Row   // NULLs for the right side of an unmatched LEFT row
-	right     []types.Row
-	leftRow   types.Row
-	rightPos  int
-	leftMatch bool
-}
-
-// Open implements Operator.
-func (j *NestedLoopJoin) Open(ctx *Ctx) error {
-	j.ec = ctx.evalCtx()
-	j.out.reset()
-	if j.Type == JoinLeft && j.padRight == nil {
-		j.padRight = nullRow(j.RightWidth)
-	}
-	j.leftRow = nil
-	var err error
-	if j.right, err = Drain(ctx, j.Right, 0); err != nil {
-		return err
-	}
-	rowsTransient(j.Left)
-	return j.Left.Open(ctx)
-}
-
-// NextBatch implements Operator, as HashJoin's does.
-func (j *NestedLoopJoin) NextBatch(max int) ([]types.Row, error) {
-	return j.out.gather(&j.buf, max, j.next)
-}
-
-func (j *NestedLoopJoin) rowsTransient() { j.out.recycle = true }
-
-// next produces the join's next output row, nil at end of stream.
-func (j *NestedLoopJoin) next() (types.Row, error) {
-	for {
-		if j.leftRow == nil {
-			row, err := probeRow(j.Left)
-			if err != nil || row == nil {
-				return nil, err
-			}
-			j.leftRow = row
-			j.rightPos = 0
-			j.leftMatch = false
-		}
-		for j.rightPos < len(j.right) {
-			r := j.right[j.rightPos]
-			j.rightPos++
-			out := j.out.concat(j.leftRow, r)
-			if j.Pred != nil {
-				j.ec.Row = out
-				ok, err := evalPred(j.Pred, &j.ec)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					j.out.discard(out)
-					continue
-				}
-			}
-			j.leftMatch = true
-			return out, nil
-		}
-		if !j.leftMatch && j.Type == JoinLeft {
-			out := j.out.concat(j.leftRow, j.padRight)
-			j.leftRow = nil
-			return out, nil
-		}
-		j.leftRow = nil
-	}
-}
-
-// Close implements Operator.
-func (j *NestedLoopJoin) Close() error {
-	j.right, j.leftRow, j.ec = nil, nil, expr.Ctx{}
 	j.out.reset()
 	j.buf = clearRows(j.buf)
 	return j.Left.Close()

@@ -55,8 +55,8 @@ func TestRecycledJoinsAggregateTheSame(t *testing.T) {
 	agg := func(child Operator) Operator { return countSum(child, col(0), col(3)) }
 	loop := func() Operator {
 		j := joinedRows(n/2, keys, nil)
-		return &NestedLoopJoin{Left: j.Left, Right: j.Right, Type: JoinInner, RightWidth: 2,
-			Pred: predFn(func(r types.Row) bool { return r[0].Int() == r[2].Int() && r[3].Int()%2 == 0 })}
+		return &HashJoin{Left: j.Left, Right: j.Right, Type: JoinInner, LeftWidth: 2, RightWidth: 2,
+			Residual: predFn(func(r types.Row) bool { return r[0].Int() == r[2].Int() && r[3].Int()%2 == 0 })}
 	}
 	dims := make([]types.Row, keys)
 	for i := range dims {
@@ -130,7 +130,7 @@ func TestOnlyDeclaredConsumersRecycle(t *testing.T) {
 			return countSum(&SetOp{Kind: SetUnion, All: true, Left: j, Right: &Values{}}, col(0), col(3))
 		}, false},
 		"probe side": {func(j *HashJoin) Operator {
-			return &NestedLoopJoin{Left: j, Right: &Values{Rows: []types.Row{irow(1)}}, Type: JoinCross, RightWidth: 1}
+			return &HashJoin{Left: j, Right: &Values{Rows: []types.Row{irow(1)}}, Type: JoinCross, LeftWidth: 4, RightWidth: 1}
 		}, true},
 		"build side under HashAgg": {func(j *HashJoin) Operator {
 			return countSum(&HashJoin{Left: &Values{Rows: makeRows(10)}, Right: j,

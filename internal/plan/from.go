@@ -145,7 +145,8 @@ func (b *builder) buildJoin(j *sql.Join) (*relNode, error) {
 }
 
 // combine joins two planned relations under the given type with the given
-// ON conjuncts, extracting hash keys from equi-conditions.
+// ON conjuncts, extracting hash keys from equi-conditions; a HashJoin on none
+// is the nested loop.
 func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Expr) (*relNode, error) {
 	joined := concatScopes(left.scope, right.scope)
 	var leftKeys, rightKeys []*expr.Scalar
@@ -159,79 +160,32 @@ func (b *builder) combine(left, right *relNode, jt exec.JoinType, conds []sql.Ex
 		}
 		residual = append(residual, c)
 	}
-	lw, rw := len(left.scope.cols), len(right.scope.cols)
-
-	if len(leftKeys) > 0 {
-		var res *expr.Scalar
-		if len(residual) > 0 {
-			var err error
-			if res, err = expr.Compile(andAll(residual), joined); err != nil {
-				return nil, err
-			}
-		}
-		// A post stage keeps a bare table's build side between closes, a snapshot
-		// tree between calls (a re-executing CQ builds it: their oracle), unless ON reads execState.
-		var keep *exec.JoinBuild
-		if (b.pre != nil || b.stream == nil) && right.table != nil && (jt == exec.JoinInner || jt == exec.JoinLeft) && !calls(conds, execState...) {
-			keep = &exec.JoinBuild{Heap: right.table.Heap}
-			b.kept = append(b.kept, right.table.Name)
-		}
-		lb, rb := left.build, right.build
-		return &relNode{
-			scope: joined,
-			outer: left.outer || right.outer,
-			build: func(in *Input) exec.Operator {
-				return &exec.HashJoin{
-					Left: lb(in), Right: rb(in),
-					LeftKeys: leftKeys, RightKeys: rightKeys,
-					Type: jt, Residual: res,
-					LeftWidth: lw, RightWidth: rw, Keep: keep,
-				}
-			},
-		}, nil
-	}
-
-	// No equi keys: nested loop. Full outer without keys is unsupported.
-	if jt == exec.JoinFull {
-		return nil, fmt.Errorf("plan: FULL JOIN requires an equality condition")
-	}
-	var pred *expr.Scalar
+	var res *expr.Scalar
 	if len(residual) > 0 {
 		var err error
-		if pred, err = expr.Compile(andAll(residual), joined); err != nil {
+		if res, err = expr.Compile(andAll(residual), joined); err != nil {
 			return nil, err
 		}
 	}
-	if jt == exec.JoinRight {
-		// a RIGHT JOIN b ≡ b LEFT JOIN a with columns restored afterwards.
-		swapped, err := b.combine(right, left, exec.JoinLeft, conds)
-		if err != nil {
-			return nil, err
-		}
-		sb := swapped.build
-		reorder := make([]*expr.Scalar, lw+rw)
-		for i := 0; i < lw; i++ {
-			reorder[i] = columnScalar(rw+i, left.scope.cols[i].typ)
-		}
-		for i := 0; i < rw; i++ {
-			reorder[lw+i] = columnScalar(i, right.scope.cols[i].typ)
-		}
-		return &relNode{
-			scope: joined,
-			outer: true,
-			build: func(in *Input) exec.Operator {
-				return &exec.Project{Child: sb(in), Exprs: reorder}
-			},
-		}, nil
+	// A post stage keeps a bare table's build side between closes, a snapshot
+	// tree between calls (a re-executing CQ builds it: their oracle), unless ON
+	// reads execState or the join has no keys to hash the side on.
+	var keep *exec.JoinBuild
+	if (b.pre != nil || b.stream == nil) && right.table != nil && len(leftKeys) > 0 && (jt == exec.JoinInner || jt == exec.JoinLeft) && !calls(conds, execState...) {
+		keep = &exec.JoinBuild{Heap: right.table.Heap}
+		b.kept = append(b.kept, right.table.Name)
 	}
 	lb, rb := left.build, right.build
+	lw, rw := len(left.scope.cols), len(right.scope.cols)
 	return &relNode{
 		scope: joined,
-		outer: left.outer || right.outer || jt == exec.JoinLeft,
+		outer: left.outer || right.outer,
 		build: func(in *Input) exec.Operator {
-			return &exec.NestedLoopJoin{
+			return &exec.HashJoin{
 				Left: lb(in), Right: rb(in),
-				Pred: pred, Type: jt, RightWidth: rw,
+				LeftKeys: leftKeys, RightKeys: rightKeys,
+				Type: jt, Residual: res,
+				LeftWidth: lw, RightWidth: rw, Keep: keep,
 			}
 		},
 	}, nil
