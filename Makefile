@@ -129,9 +129,11 @@ drain-policies:
 # most 0.1 allocations a new group, TestNewGroupAllocs,
 # TestRecycledGroupsMemoryBounded, and the chunks the groups and an in-place
 # view's rows reach hold at most twice the live keys,
-# TestStoreKeyChunksMemoryBounded; a tumbling view's window groups are the next
-# window's, so its in-place close costs nothing, TestTumblingRebuildAllocs,
-# TestTumblingViewMemoryBounded; a client's RPC timeout costs a round trip
+# TestStoreKeyChunksMemoryBounded; a view's window groups that leave it are its
+# next newcomers' (a tumbling view's whole last window), so its in-place close
+# costs nothing, TestTumblingRebuildAllocs, TestSlidingChurnAllocs (which also
+# counts the key comparisons a close's arrivals and departures take),
+# TestTumblingViewMemoryBounded, TestSlidingViewMemoryBounded; a client's RPC timeout costs a round trip
 # nothing, TestRoundTripAllocs; an append of 4 keyed rows over the wire into a
 # durable shard, directly or through a one-shard router, at most 8.5 and 10.8
 # a row for the whole process, TestRouterAppendAllocs; a batch delivered to one of a
@@ -174,8 +176,8 @@ alloc-pins:
 # TestMain), and every decoder zeroes its scratch once a block is carved from
 # it, so a row that aliased the scratch rather than its block reads garbage;
 # the window-state store fills what it recycles with a sentinel that the
-# recycler resets on reuse (expr.Recycler: an expired slice's partials, a
-# tumbling view's window groups), so a view that still merged or retracted
+# recycler resets on reuse (expr.Recycler: an expired slice's partials, the
+# window groups that left a view), so a view that still merged or retracted
 # them fires garbage, not a quiet zero (a dropped group's key row holds one in
 # every mode until a new key takes it; FuzzStoreLifecycle's seeds run here
 # too), and fills an in-place view's rows

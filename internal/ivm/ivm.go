@@ -44,9 +44,10 @@
 // → 81 MB); a group the store drops is a new key's, whose key string is carved
 // from a chunk of key bytes the store writes once, and once the keys carved
 // since reach twice the live groups, Expire copies the live keys into a fresh
-// chunk; a tumbling view's window groups are the next window's; an in-place
-// view's dead groups' rows are its newcomers'; and the rows a view carves, in
-// either mode, are what its full carve bounds. One mechanism is not a
+// chunk; a view's window groups that leave it — at a close, or all of them
+// at a tumbling view's rebuild — are its next newcomers'; an in-place view's
+// dead groups' rows are its newcomers'; and the rows a view carves, in either
+// mode, are what its full carve bounds. One mechanism is not a
 // recycler: a group whose last partial expires idles a boundary, in the map
 // but not in GroupsN, so a key recurring in the window after gets it back by
 // key; the next Expire drops it and frees its id, which no view holds by then.
@@ -167,8 +168,8 @@ func resetGroup(g *group, _ bool) {
 // retained slice holds a partial for it and idles one boundary more; then
 // Expire drops it onto the store's recycler, its key row a sentinel, and its
 // id for a new key. No live view group holds it or its id by then: every view
-// retracts the last slice holding the key before the slice expires. A dead
-// view group in a slab may point at it, but a tombstone is never read.
+// retracts the last slice holding the key before the slice expires, and lets
+// go of its window group at that close.
 type group struct {
 	key    string
 	keys   types.Row
@@ -428,21 +429,22 @@ type View struct {
 	lo, hi int64
 	groups []*winGroup // indexed by group id
 	slab   expr.Slab[winGroup]
-	spare  expr.Recycler[*winGroup] // the last window's groups, for a rebuild's add
+	spare  expr.Recycler[*winGroup] // groups that left the window, for add's newcomers
 
-	// ordered keeps the groups sorted by key (types.CompareRows order,
-	// matching exec.HashAgg's SortedOutput). It is maintained
-	// incrementally: new groups collect in pending and are merged in at the
-	// next fire, removed groups stay in place as tombstones — groups their
-	// id no longer indexes — and are compacted then. A skewed stream adds a
-	// few tail groups every advance, and a full re-sort per fire was the
-	// dominant fire cost at 10k+ groups; the merge still tests every ordered
-	// group for a tombstone and, while any newcomer is left to place,
-	// compares its key (one newcomer sorting last compares with them all).
+	// ordered keeps the live groups sorted by key (types.CompareRows order,
+	// matching exec.HashAgg's SortedOutput), and a close moves it by what
+	// changed: the groups add created collect in pending and those retract
+	// let go of in gone, and emit finds each departure by binary search on
+	// its key — which its store group holds until Expire —, places each
+	// newcomer the same way, and copies the runs between. That is
+	// O((k+r)·log n) key comparisons for k newcomers and r departures into n
+	// groups, and a copy of the array, whatever n; a full re-sort per close
+	// was once the dominant fire cost at 10k+ groups, and a merge testing
+	// every group after it.
 	ordered []*winGroup
 	pending []*winGroup
+	gone    []*winGroup
 	scratch []*winGroup
-	removed int
 
 	// The groups' rows (see emit): carved from blk, or in place a dead
 	// group's, from free, which counts every row carved. In place the last
@@ -525,24 +527,30 @@ func (v *View) Fire(c int64, inPlace bool) (rows []types.Row, touched, carved in
 		return v.rows, 0, 0, nil
 	}
 	v.groups = append(v.groups, make([]*winGroup, s.nids-len(v.groups))...)
+	live := len(v.ordered)
 	if v.hi <= lo {
 		// Nothing kept carries over: a new view starts from what the store
 		// retains, and a tumbling window shares no slice with its predecessor
 		// (so it never retracts, and its sums are those of re-execution to the
 		// last bit). Every group is new, so every row is carved; the groups
 		// are the last window's.
-		v.maintainOrder()
 		for _, g := range v.ordered {
 			v.release(g)
 			v.spare.Put(g)
-		}
-		if v.spare.Boundary(len(v.ordered)) {
-			v.slab = expr.NewSlab[winGroup](len(v.ordered))
 		}
 		clear(v.groups)
 		clear(v.ordered)
 		v.ordered = v.ordered[:0]
 		v.lo, v.hi = lo, lo
+	}
+	// The close's one boundary: the groups that left at the last close, or
+	// the last window's, serve this close's newcomers. Once more than twice
+	// the groups in use were carved, they go, and the groups still in the
+	// window count as carved, so the next such boundary weighs every group
+	// the view holds.
+	if v.spare.Boundary(live) {
+		v.slab = expr.NewSlab[winGroup](live)
+		v.spare.Made(len(v.ordered))
 	}
 	added, err := v.add(c)
 	if err != nil {
@@ -564,9 +572,9 @@ func (s *Store) span(lo, hi int64) []*slice {
 	return s.slices[i:j]
 }
 
-// release takes a group's row from it as the group leaves the view: the slab
-// keeps a dead group reachable, its row must not be. A private row is
-// recycled for the next new group.
+// release takes a group's row from it as the group leaves the view: the spare
+// keeps the group for a newcomer, its row must not be kept with it. A private
+// row is recycled for the next new group.
 func (v *View) release(g *winGroup) {
 	if v.inPlace && g.row != nil {
 		v.free.Put(g.row)
@@ -637,7 +645,7 @@ func (v *View) retract(lo, c int64) (touched int, err error) {
 			if wg.rows -= p.rows; wg.rows <= 0 {
 				v.groups[p.g.id] = nil
 				v.release(wg)
-				v.removed++
+				v.gone = append(v.gone, wg)
 				continue
 			}
 			for i, a := range wg.accs {
@@ -731,40 +739,43 @@ func (v *View) emit(c int64, touched int, inPlace bool) (rows []types.Row, carve
 	return rows, carved, nil
 }
 
-// maintainOrder folds pending group additions into the sorted order and
-// compacts tombstoned removals, in one linear pass. A group key re-added
-// after its removal gets a fresh *winGroup, so a tombstone and its live
-// successor can coexist until compaction; the tombstone is simply
-// skipped.
+// byKey orders window groups by key; tests count its calls.
+var byKey = func(a, b *winGroup) int { return types.CompareRows(a.g.keys, b.g.keys) }
+
+// maintainOrder moves the close's newcomers into ordered and its departures
+// out of it, in key order, each placed by a binary search from the last, and
+// copies the runs between; then the departures wait on the spare for the next
+// close's newcomers.
 func (v *View) maintainOrder() {
-	if len(v.pending) == 0 && v.removed == 0 {
+	if len(v.pending) == 0 && len(v.gone) == 0 {
 		return
 	}
-	add := v.pending[:0]
-	for _, g := range v.pending {
-		if v.groups[g.g.id] == g {
-			add = append(add, g)
+	add, gone := v.pending, v.gone
+	slices.SortFunc(add, byKey)
+	slices.SortFunc(gone, byKey)
+	merged, from := v.scratch[:0], 0
+	for len(add) > 0 || len(gone) > 0 {
+		leaves := len(add) == 0 || len(gone) > 0 && byKey(gone[0], add[0]) < 0
+		next := add
+		if leaves {
+			next = gone
+		}
+		i, _ := slices.BinarySearchFunc(v.ordered[from:], next[0], byKey)
+		merged, from = append(merged, v.ordered[from:from+i]...), from+i
+		if leaves {
+			from, gone = from+1, gone[1:]
+		} else {
+			merged, add = append(merged, add[0]), add[1:]
 		}
 	}
-	slices.SortFunc(add, func(a, b *winGroup) int { return types.CompareRows(a.g.keys, b.g.keys) })
-	merged := v.scratch[:0]
-	ai := 0
-	for _, g := range v.ordered {
-		if v.groups[g.g.id] != g {
-			continue
-		}
-		for ai < len(add) && types.CompareRows(add[ai].g.keys, g.g.keys) < 0 {
-			merged = append(merged, add[ai])
-			ai++
-		}
-		merged = append(merged, g)
+	merged = append(merged, v.ordered[from:]...)
+	for _, g := range v.gone {
+		v.spare.Put(g)
 	}
-	merged = append(merged, add[ai:]...)
-	// Cleared, so that neither spare array keeps a departed group's state
-	// reachable.
+	// Cleared, so that no spare array keeps a departed group reachable.
 	clear(v.ordered)
 	clear(v.pending)
+	clear(v.gone)
 	v.ordered, v.scratch = merged, v.ordered[:0]
-	v.pending = v.pending[:0]
-	v.removed = 0
+	v.pending, v.gone = v.pending[:0], v.gone[:0]
 }

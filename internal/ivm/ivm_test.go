@@ -3,6 +3,7 @@ package ivm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -743,6 +744,70 @@ func TestInPlaceFireAllocs(t *testing.T) {
 	}
 }
 
+// TestSlidingChurnAllocs: a sliding close where k groups leave and k arrive
+// recycles the window groups and the rows of those that left for those that
+// arrive, so in place it allocates nothing, Insert, Fire and Expire together;
+// and it places them by binary search, so it compares keys O((k+r)·log n)
+// times for k newcomers and r departures into n groups, not once a group. A
+// cohort of k keys, spread across 4 000 steady ones, comes every 21 slices
+// into a 20-slice window: it leaves one close, idles a boundary in the store,
+// and comes back the next.
+func TestSlidingChurnAllocs(t *testing.T) {
+	const stable, period, k, window, closes = 4000, 10, 16, 20, 100
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	compares := 0
+	defer func(f func(a, b *winGroup) int) { byKey = f }(byKey)
+	compare := byKey
+	byKey = func(a, b *winGroup) int { compares++; return compare(a, b) }
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '`+strconv.Itoa(window)+` seconds' ADVANCE '1 second'> GROUP BY url`)
+	v := s.Attach(window * second)
+	steady, churn := make([]types.Datum, stable), make([]types.Datum, (window+1)*k)
+	for i := range steady {
+		steady[i] = types.NewString("/page/" + strconv.Itoa(i))
+	}
+	for i := range churn { // cohort i%(window+1), spread across the steady keys
+		churn[i] = types.NewString("/page/" + strconv.Itoa(i*stable/len(churn)) + "x")
+	}
+	at, row := int64(0), make(types.Row, 3) // Insert keeps no row
+	n := stable + window*k
+	add := func(u types.Datum) {
+		row[0], row[1], row[2] = u, types.NewTimestampMicros(at*second+1), types.NewInt(at)
+		insert(t, s, row)
+	}
+	step := func() {
+		for i := int(at) % period; i < stable; i += period {
+			add(steady[i])
+		}
+		for i := int(at) % (window + 1); i < len(churn); i += window + 1 {
+			add(churn[i])
+		}
+		at++
+		compares = 0
+		rows, touched, _, err := v.Fire(at*second, true)
+		if err != nil || len(rows) != n && at > window {
+			t.Fatalf("close %d: %d rows, want %d: %v", at, len(rows), n, err)
+		}
+		s.Expire(at * second)
+		if limit := 2 * (k + k) * bits.Len(uint(n)); at > window+1 && compares > limit {
+			t.Fatalf("close %d: %d keys compared for %d arrivals and departures into %d groups (%d touched), want ≤ %d",
+				at, compares, 2*k, n, touched, limit)
+		}
+	}
+	for at < 3*window {
+		step()
+	}
+	// Counted over all the closes, not per close (testing.AllocsPerRun rounds
+	// down): a slab chunk for the newcomers would be four allocations in
+	// sixteen closes.
+	if got, _ := allocated(func() {
+		for i := 0; i < closes; i++ {
+			step()
+		}
+	}); got != 0 {
+		t.Errorf("%d in-place sliding closes where %d groups leave and %d arrive allocate %.0f times, want 0", closes, k, k, got)
+	}
+}
+
 // TestViewRowMemoryBounded: the rows a view hands out again keep the blocks
 // they were carved from reachable, a block stays whole while one row of it
 // does, and a skewed stream has cold groups that sit in the window unchanged
@@ -750,7 +815,8 @@ func TestInPlaceFireAllocs(t *testing.T) {
 // copies of the window plus the block of the close itself — measured here
 // from the outside: a row first seen at close k lives in close k's block,
 // whose size is the touched count the close reports (every group's, at a
-// full carve). A group that leaves takes its row with it.
+// full carve). A group that leaves holds no row at the close it leaves,
+// before a newcomer can take it from the view's spare.
 func TestViewRowMemoryBounded(t *testing.T) {
 	const keys, perSlice, closes = 4000, 300, 500
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '40 seconds' ADVANCE '1 second'> GROUP BY url`)
@@ -759,6 +825,7 @@ func TestViewRowMemoryBounded(t *testing.T) {
 	bornAt := map[*types.Datum]int{} // a row's first datum → the close that carved it
 	var blockRows []int              // per close
 	var left *winGroup
+	leftID, leftAt := 0, -1 // its store group's id, and the close it left at
 	fullCarves, worst := 0, 0.0
 	for k := 0; k < closes; k++ {
 		for j := 0; j < perSlice; j++ {
@@ -781,10 +848,18 @@ func TestViewRowMemoryBounded(t *testing.T) {
 					left = wg
 				}
 			}
+			if left != nil {
+				leftID = left.g.id
+			}
 		}
 		rows, touched, carved, err := v.Fire(int64(k+1)*second, false)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if left != nil && leftAt < 0 && v.groups[leftID] != left {
+			if leftAt = k; left.row != nil {
+				t.Errorf("close %d: a group that left the window still holds its row: %+v", k, left)
+			}
 		}
 		s.Expire(int64(k+1) * second)
 		blockRows = append(blockRows, max(touched, carved))
@@ -819,8 +894,8 @@ func TestViewRowMemoryBounded(t *testing.T) {
 	if fullCarves < 3 {
 		t.Errorf("%d full carves in %d closes: the bound was never exercised", fullCarves, closes)
 	}
-	if left == nil || v.groups[left.g.id] == left || left.row != nil {
-		t.Errorf("a group that left the window still holds its row: %+v", left)
+	if leftAt < 0 {
+		t.Errorf("the group chosen to leave never left the window: %+v", left)
 	}
 }
 

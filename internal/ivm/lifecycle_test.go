@@ -52,8 +52,10 @@ func tape(extent byte, ops ...byte) []byte { return append([]byte{extent}, ops..
 //     and where the rule counts what was carved, recycled and live objects
 //     together within twice the live ones at the last boundary: a retained
 //     slice's partials against the groups it held when it last expired, a
-//     view's window groups against what its last rebuild released, its rows
-//     against its groups;
+//     view's window groups against those it held at the close's boundary —
+//     twice them at a rebuild, which released them all, else once, beside
+//     the live ones — and the groups that left it since, its rows against
+//     its groups;
 //   - every live group's key row renders its key in the map, and the keys
 //     the groups and the in-place views' rows hold were carved since the last
 //     rehome, which carved at most twice the live keys: the chunks those keys
@@ -62,8 +64,11 @@ func tape(extent byte, ops ...byte) []byte { return append([]byte{extent}, ops..
 // The seeds include the scenarios of the memory pins: a burst then steady
 // keys, a detach that expires five slices at once, an idle key reviving; new
 // keys taking the ids of a burst dropped a boundary before (those seeds fail
-// if no id was reused); and a burst at every close under an in-place sliding
-// view, which fails unless the keys are rehomed three times.
+// if no id was reused); a burst at every close under an in-place sliding
+// view, which fails unless the keys are rehomed three times; sliding churn,
+// departures and arrivals in one close, in place and out of place, with a
+// wider view detached midway; and a sliding view that starts a new slab while
+// groups are still in its window.
 func FuzzStoreLifecycle(f *testing.F) {
 	const in, out = 0xff, 0
 	steady := func(closes int, inPlace byte) (ops []byte) { // keys 0–3, a value that changes every close
@@ -100,6 +105,21 @@ func FuzzStoreLifecycle(f *testing.F) {
 	}
 	rehomed := tape(1, churn...)
 	f.Add(rehomed)
+	// Each close adds a burst and retracts the one three closes before, both
+	// views out of place for two closes, then both in place for two, by turns.
+	slide := []byte{opAttach, 2}
+	for i := 0; i < 12; i++ {
+		if i == 7 {
+			slide = append(slide, opDetach, 0)
+		}
+		slide = append(append(slide, opBurst, byte(i)), steady(1, byte(0b11*(i/2%2)))...)
+	}
+	f.Add(tape(1, slide...))
+	// A burst leaves while a smaller one stays, so the view starts a new slab
+	// with groups still in the window; when the smaller one leaves in its
+	// turn, it is not kept beside a dozen live groups.
+	f.Add(tape(1, append(append(append([]byte{opBurst, 56, opBurst, 56}, steady(1, out)...),
+		append([]byte{opBurst, 24}, steady(3, out)...)...), append([]byte{opBurst, 0}, steady(3, out)...)...)...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		reused, rehomes := storeLifecycle(t, b)
 		if reused == 0 && slices.ContainsFunc(reuse, func(r []byte) bool { return bytes.Equal(r, b) }) {
@@ -179,17 +199,17 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 		return sb.String()
 	}
 	var kept []firedBatch
-	released := map[*View]int{}     // window groups a view's last rebuild released
 	expiredWith := map[*slice]int{} // groups a slice held when it last expired
 	closeNext := func(inPlace byte) {
 		c := next
 		next += advance
 		ts = max(ts, c)
 		for i, v := range views {
-			before, rebuilds := 0, v.hi <= c-v.visible
+			rebuilds := v.hi <= c-v.visible
+			before := map[*winGroup]bool{}
 			for _, wg := range v.groups {
 				if wg != nil {
-					before++
+					before[wg] = true
 				}
 			}
 			rows, _, _, err := v.Fire(c, inPlace>>i&1 == 1)
@@ -211,11 +231,19 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 			if inPlace>>i&1 == 0 {
 				kept = append(kept, firedBatch{rows, got})
 			}
-			if rebuilds {
-				released[v] = before
+			left := len(before)
+			for _, wg := range v.groups {
+				if before[wg] {
+					left--
+				}
 			}
-			if n := v.spare.Len(); n > 2*released[v] {
-				t.Fatalf("close %d s, view %d s: %d window groups kept, its last rebuild released %d", c/second, v.visible/second, n, released[v])
+			limit := len(before) + left
+			if rebuilds {
+				limit = 2 * len(before)
+			}
+			if v.spare.Len() > limit {
+				t.Fatalf("close %d s, view %d s: %d window groups kept, %d held at its boundary (rebuilt: %v), %d left since",
+					c/second, v.visible/second, v.spare.Len(), len(before), rebuilds, left)
 			}
 			if n := v.free.Len(); n > len(v.ordered) {
 				t.Fatalf("close %d s, view %d s: %d rows kept beside %d groups", c/second, v.visible/second, n, len(v.ordered))

@@ -336,6 +336,80 @@ func TestTumblingViewMemoryBounded(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
+// TestSlidingViewMemoryBounded: a sliding view keeps the window groups that
+// leave it for its next newcomers, while its slab has carved at most twice the
+// groups it holds. A burst of 10 000 keys leaves the window while a second
+// is in it, and a third, a close later, takes the first one's window groups;
+// once the second and third have left as well, 10 groups are live against
+// 20 010 carved, so the view starts a new slab, and the bursts' window groups
+// and their slab's chunks — of groups and of accumulator lists — are
+// unreachable within two closes of the last burst leaving.
+func TestSlidingViewMemoryBounded(t *testing.T) {
+	const burst, steady = 10000, 10
+	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(20 * second)
+	fill := func(k int64, prefix string, groups int) {
+		for i := 0; i < groups; i++ {
+			insert(t, s, hit(prefix+strconv.Itoa(i), k*10*second+int64(i), 1))
+		}
+	}
+	windowGroup := func(key string) *winGroup { return v.groups[s.groups[types.Row{types.NewString(key)}.Key()].id] }
+	var groups []weak.Pointer[winGroup]
+	var accs []weak.Pointer[expr.Acc]
+	first := map[uintptr]bool{} // the first burst's window groups, by address
+	alive := func() (n int) {
+		runtime.GC()
+		runtime.GC()
+		for i := range groups {
+			if groups[i].Value() != nil || accs[i].Value() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	bursts := map[int64]string{0: "/a/", 1: "/b/", 3: "/c/"} // by slice
+	for k := int64(0); k < 7; k++ {
+		fill(k, "/steady/", steady)
+		if prefix, ok := bursts[k]; ok {
+			fill(k, prefix, burst)
+		}
+		fire(t, v, (k+1)*10*second, false)
+		switch k {
+		case 0, 1: // the first burst's first groups share the steady groups' last chunk: sample past it
+			for i := burst / 100; i < burst; i += burst / 100 {
+				wg := windowGroup(bursts[k] + strconv.Itoa(i))
+				first[uintptr(unsafe.Pointer(wg))] = k == 0
+				groups, accs = append(groups, weak.Make(wg)), append(accs, weak.Make(&wg.accs[0]))
+			}
+		case 2:
+			if n := v.spare.Len(); n != burst {
+				t.Fatalf("close %d: %d window groups kept, want the %d the first burst left", k, n, burst)
+			}
+		case 3:
+			taken := 0
+			for i := 0; i < burst; i++ {
+				if first[uintptr(unsafe.Pointer(windowGroup("/c/"+strconv.Itoa(i))))] {
+					taken++
+				}
+			}
+			if taken != burst/100-1 {
+				t.Fatalf("close %d: the third burst took %d of the first one's %d sampled window groups", k, taken, burst/100-1)
+			}
+		case 5:
+			if n := alive(); n != len(groups) {
+				t.Fatalf("close %d: %d of %d burst window groups reachable, want all: the slab has carved no more than twice the %d it held",
+					k, n, len(groups), burst+steady)
+			}
+		case 6:
+			if n := alive(); n != 0 {
+				t.Fatalf("close %d: %d of %d burst window groups reachable, their slab replaced", k, n, len(groups))
+			}
+		}
+		s.Expire((k + 1) * 10 * second)
+	}
+	runtime.KeepAlive(s)
+}
+
 // TestInPlaceViewMemoryBounded: an in-place view keeps the rows of groups
 // that left it for the groups that come next, never more of them than its
 // live groups and newcomers. When a burst of keys leaves the window, the
