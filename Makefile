@@ -116,7 +116,9 @@ drain-policies:
 # the operators (an aggregate pays per chunk of groups, TestHashAggAllocsPerGroup;
 # opened again it pays for its output rows only and keeps at most twice the
 # groups it last used, TestHashAggReopenAllocsPerGroup, TestHashAggKeptGroupsMemoryBounded;
-# a tree kept for its next execution keeps no row, TestReopenedTreePinsNoRow) and in
+# a tree kept for its next execution keeps no row, TestReopenedTreePinsNoRow;
+# a reopened top-5 Sort over an aggregate allocates the same bytes however
+# many groups it reads, TestTopKSortBytesIndependentOfGroups) and in
 # the window-state store, which recycles by expr.Recycler's one rule (first
 # touch of a (slice, group) ≤ 0.1 allocations amortized; an expired slice is
 # the next slice at no allocation; what it keeps is bounded by twice its
@@ -167,7 +169,7 @@ drain-policies:
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream ./internal/shard ./client .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives|BytesIndependent' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream ./internal/shard ./client .
 
 # poison runs the root suites (the SQL suite, the equivalence suites), the
 # experiments and the decoders' packages in poison mode (types.Poison): a row

@@ -189,7 +189,7 @@ func TestProjectOverAggAllocsPerChunk(t *testing.T) {
 func TestSortAllocsLogarithmic(t *testing.T) {
 	rows := streamRows(10000)
 	got := drainAllocs(t, func() Operator {
-		return &Sort{Child: &Values{Rows: rows}, Keys: []SortKey{{Expr: col(1), Desc: true}, {Expr: col(0)}}}
+		return &Sort{Child: &Values{Rows: rows}, Keys: []SortKey{{Col: 1, Desc: true}, {Col: 0}}}
 	})
 	// 33 when this was written; one key row per input row would be 10 000 more.
 	if got > 60 {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 // time" reporting elsewhere.
 type OpStat struct {
 	// Name is the operator kind (SeqScan, HashJoin, …), and Detail what
-	// EXPLAIN prints beside it: an IndexScan's Range, a HashAgg's "(maintained)".
+	// EXPLAIN prints beside it: an IndexScan's Range, a HashAgg's
+	// "(maintained)", a bounded Sort's "(top k)".
 	Name, Detail string
 	// Depth is the operator's depth in the plan tree (root = 0).
 	Depth int
@@ -46,6 +48,10 @@ func instrument(op Operator, stats *[]*OpStat, depth int) Operator {
 	case *HashAgg:
 		if scan, _, _ := deltaScan(o.Child); o.Maintain && scan != nil {
 			st.Detail = "(maintained)"
+		}
+	case *Sort:
+		if o.Limit > 0 {
+			st.Detail = fmt.Sprintf("(top %d)", o.Limit)
 		}
 	}
 	*stats = append(*stats, st)
@@ -140,5 +146,4 @@ func (c *counted) NextBatch(max int) ([]types.Row, error) {
 // Close implements Operator.
 func (c *counted) Close() error { return c.op.Close() }
 
-func (c *counted) rowsTransient()   { rowsTransient(c.op) }
-func (c *counted) rowsWanted(n int) { rowsWanted(c.op, n) }
+func (c *counted) rowsTransient() { rowsTransient(c.op) }

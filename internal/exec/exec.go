@@ -60,8 +60,9 @@ func (c *Ctx) evalCtx() expr.Ctx {
 //     retaining them is safe — unless the consumer declared, by calling
 //     rowsTransient(child) before child.Open, that it keeps no row past its
 //     next NextBatch call on that child (it copies the datums it keeps).
-//     HashAgg, Project, a join's probe side and a Sort under a LIMIT
-//     (rowsWanted) declare it; Filter, Limit and the EXPLAIN ANALYZE
+//     HashAgg, Project, a join's probe side and a bounded Sort declare it
+//     (the planner sets Sort.Limit from the LIMIT above it; a Sort's keys
+//     are columns of its rows); Filter, Limit and the EXPLAIN ANALYZE
 //     instrument hand rows through and so pass their own consumer's
 //     declaration down. A join carves every batch from one block
 //     (rowConcat), ending a batch where the block does, and Project every
@@ -92,15 +93,6 @@ type Operator interface {
 func rowsTransient(op Operator) {
 	if t, ok := op.(interface{ rowsTransient() }); ok {
 		t.rowsTransient()
-	}
-}
-
-// rowsWanted tells op, which its caller (a LIMIT) is about to Open, that the
-// caller reads at most n > 0 of its rows. Project and the EXPLAIN ANALYZE
-// instrument map rows one to one and pass it down; a Sort keeps n rows.
-func rowsWanted(op Operator, n int) {
-	if w, ok := op.(interface{ rowsWanted(int) }); ok {
-		w.rowsWanted(n)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestLimitOffset(t *testing.T) {
 
 func TestSort(t *testing.T) {
 	src := &Values{Rows: []types.Row{irow(3, 1), irow(1, 2), irow(2, 3), irow(1, 1)}}
-	s := &Sort{Child: src, Keys: []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}}}
+	s := &Sort{Child: src, Keys: []SortKey{{Col: 0}, {Col: 1, Desc: true}}}
 	rows := run(t, s)
 	want := [][2]int64{{1, 2}, {1, 1}, {2, 3}, {3, 1}}
 	for i, w := range want {
@@ -164,12 +164,12 @@ func TestSort(t *testing.T) {
 
 func TestSortNullsFirst(t *testing.T) {
 	src := &Values{Rows: []types.Row{{types.NewInt(1)}, {types.Null}, {types.NewInt(0)}}}
-	rows := run(t, &Sort{Child: src, Keys: []SortKey{{Expr: col(0)}}})
+	rows := run(t, &Sort{Child: src, Keys: []SortKey{{Col: 0}}})
 	if !rows[0][0].IsNull() {
 		t.Fatal("NULL should sort first ascending")
 	}
 	src2 := &Values{Rows: []types.Row{{types.NewInt(1)}, {types.Null}, {types.NewInt(0)}}}
-	rows = run(t, &Sort{Child: src2, Keys: []SortKey{{Expr: col(0), Desc: true}}})
+	rows = run(t, &Sort{Child: src2, Keys: []SortKey{{Col: 0, Desc: true}}})
 	if !rows[2][0].IsNull() {
 		t.Fatal("NULL should sort last descending")
 	}

@@ -131,8 +131,7 @@ func (p *Project) Close() error {
 	return p.Child.Close()
 }
 
-func (p *Project) rowsTransient()   { p.transient = true }
-func (p *Project) rowsWanted(n int) { rowsWanted(p.Child, n) }
+func (p *Project) rowsTransient() { p.transient = true }
 
 // Limit implements LIMIT/OFFSET.
 type Limit struct {
@@ -147,9 +146,6 @@ type Limit struct {
 // Open implements Operator.
 func (l *Limit) Open(ctx *Ctx) error {
 	l.skip, l.left = l.Offset, l.Count
-	if n := l.Offset + l.Count; l.Count > 0 && n > 0 {
-		rowsWanted(l.Child, int(n))
-	}
 	return l.Child.Open(ctx)
 }
 
@@ -188,9 +184,9 @@ func (l *Limit) Close() error { return l.Child.Close() }
 
 func (l *Limit) rowsTransient() { rowsTransient(l.Child) }
 
-// SortKey is one ORDER BY key.
+// SortKey is one ORDER BY key: a column of the rows sorted.
 type SortKey struct {
-	Expr *expr.Scalar
+	Col  int
 	Desc bool
 	// NullsFirst/NullsLast force NULL placement; when neither is set,
 	// NULLs follow the total order (first ascending, last descending).
@@ -198,60 +194,59 @@ type SortKey struct {
 	NullsLast  bool
 }
 
-// Sort materializes its input and emits it ordered by Keys. NULLs sort
-// first on ascending keys (types.Compare's total order), last on
-// descending. Under a consumer that reads at most k rows (rowsWanted), it
-// evaluates a row's keys into a spare slot and copies the row there only if
-// it sorts strictly before the k-th row kept, so a tie keeps the earlier
-// row; at 2k slots in use it sorts them and cuts back to k. The rows it
+// Sort materializes its input and emits it ordered by Keys, columns of its
+// rows (the planner projects every ORDER BY key first). NULLs sort first on
+// ascending keys (types.Compare's total order), last on descending. A full
+// sort keeps its child's rows. A bounded one (Limit k > 0, which the planner
+// sets to OFFSET + LIMIT under a LIMIT) copies a row into a spare slot only
+// if it sorts strictly before the k-th row kept, so a tie keeps the earlier
+// row, and at 2k slots in use sorts them and cuts back to k; the rows it
 // hands out are carved afresh, so its child's are transient. It keeps its
 // slots across opens, at most twice those its last execution used (as
 // expr.Recycler does).
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
+	Limit int // k, or 0: the consumer reads every row
 	cursor
 
-	ec           expr.Ctx
-	bound        int            // k, or 0: the consumer reads every row
-	top          []keyedRow     // the slots, all spare between executions
+	top          []types.Row    // the slots, all spare between executions
 	blk          types.RowBlock // what slots are carved from
 	carved, used int            // slots carved since the last afresh, and used by this execution
 }
-
-type keyedRow struct{ row, keys types.Row }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Ctx) error {
 	s.Close()
 	defer s.Child.Close()
-	k, nk := s.bound, len(s.Keys)
-	var keyed []keyedRow // under a bound the slots, else sized from the first chunk
+	k := s.Limit
+	var top []types.Row // under a bound, the slots
 	if k > 0 {
 		rowsTransient(s.Child) // an admitted row is copied
 		if s.carved > 2*s.used {
 			s.top, s.carved = nil, 0
 		}
-		keyed, s.used = s.top, 0
-		defer func() { s.top = keyed }() // however the execution ends, for Close to clear
+		top, s.used = s.top, 0
+		defer func() { s.top = top }() // however the execution ends, for Close to clear
 	}
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	byKeys := func(a, b keyedRow) int {
-		for i, key := range s.Keys {
-			an, bn := a.keys[i].IsNull(), b.keys[i].IsNull()
-			if an && bn {
+	byKeys := func(a, b types.Row) int {
+		for _, key := range s.Keys {
+			x, y := a[key.Col], b[key.Col]
+			xn, yn := x.IsNull(), y.IsNull()
+			if xn && yn {
 				continue
 			}
 			// Explicit placement overrides the total order.
-			if (an || bn) && (key.NullsFirst || key.NullsLast) {
-				if an == key.NullsFirst {
+			if (xn || yn) && (key.NullsFirst || key.NullsLast) {
+				if xn == key.NullsFirst {
 					return -1
 				}
 				return 1
 			}
-			if c := types.Compare(a.keys[i], b.keys[i]); c != 0 {
+			if c := types.Compare(x, y); c != 0 {
 				if key.Desc {
 					return -c
 				}
@@ -260,8 +255,7 @@ func (s *Sort) Open(ctx *Ctx) error {
 		}
 		return 0
 	}
-	cut := false // keyed[:k] is sorted: keyed[k-1] is the k-th row kept
-	s.ec = ctx.evalCtx()
+	cut := false // top[:k] is sorted: top[k-1] is the k-th row kept
 	for {
 		in, err := s.Child.NextBatch(chunkRows)
 		if err != nil {
@@ -270,74 +264,55 @@ func (s *Sort) Open(ctx *Ctx) error {
 		if in == nil {
 			break
 		}
-		if keyed == nil && k == 0 {
-			keyed = make([]keyedRow, 0, len(in))
+		if k == 0 {
+			s.rows = append(s.rows, in...)
+			continue
 		}
-		// Key rows are carved from one block per input chunk.
-		blk := types.NewRowBlock(len(in), nk)
 		for _, row := range in {
-			kr := keyedRow{row, nil}
-			if k == 0 {
-				kr.keys = blk.Row()
-			} else if keyed = slices.Grow(keyed, 1); keyed[:len(keyed)+1][len(keyed)].row == nil {
+			if cut && byKeys(row, top[k-1]) >= 0 {
+				continue
+			}
+			top = slices.Grow(top, 1)
+			slot := top[:len(top)+1][len(top)]
+			if slot == nil {
 				if s.carved == 0 {
-					s.blk = types.NewRowBlock(1, nk+len(row))
+					s.blk = types.NewRowBlock(1, len(row))
 				}
-				slot := s.blk.Row()
-				kr, s.carved = keyedRow{slot[nk:], slot[:nk]}, s.carved+1
-			} else {
-				kr = keyed[:len(keyed)+1][len(keyed)]
+				slot, s.carved = s.blk.Row(), s.carved+1
 			}
-			s.ec.Row = row
-			for i, key := range s.Keys {
-				if kr.keys[i], err = key.Expr.Eval(&s.ec); err != nil {
-					return err
-				}
-			}
-			if k == 0 {
-				keyed = append(keyed, kr)
-			} else if !cut || byKeys(kr, keyed[k-1]) < 0 {
-				copy(kr.row, row)
-				keyed = append(keyed, kr)
-				if s.used = max(s.used, len(keyed)); len(keyed) == 2*k {
-					slices.SortStableFunc(keyed, byKeys)
-					keyed, cut = keyed[:k], true
-				}
+			copy(slot, row)
+			top = append(top, slot)
+			if s.used = max(s.used, len(top)); len(top) == 2*k {
+				slices.SortStableFunc(top, byKeys)
+				top, cut = top[:k], true
 			}
 		}
 	}
-	slices.SortStableFunc(keyed, byKeys)
-	var out types.RowBlock // under a bound, what the rows handed out are carved from
-	if k > 0 {
-		keyed = keyed[:min(len(keyed), k)]
+	if k == 0 {
+		slices.SortStableFunc(s.rows, byKeys)
+		return nil
 	}
-	if cap(s.rows) < len(keyed) {
-		s.rows = make([]types.Row, 0, len(keyed))
+	slices.SortStableFunc(top, byKeys)
+	top = top[:min(len(top), k)]
+	if len(top) == 0 {
+		return nil
 	}
-	for i, kr := range keyed {
-		if k > 0 {
-			if i == 0 {
-				out = types.NewRowBlock(len(keyed), len(kr.row))
-			}
-			kr.row = append(out.Row()[:0], kr.row...)
-		}
-		s.rows = append(s.rows, kr.row)
+	out := types.NewRowBlock(len(top), len(top[0])) // what the rows handed out are carved from
+	for _, slot := range top {
+		s.rows = append(s.rows, append(out.Row()[:0], slot...))
 	}
 	return nil
 }
 
 // Close implements Operator: the slots are kept, cleared.
 func (s *Sort) Close() error {
-	s.ec = expr.Ctx{}
 	s.reset(clearRows(s.rows))
-	for _, kr := range s.top[:cap(s.top)] {
-		clear(kr.keys[:cap(kr.keys)]) // the whole slot
+	for _, slot := range s.top[:cap(s.top)] {
+		clear(slot)
 	}
 	s.top = s.top[:0]
 	return nil
 }
-
-func (s *Sort) rowsWanted(n int) { s.bound = n }
 
 // Distinct removes duplicate rows (SQL DISTINCT: NULLs compare equal).
 type Distinct struct {

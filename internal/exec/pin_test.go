@@ -26,8 +26,8 @@ func TestReopenedTreePinsNoRow(t *testing.T) {
 		"aggregate": countSum(&Values{Rows: rows}, col(0), col(1)),
 		"projection under a filter and a limit": &Limit{Count: -1, Child: &Filter{Child: project(),
 			Pred: predFn(func(r types.Row) bool { return r[0].Int()%2 == 0 })}},
-		"sort":       &Sort{Child: project(), Keys: []SortKey{{Expr: col(0), Desc: true}}},
-		"top-k sort": &Limit{Count: 5, Child: &Sort{Child: project(), Keys: []SortKey{{Expr: col(0), Desc: true}}}},
+		"sort":       &Sort{Child: project(), Keys: []SortKey{{Col: 0, Desc: true}}},
+		"top-k sort": &Limit{Count: 5, Child: &Sort{Child: project(), Keys: []SortKey{{Col: 0, Desc: true}}, Limit: 5}},
 		"distinct":   &Distinct{Child: project()},
 		"join": &HashJoin{Left: project(), Right: &Values{Rows: streamRows(allocGroups)},
 			LeftKeys: []*expr.Scalar{col(1)}, RightKeys: []*expr.Scalar{col(1)},
@@ -63,7 +63,7 @@ func TestReopenedTreePinsNoRow(t *testing.T) {
 			return &Project{Child: countSum(&Relation{Rows: window}, col(0), col(1)), Exprs: []*expr.Scalar{col(2)}}
 		},
 		"top-k sort": func(window *[]types.Row) Operator {
-			return &Limit{Count: 5, Child: &Sort{Keys: []SortKey{{Expr: col(1)}},
+			return &Limit{Count: 5, Child: &Sort{Keys: []SortKey{{Col: 1}}, Limit: 5,
 				Child: &Project{Child: &Relation{Rows: window}, Exprs: []*expr.Scalar{col(1), col(0)}}}}
 		},
 		"join under an aggregate": func(window *[]types.Row) Operator {
@@ -125,7 +125,7 @@ func TestHashAggKeptGroupsMemoryBounded(t *testing.T) {
 // a burst of 10 000, an execution of 10 keeps them, the next one drops them.
 func TestTopKSortSlotsMemoryBounded(t *testing.T) {
 	burst, steady := makeRows(10000), makeRows(10)
-	sort := &Sort{Child: &Values{Rows: steady}, Keys: []SortKey{{Expr: col(1)}}}
+	sort := &Sort{Child: &Values{Rows: steady}, Keys: []SortKey{{Col: 1}}, Limit: 1e9}
 	tree := &Limit{Count: 1e9, Child: sort}
 	if out, err := Drain(&Ctx{}, tree, 0); err != nil || len(out) != 10 || sort.carved != 10 {
 		t.Fatalf("10 rows under LIMIT 1e9: %d out, %d slots carved, %v", len(out), sort.carved, err)
@@ -134,7 +134,7 @@ func TestTopKSortSlotsMemoryBounded(t *testing.T) {
 	if out, err := Drain(&Ctx{}, tree, 0); err != nil || len(out) != 10000 {
 		t.Fatalf("the burst: %d rows, %v", len(out), err)
 	}
-	slot := weak.Make(&sort.top[:sort.carved][sort.carved-1].keys[0]) // a slot of the burst, kept
+	slot := weak.Make(&sort.top[:sort.carved][sort.carved-1][0]) // a slot of the burst, kept
 	sort.Child = &Values{Rows: steady}
 	for i := 1; i <= 2; i++ {
 		if out, err := Drain(&Ctx{}, tree, 0); err != nil || len(out) != 10 {

@@ -78,7 +78,7 @@ func TestRecycledJoinsAggregateTheSame(t *testing.T) {
 		},
 		"HashAgg(HashJoin)": func(j Operator) Operator { return countSum(outer(j), col(5), col(3)) },
 		// Sort keeps its input and must go on receiving rows nobody rewrites.
-		"HashAgg(Sort)":  func(j Operator) Operator { return agg(&Sort{Child: j, Keys: []SortKey{{Expr: col(1), Desc: true}}}) },
+		"HashAgg(Sort)":  func(j Operator) Operator { return agg(&Sort{Child: j, Keys: []SortKey{{Col: 1, Desc: true}}}) },
 		"Drain(Project)": func(j Operator) Operator { return &Project{Child: j, Exprs: []*expr.Scalar{col(3), col(1)}} },
 	} {
 		for joinName, join := range map[string]func() Operator{
@@ -123,7 +123,7 @@ func TestOnlyDeclaredConsumersRecycle(t *testing.T) {
 			return countSum(&Filter{Child: j, Pred: constScalar(types.True)}, col(0), col(3))
 		}, true},
 		"HashAgg(Sort)": {func(j *HashJoin) Operator {
-			return countSum(&Sort{Child: j, Keys: []SortKey{{Expr: col(1)}}}, col(0), col(3))
+			return countSum(&Sort{Child: j, Keys: []SortKey{{Col: 1}}}, col(0), col(3))
 		}, false},
 		"HashAgg(Distinct)": {func(j *HashJoin) Operator { return countSum(&Distinct{Child: j}, col(0), col(3)) }, false},
 		"HashAgg(Union all)": {func(j *HashJoin) Operator {

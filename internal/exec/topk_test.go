@@ -22,29 +22,29 @@ func topRows(rng *rand.Rand, n int) []types.Row {
 }
 
 // topShapes are the trees a LIMIT sits on when it bounds a Sort, over rows
-// of topRows ordered by keys, key i reading column i (a, then b) — their
-// Expr is set here: the bare Sort, and the planner's shape for ORDER BY
-// expressions outside the select list (post: project, sort, project), which
-// here projects seq alone and sorts by hidden copies of a and b. a, if set,
-// replaces the scalar that reads a.
+// of topRows ordered by keys, key i reading a, then b — their Col is set
+// here: the bare Sort, and the planner's shape for ORDER BY expressions
+// outside the select list (post: project, sort, project), which here
+// projects seq alone and sorts by hidden copies of a and b. a, if set,
+// replaces the scalar the projection reads a with.
 func topShapes(rows []types.Row, keys []SortKey, a *expr.Scalar) map[string]func() (Operator, *Sort) {
 	if a == nil {
 		a = col(0)
 	}
-	reading := func(cols ...*expr.Scalar) []SortKey {
+	reading := func(first int) []SortKey {
 		ks := slices.Clone(keys)
 		for i := range ks {
-			ks[i].Expr = cols[i]
+			ks[i].Col = first + i
 		}
 		return ks
 	}
 	return map[string]func() (Operator, *Sort){
 		"sort": func() (Operator, *Sort) {
-			s := &Sort{Child: &Values{Rows: rows}, Keys: reading(a, col(1))}
+			s := &Sort{Child: &Values{Rows: rows}, Keys: reading(0)}
 			return s, s
 		},
 		"project, sort, project": func() (Operator, *Sort) {
-			s := &Sort{Child: &Project{Child: &Values{Rows: rows}, Exprs: []*expr.Scalar{col(2), a, col(1)}}, Keys: reading(col(1), col(2))}
+			s := &Sort{Child: &Project{Child: &Values{Rows: rows}, Exprs: []*expr.Scalar{col(2), a, col(1)}}, Keys: reading(1)}
 			return &Project{Child: s, Exprs: []*expr.Scalar{col(0)}}, s
 		},
 	}
@@ -56,13 +56,13 @@ func window(rows []types.Row, count, offset int64) []string {
 	return rowStrings(rows[min(offset, n):min(offset+count, n)])
 }
 
-// TestTopKSortMatchesFullSort: a Sort under a LIMIT keeps only the rows the
-// LIMIT reads, and hands out exactly what a full stable sort followed by
-// LIMIT/OFFSET does — over heavy ties, NULL keys under every placement in
-// both directions, limits beyond the input and offsets past it, in both
-// shapes a LIMIT bounds a Sort in, with and without the EXPLAIN ANALYZE
-// instrument, each tree opened three times (run) and pulled at three
-// demands.
+// TestTopKSortMatchesFullSort: a Sort bounded as the planner bounds it under
+// a LIMIT (OFFSET + LIMIT rows) keeps only the rows the LIMIT reads, and
+// hands out exactly what a full stable sort followed by LIMIT/OFFSET does —
+// over heavy ties, NULL keys under every placement in both directions,
+// limits beyond the input and offsets past it, in both shapes a LIMIT
+// bounds a Sort in, with and without the EXPLAIN ANALYZE instrument, each
+// tree opened three times (run) and pulled at three demands.
 func TestTopKSortMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	placements := []SortKey{{}, {NullsFirst: true}, {NullsLast: true}}
@@ -85,6 +85,7 @@ func TestTopKSortMatchesFullSort(t *testing.T) {
 			want := window(all, count, offset)
 			for _, instrumented := range []bool{false, true} {
 				under, sort := shape()
+				sort.Limit = int(count + offset)
 				var tree Operator = &Limit{Child: under, Count: count, Offset: offset}
 				if instrumented {
 					tree, _ = Instrument(tree)
@@ -94,51 +95,40 @@ func TestTopKSortMatchesFullSort(t *testing.T) {
 					t.Fatalf("trial %d, %s (instrumented %v), %d rows, keys %+v, LIMIT %d OFFSET %d:\ngot  %v\nwant %v",
 						trial, name, instrumented, n, keys, count, offset, got, want)
 				}
-				if sort.bound != int(count+offset) {
-					t.Fatalf("trial %d, %s: the Sort was told it is read up to row %d, want %d", trial, name, sort.bound, count+offset)
-				}
 			}
 		}
 	}
-	// LIMIT 0 reads nothing and bounds nothing.
-	_, sort := topShapes(makeRows(10), []SortKey{{}}, nil)["sort"]()
-	if rows := run(t, &Limit{Child: sort, Count: 0}); len(rows) != 0 || sort.bound != 0 {
-		t.Fatalf("LIMIT 0: %d rows, the Sort bounded at %d", len(rows), sort.bound)
-	}
 }
 
-// TestTopKSortKeyErrorThenReopen: a key expression that fails partway
+// TestTopKSortKeyErrorThenReopen: a projected key that fails partway
 // through the input fails the execution, and the tree opened again is
-// correct — whether the failure is the Sort's own key or the projection's
-// below it.
+// correct.
 func TestTopKSortKeyErrorThenReopen(t *testing.T) {
+	const shape = "project, sort, project" // a bare Sort evaluates nothing
 	rows := topRows(rand.New(rand.NewSource(61)), 2*chunkRows+100)
 	boom := errors.New("boom")
 	fail := true
 	a := &expr.Scalar{Type: types.TypeInt, Eval: func(ctx *expr.Ctx) (types.Datum, error) {
-		if fail && ctx.Row[2].Int() == chunkRows+50 { // seq: both shapes read a off the input rows
+		if fail && ctx.Row[2].Int() == chunkRows+50 { // seq
 			return types.Null, boom
 		}
 		return ctx.Row[0], nil
 	}}
 	keys := []SortKey{{Desc: true}, {NullsFirst: true}}
-	plain := topShapes(rows, keys, nil)
-	for name, shape := range topShapes(rows, keys, a) {
-		fail = true
-		full, _ := plain[name]()
-		all, err := Drain(&Ctx{}, full, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		under, _ := shape()
-		tree := &Limit{Child: under, Count: 7, Offset: 2}
-		if _, err := Drain(&Ctx{}, tree, 0); !errors.Is(err, boom) {
-			t.Fatalf("%s: the failing key's execution returned %v", name, err)
-		}
-		fail = false
-		if got, want := rowStrings(run(t, tree)), window(all, 7, 2); !slices.Equal(got, want) {
-			t.Fatalf("%s: after a failed execution got %v, want %v", name, got, want)
-		}
+	full, _ := topShapes(rows, keys, nil)[shape]()
+	all, err := Drain(&Ctx{}, full, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	under, sort := topShapes(rows, keys, a)[shape]()
+	sort.Limit = 9
+	tree := &Limit{Child: under, Count: 7, Offset: 2}
+	if _, err := Drain(&Ctx{}, tree, 0); !errors.Is(err, boom) {
+		t.Fatalf("the failing key's execution returned %v", err)
+	}
+	fail = false
+	if got, want := rowStrings(run(t, tree)), window(all, 7, 2); !slices.Equal(got, want) {
+		t.Fatalf("after a failed execution got %v, want %v", got, want)
 	}
 }
 
@@ -152,7 +142,8 @@ func TestTopKSortBytesIndependentOfGroups(t *testing.T) {
 	bytesAt := func(groups int) float64 {
 		tree := &Limit{Count: 5, Child: &Sort{
 			Child: &Project{Child: countSum(&Values{Rows: groupRows(groups)}, col(0), col(1)), Exprs: []*expr.Scalar{col(0), col(2)}},
-			Keys:  []SortKey{{Expr: col(1), Desc: true}, {Expr: col(0)}},
+			Keys:  []SortKey{{Col: 1, Desc: true}, {Col: 0}},
+			Limit: 5,
 		}}
 		return drainBytes(t, &Ctx{}, func() Operator { return tree })
 	}

@@ -128,6 +128,24 @@ func allocated(f func()) (mallocs, bytes float64) {
 	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
+// allocsPerClose runs step, one close, n times and returns the allocations
+// a close, counted over all n: testing.AllocsPerRun divides in integers, so
+// a cost below one allocation a close — a 4-allocation slab chunk every 16
+// closes — would read 0. Callers turn the collector off, so a cycle starting
+// inside a close does not count the runtime's own objects.
+func allocsPerClose(n int, step func()) float64 {
+	mallocs, _ := allocated(func() {
+		for range n {
+			step()
+		}
+	})
+	return mallocs / float64(n)
+}
+
+// maxAllocsPerClose is what "allocates nothing" allows a close: one
+// allocation in twenty closes, under the 0.25 of a slab chunk every 16.
+const maxAllocsPerClose = 0.05
+
 // TestFirstTouchAllocsAmortized pins the other case — the first row of a
 // group in a slice, and the first slice of a group in a window: the
 // partial (or window group), its accumulator list and its accumulators are
@@ -225,6 +243,7 @@ func TestSliceRecycleAllocs(t *testing.T) {
 // string again.
 func TestIdleGroupRevives(t *testing.T) {
 	const groups, cycles = 100, 20
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
 	s.Attach(10 * second)
 	var sets [2][]types.Row // alternate windows: every key is absent from one in two
@@ -243,8 +262,8 @@ func TestIdleGroupRevives(t *testing.T) {
 	for k < 4 {
 		cycle()
 	}
-	if got := testing.AllocsPerRun(cycles, cycle); got != 0 {
-		t.Errorf("a window of %d keys that were idle a boundary allocates %.1f times, want 0", groups, got)
+	if per := allocsPerClose(cycles, cycle); per > maxAllocsPerClose {
+		t.Errorf("a window of %d keys that were idle a boundary allocates %.2f times, want 0", groups, per)
 	}
 	if live, held := s.GroupsN.Load(), len(s.groups); live != groups || held != 2*groups {
 		t.Errorf("%d live groups and %d held, want %d and %d (the idle ones)", live, held, groups, 2*groups)
@@ -314,8 +333,8 @@ func TestTumblingRebuildAllocs(t *testing.T) {
 	for k < 4 {
 		cycle()
 	}
-	if got := testing.AllocsPerRun(closes, cycle); got != 0 {
-		t.Errorf("an in-place tumbling close over %d steady keys allocates %.0f times, want 0", groups, got)
+	if per := allocsPerClose(closes, cycle); per > maxAllocsPerClose {
+		t.Errorf("an in-place tumbling close over %d steady keys allocates %.2f times, want 0", groups, per)
 	}
 }
 
@@ -724,23 +743,24 @@ func TestFireAllocsFollowTouched(t *testing.T) {
 
 // TestInPlaceFireAllocs: a close whose readers keep no row rewrites the
 // touched groups' rows where they are, into the container the view keeps:
-// over a steady window it carves no row and allocates nothing. (AllocsPerRun
-// counts whole objects a close, so the runtime's own now and then — a thread
-// it starts, the cache it grows at retract's type assertion — is not one.)
+// over a steady window it carves no row and allocates nothing. What the
+// bound lets through is the runtime's: retract's assertion to
+// expr.Retractable, on one miss in about a thousand, rebuilds its call
+// site's type cache until the cache holds every accumulator type the site
+// sees — two caches here, 48 and 80 B, in 0 to 2 of a run's closes (an
+// allocation profile of this test's closes shows nothing else).
 func TestInPlaceFireAllocs(t *testing.T) {
 	const groups, touched, closes = 1000, 100, 100
-	// With the collector off: a cycle starting inside a close counts the
-	// runtime's own objects.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	_, feed, fire := steadyView(t, groups, touched, true)
-	allocs := testing.AllocsPerRun(closes, func() {
+	per := allocsPerClose(closes, func() {
 		feed()
 		if rows, changed, carved := fire(); len(rows) != groups || changed != touched || carved != 0 {
 			t.Fatalf("%d rows, %d touched, %d carved", len(rows), changed, carved)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("an in-place close over a steady window allocates %.0f times, want 0", allocs)
+	if per > maxAllocsPerClose {
+		t.Errorf("an in-place close over a steady window allocates %.2f times, want 0", per)
 	}
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -169,6 +170,61 @@ func TestLimitOffset(t *testing.T) {
 	env := newEnv(t)
 	rows, _ := env.query(t, `SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 1`)
 	expectRows(t, rows, "2", "3")
+}
+
+// TestSortBound: wherever a LIMIT meets an ORDER BY, the plan bounds the
+// Sort at OFFSET + LIMIT, the rows the Limit reads: in a plain block, under
+// hidden keys, over a UNION chain, inside a FROM subquery and in a
+// store-backed CQ's post stage. ORDER BY alone, LIMIT 0 and OFFSET alone
+// bound nothing.
+func TestSortBound(t *testing.T) {
+	env := newEnv(t)
+	for _, c := range []struct {
+		sql   string
+		bound int
+	}{
+		{`SELECT name, salary FROM emp ORDER BY salary DESC LIMIT 3 OFFSET 2`, 5},
+		{`SELECT dept FROM emp GROUP BY dept ORDER BY sum(salary) LIMIT 2 OFFSET 1`, 3},
+		{`SELECT dept FROM emp UNION SELECT name FROM dept ORDER BY 1 LIMIT 2 OFFSET 1`, 3},
+		{`SELECT n FROM (SELECT name AS n FROM emp ORDER BY salary LIMIT 2 OFFSET 1) t`, 3},
+		{`SELECT url, count(*) AS d FROM url_stream <VISIBLE '5 minutes' ADVANCE '1 minute'> GROUP BY url ORDER BY d DESC LIMIT 5`, 5},
+		{`SELECT name FROM emp ORDER BY salary`, 0},
+		{`SELECT name FROM emp ORDER BY salary LIMIT 0`, 0},
+		{`SELECT name FROM emp ORDER BY salary OFFSET 3`, 0},
+	} {
+		stmt, err := sql.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := (&Planner{Cat: env.cat}).BuildSelect(stmt.(*sql.Select))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := p.Build(&Input{})
+		if p.StreamAgg != nil {
+			tree = p.StreamAgg.PostBuild(&Input{})
+		}
+		if got := sortBounds(tree); !slices.Equal(got, []int{c.bound}) {
+			t.Errorf("%s: Sorts bounded at %v, want one at %d", c.sql, got, c.bound)
+		}
+	}
+}
+
+// sortBounds lists the bound of every Sort in a tree, walking every
+// exported Operator field.
+func sortBounds(op exec.Operator) []int {
+	var bounds []int
+	if s, ok := op.(*exec.Sort); ok {
+		bounds = append(bounds, s.Limit)
+	}
+	v := reflect.ValueOf(op).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		if v.Type().Field(i).IsExported() && f.Type() == reflect.TypeFor[exec.Operator]() && !f.IsNil() {
+			bounds = append(bounds, sortBounds(f.Interface().(exec.Operator))...)
+		}
+	}
+	return bounds
 }
 
 func TestDistinct(t *testing.T) {

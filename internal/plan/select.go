@@ -54,23 +54,27 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 	}
 
 	// ORDER BY / LIMIT / OFFSET belong to the whole chain.
-	if len(sel.OrderBy) > 0 {
-		if n, err = b.applyOrderBy(n, sel); err != nil {
+	limit, offset := int64(-1), int64(0)
+	if sel.Limit != nil {
+		if limit, err = evalConstInt(sel.Limit, "LIMIT"); err != nil {
 			return nil, err
 		}
 	}
-	limit, offset := int64(-1), int64(0)
+	if sel.Offset != nil {
+		if offset, err = evalConstInt(sel.Offset, "OFFSET"); err != nil {
+			return nil, err
+		}
+	}
+	if len(sel.OrderBy) > 0 {
+		bound := 0 // the rows the Limit reads: all the Sort needs to keep
+		if limit > 0 && offset+limit > 0 {
+			bound = int(offset + limit)
+		}
+		if n, err = b.applyOrderBy(n, sel, bound); err != nil {
+			return nil, err
+		}
+	}
 	if sel.Limit != nil || sel.Offset != nil {
-		if sel.Limit != nil {
-			if limit, err = evalConstInt(sel.Limit, "LIMIT"); err != nil {
-				return nil, err
-			}
-		}
-		if sel.Offset != nil {
-			if offset, err = evalConstInt(sel.Offset, "OFFSET"); err != nil {
-				return nil, err
-			}
-		}
 		inner := n.build
 		n = &node{
 			schema:    n.schema,
@@ -215,10 +219,11 @@ func isCQClose(e sql.Expr) bool {
 	return ok && strings.ToLower(fc.Name) == "cq_close"
 }
 
-// applyOrderBy sorts the output. Keys resolve (in priority order) as:
-// output position (ORDER BY 1), output column name/alias, or an arbitrary
-// expression over the pre-projection scope (added as hidden sort columns).
-func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
+// applyOrderBy sorts the output, keeping only the first bound rows when
+// bound > 0. Keys resolve (in priority order) as: output position (ORDER BY
+// 1), output column name/alias, or an arbitrary expression over the
+// pre-projection scope (added as hidden sort columns).
+func (b *builder) applyOrderBy(n *node, sel *sql.Select, bound int) (*node, error) {
 	outScope := scopeFrom("", n.schema)
 	var keys []exec.SortKey
 	var hidden []*expr.Scalar
@@ -235,13 +240,13 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 			if pos < 1 || pos > len(n.schema) {
 				return nil, fmt.Errorf("plan: ORDER BY position %d out of range", pos)
 			}
-			keys = append(keys, exec.SortKey{Expr: columnScalar(pos-1, n.schema[pos-1].Type), Desc: item.Desc, NullsFirst: nf, NullsLast: nl})
+			keys = append(keys, exec.SortKey{Col: pos - 1, Desc: item.Desc, NullsFirst: nf, NullsLast: nl})
 			continue
 		}
 		// Output column name or alias.
 		if cr, ok := item.Expr.(*sql.ColumnRef); ok && cr.Table == "" {
 			if cb, err := outScope.ResolveColumn("", cr.Name); err == nil {
-				keys = append(keys, exec.SortKey{Expr: columnScalar(cb.Index, cb.Type), Desc: item.Desc, NullsFirst: nf, NullsLast: nl})
+				keys = append(keys, exec.SortKey{Col: cb.Index, Desc: item.Desc, NullsFirst: nf, NullsLast: nl})
 				continue
 			}
 		}
@@ -266,7 +271,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 		// Hidden column at position len(schema)+len(hidden).
 		pos := len(n.schema) + len(hidden)
 		hidden = append(hidden, s)
-		keys = append(keys, exec.SortKey{Expr: columnScalar(pos, s.Type), Desc: item.Desc, NullsFirst: nf, NullsLast: nl})
+		keys = append(keys, exec.SortKey{Col: pos, Desc: item.Desc, NullsFirst: nf, NullsLast: nl})
 	}
 
 	schema := n.schema
@@ -275,7 +280,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 	if len(hidden) == 0 {
 		inner := n.build
 		build = func(in *Input) exec.Operator {
-			return &exec.Sort{Child: inner(in), Keys: keys}
+			return &exec.Sort{Child: inner(in), Keys: keys, Limit: bound}
 		}
 	} else {
 		if n.preBuild == nil {
@@ -290,7 +295,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 		}
 		build = func(in *Input) exec.Operator {
 			proj := &exec.Project{Child: pre(in), Exprs: all}
-			sorted := &exec.Sort{Child: proj, Keys: keys}
+			sorted := &exec.Sort{Child: proj, Keys: keys, Limit: bound}
 			return &exec.Project{Child: sorted, Exprs: strip}
 		}
 	}

@@ -302,6 +302,25 @@ func TestExplainGenericPlan(t *testing.T) {
 			"          SeqScan",
 			"  output: (k BIGINT, count BIGINT)",
 		}},
+		{`SELECT k, v FROM kv WHERE k > $1 ORDER BY v DESC LIMIT 3 OFFSET 2`, []string{
+			"Snapshot Query (SQ): runs once over an MVCC snapshot",
+			"  generic plan ($n read at Open):",
+			"    Limit",
+			"      Sort (top 5)",
+			"        Project",
+			"          Filter",
+			"            IndexScan kv_k [$1, ]",
+			"  output: (k BIGINT, v VARCHAR)",
+		}},
+		{`SELECT k, v FROM kv WHERE k > $1 ORDER BY v DESC`, []string{
+			"Snapshot Query (SQ): runs once over an MVCC snapshot",
+			"  generic plan ($n read at Open):",
+			"    Sort",
+			"      Project",
+			"        Filter",
+			"          IndexScan kv_k [$1, ]",
+			"  output: (k BIGINT, v VARCHAR)",
+		}},
 		{`SELECT count(*), max(v) FROM kv WHERE k = 1 AND v <> 'a'`, []string{
 			"Snapshot Query (SQ): runs once over an MVCC snapshot",
 			"  output: (count BIGINT, max VARCHAR)",
