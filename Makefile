@@ -87,7 +87,8 @@ drain-policies:
 # byte pins are reckoned in (a Datum 16 bytes, a heap version 16) and every
 # allocation pin on the decode → commit → replicate path (decoding costs a
 # constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
-# TestDecodeRecordsAllocs; an append over the wire costs the same on the
+# TestDecodeRecordsAllocs, and a query response's columns none to encode and
+# a slice and their names to decode, TestQueryResponseAllocs; an append over the wire costs the same on the
 # primary and on a replica at 256 rows as at 1 024, and at most 2.2 and 4.0
 # allocations a batch — 4.5 and 4.2 with two sessions appending to two streams
 # in turn, whose names a replica's reader interns —, TestAppendAllocsPerBatch;
@@ -128,8 +129,9 @@ drain-policies:
 # last partial expired waits one boundary and a key that recurs costs nothing,
 # TestIdleGroupRevives, TestIdleGroupsMemoryBounded; a dropped group is the
 # next new key's, whose key string is carved from a chunk the store owns, at
-# most 0.1 allocations a new group, TestNewGroupAllocs,
-# TestRecycledGroupsMemoryBounded, and the chunks the groups and an in-place
+# most 0.1 allocations a new group, TestNewGroupAllocs, and waits until more
+# than twice the groups held were made, so key churn costs a close nothing,
+# TestStoreGroupChurnAllocs, TestRecycledGroupsMemoryBounded, and the chunks the groups and an in-place
 # view's rows reach hold at most twice the live keys,
 # TestStoreKeyChunksMemoryBounded; a view's window groups that leave it are its
 # next newcomers' (a tumbling view's whole last window), so its in-place close
@@ -157,15 +159,17 @@ drain-policies:
 # reader that keeps up costs it nothing, and it keeps no batch handed out,
 # TestCQQueueAllocs, TestCQQueuePinsNoBatch) and in a derived stream's channel
 # (APPEND copies an emission into one block and an index keys a row by a view
-# of it, TestChannelWriteAllocs; a REPLACE row is a copy of its own, which goes
-# once vacuumed, TestReplaceChannelPinsNoBatch) and in the plan cache (a
+# of it, and a node split is one allocation that keeps no moved key,
+# TestChannelWriteAllocs, TestBTreeSplitAllocs, TestBTreeSplitPinsNoDeletedKey;
+# a REPLACE row is a copy of its own, which goes once vacuumed,
+# TestReplaceChannelPinsNoBatch) and in the plan cache (a
 # cached snapshot query costs its execution, not its planning,
 # TestCachedQueryAllocs; a dropped table's heap goes with the next statement,
 # TestPlanCachePinsNoDroppedHeap, and so do a maintained aggregate's groups and
 # a kept build side, TestMaintainedAggregatePinsNoDroppedTable; an idle tree
 # keeps no call's arguments, TestCachedTreePinsNoArgs) by name (Pins?No takes
 # TestStoreKeysPinNoBatch and the Pins{NoBatch,NoFire,NoRow,NoDroppedHeap,
-# NoDroppedTable,NoArgs} tests) and without
+# NoDroppedTable,NoArgs,NoDeletedKey} tests) and without
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:

@@ -337,12 +337,21 @@ func (c *Client) Query(sql string, args ...Value) (rows *Rows, err error) {
 }
 
 func decodeRows(resp *server.Response) *Rows {
-	out := &Rows{Partial: resp.Partial}
-	for _, wc := range resp.Columns {
-		out.Columns = append(out.Columns, Column{Name: wc.Name})
-	}
+	out := &Rows{Columns: columns(resp.Columns), Partial: resp.Partial}
 	if len(resp.Rows) > 0 {
 		out.Data = server.Rows(resp.Rows)
+	}
+	return out
+}
+
+// columns names a response's columns in one slice, nil for none.
+func columns(wire []server.WireColumn) []Column {
+	if len(wire) == 0 {
+		return nil
+	}
+	out := make([]Column, len(wire))
+	for i, wc := range wire {
+		out[i].Name = wc.Name
 	}
 	return out
 }
@@ -396,11 +405,7 @@ func (c *Client) Subscribe(sql string, args ...Value) (*Subscription, error) {
 // newSubscription makes the subscription a successful subscribe answered.
 func newSubscription(c *Client, resp *server.Response) *Subscription {
 	ch := make(chan Batch, 1024)
-	sub := &Subscription{c: c, handle: resp.CQ, ch: ch, C: ch, WireColumns: resp.Columns}
-	for _, wc := range resp.Columns {
-		sub.Columns = append(sub.Columns, Column{Name: wc.Name})
-	}
-	return sub
+	return &Subscription{c: c, handle: resp.CQ, ch: ch, C: ch, Columns: columns(resp.Columns), WireColumns: resp.Columns}
 }
 
 // Ping checks liveness.

@@ -37,18 +37,18 @@
 // partial, its accumulator list and the accumulators — is carved from a slab,
 // an allocation per chunk of groups. What a store or a view lets go of is
 // recycled by expr.Recycler's one rule: kept for what comes next — one
-// boundary, or, what was carved from a slab or a block, until more than twice
-// what is in use was carved, and then carved afresh. So an expired slice is
-// the next slice, its partials the next slice's (each slice keeps its own: one
-// list for the store kept leftovers' chunk-mates reachable, mem_fanout RSS 71
-// → 81 MB); a group the store drops is a new key's, whose key string is carved
-// from a chunk of key bytes the store writes once, and once the keys carved
-// since reach twice the live groups, Expire copies the live keys into a fresh
-// chunk; a view's window groups that leave it — at a close, or all of them
-// at a tumbling view's rebuild — are its next newcomers'; an in-place view's
-// dead groups' rows are its newcomers'; and the rows a view carves, in either
-// mode, are what its full carve bounds. One mechanism is not a
-// recycler: a group whose last partial expires idles a boundary, in the map
+// boundary, or, what was carved from a slab or a block and the store's groups,
+// until more than twice what is in use was carved, and then carved afresh. So
+// an expired slice is the next slice, its partials the next slice's (each slice
+// keeps its own: one list for the store kept leftovers' chunk-mates reachable,
+// mem_fanout RSS 71 → 81 MB); a group the store drops is a new key's, whose key
+// string is carved from a chunk of key bytes the store writes once, and once
+// the keys carved since reach twice the live groups, Expire copies the live
+// keys into a fresh chunk; a view's window groups that leave it — at a close,
+// or all of them at a tumbling view's rebuild — are its next newcomers'; an
+// in-place view's dead groups' rows are its newcomers'; and the rows a view
+// carves, in either mode, are what its full carve bounds. One mechanism is not
+// a recycler: a group whose last partial expires idles a boundary, in the map
 // but not in GroupsN, so a key recurring in the window after gets it back by
 // key; the next Expire drops it and frees its id, which no view holds by then.
 //
@@ -265,6 +265,7 @@ func (s *Store) Insert(row types.Row, ts int64) error {
 	if !ok {
 		if g = s.free.Take(); g == nil {
 			g = new(group)
+			s.free.Made(1)
 		}
 		if len(s.ids) == 0 {
 			s.ids, s.nids = append(s.ids, s.nids), s.nids+1
@@ -352,7 +353,11 @@ func (s *Store) Expire(c int64) {
 			s.free.Put(g)
 		}
 	}
-	s.free.Boundary(0)
+	// As a view's spare groups: once more than twice the groups held were
+	// made, the spares go and every group held counts as made.
+	if s.free.Boundary(len(s.groups)) {
+		s.free.Made(len(s.groups))
+	}
 	if s.carved > 0 && s.carved >= 2*len(s.groups) {
 		s.rehome()
 	}

@@ -303,6 +303,49 @@ func TestNewGroupAllocs(t *testing.T) {
 	}
 }
 
+// TestStoreGroupChurnAllocs: a dropped group waits on the store's free list
+// until more than twice the groups held were made, not one boundary. Each
+// tumbling window holds 1 000 steady keys and one of four rotating sets of 2,
+// 4, 6 and 8 keys, dropped two boundaries after its window, so the 2-key set
+// is what the 8-key window finds freed. Kept one boundary, the free list made
+// that window 6 groups and their key rows; now an in-place close costs a key
+// chunk now and then.
+func TestStoreGroupChurnAllocs(t *testing.T) {
+	const steady, closes = 1000, 60
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := newStore(t, `SELECT url, count(*) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
+	v := s.Attach(10 * second)
+	var windows [4][]types.Datum
+	for w := range windows {
+		for i := range steady + 2*(w+1) {
+			key := "/steady/" + strconv.Itoa(i)
+			if i >= steady {
+				key = "/set" + strconv.Itoa(w) + "/" + strconv.Itoa(i)
+			}
+			windows[w] = append(windows[w], types.NewString(key))
+		}
+	}
+	k, row := int64(0), make(types.Row, 3) // Insert keeps no row
+	cycle := func() {
+		urls := windows[k%4]
+		for i, u := range urls {
+			row[0], row[1], row[2] = u, types.NewTimestampMicros(k*10*second+int64(i)), types.NewInt(k)
+			insert(t, s, row)
+		}
+		k++
+		if rows, _, _, err := v.Fire(k*10*second, true); err != nil || len(rows) != len(urls) {
+			t.Fatalf("close %d: %d rows, %v", k, len(rows), err)
+		}
+		s.Expire(k * 10 * second)
+	}
+	for k < 9 {
+		cycle()
+	}
+	if per := allocsPerClose(closes, cycle); per > maxAllocsPerClose {
+		t.Errorf("an in-place tumbling close under key churn allocates %.3f times, want ≤ %v", per, maxAllocsPerClose)
+	}
+}
+
 // TestTumblingRebuildAllocs: a tumbling view's window is the next window — its
 // rebuild resets the last window's groups onto the view's free list, which the
 // new window takes before the slab — so over a steady key set an in-place

@@ -273,8 +273,8 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 		if n := s.spares.Len(); n > len(slicesBefore) {
 			t.Fatalf("close %d s: %d spare slices, %d expired", c/second, n, len(slicesBefore))
 		}
-		if n, dropped := s.free.Len(), groupsBefore-len(s.groups); n > dropped {
-			t.Fatalf("close %d s: %d free groups, %d dropped", c/second, n, dropped)
+		if n, dropped := s.free.Len(), groupsBefore-len(s.groups); n > max(len(s.groups), dropped) {
+			t.Fatalf("close %d s: %d free groups, %d dropped, %d held", c/second, n, dropped, len(s.groups))
 		}
 		for sl, groups := range slicesBefore {
 			expiredWith[sl] = groups

@@ -69,7 +69,7 @@ func TestAppendAllocsPerBatch(t *testing.T) {
 		clis := make([]net.Conn, len(suffixes))
 		brs := make([]*bufio.Reader, len(suffixes))
 		for i := range clis {
-			cli, ours := net.Pipe()
+			cli, ours := loopback(t)
 			defer cli.Close()
 			go New(eng).ServeConn(ours)
 			clis[i], brs[i] = cli, bufio.NewReader(cli)
@@ -185,6 +185,28 @@ func TestAppendAllocsPerBatch(t *testing.T) {
 				len(suffixes), primary, replica, c.maxPrimary, c.maxReplica)
 		}
 	}
+}
+
+// loopback returns the two ends of a TCP connection on the loopback
+// interface. A net.Pipe end blocks in a select, whose sudogs the runtime
+// allocates whenever a processor's cache and the central one have run dry —
+// as they do when a goroutine blocks on one processor and wakes on another,
+// and after every collection — so a session over one allocated as the
+// scheduler placed it: up to 1.9 more a batch with two sessions on a loaded
+// machine. A socket blocks in the network poller, as a client's does.
+func loopback(t *testing.T) (cli, ours net.Conn) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if cli, err = net.Dial("tcp", ln.Addr().String()); err == nil {
+		ours, err = ln.Accept()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cli, ours
 }
 
 // TestArchivedRowMemoryBounded holds each side of an archived row to the bytes

@@ -219,8 +219,24 @@ func (w *fieldWriter) optRows(name string, rows [][]WireValue) {
 	}
 }
 
-// optCold delegates a cold nested payload (columns, spans, samples; n is
-// its length) to encoding/json.
+// optColumns appends a response's columns as encoding/json writes them.
+func (w *fieldWriter) optColumns(cols []WireColumn) {
+	if len(cols) == 0 {
+		return
+	}
+	w.key("columns")
+	sep := byte('[')
+	for _, c := range cols {
+		o := fieldWriter{dst: append(w.dst, sep, '{')}
+		o.str("name", c.Name)
+		o.str("type", c.Type)
+		w.dst, sep = append(o.dst, '}'), ','
+	}
+	w.dst = append(w.dst, ']')
+}
+
+// optCold delegates a cold nested payload (spans, samples; n is its length)
+// to encoding/json.
 func (w *fieldWriter) optCold(name string, n int, v any) error {
 	if n == 0 {
 		return nil
@@ -267,9 +283,7 @@ func (r *Response) AppendJSON(dst []byte) ([]byte, error) {
 	w.optInt("id", r.ID)
 	w.optTrue("ok", r.OK)
 	w.optStr("error", r.Error)
-	if err := w.optCold("columns", len(r.Columns), r.Columns); err != nil {
-		return dst, err
-	}
+	w.optColumns(r.Columns)
 	w.optRows("rows", r.Rows)
 	w.optInt("affected", int64(r.Affected))
 	w.optInt("cq", r.CQ)
@@ -672,6 +686,79 @@ func (d *decoder) cold(into any) error {
 	return json.Unmarshal(d.buf[start:d.pos], into)
 }
 
+var columnFields = []string{"name", "type"}
+
+// readColumns reads a response's columns into one slice, as encoding/json
+// decodes them into prev, an earlier "columns" of the frame: each into prev's
+// element where prev had room for it.
+func (d *decoder) readColumns(prev []WireColumn) ([]WireColumn, error) {
+	if err := d.expect('['); err != nil {
+		return nil, err
+	}
+	start, n := d.pos, 0
+	for ok, err := d.more(true, ']'); ok || err != nil; ok, err = d.more(false, ']') {
+		if err == nil {
+			err = d.skip(2)
+		}
+		if err != nil {
+			return nil, err
+		}
+		n++
+	}
+	cols := prev[:cap(prev)]
+	if n == 0 || n > len(cols) {
+		cols = append(make([]WireColumn, 0, n), cols[:min(n, len(cols))]...)
+	}
+	cols, list := cols[:n], decoder{buf: d.buf[:d.pos], pos: start}
+	for i := range cols {
+		list.more(i == 0, ']')
+		obj := decoder{pos: list.pos}
+		list.skip(2)
+		obj.buf = list.buf[:list.pos]
+		if err := obj.readColumn(&cols[i]); err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
+}
+
+// readColumn decodes a column, which ends d's buffer, into c; null leaves c
+// as it is. Keys match as field matches them, and a type name that spells a
+// types.Type is that type's string.
+func (d *decoder) readColumn(c *WireColumn) error {
+	if d.literal("null") {
+		return nil
+	}
+	for {
+		name, null, err := d.field(columnFields)
+		switch {
+		case err != nil || name == "":
+			return err
+		case null:
+		case name == "name":
+			c.Name, err = d.readString(c.Name)
+		default:
+			var b []byte
+			if b, err = d.rawString(); err == nil {
+				c.Type = typeName(b)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// typeName returns b as a string: a types.Type's own where b spells one.
+func typeName(b []byte) string {
+	for t := types.TypeUnknown; t <= types.TypeInterval; t++ {
+		if s := t.String(); string(b) == s {
+			return s
+		}
+	}
+	return string(b)
+}
+
 // field advances to the next field of the frame's top-level object that is
 // one of names and leaves the cursor on its value; fields with other keys
 // are validated and skipped. null reports that the value was null and has
@@ -814,7 +901,7 @@ func (r *Response) decode(data []byte, strs *types.RowStrings) error {
 		case name == "error":
 			r.Error, err = d.readString("")
 		case name == "columns":
-			err = d.cold(&r.Columns)
+			r.Columns, err = d.readColumns(r.Columns)
 		case name == "rows":
 			r.Rows, err = d.readRows()
 		case name == "affected":

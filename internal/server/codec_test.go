@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -375,6 +376,34 @@ func TestCodecAllocs(t *testing.T) {
 	}
 }
 
+// TestQueryResponseAllocs: a query response's columns go through the kernel,
+// not encoding/json. Encoding k of them into a warm buffer allocates nothing,
+// and decoding them one slice and a string a name: a type name is its
+// types.Type's string.
+func TestQueryResponseAllocs(t *testing.T) {
+	var strs types.RowStrings
+	var resp Response
+	for _, k := range []int{1, 7, 64} {
+		schema := make(types.Schema, k)
+		for i := range schema {
+			schema[i] = types.Column{Name: "col" + strconv.Itoa(i), Type: types.TypeBool + types.Type(i%6)}
+		}
+		frame := &Response{ID: 1, OK: true, Columns: EncodeSchema(schema)}
+		buf, _ := frame.AppendJSON(nil)
+		if n := testing.AllocsPerRun(10, func() { buf, _ = frame.AppendJSON(buf[:0]) }); n != 0 {
+			t.Errorf("%d columns: encoding into a warm buffer allocates %v, want 0", k, n)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if err := resp.decode(buf, &strs); err != nil {
+				t.Fatal(err)
+			}
+		}); n > float64(1+k) {
+			t.Errorf("%d columns: decoding allocates %v, want ≤ %d: the slice and the names", k, n, 1+k)
+		}
+		sameResponse(t, &resp, frame)
+	}
+}
+
 // TestHugeFrameKeepsNoScratch: a frame at the cap decodes, and the reader
 // keeps none of the scratch it grew for it past 1 MiB.
 func TestHugeFrameKeepsNoScratch(t *testing.T) {
@@ -417,6 +446,10 @@ func FuzzWireFrame(f *testing.F) {
 		`{"ID":1,"Rows":[[{"f":"NaN"}]],"x":{"y":[1,2,{"z":null}]}}`,
 		`{"id":1,"rows":[[{"i":1,"f":2}]]}`, `{"id":1,"rows":[[{"s":"\ud83d\ude00\u0000"}]]}`,
 		`{"id":1,"args":[{"i":1}],"args":null,"id":null}`,
+		`{"ok":true,"columns":[{"name":"a\"b\\c\u0041\n","type":"VARCHAR"},{"name":"<&>\u2028","type":"BIGINT"},{"name":"é\ud83d\ude00","type":"double"}]}`,
+		`{"ok":true,"columns":[{"Name":"a","TYPE":"BIGINT","x":{"y":[1]}},null,{"name":null,"type":"BOOLEAN"},{}]}`,
+		`{"ok":true,"columns":[{"name":"a","name":"b"}],"columns":[{"type":"TIMESTAMP"},{"name":"c"}],"columns":[null]}`,
+		`{"ok":true,"columns":null,"columns":[],"columns":[{"name":1}]}`,
 	} {
 		f.Add([]byte(c))
 	}

@@ -21,7 +21,7 @@
 //
 //	stream   = { frame "\n" } .
 //	frame    = "{" [ field { "," field } ] "}" .        one object per line
-//	field    = string ":" ( scalar | rows | row | cold | "null" ) .
+//	field    = string ":" ( scalar | rows | row | columns | cold | "null" ) .
 //	rows     = "[" [ row { "," row } ] "]" .            "rows"
 //	row      = "[" [ value { "," value } ] "]" | "null" .   a rows element, "args"
 //	value    = "null"                                   SQL NULL
@@ -34,7 +34,10 @@
 //	         | integer                                  ts TIMESTAMP, micros since epoch
 //	         | integer .                                iv INTERVAL, micros
 //	scalar   = integer | string | "true" | "false" .    per field, see Request/Response
-//	cold     = any JSON value .                         "columns", "spans", "samples"
+//	columns  = "[" [ column { "," column } ] "]" .      "columns"
+//	column   = "{" [ cfield { "," cfield } ] "}" | "null" .
+//	cfield   = string ":" ( string | "null" ) .         "name", "type"; another key any value, skipped
+//	cold     = any JSON value .                         "spans", "samples"
 //
 // number and string are JSON's; integer is a JSON number with neither
 // fraction nor exponent that fits its field. Request fields: id op sql

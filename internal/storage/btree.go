@@ -34,6 +34,13 @@ type node struct {
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
 
+// splitNode is a node made by a split, allocated with its items' array: a
+// node never holds more than btreeDegree-1 items, so it never regrows it.
+type splitNode struct {
+	node
+	arr [btreeDegree - 1]item
+}
+
 // BTree is an in-memory B-tree keyed by datum rows, mapping to heap RowIDs.
 // It backs CREATE INDEX and is also used by the sorted side of merge
 // strategies. Safe for concurrent use.
@@ -71,11 +78,17 @@ func (t *BTree) splitChild(parent *node, i int) {
 	child := parent.children[i]
 	mid := len(child.items) / 2
 	midItem := child.items[mid]
-	right := &node{items: append([]item(nil), child.items[mid+1:]...)}
+	sn := new(splitNode)
+	right := &sn.node
+	right.items = append(sn.arr[:0], child.items[mid+1:]...)
 	if !child.leaf() {
-		right.children = append([]*node(nil), child.children[mid+1:]...)
+		right.children = append(make([]*node, 0, btreeDegree), child.children[mid+1:]...)
+		clear(child.children[mid+1:])
 		child.children = child.children[:mid+1]
 	}
+	// The moved half must not stay reachable from the child: a key later
+	// deleted from right would pin its heap row (see Delete).
+	clear(child.items[mid:])
 	child.items = child.items[:mid]
 	parent.items = append(parent.items, item{})
 	copy(parent.items[i+1:], parent.items[i:])

@@ -2,8 +2,11 @@ package storage
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
+	"weak"
 
 	"streamrel/internal/txn"
 	"streamrel/internal/types"
@@ -310,5 +313,100 @@ func TestBTreeMatchesModel(t *testing.T) {
 				t.Fatalf("range [%d,%d]: got %d, want %d", lo, hi, got, want)
 			}
 		}
+	}
+}
+
+// btreeKeys returns n distinct one-column keys, in random or ascending order.
+func btreeKeys(ascending bool, n int) []types.Row {
+	keys := make([]types.Row, n)
+	for i, v := range rand.New(rand.NewSource(7)).Perm(n) {
+		if ascending {
+			v = i
+		}
+		keys[i] = intRow(int64(v))
+	}
+	return keys
+}
+
+// shape counts the tree's leaves and interior nodes, and its levels.
+func (n *node) shape() (leaves, interiors, height int) {
+	if n.leaf() {
+		return 1, 0, 1
+	}
+	for _, c := range n.children {
+		l, i, h := c.shape()
+		leaves, interiors, height = leaves+l, interiors+i, h
+	}
+	return leaves, interiors + 1, height + 1
+}
+
+// TestBTreeSplitAllocs: a split allocates its new node once, with the
+// array of items it will ever hold, so 20 000 inserts, random or ascending,
+// cost one object a leaf split, two an interior one (its children's array
+// too), and the root's growth by append — at most 16 objects a level: its
+// items and its children's array doubling to 64. A split that copied the
+// upper half exactly cost that copy and its regrowth by the next insert too.
+func TestBTreeSplitAllocs(t *testing.T) {
+	const n = 20000
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, ascending := range []bool{false, true} {
+		keys, bt := btreeKeys(ascending, n), NewBTree()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, k := range keys {
+			bt.Insert(k, RowID(i))
+		}
+		runtime.ReadMemStats(&after)
+		leaves, interiors, height := bt.root.shape()
+		allocs, want := after.Mallocs-before.Mallocs, uint64(leaves+2*interiors+16*height)
+		t.Logf("ascending %v: %d allocations for %d leaves, %d interior nodes, %d levels", ascending, allocs, leaves, interiors, height)
+		if allocs > want {
+			t.Errorf("ascending %v: %d inserts allocate %d times, want ≤ %d: %d leaves, %d interior nodes, %d levels",
+				ascending, n, allocs, want, leaves, interiors, height)
+		}
+	}
+}
+
+// TestBTreeSplitPinsNoDeletedKey: a split clears the half it moves from the
+// node it splits, so a key deleted from the new node — an index key may be a
+// view of its heap row — is garbage, not held by a stale copy.
+func TestBTreeSplitPinsNoDeletedKey(t *testing.T) {
+	bt := NewBTree()
+	var key weak.Pointer[types.Datum]
+	for i := range btreeDegree { // the last insert splits the root leaf
+		k := intRow(int64(i))
+		if i == btreeDegree-2 {
+			key = weak.Make(&k[0])
+		}
+		bt.Insert(k, RowID(i))
+	}
+	if !bt.Delete(intRow(btreeDegree-2), btreeDegree-2) {
+		t.Fatal("the key is not in the tree")
+	}
+	runtime.GC()
+	runtime.GC()
+	if key.Value() != nil {
+		t.Fatal("a key deleted after a split is still reachable")
+	}
+	runtime.KeepAlive(bt)
+}
+
+// BenchmarkBTreeInsert: 20 000 inserts into an empty tree, random and
+// ascending, the index's cost a row under a channel's writes.
+func BenchmarkBTreeInsert(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		ascending bool
+	}{{"random", false}, {"ascending", true}} {
+		keys := btreeKeys(c.ascending, 20000)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				bt := NewBTree()
+				for i, k := range keys {
+					bt.Insert(k, RowID(i))
+				}
+			}
+		})
 	}
 }
