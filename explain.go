@@ -52,8 +52,13 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 			if pre := p.StreamAgg.PreAgg; pre != "" {
 				store += " " + pre
 			}
+			w := p.Stream.Window // the view's extent, in its window's unit
+			view := fmt.Sprint(time.Duration(w.Visible) * time.Microsecond)
+			if w.Kind != sql.WindowTime {
+				view = fmt.Sprintf("%d %s", w.Visible, [...]string{sql.WindowRows: "ROWS", sql.WindowSlices: "WINDOWS"}[w.Kind])
+			}
 			lines = append(lines, fmt.Sprintf("  state: store %s view %s (materialized), %d members", store,
-				time.Duration(p.Stream.Window.Visible)*time.Microsecond, e.rt.StoreMembers(p.Stream.Name, key)))
+				view, e.rt.StoreMembers(p.Stream.Name, key)))
 			lines = append(lines, "  post: "+postStage(p.StreamAgg))
 		}
 		if e.cfg.ParallelCQ > 0 {

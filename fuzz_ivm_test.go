@@ -23,7 +23,13 @@ import (
 // windows whose VISIBLE is not a multiple of ADVANCE, on paired stores: one
 // fingerprint at 25 s and 45 s (one remainder: one store, two views), a
 // VISIBLE below its ADVANCE, and an enrichment join. q14 is q5's shape on a
-// paired store, so the re-merge walks paired cuts too.
+// paired store, so the re-merge walks paired cuts too. q15–q18 are ROWS
+// windows, cut at row ordinals and closed by the row that completes an
+// ADVANCE: one fingerprint at VISIBLE 7 and 10 over ADVANCE 3 (one paired
+// store, two views, one with an ORDER BY … LIMIT post stage), q5's shape with
+// a WHERE, and a VISIBLE below its ADVANCE with cq_close(*). q19 and q20 are
+// SLICES windows over ds, a derived stream of s, cut at its emissions. q21 is
+// the enrichment shape over a paired ROWS window.
 var fuzzStoreQueries = []string{
 	`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
 		FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
@@ -50,6 +56,15 @@ var fuzzStoreQueries = []string{
 	`SELECT d.cat, count(*) AS n, sum(v) AS sv, min(v)
 		FROM s <VISIBLE '15 seconds' ADVANCE '10 seconds'>, dim d WHERE d.url = s.url GROUP BY d.cat`,
 	`SELECT url, count(DISTINCT v), first(v), last(v) FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v) FROM s <VISIBLE 7 ROWS ADVANCE 3 ROWS> GROUP BY url`,
+	`SELECT url, count(*) AS n, count(v), sum(v), avg(v), min(v), max(v) FROM s <VISIBLE 10 ROWS ADVANCE 3 ROWS>
+		GROUP BY url ORDER BY n DESC, url LIMIT 2`,
+	`SELECT url, count(DISTINCT v), first(v), last(v) FROM s <VISIBLE 12 ROWS ADVANCE 4 ROWS> WHERE v <> 5 GROUP BY url`,
+	`SELECT count(*), sum(v), max(f), cq_close(*) FROM s <VISIBLE 2 ROWS ADVANCE 5 ROWS>`,
+	`SELECT url, sum(n), max(sv), count(*), cq_close(*) FROM ds <SLICES 3 WINDOWS> GROUP BY url`,
+	`SELECT count(DISTINCT url), min(sv), sum(n) FROM ds <SLICES 2 WINDOWS>`,
+	`SELECT d.cat, count(*) AS n, sum(v) AS sv, max(v) FROM s <VISIBLE 6 ROWS ADVANCE 4 ROWS>, dim d
+		WHERE d.url = s.url GROUP BY d.cat`,
 }
 
 // fuzzStoreCQ writes, around sqlgen's typed expressions, an aggregate over
@@ -127,7 +142,10 @@ var fuzzDimDML = []string{
 // so retraction of NULL-bearing slices is covered). Values stay
 // integer-valued so float arithmetic is exact under any add/retract order.
 // A second byte string chooses up to three more CQs (fuzzStoreCQ), which
-// run beside fuzzStoreQueries and are never closed.
+// run beside fuzzStoreQueries and are never closed. The stores run with the
+// producer draining their mailboxes (ParallelCQ 0) and with the scheduler
+// pool (ParallelCQ 4), which is flushed before a close or a change to the
+// dimension table, so both happen between the same two fires.
 func FuzzIVMEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0xf0, 0x33, 0x44, 0xff, 0x55}, []byte{})
 	f.Add([]byte{0xf7, 0xf7, 0xf7, 0x01}, []byte{})
@@ -150,6 +168,15 @@ func FuzzIVMEquivalence(f *testing.F) {
 	// /u1 change at every close, and every multi-second view sees the same.
 	f.Add([]byte{0x01, 0x09, 0x11, 0xf2, 0x01, 0x09, 0xf2, 0x01, 0x09, 0xf2, 0x11, 0x01, 0xf2, 0x09, 0x11,
 		0xf2, 0x01, 0xf5}, []byte{})
+	// Ninety rows close every ROWS window many times, some of them at
+	// equal timestamps, and every few an advance closes ds's windows.
+	var rows []byte
+	for i := range 90 {
+		if rows = append(rows, byte(i*29%0xe0)); i%11 == 10 {
+			rows = append(rows, 0xf1)
+		}
+	}
+	f.Add(rows, []byte{})
 	// Generated CQs over the last tape: hoisted and base filters, ORDER BY …
 	// LIMIT (led by an unselected aggregate, and by a position), a grouping
 	// expression, DISTINCT (no retract form), OR, HAVING, NOT IN, NOT BETWEEN.
@@ -171,9 +198,16 @@ func FuzzIVMEquivalence(f *testing.F) {
 		for g := (&sqlgen.Gen{Data: gen}); len(g.Data) > 0 && len(queries) < len(fuzzStoreQueries)+3; {
 			queries = append(queries[:len(queries):len(queries)], fuzzStoreCQ(g))
 		}
-		run := func(mode string) [][]string {
-			e := openMemMode(t, mode)
+		run := func(mode string, parallel int) [][]string {
+			e := openMemModeCfg(t, mode, Config{ParallelCQ: parallel})
+			flush := func() {
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint, f double)`)
+			mustExec(t, e, `CREATE STREAM ds AS SELECT url, count(*) AS n, sum(v) AS sv
+				FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
 			mustExec(t, e, `CREATE TABLE dim (url varchar, cat varchar)`)
 			mustExec(t, e, `INSERT INTO dim VALUES ('/u0', 'c0'), ('/u1', 'c0'), ('/u2', 'c1'), ('/u3', 'c1'), ('/u3', 'c2')`)
 			cqs := make([]*CQ, len(queries))
@@ -198,10 +232,12 @@ func FuzzIVMEquivalence(f *testing.F) {
 					// Close CQ op&7 (7 names no CQ; the joins stay open);
 					// closing twice is a no-op.
 					if k := int(op & 0x07); k < 7 {
+						flush()
 						cqs[k].Close()
 					}
 					continue
 				case op >= 0xe0:
+					flush()
 					mustExec(t, e, fuzzDimDML[op&0x07])
 					continue
 				}
@@ -220,16 +256,21 @@ func FuzzIVMEquivalence(f *testing.F) {
 				}
 			}
 			e.AdvanceTime("s", time.UnixMicro(ts).Add(2*time.Minute).UTC())
+			flush()
 			out := make([][]string, len(cqs))
 			for i, cq := range cqs {
 				out[i] = collectBatches(t, cq)
 			}
 			return out
 		}
-		ref, got := run("reexec"), run("incremental")
-		for qi, q := range queries {
-			if a, b := strings.Join(got[qi], "\n"), strings.Join(ref[qi], "\n"); a != b {
-				t.Fatalf("q%d (%s): store and re-exec transcripts differ:\nstore:\n%s\nreexec:\n%s", qi, q, a, b)
+		ref := run("reexec", 0)
+		for _, parallel := range []int{0, 4} {
+			got := run("incremental", parallel)
+			for qi, q := range queries {
+				if a, b := strings.Join(got[qi], "\n"), strings.Join(ref[qi], "\n"); a != b {
+					t.Fatalf("q%d (%s) at ParallelCQ %d: store and re-exec transcripts differ:\nstore:\n%s\nreexec:\n%s",
+						qi, q, parallel, a, b)
+				}
 			}
 		}
 	})

@@ -1,9 +1,10 @@
 // Package ivm is the engine's window-state store: the one place a
 // continuous query's window lives. It holds the paper's shared slice
 // aggregation ([12], Arasu & Widom [4]) — each slice of a stream is
-// aggregated once per (stream, fingerprint, ADVANCE), whatever the number of
-// queries reading it — with DBToaster's refinement (PAPERS.md) on top: the
-// combined answer of a window is kept materialized and maintained by deltas.
+// aggregated once per (stream, fingerprint, window kind, ADVANCE), whatever
+// the number of queries reading it — with DBToaster's refinement (PAPERS.md)
+// on top: the combined answer of a window is kept materialized and
+// maintained by deltas.
 //
 // A Store is the slice layer: per-slice per-group partial accumulators, and
 // one group per live key — key string, key row and a dense id — shared by
@@ -58,9 +59,10 @@
 // expires — and a view's fire is their concatenation over its extent, the
 // rows the plan then runs over; it never retracts, so it keeps a slice less.
 // Everything else — the cuts, Expire and its spares, Attach and Detach — is
-// one code for both forms. A raw store's cut need not be a timestamp: Insert
+// one code for both forms, and so is a cut that is not a timestamp: Insert
 // takes any coordinate that does not precede its newest slice, a row's ordinal
-// for a ROWS window, an emission's number for a SLICES one.
+// for a ROWS window, an emission's number for a SLICES one, and an aggregate
+// view retracts by ordinals as it does by timestamps.
 package ivm
 
 import (

@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -130,9 +132,13 @@ func (r *Registry) Gather() []*Sample {
 	// are written under r.mu by lookup's init callbacks, so they must be
 	// read under it too. The atomics behind the copied pointers are then
 	// loaded lock-free below.
-	all := make([]series, 0, len(r.byID))
-	for _, s := range r.byID {
-		all = append(all, *s)
+	type entry struct {
+		id string
+		series
+	}
+	all := make([]entry, 0, len(r.byID))
+	for id, s := range r.byID {
+		all = append(all, entry{id, *s})
 	}
 	help := make(map[string]string, len(r.help))
 	for k, v := range r.help {
@@ -140,6 +146,11 @@ func (r *Registry) Gather() []*Sample {
 	}
 	r.mu.Unlock()
 
+	// Sorted by the ids the registry keys its series by, so no comparison
+	// renders one.
+	slices.SortFunc(all, func(a, b entry) int {
+		return cmp.Or(strings.Compare(a.name, b.name), strings.Compare(a.id, b.id))
+	})
 	out := make([]*Sample, 0, len(all))
 	for _, s := range all {
 		smp := &Sample{Name: s.name, Labels: s.labels, Kind: s.kind, Help: help[s.name]}
@@ -170,37 +181,12 @@ func (r *Registry) Gather() []*Sample {
 		}
 		out = append(out, smp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].ID() < out[j].ID()
-	})
 	return out
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4), families sorted by name.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	lastFamily := ""
-	for _, s := range r.Gather() {
-		if s.Name != lastFamily {
-			lastFamily = s.Name
-			if s.Help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", s.Name, s.Help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Kind); err != nil {
-				return err
-			}
-		}
-		if err := writeSample(w, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (r *Registry) WritePrometheus(w io.Writer) error { return writeSorted(w, r.Gather()) }
 
 func writeSample(w io.Writer, s *Sample) error {
 	switch s.Kind {
@@ -248,6 +234,12 @@ func WriteSamples(w io.Writer, samples []*Sample) error {
 		}
 		return sorted[i].ID() < sorted[j].ID()
 	})
+	return writeSorted(w, sorted)
+}
+
+// writeSorted renders samples already in Gather's order, HELP and TYPE
+// once per family.
+func writeSorted(w io.Writer, sorted []*Sample) error {
 	lastFamily := ""
 	for _, s := range sorted {
 		if s.Name != lastFamily {

@@ -70,6 +70,9 @@ func (b *builder) buildBaseTable(r *sql.BaseTable) (*relNode, error) {
 
 	// Base streams and derived streams become the plan's stream leaf.
 	if s, ok := b.cat.Stream(r.Name); ok {
+		if r.Window != nil && r.Window.Kind == sql.WindowSlices {
+			return nil, fmt.Errorf("plan: <SLICES n WINDOWS> applies to derived streams, and %q is a base stream", r.Name)
+		}
 		return b.streamLeaf(r, alias, s.Schema, s.CQTimeCol)
 	}
 	if d, ok := b.cat.Derived(r.Name); ok {

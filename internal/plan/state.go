@@ -31,8 +31,10 @@ const (
 
 // WindowState is the one statement of which continuous queries keep their
 // window in a slice-partial store. A plan attaches when it is a
-// filter/group-by aggregate directly over one time-windowed stream (the
-// StreamAgg shape); key then names the store, <fingerprint>@<ADVANCE> and
+// filter/group-by aggregate directly over one windowed stream (the
+// StreamAgg shape), whatever the window's kind: a store cuts at timestamps,
+// row ordinals or emission numbers alike. key then names the store,
+// <fingerprint>@<ADVANCE>, R or S after it for a ROWS or SLICES window, and
 // +<PairOffset> when that is not zero — CQs over the stream with equal keys
 // share slice partials whatever their VISIBLE. Every store is materialized
 // (internal/ivm). reason says why re-execution when key is empty.
@@ -46,22 +48,20 @@ func (p *Plan) WindowState(o StateOverride) (key, reason string) {
 		return "", p.WhyNoStore
 	case p.StreamAgg == nil:
 		return "", "plan is not a filter/group-by aggregate directly over the stream"
-	}
-	w := p.Stream.Window
-	switch {
-	case w.Kind != sql.WindowTime:
-		return "", "window is not a time window"
-	case w.Visible <= 0 || w.Advance <= 0:
-		return "", "window extents must be positive"
 	case o == StateReexec:
 		return "", "window-state override"
 	}
-	key = fmt.Sprintf("%s@%d", p.StreamAgg.Fingerprint, w.Advance)
+	w := p.Stream.Window
+	key = fmt.Sprintf("%s@%d%s", p.StreamAgg.Fingerprint, w.Advance, kindUnit[w.Kind])
 	if off := PairOffset(w); off != 0 {
 		key += fmt.Sprintf("+%d", off)
 	}
 	return key, ""
 }
+
+// kindUnit tells a count window's store key from a time window's of
+// numerically equal ADVANCE.
+var kindUnit = [...]string{sql.WindowTime: "", sql.WindowRows: "R", sql.WindowSlices: "S"}
 
 // PairOffset is where a store of w's windows cuts every ADVANCE a second
 // time ([12]'s paired windows): closes fall on k·ADVANCE, so windows open

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -86,9 +85,6 @@ func (f *failure) takeErr() error {
 // stage is the whole plan. Joining an existing feed is O(1) in its
 // subscriber count. Callers hold src.mu.
 func subscribePipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) (*Pipeline, error) {
-	if err := validateWindow(src, p.Stream.Window); err != nil {
-		return nil, err
-	}
 	pipe := &Pipeline{plan: p, sink: sink, resumeAfter: -1 << 62, id: rt.nextPipeID.Add(1)}
 	pipe.windowsFired = rt.pipeCounter("streamrel_pipeline_windows_total",
 		"window closes evaluated by a continuous-query pipeline", src, pipe.id)
@@ -121,27 +117,6 @@ func (r *Runtime) pipeCounter(name, help string, src *source, id int64) *metrics
 		return &metrics.Counter{}
 	}
 	return r.reg.Counter(name, help, metrics.L("stream", src.name), metrics.L("pipe", strconv.FormatInt(id, 10)))
-}
-
-func validateWindow(src *source, w sql.WindowSpec) error {
-	switch w.Kind {
-	case sql.WindowTime:
-		if w.Visible <= 0 || w.Advance <= 0 {
-			return fmt.Errorf("stream: window extents must be positive")
-		}
-	case sql.WindowRows:
-		if w.Visible <= 0 || w.Advance <= 0 {
-			return fmt.Errorf("stream: window extents must be positive")
-		}
-		if w.Advance > w.Visible {
-			return fmt.Errorf("stream: row window ADVANCE larger than VISIBLE is not supported")
-		}
-	case sql.WindowSlices:
-		if src.cqtimeCol >= 0 {
-			return fmt.Errorf("stream: <SLICES n WINDOWS> applies to derived streams")
-		}
-	}
-	return nil
 }
 
 // Plan returns the pipeline's compiled plan.

@@ -27,13 +27,13 @@ import (
 //
 // The window state is one slice-partial store (internal/ivm): an aggregate
 // store for every continuous query plan.WindowState gives a key — same
-// stream, slice fingerprint, ADVANCE and VISIBLE mod ADVANCE, whatever its
-// VISIBLE, residual filter, projection or ORDER BY: they all subscribe to
-// the one feed of that key — and a raw store, whose slices hold the rows
-// themselves, for a plan it gives none, alone on its feed. At each close
-// every view computes its window's rows once — an aggregate store's view its
-// aggregate rows, a raw one the rows in the extent — each distinct post
-// stage runs once over them (residual filters, HAVING, projection, ORDER
+// stream, slice fingerprint, window kind, ADVANCE and VISIBLE mod ADVANCE,
+// whatever its VISIBLE, residual filter, projection or ORDER BY: they all
+// subscribe to the one feed of that key — and a raw store, whose slices hold
+// the rows themselves, for a plan it gives none, alone on its feed. At each
+// close every view computes its window's rows once — an aggregate store's
+// view its aggregate rows, a raw one the rows in the extent — each distinct
+// post stage runs once over them (residual filters, HAVING, projection, ORDER
 // BY, LIMIT over aggregate rows; the whole plan over raw ones; none at all
 // for plan.StreamAgg.PostBuild == nil, which takes the view's rows as they
 // are) and its output goes to every CQ of the set. 10k identical dashboards

@@ -49,9 +49,12 @@ func TestIVMModeSelection(t *testing.T) {
 			"incremental", "view 1m0s (materialized), 0 members"},
 		{`SELECT stddev(v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'>`,
 			"incremental", "view 1m0s (materialized), 0 members"},
-		// Row windows re-execute.
+		// A row window keeps a store too, its key naming the kind and its
+		// view counted in rows: VISIBLE mod ADVANCE = 5 rows, so paired.
 		{`SELECT url, count(*) FROM s <VISIBLE 100 ROWS ADVANCE 10 ROWS> GROUP BY url`,
-			"reexec", "state: reexec (window is not a time window)"},
+			"incremental", "state: store s|W:|G:url;|A:count(*);@10R view 100 ROWS (materialized)"},
+		{`SELECT count(*) FROM s <VISIBLE 45 ROWS ADVANCE 20 ROWS>`,
+			"incremental", "state: store s|W:|G:|A:count(*);@20R+15 view 45 ROWS (materialized)"},
 		// VISIBLE mod ADVANCE = 5 s: a paired store, cut again 15 s into every ADVANCE.
 		{`SELECT count(*) FROM s <VISIBLE '45 seconds' ADVANCE '20 seconds'>`,
 			"incremental", "state: store s|W:|G:|A:count(*);@20000000+15000000 view 45s (materialized)"},

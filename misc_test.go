@@ -49,9 +49,18 @@ func TestExplainVariants(t *testing.T) {
 		}
 	}
 	// A re-executing CQ has no post stage to speak of.
-	res = mustExec(t, e, `EXPLAIN SELECT url, count(*) FROM h <VISIBLE 45 ROWS ADVANCE 20 ROWS> GROUP BY url`)
+	res = mustExec(t, e, `EXPLAIN SELECT url, count(*) FROM (SELECT url FROM h <VISIBLE 45 ROWS ADVANCE 20 ROWS>) x GROUP BY url`)
 	if out = strings.Join(rowStrings(res.Rows), "\n"); strings.Contains(out, "post:") {
 		t.Errorf("EXPLAIN of a re-executing CQ prints a post line:\n%s", out)
+	}
+	// A SLICES window over a base stream: EXPLAIN and Subscribe refuse it
+	// alike, in the planner.
+	const slices = `SELECT count(*) FROM s <SLICES 3 WINDOWS>`
+	_, explainErr := e.Exec(`EXPLAIN ` + slices)
+	_, subErr := e.Subscribe(slices)
+	if explainErr == nil || subErr == nil || explainErr.Error() != subErr.Error() ||
+		!strings.Contains(subErr.Error(), "applies to derived streams") {
+		t.Errorf("SLICES over a base stream: EXPLAIN %v, Subscribe %v", explainErr, subErr)
 	}
 	// EXPLAIN of non-SELECT errors.
 	if _, err := e.Exec(`EXPLAIN INSERT INTO d VALUES (1)`); err == nil {

@@ -43,7 +43,9 @@ type planKeyCase struct {
 // a paired store, the three such CQs recorded with an empty state key carry
 // <fingerprint>@<ADVANCE>+<offset>, and the last context — VISIBLE below
 // ADVANCE, two VISIBLEs of one remainder, an enrichment join — was recorded
-// then; every other key is the parent's.
+// then. Since ROWS and SLICES windows keep a store, the sixteen such CQs
+// recorded with an empty state key carry <fingerprint>@<ADVANCE>R or @1S,
+// with +<offset> when paired; every other key is the parent's.
 func TestPlanKeysGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/plankeys.json")
 	if err != nil {

@@ -212,3 +212,63 @@ func TestPlanSharingHiddenSort(t *testing.T) {
 		}
 	}
 }
+
+// TestRowWindowStoreSharing: two ROWS CQs of one fingerprint at VISIBLEs of
+// one remainder mod ADVANCE share one store, two views of it, and each
+// answers as re-execution does; a time CQ of the same fingerprint whose
+// ADVANCE is numerically equal — 3 µs against 3 rows — keeps a store of its
+// own.
+func TestRowWindowStoreSharing(t *testing.T) {
+	const (
+		narrow = `SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE 5 ROWS ADVANCE 3 ROWS> GROUP BY url`
+		wide   = `SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE 11 ROWS ADVANCE 3 ROWS> GROUP BY url`
+		timed  = `SELECT url, count(*) AS n, sum(v) AS sv FROM s <VISIBLE '5 microseconds' ADVANCE '3 microseconds'> GROUP BY url`
+	)
+	explain := func(e *Engine, q string) string {
+		return strings.Join(rowStrings(mustExec(t, e, "EXPLAIN "+q).Rows), "\n")
+	}
+	run := func(cfg Config) []string {
+		e, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		mustExec(t, e, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
+		var cqs []*CQ
+		for _, q := range []string{narrow, wide} {
+			cq, err := e.Subscribe(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cqs = append(cqs, cq)
+		}
+		if cfg.StateOverride == StateAuto {
+			const key = `s|W:|G:url;|A:count(*);sum(v);@3R+1`
+			if plan := explain(e, wide); !strings.Contains(plan, "state: store "+key+" view 11 ROWS (materialized), 2 members") {
+				t.Fatalf("the two ROWS CQs do not share one store:\n%s", plan)
+			}
+			if plan := explain(e, timed); !strings.Contains(plan, "@3+1 view 5µs (materialized), 0 members") {
+				t.Fatalf("the time CQ would join the ROWS CQs' store:\n%s", plan)
+			}
+			cq, err := e.Subscribe(timed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := e.Stats(); st.PlanGroups != 2 || e.rt.StoreMembers("s", key) != 2 {
+				t.Fatalf("%d stores, %d members of %s: want 2 and 2", st.PlanGroups, e.rt.StoreMembers("s", key), key)
+			}
+			cq.Close() // before the feed: it would close a window every 3 µs
+		}
+		feedPlanShare(t, e, 13)
+		return []string{transcript(cqs[0]), transcript(cqs[1])}
+	}
+	for _, parallel := range []int{0, 4} {
+		got := run(Config{ParallelCQ: parallel})
+		want := run(Config{ParallelCQ: parallel, StateOverride: StateReexec})
+		for i := range want {
+			if want[i] == "" || got[i] != want[i] {
+				t.Fatalf("parallel=%d: CQ %d's store transcript differs from StateReexec:\n%s\nwant:\n%s", parallel, i, got[i], want[i])
+			}
+		}
+	}
+}

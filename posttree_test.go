@@ -15,17 +15,25 @@ import (
 // rows a close delivered — and the slice they came in — are collectable once
 // the subscriber drops them: no container of the tree, no group its
 // aggregate recycles and no scratch of the feed that fired it keeps one. On
-// an enrichment query over a store and on one that re-executes.
+// an enrichment query over a store, over a time and over a row window, and
+// on one that re-executes.
 func TestPostTreePinsNoFire(t *testing.T) {
+	advance := func(e *Engine, at time.Time) { e.AdvanceTime("hits", at) }
 	for _, c := range []struct {
 		name, window string
+		override     StateOverride
 		close        func(e *Engine, at time.Time)
 	}{
-		{"store", `<VISIBLE '10 seconds' ADVANCE '10 seconds'>`, func(e *Engine, at time.Time) { e.AdvanceTime("hits", at) }},
-		{"reexec", `<VISIBLE 2 ROWS ADVANCE 2 ROWS>`, func(*Engine, time.Time) {}},
+		{"store", `<VISIBLE '10 seconds' ADVANCE '10 seconds'>`, StateAuto, advance},
+		{"rows", `<VISIBLE 2 ROWS ADVANCE 2 ROWS>`, StateAuto, func(*Engine, time.Time) {}},
+		{"reexec", `<VISIBLE 2 ROWS ADVANCE 2 ROWS>`, StateReexec, func(*Engine, time.Time) {}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			e := openMem(t)
+			e, err := Open(Config{StateOverride: c.override})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
 			mustExec(t, e, `CREATE STREAM hits (url varchar, at timestamp CQTIME USER, bytes bigint)`)
 			mustExec(t, e, `CREATE TABLE urls (url varchar, category varchar)`)
 			mustExec(t, e, `INSERT INTO urls VALUES ('/a', 'x'), ('/b', 'y')`)
@@ -33,6 +41,9 @@ func TestPostTreePinsNoFire(t *testing.T) {
 				WHERE h.url = u.url GROUP BY u.category`)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if (cq.Strategy == "reexec") != (c.override == StateReexec) {
+				t.Fatalf("strategy %s", cq.Strategy)
 			}
 			base := time.UnixMicro(ivmBase)
 			fire := func(k int) Batch {
