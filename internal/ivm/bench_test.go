@@ -3,6 +3,7 @@ package ivm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -12,12 +13,13 @@ import (
 // BenchmarkStoreSliding is the store's CPU guard: one store under three
 // sliding views (VISIBLE 10, 30 and 60 s, ADVANCE 1 s) over cubic-skewed keys,
 // each op a second of rows inserted, every view fired and the store expired,
-// reported per row. "inverse" aggregates retract by Sub; "remerge" ones have no
-// inverse, so every close rebuilds them for the groups the leaving slice held.
+// reported per row, and the live heap after a collection at the end.
+// "inverse" aggregates retract by Sub; "remerge" ones have no inverse, so
+// every close rebuilds them for the groups the leaving slice held.
 func BenchmarkStoreSliding(b *testing.B) {
 	const perSlice = 1000
 	for _, aggs := range []struct{ name, sel string }{{"inverse", "count(*), sum(v)"}, {"remerge", "min(v), max(v)"}} {
-		for _, keys := range []int{1000, 10000} {
+		for _, keys := range []int{1000, 10000, 100000} {
 			b.Run(fmt.Sprintf("%s/%dk", aggs.name, keys/1000), func(b *testing.B) {
 				s := newStore(b, `SELECT url, `+aggs.sel+` FROM s <VISIBLE '60 seconds' ADVANCE '1 second'> GROUP BY url`)
 				views := []*View{s.Attach(10 * second), s.Attach(30 * second), s.Attach(60 * second)}
@@ -51,8 +53,55 @@ func BenchmarkStoreSliding(b *testing.B) {
 					op()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perSlice), "ns/row")
+				b.ReportMetric(heapMB(), "heap-MB")
+				runtime.KeepAlive(s)
 			})
 		}
+	}
+}
+
+// heapMB is the live heap after a collection.
+func heapMB() float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
+// BenchmarkGCMarkStore is what the window state costs the collector: a forced
+// collection over a store of count(*), sum(v) with 10k and 100k keys and 60
+// slices, each slice holding a tenth of the keys, and a 60-slice view fired
+// over all of them, reported per live partial, as internal/types'
+// BenchmarkGCMarkRows reports per live row.
+func BenchmarkGCMarkStore(b *testing.B) {
+	const slices = 60
+	for _, keys := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("%dk", keys/1000), func(b *testing.B) {
+			s := newStore(b, `SELECT url, count(*), sum(v) FROM s <VISIBLE '60 seconds' ADVANCE '1 second'> GROUP BY url`)
+			v := s.Attach(slices * second)
+			row := make(types.Row, 3) // Insert keeps no row
+			for k := int64(0); k < slices; k++ {
+				for j := 0; j < keys/10; j++ {
+					row[0] = types.NewString("/page/" + strconv.Itoa((int(k)*keys/10+j)%keys))
+					row[1], row[2] = types.NewTimestampMicros(k*second+int64(j)), types.NewInt(int64(j))
+					if err := s.Insert(row, k*second+int64(j)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if _, _, _, err := v.Fire(slices*second, true); err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(slices*keys/10), "ns/live-partial")
+			b.ReportMetric(heapMB(), "heap-MB")
+			runtime.KeepAlive(s)
+		})
 	}
 }
 

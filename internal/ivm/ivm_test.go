@@ -25,12 +25,21 @@ import (
 // bigint) and returns the store its plan would attach to.
 func newStore(t testing.TB, q string) *Store {
 	t.Helper()
-	cat := catalog.New()
-	if _, err := cat.CreateStream("s", types.Schema{
+	s, _ := storeOver(t, types.Schema{
 		{Name: "url", Type: types.TypeString},
 		{Name: "at", Type: types.TypeTimestamp},
 		{Name: "v", Type: types.TypeInt},
-	}, 1, false); err != nil {
+	}, q)
+	return s
+}
+
+// storeOver plans q over stream s of the schema, its CQTIME column the
+// second, and returns the store its plan would attach to and the plan's
+// aggregate spec.
+func storeOver(t testing.TB, schema types.Schema, q string) (*Store, *plan.StreamAgg) {
+	t.Helper()
+	cat := catalog.New()
+	if _, err := cat.CreateStream("s", schema, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	stmt, err := sql.Parse(q)
@@ -48,7 +57,7 @@ func newStore(t testing.TB, q string) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, p.StreamAgg
 }
 
 const second = 1_000_000
@@ -148,9 +157,9 @@ const maxAllocsPerClose = 0.05
 
 // TestFirstTouchAllocsAmortized pins the other case — the first row of a
 // group in a slice, and the first slice of a group in a window: the
-// partial (or window group), its accumulator list and its accumulators are
-// carved from the slice's (or view's) slab, so a slice of 1000 groups
-// costs a few chunk refills and one presized map, not 4 objects per group.
+// partial (or window group) is a position in the slice's (or the view's)
+// columns, which grow by doubling, so a slice of 1000 groups costs a few
+// regrowths and one presized map, not 4 objects per group.
 func TestFirstTouchAllocsAmortized(t *testing.T) {
 	const groups = 1000
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
@@ -347,8 +356,8 @@ func TestStoreGroupChurnAllocs(t *testing.T) {
 }
 
 // TestTumblingRebuildAllocs: a tumbling view's window is the next window — its
-// rebuild resets the last window's groups onto the view's free list, which the
-// new window takes before the slab — so over a steady key set an in-place
+// rebuild resets the last window's groups in the view's columns, where the new
+// window's groups take them again — so over a steady key set an in-place
 // close allocates nothing, Insert, Fire and Expire together. Each close's
 // count and sum are checked: a group reused unreset would carry its last one.
 func TestTumblingRebuildAllocs(t *testing.T) {
@@ -819,9 +828,9 @@ func TestSlidingChurnAllocs(t *testing.T) {
 	const stable, period, k, window, closes = 4000, 10, 16, 20, 100
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	compares := 0
-	defer func(f func(a, b *winGroup) int) { byKey = f }(byKey)
+	defer func(f func(a, b *group) int) { byKey = f }(byKey)
 	compare := byKey
-	byKey = func(a, b *winGroup) int { compares++; return compare(a, b) }
+	byKey = func(a, b *group) int { compares++; return compare(a, b) }
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '`+strconv.Itoa(window)+` seconds' ADVANCE '1 second'> GROUP BY url`)
 	v := s.Attach(window * second)
 	steady, churn := make([]types.Datum, stable), make([]types.Datum, (window+1)*k)
@@ -860,8 +869,8 @@ func TestSlidingChurnAllocs(t *testing.T) {
 		step()
 	}
 	// Counted over all the closes, not per close (testing.AllocsPerRun rounds
-	// down): a slab chunk for the newcomers would be four allocations in
-	// sixteen closes.
+	// down): a regrowth of the columns for the newcomers would be a few
+	// allocations in many closes.
 	if got, _ := allocated(func() {
 		for i := 0; i < closes; i++ {
 			step()
@@ -879,7 +888,7 @@ func TestSlidingChurnAllocs(t *testing.T) {
 // from the outside: a row first seen at close k lives in close k's block,
 // whose size is the touched count the close reports (every group's, at a
 // full carve). A group that leaves holds no row at the close it leaves,
-// before a newcomer can take it from the view's spare.
+// before a newcomer can take its id.
 func TestViewRowMemoryBounded(t *testing.T) {
 	const keys, perSlice, closes = 4000, 300, 500
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '40 seconds' ADVANCE '1 second'> GROUP BY url`)
@@ -887,8 +896,8 @@ func TestViewRowMemoryBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bornAt := map[*types.Datum]int{} // a row's first datum → the close that carved it
 	var blockRows []int              // per close
-	var left *winGroup
-	leftID, leftAt := 0, -1 // its store group's id, and the close it left at
+	var left *group
+	leftAt := -1 // the close it left at
 	fullCarves, worst := 0, 0.0
 	for k := 0; k < closes; k++ {
 		for j := 0; j < perSlice; j++ {
@@ -900,28 +909,25 @@ func TestViewRowMemoryBounded(t *testing.T) {
 			// The coldest group with a single slice in the window — under the
 			// cubic skew the largest key — will leave.
 			colder := func(a, b string) bool { return len(a) > len(b) || (len(a) == len(b) && a > b) }
-			held := map[*group]int{} // retained slices holding each group
+			held := map[int32]int{} // retained slices holding each group
 			for _, sl := range s.slices {
-				for _, p := range sl.parts {
-					held[p.g]++
+				for _, id := range sl.ids {
+					held[id]++
 				}
 			}
-			for _, wg := range v.groups {
-				if wg != nil && held[wg.g] == 1 && (left == nil || colder(wg.g.key, left.g.key)) {
-					left = wg
+			for _, id := range v.ordered {
+				if g := s.byID[id]; held[id] == 1 && (left == nil || colder(g.key, left.key)) {
+					left = g
 				}
-			}
-			if left != nil {
-				leftID = left.g.id
 			}
 		}
 		rows, touched, carved, err := v.Fire(int64(k+1)*second, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if left != nil && leftAt < 0 && v.groups[leftID] != left {
-			if leftAt = k; left.row != nil {
-				t.Errorf("close %d: a group that left the window still holds its row: %+v", k, left)
+		if left != nil && leftAt < 0 && v.wins[left.id].rows == 0 {
+			if leftAt = k; v.wins[left.id].row != nil {
+				t.Errorf("close %d: a group that left the window still holds its row: %+v", k, v.wins[left.id])
 			}
 		}
 		s.Expire(int64(k+1) * second)

@@ -4,6 +4,7 @@ package ivm
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"unsafe"
 	"weak"
 
-	"streamrel/internal/expr"
 	"streamrel/internal/types"
 )
 
@@ -76,7 +76,7 @@ func TestRecycledSlicePinsNoBatch(t *testing.T) {
 	rows = nil
 	sl := s.slices[0]
 	s.Expire(20 * second) // the fire at 10 s retracted [0, 10)
-	if s.spares.Len() != 1 || sl.free.Len() == 0 {
+	if s.spares.Len() != 1 || cap(sl.ids) == 0 {
 		t.Fatalf("the expired slice is not a spare: %d spares", s.spares.Len())
 	}
 	runtime.GC()
@@ -144,9 +144,7 @@ func TestRecycledSliceMemoryBounded(t *testing.T) {
 		}
 	}
 	fill(0, burst)
-	// The first partial of a fresh store's first slice is the whole of its
-	// slab's first chunk.
-	chunk := weak.Make(s.slices[0].parts[0])
+	chunk := weak.Make(&s.slices[0].ids[0]) // the burst slice's columns
 	for k := int64(1); k <= 8; k++ {
 		s.Expire(k * 10 * second)
 		runtime.GC()
@@ -154,7 +152,7 @@ func TestRecycledSliceMemoryBounded(t *testing.T) {
 		case k == 4 && (!alive || s.spares.Len() != 1):
 			t.Fatalf("close %d: the burst slice expired and is not a spare (%d spares)", k, s.spares.Len())
 		case k == 8 && alive:
-			t.Fatalf("close %d: the burst slice's chunk is reachable a retention after it expired", k)
+			t.Fatalf("close %d: the burst slice's columns are reachable a retention after it expired", k)
 		}
 		fill(k, steady)
 	}
@@ -288,12 +286,34 @@ func TestRecycledGroupsMemoryBounded(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
-// TestTumblingViewMemoryBounded: a tumbling view recycles its last window's
-// groups only while its slab has carved at most twice as many. A window of
-// 10 000 groups is recycled for the 10-group window after it; at the next
-// rebuild 10 groups are released against 10 000 carved, so the view starts a
-// new slab, and the burst's window groups and their slab's chunks — of
-// groups and of accumulator lists — are unreachable within two closes.
+// layerOf follows a view's window layer: the arrays of its wins and of each
+// of its word columns.
+func layerOf(v *View) []weak.Pointer[byte] {
+	layer := []weak.Pointer[byte]{weak.Make((*byte)(unsafe.Pointer(&v.wins[0])))}
+	for _, c := range v.cols {
+		layer = append(layer, weak.Make((*byte)(reflect.ValueOf(c.Acc(0)).UnsafePointer())))
+	}
+	return layer
+}
+
+// reachable counts the pointers whose objects survive two collections.
+func reachable(ws []weak.Pointer[byte]) (n int) {
+	runtime.GC()
+	runtime.GC()
+	for _, w := range ws {
+		if w.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTumblingViewMemoryBounded: a tumbling view keeps its last window's
+// columns only while they are at most twice as long as its window's highest
+// group id needs. A window of 10 000 groups is kept for the 10-group window
+// after it; at the next close the columns are 10 000 long against ids below
+// 10, so they move to arrays of 10, and the burst's arrays are unreachable
+// within two closes.
 func TestTumblingViewMemoryBounded(t *testing.T) {
 	const burst, steady = 10000, 10
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
@@ -305,43 +325,29 @@ func TestTumblingViewMemoryBounded(t *testing.T) {
 	}
 	fill(0, burst)
 	fire(t, v, 10*second, false)
-	var groups []weak.Pointer[winGroup]
-	var accs []weak.Pointer[expr.Acc]
-	for i := 0; i < burst; i += burst / 100 { // the first chunk, the last, and chunks between
-		wg := v.ordered[i]
-		groups, accs = append(groups, weak.Make(wg)), append(accs, weak.Make(&wg.accs[0]))
-	}
+	layer := layerOf(v)
 	s.Expire(10 * second)
 	for k := int64(1); k <= 3; k++ {
 		fill(k, steady)
 		fire(t, v, (k+1)*10*second, false)
 		s.Expire((k + 1) * 10 * second)
-		runtime.GC()
-		runtime.GC()
-		alive := 0
-		for i := range groups {
-			if groups[i].Value() != nil || accs[i].Value() != nil {
-				alive++
-			}
-		}
-		switch {
-		case k == 1 && (alive == 0 || v.spare.Len() == 0):
-			t.Fatalf("close %d: the burst's groups were not recycled (%d of %d reachable)", k, alive, len(groups))
+		switch alive := reachable(layer); {
+		case k == 1 && (alive != len(layer) || len(v.wins) != burst):
+			t.Fatalf("close %d: the burst's columns were not kept (%d of %d arrays reachable, %d long)", k, alive, len(layer), len(v.wins))
 		case k >= 2 && alive != 0:
-			t.Fatalf("close %d: %d of %d burst window groups reachable, their slab replaced a close ago", k, alive, len(groups))
+			t.Fatalf("close %d: %d of %d arrays of the burst's columns reachable, cut a close ago", k, alive, len(layer))
 		}
 	}
 	runtime.KeepAlive(s)
 }
 
-// TestSlidingViewMemoryBounded: a sliding view keeps the window groups that
-// leave it for its next newcomers, while its slab has carved at most twice the
-// groups it holds. A burst of 10 000 keys leaves the window while a second
-// is in it, and a third, a close later, takes the first one's window groups;
-// once the second and third have left as well, 10 groups are live against
-// 20 010 carved, so the view starts a new slab, and the bursts' window groups
-// and their slab's chunks — of groups and of accumulator lists — are
-// unreachable within two closes of the last burst leaving.
+// TestSlidingViewMemoryBounded: a sliding view's columns follow the highest
+// group id in its window. A burst of 10 000 keys leaves the window while a
+// second is in it, and a third, a close later, takes ids past both (the
+// first's idle a boundary in the store); once the second and third have left
+// as well, 10 groups are live, with ids below 10, against columns of 30 010,
+// so the view moves to arrays of 10, and the bursts' arrays are unreachable
+// within two closes of the last burst leaving.
 func TestSlidingViewMemoryBounded(t *testing.T) {
 	const burst, steady = 10000, 10
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY url`)
@@ -351,20 +357,7 @@ func TestSlidingViewMemoryBounded(t *testing.T) {
 			insert(t, s, hit(prefix+strconv.Itoa(i), k*10*second+int64(i), 1))
 		}
 	}
-	windowGroup := func(key string) *winGroup { return v.groups[s.groups[types.Row{types.NewString(key)}.Key()].id] }
-	var groups []weak.Pointer[winGroup]
-	var accs []weak.Pointer[expr.Acc]
-	first := map[uintptr]bool{} // the first burst's window groups, by address
-	alive := func() (n int) {
-		runtime.GC()
-		runtime.GC()
-		for i := range groups {
-			if groups[i].Value() != nil || accs[i].Value() != nil {
-				n++
-			}
-		}
-		return n
-	}
+	var layer []weak.Pointer[byte]
 	bursts := map[int64]string{0: "/a/", 1: "/b/", 3: "/c/"} // by slice
 	for k := int64(0); k < 7; k++ {
 		fill(k, "/steady/", steady)
@@ -373,34 +366,19 @@ func TestSlidingViewMemoryBounded(t *testing.T) {
 		}
 		fire(t, v, (k+1)*10*second, false)
 		switch k {
-		case 0, 1: // the first burst's first groups share the steady groups' last chunk: sample past it
-			for i := burst / 100; i < burst; i += burst / 100 {
-				wg := windowGroup(bursts[k] + strconv.Itoa(i))
-				first[uintptr(unsafe.Pointer(wg))] = k == 0
-				groups, accs = append(groups, weak.Make(wg)), append(accs, weak.Make(&wg.accs[0]))
+		case 2, 3:
+			if n, want := len(v.wins), steady+int(k)*burst; n != want {
+				t.Fatalf("close %d: columns of %d groups, want %d: every burst's ids", k, n, want)
 			}
-		case 2:
-			if n := v.spare.Len(); n != burst {
-				t.Fatalf("close %d: %d window groups kept, want the %d the first burst left", k, n, burst)
-			}
-		case 3:
-			taken := 0
-			for i := 0; i < burst; i++ {
-				if first[uintptr(unsafe.Pointer(windowGroup("/c/"+strconv.Itoa(i))))] {
-					taken++
-				}
-			}
-			if taken != burst/100-1 {
-				t.Fatalf("close %d: the third burst took %d of the first one's %d sampled window groups", k, taken, burst/100-1)
-			}
+			layer = layerOf(v)
 		case 5:
-			if n := alive(); n != len(groups) {
-				t.Fatalf("close %d: %d of %d burst window groups reachable, want all: the slab has carved no more than twice the %d it held",
-					k, n, len(groups), burst+steady)
+			if n := reachable(layer); n != len(layer) {
+				t.Fatalf("close %d: %d of %d arrays of the bursts' columns reachable, want all: its window's highest id needs %d",
+					k, n, len(layer), steady+3*burst)
 			}
 		case 6:
-			if n := alive(); n != 0 {
-				t.Fatalf("close %d: %d of %d burst window groups reachable, their slab replaced", k, n, len(groups))
+			if n := reachable(layer); n != 0 {
+				t.Fatalf("close %d: %d of %d arrays of the bursts' columns reachable, want them cut", k, n, len(layer))
 			}
 		}
 		s.Expire((k + 1) * 10 * second)

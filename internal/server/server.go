@@ -345,7 +345,7 @@ func (e engine) Do(req *Request, resp *Response) {
 		}
 		resp.OK, resp.Affected = true, res.RowsAffected
 		if res.Rows != nil {
-			resp.Columns = EncodeSchema(res.Rows.Columns)
+			resp.schema = res.Rows.Columns
 			resp.Rows = WireRows(res.Rows.Data)
 		}
 
@@ -355,7 +355,7 @@ func (e engine) Do(req *Request, resp *Response) {
 			resp.Error = err.Error()
 			return
 		}
-		resp.OK, resp.Columns, resp.Rows = true, EncodeSchema(rows.Columns), WireRows(rows.Data)
+		resp.OK, resp.schema, resp.Rows = true, rows.Columns, WireRows(rows.Data)
 
 	case "append":
 		rows := Rows(req.Rows)
@@ -405,5 +405,5 @@ func (e engine) Subscribe(req *Request, emit func(*Response) bool) (*Response, f
 			resp = Response{} // an idle pump holds no rows
 		}
 	}()
-	return &Response{OK: true, Columns: EncodeSchema(cq.Columns)}, cq.Close
+	return &Response{OK: true, schema: cq.Columns}, cq.Close
 }

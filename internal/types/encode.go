@@ -58,6 +58,11 @@ type RowStrings struct {
 	names [8]string
 }
 
+// Borrow returns b's bytes as a string without copying them. It is valid
+// only while b is not written again, so whoever keeps it past then clones it
+// (strings.Clone): a request's SQL text borrows its frame's bytes.
+func Borrow(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // Add copies a string payload into the scratch and returns its placeholder,
 // its length and no bytes: reading it (Str, String, Compare, encoding) before
 // the batch ends panics, so a decoder that fails before then drops the batch.

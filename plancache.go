@@ -2,7 +2,6 @@ package streamrel
 
 import (
 	"slices"
-	"strings"
 	"sync"
 
 	"streamrel/internal/exec"
@@ -63,7 +62,7 @@ func (c *planCache) put(text string, gen uint64, args []Value, p *plan.Plan) *ca
 		if c.entries == nil || len(c.entries) >= maxCachedPlans {
 			c.entries = make(map[string]*cachedPlan)
 		}
-		c.entries[strings.Clone(text)] = ent // the text may share a request's memory
+		c.entries[text] = ent // query cloned it
 	}
 	return ent
 }
