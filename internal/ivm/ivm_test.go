@@ -137,16 +137,32 @@ func allocated(f func()) (mallocs, bytes float64) {
 	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
+// leastOfThree runs round, which measures the same closes, three times and
+// returns the least mallocs and bytes it read. allocated counts the whole
+// process, so the rest of a loaded host's test binary can add to a round
+// (make alloc-pins read 5 allocations in 20 closes that allocate nothing);
+// what the closes allocate is the same every round, so the least is theirs.
+func leastOfThree(round func() (mallocs, bytes float64)) (mallocs, bytes float64) {
+	mallocs, bytes = math.Inf(1), math.Inf(1)
+	for range 3 {
+		m, b := round()
+		mallocs, bytes = min(mallocs, m), min(bytes, b)
+	}
+	return mallocs, bytes
+}
+
 // allocsPerClose runs step, one close, n times and returns the allocations
-// a close, counted over all n: testing.AllocsPerRun divides in integers, so
-// a cost below one allocation a close — a 4-allocation slab chunk every 16
-// closes — would read 0. Callers turn the collector off, so a cycle starting
-// inside a close does not count the runtime's own objects.
+// a close, counted over all n (the least of three such runs): testing.AllocsPerRun
+// divides in integers, so a cost below one allocation a close — a 4-allocation
+// slab chunk every 16 closes — would read 0. Callers turn the collector off, so
+// a cycle starting inside a close does not count the runtime's own objects.
 func allocsPerClose(n int, step func()) float64 {
-	mallocs, _ := allocated(func() {
-		for range n {
-			step()
-		}
+	mallocs, _ := leastOfThree(func() (float64, float64) {
+		return allocated(func() {
+			for range n {
+				step()
+			}
+		})
 	})
 	return mallocs / float64(n)
 }
@@ -659,12 +675,12 @@ func TestPairedFireAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := newStore(t, `SELECT url, count(*), sum(v) FROM s <VISIBLE '25 seconds' ADVANCE '10 seconds'> GROUP BY url`)
 	v := s.Attach(25 * second)
-	var mallocs float64
-	for k := int64(0); k < 4+closes; k++ {
+	k := int64(0)
+	closeOnce := func() (mallocs float64) { // what the fire allocates
 		for i := 0; i < 2*groups; i++ {
 			insert(t, s, hit("/page/"+strconv.Itoa(i%groups), k*10*second+int64(i/groups)*5*second, 1))
 		}
-		n, _ := allocated(func() {
+		mallocs, _ = allocated(func() {
 			if out, touched, _, err := v.Fire((k+1)*10*second, false); err != nil || len(out) != groups || touched != groups {
 				t.Fatalf("fire %d: %d rows, %d touched, %v", k, len(out), touched, err)
 			}
@@ -673,10 +689,18 @@ func TestPairedFireAllocs(t *testing.T) {
 		if got := s.SlicesN.Load(); k >= 4 && got != 5 {
 			t.Fatalf("close %d: %d slices retained, want the five of [c − 25 s, c)", k, got)
 		}
-		if k >= 4 {
-			mallocs += n
-		}
+		k++
+		return mallocs
 	}
+	for k < 4 {
+		closeOnce()
+	}
+	mallocs, _ := leastOfThree(func() (mallocs, _ float64) {
+		for range closes {
+			mallocs += closeOnce()
+		}
+		return mallocs, 0
+	})
 	if per := mallocs / closes; per > 2.1 && !racing {
 		t.Errorf("a paired close allocates %.2f times, want 2: the block and the slice", per)
 	}
@@ -765,18 +789,19 @@ func steadyView(t *testing.T, groups, touched int, inPlace bool) (v *View, feed 
 func TestFireAllocsFollowTouched(t *testing.T) {
 	const groups, touched, closes = 10000, 100, 200
 	_, feed, fire := steadyView(t, groups, touched, false)
-	var mallocs, bytes float64
-	for i := 0; i < closes; i++ {
-		feed()
-		var rows []types.Row
-		var changed, carved int
-		n, b := allocated(func() { rows, changed, carved = fire() })
-		if len(rows) != groups || changed != touched || (carved != touched && carved != groups) {
-			t.Fatalf("close %d: %d rows, %d touched, %d carved", i, len(rows), changed, carved)
+	mallocs, bytes := leastOfThree(func() (mallocs, bytes float64) {
+		for i := 0; i < closes; i++ {
+			feed()
+			var rows []types.Row
+			var changed, carved int
+			n, b := allocated(func() { rows, changed, carved = fire() })
+			if len(rows) != groups || changed != touched || (carved != touched && carved != groups) {
+				t.Fatalf("close %d: %d rows, %d touched, %d carved", i, len(rows), changed, carved)
+			}
+			mallocs, bytes = mallocs+n, bytes+b
 		}
-		mallocs += n
-		bytes += b
-	}
+		return mallocs, bytes
+	})
 	// The runtime's own occasional allocation (a GC cycle starting inside a
 	// close) is the 0.1; one more per close, per chunk or per group is not.
 	if per := mallocs / closes; per > 2.1 {
@@ -871,11 +896,7 @@ func TestSlidingChurnAllocs(t *testing.T) {
 	// Counted over all the closes, not per close (testing.AllocsPerRun rounds
 	// down): a regrowth of the columns for the newcomers would be a few
 	// allocations in many closes.
-	if got, _ := allocated(func() {
-		for i := 0; i < closes; i++ {
-			step()
-		}
-	}); got != 0 {
+	if got := allocsPerClose(closes, step) * closes; got != 0 {
 		t.Errorf("%d in-place sliding closes where %d groups leave and %d arrive allocate %.0f times, want 0", closes, k, k, got)
 	}
 }

@@ -86,10 +86,14 @@ type Primary struct {
 	copies types.RowStrings
 	// runs, recs and spans are the blocks publishLocked copies an event's RowID
 	// runs, WAL records and the spans of its stored rows into (carve): a
-	// publisher reuses its own once it returns.
-	runs  []wal.RowIDRun
-	recs  []wal.Record
-	spans []types.Row
+	// publisher reuses its own once it returns. carved is the LSN of the
+	// newest event carved into them: once the ring evicts it they hold nothing
+	// it does, and are retired, so a chunk of an evicted event's rows is not
+	// kept for the events carved after it.
+	runs   []wal.RowIDRun
+	recs   []wal.Record
+	spans  []types.Row
+	carved uint64
 
 	pingEvery time.Duration
 
@@ -372,7 +376,13 @@ func (p *Primary) publishLocked(ev Event, size int, spans [][]types.Datum) [][]t
 	p.lsn++
 	ev.LSN = p.lsn
 	ev.Wall = time.Now().UnixMicro()
+	if ev.Runs != nil || ev.Recs != nil { // an archive's spans come with its runs
+		p.carved = p.lsn
+	}
 	for p.ringLen > 0 && (p.ringLen == len(p.ring) || p.retained+size > maxRingBytes) {
+		if p.ring[p.head].LSN == p.carved {
+			p.runs, p.recs, p.spans = nil, nil, nil
+		}
 		p.retained -= p.ringSizes[p.head]
 		p.ring[p.head] = Event{} // let go of its rows
 		p.head = (p.head + 1) % len(p.ring)
@@ -407,7 +417,7 @@ func (p *Primary) held(rows []types.Row, spans [][]types.Datum) ([]types.Row, []
 
 // carve copies src into the free end of *block, or of a new block of at least
 // least items, and returns the copy, which nothing writes again: a block goes
-// once the ring has evicted every event in it. A nil src stays nil.
+// once the ring has evicted every event in it (carved). A nil src stays nil.
 func carve[T any](block *[]T, src []T, least int) []T {
 	if src == nil {
 		return nil

@@ -40,9 +40,11 @@ type version struct {
 // allocated with its stamps and this header as one object (newFull); the
 // first segment's come as it grows, of 1, 1, 2, 4, … segRows/2 rows — chunk
 // k > 0 holds slots [2^(k-1), 2^k). The bytes of the rows' VARCHARs are in
-// strs, whose chunks the segment owns. A stored row is written once and never
-// moves, so a reader may keep what Read hands out for as long as it likes (see
-// Heap).
+// strs, whose chunks the segment owns, each distinct string once while the
+// heap's table of them held it (Heap.seen) — never bytes of another segment's,
+// so a segment Vacuum frees takes its strings with it. A stored row is written
+// once and never moves, so a reader may keep what Read hands out for as long as
+// it likes (see Heap).
 type segment struct {
 	vers []version
 	vals [firstChunks][]types.Datum
@@ -117,8 +119,9 @@ const segRows = 4096
 // Heap is an append-only, versioned row store. Deletes stamp xmax; updates
 // are delete+insert. Vacuum reclaims dead versions where they lie.
 //
-// A heap owns its bytes: InsertRun and InsertRunAt copy each row, strings
-// included, into its segment. Two rules keep every row it hands out valid:
+// A heap owns its bytes: InsertRun and InsertRunAt copy each row into its
+// segment, strings included, each distinct one once a segment (seen). Two
+// rules keep every row it hands out valid:
 //   - A slot keeps the row first stored in it. Re-applying a row to an
 //     occupied slot stores nothing, and writing a slot Vacuum reclaimed from a
 //     version some snapshot saw (its xmax is still set) first copies the
@@ -135,11 +138,22 @@ type Heap struct {
 	n      RowID        // the next RowID
 	mut    uint64       // writes below n that can change what a snapshot reads (see Stamp)
 	last   txn.ID       // the largest transaction ID stamped
+	// seen is the table of the strings segment seenSeg's arena holds, by hash
+	// (types.Arena.CopyRow), so an archive copies a url into a segment once,
+	// not once a row. It is the heap's, allocated once, not a segment's; it is
+	// emptied when a write lands in another segment or Vacuum frees this one,
+	// so it never points into another arena; it grows with the slots written,
+	// up to segRows entries, so a five-row table pays for eight. Nil in a heap
+	// without a VARCHAR column.
+	seen    []string
+	seenSeg int
+	varchar bool
 }
 
 // NewHeap creates an empty heap for the given schema.
 func NewHeap(name string, schema types.Schema) *Heap {
-	return &Heap{name: name, schema: schema, full: fullType(len(schema))}
+	varchar := slices.ContainsFunc(schema, func(c types.Column) bool { return c.Type == types.TypeString })
+	return &Heap{name: name, schema: schema, full: fullType(len(schema)), varchar: varchar}
 }
 
 // Name returns the heap's table name.
@@ -256,7 +270,7 @@ func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
 			fallthrough
 		default:
 			*v = version{xmin: tx}
-			seg.strs.CopyRow(seg.row(si, off, w), row, h.arenaHint(si))
+			seg.strs.CopyRow(seg.row(si, off, w), row, h.arenaHint(si), h.strings(si, off))
 		}
 		rows[i] = seg.row(si, off, w)
 	}
@@ -271,6 +285,22 @@ func (h *Heap) arenaHint(si int) int {
 		return h.segs[si-1].strs.Used() * 17 / 16
 	}
 	return 64
+}
+
+// strings returns the table of the strings segment si holds (seen), for a
+// write to its slot off. Callers hold mu for writing.
+func (h *Heap) strings(si, off int) []string {
+	if !h.varchar {
+		return nil
+	}
+	if si != h.seenSeg {
+		clear(h.seen)
+		h.seenSeg = si
+	}
+	if off >= len(h.seen) && len(h.seen) < segRows {
+		h.seen = make([]string, min(segRows, 1<<bits.Len(uint(off))))
+	}
+	return h.seen
 }
 
 // NextID returns the RowID the next InsertRun will assign.
@@ -462,6 +492,9 @@ func (h *Heap) Vacuum(horizon txn.Snapshot, dropped func(RowID, types.Row)) int 
 		}
 		if held == [firstChunks]bool{} {
 			h.segs[si] = nil
+			if si == h.seenSeg {
+				clear(h.seen)
+			}
 		}
 	}
 	return removed

@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"unsafe"
 )
@@ -166,19 +167,34 @@ func (a *Arena) Used() int { return a.used }
 // arena: into its chunk while that has room, else into a new one, twice as
 // long up to 64 KiB, least bytes at least — a keeper that knows what it will
 // copy asks for that at once — and as long as the string if that is longer.
-func (a *Arena) CopyRow(dst, src Row, least int) {
+// seen, empty or of a power-of-two length, is the keeper's table of strings
+// this arena holds, by hash: a string found there shares that copy's bytes,
+// and one copied takes its entry.
+func (a *Arena) CopyRow(dst, src Row, least int, seen []string) {
 	for i, d := range src {
 		if n := int(d.n & low); d.typ() == TypeString && n > 0 {
-			if cap(a.chunk)-len(a.chunk) < n {
-				a.chunk = make([]byte, 0, max(n, min(2*cap(a.chunk), arenaChunk), least))
+			s := d.str()
+			var none string // where a copy is noted without a table
+			e := &none
+			if len(seen) > 0 {
+				e = &seen[maphash.String(strSeed, s)&uint64(len(seen)-1)]
 			}
-			a.used += n
-			a.chunk = append(a.chunk, d.str()...)
-			d.p = unsafe.Pointer(&a.chunk[len(a.chunk)-n])
+			if *e != s {
+				if cap(a.chunk)-len(a.chunk) < n {
+					a.chunk = make([]byte, 0, max(n, min(2*cap(a.chunk), arenaChunk), least))
+				}
+				a.used += n
+				a.chunk = append(a.chunk, s...)
+				*e = unsafe.String(&a.chunk[len(a.chunk)-n], n)
+			}
+			d.p = unsafe.Pointer(unsafe.StringData(*e))
 		}
 		dst[i] = d
 	}
 }
+
+// strSeed is CopyRow's hash seed.
+var strSeed = maphash.MakeSeed()
 
 // spare takes *s, emptied, if it holds n elements, else makes room for n.
 func spare[T any](s *[]T, n int) []T {
