@@ -84,7 +84,7 @@ drain-policies:
 # 4 096 rows and 512 KiB of values and of strings, and shares memory with no
 # frame and no other batch: internal/server/proto.go, types.CheckBatch; the
 # window store keeps none of it, TestStoreKeysPinNoBatch), the sizes the
-# byte pins are reckoned in (a Datum 16 bytes, a heap version 16) and every
+# byte pins are reckoned in (a Datum 16 bytes, a heap run 16) and every
 # allocation pin on the decode → commit → replicate path (decoding costs a
 # constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
 # TestDecodeRecordsAllocs, and a query response's columns none to encode and

@@ -26,6 +26,9 @@ import (
 func (e *Engine) execDDL(stmt sql.Statement, sqlText string, at wal.Record) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
 	skipped, err := e.applyDDL(stmt)
 	if err != nil {
 		return nil, err

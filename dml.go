@@ -20,6 +20,9 @@ import (
 func (e *Engine) execInsert(s *sql.Insert) (*Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
 	// Target resolution: stream or table.
 	if st, ok := e.cat.Stream(s.Table); ok {
 		rows, err := e.insertSourceRows(s, st.Schema)
@@ -155,6 +158,9 @@ func (e *Engine) execUpdate(s *sql.Update) (*Result, error) {
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
 	w := e.beginWrite(nil)
 	matches, err := e.matching(w, t, where)
 	if err != nil {
@@ -204,6 +210,9 @@ func (e *Engine) execDelete(s *sql.Delete) (*Result, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
 	w := e.beginWrite(nil)
 	matches, err := e.matching(w, t, where)
 	if err != nil {
@@ -275,6 +284,9 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.closed {
+		return ErrClosed
+	}
 	w := e.beginWrite(nil)
 	coerced := make([]types.Row, len(rows))
 	for i, row := range rows {

@@ -96,6 +96,8 @@ type Primary struct {
 	carved uint64
 
 	pingEvery time.Duration
+	// done is closed by Close: every ServeConn returns.
+	done chan struct{}
 
 	connected  *metrics.Gauge
 	frames     *metrics.Counter
@@ -119,6 +121,7 @@ func NewPrimary(cfg Config) *Primary {
 		ringSizes: make([]int, DefaultRingSize),
 		wakes:     make(map[chan struct{}]struct{}),
 		pingEvery: pingEvery,
+		done:      make(chan struct{}),
 		connected: cfg.Metrics.Gauge("streamrel_repl_connected_replicas",
 			"replicas currently streaming from this primary"),
 		frames: cfg.Metrics.Counter("streamrel_repl_frames_sent_total",
@@ -149,6 +152,10 @@ func newRunID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
+
+// Close ends every stream ServeConn serves, now and later: the engine that
+// publishes to the hub has closed. Call it once.
+func (p *Primary) Close() { close(p.done) }
 
 // RunID returns this primary's replication epoch identifier.
 func (p *Primary) RunID() string {
@@ -495,7 +502,8 @@ func (p *Primary) eventsAfter(dst []Event, lsn uint64, runID string) ([]Event, e
 const writeDeadline = 30 * time.Second
 
 // ServeConn streams replication frames to one replica until the
-// connection fails, the replica falls behind the ring or a new run begins.
+// connection fails, the replica falls behind the ring, a new run begins or
+// the primary closes.
 // fromLSN is the last LSN the replica has applied under runID ("", 0 for a
 // fresh replica). The caller owns conn and closes it afterwards; ServeConn
 // blocks for the lifetime of the stream.
@@ -552,13 +560,16 @@ func (p *Primary) ServeConn(conn net.Conn, fromLSN uint64, runID string) error {
 	// The tail: catch-up and live events alike are read from the ring after
 	// the cursor, a batch a pass, and the loop sleeps only once it has sent
 	// everything there is, pinging an idle replica with the primary's LSN and
-	// clock.
+	// clock. Once the primary closes it sends what the ring holds and returns.
 	ticker := time.NewTicker(p.pingEvery)
 	defer ticker.Stop()
 	batch := make([]Event, 0, tailBatch)
-	for {
+	for closed := false; ; {
 		if batch, err = p.eventsAfter(batch[:0], fromLSN, runID); err != nil {
 			return err
+		}
+		if closed && len(batch) == 0 {
+			return fmt.Errorf("repl: the primary has closed")
 		}
 		for i := 0; err == nil && i < len(batch); i++ {
 			err = send(&batch[i])
@@ -578,6 +589,8 @@ func (p *Primary) ServeConn(conn net.Conn, fromLSN uint64, runID string) error {
 		}
 		select {
 		case <-wake:
+		case <-p.done:
+			closed = true
 		case <-ticker.C:
 			if err := send(&Event{Kind: KindPing, LSN: p.LSN(), Wall: time.Now().UnixMicro()}); err != nil {
 				return err

@@ -56,8 +56,8 @@ func checkArenas(t *testing.T, h *Heap, pool []string) {
 		add(s, -1)
 	}
 	for si, seg := range h.segs {
-		for off := 0; seg != nil && off < len(seg.vers); off++ {
-			if seg.vers[off].xmin != 0 {
+		for off := 0; seg != nil && off < seg.size(); off++ {
+			if seg.xminAt(off) != 0 {
 				for _, d := range seg.row(si, off, len(h.schema)) {
 					if d.Type() == types.TypeString {
 						add(d.Str(), si)
@@ -158,7 +158,7 @@ func TestSegmentStoresEachStringOnce(t *testing.T) {
 		checkArenas(t, h, pool)
 	}
 	in3 := map[*byte]bool{}
-	for off := range h.segs[3].vers {
+	for off := range h.segs[3].size() {
 		for _, d := range h.segs[3].row(3, off, len(h.schema))[:2] {
 			in3[unsafe.StringData(d.Str())] = true
 		}
@@ -227,27 +227,99 @@ func TestVacuumReleasesDeadStrings(t *testing.T) {
 	runtime.KeepAlive(h)
 }
 
-// BenchmarkHeapInsert fills a heap with 16 segments of rows shaped like
-// bench/'s wire_durable archive — (url of 100 Zipf values, timestamp,
-// client_ip of 1 000, bigint) — in 256-row runs, as a channel stores its
-// batches, and reports the cost a row and the string bytes its arenas took.
-func BenchmarkHeapInsert(b *testing.B) {
-	const rows, run = 16 * segRows, 256
+// archiveSchema is the shape of bench/'s wire_durable archive: a url of 100
+// Zipf values, a timestamp, a client_ip of 1 000 and a bigint.
+var archiveSchema = types.Schema{{Name: "url", Type: types.TypeString}, {Name: "atime", Type: types.TypeTimestamp},
+	{Name: "client_ip", Type: types.TypeString}, {Name: "bytes", Type: types.TypeInt}}
+
+// archiveRows are n rows of archiveSchema.
+func archiveRows(n int) []types.Row {
 	r := rand.New(rand.NewSource(1))
 	z := rand.NewZipf(r, 1.2, 1, 99)
-	pool := make([]types.Row, rows)
-	for i := range pool {
+	rows := make([]types.Row, n)
+	for i := range rows {
 		c := r.Intn(1000)
-		pool[i] = types.Row{types.NewString(fmt.Sprintf("/page/%04d", z.Uint64())), types.NewTimestampMicros(int64(i)),
+		rows[i] = types.Row{types.NewString(fmt.Sprintf("/page/%04d", z.Uint64())), types.NewTimestampMicros(int64(i)),
 			types.NewString(fmt.Sprintf("10.%d.%d.%d", c>>16&255, c>>8&255, c&255)), types.NewInt(int64(200 + r.Intn(4000)))}
 	}
-	schema := types.Schema{{Name: "url", Type: types.TypeString}, {Name: "atime", Type: types.TypeTimestamp},
-		{Name: "client_ip", Type: types.TypeString}, {Name: "bytes", Type: types.TypeInt}}
+	return rows
+}
+
+// archiveHeap is a heap of n archiveRows stored in runs of run rows, each a
+// transaction that commits, and — with deletes — one row a segment deleted
+// by another; and a snapshot that sees them all.
+func archiveHeap(n, run int, deletes bool) (*Heap, txn.Snapshot) {
+	mgr := txn.NewManager()
+	h := NewHeap("archive", archiveSchema)
+	rows := archiveRows(n)
+	for i := 0; i < n; i += run {
+		tx := mgr.Begin()
+		h.InsertRun(tx.ID, rows[i:min(i+run, n)])
+		tx.Commit()
+	}
+	if deletes {
+		tx := mgr.Begin()
+		for id := RowID(segRows / 2); id < RowID(n); id += segRows {
+			h.Delete(tx.ID, id)
+		}
+		tx.Commit()
+	}
+	return h, mgr.SnapshotNow()
+}
+
+// BenchmarkHeapScan reads a 16-segment archiveHeap of 256-row runs whole,
+// scanRows rows a Read as Scan does, and reports the cost a row: without a
+// delete, and with one a segment, which gives every segment an xmax lane.
+func BenchmarkHeapScan(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		deletes bool
+	}{{"Runs", false}, {"DeletePerSegment", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			h, snap := archiveHeap(16*segRows, 256, c.deletes)
+			end := h.NextID()
+			rows := make([]types.Row, 0, scanRows)
+			b.ResetTimer()
+			for range b.N {
+				for pos := RowID(0); pos < end; {
+					rows = rows[:0]
+					pos = h.Read(snap, pos, end, scanRows, &rows, nil)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(end), "ns/row")
+		})
+	}
+}
+
+// BenchmarkHeapGet looks rows of a 16-segment archiveHeap up by RowID, at a
+// stride through all of it: stored in 256-row runs, and in one-row
+// transactions, a run a slot.
+func BenchmarkHeapGet(b *testing.B) {
+	for _, run := range []int{256, 1} {
+		b.Run(fmt.Sprint("Run", run), func(b *testing.B) {
+			h, snap := archiveHeap(16*segRows, run, false)
+			n := uint64(h.NextID())
+			b.ResetTimer()
+			for i := range b.N {
+				if _, ok := h.Get(snap, RowID(uint64(i)*7919%n)); !ok {
+					b.Fatalf("row %d is not visible", uint64(i)*7919%n)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHeapInsert fills a heap with 16 segments of archiveRows in 256-row
+// runs, as a channel stores its batches, and reports the cost a row and the
+// string bytes its arenas took.
+func BenchmarkHeapInsert(b *testing.B) {
+	const rows, run = 16 * segRows, 256
+	pool := archiveRows(rows)
 	batch := make([]types.Row, run)
 	arena := 0
 	b.ResetTimer()
 	for range b.N {
-		h := NewHeap("archive", schema)
+		h := NewHeap("archive", archiveSchema)
 		for i := 0; i < rows; i += run {
 			copy(batch, pool[i:i+run])
 			h.InsertRun(txn.Bootstrap, batch)

@@ -3,7 +3,9 @@ package streamrel
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -533,5 +535,73 @@ func TestApplyEventMarks(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestClosedEngineRefusesWrites: once Close has run, every write entry point
+// — SQL DML and DDL, a script, Append, AdvanceTime, BulkInsert — returns
+// ErrClosed and changes nothing, in memory and on disk alike: the hub's LSN
+// stands and no table appears. And a replication stream the hub serves ends
+// with the engine, rather than pinging it until the socket drops.
+func TestClosedEngineRefusesWrites(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		cfg := Config{Replicate: true, TraceSampleEvery: -1}
+		if durable {
+			cfg.Dir = t.TempDir()
+		}
+		e, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, e, `CREATE TABLE t (a bigint)`)
+		mustExec(t, e, `CREATE STREAM s (a bigint, at timestamp CQTIME USER)`)
+		server, client := net.Pipe()
+		defer client.Close()
+		served := make(chan error, 1)
+		go func() { served <- e.hub.ServeConn(server, 0, e.hub.RunID()) }()
+		go io.Copy(io.Discard, client) // a replica reading what it is sent
+
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lsn, at := e.hub.LSN(), time.Date(2024, 1, 1, 0, 0, 1, 0, time.UTC)
+		exec := func(sql string) func() error {
+			return func() error { _, err := e.Exec(sql); return err }
+		}
+		for _, w := range []struct {
+			what  string
+			write func() error
+		}{
+			{"INSERT", exec(`INSERT INTO t VALUES (1)`)},
+			{"UPDATE", exec(`UPDATE t SET a = 2`)},
+			{"DELETE", exec(`DELETE FROM t`)},
+			{"INSERT INTO a stream", exec(`INSERT INTO s VALUES (1, TIMESTAMP '2024-01-01 00:00:00')`)},
+			{"CREATE TABLE", exec(`CREATE TABLE u (a bigint)`)},
+			{"ExecScript", func() error { return e.ExecScript(`CREATE TABLE v (a bigint); INSERT INTO t VALUES (3)`) }},
+			{"Append", func() error { return e.Append("s", Row{types.NewInt(1), types.NewTimestampMicros(at.UnixMicro())}) }},
+			{"AdvanceTime", func() error { return e.AdvanceTime("s", at.Add(time.Second)) }},
+			{"BulkInsert", func() error { return e.BulkInsert("t", []Row{{types.NewInt(4)}}) }},
+		} {
+			if err := w.write(); !errors.Is(err, ErrClosed) {
+				t.Errorf("durable %v: %s after Close returned %v, want ErrClosed", durable, w.what, err)
+			}
+		}
+		if got := e.hub.LSN(); got != lsn {
+			t.Errorf("durable %v: the writes after Close moved the hub's LSN %d → %d", durable, lsn, got)
+		}
+		for _, name := range []string{"u", "v"} {
+			if _, ok := e.cat.Table(name); ok {
+				t.Errorf("durable %v: table %s exists after Close", durable, name)
+			}
+		}
+		select {
+		case err := <-served:
+			if err == nil {
+				t.Errorf("durable %v: ServeConn ended without an error", durable)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("durable %v: ServeConn still serves a closed engine", durable)
+		}
+		server.Close()
 	}
 }

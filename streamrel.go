@@ -347,10 +347,14 @@ func (e *Engine) Traces() []TraceSpan { return e.tracer.Snapshot() }
 func (e *Engine) walPath() string        { return filepath.Join(e.cfg.Dir, "wal.log") }
 func (e *Engine) checkpointPath() string { return filepath.Join(e.cfg.Dir, "checkpoint") }
 
+// ErrClosed is returned by every write once Close has begun.
+var ErrClosed = errors.New("streamrel: engine is closed")
+
 // Close shuts the engine down: pipeline mailboxes drain and stop (their
-// channel writes still reach the WAL), then the log closes. In-flight
-// continuous queries stop receiving batches. Close returns any
-// asynchronous CQ failure that had not yet surfaced.
+// channel writes still reach the WAL), then the log closes and the
+// replication hub's streams end. In-flight continuous queries stop receiving
+// batches; writes return ErrClosed. Close returns any asynchronous CQ failure
+// that had not yet surfaced.
 func (e *Engine) Close() error {
 	// Stop the telemetry ticker before taking the engine lock: its ticks
 	// push into the stream runtime under the read lock.
@@ -364,6 +368,9 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	rtErr := e.rt.Close()
+	if e.hub != nil {
+		e.hub.Close()
+	}
 	if e.log != nil {
 		if err := e.log.Close(); err != nil {
 			return err
@@ -563,6 +570,9 @@ func (e *Engine) AdvanceTime(streamName string, ts time.Time) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.closed {
+		return ErrClosed
+	}
 	return e.rt.Advance(streamName, ts.UnixMicro())
 }
 
@@ -596,6 +606,9 @@ func (e *Engine) AppendBorrowed(traceID uint64, streamName string, rows []Row) (
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.closed {
+		return false, ErrClosed
+	}
 	return e.push(e.tracer.Adopt(traceID), streamName, rows)
 }
 
