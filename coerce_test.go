@@ -249,10 +249,10 @@ func TestChannelWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestChannelCoercionCopiesOnCast: a stream does not cast what it is given
-// (createChannel requires equal column types, but a BIGINT value can sit in
-// a DOUBLE column), so the channel still casts — into a copy: the stream's
-// own CQs and the caller's rows keep the value they had.
+// TestChannelCoercionCopiesOnCast: a stream casts what it is given to its
+// column types as a table's insert does — into a copy: the caller's rows keep
+// the value they had, and the stream's own CQs and its channel's table see the
+// DOUBLE the column declares.
 func TestChannelCoercionCopiesOnCast(t *testing.T) {
 	e := openMem(t)
 	if err := e.ExecScript(`
@@ -292,7 +292,7 @@ func TestChannelCoercionCopiesOnCast(t *testing.T) {
 			fired = append(fired, r.String())
 		}
 	}
-	if fmt.Sprint(fired) != "[a|7|2 b|NULL|1]" {
+	if fmt.Sprint(fired) != "[a|7.0|2 b|NULL|1]" {
 		t.Fatalf("the stream's CQ fired %v", fired)
 	}
 	res := mustQuery(t, e, `SELECT k, v, v / 2 FROM arch ORDER BY at`)
@@ -328,4 +328,59 @@ func TestInsertCoercionResults(t *testing.T) {
 		t.Fatal("a string went into a BIGINT column")
 	}
 	expectData(t, mustQuery(t, e, `SELECT count(*) FROM same`), "4")
+}
+
+// TestStreamCastsToColumnTypes: a base stream casts an append to its column
+// types as a table's insert does, so a CQ's sum fires the type CQ.Columns
+// declares and the value its channel's archive answers — a DOUBLE column fed
+// the BIGINTs 3 and 4 fires 7.0, a BIGINT column fed 1.5 and 2.0 the archive's
+// sum — and a VARCHAR that is no number is refused as an insert refuses it.
+func TestStreamCastsToColumnTypes(t *testing.T) {
+	base := MustTimestamp("2009-01-04 00:00:00")
+	for _, c := range []struct {
+		typ  string
+		vals []Value
+		want string
+	}{
+		{"double", []Value{Int(3), Int(4)}, "7.0"},
+		{"bigint", []Value{Float(1.5), Float(2.0)}, "3"},
+	} {
+		e := openMem(t)
+		if err := e.ExecScript(fmt.Sprintf(`
+			CREATE STREAM s (v %[1]s, at timestamp CQTIME USER);
+			CREATE TABLE arch (v %[1]s, at timestamp);
+			CREATE CHANNEL arch_ch FROM s INTO arch APPEND;`, c.typ)); err != nil {
+			t.Fatal(err)
+		}
+		cq, err := e.Subscribe(`SELECT sum(v) FROM s <ADVANCE '1 minute'>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range c.vals {
+			if err := e.Append("s", Row{v, Timestamp(base.Add(time.Duration(i+1) * time.Second))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.AdvanceTime("s", base.Add(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		batches := cq.Drain()
+		if len(batches) != 1 || len(batches[0].Rows) != 1 {
+			t.Fatalf("%s: fired %v", c.typ, batches)
+		}
+		got := batches[0].Rows[0][0]
+		if got.String() != c.want || got.Type() != cq.Columns[0].Type {
+			t.Errorf("%s: fired %v of type %v, want %s of type %v", c.typ, got, got.Type(), c.want, cq.Columns[0].Type)
+		}
+		expectData(t, mustQuery(t, e, `SELECT sum(v) FROM arch`), c.want)
+		if err := e.Append("s", Row{String("x"), Timestamp(base.Add(2 * time.Minute))}); err == nil {
+			t.Errorf("%s: the stream took 'x'", c.typ)
+		}
+		if _, err := e.Exec(`INSERT INTO arch VALUES ('x', timestamp '2009-01-04 00:02:00')`); err == nil {
+			t.Errorf("%s: the table took 'x'", c.typ)
+		}
+	}
 }

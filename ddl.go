@@ -294,7 +294,7 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	coerced := w.rows
 	asDelivered := true
 	for i, row := range rows {
-		cr, err := coerceRow(row, t.Schema)
+		cr, err := types.CoerceRow(row, t.Schema)
 		if err != nil {
 			return w.fail(err)
 		}
@@ -592,30 +592,6 @@ func (w *writeTxn) fail(err error) error {
 	w.tx.Abort()
 	w.end()
 	return err
-}
-
-// coerceRow casts a row's values to the target schema's types, copying on
-// the first cast only: a row that needs none is returned as it is, and the
-// heap copies what it stores.
-func coerceRow(row types.Row, schema types.Schema) (types.Row, error) {
-	if len(row) != len(schema) {
-		return nil, fmt.Errorf("streamrel: row has %d values, schema needs %d", len(row), len(schema))
-	}
-	out := row
-	for i, v := range row {
-		if v.IsNull() || v.Type() == schema[i].Type || schema[i].Type == types.TypeUnknown {
-			continue
-		}
-		c, err := types.Cast(v, schema[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("streamrel: column %q: %w", schema[i].Name, err)
-		}
-		if &out[0] == &row[0] {
-			out = row.Clone()
-		}
-		out[i] = c
-	}
-	return out, nil
 }
 
 // execCtx builds an execution context over a fresh snapshot.

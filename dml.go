@@ -116,7 +116,7 @@ func (e *Engine) insertSourceRows(s *sql.Insert, schema types.Schema) ([]types.R
 		for i, pos := range targets {
 			full[pos] = src[i]
 		}
-		coerced, err := coerceRow(full, schema)
+		coerced, err := types.CoerceRow(full, schema)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +291,7 @@ func (e *Engine) BulkInsert(table string, rows []Row) error {
 	coerced := make([]types.Row, len(rows))
 	for i, row := range rows {
 		var err error
-		if coerced[i], err = coerceRow(row, t.Schema); err != nil {
+		if coerced[i], err = types.CoerceRow(row, t.Schema); err != nil {
 			return w.fail(err)
 		}
 	}

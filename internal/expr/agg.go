@@ -82,7 +82,11 @@ type AccSlab struct {
 	Chunk int
 
 	counts     []countAcc
+	stars      []countStarAcc
 	sums       []sumAcc
+	bigints    []sumLane[bigintWord]
+	doubles    []sumLane[doubleWord]
+	intervals  []sumLane[intervalWord]
 	avgs       []avgAcc
 	minmaxes   []minmaxAcc
 	moments    []momentsAcc
@@ -105,11 +109,13 @@ func (s *AccSlab) New(spec AggSpec) (Acc, error) {
 	var inner Acc
 	switch spec.Name {
 	case "count":
-		a := carve(&s.counts, s.Chunk)
-		a.star = spec.Star
-		inner = a
+		if spec.Star {
+			inner = carve(&s.stars, s.Chunk)
+		} else {
+			inner = carve(&s.counts, s.Chunk)
+		}
 	case "sum":
-		inner = carve(&s.sums, s.Chunk)
+		inner = s.sum(spec.Arg)
 	case "avg":
 		inner = carve(&s.avgs, s.Chunk)
 	case "min", "max":
@@ -139,12 +145,32 @@ func (s *AccSlab) New(spec AggSpec) (Acc, error) {
 	return inner, nil
 }
 
+// sum carves a sum's accumulator: a typed lane when every value its argument
+// yields is of one summable type or NULL (Scalar.Exact), sumAcc otherwise.
+func (s *AccSlab) sum(arg *Scalar) Acc {
+	if arg != nil && arg.Exact {
+		switch arg.Type {
+		case types.TypeInt:
+			return carve(&s.bigints, s.Chunk)
+		case types.TypeFloat:
+			return carve(&s.doubles, s.Chunk)
+		case types.TypeInterval:
+			return carve(&s.intervals, s.Chunk)
+		}
+	}
+	return carve(&s.sums, s.Chunk)
+}
+
 // Reset returns an accumulator AccSlab.New made to the state New gave it: the
 // spec's flags kept, every value it held let go, so it pins no input batch.
 func Reset(a Acc) {
 	switch a := a.(type) {
 	case *countAcc:
 		a.n = 0
+	case *countStarAcc:
+		a.n = 0
+	case lane:
+		a.reset()
 	case *sumAcc:
 		*a = sumAcc{}
 	case *avgAcc:
@@ -170,11 +196,14 @@ var Sentinel = types.NewInt(-1 << 50)
 // window-state store's (internal/ivm) partials of a slice, by their position
 // in it, and a view's window layer, by group id. COUNT, SUM, AVG and
 // stddev/variance keep their accumulators' values in one array of words that
-// holds no pointer, which the collector does not trace; MIN/MAX, first/last
-// and DISTINCT keep an Acc each.
+// holds no pointer, which the collector does not trace, each element only the
+// words its type needs (DESIGN §11 "Allocation"); MIN/MAX, first/last and
+// DISTINCT keep an Acc each.
 type Column interface {
 	// Acc returns element i as an accumulator, valid until the next Resize.
 	Acc(i int) Acc
+	// Result returns element i's aggregate value.
+	Result(i int) types.Datum
 	// Resize makes the column n elements long. The elements it adds are
 	// fresh. The ones it cuts let go of every value they held and, under
 	// types.Poison, hold Sentinel; their memory stays for the next growth.
@@ -188,15 +217,8 @@ type Column interface {
 // NewColumn returns an empty column for the spec.
 func NewColumn(spec AggSpec) (Column, error) {
 	a, err := NewAcc(spec)
-	switch a.(type) {
-	case *countAcc:
-		return wordsOf[countAcc](a), nil
-	case *sumAcc:
-		return wordsOf[sumAcc](a), nil
-	case *avgAcc:
-		return wordsOf[avgAcc](a), nil
-	case *momentsAcc:
-		return wordsOf[momentsAcc](a), nil
+	if w, ok := a.(word); ok {
+		return w.column(), nil
 	}
 	return &accs{spec: spec}, err
 }
@@ -222,19 +244,29 @@ type accOf[T any] interface {
 	Acc
 }
 
-// words is a column of accumulator values; fresh is what NewAcc made.
+// word is an accumulator whose values a words column holds.
+type word interface{ column() Column }
+
+// words is a column of accumulator values: fresh is what NewAcc made, poison
+// that with a sentinel of the column's type folded in.
 type words[T any, P accOf[T]] struct {
-	fresh T
-	v     []T
+	fresh, poison T
+	v             []T
 }
 
-func wordsOf[T any, P accOf[T]](a Acc) Column { return &words[T, P]{fresh: *a.(P)} }
+func wordsOf[T any, P accOf[T]](a P, sentinel types.Datum) Column {
+	c := &words[T, P]{fresh: *a, poison: *a}
+	_ = P(&c.poison).Add(sentinel)
+	return c
+}
 
 func (c *words[T, P]) Acc(i int) Acc { return P(&c.v[i]) }
 
+func (c *words[T, P]) Result(i int) types.Datum { return P(&c.v[i]).Result() }
+
 func (c *words[T, P]) Reset(i int, poison bool) {
 	if c.v[i] = c.fresh; poison {
-		_ = P(&c.v[i]).Add(Sentinel)
+		c.v[i] = c.poison
 	}
 }
 
@@ -260,6 +292,8 @@ type accs struct {
 }
 
 func (c *accs) Acc(i int) Acc { return c.v[i] }
+
+func (c *accs) Result(i int) types.Datum { return c.v[i].Result() }
 
 func (c *accs) Reset(i int, poison bool) {
 	if Reset(c.v[i]); poison {
@@ -435,38 +469,49 @@ func (r *Recycler[E]) Boundary(live int) (fresh bool) {
 	return fresh
 }
 
-// countAcc implements count(*) and count(x).
-type countAcc struct {
-	star bool
-	n    int64
-}
+// countAcc implements count(x), the non-NULL values; countStarAcc count(*),
+// every row. Which one is the type's, not a flag, so an element is one word.
+type (
+	countAcc     struct{ n int64 }
+	countStarAcc struct{ countAcc }
+)
 
 func (a *countAcc) Add(v types.Datum) error {
-	if a.star || !v.IsNull() {
+	if !v.IsNull() {
 		a.n++
 	}
 	return nil
 }
 
+func (a *countStarAcc) Add(types.Datum) error {
+	a.n++
+	return nil
+}
+
 func (a *countAcc) Merge(other Acc) error {
-	o, ok := other.(*countAcc)
+	o, ok := other.(interface{ counted() int64 })
 	if !ok {
 		return mergeTypeErr(a, other)
 	}
-	a.n += o.n
+	a.n += o.counted()
 	return nil
 }
 
 func (a *countAcc) Sub(other Acc) error {
-	o, ok := other.(*countAcc)
+	o, ok := other.(interface{ counted() int64 })
 	if !ok {
 		return mergeTypeErr(a, other)
 	}
-	a.n -= o.n
+	a.n -= o.counted()
 	return nil
 }
 
+func (a *countAcc) counted() int64 { return a.n }
+
 func (a *countAcc) Result() types.Datum { return types.NewInt(a.n) }
+
+func (a *countAcc) column() Column     { return wordsOf(a, Sentinel) }
+func (a *countStarAcc) column() Column { return wordsOf(a, Sentinel) }
 
 // sumAcc implements sum over ints, floats and intervals. Empty input
 // yields NULL per SQL. Which operand types it holds is kept as counts, not
@@ -538,6 +583,88 @@ func (a *sumAcc) Result() types.Datum {
 	}
 }
 
+func (a *sumAcc) column() Column { return wordsOf(a, Sentinel) }
+
+// sumLane implements sum over an argument whose every value is of one type or
+// NULL (Scalar.Exact): the non-NULL values it holds and their sum in the
+// type's own word, two words where sumAcc keeps five to widen a mix of types.
+// Its result is NULL once no non-NULL value is left, as sumAcc's; a value of
+// another type is an error, never a sum.
+type sumLane[W laneWord[W]] struct {
+	n int64
+	s W
+}
+
+// laneWord is a typed sum's value word, named by its SQL type.
+type laneWord[W any] interface {
+	~int64 | ~float64
+	sqlType() types.Type
+	of(v types.Datum) W
+	datum() types.Datum
+}
+
+type (
+	bigintWord   int64
+	doubleWord   float64
+	intervalWord int64
+)
+
+func (bigintWord) sqlType() types.Type             { return types.TypeInt }
+func (bigintWord) of(v types.Datum) bigintWord     { return bigintWord(v.Int()) }
+func (w bigintWord) datum() types.Datum            { return types.NewInt(int64(w)) }
+func (doubleWord) sqlType() types.Type             { return types.TypeFloat }
+func (doubleWord) of(v types.Datum) doubleWord     { return doubleWord(v.Float()) }
+func (w doubleWord) datum() types.Datum            { return types.NewFloat(float64(w)) }
+func (intervalWord) sqlType() types.Type           { return types.TypeInterval }
+func (intervalWord) of(v types.Datum) intervalWord { return intervalWord(v.IntervalMicros()) }
+func (w intervalWord) datum() types.Datum          { return types.NewIntervalMicros(int64(w)) }
+
+// lane is every sumLane, for Reset.
+type lane interface{ reset() }
+
+func (a *sumLane[W]) Add(v types.Datum) error {
+	if v.IsNull() {
+		return nil
+	}
+	if t := a.s.sqlType(); v.Type() != t {
+		return fmt.Errorf("expr: sum over a %s argument met %s %v", t, v.Type(), v)
+	}
+	a.n++
+	a.s += a.s.of(v)
+	return nil
+}
+
+func (a *sumLane[W]) Merge(other Acc) error {
+	o, ok := other.(*sumLane[W])
+	if !ok {
+		return mergeTypeErr(a, other)
+	}
+	a.n += o.n
+	a.s += o.s
+	return nil
+}
+
+func (a *sumLane[W]) Sub(other Acc) error {
+	o, ok := other.(*sumLane[W])
+	if !ok {
+		return mergeTypeErr(a, other)
+	}
+	a.n -= o.n
+	a.s -= o.s
+	return nil
+}
+
+func (a *sumLane[W]) Result() types.Datum {
+	if a.n == 0 {
+		return types.Null
+	}
+	return a.s.datum()
+}
+
+func (a *sumLane[W]) reset() { *a = sumLane[W]{} }
+
+func (a *sumLane[W]) column() Column { return wordsOf(a, W(Sentinel.Int()).datum()) }
+
 // avgAcc implements avg as (sum, count).
 type avgAcc struct {
 	n int64
@@ -582,6 +709,8 @@ func (a *avgAcc) Result() types.Datum {
 	}
 	return types.NewFloat(a.f / float64(a.n))
 }
+
+func (a *avgAcc) column() Column { return wordsOf(a, Sentinel) }
 
 // minmaxAcc implements min (want=-1) and max (want=+1).
 type minmaxAcc struct {
@@ -673,6 +802,8 @@ func (a *momentsAcc) Result() types.Datum {
 	}
 	return types.NewFloat(variance)
 }
+
+func (a *momentsAcc) column() Column { return wordsOf(a, Sentinel) }
 
 // firstLastAcc keeps the first or last non-NULL value in arrival order.
 // Merge assumes "other" accumulated later input, which holds for slice

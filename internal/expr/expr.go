@@ -35,7 +35,14 @@ var ErrUnbound = errors.New("unbound parameter")
 // Scalar is a compiled scalar expression.
 type Scalar struct {
 	Eval func(ctx *Ctx) (types.Datum, error)
-	Type types.Type // best-effort static type; TypeUnknown if undetermined
+	// Type is a best-effort static type, TypeUnknown if undetermined:
+	// coalesce and CASE take their first arm's. Only where Exact is set does
+	// every value have it — the rule a typed sum lane rests on (DESIGN §11
+	// "Allocation").
+	Type types.Type
+	// Exact says every value is of Type or NULL: a bare column of a base
+	// table or a base stream, whose writes are cast to its declared type.
+	Exact bool
 }
 
 // Binder resolves column references to positions in the input row during
@@ -48,6 +55,7 @@ type Binder interface {
 type ColumnBinding struct {
 	Index int
 	Type  types.Type
+	Exact bool // see Scalar.Exact
 }
 
 // Compile turns an AST expression into a Scalar. Aggregate function calls
@@ -75,7 +83,8 @@ func Compile(e sql.Expr, b Binder) (*Scalar, error) {
 				}
 				return ctx.Row[idx], nil
 			},
-			Type: cb.Type,
+			Type:  cb.Type,
+			Exact: cb.Exact,
 		}, nil
 
 	case *sql.BinaryExpr:

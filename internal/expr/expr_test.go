@@ -18,17 +18,17 @@ type testBinder struct{}
 func (testBinder) ResolveColumn(table, name string) (ColumnBinding, error) {
 	switch name {
 	case "a":
-		return ColumnBinding{0, types.TypeInt}, nil
+		return ColumnBinding{Index: 0, Type: types.TypeInt}, nil
 	case "b":
-		return ColumnBinding{1, types.TypeInt}, nil
+		return ColumnBinding{Index: 1, Type: types.TypeInt}, nil
 	case "c":
-		return ColumnBinding{2, types.TypeInt}, nil
+		return ColumnBinding{Index: 2, Type: types.TypeInt}, nil
 	case "d":
-		return ColumnBinding{3, types.TypeFloat}, nil
+		return ColumnBinding{Index: 3, Type: types.TypeFloat}, nil
 	case "n":
-		return ColumnBinding{4, types.TypeInt}, nil // holds NULL in tests
+		return ColumnBinding{Index: 4, Type: types.TypeInt}, nil // holds NULL in tests
 	case "s":
-		return ColumnBinding{5, types.TypeString}, nil
+		return ColumnBinding{Index: 5, Type: types.TypeString}, nil
 	}
 	return ColumnBinding{}, sqlErr(name)
 }

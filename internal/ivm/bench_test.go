@@ -72,7 +72,9 @@ func heapMB() float64 {
 // collection over a store of count(*), sum(v) with 10k and 100k keys and 60
 // slices, each slice holding a tenth of the keys, and a 60-slice view fired
 // over all of them, reported per live partial, as internal/types'
-// BenchmarkGCMarkRows reports per live row.
+// BenchmarkGCMarkRows reports per live row, and the live heap, whole and per
+// live partial (B/live-partial: what a partial's lanes and its share of the
+// view, the keys and the ids cost).
 func BenchmarkGCMarkStore(b *testing.B) {
 	const slices = 60
 	for _, keys := range []int{10000, 100000} {
@@ -99,7 +101,9 @@ func BenchmarkGCMarkStore(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(slices*keys/10), "ns/live-partial")
-			b.ReportMetric(heapMB(), "heap-MB")
+			heap := heapMB()
+			b.ReportMetric(heap, "heap-MB")
+			b.ReportMetric(heap*(1<<20)/float64(slices*keys/10), "B/live-partial")
 			runtime.KeepAlive(s)
 		})
 	}

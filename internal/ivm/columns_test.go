@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"streamrel/internal/catalog"
 	"streamrel/internal/exec"
 	"streamrel/internal/expr"
+	"streamrel/internal/plan"
+	"streamrel/internal/sql"
 	"streamrel/internal/types"
 )
 
@@ -214,4 +218,62 @@ func TestRecycledColumnsPoisoned(t *testing.T) {
 	poisoned("a group that left the view", group)
 	s.Expire(20 * second) // [0, 10) expires
 	poisoned("an expired slice's partial", partial)
+}
+
+// TestLanesSizedByType: a COUNT element is one word, and a SUM over a base
+// stream's BIGINT, DOUBLE or INTERVAL column two — a non-NULL count and the
+// sum in the column's own word — while a SUM whose argument's type is
+// best-effort keeps the generic element: an expression (coalesce takes its
+// first arm's type), a derived stream's column. A typed lane fed a value of
+// another type refuses it, naming the sum.
+func TestLanesSizedByType(t *testing.T) {
+	schema := types.Schema{
+		{Name: "k", Type: types.TypeString},
+		{Name: "at", Type: types.TypeTimestamp},
+		{Name: "i", Type: types.TypeInt},
+		{Name: "f", Type: types.TypeFloat},
+		{Name: "d", Type: types.TypeInterval},
+	}
+	s, spec := storeOver(t, schema, `SELECT k, count(*), count(i), sum(i), sum(f), sum(d), sum(coalesce(i, f))
+		FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY k`)
+	elem := func(spec expr.AggSpec) reflect.Type {
+		c, err := expr.NewColumn(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Resize(1)
+		return reflect.TypeOf(c.Acc(0)).Elem()
+	}
+	for i, want := range []uintptr{8, 8, 16, 16, 16} {
+		if size := elem(spec.Aggs[i]).Size(); size != want {
+			t.Errorf("aggregate %d (%s): a %d B element, want %d", i, spec.Aggs[i].Name, size, want)
+		}
+	}
+	generic := elem(spec.Aggs[5])
+	if generic.Size() != 40 {
+		t.Errorf("sum(coalesce(i, f)) has a %d B element, want the generic 40", generic.Size())
+	}
+
+	cat := catalog.New()
+	if err := cat.CreateDerivedStream(&catalog.DerivedStream{Name: "d", Schema: types.Schema{
+		{Name: "k", Type: types.TypeString}, {Name: "v", Type: types.TypeInt}, {Name: "at", Type: types.TypeTimestamp},
+	}, CloseCol: 2}); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sql.Parse(`SELECT k, sum(v) FROM d <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := (&plan.Planner{Cat: cat}).BuildSelect(stmt.(*sql.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := elem(p.StreamAgg.Aggs[0]); got != generic {
+		t.Errorf("sum over a derived stream's BIGINT column keeps a %v, want the generic %v", got, generic)
+	}
+
+	err = s.Insert(types.Row{types.NewString("/a"), types.NewTimestampMicros(second), types.NewFloat(1.5), types.Null, types.Null}, second)
+	if err == nil || !strings.Contains(err.Error(), "sum") {
+		t.Errorf("a BIGINT lane fed a DOUBLE: %v, want an error naming the sum", err)
+	}
 }

@@ -740,7 +740,7 @@ func (v *View) emit(c int64, touched int, inPlace bool) (rows []types.Row, carve
 			fallthrough
 		case wg.stamp == c:
 			for j, col := range v.cols {
-				wg.row[nk+j] = col.Acc(int(id)).Result()
+				wg.row[nk+j] = col.Result(int(id))
 			}
 		}
 		rows = append(rows, wg.row)

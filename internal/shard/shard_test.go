@@ -226,6 +226,27 @@ func TestMergeAggregate(t *testing.T) {
 	}
 }
 
+// TestMergeSumKeepsTheGenericLane: the final block's sum reads the shards'
+// partial rows, typed as the first shard answered them and not as a declared
+// column, so it keeps the generic lane: a partial of another type widens the
+// sum, as one node's sum over a mix does, instead of failing it.
+func TestMergeSumKeepsTheGenericLane(t *testing.T) {
+	p, err := planFor(t, `SELECT k, sum(v) FROM s GROUP BY k`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Bind([]server.WireColumn{{Name: "k", Type: "VARCHAR"}, {Name: "sum", Type: "BIGINT"}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Merge([][]types.Row{rowsOf([]any{"a", 3}), rowsOf([]any{"a", 1.5})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rowsOf([]any{"a", 4.5}); !sameRows(got, want) {
+		t.Fatalf("merged = %v, want %v", got, want)
+	}
+}
+
 // TestMergeDashboardPartials: a dashboard's own output rows, (key, count,
 // sum), are its partial rows, so merging them unbound folds them; the
 // benchmark's merge probe times exactly this.

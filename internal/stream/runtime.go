@@ -570,8 +570,11 @@ func (r *Runtime) PushArchived(tc trace.Ctx, stream string, rows []types.Row, ar
 	return src.deliver(r, tc, rows, archive)
 }
 
-// prepare validates a batch and stamps each row with its timestamp,
-// applying the late policy against a running high-water mark. On success
+// prepare validates a batch, casts a base stream's values to its column types
+// as a table's insert does (a row is copied at its first cast; the CQTIME
+// column must be a TIMESTAMP already, and a derived stream's types are
+// best-effort, its rows left as emitted), and stamps each row with its
+// timestamp, applying the late policy against a running high-water mark. On success
 // the source clock advances; on error nothing is delivered and the clock
 // is untouched. The returned block is pooled and refcounted: the caller
 // owns one reference (release when done) and takes more for each worker
@@ -614,6 +617,12 @@ func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explici
 			default:
 				return fail(fmt.Errorf("stream: %s: out-of-order timestamp %d < %d (streams are ordered on CQTIME)",
 					s.name, ts, hwm))
+			}
+		}
+		if !explicit {
+			var err error
+			if row, err = types.CoerceRow(row, s.schema); err != nil {
+				return fail(fmt.Errorf("stream: %s: %w", s.name, err))
 			}
 		}
 		hwm, has = ts, true

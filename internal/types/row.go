@@ -2,6 +2,7 @@ package types
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -62,6 +63,30 @@ func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)
 	return out
+}
+
+// CoerceRow casts a row's values to the schema's types — a table's insert, a
+// base stream's append — copying on the first cast only: a row that needs none
+// is returned as it is.
+func CoerceRow(row Row, schema Schema) (Row, error) {
+	if len(row) != len(schema) {
+		return nil, fmt.Errorf("types: row has %d values, schema needs %d", len(row), len(schema))
+	}
+	out := row
+	for i, v := range row {
+		if v.IsNull() || v.Type() == schema[i].Type || schema[i].Type == TypeUnknown {
+			continue
+		}
+		c, err := Cast(v, schema[i].Type)
+		if err != nil {
+			return nil, fmt.Errorf("column %q: %w", schema[i].Name, err)
+		}
+		if &out[0] == &row[0] {
+			out = row.Clone()
+		}
+		out[i] = c
+	}
+	return out, nil
 }
 
 // String renders the row for the REPL and tests: "a|b|c".

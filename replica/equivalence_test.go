@@ -152,7 +152,8 @@ const equivalenceDDL = `
 // TestArchiveReplicationEquivalence: whatever path a row took across the
 // link — one KindArchive event for s1 and s2, whose raw channels share a
 // table with each other and with INSERT, DELETE and an aborted transaction;
-// an append and a WAL batch for s3, whose channel casts, and for s4, which
+// one KindArchive for s3 too, whose BIGINTs the stream casts to its DOUBLE
+// column on append; an append and a WAL batch a channel for s4, which
 // feeds two — every follower ends with the primary's (table, RowID, row)
 // transcript: one that followed from the start, one restarted mid-run from
 // its resume point, one that joined mid-run from a snapshot overlapping live
@@ -247,7 +248,7 @@ func archiveEquivalence(t *testing.T, parallel int) {
 				default:
 				}
 				// s3's DOUBLE column is handed BIGINTs in every batch, and
-				// DOUBLEs beside them: its channel casts.
+				// DOUBLEs beside them: the stream casts them on append.
 				if err := prim.eng.Append(fmt.Sprintf("s%d", k), batch(k, n, k == 3)...); err != nil {
 					t.Error(err)
 					return
@@ -380,7 +381,7 @@ func archiveEquivalence(t *testing.T, parallel int) {
 		for key, want := range map[string]int{
 			"archive/s1": batches[1], "append/s1": 0,
 			"archive/s2": batches[2], "append/s2": 0,
-			"archive/s3": 0, "append/s3": batches[3], "wal/casted": batches[3],
+			"archive/s3": batches[3], "append/s3": 0, "wal/casted": 0,
 			"archive/s4": 0, "append/s4": batches[4], "wal/dup_a": batches[4], "wal/dup_b": batches[4],
 			"wal/raw": dmlBatches,
 		} {
@@ -390,7 +391,7 @@ func archiveEquivalence(t *testing.T, parallel int) {
 		}
 	}
 	t.Logf("%d+%d archived batches, at most %d RowID runs in one; %d DML batches", batches[1], batches[2], watch.runs, dmlBatches)
-	for reason, want := range map[string]int{"cast": batches[3], "second_channel": 2 * batches[4], "commit_failed": 0} {
+	for reason, want := range map[string]int{"cast": 0, "second_channel": 2 * batches[4], "commit_failed": 0} {
 		if got := metric(t, prim.eng, `streamrel_repl_unfused_batches_total{reason="`+reason+`"}`); got != float64(want) {
 			t.Errorf("unfused batches for %s: %v, want %d", reason, got, want)
 		}
