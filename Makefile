@@ -233,7 +233,10 @@ bench-selftest:
 # inside the input, a tree within maxNesting, and every SELECT prints as text
 # that parses and prints the same), and the MVCC snapshot (a tape of Begin,
 # Commit, Abort, SnapshotNow and Trim, more than 64 transactions in flight at
-# times: every snapshot's visibility ≡ a reference model of sets).
+# times: every snapshot's visibility ≡ a reference model of sets), and the
+# declared types (coalesce, CASE, greatest/least, arithmetic and set operations
+# over mixed BIGINT/DOUBLE columns with NULLs: every value an answer holds is
+# NULL or of its column's declared type, as a snapshot, a CQ and a shard merge).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRowKey -fuzztime=$(FUZZTIME) ./internal/types
@@ -247,6 +250,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIVMEquivalence -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzStoreLifecycle -fuzztime=$(FUZZTIME) ./internal/ivm
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=$(FUZZTIME) ./internal/txn
+	$(GO) test -run=^$$ -fuzz=FuzzDeclaredTypes -fuzztime=$(FUZZTIME) .
 
 # cluster-smoke runs TestClusterSmoke alone, under the race detector: the
 # test binary re-executes itself as two shard streamrelds, a router, a replica

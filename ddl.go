@@ -3,7 +3,6 @@ package streamrel
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"streamrel/internal/catalog"
@@ -224,8 +223,7 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 			s.Name, len(srcSchema), len(t.Schema))
 	}
 	for i := range srcSchema {
-		if srcSchema[i].Type != t.Schema[i].Type &&
-			srcSchema[i].Type != types.TypeUnknown && t.Schema[i].Type != types.TypeUnknown {
+		if srcSchema[i].Type != t.Schema[i].Type {
 			return false, fmt.Errorf("streamrel: channel %q: column %d is %s in the stream but %s in the table",
 				s.Name, i+1, srcSchema[i].Type, t.Schema[i].Type)
 		}
@@ -256,14 +254,13 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 // Config.ParallelCQ > 0 (heap, index and WAL are internally locked).
 //
 // A base stream's batch arrives on the delivering goroutine, under the
-// source's lock, with the replication event it still owes (in). When the
-// table takes the delivered rows' values as they are — coerceRow returned
-// every one of them itself, which the stream's and the table's column types
-// decide, not a setting — the commit publishes batch and insert (the heap's
-// copies) as one event
-// (writeTxn.in); otherwise the stream's append is published first and
-// the write ships as its own WAL batch, counted in
-// streamrel_repl_unfused_batches_total by what made it so.
+// source's lock, with the replication event it still owes (in). The table
+// takes the delivered rows' values as they are — createChannel requires the
+// stream's column types, and the stream casts every append to them — so the
+// commit publishes batch and insert (the heap's copies) as one event
+// (writeTxn.in). A second channel on the stream, which finds the event
+// published, and a failed write, after which the stream's append ships
+// alone, are counted in streamrel_repl_unfused_batches_total.
 func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Row, in *stream.Ingest, scratch *writeScratch) (err error) {
 	if e.replicaMode.Load() {
 		// A replica's channels stay quiet: the primary's channel writes
@@ -288,26 +285,13 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	w.tc = tc
 	// The heap copies what it stores (storage.Heap), so neither a decoded
 	// batch nor a view's rows are pinned by the table, and the insert points
-	// coerced at the stored copies for the log, and the replication ring keeps
-	// spans of those copies: coerced is the transaction's scratch.
-	w.rows = slices.Grow(w.rows[:0], len(rows))[:len(rows)]
-	coerced := w.rows
-	asDelivered := true
-	for i, row := range rows {
-		cr, err := types.CoerceRow(row, t.Schema)
-		if err != nil {
-			return w.fail(err)
-		}
-		asDelivered = asDelivered && (len(cr) == 0 || &cr[0] == &row[0])
-		coerced[i] = cr
-	}
+	// stored at the copies for the log, and the replication ring keeps spans
+	// of those copies: stored is the transaction's scratch. The rows are of
+	// the table's column types already (createChannel).
+	w.rows = append(w.rows[:0], rows...)
+	stored := w.rows
 	if in.Owed() {
-		if asDelivered {
-			w.in = in
-		} else {
-			e.unfused[unfusedCast].Inc()
-			in.Publish()
-		}
+		w.in = in
 	}
 	if ch.Mode == sql.ChannelReplace {
 		// Replace delta: want holds each new row's multiplicity. Visible
@@ -315,8 +299,8 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 		// deleted. Whatever multiplicity remains is inserted. The table
 		// converges to exactly the emission's multiset, as the old
 		// delete-all-insert-all did, touching only changed rows.
-		want := make(map[string]int, len(coerced))
-		for _, cr := range coerced {
+		want := make(map[string]int, len(stored))
+		for _, cr := range stored {
 			want[cr.Key()]++
 		}
 		var stale []storage.RowID
@@ -333,16 +317,16 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 				return w.fail(err)
 			}
 		}
-		fresh := coerced[:0]
-		for _, cr := range coerced {
+		fresh := stored[:0]
+		for _, cr := range stored {
 			if k := cr.Key(); want[k] > 0 {
 				want[k]--
 				fresh = append(fresh, cr)
 			}
 		}
-		coerced = fresh
+		stored = fresh
 	}
-	if err := w.insert(t, nil, coerced); err != nil {
+	if err := w.insert(t, nil, stored); err != nil {
 		return w.fail(err)
 	}
 	return w.commit()

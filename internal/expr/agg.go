@@ -83,7 +83,6 @@ type AccSlab struct {
 
 	counts     []countAcc
 	stars      []countStarAcc
-	sums       []sumAcc
 	bigints    []sumLane[bigintWord]
 	doubles    []sumLane[doubleWord]
 	intervals  []sumLane[intervalWord]
@@ -115,7 +114,10 @@ func (s *AccSlab) New(spec AggSpec) (Acc, error) {
 			inner = carve(&s.counts, s.Chunk)
 		}
 	case "sum":
-		inner = s.sum(spec.Arg)
+		var err error
+		if inner, err = s.sum(spec.Arg); err != nil {
+			return nil, err
+		}
 	case "avg":
 		inner = carve(&s.avgs, s.Chunk)
 	case "min", "max":
@@ -145,20 +147,24 @@ func (s *AccSlab) New(spec AggSpec) (Acc, error) {
 	return inner, nil
 }
 
-// sum carves a sum's accumulator: a typed lane when every value its argument
-// yields is of one summable type or NULL (Scalar.Exact), sumAcc otherwise.
-func (s *AccSlab) sum(arg *Scalar) Acc {
-	if arg != nil && arg.Exact {
-		switch arg.Type {
-		case types.TypeInt:
-			return carve(&s.bigints, s.Chunk)
-		case types.TypeFloat:
-			return carve(&s.doubles, s.Chunk)
-		case types.TypeInterval:
-			return carve(&s.intervals, s.Chunk)
-		}
+// sum carves a sum's accumulator: the lane of its argument's type, which
+// Scalar.Type promises every value has. NULL's and an unknown type's (whose
+// values are never read) are BIGINT's: a lane refuses a value of another
+// type, never sums it wrong.
+func (s *AccSlab) sum(arg *Scalar) (Acc, error) {
+	typ := types.TypeUnknown
+	if arg != nil {
+		typ = arg.Type
 	}
-	return carve(&s.sums, s.Chunk)
+	switch typ {
+	case types.TypeInt, types.TypeNull, types.TypeUnknown:
+		return carve(&s.bigints, s.Chunk), nil
+	case types.TypeFloat:
+		return carve(&s.doubles, s.Chunk), nil
+	case types.TypeInterval:
+		return carve(&s.intervals, s.Chunk), nil
+	}
+	return nil, fmt.Errorf("expr: sum over %s", typ)
 }
 
 // Reset returns an accumulator AccSlab.New made to the state New gave it: the
@@ -171,8 +177,6 @@ func Reset(a Acc) {
 		a.n = 0
 	case lane:
 		a.reset()
-	case *sumAcc:
-		*a = sumAcc{}
 	case *avgAcc:
 		*a = avgAcc{}
 	case *minmaxAcc:
@@ -513,83 +517,9 @@ func (a *countAcc) Result() types.Datum { return types.NewInt(a.n) }
 func (a *countAcc) column() Column     { return wordsOf(a, Sentinel) }
 func (a *countStarAcc) column() Column { return wordsOf(a, Sentinel) }
 
-// sumAcc implements sum over ints, floats and intervals. Empty input
-// yields NULL per SQL. Which operand types it holds is kept as counts, not
-// flags, so Sub undoes the widening too: a window that saw a float reports
-// float sums only while a float is still in it.
-type sumAcc struct {
-	nInt, nFloat, nIval int64
-	i                   int64
-	f                   float64
-}
-
-func (a *sumAcc) Add(v types.Datum) error {
-	if v.IsNull() {
-		return nil
-	}
-	switch v.Type() {
-	case types.TypeInt:
-		a.nInt++
-		a.i += v.Int()
-		a.f += float64(v.Int())
-	case types.TypeFloat:
-		a.nFloat++
-		a.f += v.Float()
-	case types.TypeInterval:
-		a.nIval++
-		a.i += v.IntervalMicros()
-	default:
-		return fmt.Errorf("expr: sum over %s", v.Type())
-	}
-	return nil
-}
-
-func (a *sumAcc) Merge(other Acc) error {
-	o, ok := other.(*sumAcc)
-	if !ok {
-		return mergeTypeErr(a, other)
-	}
-	a.nInt += o.nInt
-	a.nFloat += o.nFloat
-	a.nIval += o.nIval
-	a.i += o.i
-	a.f += o.f
-	return nil
-}
-
-func (a *sumAcc) Sub(other Acc) error {
-	o, ok := other.(*sumAcc)
-	if !ok {
-		return mergeTypeErr(a, other)
-	}
-	a.nInt -= o.nInt
-	a.nFloat -= o.nFloat
-	a.nIval -= o.nIval
-	a.i -= o.i
-	a.f -= o.f
-	return nil
-}
-
-func (a *sumAcc) Result() types.Datum {
-	switch {
-	case a.nInt+a.nFloat+a.nIval == 0:
-		return types.Null
-	case a.nIval > 0:
-		return types.NewIntervalMicros(a.i)
-	case a.nFloat > 0:
-		return types.NewFloat(a.f)
-	default:
-		return types.NewInt(a.i)
-	}
-}
-
-func (a *sumAcc) column() Column { return wordsOf(a, Sentinel) }
-
-// sumLane implements sum over an argument whose every value is of one type or
-// NULL (Scalar.Exact): the non-NULL values it holds and their sum in the
-// type's own word, two words where sumAcc keeps five to widen a mix of types.
-// Its result is NULL once no non-NULL value is left, as sumAcc's; a value of
-// another type is an error, never a sum.
+// sumLane implements sum over an argument of one type: the non-NULL values it
+// holds and their sum in the type's own word. Its result is NULL once no
+// non-NULL value is left; a value of another type is an error, never a sum.
 type sumLane[W laneWord[W]] struct {
 	n int64
 	s W

@@ -35,14 +35,15 @@ var ErrUnbound = errors.New("unbound parameter")
 // Scalar is a compiled scalar expression.
 type Scalar struct {
 	Eval func(ctx *Ctx) (types.Datum, error)
-	// Type is a best-effort static type, TypeUnknown if undetermined:
-	// coalesce and CASE take their first arm's. Only where Exact is set does
-	// every value have it — the rule a typed sum lane rests on (DESIGN §11
+	// Type is a promise: every value Eval returns is NULL or of Type. Compile
+	// keeps it by giving an expression whose arms differ their common type and
+	// casting the arm that differs, and refuses arms that have none. It is
+	// TypeUnknown, and promises nothing, only where an input's type is not
+	// known and no value is read: a $n parsed without its argument, which
+	// fails when it is read, and a shard merge's partial column before Bind,
+	// whose plan is checked, not run. A sum's lane rests on it (DESIGN §11
 	// "Allocation").
 	Type types.Type
-	// Exact says every value is of Type or NULL: a bare column of a base
-	// table or a base stream, whose writes are cast to its declared type.
-	Exact bool
 }
 
 // Binder resolves column references to positions in the input row during
@@ -55,7 +56,6 @@ type Binder interface {
 type ColumnBinding struct {
 	Index int
 	Type  types.Type
-	Exact bool // see Scalar.Exact
 }
 
 // Compile turns an AST expression into a Scalar. Aggregate function calls
@@ -83,8 +83,7 @@ func Compile(e sql.Expr, b Binder) (*Scalar, error) {
 				}
 				return ctx.Row[idx], nil
 			},
-			Type:  cb.Type,
-			Exact: cb.Exact,
+			Type: cb.Type,
 		}, nil
 
 	case *sql.BinaryExpr:
@@ -129,17 +128,7 @@ func Compile(e sql.Expr, b Binder) (*Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		to := n.To
-		return &Scalar{
-			Eval: func(ctx *Ctx) (types.Datum, error) {
-				v, err := inner.Eval(ctx)
-				if err != nil {
-					return types.Null, err
-				}
-				return types.Cast(v, to)
-			},
-			Type: to,
-		}, nil
+		return Cast(inner, n.To), nil
 
 	case *sql.IsNullExpr:
 		inner, err := Compile(n.E, b)
@@ -275,8 +264,11 @@ func compileBinary(n *sql.BinaryExpr, b Binder) (*Scalar, error) {
 		}}, nil
 
 	case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv, sql.OpMod, sql.OpConcat:
-		op := n.Op
-		typ := arithType(op, l.Type, r.Type)
+		op := arith[n.Op]
+		typ, err := arithType(op, l.Type, r.Type)
+		if err != nil {
+			return nil, err
+		}
 		return &Scalar{Type: typ, Eval: func(ctx *Ctx) (types.Datum, error) {
 			lv, err := l.Eval(ctx)
 			if err != nil {
@@ -286,58 +278,99 @@ func compileBinary(n *sql.BinaryExpr, b Binder) (*Scalar, error) {
 			if err != nil {
 				return types.Null, err
 			}
-			switch op {
-			case sql.OpAdd:
-				return types.Add(lv, rv)
-			case sql.OpSub:
-				return types.Sub(lv, rv)
-			case sql.OpMul:
-				return types.Mul(lv, rv)
-			case sql.OpDiv:
-				return types.Div(lv, rv)
-			case sql.OpMod:
-				return types.Mod(lv, rv)
-			default: // OpConcat
-				if lv.IsNull() || rv.IsNull() {
-					return types.Null, nil
-				}
-				ls, err := types.Cast(lv, types.TypeString)
-				if err != nil {
-					return types.Null, err
-				}
-				rs, err := types.Cast(rv, types.TypeString)
-				if err != nil {
-					return types.Null, err
-				}
-				return types.NewString(ls.Str() + rs.Str()), nil
-			}
+			return op(lv, rv)
 		}}, nil
 	}
 	return nil, fmt.Errorf("expr: unsupported binary operator %v", n.Op)
 }
 
-// arithType infers the static result type of arithmetic.
-func arithType(op sql.BinOp, l, r types.Type) types.Type {
-	if op == sql.OpConcat {
-		return types.TypeString
-	}
-	switch {
-	case l == types.TypeInt && r == types.TypeInt:
-		if op == sql.OpDiv {
-			return types.TypeInt
+// arith is each arithmetic operator's evaluation.
+var arith = map[sql.BinOp]func(l, r types.Datum) (types.Datum, error){
+	sql.OpAdd: types.Add, sql.OpSub: types.Sub, sql.OpMul: types.Mul, sql.OpDiv: types.Div, sql.OpMod: types.Mod,
+	sql.OpConcat: func(l, r types.Datum) (types.Datum, error) {
+		if l.IsNull() || r.IsNull() {
+			return types.Null, nil
 		}
-		return types.TypeInt
-	case l.Numeric() && r.Numeric():
-		return types.TypeFloat
-	case l == types.TypeTimestamp && r == types.TypeInterval,
-		l == types.TypeInterval && r == types.TypeTimestamp:
-		return types.TypeTimestamp
-	case l == types.TypeTimestamp && r == types.TypeTimestamp && op == sql.OpSub:
-		return types.TypeInterval
-	case l == types.TypeInterval || r == types.TypeInterval:
-		return types.TypeInterval
+		ls, err := types.Cast(l, types.TypeString)
+		if err != nil {
+			return types.Null, err
+		}
+		rs, err := types.Cast(r, types.TypeString)
+		if err != nil {
+			return types.Null, err
+		}
+		return types.NewString(ls.Str() + rs.Str()), nil
+	},
+}
+
+// arithType is the type op gives operands of types l and r: the type of what
+// it makes of a value of each, so it agrees with types.Add and the others by
+// construction, and their error where they have none. A NULL operand makes
+// NULL.
+func arithType(op func(l, r types.Datum) (types.Datum, error), l, r types.Type) (types.Type, error) {
+	switch {
+	case l == types.TypeUnknown || r == types.TypeUnknown:
+		return types.TypeUnknown, nil
+	case l == types.TypeNull || r == types.TypeNull:
+		return types.TypeNull, nil
 	}
-	return types.TypeUnknown
+	v, err := op(sample[l], sample[r])
+	return v.Type(), err
+}
+
+// sample is a value of each type, for arithType: no divisor of it is zero.
+var sample = [...]types.Datum{
+	types.TypeBool: types.True, types.TypeInt: types.NewInt(1), types.TypeFloat: types.NewFloat(1),
+	types.TypeString: types.NewString("1"), types.TypeTimestamp: types.NewTimestampMicros(1),
+	types.TypeInterval: types.NewIntervalMicros(1),
+}
+
+// CommonType is the type values of types a and b both fit: their own when
+// they agree, DOUBLE for BIGINT and DOUBLE, and the other's for NULL or for an
+// unknown type (a $n planned without its argument, whose value is cast when
+// it is read). Any other pair has none, an error naming both.
+func CommonType(a, b types.Type) (types.Type, error) {
+	switch {
+	case a == b || b == types.TypeNull || b == types.TypeUnknown && a != types.TypeNull:
+		return a, nil
+	case a == types.TypeNull || a == types.TypeUnknown:
+		return b, nil
+	case a.Numeric() && b.Numeric():
+		return types.TypeFloat, nil
+	}
+	return 0, fmt.Errorf("no common type for %s and %s", a, b)
+}
+
+// unify gives arms their common type, casting each that differs in place; what
+// names them in an error.
+func unify(what string, arms []*Scalar) (types.Type, error) {
+	typ := types.TypeNull
+	for _, a := range arms {
+		var err error
+		if typ, err = CommonType(typ, a.Type); err != nil {
+			return 0, fmt.Errorf("expr: %s: %w", what, err)
+		}
+	}
+	for i, a := range arms {
+		if a.Type != types.TypeNull && typ != types.TypeUnknown {
+			arms[i] = Cast(a, typ)
+		}
+	}
+	return typ, nil
+}
+
+// Cast is s with its values cast to type to; s itself when that is its type.
+func Cast(s *Scalar, to types.Type) *Scalar {
+	if s.Type == to {
+		return s
+	}
+	return &Scalar{Type: to, Eval: func(ctx *Ctx) (types.Datum, error) {
+		v, err := s.Eval(ctx)
+		if err != nil {
+			return types.Null, err
+		}
+		return types.Cast(v, to)
+	}}
 }
 
 func compileIn(n *sql.InExpr, b Binder) (*Scalar, error) {
@@ -446,31 +479,26 @@ func compileCase(n *sql.CaseExpr, b Binder) (*Scalar, error) {
 			return nil, err
 		}
 	}
-	type arm struct{ cond, result *Scalar }
-	arms := make([]arm, len(n.Whens))
-	var typ types.Type = types.TypeUnknown
+	conds := make([]*Scalar, len(n.Whens))
+	results := make([]*Scalar, len(n.Whens), len(n.Whens)+1)
 	for i, w := range n.Whens {
-		c, err := Compile(w.Cond, b)
-		if err != nil {
+		if conds[i], err = Compile(w.Cond, b); err != nil {
 			return nil, err
 		}
-		r, err := Compile(w.Result, b)
-		if err != nil {
+		if results[i], err = Compile(w.Result, b); err != nil {
 			return nil, err
-		}
-		arms[i] = arm{c, r}
-		if typ == types.TypeUnknown {
-			typ = r.Type
 		}
 	}
-	var elseS *Scalar
 	if n.Else != nil {
-		if elseS, err = Compile(n.Else, b); err != nil {
+		elseS, err := Compile(n.Else, b)
+		if err != nil {
 			return nil, err
 		}
-		if typ == types.TypeUnknown {
-			typ = elseS.Type
-		}
+		results = append(results, elseS)
+	}
+	typ, err := unify("CASE", results)
+	if err != nil {
+		return nil, err
 	}
 	return &Scalar{Type: typ, Eval: func(ctx *Ctx) (opv types.Datum, err error) {
 		if operand != nil {
@@ -478,8 +506,8 @@ func compileCase(n *sql.CaseExpr, b Binder) (*Scalar, error) {
 				return types.Null, err
 			}
 		}
-		for _, a := range arms {
-			cv, err := a.cond.Eval(ctx)
+		for i, cond := range conds {
+			cv, err := cond.Eval(ctx)
 			if err != nil {
 				return types.Null, err
 			}
@@ -491,11 +519,11 @@ func compileCase(n *sql.CaseExpr, b Binder) (*Scalar, error) {
 				matched = !cv.IsNull() && cv.Bool()
 			}
 			if matched {
-				return a.result.Eval(ctx)
+				return results[i].Eval(ctx)
 			}
 		}
-		if elseS != nil {
-			return elseS.Eval(ctx)
+		if len(results) > len(conds) {
+			return results[len(conds)].Eval(ctx)
 		}
 		return types.Null, nil
 	}}, nil

@@ -309,6 +309,16 @@ func newAcc(t *testing.T, name string, distinct bool) Acc {
 	return a
 }
 
+// typedAcc is newAcc's accumulator, not DISTINCT, over an argument of type typ.
+func typedAcc(t *testing.T, name string, typ types.Type) Acc {
+	t.Helper()
+	a, err := NewAcc(AggSpec{Name: name, Arg: &Scalar{Type: typ}, Star: name == "count"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func ints(vs ...int64) []types.Datum {
 	out := make([]types.Datum, len(vs))
 	for i, v := range vs {
@@ -338,10 +348,10 @@ func TestAggregates(t *testing.T) {
 		t.Fatalf("sum = %v", sum.Result())
 	}
 
-	sumF := newAcc(t, "sum", false)
-	addAll(t, sumF, types.NewInt(1), types.NewFloat(0.5))
+	sumF := typedAcc(t, "sum", types.TypeFloat)
+	addAll(t, sumF, types.NewFloat(1), types.NewFloat(0.5))
 	if sumF.Result().Float() != 1.5 {
-		t.Fatalf("mixed sum = %v", sumF.Result())
+		t.Fatalf("double sum = %v", sumF.Result())
 	}
 
 	empty := newAcc(t, "sum", false)
@@ -449,18 +459,17 @@ func TestMergeEqualsDirect(t *testing.T) {
 // TestSubUndoesMerge: for every retractable aggregate, merging a partial
 // and then retracting it leaves exactly the state of never having merged
 // it — for any split of the input, and including the result's type: a
-// sum that saw a float narrows back to BIGINT when the float slice leaves,
-// and to NULL when everything has left.
+// sum goes back to NULL when everything has left.
 func TestSubUndoesMerge(t *testing.T) {
 	inputs := []types.Datum{
-		types.NewInt(4), types.NewFloat(1.5), types.NewInt(-2), types.Null,
-		types.NewInt(11), types.NewInt(0), types.NewFloat(7), types.NewInt(7),
+		types.NewFloat(4), types.NewFloat(1.5), types.NewFloat(-2), types.Null,
+		types.NewFloat(11), types.NewFloat(0), types.NewFloat(7), types.NewFloat(7),
 	}
 	for _, name := range []string{"count", "sum", "avg"} {
 		for split := 0; split <= len(inputs); split++ {
-			window := newAcc(t, name, false).(Retractable)
-			kept := newAcc(t, name, false)
-			leaving := newAcc(t, name, false)
+			window := typedAcc(t, name, types.TypeFloat).(Retractable)
+			kept := typedAcc(t, name, types.TypeFloat)
+			leaving := typedAcc(t, name, types.TypeFloat)
 			addAll(t, kept, inputs[:split]...)
 			addAll(t, window, inputs[:split]...)
 			addAll(t, leaving, inputs[split:]...)
@@ -479,9 +488,9 @@ func TestSubUndoesMerge(t *testing.T) {
 		}
 	}
 
-	// Intervals win the widening precedence and retract exactly.
-	w := newAcc(t, "sum", false).(Retractable)
-	slice := newAcc(t, "sum", false)
+	// Intervals retract exactly.
+	w := typedAcc(t, "sum", types.TypeInterval).(Retractable)
+	slice := typedAcc(t, "sum", types.TypeInterval)
 	addAll(t, w, types.NewInterval(2*time.Second))
 	addAll(t, slice, types.NewInterval(500*time.Millisecond))
 	if err := w.Merge(slice); err != nil {

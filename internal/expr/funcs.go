@@ -10,22 +10,13 @@ import (
 	"streamrel/internal/types"
 )
 
-// scalarFunc is the implementation of one builtin scalar function.
+// scalarFunc is the implementation of one builtin scalar function: typ is
+// its result's type, or, TypeUnknown, its arguments' common type, each
+// argument cast to it (unify).
 type scalarFunc struct {
 	minArgs, maxArgs int
-	typ              func(args []types.Type) types.Type
+	typ              types.Type
 	eval             func(ctx *Ctx, args []types.Datum) (types.Datum, error)
-}
-
-func fixedType(t types.Type) func([]types.Type) types.Type {
-	return func([]types.Type) types.Type { return t }
-}
-
-func firstArgType(args []types.Type) types.Type {
-	if len(args) > 0 {
-		return args[0]
-	}
-	return types.TypeUnknown
 }
 
 // nullIfAnyNull wraps an eval that wants non-NULL inputs.
@@ -41,27 +32,27 @@ func nullIfAnyNull(f func(ctx *Ctx, args []types.Datum) (types.Datum, error)) fu
 }
 
 var scalarFuncs = map[string]scalarFunc{
-	"lower": {1, 1, fixedType(types.TypeString), nullIfAnyNull(
+	"lower": {1, 1, types.TypeString, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewString(strings.ToLower(a[0].Str())), nil
 		})},
-	"upper": {1, 1, fixedType(types.TypeString), nullIfAnyNull(
+	"upper": {1, 1, types.TypeString, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewString(strings.ToUpper(a[0].Str())), nil
 		})},
-	"length": {1, 1, fixedType(types.TypeInt), nullIfAnyNull(
+	"length": {1, 1, types.TypeInt, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewInt(int64(len(a[0].Str()))), nil
 		})},
-	"trim": {1, 1, fixedType(types.TypeString), nullIfAnyNull(
+	"trim": {1, 1, types.TypeString, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewString(strings.TrimSpace(a[0].Str())), nil
 		})},
-	"replace": {3, 3, fixedType(types.TypeString), nullIfAnyNull(
+	"replace": {3, 3, types.TypeString, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewString(strings.ReplaceAll(a[0].Str(), a[1].Str(), a[2].Str())), nil
 		})},
-	"substr": {2, 3, fixedType(types.TypeString), nullIfAnyNull(
+	"substr": {2, 3, types.TypeString, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			s := a[0].Str()
 			start := int(a[1].Int()) - 1 // SQL is 1-based
@@ -79,11 +70,11 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return types.NewString(s[start:end]), nil
 		})},
-	"strpos": {2, 2, fixedType(types.TypeInt), nullIfAnyNull(
+	"strpos": {2, 2, types.TypeInt, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewInt(int64(strings.Index(a[0].Str(), a[1].Str()) + 1)), nil
 		})},
-	"concat": {1, 16, fixedType(types.TypeString),
+	"concat": {1, 16, types.TypeString,
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			var b strings.Builder
 			for _, d := range a {
@@ -98,7 +89,7 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return types.NewString(b.String()), nil
 		}},
-	"abs": {1, 1, firstArgType, nullIfAnyNull(
+	"abs": {1, 1, types.TypeUnknown, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			switch a[0].Type() {
 			case types.TypeInt:
@@ -118,15 +109,15 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return types.Null, fmt.Errorf("expr: abs on %s", a[0].Type())
 		})},
-	"floor": {1, 1, fixedType(types.TypeFloat), nullIfAnyNull(
+	"floor": {1, 1, types.TypeFloat, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewFloat(math.Floor(a[0].Float())), nil
 		})},
-	"ceil": {1, 1, fixedType(types.TypeFloat), nullIfAnyNull(
+	"ceil": {1, 1, types.TypeFloat, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewFloat(math.Ceil(a[0].Float())), nil
 		})},
-	"round": {1, 2, fixedType(types.TypeFloat), nullIfAnyNull(
+	"round": {1, 2, types.TypeFloat, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			n := 0
 			if len(a) == 2 {
@@ -135,7 +126,7 @@ var scalarFuncs = map[string]scalarFunc{
 			scale := math.Pow(10, float64(n))
 			return types.NewFloat(math.Round(a[0].Float()*scale) / scale), nil
 		})},
-	"sqrt": {1, 1, fixedType(types.TypeFloat), nullIfAnyNull(
+	"sqrt": {1, 1, types.TypeFloat, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			v := a[0].Float()
 			if v < 0 {
@@ -143,11 +134,11 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return types.NewFloat(math.Sqrt(v)), nil
 		})},
-	"power": {2, 2, fixedType(types.TypeFloat), nullIfAnyNull(
+	"power": {2, 2, types.TypeFloat, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewFloat(math.Pow(a[0].Float(), a[1].Float())), nil
 		})},
-	"ln": {1, 1, fixedType(types.TypeFloat), nullIfAnyNull(
+	"ln": {1, 1, types.TypeFloat, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			v := a[0].Float()
 			if v <= 0 {
@@ -155,7 +146,7 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return types.NewFloat(math.Log(v)), nil
 		})},
-	"sign": {1, 1, fixedType(types.TypeInt), nullIfAnyNull(
+	"sign": {1, 1, types.TypeInt, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			v := a[0].Float()
 			switch {
@@ -166,7 +157,7 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return types.NewInt(0), nil
 		})},
-	"coalesce": {1, 16, firstArgType,
+	"coalesce": {1, 16, types.TypeUnknown,
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			for _, d := range a {
 				if !d.IsNull() {
@@ -175,7 +166,7 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return types.Null, nil
 		}},
-	"nullif": {2, 2, firstArgType,
+	"nullif": {2, 2, types.TypeUnknown,
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			if !a[0].IsNull() && !a[1].IsNull() &&
 				types.Comparable(a[0].Type(), a[1].Type()) && types.Compare(a[0], a[1]) == 0 {
@@ -183,7 +174,7 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return a[0], nil
 		}},
-	"greatest": {1, 16, firstArgType, nullIfAnyNull(
+	"greatest": {1, 16, types.TypeUnknown, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			best := a[0]
 			for _, d := range a[1:] {
@@ -193,7 +184,7 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return best, nil
 		})},
-	"least": {1, 16, firstArgType, nullIfAnyNull(
+	"least": {1, 16, types.TypeUnknown, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			best := a[0]
 			for _, d := range a[1:] {
@@ -203,7 +194,7 @@ var scalarFuncs = map[string]scalarFunc{
 			}
 			return best, nil
 		})},
-	"date_trunc": {2, 2, fixedType(types.TypeTimestamp), nullIfAnyNull(
+	"date_trunc": {2, 2, types.TypeTimestamp, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			unit := strings.ToLower(a[0].Str())
 			us := a[1].TimestampMicros()
@@ -225,18 +216,18 @@ var scalarFuncs = map[string]scalarFunc{
 			trunc := us - mod(us, width)
 			return types.NewTimestampMicros(trunc), nil
 		})},
-	"epoch": {1, 1, fixedType(types.TypeFloat), nullIfAnyNull(
+	"epoch": {1, 1, types.TypeFloat, nullIfAnyNull(
 		func(_ *Ctx, a []types.Datum) (types.Datum, error) {
 			return types.NewFloat(float64(a[0].TimestampMicros()) / 1e6), nil
 		})},
-	"year":   {1, 1, fixedType(types.TypeInt), timePart(func(t time.Time) int64 { return int64(t.Year()) })},
-	"month":  {1, 1, fixedType(types.TypeInt), timePart(func(t time.Time) int64 { return int64(t.Month()) })},
-	"day":    {1, 1, fixedType(types.TypeInt), timePart(func(t time.Time) int64 { return int64(t.Day()) })},
-	"hour":   {1, 1, fixedType(types.TypeInt), timePart(func(t time.Time) int64 { return int64(t.Hour()) })},
-	"minute": {1, 1, fixedType(types.TypeInt), timePart(func(t time.Time) int64 { return int64(t.Minute()) })},
-	"second": {1, 1, fixedType(types.TypeInt), timePart(func(t time.Time) int64 { return int64(t.Second()) })},
-	"dow":    {1, 1, fixedType(types.TypeInt), timePart(func(t time.Time) int64 { return int64(t.Weekday()) })},
-	"now": {0, 0, fixedType(types.TypeTimestamp),
+	"year":   {1, 1, types.TypeInt, timePart(func(t time.Time) int64 { return int64(t.Year()) })},
+	"month":  {1, 1, types.TypeInt, timePart(func(t time.Time) int64 { return int64(t.Month()) })},
+	"day":    {1, 1, types.TypeInt, timePart(func(t time.Time) int64 { return int64(t.Day()) })},
+	"hour":   {1, 1, types.TypeInt, timePart(func(t time.Time) int64 { return int64(t.Hour()) })},
+	"minute": {1, 1, types.TypeInt, timePart(func(t time.Time) int64 { return int64(t.Minute()) })},
+	"second": {1, 1, types.TypeInt, timePart(func(t time.Time) int64 { return int64(t.Second()) })},
+	"dow":    {1, 1, types.TypeInt, timePart(func(t time.Time) int64 { return int64(t.Weekday()) })},
+	"now": {0, 0, types.TypeTimestamp,
 		func(ctx *Ctx, _ []types.Datum) (types.Datum, error) {
 			if ctx.Now != nil {
 				return types.NewTimestamp(ctx.Now()), nil
@@ -298,17 +289,22 @@ func compileFunc(n *sql.FuncCall, b Binder) (*Scalar, error) {
 			n.Name, f.minArgs, f.maxArgs, len(n.Args))
 	}
 	compiled := make([]*Scalar, len(n.Args))
-	argTypes := make([]types.Type, len(n.Args))
 	for i, a := range n.Args {
 		s, err := Compile(a, b)
 		if err != nil {
 			return nil, err
 		}
 		compiled[i] = s
-		argTypes[i] = s.Type
+	}
+	typ := f.typ
+	if typ == types.TypeUnknown {
+		var err error
+		if typ, err = unify(name, compiled); err != nil {
+			return nil, err
+		}
 	}
 	eval := f.eval
-	return &Scalar{Type: f.typ(argTypes), Eval: func(ctx *Ctx) (types.Datum, error) {
+	return &Scalar{Type: typ, Eval: func(ctx *Ctx) (types.Datum, error) {
 		args := make([]types.Datum, len(compiled))
 		for i, c := range compiled {
 			v, err := c.Eval(ctx)

@@ -220,12 +220,12 @@ func TestRecycledColumnsPoisoned(t *testing.T) {
 	poisoned("an expired slice's partial", partial)
 }
 
-// TestLanesSizedByType: a COUNT element is one word, and a SUM over a base
-// stream's BIGINT, DOUBLE or INTERVAL column two — a non-NULL count and the
-// sum in the column's own word — while a SUM whose argument's type is
-// best-effort keeps the generic element: an expression (coalesce takes its
-// first arm's type), a derived stream's column. A typed lane fed a value of
-// another type refuses it, naming the sum.
+// TestLanesSizedByType: a COUNT element is one word, and every SUM over a
+// BIGINT, DOUBLE or INTERVAL argument two — a non-NULL count and the sum in
+// the argument's own word — whatever the argument: a base stream's column, an
+// expression (coalesce of a BIGINT and a DOUBLE sums in the DOUBLE lane), a
+// derived stream's column (its CQ's declared type). A typed lane fed a value
+// of another type refuses it, naming the sum.
 func TestLanesSizedByType(t *testing.T) {
 	schema := types.Schema{
 		{Name: "k", Type: types.TypeString},
@@ -244,14 +244,13 @@ func TestLanesSizedByType(t *testing.T) {
 		c.Resize(1)
 		return reflect.TypeOf(c.Acc(0)).Elem()
 	}
-	for i, want := range []uintptr{8, 8, 16, 16, 16} {
+	for i, want := range []uintptr{8, 8, 16, 16, 16, 16} {
 		if size := elem(spec.Aggs[i]).Size(); size != want {
 			t.Errorf("aggregate %d (%s): a %d B element, want %d", i, spec.Aggs[i].Name, size, want)
 		}
 	}
-	generic := elem(spec.Aggs[5])
-	if generic.Size() != 40 {
-		t.Errorf("sum(coalesce(i, f)) has a %d B element, want the generic 40", generic.Size())
+	if got, want := elem(spec.Aggs[5]), elem(spec.Aggs[3]); got != want {
+		t.Errorf("sum(coalesce(i, f)) keeps a %v, want sum(f)'s %v", got, want)
 	}
 
 	cat := catalog.New()
@@ -268,8 +267,8 @@ func TestLanesSizedByType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := elem(p.StreamAgg.Aggs[0]); got != generic {
-		t.Errorf("sum over a derived stream's BIGINT column keeps a %v, want the generic %v", got, generic)
+	if got, want := elem(p.StreamAgg.Aggs[0]), elem(spec.Aggs[2]); got != want {
+		t.Errorf("sum over a derived stream's BIGINT column keeps a %v, want sum(i)'s %v", got, want)
 	}
 
 	err = s.Insert(types.Row{types.NewString("/a"), types.NewTimestampMicros(second), types.NewFloat(1.5), types.Null, types.Null}, second)

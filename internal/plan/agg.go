@@ -61,6 +61,9 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly, pure
 			}
 			spec.Arg = arg
 		}
+		if _, err := expr.NewAcc(spec); err != nil { // sum over VARCHAR, say
+			return nil, err
+		}
 		aggSpecs[i] = spec
 	}
 

@@ -73,10 +73,10 @@ func (b *builder) buildBaseTable(r *sql.BaseTable) (*relNode, error) {
 		if r.Window != nil && r.Window.Kind == sql.WindowSlices {
 			return nil, fmt.Errorf("plan: <SLICES n WINDOWS> applies to derived streams, and %q is a base stream", r.Name)
 		}
-		return b.streamLeaf(r, declared(alias, s.Schema), s.Schema, s.CQTimeCol)
+		return b.streamLeaf(r, alias, s.Schema, s.CQTimeCol)
 	}
 	if d, ok := b.cat.Derived(r.Name); ok {
-		return b.streamLeaf(r, scopeFrom(alias, d.Schema), d.Schema, d.CloseCol)
+		return b.streamLeaf(r, alias, d.Schema, d.CloseCol)
 	}
 
 	t, ok := b.cat.Table(r.Name)
@@ -88,13 +88,13 @@ func (b *builder) buildBaseTable(r *sql.BaseTable) (*relNode, error) {
 	}
 	heap := t.Heap
 	return &relNode{
-		scope: declared(alias, t.Schema),
+		scope: scopeFrom(alias, t.Schema),
 		build: func(*Input) exec.Operator { return &exec.SeqScan{Heap: heap} },
 		table: t,
 	}, nil
 }
 
-func (b *builder) streamLeaf(r *sql.BaseTable, sc *scope, schema types.Schema, timeCol int) (*relNode, error) {
+func (b *builder) streamLeaf(r *sql.BaseTable, alias string, schema types.Schema, timeCol int) (*relNode, error) {
 	if r.Window == nil {
 		return nil, fmt.Errorf("plan: stream %q requires a window clause (e.g. <VISIBLE '5 minutes' ADVANCE '1 minute'>)", r.Name)
 	}
@@ -108,7 +108,7 @@ func (b *builder) streamLeaf(r *sql.BaseTable, sc *scope, schema types.Schema, t
 		Window:    *r.Window,
 	}
 	return &relNode{
-		scope:    sc,
+		scope:    scopeFrom(alias, schema),
 		build:    (*Input).window,
 		isStream: true,
 	}, nil

@@ -191,12 +191,11 @@ type node struct {
 // ------------------------------------------------------------- scopes
 
 // scopeCol is one resolvable column: qualifier (alias), name, type and
-// position in the concatenated input row; exact: see expr.Scalar.Exact.
+// position in the concatenated input row.
 type scopeCol struct {
-	qual  string
-	name  string
-	typ   types.Type
-	exact bool
+	qual string
+	name string
+	typ  types.Type
 }
 
 // scope resolves column references against an ordered column list.
@@ -222,7 +221,7 @@ func (s *scope) ResolveColumn(table, name string) (expr.ColumnBinding, error) {
 	if found < 0 {
 		return expr.ColumnBinding{}, fmt.Errorf("plan: column %s does not exist", &sql.ColumnRef{Table: table, Name: name})
 	}
-	return expr.ColumnBinding{Index: found, Type: s.cols[found].typ, Exact: s.cols[found].exact}, nil
+	return expr.ColumnBinding{Index: found, Type: s.cols[found].typ}, nil
 }
 
 // schemaOf converts scope columns to an output schema.
@@ -240,17 +239,6 @@ func scopeFrom(qual string, schema types.Schema) *scope {
 		cols[i] = scopeCol{qual: qual, name: c.Name, typ: c.Type}
 	}
 	return &scope{cols: cols}
-}
-
-// declared is scopeFrom over a base table's or a base stream's columns, whose
-// writes are cast to their declared types (types.CoerceRow): every value is
-// of its column's type or NULL.
-func declared(qual string, schema types.Schema) *scope {
-	s := scopeFrom(qual, schema)
-	for i := range s.cols {
-		s.cols[i].exact = true
-	}
-	return s
 }
 
 func concatScopes(a, b *scope) *scope {

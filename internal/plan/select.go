@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"streamrel/internal/exec"
@@ -33,6 +34,14 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 			return nil, fmt.Errorf("plan: set operation inputs have %d and %d columns",
 				len(n.schema), len(right.schema))
 		}
+		// Each column is of its inputs' common type; an input whose column
+		// differs is cast to it.
+		schema := slices.Clone(n.schema)
+		for i := range schema {
+			if schema[i].Type, err = expr.CommonType(schema[i].Type, right.schema[i].Type); err != nil {
+				return nil, fmt.Errorf("plan: set operation column %d: %w", i+1, err)
+			}
+		}
 		var kind exec.SetOpKind
 		switch setOp.Kind {
 		case sql.SetUnion:
@@ -42,10 +51,10 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 		case sql.SetIntersect:
 			kind = exec.SetIntersect
 		}
-		lb, rb := n.build, right.build
+		lb, rb := castTo(n, schema), castTo(right, schema)
 		all := setOp.All
 		n = &node{
-			schema:   n.schema,
+			schema:   schema,
 			closeCol: -1,
 			build: func(in *Input) exec.Operator {
 				return &exec.SetOp{Kind: kind, All: all, Left: lb(in), Right: rb(in)}
@@ -104,6 +113,21 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 		}
 	}
 	return n, nil
+}
+
+// castTo is n's build with its rows cast to schema's types, column by column.
+func castTo(n *node, schema types.Schema) func(in *Input) exec.Operator {
+	build, exprs, cast := n.build, make([]*expr.Scalar, len(schema)), false
+	for i, c := range n.schema {
+		exprs[i] = columnScalar(i, c.Type)
+		if to := schema[i].Type; c.Type != to && c.Type != types.TypeNull && to != types.TypeUnknown {
+			exprs[i], cast = expr.Cast(exprs[i], to), true
+		}
+	}
+	if !cast {
+		return build
+	}
+	return func(in *Input) exec.Operator { return &exec.Project{Child: build(in), Exprs: exprs} }
 }
 
 // buildSelectCore plans items/from/where/group/having of one block.

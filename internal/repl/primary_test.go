@@ -3,6 +3,7 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -631,31 +632,47 @@ func TestRingKeepsItsOwnRunsAndRecords(t *testing.T) {
 // The frames the ring's events make are those of the rows as published.
 func TestRingMemoryBounded(t *testing.T) {
 	const events, rows = 256, 256
-	p := testPrimary(t, Config{})
-	heap := storage.NewHeap("archive", types.Schema{{Name: "url", Type: types.TypeString},
-		{Name: "atime", Type: types.TypeTimestamp}, {Name: "client_ip", Type: types.TypeString}, {Name: "bytes", Type: types.TypeInt}})
-	batches, runs, spans := make([][]types.Row, events), make([][]wal.RowIDRun, events), make([][][]types.Datum, events)
-	for i := range batches {
-		batches[i], _ = archiveBatch(rows)
-		first, err := heap.InsertRun(1, batches[i]) // points the batch at the heap's copies
-		if err != nil {
-			t.Fatal(err)
+	var (
+		p       *Primary
+		batches [][]types.Row
+		runs    [][]wal.RowIDRun
+	)
+	// round publishes every batch into a fresh ring and returns what that
+	// allocated. The counts are the whole process's, so the test takes the
+	// least of three rounds; the last round's ring is checked below.
+	round := func() (allocs, perRow float64) {
+		p = testPrimary(t, Config{})
+		heap := storage.NewHeap("archive", types.Schema{{Name: "url", Type: types.TypeString},
+			{Name: "atime", Type: types.TypeTimestamp}, {Name: "client_ip", Type: types.TypeString}, {Name: "bytes", Type: types.TypeInt}})
+		var spans [][][]types.Datum
+		batches, runs, spans = make([][]types.Row, events), make([][]wal.RowIDRun, events), make([][][]types.Datum, events)
+		for i := range batches {
+			batches[i], _ = archiveBatch(rows)
+			first, err := heap.InsertRun(1, batches[i]) // points the batch at the heap's copies
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = []wal.RowIDRun{{First: uint64(first), N: rows}}
+			spans[i] = heap.Spans(first, rows, nil)
 		}
-		runs[i] = []wal.RowIDRun{{First: uint64(first), N: rows}}
-		spans[i] = heap.Spans(first, rows, nil)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range batches {
-		if err := p.PublishArchive("hits", "archive", runs[i], batches[i], spans[i], nil, 0); err != nil {
-			t.Fatal(err)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range batches {
+			if err := p.PublishArchive("hits", "archive", runs[i], batches[i], spans[i], nil, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc) / (events * rows)
 	}
-	runtime.ReadMemStats(&after)
-	allocs, perRow := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/(events*rows)
-	t.Logf("%d events of %d rows: %d allocations, %.2f B a row", events, rows, allocs, perRow)
+	allocs, perRow := math.Inf(1), math.Inf(1)
+	for range 3 {
+		a, b := round()
+		allocs, perRow = min(allocs, a), min(perRow, b)
+	}
+	t.Logf("%d events of %d rows: %.0f allocations, %.2f B a row", events, rows, allocs, perRow)
 	if allocs > 2*(events/256+1) || perRow >= 1 {
-		t.Errorf("the ring allocates %d times and %.2f B a row for %d events of %d rows, want at most %d and under 1 B", allocs, perRow, events, rows, 2*(events/256+1))
+		t.Errorf("the ring allocates %.0f times and %.2f B a row for %d events of %d rows, want at most %d and under 1 B", allocs, perRow, events, rows, 2*(events/256+1))
 	}
 
 	got, err := p.eventsAfter(make([]Event, 0, events), 0, p.RunID())

@@ -30,7 +30,7 @@ type MergePlan struct {
 	sel   *sql.Select // the client's query
 	cols  []string    // the partial block's column names
 	in    plan.Input
-	tree  exec.Operator // the final block, planned by Bind
+	tree  exec.Operator // the final block, planned by Bind, or by a Merge Bind never saw
 }
 
 // PlanMerge compiles the merge step for a query that will be scattered
@@ -87,11 +87,13 @@ func PlanMerge(sel *sql.Select, partCol string) (*MergePlan, error) {
 	if text, params := sql.FormatArgs(&scatter); text != sql.Format(sel) {
 		p.ScatterSQL, p.params = text, params
 	}
-	// Planned here over untyped columns, a select list the final block cannot
-	// compute is refused before the shards run anything.
+	// Planned here over columns of unknown type, a select list the final block
+	// cannot compute is refused before the shards run anything; the tree that
+	// merges is Bind's, or Merge's.
 	if _, err := p.Bind(make([]server.WireColumn, len(p.cols))); err != nil {
 		return nil, fmt.Errorf("shard: the merge cannot finish the shards' partial rows: %w", err)
 	}
+	p.tree = nil
 	return p, nil
 }
 
@@ -153,9 +155,10 @@ func typeNamed(name string) types.Type {
 // shard that sent none — in canonical row order (types.CompareRows), so
 // the result does not depend on the order shards answer in. Partial rows run
 // through the final block, which groups them as one node groups
-// (types.Datum.AppendKey) with the aggregates' own accumulators; a plan
-// Bind never saw is bound to untyped columns, its values carrying their
-// types. No partial row gives no row.
+// (types.Datum.AppendKey) with the aggregates' own accumulators, typed as Bind
+// typed their columns: a value of another type is an error. A plan Bind never
+// saw is bound at its first Merge to the types the rows hold, each column's
+// its first non-NULL value's. No partial row gives no row.
 func (p *MergePlan) Merge(parts [][]types.Row) ([]types.Row, error) {
 	var rows []types.Row
 	for i, part := range parts {
@@ -167,6 +170,18 @@ func (p *MergePlan) Merge(parts [][]types.Row) ([]types.Row, error) {
 		rows = append(rows, part...)
 	}
 	if p.split != nil && len(rows) > 0 {
+		if p.tree == nil {
+			cols := make(types.Schema, len(p.cols))
+			for i := range cols {
+				cols[i].Type = types.TypeNull
+				for j := 0; j < len(rows) && cols[i].Type == types.TypeNull; j++ {
+					cols[i].Type = rows[j][i].Type()
+				}
+			}
+			if _, err := p.Bind(server.EncodeSchema(cols)); err != nil {
+				return nil, err
+			}
+		}
 		p.in.WindowRows = rows
 		var err error
 		rows, err = exec.Drain(&exec.Ctx{Args: p.Args}, p.tree, 0)

@@ -226,11 +226,13 @@ func TestMergeAggregate(t *testing.T) {
 	}
 }
 
-// TestMergeSumKeepsTheGenericLane: the final block's sum reads the shards'
-// partial rows, typed as the first shard answered them and not as a declared
-// column, so it keeps the generic lane: a partial of another type widens the
-// sum, as one node's sum over a mix does, instead of failing it.
-func TestMergeSumKeepsTheGenericLane(t *testing.T) {
+// TestMergeSumTypedByBind: the final block's sum reads the shards' partial
+// columns as Bind typed them, from the first shard's answer, and a shard's
+// answer holds its declared types: a BIGINT partial column sums in the BIGINT
+// lane, to a BIGINT equal to a re-sum of the partials, and a DOUBLE in it —
+// which only a shard that broke its own schema sends — is refused by an error
+// naming the sum, not widened.
+func TestMergeSumTypedByBind(t *testing.T) {
 	p, err := planFor(t, `SELECT k, sum(v) FROM s GROUP BY k`, "")
 	if err != nil {
 		t.Fatal(err)
@@ -238,12 +240,15 @@ func TestMergeSumKeepsTheGenericLane(t *testing.T) {
 	if _, err := p.Bind([]server.WireColumn{{Name: "k", Type: "VARCHAR"}, {Name: "sum", Type: "BIGINT"}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Merge([][]types.Row{rowsOf([]any{"a", 3}), rowsOf([]any{"a", 1.5})})
+	got, err := p.Merge([][]types.Row{rowsOf([]any{"a", 3}, []any{"b", nil}), rowsOf([]any{"a", -1 << 62}, []any{"b", nil})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := rowsOf([]any{"a", 4.5}); !sameRows(got, want) {
+	if want := rowsOf([]any{"a", 3 - 1<<62}, []any{"b", nil}); !sameRows(got, want) {
 		t.Fatalf("merged = %v, want %v", got, want)
+	}
+	if _, err := p.Merge([][]types.Row{rowsOf([]any{"a", 3}), rowsOf([]any{"a", 1.5})}); err == nil || !strings.Contains(err.Error(), "sum") {
+		t.Fatalf("a DOUBLE partial in a BIGINT column merged: %v, want an error naming the sum", err)
 	}
 }
 

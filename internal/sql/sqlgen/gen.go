@@ -4,11 +4,13 @@
 // sql.BinaryOps, the table the parser reads, so what is added there is
 // generated here. Each fuzzer builds its statements around them: FuzzParse
 // any statement of the grammar — whatever it writes must parse, and print to
-// a fixpoint — and FuzzIVMEquivalence, with Gen.Ints set, the continuous
-// queries a window-state store can hold.
+// a fixpoint —, FuzzIVMEquivalence, with Gen.Ints set, the continuous
+// queries a window-state store can hold, and FuzzDeclaredTypes, with Num,
+// expressions whose arms mix BIGINT, DOUBLE and NULL.
 package sqlgen
 
 import (
+	"slices"
 	"strings"
 
 	"streamrel/internal/sql"
@@ -24,6 +26,8 @@ type Gen struct {
 	// AND, OR and NOT make of them; arithmetic is over the columns and small
 	// literals, and divides by nothing but a literal.
 	Keys, Ints []string
+	// Doubles are the DOUBLE columns Num reads beside Ints.
+	Doubles []string
 }
 
 func (g *Gen) typed() bool { return g.Ints != nil }
@@ -150,4 +154,26 @@ func (g *Gen) leaf() string {
 	return g.One(g.Name(), g.Name()+"."+g.Name(), "0", "42", "9223372036854775807", "1.5", ".5", "5.", "1e3", "2E-3",
 		"'a'", "'it''s'", "''", "NULL", "TRUE", "false", "$1", "$2", "INTERVAL '5 minutes'", "interval '-1 hour 30 min'",
 		"TIMESTAMP '2020-01-01 00:00:00'", "timestamp '2020-02-29T12:00:00.5Z'", "+ 7")
+}
+
+// Num is a numeric expression over the columns Ints and Doubles, NULL and
+// literals of both types, nested depth levels at most: arithmetic, coalesce,
+// greatest, least and CASE, whose arms may be of either type. It divides by
+// nothing but a literal, so no row makes it fail.
+func (g *Gen) Num(depth int) string {
+	arg := func() string { return g.Num(depth - 1) }
+	switch choice := g.Pick(6); {
+	case depth <= 0:
+	case choice == 1:
+		return "(" + arg() + g.One(" + ", " - ", " * ") + arg() + ")"
+	case choice == 2:
+		return "(- " + arg() + " / " + g.One("2", "2.5") + ")"
+	case choice == 3:
+		return g.One("coalesce", "greatest", "least") + "(" + g.List(3, arg) + ")"
+	case choice == 4:
+		return "CASE WHEN " + arg() + g.One(" IS NULL", " > 1") + " THEN " + arg() + g.One("", " ELSE "+arg()) + " END"
+	case choice == 5:
+		return "CASE " + arg() + " WHEN " + arg() + " THEN " + arg() + " ELSE " + arg() + " END"
+	}
+	return g.One(slices.Concat(g.Ints, g.Doubles, []string{"NULL", "2", "1.5"})...)
 }

@@ -122,10 +122,12 @@ func (s *segment) size() int {
 }
 
 // find returns the index of the run holding slot off, which s holds: the last
-// run, where appends land, or the one a binary search finds.
+// run, where appends land, or the one a binary search finds. Every run holds a
+// slot, so that run's index is at most off, and at least off less the slots
+// beyond one a run: where runs are slots, the search is one index.
 func (s *segment) find(off int) int {
-	lo, hi := 0, len(s.runs)-1
-	if hi == 0 || s.runs[hi-1].end <= off {
+	lo, hi := max(0, off-(s.size()-len(s.runs))), min(off, len(s.runs)-1)
+	if hi == len(s.runs)-1 && (hi == 0 || s.runs[hi-1].end <= off) {
 		return hi
 	}
 	for lo < hi {

@@ -572,8 +572,8 @@ func (r *Runtime) PushArchived(tc trace.Ctx, stream string, rows []types.Row, ar
 
 // prepare validates a batch, casts a base stream's values to its column types
 // as a table's insert does (a row is copied at its first cast; the CQTIME
-// column must be a TIMESTAMP already, and a derived stream's types are
-// best-effort, its rows left as emitted), and stamps each row with its
+// column must be a TIMESTAMP already, and a derived stream's rows are its CQ's,
+// of their declared types already), and stamps each row with its
 // timestamp, applying the late policy against a running high-water mark. On success
 // the source clock advances; on error nothing is delivered and the clock
 // is untouched. The returned block is pooled and refcounted: the caller

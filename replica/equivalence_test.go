@@ -391,7 +391,7 @@ func archiveEquivalence(t *testing.T, parallel int) {
 		}
 	}
 	t.Logf("%d+%d archived batches, at most %d RowID runs in one; %d DML batches", batches[1], batches[2], watch.runs, dmlBatches)
-	for reason, want := range map[string]int{"cast": 0, "second_channel": 2 * batches[4], "commit_failed": 0} {
+	for reason, want := range map[string]int{"second_channel": 2 * batches[4], "commit_failed": 0} {
 		if got := metric(t, prim.eng, `streamrel_repl_unfused_batches_total{reason="`+reason+`"}`); got != float64(want) {
 			t.Errorf("unfused batches for %s: %v, want %d", reason, got, want)
 		}

@@ -30,8 +30,7 @@ func (e *Engine) Repl() *repl.Primary { return e.hub }
 // WAL batch, not as one event: Engine.unfused's indices, and the reason label
 // of streamrel_repl_unfused_batches_total.
 const (
-	unfusedCast          = iota // the table's column types differ from the stream's
-	unfusedSecondChannel        // the stream feeds more than one channel
+	unfusedSecondChannel = iota // the stream feeds more than one channel
 	unfusedCommitFailed         // the channel's write failed; only the append ships
 )
 
@@ -39,7 +38,7 @@ const (
 // from Open, before any writes.
 func (e *Engine) initReplication() {
 	e.hub = repl.NewPrimary(repl.Config{Metrics: e.reg, Snapshot: e.replicationSnapshot})
-	for i, reason := range [...]string{"cast", "second_channel", "commit_failed"} {
+	for i, reason := range [...]string{"second_channel", "commit_failed"} {
 		e.unfused[i] = e.reg.Counter("streamrel_repl_unfused_batches_total",
 			"raw-archive channel batches that crossed the replication link as a stream append and a separate WAL batch instead of one event",
 			metrics.L("reason", reason))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -216,16 +217,59 @@ func TestArchiveShipsOnceOrAsBefore(t *testing.T) {
 	if got := since(); got != "append/s×1 wal/arch×1 wal/arch2×1" {
 		t.Fatalf("a batch two channels archive shipped as %q", got)
 	}
+	if got, want := unfused(e), map[string]float64{"commit_failed": 0, "second_channel": 2}; !maps.Equal(got, want) {
+		t.Errorf("unfused batches by reason: %v, want %v", got, want)
+	}
+}
+
+// unfused reads streamrel_repl_unfused_batches_total by reason.
+func unfused(e *Engine) map[string]float64 {
 	got := map[string]float64{}
 	for _, s := range e.Metrics().Gather() {
 		if s.Name == "streamrel_repl_unfused_batches_total" {
-			got[s.ID()] = s.Value
+			got[strings.TrimSuffix(strings.TrimPrefix(s.ID(), s.Name+`{reason="`), `"}`)] = s.Value
 		}
 	}
-	for reason, want := range map[string]float64{"cast": 0, "commit_failed": 0, "second_channel": 2} {
-		if id := `streamrel_repl_unfused_batches_total{reason="` + reason + `"}`; got[id] != want {
-			t.Errorf("%s = %v, want %v (all: %v)", id, got[id], want, got)
+	return got
+}
+
+// TestArchiveCommitFailedShipsTheAppend: a durable engine whose log write
+// fails cannot commit its channel's write, so the batch ships as the stream's
+// append alone, counted under commit_failed, and the table shows none of it.
+func TestArchiveCommitFailedShipsTheAppend(t *testing.T) {
+	e, err := Open(Config{Dir: t.TempDir(), Replicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ExecScript(`
+		CREATE STREAM s (k bigint, v double, at timestamp CQTIME USER);
+		CREATE TABLE arch (k bigint, v double, at timestamp);
+		CREATE CHANNEL arch_ch FROM s INTO arch APPEND;`); err != nil {
+		t.Fatal(err)
+	}
+	at := Timestamp(MustTimestamp("2009-01-04 00:00:00"))
+	from := e.hub.LSN()
+	if err := e.log.Close(); err != nil { // every later log write fails
+		t.Fatal(err)
+	}
+	if err := e.Append("s", Row{Int(1), Float(1.5), at}); err == nil || !strings.Contains(err.Error(), "wal") {
+		t.Fatalf("an append whose channel could not log its write: %v", err)
+	}
+	var evs []*repl.Event
+	for _, ev := range published(t, e) {
+		if ev.LSN > from {
+			evs = append(evs, ev)
 		}
+	}
+	if got := kinds(evs); got != "append/s×1" {
+		t.Fatalf("a batch whose channel write failed shipped as %q", got)
+	}
+	if got, want := unfused(e), map[string]float64{"commit_failed": 1, "second_channel": 0}; !maps.Equal(got, want) {
+		t.Fatalf("unfused batches by reason: %v, want %v", got, want)
+	}
+	if got := heapTranscript(e, "arch"); got != "next 1\n" { // the aborted insert took RowID 0
+		t.Fatalf("the table holds %q after a write that failed", got)
 	}
 }
 

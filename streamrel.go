@@ -208,7 +208,7 @@ type Engine struct {
 	hub *repl.Primary
 	// unfused counts, by reason, the base-stream channel batches that did not
 	// travel as one KindArchive event (channelWrite); nil without a hub.
-	unfused [3]*metrics.Counter
+	unfused [2]*metrics.Counter
 	// replicaMode rejects user writes while this engine applies a
 	// primary's events; prevLate restores the late policy on Promote.
 	replicaMode atomic.Bool
