@@ -84,7 +84,10 @@ drain-policies:
 # 4 096 rows and 512 KiB of values and of strings, and shares memory with no
 # frame and no other batch: internal/server/proto.go, types.CheckBatch; the
 # window store keeps none of it, TestStoreKeysPinNoBatch), the sizes the
-# byte pins are reckoned in (a Datum 16 bytes, a heap run 16) and every
+# byte pins are reckoned in (a Datum 16 bytes, a heap run 16), the heap's
+# layout they rest on (a segment's words and NULL bitmaps hold no pointer, and
+# a later segment's one object has its pointers in its header only,
+# TestSegmentValuesNoPointers) and every
 # allocation pin on the decode → commit → replicate path (decoding costs a
 # constant a block whatever the rows, TestCodecAllocs, TestDecodeRowAllocs,
 # TestDecodeRecordsAllocs, and a query response's columns none to encode and
@@ -173,7 +176,7 @@ drain-policies:
 # -race, which changes allocation counts: `test` runs them too, but a pin
 # that only held under the race detector's counts would pass `race`.
 alloc-pins:
-	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives|BytesIndependent' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream ./internal/shard ./client .
+	$(GO) test -count=1 -run 'Allocs|Ownership|MemoryBounded|Sizeof|Pins?No|Revives|BytesIndependent|NoPointers' ./internal/types ./internal/txn ./internal/wal ./internal/repl ./internal/server ./internal/storage ./internal/exec ./internal/ivm ./internal/stream ./internal/shard ./client .
 
 # poison runs the root suites (the SQL suite, the equivalence suites), the
 # experiments and the decoders' packages in poison mode (types.Poison): a row
@@ -188,7 +191,12 @@ alloc-pins:
 # every mode until a new key takes it; FuzzStoreLifecycle's seeds run here
 # too), and fills an in-place view's rows
 # with one after each close, so a consumer that kept such a row reads
-# garbage and the next close must write every row again. The root suites include
+# garbage and the next close must write every row again. A table scan's
+# reused block (storage.Heap.Read into exec.SeqScan's and IndexScan's
+# types.RowBlock, under a consumer that keeps no row) holds
+# types.Recycled once it is taken back (RowBlock.Rewind), as a join's does;
+# internal/storage runs here too, its scan tests reading through such blocks.
+# The root suites include
 # TestReopenEquivalence: one operator tree opened again, after a failed
 # execution too, reads what a fresh one does, and TestWireAppendRecycleEquivalence:
 # a batch the server's reader recycles is zeroed at once, so a keeper the
@@ -197,7 +205,7 @@ alloc-pins:
 # run half their cases (StateReexec) on raw stores, whose expired slices are
 # emptied rather than poisoned, beside the poisoned aggregate slices.
 poison:
-	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/types ./internal/server ./internal/wal ./internal/repl ./replica ./internal/ivm ./internal/stream
+	$(GO) test -count=1 -tags poison . ./internal/experiments ./internal/types ./internal/storage ./internal/server ./internal/wal ./internal/repl ./replica ./internal/ivm ./internal/stream
 
 check: build fmt vet staticcheck test race drain-policies alloc-pins poison
 

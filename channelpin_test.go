@@ -17,7 +17,8 @@ import (
 // emission replaced, and a checkpoint then vacuumed, is garbage while a row
 // written beside it by the same emission lives on — as it would not be if
 // the emission were stored as one block. The index keys each row by a view of
-// it, and lets go of the vacuumed one.
+// the row built from the heap's chunk that holds it (the first segment's come
+// a row or two at a time), and lets go of the vacuumed one.
 func TestReplaceChannelPinsNoBatch(t *testing.T) {
 	e, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
@@ -45,11 +46,13 @@ func TestReplaceChannelPinsNoBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stored := func() map[string]*types.Datum {
+	stored := func() map[string]*types.Datum { // each live row's index key
 		tbl, _ := e.cat.Table("latest")
 		out := map[string]*types.Datum{}
-		tbl.Heap.Scan(e.mgr.SnapshotNow(), func(_ storage.RowID, row types.Row) bool {
-			out[row.String()] = &row[0]
+		tbl.Indexes[0].Tree.AscendRange(nil, nil, func(key types.Row, rid storage.RowID) bool {
+			if row, ok := tbl.Heap.Get(e.mgr.SnapshotNow(), rid); ok {
+				out[row.String()] = &key[0]
+			}
 			return true
 		})
 		return out

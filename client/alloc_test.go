@@ -59,3 +59,18 @@ func TestAppendRoundTripAllocs(t *testing.T) {
 		t.Errorf("a warm append of %d rows allocates %.2f times, want at most %d", len(rows), perCall, maxAllocs)
 	}
 }
+
+// TestDecodeRowsAllocs: a query's answer is the response's columns and rows
+// as they were decoded, so decodeRows allocates the Rows and nothing else —
+// no second slice of the column names.
+func TestDecodeRowsAllocs(t *testing.T) {
+	resp := &server.Response{Columns: []server.WireColumn{{Name: "a", Type: "BIGINT"}, {Name: "s", Type: "VARCHAR"}},
+		Rows: server.WireRows([]types.Row{{types.NewInt(1), types.NewString("x")}})}
+	var rows *Rows
+	if n := testing.AllocsPerRun(100, func() { rows = decodeRows(resp) }); n != 1 {
+		t.Errorf("decoding a query's answer allocates %.0f times, want 1 (the Rows)", n)
+	}
+	if &rows.Columns[0] != &resp.Columns[0] || rows.Columns[1].Type != "VARCHAR" || len(rows.Data) != 1 {
+		t.Errorf("the answer's columns %v are not the response's %v", rows.Columns, resp.Columns)
+	}
+}

@@ -45,7 +45,7 @@ func TestHeldResponsesOutliveLaterCalls(t *testing.T) {
 	render := func() string {
 		return fmt.Sprintf("%v %v %v | %v %v", resp.OK, resp.Columns, rendered(resp), rows.Columns, rows.Data)
 	}
-	const want = "true [{a BIGINT} {b VARCHAR}] [1|one 2|two 3|three] | [{b UNKNOWN} {a UNKNOWN}] [two|2 three|3]"
+	const want = "true [{a BIGINT} {b VARCHAR}] [1|one 2|two 3|three] | [{b VARCHAR} {a BIGINT}] [two|2 three|3]"
 	if got := render(); got != want {
 		t.Fatalf("the results read\n%s\nwant\n%s", got, want)
 	}

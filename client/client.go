@@ -33,7 +33,7 @@ type (
 // result from a shard router that is missing one or more downed shards'
 // contributions (single-node servers never set it).
 type Rows struct {
-	Columns []Column
+	Columns []server.WireColumn // as the response decoded them: names and type names
 	Data    []Row
 	Partial bool
 }
@@ -337,7 +337,7 @@ func (c *Client) Query(sql string, args ...Value) (rows *Rows, err error) {
 }
 
 func decodeRows(resp *server.Response) *Rows {
-	out := &Rows{Columns: columns(resp.Columns), Partial: resp.Partial}
+	out := &Rows{Columns: resp.Columns, Partial: resp.Partial}
 	if len(resp.Rows) > 0 {
 		out.Data = server.Rows(resp.Rows)
 	}
@@ -468,7 +468,7 @@ func (c *Client) Stats() (*Rows, error) {
 	if err := c.roundTrip(server.Request{Op: "metrics"}, func(resp *server.Response) { samples = resp.Samples }); err != nil {
 		return nil, err
 	}
-	out := &Rows{Columns: []Column{{Name: "metric"}, {Name: "value"}}}
+	out := &Rows{Columns: []server.WireColumn{{Name: "metric"}, {Name: "value"}}}
 	for _, p := range metrics.Flatten(server.DecodeSamples(samples)) {
 		out.Data = append(out.Data, Row{types.NewString(p.Name + p.Labels), types.NewFloat(p.Value)})
 	}

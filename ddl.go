@@ -257,7 +257,7 @@ func (e *Engine) createChannel(s *sql.CreateChannel) (bool, error) {
 // source's lock, with the replication event it still owes (in). The table
 // takes the delivered rows' values as they are — createChannel requires the
 // stream's column types, and the stream casts every append to them — so the
-// commit publishes batch and insert (the heap's copies) as one event
+// commit publishes batch and insert (spans of the heap's copies) as one event
 // (writeTxn.in). A second channel on the stream, which finds the event
 // published, and a failed write, after which the stream's append ships
 // alone, are counted in streamrel_repl_unfused_batches_total.
@@ -284,10 +284,11 @@ func (e *Engine) channelWrite(tc trace.Ctx, ch *catalog.Channel, rows []types.Ro
 	w := e.beginWrite(scratch)
 	w.tc = tc
 	// The heap copies what it stores (storage.Heap), so neither a decoded
-	// batch nor a view's rows are pinned by the table, and the insert points
-	// stored at the copies for the log, and the replication ring keeps spans
-	// of those copies: stored is the transaction's scratch. The rows are of
-	// the table's column types already (createChannel).
+	// batch nor a view's rows are pinned by the table: the log encodes stored
+	// before the write returns, the replication ring keeps spans of the
+	// copies, and an index keys rows built from them. stored is the
+	// transaction's scratch. The rows are of the table's column types already
+	// (createChannel).
 	w.rows = append(w.rows[:0], rows...)
 	stored := w.rows
 	if in.Owed() {
@@ -401,8 +402,9 @@ type writeTxn struct {
 	// undo reverts delete stamps if the transaction aborts; inserted
 	// versions need no undo (they stay invisible forever).
 	undo  []func()
-	rows  []types.Row     // a channel write's rows, cast to the table's types
-	spans [][]types.Datum // recs' inserted rows in their heaps, for the hub (storage.Heap.Spans)
+	rows  []types.Row   // a channel write's rows, cast to the table's types
+	spans []types.Span  // recs' inserted rows in their heaps, for the hub (storage.Heap.Spans)
+	keys  [][]types.Row // an insert's index keys, by index: the containers insert reuses
 	// local records are logged with the batch and not passed on to the hub: a
 	// table's next RowID from a snapshot and, when set, mark, the replica's
 	// resume point this batch is the state as of (ApplyEvent): commit
@@ -445,16 +447,19 @@ func (w *writeTxn) end() {
 	clear(w.undo)
 	clear(w.rows)
 	clear(w.spans)
-	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], rows: w.rows[:0], spans: w.spans[:0], local: w.local[:0]}
+	for _, k := range w.keys {
+		clear(k[:cap(k)])
+	}
+	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], rows: w.rows[:0], spans: w.spans[:0], local: w.local[:0], keys: w.keys}
 	w.scratch.spare.Store(w)
 }
 
 // insert stores copies of rows in t — one run at the next RowIDs or, with
 // runs (replicated apply, recovery), at the RowIDs the primary logged —
-// points rows at them, indexes them and adds the insert to the write set with
-// the caller's container, which it must then leave alone. Rows that were here
-// already (an event applied again) keep what is stored, and are neither
-// indexed nor logged a second time.
+// indexes the copies and adds the insert to the write set with the caller's
+// container, which it must then leave alone until the transaction ends. Rows
+// that were here already (an event applied again) keep what is stored, and
+// are neither indexed nor logged a second time.
 func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -488,6 +493,24 @@ func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Ro
 	if drop := stale != nil; drop || len(t.Indexes) > 0 {
 		var keptRuns []wal.RowIDRun
 		var kept []types.Row
+		// keys[x] are the rows' keys of index x, built from the heap's copies a
+		// block a heap chunk, so a key pins what a row of its chunk did, and a
+		// first segment's vacuumed row goes alone.
+		for len(w.keys) < len(t.Indexes) {
+			w.keys = append(w.keys, nil)
+		}
+		keys := w.keys[:len(t.Indexes)]
+		for x := range keys {
+			keys[x] = keys[x][:0]
+		}
+		for i := 0; len(keys) > 0 && i < len(runs); i++ {
+			var buf [2]types.Span
+			for _, sp := range t.Heap.Spans(storage.RowID(runs[i].First), int(runs[i].N), buf[:0]) {
+				for x, ix := range t.Indexes {
+					keys[x] = sp.AppendRows(ix.Columns, keys[x])
+				}
+			}
+		}
 		next = 0
 		for _, run := range runs {
 			for rid := run.First; rid < run.First+run.N; rid, next = rid+1, next+1 {
@@ -495,8 +518,8 @@ func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Ro
 					stale = stale[1:]
 					continue
 				}
-				for _, ix := range t.Indexes {
-					ix.Tree.Insert(ix.KeyOf(rows[next]), storage.RowID(rid))
+				for x, ix := range t.Indexes {
+					ix.Tree.Insert(keys[x][next], storage.RowID(rid))
 				}
 				if drop {
 					keptRuns, kept = wal.AppendRun(keptRuns, rid), append(kept, rows[next])

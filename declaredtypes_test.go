@@ -225,3 +225,37 @@ func value(v any) streamrel.Value {
 	}
 	panic(fmt.Sprintf("value: %T", v))
 }
+
+// TestBuiltinRefusesArgumentType: a builtin given an argument of a type it
+// does not declare is refused when the statement compiles, by an error that
+// names the function and the type, where its evaluation once panicked on the
+// Datum's accessor. A BIGINT passes where a DOUBLE is declared, and so does a
+// NULL anywhere.
+func TestBuiltinRefusesArgumentType(t *testing.T) {
+	e, err := streamrel.Open(streamrel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ExecScript(`CREATE TABLE t (i bigint, s varchar, ts timestamp);
+		INSERT INTO t VALUES (4, 'A b', '2009-01-04 10:00:00');`); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ q, fn, typ string }{
+		{"lower(i)", "lower", "BIGINT"}, {"upper(ts)", "upper", "TIMESTAMP"}, {"length(i)", "length", "BIGINT"},
+		{"trim(i)", "trim", "BIGINT"}, {"replace(s, i, s)", "replace", "BIGINT"}, {"substr(s, s)", "substr", "VARCHAR"},
+		{"strpos(i, s)", "strpos", "BIGINT"}, {"date_trunc('day', s)", "date_trunc", "VARCHAR"}, {"epoch(i)", "epoch", "BIGINT"},
+		{"sqrt(s)", "sqrt", "VARCHAR"}, {"round(i, 1.5)", "round", "DOUBLE"}, {"floor(ts)", "floor", "TIMESTAMP"}, {"year(s)", "year", "VARCHAR"},
+	} {
+		_, err := e.Query("SELECT " + c.q + " FROM t")
+		if err == nil || !strings.Contains(err.Error(), c.fn) || !strings.Contains(err.Error(), c.typ) {
+			t.Errorf("%s: %v, want an error naming %s and %s", c.q, err, c.fn, c.typ)
+		}
+	}
+	for q, want := range map[string]string{"sqrt(i)": "2.0", "lower(NULL)": "NULL", "substr(s, 3)": "b", "year(ts)": "2009"} {
+		rows, err := e.Query("SELECT " + q + " FROM t")
+		if err != nil || len(rows.Data) != 1 || rows.Data[0][0].String() != want {
+			t.Errorf("%s: %v, %v; want %s", q, rows, err, want)
+		}
+	}
+}

@@ -287,9 +287,10 @@ func TestProjectSmallBatchAllocs(t *testing.T) {
 
 // TestScanAggAllocsIndependentOfTableRows: an aggregate over a table scan
 // allocates for its groups and for the scan's one container of chunkRows
-// row headers — not a copy of the table, which is what a scan that
-// materialized in Open cost (2.4 MB of headers at 100 000 rows, and as much
-// again in regrowth).
+// row headers and one block of chunkRows rows' Datums, reused chunk after
+// chunk — not a copy of the table, which is what a scan that materialized in
+// Open cost (2.4 MB of headers at 100 000 rows, and as much again in
+// regrowth).
 func TestScanAggAllocsIndependentOfTableRows(t *testing.T) {
 	mgr := txn.NewManager()
 	schema := types.Schema{{Name: "g", Type: types.TypeInt}, {Name: "v", Type: types.TypeInt}}
@@ -309,9 +310,9 @@ func TestScanAggAllocsIndependentOfTableRows(t *testing.T) {
 	if large > small+1024 {
 		t.Errorf("HashAgg(SeqScan) allocates %.0f B over 10 000 rows and %.0f B over 100 000", small, large)
 	}
-	// 67 kB: the container, and ≈ 420 B per group.
-	if limit := float64(24*chunkRows + 440*allocGroups); large > limit {
-		t.Errorf("HashAgg(SeqScan) over %d groups allocates %.0f B, want ≤ %.0f (the container + 440 B per group)", allocGroups, large, limit)
+	// 100 kB: the container, the block, and ≈ 420 B per group.
+	if limit := float64((24+16*len(schema))*chunkRows + 440*allocGroups); large > limit {
+		t.Errorf("HashAgg(SeqScan) over %d groups allocates %.0f B, want ≤ %.0f (the container and the block + 440 B per group)", allocGroups, large, limit)
 	}
 }
 

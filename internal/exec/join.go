@@ -340,28 +340,12 @@ func (c *rowConcat) reset() {
 	}
 }
 
-// poison is what rewind writes over the rows it takes back under
-// types.Poison, so that a consumer which declared its rows transient and kept
-// one anyway reads nonsense at once, not when the memory is carved again.
-var poison = types.NewString("\x00recycled row read after rewind\x00")
-
-// rewind takes back the rows carved from blk's current array, whose
-// consumer keeps none of them, for the next rows to overwrite.
-func rewind(blk *types.RowBlock) {
-	taken := blk.Rewind()
-	if types.Poison {
-		for i := range taken {
-			taken[i] = poison
-		}
-	}
-}
-
 // gather fills a join's reused output container from next until the demand
 // is met, next reports the end of the join with a nil row or, recycling,
 // the block is used up.
 func (c *rowConcat) gather(buf *[]types.Row, max int, next func() (types.Row, error)) ([]types.Row, error) {
 	if c.recycle {
-		rewind(&c.blk)
+		c.blk.Rewind()
 		c.spare = nil // one of them
 	}
 	if *buf == nil {

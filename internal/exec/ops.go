@@ -96,7 +96,7 @@ func (p *Project) NextBatch(max int) ([]types.Row, error) {
 	ec := &p.ec
 	blk := &p.blk
 	if p.transient {
-		rewind(blk)
+		blk.Rewind()
 	}
 	blk.Reserve(len(in))
 	out := p.buf[:0]

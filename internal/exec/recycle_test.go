@@ -174,7 +174,7 @@ func TestPoisonCatchesARetainedRow(t *testing.T) {
 				if declared == (now == was[i]) {
 					t.Fatalf("declared %v: a row handed out as %s reads %s after the next pull", declared, was[i], now)
 				}
-				if poisoned := kept[i][0].Equal(poison) && kept[i][3].Equal(poison); declared && batch == nil && !poisoned {
+				if poisoned := kept[i][0].Equal(types.Recycled) && kept[i][3].Equal(types.Recycled); declared && batch == nil && !poisoned {
 					t.Fatalf("a row taken back at the end of the stream reads %s, not the sentinel", now)
 				}
 			}

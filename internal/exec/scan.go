@@ -56,16 +56,21 @@ func (r *Relation) Transient() bool { return r.transient }
 // allocates that container whatever the table size, and a LIMIT above it
 // stops the heap read, not just the evaluation. The container is filled
 // ahead of demand (a visibility check has no observable effect): a join
-// probing one row per pull takes the heap lock once per chunk.
+// probing one row per pull takes the heap lock once per chunk. The rows are
+// built into the scan's block: one array reused chunk after chunk when the
+// consumer declared rowsTransient, else a fresh one a chunk, which the
+// consumer may keep.
 type SeqScan struct {
 	Heap *storage.Heap
 
-	snap   txn.Snapshot
-	next   storage.RowID // the next version to read
-	mark   storage.Mark  // the heap's at Open, whose Next ends the scan
-	prev   storage.Mark  // the heap's at the Open before: a maintained HashAgg resumes there
-	last   txn.ID        // the heap's last stamp at Open
-	cursor               // the container, and how much of it has been handed out
+	snap      txn.Snapshot
+	next      storage.RowID // the next version to read
+	mark      storage.Mark  // the heap's at Open, whose Next ends the scan
+	prev      storage.Mark  // the heap's at the Open before: a maintained HashAgg resumes there
+	last      txn.ID        // the heap's last stamp at Open
+	blk       types.RowBlock
+	transient bool
+	cursor    // the container, and how much of it has been handed out
 }
 
 // Open implements Operator. The heap's end is fixed here: a version appended
@@ -74,27 +79,56 @@ func (s *SeqScan) Open(ctx *Ctx) error {
 	s.snap, s.next, s.prev = ctx.Snap, 0, s.mark
 	s.mark, s.last = s.Heap.Stamp()
 	s.reset(s.rows[:0])
+	openBlock(&s.blk, s.transient, len(s.Heap.Schema()), 0)
 	return nil
 }
 
 // NextBatch implements Operator: the cursor's, refilled when it runs dry.
 func (s *SeqScan) NextBatch(max int) ([]types.Row, error) {
 	if s.pos == len(s.rows) && s.next < s.mark.Next {
-		if want := min(chunkRows, int(s.mark.Next-s.next)); cap(s.rows) < want {
+		want := min(chunkRows, int(s.mark.Next-s.next))
+		if cap(s.rows) < want {
 			s.rows = make([]types.Row, 0, want)
 		}
+		if s.transient {
+			s.blk.Rewind()
+		}
+		s.blk.Reserve(want)
 		buf := s.rows[:0]
-		s.next = s.Heap.Read(s.snap, s.next, s.mark.Next, cap(buf), &buf, nil)
+		s.next = s.Heap.Read(s.snap, s.next, s.mark.Next, cap(buf), &s.blk, &buf, nil)
 		s.reset(buf)
 	}
 	return s.cursor.NextBatch(max)
 }
 
+func (s *SeqScan) rowsTransient() { s.transient = true }
+
 // Close implements Operator.
-func (s *SeqScan) Close() error { s.reset(clearRows(s.rows)); return nil }
+func (s *SeqScan) Close() error {
+	s.reset(clearRows(s.rows))
+	openBlock(&s.blk, s.transient, len(s.Heap.Schema()), 0)
+	return nil
+}
+
+// openBlock readies a scan's block for an execution of about rows rows, or
+// lets go of what the last one read: when its consumer keeps no row, the block
+// it reuses, its rows taken back and cleared (under types.Poison, left as
+// Rewind left them), or one of twice rows where that is too small, so a result
+// that grows is carved afresh only once it has doubled; else a fresh one, as
+// the last execution's consumer may keep its rows.
+func openBlock(blk *types.RowBlock, transient bool, width, rows int) {
+	if !transient {
+		*blk = types.NewRowBlock(rows, width)
+	} else if taken := blk.Rewind(); cap(taken) < max(rows, 1)*width {
+		*blk = types.NewRowBlock(2*rows, width)
+	} else if !types.Poison {
+		clear(taken[:cap(taken)])
+	}
+}
 
 // IndexScan reads rows whose index key lies in [Lo, Hi] (nil bounds are
-// open), checking MVCC visibility against the heap.
+// open), checking MVCC visibility against the heap. It builds them into its
+// block as SeqScan does.
 type IndexScan struct {
 	Heap *storage.Heap
 	Tree *storage.BTree
@@ -104,12 +138,18 @@ type IndexScan struct {
 	Range string
 	cursor
 
-	ec expr.Ctx
+	ec        expr.Ctx
+	blk       types.RowBlock
+	transient bool
+	last      int // the rows the last execution read: its block holds as many at once
 }
+
+func (s *IndexScan) rowsTransient() { s.transient = true }
 
 // Open implements Operator.
 func (s *IndexScan) Open(ctx *Ctx) error {
 	s.reset(clearRows(s.rows))
+	openBlock(&s.blk, s.transient, len(s.Heap.Schema()), s.last)
 	var lo, hi types.Row
 	s.ec = ctx.evalCtx() // bounds are constants: no row
 	if s.Lo != nil {
@@ -132,13 +172,17 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		if hi != nil && types.Compare(key[0], hi[0]) > 0 {
 			return false
 		}
-		if row, ok := s.Heap.Get(ctx.Snap, rid); ok {
-			s.rows = append(s.rows, row)
-		}
+		s.Heap.Read(ctx.Snap, rid, rid+1, 1, &s.blk, &s.rows, nil)
 		return true
 	})
+	s.last = len(s.rows)
 	return nil
 }
 
 // Close implements Operator.
-func (s *IndexScan) Close() error { s.reset(clearRows(s.rows)); s.ec = expr.Ctx{}; return nil }
+func (s *IndexScan) Close() error {
+	s.reset(clearRows(s.rows))
+	s.ec = expr.Ctx{}
+	openBlock(&s.blk, s.transient, len(s.Heap.Schema()), s.last)
+	return nil
+}

@@ -236,13 +236,29 @@ var scalarFuncs = map[string]scalarFunc{
 		}},
 }
 
+// argTypes are the argument types of the builtins that declare them, the last
+// one also every argument's past it: compileFunc refuses an argument of
+// another type, which eval would read with the wrong accessor. NULL and an
+// unknown type pass, and a DOUBLE argument takes a BIGINT (Datum.Float widens).
+var argTypes = func() map[string][]types.Type {
+	str, i, f, ts := types.TypeString, types.TypeInt, types.TypeFloat, types.TypeTimestamp
+	m := map[string][]types.Type{"substr": {str, i}, "round": {f, i}, "date_trunc": {str, ts}}
+	for _, name := range []string{"lower", "upper", "length", "trim", "replace", "strpos"} {
+		m[name] = []types.Type{str}
+	}
+	for _, name := range []string{"floor", "ceil", "sqrt", "power", "ln", "sign"} {
+		m[name] = []types.Type{f}
+	}
+	for _, name := range []string{"epoch", "year", "month", "day", "hour", "minute", "second", "dow"} {
+		m[name] = []types.Type{ts}
+	}
+	return m
+}()
+
 // timePart builds an eval extracting one calendar field from a timestamp
 // (UTC).
 func timePart(f func(time.Time) int64) func(*Ctx, []types.Datum) (types.Datum, error) {
 	return nullIfAnyNull(func(_ *Ctx, a []types.Datum) (types.Datum, error) {
-		if a[0].Type() != types.TypeTimestamp {
-			return types.Null, fmt.Errorf("expr: calendar function needs a timestamp, got %s", a[0].Type())
-		}
 		return types.NewInt(f(a[0].Time())), nil
 	})
 }
@@ -293,6 +309,11 @@ func compileFunc(n *sql.FuncCall, b Binder) (*Scalar, error) {
 		s, err := Compile(a, b)
 		if err != nil {
 			return nil, err
+		}
+		if want := argTypes[name]; want != nil {
+			if w := want[min(i, len(want)-1)]; s.Type != w && s.Type > types.TypeNull && (w != types.TypeFloat || s.Type != types.TypeInt) {
+				return nil, fmt.Errorf("expr: %s takes a %s as argument %d, not a %s", n.Name, w, i+1, s.Type)
+			}
 		}
 		compiled[i] = s
 	}

@@ -94,6 +94,7 @@ type Event struct {
 	Recs   []wal.Record // KindWAL
 	Stream string       // KindAppend, KindAdvance, KindArchive
 	Rows   []types.Row  // KindAppend, KindArchive
+	Spans  []types.Span // KindArchive in the ring: Rows in their heap (wal.Record.Spans)
 	TS     int64        // KindAdvance
 	Run    string       // KindSnapBegin, KindResume
 	Table  string       // KindArchive
@@ -129,7 +130,7 @@ func AppendFrame(dst []byte, ev *Event) []byte {
 	case KindAppend:
 		dst = wal.AppendRowList(wal.AppendString(dst, ev.Stream), ev.Rows)
 	case KindArchive:
-		dst = wal.AppendRows(wal.AppendString(dst, ev.Stream), ev.Table, ev.Runs, ev.Rows)
+		dst = wal.AppendRows(wal.AppendString(dst, ev.Stream), ev.Table, ev.Runs, ev.Rows, ev.Spans)
 	case KindAdvance:
 		dst = binary.AppendVarint(wal.AppendString(dst, ev.Stream), ev.TS)
 	case KindSnapBegin, KindResume:

@@ -84,15 +84,17 @@ type Primary struct {
 	// copies carves the blocks PublishAppend copies a batch into; the ring
 	// owns each block it hands out.
 	copies types.RowStrings
-	// runs, recs and spans are the blocks publishLocked copies an event's RowID
-	// runs, WAL records and the spans of its stored rows into (carve): a
-	// publisher reuses its own once it returns. carved is the LSN of the
-	// newest event carved into them: once the ring evicts it they hold nothing
-	// it does, and are retired, so a chunk of an evicted event's rows is not
-	// kept for the events carved after it.
+	// runs, recs, spans and rows are the blocks publishLocked copies an
+	// event's RowID runs, WAL records and the spans of its stored rows (or,
+	// without spans, its row headers) into (carve): a publisher reuses its own
+	// once it returns. carved is the LSN of the newest event carved into them:
+	// once the ring evicts it they hold nothing it does, and are retired, so a
+	// chunk of an evicted event's rows is not kept for the events carved after
+	// it.
 	runs   []wal.RowIDRun
 	recs   []wal.Record
-	spans  []types.Row
+	spans  []types.Span
+	rows   []types.Row
 	carved uint64
 
 	pingEvery time.Duration
@@ -240,7 +242,7 @@ func recordSize(r *wal.Record) int {
 // (0 = untraced) rides the published events so replicas close the batch's
 // span chain. A nil commit publishes a batch committed already (DDL). The ring
 // keeps spans, the RecRows rows in their heaps (storage.Heap.Spans), if any.
-func (p *Primary) PublishTxn(recs []wal.Record, spans [][]types.Datum, commit func() error, traceID uint64) error {
+func (p *Primary) PublishTxn(recs []wal.Record, spans []types.Span, commit func() error, traceID uint64) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	if commit != nil {
@@ -295,16 +297,15 @@ func cutRuns(runs []wal.RowIDRun, n uint64) (head, tail []wal.RowIDRun) {
 
 // publishWAL packs recs into events greedily; an insert that is beyond the
 // budget by itself goes out in pieces (Chunks), each an event of its own.
-func (p *Primary) publishWAL(recs []wal.Record, spans [][]types.Datum, traceID uint64) {
+func (p *Primary) publishWAL(recs []wal.Record, spans []types.Span, traceID uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for start := 0; start < len(recs); {
 		end, size := chunkEnd(start, len(recs), MaxEventBytes, func(i int) int { return recordSize(&recs[i]) })
 		if r := &recs[start]; size > MaxEventBytes && len(r.Rows) > 1 {
-			_, spans = p.held(r.Rows, spans) // past its spans: its pieces keep their rows' headers
 			Chunks(r.Runs, r.Rows, func(runs []wal.RowIDRun, rows []types.Row, size int) {
-				p.publishLocked(Event{Kind: KindWAL, Trace: traceID,
-					Recs: []wal.Record{{Kind: wal.RecRows, Table: r.Table, Runs: runs, Rows: rows}}}, size, nil)
+				spans = p.publishLocked(Event{Kind: KindWAL, Trace: traceID,
+					Recs: []wal.Record{{Kind: wal.RecRows, Table: r.Table, Runs: runs, Rows: rows}}}, size, spans)
 			})
 		} else {
 			spans = p.publishLocked(Event{Kind: KindWAL, Recs: recs[start:end], Trace: traceID}, size, spans)
@@ -337,10 +338,9 @@ func (p *Primary) PublishAppend(stream string, rows []types.Row, traceID uint64)
 // which fixes the per-stream event order as it does for PublishAppend, and
 // commitMu is held across commit and publication as in PublishTxn, so the
 // event also sits in the table's commit order, and spans are as there. An
-// oversized batch splits rows and RowID runs together, its pieces keeping
-// their rows' headers. If commit fails nothing is published: the caller still
-// owes the stream its KindAppend.
-func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows []types.Row, spans [][]types.Datum, commit func() error, traceID uint64) error {
+// oversized batch splits rows, RowID runs and spans together. If commit fails
+// nothing is published: the caller still owes the stream its KindAppend.
+func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows []types.Row, spans []types.Span, commit func() error, traceID uint64) error {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	if commit != nil {
@@ -351,10 +351,7 @@ func (p *Primary) PublishArchive(stream, table string, runs []wal.RowIDRun, rows
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	Chunks(runs, rows, func(runs []wal.RowIDRun, piece []types.Row, size int) {
-		if len(piece) < len(rows) {
-			spans = nil
-		}
-		p.publishLocked(Event{Kind: KindArchive, Stream: stream, Table: table, Rows: piece, Runs: runs, Trace: traceID}, size, spans)
+		spans = p.publishLocked(Event{Kind: KindArchive, Stream: stream, Table: table, Rows: piece, Runs: runs, Trace: traceID}, size, spans)
 	})
 	return nil
 }
@@ -370,15 +367,15 @@ func (p *Primary) PublishAdvance(stream string, ts int64) {
 // evicting from the head whatever no longer fits beside it — never ev itself —
 // and returns the spans behind ev's. The ring keeps copies of ev's runs,
 // records and spans (held; a KindAppend's rows are its own copies already);
-// the values stay the publisher's, which never writes them again (the heap's).
-func (p *Primary) publishLocked(ev Event, size int, spans [][]types.Datum) [][]types.Datum {
+// the words stay the publisher's, which never writes them again (the heap's).
+func (p *Primary) publishLocked(ev Event, size int, spans []types.Span) []types.Span {
 	ev.Runs, ev.Recs = carve(&p.runs, ev.Runs, 256), carve(&p.recs, ev.Recs, 256)
 	if ev.Kind == KindArchive {
-		ev.Rows, spans = p.held(ev.Rows, spans)
+		ev.Rows, ev.Spans, spans = p.held(ev.Rows, spans)
 	}
 	for i := range ev.Recs {
 		ev.Recs[i].Runs = carve(&p.runs, ev.Recs[i].Runs, 256)
-		ev.Recs[i].Rows, spans = p.held(ev.Recs[i].Rows, spans)
+		ev.Recs[i].Rows, ev.Recs[i].Spans, spans = p.held(ev.Recs[i].Rows, spans)
 	}
 	p.lsn++
 	ev.LSN = p.lsn
@@ -388,7 +385,7 @@ func (p *Primary) publishLocked(ev Event, size int, spans [][]types.Datum) [][]t
 	}
 	for p.ringLen > 0 && (p.ringLen == len(p.ring) || p.retained+size > maxRingBytes) {
 		if p.ring[p.head].LSN == p.carved {
-			p.runs, p.recs, p.spans = nil, nil, nil
+			p.runs, p.recs, p.spans, p.rows = nil, nil, nil, nil
 		}
 		p.retained -= p.ringSizes[p.head]
 		p.ring[p.head] = Event{} // let go of its rows
@@ -406,20 +403,24 @@ func (p *Primary) publishLocked(ev Event, size int, spans [][]types.Datum) [][]t
 	return spans
 }
 
-// held copies into a block of the ring's own what it keeps of rows — the first
-// of spans, which hold their values, or with none (or no column) the rows,
-// each a span of one — and returns it and the spans behind.
-func (p *Primary) held(rows []types.Row, spans [][]types.Datum) ([]types.Row, [][]types.Datum) {
-	k := 0
-	if len(rows) > 0 && spans != nil {
-		for vals := len(rows) * len(rows[0]); vals > 0; k++ {
-			vals -= len(spans[k])
-		}
+// held copies into a block of the ring's own what it keeps of rows: the spans
+// at the head of spans that hold them, the last one cut where they end, or
+// with no spans the rows' headers. It returns what it keeps and the spans
+// behind.
+func (p *Primary) held(rows []types.Row, spans []types.Span) ([]types.Row, []types.Span, []types.Span) {
+	if spans == nil || len(rows) == 0 {
+		return carve(&p.rows, rows, 256), nil, spans
 	}
-	if k == 0 {
-		return carve(&p.spans, rows, 256), spans
+	k, n := 0, len(rows)
+	for ; n > 0 && n >= spans[k].Len(); k++ {
+		n -= spans[k].Len()
 	}
-	return carve(&p.spans, types.RowsView(spans[:k]), 256), spans[k:]
+	if n == 0 {
+		return nil, carve(&p.spans, spans[:k], 256), spans[k:]
+	}
+	kept := carve(&p.spans, spans[:k+1], 256)
+	kept[k], spans[k] = spans[k].Slice(0, n), spans[k].Slice(n, spans[k].Len())
+	return nil, kept, spans[k:]
 }
 
 // carve copies src into the free end of *block, or of a new block of at least
@@ -462,7 +463,7 @@ func (p *Primary) unfollow(wake chan struct{}) {
 // spoolAtCut spools the engine's state at one cut and reads the run and the
 // boundary inside it: nothing is published while the cut is held, so every
 // event is in the spool or after the boundary and never both. The spool
-// shares the heap's immutable rows — O(rows) pointers, not a copy — and is
+// holds the rows as a heap read builds them, a copy of their values, and is
 // streamed after the cut is released, so a slow or wedged replica never
 // freezes the engine for the transfer; events published meanwhile wait in
 // the ring.

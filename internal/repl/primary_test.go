@@ -644,8 +644,8 @@ func TestRingMemoryBounded(t *testing.T) {
 		p = testPrimary(t, Config{})
 		heap := storage.NewHeap("archive", types.Schema{{Name: "url", Type: types.TypeString},
 			{Name: "atime", Type: types.TypeTimestamp}, {Name: "client_ip", Type: types.TypeString}, {Name: "bytes", Type: types.TypeInt}})
-		var spans [][][]types.Datum
-		batches, runs, spans = make([][]types.Row, events), make([][]wal.RowIDRun, events), make([][][]types.Datum, events)
+		var spans [][]types.Span
+		batches, runs, spans = make([][]types.Row, events), make([][]wal.RowIDRun, events), make([][]types.Span, events)
 		for i := range batches {
 			batches[i], _ = archiveBatch(rows)
 			first, err := heap.InsertRun(1, batches[i]) // points the batch at the heap's copies
@@ -687,12 +687,23 @@ func TestRingMemoryBounded(t *testing.T) {
 	}
 }
 
-// spansOf lays rows' values end to end in one span, as a heap's chunk holds a
-// run of them.
-func spansOf(rows []types.Row) [][]types.Datum {
-	var span []types.Datum
+// spansOf stores rows in a heap of their own, each column of the type of its
+// first value that is not NULL, and returns spans of the copies, as a
+// transaction's insert hands the ring its heap's: one span, as the rows lie in
+// a segment of full size, so an event split between rows cuts it.
+func spansOf(rows []types.Row) []types.Span {
+	schema := make(types.Schema, len(rows[0]))
 	for _, row := range rows {
-		span = append(span, row...)
+		for c, d := range row {
+			if !d.IsNull() {
+				schema[c].Type = d.Type()
+			}
+		}
 	}
-	return [][]types.Datum{span}
+	h := storage.NewHeap("spans", schema)
+	const first = 1 << 20
+	if _, err := h.InsertRunAt(1, first, rows); err != nil {
+		panic(err)
+	}
+	return h.Spans(first, len(rows), nil)
 }

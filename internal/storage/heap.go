@@ -4,11 +4,14 @@
 // entered into persistent structures such as tables and indexes" — this
 // package is those structures.
 //
-// A heap is grown and read in place. Its versions live in fixed-size
-// segments (segRows), so an append never copies what is already stored, and
-// every reader goes through one chunk read (Heap.Read): the visible rows of
-// a RowID range into a container the caller owns, under one lock
-// acquisition. Scan is that read in a loop; exec.SeqScan pulls it on demand.
+// A heap is grown in place. Its versions live in fixed-size segments
+// (segRows), so an append never copies what is already stored, and a segment
+// keeps each column as its type's 8-byte words (types.Datum.Word), which the
+// collector does not scan. Every reader goes through one chunk read
+// (Heap.Read): the visible rows of a RowID range, built as Datums into a
+// block and a container the caller owns, under one lock acquisition. Scan is
+// that read in a loop; exec.SeqScan pulls it on demand, reusing its block when
+// its consumer keeps no row.
 package storage
 
 import (
@@ -36,26 +39,29 @@ type run struct {
 	end  int
 }
 
-// segment holds segRows versions and their rows inline, in chunks of values
+// segment holds segRows versions and their rows inline, in chunks of words
 // that are never reallocated: a later segment's is one chunk of segRows rows,
 // allocated with inlineRuns runs and this header as one object (newFull); the
 // first segment's come as it grows, of 1, 1, 2, 4, … segRows/2 rows — chunk
-// k > 0 holds slots [2^(k-1), 2^k). The bytes of the rows' VARCHARs are in
-// strs, whose chunks the segment owns, each distinct string once while the
-// heap's table of them held it (Heap.seen) — never bytes of another segment's,
-// so a segment Vacuum frees takes its strings with it. A stored row is written
-// once and never moves, so a reader may keep what Read hands out for as long as
-// it likes (see Heap).
+// k > 0 holds slots [2^(k-1), 2^k). A chunk holds its rows column by column,
+// each value its column type's word (types.Datum.Word), and its NULL bits in
+// the same order, in a bitmap made at the chunk's first NULL. A VARCHAR's word
+// places its bytes in strs, whose chunks the segment owns, each distinct
+// string once while the heap's table of them held it (Heap.seen) — never bytes
+// of another segment's, so a segment Vacuum frees takes its strings with it. A
+// stored row is written once and never moves, so a Datum a reader built from
+// it stays valid for as long as it is held (see Heap).
 //
 // A version's stamps are its run's xmin and its slot's xmax, the transaction
 // that deleted it. The runs cover the segment's slots in order: a batch is one
 // transaction's run of RowIDs, so a segment of 256-row batches holds 16 runs.
 // The xmax lane is nil until the segment's first Delete.
 type segment struct {
-	runs []run
-	xmax []txn.ID
-	vals [firstChunks][]types.Datum
-	strs types.Arena
+	runs  []run
+	xmax  []txn.ID
+	vals  [firstChunks][]uint64
+	nulls [firstChunks][]uint64
+	strs  types.Arena
 }
 
 // inlineRuns is how many runs a later segment's one object holds; past them
@@ -78,7 +84,7 @@ func fullType(w int) reflect.Type {
 	t := reflect.StructOf([]reflect.StructField{
 		{Name: "Seg", Type: reflect.TypeFor[segment]()},
 		{Name: "Runs", Type: reflect.TypeFor[[inlineRuns]run]()},
-		{Name: "Vals", Type: reflect.ArrayOf(segRows*w, reflect.TypeFor[types.Datum]())},
+		{Name: "Vals", Type: reflect.ArrayOf(segRows*w, reflect.TypeFor[uint64]())},
 	})
 	reflect.PointerTo(t) // what reflect.New would build, and cache, at its first call
 	stored, _ := fullTypes.LoadOrStore(w, t)
@@ -91,7 +97,7 @@ func newFull(full reflect.Type, w int) *segment {
 	seg := obj.Field(0).Addr().Interface().(*segment)
 	seg.runs = obj.Field(1).Addr().Interface().(*[inlineRuns]run)[:0]
 	if w > 0 {
-		seg.vals[0] = types.DatumsAt(obj.Field(2).Index(0).Addr().Interface().(*types.Datum), segRows*w)
+		seg.vals[0] = types.WordsAt(obj.Field(2).Index(0).Addr().Interface().(*uint64), segRows*w)
 	}
 	return seg
 }
@@ -106,11 +112,49 @@ func chunkOf(si, off int) (k, start int) {
 	return k, 1 << k >> 1
 }
 
-// row is slot off's row in segment si, a full-capacity subslice of its chunk.
-func (s *segment) row(si, off, width int) types.Row {
+// chunkRows is how many slots chunk k of segment si holds.
+func chunkRows(si, k int) int {
+	if si > 0 {
+		return segRows
+	}
+	return max(1, 1<<k>>1)
+}
+
+// span is a view of chunk k of segment si, all of its rows.
+func (s *segment) span(si, k int, schema *types.Schema) types.Span {
+	rows := chunkRows(si, k)
+	return types.NewSpan(schema, s.vals[k], s.nulls[k], &s.strs, rows, 0, rows)
+}
+
+// row builds slot off's row of segment si into dst and returns it.
+func (s *segment) row(si, off int, schema *types.Schema, dst types.Row) types.Row {
 	k, start := chunkOf(si, off)
-	i := (off - start) * width
-	return s.vals[k][i : i+width : i+width]
+	sp := s.span(si, k, schema)
+	sp.Row(off-start, dst)
+	return dst
+}
+
+// write stores row in slot j of chunk k, of rows slots, its strings copied
+// into the segment's arena (types.Arena.Word).
+func (s *segment) write(k, j, rows int, row types.Row, least int, seen []uint64) {
+	for c, d := range row {
+		i := c*rows + j
+		switch {
+		case d.IsNull():
+			if s.nulls[k] == nil {
+				s.nulls[k] = make([]uint64, (len(s.vals[k])+63)/64)
+			}
+			types.SetBit(s.nulls[k], i, true)
+			continue
+		case d.Type() == types.TypeString:
+			s.vals[k][i] = s.strs.Word(d.Str(), least, seen)
+		default:
+			s.vals[k][i] = d.Word()
+		}
+		if s.nulls[k] != nil {
+			types.SetBit(s.nulls[k], i, false)
+		}
+	}
 }
 
 // size is how many slots s holds: its last run's end.
@@ -218,7 +262,7 @@ func (s *segment) room(si, k int) {
 	}
 }
 
-// segRows is how many versions a segment holds: 16 B a column each, its run's
+// segRows is how many versions a segment holds: 8 B a column each, its run's
 // share of 16 B a run, and 8 B of xmax once the segment has seen a Delete.
 // Version id lives in segment segs[id/segRows] at slot id%segRows, if the heap
 // holds anything there: a RowID below the next one with no slot behind it (a
@@ -238,16 +282,19 @@ const segRows = 4096
 // are delete+insert. Vacuum reclaims dead versions where they lie.
 //
 // A heap owns its bytes: InsertRun and InsertRunAt copy each row into its
-// segment, strings included, each distinct one once a segment (seen). Two
-// rules keep every row it hands out valid:
+// segment as words, strings included, each distinct one once a segment
+// (seen), and leave the caller's rows as they were. A reader's rows are
+// Datums built into the reader's block (Read), whose VARCHARs point into the
+// segment's strings; two rules keep those, and the spans the replication ring
+// holds (Spans), valid for as long as they are held:
 //   - A slot keeps the row first stored in it. Re-applying a row to an
 //     occupied slot stores nothing, and writing a slot Vacuum reclaimed from a
 //     version some snapshot saw (its xmax is still set) first copies the
-//     slot's chunk of values, leaving readers the old one.
+//     slot's chunk of words and NULL bits, leaving readers the old one.
 //   - Vacuum zeroes stamps only — a dead version's xmin, its slot made a gap —
 //     and frees whole chunks and segments or nothing: what it frees held no
-//     live version, and a reader holding one of its rows keeps that memory
-//     alive.
+//     live version, and a reader holding one of its rows' strings or a span
+//     of it keeps that memory alive.
 type Heap struct {
 	mu     sync.RWMutex
 	name   string
@@ -258,13 +305,13 @@ type Heap struct {
 	mut    uint64       // writes below n that can change what a snapshot reads (see Stamp)
 	last   txn.ID       // the largest transaction ID stamped
 	// seen is the table of the strings segment seenSeg's arena holds, by hash
-	// (types.Arena.CopyRow), so an archive copies a url into a segment once,
+	// (types.Arena.Word), so an archive copies a url into a segment once,
 	// not once a row. It is the heap's, allocated once, not a segment's; it is
 	// emptied when a write lands in another segment or Vacuum frees this one,
 	// so it never points into another arena; it grows with the slots written,
 	// up to segRows entries, so a five-row table pays for eight. Nil in a heap
 	// without a VARCHAR column.
-	seen    []string
+	seen    []uint64
 	seenSeg int
 	varchar bool
 }
@@ -313,27 +360,27 @@ func (h *Heap) slot(si, off int) *segment {
 		h.segs[si] = seg
 	}
 	if k, _ := chunkOf(si, off); seg.vals[k] == nil {
-		rows := segRows
-		if si == 0 {
-			rows = max(1, 1<<k>>1)
-		}
-		seg.vals[k] = make([]types.Datum, rows*len(h.schema))
+		seg.vals[k] = make([]uint64, chunkRows(si, k)*len(h.schema))
 	}
 	return seg
 }
 
 // InsertRun is the heap's one write: under a single lock acquisition it
-// stores copies of rows as versions owned by tx at consecutive RowIDs, points
-// rows at the stored copies, and returns the first RowID, so a reader sees
-// all of a batch or none of it and a batch is one RowID run. Every row must
-// match the schema arity; the caller has already type-checked.
+// stores copies of rows as versions owned by tx at consecutive RowIDs and
+// returns the first RowID, so a reader sees all of a batch or none of it and a
+// batch is one RowID run. Every value must be NULL or of its column's type
+// (types.CoerceRow).
 func (h *Heap) InsertRun(tx txn.ID, rows []types.Row) (RowID, error) {
-	if err := h.checkArity(rows); err != nil {
+	strs, err := h.check(rows)
+	if err != nil {
 		return 0, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	first := h.n
+	if err := h.room(first, len(rows), strs); err != nil {
+		return 0, err
+	}
 	h.put(tx, first, rows)
 	return first, nil
 }
@@ -342,56 +389,82 @@ func (h *Heap) InsertRun(tx txn.ID, rows []types.Row) (RowID, error) {
 // replication apply use it so local numbering matches what the primary
 // logged; the RowIDs it skips are a gap, for which nothing is allocated.
 // Re-applying a row whose slot is occupied keeps the stored row and its
-// visibility stamps, and points rows there too; occupied lists those rows'
-// indexes, so the caller can skip their index maintenance — nil when every
-// row was new.
+// visibility stamps; occupied lists those rows' indexes, so the caller can
+// skip their index maintenance — nil when every row was new.
 func (h *Heap) InsertRunAt(tx txn.ID, first RowID, rows []types.Row) (occupied []int, err error) {
-	if err := h.checkArity(rows); err != nil {
+	strs, err := h.check(rows)
+	if err != nil {
 		return nil, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if err := h.room(first, len(rows), strs); err != nil {
+		return nil, err
+	}
 	return h.put(tx, first, rows), nil
 }
 
-func (h *Heap) checkArity(rows []types.Row) error {
+// check returns the bytes of rows' VARCHARs, or why the schema refuses one.
+func (h *Heap) check(rows []types.Row) (strs int, err error) {
 	for _, row := range rows {
 		if len(row) != len(h.schema) {
-			return fmt.Errorf("storage: %s: row has %d columns, schema has %d",
+			return 0, fmt.Errorf("storage: %s: row has %d columns, schema has %d",
 				h.name, len(row), len(h.schema))
+		}
+		for c, d := range row {
+			switch t := d.Type(); {
+			case d.IsNull():
+			case t != h.schema[c].Type:
+				return 0, fmt.Errorf("storage: %s: column %s holds a %s", h.name, h.schema[c].Name, t)
+			case t == types.TypeString:
+				strs += len(d.Str())
+			}
+		}
+	}
+	return strs, nil
+}
+
+// maxStrs is the most string bytes a segment holds: a word places them by a
+// 32-bit offset.
+const maxStrs = 1<<32 - 1
+
+// room refuses a write of n rows at first whose strs string bytes could take
+// a segment's past maxStrs. Callers hold mu.
+func (h *Heap) room(first RowID, n, strs int) error {
+	for si := int(first / segRows); strs > 0 && si <= int((first+RowID(n)-1)/segRows) && si < len(h.segs); si++ {
+		if h.segs[si] != nil && h.segs[si].strs.Used()+strs > maxStrs {
+			return fmt.Errorf("storage: %s: a segment's strings would pass %d bytes", h.name, maxStrs)
 		}
 	}
 	return nil
 }
 
-// put stores copies of rows at first and up, a mutation below n, and points
-// rows at them. Callers hold mu for writing.
+// put stores copies of rows at first and up, a mutation below n. Callers hold
+// mu for writing.
 func (h *Heap) put(tx txn.ID, first RowID, rows []types.Row) (occupied []int) {
 	if first < h.n {
 		h.mut++
 	}
 	h.n, h.last = max(h.n, first+RowID(len(rows))), max(h.last, tx)
-	w := len(h.schema)
-	var copied *[]types.Datum // the chunk this call already copied
+	var copied *[]uint64 // the chunk this call already copied
 	for i, row := range rows {
 		id := first + RowID(i)
 		si, off := int(id/segRows), int(id%segRows)
 		seg := h.slot(si, off)
-		k, _ := chunkOf(si, off)
+		k, start := chunkOf(si, off)
 		switch xmax := seg.xmaxAt(off); {
 		case seg.xminAt(off) != 0:
 			occupied = append(occupied, i)
 		case xmax != 0 && &seg.vals[k] != copied: // reclaimed, and its row maybe held
-			seg.vals[k], copied = slices.Clone(seg.vals[k]), &seg.vals[k]
+			seg.vals[k], seg.nulls[k], copied = slices.Clone(seg.vals[k]), slices.Clone(seg.nulls[k]), &seg.vals[k]
 			fallthrough
 		default:
 			if xmax != 0 {
 				seg.xmax[off] = 0
 			}
 			seg.stamp(si, off, tx)
-			seg.strs.CopyRow(seg.row(si, off, w), row, h.arenaHint(si), h.strings(si, off))
+			seg.write(k, off-start, chunkRows(si, k), row, h.arenaHint(si), h.strings(si, off))
 		}
-		rows[i] = seg.row(si, off, w)
 	}
 	return occupied
 }
@@ -408,7 +481,7 @@ func (h *Heap) arenaHint(si int) int {
 
 // strings returns the table of the strings segment si holds (seen), for a
 // write to its slot off. Callers hold mu for writing.
-func (h *Heap) strings(si, off int) []string {
+func (h *Heap) strings(si, off int) []uint64 {
 	if !h.varchar {
 		return nil
 	}
@@ -417,7 +490,7 @@ func (h *Heap) strings(si, off int) []string {
 		h.seenSeg = si
 	}
 	if off >= len(h.seen) && len(h.seen) < segRows {
-		h.seen = make([]string, min(segRows, 1<<bits.Len(uint(off))))
+		h.seen = make([]uint64, min(segRows, 1<<bits.Len(uint(off))))
 	}
 	return h.seen
 }
@@ -492,14 +565,13 @@ func (h *Heap) Stamp() (Mark, txn.ID) {
 	return Mark{h.mut, h.n}, h.last
 }
 
-// Get returns the row for id if it is visible under snap: the heap's own, a
-// full-capacity subslice of its segment, which the caller may keep and must
-// not mutate.
+// Get returns the row for id if it is visible under snap, built as Read
+// builds one, into a row of its own, which the caller may keep.
 func (h *Heap) Get(snap txn.Snapshot, id RowID) (types.Row, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if seg, si, off := h.at(id); seg != nil && snap.VisibleVersion(seg.xminAt(off), seg.xmaxAt(off)) {
-		return seg.row(si, off, len(h.schema)), true
+		return seg.row(si, off, &h.schema, make(types.Row, len(h.schema))), true
 	}
 	return nil, false
 }
@@ -510,15 +582,16 @@ func (h *Heap) Get(snap txn.Snapshot, id RowID) (types.Row, bool) {
 // exhausted, and returns where to resume — one past the last version it
 // examined, so a read that stops at max has gone no further than the row
 // that filled it. With ids non-nil, each row's RowID is appended to *ids.
-// The containers are the caller's; the rows are the heap's own, full-capacity
-// subslices of its segments, which the caller may keep and must not mutate.
-// A caller reading a table to the end fixes end (NextID) before its first
-// call: versions appended later are invisible to any snapshot it can hold.
-// A run's xmin is checked once, and a row's xmax only where it has one.
-func (h *Heap) Read(snap txn.Snapshot, pos, end RowID, max int, rows *[]types.Row, ids *[]RowID) RowID {
+// The containers and blk are the caller's: each row is built into a row blk
+// hands out (types.RowBlock.Row), its VARCHARs pointing into the segment's
+// strings, which nothing writes again. So a row is the caller's for as long
+// as blk does not hand its memory out again (Rewind). A caller reading a table
+// to the end fixes end (NextID) before its first call: versions appended later
+// are invisible to any snapshot it can hold. A run's xmin is checked once, and
+// a row's xmax only where it has one.
+func (h *Heap) Read(snap txn.Snapshot, pos, end RowID, max int, blk *types.RowBlock, rows *[]types.Row, ids *[]RowID) RowID {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	w := len(h.schema)
 	for got := 0; pos < end && pos/segRows < RowID(len(h.segs)); {
 		si, seg := int(pos/segRows), h.segs[pos/segRows]
 		base := pos - pos%segRows // the RowID of slot 0
@@ -528,6 +601,11 @@ func (h *Heap) Read(snap txn.Snapshot, pos, end RowID, max int, rows *[]types.Ro
 				ri = seg.find(off)
 			}
 		}
+		// A stretch of consecutive slots of one chunk is built a column at a
+		// time (types.Span.Fill): sp is its chunk, spK the chunk's index, at
+		// its first slot there and (*rows)[from:] its rows.
+		var sp types.Span
+		spK, at, from := -1, 0, len(*rows)
 		for ; off < stop; ri++ {
 			r := seg.runs[ri]
 			if !snap.VisibleVersion(r.xmin, 0) {
@@ -538,31 +616,38 @@ func (h *Heap) Read(snap txn.Snapshot, pos, end RowID, max int, rows *[]types.Ro
 				if x := seg.xmaxAt(off); x != 0 && !snap.VisibleVersion(r.xmin, x) {
 					continue
 				}
-				*rows = append(*rows, seg.row(si, off, w))
+				if k, start := chunkOf(si, off); k != spK || off-start != at+len(*rows)-from {
+					sp.Fill(at, (*rows)[from:])
+					sp, spK, at, from = seg.span(si, k, &h.schema), k, off-start, len(*rows)
+				}
+				*rows = append(*rows, blk.Row())
 				if ids != nil {
 					*ids = append(*ids, base+RowID(off))
 				}
 				if got++; got == max {
+					sp.Fill(at, (*rows)[from:])
 					return base + RowID(off) + 1
 				}
 			}
 		}
+		sp.Fill(at, (*rows)[from:])
 		pos = base + segRows
 	}
 	return end
 }
 
-// Spans appends to dst the values of the n rows stored at first and up, as
-// slices of the heap's own chunks (one a chunk crossed) that nothing writes
-// again (see Heap). The rows must be stored, as a transaction's inserts are.
-func (h *Heap) Spans(first RowID, n int, dst [][]types.Datum) [][]types.Datum {
+// Spans appends to dst views of the n rows stored at first and up, one a
+// chunk they cross, which the caller may keep and read without the heap's
+// lock: nothing writes their words again (see Heap). The rows must be stored,
+// as a transaction's inserts are.
+func (h *Heap) Spans(first RowID, n int, dst []types.Span) []types.Span {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	for id, end, w := first, first+RowID(n), len(h.schema); id < end && w > 0; {
-		k, start := chunkOf(int(id/segRows), int(id%segRows))
-		chunk := h.segs[id/segRows].vals[k][(int(id%segRows)-start)*w:]
-		m := min(int(end-id), len(chunk)/w)
-		dst, id = append(dst, chunk[:m*w:m*w]), id+RowID(m)
+	for id, end := first, first+RowID(n); id < end; {
+		si, off := int(id/segRows), int(id%segRows)
+		k, start := chunkOf(si, off)
+		m := min(int(end-id), start+chunkRows(si, k)-off)
+		dst, id = append(dst, h.segs[si].span(si, k, &h.schema).Slice(off-start, off-start+m)), id+RowID(m)
 	}
 	return dst
 }
@@ -571,16 +656,17 @@ func (h *Heap) Spans(first RowID, n int, dst [][]types.Datum) [][]types.Datum {
 const scanRows = 1024
 
 // Scan calls fn for every version visible under snap, in insertion order.
-// fn returns false to stop early. The row passed to fn must not be
-// mutated. fn runs outside the heap's lock — it may write to the heap — and
-// sees no version appended after the scan began.
+// fn returns false to stop early; it may keep the row it is passed. fn runs
+// outside the heap's lock — it may write to the heap — and sees no version
+// appended after the scan began.
 func (h *Heap) Scan(snap txn.Snapshot, fn func(RowID, types.Row) bool) {
 	end := h.NextID()
 	size := min(scanRows, int(end))
 	rows, ids := make([]types.Row, 0, size), make([]RowID, 0, size)
 	for pos := RowID(0); pos < end; {
 		rows, ids = rows[:0], ids[:0]
-		pos = h.Read(snap, pos, end, size, &rows, &ids)
+		blk := types.NewRowBlock(size, len(h.schema))
+		pos = h.Read(snap, pos, end, size, &blk, &rows, &ids)
 		for i, row := range rows {
 			if !fn(ids[i], row) {
 				return
@@ -592,7 +678,8 @@ func (h *Heap) Scan(snap txn.Snapshot, fn func(RowID, types.Row) bool) {
 // Vacuum reclaims, where they lie, the versions that horizon and every later
 // snapshot find dead (txn.Snapshot.Dead: created by an aborted transaction,
 // or deleted by one horizon sees; a version of a transaction still in flight
-// is left alone), handing each to dropped — its index entries can go — and
+// is left alone), handing each to dropped as a row it may keep — its index
+// entries can go — and
 // returns how many. A reclaimed slot is a gap — its run's xmin zeroed, or the
 // run split around it, its row and xmax left as they were (see Heap) — and a
 // chunk of values or a segment left with nothing but gaps is released whole;
@@ -605,6 +692,7 @@ func (h *Heap) Vacuum(horizon txn.Snapshot, dropped func(RowID, types.Row)) int 
 	defer h.mu.Unlock()
 	removed := 0
 	var fresh segment // a segment's runs, rebuilt; they grow as the first segment's do
+	blk := types.NewRowBlock(64, len(h.schema))
 	for si, seg := range h.segs {
 		if seg == nil {
 			continue
@@ -623,7 +711,7 @@ func (h *Heap) Vacuum(horizon txn.Snapshot, dropped func(RowID, types.Row)) int 
 				case x == 0:
 				case horizon.Dead(x, seg.xmaxAt(lo)):
 					for off := lo; off < hi && dropped != nil; off++ {
-						dropped(RowID(si*segRows+off), seg.row(si, off, len(h.schema)))
+						dropped(RowID(si*segRows+off), seg.row(si, off, &h.schema, blk.Row()))
 					}
 					removed += hi - lo
 					x = 0
@@ -642,7 +730,7 @@ func (h *Heap) Vacuum(horizon txn.Snapshot, dropped func(RowID, types.Row)) int 
 		seg.runs = append(seg.runs[:0], fresh.runs...)
 		for k := range seg.vals {
 			if !held[k] {
-				seg.vals[k] = nil
+				seg.vals[k], seg.nulls[k] = nil, nil
 			}
 		}
 		if held == [firstChunks]bool{} {

@@ -3,7 +3,9 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -19,6 +21,81 @@ import (
 func TestSizeofRun(t *testing.T) {
 	if got := unsafe.Sizeof(run{}); got != 16 {
 		t.Fatalf("a run is %d bytes, want 16", got)
+	}
+}
+
+// TestSegmentValuesNoPointers: a segment's words and NULL bitmaps are
+// arrays of uint64, and a later segment's one object (newFull) keeps its
+// pointer words in its header, ahead of its inline runs and its words, so the
+// collector scans the header and stops there: none of a row's values is a
+// word it traces.
+func TestSegmentValuesNoPointers(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Array:
+			return t.Len() > 0 && hasPointers(t.Elem())
+		case reflect.Struct:
+			for i := range t.NumField() {
+				if hasPointers(t.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			return true
+		}
+		return false
+	}
+	for _, name := range []string{"vals", "nulls"} {
+		f, _ := reflect.TypeFor[segment]().FieldByName(name)
+		if chunk := f.Type.Elem(); chunk.Kind() != reflect.Slice || hasPointers(chunk.Elem()) {
+			t.Errorf("a segment's %s chunk is a %v, want a slice of pointer-free words", name, chunk)
+		}
+	}
+	full := fullType(4)
+	if full.Field(0).Type != reflect.TypeFor[segment]() {
+		t.Fatalf("a later segment's object begins with %v, want its header", full.Field(0).Type)
+	}
+	for i := 1; i < full.NumField(); i++ {
+		if f := full.Field(i); hasPointers(f.Type) {
+			t.Errorf("a later segment's %s (%v) holds pointers: the collector would scan them", f.Name, f.Type)
+		}
+	}
+	h := NewHeap("t", archiveSchema)
+	h.EnsureNext(segRows)
+	h.InsertRun(txn.Bootstrap, archiveRows(3))
+	if seg := h.segs[1]; len(seg.vals[0]) != segRows*len(archiveSchema) || seg.nulls[0] != nil {
+		t.Errorf("a later segment holds %d words and a bitmap %v, want %d and none before a NULL", len(seg.vals[0]), seg.nulls[0] != nil, segRows*len(archiveSchema))
+	}
+}
+
+// TestNullsFollowTheirSlot: a NULL is a bit of its chunk's bitmap, made at the
+// chunk's first NULL, so NULLs and values read back as stored, in spans too;
+// and a gap's slot written again — an aborted version's, reclaimed by Vacuum
+// in a chunk a live row keeps — reads its new row, not the NULLs it once held.
+func TestNullsFollowTheirSlot(t *testing.T) {
+	mgr := txn.NewManager()
+	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}, {Name: "s", Type: types.TypeString}})
+	h.EnsureNext(segRows)
+	row := func(a int64, s string) types.Row { return types.Row{types.NewInt(a), types.NewString(s)} }
+	h.InsertRun(txn.Bootstrap, []types.Row{row(1, "x"), {types.Null, types.NewString("y")}})
+	tx := mgr.Begin()
+	h.InsertRun(tx.ID, []types.Row{{types.Null, types.Null}, {types.NewInt(3), types.Null}})
+	tx.Abort()
+	if n := h.Vacuum(mgr.SnapshotNow(), nil); n != 2 {
+		t.Fatalf("Vacuum reclaimed %d versions, want the aborted 2", n)
+	}
+	if _, err := h.InsertRunAt(txn.Bootstrap, segRows+2, []types.Row{row(4, "z"), {types.NewInt(5), types.Null}}); err != nil {
+		t.Fatal(err)
+	}
+	var got, viewed []string
+	h.Scan(mgr.SnapshotNow(), func(_ RowID, r types.Row) bool { got = append(got, r.String()); return true })
+	for _, r := range h.Spans(segRows, 4, nil)[0].AppendRows([]int{0, 1}, nil) {
+		viewed = append(viewed, r.String())
+	}
+	if want := "[1|x NULL|y 4|z 5|NULL]"; fmt.Sprint(got) != want || fmt.Sprint(viewed) != want {
+		t.Fatalf("the rows read %v and their span %v, want %s", got, viewed, want)
 	}
 }
 
@@ -446,7 +523,8 @@ func TestInsertRunTakesTheLockOnce(t *testing.T) {
 			default:
 			}
 			got = got[:0]
-			if h.Read(snap, 0, h.NextID(), 1<<30, &got, nil); len(got)%run != 0 {
+			blk := types.NewRowBlock(0, 1)
+			if h.Read(snap, 0, h.NextID(), 1<<30, &blk, &got, nil); len(got)%run != 0 {
 				t.Errorf("a reader found %d rows: part of a run of %d", len(got), run)
 				return
 			}
@@ -489,7 +567,8 @@ func TestReadStopsAtMax(t *testing.T) {
 
 	var rows []types.Row
 	var ids []RowID
-	pos := h.Read(snap, 0, end, 3, &rows, &ids)
+	blk := types.NewRowBlock(0, 1)
+	pos := h.Read(snap, 0, end, 3, &blk, &rows, &ids)
 	if len(rows) != 3 || len(ids) != 3 || pos != want[2]+1 {
 		t.Fatalf("Read(max 3) returned %d rows, ids %v, pos %d; want pos %d", len(rows), ids, pos, want[2]+1)
 	}
@@ -498,7 +577,7 @@ func TestReadStopsAtMax(t *testing.T) {
 		calls := 0
 		for pos := RowID(0); pos < end; calls++ {
 			rows, ids = rows[:0], ids[:0]
-			next := h.Read(snap, pos, end, max, &rows, &ids)
+			next := h.Read(snap, pos, end, max, &blk, &rows, &ids)
 			if len(rows) > max || len(rows) != len(ids) {
 				t.Fatalf("max %d: a read returned %d rows and %d ids", max, len(rows), len(ids))
 			}
@@ -530,7 +609,7 @@ func TestReadStopsAtMax(t *testing.T) {
 	}
 	// A range inside the table, and one whose end lies past it.
 	rows, ids = rows[:0], ids[:0]
-	if pos := h.Read(snap, segRows-2, segRows+2, 100, &rows, &ids); pos != segRows+2 {
+	if pos := h.Read(snap, segRows-2, segRows+2, 100, &blk, &rows, &ids); pos != segRows+2 {
 		t.Fatalf("Read of [segRows-2, segRows+2) resumes at %d", pos)
 	}
 	for _, id := range ids {
@@ -538,7 +617,7 @@ func TestReadStopsAtMax(t *testing.T) {
 			t.Fatalf("Read of [segRows-2, segRows+2) returned id %d", id)
 		}
 	}
-	if pos := h.Read(snap, end-1, end+50, 100, &rows, nil); pos != end+50 {
+	if pos := h.Read(snap, end-1, end+50, 100, &blk, &rows, nil); pos != end+50 {
 		t.Fatalf("Read past the end resumes at %d, want its end %d", pos, end+50)
 	}
 }
@@ -625,9 +704,11 @@ func TestScanSeesItsSnapshotUnderWrites(t *testing.T) {
 		for _, max := range []int{1, 100, 1024} {
 			got = got[:0]
 			var rows []types.Row
+			blk := types.NewRowBlock(0, 1)
 			for pos, end := RowID(0), h.NextID(); pos < end; {
 				rows = rows[:0]
-				pos = h.Read(snap, pos, end, max, &rows, nil)
+				blk.Rewind()
+				pos = h.Read(snap, pos, end, max, &blk, &rows, nil)
 				for _, row := range rows {
 					got = append(got, row[0].Int())
 				}
@@ -641,11 +722,12 @@ func TestScanSeesItsSnapshotUnderWrites(t *testing.T) {
 
 // TestHeapGrowthAllocsOncePerSegment: past its first segment a heap
 // allocates one segment per segRows versions and copies nothing — one object,
-// its header and inline runs and its values, 16 B a column, which rounds it up
-// a page; the limit is the one set when a version paid 16 B of stamps as well
-// — where one slice regrowing allocated the table
+// its header and inline runs and its words, 8 B a column, which rounds it up
+// a page; the limit is the one set when a version paid 16 B of values and 16 B
+// of stamps — where one slice regrowing allocated the table
 // more than twice over. And a scan of it allocates its two containers, sized
-// by the chunk, not by the table.
+// by the chunk, not by the table, and a block a chunk for the Datums of the
+// rows fn may keep.
 func TestHeapGrowthAllocsOncePerSegment(t *testing.T) {
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}})
 	row := intRow(1)
@@ -668,12 +750,15 @@ func TestHeapGrowthAllocsOncePerSegment(t *testing.T) {
 
 	snap := txn.NewManager().SnapshotNow()
 	seen := 0
+	// The blocks make collections start inside the scans, whose own objects
+	// the counts would take in: the pin is on what the scan allocates.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(3, func() {
 		seen = 0
 		h.Scan(snap, func(RowID, types.Row) bool { seen++; return true })
 	})
-	if seen != (segments+1)*segRows || allocs > 2 {
-		t.Errorf("a scan of %d rows saw %d and allocated %.0f times, want its two containers", (segments+1)*segRows, seen, allocs)
+	if chunks := (segments + 1) * segRows / scanRows; seen != (segments+1)*segRows || allocs > float64(2+chunks) {
+		t.Errorf("a scan of %d rows saw %d and allocated %.0f times, want its two containers and %d blocks", (segments+1)*segRows, seen, allocs, chunks)
 	}
 }
 
@@ -687,8 +772,8 @@ func liveHeapBytes() uint64 {
 
 // TestVacuumReleasesDeadSegments: of three full segments the second dies whole
 // and the third but for one row. Vacuum gives the second back — the heap's
-// reachable bytes fall by that segment's (16 + 8) B × segRows (the one
-// column, and the xmax lane its deletes made) and by no second one —
+// reachable bytes fall by that segment's (8 + 8) B × segRows (the one
+// column's words, and the xmax lane its deletes made) and by no second one —
 // and the third keeps its slots for its survivor, which is what stable RowIDs
 // cost. Nothing moved: the first segment's rows and the survivor read as
 // before under their RowIDs, the next row takes the next RowID, and a record
@@ -719,7 +804,7 @@ func TestVacuumReleasesDeadSegments(t *testing.T) {
 	if removed != 2*segRows-1 {
 		t.Fatalf("Vacuum removed %d versions, want %d", removed, 2*segRows-1)
 	}
-	if seg := int64(segRows * (16 + 8)); freed < seg*9/10 || freed > seg*3/2 {
+	if seg := int64(segRows * (8 + 8)); freed < seg*9/10 || freed > seg*3/2 {
 		t.Errorf("Vacuum freed %d B, want one segment's %d", freed, seg)
 	}
 	if h.segs[1] != nil || h.segs[2].size() != segRows {
@@ -750,7 +835,8 @@ func TestVacuumReleasesDeadSegments(t *testing.T) {
 }
 
 // TestHeldRowsOutliveWrites holds the heap's two rules against a reader
-// that keeps what Read handed it: of three segments the second dies whole
+// that keeps what Read built for it, strings pointing into the heap's arenas,
+// and a span of the rows: of three segments the second dies whole
 // and the third in part, and while the reader re-reads its rows Vacuum runs,
 // a run is replayed into the released segment, one onto occupied slots and
 // one onto the third segment's reclaimed slots. Under -race (make
@@ -769,7 +855,9 @@ func TestHeldRowsOutliveWrites(t *testing.T) {
 	}
 	tx.Commit()
 	var held []types.Row
-	h.Read(mgr.SnapshotNow(), 0, h.NextID(), 3*segRows, &held, nil)
+	blk := types.NewRowBlock(0, 2)
+	h.Read(mgr.SnapshotNow(), 0, h.NextID(), 3*segRows, &blk, &held, nil)
+	spans := h.Spans(2*segRows, segRows, nil)
 	tx = mgr.Begin()
 	for id := RowID(segRows); id < 2*segRows+100; id++ {
 		if err := h.Delete(tx.ID, id); err != nil {
@@ -784,6 +872,12 @@ func TestHeldRowsOutliveWrites(t *testing.T) {
 			for i, r := range held {
 				if r[0].Int() != int64(i) || r[1].Str() != fmt.Sprint("row-", i) {
 					done <- fmt.Errorf("held row %d reads %v", i, r)
+					return
+				}
+			}
+			for i, r := 0, make(types.Row, 2); i < spans[0].Len(); i++ {
+				if spans[0].Row(i, r); !r.Equal(held[2*segRows+i]) {
+					done <- fmt.Errorf("held span's row %d reads %v", i, r)
 					return
 				}
 			}
@@ -814,8 +908,8 @@ func TestHeldRowsOutliveWrites(t *testing.T) {
 			if run.occ {
 				want = row(int(run.first) + i)
 			}
-			if stored, ok := h.Get(mgr.SnapshotNow(), run.first+RowID(i)); !ok || !r.Equal(want) || &stored[0] != &r[0] {
-				t.Errorf("InsertRunAt into %s: row %d reads %v, want the stored copy of %v", run.what, i, r, want)
+			if stored, ok := h.Get(mgr.SnapshotNow(), run.first+RowID(i)); !ok || !stored.Equal(want) || !r.Equal(row(-1-i)) {
+				t.Errorf("InsertRunAt into %s: row %d reads %v (the caller's %v), want %v", run.what, i, stored, r, want)
 			}
 		}
 	}
@@ -923,8 +1017,8 @@ func TestHeapStampFollowsEveryWrite(t *testing.T) {
 // a forced collection over a million resident rows of the same shape (a
 // VARCHAR of 512 distinct values, a TIMESTAMP, a BIGINT, a DOUBLE) stored in
 // 4 096-row runs, reported per live row, with the live heap. A heap's rows are
-// its segments' inline values, their strings in its arena, so the collector
-// scans a segment's values as one object and each string's chunk once.
+// its segments' words, their strings in its arena, so the collector scans a
+// segment's header and each string's chunk once, and none of its words.
 func BenchmarkGCMarkRows(b *testing.B) {
 	b.Run("Heap", func(b *testing.B) {
 		const n, run = 1 << 20, 4096
@@ -958,11 +1052,11 @@ func BenchmarkGCMarkRows(b *testing.B) {
 	})
 }
 
-// TestSpansHoldTheRows: Spans gives a run's rows as slices of the heap's own
+// TestSpansHoldTheRows: Spans gives a run's rows as views of the heap's own
 // chunks — one a chunk, so a run across the first segment's growing chunks or
-// a segment boundary gets one a chunk it crosses — whose values, end to end,
-// are the rows Read hands out, the very memory: and a span outlives a Vacuum
-// that released its chunk, as a held row does.
+// a segment boundary gets one a chunk it crosses — whose rows, in order, are
+// the rows Read builds, their strings the very bytes: and a span outlives a
+// Vacuum that released its chunk, as a held row does.
 func TestSpansHoldTheRows(t *testing.T) {
 	mgr := txn.NewManager()
 	h := NewHeap("t", types.Schema{{Name: "a", Type: types.TypeInt}, {Name: "s", Type: types.TypeString}})
@@ -984,20 +1078,17 @@ func TestSpansHoldTheRows(t *testing.T) {
 		spans int
 	}{{0, 1, 1}, {0, 3, 3}, {1, 2, 2}, {5, 100, 5}, {1024, 1024, 1}, {2047, 2, 2}, {segRows - 3, 10, 2}, {segRows, segRows, 1}, {2*segRows - 1, 50, 2}} {
 		spans := h.Spans(c.first, c.n, nil)
-		var rows []types.Row
-		h.Read(snap, c.first, c.first+RowID(c.n), c.n, &rows, nil)
-		var vals []types.Datum
+		var rows, viewed []types.Row
+		blk := types.NewRowBlock(0, 2)
+		h.Read(snap, c.first, c.first+RowID(c.n), c.n, &blk, &rows, nil)
 		for _, s := range spans {
-			vals = append(vals, s...)
+			viewed = s.AppendRows([]int{0, 1}, viewed)
 		}
-		if len(spans) != c.spans || len(vals) != 2*c.n || len(rows) != c.n {
-			t.Fatalf("%d rows from %d: %d spans of %d values, %d rows read; want %d spans", c.n, c.first, len(spans), len(vals), len(rows), c.spans)
+		if len(spans) != c.spans || len(viewed) != c.n || len(rows) != c.n {
+			t.Fatalf("%d rows from %d: %d spans of %d rows, %d rows read; want %d spans", c.n, c.first, len(spans), len(viewed), len(rows), c.spans)
 		}
-		for i, s, k := 0, 0, 0; i < c.n; i, k = i+1, k+2 {
-			if k == len(spans[s]) {
-				s, k = s+1, 0
-			}
-			if &spans[s][k] != &rows[i][0] || !types.Row(vals[2*i:2*i+2]).Equal(rows[i]) {
+		for i := range rows {
+			if !viewed[i].Equal(rows[i]) || unsafe.StringData(viewed[i][1].Str()) != unsafe.StringData(rows[i][1].Str()) {
 				t.Fatalf("%d rows from %d: row %d is not the span's", c.n, c.first, i)
 			}
 		}
@@ -1013,7 +1104,10 @@ func TestSpansHoldTheRows(t *testing.T) {
 	tx.Commit()
 	h.Vacuum(mgr.SnapshotNow(), nil)
 	runtime.GC()
-	if h.segs[1] != nil || held[0][0].Int() != segRows || held[0][19].Str() != fmt.Sprint("v", segRows+9) {
-		t.Fatalf("after Vacuum segment 1 is %v and the span reads %v … %v", h.segs[1], held[0][0], held[0][19])
+	first, last := make(types.Row, 2), make(types.Row, 2)
+	held[0].Row(0, first)
+	held[0].Row(9, last)
+	if h.segs[1] != nil || first[0].Int() != segRows || last[1].Str() != fmt.Sprint("v", segRows+9) {
+		t.Fatalf("after Vacuum segment 1 is %v and the span reads %v … %v", h.segs[1], first, last)
 	}
 }

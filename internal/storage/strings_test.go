@@ -58,7 +58,7 @@ func checkArenas(t *testing.T, h *Heap, pool []string) {
 	for si, seg := range h.segs {
 		for off := 0; seg != nil && off < seg.size(); off++ {
 			if seg.xminAt(off) != 0 {
-				for _, d := range seg.row(si, off, len(h.schema)) {
+				for _, d := range seg.row(si, off, &h.schema, make(types.Row, len(h.schema))) {
 					if d.Type() == types.TypeString {
 						add(d.Str(), si)
 					}
@@ -78,6 +78,18 @@ func checkArenas(t *testing.T, h *Heap, pool []string) {
 	}
 }
 
+// seenStrings is the heap's table of strings, each word as the string it
+// names in segment seenSeg.
+func seenStrings(h *Heap) []string {
+	out := make([]string, len(h.seen))
+	for i, w := range h.seen {
+		if w != 0 {
+			out[i] = h.segs[h.seenSeg].strs.String(w)
+		}
+	}
+	return out
+}
+
 // TestSegmentStoresEachStringOnce holds the heap's table of strings to its
 // rules over more distinct strings than it has entries, so entries are
 // evicted: a row's string the table held before the write shares that copy's
@@ -92,6 +104,7 @@ func TestSegmentStoresEachStringOnce(t *testing.T) {
 	h := NewHeap("t", stringsSchema)
 	slotOf := map[string]int{} // a string's entry, once seen there, at the table's length
 	tableLen, claims := 0, 0
+	snap := txn.NewManager().SnapshotNow()
 	for i, row := range want {
 		si := i / segRows
 		var held [2]*byte // what the table held of the row's strings
@@ -99,29 +112,32 @@ func TestSegmentStoresEachStringOnce(t *testing.T) {
 			clear(slotOf)
 			tableLen = len(h.seen)
 		}
+		seen := seenStrings(h)
 		for c := range held {
-			if k, ok := slotOf[row[c].Str()]; ok && h.seenSeg == si && h.seen[k] == row[c].Str() {
-				held[c] = unsafe.StringData(h.seen[k])
+			if k, ok := slotOf[row[c].Str()]; ok && h.seenSeg == si && seen[k] == row[c].Str() {
+				held[c] = unsafe.StringData(seen[k])
 			}
 		}
-		stored := []types.Row{row}
-		if _, err := h.InsertRun(txn.Bootstrap, stored); err != nil {
+		id, err := h.InsertRun(txn.Bootstrap, []types.Row{row})
+		if err != nil {
 			t.Fatal(err)
 		}
+		stored, _ := h.Get(snap, id)
+		seen = seenStrings(h)
 		// A first string the table missed takes its entry, which the second
 		// may share: then it is gone from the table once the second is copied.
-		if held[0] == nil && row[0].Str() != row[1].Str() && !slices.Contains(h.seen, row[0].Str()) {
+		if held[0] == nil && row[0].Str() != row[1].Str() && !slices.Contains(seen, row[0].Str()) {
 			held[1] = nil
 		}
 		for c := range held {
-			s := stored[0][c].Str()
+			s := stored[c].Str()
 			if p := unsafe.StringData(s); held[c] != nil && len(h.seen) == tableLen {
 				if claims++; p != held[c] {
 					t.Fatalf("row %d: the table held %q, but its column %d was copied again", i, s, c)
 				}
 			}
 			if _, ok := slotOf[s]; !ok {
-				if k := slices.Index(h.seen, s); k >= 0 {
+				if k := slices.Index(seen, s); k >= 0 {
 					slotOf[s] = k
 				}
 			}
@@ -159,14 +175,14 @@ func TestSegmentStoresEachStringOnce(t *testing.T) {
 	}
 	in3 := map[*byte]bool{}
 	for off := range h.segs[3].size() {
-		for _, d := range h.segs[3].row(3, off, len(h.schema))[:2] {
+		for _, d := range h.segs[3].row(3, off, &h.schema, make(types.Row, len(h.schema)))[:2] {
 			in3[unsafe.StringData(d.Str())] = true
 		}
 	}
 	if h.seenSeg != 3 {
 		t.Fatalf("after writing segment 3 the table indexes segment %d", h.seenSeg)
 	}
-	for _, s := range h.seen {
+	for _, s := range seenStrings(h) {
 		if s != "" && !in3[unsafe.StringData(s)] {
 			t.Fatalf("the table indexing segment 3 holds %q, which is not segment 3's", s)
 		}
@@ -268,8 +284,9 @@ func archiveHeap(n, run int, deletes bool) (*Heap, txn.Snapshot) {
 }
 
 // BenchmarkHeapScan reads a 16-segment archiveHeap of 256-row runs whole,
-// scanRows rows a Read as Scan does, and reports the cost a row: without a
-// delete, and with one a segment, which gives every segment an xmax lane.
+// scanRows rows a Read into one block it takes back each time, as a SeqScan
+// under an aggregate does, and reports the cost a row: without a delete, and
+// with one a segment, which gives every segment an xmax lane.
 func BenchmarkHeapScan(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -279,11 +296,13 @@ func BenchmarkHeapScan(b *testing.B) {
 			h, snap := archiveHeap(16*segRows, 256, c.deletes)
 			end := h.NextID()
 			rows := make([]types.Row, 0, scanRows)
+			blk := types.NewRowBlock(scanRows, len(archiveSchema))
 			b.ResetTimer()
 			for range b.N {
 				for pos := RowID(0); pos < end; {
 					rows = rows[:0]
-					pos = h.Read(snap, pos, end, scanRows, &rows, nil)
+					blk.Rewind()
+					pos = h.Read(snap, pos, end, scanRows, &blk, &rows, nil)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(end), "ns/row")
@@ -310,13 +329,18 @@ func BenchmarkHeapGet(b *testing.B) {
 }
 
 // BenchmarkHeapInsert fills a heap with 16 segments of archiveRows in 256-row
-// runs, as a channel stores its batches, and reports the cost a row and the
-// string bytes its arenas took.
+// runs, as a channel stores its batches, and reports the cost a row and what
+// a row's values take in its segment: its words and NULL bitmaps (vals-B/row)
+// and the bytes of the distinct strings each segment holds (strs-B/row),
+// what the arena holds when its table of strings misses none. Neither depends
+// on which strings collide in that table, which changes with the process's
+// hash seed, so both repeat from process to process; what the arena took
+// beyond the distinct strings is TestSegmentStoresEachStringOnce's to bound.
 func BenchmarkHeapInsert(b *testing.B) {
 	const rows, run = 16 * segRows, 256
 	pool := archiveRows(rows)
 	batch := make([]types.Row, run)
-	arena := 0
+	vals, strs := 0, 0
 	b.ResetTimer()
 	for range b.N {
 		h := NewHeap("archive", archiveSchema)
@@ -324,10 +348,23 @@ func BenchmarkHeapInsert(b *testing.B) {
 			copy(batch, pool[i:i+run])
 			h.InsertRun(txn.Bootstrap, batch)
 		}
-		for _, seg := range h.segs {
-			arena += seg.strs.Used()
+		b.StopTimer()
+		for si, seg := range h.segs {
+			distinct := map[string]bool{}
+			for off := range seg.size() {
+				for _, d := range seg.row(si, off, &h.schema, make(types.Row, len(h.schema))) {
+					if d.Type() == types.TypeString && !distinct[d.Str()] {
+						distinct[d.Str()], strs = true, strs+len(d.Str())
+					}
+				}
+			}
+			for k := range seg.vals {
+				vals += 8 * (len(seg.vals[k]) + len(seg.nulls[k]))
+			}
 		}
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-	b.ReportMetric(float64(arena)/float64(b.N*rows), "arena-B/row")
+	b.ReportMetric(float64(vals)/float64(b.N*rows), "vals-B/row")
+	b.ReportMetric(float64(strs)/float64(b.N*rows), "strs-B/row")
 }

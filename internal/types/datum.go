@@ -88,11 +88,13 @@ func Comparable(a, b Type) bool {
 //   - boxed: every DOUBLE, and any other value outside 56 bits: p points at
 //     tags[type] and n is the whole 64-bit value (a float's Float64bits).
 //
-// Every row in every layer (heap version, window close, WAL record,
-// replication event, wire row) is a flat []Datum, so a word less is a third
-// less memory everywhere. The other types are inline rather than all boxed
-// because the collector follows every non-nil pointer word, however static
-// its target (BenchmarkGCMarkRows).
+// Every row an operator, a window close, a WAL record or a wire message
+// handles is a flat []Datum, so a word less is a third less memory
+// everywhere. A table's history is not: a storage heap segment keeps each
+// column as its type's 8-byte words (Word), with no pointer for the collector
+// to follow, and builds Datums only for the rows a reader asks for. The other
+// types are inline rather than all boxed because the collector follows every
+// non-nil pointer word, however static its target (BenchmarkGCMarkRows).
 //
 // Two values holding the same text may point at different bytes, so == on a
 // Datum would compare addresses: the zero-size func array makes it (and a
@@ -124,6 +126,19 @@ func word(t Type, v int64) Datum {
 		return Datum{n: uint64(v)&low | uint64(t)<<typeShift}
 	}
 	return Datum{p: unsafe.Pointer(&tags[t]), n: uint64(v)}
+}
+
+// Word is d's 8-byte form in a column of d's type, which is not VARCHAR (see
+// Arena.Word): a BOOLEAN, BIGINT, TIMESTAMP or INTERVAL's value, a DOUBLE's
+// bits. A NULL has none; its keeper notes it beside the words.
+func (d Datum) Word() uint64 { return uint64(d.int()) }
+
+// FromWord is the datum of type t, not VARCHAR, whose Word is w.
+func FromWord(t Type, w uint64) Datum {
+	if t == TypeFloat {
+		return Datum{p: unsafe.Pointer(&tags[TypeFloat]), n: w}
+	}
+	return word(t, int64(w))
 }
 
 // typ is the datum's type: its tag if p points into tags, else n's top byte.
@@ -409,5 +424,5 @@ func RowsView(d [][]Datum) []Row { return *(*[]Row)(unsafe.Pointer(&d)) }
 // DatumsView is the inverse of RowsView.
 func DatumsView(r []Row) [][]Datum { return *(*[][]Datum)(unsafe.Pointer(&r)) }
 
-// DatumsAt is the n values from *p on, which must all be one array's.
-func DatumsAt(p *Datum, n int) []Datum { return unsafe.Slice(p, n) }
+// WordsAt is the n words from *p on, which must all be one array's.
+func WordsAt(p *uint64, n int) []uint64 { return unsafe.Slice(p, n) }

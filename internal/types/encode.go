@@ -150,11 +150,24 @@ func (b *RowStrings) Recycle() {
 }
 
 // Arena holds copies of VARCHAR bytes in chunks it never reallocates, so a
-// datum pointing into one stays valid while more are added: a keeper that owns
-// its rows' strings (a storage heap segment) copies them into one.
+// datum pointing into one stays valid while more are added. A keeper that owns
+// its rows' strings (a storage heap segment) copies each into one and keeps
+// its word: where its bytes begin among the arena's (high 32 bits) and how
+// many (low 32), so a keeper's values hold no pointer.
 type Arena struct {
-	chunk []byte
-	used  int // the bytes copied in
+	chunks []strChunk
+	chunk  []byte // the last of them, as long as the bytes copied into it
+	used   int    // the bytes copied in
+	// first backs chunks until a second chunk is made: an arena of one chunk,
+	// as a later heap segment's usually is, allocates no list of them.
+	first [1]strChunk
+}
+
+// strChunk is a chunk of an arena, as long as its capacity, and the offset
+// its first byte has: the bytes copied into the arena before it.
+type strChunk struct {
+	start int
+	b     []byte
 }
 
 // arenaChunk is where an arena's chunks stop doubling.
@@ -163,37 +176,57 @@ const arenaChunk = 64 << 10
 // Used returns the bytes copied into the arena.
 func (a *Arena) Used() int { return a.used }
 
-// CopyRow copies src into dst, which is as long, each VARCHAR's bytes into the
-// arena: into its chunk while that has room, else into a new one, twice as
-// long up to 64 KiB, least bytes at least — a keeper that knows what it will
-// copy asks for that at once — and as long as the string if that is longer.
-// seen, empty or of a power-of-two length, is the keeper's table of strings
-// this arena holds, by hash: a string found there shares that copy's bytes,
-// and one copied takes its entry.
-func (a *Arena) CopyRow(dst, src Row, least int, seen []string) {
-	for i, d := range src {
-		if n := int(d.n & low); d.typ() == TypeString && n > 0 {
-			s := d.str()
-			var none string // where a copy is noted without a table
-			e := &none
-			if len(seen) > 0 {
-				e = &seen[maphash.String(strSeed, s)&uint64(len(seen)-1)]
-			}
-			if *e != s {
-				if cap(a.chunk)-len(a.chunk) < n {
-					a.chunk = make([]byte, 0, max(n, min(2*cap(a.chunk), arenaChunk), least))
-				}
-				a.used += n
-				a.chunk = append(a.chunk, s...)
-				*e = unsafe.String(&a.chunk[len(a.chunk)-n], n)
-			}
-			d.p = unsafe.Pointer(unsafe.StringData(*e))
-		}
-		dst[i] = d
+// Word returns the word of VARCHAR s, copying its bytes into the arena: into
+// its chunk while that has room, else into a new one, twice as long up to 64
+// KiB, least bytes at least — a keeper that knows what it will copy asks for
+// that at once — and as long as the string if that is longer. seen, empty or
+// of a power-of-two length, is the keeper's table of words of strings this
+// arena holds, by hash: a string found there shares that copy's bytes, and one
+// copied takes its entry. The arena's bytes stay below 4 GiB (the keeper's
+// check).
+func (a *Arena) Word(s string, least int, seen []uint64) uint64 {
+	n := len(s)
+	if n == 0 {
+		return 0
 	}
+	var none uint64 // where a copy is noted without a table
+	e := &none
+	if len(seen) > 0 {
+		e = &seen[maphash.String(strSeed, s)&uint64(len(seen)-1)]
+	}
+	if a.String(*e) != s {
+		if cap(a.chunk)-len(a.chunk) < n {
+			if a.chunks == nil {
+				a.chunks = a.first[:0]
+			}
+			a.chunk = make([]byte, 0, max(n, min(2*cap(a.chunk), arenaChunk), least))
+			a.chunks = append(a.chunks, strChunk{a.used, a.chunk[:cap(a.chunk)]})
+		}
+		*e = uint64(a.used)<<32 | uint64(n)
+		a.used, a.chunk = a.used+n, append(a.chunk, s...)
+	}
+	return *e
 }
 
-// strSeed is CopyRow's hash seed.
+// String returns the VARCHAR whose word is w, its bytes the arena's.
+func (a *Arena) String(w uint64) string { return stringAt(a.chunks, w) }
+
+// stringAt is the VARCHAR whose word is w in an arena of chunks, found from
+// the last: a later heap segment's arena is usually one chunk, and the first
+// segment's a dozen.
+func stringAt(chunks []strChunk, w uint64) string {
+	off, n := int(w>>32), int(uint32(w))
+	if n == 0 {
+		return ""
+	}
+	k := len(chunks) - 1
+	for chunks[k].start > off {
+		k--
+	}
+	return unsafe.String(&chunks[k].b[off-chunks[k].start], n)
+}
+
+// strSeed is Word's hash seed.
 var strSeed = maphash.MakeSeed()
 
 // spare takes *s, emptied, if it holds n elements, else makes room for n.

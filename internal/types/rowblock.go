@@ -56,11 +56,19 @@ func (b *RowBlock) Full() bool { return b.array != nil && len(b.array)-b.used < 
 // Rewind takes back the rows drawn from the current array — the caller
 // vouches that nothing refers to them any more — so that the rows drawn
 // next overwrite them, and returns their memory. A producer whose consumer
-// keeps no row past a batch (an exec join under an aggregate) ends each
-// batch where Full would turn true and rewinds before the next: it carves
-// every batch from one array, whatever it produces in all.
+// keeps no row past a batch (an exec join under an aggregate, a table scan)
+// ends each batch where Full would turn true and rewinds before the next: it
+// carves every batch from one array, whatever it produces in all. Under
+// Poison the rows taken back hold Recycled at once, so a consumer that kept
+// one anyway reads nonsense, not a row carved later.
 func (b *RowBlock) Rewind() []Datum {
 	taken := b.array[:b.used]
+	for i := 0; Poison && i < len(taken); i++ {
+		taken[i] = Recycled
+	}
 	b.used = 0
 	return taken
 }
+
+// Recycled is what Rewind leaves in the rows it takes back under Poison.
+var Recycled = NewString("\x00recycled row read after rewind\x00")

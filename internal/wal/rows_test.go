@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"streamrel/internal/metrics"
+	"streamrel/internal/storage"
 	"streamrel/internal/types"
 )
 
@@ -170,40 +171,45 @@ func TestAppendAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendRowsOfSpans: rows handed over as spans — the values of
-// consecutive rows end to end, as the replication ring keeps a heap's runs —
-// encode byte for byte as the rows, however they are cut; rows whose runs
-// cover another count, which no width makes spans of, encode as they are.
+// TestAppendRowsOfSpans: rows handed over as spans of a heap's copies, as the
+// replication ring keeps a heap's runs, encode byte for byte as the rows,
+// however the spans are cut, NULLs and VARCHARs included; without spans, rows
+// encode as they are, whatever their runs cover.
 func TestAppendRowsOfSpans(t *testing.T) {
 	rows := make([]types.Row, 10)
 	for i := range rows {
 		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString(string(rune('a' + i))), types.Null}
+		if i%3 == 0 {
+			rows[i][0], rows[i][2] = types.Null, types.NewFloat(float64(i)/3)
+		}
 	}
 	runs := []RowIDRun{{First: 4, N: 3}, {First: 20, N: 7}}
-	want := AppendRows(nil, "t", runs, rows)
-	spans := func(cuts ...int) []types.Row {
-		var out []types.Row
+	want := AppendRows(nil, "t", runs, rows, nil)
+	h := storage.NewHeap("t", types.Schema{{Name: "i", Type: types.TypeInt}, {Name: "s", Type: types.TypeString}, {Name: "f", Type: types.TypeFloat}})
+	const first = 1 << 20 // in a segment of full size: one span holds the rows
+	if _, err := h.InsertRunAt(1, first, rows); err != nil {
+		t.Fatal(err)
+	}
+	whole := h.Spans(first, len(rows), nil)
+	spans := func(cuts ...int) []types.Span {
+		var out []types.Span
 		for i, from := 0, 0; i <= len(cuts); i++ {
 			to := len(rows)
 			if i < len(cuts) {
 				to = cuts[i]
 			}
-			var span types.Row
-			for _, row := range rows[from:to] {
-				span = append(span, row...)
-			}
-			out, from = append(out, span), to
+			out, from = append(out, whole[0].Slice(from, to)), to
 		}
 		return out
 	}
 	for _, cuts := range [][]int{nil, {3}, {1, 2, 9}, {5, 6}} {
-		if got := AppendRows(nil, "t", runs, spans(cuts...)); !slices.Equal(got, want) {
+		if got := AppendRows(nil, "t", runs, nil, spans(cuts...)); !slices.Equal(got, want) {
 			t.Errorf("spans cut at %v encode as %x, want %x", cuts, got, want)
 		}
 	}
 	for _, n := range []uint64{9, 11, 20, 0} {
 		head := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(AppendString(nil, "t"), 1), 4), n)
-		if got, plain := AppendRows(nil, "t", []RowIDRun{{First: 4, N: n}}, rows), AppendRowList(head, rows); !slices.Equal(got, plain) {
+		if got, plain := AppendRows(nil, "t", []RowIDRun{{First: 4, N: n}}, rows, nil), AppendRowList(head, rows); !slices.Equal(got, plain) {
 			t.Errorf("a run of %d rows over 10 rows: %x, want the rows as they are, %x", n, got, plain)
 		}
 	}

@@ -82,6 +82,9 @@ type Record struct {
 	RowID uint64
 	Runs  []RowIDRun  // RecRows
 	Rows  []types.Row // RecRows
+	// Spans, where set, hold a RecRows record's rows in their heap, in place
+	// of Rows: what the replication ring keeps (storage.Heap.Spans).
+	Spans []types.Span
 }
 
 // RowCount is the rows recs touch (a record of none counts one): what spans report.
@@ -580,36 +583,30 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 			buf = AppendString(buf, r.SQL)
 			buf = binary.AppendUvarint(buf, r.RowID)
 		case RecRows:
-			buf = AppendRows(buf, r.Table, r.Runs, r.Rows)
+			buf = AppendRows(buf, r.Table, r.Runs, r.Rows, r.Spans)
 		}
 	}
 	return buf
 }
 
 // AppendRows appends table, run count, (first, length) per run, row list: a
-// RecRows record behind its kind, a KindArchive frame behind its stream. rows
-// may be spans, as the replication ring keeps them: values of consecutive rows
-// end to end, of the width that makes as many rows as the runs cover.
-func AppendRows(buf []byte, table string, runs []RowIDRun, rows []types.Row) []byte {
+// RecRows record behind its kind, a KindArchive frame behind its stream. With
+// spans non-nil, the rows are theirs, as the replication ring keeps them.
+func AppendRows(buf []byte, table string, runs []RowIDRun, rows []types.Row, spans []types.Span) []byte {
 	buf = binary.AppendUvarint(AppendString(buf, table), uint64(len(runs)))
-	n, vals := 0, 0
+	n := 0
 	for _, run := range runs {
 		buf = binary.AppendUvarint(binary.AppendUvarint(buf, run.First), run.N)
 		n += int(run.N)
 	}
-	for i := 0; n != len(rows) && i < len(rows); i++ {
-		vals += len(rows[i])
+	if spans == nil {
+		return AppendRowList(buf, rows)
 	}
-	if w := vals / max(n, 1); n != len(rows) && w > 0 && w*n == vals {
-		buf = binary.AppendUvarint(buf, uint64(n))
-		for _, span := range rows {
-			for i := 0; i+w <= len(span); i += w {
-				buf = types.EncodeRow(buf, span[i:i+w])
-			}
-		}
-		return buf
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := range spans {
+		buf = spans[i].AppendEncoded(buf)
 	}
-	return AppendRowList(buf, rows)
+	return buf
 }
 
 // AppendRowList appends a row count and the rows.

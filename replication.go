@@ -165,8 +165,9 @@ func (e *Engine) ApplyReplicatedAppend(streamName string, rows []Row, traceID ui
 // likewise, and a table's next RowID, logged only (this engine's followers
 // number from the rows they are sent). Row apply is idempotent: an insert
 // into an occupied slot keeps the row stored there, a delete of a missing or
-// deleted one does nothing. The transaction keeps recs' row containers,
-// pointed at the heap's copies: the rows' values are the caller's to reuse.
+// deleted one does nothing. The transaction keeps recs' row containers until
+// it ends, and the heap copies what it stores: once this returns, the rows'
+// values are the caller's to reuse.
 func (e *Engine) applyRecords(recs []wal.Record, mark wal.Record) error {
 	if len(recs) == 0 && mark.Kind == 0 {
 		return nil
@@ -313,9 +314,10 @@ func scanTable(t *catalog.Table, snap txn.Snapshot, emit func([]wal.Record) erro
 	var ids []storage.RowID
 	for pos, end := storage.RowID(0), t.Heap.NextID(); pos < end; {
 		rows := make([]types.Row, 0, min(scanBatchRows, end-pos))
+		blk := types.NewRowBlock(cap(rows), len(t.Heap.Schema()))
 		var runs []wal.RowIDRun
 		ids = ids[:0]
-		pos = t.Heap.Read(snap, pos, end, scanBatchRows, &rows, &ids)
+		pos = t.Heap.Read(snap, pos, end, scanBatchRows, &blk, &rows, &ids)
 		for _, id := range ids {
 			runs = wal.AppendRun(runs, uint64(id))
 		}

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 
 	"streamrel/internal/repl"
@@ -77,7 +78,7 @@ func kinds(events []*repl.Event) string {
 // spans of the heap's chunks, so a follower that resumes from before the batch
 // receives its rows, value for value as published, after they were deleted
 // and a checkpoint's vacuum freed their chunks: the ring alone keeps those,
-// until it has evicted the event.
+// and the strings the segment held, until it has evicted the event.
 func TestRingServesVacuumedRows(t *testing.T) {
 	e, err := Open(Config{Dir: t.TempDir(), Replicate: true, TraceSampleEvery: -1})
 	if err != nil {
@@ -95,9 +96,9 @@ func TestRingServesVacuumedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := e.cat.Table("archive")
-	stored := func() (n int, last weak.Pointer[types.Datum]) {
+	stored := func() (n int, last weak.Pointer[byte]) { // the last row's url, in the segment's strings
 		tbl.Heap.Scan(e.mgr.SnapshotNow(), func(_ storage.RowID, row types.Row) bool {
-			n, last = n+1, weak.Make(&row[0])
+			n, last = n+1, weak.Make(unsafe.StringData(row[0].Str()))
 			return true
 		})
 		return n, last
