@@ -118,10 +118,16 @@ func (e *Engine) applyDDL(stmt sql.Statement) (skipped bool, err error) {
 		if err != nil {
 			return existsOK(s.IfNotExists, err)
 		}
-		// Backfill from the current table contents.
+		// Backfill from the current table contents, each key copied out of
+		// the scan's row into a block of keys, as an insert's are.
 		t, _ := e.cat.Table(s.Table)
+		keys := types.NewRowBlock(0, len(ix.Columns))
 		t.Heap.Scan(e.mgr.SnapshotNow(), func(rid storage.RowID, row types.Row) bool {
-			ix.Tree.Insert(ix.KeyOf(row), rid)
+			key := keys.Row()
+			for j, c := range ix.Columns {
+				key[j] = row[c]
+			}
+			ix.Tree.Insert(key, rid)
 			return true
 		})
 		return false, nil
@@ -402,9 +408,8 @@ type writeTxn struct {
 	// undo reverts delete stamps if the transaction aborts; inserted
 	// versions need no undo (they stay invisible forever).
 	undo  []func()
-	rows  []types.Row   // a channel write's rows, cast to the table's types
-	spans []types.Span  // recs' inserted rows in their heaps, for the hub (storage.Heap.Spans)
-	keys  [][]types.Row // an insert's index keys, by index: the containers insert reuses
+	rows  []types.Row  // a channel write's rows, cast to the table's types
+	spans []types.Span // recs' inserted rows in their heaps, for the hub (storage.Heap.Spans)
 	// local records are logged with the batch and not passed on to the hub: a
 	// table's next RowID from a snapshot and, when set, mark, the replica's
 	// resume point this batch is the state as of (ApplyEvent): commit
@@ -447,10 +452,7 @@ func (w *writeTxn) end() {
 	clear(w.undo)
 	clear(w.rows)
 	clear(w.spans)
-	for _, k := range w.keys {
-		clear(k[:cap(k)])
-	}
-	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], rows: w.rows[:0], spans: w.spans[:0], local: w.local[:0], keys: w.keys}
+	*w = writeTxn{e: w.e, scratch: w.scratch, recs: w.recs[:0], runs: w.runs[:0], undo: w.undo[:0], rows: w.rows[:0], spans: w.spans[:0], local: w.local[:0]}
 	w.scratch.spare.Store(w)
 }
 
@@ -490,27 +492,29 @@ func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Ro
 	if next != len(rows) {
 		return fmt.Errorf("streamrel: %d rows for %s with RowID runs for %d", len(rows), t.Name, next)
 	}
-	if drop := stale != nil; drop || len(t.Indexes) > 0 {
-		var keptRuns []wal.RowIDRun
-		var kept []types.Row
-		// keys[x] are the rows' keys of index x, built from the heap's copies a
-		// block a heap chunk, so a key pins what a row of its chunk did, and a
-		// first segment's vacuumed row goes alone.
-		for len(w.keys) < len(t.Indexes) {
-			w.keys = append(w.keys, nil)
-		}
-		keys := w.keys[:len(t.Indexes)]
-		for x := range keys {
-			keys[x] = keys[x][:0]
-		}
-		for i := 0; len(keys) > 0 && i < len(runs); i++ {
-			var buf [2]types.Span
-			for _, sp := range t.Heap.Spans(storage.RowID(runs[i].First), int(runs[i].N), buf[:0]) {
-				for x, ix := range t.Indexes {
-					keys[x] = sp.AppendRows(ix.Columns, keys[x])
+	// Each index keys the heap's copies, so a key pins no caller's bytes: the
+	// keys of a chunk's rows share one block.
+	var buf [2]types.Span
+	for _, ix := range t.Indexes {
+		next, skip := 0, stale
+		for _, run := range runs {
+			rid := storage.RowID(run.First)
+			for _, sp := range t.Heap.Spans(rid, int(run.N), buf[:0]) {
+				keys := types.NewRowBlock(sp.Len(), len(ix.Columns))
+				for i := range sp.Len() {
+					if len(skip) > 0 && skip[0] == next {
+						skip = skip[1:]
+					} else {
+						ix.Tree.Insert(sp.Key(i, ix.Columns, keys.Row()), rid)
+					}
+					next, rid = next+1, rid+1
 				}
 			}
 		}
+	}
+	if stale != nil {
+		var keptRuns []wal.RowIDRun
+		var kept []types.Row
 		next = 0
 		for _, run := range runs {
 			for rid := run.First; rid < run.First+run.N; rid, next = rid+1, next+1 {
@@ -518,17 +522,10 @@ func (w *writeTxn) insert(t *catalog.Table, runs []wal.RowIDRun, rows []types.Ro
 					stale = stale[1:]
 					continue
 				}
-				for x, ix := range t.Indexes {
-					ix.Tree.Insert(keys[x][next], storage.RowID(rid))
-				}
-				if drop {
-					keptRuns, kept = wal.AppendRun(keptRuns, rid), append(kept, rows[next])
-				}
+				keptRuns, kept = wal.AppendRun(keptRuns, rid), append(kept, rows[next])
 			}
 		}
-		if drop {
-			runs, rows = keptRuns, kept
-		}
+		runs, rows = keptRuns, kept
 	}
 	if len(rows) > 0 {
 		w.recs = append(w.recs, wal.Record{Kind: wal.RecRows, Table: t.Name, Runs: runs, Rows: rows})

@@ -236,8 +236,9 @@ type match struct {
 }
 
 // matching collects the rows of t that where (nil: every row) selects, under
-// w's own snapshot.
+// w's own snapshot, each copied out of the scan's block into one of its own.
 func (e *Engine) matching(w *writeTxn, t *catalog.Table, where *expr.Scalar) (out []match, err error) {
+	blk := types.NewRowBlock(0, len(t.Schema))
 	t.Heap.Scan(w.tx.Snap, func(rid storage.RowID, row types.Row) bool {
 		if where != nil {
 			var v types.Datum
@@ -245,7 +246,9 @@ func (e *Engine) matching(w *writeTxn, t *catalog.Table, where *expr.Scalar) (ou
 				return err == nil
 			}
 		}
-		out = append(out, match{rid, row})
+		kept := blk.Row()
+		copy(kept, row)
+		out = append(out, match{rid, kept})
 		return true
 	})
 	return out, err

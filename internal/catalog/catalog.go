@@ -36,7 +36,8 @@ type Index struct {
 
 // KeyOf extracts the index key from a table row: a view of the row when the
 // columns are one ascending run, as every single-column index's are, else a
-// copy. The tree keeps the key only while the heap keeps the row.
+// copy. A key the tree keeps is a copy built from the heap's row (an insert,
+// CREATE INDEX); a view serves to find one.
 func (ix *Index) KeyOf(row types.Row) types.Row {
 	if c := ix.Columns; ix.run {
 		return row[c[0] : c[0]+len(c) : c[0]+len(c)]

@@ -425,14 +425,19 @@ func (h *Heap) check(rows []types.Row) (strs int, err error) {
 }
 
 // maxStrs is the most string bytes a segment holds: a word places them by a
-// 32-bit offset.
-const maxStrs = 1<<32 - 1
+// 32-bit offset and a 32-bit length. A variable, so a test can reach it.
+var maxStrs = 1<<32 - 1
 
 // room refuses a write of n rows at first whose strs string bytes could take
-// a segment's past maxStrs. Callers hold mu.
+// a segment's past maxStrs, a segment not made yet holding none. Callers hold
+// mu.
 func (h *Heap) room(first RowID, n, strs int) error {
-	for si := int(first / segRows); strs > 0 && si <= int((first+RowID(n)-1)/segRows) && si < len(h.segs); si++ {
-		if h.segs[si] != nil && h.segs[si].strs.Used()+strs > maxStrs {
+	for si := int(first / segRows); strs > 0 && si <= int((first+RowID(n)-1)/segRows); si++ {
+		used := 0
+		if si < len(h.segs) && h.segs[si] != nil {
+			used = h.segs[si].strs.Used()
+		}
+		if used+strs > maxStrs {
 			return fmt.Errorf("storage: %s: a segment's strings would pass %d bytes", h.name, maxStrs)
 		}
 	}
@@ -656,16 +661,19 @@ func (h *Heap) Spans(first RowID, n int, dst []types.Span) []types.Span {
 const scanRows = 1024
 
 // Scan calls fn for every version visible under snap, in insertion order.
-// fn returns false to stop early; it may keep the row it is passed. fn runs
-// outside the heap's lock — it may write to the heap — and sees no version
-// appended after the scan began.
+// fn returns false to stop early. The row fn is passed is Scan's, built into
+// one block it reuses chunk after chunk: fn may keep its values, whose
+// strings are the heap's, but not the row, whose memory a later row takes. fn
+// runs outside the heap's lock — it may write to the heap — and sees no
+// version appended after the scan began.
 func (h *Heap) Scan(snap txn.Snapshot, fn func(RowID, types.Row) bool) {
 	end := h.NextID()
 	size := min(scanRows, int(end))
 	rows, ids := make([]types.Row, 0, size), make([]RowID, 0, size)
+	blk := types.NewRowBlock(size, len(h.schema))
 	for pos := RowID(0); pos < end; {
 		rows, ids = rows[:0], ids[:0]
-		blk := types.NewRowBlock(size, len(h.schema))
+		blk.Rewind()
 		pos = h.Read(snap, pos, end, size, &blk, &rows, &ids)
 		for i, row := range rows {
 			if !fn(ids[i], row) {

@@ -368,3 +368,48 @@ func BenchmarkHeapInsert(b *testing.B) {
 	b.ReportMetric(float64(vals)/float64(b.N*rows), "vals-B/row")
 	b.ReportMetric(float64(strs)/float64(b.N*rows), "strs-B/row")
 }
+
+// TestSegmentStringsStayAddressable: a word places a VARCHAR by a 32-bit
+// offset and length, so a write that could take a segment's strings past
+// maxStrs is refused whole — into a segment that holds some, into one not
+// made yet, and a single string longer than the limit — and stores nothing,
+// while a write that fits is stored and reads back.
+func TestSegmentStringsStayAddressable(t *testing.T) {
+	defer func(m int) { maxStrs = m }(maxStrs)
+	maxStrs = 64
+	h := NewHeap("t", stringsSchema)
+	snap := txn.NewManager().SnapshotNow()
+	row := func(url string) types.Row {
+		return types.Row{types.NewString(url), types.Null, types.NewInt(1)}
+	}
+	long := string(make([]byte, maxStrs+1))
+	for _, c := range []struct {
+		name  string
+		write func() error
+		ok    bool
+	}{
+		{"a string past the limit into a segment not made yet", func() error { _, err := h.InsertRun(txn.Bootstrap, []types.Row{row(long)}); return err }, false},
+		{"strings within it", func() error { _, err := h.InsertRun(txn.Bootstrap, []types.Row{row(long[:40])}); return err }, true},
+		{"strings past it into that segment", func() error { _, err := h.InsertRun(txn.Bootstrap, []types.Row{row(long[:30])}); return err }, false},
+		{"strings past it into a later segment not made yet", func() error {
+			_, err := h.InsertRunAt(txn.Bootstrap, 3*segRows, []types.Row{row(long[:40]), row(long[:40])})
+			return err
+		}, false},
+		{"strings within it into a later segment", func() error {
+			_, err := h.InsertRunAt(txn.Bootstrap, 3*segRows, []types.Row{row(long[:64])})
+			return err
+		}, true},
+	} {
+		before := h.NextID()
+		if err := c.write(); (err == nil) != c.ok {
+			t.Fatalf("%s: err %v, want ok %v", c.name, err, c.ok)
+		} else if !c.ok && h.NextID() != before {
+			t.Fatalf("%s: a refused write moved the next RowID %d → %d", c.name, before, h.NextID())
+		}
+	}
+	for id, n := range map[RowID]int{0: 40, 3 * segRows: 64} {
+		if r, ok := h.Get(snap, id); !ok || r[0].Str() != long[:n] {
+			t.Fatalf("row %d reads %v, want its %d-byte string", id, r, n)
+		}
+	}
+}

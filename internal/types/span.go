@@ -74,16 +74,11 @@ func (s *Span) Fill(i int, rows []Row) {
 	}
 }
 
-// AppendRows appends to dst the span's rows, of the columns cols, built into
-// a block of their own.
-func (s *Span) AppendRows(cols []int, dst []Row) []Row {
-	blk := NewRowBlock(s.Len(), len(cols))
-	for i := range s.Len() {
-		row := blk.Row()
-		for j, c := range cols {
-			row[j] = s.at(i, c)
-		}
-		dst = append(dst, row)
+// Key fills dst, as long as cols, with row i's values of the columns cols,
+// and returns it.
+func (s *Span) Key(i int, cols []int, dst Row) Row {
+	for j, c := range cols {
+		dst[j] = s.at(i, c)
 	}
 	return dst
 }
