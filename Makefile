@@ -57,8 +57,10 @@ cover:
 # and TestIVMParallelRetraction at ParallelCQ 0 and 4, and an
 # enrichment post stage's kept build side with writers in flight across the
 # closes (TestEnrichKeptBuildUnderWriters, ≡ StateReexec), and an enrichment
-# CQ's in-place view beside an identity CQ that comes and goes, each change
-# of mode a full carve (TestInPlaceViewModeChange, ≡ StateReexec), and a
+# CQ's view, its frames handed back by its post set, beside an identity CQ
+# that comes and goes keeping every frame it is lent
+# (TestInPlaceViewModeChange, ≡ StateReexec), frames handed back from reader
+# goroutines while the workers fire (TestLentFramesComeBack), and a
 # CQ sorted by an aggregate it does not select, its post stage the plan's own
 # tree over the store it shares with a dashboard (TestPlanSharingHiddenSort,
 # ≡ StateReexec). The storage
@@ -77,7 +79,7 @@ cover:
 # merge's, write beside responses and stop when the session ends.
 drain-policies:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/stream ./internal/experiments ./internal/storage ./internal/exec ./replica ./internal/repl ./internal/shard ./internal/server ./client
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestInPlaceViewModeChange|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache|TestMaintained|TestWireAppendRecycleEquivalence' .
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFanout|TestParallel|TestPlanSharing|TestIngestAllocs|TestSystemCQTime|TestFireRowsStayValid|TestInPlaceViewModeChange|TestLentFramesComeBack|TestStore|TestConcurrentSubscribeUnsubscribe|TestCascaded|TestDerivedStreamRecoveryCascade|TestCheckpointUnderWorkers|TestEnrichEquivalenceReexec|TestEnrichKeptBuildUnderWriters|TestIVMParallelRetraction|TestPlanCache|TestMaintained|TestWireAppendRecycleEquivalence' .
 
 # alloc-pins runs the ownership property (a decoded batch is its container and
 # two allocations a block — its values, its strings — where a block is at most
@@ -134,11 +136,11 @@ drain-policies:
 # next new key's, whose key string is carved from a chunk the store owns, at
 # most 0.1 allocations a new group, TestNewGroupAllocs, and waits until more
 # than twice the groups held were made, so key churn costs a close nothing,
-# TestStoreGroupChurnAllocs, TestRecycledGroupsMemoryBounded, and the chunks the groups and an in-place
-# view's rows reach hold at most twice the live keys,
+# TestStoreGroupChurnAllocs, TestRecycledGroupsMemoryBounded, and the chunks the groups and the
+# frames a view writes reach hold at most twice the live keys,
 # TestStoreKeyChunksMemoryBounded; a view's window groups that leave it are its
-# next newcomers' (a tumbling view's whole last window), so its in-place close
-# costs nothing, TestTumblingRebuildAllocs, TestSlidingChurnAllocs (which also
+# next newcomers' (a tumbling view's whole last window), so a close whose frame
+# comes back costs nothing, TestTumblingRebuildAllocs, TestSlidingChurnAllocs (which also
 # counts the key comparisons a close's arrivals and departures take),
 # TestTumblingViewMemoryBounded, TestSlidingViewMemoryBounded; a client's RPC timeout costs a round trip
 # nothing, TestRoundTripAllocs; an append of 4 keyed rows over the wire into a
@@ -149,13 +151,14 @@ drain-policies:
 # an enrichment
 # fire independent of window rows, over the build side its post stage kept,
 # through the tree it built at its first close, which keeps none of the rows
-# it delivered, TestPostTreePinsNoFire, its view written in place so the fire
-# costs what the post stage makes and a queue slot,
+# it delivered, TestPostTreePinsNoFire, its post set handing its view's frames
+# back so the fire costs what the post stage makes and a queue slot,
 # and paying for the build again after a table write; HashJoin.Open over a
-# kept side nothing; a fire two
-# allocations, on a paired store too, and O(touched) bytes, and what its shared
-# rows keep reachable at most two copies of the window; a fire in place
-# nothing, TestInPlaceFireAllocs, and its rows at most two copies too,
+# kept side nothing; a fire into a frame its reader handed back nothing, on a
+# paired store too, TestInPlaceFireAllocs, TestPairedFireAllocs, and into a
+# fresh frame, its reader keeping the last, three allocations and a row a
+# group, TestFireAllocsFollowTouched, its frames in flight times its columns
+# what its rows keep reachable, TestViewRowMemoryBounded,
 # TestInPlaceViewMemoryBounded; the pool's run queue nothing a submit, take and
 # requeue, TestRunQueueAllocs; an aggregate over a
 # table scan O(groups) bytes, over a join O(build side)) and in a CQ's queue (a
@@ -189,9 +192,10 @@ alloc-pins:
 # window groups that left a view), so a view that still merged or retracted
 # them fires garbage, not a quiet zero (a dropped group's key row holds one in
 # every mode until a new key takes it; FuzzStoreLifecycle's seeds run here
-# too), and fills an in-place view's rows
-# with one after each close, so a consumer that kept such a row reads
-# garbage and the next close must write every row again. A table scan's
+# too), and fills a view's frame with one when its last reader hands it back
+# (ivm.Frame.Release), so a consumer that read a batch past its next take
+# reads garbage (TestLentFramesComeBack) and the next close writes the frame
+# whole. A table scan's
 # reused block (storage.Heap.Read into exec.SeqScan's and IndexScan's
 # types.RowBlock, under a consumer that keeps no row) holds
 # types.Recycled once it is taken back (RowBlock.Rewind), as a join's does;

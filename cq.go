@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"streamrel/internal/ivm"
 	"streamrel/internal/sql"
 	"streamrel/internal/stream"
 	"streamrel/internal/trace"
@@ -17,10 +18,14 @@ import (
 type Batch struct {
 	Close time.Time
 	// Rows is read-only, the slice and every row in it: both may be shared
-	// with the other subscribers of an equivalent query, and a row with
-	// later batches — a group a close did not change is delivered again as
-	// the same Row. Copy before modifying (Row.Clone).
+	// with the other subscribers of an equivalent query. They may be lent:
+	// rows taken by Next or TryNext stay valid until that handle takes its
+	// next batch, when the engine may write a later close into their memory;
+	// rows taken by Drain stay valid for good. Copy what you keep longer
+	// (Row.Clone).
 	Rows []Row
+
+	lease *ivm.Frame // what Rows is lent from; nil: nothing
 }
 
 // CQ is a handle on a running continuous query. Results queue internally;
@@ -50,6 +55,7 @@ type CQ struct {
 	queue  []Batch // queue[head:] is undelivered
 	head   int
 	closed bool
+	lent   *ivm.Frame // the lease of the batch Next or TryNext handed out last
 }
 
 // Subscribe compiles a continuous query — a SELECT over a windowed stream
@@ -77,7 +83,7 @@ func (e *Engine) SubscribeArgs(sqlText string, args ...Value) (*CQ, error) {
 	}
 	cq := &CQ{Columns: p.Columns, eng: e}
 	cq.cond = sync.NewCond(&cq.mu)
-	pipe, err := e.rt.Subscribe(p, cq.deliver)
+	pipe, err := e.rt.Subscribe(p, cq.lend)
 	if err != nil {
 		return nil, err
 	}
@@ -86,25 +92,36 @@ func (e *Engine) SubscribeArgs(sqlText string, args ...Value) (*CQ, error) {
 	return cq, nil
 }
 
-// deliver queues the batch of one window close.
-func (cq *CQ) deliver(_ trace.Ctx, closeTS int64, rows []types.Row) error {
+// lend queues the batch of one window close with the lease its rows come in
+// (stream.Sink), which the queue slot carries; a closed CQ hands it back.
+func (cq *CQ) lend(_ trace.Ctx, closeTS int64, rows []types.Row, lease *ivm.Frame) error {
 	cq.mu.Lock()
 	if !cq.closed {
-		cq.queue = append(cq.queue, Batch{Close: time.UnixMicro(closeTS).UTC(), Rows: rows})
+		cq.queue = append(cq.queue, Batch{Close: time.UnixMicro(closeTS).UTC(), Rows: rows, lease: lease})
 		cq.cond.Broadcast()
+	} else {
+		lease.Release()
 	}
 	cq.mu.Unlock()
 	return nil
 }
 
-// pop takes the oldest batch, if any, and clears its slot; once half the
-// array is taken the rest moves to its front (head is 0 whenever the queue is
-// empty), so a reader that keeps up reuses one array.
+// deliver queues rows of one window close that nothing lends.
+func (cq *CQ) deliver(tc trace.Ctx, closeTS int64, rows []types.Row) error {
+	return cq.lend(tc, closeTS, rows, nil)
+}
+
+// pop takes the oldest batch, if any, clears its slot and hands back the
+// lease of the batch taken before; once half the array is taken the rest
+// moves to its front (head is 0 whenever the queue is empty), so a reader
+// that keeps up reuses one array.
 func (cq *CQ) pop() (b Batch, ok bool) {
 	if len(cq.queue) == 0 {
 		return b, false
 	}
 	b, cq.queue[cq.head] = cq.queue[cq.head], Batch{}
+	cq.lent.Release()
+	cq.lent = b.lease
 	if cq.head++; 2*cq.head >= len(cq.queue) {
 		n := copy(cq.queue, cq.queue[cq.head:])
 		clear(cq.queue[n:])
@@ -113,7 +130,10 @@ func (cq *CQ) pop() (b Batch, ok bool) {
 	return b, true
 }
 
-// TryNext returns the next queued batch without blocking.
+// TryNext returns the next queued batch without blocking. Taking one lets go
+// of the batch this handle's Next or TryNext returned before: its rows may be
+// rewritten from then on. One that finds none takes nothing, and the last
+// batch taken stays valid.
 func (cq *CQ) TryNext() (Batch, bool) {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
@@ -121,7 +141,9 @@ func (cq *CQ) TryNext() (Batch, bool) {
 }
 
 // Next blocks until a batch is available or the CQ is closed. The second
-// result is false once the CQ is closed and drained.
+// result is false once the CQ is closed and drained. As with TryNext, the
+// batch stays valid until this handle takes its next one, so one goroutine
+// reads a handle with Next and TryNext.
 func (cq *CQ) Next() (Batch, bool) {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
@@ -131,7 +153,9 @@ func (cq *CQ) Next() (Batch, bool) {
 	return cq.pop()
 }
 
-// Drain returns every queued batch.
+// Drain returns every queued batch, its rows valid for good: the engine never
+// writes into them again, at the cost of writing the CQ's later closes into
+// fresh memory.
 func (cq *CQ) Drain() []Batch {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()

@@ -107,7 +107,9 @@ func main() {
 		fmt.Println(r)
 	}
 
-	// The advertiser leaderboard from the enrichment join's last window.
+	// The advertiser leaderboard from the enrichment join's last window. A
+	// batch TryNext hands out stays valid until the handle takes its next,
+	// and the TryNext that finds none takes nothing, so last stays valid.
 	var last streamrel.Batch
 	for {
 		b, ok := byAdvertiser.TryNext()

@@ -9,17 +9,19 @@ import (
 )
 
 // TestInPlaceViewModeChange: a view read by an enrichment post stage alone
-// writes its rows in place. An identity CQ on the same VISIBLE, attached at
-// close 100 and closed after close 200, keeps every batch it is handed: the
-// view carves every row afresh for it, and again when it leaves. Every batch
-// it kept still reads as delivered, and both CQs' transcripts equal
-// re-execution's — the identity CQ's from its first window wholly after the
-// attach — with the producer draining and under the scheduler pool. Quiet
-// gaps longer than the window empty it, so groups leave and come back.
+// writes every close into a frame the post set hands back at its next close.
+// An identity CQ on the same VISIBLE, attached at close 100 and closed after
+// close 200, keeps every batch it is handed (Drain): the view writes each
+// close into a fresh frame while it is attached, and takes its frames back
+// again once it has left. Every batch it kept still reads as delivered, and
+// both CQs' transcripts equal re-execution's — the identity CQ's from its
+// first window wholly after the attach — with the producer draining and under
+// the scheduler pool. Quiet gaps longer than the window empty it, so groups
+// leave and come back.
 func TestInPlaceViewModeChange(t *testing.T) {
 	const window = `<VISIBLE '10 seconds' ADVANCE '1 second'>`
 	after := time.UnixMicro(ivmBase).Add(110 * time.Second)
-	run := func(cfg Config) (enrich, ident []string) {
+	run := func(cfg Config) (enrich, ident []string, made [3]float64) {
 		e, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -60,6 +62,10 @@ func TestInPlaceViewModeChange(t *testing.T) {
 		rng := rand.New(rand.NewSource(39))
 		for sec := int64(0); sec < 300; sec++ {
 			switch sec {
+			case 90, 190, 290: // frames made before the identity CQ, while it reads, after it left
+				made[sec/100] = framesMade(e) - made[sec/100]
+			case 10, 110, 210:
+				made[sec/100] = framesMade(e)
 			case 100:
 				if cq, err = e.Subscribe(`SELECT url, count(*) AS n, sum(bytes) AS total FROM hits ` + window + ` GROUP BY url`); err != nil {
 					t.Fatal(err)
@@ -93,11 +99,15 @@ func TestInPlaceViewModeChange(t *testing.T) {
 				t.Fatalf("the identity CQ's batch %d changed after delivery:\nwas %s\nnow %s", i, delivered[i], now)
 			}
 		}
-		return enrich, ident
+		return enrich, ident, made
 	}
-	wantEnrich, wantIdent := run(Config{StateOverride: StateReexec})
+	wantEnrich, wantIdent, _ := run(Config{StateOverride: StateReexec})
 	for _, parallel := range []int{0, 4} {
-		enrich, ident := run(Config{ParallelCQ: parallel})
+		enrich, ident, made := run(Config{ParallelCQ: parallel})
+		if made[0] != 0 || made[1] < 80 || made[2] != 0 {
+			t.Errorf("ParallelCQ %d: frames made over 80 closes %v before the identity CQ, while it kept its batches and after it left: want 0, one a close, 0",
+				parallel, made)
+		}
 		if a, b := strings.Join(enrich, "\n"), strings.Join(wantEnrich, "\n"); a != b || len(enrich) < 290 {
 			t.Fatalf("ParallelCQ %d: the enrichment CQ's %d closes differ from re-execution's %d:\nstore:\n%s\nreexec:\n%s", parallel, len(enrich), len(wantEnrich), a, b)
 		}
@@ -109,25 +119,18 @@ func TestInPlaceViewModeChange(t *testing.T) {
 
 // TestTopNViewFiresInPlace: a store-backed CQ whose post stage is ORDER BY …
 // LIMIT reads its view through a top-k sort, which copies the rows it keeps,
-// so the view writes its rows in place. Every URL is hit every second and a
-// new one joins every 10 seconds, so no group dies: once the first two
-// closes have carved every row (the first for a tree not yet built, the
-// second for the change of mode), the view carves a row for each new group
-// and no other. Every batch the CQ delivered still reads as delivered at the
-// end, and the transcript equals re-execution's, with the producer draining
-// and under the scheduler pool.
+// so the CQ is handed the sort's rows and no frame, and its post set hands
+// each frame back at the next close, though the CQ is read with Drain. Every
+// URL is hit every second and a new one joins every 10 seconds, so no group
+// dies: once the first two closes have made their frames (the second's while
+// the post set holds the first), the view makes no frame, and writes every
+// group's row at each close, every group having changed. Every batch the CQ
+// delivered still reads as delivered at the end, and the transcript equals
+// re-execution's, with the producer draining and under the scheduler pool.
 func TestTopNViewFiresInPlace(t *testing.T) {
 	const q = `SELECT url, count(*) AS n FROM hits <VISIBLE '10 seconds' ADVANCE '1 second'>
 		GROUP BY url ORDER BY n DESC, url LIMIT 3`
-	carvedRows := func(e *Engine) (n float64) {
-		for _, s := range e.Metrics().Gather() {
-			if s.Name == "streamrel_ivm_rows_carved_total" {
-				n += s.Value
-			}
-		}
-		return n
-	}
-	run := func(cfg Config) (transcript []string, carved float64) {
+	run := func(cfg Config) (transcript []string, made float64) {
 		e, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +147,7 @@ func TestTopNViewFiresInPlace(t *testing.T) {
 		defer cq.Close()
 		var kept []Batch
 		rng := rand.New(rand.NewSource(60))
-		var carvedAt5 float64
+		var madeAt5 float64
 		for sec := int64(0); sec < 150; sec++ {
 			ts := ivmBase + sec*1_000_000
 			rows := []Row(nil)
@@ -168,7 +171,7 @@ func TestTopNViewFiresInPlace(t *testing.T) {
 				transcript = append(transcript, renderBatch(b))
 			}
 			if sec == 5 {
-				carvedAt5 = carvedRows(e)
+				madeAt5 = framesMade(e)
 			}
 		}
 		if len(kept) < 100 {
@@ -179,16 +182,16 @@ func TestTopNViewFiresInPlace(t *testing.T) {
 				t.Fatalf("batch %d changed after delivery:\nwas %s\nnow %s", i, transcript[i], now)
 			}
 		}
-		return transcript, carvedRows(e) - carvedAt5
+		return transcript, framesMade(e) - madeAt5
 	}
 	want, _ := run(Config{StateOverride: StateReexec})
 	for _, parallel := range []int{0, 4} {
-		got, carved := run(Config{ParallelCQ: parallel})
+		got, made := run(Config{ParallelCQ: parallel})
 		if a, b := strings.Join(got, "\n"), strings.Join(want, "\n"); a != b {
 			t.Fatalf("ParallelCQ %d: the top-N CQ's closes differ from re-execution's:\nstore:\n%s\nreexec:\n%s", parallel, a, b)
 		}
-		if carved != 14 { // /u01 … /u14 join after second 5
-			t.Errorf("ParallelCQ %d: the view carved %.0f rows after its fifth close, want 14 (one for each new group)", parallel, carved)
+		if made != 0 {
+			t.Errorf("ParallelCQ %d: the view made %.0f frames after its fifth close, want 0", parallel, made)
 		}
 	}
 }

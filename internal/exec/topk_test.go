@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -145,7 +146,14 @@ func TestTopKSortBytesIndependentOfGroups(t *testing.T) {
 			Keys:  []SortKey{{Col: 1, Desc: true}, {Col: 0}},
 			Limit: 5,
 		}}
-		return drainBytes(t, &Ctx{}, func() Operator { return tree })
+		// drainBytes counts the whole process's bytes, so a collection cycle
+		// or another goroutine inside the measured executions adds to it:
+		// the least of three measurements is the executions' own.
+		least := math.Inf(1)
+		for range 3 {
+			least = min(least, drainBytes(t, &Ctx{}, func() Operator { return tree }))
+		}
+		return least
 	}
 	small, large := bytesAt(1000), bytesAt(10000)
 	t.Logf("%.0f B an execution over 1 000 groups, %.0f B over 10 000", small, large)

@@ -39,9 +39,11 @@ func BenchmarkStoreSliding(b *testing.B) {
 					}
 					k++
 					for _, v := range views {
-						if _, _, _, err := v.Fire(k*second, true); err != nil {
+						f, _, _, err := v.Fire(k * second)
+						if err != nil {
 							b.Fatal(err)
 						}
+						f.Release()
 					}
 					s.Expire(k * second)
 				}
@@ -91,7 +93,7 @@ func BenchmarkGCMarkStore(b *testing.B) {
 					}
 				}
 			}
-			if _, _, _, err := v.Fire(slices*second, true); err != nil {
+			if _, _, _, err := v.Fire(slices * second); err != nil {
 				b.Fatal(err)
 			}
 			runtime.GC()
@@ -110,7 +112,7 @@ func BenchmarkGCMarkStore(b *testing.B) {
 }
 
 // BenchmarkStoreNewKeys is the store's CPU guard under key churn: a tumbling
-// view fired in place, 40 % of each window's keys new to the store, so every
+// view whose frames come back at once, 40 % of each window's keys new to the store, so every
 // window drops groups and recycles them for new keys, carves their key strings
 // and now and then rehomes the keys. Each op is a window, a row a key, its
 // close and Expire, reported per row.
@@ -134,9 +136,11 @@ func BenchmarkStoreNewKeys(b *testing.B) {
 					}
 				}
 				k++
-				if _, _, _, err := v.Fire(k*10*second, true); err != nil {
+				f, _, _, err := v.Fire(k * 10 * second)
+				if err != nil {
 					b.Fatal(err)
 				}
+				f.Release()
 				s.Expire(k * 10 * second)
 			}
 			for k < 20 {

@@ -72,11 +72,12 @@ func TestStoreColumnsMatchHashAgg(t *testing.T) {
 				ts += int64(rng.Intn(int(c.advance))) * second / 4
 				for ; next <= ts; next += c.advance * second {
 					closes++
-					inPlace := closes/2%2 == 1
-					out, _, _, err := v.Fire(next, inPlace)
+					lend := closes/2%2 == 1
+					f, _, _, err := v.Fire(next)
 					if err != nil {
 						t.Fatal(err)
 					}
+					out := f.Rows
 					var window []types.Row
 					for _, r := range logged {
 						if at := r[1].TimestampMicros(); at >= next-c.visible*second && at < next {
@@ -93,8 +94,11 @@ func TestStoreColumnsMatchHashAgg(t *testing.T) {
 					}
 					for i := range out {
 						if !out[i].Equal(want[i]) {
-							t.Fatalf("close %d s (in place %v), group %d:\nview    %v\nHashAgg %v", next/second, inPlace, i, out[i], want[i])
+							t.Fatalf("close %d s (lent back %v), group %d:\nview    %v\nHashAgg %v", next/second, lend, i, out[i], want[i])
 						}
+					}
+					if lend {
+						f.Release()
 					}
 					s.Expire(next)
 					for len(logged) > 0 && logged[0][1].TimestampMicros() < next+c.advance*second-c.visible*second {

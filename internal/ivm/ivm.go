@@ -19,10 +19,9 @@
 // Sub where the accumulator has an inverse (COUNT/SUM/AVG), a reset of every
 // one that has none (MIN/MAX, DISTINCT, stddev, first/last), which the same
 // walk rebuilds from the surviving slices (slice order reproduces
-// arrival-order ties, since streams are in order) — and emits a row afresh
-// only for the groups the move changed, handing out again the row it emitted
-// before for every other group; when nobody reading the close keeps a row, it
-// rewrites the changed rows in place instead. A view is first built at its
+// arrival-order ties, since streams are in order) — and writes the close into
+// a frame its readers lend back (see Frame), rewriting only the rows of the
+// groups changed since the close the frame last carried. A view is first built at its
 // first fire, from whatever the store retains in its extent, so one created
 // after rows have arrived starts from the store's history, and a group leaves
 // a view when its last row does, so a vanished group stops being emitted
@@ -51,8 +50,7 @@
 // group the store drops is a new key's, whose key string is carved from a
 // chunk of key bytes the store writes once, and once the keys carved since
 // reach twice the live groups, Expire copies the live keys into a fresh chunk;
-// an in-place view's dead groups' rows are its newcomers'; and the rows a view
-// carves, in either mode, are what its full carve bounds. One mechanism is not
+// and a frame a view's readers hand back is its next close's. One mechanism is not
 // a recycler: a group whose last partial expires idles a boundary, in the map
 // but not in GroupsN, so a key recurring in the window after gets it back by
 // key; the next Expire drops it and frees its id, which no view holds by then.
@@ -74,6 +72,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"streamrel/internal/expr"
@@ -102,6 +101,8 @@ type Store struct {
 	keys   expr.KeyChunk         // new groups' key strings are carved from it
 	carved int                   // keys carved since the last rehome
 	bytes  int                   // the groups' key bytes: a rehome's chunk
+	// rehomed is the close whose Expire last rehomed the keys.
+	rehomed int64
 
 	views  []*View
 	retain int64 // widest attached VISIBLE
@@ -171,7 +172,7 @@ type group struct {
 func New(spec *plan.StreamAgg, advance, offset int64) (*Store, error) {
 	s := &Store{spec: spec, advance: advance, offset: offset,
 		groups: make(map[string]*group), spares: expr.NewRecycler(resetSlice, 0),
-		free: expr.NewRecycler(resetGroup, 0)}
+		free: expr.NewRecycler(resetGroup, 0), rehomed: math.MinInt64}
 	if spec == nil {
 		return s, nil
 	}
@@ -332,8 +333,7 @@ func (s *Store) sliceAt(ts int64) (*slice, error) {
 // Expire drops the slices no view reads at a boundary after c, recycling them
 // and the idle groups nothing revived, rehomes the keys once the keys carved
 // since the last rehome reach twice the groups, and empties every raw view's
-// window; under types.Poison it fills every in-place view's rows with a
-// sentinel. Call it once every view has fired c. An aggregate view's next fire
+// window. Call it once every view has fired c. An aggregate view's next fire
 // still retracts the slice that opened the window closing at c; a raw one
 // never.
 func (s *Store) Expire(c int64) {
@@ -352,19 +352,13 @@ func (s *Store) Expire(c int64) {
 	}
 	if s.carved > 0 && s.carved >= 2*len(s.groups) {
 		s.rehome()
+		s.rehomed = c
 	}
 	clear(s.idle)
 	s.idle = s.idle[:0]
 	for _, v := range s.views {
-		clear(v.rows)
-		v.rows = v.rows[:0]
-		if types.Poison && v.inPlace {
-			for _, row := range v.out {
-				for i := range row {
-					row[i] = expr.Sentinel
-				}
-			}
-		}
+		clear(v.raw.Rows)
+		v.raw.Rows = v.raw.Rows[:0]
 	}
 	horizon := c - s.retain
 	if s.spec == nil {
@@ -392,13 +386,11 @@ func (s *Store) Expire(c int64) {
 }
 
 // rehome copies every group's key into one fresh chunk, as expr.Recycler's
-// owners carve afresh, and points the group's key row, its entry in the map
-// and the key columns of every in-place view's rows at the copy: those rows
-// are the view's own, which Expire may write. A chunk is never written twice,
-// so a key a handed-out row holds stays valid; the chunks carved before stay
-// reachable only from rows handed out of place, immutable and shared, and a
-// view carves a group's row afresh at a close that touches it — every group in
-// a window is touched as its slices enter and leave, so within one VISIBLE.
+// owners carve afresh, and points the group's key row and its entry in the map
+// at the copy. A chunk is never written twice, so a key a lent row holds stays
+// valid; the chunks carved before stay reachable only from frames written
+// before the rehome, which a view clears and rewrites whole when it takes one
+// back.
 func (s *Store) rehome() {
 	s.keys.Reset(s.bytes)
 	s.carved = len(s.groups)
@@ -407,13 +399,6 @@ func (s *Store) rehome() {
 		g.key = s.keys.Carve(s.keyBuf, 0)
 		g.keys.ShareKey(g.key)
 		s.groups[g.key] = g // an equal key: the map keeps the string assigned
-	}
-	for _, v := range s.views {
-		for _, id := range v.ordered {
-			if row := v.wins[id].row; v.inPlace && row != nil {
-				copy(row, s.byID[id].keys)
-			}
-		}
 	}
 }
 
@@ -445,31 +430,89 @@ type View struct {
 	gone    []int32
 	scratch []int32
 
-	// The groups' rows (see emit): carved from blk, or in place a dead
-	// group's, from free, which counts every row carved. In place the last
-	// close wrote them into out.
-	inPlace bool
-	out     []types.Row
-	blk     types.RowBlock
-	free    expr.Recycler[types.Row]
+	// left logs the groups that left the window at the closes after
+	// closes[0], the oldest of the last three, so a frame written at one of
+	// them clears their slots (see emit).
+	left   []departure
+	closes [3]int64
 
-	// rows is a raw view's window, from its fire to the store's Expire.
-	rows []types.Row
+	// frames keeps what the readers handed back for the next closes; back
+	// is what they handed back since the last fire, from any goroutine
+	// (under mu).
+	frames expr.Recycler[*Frame]
+	mu     sync.Mutex
+	back   []*Frame
+	// Made counts the frames the view made, read on the goroutine that
+	// fires it.
+	Made int64
+
+	// raw holds a raw view's window, from its fire to the store's Expire.
+	raw Frame
+}
+
+// departure is a group that left a view's window, and the close it left at.
+type departure struct {
+	id int32
+	at int64
 }
 
 // winGroup is what a view keeps of one group besides its aggregates.
 type winGroup struct {
-	rows  int64     // filtered rows in the window; 0 when it is not in it
-	stamp int64     // the last fire that changed it
-	reset int64     // the last fire that reset its aggregates with no inverse
-	row   types.Row // what the last fire emitted for it; rewritten only in place
+	rows  int64 // filtered rows in the window; 0 when it is not in it
+	stamp int64 // the last fire that changed it
+	reset int64 // the last fire that reset its aggregates with no inverse
+}
+
+// Frame is what a view lends the readers of one close: Rows, one per group in
+// group-key order, each a slot of the frame's datums — one slot a group id, so
+// a frame that comes back still holds the rows of the close it last carried,
+// and the view rewrites only the groups changed since. The frame counts its
+// readers. Each lets go by Release when it reads the rows no more, and the
+// last one hands the frame back to the view's pool, kept for what comes next
+// by expr.Recycler's one rule, as the store's slices are; a reader that never
+// releases keeps the rows for good, and the view writes its next close into a
+// fresh frame. These are the ingest hot path's two rules (internal/stream's
+// batchBlock) for window rows: a lent row is not rewritten while anyone holds
+// it, and only a reader's own reference is given back, by that reader.
+type Frame struct {
+	Rows  []types.Row
+	words []types.Datum // the slots, width datums each
+	at    int64         // the close written last; math.MinInt64: rewrite every slot
+	refs  atomic.Int32
+	view  *View // nil: a raw view's, which is not lent
+}
+
+// Retain counts one more reader; nil and a raw view's frame count none.
+func (f *Frame) Retain() {
+	if f != nil && f.view != nil {
+		f.refs.Add(1)
+	}
+}
+
+// Release lets go of one reader's reference. The last hands the frame back to
+// its view — under types.Poison filled with expr.Sentinel, so a reader that
+// reads its rows past its release reads garbage.
+func (f *Frame) Release() {
+	if f == nil || f.view == nil || f.refs.Add(-1) != 0 {
+		return
+	}
+	if types.Poison {
+		for i := range f.words {
+			f.words[i] = expr.Sentinel
+		}
+		f.at = math.MinInt64
+	}
+	v := f.view
+	v.mu.Lock()
+	v.back = append(v.back, f)
+	v.mu.Unlock()
 }
 
 // Attach adds a view of the given extent (both edges of its windows fall on
 // the store's cuts) and widens retention to cover it.
 func (s *Store) Attach(visible int64) *View {
 	v := &View{st: s, visible: visible, hi: math.MinInt64, cols: s.columns(),
-		free: expr.NewRecycler(func(row types.Row, _ bool) { clear(row) }, 0)}
+		frames: expr.NewRecycler(func(*Frame, bool) {}, 0), closes: [3]int64{math.MinInt64, math.MinInt64, math.MinInt64}}
 	s.views = append(s.views, v)
 	s.retain = max(s.retain, visible)
 	return v
@@ -494,33 +537,26 @@ func (s *Store) Detach(v *View) {
 }
 
 // Fire closes the window [c-VISIBLE, c): it brings the window layer to
-// that extent and returns it, one row per group in the window (group keys
-// ++ aggregate results), sorted by group key. The rows and the slice are
-// the caller's like any other rows: immutable, free to be retained, and
-// shared — a group the move did not change comes back as the very row the
-// fire before returned for it. Scalar aggregates over an empty window
-// produce the SQL default row, matching exec.HashAgg. touched reports the
-// distinct groups the move changed, carved the rows written afresh.
-// Boundaries must be fired in ascending order.
-//
-// inPlace says that whoever reads this close keeps no row and not the slice
-// past it. The view then writes its groups' rows in place — the rows and the
-// slice are the view's, valid until its next Fire — and a steady close
-// allocates nothing. A close whose inPlace differs from the last one's
-// carves every row afresh, so a row handed to a reader that keeps rows is
-// never rewritten.
+// that extent and returns it in a frame holding one reference, the caller's:
+// one row per group in the window (group keys ++ aggregate results), sorted by
+// group key. The rows are read-only, and valid while any reference is held
+// (see Frame). Scalar aggregates over an empty window produce the SQL default
+// row, matching exec.HashAgg. touched reports the distinct groups the move
+// changed, written the rows written into the frame — those touched at this
+// close or since the frame's last, or all of them. Boundaries must be fired in
+// ascending order.
 //
 // A raw view returns the rows of the retained slices in [c-VISIBLE, c) in
-// slice and arrival order, in a container it keeps until the store's next
-// Expire; touched and carved are 0, and inPlace changes nothing.
-func (v *View) Fire(c int64, inPlace bool) (rows []types.Row, touched, carved int, err error) {
+// slice and arrival order, in a frame it keeps until the store's next Expire,
+// whose Retain and Release do nothing; touched and written are 0.
+func (v *View) Fire(c int64) (f *Frame, touched, written int, err error) {
 	s := v.st
 	lo := c - v.visible
 	if s.spec == nil {
 		for _, sl := range s.span(lo, c) {
-			v.rows = append(v.rows, sl.raw...)
+			v.raw.Rows = append(v.raw.Rows, sl.raw...)
 		}
-		return v.rows, 0, 0, nil
+		return &v.raw, 0, 0, nil
 	}
 	// The close's one boundary: columns more than twice as long as the last
 	// close's highest id needs move to arrays of that length, and what the
@@ -538,9 +574,9 @@ func (v *View) Fire(c int64, inPlace bool) (rows []types.Row, touched, carved in
 		// Nothing kept carries over: a new view starts from what the store
 		// retains, and a tumbling window shares no slice with its predecessor
 		// (so it never retracts, and its sums are those of re-execution to the
-		// last bit). Every group is new, so every row is carved.
+		// last bit). Every group is new, so every row is written.
 		for _, id := range v.ordered {
-			v.leave(int(id))
+			v.leave(int(id), c)
 		}
 		v.ordered = v.ordered[:0]
 		v.lo, v.hi = lo, lo
@@ -554,8 +590,8 @@ func (v *View) Fire(c int64, inPlace bool) (rows []types.Row, touched, carved in
 		return nil, 0, 0, err
 	}
 	v.lo, v.hi, touched = lo, c, added+retracted
-	rows, carved, err = v.emit(c, touched, inPlace)
-	return rows, touched, carved, err
+	f, written = v.emit(c)
+	return f, touched, written, nil
 }
 
 // resize makes the layer n groups long; a cut moves it to arrays of n.
@@ -581,13 +617,12 @@ func (s *Store) span(lo, hi int64) []*slice {
 	return s.slices[i:j]
 }
 
-// leave takes a group out of the window: a private row is recycled for the
-// next new group, and its aggregates are reset, holding nothing it saw.
-func (v *View) leave(id int) {
-	if wg := &v.wins[id]; v.inPlace && wg.row != nil {
-		v.free.Put(wg.row)
-	}
+// leave takes a group out of the window at close c: its aggregates are reset,
+// holding nothing it saw, and left logs it for the frames that still hold its
+// row.
+func (v *View) leave(id int, c int64) {
 	v.wins[id] = winGroup{}
+	v.left = append(v.left, departure{int32(id), c})
 	for _, c := range v.cols {
 		c.Reset(id, types.Poison)
 	}
@@ -655,7 +690,7 @@ func (v *View) retract(lo, c int64) (touched int, err error) {
 				touched++
 			}
 			if wg.rows -= sl.rows[j]; wg.rows <= 0 {
-				v.leave(id)
+				v.leave(id, c)
 				v.gone = append(v.gone, id32)
 				continue
 			}
@@ -674,81 +709,71 @@ func (v *View) retract(lo, c int64) (touched int, err error) {
 	return touched, nil
 }
 
-// emit returns the layer in group-key order. A group stamped at this close
-// gets a fresh row, carved from one block sized by the close's touched
-// count; every other group hands out the row it holds, so a close costs one
-// block, one slice and O(touched) datums.
-//
-// In place, each group holds a private row instead — a dead group's, or
-// carved from the view's block for a newcomer no such row serves, its keys
-// written then — whose aggregates a stamped close rewrites, into a container
-// the view keeps.
-//
-// What the rows can pin is bounded in either mode: a block stays reachable
-// while any group still holds a row of it, so free counts the rows of every
-// block carved, and at a close where that is more than twice the live groups
-// every row is carved afresh into one block and the old ones go, dead groups'
-// rows with them — two packed copies of the window plus one close (DESIGN
-// §11 has the three RSS readings that made this part of the mechanism). A
-// change of mode is a full carve too, and under types.Poison (Expire fills
-// the rows with a sentinel) every row is written again.
-func (v *View) emit(c int64, touched int, inPlace bool) (rows []types.Row, carved int, err error) {
-	spec := v.st.spec
-	born := len(v.pending) // new groups: in place, each needs a row
+// emit writes the layer, in group-key order, into a frame its readers handed
+// back, or a new one, and returns it with the rows it wrote: a group's row is
+// its id's slot, rewritten when a close after the frame's last changed the
+// group — keys too, as an id may have passed to another key — and cleared
+// when the group left since, so a frame holds nothing of a group gone. A
+// frame that is new, was poisoned, was written before the store's last rehome
+// or before the closes left logs is cleared and rewritten whole, so it holds
+// no key of a chunk the rehome let go; one sized for other columns moves to
+// an array as long as the view's (see resize), with a container of its own,
+// since the old one's rows point into the old array. A steady close therefore
+// allocates nothing, and writes O(touched) datums and one row header a group.
+func (v *View) emit(c int64) (f *Frame, written int) {
+	s, spec := v.st, v.st.spec
 	v.maintainOrder()
-	n := len(v.ordered)
-	if n == 0 && len(spec.GroupBy) == 0 {
-		row := make(types.Row, len(v.st.empty))
-		for i, a := range v.st.empty {
+	v.mu.Lock()
+	for _, b := range v.back {
+		v.frames.Put(b)
+	}
+	clear(v.back)
+	v.back = v.back[:0]
+	v.mu.Unlock()
+	v.frames.Boundary(0) // a frame handed back a boundary ago and not taken goes
+	if f = v.frames.Take(); f == nil {
+		f, v.Made = &Frame{view: v, at: math.MinInt64}, v.Made+1
+	}
+	f.refs.Store(1)
+	nk, width := len(spec.GroupBy), len(spec.GroupBy)+len(spec.Aggs)
+	if n := max(cap(v.wins), 1) * width; len(f.words) < max(len(v.wins), 1)*width || len(f.words) > 2*n {
+		f.words, f.Rows, f.at = make([]types.Datum, n), nil, math.MinInt64
+	}
+	if f.at <= s.rehomed || f.at < v.closes[0] {
+		clear(f.words)
+		f.at = math.MinInt64
+	} else {
+		for _, d := range v.left {
+			if i := int(d.id) * width; d.at > f.at && i < len(f.words) && (int(d.id) >= len(v.wins) || v.wins[d.id].rows == 0) {
+				clear(f.words[i : i+width])
+			}
+		}
+	}
+	v.closes = [3]int64{v.closes[1], v.closes[2], c}
+	v.left = slices.DeleteFunc(v.left, func(d departure) bool { return d.at <= v.closes[0] })
+	rows := slices.Grow(f.Rows[:0], len(v.ordered))
+	if len(v.ordered) == 0 && nk == 0 {
+		row := f.words[:width:width] // no group holds slot 0 now
+		for i, a := range s.empty {
 			row[i] = a.Result()
 		}
-		return []types.Row{row}, 1, nil
-	}
-	full := v.free.Boundary(n) || inPlace != v.inPlace
-	if n == 0 {
-		// No group holds a row: the view has let go of the ones it kept, and
-		// its next close carves afresh whatever its mode.
-		v.inPlace, v.out, v.blk = false, nil, types.RowBlock{}
-		return nil, 0, nil // as exec.Drain returns an empty result
-	}
-	nk, width := len(spec.GroupBy), len(spec.GroupBy)+len(spec.Aggs)
-	need := touched
-	if full {
-		need = n
-	} else if inPlace {
-		need = max(born-v.free.Len(), 0)
-	}
-	if full || !inPlace {
-		v.blk = types.NewRowBlock(need, width)
-	}
-	v.free.Made(need)
-	rows = v.out[:0]
-	if v.inPlace = inPlace; !inPlace || full {
-		v.out, rows = nil, make([]types.Row, 0, n)
+		f.Rows, f.at = append(rows, row), math.MinInt64
+		return f, 1
 	}
 	for _, id := range v.ordered {
-		wg := &v.wins[id]
-		switch {
-		case full || wg.row == nil || !inPlace && wg.stamp == c:
-			if wg.row = v.free.Take(); wg.row == nil {
-				wg.row = v.blk.Row()
-			}
-			carved++
-			fallthrough
-		case inPlace && types.Poison:
-			copy(wg.row, v.st.byID[id].keys)
-			fallthrough
-		case wg.stamp == c:
+		i := int(id) * width
+		row := f.words[i : i+width : i+width]
+		if wg := &v.wins[id]; wg.stamp > f.at {
+			copy(row, s.byID[id].keys)
 			for j, col := range v.cols {
-				wg.row[nk+j] = col.Result(int(id))
+				row[nk+j] = col.Result(int(id))
 			}
+			written++
 		}
-		rows = append(rows, wg.row)
+		rows = append(rows, row)
 	}
-	if inPlace {
-		v.out = rows
-	}
-	return rows, carved, nil
+	f.Rows, f.at = rows, c
+	return f, written
 }
 
 // byKey orders groups by key; tests count its calls.

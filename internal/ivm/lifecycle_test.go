@@ -22,7 +22,7 @@ const (
 	opInsert2
 	opInsert3
 	opBurst // 8 + arg%57 keys never seen before
-	opClose // fire every view at the next boundary, view i in place if bit i of arg, then Expire (two of eight)
+	opClose // fire every view at the next boundary, then Expire; view i's frame lent back at its next close if bit i of arg, else kept (two of eight)
 	opClose2
 	opAttach // a view of the store's extent + (arg%8) × ADVANCE
 	opDetach // one of the views attached since, the arg%len-th
@@ -37,8 +37,8 @@ var lifecycleExtents = []int64{10, 30, 25}
 func tape(extent byte, ops ...byte) []byte { return append([]byte{extent}, ops...) }
 
 // FuzzStoreLifecycle drives a store through the tape its bytes choose —
-// inserts with key churn and bursts of new keys, closes whose views fire in
-// place or not, then Expire, views attached and detached — over a tumbling,
+// inserts with key churn and bursts of new keys, closes whose frames are lent
+// back or kept, then Expire, views attached and detached — over a tumbling,
 // a sliding or a paired extent, with MIN (no inverse) beside COUNT and SUM,
 // and checks after every close that
 //   - every view fires what a view attached that instant, built from the
@@ -46,8 +46,9 @@ func tape(extent byte, ops ...byte) []byte { return append([]byte{extent}, ops..
 //     and the first, attached for the whole tape, what the rows logged in its
 //     window aggregate to, one at a time — which a recycled partial that kept
 //     its last slice's state would break on both sides of the first check;
-//   - no row handed out of place was rewritten since: its batch renders as
-//     it did when it was fired;
+//   - no frame a reader holds was rewritten: a kept batch renders as it did
+//     when it was fired at every close after, and a lent one when its reader
+//     hands it back at the view's next close;
 //   - what the store and its views keep for reuse is what the rule allows:
 //     the slices and groups this close's Expire dropped and no earlier ones;
 //     and where the rule counts what was carved, recycled and live objects
@@ -56,45 +57,46 @@ func tape(extent byte, ops ...byte) []byte { return append([]byte{extent}, ops..
 //     it last expired or those of the slice before it when it opened, and
 //     their arrays within twice that, a view's columns within the larger of
 //     twice the highest group id its window held at the close's boundary and
-//     the highest it holds after, and their arrays within twice that, and its
-//     rows against its groups;
+//     the highest it holds after, and their arrays within twice that, its
+//     frames' slots within twice its columns, and no frame handed back kept
+//     past the close that took one;
 //   - every live group's key row renders its key in the map, and the keys
-//     the groups and the in-place views' rows hold were carved since the last
+//     the groups and the frames a close writes hold were carved since the last
 //     rehome, which carved at most twice the live keys: the chunks those keys
 //     keep reachable hold no more.
 //
 // The seeds include the scenarios of the memory pins: a burst then steady
 // keys, a detach that expires five slices at once, an idle key reviving; new
 // keys taking the ids of a burst dropped a boundary before (those seeds fail
-// if no id was reused); a burst at every close under an in-place sliding
-// view, which fails unless the keys are rehomed three times; sliding churn,
-// departures and arrivals in one close, in place and out of place, with a
+// if no id was reused); a burst at every close under a sliding view whose
+// frames are lent back, which fails unless the keys are rehomed three times;
+// sliding churn, departures and arrivals in one close, lent and kept, with a
 // wider view detached midway; and a sliding view that cuts its columns while
 // groups are still in its window.
 func FuzzStoreLifecycle(f *testing.F) {
-	const in, out = 0xff, 0
-	steady := func(closes int, inPlace byte) (ops []byte) { // keys 0–3, a value that changes every close
+	const lend, keep = 0xff, 0
+	steady := func(closes int, lent byte) (ops []byte) { // keys 0–3, a value that changes every close
 		for i := 0; i < closes; i++ {
 			v := byte(16 * (i % 16))
-			ops = append(ops, opInsert, v, opInsert, v+1, opInsert, v+2, opInsert, v+3, opClose, inPlace)
+			ops = append(ops, opInsert, v, opInsert, v+1, opInsert, v+2, opInsert, v+3, opClose, lent)
 		}
 		return ops
 	}
-	burst := append([]byte{opBurst, 56, opBurst, 56, opClose, in}, steady(6, in)...)
-	f.Add(tape(0, burst...))                                                        // burst then steady keys, tumbling
-	f.Add(tape(1, append([]byte{opBurst, 56, opClose, out}, steady(6, out)...)...)) // the same, sliding
-	f.Add(tape(1, append(append([]byte{opAttach, 4}, steady(8, in)...),             // a detach expiring five slices
-		append([]byte{opDetach, 1}, steady(3, out)...)...)...))
-	f.Add(tape(0, opInsert, 1, opClose, in, opInsert, 2, opClose, in, // an idle key reviving
-		opInsert, 1, opClose, in, opClose, in, opInsert, 1, opClose, out))
+	burst := append([]byte{opBurst, 56, opBurst, 56, opClose, lend}, steady(6, lend)...)
+	f.Add(tape(0, burst...))                                                          // burst then steady keys, tumbling
+	f.Add(tape(1, append([]byte{opBurst, 56, opClose, keep}, steady(6, keep)...)...)) // the same, sliding
+	f.Add(tape(1, append(append([]byte{opAttach, 4}, steady(8, lend)...),             // a detach expiring five slices
+		append([]byte{opDetach, 1}, steady(3, keep)...)...)...))
+	f.Add(tape(0, opInsert, 1, opClose, lend, opInsert, 2, opClose, lend, // an idle key reviving
+		opInsert, 1, opClose, lend, opClose, lend, opInsert, 1, opClose, keep))
 	f.Add(tape(2, append([]byte{opAttach, 1, opAttach, 2}, steady(5, 0b101)...)...)) // paired, views in both modes
 	f.Add(tape(1, opInsert, 7, opClose, 1, opInsert, 7, opClose, 0, opInsert, 7, opClose, 1, opClose, 1))
-	f.Add(tape(0, append(steady(2, in), append(steady(2, out), steady(2, in)...)...)...)) // changes of mode
+	f.Add(tape(0, append(steady(2, lend), append(steady(2, keep), steady(2, lend)...)...)...)) // frames kept, then lent
 	// A burst expires and is dropped, and a second one takes its ids: under a
-	// tumbling view alone, and beside a sliding one (bit 1), in place and not.
+	// tumbling view alone, and beside a sliding one (bit 1), lent and kept.
 	reuse := [][]byte{
-		tape(0, append([]byte{opBurst, 56, opClose, in, opClose, out, opClose, in, opBurst, 56, opClose, out},
-			steady(2, in)...)...),
+		tape(0, append([]byte{opBurst, 56, opClose, lend, opClose, keep, opClose, lend, opBurst, 56, opClose, keep},
+			steady(2, lend)...)...),
 		tape(0, append([]byte{opAttach, 2, opBurst, 56, opClose, 0b01, opClose, 0b10, opClose, 0b01, opClose, 0b10,
 			opClose, 0b01, opBurst, 56, opClose, 0b10}, append(steady(2, 0b01), steady(2, 0b10)...)...)...),
 	}
@@ -103,12 +105,13 @@ func FuzzStoreLifecycle(f *testing.F) {
 	}
 	var churn []byte
 	for i := 0; i < 20; i++ {
-		churn = append(append(churn, opBurst, 8), steady(1, in)...)
+		churn = append(append(churn, opBurst, 8), steady(1, lend)...)
 	}
 	rehomed := tape(1, churn...)
 	f.Add(rehomed)
 	// Each close adds a burst and retracts the one three closes before, both
-	// views out of place for two closes, then both in place for two, by turns.
+	// views keeping their frames for two closes, then both lending them for two,
+	// by turns.
 	slide := []byte{opAttach, 2}
 	for i := 0; i < 12; i++ {
 		if i == 7 {
@@ -120,8 +123,8 @@ func FuzzStoreLifecycle(f *testing.F) {
 	// A burst leaves while a smaller one stays, so the view cuts its columns
 	// with groups still in the window; when the smaller one leaves in its
 	// turn, its ids are not kept beside a dozen live groups.
-	f.Add(tape(1, append(append(append([]byte{opBurst, 56, opBurst, 56}, steady(1, out)...),
-		append([]byte{opBurst, 24}, steady(3, out)...)...), append([]byte{opBurst, 0}, steady(3, out)...)...)...))
+	f.Add(tape(1, append(append(append([]byte{opBurst, 56, opBurst, 56}, steady(1, keep)...),
+		append([]byte{opBurst, 24}, steady(3, keep)...)...), append([]byte{opBurst, 0}, steady(3, keep)...)...)...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		reused, rehomes := storeLifecycle(t, b)
 		if reused == 0 && slices.ContainsFunc(reuse, func(r []byte) bool { return bytes.Equal(r, b) }) {
@@ -133,10 +136,10 @@ func FuzzStoreLifecycle(f *testing.F) {
 	})
 }
 
-// firedBatch is a batch a view handed out of place, and how it rendered then.
+// firedBatch is a frame a reader holds, and how it rendered when fired.
 type firedBatch struct {
-	rows []types.Row
-	was  string
+	frame *Frame
+	was   string
 }
 
 func render(rows []types.Row) string {
@@ -205,8 +208,9 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 		return sb.String()
 	}
 	var kept []firedBatch
+	lentBy := map[*View]firedBatch{}
 	expiredWith := map[*slice]int{} // groups a slice held when it last expired
-	closeNext := func(inPlace byte) {
+	closeNext := func(lend byte) {
 		c := next
 		next += advance
 		ts = max(ts, c)
@@ -215,11 +219,11 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 			for _, id := range v.ordered {
 				top = max(top, int(id)+1)
 			}
-			rows, _, _, err := v.Fire(c, inPlace>>i&1 == 1)
+			f, _, _, err := v.Fire(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := render(rows)
+			got := render(f.Rows)
 			fresh := s.Attach(v.visible)
 			want, _ := fire(t, fresh, c, false)
 			s.Detach(fresh)
@@ -231,8 +235,22 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 					t.Fatalf("close %d s, view %d s:\nview  %s\nbrute %s", c/second, v.visible/second, got, want)
 				}
 			}
-			if inPlace>>i&1 == 0 {
-				kept = append(kept, firedBatch{rows, got})
+			if b, ok := lentBy[v]; ok {
+				if now := render(b.frame.Rows); now != b.was {
+					t.Fatalf("close %d s: a batch lent at the close before was rewritten:\nthen %s\nnow  %s", c/second, b.was, now)
+				}
+				b.frame.Release()
+			}
+			if delete(lentBy, v); lend>>i&1 == 1 {
+				lentBy[v] = firedBatch{f, got}
+			} else {
+				kept = append(kept, firedBatch{f, got})
+			}
+			held := keyCheck(t, carved)
+			for _, d := range f.words {
+				if d.Type() == types.TypeString {
+					held(d.Str(), "a frame")
+				}
 			}
 			after := 0 // the highest id in the window after the close, + 1
 			for _, id := range v.ordered {
@@ -246,8 +264,11 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 				t.Fatalf("close %d s, view %d s: columns of %d groups in arrays of %v, the highest id %d at its boundary and %d after",
 					c/second, v.visible/second, n, arrays, top-1, after-1)
 			}
-			if n := v.free.Len(); n > len(v.ordered) {
-				t.Fatalf("close %d s, view %d s: %d rows kept beside %d groups", c/second, v.visible/second, n, len(v.ordered))
+			if n := len(f.words) / 4; n > 2*max(cap(v.wins), 1) {
+				t.Fatalf("close %d s, view %d s: a frame of %d slots beside columns of %d", c/second, v.visible/second, n, cap(v.wins))
+			}
+			if n := v.frames.Len(); n > 0 {
+				t.Fatalf("close %d s, view %d s: %d frames handed back kept past the close that took one", c/second, v.visible/second, n)
 			}
 		}
 		slicesBefore, groupsBefore, keysBefore := map[*slice]int{}, len(s.groups), map[*group]string{}
@@ -293,8 +314,8 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 			rows = rows[1:]
 		}
 		for _, k := range kept {
-			if now := render(k.rows); now != k.was {
-				t.Fatalf("close %d s: a batch handed out of place was rewritten:\nthen %s\nnow  %s", c/second, k.was, now)
+			if now := render(k.frame.Rows); now != k.was {
+				t.Fatalf("close %d s: a batch kept was rewritten:\nthen %s\nnow  %s", c/second, k.was, now)
 			}
 		}
 	}
@@ -332,28 +353,15 @@ func storeLifecycle(t *testing.T, b []byte) (reused, rehomes int) {
 }
 
 // checkKeys checks that every live group's key row renders its key in the map,
-// that every key string the map, the groups and the in-place views' rows hold
-// lies inside a key carved since the last rehome, and that those are at most
-// twice the live keys: the chunks the store and its views keep reachable hold
-// no more.
+// that every key string the map and the groups hold lies inside a key carved
+// since the last rehome, and that those are at most twice the live keys: the
+// chunks the store keeps reachable hold no more.
 func checkKeys(t *testing.T, s *Store, carved []string) {
 	t.Helper()
 	if len(carved) != s.carved || len(carved) > 2*len(s.groups) {
 		t.Fatalf("%d keys carved since the last rehome (the store counts %d), %d groups live", len(carved), s.carved, len(s.groups))
 	}
-	spans := make([][2]uintptr, len(carved))
-	for i, k := range carved {
-		p := uintptr(unsafe.Pointer(unsafe.StringData(k)))
-		spans[i] = [2]uintptr{p, p + uintptr(len(k))}
-	}
-	slices.SortFunc(spans, func(a, b [2]uintptr) int { return cmp.Compare(a[0], b[0]) })
-	held := func(k string, by string) {
-		p := uintptr(unsafe.Pointer(unsafe.StringData(k)))
-		i := sort.Search(len(spans), func(i int) bool { return spans[i][0] > p }) - 1
-		if i < 0 || p+uintptr(len(k)) > spans[i][1] {
-			t.Fatalf("%s holds %q, carved before the last rehome", by, k)
-		}
-	}
+	held := keyCheck(t, carved)
 	for key, g := range s.groups {
 		if g.key != key || g.keys.Key() != key {
 			t.Fatalf("group %v: key %q, key row's %q, mapped by %q", g.keys, g.key, g.keys.Key(), key)
@@ -366,13 +374,23 @@ func checkKeys(t *testing.T, s *Store, carved []string) {
 			}
 		}
 	}
-	for _, v := range s.views {
-		for _, row := range v.out {
-			for _, d := range row[:len(s.keyScratch)] {
-				if d.Type() == types.TypeString {
-					held(d.Str(), "an in-place view's row")
-				}
-			}
+}
+
+// keyCheck returns what fails the test when by holds a key string that does
+// not lie inside one of carved.
+func keyCheck(t *testing.T, carved []string) func(k, by string) {
+	spans := make([][2]uintptr, len(carved))
+	for i, k := range carved {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(k)))
+		spans[i] = [2]uintptr{p, p + uintptr(len(k))}
+	}
+	slices.SortFunc(spans, func(a, b [2]uintptr) int { return cmp.Compare(a[0], b[0]) })
+	return func(k, by string) {
+		t.Helper()
+		p := uintptr(unsafe.Pointer(unsafe.StringData(k)))
+		i := sort.Search(len(spans), func(i int) bool { return spans[i][0] > p }) - 1
+		if i < 0 || p+uintptr(len(k)) > spans[i][1] {
+			t.Fatalf("%s holds %q, carved before the last rehome", by, k)
 		}
 	}
 }

@@ -109,8 +109,8 @@ func TestRawStorePinsNoExpiredRow(t *testing.T) {
 		return data.Value() == nil
 	}
 	closeAt := func(c int64, want int) {
-		if rows, _, _, err := v.Fire(c, false); err != nil || len(rows) != want {
-			t.Fatalf("window closing at %d s: %d rows, want %d (%v)", c/second, len(rows), want, err)
+		if f, _, _, err := v.Fire(c); err != nil || len(f.Rows) != want {
+			t.Fatalf("window closing at %d s: want %d rows (%v)", c/second, want, err)
 		}
 		s.Expire(c)
 	}
@@ -216,25 +216,29 @@ func TestRecycledSparesMemoryBounded(t *testing.T) {
 
 // TestIdleGroupsMemoryBounded: a group whose last partial expired waits idle
 // for one boundary, in case its key recurs; one that does not is gone the
-// boundary after, key string and all. The view fires in place, so the row
-// the group held waits, cleared, on the view's free list.
+// boundary after, key string and all — from the store at that boundary, which
+// rehomes the keys left, and from the view's one frame, handed back at once,
+// at the view's next close, which rewrites a frame written before the rehome
+// whole.
 func TestIdleGroupsMemoryBounded(t *testing.T) {
 	s := newStore(t, `SELECT url, count(*) FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY url`)
 	v := s.Attach(10 * second)
 	insert(t, s, hit("/page/gone", 1*second, 1))
 	key := weak.Make(unsafe.StringData(s.groups[types.Row{types.NewString("/page/gone")}.Key()].key))
-	for k := int64(1); k <= 3; k++ {
+	for k := int64(1); k <= 4; k++ {
 		insert(t, s, hit("/page/stays", k*10*second-1, 1))
-		if _, _, _, err := v.Fire(k*10*second, true); err != nil {
+		f, _, _, err := v.Fire(k * 10 * second)
+		if err != nil {
 			t.Fatal(err)
 		}
+		f.Release()
 		s.Expire(k * 10 * second)
 		runtime.GC()
 		runtime.GC()
 		switch alive := key.Value() != nil; {
 		case k == 2 && (!alive || s.GroupsN.Load() != 1):
 			t.Fatalf("boundary %d: the group idle since its last partial expired is gone, or counted live (%d live)", k, s.GroupsN.Load())
-		case k == 3 && alive:
+		case k == 4 && alive:
 			t.Fatalf("boundary %d: the key string of a group that did not recur is reachable", k)
 		}
 	}
@@ -386,13 +390,14 @@ func TestSlidingViewMemoryBounded(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
-// TestInPlaceViewMemoryBounded: an in-place view keeps the rows of groups
-// that left it for the groups that come next, never more of them than its
-// live groups and newcomers. When a burst of keys leaves the window, the
-// next close carves the survivors afresh and the burst's rows go; when the
-// window empties, the view lets go of every row.
+// TestInPlaceViewMemoryBounded: a view whose reader hands each frame back at
+// once writes every close into one frame, whose slots follow the view's
+// columns: never more than twice as long. When a burst of keys leaves the
+// window, the view cuts its columns at the next close and the frame moves to
+// an array as long as them, so the burst's slots go; when the window empties,
+// the frame lets go of every row within a close.
 func TestInPlaceViewMemoryBounded(t *testing.T) {
-	const burst, steady = 10000, 10
+	const burst, steady, width = 10000, 10, 2
 	s := newStore(t, `SELECT url, count(*) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY url`)
 	v := s.Attach(20 * second)
 	fill := func(k int64, from, to int) {
@@ -406,34 +411,36 @@ func TestInPlaceViewMemoryBounded(t *testing.T) {
 		return w.Value() == nil
 	}
 	var burstRow, steadyRow weak.Pointer[types.Datum]
-	for k := int64(0); k < 8; k++ {
+	frames := map[*Frame]bool{}
+	for k := int64(0); k < 9; k++ {
 		if k < 6 {
 			fill(k, 0, steady)
 		}
 		if k == 1 {
 			fill(k, steady, steady+burst)
 		}
-		rows, _, _, err := v.Fire((k+1)*10*second, true)
+		f, _, _, err := v.Fire((k + 1) * 10 * second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch k {
 		case 1: // the burst's last key sorts last
-			burstRow = weak.Make(&rows[len(rows)-1][0])
-		case 3:
+			burstRow = weak.Make(&f.Rows[len(f.Rows)-1][0])
+		case 4: // the burst left at close 3
 			if !gone(burstRow) {
-				t.Fatalf("close %d: the burst left the window a close ago and its rows are reachable", k)
+				t.Fatalf("close %d: the burst left the window a close ago and its slots are reachable", k)
 			}
 		case 5:
-			steadyRow = weak.Make(&rows[0][0])
+			steadyRow = weak.Make(&f.Rows[0][0])
 		}
-		if kept := len(v.ordered) + v.free.Len(); kept > 2*len(v.ordered) {
-			t.Fatalf("close %d: %d live groups keep %d rows", k, len(v.ordered), kept)
+		if frames[f] = true; len(frames) > 1 || len(f.words) > 2*max(cap(v.wins), 1)*width {
+			t.Fatalf("close %d: %d frames, of %d slots beside columns of %d", k, len(frames), len(f.words)/width, cap(v.wins))
 		}
+		f.Release()
 		s.Expire((k + 1) * 10 * second)
 	}
 	if !gone(steadyRow) {
-		t.Fatal("a view whose window emptied keeps its rows reachable")
+		t.Fatal("a view whose window emptied a close ago keeps its rows reachable")
 	}
 	runtime.KeepAlive(s)
 }
@@ -442,10 +449,11 @@ func TestInPlaceViewMemoryBounded(t *testing.T) {
 // from chunks it never writes twice, so a chunk is reachable while any key
 // carved from it is. Each boundary brings a burst of one-off keys and one key
 // that stays for the rest of the test, whose string — in its group and in the
-// row of an in-place sliding view — would keep its boundary's chunk reachable
-// for good; a tumbling view fires out of place beside it. Once the keys carved
-// since the last rehome reach twice the groups, Expire copies the live keys
-// into one fresh chunk and re-keys the in-place view's rows, so at every close
+// frame a sliding view's reader hands back — would keep its boundary's chunk
+// reachable for good; a tumbling view's reader keeps its frames beside it.
+// Once the keys carved since the last rehome reach twice the groups, Expire
+// copies the live keys into one fresh chunk, and the view clears and rewrites
+// a frame written before that when it takes it back, so at every close
 // the keys whose chunk is reachable are at most twice the groups the last
 // boundary left plus the keys this boundary carved.
 func TestStoreKeyChunksMemoryBounded(t *testing.T) {
@@ -471,10 +479,12 @@ func TestStoreKeyChunksMemoryBounded(t *testing.T) {
 		}
 		record()
 		c := (k + 1) * 10 * second
-		if _, _, _, err := sliding.Fire(c, true); err != nil {
+		f, _, _, err := sliding.Fire(c)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := tumbling.Fire(c, false); err != nil {
+		f.Release()
+		if _, _, _, err := tumbling.Fire(c); err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()

@@ -3,6 +3,7 @@ package stream
 import (
 	"testing"
 
+	"streamrel/internal/ivm"
 	"streamrel/internal/plan"
 	"streamrel/internal/sql"
 	"streamrel/internal/trace"
@@ -87,7 +88,7 @@ func TestDeliverReportsKept(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.rt.Subscribe(p, func(_ trace.Ctx, closeTS int64, _ []types.Row) error {
+		if _, err := e.rt.Subscribe(p, func(_ trace.Ctx, closeTS int64, _ []types.Row, _ *ivm.Frame) error {
 			if closeTS == 12*minute {
 				close(stuck)
 				<-release

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"streamrel/internal/catalog"
+	"streamrel/internal/ivm"
 	"streamrel/internal/plan"
 	"streamrel/internal/sql"
 	"streamrel/internal/trace"
@@ -105,7 +106,7 @@ func TestParallelSinkErrorDetaches(t *testing.T) {
 			boom, bang := errors.New("sink exploded"), errors.New("second sink exploded")
 			pl := mustPlan(t, e, `SELECT count(*) FROM url_stream <ADVANCE '1 minute'>`)
 			for _, sinkErr := range []error{boom, bang} {
-				if _, err := e.rt.Subscribe(pl, func(trace.Ctx, int64, []types.Row) error { return sinkErr }); err != nil {
+				if _, err := e.rt.Subscribe(pl, func(trace.Ctx, int64, []types.Row, *ivm.Frame) error { return sinkErr }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -154,7 +155,7 @@ func TestParallelBackpressureOrder(t *testing.T) {
 	var mu sync.Mutex
 	var closes []int64
 	pl := mustPlan(t, e, `SELECT count(*) FROM url_stream <ADVANCE '1 minute'>`)
-	if _, err := e.rt.Subscribe(pl, func(_ trace.Ctx, c int64, _ []types.Row) error {
+	if _, err := e.rt.Subscribe(pl, func(_ trace.Ctx, c int64, _ []types.Row, _ *ivm.Frame) error {
 		time.Sleep(time.Millisecond)
 		mu.Lock()
 		closes = append(closes, c)
@@ -204,7 +205,7 @@ func TestParallelUnsubscribeAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect(t, flatten(*out), "10:/a", "11:/b")
-	if _, err := e.rt.Subscribe(pipe.Plan(), func(trace.Ctx, int64, []types.Row) error { return nil }); err == nil {
+	if _, err := e.rt.Subscribe(pipe.Plan(), func(trace.Ctx, int64, []types.Row, *ivm.Frame) error { return nil }); err == nil {
 		t.Fatal("Subscribe after Close should fail")
 	}
 }

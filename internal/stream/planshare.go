@@ -109,12 +109,12 @@ type feed struct {
 	// fireHist on a raw store's feed: viewCloses
 	// (streamrel_pipeline_windows_total under a store feed's own id; a
 	// raw feed's closes are its one subscriber's), touched (distinct groups
-	// changed per fire), carved (rows a view wrote afresh rather than handed
-	// out again) and fireHist (window-fire latency: evaluation plus sink
-	// delivery).
-	rowsSeen                    *metrics.Counter
-	viewCloses, touched, carved *metrics.Counter
-	fireHist                    *metrics.Histogram
+	// changed per fire), carved (rows a view wrote rather than found in its
+	// frame), frames (frames a view made, not handed back) and fireHist
+	// (window-fire latency: evaluation plus sink delivery).
+	rowsSeen                            *metrics.Counter
+	viewCloses, touched, carved, frames *metrics.Counter
+	fireHist                            *metrics.Histogram
 	// unreg detaches the feed's gauges on stop.
 	unreg []func()
 }
@@ -135,11 +135,13 @@ type postSet struct {
 	lastOut int         // rows the last fire's post stage produced: the next one's expected size
 	in      plan.Input
 	tree    exec.Operator
+	lease   *ivm.Frame // the frame the tree last read, held until it reads the next
 }
 
 type setOut struct {
-	out []types.Row
-	run []*Pipeline
+	out   []types.Row
+	run   []*Pipeline
+	lease *ivm.Frame // what out is lent from; nil: the post stage's own rows
 }
 
 // openFeed builds the feed for key — its store taking the slice computation
@@ -168,7 +170,9 @@ func openFeed(rt *Runtime, src *source, p *plan.Plan, key string, id int64) (*fe
 		f.touched = rt.reg.Counter("streamrel_ivm_groups_touched_total",
 			"distinct groups changed between incremental window fires", stream)
 		f.carved = rt.reg.Counter("streamrel_ivm_rows_carved_total",
-			"group rows written afresh at window fires; the rest of a fire's rows are the ones emitted before", stream)
+			"group rows written at window fires; the rest of a fire's rows are the ones its frame held from the close it last carried", stream)
+		f.frames = rt.reg.Counter("streamrel_ivm_frames_made_total",
+			"frames window fires were written into new; the rest were handed back by the readers of earlier closes", stream)
 		f.unreg = append(f.unreg,
 			rt.reg.GaugeFunc("streamrel_ivm_state_groups", "live groups held by a window-state store",
 				func() float64 { return float64(state.GroupsN.Load()) }, stream, pipe),
@@ -302,13 +306,14 @@ func (f *feed) fire(c, at int64) error {
 // the next producer call. Closes at or before a CQ's resume point are muted
 // for that CQ alone. A raw view's rows stay in its container until the
 // store's Expire: operators copy row references into fresh output rows and
-// never retain the input slice itself. A view writes its rows in place when
-// every set it delivers to reads them through a tree whose window leaf was
-// declared transient (plan.Input.RowsTransient); a set with no post stage,
-// or whose tree has not run yet, may keep them.
+// never retain the input slice itself. An aggregate view's rows are lent in a
+// frame (ivm.Frame): fire holds it while it runs, a post set until its tree
+// reads the next close, and every sink handed rows of it — the view's own, or
+// a post stage's that passes them through — gets a reference of its own; the
+// sinks of a post stage whose window leaf was declared transient
+// (plan.Input.RowsTransient) get the stage's own rows and no lease.
 func (f *feed) fireView(sv *feedView, c, at int64, tc *trace.Ctx) error {
 	ft := f.beginFire()
-	inPlace := true
 	for _, set := range sv.sets {
 		run := set.run[:0]
 		for _, m := range set.members {
@@ -317,16 +322,16 @@ func (f *feed) fireView(sv *feedView, c, at int64, tc *trace.Ctx) error {
 			}
 		}
 		set.run = run
-		if len(run) > 0 && (set.tree == nil || !set.in.RowsTransient()) {
-			inPlace = false
-		}
 	}
-	rows, touched, carved, err := sv.view.Fire(at, inPlace)
+	made := sv.view.Made
+	frame, touched, written, err := sv.view.Fire(at)
 	if err != nil {
 		return fmt.Errorf("stream: window close at %d: %w", c, err)
 	}
+	defer frame.Release()
 	f.touched.Add(int64(touched))
-	f.carved.Add(int64(carved))
+	f.carved.Add(int64(written))
+	f.frames.Add(sv.view.Made - made)
 	outs := f.outs[:0]
 	n := 0
 	for _, set := range sv.sets {
@@ -334,14 +339,19 @@ func (f *feed) fireView(sv *feedView, c, at int64, tc *trace.Ctx) error {
 		if len(run) == 0 {
 			continue
 		}
-		out := rows
+		out, lease := frame.Rows, frame
 		if post := run[0].post; post != nil {
 			if set.tree == nil {
 				set.tree = post(&set.in)
 			}
-			set.in.WindowRows = rows
+			set.in.WindowRows = frame.Rows
 			out, err = exec.Drain(&f.ctx, set.tree, set.lastOut)
 			set.in.WindowRows = nil
+			frame.Retain()
+			set.lease.Release()
+			if set.lease = frame; set.in.RowsTransient() {
+				lease = nil
+			}
 			if err != nil {
 				err = fmt.Errorf("stream: window close at %d: %w", c, err)
 				for _, m := range run {
@@ -352,19 +362,20 @@ func (f *feed) fireView(sv *feedView, c, at int64, tc *trace.Ctx) error {
 			set.lastOut = len(out)
 		}
 		n += len(out)
-		outs = append(outs, setOut{out: out, run: run})
+		outs = append(outs, setOut{out: out, run: run, lease: lease})
 	}
 	f.outs = outs
 	f.viewCloses.Inc()
 	f.evaluated(&ft, tc)
 	// The output slice is shared across a set — without a post stage across
-	// sets, and its rows with other closes (rows and delivered slices are
-	// immutable); a failing sink marks only its own CQ, and one that reports
-	// its consumers' failures has not failed.
+	// sets (rows and delivered slices are immutable); a failing sink marks
+	// only its own CQ, and one that reports its consumers' failures has not
+	// failed.
 	for _, so := range outs {
 		for _, m := range so.run {
 			m.windowsFired.Inc()
-			err := m.sink(*tc, c, so.out)
+			so.lease.Retain()
+			err := m.sink(*tc, c, so.out, so.lease)
 			if ds, ok := err.(downstream); ok {
 				f.passed = append(f.passed, ds.error)
 				f.src.unswept.Add(1)

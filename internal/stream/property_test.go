@@ -106,11 +106,11 @@ func retained(t *testing.T, f *feed, lo, hi int64) ([]types.Row, int64) {
 	defer f.mu.Unlock()
 	v := f.store.Attach(hi - lo)
 	defer f.store.Detach(v)
-	rows, _, _, err := v.Fire(hi, false)
+	fr, _, _, err := v.Fire(hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return slices.Clone(rows), f.store.SlicesN.Load()
+	return slices.Clone(fr.Rows), f.store.SlicesN.Load()
 }
 
 // TestStoreRetention: a store keeps the slices its widest view can still
@@ -185,7 +185,7 @@ func TestEmissionBufferBounded(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		rows := []types.Row{{types.NewInt(int64(i))}}
-		if err := e.rt.emitDerived(trace.Ctx{}, "d", int64(i+1)*minute, rows); err != nil {
+		if _, err := e.rt.emitDerived(trace.Ctx{}, "d", int64(i+1)*minute, rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func TestCountWindowContentsProperty(t *testing.T) {
 			e.cat.CreateDerivedStream(mustDerived("d", schema[:1]))
 		}, func(e *env) {
 			for k, rows := range emitted {
-				if err := e.rt.emitDerived(trace.Ctx{}, "d", int64(k+1)*minute, rows); err != nil {
+				if _, err := e.rt.emitDerived(trace.Ctx{}, "d", int64(k+1)*minute, rows); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"streamrel/internal/exec"
+	"streamrel/internal/ivm"
 	"streamrel/internal/metrics"
 	"streamrel/internal/plan"
 	"streamrel/internal/trace"
@@ -61,7 +62,13 @@ import (
 // the same span chain. A sink runs on whichever goroutine is draining its
 // feed's mailbox (the producer, or a scheduler worker under
 // SetParallel); it must not call back into the pipeline's own stream.
-type Sink func(tc trace.Ctx, closeTS int64, rows []types.Row) error
+//
+// lease, when not nil, is the frame the rows are lent from, with one
+// reference counted for the sink: a sink that is done with the rows — at
+// once, or later on another goroutine — releases it (ivm.Frame.Release), and
+// one that never does keeps them for good, so the view writes its next close
+// into a fresh frame. A nil lease lends nothing: the rows are the sink's.
+type Sink func(tc trace.Ctx, closeTS int64, rows []types.Row, lease *ivm.Frame) error
 
 // Tap receives everything a stream's subscribers are sent — a base stream's
 // accepted batch, a derived stream's emission — as a Sink does, and with a
@@ -669,7 +676,7 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive fun
 		return false, err
 	}
 	defer func() {
-		kept = block.refs.Load() > 1 || slices.ContainsFunc(s.feeds, (*feed).keepsRows) || slices.ContainsFunc(s.retired, (*feed).keepsRows)
+		kept = s.keeps(block)
 		block.release()
 	}()
 	batch := block.rows
@@ -702,6 +709,12 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, archive fun
 	s.rows.Add(int64(len(batch)))
 	return kept, errors.Join(s.fanOut(r, task{kind: taskBatch, batch: batch, block: block,
 		ts: batch[len(batch)-1].ts, tc: tc}, true, in))
+}
+
+// keeps reports whether a mailbox yet to apply block, or a store that
+// KeepsRows, may still hold its rows. Callers hold s.mu.
+func (s *source) keeps(block *batchBlock) bool {
+	return block.refs.Load() > 1 || slices.ContainsFunc(s.feeds, (*feed).keepsRows) || slices.ContainsFunc(s.retired, (*feed).keepsRows)
 }
 
 // fanOut hands one task to every subscriber of the source. Mailboxes are
@@ -829,10 +842,16 @@ func (r *Runtime) Tap(stream string, tap Tap) (func(), error) {
 // DerivedSink returns the sink that feeds a derived stream's source. The
 // engine wires it as the sink of the derived stream's always-on pipeline.
 // Emission takes the derived source's own lock, so the sink may run on
-// whichever goroutine is draining the upstream feed's mailbox.
+// whichever goroutine is draining the upstream feed's mailbox. It hands the
+// lease back once the emission is delivered, unless delivery reports its rows
+// kept.
 func (r *Runtime) DerivedSink(stream string) Sink {
-	return func(tc trace.Ctx, closeTS int64, rows []types.Row) error {
-		return r.emitDerived(tc, stream, closeTS, rows)
+	return func(tc trace.Ctx, closeTS int64, rows []types.Row, lease *ivm.Frame) error {
+		kept, err := r.emitDerived(tc, stream, closeTS, rows)
+		if !kept {
+			lease.Release()
+		}
+		return err
 	}
 }
 
@@ -843,18 +862,19 @@ func (r *Runtime) DerivedSink(stream string) Sink {
 // continues through every derived stream it cascades into. An emission that
 // reached every tap has been delivered, whatever its consumers then did with
 // it: their swept failures come back marked downstream, so the emitting CQ
-// hands them up to the producer's call instead of failing for them.
-func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows []types.Row) error {
+// hands them up to the producer's call instead of failing for them. kept is
+// deliver's.
+func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows []types.Row) (kept bool, err error) {
 	src, err := r.lookup(stream)
 	if err != nil {
 		// The derived stream has been dropped; discard silently.
-		return nil
+		return false, nil
 	}
 	src.mu.Lock()
 	defer src.unlock()
 	block, err := src.prepare(r, rows, closeTS, true)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer block.release()
 	src.rows.Add(int64(len(block.rows)))
@@ -862,10 +882,10 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 	// never block on another feed's mailbox bound (deadlock).
 	tapErr, swept := src.fanOut(r, task{kind: taskEmission, batch: block.rows, block: block,
 		ts: closeTS, tc: tc}, false, nil)
-	if tapErr == nil && swept != nil {
-		return downstream{swept}
+	if kept = src.keeps(block); tapErr == nil && swept != nil {
+		return kept, downstream{swept}
 	}
-	return errors.Join(tapErr, swept)
+	return kept, errors.Join(tapErr, swept)
 }
 
 // downstream marks the failures of a derived stream's consumers on their way

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streamrel/internal/catalog"
+	"streamrel/internal/ivm"
 	"streamrel/internal/plan"
 	"streamrel/internal/sql"
 	"streamrel/internal/trace"
@@ -75,7 +76,7 @@ func (e *env) subscribe(t *testing.T, src string) (*Pipeline, *[]batch) {
 		t.Fatalf("plan: %v", err)
 	}
 	out := &[]batch{}
-	pipe, err := e.rt.Subscribe(pl, func(_ trace.Ctx, c int64, rows []types.Row) error {
+	pipe, err := e.rt.Subscribe(pl, func(_ trace.Ctx, c int64, rows []types.Row, _ *ivm.Frame) error {
 		*out = append(*out, batch{c, rows})
 		return nil
 	})
@@ -443,7 +444,7 @@ func TestSlicesWindowOverDerived(t *testing.T) {
 		}
 		// emitDerived locks the derived source itself, so it may be
 		// called from any goroutine.
-		if err := e.rt.emitDerived(trace.Ctx{}, "urls_now", c, rows); err != nil {
+		if _, err := e.rt.emitDerived(trace.Ctx{}, "urls_now", c, rows); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -76,6 +76,7 @@ func TestMetricNamingConventions(t *testing.T) {
 		"streamrel_plan_subscribers",
 		"streamrel_ivm_groups_touched_total",
 		"streamrel_ivm_rows_carved_total",
+		"streamrel_ivm_frames_made_total",
 		"streamrel_repl_lsn",
 		"streamrel_repl_connected_replicas",
 		"streamrel_repl_events_total",

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"streamrel/internal/ivm"
 	"streamrel/internal/sql"
 	"streamrel/internal/stream"
 	"streamrel/internal/trace"
@@ -73,7 +74,7 @@ type failingSink struct {
 
 func (l *failingSink) subscribe(t *testing.T, e *Engine, sqlText string) {
 	t.Helper()
-	subscribeSink(t, e, sqlText, func(trace.Ctx, int64, []types.Row) error {
+	subscribeSink(t, e, sqlText, func(trace.Ctx, int64, []types.Row, *ivm.Frame) error {
 		if l.calls++; l.calls == l.failAt {
 			return l.err
 		}
@@ -363,7 +364,7 @@ func TestQueueDepthBehindStalledFeed(t *testing.T) {
 	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	subscribeSink(t, e, fmt.Sprintf(faultShape, 60), func(trace.Ctx, int64, []types.Row) error {
+	subscribeSink(t, e, fmt.Sprintf(faultShape, 60), func(trace.Ctx, int64, []types.Row, *ivm.Frame) error {
 		once.Do(func() { close(entered) })
 		<-release
 		return nil

@@ -23,7 +23,7 @@
 //	                        GROUP BY url`)
 //	eng.Exec(`INSERT INTO url_stream VALUES ('/home', timestamp '2009-01-04 09:00:30', '10.0.0.1')`)
 //	eng.AdvanceTime("url_stream", mustTS("2009-01-04 09:06:00"))
-//	batch, _ := cq.TryNext() // the first window's rows
+//	batch, _ := cq.TryNext() // the first window's rows, valid until cq takes its next
 package streamrel
 
 import (
