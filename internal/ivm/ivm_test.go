@@ -65,16 +65,16 @@ const second = 1_000_000
 var racing bool // race_test.go
 
 // modes are the schedules an equivalence suite reads its views under: whether
-// the k-th close's frame is lent back, at the next close as a CQ's reader
-// hands it back, or kept. mixed keeps two closes' frames and lends the next
-// two, so a view writes into fresh frames and into frames one and two closes
-// old.
+// the k-th close's frame is lent back in, at the next close as a CQ's reader
+// hands it back, or kept out. mixed keeps two closes' frames and lends the
+// next two, so a view writes into fresh frames and into frames one and two
+// closes old.
 var modes = []struct {
 	name string
 	lend func(k int) bool
 }{
-	{"keep", func(int) bool { return false }},
-	{"lend", func(int) bool { return true }},
+	{"out", func(int) bool { return false }},
+	{"in", func(int) bool { return true }},
 	{"mixed", func(k int) bool { return k/2%2 == 1 }},
 }
 
